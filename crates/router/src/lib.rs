@@ -23,10 +23,11 @@
 //! * [`fleet`] — shard links (attach to a running daemon, or spawn-and-own an
 //!   `hfzd` child) over the redialing [`Connection`](huffdec_serve::Connection);
 //! * [`router`] — [`RouterState`] request dispatch, failure
-//!   handling (mark down → re-`LOAD` onto survivors → retry once), fleet
-//!   `STATS`/`METRICS` aggregation, and the accept loop;
-//! * [`options`] — flag parsing, the spawnable [`Router`] builder API, and the
-//!   blocking foreground loop behind the `hfzr` binary.
+//!   handling (mark down → re-`LOAD` onto survivors → retry once), and fleet
+//!   `STATS`/`METRICS` aggregation, served by the connection core it shares with
+//!   `hfzd` ([`huffdec_serve::service`]);
+//! * [`options`] — the [`Router`] builder (filled from `hfzr` flags or setters) and
+//!   the blocking foreground entry point behind the `hfzr` binary.
 //!
 //! ## Failure model
 //!
@@ -45,8 +46,6 @@ pub mod placement;
 pub mod router;
 
 pub use fleet::{spawn_shard, ShardLink};
-pub use options::{
-    run_foreground, Router, RouterBuilder, RouterHandle, RouterOptions, DEFAULT_LISTEN,
-};
+pub use options::{run_foreground, Router, RouterBuilder, RouterHandle, DEFAULT_LISTEN};
 pub use placement::{field_key, Placement};
-pub use router::{RouterServer, RouterState};
+pub use router::RouterState;

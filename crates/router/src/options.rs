@@ -24,115 +24,26 @@
 //!
 //! Embedders use [`Router::builder()`] → [`RouterBuilder::spawn`] and get a
 //! [`RouterHandle`] back (resolved address, shared state, `shutdown()`/`join()`);
-//! the `hfzr` binary is a thin wrapper over [`run_foreground`], which prints one
-//! line per shard, then `metrics on <addr>` (when requested), then the
-//! `listening on <addr>` line — same contract as `hfzd` itself.
+//! the `hfzr` binary fills the same builder from flags ([`RouterBuilder::parse`])
+//! and hands it to [`run_foreground`], which prints one line per shard, then
+//! `metrics on <addr>` (when requested), then the `listening on <addr>` line — same
+//! contract as `hfzd` itself, and the same connection core underneath
+//! ([`huffdec_serve::service`]).
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use huffdec_codec::HfzError;
-use huffdec_serve::http::HttpServer;
-use huffdec_serve::net::ListenAddr;
+use huffdec_serve::flags::Flags;
+use huffdec_serve::net::{ListenAddr, Listener};
 use huffdec_serve::protocol::{Request, Response};
+use huffdec_serve::service::{self, ServiceHandle};
 
 use crate::fleet::{spawn_shard, ShardLink};
-use crate::router::{RouterServer, RouterState};
+use crate::router::RouterState;
 
 /// Default listen address when `--listen` is absent.
 pub const DEFAULT_LISTEN: &str = "tcp:127.0.0.1:4807";
-
-/// Parsed router options.
-#[derive(Debug, Clone)]
-pub struct RouterOptions {
-    /// Where the router serves the protocol.
-    pub listen: ListenAddr,
-    /// Daemons to attach to, in shard-id order.
-    pub shards: Vec<ListenAddr>,
-    /// How many `hfzd` children to spawn on ephemeral ports.
-    pub spawn: usize,
-    /// The binary `--spawn` forks.
-    pub hfzd_bin: String,
-    /// Flags forwarded to every spawned shard (`--cache-bytes`, `--backend`).
-    pub shard_args: Vec<String>,
-    /// `(name, path)` archives to place across the fleet at start-up.
-    pub preload: Vec<(String, String)>,
-    /// Where to bind the fleet HTTP metrics/health sidecar, when requested.
-    pub metrics: Option<ListenAddr>,
-    /// Where to write the resolved listen address once accepting, when requested.
-    pub addr_file: Option<PathBuf>,
-}
-
-impl RouterOptions {
-    /// Parses
-    /// `--listen/--shard/--spawn/--hfzd-bin/--cache-bytes/--backend/--load/--metrics/--addr-file`.
-    pub fn parse(args: &[String]) -> Result<RouterOptions, String> {
-        let mut listen = ListenAddr::parse(DEFAULT_LISTEN).expect("default parses");
-        let mut shards = Vec::new();
-        let mut spawn = 0usize;
-        let mut hfzd_bin = "hfzd".to_string();
-        let mut shard_args = Vec::new();
-        let mut preload = Vec::new();
-        let mut metrics = None;
-        let mut addr_file = None;
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            let mut value = |name: &str| {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("flag {} expects a value", name))
-            };
-            match arg.as_str() {
-                "--listen" => listen = ListenAddr::parse(&value("--listen")?)?,
-                "--shard" => shards.push(ListenAddr::parse(&value("--shard")?)?),
-                "--spawn" => {
-                    spawn = value("--spawn")?
-                        .parse()
-                        .map_err(|_| "bad --spawn value".to_string())?
-                }
-                "--hfzd-bin" => hfzd_bin = value("--hfzd-bin")?,
-                "--cache-bytes" => {
-                    let v = value("--cache-bytes")?;
-                    v.parse::<u64>()
-                        .map_err(|_| "bad --cache-bytes value".to_string())?;
-                    shard_args.push("--cache-bytes".to_string());
-                    shard_args.push(v);
-                }
-                "--backend" => {
-                    shard_args.push("--backend".to_string());
-                    shard_args.push(value("--backend")?);
-                }
-                "--load" => {
-                    let spec = value("--load")?;
-                    let (name, path) = spec
-                        .split_once('=')
-                        .ok_or_else(|| format!("--load '{}' is not NAME=PATH", spec))?;
-                    if name.is_empty() || path.is_empty() {
-                        return Err("--load needs a non-empty NAME=PATH".to_string());
-                    }
-                    preload.push((name.to_string(), path.to_string()));
-                }
-                "--metrics" => metrics = Some(ListenAddr::parse(&value("--metrics")?)?),
-                "--addr-file" => addr_file = Some(PathBuf::from(value("--addr-file")?)),
-                other => return Err(format!("unknown router flag '{}'", other)),
-            }
-        }
-        if shards.is_empty() && spawn == 0 {
-            return Err("a router needs shards: pass --shard ADDR and/or --spawn N".to_string());
-        }
-        Ok(RouterOptions {
-            listen,
-            shards,
-            spawn,
-            hfzd_bin,
-            shard_args,
-            preload,
-            metrics,
-            addr_file,
-        })
-    }
-}
 
 /// Entry point of the builder API: [`Router::builder()`] configures a fleet and
 /// [`RouterBuilder::spawn`] runs it on background threads behind a [`RouterHandle`].
@@ -146,7 +57,8 @@ impl Router {
     }
 }
 
-/// Configures and spawns a router (see [`Router::builder`]).
+/// Configures and spawns a router (see [`Router::builder`]): the one description of
+/// a fleet, filled from `hfzr` flags ([`RouterBuilder::parse`]) or through the setters.
 #[derive(Debug, Clone)]
 pub struct RouterBuilder {
     listen: ListenAddr,
@@ -175,18 +87,40 @@ impl Default for RouterBuilder {
 }
 
 impl RouterBuilder {
-    /// A builder mirroring parsed `hfzr` flags.
-    pub fn from_options(options: &RouterOptions) -> RouterBuilder {
-        RouterBuilder {
-            listen: options.listen.clone(),
-            shards: options.shards.clone(),
-            spawn: options.spawn,
-            hfzd_bin: options.hfzd_bin.clone(),
-            shard_args: options.shard_args.clone(),
-            preload: options.preload.clone(),
-            metrics: options.metrics.clone(),
-            addr_file: options.addr_file.clone(),
+    /// Parses
+    /// `--listen/--shard/--spawn/--hfzd-bin/--cache-bytes/--backend/--load/--metrics/--addr-file`
+    /// into a builder. `--cache-bytes` and `--backend` are checked here and forwarded
+    /// to every spawned shard, so a bad value is a usage error, not a shard that
+    /// fails to start.
+    pub fn parse(args: &[String]) -> Result<RouterBuilder, String> {
+        let mut builder = RouterBuilder::default();
+        let mut flags = Flags::new(args);
+        while let Some(flag) = flags.next_flag() {
+            match flag {
+                "--listen" => builder.listen = flags.addr()?,
+                "--metrics" => builder.metrics = Some(flags.addr()?),
+                "--addr-file" => builder.addr_file = Some(flags.value()?.into()),
+                "--shard" => builder.shards.push(flags.addr()?),
+                "--spawn" => builder.spawn = flags.number()?,
+                "--hfzd-bin" => builder.hfzd_bin = flags.value()?.to_string(),
+                "--cache-bytes" => {
+                    let bytes: u64 = flags.number()?;
+                    builder.shard_args.push(flag.to_string());
+                    builder.shard_args.push(bytes.to_string());
+                }
+                "--backend" => {
+                    let backend = flags.backend()?;
+                    builder.shard_args.push(flag.to_string());
+                    builder.shard_args.push(backend.name().to_string());
+                }
+                "--load" => builder.preload.push(flags.load()?),
+                other => return Err(format!("unknown router flag '{}'", other)),
+            }
         }
+        if builder.shards.is_empty() && builder.spawn == 0 {
+            return Err("a router needs shards: pass --shard ADDR and/or --spawn N".to_string());
+        }
+        Ok(builder)
     }
 
     /// Where the router serves the protocol (default `tcp:127.0.0.1:4807`).
@@ -238,10 +172,9 @@ impl RouterBuilder {
         self
     }
 
-    /// Builds the fleet, binds, preloads, and starts routing on a background
-    /// thread. On return the listener (and sidecar, when requested) is accepting
-    /// and the addr file (when requested) is written. Failure classes mirror the
-    /// daemon's so `hfzr` exits with the same stable codes as `hfzd`.
+    /// Builds the fleet, binds, preloads, and starts routing (see
+    /// [`service::spawn`] for the sidecar and addr-file ordering). Failure classes
+    /// mirror the daemon's so `hfzr` exits with the same stable codes as `hfzd`.
     pub fn spawn(self) -> Result<RouterHandle, HfzError> {
         let mut links: Vec<ShardLink> = Vec::new();
         for addr in &self.shards {
@@ -259,133 +192,41 @@ impl RouterBuilder {
             ));
         }
         let state = Arc::new(RouterState::new(links));
-        let server = RouterServer::bind(&self.listen, Arc::clone(&state))
+        let listener = Listener::bind(&self.listen)
             .map_err(|e| HfzError::io(format!("cannot bind {}", self.listen), e))?;
-        let addr = server.local_addr();
         for (name, path) in &self.preload {
-            match state.handle(&Request::Load {
+            let placed = state.handle(&Request::Load {
                 name: name.clone(),
                 path: path.clone(),
-            }) {
-                Response::Loaded { .. } => {}
-                Response::Error(message) => {
-                    return Err(HfzError::io(
-                        format!("cannot place '{}'", name),
-                        std::io::Error::other(message),
-                    ));
-                }
-                other => {
-                    return Err(HfzError::io(
-                        format!("cannot place '{}'", name),
-                        std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!("unexpected response: {:?}", other),
-                        ),
-                    ));
-                }
-            }
+            });
+            let failure = match placed {
+                Response::Loaded { .. } => continue,
+                Response::Error(message) => std::io::Error::other(message),
+                other => std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("unexpected response: {:?}", other),
+                ),
+            };
+            return Err(HfzError::io(format!("cannot place '{}'", name), failure));
         }
-        // Sidecar before the addr file: by the time a supervisor learns the address,
-        // the fleet is already scrapable — the same ordering contract as the daemon.
-        let mut metrics_addr = None;
-        let sidecar = match &self.metrics {
-            Some(addr) => {
-                let sidecar = HttpServer::bind(addr, Arc::clone(&state)).map_err(|e| {
-                    HfzError::io(format!("cannot bind metrics sidecar {}", addr), e)
-                })?;
-                let bound = sidecar
-                    .local_addr()
-                    .map_err(|e| HfzError::io("metrics sidecar address", e))?;
-                metrics_addr = Some(bound);
-                Some(std::thread::spawn(move || {
-                    let _ = sidecar.run();
-                }))
-            }
-            None => None,
-        };
-        if let Some(path) = &self.addr_file {
-            write_addr_file(path, &addr)
-                .map_err(|e| HfzError::io(format!("cannot write {}", path.display()), e))?;
-        }
-        let server_thread = std::thread::spawn(move || server.run());
-        Ok(RouterHandle {
+        service::spawn(
+            listener,
             state,
-            addr,
-            metrics_addr,
-            server: Some(server_thread),
-            sidecar,
-        })
+            self.metrics.as_ref(),
+            self.addr_file.as_deref(),
+        )
     }
 }
 
-/// Writes `addr` to `path` atomically: a sibling temp file, then a rename, so a
-/// reader polling the path never observes a partial write.
-fn write_addr_file(path: &std::path::Path, addr: &ListenAddr) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, format!("{}\n", addr))?;
-    std::fs::rename(&tmp, path)
-}
+/// A running router: see [`ServiceHandle`].
+pub type RouterHandle = ServiceHandle<RouterState>;
 
-/// A spawned router: the resolved addresses, the shared state, and the lifecycle.
-///
-/// Dropping the handle *detaches* — the router keeps serving until someone sends
-/// `SHUTDOWN` or calls [`RouterHandle::shutdown`]. Call [`RouterHandle::join`] for
-/// a clean blocking wait.
-#[derive(Debug)]
-pub struct RouterHandle {
-    state: Arc<RouterState>,
-    addr: ListenAddr,
-    metrics_addr: Option<ListenAddr>,
-    server: Option<JoinHandle<std::io::Result<()>>>,
-    sidecar: Option<JoinHandle<()>>,
-}
-
-impl RouterHandle {
-    /// The bound protocol address, with ephemeral TCP ports resolved.
-    pub fn local_addr(&self) -> &ListenAddr {
-        &self.addr
-    }
-
-    /// The bound metrics sidecar address, when one was requested.
-    pub fn metrics_addr(&self) -> Option<&ListenAddr> {
-        self.metrics_addr.as_ref()
-    }
-
-    /// The shared router state (stats, health, shard links).
-    pub fn state(&self) -> Arc<RouterState> {
-        Arc::clone(&self.state)
-    }
-
-    /// Requests shutdown; pair with [`RouterHandle::join`] to wait for the drain.
-    pub fn shutdown(&self) {
-        self.state.request_shutdown();
-    }
-
-    /// Blocks until the router exits (after a [`RouterHandle::shutdown`] or a
-    /// protocol `SHUTDOWN`) and surfaces how the accept loop ended.
-    pub fn join(mut self) -> Result<(), HfzError> {
-        let result = match self.server.take() {
-            Some(handle) => match handle.join() {
-                Ok(result) => result.map_err(|e| HfzError::io("router failed", e)),
-                Err(_) => Err(HfzError::Protocol("router thread panicked".to_string())),
-            },
-            None => Ok(()),
-        };
-        if let Some(sidecar) = self.sidecar.take() {
-            let _ = sidecar.join();
-        }
-        result
-    }
-}
-
-/// Builds the fleet from parsed flags, spawns it, prints the start-up lines the
-/// smoke jobs expect (one per shard, `metrics on`, then `listening on`), and blocks
-/// until shutdown — the body of the `hfzr` binary.
-pub fn run_foreground(options: &RouterOptions) -> Result<(), HfzError> {
-    use std::io::Write as _;
-    let handle = RouterBuilder::from_options(options).spawn()?;
+/// Spawns the fleet a builder describes, prints the start-up lines the smoke jobs
+/// expect (one per shard, `metrics on`, then `listening on`), and blocks until
+/// shutdown — the body of the `hfzr` binary.
+pub fn run_foreground(builder: RouterBuilder) -> Result<(), HfzError> {
+    let preload = builder.preload.clone();
+    let handle = builder.spawn()?;
     let state = handle.state();
     for link in state.links() {
         match link.pid() {
@@ -398,22 +239,11 @@ pub fn run_foreground(options: &RouterOptions) -> Result<(), HfzError> {
             None => println!("hfzr: shard {} attached on {}", link.id(), link.addr()),
         }
     }
-    for (name, path) in &options.preload {
+    for (name, path) in &preload {
         let fields = state.archive_field_count(name).unwrap_or(0);
         eprintln!("hfzr: placed '{}' from {} ({} fields)", name, path, fields);
     }
-    let mut out = std::io::stdout();
-    if let Some(bound) = handle.metrics_addr() {
-        let _ = writeln!(out, "hfzr: metrics on {}", bound);
-    }
-    let _ = writeln!(
-        out,
-        "hfzr: listening on {} ({} shards)",
-        handle.local_addr(),
-        state.links().len()
-    );
-    let _ = out.flush();
-    handle.join()
+    handle.serve_foreground("hfzr", &format!("{} shards", state.links().len()))
 }
 
 #[cfg(test)]
@@ -426,7 +256,7 @@ mod tests {
 
     #[test]
     fn parses_all_flags() {
-        let opts = RouterOptions::parse(&s(&[
+        let opts = RouterBuilder::parse(&s(&[
             "--listen",
             "tcp:127.0.0.1:9900",
             "--shard",
@@ -474,19 +304,23 @@ mod tests {
     #[test]
     fn defaults_and_bad_flags() {
         // No shards at all is a configuration error, not a silently idle router.
-        assert!(RouterOptions::parse(&[]).is_err());
-        let opts = RouterOptions::parse(&s(&["--spawn", "2"])).unwrap();
+        assert!(RouterBuilder::parse(&[]).is_err());
+        let opts = RouterBuilder::parse(&s(&["--spawn", "2"])).unwrap();
         assert_eq!(opts.listen, ListenAddr::parse(DEFAULT_LISTEN).unwrap());
         assert_eq!(opts.hfzd_bin, "hfzd");
         assert!(opts.shards.is_empty());
         assert!(opts.shard_args.is_empty());
         assert_eq!(opts.metrics, None);
         assert_eq!(opts.addr_file, None);
-        assert!(RouterOptions::parse(&s(&["--spawn", "x"])).is_err());
-        assert!(RouterOptions::parse(&s(&["--addr-file"])).is_err());
-        assert!(RouterOptions::parse(&s(&["--shard"])).is_err());
-        assert!(RouterOptions::parse(&s(&["--cache-bytes", "x"])).is_err());
-        assert!(RouterOptions::parse(&s(&["--load", "nopath", "--spawn", "1"])).is_err());
-        assert!(RouterOptions::parse(&s(&["--bogus"])).is_err());
+        assert!(RouterBuilder::parse(&s(&["--spawn", "x"])).is_err());
+        assert!(RouterBuilder::parse(&s(&["--addr-file"])).is_err());
+        assert!(RouterBuilder::parse(&s(&["--shard"])).is_err());
+        assert!(RouterBuilder::parse(&s(&["--cache-bytes", "x"])).is_err());
+        // Forwarded flags are validated here: a bad backend is a usage error, not a
+        // shard that fails to start.
+        assert!(RouterBuilder::parse(&s(&["--spawn", "1", "--backend", "cuda"])).is_err());
+        assert!(RouterBuilder::parse(&s(&["--spawn", "1", "--backend"])).is_err());
+        assert!(RouterBuilder::parse(&s(&["--load", "nopath", "--spawn", "1"])).is_err());
+        assert!(RouterBuilder::parse(&s(&["--bogus"])).is_err());
     }
 }

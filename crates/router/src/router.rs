@@ -14,6 +14,11 @@
 //! * `STATS` / `METRICS` — fleet aggregation: summed counters and the shards'
 //!   Prometheus families merged under a `shard` label.
 //!
+//! Connections, threads and shutdown are [`huffdec_serve::service`]'s — the same
+//! accept loop `hfzd` runs — with [`RouterState`] plugged in as its
+//! [`Service`]: each connection thread runs
+//! [`RouterState::handle`] to completion, blocking on the owning shard's reply.
+//!
 //! **Failure handling.** A disconnect that survives the [`Connection`](huffdec_serve::Connection)'s
 //! own redial means the shard is gone: the router marks it down, re-resolves its keys
 //! against the surviving shards (rendezvous hashing moves *only* the dead shard's
@@ -24,19 +29,16 @@
 //! propagates the typed `BUSY` to the client only if the shard is still saturated.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, RwLock};
 
 use huffdec_codec::ArchiveSummary;
 use huffdec_container::JsonWriter;
 use huffdec_metrics::{merge_expositions, parse_prometheus, Sample};
 use huffdec_serve::client::ClientError;
-use huffdec_serve::net::{connect, Conn, ListenAddr, Listener};
-use huffdec_serve::protocol::{
-    read_frame, write_frame, BatchGetItem, GetKind, Request, Response, MAX_REQUEST_BYTES,
-    MAX_RESPONSE_BYTES,
-};
+use huffdec_serve::protocol::{BatchGetItem, GetKind, Request, Response};
 use huffdec_serve::server::Health;
+use huffdec_serve::service::{Lifecycle, Service};
 
 use crate::fleet::ShardLink;
 use crate::placement::{field_key, Placement};
@@ -62,9 +64,7 @@ pub struct RouterState {
     links: Vec<ShardLink>,
     placement: RwLock<Placement>,
     archives: RwLock<BTreeMap<String, ArchiveEntry>>,
-    shutdown: AtomicBool,
-    addr: Mutex<Option<ListenAddr>>,
-    metrics_addr: Mutex<Option<ListenAddr>>,
+    lifecycle: Lifecycle,
     /// Protocol requests the router handled (its own counter — shard counters only
     /// see the traffic proxied to them).
     requests: AtomicU64,
@@ -83,15 +83,13 @@ pub struct RouterState {
 impl RouterState {
     /// A router over the given shard links (their ids must be `0..links.len()`, the
     /// placement slots).
-    pub fn new(links: Vec<ShardLink>) -> RouterState {
+    pub(crate) fn new(links: Vec<ShardLink>) -> RouterState {
         let placement = Placement::new(links.len());
         RouterState {
             links,
             placement: RwLock::new(placement),
             archives: RwLock::new(BTreeMap::new()),
-            shutdown: AtomicBool::new(false),
-            addr: Mutex::new(None),
-            metrics_addr: Mutex::new(None),
+            lifecycle: Lifecycle::default(),
             requests: AtomicU64::new(0),
             reroutes: AtomicU64::new(0),
             retries: AtomicU64::new(0),
@@ -119,34 +117,6 @@ impl RouterState {
         self.read_placement().live_count()
     }
 
-    /// Whether shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// Requests shutdown and wakes the accept loops (protocol and, when bound, the
-    /// HTTP sidecar) with throwaway connections.
-    pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let addr = self.lock(&self.addr).clone();
-        if let Some(addr) = addr {
-            let _ = connect(&addr);
-        }
-        let metrics_addr = self.lock(&self.metrics_addr).clone();
-        if let Some(addr) = metrics_addr {
-            let _ = connect(&addr);
-        }
-    }
-
-    /// Records the resolved protocol address (so shutdown can poke the accept loop).
-    pub(crate) fn set_addr(&self, addr: ListenAddr) {
-        *self.lock(&self.addr) = Some(addr);
-    }
-
-    fn lock<'a, T>(&self, mutex: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-        mutex.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     fn read_placement(&self) -> Placement {
         self.placement
             .read()
@@ -159,7 +129,7 @@ impl RouterState {
     /// check reads healthy again, now on the surviving shards. No live shard at all
     /// is unhealthy — there is nowhere left to route.
     pub fn health(&self) -> Health {
-        if self.is_shutting_down() {
+        if self.lifecycle.is_shutting_down() {
             return Health::Unhealthy("shutting down".to_string());
         }
         let placement = self.read_placement();
@@ -167,7 +137,8 @@ impl RouterState {
             return Health::Unhealthy("no live shards".to_string());
         }
         let events = self.down_events.load(Ordering::SeqCst);
-        let prev = std::mem::replace(&mut *self.lock(&self.health_seen), events);
+        let mut seen = self.health_seen.lock().unwrap_or_else(|p| p.into_inner());
+        let prev = std::mem::replace(&mut *seen, events);
         if events > prev {
             return Health::Degraded(format!(
                 "{} shard(s) marked down in the last window; archives re-routed, {}/{} shards serving",
@@ -195,7 +166,7 @@ impl RouterState {
             Request::Stats => Response::Stats(self.stats_json()),
             Request::Metrics => Response::Metrics(self.metrics_text()),
             Request::Shutdown => {
-                self.request_shutdown();
+                self.lifecycle.request_shutdown();
                 Response::ShuttingDown
             }
         }
@@ -706,12 +677,16 @@ impl std::fmt::Debug for RouterState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RouterState")
             .field("links", &self.links)
-            .field("shutdown", &self.is_shutting_down())
+            .field("shutdown", &self.lifecycle.is_shutting_down())
             .finish_non_exhaustive()
     }
 }
 
-impl huffdec_serve::http::HttpEndpoints for RouterState {
+impl Service for RouterState {
+    fn handle(&self, request: &Request) -> Response {
+        RouterState::handle(self, request)
+    }
+
     fn metrics_text(&self) -> String {
         RouterState::metrics_text(self)
     }
@@ -720,12 +695,16 @@ impl huffdec_serve::http::HttpEndpoints for RouterState {
         RouterState::health(self)
     }
 
-    fn is_shutting_down(&self) -> bool {
-        RouterState::is_shutting_down(self)
+    fn lifecycle(&self) -> &Lifecycle {
+        &self.lifecycle
     }
 
-    fn sidecar_bound(&self, addr: ListenAddr) {
-        *self.lock(&self.metrics_addr) = Some(addr);
+    /// With every client connection gone, spawned shards are asked to exit too
+    /// (attached shards are left running).
+    fn drained(&self) {
+        for link in &self.links {
+            link.shutdown_spawned();
+        }
     }
 }
 
@@ -829,96 +808,6 @@ fn object_name(object: &str) -> Option<&str> {
         }
     }
     None
-}
-
-/// A bound router: the protocol listener plus the shared state.
-#[derive(Debug)]
-pub struct RouterServer {
-    listener: Listener,
-    state: Arc<RouterState>,
-}
-
-impl RouterServer {
-    /// Binds the router's protocol listener on `addr`.
-    pub fn bind(addr: &ListenAddr, state: Arc<RouterState>) -> std::io::Result<RouterServer> {
-        let listener = Listener::bind(addr)?;
-        state.set_addr(listener.local_addr()?);
-        Ok(RouterServer { listener, state })
-    }
-
-    /// The bound address, with ephemeral TCP ports resolved.
-    pub fn local_addr(&self) -> ListenAddr {
-        self.listener
-            .local_addr()
-            .expect("listener had an address at bind time")
-    }
-
-    /// The shared router state.
-    pub fn state(&self) -> Arc<RouterState> {
-        Arc::clone(&self.state)
-    }
-
-    /// Accepts and serves until shutdown, one thread per connection; on the way out,
-    /// spawned shards are asked to exit too (attached shards are left running).
-    pub fn run(self) -> std::io::Result<()> {
-        let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        loop {
-            let conn = self.listener.accept()?;
-            if self.state.is_shutting_down() {
-                break;
-            }
-            workers.retain(|worker| !worker.is_finished());
-            let state = Arc::clone(&self.state);
-            workers.push(std::thread::spawn(move || serve_connection(state, conn)));
-        }
-        for worker in workers {
-            let _ = worker.join();
-        }
-        for link in self.state.links() {
-            link.shutdown_spawned();
-        }
-        Ok(())
-    }
-}
-
-/// Runs one connection's request loop: frames in, frames out, until EOF or shutdown.
-fn serve_connection(state: Arc<RouterState>, mut conn: Conn) {
-    use std::io::Write as _;
-    loop {
-        let body = match read_frame(&mut conn, MAX_REQUEST_BYTES) {
-            Ok(Some(body)) => body,
-            Ok(None) => return, // clean EOF
-            Err(_) => return,   // protocol violation: drop the connection
-        };
-        // Once SHUTDOWN has been accepted, concurrent connections are dropped rather
-        // than served — the same exit contract as the daemon.
-        if state.is_shutting_down() {
-            return;
-        }
-        let response = match Request::decode(&body) {
-            Ok(request) => state.handle(&request),
-            Err(e) => Response::Error(format!("bad request: {}", e)),
-        };
-        let shutting_down = matches!(response, Response::ShuttingDown);
-        // Mirror the daemon: a response that cannot fit a frame (a merged batch past
-        // the 1 GiB ceiling) degrades to a typed error instead of desyncing.
-        let mut body = response.encode();
-        if body.len() as u64 > MAX_RESPONSE_BYTES as u64 {
-            body = Response::Error(format!(
-                "response of {} bytes exceeds the {} frame limit; request a range",
-                body.len(),
-                MAX_RESPONSE_BYTES
-            ))
-            .encode();
-        }
-        if write_frame(&mut conn, &body, MAX_RESPONSE_BYTES).is_err() {
-            return;
-        }
-        if shutting_down {
-            let _ = conn.flush();
-            return;
-        }
-    }
 }
 
 #[cfg(test)]

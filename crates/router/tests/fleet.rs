@@ -1,25 +1,25 @@
 //! End-to-end fleet test: the acceptance scenario of the router.
 //!
-//! Three in-process `hfzd` shards behind a `RouterServer`. The client speaks to the
+//! Three in-process `hfzd` shards behind an in-process router. The client speaks to the
 //! router exactly as it would to a single daemon and must not be able to tell the
 //! difference: every `GET` and `GETBATCH` byte-identical to a direct decode, fleet
 //! `STATS` totals equal to the sum of the per-shard rows, and — the point of the
 //! subsystem — killing a shard mid-run re-homes its fields onto the survivors with
 //! at most one transparent retry for the in-flight request.
 
-use std::sync::Arc;
-
 use datasets::{dataset_by_name, generate, Field};
 use gpu_sim::{Gpu, GpuConfig};
 use huffdec_container::ArchiveWriter;
 use huffdec_core::DecoderKind;
-use huffdec_router::{RouterServer, RouterState, ShardLink};
+use huffdec_router::{Router, RouterHandle};
 use huffdec_serve::client::Connection;
 use huffdec_serve::net::ListenAddr;
 use huffdec_serve::protocol::GetKind;
-use huffdec_serve::server::{Server, ServerConfig};
-use huffdec_serve::BackendKind;
+use huffdec_serve::{Daemon, ServerHandle};
 use sz::{compress, decompress, Compressed, SzConfig};
+
+#[path = "../../serve/tests/support/mod.rs"]
+mod support;
 
 const ELEMENTS: usize = 8_000;
 const FIELDS: usize = 6;
@@ -67,24 +67,26 @@ fn f32_bytes(values: &[f32]) -> Vec<u8> {
 }
 
 /// One in-process shard on an ephemeral port.
-fn start_shard() -> (
-    ListenAddr,
-    Arc<huffdec_serve::ServerState>,
-    std::thread::JoinHandle<()>,
-) {
-    let config = ServerConfig {
-        cache_bytes: 8 << 20,
-        gpu: GpuConfig::test_tiny(),
-        backend: BackendKind::from_env(),
-        host_threads: 2,
-        ..ServerConfig::default()
-    };
-    let addr = ListenAddr::parse("tcp:127.0.0.1:0").unwrap();
-    let server = Server::bind(&addr, &config).unwrap();
-    let addr = server.local_addr();
-    let state = server.state();
-    let thread = std::thread::spawn(move || server.run().unwrap());
-    (addr, state, thread)
+fn start_shard() -> ServerHandle {
+    Daemon::builder()
+        .listen(ListenAddr::parse("tcp:127.0.0.1:0").unwrap())
+        .cache_bytes(8 << 20)
+        .gpu(GpuConfig::test_tiny())
+        .host_threads(2)
+        .spawn()
+        .unwrap()
+}
+
+/// An in-process router on an ephemeral port, attached to `shards` in order.
+fn start_router(shards: &[ServerHandle]) -> RouterHandle {
+    shards
+        .iter()
+        .fold(Router::builder(), |builder, shard| {
+            builder.attach(shard.local_addr().clone())
+        })
+        .listen(ListenAddr::parse("tcp:127.0.0.1:0").unwrap())
+        .spawn()
+        .unwrap()
 }
 
 /// Pulls `"key":<u64>` out of a JSON document fragment starting at `from`.
@@ -157,19 +159,8 @@ fn fleet_serves_hybrid_v2_snapshot_fields() {
     std::fs::write(&path, huffdec_container::snapshot_to_bytes(&refs).unwrap()).unwrap();
 
     let shards: Vec<_> = (0..2).map(|_| start_shard()).collect();
-    let links: Vec<ShardLink> = shards
-        .iter()
-        .enumerate()
-        .map(|(id, (addr, _, _))| ShardLink::attach(id, addr.clone()))
-        .collect();
-    let state = Arc::new(RouterState::new(links));
-    let router = RouterServer::bind(
-        &ListenAddr::parse("tcp:127.0.0.1:0").unwrap(),
-        Arc::clone(&state),
-    )
-    .unwrap();
-    let router_addr = router.local_addr();
-    let router_thread = std::thread::spawn(move || router.run().unwrap());
+    let router = start_router(&shards);
+    let router_addr = router.local_addr().clone();
 
     let mut client = Connection::connect(&router_addr).unwrap();
     assert_eq!(
@@ -205,11 +196,10 @@ fn fleet_serves_hybrid_v2_snapshot_fields() {
     assert!(list.contains("\"decoder\":\"rle+huff hybrid\""), "{}", list);
 
     client.shutdown().unwrap();
-    router_thread.join().unwrap();
-    drop(state);
-    for (addr, _, handle) in shards {
-        Connection::connect(&addr).unwrap().shutdown().unwrap();
-        handle.join().unwrap();
+    router.join().unwrap();
+    for shard in shards {
+        shard.shutdown();
+        shard.join().unwrap();
     }
 }
 
@@ -222,19 +212,8 @@ fn three_shard_fleet_serves_and_survives_a_kill() {
 
     // Three shards, then the router in front of them.
     let shards: Vec<_> = (0..3).map(|_| start_shard()).collect();
-    let links: Vec<ShardLink> = shards
-        .iter()
-        .enumerate()
-        .map(|(id, (addr, _, _))| ShardLink::attach(id, addr.clone()))
-        .collect();
-    let state = Arc::new(RouterState::new(links));
-    let router = RouterServer::bind(
-        &ListenAddr::parse("tcp:127.0.0.1:0").unwrap(),
-        Arc::clone(&state),
-    )
-    .unwrap();
-    let router_addr = router.local_addr();
-    let router_thread = std::thread::spawn(move || router.run().unwrap());
+    let router = start_router(&shards);
+    let router_addr = router.local_addr().clone();
 
     // One LOAD through the router places the archive across the fleet.
     let mut client = Connection::connect(&router_addr).unwrap();
@@ -248,7 +227,7 @@ fn three_shard_fleet_serves_and_survives_a_kill() {
     // placement is deterministic, so this cannot flake).
     let owners: Vec<usize> = (0..3)
         .filter(|&s| {
-            let mut c = Connection::connect(&shards[s].0).unwrap();
+            let mut c = Connection::connect(shards[s].local_addr()).unwrap();
             c.list().unwrap().contains("\"snap\"")
         })
         .collect();
@@ -260,8 +239,8 @@ fn three_shard_fleet_serves_and_survives_a_kill() {
 
     // A reference single daemon holding the same archive: the fleet must be
     // byte-identical to it on every request shape.
-    let (single_addr, _, single_thread) = start_shard();
-    let mut single = Connection::connect(&single_addr).unwrap();
+    let single_daemon = start_shard();
+    let mut single = Connection::connect(single_daemon.local_addr()).unwrap();
     single
         .load("snap", snapshot.path.to_str().unwrap())
         .unwrap();
@@ -345,8 +324,8 @@ fn three_shard_fleet_serves_and_survives_a_kill() {
     }
     // And it agrees with the shards' own STATS documents.
     let mut direct_gets = 0;
-    for (addr, _, _) in &shards {
-        let mut c = Connection::connect(addr).unwrap();
+    for shard in &shards {
+        let mut c = Connection::connect(shard.local_addr()).unwrap();
         direct_gets += json_u64(&c.stats().unwrap(), 0, "gets");
     }
     assert_eq!(json_u64(&stats, fleet_at, "gets"), direct_gets);
@@ -382,7 +361,7 @@ fn three_shard_fleet_serves_and_survives_a_kill() {
     assert_eq!(solo.bytes, f32_bytes(&solo_reference));
     let solo_owners: Vec<usize> = (0..3)
         .filter(|&s| {
-            let mut c = Connection::connect(&shards[s].0).unwrap();
+            let mut c = Connection::connect(shards[s].local_addr()).unwrap();
             c.list().unwrap().contains("\"solo\"")
         })
         .collect();
@@ -394,12 +373,15 @@ fn three_shard_fleet_serves_and_survives_a_kill() {
 
     // ---- Kill the shard owning `solo` mid-run. ----
     //
-    // In-process, `request_shutdown` is the kill switch: the shard stops accepting
-    // and drops every connection — including the router's pooled link — at its next
-    // frame, which is exactly what the router observes when a remote daemon dies.
+    // In-process, shutdown is the kill switch: the shard stops accepting and hangs
+    // up on every connection — including the router's pooled link — which is exactly
+    // what the router observes when a remote daemon dies. Joining it first means the
+    // death is complete before the next request goes out.
     let dead = solo_owners[0];
-    shards[dead].1.request_shutdown();
-    std::thread::sleep(std::time::Duration::from_millis(50));
+    let mut shards: Vec<Option<ServerHandle>> = shards.into_iter().map(Some).collect();
+    let killed = shards[dead].take().expect("the victim is running");
+    killed.shutdown();
+    killed.join().unwrap();
 
     // The in-flight request against the dead shard: marked down, `solo` re-loaded
     // onto a survivor from the router's registry, retried once — the client just
@@ -445,6 +427,7 @@ fn three_shard_fleet_serves_and_survives_a_kill() {
     assert!(prom.contains("hfzr_shard_down_events_total 1"));
 
     // Health: the death was absorbed — one degraded window, then healthy again.
+    let state = router.state();
     match state.health() {
         huffdec_serve::Health::Degraded(_) => {}
         other => panic!(
@@ -454,20 +437,48 @@ fn three_shard_fleet_serves_and_survives_a_kill() {
     }
     assert!(matches!(state.health(), huffdec_serve::Health::Healthy));
 
-    // Shut the fleet down: the router first, then the surviving shards. The router
-    // state must go before the shards do — its pooled links hold their sockets, and
-    // a shard's shutdown join waits for every connection to hang up.
+    // Shut the fleet down: the router first, then the surviving shards.
     client.shutdown().unwrap();
-    router_thread.join().unwrap();
-    drop(state);
+    router.join().unwrap();
     single.shutdown().unwrap();
-    single_thread.join().unwrap();
-    for (id, (addr, _, handle)) in shards.into_iter().enumerate() {
-        if id == dead {
-            handle.join().unwrap();
-            continue;
-        }
-        Connection::connect(&addr).unwrap().shutdown().unwrap();
-        handle.join().unwrap();
+    single_daemon.join().unwrap();
+    for shard in shards.into_iter().flatten() {
+        shard.shutdown();
+        shard.join().unwrap();
+    }
+}
+
+/// The regression: `hfzr` used to join connection threads parked in `read`, so one
+/// idle client kept it from ever exiting.
+#[test]
+fn router_shuts_down_with_an_idle_client_connected() {
+    let shard = start_shard();
+    let router = start_router(std::slice::from_ref(&shard));
+    support::shutdown_with_clients_connected(router, Vec::new());
+    shard.shutdown();
+    shard.join().unwrap();
+}
+
+/// The router runs on the daemon's connection core, so the same misbehaving peers are
+/// contained the same way, and a stalled one cannot hold up its exit either.
+#[test]
+fn router_contains_misbehaving_peers_and_shuts_down_with_clients_connected() {
+    let dir = std::env::temp_dir().join("hfzr-fleet-peers");
+    std::fs::create_dir_all(&dir).unwrap();
+    let gpu = Gpu::with_host_threads(GpuConfig::test_tiny(), 2);
+    let snapshot = build_snapshot(&dir, &gpu);
+
+    let shards: Vec<_> = (0..2).map(|_| start_shard()).collect();
+    let router = start_router(&shards);
+    Connection::connect(router.local_addr())
+        .unwrap()
+        .load("snap", snapshot.path.to_str().unwrap())
+        .unwrap();
+
+    let held = support::misbehaving_peers(router.local_addr(), "snap");
+    support::shutdown_with_clients_connected(router, held);
+    for shard in shards {
+        shard.shutdown();
+        shard.join().unwrap();
     }
 }

@@ -21,7 +21,8 @@
 //!   supervisors learn an ephemeral port without scraping stdout.
 //!
 //! The daemon prints one `listening on <addr>` line once it is accepting, then serves
-//! until a `SHUTDOWN` request. With `--metrics`, a `metrics on <addr>` line is printed
+//! until a `SHUTDOWN` request (the connection model and the shutdown contract are
+//! [`crate::service`]'s). With `--metrics`, a `metrics on <addr>` line is printed
 //! *before* it, so anything that waited for `listening on` can already scrape.
 //!
 //! ## Embedding
@@ -51,102 +52,16 @@ use gpu_sim::GpuConfig;
 use huffdec_backend::BackendKind;
 use huffdec_codec::HfzError;
 
-use crate::http::MetricsServer;
-use crate::net::ListenAddr;
-use crate::server::{Server, ServerConfig, ServerState};
+use crate::flags::Flags;
+use crate::net::{ListenAddr, Listener};
+use crate::server::ServerState;
+use crate::service::{self, ServiceHandle};
 
 /// Default listen address when `--listen` is absent.
 pub const DEFAULT_LISTEN: &str = "tcp:127.0.0.1:4806";
 
 /// Default decoded-field cache budget (256 MiB).
 pub const DEFAULT_CACHE_BYTES: u64 = 256 << 20;
-
-/// Parsed daemon options.
-#[derive(Debug, Clone)]
-pub struct DaemonOptions {
-    /// Where to listen.
-    pub listen: ListenAddr,
-    /// Cache budget in bytes.
-    pub cache_bytes: u64,
-    /// `(name, path)` archives to preload.
-    pub preload: Vec<(String, String)>,
-    /// Host threads for the simulated device.
-    pub host_threads: usize,
-    /// Execution backend requests decode on.
-    pub backend: BackendKind,
-    /// Where to bind the HTTP metrics/health sidecar, when requested.
-    pub metrics: Option<ListenAddr>,
-    /// Where to write the resolved listen address, when requested.
-    pub addr_file: Option<PathBuf>,
-}
-
-impl DaemonOptions {
-    /// Parses `--listen/--cache-bytes/--load/--host-threads/--backend/--metrics/
-    /// --addr-file` flags.
-    pub fn parse(args: &[String]) -> Result<DaemonOptions, String> {
-        let mut listen = ListenAddr::parse(DEFAULT_LISTEN).expect("default parses");
-        let mut cache_bytes = DEFAULT_CACHE_BYTES;
-        let mut preload = Vec::new();
-        let mut metrics = None;
-        let mut addr_file = None;
-        let mut backend = BackendKind::from_env();
-        let mut host_threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            let mut value = |name: &str| {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("flag {} expects a value", name))
-            };
-            match arg.as_str() {
-                "--listen" => listen = ListenAddr::parse(&value("--listen")?)?,
-                "--metrics" => metrics = Some(ListenAddr::parse(&value("--metrics")?)?),
-                "--addr-file" => addr_file = Some(PathBuf::from(value("--addr-file")?)),
-                "--cache-bytes" => {
-                    cache_bytes = value("--cache-bytes")?
-                        .parse()
-                        .map_err(|_| "bad --cache-bytes value".to_string())?
-                }
-                "--backend" => {
-                    let name = value("--backend")?;
-                    backend = name
-                        .parse()
-                        .map_err(|_| format!("--backend '{}' is not sim|cpu", name))?;
-                }
-                "--host-threads" => {
-                    host_threads = value("--host-threads")?
-                        .parse()
-                        .map_err(|_| "bad --host-threads value".to_string())?;
-                    if host_threads == 0 {
-                        return Err("--host-threads must be positive".to_string());
-                    }
-                }
-                "--load" => {
-                    let spec = value("--load")?;
-                    let (name, path) = spec
-                        .split_once('=')
-                        .ok_or_else(|| format!("--load '{}' is not NAME=PATH", spec))?;
-                    if name.is_empty() || path.is_empty() {
-                        return Err("--load needs a non-empty NAME=PATH".to_string());
-                    }
-                    preload.push((name.to_string(), path.to_string()));
-                }
-                other => return Err(format!("unknown daemon flag '{}'", other)),
-            }
-        }
-        Ok(DaemonOptions {
-            listen,
-            cache_bytes,
-            preload,
-            host_threads,
-            backend,
-            metrics,
-            addr_file,
-        })
-    }
-}
 
 /// Namespace for [`Daemon::builder`].
 #[derive(Debug)]
@@ -159,60 +74,70 @@ impl Daemon {
     }
 }
 
-/// Configures and spawns an in-process daemon; [`DaemonBuilder::spawn`] returns a
-/// [`ServerHandle`].
+/// Configures and spawns a daemon; [`DaemonBuilder::spawn`] returns a
+/// [`ServerHandle`]. This is the one description of a daemon: `hfzd` and `hfz serve`
+/// fill it from flags ([`DaemonBuilder::parse`]), embedders through the setters.
 ///
-/// Everything the CLI flags express is available programmatically, plus the scheduler
-/// knobs ([`DaemonBuilder::queue_bound`], [`DaemonBuilder::wave_tick`]) the
-/// contention tests and benches pin down.
+/// Everything the CLI flags express is available programmatically, plus the device
+/// model and the scheduler knobs ([`DaemonBuilder::queue_bound`],
+/// [`DaemonBuilder::wave_tick`]) the contention tests and benches pin down.
 #[derive(Debug, Clone)]
 pub struct DaemonBuilder {
-    listen: ListenAddr,
-    cache_bytes: u64,
-    preload: Vec<(String, String)>,
-    host_threads: usize,
-    backend: BackendKind,
-    metrics: Option<ListenAddr>,
-    addr_file: Option<PathBuf>,
-    queue_bound: usize,
-    wave_tick: Duration,
+    pub(crate) listen: ListenAddr,
+    pub(crate) cache_bytes: u64,
+    pub(crate) preload: Vec<(String, String)>,
+    pub(crate) host_threads: usize,
+    pub(crate) backend: BackendKind,
+    pub(crate) gpu: GpuConfig,
+    pub(crate) metrics: Option<ListenAddr>,
+    pub(crate) addr_file: Option<PathBuf>,
+    pub(crate) queue_bound: usize,
+    pub(crate) wave_tick: Duration,
 }
 
 impl Default for DaemonBuilder {
     fn default() -> Self {
-        let defaults = ServerConfig::default();
         DaemonBuilder {
             listen: ListenAddr::parse(DEFAULT_LISTEN).expect("default parses"),
             cache_bytes: DEFAULT_CACHE_BYTES,
             preload: Vec::new(),
-            host_threads: defaults.host_threads,
-            backend: defaults.backend,
+            host_threads: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4),
+            backend: BackendKind::from_env(),
+            gpu: GpuConfig::v100(),
             metrics: None,
             addr_file: None,
-            queue_bound: defaults.queue_bound,
-            wave_tick: defaults.wave_tick,
+            queue_bound: 256,
+            wave_tick: Duration::from_millis(1),
         }
     }
 }
 
 impl DaemonBuilder {
-    /// A builder carrying everything a parsed flag set expresses.
-    pub fn from_options(options: &DaemonOptions) -> DaemonBuilder {
-        let mut builder = Daemon::builder()
-            .listen(options.listen.clone())
-            .cache_bytes(options.cache_bytes)
-            .backend(options.backend)
-            .host_threads(options.host_threads);
-        for (name, path) in &options.preload {
-            builder = builder.preload(name, path);
+    /// Parses `--listen/--cache-bytes/--load/--host-threads/--backend/--metrics/
+    /// --addr-file` flags into a builder.
+    pub fn parse(args: &[String]) -> Result<DaemonBuilder, String> {
+        let mut builder = DaemonBuilder::default();
+        let mut flags = Flags::new(args);
+        while let Some(flag) = flags.next_flag() {
+            match flag {
+                "--listen" => builder.listen = flags.addr()?,
+                "--metrics" => builder.metrics = Some(flags.addr()?),
+                "--addr-file" => builder.addr_file = Some(flags.value()?.into()),
+                "--cache-bytes" => builder.cache_bytes = flags.number()?,
+                "--backend" => builder.backend = flags.backend()?,
+                "--host-threads" => {
+                    builder.host_threads = flags.number()?;
+                    if builder.host_threads == 0 {
+                        return Err("--host-threads must be positive".to_string());
+                    }
+                }
+                "--load" => builder.preload.push(flags.load()?),
+                other => return Err(format!("unknown daemon flag '{}'", other)),
+            }
         }
-        if let Some(addr) = &options.metrics {
-            builder = builder.metrics(addr.clone());
-        }
-        if let Some(path) = &options.addr_file {
-            builder = builder.addr_file(path.clone());
-        }
-        builder
+        Ok(builder)
     }
 
     /// Where to listen (default `tcp:127.0.0.1:4806`; use port 0 for ephemeral).
@@ -227,9 +152,16 @@ impl DaemonBuilder {
         self
     }
 
-    /// Execution backend requests decode on.
+    /// Execution backend requests decode on (default: the `HFZ_BACKEND` environment
+    /// variable, falling back to the simulated backend).
     pub fn backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
+        self
+    }
+
+    /// Simulated device configuration (default: the paper's V100).
+    pub fn gpu(mut self, gpu: GpuConfig) -> Self {
+        self.gpu = gpu;
         self
     }
 
@@ -240,7 +172,7 @@ impl DaemonBuilder {
     }
 
     /// Preloads an archive before the daemon starts serving (repeatable). A preload
-    /// failure surfaces from [`DaemonBuilder::spawn`], before any thread starts.
+    /// failure surfaces from [`DaemonBuilder::spawn`], before the daemon accepts.
     pub fn preload(mut self, name: &str, path: &str) -> Self {
         self.preload.push((name.to_string(), path.to_string()));
         self
@@ -258,148 +190,58 @@ impl DaemonBuilder {
         self
     }
 
-    /// Admission bound on not-yet-started decodes (the `BUSY` threshold).
+    /// Admission bound on not-yet-started decodes: a miss that would push the
+    /// scheduler's pending queue past this answers `BUSY` instead of queueing
+    /// (default 256).
     pub fn queue_bound(mut self, bound: usize) -> Self {
         self.queue_bound = bound;
         self
     }
 
-    /// How long the wave worker holds a decode wave open for merging.
+    /// How long the wave worker holds a decode wave open so concurrent misses of
+    /// distinct fields can merge into one batched decode (default 1 ms).
     pub fn wave_tick(mut self, tick: Duration) -> Self {
         self.wave_tick = tick;
         self
     }
 
-    /// Binds, preloads, writes the addr-file, and spawns the serving threads.
-    ///
-    /// Everything that can fail does so *here*, synchronously, with its class kept
-    /// through [`HfzError`] — a bind failure is I/O, an unreadable preload is I/O, a
-    /// corrupt preload is a container error — so both entry points (`hfzd` and
-    /// `hfz serve`) exit with the same stable codes, and embedders never have to fish
-    /// an error out of a thread.
+    /// Binds, preloads, and starts serving (see [`service::spawn`] for the sidecar and
+    /// addr-file ordering). A bind failure is I/O, an unreadable preload is I/O, a
+    /// corrupt preload is a container error — all reported here, before any client
+    /// can connect.
     pub fn spawn(self) -> Result<ServerHandle, HfzError> {
-        let config = ServerConfig {
-            cache_bytes: self.cache_bytes,
-            gpu: GpuConfig::v100(),
-            backend: self.backend,
-            host_threads: self.host_threads,
-            queue_bound: self.queue_bound,
-            wave_tick: self.wave_tick,
-        };
-        let server = Server::bind(&self.listen, &config)
+        let listener = Listener::bind(&self.listen)
             .map_err(|e| HfzError::io(format!("cannot bind {}", self.listen), e))?;
-        let state = server.state();
+        let state = ServerState::new(&self);
         for (name, path) in &self.preload {
-            state.load_archive(name, path).map_err(|e| match e {
-                HfzError::Io { context, source } => HfzError::Io {
-                    context: format!("cannot load '{}': {}", name, context),
-                    source,
-                },
-                other => other,
-            })?;
-        }
-        // The sidecar binds (and its address is registered with the state) before the
-        // addr-file is written, so anything that waited on the file can already scrape.
-        let mut metrics_addr = None;
-        let sidecar = match &self.metrics {
-            Some(addr) => {
-                let sidecar =
-                    MetricsServer::bind(addr, std::sync::Arc::clone(&state)).map_err(|e| {
-                        HfzError::io(format!("cannot bind metrics sidecar {}", addr), e)
-                    })?;
-                let bound = sidecar
-                    .local_addr()
-                    .map_err(|e| HfzError::io("metrics sidecar address", e))?;
-                metrics_addr = Some(bound);
-                Some(std::thread::spawn(move || {
-                    let _ = sidecar.run();
-                }))
+            if let Err(e) = state.load_archive(name, path) {
+                state.request_shutdown();
+                return Err(match e {
+                    HfzError::Io { context, source } => HfzError::Io {
+                        context: format!("cannot load '{}': {}", name, context),
+                        source,
+                    },
+                    other => other,
+                });
             }
-            None => None,
-        };
-        let addr = server.local_addr();
-        if let Some(path) = &self.addr_file {
-            write_addr_file(path, &addr)
-                .map_err(|e| HfzError::io(format!("cannot write {}", path.display()), e))?;
         }
-        let server_thread = std::thread::spawn(move || server.run());
-        Ok(ServerHandle {
+        service::spawn(
+            listener,
             state,
-            addr,
-            metrics_addr,
-            server: Some(server_thread),
-            sidecar,
-        })
+            self.metrics.as_ref(),
+            self.addr_file.as_deref(),
+        )
     }
 }
 
-/// Writes `addr` to `path` atomically (sibling temp file + rename), so a reader
-/// polling the file never observes a partial address.
-fn write_addr_file(path: &std::path::Path, addr: &ListenAddr) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, format!("{}\n", addr))?;
-    std::fs::rename(&tmp, path)
-}
+/// A running daemon: see [`ServiceHandle`].
+pub type ServerHandle = ServiceHandle<ServerState>;
 
-/// A running in-process daemon: the serving threads, their shared state, and the
-/// resolved addresses.
-///
-/// Dropping the handle *detaches* the daemon (the threads keep serving); stopping it
-/// is explicit — [`ServerHandle::shutdown`] then [`ServerHandle::join`].
-pub struct ServerHandle {
-    state: std::sync::Arc<ServerState>,
-    addr: ListenAddr,
-    metrics_addr: Option<ListenAddr>,
-    server: Option<std::thread::JoinHandle<std::io::Result<()>>>,
-    sidecar: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ServerHandle {
-    /// The resolved listen address (for `tcp:...:0` it carries the actual port).
-    pub fn local_addr(&self) -> &ListenAddr {
-        &self.addr
-    }
-
-    /// The metrics sidecar's resolved address, when one was bound.
-    pub fn metrics_addr(&self) -> Option<&ListenAddr> {
-        self.metrics_addr.as_ref()
-    }
-
-    /// Handle to the shared state (for in-process loading, stats, and tests).
-    pub fn state(&self) -> std::sync::Arc<ServerState> {
-        std::sync::Arc::clone(&self.state)
-    }
-
-    /// Requests shutdown (idempotent; does not wait — follow with
-    /// [`ServerHandle::join`]).
-    pub fn shutdown(&self) {
-        self.state.request_shutdown();
-    }
-
-    /// Waits for the serving threads to exit (after a [`ServerHandle::shutdown`] or a
-    /// client's `SHUTDOWN` request).
-    pub fn join(mut self) -> Result<(), HfzError> {
-        if let Some(server) = self.server.take() {
-            let result = server
-                .join()
-                .map_err(|_| HfzError::Protocol("server thread panicked".to_string()))?;
-            result.map_err(|e| HfzError::io("server failed", e))?;
-        }
-        if let Some(sidecar) = self.sidecar.take() {
-            // `SHUTDOWN` pokes the sidecar's accept loop too; join so its socket is
-            // gone before the entry point reports the daemon stopped.
-            let _ = sidecar.join();
-        }
-        Ok(())
-    }
-}
-
-/// The blocking entry point `hfzd` and `hfz serve` wrap: spawns via the builder,
-/// prints the start-up lines, and waits until shutdown.
-pub fn run_foreground(options: &DaemonOptions) -> Result<(), HfzError> {
-    let handle = DaemonBuilder::from_options(options).spawn()?;
+/// The blocking entry point `hfzd` and `hfz serve` wrap: spawns the daemon, prints
+/// the start-up lines, and waits until shutdown.
+pub fn run_foreground(builder: DaemonBuilder) -> Result<(), HfzError> {
+    let cache_bytes = builder.cache_bytes;
+    let handle = builder.spawn()?;
     for loaded in handle.state().store().list().iter() {
         eprintln!(
             "hfzd: loaded '{}' from {} ({} fields)",
@@ -408,25 +250,7 @@ pub fn run_foreground(options: &DaemonOptions) -> Result<(), HfzError> {
             loaded.fields().len()
         );
     }
-    use std::io::Write as _;
-    if let Some(addr) = handle.metrics_addr() {
-        let mut out = std::io::stdout();
-        let _ = writeln!(out, "hfzd: metrics on {}", addr);
-        let _ = out.flush();
-    }
-    // Printed on stdout and flushed: start-up scripts wait for this line (scripts
-    // that need the address itself should prefer `--addr-file`).
-    {
-        let mut out = std::io::stdout();
-        let _ = writeln!(
-            out,
-            "hfzd: listening on {} (cache budget {} bytes)",
-            handle.local_addr(),
-            options.cache_bytes
-        );
-        let _ = out.flush();
-    }
-    handle.join()
+    handle.serve_foreground("hfzd", &format!("cache budget {} bytes", cache_bytes))
 }
 
 #[cfg(test)]
@@ -439,7 +263,7 @@ mod tests {
 
     #[test]
     fn parses_all_flags() {
-        let opts = DaemonOptions::parse(&s(&[
+        let opts = DaemonBuilder::parse(&s(&[
             "--listen",
             "tcp:127.0.0.1:9000",
             "--cache-bytes",
@@ -475,20 +299,20 @@ mod tests {
 
     #[test]
     fn defaults_and_bad_flags() {
-        let opts = DaemonOptions::parse(&[]).unwrap();
+        let opts = DaemonBuilder::parse(&[]).unwrap();
         assert_eq!(opts.cache_bytes, DEFAULT_CACHE_BYTES);
         assert_eq!(opts.listen, ListenAddr::parse(DEFAULT_LISTEN).unwrap());
         assert_eq!(opts.metrics, None);
         assert_eq!(opts.addr_file, None);
-        assert!(DaemonOptions::parse(&s(&["--metrics"])).is_err());
-        assert!(DaemonOptions::parse(&s(&["--addr-file"])).is_err());
-        assert!(DaemonOptions::parse(&s(&["--load", "nopath"])).is_err());
-        assert!(DaemonOptions::parse(&s(&["--cache-bytes", "x"])).is_err());
-        assert!(DaemonOptions::parse(&s(&["--host-threads", "0"])).is_err());
-        assert!(DaemonOptions::parse(&s(&["--backend", "cuda"])).is_err());
-        assert!(DaemonOptions::parse(&s(&["--backend"])).is_err());
-        assert!(DaemonOptions::parse(&s(&["--bogus"])).is_err());
-        assert!(DaemonOptions::parse(&s(&["--listen"])).is_err());
+        assert!(DaemonBuilder::parse(&s(&["--metrics"])).is_err());
+        assert!(DaemonBuilder::parse(&s(&["--addr-file"])).is_err());
+        assert!(DaemonBuilder::parse(&s(&["--load", "nopath"])).is_err());
+        assert!(DaemonBuilder::parse(&s(&["--cache-bytes", "x"])).is_err());
+        assert!(DaemonBuilder::parse(&s(&["--host-threads", "0"])).is_err());
+        assert!(DaemonBuilder::parse(&s(&["--backend", "cuda"])).is_err());
+        assert!(DaemonBuilder::parse(&s(&["--backend"])).is_err());
+        assert!(DaemonBuilder::parse(&s(&["--bogus"])).is_err());
+        assert!(DaemonBuilder::parse(&s(&["--listen"])).is_err());
     }
 
     #[test]

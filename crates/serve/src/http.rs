@@ -1,12 +1,13 @@
 //! The observability sidecar: a minimal HTTP/1.1 listener for scrapers.
 //!
-//! `hfzd --metrics tcp:HOST:PORT` binds a second listener next to the request socket
-//! and serves exactly two read-only endpoints:
+//! `hfzd --metrics tcp:HOST:PORT` (and `hfzr --metrics`) binds a second listener next
+//! to the request socket and serves exactly two read-only endpoints:
 //!
-//! * `GET /metrics` — the daemon's [`Metrics`](huffdec_codec::Metrics) registry in
-//!   Prometheus text exposition format (version 0.0.4);
+//! * `GET /metrics` — [`Service::metrics_text`]: the daemon's
+//!   [`Metrics`](huffdec_codec::Metrics) registry, or the router's merged fleet
+//!   document, in Prometheus text exposition format (version 0.0.4);
 //! * `GET /healthz` — `healthy` / `degraded: …` (both `200 OK`) or `unhealthy: …`
-//!   (`503 Service Unavailable`), computed by [`ServerState::health`].
+//!   (`503 Service Unavailable`), computed by [`Service::health`].
 //!
 //! The implementation is deliberately tiny — dependency-free, thread-per-connection,
 //! `Connection: close` — because a scrape every few seconds is all the traffic it will
@@ -18,74 +19,37 @@ use std::sync::Arc;
 use std::thread;
 
 use crate::net::{Conn, ListenAddr, Listener};
-use crate::server::{Health, ServerState};
+use crate::server::Health;
+use crate::service::Service;
 
 /// Longest request head (request line + headers) the sidecar will read.
 const MAX_HEAD_BYTES: usize = 8 * 1024;
 
-/// What a component must expose to get the `/metrics` + `/healthz` sidecar.
-///
-/// The sidecar used to be welded to [`ServerState`]; the router (`hfzr`) serves the
-/// same two endpoints over *fleet-wide* documents, so the HTTP plumbing is generic
-/// over this trait instead.
-pub trait HttpEndpoints: Send + Sync + 'static {
-    /// The `/metrics` body: a Prometheus text exposition document.
-    fn metrics_text(&self) -> String;
-    /// The `/healthz` verdict.
-    fn health(&self) -> Health;
-    /// True once shutdown has been requested; the accept loop exits on the next
-    /// connection (the shutdown path dials once to unblock it).
-    fn is_shutting_down(&self) -> bool;
-    /// Called once with the resolved bound address (ephemeral ports resolved), so the
-    /// owner can record where the sidecar lives and poke it on shutdown.
-    fn sidecar_bound(&self, addr: ListenAddr) {
-        let _ = addr;
-    }
-}
-
-impl HttpEndpoints for ServerState {
-    fn metrics_text(&self) -> String {
-        self.metrics().render_prometheus()
-    }
-
-    fn health(&self) -> Health {
-        ServerState::health(self)
-    }
-
-    fn is_shutting_down(&self) -> bool {
-        ServerState::is_shutting_down(self)
-    }
-
-    fn sidecar_bound(&self, addr: ListenAddr) {
-        self.set_metrics_addr(addr);
-    }
-}
-
-/// The metrics/health HTTP listener, bound next to a daemon's request socket.
-pub struct HttpServer<E: HttpEndpoints> {
+/// The metrics/health HTTP listener, bound next to a service's request socket.
+pub(crate) struct HttpServer<S> {
     listener: Listener,
-    endpoints: Arc<E>,
+    addr: ListenAddr,
+    service: Arc<S>,
 }
 
-/// The daemon's sidecar: [`HttpServer`] over [`ServerState`].
-pub type MetricsServer = HttpServer<ServerState>;
-
-impl<E: HttpEndpoints> HttpServer<E> {
-    /// Binds the sidecar on `addr` and reports the resolved address (ephemeral ports
-    /// resolved) back through [`HttpEndpoints::sidecar_bound`], so shutdown can poke
-    /// the accept loop.
-    pub fn bind(addr: &ListenAddr, endpoints: Arc<E>) -> std::io::Result<HttpServer<E>> {
+impl<S: Service> HttpServer<S> {
+    /// Binds the sidecar on `addr` and registers the resolved address (ephemeral
+    /// ports resolved) with the service's lifecycle, so shutdown wakes this accept
+    /// loop too.
+    pub fn bind(addr: &ListenAddr, service: Arc<S>) -> std::io::Result<HttpServer<S>> {
         let listener = Listener::bind(addr)?;
-        endpoints.sidecar_bound(listener.local_addr()?);
+        let addr = listener.local_addr()?;
+        service.lifecycle().bound(addr.clone());
         Ok(HttpServer {
             listener,
-            endpoints,
+            addr,
+            service,
         })
     }
 
     /// The bound address, with ephemeral TCP ports resolved.
-    pub fn local_addr(&self) -> std::io::Result<ListenAddr> {
-        self.listener.local_addr()
+    pub fn local_addr(&self) -> &ListenAddr {
+        &self.addr
     }
 
     /// Accepts and serves scrapes until the owner shuts down. Each connection gets a
@@ -93,32 +57,23 @@ impl<E: HttpEndpoints> HttpServer<E> {
     pub fn run(self) -> std::io::Result<()> {
         loop {
             let conn = self.listener.accept()?;
-            if self.endpoints.is_shutting_down() {
+            if self.service.lifecycle().is_shutting_down() {
                 // The shutdown path connects once to unblock `accept`; answer that
-                // probe (and any racing scrape) with the unhealthy page, then stop.
-                let endpoints = Arc::clone(&self.endpoints);
-                let _ = serve_connection(conn, &*endpoints);
+                // probe (or a scrape that raced it) with the unhealthy page, then stop.
+                let _ = serve_scrape(conn, &*self.service);
                 return Ok(());
             }
-            let endpoints = Arc::clone(&self.endpoints);
+            let service = Arc::clone(&self.service);
             thread::spawn(move || {
-                let _ = serve_connection(conn, &*endpoints);
+                let _ = serve_scrape(conn, &*service);
             });
         }
     }
 }
 
-impl<E: HttpEndpoints> std::fmt::Debug for HttpServer<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HttpServer")
-            .field("listener", &self.listener)
-            .finish_non_exhaustive()
-    }
-}
-
 /// Reads one request head and writes one response. Any parse problem is answered with
 /// a `400`; I/O errors are returned for the caller to drop.
-fn serve_connection<E: HttpEndpoints>(mut conn: Conn, state: &E) -> std::io::Result<()> {
+fn serve_scrape<S: Service>(mut conn: Conn, state: &S) -> std::io::Result<()> {
     let head = match read_head(&mut conn) {
         Ok(head) => head,
         Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {

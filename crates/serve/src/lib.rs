@@ -15,22 +15,29 @@
 //! * [`store`] — the parse-once archive store: section tables, decode structures, and
 //!   lazily built range-decode indexes, all cached per loaded archive;
 //! * [`cache`] — the decoded-field LRU: bytes-budgeted, shared across requests;
-//! * [`server`] — the daemon itself: an event-loop reactor over one shared state,
-//!   with a single-flight/wave scheduler feeding one decode-worker thread;
-//! * [`http`] — the observability sidecar: `GET /metrics` (Prometheus text
-//!   exposition) and `GET /healthz` over plain HTTP/1.1;
+//! * [`server`] — the daemon's shared state: [`ServerState::handle`] answers one
+//!   request, with a single-flight/wave scheduler feeding one decode-worker thread;
+//! * [`service`] — the connection core `hfzd` and the `hfzr` router both run on: one
+//!   blocking accept loop, a thread per connection, and the spawn → handle →
+//!   shutdown → join lifecycle;
+//! * `http` — the observability sidecar [`service::spawn`] binds on request:
+//!   `GET /metrics` (Prometheus text exposition) and `GET /healthz` over plain
+//!   HTTP/1.1;
 //! * [`client`] — the synchronous [`Connection`] used by `hfz get`, the router's
 //!   shard links, and friends;
-//! * [`daemon`] — flag parsing, the spawnable [`Daemon`] builder API, and the
-//!   blocking foreground loop shared by `hfzd` and `hfz serve`.
+//! * [`flags`] — the `--flag VALUE` cursor the `hfzd` and `hfzr` parsers share;
+//! * [`daemon`] — the [`Daemon`] builder (filled from flags or setters) and the
+//!   blocking foreground entry point shared by `hfzd` and `hfz serve`.
 //!
 //! ## Request flow
 //!
-//! A full-field `GET` checks the LRU first. On a miss it becomes a *decode future*:
-//! the reactor submits it to the scheduler and keeps serving other traffic. Concurrent
-//! misses of the same field coalesce into one decode (single-flight) whose result fans
-//! back out to every waiter; misses of distinct fields that land within one scheduling
-//! tick merge into one batched decode wave. When the pending-decode queue is full the
+//! Every connection has its own thread, which reads a frame, runs
+//! [`ServerState::handle`] to completion and writes the reply. A full-field `GET`
+//! checks the LRU first. On a miss the thread submits the field to the scheduler and
+//! blocks on the decode's flight slot; other connections keep being served by their
+//! own threads. Concurrent misses of the same field coalesce into one decode
+//! (single-flight) whose result fans back out to every waiter; misses of distinct
+//! fields that land within one scheduling tick merge into one batched decode wave. When the pending-decode queue is full the
 //! daemon sheds load with the typed `BUSY` reply instead of queueing unboundedly. A
 //! *ranged* code request that misses the cache takes the partial path instead: the
 //! field's decode index (subsequence states + output-index prefix sums, built once)
@@ -56,21 +63,23 @@
 pub mod cache;
 pub mod client;
 pub mod daemon;
-pub mod http;
+pub mod flags;
+mod http;
 pub mod net;
 pub mod protocol;
 mod sched;
 pub mod server;
+pub mod service;
 pub mod store;
 
 pub use cache::{CacheKey, CacheStats, DecodedLru};
 pub use client::{ClientError, Connection, GetResult, RetryPolicy};
-pub use daemon::{Daemon, DaemonBuilder, DaemonOptions, ServerHandle};
-pub use http::{HttpEndpoints, HttpServer, MetricsServer};
+pub use daemon::{Daemon, DaemonBuilder, ServerHandle};
 pub use huffdec_codec::{
     ArchiveHandle, Backend, BackendKind, Codec, FieldHandle, HfzError, Metrics, MetricsSnapshot,
 };
 pub use net::{ListenAddr, Listener};
 pub use protocol::{GetKind, ProtocolError, Request, Response};
-pub use server::{Health, Server, ServerConfig, ServerState};
+pub use server::{Health, ServerState};
+pub use service::{Lifecycle, Service, ServiceHandle};
 pub use store::{ArchiveStore, LoadedArchive};

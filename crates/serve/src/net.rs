@@ -1,5 +1,7 @@
 //! Transport: the daemon listens on either a TCP socket or (on Unix) a Unix-domain
-//! socket; both sides of the protocol speak over a [`Conn`].
+//! socket; both sides of the protocol speak over a [`Conn`]. Every socket is blocking:
+//! a serving thread parks in `read` between requests, and [`Conn::shutdown`] through a
+//! second handle ([`Conn::try_clone`]) is how the accept loop gets it back.
 //!
 //! Addresses are spelled `tcp:HOST:PORT` or `unix:PATH`; a bare `HOST:PORT` means TCP.
 //! `tcp:HOST:0` binds an ephemeral port — [`Listener::local_addr`] reports the resolved
@@ -66,13 +68,23 @@ pub enum Conn {
 }
 
 impl Conn {
-    /// Switches the stream between blocking and non-blocking mode (the event-loop
-    /// server runs every accepted connection non-blocking).
-    pub fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
+    /// A second handle to the same socket. The accept loop keeps one per connection
+    /// so shutdown can reach sockets whose serving threads are blocked on them.
+    pub fn try_clone(&self) -> std::io::Result<Conn> {
         match self {
-            Conn::Tcp(s) => s.set_nonblocking(nonblocking),
+            Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
             #[cfg(unix)]
-            Conn::Unix(s) => s.set_nonblocking(nonblocking),
+            Conn::Unix(s) => s.try_clone().map(Conn::Unix),
+        }
+    }
+
+    /// Closes one or both directions of the socket, waking any thread blocked on it
+    /// through another handle: a reader of a closed read half sees EOF.
+    pub fn shutdown(&self, how: std::net::Shutdown) -> std::io::Result<()> {
+        match self {
+            Conn::Tcp(s) => s.shutdown(how),
+            #[cfg(unix)]
+            Conn::Unix(s) => s.shutdown(how),
         }
     }
 
@@ -180,22 +192,12 @@ impl Listener {
         }
     }
 
-    /// Blocks until the next connection (or returns `WouldBlock` immediately when the
-    /// listener is in non-blocking mode and nothing is pending).
+    /// Blocks until the next connection.
     pub fn accept(&self) -> std::io::Result<Conn> {
         match self {
             Listener::Tcp(l) => Ok(Conn::Tcp(l.accept()?.0)),
             #[cfg(unix)]
             Listener::Unix(l, _) => Ok(Conn::Unix(l.accept()?.0)),
-        }
-    }
-
-    /// Switches the listener between blocking and non-blocking accept.
-    pub fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(nonblocking),
-            #[cfg(unix)]
-            Listener::Unix(l, _) => l.set_nonblocking(nonblocking),
         }
     }
 }

@@ -12,8 +12,7 @@ use huffdec_core::DecoderKind;
 use huffdec_serve::client::Connection;
 use huffdec_serve::net::ListenAddr;
 use huffdec_serve::protocol::{GetKind, Request, Response};
-use huffdec_serve::server::{Server, ServerConfig};
-use huffdec_serve::BackendKind;
+use huffdec_serve::{Daemon, ServerHandle};
 use sz::{compress, decompress, Compressed, SzConfig};
 
 const ELEMENTS: usize = 20_000;
@@ -39,15 +38,16 @@ fn single_field_archive(dir: &std::path::Path, seed: u64) -> (std::path::PathBuf
     (path, reference)
 }
 
-fn config(queue_bound: usize, wave_tick: Duration) -> ServerConfig {
-    ServerConfig {
-        cache_bytes: 16 << 20,
-        gpu: GpuConfig::test_tiny(),
-        backend: BackendKind::from_env(),
-        host_threads: 2,
-        queue_bound,
-        wave_tick,
-    }
+fn spawn_daemon(queue_bound: usize, wave_tick: Duration) -> ServerHandle {
+    Daemon::builder()
+        .listen(ListenAddr::parse("tcp:127.0.0.1:0").unwrap())
+        .cache_bytes(16 << 20)
+        .gpu(GpuConfig::test_tiny())
+        .host_threads(2)
+        .queue_bound(queue_bound)
+        .wave_tick(wave_tick)
+        .spawn()
+        .unwrap()
 }
 
 /// The acceptance scenario: eight concurrent clients hammer one cold field over the
@@ -63,11 +63,9 @@ fn concurrent_cold_misses_coalesce_into_one_decode() {
     // A generous tick keeps the decode wave open long enough that most clients find
     // the flight still pending — but the decode-count assertion below holds for any
     // timing: late arrivals hit the cache instead of decoding again.
-    let config = config(256, Duration::from_millis(150));
-    let server = Server::bind(&ListenAddr::parse("tcp:127.0.0.1:0").unwrap(), &config).unwrap();
-    let addr = server.local_addr();
-    let state = server.state();
-    let server_thread = std::thread::spawn(move || server.run().unwrap());
+    let daemon = spawn_daemon(256, Duration::from_millis(150));
+    let addr = daemon.local_addr().clone();
+    let state = daemon.state();
     state.load_archive("f", path.to_str().unwrap()).unwrap();
 
     const CLIENTS: usize = 8;
@@ -114,7 +112,7 @@ fn concurrent_cold_misses_coalesce_into_one_decode() {
     assert_eq!(stats.sched_shed, 0, "nothing sheds under a roomy bound");
 
     Connection::connect(&addr).unwrap().shutdown().unwrap();
-    server_thread.join().unwrap();
+    daemon.join().unwrap();
 }
 
 /// Distinct cold fields requested within one scheduling tick merge into a single
@@ -146,9 +144,8 @@ fn distinct_cold_fields_merge_into_one_wave() {
 
     // A long tick guarantees the wave is still open when the other threads' misses
     // arrive: the worker sleeps 400 ms after the first submit before draining.
-    let config = config(256, Duration::from_millis(400));
-    let server = Server::bind(&ListenAddr::parse("tcp:127.0.0.1:0").unwrap(), &config).unwrap();
-    let state = server.state();
+    let daemon = spawn_daemon(256, Duration::from_millis(400));
+    let state = daemon.state();
     state.load_archive("snap", path.to_str().unwrap()).unwrap();
 
     let barrier = Arc::new(Barrier::new(fields.len()));
@@ -185,8 +182,8 @@ fn distinct_cold_fields_merge_into_one_wave() {
     );
     assert_eq!(stats.sched_wave_fields, fields.len() as u64);
 
-    state.request_shutdown();
-    server.run().unwrap();
+    daemon.shutdown();
+    daemon.join().unwrap();
 }
 
 /// At `queue_bound: 1` a second distinct miss inside the wave window answers the
@@ -200,9 +197,8 @@ fn saturated_queue_sheds_with_busy() {
 
     // The 600 ms tick holds the submitted task in the pending queue; the bound of 1
     // makes the second, distinct miss overflow deterministically.
-    let config = config(1, Duration::from_millis(600));
-    let server = Server::bind(&ListenAddr::parse("tcp:127.0.0.1:0").unwrap(), &config).unwrap();
-    let state = server.state();
+    let daemon = spawn_daemon(1, Duration::from_millis(600));
+    let state = daemon.state();
     state.load_archive("a", path_a.to_str().unwrap()).unwrap();
     state.load_archive("b", path_b.to_str().unwrap()).unwrap();
 
@@ -239,6 +235,6 @@ fn saturated_queue_sheds_with_busy() {
     let stats = state.metrics_snapshot();
     assert!(stats.sched_shed >= 1, "shedding must be counted");
 
-    state.request_shutdown();
-    server.run().unwrap();
+    daemon.shutdown();
+    daemon.join().unwrap();
 }

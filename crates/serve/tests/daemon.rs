@@ -14,11 +14,23 @@ use huffdec_core::DecoderKind;
 use huffdec_serve::client::Connection;
 use huffdec_serve::net::ListenAddr;
 use huffdec_serve::protocol::GetKind;
-use huffdec_serve::server::{Server, ServerConfig};
-use huffdec_serve::BackendKind;
+use huffdec_serve::{Daemon, ServerHandle};
 use sz::{compress, decode_codes, decompress, Compressed, SzConfig};
 
+mod support;
+
 const ELEMENTS: usize = 20_000;
+
+/// An in-process daemon on an ephemeral port, on the tiny test device.
+fn spawn_daemon(cache_bytes: u64) -> ServerHandle {
+    Daemon::builder()
+        .listen(ListenAddr::parse("tcp:127.0.0.1:0").unwrap())
+        .cache_bytes(cache_bytes)
+        .gpu(GpuConfig::test_tiny())
+        .host_threads(2)
+        .spawn()
+        .unwrap()
+}
 
 struct TestArchive {
     name: &'static str,
@@ -92,18 +104,9 @@ fn daemon_serves_concurrent_clients_with_eviction() {
     let field_bytes = archives.iter().map(|a| a.elements * 4).max().unwrap();
     let budget = field_bytes + field_bytes / 4;
 
-    let config = ServerConfig {
-        cache_bytes: budget,
-        gpu: GpuConfig::test_tiny(),
-        backend: BackendKind::from_env(),
-        host_threads: 2,
-        ..ServerConfig::default()
-    };
-    let addr = ListenAddr::parse("tcp:127.0.0.1:0").unwrap();
-    let server = Server::bind(&addr, &config).unwrap();
-    let addr = server.local_addr();
-    let state = server.state();
-    let server_thread = std::thread::spawn(move || server.run().unwrap());
+    let daemon = spawn_daemon(budget);
+    let addr = daemon.local_addr().clone();
+    let state = daemon.state();
 
     // Load both archives over the protocol (the runtime LOAD path).
     {
@@ -203,7 +206,7 @@ fn daemon_serves_concurrent_clients_with_eviction() {
         );
         client.shutdown().unwrap();
     }
-    server_thread.join().unwrap();
+    daemon.join().unwrap();
 
     // After shutdown the address no longer accepts (give the OS a beat to close).
     std::thread::sleep(std::time::Duration::from_millis(50));
@@ -215,17 +218,8 @@ fn daemon_serves_concurrent_clients_with_eviction() {
 
 #[test]
 fn daemon_rejects_bad_requests_cleanly() {
-    let config = ServerConfig {
-        cache_bytes: 1 << 20,
-        gpu: GpuConfig::test_tiny(),
-        backend: BackendKind::from_env(),
-        host_threads: 2,
-        ..ServerConfig::default()
-    };
-    let addr = ListenAddr::parse("tcp:127.0.0.1:0").unwrap();
-    let server = Server::bind(&addr, &config).unwrap();
-    let addr = server.local_addr();
-    let server_thread = std::thread::spawn(move || server.run().unwrap());
+    let daemon = spawn_daemon(1 << 20);
+    let addr = daemon.local_addr().clone();
 
     let dir = std::env::temp_dir().join("hfzd-daemon-errors");
     std::fs::create_dir_all(&dir).unwrap();
@@ -261,12 +255,20 @@ fn daemon_rejects_bad_requests_cleanly() {
         "chunked partial decode must match the reference"
     );
 
-    // And the connection still serves a clean full fetch before shutdown.
+    // And the connection still serves a clean full fetch.
     let r = client.get("solo", 0, GetKind::Data, None).unwrap();
     assert_eq!(r.bytes, f32_bytes(&archive.reference_data));
 
-    client.shutdown().unwrap();
-    server_thread.join().unwrap();
+    // Peers that break the framing or stop reading cost their own connection only,
+    // and neither they nor this idle `client` can hold up shutdown.
+    let held = support::misbehaving_peers(&addr, "solo");
+    support::shutdown_with_clients_connected(daemon, held);
+    drop(client);
+}
+
+#[test]
+fn daemon_shuts_down_with_an_idle_client_connected() {
+    support::shutdown_with_clients_connected(spawn_daemon(1 << 20), Vec::new());
 }
 
 /// A bounded random walk whose increments stay inside the quantization alphabet under
@@ -337,18 +339,9 @@ fn daemon_serves_hybrid_v2_snapshot() {
         })
         .collect();
 
-    let config = ServerConfig {
-        cache_bytes: 4 << 20,
-        gpu: GpuConfig::test_tiny(),
-        backend: BackendKind::from_env(),
-        host_threads: 2,
-        ..ServerConfig::default()
-    };
-    let addr = ListenAddr::parse("tcp:127.0.0.1:0").unwrap();
-    let server = Server::bind(&addr, &config).unwrap();
-    let addr = server.local_addr();
-    let state = server.state();
-    let server_thread = std::thread::spawn(move || server.run().unwrap());
+    let daemon = spawn_daemon(4 << 20);
+    let addr = daemon.local_addr().clone();
+    let state = daemon.state();
 
     let mut client = Connection::connect(&addr).unwrap();
     assert_eq!(client.load("hy", path.to_str().unwrap()).unwrap(), 3);
@@ -442,7 +435,7 @@ fn daemon_serves_hybrid_v2_snapshot() {
     assert!(report.contains("0 digest failures"), "{}", report);
 
     client.shutdown().unwrap();
-    server_thread.join().unwrap();
+    daemon.join().unwrap();
 }
 
 #[test]
@@ -471,18 +464,9 @@ fn batch_get_serves_snapshots_and_decodes_misses_as_one_wave() {
     let path = dir.join("snap.hfz");
     std::fs::write(&path, huffdec_container::snapshot_to_bytes(&refs).unwrap()).unwrap();
 
-    let config = ServerConfig {
-        cache_bytes: 4 << 20,
-        gpu: GpuConfig::test_tiny(),
-        backend: BackendKind::from_env(),
-        host_threads: 2,
-        ..ServerConfig::default()
-    };
-    let addr = ListenAddr::parse("tcp:127.0.0.1:0").unwrap();
-    let server = Server::bind(&addr, &config).unwrap();
-    let addr = server.local_addr();
-    let state = server.state();
-    let server_thread = std::thread::spawn(move || server.run().unwrap());
+    let daemon = spawn_daemon(4 << 20);
+    let addr = daemon.local_addr().clone();
+    let state = daemon.state();
 
     let mut client = Connection::connect(&addr).unwrap();
     assert_eq!(client.load("snap", path.to_str().unwrap()).unwrap(), 3);
@@ -561,5 +545,5 @@ fn batch_get_serves_snapshots_and_decodes_misses_as_one_wave() {
     );
 
     client.shutdown().unwrap();
-    server_thread.join().unwrap();
+    daemon.join().unwrap();
 }

@@ -10,11 +10,10 @@ use huffdec_codec::Codec;
 use huffdec_container::ArchiveWriter;
 use huffdec_core::DecoderKind;
 use huffdec_metrics::{parse_prometheus, sample_value, Sample};
-use huffdec_serve::http::MetricsServer;
 use huffdec_serve::net::{connect, ListenAddr};
 use huffdec_serve::protocol::{GetKind, Request, Response};
-use huffdec_serve::server::{Health, Server, ServerConfig, ServerState};
-use huffdec_serve::BackendKind;
+use huffdec_serve::server::{Health, ServerState};
+use huffdec_serve::{BackendKind, Daemon};
 
 /// Issues one `GET` against the sidecar and splits the response into
 /// `(status, head, body)`.
@@ -45,24 +44,13 @@ fn write_archive(path: &std::path::Path, codec: &Codec, seed: u64) {
     writer.into_inner().unwrap();
 }
 
-/// Binds a daemon (protocol listener unused) plus its sidecar, with one archive
-/// loaded. Returns the state and the sidecar address.
+/// Spawns a daemon with its sidecar and one archive loaded. Requests are driven
+/// in-process through `ServerState::handle` — exactly what a connection thread calls —
+/// so the counts below are not blurred by protocol traffic. Returns the state and the
+/// sidecar address; the daemon is left running (detached) for the test's lifetime.
 fn sidecar_fixture(dir_name: &str) -> (Arc<ServerState>, ListenAddr) {
     let dir = std::env::temp_dir().join(dir_name);
     std::fs::create_dir_all(&dir).unwrap();
-    let config = ServerConfig {
-        cache_bytes: 1 << 20,
-        gpu: GpuConfig::test_tiny(),
-        backend: BackendKind::from_env(),
-        host_threads: 2,
-        ..ServerConfig::default()
-    };
-    let server = Server::bind(&ListenAddr::parse("tcp:127.0.0.1:0").unwrap(), &config).unwrap();
-    let state = server.state();
-    // The protocol listener stays bound but unserved: requests are driven in-process
-    // through `ServerState::handle`, which is exactly what `serve_connection` calls.
-    std::mem::forget(server);
-
     let codec = Codec::builder()
         .gpu_config(GpuConfig::test_tiny())
         .host_threads(2)
@@ -71,16 +59,19 @@ fn sidecar_fixture(dir_name: &str) -> (Arc<ServerState>, ListenAddr) {
         .unwrap();
     let path = dir.join("field.hfz");
     write_archive(&path, &codec, 7);
-    state.load_archive("field", path.to_str().unwrap()).unwrap();
 
-    let sidecar = MetricsServer::bind(
-        &ListenAddr::parse("tcp:127.0.0.1:0").unwrap(),
-        Arc::clone(&state),
-    )
-    .unwrap();
-    let addr = sidecar.local_addr().unwrap();
-    std::thread::spawn(move || sidecar.run().unwrap());
-    (state, addr)
+    let ephemeral = ListenAddr::parse("tcp:127.0.0.1:0").unwrap();
+    let daemon = Daemon::builder()
+        .listen(ephemeral.clone())
+        .metrics(ephemeral)
+        .cache_bytes(1 << 20)
+        .gpu(GpuConfig::test_tiny())
+        .host_threads(2)
+        .preload("field", path.to_str().unwrap())
+        .spawn()
+        .unwrap();
+    let addr = daemon.metrics_addr().expect("sidecar bound").clone();
+    (daemon.state(), addr)
 }
 
 /// Every histogram's `_bucket` series must be cumulative (monotone over `le`), end in
@@ -313,20 +304,19 @@ fn healthz_walks_healthy_degraded_unhealthy() {
     assert_eq!(status, 200);
     assert!(body.starts_with("degraded: cache thrash"), "body: {}", body);
 
-    // Shutdown: the flag flips, the running sidecar drains. A fresh sidecar bound on
-    // the same (now unhealthy) state proves the 503 rendering deterministically: its
-    // first accept is served inline, then the loop exits.
+    // Shutdown: a scrape already connected when the flag flips is answered with the
+    // unhealthy page, whether the sidecar had accepted it yet or not.
+    let mut conn = connect(&addr).unwrap();
     state.request_shutdown();
     assert!(matches!(state.health(), Health::Unhealthy(_)));
-    let sidecar = MetricsServer::bind(
-        &ListenAddr::parse("tcp:127.0.0.1:0").unwrap(),
-        Arc::clone(&state),
-    )
-    .unwrap();
-    let addr2 = sidecar.local_addr().unwrap();
-    let drain = std::thread::spawn(move || sidecar.run().unwrap());
-    let (status, _, body) = http_get(&addr2, "/healthz");
-    assert_eq!(status, 503);
-    assert_eq!(body, "unhealthy: shutting down\n");
-    drain.join().unwrap();
+    conn.write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+        .unwrap();
+    let mut raw = String::new();
+    conn.read_to_string(&mut raw).unwrap();
+    assert!(raw.starts_with("HTTP/1.1 503"), "response: {}", raw);
+    assert!(
+        raw.ends_with("\r\n\r\nunhealthy: shutting down\n"),
+        "{}",
+        raw
+    );
 }

@@ -1,4 +1,4 @@
-//! Observability end to end, in one process: start an `hfzd` server with its HTTP
+//! Observability end to end, in one process: spawn an `hfzd` daemon with its HTTP
 //! metrics sidecar, generate some traffic, then scrape `GET /metrics` and
 //! `GET /healthz` exactly as a Prometheus scraper would and read the interesting
 //! series back out of the exposition text.
@@ -8,18 +8,15 @@
 //! ```
 
 use std::io::{Read, Write};
-use std::sync::Arc;
 
 use huffdec::container::ArchiveWriter;
 use huffdec::datasets::{dataset_by_name, generate};
 use huffdec::gpu_sim::GpuConfig;
 use huffdec::metrics::{parse_prometheus, sample_value};
 use huffdec::serve::client::Connection;
-use huffdec::serve::http::MetricsServer;
 use huffdec::serve::net::{connect, ListenAddr};
 use huffdec::serve::protocol::GetKind;
-use huffdec::serve::server::{Server, ServerConfig};
-use huffdec::serve::BackendKind;
+use huffdec::serve::Daemon;
 use huffdec::{Codec, DecoderKind};
 
 /// One HTTP/1.1 GET against the sidecar; returns `(status_line, body)`.
@@ -54,24 +51,17 @@ fn main() {
     writer.into_inner().unwrap();
 
     // The daemon plus its HTTP sidecar (what `hfzd --metrics tcp:...` wires up).
-    let config = ServerConfig {
-        cache_bytes: 1 << 20,
-        gpu: GpuConfig::test_tiny(),
-        backend: BackendKind::from_env(),
-        host_threads: 2,
-        ..ServerConfig::default()
-    };
-    let server = Server::bind(&ListenAddr::parse("tcp:127.0.0.1:0").unwrap(), &config).unwrap();
-    let addr = server.local_addr();
-    let state = server.state();
-    let sidecar = MetricsServer::bind(
-        &ListenAddr::parse("tcp:127.0.0.1:0").unwrap(),
-        Arc::clone(&state),
-    )
-    .unwrap();
-    let metrics_addr = sidecar.local_addr().unwrap();
-    let server_thread = std::thread::spawn(move || server.run().unwrap());
-    let sidecar_thread = std::thread::spawn(move || sidecar.run().unwrap());
+    let ephemeral = ListenAddr::parse("tcp:127.0.0.1:0").unwrap();
+    let daemon = Daemon::builder()
+        .listen(ephemeral.clone())
+        .metrics(ephemeral)
+        .cache_bytes(1 << 20)
+        .gpu(GpuConfig::test_tiny())
+        .host_threads(2)
+        .spawn()
+        .unwrap();
+    let addr = daemon.local_addr().clone();
+    let metrics_addr = daemon.metrics_addr().expect("sidecar requested").clone();
     println!("daemon on {}, metrics on {}", addr, metrics_addr);
 
     // Traffic: a cold decode, a cache hit, and a ranged partial decode.
@@ -132,7 +122,6 @@ fn main() {
     assert!(decode_count >= 1.0);
 
     client.shutdown().unwrap();
-    server_thread.join().unwrap();
-    sidecar_thread.join().unwrap();
+    daemon.join().unwrap();
     println!("daemon and sidecar shut down cleanly");
 }

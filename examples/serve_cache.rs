@@ -1,4 +1,4 @@
-//! The serving layer end to end, in one process: start an `hfzd` server on an
+//! The serving layer end to end, in one process: spawn an `hfzd` daemon on an
 //! ephemeral port, load two archives, and watch the decoded-field LRU absorb the hot
 //! set — first `GET` pays a simulated-GPU decode, the second is a cache hit, a ranged
 //! code request decodes only the overlapping blocks, and an over-budget insertion
@@ -14,7 +14,7 @@ use huffdec::gpu_sim::GpuConfig;
 use huffdec::serve::client::Connection;
 use huffdec::serve::net::ListenAddr;
 use huffdec::serve::protocol::GetKind;
-use huffdec::serve::server::{Server, ServerConfig};
+use huffdec::serve::Daemon;
 use huffdec::{Codec, DecoderKind};
 
 fn write_archive(dir: &std::path::Path, name: &str, dataset: &str, decoder: DecoderKind) -> String {
@@ -41,17 +41,15 @@ fn main() {
     let gamess = write_archive(&dir, "gamess", "GAMESS", DecoderKind::OptimizedSelfSync);
 
     // One decoded field is 200 KB of f32s; a 250 KB budget holds one field, not two.
-    let config = ServerConfig {
-        cache_bytes: 250_000,
-        gpu: GpuConfig::test_tiny(),
-        backend: huffdec_serve::BackendKind::from_env(),
-        host_threads: 2,
-        ..ServerConfig::default()
-    };
-    let server = Server::bind(&ListenAddr::parse("tcp:127.0.0.1:0").unwrap(), &config).unwrap();
-    let addr = server.local_addr();
-    let state = server.state();
-    let server_thread = std::thread::spawn(move || server.run().unwrap());
+    let daemon = Daemon::builder()
+        .listen(ListenAddr::parse("tcp:127.0.0.1:0").unwrap())
+        .cache_bytes(250_000)
+        .gpu(GpuConfig::test_tiny())
+        .host_threads(2)
+        .spawn()
+        .unwrap();
+    let addr = daemon.local_addr().clone();
+    let state = daemon.state();
     println!("daemon listening on {}", addr);
 
     let mut client = Connection::connect(&addr).unwrap();
@@ -106,6 +104,6 @@ fn main() {
     assert!(cache.hits >= 2 && cache.evictions >= 1);
 
     client.shutdown().unwrap();
-    server_thread.join().unwrap();
+    daemon.join().unwrap();
     println!("daemon shut down cleanly");
 }

@@ -35,7 +35,7 @@ use std::process::ExitCode;
 
 use huffdec::datasets::{dataset_by_name, generate, Dims};
 use huffdec::serve::client::Connection;
-use huffdec::serve::daemon::{run_foreground as run_daemon, DaemonOptions};
+use huffdec::serve::daemon::{run_foreground as run_daemon, DaemonBuilder};
 use huffdec::serve::net::ListenAddr;
 use huffdec::serve::protocol::GetKind;
 use huffdec::{
@@ -816,8 +816,7 @@ fn cmd_verify_remote(args: &Args) -> Result<(), HfzError> {
 }
 
 fn cmd_serve(rest: &[String]) -> Result<(), HfzError> {
-    let options = DaemonOptions::parse(rest).map_err(HfzError::Usage)?;
-    run_daemon(&options)
+    run_daemon(DaemonBuilder::parse(rest).map_err(HfzError::Usage)?)
 }
 
 fn parse_range(spec: &str) -> Result<(u64, u64), HfzError> {

@@ -10,7 +10,7 @@
 
 use std::process::ExitCode;
 
-use huffdec::serve::daemon::{run_foreground, DaemonOptions};
+use huffdec::serve::daemon::{run_foreground, DaemonBuilder};
 use huffdec::HfzError;
 
 fn main() -> ExitCode {
@@ -20,7 +20,7 @@ fn main() -> ExitCode {
     {
         eprintln!(
             "hfzd — HFZ1 block-decode daemon\n\n\
-             USAGE:\n  hfzd [--listen ADDR] [--cache-bytes N] [--load NAME=PATH]... [--host-threads N] [--metrics ADDR] [--addr-file PATH]\n\n\
+             USAGE:\n  hfzd [--listen ADDR] [--cache-bytes N] [--load NAME=PATH]... [--host-threads N] [--backend sim|cpu] [--metrics ADDR] [--addr-file PATH]\n\n\
              ADDR is tcp:HOST:PORT (port 0 = ephemeral) or unix:PATH; default {}\n\
              --metrics binds an HTTP sidecar serving GET /metrics (Prometheus) and GET /healthz\n\
              --addr-file writes the resolved listen address to PATH once accepting",
@@ -28,9 +28,9 @@ fn main() -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
-    let result = DaemonOptions::parse(&args)
+    let result = DaemonBuilder::parse(&args)
         .map_err(HfzError::Usage)
-        .and_then(|options| run_foreground(&options));
+        .and_then(run_foreground);
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(error) => {

@@ -13,7 +13,7 @@
 
 use std::process::ExitCode;
 
-use huffdec::router::{run_foreground, RouterOptions};
+use huffdec::router::{run_foreground, RouterBuilder};
 use huffdec::HfzError;
 
 fn main() -> ExitCode {
@@ -34,9 +34,9 @@ fn main() -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
-    let result = RouterOptions::parse(&args)
+    let result = RouterBuilder::parse(&args)
         .map_err(HfzError::Usage)
-        .and_then(|options| run_foreground(&options));
+        .and_then(run_foreground);
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(error) => {
