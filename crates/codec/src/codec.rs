@@ -7,6 +7,16 @@
 //! decompression always derives its parameters from the archive itself (archives are
 //! self-describing), so one codec can decode archives produced under any
 //! configuration.
+//!
+//! Every full decode — one field or many, f32 data or quantization codes, a direct call
+//! or a daemon scheduler wave — is a **wave**: the `sz` batch functions run it (a wave
+//! of one is the serial decode, on the calling thread), a failure bumps
+//! `decode_errors`, and one recorder feeds the per-decoder
+//! `decode_seconds` histogram and the `decode_bytes_in` / `decode_bytes_out` counters
+//! for each field. A single-field wave publishes `decode_occupancy_permille`; only
+//! waves of two or more fields move the batch instruments (`batch_serial_seconds`,
+//! `batch_batched_seconds`, `batch_occupancy_permille`). A stream that does not decode
+//! to its declared symbol count comes back as `HfzError::Decode` (exit code 5).
 
 use std::sync::Arc;
 
@@ -15,8 +25,8 @@ use gpu_sim::GpuConfig;
 use huffdec_backend::{Backend, BackendKind};
 use huffdec_container::FormatVersion;
 use huffdec_core::{
-    BatchStats, CompressedPayload, DecodeResult, DecoderKind, EncodePhaseBreakdown, Gap8Stream,
-    PhaseBreakdown, PreparedDecode, RangeDecode,
+    BatchStats, CompressedPayload, DecodeError, DecodeResult, DecoderKind, EncodePhaseBreakdown,
+    Gap8Stream, PhaseBreakdown, PreparedDecode, RangeDecode,
 };
 use huffdec_hybrid::AUTO_HYBRID_ZERO_FRACTION;
 use huffdec_metrics::Metrics;
@@ -359,12 +369,6 @@ impl Codec {
         self.format
     }
 
-    /// The automatic hybrid-selection threshold, when enabled (only meaningful under
-    /// format v2 — see [`CodecBuilder::auto_hybrid`]).
-    pub fn auto_hybrid_threshold(&self) -> Option<f64> {
-        self.auto_hybrid
-    }
-
     /// The configuration one compress call actually uses: under format v2 with
     /// automatic hybrid selection enabled, a dense session decoder switches to the
     /// RLE+Huffman hybrid when the field's center-bin (zero-residual) fraction reaches
@@ -388,12 +392,12 @@ impl Codec {
         &self.metrics
     }
 
-    /// Counts a decode error without consuming the result.
-    fn track_decode<T, E>(&self, result: std::result::Result<T, E>) -> std::result::Result<T, E> {
-        if result.is_err() {
+    /// Passes a decode result through, counting a failure in `decode_errors`.
+    fn count_error<T>(&self, result: std::result::Result<T, DecodeError>) -> Result<T> {
+        result.map_err(|e| {
             self.metrics.decode_errors.inc();
-        }
-        result
+            HfzError::Decode(e)
+        })
     }
 
     fn record_encode_phases(&self, breakdown: &EncodePhaseBreakdown) {
@@ -402,32 +406,93 @@ impl Codec {
         }
     }
 
-    /// Publishes the perf-model occupancy of one decode's kernels to `gauge`
-    /// (permille). Breakdowns without kernel stats leave the gauge untouched.
-    fn record_occupancy(&self, gauge: &huffdec_metrics::Gauge, timings: &PhaseBreakdown) {
-        if let Some(fraction) = timings.mean_occupancy_fraction() {
-            gauge.set((fraction * 1000.0).round() as u64);
+    /// The one recorder of a finished full decode: the decoder's `decode_seconds`
+    /// sample and the two byte counters.
+    fn record_decode(&self, decoder: DecoderKind, seconds: f64, bytes_in: u64, bytes_out: u64) {
+        self.metrics.observe_decode(decoder, seconds);
+        self.metrics.decode_bytes_in.add(bytes_in);
+        self.metrics.decode_bytes_out.add(bytes_out);
+    }
+
+    /// Publishes a finished wave: the perf-model occupancy of its kernels
+    /// (time-weighted across every field, permille; breakdowns without kernel stats
+    /// leave the gauge untouched) and — for two or more fields only — the
+    /// serial-vs-batched seconds.
+    fn publish_wave<'a>(
+        &self,
+        huffman: impl ExactSizeIterator<Item = &'a PhaseBreakdown>,
+        serial_seconds: f64,
+        batched_seconds: f64,
+    ) {
+        let occupancy = if huffman.len() >= 2 {
+            self.metrics.batch_serial_seconds.add(serial_seconds);
+            self.metrics.batch_batched_seconds.add(batched_seconds);
+            &self.metrics.batch_occupancy_permille
+        } else {
+            &self.metrics.decode_occupancy_permille
+        };
+        let (mut weighted, mut total) = (0.0, 0.0);
+        for k in huffman
+            .flat_map(|t| t.phases())
+            .flat_map(|(_, p)| &p.kernels)
+        {
+            weighted += k.occupancy.fraction * k.time_s;
+            total += k.time_s;
+        }
+        if total > 0.0 {
+            occupancy.set((weighted / total * 1000.0).round() as u64);
         }
     }
 
-    /// Like [`Codec::record_occupancy`], but time-weighted across every field of a
-    /// batched wave.
-    fn record_wave_occupancy<'a, I: IntoIterator<Item = &'a PhaseBreakdown>>(&self, waves: I) {
-        let mut weighted = 0.0;
-        let mut total = 0.0;
-        for timings in waves {
-            for (_, phase) in timings.phases() {
-                for k in &phase.kernels {
-                    weighted += k.occupancy.fraction * k.time_s;
-                    total += k.time_s;
-                }
+    /// Decompresses one wave of archives to f32 data and records it. `with_transfer`
+    /// adds each field's host-to-device copy to its total, as
+    /// [`sz::decompress_with_transfer`] does.
+    fn data_wave(
+        &self,
+        archives: &[&Compressed],
+        with_transfer: bool,
+    ) -> Result<(Vec<sz::Decompressed>, BatchDecompressStats)> {
+        let (mut fields, stats) =
+            self.count_error(sz::decompress_batch(self.backend.as_ref(), archives))?;
+        for (c, d) in archives.iter().zip(&mut fields) {
+            if with_transfer {
+                d.stats.total_seconds += d.stats.h2d_transfer_seconds;
             }
+            let bytes_out = d.data.len() as u64 * 4;
+            self.record_decode(
+                c.decoder(),
+                d.stats.total_seconds,
+                c.compressed_bytes(),
+                bytes_out,
+            );
         }
-        if total > 0.0 {
-            self.metrics
-                .batch_occupancy_permille
-                .set((weighted / total * 1000.0).round() as u64);
+        self.publish_wave(
+            fields.iter().map(|d| &d.stats.huffman),
+            stats.serial_seconds,
+            stats.batched_seconds,
+        );
+        Ok((fields, stats))
+    }
+
+    /// Decodes one wave of symbol streams (the Huffman stage alone) and records it.
+    /// Each item carries the compressed byte count `decode_bytes_in` charges for it.
+    fn codes_wave(
+        &self,
+        items: &[(DecoderKind, &CompressedPayload, u64)],
+    ) -> Result<(Vec<DecodeResult>, BatchStats)> {
+        let payloads: Vec<_> = items.iter().map(|&(kind, p, _)| (kind, p)).collect();
+        let (results, stats) =
+            self.count_error(sz::decode_payload_batch(self.backend.as_ref(), &payloads))?;
+        for (&(decoder, _, bytes_in), r) in items.iter().zip(&results) {
+            let bytes_out = r.symbols.len() as u64 * 2;
+            self.record_decode(decoder, r.timings.total_seconds(), bytes_in, bytes_out);
         }
+        self.publish_wave(
+            results.iter().map(|r| &r.timings),
+            stats.serial_seconds,
+            stats.batched_seconds,
+        );
+        Ok((results, stats))
     }
 
     // ----- compression (uses the session configuration) -----
@@ -453,12 +518,6 @@ impl Codec {
     pub fn compress_archive(&self, field: &Field) -> Result<Compressed> {
         self.check_nonempty(field)?;
         Ok(sz::compress(field, &self.config_for(field)))
-    }
-
-    /// Compresses several fields, returning one [`EncodeOutcome`] per field in input
-    /// order.
-    pub fn compress_batch(&self, fields: &[&Field]) -> Result<Vec<EncodeOutcome>> {
-        fields.iter().map(|field| self.compress(field)).collect()
     }
 
     /// Encodes a bare symbol stream into this session's stream format on the simulated
@@ -498,36 +557,15 @@ impl Codec {
     /// with [`CodecBuilder::model_transfer`], the timing includes the host-to-device
     /// copy of the compressed bytes.
     pub fn decompress(&self, c: &Compressed) -> Result<DecodeOutcome> {
-        let d = self.track_decode(if self.model_transfer {
-            sz::decompress_with_transfer(self.backend.as_ref(), c)
-        } else {
-            sz::decompress(self.backend.as_ref(), c)
-        })?;
-        self.metrics
-            .observe_decode(c.decoder(), d.stats.total_seconds);
-        self.metrics.decode_bytes_in.add(c.compressed_bytes());
-        self.metrics.decode_bytes_out.add(d.data.len() as u64 * 4);
-        self.record_occupancy(&self.metrics.decode_occupancy_permille, &d.stats.huffman);
-        Ok(DecodeOutcome::from_sz(d))
+        let (mut fields, _) = self.data_wave(&[c], self.model_transfer)?;
+        Ok(DecodeOutcome::from_sz(fields.remove(0)))
     }
 
     /// Decompresses several archives as one batch: all Huffman decodes run as a single
     /// overlapped wave across the shared worker pool, then each field is
     /// reconstructed. Outputs are bit-identical to serial [`Codec::decompress`].
     pub fn decompress_batch(&self, archives: &[&Compressed]) -> Result<BatchDecodeOutcome> {
-        let (fields, stats) =
-            self.track_decode(sz::decompress_batch(self.backend.as_ref(), archives))?;
-        self.metrics.batch_serial_seconds.add(stats.serial_seconds);
-        self.metrics
-            .batch_batched_seconds
-            .add(stats.batched_seconds);
-        for (c, d) in archives.iter().zip(&fields) {
-            self.metrics
-                .observe_decode(c.decoder(), d.stats.total_seconds);
-            self.metrics.decode_bytes_in.add(c.compressed_bytes());
-            self.metrics.decode_bytes_out.add(d.data.len() as u64 * 4);
-        }
-        self.record_wave_occupancy(fields.iter().map(|d| &d.stats.huffman));
+        let (fields, stats) = self.data_wave(archives, false)?;
         Ok(BatchDecodeOutcome {
             fields: fields.into_iter().map(DecodeOutcome::from_sz).collect(),
             stats,
@@ -538,34 +576,18 @@ impl Codec {
     /// reverse quantization) — what digest verification and the daemon's `codes`
     /// requests consume.
     pub fn decode_codes(&self, c: &Compressed) -> Result<DecodeResult> {
-        let r = self.track_decode(sz::decode_codes(self.backend.as_ref(), c))?;
-        self.metrics
-            .observe_decode(c.decoder(), r.timings.total_seconds());
-        self.metrics.decode_bytes_in.add(c.compressed_bytes());
-        self.metrics
-            .decode_bytes_out
-            .add(r.symbols.len() as u64 * 2);
-        self.record_occupancy(&self.metrics.decode_occupancy_permille, &r.timings);
-        Ok(r)
+        let (mut results, _) =
+            self.codes_wave(&[(c.decoder(), &c.payload, c.compressed_bytes())])?;
+        Ok(results.remove(0))
     }
 
     /// Decodes a bare payload with this session's configured decoder (hybrid payloads
     /// route through the `huffdec-hybrid` decoder). Benchmark-level access for streams
     /// that never went through the field pipeline.
     pub fn decode_payload(&self, payload: &CompressedPayload) -> Result<DecodeResult> {
-        let r = self.track_decode(sz::decode_payload(
-            self.backend.as_ref(),
-            self.config.decoder,
-            payload,
-        ))?;
-        self.metrics
-            .observe_decode(self.config.decoder, r.timings.total_seconds());
-        self.metrics.decode_bytes_in.add(payload.compressed_bytes());
-        self.metrics
-            .decode_bytes_out
-            .add(r.symbols.len() as u64 * 2);
-        self.record_occupancy(&self.metrics.decode_occupancy_permille, &r.timings);
-        Ok(r)
+        let (mut results, _) =
+            self.codes_wave(&[(self.config.decoder, payload, payload.compressed_bytes())])?;
+        Ok(results.remove(0))
     }
 
     /// Decodes an original 8-bit gap-array stream (the Yamamoto et al. baseline the
@@ -655,21 +677,8 @@ impl Codec {
 
     /// Decodes the full symbol stream of one field of an opened archive.
     pub fn decode_field_codes(&self, field: &FieldHandle) -> Result<DecodeResult> {
-        let r = self.track_decode(sz::decode_payload(
-            self.backend.as_ref(),
-            field.decoder(),
-            field.archive().payload(),
-        ))?;
-        self.metrics
-            .observe_decode(field.decoder(), r.timings.total_seconds());
-        self.metrics
-            .decode_bytes_in
-            .add(field.archive().payload().compressed_bytes());
-        self.metrics
-            .decode_bytes_out
-            .add(r.symbols.len() as u64 * 2);
-        self.record_occupancy(&self.metrics.decode_occupancy_permille, &r.timings);
-        Ok(r)
+        let (mut results, _) = self.decode_field_codes_batch(&[field])?;
+        Ok(results.remove(0))
     }
 
     /// Decodes the symbol streams of several fields of opened archives as one
@@ -681,77 +690,40 @@ impl Codec {
     ) -> Result<(Vec<DecodeResult>, BatchStats)> {
         let items: Vec<_> = fields
             .iter()
-            .map(|f| (f.decoder(), f.archive().payload()))
+            .map(|f| {
+                let payload = f.archive().payload();
+                (f.decoder(), payload, payload.compressed_bytes())
+            })
             .collect();
-        let (results, stats) =
-            self.track_decode(sz::decode_payload_batch(self.backend.as_ref(), &items))?;
-        self.metrics.batch_serial_seconds.add(stats.serial_seconds);
-        self.metrics
-            .batch_batched_seconds
-            .add(stats.batched_seconds);
-        for (f, r) in fields.iter().zip(&results) {
-            self.metrics
-                .observe_decode(f.decoder(), r.timings.total_seconds());
-            self.metrics
-                .decode_bytes_in
-                .add(f.archive().payload().compressed_bytes());
-            self.metrics
-                .decode_bytes_out
-                .add(r.symbols.len() as u64 * 2);
-        }
-        self.record_wave_occupancy(results.iter().map(|r| &r.timings));
-        Ok((results, stats))
+        self.codes_wave(&items)
     }
 
     /// Decodes one scheduler wave of fields to wire-ready little-endian f32 bytes.
     ///
     /// This is the submission API the daemon's decode scheduler drives: hand it every
-    /// cold field of one wave and the codec picks the execution shape — a lone field
-    /// decodes through the serial path ([`Codec::decompress_field`]), two or more run
-    /// as one overlapped batch ([`Codec::decompress_batch`]), so multi-field waves
-    /// record the batch instruments while a single miss stays off them. Outputs are
-    /// bit-identical to serial decodes, in input order.
+    /// cold field of one wave and they decode as one overlapped batch
+    /// ([`Codec::decompress_batch`]). A lone field is a wave of one — the serial decode,
+    /// on the calling thread, off the batch instruments. Outputs are bit-identical to
+    /// serial decodes, in input order; payload-only fields have no reconstruction and
+    /// fail the wave with a usage error.
     pub fn decompress_wave(&self, fields: &[&FieldHandle]) -> Result<Vec<Vec<u8>>> {
-        match fields {
-            [] => Ok(Vec::new()),
-            [field] => Ok(vec![f32_le_bytes(&self.decompress_field(field)?.data)]),
-            many => {
-                let archives: Vec<&Compressed> = many
-                    .iter()
-                    .map(|f| {
-                        f.compressed().ok_or_else(|| {
-                            HfzError::Usage(
-                                "archive is payload-only; nothing to reconstruct".to_string(),
-                            )
-                        })
-                    })
-                    .collect::<Result<_>>()?;
-                let batch = self.decompress_batch(&archives)?;
-                Ok(batch
-                    .fields
-                    .into_iter()
-                    .map(|d| f32_le_bytes(&d.data))
-                    .collect())
-            }
-        }
+        let archives: Vec<&Compressed> = fields
+            .iter()
+            .map(|f| {
+                f.compressed().ok_or_else(|| {
+                    HfzError::Usage("archive is payload-only; nothing to reconstruct".to_string())
+                })
+            })
+            .collect::<Result<_>>()?;
+        let (decoded, _) = self.data_wave(&archives, false)?;
+        Ok(decoded.iter().map(|d| f32_le_bytes(&d.data)).collect())
     }
 
     /// The codes analogue of [`Codec::decompress_wave`]: decodes a wave of fields'
-    /// symbol streams to little-endian u16 bytes, serial for one field
-    /// ([`Codec::decode_field_codes`]) and batched for several
-    /// ([`Codec::decode_field_codes_batch`]).
+    /// symbol streams ([`Codec::decode_field_codes_batch`]) to little-endian u16 bytes.
     pub fn decode_codes_wave(&self, fields: &[&FieldHandle]) -> Result<Vec<Vec<u8>>> {
-        match fields {
-            [] => Ok(Vec::new()),
-            [field] => Ok(vec![u16_le_bytes(&self.decode_field_codes(field)?.symbols)]),
-            many => {
-                let (results, _stats) = self.decode_field_codes_batch(many)?;
-                Ok(results
-                    .into_iter()
-                    .map(|r| u16_le_bytes(&r.symbols))
-                    .collect())
-            }
-        }
+        let (results, _) = self.decode_field_codes_batch(fields)?;
+        Ok(results.iter().map(|r| u16_le_bytes(&r.symbols)).collect())
     }
 
     /// Builds (or returns the cached) range-decode index of a field — the one-time
@@ -772,7 +744,7 @@ impl Codec {
         // cached index. (Two racing first calls may both record — the instruments are
         // advisory, the index itself is built exactly once.)
         let built_before = field.prepared_ready();
-        let prepared = self.track_decode(field.prepared(self.backend.as_ref()))?;
+        let prepared = self.count_error(field.prepared(self.backend.as_ref()))?;
         if !built_before {
             self.metrics
                 .observe_index_build(field.decoder(), prepared.timings.total_seconds());
@@ -793,7 +765,7 @@ impl Codec {
         len: u64,
     ) -> Result<RangeDecode> {
         let prepared = self.prepare_field(field)?;
-        let r = self.track_decode(huffdec_core::decode_range(
+        let r = self.count_error(huffdec_core::decode_range(
             self.backend.as_ref(),
             field.decoder(),
             field.archive().payload(),

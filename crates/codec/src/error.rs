@@ -23,7 +23,7 @@ pub type Result<T> = std::result::Result<T, HfzError>;
 /// | [`HfzError::Usage`] | 2 | bad invocation: unknown flags, invalid configuration, empty input |
 /// | [`HfzError::Io`] | 3 | the operating system failed a read/write |
 /// | [`HfzError::Container`] | 4 | a malformed or corrupt `HFZ1` archive |
-/// | [`HfzError::Decode`] | 5 | a payload/decoder mismatch or out-of-range decode request |
+/// | [`HfzError::Decode`] | 5 | a payload/decoder mismatch, out-of-range decode request, or corrupt stream |
 /// | [`HfzError::Protocol`] | 6 | a daemon/transport failure on a remote operation |
 /// | [`HfzError::Verify`] | 7 | verification ran and found a real mismatch |
 #[derive(Debug)]
@@ -40,7 +40,8 @@ pub enum HfzError {
     },
     /// A malformed `HFZ1` archive (truncation, checksum mismatch, invalid sections…).
     Container(ContainerError),
-    /// A decode-level defect: payload/decoder mismatch or an out-of-range request.
+    /// A decode-level defect: payload/decoder mismatch, an out-of-range request, or a
+    /// stream that does not decode to its declared symbol count.
     Decode(DecodeError),
     /// A failure talking to a remote `hfzd` daemon (transport, framing, or a daemon
     /// error response). Fed by `From<ProtocolError>` / `From<ClientError>` impls in

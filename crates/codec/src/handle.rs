@@ -93,11 +93,14 @@ impl FieldHandle {
     /// The cached range-decode index, built on first use. The preparation cost
     /// (synchronization or gap counting + prefix sums) is paid by whichever caller
     /// gets here first; everyone after decodes only their blocks.
-    pub(crate) fn prepared(&self, gpu: &dyn Backend) -> Result<&PreparedDecode> {
+    pub(crate) fn prepared(
+        &self,
+        gpu: &dyn Backend,
+    ) -> std::result::Result<&PreparedDecode, DecodeError> {
         self.prepared
             .get_or_init(|| prepare_decode(gpu, self.archive.decoder(), self.archive.payload()))
             .as_ref()
-            .map_err(|e| HfzError::Decode(*e))
+            .map_err(|e| *e)
     }
 }
 

@@ -10,8 +10,8 @@
 //!
 //! * [`Codec::compress`] / [`Codec::decompress`] — one field, with typed
 //!   [`EncodeOutcome`] / [`DecodeOutcome`] carrying the phase breakdowns;
-//! * [`Codec::compress_batch`] / [`Codec::decompress_batch`] — many fields, the
-//!   decodes overlapped as one wave;
+//! * [`Codec::decompress_batch`] — many fields, the decodes overlapped as one wave (a
+//!   wave of one is the serial decode);
 //! * [`Codec::open_archive`] / [`Codec::open_snapshot`] — archive sessions
 //!   ([`ArchiveHandle`]) that parse a file exactly once and cache each field's
 //!   range-decode index, so [`Codec::decompress_range`] launches only the blocks

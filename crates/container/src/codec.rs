@@ -72,6 +72,13 @@ pub fn parse_codebook(payload: &[u8], alphabet_size: u32) -> Result<Codebook> {
 /// Encodes the flat bitstream and its geometry (the gap array travels separately).
 pub fn encode_flat_stream(stream: &EncodedStream) -> Vec<u8> {
     let mut w = ByteWriter::with_capacity(32 + stream.units.len() * 4);
+    encode_flat_prologue_into(&mut w, stream);
+    w.into_bytes()
+}
+
+/// The flat-stream wire layout — bit length, symbol count, geometry, unit count, packed
+/// units — shared by the flat-stream section and both hybrid substreams.
+fn encode_flat_prologue_into(w: &mut ByteWriter, stream: &EncodedStream) {
     w.put_u64(stream.bit_len);
     w.put_u64(stream.num_symbols as u64);
     w.put_u32(stream.geometry.subseq_units);
@@ -80,7 +87,6 @@ pub fn encode_flat_stream(stream: &EncodedStream) -> Vec<u8> {
     for &unit in &stream.units {
         w.put_u32(unit);
     }
-    w.into_bytes()
 }
 
 /// Parsed flat-stream payload, not yet joined with its codebook and gap array.
@@ -98,6 +104,14 @@ pub struct FlatStreamParts {
 /// Parses and validates a flat-stream payload.
 pub fn parse_flat_stream(payload: &[u8]) -> Result<FlatStreamParts> {
     let mut c = ByteCursor::new(payload, "flat-stream section");
+    let parts = parse_flat_prologue(&mut c)?;
+    c.expect_end("trailing bytes in flat-stream section")?;
+    Ok(parts)
+}
+
+/// Parses and validates one flat-stream wire layout (see [`encode_flat_prologue_into`])
+/// at the cursor.
+fn parse_flat_prologue(c: &mut ByteCursor) -> Result<FlatStreamParts> {
     let bit_len = c.get_u64()?;
     let num_symbols =
         usize::try_from(c.get_u64()?).map_err(|_| invalid("symbol count exceeds usize"))?;
@@ -123,7 +137,6 @@ pub fn parse_flat_stream(payload: &[u8]) -> Result<FlatStreamParts> {
     for _ in 0..unit_count {
         units.push(c.get_u32()?);
     }
-    c.expect_end("trailing bytes in flat-stream section")?;
     Ok(FlatStreamParts {
         units,
         bit_len,
@@ -481,14 +494,7 @@ pub fn encode_hybrid_stream(hybrid: &HybridStream) -> Vec<u8> {
 }
 
 fn encode_hybrid_substream_into(w: &mut ByteWriter, stream: &EncodedStream) {
-    w.put_u64(stream.bit_len);
-    w.put_u64(stream.num_symbols as u64);
-    w.put_u32(stream.geometry.subseq_units);
-    w.put_u32(stream.geometry.subseqs_per_seq);
-    w.put_u64(stream.units.len() as u64);
-    for &unit in &stream.units {
-        w.put_u32(unit);
-    }
+    encode_flat_prologue_into(w, stream);
     encode_codebook_into(w, &stream.codebook);
 }
 
@@ -509,33 +515,17 @@ pub fn parse_hybrid_stream(payload: &[u8], alphabet_size: u32) -> Result<HybridS
 }
 
 fn parse_hybrid_substream(c: &mut ByteCursor, alphabet_size: u32) -> Result<EncodedStream> {
-    let bit_len = c.get_u64()?;
-    let num_symbols =
-        usize::try_from(c.get_u64()?).map_err(|_| invalid("symbol count exceeds usize"))?;
-    let subseq_units = c.get_u32()?;
-    let subseqs_per_seq = c.get_u32()?;
-    let geometry = StreamGeometry::checked(subseq_units, subseqs_per_seq)
-        .map_err(|reason| ContainerError::Invalid { reason })?;
-    let unit_count = c.get_u64()?;
-    if unit_count != bit_len.div_ceil(32) {
-        return Err(invalid("unit count does not cover the bit length"));
-    }
-    if num_symbols as u64 > bit_len {
-        return Err(invalid("more symbols than bits in the stream"));
-    }
-    let unit_count =
-        usize::try_from(unit_count).map_err(|_| invalid("unit count exceeds usize"))?;
-    // Bound the allocation by what the section can actually hold before reserving.
-    if unit_count > c.remaining() / 4 {
-        return Err(invalid("unit count exceeds the section size"));
-    }
-    let mut units = Vec::with_capacity(unit_count);
-    for _ in 0..unit_count {
-        units.push(c.get_u32()?);
-    }
+    let parts = parse_flat_prologue(c)?;
     let codebook = parse_codebook_pairs(c, alphabet_size)?;
-    EncodedStream::from_parts(units, bit_len, num_symbols, codebook, geometry, None)
-        .map_err(|reason| ContainerError::Invalid { reason })
+    EncodedStream::from_parts(
+        parts.units,
+        parts.bit_len,
+        parts.num_symbols,
+        codebook,
+        parts.geometry,
+        None,
+    )
+    .map_err(|reason| ContainerError::Invalid { reason })
 }
 
 // --- Codebook dictionary (format v2) ---------------------------------------------------

@@ -8,7 +8,9 @@ use huffdec_container::{
     from_bytes, payload_to_bytes, read_info, read_one_archive, read_snapshot_with_info,
     snapshot_to_bytes, to_bytes, Archive, ContainerError, Snapshot, HEADER_BYTES,
 };
-use huffdec_core::{compress_for, decode, DecoderKind};
+use huffdec_core::{
+    compress_for, decode, prepare_decode, CompressedPayload, DecodeError, DecoderKind,
+};
 use sz::{compress, decompress, Compressed, SzConfig};
 
 fn gpu() -> Gpu {
@@ -205,6 +207,43 @@ fn payload_archive_is_not_a_field_archive() {
         read_one_archive(&bytes),
         Ok(Archive::Payload { .. })
     ));
+}
+
+/// A stream (and dims) that declare more or fewer symbols than the bits hold is
+/// structurally valid — every section parses and every CRC matches — so only the decode
+/// can notice. It must refuse with the typed corrupt-stream error, full and ranged,
+/// never hand back a field of the wrong length.
+#[test]
+fn wrong_declared_symbol_count_is_a_corrupt_stream_not_a_short_field() {
+    let g = gpu();
+    let field = walk_field(20_000, 10, 33);
+    for decoder in [
+        DecoderKind::OptimizedGapArray,
+        DecoderKind::OptimizedSelfSync,
+        DecoderKind::OriginalSelfSync,
+    ] {
+        let honest = compress(&field, &walk_config(decoder));
+        for declared in [21_000usize, 19_000] {
+            let mut lying = honest.clone();
+            let CompressedPayload::Flat(stream) = &mut lying.payload else {
+                panic!("{:?} compresses to a flat stream", decoder);
+            };
+            stream.num_symbols = declared;
+            lying.dims = datasets::Dims::D1(declared);
+            lying.outliers.retain(|o| (o.index as usize) < declared);
+            let reopened = from_bytes(&to_bytes(&lying).unwrap())
+                .unwrap_or_else(|e| panic!("{:?}/{}: must open cleanly: {}", decoder, declared, e));
+            let corrupt = DecodeError::CorruptStream { decoder };
+            assert_eq!(decompress(&g, &reopened).unwrap_err(), corrupt);
+            assert_eq!(
+                prepare_decode(&g, decoder, &reopened.payload).unwrap_err(),
+                corrupt,
+                "{:?}/{}: ranged requests build on prepare_decode",
+                decoder,
+                declared
+            );
+        }
+    }
 }
 
 // --- Snapshot manifest corruption matrix -----------------------------------------------

@@ -6,24 +6,31 @@
 //! therefore coarse (one thread per chunk), per-thread work is large, and both the unit
 //! loads and the symbol stores are heavily strided across the threads of a warp.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use gpu_sim::{cost, BlockContext, BlockKernel, DeviceBuffer, LaunchConfig};
 use huffdec_backend::Backend;
 use huffman::{BitReader, ChunkedEncoded, Codebook};
 
-use crate::phases::{DecodeResult, PhaseBreakdown};
+use crate::decoder::{DecodeError, DecoderKind};
 
 /// Threads per block used by the baseline decoder (as in cuSZ).
 const BLOCK_DIM: u32 = 128;
 
 /// The coarse-grained decode kernel: one thread per *selected* chunk. Thread `i` decodes
-/// `chunks[chunk_indices[i]]`, so a launch can cover the whole stream (`decode_baseline`)
-/// or just the chunks overlapping a requested symbol range (`decode_baseline_chunks`,
-/// used by the partial-decode path of the serving layer).
+/// `chunks[chunk_indices[i]]`, so a launch can cover the whole stream (a full decode) or
+/// just the chunks overlapping a requested symbol range (the partial-decode path of the
+/// serving layer).
 struct CoarseDecodeKernel<'a> {
     encoded: &'a ChunkedEncoded,
     codebook: &'a Codebook,
     output: &'a DeviceBuffer<u16>,
     chunk_indices: &'a [u32],
+    /// Symbols the launch actually decoded. A lane stops at the first codeword that
+    /// resolves to no symbol (or runs out of bits), so a corrupt chunk leaves this short
+    /// of the chunks' declared total — the launcher turns that into a typed error.
+    /// `Relaxed` suffices: the launch joins every block before the count is read.
+    decoded: AtomicU64,
 }
 
 impl BlockKernel for CoarseDecodeKernel<'_> {
@@ -54,14 +61,17 @@ impl BlockKernel for CoarseDecodeKernel<'_> {
                 let end = start + chunk.unit_count as usize;
                 let reader = BitReader::new(&self.encoded.units[start..end], chunk.bit_len);
                 let mut pos = 0u64;
-                for k in 0..chunk.num_symbols {
-                    let (sym, n) = self
-                        .codebook
-                        .decode_one(|p| reader.bit(p), pos)
-                        .expect("corrupt chunk in baseline decode");
-                    self.output.set((chunk.symbol_offset + k) as usize, sym);
+                let mut decoded = 0u64;
+                while decoded < chunk.num_symbols {
+                    let Some((sym, n)) = self.codebook.decode_one(|p| reader.bit(p), pos) else {
+                        break;
+                    };
+                    self.output
+                        .set((chunk.symbol_offset + decoded) as usize, sym);
                     pos += n as u64;
+                    decoded += 1;
                 }
+                self.decoded.fetch_add(decoded, Ordering::Relaxed);
                 lane_bits.push(chunk.bit_len as f64);
                 lane_symbols.push(chunk.num_symbols);
                 lane_units.push(chunk.unit_count);
@@ -112,51 +122,46 @@ impl BlockKernel for CoarseDecodeKernel<'_> {
     }
 }
 
-/// Decodes a chunked (cuSZ-format) stream with the baseline coarse-grained decoder.
-pub fn decode_baseline(
-    gpu: &dyn Backend,
-    encoded: &ChunkedEncoded,
-    codebook: &Codebook,
-) -> DecodeResult {
-    let output = DeviceBuffer::<u16>::zeroed(encoded.num_symbols);
-    let all_chunks: Vec<u32> = (0..encoded.chunks.len() as u32).collect();
-    let stats = decode_baseline_chunks(gpu, encoded, codebook, &all_chunks, &output);
-
-    let timings = PhaseBreakdown {
-        decode_write: Some(gpu_sim::PhaseTime::from_kernel(stats)),
-        ..PhaseBreakdown::default()
-    };
-
-    DecodeResult {
-        symbols: output.to_vec(),
-        timings,
-    }
-}
-
-/// Decodes only the given chunks of a chunked stream into `output` (which must span the
-/// whole stream: each chunk writes at its recorded `symbol_offset`). This is the
-/// baseline decoder's partial-decode entry point: a serving layer answering a range
-/// request launches one thread per *overlapping* chunk instead of decoding the field.
+/// Decodes the given chunks of a chunked stream into `output` (which must span the whole
+/// stream: each chunk writes at its recorded `symbol_offset`) — every chunk for a full
+/// decode, or, for a serving layer answering a range request, one thread per
+/// *overlapping* chunk instead of the whole field.
+///
+/// Returns [`DecodeError::CorruptStream`] when a chunk's bits do not decode to the
+/// symbol count it declares.
 pub fn decode_baseline_chunks(
     gpu: &dyn Backend,
     encoded: &ChunkedEncoded,
     codebook: &Codebook,
     chunk_indices: &[u32],
     output: &DeviceBuffer<u16>,
-) -> gpu_sim::KernelStats {
+) -> Result<gpu_sim::KernelStats, DecodeError> {
     let kernel = CoarseDecodeKernel {
         encoded,
         codebook,
         output,
         chunk_indices,
+        decoded: AtomicU64::new(0),
     };
     let grid = (chunk_indices.len() as u32).div_ceil(BLOCK_DIM).max(1);
-    gpu.launch(&kernel, LaunchConfig::new(grid, BLOCK_DIM))
+    let stats = gpu.launch(&kernel, LaunchConfig::new(grid, BLOCK_DIM));
+    let declared: u64 = chunk_indices
+        .iter()
+        .map(|&i| encoded.chunks[i as usize].num_symbols)
+        .sum();
+    if kernel.decoded.into_inner() != declared {
+        return Err(DecodeError::CorruptStream {
+            decoder: DecoderKind::CuszBaseline,
+        });
+    }
+    Ok(stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decoder::{decode, CompressedPayload};
+    use crate::phases::DecodeResult;
     use gpu_sim::Gpu;
     use gpu_sim::GpuConfig;
     use huffman::encode_chunked;
@@ -175,12 +180,23 @@ mod tests {
         Gpu::with_host_threads(GpuConfig::test_tiny(), 4)
     }
 
+    fn chunked(symbols: &[u16], chunk_symbols: usize) -> CompressedPayload {
+        let codebook =
+            Codebook::from_symbols(if symbols.is_empty() { &[0] } else { symbols }, 1024);
+        CompressedPayload::Chunked {
+            encoded: encode_chunked(&codebook, symbols, chunk_symbols),
+            codebook,
+        }
+    }
+
+    fn decode_chunked(payload: &CompressedPayload) -> Result<DecodeResult, DecodeError> {
+        decode(&gpu(), DecoderKind::CuszBaseline, payload)
+    }
+
     #[test]
     fn baseline_decodes_exactly() {
         let symbols = quant_symbols(50_000);
-        let cb = Codebook::from_symbols(&symbols, 1024);
-        let enc = encode_chunked(&cb, &symbols, 4096);
-        let result = decode_baseline(&gpu(), &enc, &cb);
+        let result = decode_chunked(&chunked(&symbols, 4096)).unwrap();
         assert_eq!(result.symbols, symbols);
         assert!(result.timings.total_seconds() > 0.0);
         assert!(result.timings.decode_write.is_some());
@@ -190,18 +206,14 @@ mod tests {
     #[test]
     fn baseline_handles_ragged_final_chunk() {
         let symbols = quant_symbols(10_123);
-        let cb = Codebook::from_symbols(&symbols, 1024);
-        let enc = encode_chunked(&cb, &symbols, 1000);
-        let result = decode_baseline(&gpu(), &enc, &cb);
+        let result = decode_chunked(&chunked(&symbols, 1000)).unwrap();
         assert_eq!(result.symbols, symbols);
     }
 
     #[test]
     fn baseline_stores_are_poorly_coalesced() {
         let symbols = quant_symbols(100_000);
-        let cb = Codebook::from_symbols(&symbols, 1024);
-        let enc = encode_chunked(&cb, &symbols, 4096);
-        let result = decode_baseline(&gpu(), &enc, &cb);
+        let result = decode_chunked(&chunked(&symbols, 4096)).unwrap();
         let kernel = &result.timings.decode_write.as_ref().unwrap().kernels[0];
         // Strided stores: efficiency well below a coalesced kernel's.
         assert!(
@@ -219,7 +231,7 @@ mod tests {
         assert!(enc.chunks.len() >= 3);
         let output = DeviceBuffer::<u16>::zeroed(enc.num_symbols);
         // Decode only chunks 1 and 3.
-        let stats = decode_baseline_chunks(&gpu(), &enc, &cb, &[1, 3], &output);
+        let stats = decode_baseline_chunks(&gpu(), &enc, &cb, &[1, 3], &output).unwrap();
         assert!(stats.time_s > 0.0);
         let decoded = output.to_vec();
         for (i, chunk) in enc.chunks.iter().enumerate() {
@@ -239,9 +251,33 @@ mod tests {
 
     #[test]
     fn empty_stream_decodes_to_nothing() {
-        let cb = Codebook::from_symbols(&[0u16], 4);
-        let enc = encode_chunked(&cb, &[], 4096);
-        let result = decode_baseline(&gpu(), &enc, &cb);
+        let result = decode_chunked(&chunked(&[], 4096)).unwrap();
         assert!(result.symbols.is_empty());
+    }
+
+    /// The hostile chunk edit that still passes the container's chunk validation: the
+    /// first chunk claims as many bits as symbols, so its codewords run out of bits.
+    #[test]
+    fn chunk_whose_bits_run_out_is_a_typed_error_full_and_ranged() {
+        let symbols = quant_symbols(20_000);
+        let mut payload = chunked(&symbols, 1000);
+        let CompressedPayload::Chunked { encoded, .. } = &mut payload else {
+            unreachable!()
+        };
+        encoded.chunks[0].bit_len = encoded.chunks[0].num_symbols;
+        let g = gpu();
+        let kind = DecoderKind::CuszBaseline;
+        let err = decode(&g, kind, &payload).unwrap_err();
+        assert_eq!(err, DecodeError::CorruptStream { decoder: kind });
+        assert!(!err.to_string().is_empty());
+        assert!(!err.reason().is_empty());
+        // A range over the bad chunk fails the same way; one over healthy chunks decodes.
+        let prepared = crate::prepare_decode(&g, kind, &payload).unwrap();
+        assert!(matches!(
+            crate::decode_range(&g, kind, &payload, &prepared, 500, 100),
+            Err(DecodeError::CorruptStream { .. })
+        ));
+        let healthy = crate::decode_range(&g, kind, &payload, &prepared, 5_000, 100).unwrap();
+        assert_eq!(healthy.symbols, &symbols[5_000..5_100]);
     }
 }

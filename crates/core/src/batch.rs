@@ -3,11 +3,15 @@
 //! Snapshot archives pack many fields (HACC particle arrays, GAMESS integral blocks)
 //! into one file; decoding them one-after-another leaves the device under-occupied
 //! whenever a single field's grid cannot fill it, and pays every kernel's launch
-//! overhead on the critical path. [`decode_batch`] instead runs the fields' block
-//! decodes across the shared `gpu-sim` worker pool concurrently (the functional side)
-//! and models the timing as kernels launched on independent CUDA streams (the
-//! performance side, [`gpu_sim::concurrent_time`]) — the same multi-field batching
-//! direction cuSZ takes to keep the GPU saturated across fields.
+//! overhead on the critical path. A **wave** ([`decode_wave`]) instead runs a per-field
+//! decode function over the fields concurrently on a bounded worker pool (the
+//! functional side) and models the timing as kernels launched on independent CUDA
+//! streams (the performance side, [`gpu_sim::concurrent_time`]) — the same multi-field
+//! batching direction cuSZ takes to keep the GPU saturated across fields. A wave of one
+//! is the serial decode: it runs on the calling thread and its batched estimate equals
+//! its serial time. [`decode_batch`] is the wave over [`decode`]; the `sz` layer runs
+//! the same wave over its dense-or-hybrid dispatch, so hybrid fields overlap like any
+//! other.
 //!
 //! The model is conservative in both directions: the batched wave can never beat the
 //! longest single field's serial phase chain (phases within a field are dependent), and
@@ -16,7 +20,7 @@
 use gpu_sim::KernelStats;
 use huffdec_backend::Backend;
 
-use crate::decoder::{decode, CompressedPayload, DecodeError, DecoderKind};
+use crate::decoder::{check_payload, decode, CompressedPayload, DecodeError, DecoderKind};
 use crate::phases::DecodeResult;
 
 /// Aggregate timing of one batched decode wave. Per-field phase breakdowns stay in the
@@ -64,54 +68,63 @@ fn throughput(useful_bytes: u64, seconds: f64) -> f64 {
     }
 }
 
-/// Decodes `items` as one batch: every field's payload with its decoder, functionally
-/// in parallel on the shared worker pool, with the timing aggregated into a
-/// [`BatchStats`]. Results are returned in input order.
+/// Decodes `items` as one batch: every field's payload with its decoder, as one
+/// [`decode_wave`] over [`decode`]. Results are returned in input order.
 ///
-/// Payload/decoder mismatches are validated **before** any decode runs, so a bad item
+/// Payload/decoder mismatches are checked **before** any decode runs, so a bad item
 /// fails the whole batch without wasted work, with the same typed
 /// [`DecodeError::PayloadMismatch`] the single-field path reports. Hybrid payloads are
 /// rejected the same way: like [`decode`], this entry point covers only the dense
-/// formats (the `sz` dispatch layer partitions hybrid fields out of a wave and routes
-/// them to the `huffdec-hybrid` decoder).
+/// formats (`sz::decode_payload_batch` is the wave that also takes hybrid fields).
 pub fn decode_batch(
     gpu: &dyn Backend,
     items: &[(DecoderKind, &CompressedPayload)],
 ) -> Result<(Vec<DecodeResult>, BatchStats), DecodeError> {
     for &(kind, payload) in items {
-        validate(kind, payload)?;
+        check_payload(kind, payload)?;
     }
-    if items.is_empty() {
-        return Ok((Vec::new(), BatchStats::default()));
-    }
+    decode_wave(gpu, items, |&(kind, payload)| decode(gpu, kind, payload))
+}
 
-    // Functional side: a bounded worker pool shares the simulated device (its
-    // launches already fan blocks out over host threads; fields add a second axis of
-    // parallelism on top, exactly like kernels from independent streams would). The
-    // worker count is capped — a 1000-field batch must never spawn 1000 OS threads —
-    // and workers pull fields off a shared atomic cursor, so results stay in input
-    // order regardless of which worker decodes what.
+/// Runs `decode_field` over every item as one wave and aggregates the timing into a
+/// [`BatchStats`]. Results come back in input order; the first failing field (in input
+/// order) fails the wave.
+///
+/// A bounded worker pool shares the device (its launches already fan blocks out over
+/// host threads; fields add a second axis of parallelism on top, exactly like kernels
+/// from independent streams would). The worker count is capped — a 1000-field batch must
+/// never spawn 1000 OS threads — and workers pull fields off a shared atomic cursor.
+/// With a single worker (a wave of one, or a one-core host) no thread is spawned: the
+/// fields decode on the calling thread.
+pub fn decode_wave<T: Sync>(
+    gpu: &dyn Backend,
+    items: &[T],
+    decode_field: impl Fn(&T) -> Result<DecodeResult, DecodeError> + Sync,
+) -> Result<(Vec<DecodeResult>, BatchStats), DecodeError> {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
         .min(items.len());
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<Result<DecodeResult, DecodeError>>>> = (0..items.len())
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    let wave_start = std::time::Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let (kind, payload) = items[i];
-                *slots[i].lock().expect("batch slot poisoned") = Some(decode(gpu, kind, payload));
-            });
+    let slots: Vec<std::sync::Mutex<Option<Result<DecodeResult, DecodeError>>>> =
+        items.iter().map(|_| std::sync::Mutex::new(None)).collect();
+    let work = || loop {
+        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        if i >= items.len() {
+            break;
         }
-    });
+        *slots[i].lock().expect("batch slot poisoned") = Some(decode_field(&items[i]));
+    };
+    let wave_start = std::time::Instant::now();
+    if workers <= 1 {
+        work();
+    } else {
+        std::thread::scope(|s| {
+            for _ in 0..workers {
+                s.spawn(work);
+            }
+        });
+    }
     let wave_elapsed = wave_start.elapsed().as_secs_f64();
     let mut fields = Vec::with_capacity(items.len());
     for slot in slots {
@@ -124,8 +137,8 @@ pub fn decode_batch(
 
     let mut stats = batch_stats(gpu, &fields);
     if !gpu.is_modeled() {
-        // A real backend does not need the stream model: the scoped workers above *are*
-        // the overlapped wave, so use its measured wall clock — clamped to the same
+        // A real backend does not need the stream model: the workers above *are* the
+        // overlapped wave, so use its measured wall clock — clamped to the same
         // invariants the model guarantees (never under the longest field's own chain,
         // never over the serial sum).
         let longest_field = fields
@@ -168,25 +181,6 @@ pub fn batch_stats(gpu: &dyn Backend, fields: &[DecodeResult]) -> BatchStats {
         kernel_launches: kernels.len(),
         serial_seconds,
         batched_seconds,
-    }
-}
-
-/// The same payload/decoder compatibility check `decode` performs, hoisted so a batch
-/// can fail fast before spawning workers.
-fn validate(kind: DecoderKind, payload: &CompressedPayload) -> Result<(), DecodeError> {
-    let ok = match (kind, payload) {
-        (DecoderKind::CuszBaseline, CompressedPayload::Chunked { .. }) => true,
-        (DecoderKind::OriginalSelfSync, CompressedPayload::Flat(_)) => true,
-        (DecoderKind::OptimizedSelfSync, CompressedPayload::Flat(_)) => true,
-        (DecoderKind::OptimizedGapArray, CompressedPayload::Flat(stream)) => {
-            stream.gap_array.is_some()
-        }
-        _ => false,
-    };
-    if ok {
-        Ok(())
-    } else {
-        Err(DecodeError::PayloadMismatch { decoder: kind })
     }
 }
 

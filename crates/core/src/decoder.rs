@@ -1,4 +1,5 @@
-//! The unified decoder API: one entry point per decoding method evaluated in the paper.
+//! The unified decoder API: one entry point, [`decode`], for every decoding method
+//! evaluated in the paper.
 //!
 //! | [`DecoderKind`]          | Encoding it consumes                  | Phases |
 //! |--------------------------|---------------------------------------|--------|
@@ -7,6 +8,14 @@
 //! | `OptimizedSelfSync`      | flat stream                           | optimized intra sync, inter sync, output idx, tune, staged decode/write |
 //! | `OptimizedGapArray`      | flat stream **with gap array**        | output idx (redundant decode + prefix sum), tune, staged decode/write |
 //! | `RleHybrid`              | RLE+Huffman hybrid (two flat streams) | decoded by the `huffdec-hybrid` crate |
+//!
+//! Every row is the same pipeline — (sync | gap count) → output index → tune →
+//! decode/write (§IV, Table II) — and the code spells it once: `check_payload` proves
+//! the payload fits the decoder, [`crate::prepare_decode`] runs the preparation phases
+//! and the one output-index prefix sum, and the decode/write phase
+//! ([`crate::range`]) launches over every block. A ranged decode is the same path
+//! launched over fewer blocks. A stream that does not decode to the symbol count it
+//! declares is refused with [`DecodeError::CorruptStream`], full or ranged.
 //!
 //! The original 8-bit gap-array baseline (Table V) lives in
 //! [`crate::gap_decode::decode_original_gap8`] because it decodes a different (trimmed)
@@ -17,18 +26,12 @@
 
 use std::fmt;
 
-use gpu_sim::DeviceBuffer;
 use huffdec_backend::Backend;
 use huffman::{encode_chunked, ChunkedEncoded, Codebook, DEFAULT_CHUNK_SYMBOLS};
 
-use crate::baseline::decode_baseline;
-use crate::decode_write::{run_decode_write, WriteStrategy};
 use crate::format::{wire, EncodedStream, HybridStream};
-use crate::gap_decode::gap_count_symbols;
-use crate::output_index::compute_output_index;
 use crate::phases::{DecodeResult, PhaseBreakdown};
-use crate::self_sync::{synchronize, SyncVariant};
-use crate::tuner::tuned_decode_write;
+use crate::range::{decode_write, prepare_checked};
 
 /// The decoding methods compared throughout the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -233,6 +236,14 @@ pub enum DecodeError {
         /// What the substreams disagree about.
         reason: &'static str,
     },
+    /// The stream does not decode to the symbol count it declares: a codeword that
+    /// resolves to no symbol, bits that run out early, or a count that disagrees with
+    /// the bits. Reachable from CRC-valid archives whose sections are individually
+    /// well-formed, so it is an error, never a panic or a silently short (or long) field.
+    CorruptStream {
+        /// The decoder that was asked to run.
+        decoder: DecoderKind,
+    },
 }
 
 impl DecodeError {
@@ -242,6 +253,9 @@ impl DecodeError {
             DecodeError::PayloadMismatch { .. } => "payload format does not match the decoder",
             DecodeError::RangeOutOfBounds { .. } => "requested symbol range is out of bounds",
             DecodeError::InvalidHybrid { reason } => reason,
+            DecodeError::CorruptStream { .. } => {
+                "stream does not decode to its declared symbol count"
+            }
         }
     }
 }
@@ -266,46 +280,117 @@ impl fmt::Display for DecodeError {
             DecodeError::InvalidHybrid { reason } => {
                 write!(f, "invalid hybrid payload: {}", reason)
             }
+            DecodeError::CorruptStream { decoder } => write!(
+                f,
+                "corrupt stream: decoder {:?} did not produce the declared symbol count",
+                decoder
+            ),
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
 
-/// Decodes `payload` with the method `kind`, returning the symbols and the simulated
-/// per-phase timing breakdown.
+/// A dense payload proven compatible with a decoder: the borrowed view the prepare and
+/// decode/write phases work on.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum CheckedPayload<'a> {
+    /// A chunked stream for the coarse-grained baseline.
+    Chunked {
+        encoded: &'a ChunkedEncoded,
+        codebook: &'a Codebook,
+    },
+    /// A flat stream for a fine-grained decoder (with its gap array when the decoder
+    /// needs one).
+    Flat(&'a EncodedStream),
+}
+
+impl CheckedPayload<'_> {
+    /// Decode blocks a full decode launches: chunks, or sequences (thread blocks).
+    pub(crate) fn num_blocks(&self) -> usize {
+        match self {
+            CheckedPayload::Chunked { encoded, .. } => encoded.chunks.len(),
+            CheckedPayload::Flat(stream) => stream.num_seqs(),
+        }
+    }
+}
+
+/// The payload/decoder compatibility check every decode entry point starts from.
 ///
-/// Returns [`DecodeError::PayloadMismatch`] when the payload's format does not match the
-/// decoder (e.g. a chunked payload handed to a fine-grained decoder, or a gap-array
-/// decoder given a stream without a gap array) instead of panicking — such payloads can
-/// reach this function from CRC-valid but inconsistent archives. Hybrid payloads (and
-/// [`DecoderKind::RleHybrid`]) also report a mismatch here: the hybrid decoder lives in
-/// the `huffdec-hybrid` crate, and the `sz` dispatch layer routes to it before this
-/// function is reached.
+/// Returns [`DecodeError::PayloadMismatch`] for a chunked payload handed to a
+/// fine-grained decoder, a flat payload handed to the chunked baseline, or a gap-array
+/// decoder given a stream without a gap array — such pairs can reach a decode from
+/// CRC-valid but inconsistent archives. Hybrid payloads (and
+/// [`DecoderKind::RleHybrid`]) report a mismatch too: the hybrid decoder lives in the
+/// `huffdec-hybrid` crate, and the `sz` dispatch layer routes to it first.
+pub(crate) fn check_payload(
+    kind: DecoderKind,
+    payload: &CompressedPayload,
+) -> Result<CheckedPayload<'_>, DecodeError> {
+    match (kind, payload) {
+        (DecoderKind::CuszBaseline, CompressedPayload::Chunked { encoded, codebook }) => {
+            Ok(CheckedPayload::Chunked { encoded, codebook })
+        }
+        (
+            DecoderKind::OriginalSelfSync | DecoderKind::OptimizedSelfSync,
+            CompressedPayload::Flat(stream),
+        ) => Ok(CheckedPayload::Flat(stream)),
+        (DecoderKind::OptimizedGapArray, CompressedPayload::Flat(stream))
+            if stream.gap_array.is_some() =>
+        {
+            Ok(CheckedPayload::Flat(stream))
+        }
+        _ => Err(DecodeError::PayloadMismatch { decoder: kind }),
+    }
+}
+
+/// Decodes `payload` with the method `kind`, returning the symbols and the simulated
+/// per-phase timing breakdown: [`crate::prepare_decode`] followed by the decode/write
+/// phase over every block (tuned for the optimized decoders, direct writes for
+/// [`DecoderKind::OriginalSelfSync`], every chunk for the baseline).
+///
+/// Returns [`DecodeError::PayloadMismatch`] when the payload's format does not match
+/// the decoder and [`DecodeError::CorruptStream`] when the stream does not decode to
+/// the symbol count it declares.
 pub fn decode(
     gpu: &dyn Backend,
     kind: DecoderKind,
     payload: &CompressedPayload,
 ) -> Result<DecodeResult, DecodeError> {
-    let mismatch = Err(DecodeError::PayloadMismatch { decoder: kind });
-    match (kind, payload) {
-        (DecoderKind::CuszBaseline, CompressedPayload::Chunked { encoded, codebook }) => {
-            Ok(decode_baseline(gpu, encoded, codebook))
-        }
-        (DecoderKind::OriginalSelfSync, CompressedPayload::Flat(stream)) => {
-            Ok(decode_original_self_sync(gpu, stream))
-        }
-        (DecoderKind::OptimizedSelfSync, CompressedPayload::Flat(stream)) => {
-            Ok(decode_optimized_self_sync(gpu, stream))
-        }
-        (DecoderKind::OptimizedGapArray, CompressedPayload::Flat(stream)) => {
-            if stream.gap_array.is_none() {
-                return mismatch;
-            }
-            Ok(decode_optimized_gap_array(gpu, stream))
-        }
-        _ => mismatch,
-    }
+    decode_checked(gpu, kind, check_payload(kind, payload)?)
+}
+
+/// Decodes a bare flat stream with the optimized self-synchronization decoder, which
+/// every flat stream is compatible with (a gap array, when present, goes unused). This
+/// is how the hybrid codec decodes its two substreams without wrapping them in a
+/// payload.
+pub fn decode_self_sync_stream(
+    gpu: &dyn Backend,
+    stream: &EncodedStream,
+) -> Result<DecodeResult, DecodeError> {
+    decode_checked(
+        gpu,
+        DecoderKind::OptimizedSelfSync,
+        CheckedPayload::Flat(stream),
+    )
+}
+
+fn decode_checked(
+    gpu: &dyn Backend,
+    kind: DecoderKind,
+    payload: CheckedPayload<'_>,
+) -> Result<DecodeResult, DecodeError> {
+    let prepared = prepare_checked(gpu, kind, payload)?;
+    let (output, write) = decode_write(gpu, kind, payload, &prepared, None)?;
+    let timings = PhaseBreakdown {
+        tune: write.tune,
+        decode_write: write.decode_write,
+        ..prepared.timings
+    };
+    Ok(DecodeResult {
+        symbols: output.to_vec(),
+        timings,
+    })
 }
 
 /// Convenience: compress and decode in one call (used by tests and examples).
@@ -317,74 +402,6 @@ pub fn roundtrip(
 ) -> DecodeResult {
     let payload = compress_for(kind, symbols, alphabet_size);
     decode(gpu, kind, &payload).expect("compress_for produces a payload matching the decoder")
-}
-
-fn decode_original_self_sync(gpu: &dyn Backend, stream: &EncodedStream) -> DecodeResult {
-    let sync = synchronize(gpu, stream, SyncVariant::Original);
-    let (oi, oi_phase) = compute_output_index(gpu, &sync.infos);
-    let output = DeviceBuffer::<u16>::zeroed(oi.total as usize);
-    let all_seqs: Vec<u32> = (0..stream.num_seqs() as u32).collect();
-    let stats = run_decode_write(
-        gpu,
-        stream,
-        &sync.infos,
-        &oi,
-        &output,
-        &all_seqs,
-        WriteStrategy::Direct,
-    );
-
-    let timings = PhaseBreakdown {
-        intra_sync: Some(sync.intra_phase),
-        inter_sync: Some(sync.inter_phase),
-        output_index: Some(oi_phase),
-        tune: None,
-        decode_write: Some(gpu_sim::PhaseTime::from_kernel(stats)),
-    };
-    DecodeResult {
-        symbols: output.to_vec(),
-        timings,
-    }
-}
-
-fn decode_optimized_self_sync(gpu: &dyn Backend, stream: &EncodedStream) -> DecodeResult {
-    let sync = synchronize(gpu, stream, SyncVariant::Optimized);
-    let (oi, oi_phase) = compute_output_index(gpu, &sync.infos);
-    let output = DeviceBuffer::<u16>::zeroed(oi.total as usize);
-    let tuned = tuned_decode_write(gpu, stream, &sync.infos, &oi, &output);
-
-    let timings = PhaseBreakdown {
-        intra_sync: Some(sync.intra_phase),
-        inter_sync: Some(sync.inter_phase),
-        output_index: Some(oi_phase),
-        tune: Some(tuned.tune_phase),
-        decode_write: Some(tuned.decode_phase),
-    };
-    DecodeResult {
-        symbols: output.to_vec(),
-        timings,
-    }
-}
-
-fn decode_optimized_gap_array(gpu: &dyn Backend, stream: &EncodedStream) -> DecodeResult {
-    let (infos, count_phase) = gap_count_symbols(gpu, stream);
-    let (oi, prefix_phase) = compute_output_index(gpu, &infos);
-    let output = DeviceBuffer::<u16>::zeroed(oi.total as usize);
-    let tuned = tuned_decode_write(gpu, stream, &infos, &oi, &output);
-
-    let mut oi_phase = count_phase;
-    oi_phase.extend_serial(prefix_phase);
-    let timings = PhaseBreakdown {
-        intra_sync: None,
-        inter_sync: None,
-        output_index: Some(oi_phase),
-        tune: Some(tuned.tune_phase),
-        decode_write: Some(tuned.decode_phase),
-    };
-    DecodeResult {
-        symbols: output.to_vec(),
-        timings,
-    }
 }
 
 #[cfg(test)]

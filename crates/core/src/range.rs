@@ -1,5 +1,5 @@
-//! Partial-range decoding: serve a slice of the decoded symbol stream without decoding
-//! the whole field.
+//! The prepare and decode/write phases every decode goes through, and the partial-range
+//! decode built on them.
 //!
 //! The serving workload of the paper's §V GAMESS scenario (snapshots held compressed in
 //! memory, fields decoded on demand) rarely needs a whole field at once. Every decoder's
@@ -14,46 +14,41 @@
 //!   sequence (thread block) that produces it, so only those blocks need a
 //!   decode/write launch.
 //!
-//! The preparation work is factored into [`prepare_decode`] and the per-request work
-//! into [`decode_range`]: a server computes the [`PreparedDecode`] index once per hot
-//! field and then answers arbitrarily many range requests by launching the
-//! decode/write kernel over only the overlapping blocks.
+//! [`prepare_decode`] picks the preparation for the decoder (both synchronization
+//! phases, or the gap-array symbol count; nothing for chunked streams, whose chunk table
+//! is the index), runs the one output-index prefix sum, and refuses a stream whose
+//! decoded count disagrees with its declared symbol count
+//! ([`DecodeError::CorruptStream`]). The decode/write phase then launches over a set of
+//! blocks: every block for a full [`crate::decode`] (which is exactly `prepare_decode`
+//! followed by that launch), the overlapping blocks for [`decode_range`]. A server
+//! computes the [`PreparedDecode`] index once per hot field and then answers arbitrarily
+//! many range requests by launching the decode/write kernel over only the overlapping
+//! blocks.
 
-use gpu_sim::DeviceBuffer;
+use gpu_sim::{DeviceBuffer, PhaseTime};
 use huffdec_backend::Backend;
 
 use crate::baseline::decode_baseline_chunks;
 use crate::decode_write::{run_decode_write, WriteStrategy};
-use crate::decoder::{CompressedPayload, DecodeError, DecoderKind};
+use crate::decoder::{check_payload, CheckedPayload, CompressedPayload, DecodeError, DecoderKind};
 use crate::gap_decode::gap_count_symbols;
 use crate::output_index::{compute_output_index, OutputIndex};
 use crate::phases::PhaseBreakdown;
 use crate::self_sync::{synchronize, SyncVariant};
 use crate::subseq::SubseqInfo;
-use crate::tuner::HIGH_CR_BUFFER_SYMBOLS;
+use crate::tuner::{tuned_decode_write, HIGH_CR_BUFFER_SYMBOLS};
 
-/// The reusable per-field decode index: everything the range-decode path needs that does
-/// not depend on the requested range.
-#[derive(Debug, Clone)]
-enum PreparedIndex {
-    /// Chunked streams carry their index (per-chunk offsets) in the payload itself.
-    Chunked,
-    /// Flat streams need the converged per-subsequence state and the output index.
-    Flat {
-        infos: Vec<SubseqInfo>,
-        output_index: OutputIndex,
-    },
-}
-
-/// The one-time preparation result of [`prepare_decode`].
+/// The one-time preparation result of [`prepare_decode`]: everything the decode/write
+/// phase needs that does not depend on which blocks it launches over.
 ///
-/// For flat streams this holds the synchronization/counting result and the output-index
-/// prefix sums; for chunked streams it is a marker (the chunk table in the payload *is*
-/// the index). `timings` records the simulated cost of the preparation phases — charged
-/// once, however many range requests the index later serves.
+/// `timings` records the simulated cost of the preparation phases — charged once,
+/// however many range requests the index later serves.
 #[derive(Debug, Clone)]
 pub struct PreparedDecode {
-    index: PreparedIndex,
+    /// The converged per-subsequence state (synchronization or gap counting) and the
+    /// output-index prefix sums of a flat stream. `None` for chunked streams: the chunk
+    /// table in the payload *is* their index.
+    flat: Option<(Vec<SubseqInfo>, OutputIndex)>,
     /// Simulated timing of the preparation phases (empty for chunked streams).
     pub timings: PhaseBreakdown,
 }
@@ -76,63 +71,123 @@ pub struct RangeDecode {
 /// decode index.
 ///
 /// Returns [`DecodeError::PayloadMismatch`] when the payload's format does not match the
-/// decoder, exactly as [`crate::decode`] would.
+/// decoder and [`DecodeError::CorruptStream`] when a flat stream's bits decode to a
+/// different symbol count than it declares, exactly as [`crate::decode`] would.
 pub fn prepare_decode(
     gpu: &dyn Backend,
     kind: DecoderKind,
     payload: &CompressedPayload,
 ) -> Result<PreparedDecode, DecodeError> {
-    let mismatch = Err(DecodeError::PayloadMismatch { decoder: kind });
-    match (kind, payload) {
-        (DecoderKind::CuszBaseline, CompressedPayload::Chunked { .. }) => Ok(PreparedDecode {
-            index: PreparedIndex::Chunked,
-            timings: PhaseBreakdown::default(),
-        }),
-        (DecoderKind::OriginalSelfSync, CompressedPayload::Flat(stream))
-        | (DecoderKind::OptimizedSelfSync, CompressedPayload::Flat(stream)) => {
-            let variant = if kind == DecoderKind::OriginalSelfSync {
-                SyncVariant::Original
-            } else {
-                SyncVariant::Optimized
-            };
-            let sync = synchronize(gpu, stream, variant);
-            let (output_index, oi_phase) = compute_output_index(gpu, &sync.infos);
-            let timings = PhaseBreakdown {
-                intra_sync: Some(sync.intra_phase),
-                inter_sync: Some(sync.inter_phase),
-                output_index: Some(oi_phase),
-                ..PhaseBreakdown::default()
-            };
-            Ok(PreparedDecode {
-                index: PreparedIndex::Flat {
-                    infos: sync.infos,
-                    output_index,
-                },
+    prepare_checked(gpu, kind, check_payload(kind, payload)?)
+}
+
+pub(crate) fn prepare_checked(
+    gpu: &dyn Backend,
+    kind: DecoderKind,
+    payload: CheckedPayload<'_>,
+) -> Result<PreparedDecode, DecodeError> {
+    let mut timings = PhaseBreakdown::default();
+    let stream = match payload {
+        CheckedPayload::Chunked { .. } => {
+            return Ok(PreparedDecode {
+                flat: None,
                 timings,
             })
         }
-        (DecoderKind::OptimizedGapArray, CompressedPayload::Flat(stream)) => {
-            if stream.gap_array.is_none() {
-                return mismatch;
-            }
-            let (infos, count_phase) = gap_count_symbols(gpu, stream);
-            let (output_index, prefix_phase) = compute_output_index(gpu, &infos);
-            let mut oi_phase = count_phase;
-            oi_phase.extend_serial(prefix_phase);
-            let timings = PhaseBreakdown {
-                output_index: Some(oi_phase),
-                ..PhaseBreakdown::default()
-            };
-            Ok(PreparedDecode {
-                index: PreparedIndex::Flat {
-                    infos,
-                    output_index,
-                },
-                timings,
-            })
-        }
-        _ => mismatch,
+        CheckedPayload::Flat(stream) => stream,
+    };
+    let infos = if kind == DecoderKind::OptimizedGapArray {
+        let (infos, count_phase) = gap_count_symbols(gpu, stream);
+        timings.output_index = Some(count_phase);
+        infos
+    } else {
+        let variant = if kind == DecoderKind::OriginalSelfSync {
+            SyncVariant::Original
+        } else {
+            SyncVariant::Optimized
+        };
+        let sync = synchronize(gpu, stream, variant);
+        timings.intra_sync = Some(sync.intra_phase);
+        timings.inter_sync = Some(sync.inter_phase);
+        sync.infos
+    };
+    let (output_index, prefix_phase) = compute_output_index(gpu, &infos);
+    timings
+        .output_index
+        .get_or_insert_with(PhaseTime::empty)
+        .extend_serial(prefix_phase);
+    if output_index.total != stream.num_symbols as u64 {
+        return Err(DecodeError::CorruptStream { decoder: kind });
     }
+    Ok(PreparedDecode {
+        flat: Some((infos, output_index)),
+        timings,
+    })
+}
+
+/// The decode/write phase: decodes `blocks` (chunks or sequences; `None` = every block)
+/// into a device buffer spanning the whole stream, returning it with the phase timing
+/// (`decode_write`, plus `tune` when the tuner ran).
+///
+/// A full decode with an optimized decoder runs the online shared-memory tuner
+/// (Algorithm 2) and its per-class staged kernels; a block subset stages through the
+/// high-compression-ratio buffer size instead, since tuning a handful of blocks would
+/// cost more than it saves. The original self-sync decoder keeps its direct (strided)
+/// writes either way, and the baseline launches one thread per chunk.
+pub(crate) fn decode_write(
+    gpu: &dyn Backend,
+    kind: DecoderKind,
+    payload: CheckedPayload<'_>,
+    prepared: &PreparedDecode,
+    blocks: Option<&[u32]>,
+) -> Result<(DeviceBuffer<u16>, PhaseBreakdown), DecodeError> {
+    let optimized = matches!(
+        kind,
+        DecoderKind::OptimizedSelfSync | DecoderKind::OptimizedGapArray
+    );
+    let tuned = blocks.is_none() && optimized;
+    // The tuner picks its own per-class launches; every other full decode lists them all.
+    let every_block: Vec<u32> = match blocks {
+        None if !tuned => (0..payload.num_blocks() as u32).collect(),
+        _ => Vec::new(),
+    };
+    let blocks = blocks.unwrap_or(&every_block);
+    let (output, stats) = match (payload, &prepared.flat) {
+        (CheckedPayload::Chunked { encoded, codebook }, None) => {
+            let output = DeviceBuffer::<u16>::zeroed(encoded.num_symbols);
+            let stats = decode_baseline_chunks(gpu, encoded, codebook, blocks, &output)?;
+            (output, stats)
+        }
+        (CheckedPayload::Flat(stream), Some((infos, output_index))) => {
+            debug_assert_eq!(infos.len(), stream.num_subseqs(), "index/payload mismatch");
+            let output = DeviceBuffer::<u16>::zeroed(output_index.total as usize);
+            if tuned {
+                let tuned = tuned_decode_write(gpu, stream, infos, output_index, &output);
+                let phases = PhaseBreakdown {
+                    tune: Some(tuned.tune_phase),
+                    decode_write: Some(tuned.decode_phase),
+                    ..PhaseBreakdown::default()
+                };
+                return Ok((output, phases));
+            }
+            let strategy = if optimized {
+                WriteStrategy::Staged {
+                    buffer_symbols: HIGH_CR_BUFFER_SYMBOLS,
+                }
+            } else {
+                WriteStrategy::Direct
+            };
+            let stats =
+                run_decode_write(gpu, stream, infos, output_index, &output, blocks, strategy);
+            (output, stats)
+        }
+        _ => return Err(DecodeError::PayloadMismatch { decoder: kind }),
+    };
+    let phases = PhaseBreakdown {
+        decode_write: Some(PhaseTime::from_kernel(stats)),
+        ..PhaseBreakdown::default()
+    };
+    Ok((output, phases))
 }
 
 /// Decodes symbols `[start, start + len)` of `payload`, launching the decode/write
@@ -148,6 +203,7 @@ pub fn decode_range(
     start: u64,
     len: u64,
 ) -> Result<RangeDecode, DecodeError> {
+    let checked = check_payload(kind, payload)?;
     let num_symbols = payload.num_symbols() as u64;
     let end = start.checked_add(len).filter(|&e| e <= num_symbols).ok_or(
         DecodeError::RangeOutOfBounds {
@@ -157,48 +213,29 @@ pub fn decode_range(
         },
     )?;
 
-    match (payload, &prepared.index) {
-        (CompressedPayload::Chunked { encoded, codebook }, PreparedIndex::Chunked) => {
-            let total_blocks = encoded.chunks.len();
-            if len == 0 {
-                return Ok(empty_range(total_blocks));
-            }
+    let total_blocks = checked.num_blocks();
+    if len == 0 {
+        return Ok(RangeDecode {
+            symbols: Vec::new(),
+            timings: PhaseBreakdown::default(),
+            decoded_blocks: 0,
+            total_blocks,
+        });
+    }
+    let blocks: Vec<u32> = match (checked, &prepared.flat) {
+        (CheckedPayload::Chunked { encoded, .. }, None) => {
             // Chunks are sorted by symbol_offset and tile the symbol space, so the
             // overlapping run is a contiguous window found by binary search.
             let first = encoded
                 .chunks
                 .partition_point(|c| c.symbol_offset + c.num_symbols <= start);
-            let chunk_indices: Vec<u32> = encoded.chunks[first..]
+            let overlapping = encoded.chunks[first..]
                 .iter()
                 .take_while(|c| c.symbol_offset < end)
-                .enumerate()
-                .map(|(i, _)| (first + i) as u32)
-                .collect();
-            let output = DeviceBuffer::<u16>::zeroed(encoded.num_symbols);
-            let stats = decode_baseline_chunks(gpu, encoded, codebook, &chunk_indices, &output);
-            let timings = PhaseBreakdown {
-                decode_write: Some(gpu_sim::PhaseTime::from_kernel(stats)),
-                ..PhaseBreakdown::default()
-            };
-            Ok(RangeDecode {
-                symbols: slice_range(&output, start, end),
-                timings,
-                decoded_blocks: chunk_indices.len(),
-                total_blocks,
-            })
+                .count();
+            (first as u32..(first + overlapping) as u32).collect()
         }
-        (
-            CompressedPayload::Flat(stream),
-            PreparedIndex::Flat {
-                infos,
-                output_index,
-            },
-        ) => {
-            debug_assert_eq!(infos.len(), stream.num_subseqs(), "index/payload mismatch");
-            let total_blocks = stream.num_seqs();
-            if len == 0 {
-                return Ok(empty_range(total_blocks));
-            }
+        (CheckedPayload::Flat(stream), Some((_, output_index))) => {
             // A sequence's output span is [offsets[first subseq], offsets[next seq's
             // first subseq]); pick the sequences whose span overlaps the request.
             let spb = stream.geometry.subseqs_per_seq as usize;
@@ -210,59 +247,24 @@ pub fn decode_range(
                     .copied()
                     .unwrap_or(output_index.total)
             };
-            let seq_indices: Vec<u32> = (0..total_blocks)
+            (0..total_blocks)
                 .filter(|&s| seq_start(s) < end && seq_end(s) > start)
                 .map(|s| s as u32)
-                .collect();
-            let output = DeviceBuffer::<u16>::zeroed(output_index.total as usize);
-            // The optimized decoders stage through shared memory; the original
-            // self-sync decoder keeps its direct (strided) writes, as in a full decode.
-            let strategy = if kind == DecoderKind::OriginalSelfSync {
-                WriteStrategy::Direct
-            } else {
-                WriteStrategy::Staged {
-                    buffer_symbols: HIGH_CR_BUFFER_SYMBOLS,
-                }
-            };
-            let stats = run_decode_write(
-                gpu,
-                stream,
-                infos,
-                output_index,
-                &output,
-                &seq_indices,
-                strategy,
-            );
-            let timings = PhaseBreakdown {
-                decode_write: Some(gpu_sim::PhaseTime::from_kernel(stats)),
-                ..PhaseBreakdown::default()
-            };
-            Ok(RangeDecode {
-                symbols: slice_range(&output, start, end),
-                timings,
-                decoded_blocks: seq_indices.len(),
-                total_blocks,
-            })
+                .collect()
         }
-        _ => Err(DecodeError::PayloadMismatch { decoder: kind }),
-    }
-}
-
-fn empty_range(total_blocks: usize) -> RangeDecode {
-    RangeDecode {
-        symbols: Vec::new(),
-        timings: PhaseBreakdown::default(),
-        decoded_blocks: 0,
-        total_blocks,
-    }
-}
-
-fn slice_range(output: &DeviceBuffer<u16>, start: u64, end: u64) -> Vec<u16> {
+        _ => return Err(DecodeError::PayloadMismatch { decoder: kind }),
+    };
+    let (output, timings) = decode_write(gpu, kind, checked, prepared, Some(&blocks))?;
     // Copy only the requested window back to the host: a small range over a huge field
     // must not pay a full-field D2H transfer on top of its partial decode.
-    let mut out = vec![0u16; (end - start) as usize];
-    output.copy_range_to(start as usize, &mut out);
-    out
+    let mut symbols = vec![0u16; len as usize];
+    output.copy_range_to(start as usize, &mut symbols);
+    Ok(RangeDecode {
+        symbols,
+        timings,
+        decoded_blocks: blocks.len(),
+        total_blocks,
+    })
 }
 
 #[cfg(test)]

@@ -18,15 +18,18 @@
 //!    [`EncodedStream`] machinery the dense decoders consume. Neither substream carries
 //!    a gap array: both decode with the optimized self-synchronization decoder, which
 //!    keeps the archived hybrid payload free of per-subsequence side tables.
-//! 3. **Expand** — decoding runs both substream decoders, computes each token's output
-//!    offset and symbol index with two device prefix sums (the hybrid's "get output
-//!    index" phase), and a parallel expansion kernel writes every token's zero run and
-//!    trailing nonzero into its disjoint output span.
+//! 3. **Expand** — decoding runs both substreams through the core decode path
+//!    ([`huffdec_core::decode_self_sync_stream`], borrowing each stream where it sits),
+//!    computes each token's output offset and symbol index with two device prefix sums
+//!    (the hybrid's "get output index" phase), and a parallel expansion kernel writes
+//!    every token's zero run and trailing nonzero into its disjoint output span. A
+//!    hybrid field is one ordinary field of a decode wave (`sz::decode_payload_batch`).
 //!
 //! Structural defects — token/symbol populations that cannot reassemble exactly
-//! `num_codes` codes — surface as [`DecodeError::InvalidHybrid`], never a panic: like
-//! every payload-level check, they can be reached from CRC-valid but hand-assembled
-//! archives.
+//! `num_codes` codes — surface as [`DecodeError::InvalidHybrid`], and a substream whose
+//! bits do not decode to its declared count as [`DecodeError::CorruptStream`]; never a
+//! panic: like every payload-level check, they can be reached from CRC-valid but
+//! hand-assembled archives.
 
 #![warn(missing_docs)]
 
@@ -36,8 +39,8 @@ use gpu_sim::{
 };
 use huffdec_backend::Backend;
 use huffdec_core::{
-    compress_on, decode, CompressedPayload, DecodeError, DecodeResult, DecoderKind,
-    EncodePhaseBreakdown, EncodedStream, HybridStream, PhaseBreakdown, HYBRID_RUN_CAP,
+    compress_on, decode_self_sync_stream, CompressedPayload, DecodeError, DecodeResult,
+    DecoderKind, EncodePhaseBreakdown, EncodedStream, HybridStream, PhaseBreakdown, HYBRID_RUN_CAP,
 };
 use huffman::Codebook;
 
@@ -260,21 +263,19 @@ fn invalid(reason: &'static str) -> DecodeError {
     DecodeError::InvalidHybrid { reason }
 }
 
-/// Decodes one substream, or returns an empty result without touching the device when
-/// the substream encodes nothing.
-fn decode_substream(gpu: &dyn Backend, stream: &EncodedStream) -> DecodeResult {
+/// Decodes one substream in place (an ordinary flat stream on the core decode path), or
+/// returns an empty result without touching the device when it encodes nothing.
+fn decode_substream(
+    gpu: &dyn Backend,
+    stream: &EncodedStream,
+) -> Result<DecodeResult, DecodeError> {
     if stream.num_symbols == 0 {
-        return DecodeResult {
+        return Ok(DecodeResult {
             symbols: Vec::new(),
             timings: PhaseBreakdown::default(),
-        };
+        });
     }
-    decode(
-        gpu,
-        DecoderKind::OptimizedSelfSync,
-        &CompressedPayload::Flat(stream.clone()),
-    )
-    .expect("gap-free flat substreams match the optimized self-sync decoder")
+    decode_self_sync_stream(gpu, stream)
 }
 
 /// Merges a substream decode's phase breakdown serially into the hybrid's.
@@ -303,7 +304,8 @@ fn merge_phases(into: &mut PhaseBreakdown, from: PhaseBreakdown) {
 ///
 /// Substreams that cannot reassemble exactly `hybrid.num_codes` codes — mismatched
 /// token/symbol populations in either direction — are reported as
-/// [`DecodeError::InvalidHybrid`].
+/// [`DecodeError::InvalidHybrid`]; a substream whose bits do not decode to its own
+/// declared symbol count is a [`DecodeError::CorruptStream`], as for any flat stream.
 pub fn decode_hybrid(
     gpu: &dyn Backend,
     hybrid: &HybridStream,
@@ -315,8 +317,8 @@ pub fn decode_hybrid(
         });
     }
 
-    let sym_result = decode_substream(gpu, &hybrid.symbols);
-    let run_result = decode_substream(gpu, &hybrid.runs);
+    let sym_result = decode_substream(gpu, &hybrid.symbols)?;
+    let run_result = decode_substream(gpu, &hybrid.runs)?;
     let nonzeros = sym_result.symbols;
     let tokens = run_result.symbols;
 

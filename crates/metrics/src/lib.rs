@@ -221,20 +221,6 @@ impl HistogramSnapshot {
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
     }
-
-    /// Element-wise sum of two snapshots (fleet aggregation). Both sides always carry
-    /// the same bucket layout ([`LATENCY_BUCKET_BOUNDS`] plus `+Inf`); if a hand-built
-    /// snapshot disagrees, the shorter side is zero-extended.
-    pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        let len = self.buckets.len().max(other.buckets.len());
-        let at = |v: &[u64], i: usize| v.get(i).copied().unwrap_or(0);
-        HistogramSnapshot {
-            buckets: (0..len)
-                .map(|i| at(&self.buckets, i) + at(&other.buckets, i))
-                .collect(),
-            sum: self.sum + other.sum,
-        }
-    }
 }
 
 // --- The registry ----------------------------------------------------------------------
@@ -510,72 +496,6 @@ impl MetricsSnapshot {
     /// Total simulated decode seconds across every decoder kind.
     pub fn total_decode_seconds(&self) -> f64 {
         self.decode_seconds.iter().map(|h| h.sum).sum()
-    }
-
-    /// Fleet aggregation: the snapshot a single registry *would* have held if it had
-    /// observed both sides' traffic. Counters, byte totals, and histograms are summed
-    /// element-wise; the occupancy gauges are ratios, so the merge keeps the maximum
-    /// (the busiest shard bounds the fleet); `backend` stays when both sides agree and
-    /// becomes `"mixed"` when they do not.
-    pub fn merge(&self, other: &MetricsSnapshot) -> MetricsSnapshot {
-        let merge_slots = |a: &[HistogramSnapshot; DECODER_SLOTS],
-                           b: &[HistogramSnapshot; DECODER_SLOTS]| {
-            std::array::from_fn(|i| a[i].merge(&b[i]))
-        };
-        let backend = match (&self.backend, &other.backend) {
-            (Some(a), Some(b)) if a == b => Some(a.clone()),
-            (Some(_), Some(_)) => Some("mixed".to_string()),
-            (Some(a), None) => Some(a.clone()),
-            (None, b) => b.clone(),
-        };
-        MetricsSnapshot {
-            requests: self.requests + other.requests,
-            gets: self.gets + other.gets,
-            batch_gets: self.batch_gets + other.batch_gets,
-            batch_fields: self.batch_fields + other.batch_fields,
-            batch_decoded_fields: self.batch_decoded_fields + other.batch_decoded_fields,
-            batch_serial_seconds: self.batch_serial_seconds + other.batch_serial_seconds,
-            batch_batched_seconds: self.batch_batched_seconds + other.batch_batched_seconds,
-            sched_coalesced: self.sched_coalesced + other.sched_coalesced,
-            sched_waves: self.sched_waves + other.sched_waves,
-            sched_wave_fields: self.sched_wave_fields + other.sched_wave_fields,
-            sched_multi_field_waves: self.sched_multi_field_waves + other.sched_multi_field_waves,
-            sched_shed: self.sched_shed + other.sched_shed,
-            sched_queue_depth: self.sched_queue_depth + other.sched_queue_depth,
-            cache_hits: self.cache_hits + other.cache_hits,
-            cache_misses: self.cache_misses + other.cache_misses,
-            cache_evictions: self.cache_evictions + other.cache_evictions,
-            cache_insertions: self.cache_insertions + other.cache_insertions,
-            cache_uncacheable: self.cache_uncacheable + other.cache_uncacheable,
-            cache_used_bytes: self.cache_used_bytes + other.cache_used_bytes,
-            cache_budget_bytes: self.cache_budget_bytes + other.cache_budget_bytes,
-            cache_entries: self.cache_entries + other.cache_entries,
-            archives_loaded: self.archives_loaded + other.archives_loaded,
-            decode_seconds: merge_slots(&self.decode_seconds, &other.decode_seconds),
-            index_build_seconds: merge_slots(&self.index_build_seconds, &other.index_build_seconds),
-            partial_decode_seconds: merge_slots(
-                &self.partial_decode_seconds,
-                &other.partial_decode_seconds,
-            ),
-            partial_blocks_decoded: self.partial_blocks_decoded + other.partial_blocks_decoded,
-            partial_blocks_spanned: self.partial_blocks_spanned + other.partial_blocks_spanned,
-            decode_errors: self.decode_errors + other.decode_errors,
-            decode_bytes_in: self.decode_bytes_in + other.decode_bytes_in,
-            decode_bytes_out: self.decode_bytes_out + other.decode_bytes_out,
-            decode_occupancy_permille: self
-                .decode_occupancy_permille
-                .max(other.decode_occupancy_permille),
-            batch_occupancy_permille: self
-                .batch_occupancy_permille
-                .max(other.batch_occupancy_permille),
-            backend,
-            encode_seconds: self.encode_seconds.merge(&other.encode_seconds),
-            encode_phase_seconds: std::array::from_fn(|i| {
-                self.encode_phase_seconds[i] + other.encode_phase_seconds[i]
-            }),
-            encode_bytes_in: self.encode_bytes_in + other.encode_bytes_in,
-            encode_bytes_out: self.encode_bytes_out + other.encode_bytes_out,
-        }
     }
 
     /// Renders the snapshot in Prometheus text exposition format (0.0.4): `# HELP` /
@@ -1440,52 +1360,6 @@ mod tests {
         assert!((a.total_decode_seconds() - 0.5).abs() < 1e-12);
         m.gets.inc();
         assert_eq!(a.gets, 2, "snapshots do not track the live registry");
-    }
-
-    #[test]
-    fn snapshot_merge_sums_counters_and_histograms() {
-        let a = Metrics::new();
-        a.requests.add(3);
-        a.gets.add(2);
-        a.cache_hits.add(5);
-        a.cache_used_bytes.set(100);
-        a.decode_occupancy_permille.set(700);
-        a.observe_decode(DecoderKind::CuszBaseline, 0.5);
-        a.set_backend("gpu-sim (sim)");
-        let b = Metrics::new();
-        b.requests.add(4);
-        b.cache_misses.add(1);
-        b.cache_used_bytes.set(50);
-        b.decode_occupancy_permille.set(400);
-        b.observe_decode(DecoderKind::CuszBaseline, 0.25);
-        b.observe_decode(DecoderKind::OptimizedGapArray, 0.1);
-        b.set_backend("gpu-sim (sim)");
-
-        let merged = a.snapshot().merge(&b.snapshot());
-        assert_eq!(merged.requests, 7);
-        assert_eq!(merged.gets, 2);
-        assert_eq!(merged.cache_hits, 5);
-        assert_eq!(merged.cache_misses, 1);
-        assert_eq!(
-            merged.cache_used_bytes, 150,
-            "byte gauges sum across shards"
-        );
-        assert_eq!(
-            merged.decode_occupancy_permille, 700,
-            "occupancy is a ratio: the merge keeps the max, not a sum"
-        );
-        assert_eq!(merged.total_decodes(), 3);
-        assert!((merged.total_decode_seconds() - 0.85).abs() < 1e-12);
-        assert_eq!(merged.backend.as_deref(), Some("gpu-sim (sim)"));
-
-        b.set_backend("cpu (2 threads)");
-        let mixed = a.snapshot().merge(&b.snapshot());
-        assert_eq!(mixed.backend.as_deref(), Some("mixed"));
-
-        // Merging with an empty snapshot is the identity on every summed field.
-        let identity = a.snapshot().merge(&Metrics::new().snapshot());
-        assert_eq!(identity.requests, a.snapshot().requests);
-        assert_eq!(identity.total_decodes(), a.snapshot().total_decodes());
     }
 
     #[test]

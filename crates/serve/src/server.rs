@@ -30,6 +30,7 @@
 //! are recovered from poisoning (`PoisonError::into_inner`): a connection thread that
 //! panicked must not take down stats or health reporting for the whole daemon.
 
+use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use huffdec_backend::Backend;
@@ -107,7 +108,14 @@ impl ServerState {
             let state = Arc::clone(&state);
             std::thread::spawn(move || {
                 while let Some(tasks) = state.sched.next_wave() {
-                    state.execute_wave(tasks);
+                    // Whatever happens to a wave — a typed decode error or a panic
+                    // below the codec — every flight it drained must complete, and
+                    // the worker must survive to run the next one: a waiter left
+                    // behind would block its client forever.
+                    let run = AssertUnwindSafe(|| state.execute_wave(&tasks));
+                    if std::panic::catch_unwind(run).is_err() {
+                        state.fail_flights(&tasks, "decode failed: the wave panicked");
+                    }
                 }
             })
         };
@@ -445,19 +453,16 @@ impl ServerState {
     /// through the codec's wave API as one submission, results are inserted into the
     /// cache, and every flight fans its (canonical, deduplicated) buffer out to its
     /// waiters.
-    fn execute_wave(&self, tasks: Vec<DecodeTask>) {
-        let (data, codes): (Vec<DecodeTask>, Vec<DecodeTask>) = tasks
-            .into_iter()
-            .partition(|task| task.key.kind == GetKind::Data);
-        self.run_kind_wave(data);
-        self.run_kind_wave(codes);
+    fn execute_wave(&self, tasks: &[DecodeTask]) {
+        for kind in [GetKind::Data, GetKind::Codes] {
+            let wave: Vec<&DecodeTask> = tasks.iter().filter(|t| t.key.kind == kind).collect();
+            if !wave.is_empty() {
+                self.run_kind_wave(kind, &wave);
+            }
+        }
     }
 
-    fn run_kind_wave(&self, tasks: Vec<DecodeTask>) {
-        if tasks.is_empty() {
-            return;
-        }
-        let kind = tasks[0].key.kind;
+    fn run_kind_wave(&self, kind: GetKind, tasks: &[&DecodeTask]) {
         let fields: Vec<&FieldHandle> = tasks
             .iter()
             .map(|task| &task.loaded.fields()[task.field])
@@ -476,13 +481,16 @@ impl ServerState {
                     self.sched.finish(&task.key);
                 }
             }
-            Err(e) => {
-                let message = format!("decode failed: {}", e);
-                for task in &tasks {
-                    task.slot.complete(Err(message.clone()));
-                    self.sched.finish(&task.key);
-                }
-            }
+            Err(e) => self.fail_flights(tasks.iter().copied(), &format!("decode failed: {}", e)),
+        }
+    }
+
+    /// Completes every flight of `tasks` with `message`. Completion is
+    /// first-write-wins, so flights that already carry a result keep it.
+    fn fail_flights<'a>(&self, tasks: impl IntoIterator<Item = &'a DecodeTask>, message: &str) {
+        for task in tasks {
+            task.slot.complete(Err(message.to_string()));
+            self.sched.finish(&task.key);
         }
     }
 

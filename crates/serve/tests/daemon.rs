@@ -266,6 +266,49 @@ fn daemon_rejects_bad_requests_cleanly() {
     drop(client);
 }
 
+/// A CRC-valid archive whose first chunk claims as many bits as symbols passes every
+/// container check and only fails inside the decode kernel. The daemon must answer the
+/// `GET` with an error — not leave the client hanging on a dead wave worker — and keep
+/// serving healthy fields afterwards.
+#[test]
+fn corrupt_stream_is_an_error_reply_and_the_daemon_keeps_serving() {
+    let dir = std::env::temp_dir().join("hfzd-daemon-corrupt-stream");
+    std::fs::create_dir_all(&dir).unwrap();
+    let gpu = Gpu::with_host_threads(GpuConfig::test_tiny(), 2);
+    let healthy = build_archive(&dir, &gpu, "good", "HACC", DecoderKind::CuszBaseline, 5);
+
+    let mut hostile = healthy.compressed.clone();
+    let huffdec_core::CompressedPayload::Chunked { encoded, .. } = &mut hostile.payload else {
+        panic!("the baseline decoder compresses to a chunked payload");
+    };
+    encoded.chunks[0].bit_len = encoded.chunks[0].num_symbols;
+    let hostile_path = dir.join("bad.hfz");
+    std::fs::write(
+        &hostile_path,
+        huffdec_container::to_bytes(&hostile).unwrap(),
+    )
+    .unwrap();
+
+    let daemon = spawn_daemon(1 << 20);
+    let mut client = support::impatient(daemon.local_addr());
+    client.load("bad", hostile_path.to_str().unwrap()).unwrap();
+    client
+        .load(healthy.name, healthy.path.to_str().unwrap())
+        .unwrap();
+
+    for kind in [GetKind::Data, GetKind::Codes] {
+        let err = client.get("bad", 0, kind, None).unwrap_err().to_string();
+        assert!(err.contains("corrupt stream"), "{:?} GET: {}", kind, err);
+    }
+    // A ranged request over the bad chunk takes the inline partial path: same error.
+    assert!(client.get("bad", 0, GetKind::Codes, Some((0, 64))).is_err());
+    let served = client.get(healthy.name, 0, GetKind::Data, None).unwrap();
+    assert_eq!(served.bytes, f32_bytes(&healthy.reference_data));
+
+    daemon.shutdown();
+    daemon.join().unwrap();
+}
+
 #[test]
 fn daemon_shuts_down_with_an_idle_client_connected() {
     support::shutdown_with_clients_connected(spawn_daemon(1 << 20), Vec::new());

@@ -16,7 +16,7 @@ use huffdec_serve::{Service, ServiceHandle};
 const PROMPT: Duration = Duration::from_secs(2);
 
 /// A client that gives up (with `TimedOut`) instead of hanging when the service does.
-fn impatient(addr: &ListenAddr) -> Connection {
+pub fn impatient(addr: &ListenAddr) -> Connection {
     Connection::with_policy(
         addr.clone(),
         RetryPolicy {

@@ -5,6 +5,13 @@
 //! simulated GPU (this is the part the paper optimizes) → reverse dual-quantization →
 //! outlier patching.
 //!
+//! Every decompression goes through one dispatch point, [`decode_payload`] (hybrid
+//! payloads to the `huffdec-hybrid` decoder, dense ones to [`huffdec_core::decode`]),
+//! and every multi-field decode is one wave over it ([`decode_payload_batch`]): hybrid
+//! fields ride the wave like any other field, and a wave of one is the serial decode.
+//! A payload that does not fit its decoder, or a stream that does not decode to its
+//! declared symbol count, fails with a typed [`DecodeError`].
+//!
 //! The decompression timing combines the simulated Huffman phase breakdown with an
 //! analytic cost for the (memory-bound) reconstruction kernels, so the overall
 //! decompression throughput figures of the paper (Figs. 4 and 5) can be regenerated.
@@ -349,32 +356,31 @@ pub fn outlier_scatter_time(gpu: &dyn Backend, num_outliers: usize) -> f64 {
 }
 
 /// Decodes one payload with whichever decoder `kind` names: hybrid payloads route to
-/// the `huffdec-hybrid` RLE+Huffman decoder, dense payloads to [`huffdec_core::decode`].
-/// This is the single-payload dispatch point every sz decompression path goes through.
+/// the `huffdec-hybrid` RLE+Huffman decoder, everything else to
+/// [`huffdec_core::decode`]. This is the single-payload dispatch point every sz
+/// decompression path goes through.
 ///
 /// Returns [`DecodeError::PayloadMismatch`] when the payload's stream format disagrees
-/// with `kind` (a hybrid decoder pointed at a dense stream, or vice versa).
+/// with `kind` (a hybrid decoder pointed at a dense stream, or vice versa) and
+/// [`DecodeError::CorruptStream`] when the stream does not decode to the symbol count
+/// it declares.
 pub fn decode_payload(
     gpu: &dyn Backend,
     kind: DecoderKind,
     payload: &CompressedPayload,
 ) -> Result<huffdec_core::phases::DecodeResult, DecodeError> {
-    if kind.is_hybrid() {
-        match payload {
-            CompressedPayload::Hybrid(stream) => huffdec_hybrid::decode_hybrid(gpu, stream),
-            _ => Err(DecodeError::PayloadMismatch { decoder: kind }),
+    match payload {
+        CompressedPayload::Hybrid(stream) if kind.is_hybrid() => {
+            huffdec_hybrid::decode_hybrid(gpu, stream)
         }
-    } else {
-        decode(gpu, kind, payload)
+        _ => decode(gpu, kind, payload),
     }
 }
 
-/// Decodes several payloads as one batch, routing each to its decoder: the dense fields
-/// run as a single overlapped wave ([`huffdec_core::decode_batch`]) while hybrid fields
-/// decode one-after-another (their two-substream pipeline manages its own kernels), with
-/// the hybrid time charged identically to the serial and the batched estimate. Results
-/// come back in input order; every item is validated up front so a mismatched payload
-/// fails the whole batch before any decoding runs.
+/// Decodes several payloads as one wave ([`huffdec_core::decode_wave`]) over
+/// [`decode_payload`]: dense and hybrid fields alike overlap on the shared worker pool
+/// and in the stream model. Results come back in input order; the first field (in
+/// input order) that fails fails the whole batch with its typed error.
 pub fn decode_payload_batch(
     gpu: &dyn Backend,
     items: &[(DecoderKind, &CompressedPayload)],
@@ -385,54 +391,9 @@ pub fn decode_payload_batch(
     ),
     DecodeError,
 > {
-    for &(kind, payload) in items {
-        if kind.is_hybrid() && !matches!(payload, CompressedPayload::Hybrid(_)) {
-            return Err(DecodeError::PayloadMismatch { decoder: kind });
-        }
-    }
-    let dense: Vec<_> = items
-        .iter()
-        .filter(|(kind, _)| !kind.is_hybrid())
-        .map(|&(kind, payload)| (kind, payload))
-        .collect();
-    let (dense_results, mut stats) = huffdec_core::decode_batch(gpu, &dense)?;
-
-    let mut dense_iter = dense_results.into_iter();
-    let mut results = Vec::with_capacity(items.len());
-    for &(kind, payload) in items {
-        if let (true, CompressedPayload::Hybrid(stream)) = (kind.is_hybrid(), payload) {
-            let result = huffdec_hybrid::decode_hybrid(gpu, stream)?;
-            let seconds = result.timings.total_seconds();
-            // Hybrid fields do not join the overlapped wave: their cost lands on both
-            // sides of the comparison, so the overlap speedup reflects only the dense
-            // wave the model actually batches.
-            stats.serial_seconds += seconds;
-            stats.batched_seconds += seconds;
-            stats.kernel_launches += result
-                .timings
-                .phases()
-                .iter()
-                .map(|(_, phase)| phase.kernels.len())
-                .sum::<usize>();
-            results.push(result);
-        } else {
-            results.push(dense_iter.next().expect("one dense result per dense item"));
-        }
-    }
-    stats.fields = items.len();
-    Ok((results, stats))
-}
-
-fn decompress_inner(
-    gpu: &dyn Backend,
-    c: &Compressed,
-    include_transfer: bool,
-) -> Result<Decompressed, DecodeError> {
-    // Huffman decode (simulated kernels, functional output). A hand-assembled
-    // `Compressed` whose payload format disagrees with its configured decoder surfaces
-    // as a typed error instead of a panic.
-    let decode_result = decode_payload(gpu, c.decoder(), &c.payload)?;
-    Ok(reconstruct(gpu, c, decode_result, include_transfer))
+    huffdec_core::decode_wave(gpu, items, |&(kind, payload)| {
+        decode_payload(gpu, kind, payload)
+    })
 }
 
 /// Everything downstream of the Huffman decode: reverse dual-quantization, outlier
@@ -503,7 +464,7 @@ pub fn decode_codes(
 /// Returns [`DecodeError::PayloadMismatch`] if the payload's stream format does not
 /// match the archive's configured decoder.
 pub fn decompress(gpu: &dyn Backend, c: &Compressed) -> Result<Decompressed, DecodeError> {
-    decompress_inner(gpu, c, false)
+    Ok(reconstruct(gpu, c, decode_codes(gpu, c)?, false))
 }
 
 /// Decompresses an archive including the host-to-device transfer of the compressed data
@@ -515,7 +476,7 @@ pub fn decompress_with_transfer(
     gpu: &dyn Backend,
     c: &Compressed,
 ) -> Result<Decompressed, DecodeError> {
-    decompress_inner(gpu, c, true)
+    Ok(reconstruct(gpu, c, decode_codes(gpu, c)?, true))
 }
 
 /// Timing breakdown of a batched multi-field decompression
@@ -564,7 +525,7 @@ impl BatchDecompressStats {
 }
 
 /// Decompresses several fields as one batch: the Huffman decodes run as a single wave
-/// across the shared worker pool ([`huffdec_core::decode_batch`]), then each field is
+/// across the shared worker pool ([`decode_payload_batch`]), then each field is
 /// reconstructed. Outputs are returned in input order and are bit-identical to
 /// [`decompress`] field by field (each [`Decompressed`] carries the same per-field
 /// statistics the serial path reports).
