@@ -63,7 +63,8 @@ impl BlockKernel for CoarseDecodeKernel<'_> {
                 let mut pos = 0u64;
                 let mut decoded = 0u64;
                 while decoded < chunk.num_symbols {
-                    let Some((sym, n)) = self.codebook.decode_one(|p| reader.bit(p), pos) else {
+                    let Some((sym, n)) = self.codebook.decode_at(&reader, pos, chunk.bit_len)
+                    else {
                         break;
                     };
                     self.output

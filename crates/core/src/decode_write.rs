@@ -101,11 +101,13 @@ impl BlockKernel for DecodeWriteKernel<'_> {
         // symbols land at their output offsets (identical for both strategies).
         for t in 0..n {
             let sub = first_sub + t;
-            let symbols = decode_subseq_symbols(&self.stream.codebook, &reader, &self.infos[sub]);
             let base = self.output_index.offsets[sub] as usize;
-            for (k, &sym) in symbols.iter().enumerate() {
-                self.output.set(base + k, sym);
-            }
+            decode_subseq_symbols(
+                &self.stream.codebook,
+                &reader,
+                &self.infos[sub],
+                |k, sym| self.output.set(base + k, sym),
+            );
         }
 
         // --- Cost model.

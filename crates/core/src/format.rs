@@ -156,7 +156,7 @@ pub struct EncodedStream {
     pub bit_len: u64,
     /// Number of symbols encoded.
     pub num_symbols: usize,
-    /// The Huffman codebook (encode table + decode tree).
+    /// The Huffman codebook (encode table + decode table).
     pub codebook: Codebook,
     /// Stream decomposition geometry.
     pub geometry: StreamGeometry,

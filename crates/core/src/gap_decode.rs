@@ -56,7 +56,11 @@ impl BlockKernel for GapCountKernel<'_> {
                 let mut pos = start;
                 let mut count = 0u64;
                 while pos < end {
-                    match self.stream.codebook.decode_one(|p| reader.bit(p), pos) {
+                    match self
+                        .stream
+                        .codebook
+                        .decode_at(&reader, pos, self.stream.bit_len)
+                    {
                         Some((_sym, nbits)) => {
                             pos += nbits as u64;
                             count += 1;

@@ -64,19 +64,6 @@ struct IntraSyncKernel<'a> {
     variant: SyncVariant,
 }
 
-impl IntraSyncKernel<'_> {
-    /// Decodes one subsequence from `start` and returns `(end, codewords)`.
-    fn decode_one_subseq(&self, reader: &BitReader<'_>, start: u64, boundary: u64) -> (u64, u64) {
-        huffman::decode_subsequence(
-            &self.stream.codebook,
-            reader,
-            start,
-            boundary,
-            self.stream.bit_len,
-        )
-    }
-}
-
 impl BlockKernel for IntraSyncKernel<'_> {
     fn name(&self) -> &str {
         match self.variant {
@@ -122,7 +109,13 @@ impl BlockKernel for IntraSyncKernel<'_> {
                 if needs_decode[t] {
                     let boundary =
                         ((first_sub + t + 1) as u64 * subseq_bits).min(self.stream.bit_len);
-                    let (e, c) = self.decode_one_subseq(&reader, start[t], boundary);
+                    let (e, c) = huffman::decode_subsequence(
+                        &self.stream.codebook,
+                        &reader,
+                        start[t],
+                        boundary,
+                        self.stream.bit_len,
+                    );
                     end[t] = e;
                     count[t] = c;
                     let bits = boundary.saturating_sub(start[t].min(boundary)).max(1);

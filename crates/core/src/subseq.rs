@@ -40,25 +40,23 @@ pub fn reference_subseq_infos(stream: &EncodedStream) -> Vec<SubseqInfo> {
         .collect()
 }
 
-/// Decodes the symbols of one subsequence given its converged state. Shared functional
-/// core of every decode/write kernel.
+/// Decodes the symbols of one subsequence given its converged state, handing each to
+/// `write` with its index within the subsequence (no intermediate buffer: the kernels
+/// write straight to their output). Shared functional core of every decode/write kernel.
 pub fn decode_subseq_symbols(
     codebook: &Codebook,
     reader: &BitReader<'_>,
     info: &SubseqInfo,
-) -> Vec<u16> {
-    let mut out = Vec::with_capacity(info.num_symbols as usize);
+    mut write: impl FnMut(usize, u16),
+) {
     let mut pos = info.start_bit;
-    for _ in 0..info.num_symbols {
-        match codebook.decode_one(|p| reader.bit(p), pos) {
-            Some((sym, n)) => {
-                out.push(sym);
-                pos += n as u64;
-            }
-            None => break,
-        }
+    for k in 0..info.num_symbols as usize {
+        let Some((sym, n)) = codebook.decode_at(reader, pos, reader.bit_len()) else {
+            break;
+        };
+        write(k, sym);
+        pos += n as u64;
     }
-    out
 }
 
 /// Number of bits of codewords a subsequence's thread consumes (used for decode cost
@@ -105,7 +103,7 @@ mod tests {
         let reader = BitReader::new(&s.units, s.bit_len);
         let mut all = Vec::new();
         for info in &infos {
-            all.extend(decode_subseq_symbols(&s.codebook, &reader, info));
+            decode_subseq_symbols(&s.codebook, &reader, info, |_, sym| all.push(sym));
         }
         let reference = huffman::decode_flat(
             &s.codebook,

@@ -24,12 +24,26 @@ impl BitWriter {
         self.bit_len
     }
 
-    /// Appends the `len` low bits of `bits`, most significant of those bits first.
+    /// Appends the `len` low bits of `bits`, most significant of those bits first: the
+    /// bits are OR-ed into the last unit and, when they straddle a boundary, one new unit.
+    #[inline]
     pub fn write_bits(&mut self, bits: u32, len: u8) {
         assert!(len <= 32, "cannot write more than 32 bits at once");
-        for i in (0..len).rev() {
-            self.write_bit((bits >> i) & 1 == 1);
+        if len == 0 {
+            return;
         }
+        let used = (self.bit_len % 32) as u32;
+        // The `len` bits left-aligned in a 64-bit window that starts at the current unit.
+        let window = ((bits as u64) << (64 - len as u32)) >> used;
+        if used == 0 {
+            self.units.push(0);
+        }
+        let last = self.units.len() - 1;
+        self.units[last] |= (window >> 32) as u32;
+        if used + len as u32 > 32 {
+            self.units.push(window as u32);
+        }
+        self.bit_len += len as u64;
     }
 
     /// Appends a single bit.
@@ -53,11 +67,9 @@ impl BitWriter {
         if rem == 0 {
             return 0;
         }
-        let pad = 32 - rem;
-        for _ in 0..pad {
-            self.write_bit(false);
-        }
-        pad
+        // The last unit already exists and its unwritten bits are zero.
+        self.bit_len += (32 - rem) as u64;
+        32 - rem
     }
 
     /// Finalizes the stream: returns the packed units and the number of valid bits.
@@ -106,16 +118,17 @@ impl<'a> BitReader<'a> {
         Some((unit >> (31 - bit_in_unit)) & 1 == 1)
     }
 
-    /// Reads up to 32 bits starting at `pos` (fewer if the stream ends), MSB-first,
-    /// returning them right-aligned along with the count actually read.
-    pub fn peek_bits(&self, pos: u64, len: u8) -> (u32, u8) {
-        let len = len.min(32);
-        let avail = self.bit_len.saturating_sub(pos).min(len as u64) as u8;
-        let mut out = 0u32;
-        for i in 0..avail {
-            out = (out << 1) | self.bit(pos + i as u64).unwrap() as u32;
-        }
-        (out, avail)
+    /// The 32 bits starting at `pos`, left-aligned (bit `pos` is the result's MSB), taken
+    /// from two units in one shift. Positions past the unit storage read as 0; positions
+    /// past `bit_len` but inside the last unit read as stored, so a caller that must not
+    /// see them bounds what it accepts by `bit_len` (as [`crate::Codebook::decode_at`]
+    /// does).
+    #[inline(always)]
+    pub fn peek32(&self, pos: u64) -> u32 {
+        let unit = (pos / 32) as usize;
+        let hi = self.units.get(unit).copied().unwrap_or(0) as u64;
+        let lo = self.units.get(unit + 1).copied().unwrap_or(0) as u64;
+        (((hi << 32 | lo) << (pos % 32)) >> 32) as u32
     }
 
     /// The underlying unit slice.
@@ -167,16 +180,38 @@ mod tests {
     }
 
     #[test]
-    fn peek_bits_matches_written_value() {
+    fn peek32_matches_written_value() {
         let mut w = BitWriter::new();
         w.write_bits(0xDEAD_BEEF, 32);
         w.write_bits(0b101, 3);
         let (units, len) = w.finish();
         let r = BitReader::new(&units, len);
-        assert_eq!(r.peek_bits(0, 32), (0xDEAD_BEEF, 32));
-        assert_eq!(r.peek_bits(32, 3), (0b101, 3));
-        // Reading past the end truncates.
-        assert_eq!(r.peek_bits(32, 8), (0b101, 3));
+        assert_eq!(r.peek32(0), 0xDEAD_BEEF);
+        assert_eq!(r.peek32(32), 0b101 << 29);
+        // An unaligned peek straddles both units; past the storage reads as zero.
+        assert_eq!(r.peek32(4), 0xEADB_EEFA);
+        assert_eq!(r.peek32(33), 0b01 << 30);
+        assert_eq!(r.peek32(64), 0);
+    }
+
+    #[test]
+    fn write_bits_matches_bit_by_bit_writes_at_every_alignment() {
+        for lead in 0..70u32 {
+            for len in 0..=32u8 {
+                let bits = 0xA5C3_96F1u32.rotate_left(lead + len as u32);
+                let (mut fast, mut slow) = (BitWriter::new(), BitWriter::new());
+                for w in [&mut fast, &mut slow] {
+                    (0..lead).for_each(|i| w.write_bit(i % 3 == 0));
+                }
+                fast.write_bits(bits, len);
+                (0..len)
+                    .rev()
+                    .for_each(|i| slow.write_bit((bits >> i) & 1 == 1));
+                fast.write_bit(true);
+                slow.write_bit(true);
+                assert_eq!(fast.finish(), slow.finish(), "lead {} len {}", lead, len);
+            }
+        }
     }
 
     #[test]
@@ -196,7 +231,7 @@ mod tests {
         assert_eq!(len, 0);
         let r = BitReader::new(&units, len);
         assert_eq!(r.bit(0), None);
-        assert_eq!(r.peek_bits(0, 8), (0, 0));
+        assert_eq!(r.peek32(0), 0);
     }
 
     #[test]

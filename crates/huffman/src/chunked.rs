@@ -99,7 +99,7 @@ pub fn decode_chunked(codebook: &Codebook, encoded: &ChunkedEncoded) -> Option<V
         let reader = crate::bitstream::BitReader::new(&encoded.units[start..end], chunk.bit_len);
         let mut pos = 0u64;
         for _ in 0..chunk.num_symbols {
-            let (sym, n) = codebook.decode_one(|p| reader.bit(p), pos)?;
+            let (sym, n) = codebook.decode_at(&reader, pos, chunk.bit_len)?;
             out.push(sym);
             pos += n as u64;
         }

@@ -11,13 +11,13 @@ use crate::encoder::FlatEncoded;
 
 /// Decodes the entire flat-encoded stream sequentially.
 ///
-/// Returns `None` if the stream is corrupt (a codeword walk runs off the end).
+/// Returns `None` if the stream is corrupt (a codeword runs off the end or matches no code).
 pub fn decode_flat(codebook: &Codebook, encoded: &FlatEncoded) -> Option<Vec<u16>> {
     let reader = BitReader::new(&encoded.units, encoded.bit_len);
     let mut out = Vec::with_capacity(encoded.num_symbols);
     let mut pos = 0u64;
     while out.len() < encoded.num_symbols {
-        let (sym, n) = codebook.decode_one(|p| reader.bit(p), pos)?;
+        let (sym, n) = codebook.decode_at(&reader, pos, encoded.bit_len)?;
         out.push(sym);
         pos += n as u64;
     }
@@ -41,7 +41,7 @@ pub fn decode_from_bit(
     let mut out = Vec::new();
     let mut pos = start_bit;
     while pos < end_bit && out.len() < max_symbols {
-        match codebook.decode_one(|p| if p < end_bit { reader.bit(p) } else { None }, pos) {
+        match codebook.decode_at(reader, pos, end_bit) {
             Some((sym, n)) => {
                 out.push(sym);
                 pos += n as u64;
@@ -62,16 +62,9 @@ pub fn count_codewords_in_range(
 ) -> (u64, u64) {
     let mut pos = start_bit;
     let mut count = 0u64;
-    while let Some((_sym, n)) = codebook.decode_one(|p| reader.bit(p), pos) {
-        let next = pos + n as u64;
-        if next > end_bit {
-            break;
-        }
+    while let Some((_sym, n)) = codebook.decode_at(reader, pos, end_bit) {
         count += 1;
-        pos = next;
-        if next == end_bit {
-            break;
-        }
+        pos += n as u64;
     }
     (count, pos)
 }

@@ -89,7 +89,7 @@ mod tests {
         let mut out = Vec::new();
         while pos < enc.bit_len {
             let (sym, n) = cb
-                .decode_one(|p| r.bit(p), pos)
+                .decode_at(&r, pos, enc.bit_len)
                 .expect("decoding ran off the end of the stream");
             out.push(sym);
             pos += n as u64;

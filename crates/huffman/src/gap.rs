@@ -76,7 +76,7 @@ pub fn compute_gap_array(
             next_subseq += 1;
             continue;
         }
-        match codebook.decode_one(|p| reader.bit(p), pos) {
+        match codebook.decode_at(&reader, pos, bit_len) {
             Some((_sym, n)) => pos += n as u64,
             None => {
                 // Ran off the end: remaining subsequences (if any) start exactly at their

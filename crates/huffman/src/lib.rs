@@ -6,7 +6,7 @@
 //! * [`freq`] — symbol frequency histograms over multi-byte (`u16`) alphabets;
 //! * [`tree`] — optimal (and length-limited) code-length construction;
 //! * [`canonical`] — canonical codeword assignment, as used by cuSZ's codebooks;
-//! * [`codebook`] — the encode table plus the flattened decode tree the GPU decoders walk;
+//! * [`codebook`] — the encode table plus the canonical decode table every decoder reads;
 //! * [`bitstream`] — 32-bit-unit bit packing (the "unit" of the paper's stream geometry);
 //! * [`encoder`] — flat ("pure") Huffman encoding used by the fine-grained decoders;
 //! * [`chunked`] — cuSZ's coarse-grained chunked encoding used by the baseline decoder;
@@ -46,7 +46,7 @@ pub use canonical::{assign_canonical, is_prefix_free, Codeword};
 pub use chunked::{
     decode_chunked, encode_chunked, ChunkMeta, ChunkedEncoded, DEFAULT_CHUNK_SYMBOLS,
 };
-pub use codebook::{Codebook, DecodeNode};
+pub use codebook::Codebook;
 pub use cpu_decoder::{count_codewords_in_range, decode_flat, decode_from_bit};
 pub use encoder::{encode_flat, encode_flat_with_offsets, FlatEncoded};
 pub use freq::FrequencyTable;

@@ -40,7 +40,7 @@ pub fn decode_subsequence(
     let mut pos = start_bit;
     let mut count = 0u64;
     while pos < boundary_bit && pos < stream_end {
-        match codebook.decode_one(|p| if p < stream_end { reader.bit(p) } else { None }, pos) {
+        match codebook.decode_at(reader, pos, stream_end) {
             Some((_sym, n)) => {
                 pos += n as u64;
                 count += 1;
@@ -143,7 +143,7 @@ pub fn sync_distance_bits(
         if pos >= stream_end {
             return None;
         }
-        match codebook.decode_one(|p| if p < stream_end { reader.bit(p) } else { None }, pos) {
+        match codebook.decode_at(reader, pos, stream_end) {
             Some((_sym, n)) => pos += n as u64,
             None => return None,
         }

@@ -42,7 +42,7 @@ pub mod stats;
 
 pub use error_bound::ErrorBound;
 pub use huffdec_core::DecodeError;
-pub use lorenzo::{dequantize, quantize, Outlier, Quantized};
+pub use lorenzo::{dequantize, dequantize_codes, quantize, Outlier, Quantized};
 pub use pipeline::{
     compress, compress_on, decode_codes, decode_payload, decode_payload_batch, decompress,
     decompress_batch, decompress_with_transfer, field_zero_fraction, outlier_scatter_time,

@@ -25,7 +25,7 @@ use huffdec_core::{
 };
 
 use crate::error_bound::ErrorBound;
-use crate::lorenzo::{dequantize, quantize, Outlier, Quantized};
+use crate::lorenzo::{dequantize_codes, quantize, Outlier, Quantized};
 use crate::stats::verify_error_bound;
 use datasets::Dims;
 
@@ -406,15 +406,14 @@ fn reconstruct(
     include_transfer: bool,
 ) -> Decompressed {
     // Reverse dual-quantization on the host (functional), with an analytic kernel cost.
-    let q = Quantized {
-        codes: decode_result.symbols,
-        outliers: c.outliers.clone(),
-        alphabet_size: c.alphabet_size(),
-        step: c.step,
-        dims: c.dims,
-    };
     let reconstruct_start = std::time::Instant::now();
-    let data = dequantize(&q);
+    let data = dequantize_codes(
+        &decode_result.symbols,
+        &c.outliers,
+        c.dims,
+        c.step,
+        c.alphabet_size(),
+    );
     let reconstruct_elapsed = reconstruct_start.elapsed().as_secs_f64();
 
     // On the simulated backend both kernels are charged analytically; on a real backend
