@@ -1,9 +1,8 @@
 //! # huffdec-bench — the paper-reproduction benchmark harness
 //!
 //! One binary per table and figure of the paper's evaluation section (see DESIGN.md for
-//! the experiment index), plus criterion micro-benchmarks of the hot kernels. This
-//! library holds the pieces the binaries share: workload preparation, the evaluation GPU,
-//! and plain-text table/CSV printers.
+//! the experiment index). This library holds the pieces the binaries share: workload
+//! preparation, the evaluation GPU, and plain-text table/CSV printers.
 //!
 //! ## Scaled-device methodology
 //!

@@ -602,26 +602,23 @@ impl Codec {
     /// write `HFZ1` (hybrid archives upgrade themselves to v2 — they do not exist in
     /// v1), v2 sessions always write `HFZ2`.
     pub fn archive_to_bytes(&self, c: &Compressed) -> Result<Vec<u8>> {
-        Ok(match self.format {
-            FormatVersion::V1 => huffdec_container::to_bytes(c)?,
-            FormatVersion::V2 => huffdec_container::to_bytes_v2(c)?,
-        })
+        Ok(huffdec_container::to_bytes_as(c, self.format)?)
     }
 
     /// Serializes a named snapshot with the session's format version. v2 snapshots
     /// carry the shared codebook dictionary and decoder tuning hints; a v1 session
     /// holding any hybrid field upgrades the whole snapshot to v2.
     pub fn snapshot_to_bytes(&self, fields: &[(&str, &Compressed)]) -> Result<Vec<u8>> {
-        Ok(match self.format {
-            FormatVersion::V1 => huffdec_container::snapshot_to_bytes(fields)?,
-            FormatVersion::V2 => huffdec_container::snapshot_to_bytes_v2(fields)?,
-        })
+        Ok(huffdec_container::snapshot_to_bytes_as(
+            fields,
+            self.format,
+        )?)
     }
 
     // ----- archive sessions -----
 
-    /// Opens an `HFZ1` archive file: every field parsed and validated once, returned
-    /// as a session handle whose fields cache their decode state (see
+    /// Opens an `HFZ1` or `HFZ2` archive file: every field parsed and validated once,
+    /// returned as a session handle whose fields cache their decode state (see
     /// [`ArchiveHandle`]). Accepts snapshot files and plain concatenations alike.
     pub fn open_archive(&self, path: &str) -> Result<ArchiveHandle> {
         ArchiveHandle::open(path)

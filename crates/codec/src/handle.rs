@@ -153,8 +153,9 @@ impl ArchiveSummary {
 
 /// An opened archive file: every field parsed once, held for the handle's lifetime.
 ///
-/// Covers both layouts of the `HFZ1` format — snapshot files (manifest + shards) and
-/// plain concatenations — exactly as the on-disk readers do. Obtain one through
+/// Covers both layouts of the `HFZ1` and `HFZ2` formats — snapshot files (manifest,
+/// for v2 also a codebook dictionary and tuning hints, then shards) and plain
+/// concatenations — exactly as the on-disk readers do. Obtain one through
 /// [`crate::Codec::open_archive`] (any layout) or [`crate::Codec::open_snapshot`]
 /// (requires a manifest).
 #[derive(Debug)]

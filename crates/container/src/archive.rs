@@ -1,32 +1,23 @@
 //! Archive assembly: joining the header and sections into whole archives and back.
 //!
-//! [`ArchiveWriter`] and [`ArchiveReader`] are streaming — they operate over any
-//! [`std::io::Write`] / [`std::io::Read`] and multiple archives can be written
-//! back-to-back on one stream (each `read_archive` call consumes exactly one). The
-//! [`to_bytes`] / [`from_bytes`] pair covers the common whole-buffer case.
+//! [`ArchiveWriter`] streams over any [`std::io::Write`]; [`ArchiveReader`] reads a byte
+//! slice, and multiple archives can sit back-to-back on one stream (each `read_archive`
+//! call consumes exactly one). Every read goes through the one structural walk of
+//! [`crate::inspect`] and assembles the decoder structures from the section table it
+//! yields. The [`to_bytes`] / [`from_bytes`] pair covers the common whole-buffer case.
 
-use std::io::{Read, Write};
+use std::io::Write;
 
 use huffdec_core::{CompressedPayload, DecoderKind, EncodedStream};
 use sz::{Compressed, SzConfig};
 
 use crate::codec;
-use crate::dict::{dict_section_leads, hints_section_leads, CodebookDict, TuningHint, TuningHints};
+use crate::dict::{CodebookDict, TuningHint, TuningHints};
 use crate::error::{ContainerError, Result};
-use crate::header::{FieldMeta, Header, FORMAT_VERSION, FORMAT_VERSION_V2, HEADER_WIRE_BYTES};
-use crate::manifest::{manifest_leads, ManifestEntry, SnapshotManifest};
-use crate::section::{read_exact, read_section, write_section, SectionKind};
-
-/// The format version an archive of `payload` is written as when the caller does not
-/// ask for one explicitly: hybrid payloads exist only in v2; everything else stays v1
-/// so preexisting `HFZ1` consumers keep reading default output byte-for-byte.
-fn default_version_for(payload: &CompressedPayload) -> u16 {
-    if matches!(payload, CompressedPayload::Hybrid(_)) {
-        FORMAT_VERSION_V2
-    } else {
-        FORMAT_VERSION
-    }
-}
+use crate::header::{FieldMeta, FormatVersion, Header, FORMAT_VERSION_V2, HEADER_WIRE_BYTES};
+use crate::inspect::{walk_archive, ArchiveInfo, ArchiveWalk};
+use crate::manifest::{ManifestEntry, SnapshotManifest};
+use crate::section::{next_section, write_section, SectionKind};
 
 /// One decoded archive: either a full sz-pipeline field compression or a bare Huffman
 /// payload.
@@ -71,39 +62,48 @@ impl Archive {
     }
 }
 
-/// Streaming archive writer.
+/// Streaming archive writer. The format version is a property of the writer: what it
+/// writes is `HFZ1` or `HFZ2` throughout, except that hybrid payloads — which exist
+/// only in v2 — upgrade their own archive (and the snapshot holding them).
 #[derive(Debug)]
 pub struct ArchiveWriter<W: Write> {
     inner: W,
+    version: FormatVersion,
 }
 
 impl<W: Write> ArchiveWriter<W> {
-    /// Wraps a sink.
+    /// Wraps a sink, writing format v1 (byte-identical to what this crate always
+    /// produced).
     pub fn new(inner: W) -> Self {
-        ArchiveWriter { inner }
+        ArchiveWriter::with_version(inner, FormatVersion::V1)
+    }
+
+    /// Wraps a sink, writing `version`.
+    pub fn with_version(inner: W, version: FormatVersion) -> Self {
+        ArchiveWriter { inner, version }
+    }
+
+    /// Writes one framed section; returns the bytes written.
+    fn section(&mut self, kind: SectionKind, payload: &[u8]) -> Result<u64> {
+        write_section(&mut self.inner, kind, payload)
+    }
+
+    /// The wire version an archive of `payload` is written as.
+    fn version_for(&self, payload: &CompressedPayload) -> u16 {
+        match payload {
+            CompressedPayload::Hybrid(_) => FORMAT_VERSION_V2,
+            _ => self.version.number(),
+        }
     }
 
     /// Writes one full field archive; returns its size in bytes.
-    ///
-    /// Dense fields are written as format v1 (byte-identical to what this crate always
-    /// produced); hybrid fields require and automatically get format v2. Use
-    /// [`ArchiveWriter::write_compressed_v2`] to force v2 for dense fields too.
     pub fn write_compressed(&mut self, compressed: &Compressed) -> Result<u64> {
-        self.write_compressed_opts(compressed, default_version_for(&compressed.payload), None)
+        self.write_field(compressed, None)
     }
 
-    /// Writes one full field archive as format v2 (`HFZ2` header), regardless of the
-    /// payload kind.
-    pub fn write_compressed_v2(&mut self, compressed: &Compressed) -> Result<u64> {
-        self.write_compressed_opts(compressed, FORMAT_VERSION_V2, None)
-    }
-
-    fn write_compressed_opts(
-        &mut self,
-        compressed: &Compressed,
-        version: u16,
-        dict: Option<&CodebookDict>,
-    ) -> Result<u64> {
+    /// [`ArchiveWriter::write_compressed`] as a snapshot shard: dense codebooks that
+    /// `dict` holds are written as references into it.
+    fn write_field(&mut self, compressed: &Compressed, dict: Option<&CodebookDict>) -> Result<u64> {
         let meta = FieldMeta {
             error_bound: compressed.config.error_bound,
             step: compressed.step,
@@ -115,30 +115,23 @@ impl<W: Write> ArchiveWriter<W> {
             });
         }
         let header = Header {
-            version,
+            version: self.version_for(&compressed.payload),
             decoder: compressed.decoder(),
             alphabet_size: compressed.alphabet_size() as u32,
             field: Some(meta),
         };
-        let mut total = self.write_header_and_payload(
-            &header,
-            &compressed.payload,
-            compressed.decoder(),
-            dict,
-        )?;
-        total += write_section(
-            &mut self.inner,
+        let mut total = self.write_header_and_payload(&header, &compressed.payload, dict)?;
+        total += self.section(
             SectionKind::Outliers,
             &codec::encode_outliers(&compressed.outliers),
         )?;
         if let Some(crc) = compressed.decoded_crc {
-            total += write_section(
-                &mut self.inner,
+            total += self.section(
                 SectionKind::DecodedCrc,
                 &codec::encode_decoded_crc(compressed.payload.num_symbols() as u64, crc),
             )?;
         }
-        total += write_section(&mut self.inner, SectionKind::End, &[])?;
+        total += self.section(SectionKind::End, &[])?;
         Ok(total)
     }
 
@@ -157,13 +150,13 @@ impl<W: Write> ArchiveWriter<W> {
             CompressedPayload::Hybrid(hybrid) => hybrid.symbols.codebook.alphabet_size(),
         };
         let header = Header {
-            version: default_version_for(payload),
+            version: self.version_for(payload),
             decoder,
             alphabet_size: alphabet_size as u32,
             field: None,
         };
-        let mut total = self.write_header_and_payload(&header, payload, decoder, None)?;
-        total += write_section(&mut self.inner, SectionKind::End, &[])?;
+        let mut total = self.write_header_and_payload(&header, payload, None)?;
+        total += self.section(SectionKind::End, &[])?;
         Ok(total)
     }
 
@@ -171,49 +164,30 @@ impl<W: Write> ArchiveWriter<W> {
         &mut self,
         header: &Header,
         payload: &CompressedPayload,
-        decoder: DecoderKind,
         dict: Option<&CodebookDict>,
     ) -> Result<u64> {
-        // Refuse to write anything the reader would reject: the header decoder enforces
-        // this range, so a write-then-read of accepted input must never fail.
+        let decoder = header.decoder;
+        // Refuse to write anything the reader would reject, so a write-then-read of
+        // accepted input never fails: the header decoder enforces this range, assembly
+        // the pairing of decoder kind and stream format.
         if !(4..=65536).contains(&header.alphabet_size) {
             return Err(ContainerError::Invalid {
                 reason: "alphabet size out of range",
             });
         }
-        if decoder.is_hybrid() != matches!(payload, CompressedPayload::Hybrid(_)) {
-            return Err(ContainerError::Invalid {
-                reason: if decoder.is_hybrid() {
-                    "dense payload for the hybrid decoder"
-                } else {
-                    "hybrid payload for a dense decoder"
-                },
-            });
-        }
-        match payload {
-            CompressedPayload::Chunked { .. } if !decoder.uses_chunked_encoding() => {
-                return Err(ContainerError::Invalid {
-                    reason: "chunked payload for a fine-grained decoder",
-                });
-            }
+        let fits = match payload {
+            CompressedPayload::Chunked { .. } => decoder.uses_chunked_encoding(),
             CompressedPayload::Flat(stream) => {
-                if decoder.uses_chunked_encoding() {
-                    return Err(ContainerError::Invalid {
-                        reason: "flat payload for the chunked baseline decoder",
-                    });
-                }
-                if decoder.requires_gap_array() != stream.gap_array.is_some() {
-                    return Err(ContainerError::Invalid {
-                        reason: "gap array presence does not match the decoder",
-                    });
-                }
+                !decoder.is_hybrid()
+                    && !decoder.uses_chunked_encoding()
+                    && decoder.requires_gap_array() == stream.gap_array.is_some()
             }
-            CompressedPayload::Hybrid(_) if header.version < FORMAT_VERSION_V2 => {
-                return Err(ContainerError::Invalid {
-                    reason: "hybrid payloads require format version 2",
-                });
-            }
-            _ => {}
+            CompressedPayload::Hybrid(_) => decoder.is_hybrid(),
+        };
+        if !fits {
+            return Err(ContainerError::Invalid {
+                reason: "payload stream format does not match the decoder",
+            });
         }
 
         self.inner.write_all(&header.encode_with_crc())?;
@@ -221,32 +195,23 @@ impl<W: Write> ArchiveWriter<W> {
         match payload {
             CompressedPayload::Chunked { encoded, codebook } => {
                 total += self.write_codebook_or_ref(header, codebook, dict)?;
-                total += write_section(
-                    &mut self.inner,
+                total += self.section(
                     SectionKind::ChunkedStream,
                     &codec::encode_chunked_stream(encoded),
                 )?;
             }
             CompressedPayload::Flat(stream) => {
                 total += self.write_codebook_or_ref(header, &stream.codebook, dict)?;
-                total += write_section(
-                    &mut self.inner,
-                    SectionKind::FlatStream,
-                    &codec::encode_flat_stream(stream),
-                )?;
+                total +=
+                    self.section(SectionKind::FlatStream, &codec::encode_flat_stream(stream))?;
                 if let Some(gap) = &stream.gap_array {
-                    total += write_section(
-                        &mut self.inner,
-                        SectionKind::GapArray,
-                        &codec::encode_gap_array(gap),
-                    )?;
+                    total += self.section(SectionKind::GapArray, &codec::encode_gap_array(gap))?;
                 }
             }
             CompressedPayload::Hybrid(hybrid) => {
                 // Both substream codebooks live inline inside the hybrid section; the
                 // snapshot dictionary covers only dense codebooks.
-                total += write_section(
-                    &mut self.inner,
+                total += self.section(
                     SectionKind::HybridStream,
                     &codec::encode_hybrid_stream(hybrid),
                 )?;
@@ -266,96 +231,91 @@ impl<W: Write> ArchiveWriter<W> {
     ) -> Result<u64> {
         if header.version >= FORMAT_VERSION_V2 {
             if let Some(id) = dict.and_then(|d| d.find(codebook)) {
-                return write_section(
-                    &mut self.inner,
-                    SectionKind::CodebookRef,
-                    &codec::encode_codebook_ref(id),
-                );
+                return self.section(SectionKind::CodebookRef, &codec::encode_codebook_ref(id));
             }
         }
-        write_section(
-            &mut self.inner,
-            SectionKind::Codebook,
-            &codec::encode_codebook(codebook),
-        )
+        self.section(SectionKind::Codebook, &codec::encode_codebook(codebook))
     }
 
     /// Writes a snapshot-manifest section. Only valid at the very start of a file,
     /// before any archive (readers reject a manifest anywhere else).
     pub fn write_manifest(&mut self, manifest: &SnapshotManifest) -> Result<u64> {
-        write_section(
-            &mut self.inner,
-            SectionKind::Manifest,
-            &codec::encode_manifest(manifest),
-        )
+        self.section(SectionKind::Manifest, &codec::encode_manifest(manifest))
     }
 
     /// Writes a whole snapshot: a manifest section indexing every field, followed by
     /// each field's archive as a contiguous shard. Returns the total bytes written.
     ///
-    /// Field names must be unique and non-empty; each field's shard is byte-identical
-    /// to what [`ArchiveWriter::write_compressed`] would produce on its own, so a field
-    /// extracted by a manifest seek decodes exactly like a standalone archive.
+    /// Field names must be unique and non-empty; each field's shard decodes exactly like
+    /// the standalone archive [`ArchiveWriter::write_compressed`] would produce.
     ///
-    /// All-dense snapshots are written as format v1, byte-identical to what this crate
-    /// always produced; a snapshot containing a hybrid field requires (and
-    /// automatically gets) the v2 layout of [`ArchiveWriter::write_snapshot_v2`].
+    /// A v1 writer holding only dense fields writes `[manifest] [shards…]`. A v2 writer
+    /// — or any snapshot containing a hybrid field — writes the v2 layout `[manifest]
+    /// [codebook dictionary] [tuning hints] [shards…]`: dense fields' identical
+    /// codebooks are deduplicated into the snapshot-level dictionary and their shards
+    /// carry 4-byte references instead (hybrid fields keep their codebooks inline in
+    /// the hybrid-stream section), and the tuning-hints section records an advisory
+    /// shared-memory decode-buffer size for each decoder the snapshot uses (the
+    /// quantity Algorithm 2 tunes online).
     pub fn write_snapshot(&mut self, fields: &[(&str, &Compressed)]) -> Result<u64> {
-        if fields.iter().any(|(_, c)| c.decoder().is_hybrid()) {
-            return self.write_snapshot_v2(fields);
-        }
-        let (manifest, shards) = snapshot_parts(fields, FORMAT_VERSION, None)?;
-        let mut total = self.write_manifest(&manifest)?;
-        for shard in &shards {
-            self.inner.write_all(shard)?;
-            total += shard.len() as u64;
-        }
-        Ok(total)
-    }
-
-    /// Writes a format-v2 snapshot: `[manifest] [codebook dictionary] [tuning hints]
-    /// [shards…]`. Dense fields' identical codebooks are deduplicated into the
-    /// snapshot-level dictionary and their shards carry 4-byte references instead;
-    /// hybrid fields keep their codebooks inline in the hybrid-stream section. The
-    /// tuning-hints section records an advisory shared-memory decode-buffer size for
-    /// each decoder the snapshot uses (the quantity Algorithm 2 tunes online).
-    pub fn write_snapshot_v2(&mut self, fields: &[(&str, &Compressed)]) -> Result<u64> {
-        let dict = CodebookDict::dedup(fields.iter().filter_map(|(_, c)| match &c.payload {
-            CompressedPayload::Chunked { codebook, .. } => Some(codebook),
-            CompressedPayload::Flat(stream) => Some(&stream.codebook),
-            CompressedPayload::Hybrid(_) => None,
-        }));
-        let mut hint_list: Vec<TuningHint> = Vec::new();
-        for (_, c) in fields {
-            let decoder = c.decoder();
-            if !hint_list.iter().any(|h| h.decoder == decoder) {
-                hint_list.push(TuningHint {
-                    decoder,
-                    buffer_symbols: huffdec_core::HIGH_CR_BUFFER_SYMBOLS,
-                });
+        let hybrid = fields.iter().any(|(_, c)| c.decoder().is_hybrid());
+        let version = if hybrid {
+            FormatVersion::V2
+        } else {
+            self.version
+        };
+        let mut dict = None;
+        let mut hints: Vec<TuningHint> = Vec::new();
+        if version == FormatVersion::V2 {
+            dict = CodebookDict::dedup(fields.iter().filter_map(|(_, c)| match &c.payload {
+                CompressedPayload::Chunked { codebook, .. } => Some(codebook),
+                CompressedPayload::Flat(stream) => Some(&stream.codebook),
+                CompressedPayload::Hybrid(_) => None,
+            }));
+            for (_, c) in fields {
+                let decoder = c.decoder();
+                if !hints.iter().any(|h| h.decoder == decoder) {
+                    hints.push(TuningHint {
+                        decoder,
+                        buffer_symbols: huffdec_core::HIGH_CR_BUFFER_SYMBOLS,
+                    });
+                }
             }
         }
-        let (manifest, shards) = snapshot_parts(fields, FORMAT_VERSION_V2, dict.as_ref())?;
-        let mut total = self.write_manifest(&manifest)?;
+        // The manifest leads the file but records every shard's extent, so the shards
+        // (each a standalone archive at `version`) are written to a buffer first.
+        let mut shards = ArchiveWriter::with_version(Vec::new(), version);
+        let mut entries = Vec::with_capacity(fields.len());
+        let mut offset = 0u64;
+        for (name, compressed) in fields {
+            let length = shards.write_field(compressed, dict.as_ref())?;
+            entries.push(ManifestEntry {
+                name: name.to_string(),
+                offset,
+                length,
+                decoder: compressed.decoder(),
+                alphabet_size: compressed.alphabet_size() as u32,
+                num_symbols: compressed.payload.num_symbols() as u64,
+                dims: Some(compressed.dims),
+                decoded_crc: compressed.decoded_crc,
+            });
+            offset += length;
+        }
+        let mut total = self.write_manifest(&SnapshotManifest::new(entries)?)?;
         if let Some(dict) = &dict {
-            total += write_section(
-                &mut self.inner,
+            total += self.section(
                 SectionKind::CodebookDict,
                 &codec::encode_codebook_dict(dict),
             )?;
         }
-        if !hint_list.is_empty() {
-            total += write_section(
-                &mut self.inner,
+        if !hints.is_empty() {
+            total += self.section(
                 SectionKind::TuningHints,
-                &codec::encode_tuning_hints(&TuningHints::new(hint_list)?),
+                &codec::encode_tuning_hints(&TuningHints::new(hints)?),
             )?;
         }
-        for shard in &shards {
-            self.inner.write_all(shard)?;
-            total += shard.len() as u64;
-        }
-        Ok(total)
+        self.inner.write_all(&shards.inner)?;
+        Ok(total + offset)
     }
 
     /// Flushes and returns the underlying sink.
@@ -365,279 +325,162 @@ impl<W: Write> ArchiveWriter<W> {
     }
 }
 
-/// Streaming archive reader.
+/// Streaming archive reader over a byte slice.
 #[derive(Debug)]
-pub struct ArchiveReader<R: Read> {
-    inner: R,
+pub struct ArchiveReader<'a> {
+    inner: &'a [u8],
 }
 
-impl<R: Read> ArchiveReader<R> {
+impl<'a> ArchiveReader<'a> {
     /// Wraps a source.
-    pub fn new(inner: R) -> Self {
+    pub fn new(inner: &'a [u8]) -> Self {
         ArchiveReader { inner }
     }
 
     /// Reads, checksums, validates, and reassembles exactly one archive.
     ///
     /// Archives whose codebook is a dictionary reference (format-v2 snapshot shards)
-    /// need the snapshot's dictionary — read those through
-    /// [`ArchiveReader::read_archive_with_dict`] (or the [`Snapshot`] API, which
-    /// threads the dictionary automatically).
+    /// need the snapshot's dictionary — read those through the [`Snapshot`] API, which
+    /// owns it.
     pub fn read_archive(&mut self) -> Result<Archive> {
-        self.read_archive_with_dict(None)
+        assemble(&walk_archive(&mut self.inner)?, None)
     }
 
-    /// [`ArchiveReader::read_archive`] with a snapshot codebook dictionary available
-    /// for resolving codebook-reference sections.
-    pub fn read_archive_with_dict(&mut self, dict: Option<&CodebookDict>) -> Result<Archive> {
-        let mut header_bytes = [0u8; HEADER_WIRE_BYTES];
-        read_exact(&mut self.inner, &mut header_bytes, "header")?;
-        let header = Header::decode_with_crc(&header_bytes)?;
-
-        // Collect sections until the end marker, rejecting duplicates.
-        let mut codebook_payload: Option<Vec<u8>> = None;
-        let mut flat_payload: Option<Vec<u8>> = None;
-        let mut gap_payload: Option<Vec<u8>> = None;
-        let mut outlier_payload: Option<Vec<u8>> = None;
-        let mut chunked_payload: Option<Vec<u8>> = None;
-        let mut decoded_crc_payload: Option<Vec<u8>> = None;
-        let mut hybrid_payload: Option<Vec<u8>> = None;
-        let mut codebook_ref_payload: Option<Vec<u8>> = None;
-        loop {
-            let (kind, payload) = read_section(&mut self.inner)?;
-            if kind.requires_v2() && header.version < FORMAT_VERSION_V2 {
-                return Err(ContainerError::Invalid {
-                    reason: "format v2 section in a version-1 archive",
-                });
-            }
-            let slot = match kind {
-                SectionKind::End => {
-                    if !payload.is_empty() {
-                        return Err(ContainerError::Invalid {
-                            reason: "end section carries a payload",
-                        });
-                    }
-                    break;
-                }
-                SectionKind::Codebook => &mut codebook_payload,
-                SectionKind::FlatStream => &mut flat_payload,
-                SectionKind::GapArray => &mut gap_payload,
-                SectionKind::Outliers => &mut outlier_payload,
-                SectionKind::ChunkedStream => &mut chunked_payload,
-                SectionKind::DecodedCrc => &mut decoded_crc_payload,
-                SectionKind::HybridStream => &mut hybrid_payload,
-                SectionKind::CodebookRef => &mut codebook_ref_payload,
-                SectionKind::Manifest => {
-                    return Err(ContainerError::Invalid {
-                        reason: "manifest section inside an archive",
-                    })
-                }
-                SectionKind::CodebookDict => {
-                    return Err(ContainerError::Invalid {
-                        reason: "codebook dictionary section inside an archive",
-                    })
-                }
-                SectionKind::TuningHints => {
-                    return Err(ContainerError::Invalid {
-                        reason: "tuning-hints section inside an archive",
-                    })
-                }
-            };
-            if slot.is_some() {
-                return Err(ContainerError::DuplicateSection { section: kind });
-            }
-            *slot = Some(payload);
-        }
-
-        let require = |payload: Option<Vec<u8>>, section: SectionKind| {
-            payload.ok_or(ContainerError::MissingSection { section })
-        };
-        let reject_if_present = |payload: &Option<Vec<u8>>, reason: &'static str| {
-            if payload.is_some() {
-                Err(ContainerError::Invalid { reason })
-            } else {
-                Ok(())
-            }
-        };
-
-        let payload = if header.decoder.is_hybrid() {
-            reject_if_present(&codebook_payload, "inline codebook in a hybrid archive")?;
-            reject_if_present(
-                &codebook_ref_payload,
-                "codebook reference in a hybrid archive",
-            )?;
-            reject_if_present(&flat_payload, "flat stream in a hybrid archive")?;
-            reject_if_present(&gap_payload, "gap array in a hybrid archive")?;
-            reject_if_present(&chunked_payload, "chunked stream in a hybrid archive")?;
-            let hybrid = codec::parse_hybrid_stream(
-                &require(hybrid_payload, SectionKind::HybridStream)?,
-                header.alphabet_size,
-            )?;
-            CompressedPayload::Hybrid(hybrid)
-        } else {
-            reject_if_present(&hybrid_payload, "hybrid stream for a dense decoder")?;
-            let codebook = match (codebook_payload, codebook_ref_payload) {
-                (Some(_), Some(_)) => {
-                    return Err(ContainerError::Invalid {
-                        reason: "both an inline codebook and a dictionary reference",
-                    })
-                }
-                (Some(inline), None) => codec::parse_codebook(&inline, header.alphabet_size)?,
-                (None, Some(ref_payload)) => {
-                    let id = codec::parse_codebook_ref(&ref_payload)?;
-                    let dict = dict.ok_or(ContainerError::Invalid {
-                        reason: "codebook reference outside a snapshot with a dictionary",
-                    })?;
-                    let entry = dict.get(id).ok_or(ContainerError::Invalid {
-                        reason: "dangling codebook dictionary id",
-                    })?;
-                    if entry.alphabet_size() != header.alphabet_size as usize {
-                        return Err(ContainerError::Invalid {
-                            reason: "dictionary codebook alphabet disagrees with the header",
-                        });
-                    }
-                    entry.clone()
-                }
-                (None, None) => {
-                    return Err(ContainerError::MissingSection {
-                        section: SectionKind::Codebook,
-                    })
-                }
-            };
-
-            if header.decoder.uses_chunked_encoding() {
-                reject_if_present(&flat_payload, "flat stream in a chunked archive")?;
-                reject_if_present(&gap_payload, "gap array in a chunked archive")?;
-                let encoded = codec::parse_chunked_stream(&require(
-                    chunked_payload,
-                    SectionKind::ChunkedStream,
-                )?)?;
-                CompressedPayload::Chunked { encoded, codebook }
-            } else {
-                reject_if_present(&chunked_payload, "chunked stream in a fine-grained archive")?;
-                let parts =
-                    codec::parse_flat_stream(&require(flat_payload, SectionKind::FlatStream)?)?;
-                let gap_array = match (header.decoder.requires_gap_array(), gap_payload) {
-                    (true, Some(payload)) => Some(codec::parse_gap_array(&payload)?),
-                    (true, None) => {
-                        return Err(ContainerError::MissingSection {
-                            section: SectionKind::GapArray,
-                        })
-                    }
-                    (false, Some(_)) => {
-                        return Err(ContainerError::Invalid {
-                            reason: "gap array for a self-synchronization decoder",
-                        })
-                    }
-                    (false, None) => None,
-                };
-                let stream = EncodedStream::from_parts(
-                    parts.units,
-                    parts.bit_len,
-                    parts.num_symbols,
-                    codebook,
-                    parts.geometry,
-                    gap_array,
-                )
-                .map_err(|reason| ContainerError::Invalid { reason })?;
-                CompressedPayload::Flat(stream)
-            }
-        };
-
-        match header.field {
-            Some(meta) => {
-                let num_elements = meta.dims.len() as u64;
-                if payload.num_symbols() as u64 != num_elements {
-                    return Err(ContainerError::Invalid {
-                        reason: "symbol count does not match the dimensions",
-                    });
-                }
-                let outliers = codec::parse_outliers(
-                    &require(outlier_payload, SectionKind::Outliers)?,
-                    num_elements,
-                )?;
-                let decoded_crc = decoded_crc_payload
-                    .map(|p| codec::parse_decoded_crc(&p, payload.num_symbols() as u64))
-                    .transpose()?;
-                let config = SzConfig {
-                    error_bound: meta.error_bound,
-                    alphabet_size: header.alphabet_size as usize,
-                    decoder: header.decoder,
-                };
-                Ok(Archive::Field(Compressed {
-                    payload,
-                    outliers,
-                    dims: meta.dims,
-                    step: meta.step,
-                    config,
-                    decoded_crc,
-                }))
-            }
-            None => {
-                reject_if_present(&outlier_payload, "outliers in a payload-only archive")?;
-                reject_if_present(
-                    &decoded_crc_payload,
-                    "decoded-crc trailer in a payload-only archive",
-                )?;
-                Ok(Archive::Payload {
-                    payload,
-                    decoder: header.decoder,
-                    alphabet_size: header.alphabet_size as usize,
-                })
-            }
-        }
-    }
-
-    /// Returns the underlying source.
-    pub fn into_inner(self) -> R {
+    /// Returns what is left of the source.
+    pub fn into_inner(self) -> &'a [u8] {
         self.inner
     }
 }
 
-/// Builds the manifest and per-field shard buffers of a snapshot. Each shard is a
-/// standalone archive at `version` (dense codebooks replaced by dictionary references
-/// when `dict` holds them).
-fn snapshot_parts(
-    fields: &[(&str, &Compressed)],
-    version: u16,
-    dict: Option<&CodebookDict>,
-) -> Result<(SnapshotManifest, Vec<Vec<u8>>)> {
-    let mut shards = Vec::with_capacity(fields.len());
-    let mut entries = Vec::with_capacity(fields.len());
-    let mut offset = 0u64;
-    for (name, compressed) in fields {
-        let shard_version = version.max(default_version_for(&compressed.payload));
-        let mut writer = ArchiveWriter::new(Vec::new());
-        writer.write_compressed_opts(compressed, shard_version, dict)?;
-        let shard = writer.into_inner()?;
-        entries.push(ManifestEntry {
-            name: name.to_string(),
-            offset,
-            length: shard.len() as u64,
-            decoder: compressed.decoder(),
-            alphabet_size: compressed.alphabet_size() as u32,
-            num_symbols: compressed.payload.num_symbols() as u64,
-            dims: Some(compressed.dims),
-            decoded_crc: compressed.decoded_crc,
-        });
-        offset += shard.len() as u64;
-        shards.push(shard);
+/// Reassembles the decoder structures from a walked archive's section table. The walk
+/// settled framing and structure; here the header decides which sections are allowed
+/// and which required, and each payload is parsed and validated. Codebook-reference
+/// sections resolve against `dict`, the owning snapshot's dictionary.
+fn assemble(walk: &ArchiveWalk<'_>, dict: Option<&CodebookDict>) -> Result<Archive> {
+    let header = &walk.header;
+    let decoder = header.decoder;
+    let allowed = |kind: SectionKind| match kind {
+        SectionKind::HybridStream => decoder.is_hybrid(),
+        SectionKind::Codebook | SectionKind::CodebookRef => !decoder.is_hybrid(),
+        SectionKind::ChunkedStream => decoder.uses_chunked_encoding(),
+        SectionKind::FlatStream => !decoder.is_hybrid() && !decoder.uses_chunked_encoding(),
+        SectionKind::GapArray => decoder.requires_gap_array(),
+        SectionKind::Outliers | SectionKind::DecodedCrc => header.field.is_some(),
+        _ => false,
+    };
+    if let Some(&(section, _)) = walk.sections.iter().find(|(kind, _)| !allowed(*kind)) {
+        return Err(ContainerError::UnexpectedSection { section });
     }
-    Ok((SnapshotManifest::new(entries)?, shards))
+    let require = |section: SectionKind| {
+        walk.section(section)
+            .ok_or(ContainerError::MissingSection { section })
+    };
+
+    let payload = if decoder.is_hybrid() {
+        CompressedPayload::Hybrid(codec::parse_hybrid_stream(
+            require(SectionKind::HybridStream)?,
+            header.alphabet_size,
+        )?)
+    } else {
+        let codebook = match (
+            walk.section(SectionKind::Codebook),
+            walk.section(SectionKind::CodebookRef),
+        ) {
+            (Some(_), Some(_)) => {
+                return Err(ContainerError::Invalid {
+                    reason: "both an inline codebook and a dictionary reference",
+                })
+            }
+            (Some(inline), None) => codec::parse_codebook(inline, header.alphabet_size)?,
+            (None, Some(reference)) => {
+                let id = codec::parse_codebook_ref(reference)?;
+                let dict = dict.ok_or(ContainerError::Invalid {
+                    reason: "codebook reference outside a snapshot with a dictionary",
+                })?;
+                let entry = dict.get(id).ok_or(ContainerError::Invalid {
+                    reason: "dangling codebook dictionary id",
+                })?;
+                if entry.alphabet_size() != header.alphabet_size as usize {
+                    return Err(ContainerError::Invalid {
+                        reason: "dictionary codebook alphabet disagrees with the header",
+                    });
+                }
+                entry.clone()
+            }
+            (None, None) => {
+                return Err(ContainerError::MissingSection {
+                    section: SectionKind::Codebook,
+                })
+            }
+        };
+        if decoder.uses_chunked_encoding() {
+            let encoded = codec::parse_chunked_stream(require(SectionKind::ChunkedStream)?)?;
+            CompressedPayload::Chunked { encoded, codebook }
+        } else {
+            let parts = codec::parse_flat_stream(require(SectionKind::FlatStream)?)?;
+            let gap_array = if decoder.requires_gap_array() {
+                Some(codec::parse_gap_array(require(SectionKind::GapArray)?)?)
+            } else {
+                None
+            };
+            let stream = EncodedStream::from_parts(
+                parts.units,
+                parts.bit_len,
+                parts.num_symbols,
+                codebook,
+                parts.geometry,
+                gap_array,
+            )
+            .map_err(|reason| ContainerError::Invalid { reason })?;
+            CompressedPayload::Flat(stream)
+        }
+    };
+
+    match header.field {
+        Some(meta) => {
+            let num_elements = meta.dims.len() as u64;
+            if payload.num_symbols() as u64 != num_elements {
+                return Err(ContainerError::Invalid {
+                    reason: "symbol count does not match the dimensions",
+                });
+            }
+            let outliers = codec::parse_outliers(require(SectionKind::Outliers)?, num_elements)?;
+            let decoded_crc = walk
+                .section(SectionKind::DecodedCrc)
+                .map(|p| codec::parse_decoded_crc(p, num_elements))
+                .transpose()?;
+            let config = SzConfig {
+                error_bound: meta.error_bound,
+                alphabet_size: header.alphabet_size as usize,
+                decoder,
+            };
+            Ok(Archive::Field(Compressed {
+                payload,
+                outliers,
+                dims: meta.dims,
+                step: meta.step,
+                config,
+                decoded_crc,
+            }))
+        }
+        None => Ok(Archive::Payload {
+            payload,
+            decoder,
+            alphabet_size: header.alphabet_size as usize,
+        }),
+    }
 }
 
-/// Serializes a field compression into a standalone archive buffer (format v1 for
-/// dense payloads, v2 for hybrid — see [`ArchiveWriter::write_compressed`]).
+/// Serializes a field compression into a standalone `HFZ1` archive buffer (hybrid
+/// payloads upgrade themselves to `HFZ2`).
 pub fn to_bytes(compressed: &Compressed) -> Result<Vec<u8>> {
-    let mut writer = ArchiveWriter::new(Vec::new());
-    writer.write_compressed(compressed)?;
-    writer.into_inner()
+    to_bytes_as(compressed, FormatVersion::V1)
 }
 
-/// Serializes a field compression into a standalone format-v2 archive buffer.
-pub fn to_bytes_v2(compressed: &Compressed) -> Result<Vec<u8>> {
-    let mut writer = ArchiveWriter::new(Vec::new());
-    writer.write_compressed_v2(compressed)?;
+/// Serializes a field compression into a standalone archive buffer of `version`.
+pub fn to_bytes_as(compressed: &Compressed, version: FormatVersion) -> Result<Vec<u8>> {
+    let mut writer = ArchiveWriter::with_version(Vec::new(), version);
+    writer.write_compressed(compressed)?;
     writer.into_inner()
 }
 
@@ -661,70 +504,65 @@ pub fn payload_to_bytes(payload: &CompressedPayload, decoder: DecoderKind) -> Re
 
 /// Reads one archive of either kind from a buffer, rejecting trailing bytes.
 pub fn read_one_archive(bytes: &[u8]) -> Result<Archive> {
-    read_one_archive_with_dict(bytes, None)
+    Ok(read_whole(bytes, None)?.1)
 }
 
-/// [`read_one_archive`] with a snapshot codebook dictionary available for resolving
-/// codebook-reference sections (format-v2 snapshot shards).
-pub fn read_one_archive_with_dict(bytes: &[u8], dict: Option<&CodebookDict>) -> Result<Archive> {
-    let mut cursor = bytes;
-    let mut reader = ArchiveReader::new(&mut cursor);
-    let archive = reader.read_archive_with_dict(dict)?;
-    if !cursor.is_empty() {
+/// Walks and assembles the archive that fills `bytes` exactly.
+fn read_whole<'a>(
+    bytes: &'a [u8],
+    dict: Option<&CodebookDict>,
+) -> Result<(ArchiveWalk<'a>, Archive)> {
+    let mut rest = bytes;
+    let walk = walk_archive(&mut rest)?;
+    if !rest.is_empty() {
         return Err(ContainerError::Invalid {
             reason: "trailing bytes after the archive",
         });
     }
-    Ok(archive)
+    let archive = assemble(&walk, dict)?;
+    Ok((walk, archive))
 }
 
 /// Parses every archive concatenated in `bytes`, pairing each reassembled [`Archive`]
-/// with its structural summary ([`crate::ArchiveInfo`]: header fields, section table,
-/// stored sizes).
+/// with its structural summary ([`ArchiveInfo`]: header fields, section table, stored
+/// sizes), both taken from one walk of the archive.
 ///
-/// This is the load-time path for long-running consumers: the `hfzd` daemon calls it
-/// once when an archive file is loaded and keeps the results in memory, so *serving a
-/// request* never re-parses (or re-checksums) the file. The load itself walks each
-/// archive twice — a cheap structural pass for the summary, then the reassembly pass —
-/// which is the right trade at load frequency. An empty input yields an empty vector;
-/// any corruption anywhere in the file fails the whole load.
-pub fn read_archives_with_info(bytes: &[u8]) -> Result<Vec<(crate::ArchiveInfo, Archive)>> {
-    read_archives_with_info_dict(bytes, None)
-}
-
-/// [`read_archives_with_info`] with a snapshot codebook dictionary available for
-/// resolving codebook-reference sections.
-pub fn read_archives_with_info_dict(
-    bytes: &[u8],
-    dict: Option<&CodebookDict>,
-) -> Result<Vec<(crate::ArchiveInfo, Archive)>> {
+/// This is the load-time path for long-running consumers of manifest-less files: the
+/// `hfzd` daemon calls it once when an archive file is loaded and keeps the results in
+/// memory, so *serving a request* never re-parses (or re-checksums) the file. An empty
+/// input yields an empty vector; any corruption anywhere in the file fails the whole
+/// load.
+pub fn read_archives_with_info(bytes: &[u8]) -> Result<Vec<(ArchiveInfo, Archive)>> {
     let mut remaining = bytes;
     let mut out = Vec::new();
     while !remaining.is_empty() {
-        let mut info_cursor = remaining;
-        let info = crate::inspect::read_info(&mut info_cursor)?;
-        let mut archive_cursor = remaining;
-        let archive = ArchiveReader::new(&mut archive_cursor).read_archive_with_dict(dict)?;
-        remaining = archive_cursor;
-        out.push((info, archive));
+        let walk = walk_archive(&mut remaining)?;
+        let archive = assemble(&walk, None)?;
+        out.push((walk.info()?, archive));
     }
     Ok(out)
 }
 
 /// Serializes a snapshot — a manifest section plus one shard per named field — into a
-/// standalone buffer. See [`ArchiveWriter::write_snapshot`].
+/// standalone `HFZ1` buffer (a hybrid field upgrades the snapshot to `HFZ2`). See
+/// [`ArchiveWriter::write_snapshot`].
 pub fn snapshot_to_bytes(fields: &[(&str, &Compressed)]) -> Result<Vec<u8>> {
-    let mut writer = ArchiveWriter::new(Vec::new());
-    writer.write_snapshot(fields)?;
-    writer.into_inner()
+    snapshot_to_bytes_as(fields, FormatVersion::V1)
 }
 
-/// Serializes a format-v2 snapshot — manifest, shared codebook dictionary, tuning
-/// hints, then the shards — into a standalone buffer. See
-/// [`ArchiveWriter::write_snapshot_v2`].
+/// [`snapshot_to_bytes_as`] at [`FormatVersion::V2`].
 pub fn snapshot_to_bytes_v2(fields: &[(&str, &Compressed)]) -> Result<Vec<u8>> {
-    let mut writer = ArchiveWriter::new(Vec::new());
-    writer.write_snapshot_v2(fields)?;
+    snapshot_to_bytes_as(fields, FormatVersion::V2)
+}
+
+/// Serializes a snapshot of `version` into a standalone buffer. See
+/// [`ArchiveWriter::write_snapshot`].
+pub fn snapshot_to_bytes_as(
+    fields: &[(&str, &Compressed)],
+    version: FormatVersion,
+) -> Result<Vec<u8>> {
+    let mut writer = ArchiveWriter::with_version(Vec::new(), version);
+    writer.write_snapshot(fields)?;
     writer.into_inner()
 }
 
@@ -754,8 +592,9 @@ impl<'a> Snapshot<'a> {
     /// validates the manifest's shard extents against the actual file size. The shards
     /// themselves are *not* parsed — that is the point of the manifest.
     pub fn parse(bytes: &'a [u8]) -> Result<Snapshot<'a>> {
-        if !manifest_leads(bytes) {
-            if dict_section_leads(bytes) || hints_section_leads(bytes) {
+        let mut cursor = bytes;
+        let Some(manifest) = prologue_section(&mut cursor, SectionKind::Manifest)? else {
+            if SectionKind::CodebookDict.leads(bytes) || SectionKind::TuningHints.leads(bytes) {
                 return Err(ContainerError::Invalid {
                     reason: "format v2 prologue section without a manifest",
                 });
@@ -766,25 +605,14 @@ impl<'a> Snapshot<'a> {
                 hints: None,
                 shards: bytes,
             });
-        }
-        let mut cursor = bytes;
-        let (kind, payload) = read_section(&mut cursor)?;
-        debug_assert_eq!(kind, SectionKind::Manifest);
-        let manifest = codec::parse_manifest(&payload)?;
-        let dict = if dict_section_leads(cursor) {
-            let (kind, payload) = read_section(&mut cursor)?;
-            debug_assert_eq!(kind, SectionKind::CodebookDict);
-            Some(codec::parse_codebook_dict(&payload)?)
-        } else {
-            None
         };
-        let hints = if hints_section_leads(cursor) {
-            let (kind, payload) = read_section(&mut cursor)?;
-            debug_assert_eq!(kind, SectionKind::TuningHints);
-            Some(codec::parse_tuning_hints(&payload)?)
-        } else {
-            None
-        };
+        let manifest = codec::parse_manifest(manifest)?;
+        let dict = prologue_section(&mut cursor, SectionKind::CodebookDict)?
+            .map(codec::parse_codebook_dict)
+            .transpose()?;
+        let hints = prologue_section(&mut cursor, SectionKind::TuningHints)?
+            .map(codec::parse_tuning_hints)
+            .transpose()?;
         // Every shard must lie inside the file, and the shards must cover it exactly —
         // a manifest pointing past EOF (truncated file, corrupted length) is corruption.
         if manifest.shard_bytes() != cursor.len() as u64 {
@@ -840,30 +668,25 @@ impl<'a> Snapshot<'a> {
     /// Reads field `index`, seeking via the manifest when present (sequential scan
     /// otherwise). The reassembled archive is cross-checked against the manifest entry.
     pub fn read_field(&self, index: usize) -> Result<Archive> {
+        let not_found = || ContainerError::FieldNotFound {
+            name: format!("#{}", index),
+        };
         match &self.manifest {
             Some(manifest) => {
-                let entry =
-                    manifest
-                        .entries()
-                        .get(index)
-                        .ok_or_else(|| ContainerError::FieldNotFound {
-                            name: format!("#{}", index),
-                        })?;
-                self.read_shard(entry)
+                let entry = manifest.entries().get(index).ok_or_else(not_found)?;
+                Ok(self.read_shard(entry)?.1)
             }
             None => {
                 // Sequential scan. Running out of archives at a clean boundary is a
                 // missing field; an error *inside* an archive is genuine corruption
                 // and propagates as such.
-                let mut remaining = self.shards;
+                let mut reader = ArchiveReader::new(self.shards);
                 let mut seen = 0;
                 loop {
-                    if remaining.is_empty() {
-                        return Err(ContainerError::FieldNotFound {
-                            name: format!("#{}", index),
-                        });
+                    if reader.inner.is_empty() {
+                        return Err(not_found());
                     }
-                    let archive = ArchiveReader::new(&mut remaining).read_archive()?;
+                    let archive = reader.read_archive()?;
                     if seen == index {
                         return Ok(archive);
                     }
@@ -884,61 +707,64 @@ impl<'a> Snapshot<'a> {
             .ok_or_else(|| ContainerError::FieldNotFound {
                 name: name.to_string(),
             })?;
-        self.read_shard(entry)
+        Ok(self.read_shard(entry)?.1)
     }
 
-    fn read_shard(&self, entry: &ManifestEntry) -> Result<Archive> {
-        // Extents were validated against the buffer in `parse`; slice and parse just
-        // this shard. The shard must hold exactly one archive.
+    /// The one way a manifest entry's shard is read, by the seek path and the load path
+    /// alike: slice by the extent `parse` validated, walk it once (it must hold exactly
+    /// one archive), and cross-check the index against what the shard actually holds —
+    /// a manifest that disagrees with its shards must never be trusted for decode
+    /// planning.
+    fn read_shard(&self, entry: &ManifestEntry) -> Result<(ArchiveInfo, Archive)> {
         let lo = entry.offset as usize;
         let hi = (entry.offset + entry.length) as usize;
-        let archive = read_one_archive_with_dict(&self.shards[lo..hi], self.dict.as_ref())?;
-        // Cross-check the index against what the shard actually holds: a manifest that
-        // disagrees with its shards must never be trusted for decode planning.
-        let matches = archive.decoder() == entry.decoder
-            && archive.payload().num_symbols() as u64 == entry.num_symbols
-            && match &archive {
-                Archive::Field(c) => {
-                    c.decoded_crc == entry.decoded_crc
-                        && Some(c.dims) == entry.dims
-                        && c.alphabet_size() as u32 == entry.alphabet_size
-                }
-                Archive::Payload { alphabet_size, .. } => {
-                    entry.dims.is_none() && *alphabet_size as u32 == entry.alphabet_size
-                }
-            };
+        let (walk, archive) = read_whole(&self.shards[lo..hi], self.dict.as_ref())?;
+        let info = walk.info()?;
+        let matches = info.decoder == entry.decoder
+            && info.alphabet_size == entry.alphabet_size
+            && info.num_symbols == entry.num_symbols
+            && info.field.map(|meta| meta.dims) == entry.dims
+            && info.decoded_crc == entry.decoded_crc;
         if !matches {
             return Err(ContainerError::Invalid {
                 reason: "manifest entry disagrees with its shard",
             });
         }
-        Ok(archive)
+        Ok((info, archive))
+    }
+}
+
+/// Reads the prologue section `kind` off the front of `cursor` when its frame leads
+/// there; `None` (and `cursor` untouched) when something else does.
+fn prologue_section<'a>(cursor: &mut &'a [u8], kind: SectionKind) -> Result<Option<&'a [u8]>> {
+    if !kind.leads(cursor) {
+        return Ok(None);
+    }
+    match next_section(cursor)? {
+        (found, payload) if found == kind => Ok(Some(payload)),
+        _ => Err(ContainerError::Invalid {
+            reason: "snapshot prologue section out of place",
+        }),
     }
 }
 
 /// Parses a whole snapshot file for long-running consumers (the daemon's load path):
 /// the optional manifest plus every field's `(ArchiveInfo, Archive)` pair, in shard
-/// order. Manifest-backed files additionally verify that each shard's recorded length
-/// matches the bytes its archive actually consumed.
+/// order. Manifest-backed files read each entry's shard exactly as
+/// [`Snapshot::read_field`] does, cross-check included; manifest-less files are walked
+/// sequentially ([`read_archives_with_info`]).
 #[allow(clippy::type_complexity)]
 pub fn read_snapshot_with_info(
     bytes: &[u8],
-) -> Result<(Option<SnapshotManifest>, Vec<(crate::ArchiveInfo, Archive)>)> {
+) -> Result<(Option<SnapshotManifest>, Vec<(ArchiveInfo, Archive)>)> {
     let snapshot = Snapshot::parse(bytes)?;
-    let fields = read_archives_with_info_dict(snapshot.archive_bytes(), snapshot.codebook_dict())?;
-    if let Some(manifest) = snapshot.manifest() {
-        if manifest.len() != fields.len() {
-            return Err(ContainerError::Invalid {
-                reason: "manifest field count disagrees with the archives",
-            });
-        }
-        for (entry, (info, _)) in manifest.entries().iter().zip(&fields) {
-            if entry.length != info.total_bytes {
-                return Err(ContainerError::Invalid {
-                    reason: "manifest shard length disagrees with its archive",
-                });
-            }
-        }
-    }
+    let fields = match snapshot.manifest() {
+        Some(manifest) => manifest
+            .entries()
+            .iter()
+            .map(|entry| snapshot.read_shard(entry))
+            .collect::<Result<_>>()?,
+        None => read_archives_with_info(snapshot.archive_bytes())?,
+    };
     Ok((snapshot.manifest, fields))
 }

@@ -18,7 +18,6 @@ use huffdec_core::DecoderKind;
 use huffman::Codebook;
 
 use crate::error::{ContainerError, Result};
-use crate::section::SectionKind;
 
 fn invalid(reason: &'static str) -> ContainerError {
     ContainerError::Invalid { reason }
@@ -171,22 +170,10 @@ impl TuningHints {
     }
 }
 
-/// True when `bytes` starts with a codebook-dictionary section frame (the v2 snapshot
-/// prologue slot after the manifest). Same sniff as
-/// [`manifest_leads`](crate::manifest_leads): tag byte + three zero reserved bytes,
-/// which can never collide with an archive's `HFZ` magic.
-pub fn dict_section_leads(bytes: &[u8]) -> bool {
-    bytes.len() >= 4 && bytes[0] == SectionKind::CodebookDict.tag() && bytes[1..4] == [0, 0, 0]
-}
-
-/// True when `bytes` starts with a tuning-hints section frame.
-pub fn hints_section_leads(bytes: &[u8]) -> bool {
-    bytes.len() >= 4 && bytes[0] == SectionKind::TuningHints.tag() && bytes[1..4] == [0, 0, 0]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::section::SectionKind;
 
     /// A codebook over `spread` distinct symbols — different spreads give different
     /// length tables, same spread gives identical ones.
@@ -256,10 +243,10 @@ mod tests {
 
     #[test]
     fn prologue_sniffing() {
-        assert!(dict_section_leads(&[8, 0, 0, 0, 9]));
-        assert!(!dict_section_leads(&[8, 0, 1, 0]));
-        assert!(!dict_section_leads(b"HFZ2"));
-        assert!(hints_section_leads(&[9, 0, 0, 0]));
-        assert!(!hints_section_leads(&[8, 0, 0, 0]));
+        assert!(SectionKind::CodebookDict.leads(&[8, 0, 0, 0, 9]));
+        assert!(!SectionKind::CodebookDict.leads(&[8, 0, 1, 0]));
+        assert!(!SectionKind::CodebookDict.leads(b"HFZ2"));
+        assert!(SectionKind::TuningHints.leads(&[9, 0, 0, 0]));
+        assert!(!SectionKind::TuningHints.leads(&[8, 0, 0, 0]));
     }
 }

@@ -65,6 +65,11 @@ pub enum ContainerError {
         /// The absent section.
         section: SectionKind,
     },
+    /// A section the header's decoder kind or archive kind does not allow is present.
+    UnexpectedSection {
+        /// The section that does not belong.
+        section: SectionKind,
+    },
     /// A header or section field has a structurally valid encoding but an invalid value.
     Invalid {
         /// Description of the defect.
@@ -114,6 +119,9 @@ impl fmt::Display for ContainerError {
             }
             ContainerError::MissingSection { section } => {
                 write!(f, "missing required {} section", section)
+            }
+            ContainerError::UnexpectedSection { section } => {
+                write!(f, "{} section does not belong in this archive", section)
             }
             ContainerError::Invalid { reason } => write!(f, "invalid archive: {}", reason),
             ContainerError::FieldNotFound { name } => {

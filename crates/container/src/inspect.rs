@@ -1,15 +1,31 @@
-//! Archive inspection: a structural walk that reports the header and the per-section
-//! size breakdown (and verifies every checksum on the way) without reassembling the
-//! decoder structures. This is what `hfz inspect` and `hfz verify` print.
+//! The structural walk every reader shares, and the archive summary computed from it.
+//!
+//! `walk_archive` is the one place an archive's bytes are framed, checksummed and
+//! structurally checked: it reads the header, then every section through
+//! [`next_section`] up to the end marker, and yields the header plus the table of
+//! borrowed section payloads. [`read_info`] (`hfz inspect`, `hfz verify`) summarises
+//! that table; the archive readers assemble the decoder structures from the same table,
+//! so `inspect` and `open` cannot disagree on what a well-formed archive is.
+//!
+//! Which rule lives where:
+//!
+//! * **The walk** (so `inspect` and `open` alike): header magic, version and CRC; each
+//!   section's frame, length and CRC; a snapshot prologue section (manifest, codebook
+//!   dictionary, tuning hints) inside an archive; a format-v2 section in a version-1
+//!   archive; an end marker that carries a payload; a section stored twice.
+//! * **The summary** ([`read_info`] and the load path): a stream section must exist,
+//!   because the symbol count is read from it.
+//! * **Assembly** (`open` only, in [`crate::archive`]): which sections the header's
+//!   decoder kind allows and requires, and everything inside a payload — codebooks,
+//!   stream geometry, outliers, dictionary references.
 
 use std::fmt;
-use std::io::Read;
 
 use huffdec_core::DecoderKind;
 
 use crate::error::{ContainerError, Result};
 use crate::header::{FieldMeta, Header, FORMAT_VERSION_V2, HEADER_WIRE_BYTES};
-use crate::section::{read_exact, read_section, SectionKind, CRC_BYTES, FRAME_BYTES};
+use crate::section::{next_section, take, SectionKind, CRC_BYTES, FRAME_BYTES};
 use crate::wire::ByteCursor;
 
 /// Size and identity of one section as stored.
@@ -191,92 +207,126 @@ impl fmt::Display for ArchiveInfo {
     }
 }
 
-/// Walks one archive, verifying framing and checksums, and reports its structure.
-///
-/// This performs the same integrity checks as a full read but skips reassembling the
-/// codebook and streams, so it is cheap and works on archives whose payload sections a
-/// future writer extended (as long as framing stays intact).
-pub fn read_info<R: Read>(r: &mut R) -> Result<ArchiveInfo> {
-    let mut header_bytes = [0u8; HEADER_WIRE_BYTES];
-    read_exact(r, &mut header_bytes, "header")?;
-    let header = Header::decode_with_crc(&header_bytes)?;
+/// One archive as [`walk_archive`] found it: the decoded header and the section table,
+/// payloads borrowed from the input.
+#[derive(Debug)]
+pub(crate) struct ArchiveWalk<'a> {
+    pub(crate) header: Header,
+    /// Sections in storage order, end marker excluded; no kind appears twice.
+    pub(crate) sections: Vec<(SectionKind, &'a [u8])>,
+    /// Bytes the archive occupies, header and end marker included.
+    total_bytes: u64,
+}
 
-    let mut sections = Vec::new();
-    let mut num_symbols = 0u64;
-    let mut decoded_crc = None;
-    let mut dict_id = None;
-    let mut total = HEADER_WIRE_BYTES as u64;
+/// Walks the archive at the front of `input` — the only loop over archive sections in
+/// this crate — and leaves `input` at the first byte after its end marker. The module
+/// docs list the rules enforced here.
+pub(crate) fn walk_archive<'a>(input: &mut &'a [u8]) -> Result<ArchiveWalk<'a>> {
+    let before = input.len();
+    let header_bytes = take(input, HEADER_WIRE_BYTES, "header")?;
+    let header = Header::decode_with_crc(header_bytes.try_into().expect("header size"))?;
+    let mut sections: Vec<(SectionKind, &'a [u8])> = Vec::new();
     loop {
-        let (kind, payload) = read_section(r)?;
-        total += (FRAME_BYTES + CRC_BYTES) as u64 + payload.len() as u64;
-        if kind == SectionKind::End {
-            break;
-        }
-        if kind == SectionKind::Manifest {
-            // The manifest is a file prologue, not an archive section; one inside an
-            // archive's section sequence is corruption.
-            return Err(ContainerError::Invalid {
-                reason: "manifest section inside an archive",
-            });
-        }
-        if matches!(kind, SectionKind::CodebookDict | SectionKind::TuningHints) {
-            // Like the manifest, these are snapshot prologue sections.
-            return Err(ContainerError::Invalid {
-                reason: "snapshot prologue section inside an archive",
-            });
-        }
+        let (kind, payload) = next_section(input)?;
         if kind.requires_v2() && header.version < FORMAT_VERSION_V2 {
             return Err(ContainerError::Invalid {
                 reason: "format v2 section in a version-1 archive",
             });
         }
-        // The symbol count sits at a fixed offset in every stream section layout.
-        if kind == SectionKind::FlatStream {
-            let mut c = ByteCursor::new(&payload, "flat-stream section");
-            let _bit_len = c.get_u64()?;
-            num_symbols = c.get_u64()?;
-        } else if kind == SectionKind::ChunkedStream {
-            let mut c = ByteCursor::new(&payload, "chunked-stream section");
-            let _chunk_symbols = c.get_u64()?;
-            num_symbols = c.get_u64()?;
-        } else if kind == SectionKind::HybridStream {
-            let mut c = ByteCursor::new(&payload, "hybrid-stream section");
-            num_symbols = c.get_u64()?;
-        } else if kind == SectionKind::DecodedCrc {
-            let mut c = ByteCursor::new(&payload, "decoded-crc section");
-            let _covered_symbols = c.get_u64()?;
-            decoded_crc = Some(c.get_u32()?);
-        } else if kind == SectionKind::CodebookRef {
-            dict_id = Some(crate::codec::parse_codebook_ref(&payload)?);
+        match kind {
+            SectionKind::Manifest | SectionKind::CodebookDict | SectionKind::TuningHints => {
+                return Err(ContainerError::Invalid {
+                    reason: "snapshot prologue section inside an archive",
+                })
+            }
+            SectionKind::End if payload.is_empty() => break,
+            SectionKind::End => {
+                return Err(ContainerError::Invalid {
+                    reason: "end section carries a payload",
+                })
+            }
+            _ if sections.iter().any(|(seen, _)| *seen == kind) => {
+                return Err(ContainerError::DuplicateSection { section: kind })
+            }
+            _ => sections.push((kind, payload)),
         }
-        sections.push(SectionInfo {
-            kind,
-            payload_bytes: payload.len() as u64,
-        });
     }
-
-    if !sections.iter().any(|s| {
-        matches!(
-            s.kind,
-            SectionKind::FlatStream | SectionKind::ChunkedStream | SectionKind::HybridStream
-        )
-    }) {
-        return Err(ContainerError::MissingSection {
-            section: SectionKind::FlatStream,
-        });
-    }
-
-    Ok(ArchiveInfo {
-        format_version: header.version,
-        decoder: header.decoder,
-        alphabet_size: header.alphabet_size,
-        field: header.field,
+    Ok(ArchiveWalk {
+        header,
         sections,
-        num_symbols,
-        decoded_crc,
-        dict_id,
-        total_bytes: total,
+        total_bytes: (before - input.len()) as u64,
     })
+}
+
+impl<'a> ArchiveWalk<'a> {
+    /// The payload of the `kind` section, when the archive stores one.
+    pub(crate) fn section(&self, kind: SectionKind) -> Option<&'a [u8]> {
+        self.sections
+            .iter()
+            .find(|(stored, _)| *stored == kind)
+            .map(|(_, payload)| *payload)
+    }
+
+    /// The structural summary: header fields, section sizes, and the few payload words
+    /// a summary needs (symbol count, decoded CRC, dictionary id), each at a fixed
+    /// offset of its section layout.
+    pub(crate) fn info(&self) -> Result<ArchiveInfo> {
+        let mut num_symbols = None;
+        let mut decoded_crc = None;
+        let mut dict_id = None;
+        for &(kind, payload) in &self.sections {
+            match kind {
+                // Both dense layouts lead with one u64 (bit length, chunk symbols).
+                SectionKind::FlatStream | SectionKind::ChunkedStream => {
+                    let mut c = ByteCursor::new(payload, "stream section");
+                    let _leading = c.get_u64()?;
+                    num_symbols = Some(c.get_u64()?);
+                }
+                SectionKind::HybridStream => {
+                    let mut c = ByteCursor::new(payload, "hybrid-stream section");
+                    num_symbols = Some(c.get_u64()?);
+                }
+                SectionKind::DecodedCrc => {
+                    let mut c = ByteCursor::new(payload, "decoded-crc section");
+                    let _covered_symbols = c.get_u64()?;
+                    decoded_crc = Some(c.get_u32()?);
+                }
+                SectionKind::CodebookRef => {
+                    dict_id = Some(crate::codec::parse_codebook_ref(payload)?);
+                }
+                _ => {}
+            }
+        }
+        Ok(ArchiveInfo {
+            format_version: self.header.version,
+            decoder: self.header.decoder,
+            alphabet_size: self.header.alphabet_size,
+            field: self.header.field,
+            sections: self
+                .sections
+                .iter()
+                .map(|&(kind, payload)| SectionInfo {
+                    kind,
+                    payload_bytes: payload.len() as u64,
+                })
+                .collect(),
+            num_symbols: num_symbols.ok_or(ContainerError::MissingSection {
+                section: SectionKind::FlatStream,
+            })?,
+            decoded_crc,
+            dict_id,
+            total_bytes: self.total_bytes,
+        })
+    }
+}
+
+/// Walks the archive at the front of `input`, verifying framing, checksums and
+/// structure, and reports its header and section table.
+///
+/// This performs the same walk as a full read but skips reassembling the codebook and
+/// streams, so it is cheap. `input` is left at the first byte after the archive.
+pub fn read_info(input: &mut &[u8]) -> Result<ArchiveInfo> {
+    walk_archive(input)?.info()
 }
 
 /// Escapes a string for embedding in a JSON document.

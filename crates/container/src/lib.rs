@@ -95,6 +95,23 @@
 //! * **Versioning** — readers reject archives with a format version they do not
 //!   understand instead of misparsing them; decoder and section tags are append-only.
 //!
+//! ## Entry points
+//!
+//! Readers take byte slices and borrow every payload from them; each row is one walk
+//! (frame check + one CRC pass) of the bytes it covers. [`inspect`] says which check
+//! lives in the walk and which in assembly.
+//!
+//! | entry point | reads or writes | cost |
+//! |---|---|---|
+//! | [`read_info`] | one archive's header and section table | walk |
+//! | [`ArchiveReader::read_archive`], [`read_one_archive`], [`from_bytes`] | one archive, reassembled | walk + assembly |
+//! | [`read_archives_with_info`] | every archive of a manifest-less file, each with its summary | walk + assembly per archive |
+//! | [`Snapshot::parse`] | the prologue (manifest, v2 dictionary and hints) | the prologue sections only |
+//! | [`Snapshot::read_field`] / `read_field_by_name` | one shard by manifest seek, cross-checked against its entry | walk + assembly of that shard |
+//! | [`read_snapshot_with_info`] | a whole file (the daemon's `LOAD`): `parse`, then `read_field`'s shard read per entry | walk + assembly per shard |
+//! | [`ArchiveWriter`] (`new` = `HFZ1`, `with_version`) | archives, payloads, snapshots to any `Write` | one encode pass |
+//! | [`to_bytes`], [`snapshot_to_bytes`], [`snapshot_to_bytes_v2`] | `to_bytes_as` / `snapshot_to_bytes_as` at a fixed version | same |
+//!
 //! ## Example
 //!
 //! ```
@@ -131,14 +148,11 @@ pub mod section;
 pub mod wire;
 
 pub use archive::{
-    from_bytes, payload_to_bytes, read_archives_with_info, read_archives_with_info_dict,
-    read_one_archive, read_one_archive_with_dict, read_snapshot_with_info, snapshot_to_bytes,
-    snapshot_to_bytes_v2, to_bytes, to_bytes_v2, Archive, ArchiveReader, ArchiveWriter, Snapshot,
+    from_bytes, payload_to_bytes, read_archives_with_info, read_one_archive,
+    read_snapshot_with_info, snapshot_to_bytes, snapshot_to_bytes_as, snapshot_to_bytes_v2,
+    to_bytes, to_bytes_as, Archive, ArchiveReader, ArchiveWriter, Snapshot,
 };
-pub use dict::{
-    dict_section_leads, hints_section_leads, CodebookDict, TuningHint, TuningHints,
-    MAX_HINT_BUFFER_SYMBOLS,
-};
+pub use dict::{CodebookDict, TuningHint, TuningHints, MAX_HINT_BUFFER_SYMBOLS};
 // The CRC-32 implementation lives in `huffdec_core::crc32` (the pipeline digests
 // decoded symbol streams without depending on this crate); the container re-exports
 // the names because every frame of the `HFZ1` format is checksummed with it.

@@ -230,7 +230,7 @@ impl std::fmt::Display for SnapshotManifest {
 /// An archive opens with the `HFZ1` magic; a manifest section frame opens with the
 /// manifest tag byte followed by three zero reserved bytes — the two never collide.
 pub fn manifest_leads(bytes: &[u8]) -> bool {
-    bytes.len() >= 4 && bytes[0] == SectionKind::Manifest.tag() && bytes[1..4] == [0, 0, 0]
+    SectionKind::Manifest.leads(bytes)
 }
 
 #[cfg(test)]

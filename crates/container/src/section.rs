@@ -12,120 +12,97 @@
 //!
 //! The sequence ends with an [`SectionKind::End`] section carrying an empty payload.
 //! Framing is defensive end to end: a frame that promises more bytes than the input
-//! holds surfaces as [`ContainerError::Truncated`] (payloads are read incrementally, so
-//! a corrupted length cannot drive a huge up-front allocation), and any bit flip in
-//! frame or payload fails the checksum.
+//! holds surfaces as [`ContainerError::Truncated`] (payloads are borrowed from the
+//! input, so a corrupted length allocates nothing), and any bit flip in frame or
+//! payload fails the checksum.
 
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::Write;
 
 use crate::error::{ContainerError, Result};
-use huffdec_core::Crc32;
+use huffdec_core::{crc32, Crc32};
 
 /// Tags of the section types (tags 0–7 are format version 1; 8–11 were added by
 /// format version 2 and are rejected inside version-1 archives).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum SectionKind {
     /// Terminates the section sequence (empty payload).
-    End,
+    End = 0,
     /// Canonical codebook as compact `(symbol, code length)` pairs.
-    Codebook,
+    Codebook = 1,
     /// Flat Huffman bitstream with its geometry (fine-grained decoders).
-    FlatStream,
+    FlatStream = 2,
     /// Gap array (required by gap-array decoders).
-    GapArray,
+    GapArray = 3,
     /// Outlier list of the sz pipeline.
-    Outliers,
+    Outliers = 4,
     /// cuSZ coarse-grained chunked bitstream (baseline decoder).
-    ChunkedStream,
+    ChunkedStream = 5,
     /// CRC32 over the decoded symbol stream (optional trailer; deep verification).
-    DecodedCrc,
+    DecodedCrc = 6,
     /// Snapshot manifest: per-field name, shard offset/length, and decode metadata.
     /// Only valid as a file prologue (before the first archive), never inside one.
-    Manifest,
+    Manifest = 7,
     /// Snapshot codebook dictionary (v2): deduplicated codebooks that per-field
     /// codebook-reference sections point into. Prologue-only, after the manifest.
-    CodebookDict,
+    CodebookDict = 8,
     /// Decoder tuning hints (v2): advisory shared-memory buffer sizes per decoder
     /// (Algorithm 2 of the paper). Prologue-only, after the dictionary.
-    TuningHints,
+    TuningHints = 9,
     /// RLE+Huffman hybrid stream (v2): paired nonzero-symbol and zero-run substreams,
     /// each with its own inline codebook. Replaces codebook + flat-stream sections in
     /// hybrid archives.
-    HybridStream,
+    HybridStream = 10,
     /// Codebook reference (v2): a dictionary entry id replacing the inline codebook of
     /// a dense archive stored inside a snapshot with a codebook dictionary.
-    CodebookRef,
+    CodebookRef = 11,
 }
+
+/// Every section kind with its display name, indexed by wire tag.
+const KINDS: [(SectionKind, &str); 12] = [
+    (SectionKind::End, "end"),
+    (SectionKind::Codebook, "codebook"),
+    (SectionKind::FlatStream, "flat-stream"),
+    (SectionKind::GapArray, "gap-array"),
+    (SectionKind::Outliers, "outliers"),
+    (SectionKind::ChunkedStream, "chunked-stream"),
+    (SectionKind::DecodedCrc, "decoded-crc"),
+    (SectionKind::Manifest, "manifest"),
+    (SectionKind::CodebookDict, "codebook-dict"),
+    (SectionKind::TuningHints, "tuning-hints"),
+    (SectionKind::HybridStream, "hybrid-stream"),
+    (SectionKind::CodebookRef, "codebook-ref"),
+];
 
 impl SectionKind {
     /// The wire tag byte.
     pub fn tag(&self) -> u8 {
-        match self {
-            SectionKind::End => 0,
-            SectionKind::Codebook => 1,
-            SectionKind::FlatStream => 2,
-            SectionKind::GapArray => 3,
-            SectionKind::Outliers => 4,
-            SectionKind::ChunkedStream => 5,
-            SectionKind::DecodedCrc => 6,
-            SectionKind::Manifest => 7,
-            SectionKind::CodebookDict => 8,
-            SectionKind::TuningHints => 9,
-            SectionKind::HybridStream => 10,
-            SectionKind::CodebookRef => 11,
-        }
+        *self as u8
     }
 
     /// Inverse of [`SectionKind::tag`].
     pub fn from_tag(tag: u8) -> Option<SectionKind> {
-        match tag {
-            0 => Some(SectionKind::End),
-            1 => Some(SectionKind::Codebook),
-            2 => Some(SectionKind::FlatStream),
-            3 => Some(SectionKind::GapArray),
-            4 => Some(SectionKind::Outliers),
-            5 => Some(SectionKind::ChunkedStream),
-            6 => Some(SectionKind::DecodedCrc),
-            7 => Some(SectionKind::Manifest),
-            8 => Some(SectionKind::CodebookDict),
-            9 => Some(SectionKind::TuningHints),
-            10 => Some(SectionKind::HybridStream),
-            11 => Some(SectionKind::CodebookRef),
-            _ => None,
-        }
+        KINDS.get(tag as usize).map(|&(kind, _)| kind)
+    }
+
+    /// True when `bytes` starts with the frame of a section of this kind: the tag byte
+    /// and three zero reserved bytes. This is how snapshot readers tell a prologue
+    /// section from an archive header, whose `HFZ` magic is never a tag.
+    pub fn leads(&self, bytes: &[u8]) -> bool {
+        bytes.len() >= 4 && bytes[0] == self.tag() && bytes[1..4] == [0, 0, 0]
     }
 
     /// True for the section kinds introduced by format version 2 — a version-1 archive
     /// or prologue containing one is corrupt, not forward-compatible.
     pub fn requires_v2(&self) -> bool {
-        matches!(
-            self,
-            SectionKind::CodebookDict
-                | SectionKind::TuningHints
-                | SectionKind::HybridStream
-                | SectionKind::CodebookRef
-        )
+        self.tag() >= SectionKind::CodebookDict.tag()
     }
 }
 
 impl fmt::Display for SectionKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            SectionKind::End => "end",
-            SectionKind::Codebook => "codebook",
-            SectionKind::FlatStream => "flat-stream",
-            SectionKind::GapArray => "gap-array",
-            SectionKind::Outliers => "outliers",
-            SectionKind::ChunkedStream => "chunked-stream",
-            SectionKind::DecodedCrc => "decoded-crc",
-            SectionKind::Manifest => "manifest",
-            SectionKind::CodebookDict => "codebook-dict",
-            SectionKind::TuningHints => "tuning-hints",
-            SectionKind::HybridStream => "hybrid-stream",
-            SectionKind::CodebookRef => "codebook-ref",
-        };
-        f.write_str(name)
+        f.write_str(KINDS[self.tag() as usize].1)
     }
 }
 
@@ -136,9 +113,6 @@ pub const CRC_BYTES: usize = 4;
 /// Hard ceiling on a single section payload (64 GiB) — far above anything the pipeline
 /// produces, low enough to reject nonsense lengths from corrupted frames outright.
 pub const MAX_SECTION_BYTES: u64 = 1 << 36;
-
-/// Granularity of incremental payload reads.
-const READ_CHUNK: usize = 64 * 1024;
 
 /// Writes one framed section; returns the total bytes written (frame + payload + CRC).
 pub fn write_section<W: Write>(w: &mut W, kind: SectionKind, payload: &[u8]) -> Result<u64> {
@@ -154,10 +128,22 @@ pub fn write_section<W: Write>(w: &mut W, kind: SectionKind, payload: &[u8]) -> 
     Ok((FRAME_BYTES + payload.len() + CRC_BYTES) as u64)
 }
 
-/// Reads one framed section, verifying the checksum.
-pub fn read_section<R: Read>(r: &mut R) -> Result<(SectionKind, Vec<u8>)> {
-    let mut frame = [0u8; FRAME_BYTES];
-    read_exact(r, &mut frame, "section frame")?;
+/// Splits the next `n` bytes off the front of `input`; running out of input is
+/// [`ContainerError::Truncated`] naming `context`.
+pub(crate) fn take<'a>(input: &mut &'a [u8], n: usize, context: &'static str) -> Result<&'a [u8]> {
+    if n > input.len() {
+        return Err(ContainerError::Truncated { context });
+    }
+    let (head, rest) = input.split_at(n);
+    *input = rest;
+    Ok(head)
+}
+
+/// Reads one framed section off the front of `input`, verifying the checksum. The
+/// payload is borrowed from `input`, which is left at the first byte after the section.
+pub fn next_section<'a>(input: &mut &'a [u8]) -> Result<(SectionKind, &'a [u8])> {
+    let section = *input;
+    let frame = take(input, FRAME_BYTES, "section frame")?;
     let kind =
         SectionKind::from_tag(frame[0]).ok_or(ContainerError::UnknownSection { tag: frame[0] })?;
     if frame[1..4] != [0, 0, 0] {
@@ -171,26 +157,12 @@ pub fn read_section<R: Read>(r: &mut R) -> Result<(SectionKind, Vec<u8>)> {
             reason: "section length exceeds the format limit",
         });
     }
-
-    // Read the payload incrementally so a lying length hits EOF instead of allocating
-    // the claimed size up front.
-    let mut payload = Vec::new();
-    let mut left = len as usize;
-    let mut chunk = [0u8; READ_CHUNK];
-    while left > 0 {
-        let take = left.min(READ_CHUNK);
-        read_exact(r, &mut chunk[..take], "section payload")?;
-        payload.extend_from_slice(&chunk[..take]);
-        left -= take;
-    }
-
-    let mut stored = [0u8; CRC_BYTES];
-    read_exact(r, &mut stored, "section checksum")?;
-    let stored = u32::from_le_bytes(stored);
-    let mut crc = Crc32::new();
-    crc.update(&frame);
-    crc.update(&payload);
-    let computed = crc.finish();
+    // A lying length runs out of input here, before anything is sized by it.
+    let len = usize::try_from(len).unwrap_or(usize::MAX);
+    let payload = take(input, len, "section payload")?;
+    let stored = take(input, CRC_BYTES, "section checksum")?;
+    let stored = u32::from_le_bytes(stored.try_into().expect("4 bytes"));
+    let computed = crc32(&section[..FRAME_BYTES + len]);
     if stored != computed {
         return Err(ContainerError::ChecksumMismatch {
             section: kind,
@@ -201,37 +173,14 @@ pub fn read_section<R: Read>(r: &mut R) -> Result<(SectionKind, Vec<u8>)> {
     Ok((kind, payload))
 }
 
-/// `read_exact` with EOF mapped to [`ContainerError::Truncated`].
-pub fn read_exact<R: Read>(r: &mut R, buf: &mut [u8], context: &'static str) -> Result<()> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            ContainerError::Truncated { context }
-        } else {
-            ContainerError::Io(e)
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn tag_roundtrip() {
-        for kind in [
-            SectionKind::End,
-            SectionKind::Codebook,
-            SectionKind::FlatStream,
-            SectionKind::GapArray,
-            SectionKind::Outliers,
-            SectionKind::ChunkedStream,
-            SectionKind::DecodedCrc,
-            SectionKind::Manifest,
-            SectionKind::CodebookDict,
-            SectionKind::TuningHints,
-            SectionKind::HybridStream,
-            SectionKind::CodebookRef,
-        ] {
+        for (tag, (kind, _)) in KINDS.into_iter().enumerate() {
+            assert_eq!(kind.tag() as usize, tag);
             assert_eq!(SectionKind::from_tag(kind.tag()), Some(kind));
             assert_eq!(kind.requires_v2(), kind.tag() >= 8);
         }
@@ -244,9 +193,9 @@ mod tests {
         let mut buf = Vec::new();
         let written = write_section(&mut buf, SectionKind::Codebook, &payload).unwrap();
         assert_eq!(written as usize, buf.len());
-        let (kind, got) = read_section(&mut buf.as_slice()).unwrap();
+        let (kind, got) = next_section(&mut buf.as_slice()).unwrap();
         assert_eq!(kind, SectionKind::Codebook);
-        assert_eq!(got, payload);
+        assert_eq!(got, payload.as_slice());
     }
 
     #[test]
@@ -255,7 +204,7 @@ mod tests {
         write_section(&mut buf, SectionKind::GapArray, &[1, 2, 3, 4]).unwrap();
         buf[FRAME_BYTES + 2] ^= 0x10;
         assert!(matches!(
-            read_section(&mut buf.as_slice()),
+            next_section(&mut buf.as_slice()),
             Err(ContainerError::ChecksumMismatch {
                 section: SectionKind::GapArray,
                 ..
@@ -271,7 +220,7 @@ mod tests {
         // still detected.
         buf[0] = SectionKind::Codebook.tag();
         assert!(matches!(
-            read_section(&mut buf.as_slice()),
+            next_section(&mut buf.as_slice()),
             Err(ContainerError::ChecksumMismatch { .. })
         ));
     }
@@ -282,7 +231,7 @@ mod tests {
         write_section(&mut buf, SectionKind::FlatStream, &[7; 300]).unwrap();
         buf.truncate(FRAME_BYTES + 100);
         assert!(matches!(
-            read_section(&mut buf.as_slice()),
+            next_section(&mut buf.as_slice()),
             Err(ContainerError::Truncated { .. })
         ));
     }
@@ -292,7 +241,7 @@ mod tests {
         let mut buf = vec![SectionKind::Codebook.tag(), 0, 0, 0];
         buf.extend_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
-            read_section(&mut buf.as_slice()),
+            next_section(&mut buf.as_slice()),
             Err(ContainerError::Invalid { .. })
         ));
     }
@@ -303,7 +252,7 @@ mod tests {
         write_section(&mut buf, SectionKind::End, &[]).unwrap();
         buf[0] = 0x3A;
         assert!(matches!(
-            read_section(&mut buf.as_slice()),
+            next_section(&mut buf.as_slice()),
             Err(ContainerError::UnknownSection { tag: 0x3A })
         ));
     }

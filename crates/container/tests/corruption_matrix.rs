@@ -392,6 +392,59 @@ fn manifest_inside_an_archive_rejected() {
     assert!(read_info(&mut spliced.as_slice()).is_err());
 }
 
+/// A manifest whose entry lies about its shard — CRC-valid, extents intact — must be
+/// refused by the load path exactly as by the manifest seek: both read the shard the
+/// same way and cross-check it against the entry.
+#[test]
+fn lying_manifest_entry_is_refused_by_seek_and_load_alike() {
+    let (_, bytes) = sample_snapshot();
+    let honest = Snapshot::parse(&bytes).unwrap();
+    let mut entries = honest.manifest().unwrap().entries().to_vec();
+    entries[1].num_symbols += 7;
+    entries[1].decoded_crc = entries[1].decoded_crc.map(|crc| !crc);
+    let manifest = huffdec_container::SnapshotManifest::new(entries).unwrap();
+    let mut lying = Vec::new();
+    huffdec_container::section::write_section(
+        &mut lying,
+        huffdec_container::SectionKind::Manifest,
+        &huffdec_container::codec::encode_manifest(&manifest),
+    )
+    .unwrap();
+    assert_eq!(
+        lying.len(),
+        manifest_section_len(&bytes),
+        "same-length splice"
+    );
+    lying.extend_from_slice(honest.archive_bytes());
+
+    let snapshot = Snapshot::parse(&lying).expect("prologue and extents stay valid");
+    assert!(
+        snapshot.read_field(0).is_ok(),
+        "the honest entries still read"
+    );
+    for (path, result) in [
+        ("read_field", snapshot.read_field(1).map(drop)),
+        (
+            "read_snapshot_with_info",
+            read_snapshot_with_info(&lying).map(drop),
+        ),
+    ] {
+        match result {
+            Err(ContainerError::Invalid { reason }) => {
+                assert_eq!(
+                    reason, "manifest entry disagrees with its shard",
+                    "{}",
+                    path
+                )
+            }
+            other => panic!(
+                "{}: expected the cross-check to refuse, got {:?}",
+                path, other
+            ),
+        }
+    }
+}
+
 #[test]
 fn snapshot_bit_flips_and_garbage_never_panic() {
     let (_, bytes) = sample_snapshot();

@@ -8,7 +8,7 @@
 //!   in the workspace — the structure the GPU decoders keep in global memory ("the
 //!   codebook that is used for decoding is kept in global memory; since this codebook is
 //!   shared across all thread blocks, it is kept in cache" — §IV-B of the paper). It is a
-//!   direct lookup on the next [`LUT_BITS`] bits of the stream for the short codes, backed
+//!   direct lookup on the next `LUT_BITS` bits of the stream for the short codes, backed
 //!   by per-length first-code / first-index arrays over the symbols in canonical order
 //!   for codes up to [`MAX_CODE_LEN`].
 //!

@@ -309,6 +309,64 @@ fn corrupt_stream_is_an_error_reply_and_the_daemon_keeps_serving() {
     daemon.join().unwrap();
 }
 
+/// A snapshot whose manifest lies about a shard (CRC-valid, extents intact) is refused
+/// with the same typed error by the manifest seek, the container's load path, the
+/// facade and a daemon `LOAD` — none of them trusts an index its shard contradicts.
+#[test]
+fn lying_manifest_is_refused_by_every_open_path() {
+    use huffdec_container::{ContainerError, SectionKind, Snapshot, SnapshotManifest};
+
+    let dir = std::env::temp_dir().join("hfzd-daemon-lying-manifest");
+    std::fs::create_dir_all(&dir).unwrap();
+    let gpu = Gpu::with_host_threads(GpuConfig::test_tiny(), 2);
+    let a = build_archive(&dir, &gpu, "a", "HACC", DecoderKind::OptimizedGapArray, 61);
+    let b = build_archive(&dir, &gpu, "b", "CESM", DecoderKind::OptimizedSelfSync, 62);
+    let honest =
+        huffdec_container::snapshot_to_bytes(&[("a", &a.compressed), ("b", &b.compressed)])
+            .unwrap();
+
+    let parsed = Snapshot::parse(&honest).unwrap();
+    let mut entries = parsed.manifest().unwrap().entries().to_vec();
+    entries[1].num_symbols += 7;
+    entries[1].decoded_crc = entries[1].decoded_crc.map(|crc| !crc);
+    let mut lying = Vec::new();
+    huffdec_container::section::write_section(
+        &mut lying,
+        SectionKind::Manifest,
+        &huffdec_container::codec::encode_manifest(&SnapshotManifest::new(entries).unwrap()),
+    )
+    .unwrap();
+    lying.extend_from_slice(parsed.archive_bytes());
+    assert_eq!(lying.len(), honest.len(), "same-length splice");
+    let path = dir.join("lying.hfz");
+    std::fs::write(&path, &lying).unwrap();
+
+    let daemon = spawn_daemon(1 << 20);
+    let refusal = "manifest entry disagrees with its shard";
+    let is_refusal =
+        |e: &ContainerError| matches!(e, ContainerError::Invalid { reason } if *reason == refusal);
+    let snapshot = Snapshot::parse(&lying).expect("prologue and extents stay valid");
+    assert!(is_refusal(&snapshot.read_field(1).unwrap_err()));
+    assert!(is_refusal(
+        &huffdec_container::read_snapshot_with_info(&lying).unwrap_err()
+    ));
+    match daemon.state().codec().open_snapshot_bytes(&lying) {
+        Err(huffdec_codec::HfzError::Container(e)) => assert!(is_refusal(&e), "{}", e),
+        other => panic!("the facade must refuse the snapshot, got {:?}", other),
+    }
+    let mut client = support::impatient(daemon.local_addr());
+    let err = client
+        .load("lying", path.to_str().unwrap())
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains(refusal), "LOAD: {}", err);
+    // The daemon took nothing in and keeps serving.
+    assert_eq!(client.load("honest", a.path.to_str().unwrap()).unwrap(), 1);
+
+    daemon.shutdown();
+    daemon.join().unwrap();
+}
+
 #[test]
 fn daemon_shuts_down_with_an_idle_client_connected() {
     support::shutdown_with_clients_connected(spawn_daemon(1 << 20), Vec::new());

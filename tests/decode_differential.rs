@@ -19,8 +19,8 @@
 use std::collections::HashMap;
 
 use huffdec::container::{
-    payload_to_bytes, read_one_archive, read_snapshot_with_info, snapshot_to_bytes_v2, to_bytes_v2,
-    SectionKind, Snapshot,
+    payload_to_bytes, read_one_archive, read_snapshot_with_info, snapshot_to_bytes_v2, to_bytes_as,
+    FormatVersion, SectionKind, Snapshot,
 };
 use huffdec::core_decoders::{
     compress_for, decode, decode_batch, decode_range, prepare_decode, Backend, CompressedPayload,
@@ -421,7 +421,7 @@ fn streams_read_back_from_hfz1_and_hfz2_decode_to_the_oracle_on_both_backends() 
                 let mut read_back = vec![
                     (
                         "HFZ2 standalone",
-                        read_one_archive(&to_bytes_v2(field).unwrap()).unwrap(),
+                        read_one_archive(&to_bytes_as(field, FormatVersion::V2).unwrap()).unwrap(),
                     ),
                     ("HFZ2 snapshot shard", snapshot.read_field(index).unwrap()),
                 ];
