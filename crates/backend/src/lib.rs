@@ -126,9 +126,9 @@ impl std::error::Error for UnknownBackend {}
 /// An execution backend: everything the decode/encode pipelines consume from a device.
 ///
 /// Extends [`LaunchDevice`] (kernel launches, host-step charging) with the pipeline-
-/// level concerns: identity, concurrent-stream timing, and transfer modeling. The
-/// pipelines take `&dyn Backend`, so a concrete [`Gpu`] coerces at every existing call
-/// site.
+/// level concerns: identity, concurrent-stream timing, transfer modeling, and the
+/// host-thread budget. The pipelines take `&dyn Backend`, so a concrete [`Gpu`] coerces
+/// at every existing call site.
 pub trait Backend: LaunchDevice + Send + Sync + fmt::Debug {
     /// Which backend this is.
     fn kind(&self) -> BackendKind;
@@ -154,6 +154,10 @@ pub trait Backend: LaunchDevice + Send + Sync + fmt::Debug {
 
     /// Whether PCIe-style transfers exist for this backend at all.
     fn models_transfer(&self) -> bool;
+
+    /// The session's host-thread budget: how many threads a launch fans its blocks
+    /// over, and the most a multi-field wave may run fields on.
+    fn host_threads(&self) -> usize;
 }
 
 /// The simulated-GPU backend: [`gpu_sim::Gpu`] with its modeled timings.
@@ -182,6 +186,10 @@ impl Backend for Gpu {
 
     fn models_transfer(&self) -> bool {
         true
+    }
+
+    fn host_threads(&self) -> usize {
+        Gpu::host_threads(self)
     }
 }
 
@@ -215,11 +223,6 @@ impl CpuBackend {
         CpuBackend {
             gpu: Gpu::with_host_threads(config, host_threads),
         }
-    }
-
-    /// Number of worker threads kernel blocks are chunked across.
-    pub fn host_threads(&self) -> usize {
-        self.gpu.host_threads()
     }
 }
 
@@ -275,6 +278,10 @@ impl Backend for CpuBackend {
 
     fn models_transfer(&self) -> bool {
         false
+    }
+
+    fn host_threads(&self) -> usize {
+        self.gpu.host_threads()
     }
 }
 

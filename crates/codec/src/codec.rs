@@ -785,8 +785,9 @@ impl Codec {
     }
 }
 
-/// Serializes reconstructed f32 data to the wire layout (little-endian, 4 B/element).
-fn f32_le_bytes(data: &[f32]) -> Vec<u8> {
+/// Serializes reconstructed f32 data to the wire and file layout (little-endian,
+/// 4 B/element).
+pub fn f32_le_bytes(data: &[f32]) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(data.len() * 4);
     for v in data {
         bytes.extend_from_slice(&v.to_le_bytes());
@@ -795,7 +796,7 @@ fn f32_le_bytes(data: &[f32]) -> Vec<u8> {
 }
 
 /// Serializes decoded symbols to the wire layout (little-endian, 2 B/element).
-fn u16_le_bytes(symbols: &[u16]) -> Vec<u8> {
+pub fn u16_le_bytes(symbols: &[u16]) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(symbols.len() * 2);
     for s in symbols {
         bytes.extend_from_slice(&s.to_le_bytes());

@@ -50,7 +50,10 @@ mod codec;
 mod error;
 mod handle;
 
-pub use codec::{BatchDecodeOutcome, Codec, CodecBuilder, DecodeOutcome, EncodeOutcome};
+pub use codec::{
+    f32_le_bytes, u16_le_bytes, BatchDecodeOutcome, Codec, CodecBuilder, DecodeOutcome,
+    EncodeOutcome,
+};
 pub use error::{HfzError, Result};
 // The container format-version switch and the auto-hybrid default, re-exported so
 // CLI/daemon consumers can speak format v2 without naming the lower crates directly.

@@ -94,17 +94,15 @@ pub fn decode_batch(
 /// host threads; fields add a second axis of parallelism on top, exactly like kernels
 /// from independent streams would). The worker count is capped — a 1000-field batch must
 /// never spawn 1000 OS threads — and workers pull fields off a shared atomic cursor.
-/// With a single worker (a wave of one, or a one-core host) no thread is spawned: the
-/// fields decode on the calling thread.
+/// The pool is sized by the device's host-thread budget ([`Backend::host_threads`]);
+/// with a single worker (a wave of one, or a one-thread session) no thread is spawned:
+/// the fields decode on the calling thread.
 pub fn decode_wave<T: Sync>(
     gpu: &dyn Backend,
     items: &[T],
     decode_field: impl Fn(&T) -> Result<DecodeResult, DecodeError> + Sync,
 ) -> Result<(Vec<DecodeResult>, BatchStats), DecodeError> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(items.len());
+    let workers = gpu.host_threads().min(items.len());
     let next = std::sync::atomic::AtomicUsize::new(0);
     let slots: Vec<std::sync::Mutex<Option<Result<DecodeResult, DecodeError>>>> =
         items.iter().map(|_| std::sync::Mutex::new(None)).collect();
@@ -241,6 +239,31 @@ mod tests {
         // Per-field breakdowns agree with a standalone decode of the same payload.
         let solo = decode(&g, items[0].0, items[0].1).unwrap();
         assert!((solo.timings.total_seconds() - results[0].timings.total_seconds()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn one_thread_session_runs_the_wave_on_the_calling_thread() {
+        let g = Gpu::with_host_threads(GpuConfig::test_tiny(), 1);
+        let payloads: Vec<CompressedPayload> = (0..4)
+            .map(|salt| {
+                compress_for(
+                    DecoderKind::OptimizedGapArray,
+                    &quant_symbols(3_000, salt),
+                    1024,
+                )
+            })
+            .collect();
+        let caller = std::thread::current().id();
+        let (results, _) = decode_wave(&g, &payloads, |payload| {
+            assert_eq!(
+                std::thread::current().id(),
+                caller,
+                "a host_threads(1) wave must not spawn"
+            );
+            decode(&g, DecoderKind::OptimizedGapArray, payload)
+        })
+        .unwrap();
+        assert_eq!(results.len(), 4);
     }
 
     #[test]

@@ -388,7 +388,7 @@ fn decode_checked(
         ..prepared.timings
     };
     Ok(DecodeResult {
-        symbols: output.to_vec(),
+        symbols: output.into_vec(),
         timings,
     })
 }

@@ -104,7 +104,7 @@ fn codebook_build_time(cfg: &GpuConfig, alphabet_size: usize) -> f64 {
 
 /// Kernel of the first offsets pass: map every symbol to its codeword length.
 struct CodeLengthKernel<'a> {
-    symbols: &'a DeviceBuffer<u16>,
+    symbols: &'a [u16],
     codewords: &'a [Codeword],
     lengths: &'a DeviceBuffer<u64>,
 }
@@ -122,7 +122,7 @@ impl BlockKernel for CodeLengthKernel<'_> {
             return;
         }
         for i in start..end {
-            let s = self.symbols.get(i);
+            let s = self.symbols[i];
             let cw = self.codewords[s as usize];
             assert!(
                 cw.len > 0,
@@ -152,7 +152,7 @@ impl BlockKernel for CodeLengthKernel<'_> {
 /// Kernel rebasing within-chunk bit offsets onto the chunk's padded unit region (chunked
 /// format only): `out[j] = 32·unit_offset(chunk(j)) + scan[j] - scan[chunk_start(j)]`.
 struct ChunkRebaseKernel<'a> {
-    scan: &'a DeviceBuffer<u64>,
+    scan: &'a [u64],
     out: &'a DeviceBuffer<u64>,
     chunk_unit_offsets: &'a [u64],
     chunk_symbols: usize,
@@ -172,8 +172,8 @@ impl BlockKernel for ChunkRebaseKernel<'_> {
         }
         for j in start..end {
             let c = j / self.chunk_symbols;
-            let chunk_start_bit = self.scan.get(c * self.chunk_symbols);
-            let rebased = self.chunk_unit_offsets[c] * 32 + (self.scan.get(j) - chunk_start_bit);
+            let chunk_start_bit = self.scan[c * self.chunk_symbols];
+            let rebased = self.chunk_unit_offsets[c] * 32 + (self.scan[j] - chunk_start_bit);
             self.out.set(j, rebased);
         }
         let warp_size = ctx.config().warp_size;
@@ -197,8 +197,8 @@ impl BlockKernel for ChunkRebaseKernel<'_> {
 /// per-chunk padding gaps); bits not covered by any codeword stay zero, which is exactly
 /// the serial encoder's padding.
 struct ScatterUnitsKernel<'a> {
-    symbols: &'a DeviceBuffer<u16>,
-    offsets: &'a DeviceBuffer<u64>,
+    symbols: &'a [u16],
+    offsets: &'a [u64],
     codewords: &'a [Codeword],
     units: &'a DeviceBuffer<u32>,
 }
@@ -206,19 +206,9 @@ struct ScatterUnitsKernel<'a> {
 impl ScatterUnitsKernel<'_> {
     /// Index of the last symbol whose codeword starts at or before `bit`.
     fn covering_symbol(&self, bit: u64) -> usize {
-        let n = self.offsets.len();
-        // partition_point over the device offsets: first j with offsets[j] > bit.
-        let mut lo = 0usize;
-        let mut hi = n;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.offsets.get(mid) <= bit {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo.saturating_sub(1)
+        self.offsets
+            .partition_point(|&o| o <= bit)
+            .saturating_sub(1)
     }
 }
 
@@ -242,11 +232,11 @@ impl BlockKernel for ScatterUnitsKernel<'_> {
         let mut j = self.covering_symbol(start_bit);
         let mut bits_written = 0u64;
         while j < n {
-            let o = self.offsets.get(j);
+            let o = self.offsets[j];
             if o >= end_bit {
                 break;
             }
-            let cw = self.codewords[self.symbols.get(j) as usize];
+            let cw = self.codewords[self.symbols[j] as usize];
             for d in 0..cw.len as u64 {
                 let pos = o + d;
                 if pos < start_bit {
@@ -295,7 +285,7 @@ impl BlockKernel for ScatterUnitsKernel<'_> {
 /// host encoder's sequential decode-walk ([`huffman::compute_gap_array`]) — the offsets
 /// are already on the device, so the gap array is a cheap by-product of the encode.
 struct GapFromOffsetsKernel<'a> {
-    offsets: &'a DeviceBuffer<u64>,
+    offsets: &'a [u64],
     gaps: &'a DeviceBuffer<u8>,
     subseq_bits: u64,
     bit_len: u64,
@@ -316,22 +306,9 @@ impl BlockKernel for GapFromOffsetsKernel<'_> {
         let n = self.offsets.len();
         for i in start..end {
             let boundary = i as u64 * self.subseq_bits;
-            // First offset >= boundary (partition_point over offsets < boundary).
-            let mut lo = 0usize;
-            let mut hi = n;
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if self.offsets.get(mid) < boundary {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            let target = if lo < n {
-                self.offsets.get(lo)
-            } else {
-                self.bit_len
-            };
+            // The first codeword starting at or after the boundary.
+            let first = self.offsets.partition_point(|&o| o < boundary);
+            let target = self.offsets.get(first).copied().unwrap_or(self.bit_len);
             let gap = target - boundary;
             assert!(gap <= u8::MAX as u64, "gap {} does not fit in a byte", gap);
             self.gaps.set(i, gap as u8);
@@ -372,8 +349,7 @@ pub fn compress_on(
         panic!("RLE+Huffman hybrid payloads are produced by the huffdec-hybrid crate");
     }
     // Phase 1: device histogram of the symbol stream.
-    let keys: Vec<u32> = symbols.iter().map(|&s| s as u32).collect();
-    let (counts, histogram) = device_histogram(gpu, &keys, alphabet_size);
+    let (counts, histogram) = device_histogram(gpu, symbols, alphabet_size);
 
     // Phase 2: canonical codebook from the frequencies (identical to the host path,
     // which counts the same frequencies from the same symbols). The sim charges the
@@ -404,17 +380,16 @@ pub fn compress_on(
 
     // Phase 3: codeword lengths, then the device prefix sum assigning every symbol its
     // output bit offset.
-    let d_symbols = DeviceBuffer::from_slice(symbols);
     let d_lengths = DeviceBuffer::<u64>::zeroed(symbols.len());
     let length_kernel = CodeLengthKernel {
-        symbols: &d_symbols,
+        symbols,
         codewords: codebook.codewords(),
         lengths: &d_lengths,
     };
     let tile = (BLOCK_DIM * ITEMS_PER_THREAD) as usize;
     let grid = symbols.len().div_ceil(tile) as u32;
     offsets_phase.push_serial(gpu.launch(&length_kernel, LaunchConfig::new(grid, BLOCK_DIM)));
-    let (scan, total_bits, scan_phase) = device_exclusive_prefix_sum(gpu, &d_lengths.to_vec());
+    let (scan, total_bits, scan_phase) = device_exclusive_prefix_sum(gpu, &d_lengths.into_vec());
     offsets_phase.extend_serial(scan_phase);
 
     let payload = match kind {
@@ -440,10 +415,9 @@ pub fn compress_on(
                 device_exclusive_prefix_sum(gpu, &unit_counts);
             offsets_phase.extend_serial(chunk_scan_phase);
 
-            let d_scan = DeviceBuffer::from_slice(&scan);
             let d_rebased = DeviceBuffer::<u64>::zeroed(symbols.len());
             let rebase = ChunkRebaseKernel {
-                scan: &d_scan,
+                scan: &scan,
                 out: &d_rebased,
                 chunk_unit_offsets: &chunk_unit_offsets,
                 chunk_symbols,
@@ -453,8 +427,8 @@ pub fn compress_on(
             let d_units = DeviceBuffer::<u32>::zeroed(total_units as usize);
             scatter_phase.push_serial(launch_scatter(
                 gpu,
-                &d_symbols,
-                &d_rebased,
+                symbols,
+                &d_rebased.into_vec(),
                 codebook.codewords(),
                 &d_units,
             ));
@@ -474,7 +448,7 @@ pub fn compress_on(
                 .collect();
             CompressedPayload::Chunked {
                 encoded: ChunkedEncoded {
-                    units: d_units.to_vec(),
+                    units: d_units.into_vec(),
                     chunks,
                     chunk_symbols,
                     num_symbols: symbols.len(),
@@ -486,12 +460,11 @@ pub fn compress_on(
         | DecoderKind::OptimizedSelfSync
         | DecoderKind::OptimizedGapArray => {
             let geometry = StreamGeometry::default();
-            let d_offsets = DeviceBuffer::from_slice(&scan);
             let d_units = DeviceBuffer::<u32>::zeroed(total_bits.div_ceil(32) as usize);
             scatter_phase.push_serial(launch_scatter(
                 gpu,
-                &d_symbols,
-                &d_offsets,
+                symbols,
+                &scan,
                 codebook.codewords(),
                 &d_units,
             ));
@@ -500,7 +473,7 @@ pub fn compress_on(
                 let num_subseqs = geometry.num_subseqs(total_bits);
                 let d_gaps = DeviceBuffer::<u8>::zeroed(num_subseqs);
                 let gap_kernel = GapFromOffsetsKernel {
-                    offsets: &d_offsets,
+                    offsets: &scan,
                     gaps: &d_gaps,
                     subseq_bits: geometry.subseq_bits(),
                     bit_len: total_bits,
@@ -509,7 +482,7 @@ pub fn compress_on(
                 scatter_phase
                     .push_serial(gpu.launch(&gap_kernel, LaunchConfig::new(gap_grid, BLOCK_DIM)));
                 Some(GapArray {
-                    gaps: d_gaps.to_vec(),
+                    gaps: d_gaps.into_vec(),
                     subseq_bits: geometry.subseq_bits(),
                 })
             } else {
@@ -517,7 +490,7 @@ pub fn compress_on(
             };
 
             CompressedPayload::Flat(EncodedStream {
-                units: d_units.to_vec(),
+                units: d_units.into_vec(),
                 bit_len: total_bits,
                 num_symbols: symbols.len(),
                 codebook,
@@ -539,8 +512,8 @@ pub fn compress_on(
 
 fn launch_scatter(
     gpu: &dyn Backend,
-    symbols: &DeviceBuffer<u16>,
-    offsets: &DeviceBuffer<u64>,
+    symbols: &[u16],
+    offsets: &[u64],
     codewords: &[Codeword],
     units: &DeviceBuffer<u32>,
 ) -> gpu_sim::KernelStats {

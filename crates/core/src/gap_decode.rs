@@ -127,7 +127,7 @@ pub fn gap_count_symbols(
     let grid = (total_subs as u32).div_ceil(COUNT_BLOCK_DIM);
     phase.push_serial(gpu.launch(&kernel, LaunchConfig::new(grid, COUNT_BLOCK_DIM)));
 
-    let counts = counts.to_vec();
+    let counts = counts.into_vec();
     let infos = starts
         .into_iter()
         .zip(counts)
@@ -223,7 +223,7 @@ pub fn decode_original_gap8(gpu: &dyn Backend, g8: &Gap8Stream) -> (Vec<u8>, Pha
         tune: None,
         decode_write: Some(decode_phase),
     };
-    let symbols: Vec<u8> = output.to_vec().into_iter().map(|s| s as u8).collect();
+    let symbols: Vec<u8> = output.into_vec().into_iter().map(|s| s as u8).collect();
     (symbols, timings)
 }
 

@@ -334,13 +334,13 @@ pub fn synchronize(gpu: &dyn Backend, stream: &EncodedStream, variant: SyncVaria
             .max(1);
         let stats = gpu.launch(&inter, LaunchConfig::new(grid, INTER_BLOCK_DIM));
         inter_phase.push_serial(stats);
-        if changed.to_vec().iter().all(|&c| c == 0) {
+        if changed.into_vec().iter().all(|&c| c == 0) {
             break;
         }
     }
 
-    let starts = bufs.start.to_vec();
-    let counts = bufs.count.to_vec();
+    let starts = bufs.start.into_vec();
+    let counts = bufs.count.into_vec();
     let infos: Vec<SubseqInfo> = starts
         .into_iter()
         .zip(counts)

@@ -139,7 +139,7 @@ pub fn tuned_decode_write(
     };
     let grid = (num_seqs as u32).div_ceil(256).max(1);
     tune_phase.push_serial(gpu.launch(&classify, LaunchConfig::new(grid, 256)));
-    let class_of_seq = classes_buf.to_vec();
+    let class_of_seq = classes_buf.into_vec();
 
     // Step 2: device histogram of the classes.
     let num_classes = (t_high + 1) as usize;

@@ -1,12 +1,20 @@
 //! Device-memory buffers.
 //!
-//! A [`DeviceBuffer`] stands in for a `cudaMalloc`'d allocation. Simulated kernels receive
-//! shared references to buffers and may read and write elements concurrently from many
-//! blocks, mirroring CUDA semantics where the programmer is responsible for ensuring that
-//! concurrently-executing threads write disjoint locations. Concurrent writes to the *same*
-//! element are a bug in the kernel (as they would be on a real GPU) and are not detected.
+//! Device memory is host memory here, so the workspace follows one rule: **a
+//! [`DeviceBuffer`] exists only where the blocks of a launch write concurrently.** It is
+//! made from a `Vec` and handed back as a `Vec` by move ([`DeviceBuffer::from_vec`] /
+//! [`DeviceBuffer::into_vec`]), and every read-only kernel operand is a plain `&[T]`.
+//! Nothing is copied in or out: what a host/device transfer would cost is charged
+//! analytically ([`crate::transfer`]), never paid by an element-wise copy.
+//!
+//! Simulated kernels receive shared references to buffers and may write elements
+//! concurrently from many blocks, mirroring CUDA semantics where the programmer is
+//! responsible for ensuring that concurrently-executing threads write disjoint locations.
+//! Concurrent writes to the *same* element are a bug in the kernel (as they would be on a
+//! real GPU) and are not detected.
 
 use std::cell::UnsafeCell;
+use std::mem::ManuallyDrop;
 
 /// A linear device-memory allocation of `Copy` elements with interior mutability.
 ///
@@ -14,7 +22,7 @@ use std::cell::UnsafeCell;
 /// write into it simultaneously. Just like global memory on a real GPU, the simulator does
 /// not arbitrate conflicting writes: kernels must partition their output index ranges.
 pub struct DeviceBuffer<T> {
-    data: Box<[UnsafeCell<T>]>,
+    data: Vec<UnsafeCell<T>>,
 }
 
 // SAFETY: access discipline is delegated to kernel authors exactly as CUDA delegates it to
@@ -24,20 +32,27 @@ unsafe impl<T: Send> Sync for DeviceBuffer<T> {}
 unsafe impl<T: Send> Send for DeviceBuffer<T> {}
 
 impl<T: Copy> DeviceBuffer<T> {
-    /// Allocates a buffer of `len` elements, each initialized to `init`.
-    pub fn filled(len: usize, init: T) -> Self {
-        let data: Vec<UnsafeCell<T>> = (0..len).map(|_| UnsafeCell::new(init)).collect();
-        DeviceBuffer {
-            data: data.into_boxed_slice(),
-        }
+    /// Takes ownership of `v` as a device buffer; the allocation is kept, not copied.
+    pub fn from_vec(v: Vec<T>) -> Self {
+        let mut v = ManuallyDrop::new(v);
+        // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`, so the element size and
+        // alignment — and with them the allocation's layout — are unchanged; pointer,
+        // length and capacity come from a live `Vec` that is not dropped.
+        let data = unsafe { Vec::from_raw_parts(v.as_mut_ptr().cast(), v.len(), v.capacity()) };
+        DeviceBuffer { data }
     }
 
-    /// Allocates a buffer holding a copy of `src` (the equivalent of `cudaMemcpy` H2D).
-    pub fn from_slice(src: &[T]) -> Self {
-        let data: Vec<UnsafeCell<T>> = src.iter().map(|&v| UnsafeCell::new(v)).collect();
-        DeviceBuffer {
-            data: data.into_boxed_slice(),
-        }
+    /// Hands the buffer back to the host as a `Vec`; the allocation is kept, not copied.
+    pub fn into_vec(self) -> Vec<T> {
+        let mut data = ManuallyDrop::new(self.data);
+        // SAFETY: the inverse of `from_vec` — same layout by `repr(transparent)`, and
+        // owning `self` means no kernel still holds a reference into the buffer.
+        unsafe { Vec::from_raw_parts(data.as_mut_ptr().cast(), data.len(), data.capacity()) }
+    }
+
+    /// Allocates a buffer of `len` elements, each initialized to `init`.
+    pub fn filled(len: usize, init: T) -> Self {
+        Self::from_vec(vec![init; len])
     }
 
     /// Number of elements in the buffer.
@@ -80,7 +95,9 @@ impl<T: Copy> DeviceBuffer<T> {
         unsafe { *self.data[i].get() = v };
     }
 
-    /// Copies the buffer contents back to the host (the equivalent of `cudaMemcpy` D2H).
+    /// Snapshots the buffer contents while kernels may still hold it. Only for callers
+    /// whose algorithm needs the copy; a finished buffer leaves through
+    /// [`DeviceBuffer::into_vec`].
     pub fn to_vec(&self) -> Vec<T> {
         (0..self.data.len())
             .map(|i| unsafe { *self.data[i].get() })
@@ -117,12 +134,23 @@ impl<T: Copy + std::fmt::Debug> std::fmt::Debug for DeviceBuffer<T> {
 mod tests {
     use super::*;
 
+    /// `from_vec(v).into_vec()` must hand back `v`'s own allocation with its contents.
+    fn assert_moves<T: Copy + PartialEq + std::fmt::Debug + Send>(v: Vec<T>) {
+        let (ptr, len, expect) = (v.as_ptr(), v.len(), v.clone());
+        let back = DeviceBuffer::from_vec(v).into_vec();
+        assert_eq!(back.as_ptr(), ptr);
+        assert_eq!(back.len(), len);
+        assert_eq!(back, expect);
+    }
+
     #[test]
-    fn roundtrip_from_slice() {
-        let src = vec![1u32, 2, 3, 4, 5];
-        let buf = DeviceBuffer::from_slice(&src);
-        assert_eq!(buf.len(), 5);
-        assert_eq!(buf.to_vec(), src);
+    fn from_vec_into_vec_is_a_move() {
+        assert_moves::<u8>((0..=255).collect());
+        assert_moves::<u16>((0..1000).map(|i| i * 3).collect());
+        assert_moves::<u64>((0..1000).map(|i| i << 40).collect());
+        assert_moves::<u8>(Vec::new());
+        assert_moves::<u16>(Vec::new());
+        assert_moves::<u64>(Vec::new());
     }
 
     #[test]
@@ -136,7 +164,7 @@ mod tests {
 
     #[test]
     fn copy_range() {
-        let buf = DeviceBuffer::from_slice(&[10u32, 11, 12, 13, 14]);
+        let buf = DeviceBuffer::from_vec(vec![10u32, 11, 12, 13, 14]);
         let mut out = [0u32; 3];
         buf.copy_range_to(1, &mut out);
         assert_eq!(out, [11, 12, 13]);
@@ -144,7 +172,9 @@ mod tests {
 
     #[test]
     fn concurrent_disjoint_writes() {
-        let buf: DeviceBuffer<u64> = DeviceBuffer::zeroed(1024);
+        let v = vec![0u64; 1024];
+        let ptr = v.as_ptr();
+        let buf = DeviceBuffer::from_vec(v);
         std::thread::scope(|s| {
             for t in 0..4 {
                 let buf = &buf;
@@ -155,7 +185,9 @@ mod tests {
                 });
             }
         });
-        let host = buf.to_vec();
+        let host = buf.into_vec();
+        assert_eq!(host.as_ptr(), ptr);
+        assert_eq!(host.len(), 1024);
         for (i, v) in host.iter().enumerate() {
             assert_eq!(*v, i as u64 * 2);
         }

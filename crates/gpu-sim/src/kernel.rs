@@ -52,10 +52,10 @@ impl LaunchConfig {
 /// A simulated CUDA kernel, written at thread-block granularity.
 ///
 /// The `block` method is invoked once per block in the grid; it performs the block's real
-/// work (reads/writes of [`crate::DeviceBuffer`]s) and reports SIMT costs through the
-/// [`BlockContext`]. Blocks may execute concurrently on host threads, so implementations
-/// must only use `&self` state and must write disjoint output ranges, exactly as CUDA
-/// blocks must.
+/// work (reads of its input slices, writes into [`crate::DeviceBuffer`]s) and reports SIMT
+/// costs through the [`BlockContext`]. Blocks may execute concurrently on host threads,
+/// so implementations must only use `&self` state and must write disjoint output ranges,
+/// exactly as CUDA blocks must.
 pub trait BlockKernel: Sync {
     /// A short name used in reports.
     fn name(&self) -> &str;

@@ -9,9 +9,12 @@
 //! The simulator has two halves:
 //!
 //! * **Functional execution** — kernels implement [`BlockKernel`] and are executed once
-//!   per thread block, in parallel across host CPU threads, reading and writing
-//!   [`DeviceBuffer`]s. The decoded output is real: every decoder in the workspace
-//!   produces bit-exact results that are checked against CPU reference decoders.
+//!   per thread block, in parallel across host CPU threads, reading their inputs as
+//!   plain slices and writing their outputs into [`DeviceBuffer`]s — which exist only
+//!   where the blocks of a launch write concurrently, and are made from and returned as
+//!   a `Vec` by move (see [`buffer`]). The decoded output is real: every decoder in the
+//!   workspace produces bit-exact results that are checked against CPU reference
+//!   decoders.
 //! * **Performance model** — kernels report their SIMT behaviour (warp-level memory
 //!   accesses, divergence, barriers) through [`BlockContext`]; the model aggregates this
 //!   into [`KernelStats`] using V100-calibrated parameters: memory-transaction coalescing
@@ -51,9 +54,9 @@
 //! }
 //!
 //! let gpu = Gpu::new(GpuConfig::v100());
-//! let data = DeviceBuffer::from_slice(&[1u32, 2, 3, 4]);
+//! let data = DeviceBuffer::from_vec(vec![1u32, 2, 3, 4]);
 //! let stats = gpu.launch(&Double { data: &data }, LaunchConfig::covering(4, 256));
-//! assert_eq!(data.to_vec(), vec![2, 4, 6, 8]);
+//! assert_eq!(data.into_vec(), vec![2, 4, 6, 8]);
 //! assert!(stats.time_s > 0.0);
 //! ```
 

@@ -13,13 +13,13 @@ use crate::timing::PhaseTime;
 const BLOCK_DIM: u32 = 256;
 const ITEMS_PER_THREAD: u32 = 8;
 
-struct PartialHistogramKernel<'a> {
-    keys: &'a DeviceBuffer<u32>,
+struct PartialHistogramKernel<'a, K> {
+    keys: &'a [K],
     partials: &'a DeviceBuffer<u64>,
     num_bins: usize,
 }
 
-impl BlockKernel for PartialHistogramKernel<'_> {
+impl<K: Copy + Into<u32> + Sync> BlockKernel for PartialHistogramKernel<'_, K> {
     fn name(&self) -> &str {
         "device_histogram::partial"
     }
@@ -32,7 +32,7 @@ impl BlockKernel for PartialHistogramKernel<'_> {
 
         let mut local = vec![0u64; self.num_bins];
         for i in start..end {
-            let k = self.keys.get(i) as usize;
+            let k = self.keys[i].into() as usize;
             assert!(
                 k < self.num_bins,
                 "histogram key {} out of range ({} bins)",
@@ -74,7 +74,7 @@ impl BlockKernel for PartialHistogramKernel<'_> {
 }
 
 struct ReducePartialsKernel<'a> {
-    partials: &'a DeviceBuffer<u64>,
+    partials: &'a [u64],
     out: &'a DeviceBuffer<u64>,
     num_bins: usize,
     num_partials: usize,
@@ -93,7 +93,7 @@ impl BlockKernel for ReducePartialsKernel<'_> {
         for bin in start_bin..end_bin {
             let mut sum = 0u64;
             for p in 0..self.num_partials {
-                sum += self.partials.get(p * self.num_bins + bin);
+                sum += self.partials[p * self.num_bins + bin];
             }
             self.out.set(bin, sum);
         }
@@ -114,9 +114,9 @@ impl BlockKernel for ReducePartialsKernel<'_> {
 /// Computes the histogram of `keys` over `num_bins` bins on the device.
 ///
 /// Every key must be `< num_bins`. Returns the bin counts and the accumulated phase time.
-pub fn device_histogram<D: LaunchDevice + ?Sized>(
+pub fn device_histogram<D: LaunchDevice + ?Sized, K: Copy + Into<u32> + Sync>(
     gpu: &D,
-    keys: &[u32],
+    keys: &[K],
     num_bins: usize,
 ) -> (Vec<u64>, PhaseTime) {
     let mut phase = PhaseTime::empty();
@@ -124,29 +124,29 @@ pub fn device_histogram<D: LaunchDevice + ?Sized>(
         return (vec![0u64; num_bins], phase);
     }
 
-    let d_keys = DeviceBuffer::from_slice(keys);
     let tile = (BLOCK_DIM * ITEMS_PER_THREAD) as usize;
     let grid = keys.len().div_ceil(tile) as u32;
     let d_partials = DeviceBuffer::<u64>::zeroed(grid as usize * num_bins);
     let d_out = DeviceBuffer::<u64>::zeroed(num_bins);
 
     let k1 = PartialHistogramKernel {
-        keys: &d_keys,
+        keys,
         partials: &d_partials,
         num_bins,
     };
     phase.push_serial(gpu.launch(&k1, LaunchConfig::new(grid, BLOCK_DIM)));
 
+    let partials = d_partials.into_vec();
     let reduce_grid = (num_bins as u32).div_ceil(BLOCK_DIM).max(1);
     let k2 = ReducePartialsKernel {
-        partials: &d_partials,
+        partials: &partials,
         out: &d_out,
         num_bins,
         num_partials: grid as usize,
     };
     phase.push_serial(gpu.launch(&k2, LaunchConfig::new(reduce_grid, BLOCK_DIM)));
 
-    (d_out.to_vec(), phase)
+    (d_out.into_vec(), phase)
 }
 
 #[cfg(test)]
@@ -186,7 +186,7 @@ mod tests {
     #[test]
     fn empty_keys() {
         let gpu = Gpu::with_host_threads(GpuConfig::test_tiny(), 2);
-        let (h, phase) = device_histogram(&gpu, &[], 9);
+        let (h, phase) = device_histogram(&gpu, &[0u32; 0], 9);
         assert_eq!(h, vec![0u64; 9]);
         assert_eq!(phase.seconds, 0.0);
     }
@@ -195,6 +195,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_key_panics() {
         let gpu = Gpu::with_host_threads(GpuConfig::test_tiny(), 1);
-        let _ = device_histogram(&gpu, &[10], 5);
+        let _ = device_histogram(&gpu, &[10u32], 5);
     }
 }

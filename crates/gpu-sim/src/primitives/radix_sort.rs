@@ -19,7 +19,7 @@ const BLOCK_DIM: u32 = 256;
 const ITEMS_PER_THREAD: u32 = 8;
 
 struct UpsweepKernel<'a> {
-    keys: &'a DeviceBuffer<u32>,
+    keys: &'a [u32],
     counts: &'a DeviceBuffer<u64>, // [block][digit]
     shift: u32,
 }
@@ -35,7 +35,7 @@ impl BlockKernel for UpsweepKernel<'_> {
         let end = (start + tile).min(self.keys.len());
         let mut local = [0u64; RADIX];
         for i in start..end {
-            let d = ((self.keys.get(i) >> self.shift) as usize) & (RADIX - 1);
+            let d = ((self.keys[i] >> self.shift) as usize) & (RADIX - 1);
             local[d] += 1;
         }
         let base = ctx.block_idx() as usize * RADIX;
@@ -63,8 +63,8 @@ impl BlockKernel for UpsweepKernel<'_> {
 }
 
 struct DownsweepKernel<'a> {
-    keys_in: &'a DeviceBuffer<u32>,
-    vals_in: &'a DeviceBuffer<u32>,
+    keys_in: &'a [u32],
+    vals_in: &'a [u32],
     keys_out: &'a DeviceBuffer<u32>,
     vals_out: &'a DeviceBuffer<u32>,
     /// Exclusive global base offset for each (block, digit), indexed `block * RADIX + digit`.
@@ -86,8 +86,8 @@ impl BlockKernel for DownsweepKernel<'_> {
         cursor.copy_from_slice(&self.offsets[base..base + RADIX]);
 
         for i in start..end {
-            let k = self.keys_in.get(i);
-            let v = self.vals_in.get(i);
+            let k = self.keys_in[i];
+            let v = self.vals_in[i];
             let d = ((k >> self.shift) as usize) & (RADIX - 1);
             let dst = cursor[d] as usize;
             self.keys_out.set(dst, k);
@@ -157,14 +157,18 @@ pub fn device_radix_sort_pairs<D: LaunchDevice + ?Sized>(
     let tile = (BLOCK_DIM * ITEMS_PER_THREAD) as usize;
     let grid = keys.len().div_ceil(tile) as u32;
 
-    let mut cur_keys = DeviceBuffer::from_slice(keys);
-    let mut cur_vals = DeviceBuffer::from_slice(values);
+    // Each pass reads the previous pass's output; the first reads the caller's slices.
+    let mut sorted: Option<(Vec<u32>, Vec<u32>)> = None;
 
     for pass in 0..passes {
+        let (keys_in, vals_in) = match &sorted {
+            Some((k, v)) => (&k[..], &v[..]),
+            None => (keys, values),
+        };
         let shift = pass * RADIX_BITS;
         let counts = DeviceBuffer::<u64>::zeroed(grid as usize * RADIX);
         let up = UpsweepKernel {
-            keys: &cur_keys,
+            keys: keys_in,
             counts: &counts,
             shift,
         };
@@ -174,7 +178,7 @@ pub fn device_radix_sort_pairs<D: LaunchDevice + ?Sized>(
         // offsets; small matrix, host-side, charged as one small kernel launch on the
         // sim and as measured time on a real backend.
         let host_start = std::time::Instant::now();
-        let counts_host = counts.to_vec();
+        let counts_host = counts.into_vec();
         let mut offsets = vec![0u64; grid as usize * RADIX];
         let mut running = 0u64;
         for digit in 0..RADIX {
@@ -191,8 +195,8 @@ pub fn device_radix_sort_pairs<D: LaunchDevice + ?Sized>(
         let out_keys = DeviceBuffer::<u32>::zeroed(keys.len());
         let out_vals = DeviceBuffer::<u32>::zeroed(values.len());
         let down = DownsweepKernel {
-            keys_in: &cur_keys,
-            vals_in: &cur_vals,
+            keys_in,
+            vals_in,
             keys_out: &out_keys,
             vals_out: &out_vals,
             offsets: &offsets,
@@ -200,11 +204,11 @@ pub fn device_radix_sort_pairs<D: LaunchDevice + ?Sized>(
         };
         phase.push_serial(gpu.launch(&down, LaunchConfig::new(grid, BLOCK_DIM)));
 
-        cur_keys = out_keys;
-        cur_vals = out_vals;
+        sorted = Some((out_keys.into_vec(), out_vals.into_vec()));
     }
 
-    (cur_keys.to_vec(), cur_vals.to_vec(), phase)
+    let (sorted_keys, sorted_vals) = sorted.expect("a radix sort runs at least one pass");
+    (sorted_keys, sorted_vals, phase)
 }
 
 #[cfg(test)]

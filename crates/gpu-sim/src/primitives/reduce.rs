@@ -18,7 +18,7 @@ enum ReduceOp {
 }
 
 struct ReduceKernel<'a> {
-    input: &'a DeviceBuffer<u64>,
+    input: &'a [u64],
     partials: &'a DeviceBuffer<u64>,
     op: ReduceOp,
 }
@@ -41,7 +41,7 @@ impl BlockKernel for ReduceKernel<'_> {
             ReduceOp::Max => 0,
         };
         for i in start..end {
-            let v = self.input.get(i);
+            let v = self.input[i];
             acc = match self.op {
                 ReduceOp::Sum => acc + v,
                 ReduceOp::Max => acc.max(v),
@@ -75,13 +75,12 @@ fn device_reduce<D: LaunchDevice + ?Sized>(
     if input.is_empty() {
         return (0, phase);
     }
-    let d_in = DeviceBuffer::from_slice(input);
     let tile = (BLOCK_DIM * ITEMS_PER_THREAD) as usize;
     let grid = input.len().div_ceil(tile) as u32;
     let d_partials = DeviceBuffer::<u64>::zeroed(grid as usize);
     let is_sum = matches!(op, ReduceOp::Sum);
     let k = ReduceKernel {
-        input: &d_in,
+        input,
         partials: &d_partials,
         op,
     };
@@ -90,7 +89,7 @@ fn device_reduce<D: LaunchDevice + ?Sized>(
     // Final combine of the per-block partials (small; host-side, one launch charged on
     // the sim, measured time on a real backend).
     let host_start = std::time::Instant::now();
-    let partials = d_partials.to_vec();
+    let partials = d_partials.into_vec();
     let result = if is_sum {
         partials.iter().sum()
     } else {

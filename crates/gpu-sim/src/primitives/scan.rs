@@ -16,7 +16,7 @@ const ITEMS_PER_THREAD: u32 = 4;
 const BLOCK_DIM: u32 = 256;
 
 struct BlockScanKernel<'a> {
-    input: &'a DeviceBuffer<u64>,
+    input: &'a [u64],
     output: &'a DeviceBuffer<u64>,
     block_sums: &'a DeviceBuffer<u64>,
 }
@@ -38,9 +38,8 @@ impl BlockKernel for BlockScanKernel<'_> {
         // Functional: sequential exclusive scan of the tile.
         let mut running = 0u64;
         for i in start..end {
-            let v = self.input.get(i);
             self.output.set(i, running);
-            running += v;
+            running += self.input[i];
         }
         self.block_sums.set(ctx.block_idx() as usize, running);
 
@@ -116,14 +115,13 @@ pub fn device_exclusive_prefix_sum<D: LaunchDevice + ?Sized>(
         return (Vec::new(), 0, phase);
     }
 
-    let d_in = DeviceBuffer::from_slice(input);
     let d_out = DeviceBuffer::<u64>::zeroed(input.len());
     let tile = (BLOCK_DIM * ITEMS_PER_THREAD) as usize;
     let grid = input.len().div_ceil(tile) as u32;
     let d_block_sums = DeviceBuffer::<u64>::zeroed(grid as usize);
 
     let k1 = BlockScanKernel {
-        input: &d_in,
+        input,
         output: &d_out,
         block_sums: &d_block_sums,
     };
@@ -133,12 +131,12 @@ pub fn device_exclusive_prefix_sum<D: LaunchDevice + ?Sized>(
     // kernel CUB would launch; the sim charges one launch overhead for it, a real
     // backend the measured duration.
     let host_start = std::time::Instant::now();
-    let sums = d_block_sums.to_vec();
-    let mut offsets = vec![0u64; sums.len()];
+    let mut offsets = d_block_sums.into_vec();
     let mut running = 0u64;
-    for (i, s) in sums.iter().enumerate() {
-        offsets[i] = running;
-        running += s;
+    for slot in offsets.iter_mut() {
+        let sum = *slot;
+        *slot = running;
+        running += sum;
     }
     phase.push_seconds(gpu.charge_seconds(
         gpu.config().kernel_launch_overhead_us * 1e-6,
@@ -151,7 +149,7 @@ pub fn device_exclusive_prefix_sum<D: LaunchDevice + ?Sized>(
     };
     phase.push_serial(gpu.launch(&k3, LaunchConfig::new(grid, BLOCK_DIM)));
 
-    (d_out.to_vec(), running, phase)
+    (d_out.into_vec(), running, phase)
 }
 
 #[cfg(test)]

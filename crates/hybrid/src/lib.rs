@@ -179,12 +179,12 @@ pub fn compress_hybrid_on(
 /// nonzero symbol. Spans are disjoint by construction of the prefix sum, so blocks
 /// write disjoint output ranges.
 struct RleExpandKernel<'a> {
-    tokens: &'a DeviceBuffer<u16>,
+    tokens: &'a [u16],
     /// Exclusive prefix sum of the per-token span lengths.
-    offsets: &'a DeviceBuffer<u64>,
+    offsets: &'a [u64],
     /// Exclusive prefix sum of the per-token symbol consumption.
-    sym_idx: &'a DeviceBuffer<u64>,
-    nonzeros: &'a DeviceBuffer<u16>,
+    sym_idx: &'a [u64],
+    nonzeros: &'a [u16],
     out: &'a DeviceBuffer<u16>,
     zero: u16,
 }
@@ -203,8 +203,8 @@ impl BlockKernel for RleExpandKernel<'_> {
         }
         let num_nonzeros = self.nonzeros.len() as u64;
         for i in start..end {
-            let t = self.tokens.get(i);
-            let off = self.offsets.get(i);
+            let t = self.tokens[i];
+            let off = self.offsets[i];
             let zeros = if t == HYBRID_RUN_CAP {
                 HYBRID_RUN_CAP as u64
             } else {
@@ -214,10 +214,10 @@ impl BlockKernel for RleExpandKernel<'_> {
                 self.out.set((off + k) as usize, self.zero);
             }
             if t < HYBRID_RUN_CAP {
-                let si = self.sym_idx.get(i);
+                let si = self.sym_idx[i];
                 if si < num_nonzeros {
                     self.out
-                        .set((off + zeros) as usize, self.nonzeros.get(si as usize));
+                        .set((off + zeros) as usize, self.nonzeros[si as usize]);
                 }
             }
         }
@@ -241,10 +241,10 @@ impl BlockKernel for RleExpandKernel<'_> {
                 ctx.global_load_contiguous(w, base, warp_size, 8); // sym_idx
                                                                    // Average span across the warp's tokens: write that many output
                                                                    // elements starting at the first lane's offset (the spans tile).
-                let span_start = self.offsets.get((base as usize).min(self.tokens.len() - 1));
+                let span_start = self.offsets[(base as usize).min(self.tokens.len() - 1)];
                 let span_end_idx = ((base + warp_size as u64) as usize).min(self.tokens.len());
                 let span_end = if span_end_idx < self.tokens.len() {
-                    self.offsets.get(span_end_idx)
+                    self.offsets[span_end_idx]
                 } else {
                     self.out.len() as u64
                 };
@@ -366,16 +366,12 @@ pub fn decode_hybrid(
         return Err(invalid("hybrid run tokens disagree with the code count"));
     }
 
-    let d_tokens = DeviceBuffer::from_slice(&tokens);
-    let d_offsets = DeviceBuffer::from_slice(&offsets);
-    let d_sym_idx = DeviceBuffer::from_slice(&sym_idx);
-    let d_nonzeros = DeviceBuffer::from_slice(&nonzeros);
     let out = DeviceBuffer::<u16>::zeroed(total as usize);
     let kernel = RleExpandKernel {
-        tokens: &d_tokens,
-        offsets: &d_offsets,
-        sym_idx: &d_sym_idx,
-        nonzeros: &d_nonzeros,
+        tokens: &tokens,
+        offsets: &offsets,
+        sym_idx: &sym_idx,
+        nonzeros: &nonzeros,
         out: &out,
         zero: zero_symbol(hybrid.symbols.codebook.alphabet_size()),
     };
@@ -388,7 +384,7 @@ pub fn decode_hybrid(
         .push_serial(stats);
 
     Ok(DecodeResult {
-        symbols: out.to_vec(),
+        symbols: out.into_vec(),
         timings,
     })
 }

@@ -34,7 +34,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use huffdec_backend::Backend;
-use huffdec_codec::{Codec, FieldHandle};
+use huffdec_codec::{u16_le_bytes, Codec, FieldHandle};
 use huffdec_container::JsonWriter;
 use huffdec_core::DecoderKind;
 use huffdec_metrics::{Metrics, MetricsSnapshot};
@@ -332,16 +332,12 @@ impl ServerState {
                 .codec
                 .decompress_range(field, start, len)
                 .map_err(|e| format!("range decode failed: {}", e))?;
-            let mut bytes = Vec::with_capacity(decoded.symbols.len() * 2);
-            for sym in &decoded.symbols {
-                bytes.extend_from_slice(&sym.to_le_bytes());
-            }
             return Ok(Response::Get {
                 kind,
                 from_cache: false,
                 partial: true,
                 elements: len,
-                bytes,
+                bytes: u16_le_bytes(&decoded.symbols),
             });
         }
 

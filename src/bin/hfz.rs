@@ -39,8 +39,8 @@ use huffdec::serve::daemon::{run_foreground as run_daemon, DaemonBuilder};
 use huffdec::serve::net::ListenAddr;
 use huffdec::serve::protocol::GetKind;
 use huffdec::{
-    BackendKind, Codec, DecoderKind, EncodeOutcome, ErrorBound, Field, FieldHandle, FormatVersion,
-    HfzError,
+    f32_le_bytes, BackendKind, Codec, DecoderKind, EncodeOutcome, ErrorBound, Field, FieldHandle,
+    FormatVersion, HfzError,
 };
 
 /// `println!` that exits quietly instead of panicking when stdout has been closed
@@ -488,13 +488,10 @@ fn cmd_compress_snapshot(codec: &Codec, args: &Args) -> Result<(), HfzError> {
 }
 
 fn write_f32(path: &str, data: &[f32]) -> Result<(), HfzError> {
-    let out = File::create(path).map_err(|e| HfzError::io(format!("cannot create {}", path), e))?;
-    let mut out = BufWriter::new(out);
-    for v in data {
-        out.write_all(&v.to_le_bytes())
-            .map_err(|e| HfzError::io("write failed", e))?;
-    }
-    out.flush().map_err(|e| HfzError::io("write failed", e))
+    let mut out =
+        File::create(path).map_err(|e| HfzError::io(format!("cannot create {}", path), e))?;
+    out.write_all(&f32_le_bytes(data))
+        .map_err(|e| HfzError::io("write failed", e))
 }
 
 /// Decompresses one field of an opened archive to `output` and reports the timing.

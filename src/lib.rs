@@ -35,9 +35,10 @@
 // ----- the session API (the supported surface) -----
 
 pub use huffdec_codec::{
-    ArchiveHandle, ArchiveSummary, Backend, BackendKind, BatchDecodeOutcome, Codec, CodecBuilder,
-    CpuBackend, DecodeOutcome, EncodeOutcome, FieldHandle, FormatVersion, HfzError, Metrics,
-    MetricsSnapshot, SimBackend, AUTO_HYBRID_ZERO_FRACTION, BACKEND_ENV,
+    f32_le_bytes, u16_le_bytes, ArchiveHandle, ArchiveSummary, Backend, BackendKind,
+    BatchDecodeOutcome, Codec, CodecBuilder, CpuBackend, DecodeOutcome, EncodeOutcome, FieldHandle,
+    FormatVersion, HfzError, Metrics, MetricsSnapshot, SimBackend, AUTO_HYBRID_ZERO_FRACTION,
+    BACKEND_ENV,
 };
 
 // Companion types the session API speaks in.
