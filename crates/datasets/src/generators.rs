@@ -16,7 +16,8 @@
 //! This construction makes the quantization-code statistics — the only thing the Huffman
 //! decoders are sensitive to — independent of the generated resolution, so experiments can
 //! run on scaled-down fields and still land in each dataset's compression-ratio regime
-//! (see DESIGN.md for the calibration). Physical realism of the values is a non-goal.
+//! (the per-dataset calibration is the [`DatasetSpec`] parameters in [`crate::registry`]).
+//! Physical realism of the values is a non-goal.
 
 use crate::field::{Dims, Field};
 use crate::registry::DatasetSpec;

@@ -3,7 +3,8 @@
 //! Stand-ins for the eight real-world datasets of the paper's evaluation (Table III).
 //! The real datasets (HACC, EXAALT, CESM-ATM, Nyx, Hurricane ISABEL, QMCPack, RTM,
 //! GAMESS) are hundreds of megabytes of production simulation output that are not
-//! available in this environment; per the substitution rule in DESIGN.md, each is replaced
+//! available in this environment; each is replaced (construction: [`generators`],
+//! per-dataset calibration: [`registry`])
 //! by a synthetic single-precision field generator with the same dimensionality and tuned
 //! so that cuSZ-style Lorenzo prediction + quantization at relative error bound 1e-3
 //! lands in the same compression-ratio regime the paper reports for that dataset.

@@ -172,7 +172,8 @@ impl Gpu {
                 }
                 handles
                     .into_iter()
-                    .map(|h| h.join().expect("block execution thread panicked"))
+                    // Re-raise the kernel's own panic payload, not a generic join error.
+                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
                     .collect::<Vec<_>>()
             });
             for chunk_stats in results {
@@ -312,6 +313,28 @@ mod tests {
             &Iota { out: &out },
             LaunchConfig::new(1, 32).with_shared_mem(1 << 20),
         );
+    }
+
+    #[test]
+    fn panicking_block_keeps_its_message() {
+        struct Block3Panics;
+        impl BlockKernel for Block3Panics {
+            fn name(&self) -> &str {
+                "block3-panics"
+            }
+            fn block(&self, ctx: &mut BlockContext) {
+                assert!(ctx.block_idx() != 3, "block 3 hit the known fault");
+            }
+        }
+        let gpu = Gpu::with_host_threads(GpuConfig::test_tiny(), 4);
+        let payload =
+            std::panic::catch_unwind(|| gpu.launch(&Block3Panics, LaunchConfig::new(8, 32)))
+                .expect_err("block 3 panics");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied());
+        assert_eq!(message, Some("block 3 hit the known fault"));
     }
 
     #[test]

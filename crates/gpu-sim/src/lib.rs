@@ -3,8 +3,9 @@
 //! This crate is the GPU substrate for the reproduction of *"Optimizing Huffman Decoding
 //! for Error-Bounded Lossy Compression on GPUs"* (IPDPS 2022). The paper's contribution is
 //! a set of CUDA kernels and kernel-level optimizations evaluated on an NVIDIA V100; this
-//! environment has no GPU, so the decoders run on this simulator instead (see DESIGN.md
-//! for the substitution argument).
+//! environment has no GPU, so the decoders run on this simulator instead (the two halves
+//! below are the substitution argument; the `huffdec-bench` crate docs give the
+//! scaled-device methodology the paper's tables are reproduced under).
 //!
 //! The simulator has two halves:
 //!
