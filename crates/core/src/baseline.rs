@@ -51,10 +51,11 @@ impl BlockKernel for CoarseDecodeKernel<'_> {
             }
             let lanes = warp_size.min((selected.len() - warp_base) as u32);
 
-            // Functional decode + per-lane work measurement.
-            let mut lane_bits: Vec<f64> = Vec::with_capacity(lanes as usize);
-            let mut lane_symbols: Vec<u64> = Vec::with_capacity(lanes as usize);
-            let mut lane_units: Vec<u64> = Vec::with_capacity(lanes as usize);
+            // Functional decode + the warp's work: in lock-step it advances at the pace of
+            // the lane with the most of each.
+            let mut max_bits = 0u64;
+            let mut max_symbols = 0u64;
+            let mut max_units = 0u64;
             for lane in 0..lanes {
                 let chunk = &chunks[selected[warp_base + lane as usize] as usize];
                 let start = chunk.unit_offset as usize;
@@ -73,22 +74,18 @@ impl BlockKernel for CoarseDecodeKernel<'_> {
                     decoded += 1;
                 }
                 self.decoded.fetch_add(decoded, Ordering::Relaxed);
-                lane_bits.push(chunk.bit_len as f64);
-                lane_symbols.push(chunk.num_symbols);
-                lane_units.push(chunk.unit_count);
+                max_bits = max_bits.max(chunk.bit_len);
+                max_symbols = max_symbols.max(chunk.num_symbols);
+                max_units = max_units.max(chunk.unit_count);
             }
 
             // Cost model.
-            // Bit-by-bit decode: the warp advances in lock-step at the pace of the lane
-            // with the most bits.
-            let decode_cycles: Vec<f64> =
-                lane_bits.iter().map(|b| b * cost::DECODE_PER_BIT).collect();
-            ctx.compute_lanes(w, &decode_cycles);
+            // Bit-by-bit decode.
+            ctx.compute(w, max_bits as f64 * cost::DECODE_PER_BIT);
 
             // Unit loads: each lane streams its own chunk's units; lanes are separated by
             // a whole chunk, so every warp-wide load round touches `lanes` distinct
             // segments.
-            let max_units = lane_units.iter().cloned().max().unwrap_or(0);
             let chunk_stride_units = self
                 .encoded
                 .chunks
@@ -108,7 +105,6 @@ impl BlockKernel for CoarseDecodeKernel<'_> {
 
             // Symbol stores: each lane writes to its own chunk's output range, so a
             // warp-wide store round is strided by the chunk symbol count.
-            let max_symbols = lane_symbols.iter().cloned().max().unwrap_or(0);
             let symbol_stride = self.encoded.chunk_symbols as u64;
             for round in 0..max_symbols {
                 ctx.global_store_strided(
@@ -144,8 +140,10 @@ pub fn decode_baseline_chunks(
         chunk_indices,
         decoded: AtomicU64::new(0),
     };
-    let grid = (chunk_indices.len() as u32).div_ceil(BLOCK_DIM).max(1);
-    let stats = gpu.launch(&kernel, LaunchConfig::new(grid, BLOCK_DIM));
+    let stats = gpu.launch(
+        &kernel,
+        LaunchConfig::covering(chunk_indices.len(), BLOCK_DIM),
+    );
     let declared: u64 = chunk_indices
         .iter()
         .map(|&i| encoded.chunks[i as usize].num_symbols)
@@ -163,23 +161,8 @@ mod tests {
     use super::*;
     use crate::decoder::{decode, CompressedPayload};
     use crate::phases::DecodeResult;
-    use gpu_sim::Gpu;
-    use gpu_sim::GpuConfig;
+    use crate::testutil::{efficiency, gpu, quant_symbols};
     use huffman::encode_chunked;
-
-    fn quant_symbols(n: usize) -> Vec<u16> {
-        (0..n as u32)
-            .map(|i| {
-                let r = i.wrapping_mul(2654435761).rotate_left(9);
-                let mag = r.trailing_zeros().min(7) as i32;
-                (512 + if r & 1 == 1 { mag } else { -mag }) as u16
-            })
-            .collect()
-    }
-
-    fn gpu() -> Gpu {
-        Gpu::with_host_threads(GpuConfig::test_tiny(), 4)
-    }
 
     fn chunked(symbols: &[u16], chunk_symbols: usize) -> CompressedPayload {
         let codebook =
@@ -196,7 +179,7 @@ mod tests {
 
     #[test]
     fn baseline_decodes_exactly() {
-        let symbols = quant_symbols(50_000);
+        let symbols = quant_symbols(50_000, 7);
         let result = decode_chunked(&chunked(&symbols, 4096)).unwrap();
         assert_eq!(result.symbols, symbols);
         assert!(result.timings.total_seconds() > 0.0);
@@ -206,27 +189,27 @@ mod tests {
 
     #[test]
     fn baseline_handles_ragged_final_chunk() {
-        let symbols = quant_symbols(10_123);
+        let symbols = quant_symbols(10_123, 7);
         let result = decode_chunked(&chunked(&symbols, 1000)).unwrap();
         assert_eq!(result.symbols, symbols);
     }
 
     #[test]
     fn baseline_stores_are_poorly_coalesced() {
-        let symbols = quant_symbols(100_000);
+        let symbols = quant_symbols(100_000, 7);
         let result = decode_chunked(&chunked(&symbols, 4096)).unwrap();
         let kernel = &result.timings.decode_write.as_ref().unwrap().kernels[0];
         // Strided stores: efficiency well below a coalesced kernel's.
         assert!(
-            kernel.mem.efficiency(32) < 0.25,
+            efficiency(&kernel.mem) < 0.25,
             "efficiency = {}",
-            kernel.mem.efficiency(32)
+            efficiency(&kernel.mem)
         );
     }
 
     #[test]
     fn chunk_subset_decodes_only_those_chunks() {
-        let symbols = quant_symbols(20_000);
+        let symbols = quant_symbols(20_000, 7);
         let cb = Codebook::from_symbols(&symbols, 1024);
         let enc = encode_chunked(&cb, &symbols, 1000);
         assert!(enc.chunks.len() >= 3);
@@ -260,7 +243,7 @@ mod tests {
     /// first chunk claims as many bits as symbols, so its codewords run out of bits.
     #[test]
     fn chunk_whose_bits_run_out_is_a_typed_error_full_and_ranged() {
-        let symbols = quant_symbols(20_000);
+        let symbols = quant_symbols(20_000, 7);
         let mut payload = chunked(&symbols, 1000);
         let CompressedPayload::Chunked { encoded, .. } = &mut payload else {
             unreachable!()

@@ -186,6 +186,7 @@ pub fn batch_stats(gpu: &dyn Backend, fields: &[DecodeResult]) -> BatchStats {
 mod tests {
     use super::*;
     use crate::decoder::compress_for;
+    use crate::testutil::gpu;
     use gpu_sim::Gpu;
     use gpu_sim::GpuConfig;
 
@@ -197,10 +198,6 @@ mod tests {
                     as u16
             })
             .collect()
-    }
-
-    fn gpu() -> Gpu {
-        Gpu::with_host_threads(GpuConfig::test_tiny(), 4)
     }
 
     #[test]

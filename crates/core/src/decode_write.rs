@@ -112,17 +112,20 @@ impl BlockKernel for DecodeWriteKernel<'_> {
 
         // --- Cost model.
         // Decode compute + unit loads are the same for both strategies.
-        let mut lane_cycles = vec![0.0f64; warp_size];
-        let mut lane_symbols = vec![0u64; warp_size];
+        // A warp in lock-step pays its slowest lane and stores as many rounds as its
+        // longest run; both are running maxima over the warp's lanes.
+        let mut warp_cycles = 0.0f64;
+        let mut max_syms = 0u64;
+        let mut sum_syms = 0u64;
         for t in 0..n {
             let sub = first_sub + t;
             let warp = (t / warp_size) as u32;
             let lane = t % warp_size;
-            let bits = self.decode_cost_bits(sub);
-            lane_cycles[lane] = bits as f64 * cost::DECODE_PER_BIT;
-            lane_symbols[lane] = self.infos[sub].num_symbols;
+            warp_cycles = warp_cycles.max(self.decode_cost_bits(sub) as f64 * cost::DECODE_PER_BIT);
+            max_syms = max_syms.max(self.infos[sub].num_symbols);
+            sum_syms += self.infos[sub].num_symbols;
             if lane == warp_size - 1 || t == n - 1 {
-                ctx.compute_lanes(warp, &lane_cycles[..=lane]);
+                ctx.compute(warp, warp_cycles);
                 let active = (lane + 1) as u32;
                 for round in 0..geo.subseq_units as u64 {
                     ctx.global_load_strided(
@@ -146,10 +149,7 @@ impl BlockKernel for DecodeWriteKernel<'_> {
                         // modelled as extra store rounds (traffic + issue) growing with
                         // the stride — this is what makes the original fine-grained
                         // decoders collapse on highly-compressible data (Fig. 2).
-                        let max_syms = lane_symbols[..=lane].iter().cloned().max().unwrap_or(0);
-                        let stride = (lane_symbols[..=lane].iter().sum::<u64>()
-                            / (lane as u64 + 1).max(1))
-                        .max(1);
+                        let stride = (sum_syms / (lane as u64 + 1)).max(1);
                         let row_locality_penalty =
                             (stride as f64 / 24.0).powf(1.5).clamp(1.0, 10.0).round() as u64;
                         let warp_out_base = self.output_index.offsets[first_sub + t - lane];
@@ -168,14 +168,14 @@ impl BlockKernel for DecodeWriteKernel<'_> {
                     WriteStrategy::Staged { .. } => {
                         // Decoded symbols go to shared memory first: one shared store per
                         // symbol (conflict-free: threads write disjoint runs).
-                        let max_syms = lane_symbols[..=lane].iter().cloned().max().unwrap_or(0);
                         for _ in 0..max_syms {
                             ctx.shared_access_contiguous(warp);
                         }
                     }
                 }
-                lane_cycles.iter_mut().for_each(|c| *c = 0.0);
-                lane_symbols.iter_mut().for_each(|c| *c = 0);
+                warp_cycles = 0.0;
+                max_syms = 0;
+                sum_syms = 0;
             }
         }
 
@@ -261,22 +261,8 @@ mod tests {
     use super::*;
     use crate::output_index::compute_output_index;
     use crate::subseq::reference_subseq_infos;
-    use gpu_sim::{Gpu, GpuConfig};
+    use crate::testutil::{efficiency, gpu, quant_symbols};
     use huffman::Codebook;
-
-    fn quant_symbols(n: usize, spread: u32) -> Vec<u16> {
-        (0..n as u32)
-            .map(|i| {
-                let r = i.wrapping_mul(2654435761).rotate_left(9);
-                let mag = r.trailing_zeros().min(spread) as i32;
-                (512 + if r & 1 == 1 { mag } else { -mag }) as u16
-            })
-            .collect()
-    }
-
-    fn gpu() -> Gpu {
-        Gpu::with_host_threads(GpuConfig::test_tiny(), 4)
-    }
 
     fn setup(n: usize, spread: u32) -> (EncodedStream, Vec<u16>) {
         let symbols = quant_symbols(n, spread);
@@ -341,8 +327,8 @@ mod tests {
             100_000,
             3,
         );
-        let eff_direct = direct.mem.efficiency(32);
-        let eff_staged = staged.mem.efficiency(32);
+        let eff_direct = efficiency(&direct.mem);
+        let eff_staged = efficiency(&staged.mem);
         assert!(
             eff_staged > eff_direct,
             "staged efficiency {} should exceed direct {}",

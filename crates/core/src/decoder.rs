@@ -407,22 +407,7 @@ pub fn roundtrip(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::Gpu;
-    use gpu_sim::GpuConfig;
-
-    fn quant_symbols(n: usize, spread: u32) -> Vec<u16> {
-        (0..n as u32)
-            .map(|i| {
-                let r = i.wrapping_mul(2654435761).rotate_left(9);
-                let mag = r.trailing_zeros().min(spread) as i32;
-                (512 + if (r >> 1) & 1 == 1 { mag } else { -mag }) as u16
-            })
-            .collect()
-    }
-
-    fn gpu() -> Gpu {
-        Gpu::with_host_threads(GpuConfig::test_tiny(), 4)
-    }
+    use crate::testutil::{gpu, quant_symbols};
 
     #[test]
     fn every_decoder_roundtrips_exactly() {

@@ -99,7 +99,7 @@ impl EncodePhaseBreakdown {
 fn codebook_build_time(cfg: &GpuConfig, alphabet_size: usize) -> f64 {
     let a = alphabet_size.max(2) as f64;
     let cycles = a * a.log2() * 8.0 / cfg.issue_slots_per_sm as f64;
-    cfg.cycles_to_seconds(cycles) + 2.0 * cfg.kernel_launch_overhead_us * 1e-6
+    cfg.streaming_pass_seconds(0.0, cycles, 2)
 }
 
 /// Kernel of the first offsets pass: map every symbol to its codeword length.
@@ -565,22 +565,9 @@ fn empty_payload(kind: DecoderKind, codebook: Codebook) -> CompressedPayload {
 mod tests {
     use super::*;
     use crate::decoder::{compress_for, decode};
+    use crate::testutil::{gpu, quant_symbols};
     use gpu_sim::Gpu;
     use gpu_sim::GpuConfig;
-
-    fn quant_symbols(n: usize, spread: u32) -> Vec<u16> {
-        (0..n as u32)
-            .map(|i| {
-                let r = i.wrapping_mul(2654435761).rotate_left(9);
-                let mag = r.trailing_zeros().min(spread) as i32;
-                (512 + if (r >> 1) & 1 == 1 { mag } else { -mag }) as u16
-            })
-            .collect()
-    }
-
-    fn gpu() -> Gpu {
-        Gpu::with_host_threads(GpuConfig::test_tiny(), 4)
-    }
 
     /// Asserts the two payloads are bit-identical, via `CompressedPayload`'s bit-level
     /// equality (units, metadata, codebook codewords, gap array).

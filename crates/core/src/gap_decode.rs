@@ -40,12 +40,12 @@ impl BlockKernel for GapCountKernel<'_> {
         let warp_size = ctx.config().warp_size as usize;
         let reader = BitReader::new(&self.stream.units, self.stream.bit_len);
 
-        let mut lane_cycles = vec![0.0f64; warp_size];
+        // A warp in lock-step decodes at the pace of its slowest lane.
+        let mut warp_cycles = 0.0f64;
         for t in 0..ctx.block_dim() as usize {
             let sub = base + t;
             let warp = (t / warp_size) as u32;
             let lane = t % warp_size;
-            lane_cycles[lane] = 0.0;
             if sub < total_subs {
                 let start = self.starts[sub];
                 let end = self
@@ -69,10 +69,12 @@ impl BlockKernel for GapCountKernel<'_> {
                     }
                 }
                 self.counts.set(sub, count);
-                lane_cycles[lane] = (end.saturating_sub(start)) as f64 * cost::DECODE_PER_BIT;
+                warp_cycles =
+                    warp_cycles.max((end.saturating_sub(start)) as f64 * cost::DECODE_PER_BIT);
             }
             if lane == warp_size - 1 || t == ctx.block_dim() as usize - 1 {
-                ctx.compute_lanes(warp, &lane_cycles[..=lane]);
+                ctx.compute(warp, warp_cycles);
+                warp_cycles = 0.0;
                 let geo = self.stream.geometry;
                 for round in 0..geo.subseq_units as u64 {
                     ctx.global_load_strided(
@@ -231,22 +233,7 @@ pub fn decode_original_gap8(gpu: &dyn Backend, g8: &Gap8Stream) -> (Vec<u8>, Pha
 mod tests {
     use super::*;
     use crate::subseq::reference_subseq_infos;
-    use gpu_sim::Gpu;
-    use gpu_sim::GpuConfig;
-
-    fn quant_symbols(n: usize, spread: u32) -> Vec<u16> {
-        (0..n as u32)
-            .map(|i| {
-                let r = i.wrapping_mul(2654435761).rotate_left(9);
-                let mag = r.trailing_zeros().min(spread) as i32;
-                (512 + if r & 1 == 1 { mag } else { -mag }) as u16
-            })
-            .collect()
-    }
-
-    fn gpu() -> Gpu {
-        Gpu::with_host_threads(GpuConfig::test_tiny(), 4)
-    }
+    use crate::testutil::{gpu, quant_symbols};
 
     #[test]
     fn gap_counting_matches_reference_sync_states() {

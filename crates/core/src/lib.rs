@@ -61,6 +61,8 @@ pub mod phases;
 pub mod range;
 pub mod self_sync;
 pub mod subseq;
+#[cfg(test)]
+pub(crate) mod testutil;
 pub mod tuner;
 
 pub use baseline::decode_baseline_chunks;

@@ -31,12 +31,7 @@ pub fn compute_output_index(gpu: &dyn Backend, infos: &[SubseqInfo]) -> (OutputI
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::Gpu;
-    use gpu_sim::GpuConfig;
-
-    fn gpu() -> Gpu {
-        Gpu::with_host_threads(GpuConfig::test_tiny(), 4)
-    }
+    use crate::testutil::gpu;
 
     #[test]
     fn offsets_are_exclusive_prefix_sums() {

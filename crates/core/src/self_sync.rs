@@ -102,7 +102,10 @@ impl BlockKernel for IntraSyncKernel<'_> {
 
             // Decode step: every unsynchronized thread decodes its subsequence from its
             // currently-proposed start.
-            let mut warp_lane_cycles = vec![0.0f64; warp_size];
+            // A warp in lock-step pays its slowest lane; only the lanes still decoding
+            // load units.
+            let mut warp_cycles = 0.0f64;
+            let mut active = 0u32;
             for t in 0..n {
                 let warp = (t / warp_size) as u32;
                 let lane = t % warp_size;
@@ -119,18 +122,13 @@ impl BlockKernel for IntraSyncKernel<'_> {
                     end[t] = e;
                     count[t] = c;
                     let bits = boundary.saturating_sub(start[t].min(boundary)).max(1);
-                    warp_lane_cycles[lane] = bits as f64 * cost::DECODE_PER_BIT;
-                } else {
-                    warp_lane_cycles[lane] = 0.0;
+                    warp_cycles = warp_cycles.max(bits as f64 * cost::DECODE_PER_BIT);
+                    active += 1;
                 }
-                // Flush the warp's lane costs at warp boundaries and at the end.
+                // Flush the warp's cost at warp boundaries and at the end.
                 if lane == warp_size - 1 || t == n - 1 {
-                    ctx.compute_lanes(warp, &warp_lane_cycles[..=lane]);
+                    ctx.compute(warp, warp_cycles);
                     // Unit loads for the active lanes: strided by the subsequence size.
-                    let active = warp_lane_cycles[..=lane]
-                        .iter()
-                        .filter(|&&c| c > 0.0)
-                        .count() as u32;
                     if active > 0 {
                         for round in 0..geo.subseq_units as u64 {
                             ctx.global_load_strided(
@@ -144,7 +142,8 @@ impl BlockKernel for IntraSyncKernel<'_> {
                             );
                         }
                     }
-                    warp_lane_cycles.iter_mut().for_each(|c| *c = 0.0);
+                    warp_cycles = 0.0;
+                    active = 0;
                 }
             }
 
@@ -234,12 +233,11 @@ impl BlockKernel for InterSyncKernel<'_> {
 
         // One thread per sequence (sequence 0 never needs adjustment).
         let base_seq = (ctx.block_idx() * ctx.block_dim()) as usize + 1;
-        let mut lane_cycles = vec![0.0f64; warp_size];
+        let mut warp_cycles = 0.0f64;
         for t in 0..ctx.block_dim() as usize {
             let seq = base_seq + t;
             let warp = (t / warp_size) as u32;
             let lane = t % warp_size;
-            lane_cycles[lane] = 0.0;
             if seq < num_seqs {
                 let first_sub = seq * spb;
                 let last_sub_prev = first_sub - 1;
@@ -271,14 +269,15 @@ impl BlockKernel for InterSyncKernel<'_> {
                 if any_change {
                     self.changed.set(seq, 1);
                 }
-                lane_cycles[lane] = decoded_bits as f64 * cost::DECODE_PER_BIT + 4.0 * cost::ALU;
+                warp_cycles =
+                    warp_cycles.max(decoded_bits as f64 * cost::DECODE_PER_BIT + 4.0 * cost::ALU);
             }
             if lane == warp_size - 1 || t == ctx.block_dim() as usize - 1 {
-                ctx.compute_lanes(warp, &lane_cycles[..=lane]);
+                ctx.compute(warp, warp_cycles);
                 // Each active lane loads the state of the previous subsequence and a few
                 // units; model one strided load per lane group.
                 ctx.global_load_strided(warp, base_seq as u64, warp_size as u32, spb as u64, 8);
-                lane_cycles.iter_mut().for_each(|c| *c = 0.0);
+                warp_cycles = 0.0;
             }
         }
     }
@@ -361,28 +360,13 @@ pub fn synchronize(gpu: &dyn Backend, stream: &EncodedStream, variant: SyncVaria
 mod tests {
     use super::*;
     use crate::subseq::reference_subseq_infos;
-    use gpu_sim::Gpu;
-    use gpu_sim::GpuConfig;
+    use crate::testutil::{gpu, quant_symbols};
     use huffman::Codebook;
-
-    fn quant_symbols(n: usize, spread: u32) -> Vec<u16> {
-        (0..n as u32)
-            .map(|i| {
-                let r = i.wrapping_mul(2654435761).rotate_left(9);
-                let mag = r.trailing_zeros().min(spread) as i32;
-                (512 + if r & 1 == 1 { mag } else { -mag }) as u16
-            })
-            .collect()
-    }
 
     fn stream(n: usize, spread: u32) -> EncodedStream {
         let symbols = quant_symbols(n, spread);
         let cb = Codebook::from_symbols(&symbols, 1024);
         EncodedStream::encode(&cb, &symbols)
-    }
-
-    fn gpu() -> Gpu {
-        Gpu::with_host_threads(GpuConfig::test_tiny(), 4)
     }
 
     #[test]

@@ -137,8 +137,7 @@ pub fn tuned_decode_write(
         t_high,
         classes: &classes_buf,
     };
-    let grid = (num_seqs as u32).div_ceil(256).max(1);
-    tune_phase.push_serial(gpu.launch(&classify, LaunchConfig::new(grid, 256)));
+    tune_phase.push_serial(gpu.launch(&classify, LaunchConfig::covering(num_seqs, 256)));
     let class_of_seq = classes_buf.into_vec();
 
     // Step 2: device histogram of the classes.
@@ -210,23 +209,8 @@ mod tests {
     use super::*;
     use crate::output_index::compute_output_index;
     use crate::subseq::reference_subseq_infos;
-    use gpu_sim::Gpu;
-    use gpu_sim::GpuConfig;
+    use crate::testutil::{gpu, quant_symbols};
     use huffman::Codebook;
-
-    fn quant_symbols(n: usize, spread: u32) -> Vec<u16> {
-        (0..n as u32)
-            .map(|i| {
-                let r = i.wrapping_mul(2654435761).rotate_left(9);
-                let mag = r.trailing_zeros().min(spread) as i32;
-                (512 + if r & 1 == 1 { mag } else { -mag }) as u16
-            })
-            .collect()
-    }
-
-    fn gpu() -> Gpu {
-        Gpu::with_host_threads(GpuConfig::test_tiny(), 4)
-    }
 
     fn run_tuned(n: usize, spread: u32) -> (Vec<u16>, Vec<u16>, TunedDecode) {
         let symbols = quant_symbols(n, spread);

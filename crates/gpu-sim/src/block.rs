@@ -2,12 +2,13 @@
 //!
 //! Simulated kernels are written at *block* granularity: the kernel's `block` function is
 //! called once per thread block and manages its own per-thread state (index arrays, local
-//! buffers). SIMT costs — instruction issue, warp divergence, global-memory transactions,
-//! shared-memory bank conflicts, barriers — are reported through the [`BlockContext`],
-//! which maintains a clock per warp. When the block finishes, its cost is the maximum warp
+//! buffers). SIMT costs — instruction issue (a warp in lock-step pays its slowest lane, so
+//! kernels charge the maximum over lanes), global-memory transactions, shared-memory
+//! accesses, warp votes, barriers — are reported through the [`BlockContext`], which
+//! maintains a clock per warp. When the block finishes, its cost is the maximum warp
 //! clock, exactly as a real block's latency is determined by its slowest warp.
 
-use crate::coalesce::{coalesce_access, coalesce_contiguous, coalesce_strided, CoalesceResult};
+use crate::coalesce::coalesce_strided;
 use crate::config::GpuConfig;
 
 /// Default instruction cost constants (in cycles) used by the cost model.
@@ -53,34 +54,12 @@ pub struct MemStats {
     pub useful_store_bytes: u64,
     /// Shared-memory access instructions issued.
     pub shared_accesses: u64,
-    /// Extra serialized shared-memory cycles due to bank conflicts.
-    pub shared_conflict_cycles: u64,
 }
 
 impl MemStats {
     /// Total DRAM traffic in bytes (reads + writes), derived from sector counts.
     pub fn dram_bytes(&self, sector_bytes: u32) -> u64 {
         (self.load_sectors + self.store_sectors) * sector_bytes as u64
-    }
-
-    /// Total useful bytes moved (what a perfectly coalesced kernel would transfer).
-    pub fn useful_bytes(&self) -> u64 {
-        self.useful_load_bytes + self.useful_store_bytes
-    }
-
-    /// Global-memory access efficiency in `[0, 1]`.
-    pub fn efficiency(&self, sector_bytes: u32) -> f64 {
-        let traffic = self.dram_bytes(sector_bytes);
-        if traffic == 0 {
-            1.0
-        } else {
-            self.useful_bytes() as f64 / traffic as f64
-        }
-    }
-
-    /// Total transactions (load + store segments).
-    pub fn transactions(&self) -> u64 {
-        self.load_segments + self.store_segments
     }
 
     /// Accumulates another `MemStats` into this one.
@@ -94,7 +73,6 @@ impl MemStats {
         self.useful_load_bytes += o.useful_load_bytes;
         self.useful_store_bytes += o.useful_store_bytes;
         self.shared_accesses += o.shared_accesses;
-        self.shared_conflict_cycles += o.shared_conflict_cycles;
     }
 }
 
@@ -178,11 +156,6 @@ impl<'a> BlockContext<'a> {
         self.warp_cycles.len() as u32
     }
 
-    /// The warp index a given thread (0-based within the block) belongs to.
-    pub fn warp_of_thread(&self, thread_idx: u32) -> u32 {
-        thread_idx / self.config.warp_size
-    }
-
     fn warp_mut(&mut self, warp: u32) -> &mut f64 {
         &mut self.warp_cycles[warp as usize]
     }
@@ -192,26 +165,31 @@ impl<'a> BlockContext<'a> {
         *self.warp_mut(warp) += cycles;
     }
 
-    /// Charges compute where each lane of the warp needs a different number of cycles
-    /// (e.g. loop-trip-count imbalance). Under SIMT lock-step the warp pays the maximum.
-    pub fn compute_lanes(&mut self, warp: u32, per_lane_cycles: &[f64]) {
-        let max = per_lane_cycles.iter().cloned().fold(0.0, f64::max);
-        *self.warp_mut(warp) += max;
-    }
-
-    /// Charges compute for a divergent branch: lanes split across mutually-exclusive
-    /// paths, and the warp pays the *sum* of the path costs (paths execute serially).
-    pub fn compute_divergent(&mut self, warp: u32, path_cycles: &[f64]) {
-        let sum: f64 = path_cycles.iter().sum();
-        *self.warp_mut(warp) += sum;
-    }
-
     /// Charges a warp-level primitive (`__all_sync`, `__ballot_sync`, shuffle, ...).
     pub fn warp_primitive(&mut self, warp: u32) {
         *self.warp_mut(warp) += cost::WARP_PRIMITIVE;
     }
 
-    fn charge_global(&mut self, warp: u32, r: CoalesceResult, is_store: bool) {
+    /// Charges one warp-wide global access whose lane `i` touches element
+    /// `base_elem + i * stride_elems`: the traffic it coalesces into, and the issue cost
+    /// of its sectors.
+    fn charge_global(
+        &mut self,
+        warp: u32,
+        base_elem: u64,
+        lanes: u32,
+        stride_elems: u64,
+        elem_bytes: u32,
+        is_store: bool,
+    ) {
+        let r = coalesce_strided(
+            base_elem,
+            lanes,
+            stride_elems,
+            elem_bytes,
+            self.config.sector_bytes,
+            self.config.segment_bytes,
+        );
         if is_store {
             self.mem.store_requests += 1;
             self.mem.store_segments += r.segments;
@@ -226,30 +204,6 @@ impl<'a> BlockContext<'a> {
         *self.warp_mut(warp) += cost::GLOBAL_SECTOR_ISSUE * r.sectors as f64;
     }
 
-    /// Records a warp-wide global-memory **load** given the byte addresses touched by the
-    /// active lanes.
-    pub fn global_load(&mut self, warp: u32, byte_addrs: &[u64], elem_bytes: u32) {
-        let r = coalesce_access(
-            byte_addrs,
-            elem_bytes,
-            self.config.sector_bytes,
-            self.config.segment_bytes,
-        );
-        self.charge_global(warp, r, false);
-    }
-
-    /// Records a warp-wide global-memory **store** given the byte addresses touched by the
-    /// active lanes.
-    pub fn global_store(&mut self, warp: u32, byte_addrs: &[u64], elem_bytes: u32) {
-        let r = coalesce_access(
-            byte_addrs,
-            elem_bytes,
-            self.config.sector_bytes,
-            self.config.segment_bytes,
-        );
-        self.charge_global(warp, r, true);
-    }
-
     /// Records a perfectly contiguous warp load: lane `i` reads element `base_elem + i`.
     pub fn global_load_contiguous(
         &mut self,
@@ -258,14 +212,7 @@ impl<'a> BlockContext<'a> {
         lanes: u32,
         elem_bytes: u32,
     ) {
-        let r = coalesce_contiguous(
-            base_elem,
-            lanes,
-            elem_bytes,
-            self.config.sector_bytes,
-            self.config.segment_bytes,
-        );
-        self.charge_global(warp, r, false);
+        self.charge_global(warp, base_elem, lanes, 1, elem_bytes, false);
     }
 
     /// Records a perfectly contiguous warp store: lane `i` writes element `base_elem + i`.
@@ -276,14 +223,7 @@ impl<'a> BlockContext<'a> {
         lanes: u32,
         elem_bytes: u32,
     ) {
-        let r = coalesce_contiguous(
-            base_elem,
-            lanes,
-            elem_bytes,
-            self.config.sector_bytes,
-            self.config.segment_bytes,
-        );
-        self.charge_global(warp, r, true);
+        self.charge_global(warp, base_elem, lanes, 1, elem_bytes, true);
     }
 
     /// Records a strided warp load: lane `i` reads element `base_elem + i * stride_elems`.
@@ -295,15 +235,7 @@ impl<'a> BlockContext<'a> {
         stride_elems: u64,
         elem_bytes: u32,
     ) {
-        let r = coalesce_strided(
-            base_elem,
-            lanes,
-            stride_elems,
-            elem_bytes,
-            self.config.sector_bytes,
-            self.config.segment_bytes,
-        );
-        self.charge_global(warp, r, false);
+        self.charge_global(warp, base_elem, lanes, stride_elems, elem_bytes, false);
     }
 
     /// Records a strided warp store: lane `i` writes element `base_elem + i * stride_elems`.
@@ -315,37 +247,12 @@ impl<'a> BlockContext<'a> {
         stride_elems: u64,
         elem_bytes: u32,
     ) {
-        let r = coalesce_strided(
-            base_elem,
-            lanes,
-            stride_elems,
-            elem_bytes,
-            self.config.sector_bytes,
-            self.config.segment_bytes,
-        );
-        self.charge_global(warp, r, true);
+        self.charge_global(warp, base_elem, lanes, stride_elems, elem_bytes, true);
     }
 
-    /// Records a warp-wide shared-memory access given the 4-byte-word indices touched by
-    /// the active lanes. Bank conflicts serialize the access: the cost is the maximum
-    /// number of distinct words mapping to the same bank.
-    pub fn shared_access(&mut self, warp: u32, word_indices: &[u64]) {
-        let banks = self.config.shared_mem_banks as u64;
-        let mut per_bank = vec![0u32; banks as usize];
-        let mut seen: Vec<u64> = word_indices.to_vec();
-        seen.sort_unstable();
-        seen.dedup();
-        for w in &seen {
-            per_bank[(w % banks) as usize] += 1;
-        }
-        let degree = per_bank.iter().cloned().max().unwrap_or(1).max(1) as u64;
-        self.mem.shared_accesses += 1;
-        self.mem.shared_conflict_cycles += (degree - 1) * cost::SHARED_ACCESS as u64;
-        *self.warp_mut(warp) += cost::SHARED_ACCESS * degree as f64;
-    }
-
-    /// Records a conflict-free warp-wide shared-memory access (the common case for the
-    /// decoders' sequential buffer writes) without paying the conflict-analysis cost.
+    /// Records a conflict-free warp-wide shared-memory access: the decoders' threads
+    /// write disjoint sequential runs of the staging buffer, and the cooperative copy
+    /// reads consecutive words.
     pub fn shared_access_contiguous(&mut self, warp: u32) {
         self.mem.shared_accesses += 1;
         *self.warp_mut(warp) += cost::SHARED_ACCESS;
@@ -387,7 +294,6 @@ mod tests {
         let cfg = GpuConfig::v100();
         let c = BlockContext::new(&cfg, 1, 8, 96, 0);
         assert_eq!(c.warp_count(), 3);
-        assert_eq!(c.warp_of_thread(95), 2);
         assert_eq!(c.block_idx(), 1);
         assert_eq!(c.grid_dim(), 8);
     }
@@ -401,24 +307,6 @@ mod tests {
         let stats = c.finish();
         assert!((stats.cycles - 30.0).abs() < 1e-9);
         assert!((stats.total_warp_cycles - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn compute_lanes_charges_max() {
-        let cfg = GpuConfig::v100();
-        let mut c = ctx(&cfg);
-        c.compute_lanes(0, &[1.0, 5.0, 3.0]);
-        let stats = c.finish();
-        assert!((stats.cycles - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn compute_divergent_charges_sum() {
-        let cfg = GpuConfig::v100();
-        let mut c = ctx(&cfg);
-        c.compute_divergent(0, &[4.0, 6.0]);
-        let stats = c.finish();
-        assert!((stats.cycles - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -438,8 +326,10 @@ mod tests {
         let mut c = ctx(&cfg);
         c.global_store_strided(0, 0, 32, 1000, 2);
         let stats = c.finish();
+        // 64 useful bytes cost 32 sectors of traffic.
         assert_eq!(stats.mem.store_sectors, 32);
-        assert!(stats.mem.efficiency(cfg.sector_bytes) < 0.1);
+        assert_eq!(stats.mem.useful_store_bytes, 64);
+        assert_eq!(stats.mem.dram_bytes(cfg.sector_bytes), 1024);
     }
 
     #[test]
@@ -456,25 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_access_bank_conflicts_serialize() {
-        let cfg = GpuConfig::v100();
-        let mut c = ctx(&cfg);
-        // 32 words all mapping to bank 0 (stride 32): 32-way conflict.
-        let words: Vec<u64> = (0..32u64).map(|i| i * 32).collect();
-        c.shared_access(0, &words);
-        let conflicted = c.finish();
-
-        let mut c2 = ctx(&cfg);
-        // 32 consecutive words: conflict free.
-        let words: Vec<u64> = (0..32u64).collect();
-        c2.shared_access(0, &words);
-        let clean = c2.finish();
-
-        assert!(conflicted.cycles > clean.cycles * 10.0);
-        assert_eq!(clean.mem.shared_conflict_cycles, 0);
-    }
-
-    #[test]
     fn mem_stats_merge_and_efficiency() {
         let mut a = MemStats {
             load_sectors: 4,
@@ -488,6 +359,6 @@ mod tests {
         };
         a.merge(&b);
         assert_eq!(a.dram_bytes(32), 12 * 32);
-        assert!((a.efficiency(32) - 192.0 / 384.0).abs() < 1e-12);
+        assert_eq!(a.useful_load_bytes + a.useful_store_bytes, 192);
     }
 }

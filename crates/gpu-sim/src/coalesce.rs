@@ -20,92 +20,14 @@ pub struct CoalesceResult {
     pub useful_bytes: u64,
 }
 
-impl CoalesceResult {
-    /// DRAM traffic in bytes implied by this access.
-    pub fn traffic_bytes(&self, sector_bytes: u32) -> u64 {
-        self.sectors * sector_bytes as u64
-    }
-
-    /// Efficiency of the access: useful bytes / traffic bytes. 1.0 for a perfectly
-    /// coalesced access of full sectors, approaching `elem_size / sector_bytes` for a
-    /// fully scattered access.
-    pub fn efficiency(&self, sector_bytes: u32) -> f64 {
-        if self.sectors == 0 {
-            return 1.0;
-        }
-        self.useful_bytes as f64 / self.traffic_bytes(sector_bytes) as f64
-    }
-
-    /// Merges another access into this one (summing counts).
-    pub fn merge(&mut self, other: &CoalesceResult) {
-        self.segments += other.segments;
-        self.sectors += other.sectors;
-        self.useful_bytes += other.useful_bytes;
-    }
-}
-
-/// Analyzes one warp-wide access given the *byte* addresses accessed by the active lanes.
+/// Analyzes a warp access where lane `i` accesses element index `base_elem + i *
+/// stride_elems` of an array of `elem_bytes`-sized elements. Stride 1 is the canonical
+/// coalesced pattern; a larger stride is the pattern of the unoptimized decoders' output
+/// writes, where the stride is the number of symbols each thread decodes.
 ///
-/// `elem_bytes` is the per-lane access width. Addresses may repeat (broadcast) and need not
-/// be sorted. Inactive lanes are simply omitted from `byte_addrs`.
-pub fn coalesce_access(
-    byte_addrs: &[u64],
-    elem_bytes: u32,
-    sector_bytes: u32,
-    segment_bytes: u32,
-) -> CoalesceResult {
-    if byte_addrs.is_empty() {
-        return CoalesceResult::default();
-    }
-    debug_assert!(sector_bytes.is_power_of_two());
-    debug_assert!(segment_bytes.is_power_of_two());
-
-    // A warp has at most 32 lanes and each lane access spans at most two sectors
-    // (misaligned case), so a small sorted vector beats a hash set here.
-    let mut sectors: Vec<u64> = Vec::with_capacity(byte_addrs.len() * 2);
-    let mut segments: Vec<u64> = Vec::with_capacity(byte_addrs.len() * 2);
-    for &addr in byte_addrs {
-        let first_sector = addr / sector_bytes as u64;
-        let last_sector = (addr + elem_bytes as u64 - 1) / sector_bytes as u64;
-        for s in first_sector..=last_sector {
-            sectors.push(s);
-        }
-        let first_seg = addr / segment_bytes as u64;
-        let last_seg = (addr + elem_bytes as u64 - 1) / segment_bytes as u64;
-        for s in first_seg..=last_seg {
-            segments.push(s);
-        }
-    }
-    sectors.sort_unstable();
-    sectors.dedup();
-    segments.sort_unstable();
-    segments.dedup();
-
-    CoalesceResult {
-        segments: segments.len() as u64,
-        sectors: sectors.len() as u64,
-        useful_bytes: byte_addrs.len() as u64 * elem_bytes as u64,
-    }
-}
-
-/// Analyzes a warp access where lane `i` accesses element index `base_elem + i` of an array
-/// of `elem_bytes`-sized elements — the canonical coalesced pattern.
-pub fn coalesce_contiguous(
-    base_elem: u64,
-    lanes: u32,
-    elem_bytes: u32,
-    sector_bytes: u32,
-    segment_bytes: u32,
-) -> CoalesceResult {
-    let addrs: Vec<u64> = (0..lanes as u64)
-        .map(|i| (base_elem + i) * elem_bytes as u64)
-        .collect();
-    coalesce_access(&addrs, elem_bytes, sector_bytes, segment_bytes)
-}
-
-/// Analyzes a warp access where lane `i` accesses element index `base + i * stride_elems` —
-/// the strided pattern exhibited by the unoptimized decoders' output writes, where the
-/// stride is the number of symbols each thread decodes.
+/// The lane addresses are a non-decreasing arithmetic progression, so the first and last
+/// sector (and segment) of each lane's element never decrease from one lane to the next:
+/// a lane adds exactly the units of its element that lie above the previous lane's last.
 pub fn coalesce_strided(
     base_elem: u64,
     lanes: u32,
@@ -114,10 +36,49 @@ pub fn coalesce_strided(
     sector_bytes: u32,
     segment_bytes: u32,
 ) -> CoalesceResult {
-    let addrs: Vec<u64> = (0..lanes as u64)
-        .map(|i| (base_elem + i * stride_elems) * elem_bytes as u64)
-        .collect();
-    coalesce_access(&addrs, elem_bytes, sector_bytes, segment_bytes)
+    debug_assert!(sector_bytes.is_power_of_two());
+    debug_assert!(segment_bytes.is_power_of_two());
+    let mut sectors = DistinctUnits::new(sector_bytes);
+    let mut segments = DistinctUnits::new(segment_bytes);
+    for lane in 0..lanes as u64 {
+        let first_byte = (base_elem + lane * stride_elems) * elem_bytes as u64;
+        let last_byte = first_byte + elem_bytes as u64 - 1;
+        sectors.cover(first_byte, last_byte);
+        segments.cover(first_byte, last_byte);
+    }
+    CoalesceResult {
+        segments: segments.count,
+        sectors: sectors.count,
+        useful_bytes: lanes as u64 * elem_bytes as u64,
+    }
+}
+
+/// Counts the distinct `unit_bytes`-sized units under byte ranges whose bounds arrive in
+/// non-decreasing order.
+struct DistinctUnits {
+    unit_bytes: u64,
+    /// One past the highest unit counted so far.
+    next_uncounted: u64,
+    count: u64,
+}
+
+impl DistinctUnits {
+    fn new(unit_bytes: u32) -> Self {
+        DistinctUnits {
+            unit_bytes: unit_bytes as u64,
+            next_uncounted: 0,
+            count: 0,
+        }
+    }
+
+    fn cover(&mut self, first_byte: u64, last_byte: u64) {
+        let first = (first_byte / self.unit_bytes).max(self.next_uncounted);
+        let end = last_byte / self.unit_bytes + 1;
+        if end > first {
+            self.count += end - first;
+            self.next_uncounted = end;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -127,19 +88,71 @@ mod tests {
     const SECTOR: u32 = 32;
     const SEGMENT: u32 = 128;
 
+    /// The oracle: analyzes one warp-wide access given the *byte* addresses accessed by
+    /// the active lanes, in any order and with repeats, by listing every sector and
+    /// segment touched and counting the distinct ones.
+    fn coalesce_access(
+        byte_addrs: &[u64],
+        elem_bytes: u32,
+        sector_bytes: u32,
+        segment_bytes: u32,
+    ) -> CoalesceResult {
+        let distinct = |unit_bytes: u32| {
+            let mut units: Vec<u64> = byte_addrs
+                .iter()
+                .flat_map(|&addr| {
+                    addr / unit_bytes as u64..=(addr + elem_bytes as u64 - 1) / unit_bytes as u64
+                })
+                .collect();
+            units.sort_unstable();
+            units.dedup();
+            units.len() as u64
+        };
+        CoalesceResult {
+            segments: distinct(segment_bytes),
+            sectors: distinct(sector_bytes),
+            useful_bytes: byte_addrs.len() as u64 * elem_bytes as u64,
+        }
+    }
+
+    #[test]
+    fn progression_counter_equals_the_address_list_oracle() {
+        let bases = [0u64, 1, 3, 7, 15, 16, 31, 33, 1000, 123_457];
+        let strides = [0u64, 1, 2, 3, 5, 8, 17, 24, 64, 1000, 4096];
+        for base in bases {
+            for lanes in 0..=32u32 {
+                for stride in strides {
+                    for elem_bytes in [1u32, 2, 4, 8, 12] {
+                        let addrs: Vec<u64> = (0..lanes as u64)
+                            .map(|i| (base + i * stride) * elem_bytes as u64)
+                            .collect();
+                        assert_eq!(
+                            coalesce_strided(base, lanes, stride, elem_bytes, SECTOR, SEGMENT),
+                            coalesce_access(&addrs, elem_bytes, SECTOR, SEGMENT),
+                            "base {} lanes {} stride {} width {}",
+                            base,
+                            lanes,
+                            stride,
+                            elem_bytes
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn fully_coalesced_u32_access_is_one_segment() {
-        let r = coalesce_contiguous(0, 32, 4, SECTOR, SEGMENT);
+        let r = coalesce_strided(0, 32, 1, 4, SECTOR, SEGMENT);
         assert_eq!(r.segments, 1);
         assert_eq!(r.sectors, 4);
         assert_eq!(r.useful_bytes, 128);
-        assert!((r.efficiency(SECTOR) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn fully_coalesced_u16_access_is_half_segment() {
         // 32 lanes * 2 bytes = 64 bytes = 2 sectors, 1 segment.
-        let r = coalesce_contiguous(0, 32, 2, SECTOR, SEGMENT);
+        let r = coalesce_strided(0, 32, 1, 2, SECTOR, SEGMENT);
         assert_eq!(r.segments, 1);
         assert_eq!(r.sectors, 2);
         assert_eq!(r.useful_bytes, 64);
@@ -148,11 +161,11 @@ mod tests {
     #[test]
     fn large_stride_touches_one_sector_per_lane() {
         // Stride of 1024 elements of 2 bytes = 2048 bytes apart: every lane hits its own
-        // sector and segment. Efficiency collapses to 2/32.
+        // sector and segment, 32 sectors of traffic for 64 useful bytes.
         let r = coalesce_strided(0, 32, 1024, 2, SECTOR, SEGMENT);
         assert_eq!(r.segments, 32);
         assert_eq!(r.sectors, 32);
-        assert!((r.efficiency(SECTOR) - 2.0 / 32.0).abs() < 1e-12);
+        assert_eq!(r.useful_bytes, 64);
     }
 
     #[test]
@@ -165,33 +178,24 @@ mod tests {
 
     #[test]
     fn broadcast_access_is_single_sector() {
-        let addrs = vec![256u64; 32];
-        let r = coalesce_access(&addrs, 4, SECTOR, SEGMENT);
+        let r = coalesce_strided(64, 32, 0, 4, SECTOR, SEGMENT);
         assert_eq!(r.segments, 1);
         assert_eq!(r.sectors, 1);
+        assert_eq!(r, coalesce_access(&[256; 32], 4, SECTOR, SEGMENT));
     }
 
     #[test]
     fn misaligned_element_spans_two_sectors() {
-        // A 4-byte access at byte 30 crosses the sector boundary at 32.
-        let r = coalesce_access(&[30], 4, SECTOR, SEGMENT);
+        // Element 2 of a 12-byte-wide array is bytes 24..=35, across the boundary at 32.
+        let r = coalesce_strided(2, 1, 1, 12, SECTOR, SEGMENT);
         assert_eq!(r.sectors, 2);
+        assert_eq!(r, coalesce_access(&[24], 12, SECTOR, SEGMENT));
     }
 
     #[test]
     fn empty_access() {
-        let r = coalesce_access(&[], 4, SECTOR, SEGMENT);
+        let r = coalesce_strided(5, 0, 3, 4, SECTOR, SEGMENT);
         assert_eq!(r, CoalesceResult::default());
-        assert!((r.efficiency(SECTOR) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = coalesce_contiguous(0, 32, 4, SECTOR, SEGMENT);
-        let b = coalesce_contiguous(32, 32, 4, SECTOR, SEGMENT);
-        a.merge(&b);
-        assert_eq!(a.segments, 2);
-        assert_eq!(a.sectors, 8);
-        assert_eq!(a.useful_bytes, 256);
+        assert_eq!(r, coalesce_access(&[], 4, SECTOR, SEGMENT));
     }
 }

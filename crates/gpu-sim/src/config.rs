@@ -29,10 +29,6 @@ pub struct GpuConfig {
     /// Maximum shared memory a single block may allocate (with the carve-out opt-in).
     /// V100: 96 KiB.
     pub max_shared_mem_per_block: u32,
-    /// 32-bit registers per SM. V100: 65536.
-    pub registers_per_sm: u32,
-    /// Number of shared-memory banks. 32 on V100.
-    pub shared_mem_banks: u32,
     /// Core clock in GHz. V100 boost clock: ~1.38 GHz.
     pub core_clock_ghz: f64,
     /// Peak DRAM (HBM2) bandwidth in GB/s. V100: ~900 GB/s.
@@ -73,8 +69,6 @@ impl GpuConfig {
             max_blocks_per_sm: 32,
             shared_mem_per_sm: 96 * 1024,
             max_shared_mem_per_block: 96 * 1024,
-            registers_per_sm: 65536,
-            shared_mem_banks: 32,
             core_clock_ghz: 1.38,
             mem_bandwidth_gbps: 900.0,
             mem_latency_cycles: 400.0,
@@ -90,34 +84,6 @@ impl GpuConfig {
         }
     }
 
-    /// Configuration modelling an NVIDIA A100 (SXM4 40 GB); used by the "future work"
-    /// sweep in the benchmark harness (the paper mentions A100 evaluation as future work).
-    pub fn a100() -> Self {
-        GpuConfig {
-            name: "NVIDIA A100-SXM4-40GB (simulated)".to_string(),
-            num_sms: 108,
-            warp_size: 32,
-            max_threads_per_sm: 2048,
-            max_blocks_per_sm: 32,
-            shared_mem_per_sm: 164 * 1024,
-            max_shared_mem_per_block: 164 * 1024,
-            registers_per_sm: 65536,
-            shared_mem_banks: 32,
-            core_clock_ghz: 1.41,
-            mem_bandwidth_gbps: 1555.0,
-            mem_latency_cycles: 400.0,
-            sector_bytes: 32,
-            segment_bytes: 128,
-            issue_slots_per_sm: 4,
-            kernel_launch_overhead_us: 4.0,
-            pcie_h2d_gbps: 24.0,
-            pcie_d2h_gbps: 24.0,
-            pcie_latency_us: 10.0,
-            warps_to_hide_latency: 24,
-            shmem_budget_for_min_occupancy: 28672,
-        }
-    }
-
     /// A deliberately tiny configuration for fast unit tests: 4 SMs, small shared memory.
     pub fn test_tiny() -> Self {
         GpuConfig {
@@ -128,8 +94,6 @@ impl GpuConfig {
             max_blocks_per_sm: 8,
             shared_mem_per_sm: 48 * 1024,
             max_shared_mem_per_block: 48 * 1024,
-            registers_per_sm: 32768,
-            shared_mem_banks: 32,
             core_clock_ghz: 1.0,
             mem_bandwidth_gbps: 100.0,
             mem_latency_cycles: 300.0,
@@ -160,9 +124,13 @@ impl GpuConfig {
         cycles * self.cycle_ns() * 1e-9
     }
 
-    /// Number of 32-byte sectors in a fully coalesced segment.
-    pub fn sectors_per_segment(&self) -> u32 {
-        self.segment_bytes / self.sector_bytes
+    /// Modeled seconds of a streaming pass that is not simulated block by block: the
+    /// larger of its DRAM time (`dram_bytes` at peak bandwidth) and its issue time
+    /// (`cycles` on the critical SM), plus one launch overhead per kernel.
+    pub fn streaming_pass_seconds(&self, dram_bytes: f64, cycles: f64, launches: u32) -> f64 {
+        let mem_time = dram_bytes / (self.mem_bandwidth_gbps * 1e9);
+        mem_time.max(self.cycles_to_seconds(cycles))
+            + launches as f64 * self.kernel_launch_overhead_us * 1e-6
     }
 
     /// The shared-memory threshold `T_high` from §IV-C of the paper: the compression
@@ -193,7 +161,6 @@ mod tests {
         assert_eq!(cfg.num_sms, 80);
         assert_eq!(cfg.warp_size, 32);
         assert_eq!(cfg.max_warps_per_sm(), 64);
-        assert_eq!(cfg.sectors_per_segment(), 4);
     }
 
     #[test]

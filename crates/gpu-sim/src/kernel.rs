@@ -15,8 +15,6 @@ pub struct LaunchConfig {
     pub block_dim: u32,
     /// Dynamic shared memory per block, in bytes.
     pub shared_mem_bytes: u32,
-    /// Registers per thread (0 = ignore register pressure in the occupancy model).
-    pub regs_per_thread: u32,
 }
 
 impl LaunchConfig {
@@ -26,19 +24,12 @@ impl LaunchConfig {
             grid_dim,
             block_dim,
             shared_mem_bytes: 0,
-            regs_per_thread: 0,
         }
     }
 
     /// Sets the dynamic shared-memory allocation.
     pub fn with_shared_mem(mut self, bytes: u32) -> Self {
         self.shared_mem_bytes = bytes;
-        self
-    }
-
-    /// Sets the per-thread register estimate.
-    pub fn with_regs(mut self, regs: u32) -> Self {
-        self.regs_per_thread = regs;
         self
     }
 
@@ -121,65 +112,47 @@ impl Gpu {
             self.config.max_shared_mem_per_block
         );
         let grid = cfg.grid_dim;
-        if grid == 0 {
-            return estimate_kernel_time(
-                &self.config,
-                kernel.name(),
-                0,
-                cfg.block_dim,
-                cfg.shared_mem_bytes,
-                cfg.regs_per_thread,
-                &[],
-            );
-        }
-
         let threads = self.host_threads.min(grid as usize).max(1);
-        let mut all_stats: Vec<BlockStats> = Vec::with_capacity(grid as usize);
+        let chunk = (grid as usize).div_ceil(threads).max(1) as u32;
+        let run_chunk = |start: u32| -> Vec<BlockStats> {
+            (start..start.saturating_add(chunk).min(grid))
+                .map(|b| {
+                    let mut ctx = BlockContext::new(
+                        &self.config,
+                        b,
+                        grid,
+                        cfg.block_dim,
+                        cfg.shared_mem_bytes,
+                    );
+                    kernel.block(&mut ctx);
+                    ctx.finish()
+                })
+                .collect()
+        };
 
-        if threads == 1 {
-            for b in 0..grid {
-                let mut ctx =
-                    BlockContext::new(&self.config, b, grid, cfg.block_dim, cfg.shared_mem_bytes);
-                kernel.block(&mut ctx);
-                all_stats.push(ctx.finish());
-            }
+        // One chunk runs on the calling thread; several run on scoped threads and are
+        // concatenated in block order, so the statistics do not depend on `threads`.
+        let all_stats = if chunk >= grid {
+            run_chunk(0)
         } else {
-            let chunk = (grid as usize).div_ceil(threads);
-            let results = std::thread::scope(|s| {
-                let mut handles = Vec::new();
-                for t in 0..threads {
-                    let start = (t * chunk) as u32;
-                    let end = (((t + 1) * chunk) as u32).min(grid);
-                    if start >= end {
-                        break;
-                    }
-                    let config = &self.config;
-                    handles.push(s.spawn(move || {
-                        let mut local = Vec::with_capacity((end - start) as usize);
-                        for b in start..end {
-                            let mut ctx = BlockContext::new(
-                                config,
-                                b,
-                                grid,
-                                cfg.block_dim,
-                                cfg.shared_mem_bytes,
-                            );
-                            kernel.block(&mut ctx);
-                            local.push(ctx.finish());
-                        }
-                        local
-                    }));
-                }
-                handles
-                    .into_iter()
+            std::thread::scope(|s| {
+                let run_chunk = &run_chunk;
+                let handles: Vec<_> = (0..grid)
+                    .step_by(chunk as usize)
+                    .map(|start| s.spawn(move || run_chunk(start)))
+                    .collect();
+                let mut all_stats = Vec::with_capacity(grid as usize);
+                for handle in handles {
                     // Re-raise the kernel's own panic payload, not a generic join error.
-                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                    .collect::<Vec<_>>()
-            });
-            for chunk_stats in results {
-                all_stats.extend(chunk_stats);
-            }
-        }
+                    all_stats.extend(
+                        handle
+                            .join()
+                            .unwrap_or_else(|e| std::panic::resume_unwind(e)),
+                    );
+                }
+                all_stats
+            })
+        };
 
         estimate_kernel_time(
             &self.config,
@@ -187,7 +160,6 @@ impl Gpu {
             grid,
             cfg.block_dim,
             cfg.shared_mem_bytes,
-            cfg.regs_per_thread,
             &all_stats,
         )
     }
@@ -285,7 +257,7 @@ mod tests {
         let out = DeviceBuffer::<u32>::zeroed(1);
         let stats = gpu.launch(&Iota { out: &out }, LaunchConfig::new(0, 128));
         assert_eq!(stats.grid_dim, 0);
-        assert_eq!(stats.mem.transactions(), 0);
+        assert_eq!(stats.mem, crate::MemStats::default());
     }
 
     #[test]

@@ -24,8 +24,24 @@
 //!   ([`stream`]) and PCIe transfers ([`transfer`]) are modelled analytically.
 //!
 //! Device-wide primitives equivalent to the CUB routines the paper relies on (exclusive
-//! prefix sum, histogram, key-value radix sort, reductions) are provided in
-//! [`primitives`].
+//! prefix sum, histogram, key-value radix sort) are provided in [`primitives`].
+//!
+//! ## The charge calls
+//!
+//! A kernel reports cost through exactly these [`BlockContext`] methods — the set is
+//! closed, and it is what the kernels of the workspace call:
+//!
+//! | call | charges |
+//! |------|---------|
+//! | [`compute`](BlockContext::compute) | issue cycles to one warp; a warp in lock-step pays its slowest lane, so kernels pass the maximum over lanes |
+//! | [`warp_primitive`](BlockContext::warp_primitive) | one vote / ballot / shuffle |
+//! | [`global_load_contiguous`](BlockContext::global_load_contiguous), [`global_store_contiguous`](BlockContext::global_store_contiguous) | a warp access whose lanes touch consecutive elements (the staged, coalesced write of §IV-B) |
+//! | [`global_load_strided`](BlockContext::global_load_strided), [`global_store_strided`](BlockContext::global_store_strided) | a warp access whose lanes are a fixed stride apart (the direct write of Fig. 2) |
+//! | [`shared_access_contiguous`](BlockContext::shared_access_contiguous) | one conflict-free shared-memory access |
+//! | [`syncthreads`](BlockContext::syncthreads) | a block-wide barrier: every warp clock advances to the slowest |
+//!
+//! Both global shapes are arithmetic progressions of lane addresses, so one
+//! allocation-free counter ([`coalesce_strided`]) turns either into sectors and segments.
 //!
 //! ## Example
 //!
@@ -76,10 +92,10 @@ pub mod transfer;
 
 pub use block::{cost, BlockContext, BlockStats, MemStats};
 pub use buffer::DeviceBuffer;
-pub use coalesce::{coalesce_access, coalesce_contiguous, coalesce_strided, CoalesceResult};
+pub use coalesce::{coalesce_strided, CoalesceResult};
 pub use config::GpuConfig;
 pub use kernel::{BlockKernel, Gpu, LaunchConfig, LaunchDevice};
 pub use occupancy::{Occupancy, OccupancyLimiter};
 pub use stream::{concurrent_time, ConcurrentStats};
 pub use timing::{estimate_kernel_time, KernelStats, PhaseTime};
-pub use transfer::{transfer_throughput_gbs, transfer_time_s, TransferDirection};
+pub use transfer::{transfer_time_s, TransferDirection};

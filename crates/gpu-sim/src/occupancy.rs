@@ -4,7 +4,8 @@
 //! resident — governs how well memory latency can be hidden. The paper's shared-memory
 //! tuning (§IV-C) exists precisely because allocating a larger decode buffer lowers
 //! occupancy: this module reproduces that trade-off with the standard CUDA occupancy
-//! rules (threads, blocks, shared memory, and registers per SM).
+//! rules (threads, blocks and shared memory per SM; registers do not bind for the
+//! memory-bound decoder kernels and are not modelled).
 
 use crate::config::GpuConfig;
 
@@ -17,8 +18,6 @@ pub enum OccupancyLimiter {
     Blocks,
     /// Limited by shared-memory capacity per SM.
     SharedMemory,
-    /// Limited by the register file per SM.
-    Registers,
     /// The grid has fewer blocks than a single SM could host.
     GridSize,
 }
@@ -38,15 +37,11 @@ pub struct Occupancy {
 
 impl Occupancy {
     /// Computes the occupancy of a launch on the given GPU.
-    ///
-    /// `regs_per_thread` of 0 means "ignore register pressure" (registers rarely bind for
-    /// the decoder kernels, which are memory-bound).
     pub fn calculate(
         cfg: &GpuConfig,
         grid_dim: u32,
         block_dim: u32,
         shared_mem_per_block: u32,
-        regs_per_thread: u32,
     ) -> Occupancy {
         assert!(block_dim > 0, "block_dim must be positive");
         let warps_per_block = block_dim.div_ceil(cfg.warp_size);
@@ -57,17 +52,10 @@ impl Occupancy {
             .shared_mem_per_sm
             .checked_div(shared_mem_per_block)
             .unwrap_or(u32::MAX);
-        let by_regs = if regs_per_thread == 0 {
-            u32::MAX
-        } else {
-            cfg.registers_per_sm / (regs_per_thread * block_dim)
-        };
 
-        let mut blocks = by_threads.min(by_blocks).min(by_shmem).min(by_regs);
+        let mut blocks = by_threads.min(by_blocks).min(by_shmem);
         let mut limited_by = if blocks == by_shmem && shared_mem_per_block != 0 {
             OccupancyLimiter::SharedMemory
-        } else if blocks == by_regs && regs_per_thread != 0 {
-            OccupancyLimiter::Registers
         } else if blocks == by_threads {
             OccupancyLimiter::Threads
         } else {
@@ -104,7 +92,7 @@ mod tests {
     #[test]
     fn no_shared_memory_full_occupancy() {
         let cfg = GpuConfig::v100();
-        let occ = Occupancy::calculate(&cfg, 1_000_000, 256, 0, 0);
+        let occ = Occupancy::calculate(&cfg, 1_000_000, 256, 0);
         // 2048 threads / 256 = 8 blocks, 64 warps -> 100%.
         assert_eq!(occ.blocks_per_sm, 8);
         assert_eq!(occ.warps_per_sm, 64);
@@ -116,7 +104,7 @@ mod tests {
     fn shared_memory_limits_occupancy() {
         let cfg = GpuConfig::v100();
         // 48 KiB per block -> only 2 blocks per SM fit in 96 KiB.
-        let occ = Occupancy::calculate(&cfg, 1_000_000, 256, 48 * 1024, 0);
+        let occ = Occupancy::calculate(&cfg, 1_000_000, 256, 48 * 1024);
         assert_eq!(occ.blocks_per_sm, 2);
         assert_eq!(occ.limited_by, OccupancyLimiter::SharedMemory);
         assert!(occ.fraction < 0.5);
@@ -127,7 +115,7 @@ mod tests {
         let cfg = GpuConfig::v100();
         let mut last = u32::MAX;
         for shmem in (2048..=32 * 1024).step_by(2048) {
-            let occ = Occupancy::calculate(&cfg, 1_000_000, 256, shmem, 0);
+            let occ = Occupancy::calculate(&cfg, 1_000_000, 256, shmem);
             assert!(occ.blocks_per_sm <= last);
             last = occ.blocks_per_sm;
         }
@@ -136,24 +124,15 @@ mod tests {
     #[test]
     fn small_grid_limits_occupancy() {
         let cfg = GpuConfig::v100();
-        let occ = Occupancy::calculate(&cfg, 80, 256, 0, 0);
+        let occ = Occupancy::calculate(&cfg, 80, 256, 0);
         assert_eq!(occ.blocks_per_sm, 1);
         assert_eq!(occ.limited_by, OccupancyLimiter::GridSize);
     }
 
     #[test]
-    fn register_pressure_limits_occupancy() {
-        let cfg = GpuConfig::v100();
-        // 128 regs/thread * 256 threads = 32768 regs per block -> 2 blocks per SM.
-        let occ = Occupancy::calculate(&cfg, 1_000_000, 256, 0, 128);
-        assert_eq!(occ.blocks_per_sm, 2);
-        assert_eq!(occ.limited_by, OccupancyLimiter::Registers);
-    }
-
-    #[test]
     fn tiny_block_limited_by_block_slots() {
         let cfg = GpuConfig::v100();
-        let occ = Occupancy::calculate(&cfg, 1_000_000, 32, 0, 0);
+        let occ = Occupancy::calculate(&cfg, 1_000_000, 32, 0);
         // 2048/32 = 64 by threads, but max 32 blocks per SM binds first.
         assert_eq!(occ.blocks_per_sm, 32);
         assert_eq!(occ.limited_by, OccupancyLimiter::Blocks);
@@ -163,7 +142,7 @@ mod tests {
     #[test]
     fn active_blocks_on_device_scales_with_sms() {
         let cfg = GpuConfig::v100();
-        let occ = Occupancy::calculate(&cfg, 1_000_000, 256, 0, 0);
+        let occ = Occupancy::calculate(&cfg, 1_000_000, 256, 0);
         assert_eq!(occ.active_blocks_on_device(&cfg), 8 * 80);
     }
 }

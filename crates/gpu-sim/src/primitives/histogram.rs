@@ -137,14 +137,13 @@ pub fn device_histogram<D: LaunchDevice + ?Sized, K: Copy + Into<u32> + Sync>(
     phase.push_serial(gpu.launch(&k1, LaunchConfig::new(grid, BLOCK_DIM)));
 
     let partials = d_partials.into_vec();
-    let reduce_grid = (num_bins as u32).div_ceil(BLOCK_DIM).max(1);
     let k2 = ReducePartialsKernel {
         partials: &partials,
         out: &d_out,
         num_bins,
         num_partials: grid as usize,
     };
-    phase.push_serial(gpu.launch(&k2, LaunchConfig::new(reduce_grid, BLOCK_DIM)));
+    phase.push_serial(gpu.launch(&k2, LaunchConfig::covering(num_bins, BLOCK_DIM)));
 
     (d_out.into_vec(), phase)
 }

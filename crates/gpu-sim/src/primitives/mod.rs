@@ -1,5 +1,5 @@
-//! Device-wide primitives modelled on CUB: exclusive prefix sum, histogram, key-value
-//! radix sort, and reductions.
+//! Device-wide primitives modelled on CUB: exclusive prefix sum, histogram and key-value
+//! radix sort.
 //!
 //! The paper's online shared-memory tuning (Algorithm 2) is built from exactly these
 //! primitives — "The algorithm used is the same variation of Gómez-Luna et al. that is
@@ -11,10 +11,8 @@
 
 pub mod histogram;
 pub mod radix_sort;
-pub mod reduce;
 pub mod scan;
 
 pub use histogram::device_histogram;
 pub use radix_sort::device_radix_sort_pairs;
-pub use reduce::{device_reduce_max, device_reduce_sum};
 pub use scan::device_exclusive_prefix_sum;

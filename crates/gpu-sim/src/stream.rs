@@ -93,7 +93,7 @@ mod tests {
                 ..Default::default()
             })
             .collect();
-        estimate_kernel_time(cfg, "k", grid, 256, 0, 0, &blocks)
+        estimate_kernel_time(cfg, "k", grid, 256, 0, &blocks)
     }
 
     #[test]

@@ -77,16 +77,9 @@ pub fn estimate_kernel_time(
     grid_dim: u32,
     block_dim: u32,
     shared_mem_bytes: u32,
-    regs_per_thread: u32,
     blocks: &[BlockStats],
 ) -> KernelStats {
-    let occupancy = Occupancy::calculate(
-        cfg,
-        grid_dim.max(1),
-        block_dim,
-        shared_mem_bytes,
-        regs_per_thread,
-    );
+    let occupancy = Occupancy::calculate(cfg, grid_dim.max(1), block_dim, shared_mem_bytes);
 
     let mut mem = MemStats::default();
     let mut total_cycles = 0.0f64;
@@ -222,7 +215,7 @@ mod tests {
     #[test]
     fn launch_overhead_always_included() {
         let cfg = GpuConfig::v100();
-        let stats = estimate_kernel_time(&cfg, "k", 1, 32, 0, 0, &[block(1.0, 0, 0)]);
+        let stats = estimate_kernel_time(&cfg, "k", 1, 32, 0, &[block(1.0, 0, 0)]);
         assert!(stats.time_s >= cfg.kernel_launch_overhead_us * 1e-6);
     }
 
@@ -234,7 +227,7 @@ mod tests {
         let blocks: Vec<BlockStats> = (0..1000)
             .map(|_| block(100.0, sectors / 1000, (1 << 30) / 1000))
             .collect();
-        let stats = estimate_kernel_time(&cfg, "k", 1000, 256, 0, 0, &blocks);
+        let stats = estimate_kernel_time(&cfg, "k", 1000, 256, 0, &blocks);
         let expected = 2.0 * (1u64 << 30) as f64 / (900.0 * 1e9);
         assert!(stats.mem_time_s > 0.9 * expected && stats.mem_time_s < 1.1 * expected);
         assert!(stats.time_s >= stats.mem_time_s);
@@ -246,8 +239,8 @@ mod tests {
         // Same useful bytes, 16x the sectors.
         let coalesced: Vec<BlockStats> = (0..1000).map(|_| block(10.0, 1000, 32_000)).collect();
         let scattered: Vec<BlockStats> = (0..1000).map(|_| block(10.0, 16_000, 32_000)).collect();
-        let a = estimate_kernel_time(&cfg, "c", 1000, 256, 0, 0, &coalesced);
-        let b = estimate_kernel_time(&cfg, "s", 1000, 256, 0, 0, &scattered);
+        let a = estimate_kernel_time(&cfg, "c", 1000, 256, 0, &coalesced);
+        let b = estimate_kernel_time(&cfg, "s", 1000, 256, 0, &scattered);
         assert!(b.mem_time_s > 10.0 * a.mem_time_s);
     }
 
@@ -256,7 +249,7 @@ mod tests {
         let cfg = GpuConfig::v100();
         let mut blocks = vec![block(10.0, 0, 0); 100];
         blocks.push(block(1_000_000.0, 0, 0));
-        let stats = estimate_kernel_time(&cfg, "k", 101, 256, 0, 0, &blocks);
+        let stats = estimate_kernel_time(&cfg, "k", 101, 256, 0, &blocks);
         assert!(stats.compute_time_s >= cfg.cycles_to_seconds(1_000_000.0));
     }
 
@@ -265,15 +258,15 @@ mod tests {
         let cfg = GpuConfig::v100();
         let blocks: Vec<BlockStats> = (0..10_000).map(|_| block(100.0, 100, 3200)).collect();
         // Full occupancy (no shared memory) vs. heavily limited (huge shared memory).
-        let fast = estimate_kernel_time(&cfg, "k", 10_000, 256, 0, 0, &blocks);
-        let slow = estimate_kernel_time(&cfg, "k", 10_000, 256, 90 * 1024, 0, &blocks);
+        let fast = estimate_kernel_time(&cfg, "k", 10_000, 256, 0, &blocks);
+        let slow = estimate_kernel_time(&cfg, "k", 10_000, 256, 90 * 1024, &blocks);
         assert!(slow.compute_time_s > fast.compute_time_s);
     }
 
     #[test]
     fn throughput_computation() {
         let cfg = GpuConfig::v100();
-        let stats = estimate_kernel_time(&cfg, "k", 1, 32, 0, 0, &[block(1.0, 0, 0)]);
+        let stats = estimate_kernel_time(&cfg, "k", 1, 32, 0, &[block(1.0, 0, 0)]);
         let gbs = stats.throughput_gbs(1_000_000_000);
         assert!(gbs > 0.0);
         assert!((gbs - 1.0 / stats.time_s).abs() < 1e-9);
@@ -282,8 +275,8 @@ mod tests {
     #[test]
     fn phase_time_accumulates() {
         let cfg = GpuConfig::v100();
-        let k1 = estimate_kernel_time(&cfg, "a", 1, 32, 0, 0, &[block(1.0, 0, 0)]);
-        let k2 = estimate_kernel_time(&cfg, "b", 1, 32, 0, 0, &[block(1.0, 0, 0)]);
+        let k1 = estimate_kernel_time(&cfg, "a", 1, 32, 0, &[block(1.0, 0, 0)]);
+        let k2 = estimate_kernel_time(&cfg, "b", 1, 32, 0, &[block(1.0, 0, 0)]);
         let mut phase = PhaseTime::from_kernel(k1.clone());
         phase.push_serial(k2.clone());
         assert!((phase.seconds - (k1.time_s + k2.time_s)).abs() < 1e-12);

@@ -25,16 +25,6 @@ pub fn transfer_time_s(cfg: &GpuConfig, bytes: u64, dir: TransferDirection) -> f
     cfg.pcie_latency_us * 1e-6 + bytes as f64 / (bw * 1e9)
 }
 
-/// Effective throughput (GB/s) of a transfer of `bytes` bytes, including fixed latency.
-pub fn transfer_throughput_gbs(cfg: &GpuConfig, bytes: u64, dir: TransferDirection) -> f64 {
-    let t = transfer_time_s(cfg, bytes, dir);
-    if t <= 0.0 {
-        0.0
-    } else {
-        bytes as f64 / t / 1e9
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -42,7 +32,9 @@ mod tests {
     #[test]
     fn large_transfer_approaches_link_bandwidth() {
         let cfg = GpuConfig::v100();
-        let gbs = transfer_throughput_gbs(&cfg, 1 << 30, TransferDirection::HostToDevice);
+        let bytes = 1u64 << 30;
+        let gbs =
+            bytes as f64 / transfer_time_s(&cfg, bytes, TransferDirection::HostToDevice) / 1e9;
         assert!(gbs > 0.95 * cfg.pcie_h2d_gbps && gbs <= cfg.pcie_h2d_gbps);
     }
 
@@ -51,8 +43,7 @@ mod tests {
         let cfg = GpuConfig::v100();
         let t = transfer_time_s(&cfg, 64, TransferDirection::DeviceToHost);
         assert!(t >= cfg.pcie_latency_us * 1e-6);
-        let gbs = transfer_throughput_gbs(&cfg, 64, TransferDirection::DeviceToHost);
-        assert!(gbs < 0.1);
+        assert!(64.0 / t / 1e9 < 0.1);
     }
 
     #[test]

@@ -116,8 +116,8 @@ pub fn compress_hybrid(codes: &[u16], alphabet_size: usize) -> CompressedPayload
 /// Analytic cost of the run-length split: one coalesced streaming pass over the codes
 /// (2-byte loads) writing roughly one token or symbol per input code in the worst case.
 fn rle_split_time(cfg: &gpu_sim::GpuConfig, num_codes: usize) -> f64 {
-    let bytes = num_codes as f64 * 4.0; // read 2B/code + write ≤2B/code
-    bytes / (cfg.mem_bandwidth_gbps * 1e9) + cfg.kernel_launch_overhead_us * 1e-6
+    // read 2B/code + write ≤2B/code
+    cfg.streaming_pass_seconds(num_codes as f64 * 4.0, 0.0, 1)
 }
 
 /// Encodes `codes` on the backend, returning the hybrid payload and the merged

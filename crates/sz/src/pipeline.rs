@@ -253,14 +253,11 @@ impl CompressStats {
 /// Estimated time of the Lorenzo dual-quantization kernel: one f32 read, one prediction
 /// neighbourhood re-read (cached, charged as half), and one 2-byte code write per
 /// element, a few cycles of compute, one launch.
-pub fn quantize_kernel_time(gpu: &dyn Backend, num_elements: usize) -> f64 {
+fn quantize_kernel_time(gpu: &dyn Backend, num_elements: usize) -> f64 {
     let cfg = gpu.config();
-    let traffic_bytes = num_elements as f64 * 8.0;
-    let mem_time = traffic_bytes / (cfg.mem_bandwidth_gbps * 1e9);
     let compute_cycles =
         num_elements as f64 * 6.0 / (cfg.num_sms as f64 * cfg.issue_slots_per_sm as f64);
-    let compute_time = cfg.cycles_to_seconds(compute_cycles);
-    mem_time.max(compute_time) + cfg.kernel_launch_overhead_us * 1e-6
+    cfg.streaming_pass_seconds(num_elements as f64 * 8.0, compute_cycles, 1)
 }
 
 fn quantize_field(field: &Field, config: &SzConfig) -> (Quantized, f64) {
@@ -338,21 +335,17 @@ pub fn compress_on(
 /// read of the 2-byte codes, one intermediate 4-byte partial-sum read+write, and one
 /// 4-byte output write per element (14 bytes/element of DRAM traffic), a few cycles of
 /// compute per element, and two kernel launches.
-pub fn reconstruct_kernel_time(gpu: &dyn Backend, num_elements: usize) -> f64 {
+fn reconstruct_kernel_time(gpu: &dyn Backend, num_elements: usize) -> f64 {
     let cfg = gpu.config();
-    let traffic_bytes = num_elements as f64 * 14.0;
-    let mem_time = traffic_bytes / (cfg.mem_bandwidth_gbps * 1e9);
     let compute_cycles =
         num_elements as f64 * 8.0 / (cfg.num_sms as f64 * cfg.issue_slots_per_sm as f64);
-    let compute_time = cfg.cycles_to_seconds(compute_cycles);
-    mem_time.max(compute_time) + 2.0 * cfg.kernel_launch_overhead_us * 1e-6
+    cfg.streaming_pass_seconds(num_elements as f64 * 14.0, compute_cycles, 2)
 }
 
 /// Estimated time of the outlier scatter kernel (read the outlier list, patch the grid).
-pub fn outlier_scatter_time(gpu: &dyn Backend, num_outliers: usize) -> f64 {
-    let cfg = gpu.config();
-    let traffic = num_outliers as f64 * (12.0 + 8.0);
-    traffic / (cfg.mem_bandwidth_gbps * 1e9) + cfg.kernel_launch_overhead_us * 1e-6
+fn outlier_scatter_time(gpu: &dyn Backend, num_outliers: usize) -> f64 {
+    gpu.config()
+        .streaming_pass_seconds(num_outliers as f64 * (12.0 + 8.0), 0.0, 1)
 }
 
 /// Decodes one payload with whichever decoder `kind` names: hybrid payloads route to

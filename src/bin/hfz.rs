@@ -804,12 +804,27 @@ fn cmd_verify_remote(args: &Args) -> Result<(), HfzError> {
     let mut client = connect(args)?;
     let report = client.verify(archive)?;
     out!("{}", report.trim_end());
-    if report.contains("DIGEST MISMATCH") {
-        return Err(HfzError::Verify(
+    match remote_digest_failures(&report) {
+        Some(0) => Ok(()),
+        Some(_) => Err(HfzError::Verify(
             "remote deep verification reported digest failures".to_string(),
-        ));
+        )),
+        None => Err(HfzError::Protocol(
+            "the daemon's verify report does not end with a failure count".to_string(),
+        )),
     }
-    Ok(())
+}
+
+/// The digest-failure count a daemon's deep-verify report ends with
+/// (`NAME: N fields, F digest failures`). The line starts with the archive's name, which
+/// the operator chose and which may say anything, so the count is read from its fixed tail.
+fn remote_digest_failures(report: &str) -> Option<u64> {
+    let summary = report.trim_end().lines().last()?;
+    let count = summary
+        .strip_suffix(" digest failures")?
+        .rsplit(' ')
+        .next()?;
+    count.parse().ok()
 }
 
 fn cmd_serve(rest: &[String]) -> Result<(), HfzError> {

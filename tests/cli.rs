@@ -333,6 +333,73 @@ fn serve_and_get_roundtrip_through_the_daemon() {
 }
 
 #[test]
+fn remote_verify_judges_the_fields_not_the_archive_name() {
+    use huffdec::container::to_bytes;
+    use huffdec::datasets::{dataset_by_name, generate};
+
+    let dir = std::env::temp_dir().join("hfz-cli-test-remote-verify");
+    std::fs::create_dir_all(&dir).unwrap();
+    let healthy = compress_dataset(&dir, "healthy", "HACC", "gap");
+
+    // An archive whose sections all check out but whose stored decoded-stream digest is
+    // wrong: only a deep verify can tell.
+    let field = generate(&dataset_by_name("HACC").unwrap(), 20_000, 7);
+    let mut compressed = huffdec::Codec::builder()
+        .build()
+        .unwrap()
+        .compress_archive(&field)
+        .unwrap();
+    compressed.decoded_crc = compressed.decoded_crc.map(|crc| !crc);
+    let corrupt = dir.join("corrupt.hfz");
+    std::fs::write(&corrupt, to_bytes(&compressed).unwrap()).unwrap();
+
+    let mut daemon = hfz()
+        .args([
+            "serve",
+            "--listen",
+            "tcp:127.0.0.1:0",
+            "--load",
+            &format!("DIGEST MISMATCH={}", healthy.display()),
+            "--load",
+            &format!("corrupt={}", corrupt.display()),
+        ])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("daemon starts");
+    let stdout = daemon.stdout.take().expect("piped stdout");
+    let banner = std::io::BufReader::new(stdout)
+        .lines()
+        .next()
+        .expect("daemon prints its banner")
+        .expect("banner reads");
+    let addr = banner
+        .split_whitespace()
+        .find(|w| w.starts_with("tcp:"))
+        .expect("banner names the address")
+        .to_string();
+    let verify = |archive: &str| {
+        hfz()
+            .args(["verify", "--addr", &addr, "--archive", archive])
+            .output()
+            .expect("hfz runs")
+    };
+
+    let named_like_a_failure = verify("DIGEST MISMATCH");
+    let report = String::from_utf8_lossy(&named_like_a_failure.stdout);
+    assert!(report.contains("0 digest failures"), "{}", report);
+    assert_eq!(named_like_a_failure.status.code(), Some(0), "{}", report);
+
+    let genuinely_corrupt = verify("corrupt");
+    let report = String::from_utf8_lossy(&genuinely_corrupt.stdout);
+    assert!(report.contains("field 0: DIGEST MISMATCH"), "{}", report);
+    assert_eq!(genuinely_corrupt.status.code(), Some(7), "{}", report);
+
+    let shutdown = hfz().args(["shutdown", "--addr", &addr]).status().unwrap();
+    assert!(shutdown.success());
+    assert!(daemon.wait().expect("daemon exits").success());
+}
+
+#[test]
 fn snapshot_compress_extract_roundtrips_byte_identically() {
     let dir = std::env::temp_dir().join("hfz-cli-test-snapshot");
     std::fs::create_dir_all(&dir).unwrap();
