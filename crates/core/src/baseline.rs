@@ -61,18 +61,14 @@ impl BlockKernel for CoarseDecodeKernel<'_> {
                 let start = chunk.unit_offset as usize;
                 let end = start + chunk.unit_count as usize;
                 let reader = BitReader::new(&self.encoded.units[start..end], chunk.bit_len);
-                let mut pos = 0u64;
-                let mut decoded = 0u64;
-                while decoded < chunk.num_symbols {
-                    let Some((sym, n)) = self.codebook.decode_at(&reader, pos, chunk.bit_len)
-                    else {
-                        break;
-                    };
-                    self.output
-                        .set((chunk.symbol_offset + decoded) as usize, sym);
-                    pos += n as u64;
-                    decoded += 1;
-                }
+                let (_, decoded) = self.codebook.decode_run(
+                    &reader,
+                    0,
+                    u64::MAX,
+                    chunk.bit_len,
+                    chunk.num_symbols,
+                    |k, sym| self.output.set((chunk.symbol_offset + k) as usize, sym),
+                );
                 self.decoded.fetch_add(decoded, Ordering::Relaxed);
                 max_bits = max_bits.max(chunk.bit_len);
                 max_symbols = max_symbols.max(chunk.num_symbols);

@@ -20,7 +20,7 @@ use huffman::BitReader;
 
 use crate::format::EncodedStream;
 use crate::output_index::OutputIndex;
-use crate::subseq::{decode_subseq_symbols, SubseqInfo};
+use crate::subseq::SubseqInfo;
 
 /// How the decode-and-write kernel writes its output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,12 +101,14 @@ impl BlockKernel for DecodeWriteKernel<'_> {
         // symbols land at their output offsets (identical for both strategies).
         for t in 0..n {
             let sub = first_sub + t;
-            let base = self.output_index.offsets[sub] as usize;
-            decode_subseq_symbols(
-                &self.stream.codebook,
+            let base = self.output_index.offsets[sub];
+            self.stream.codebook.decode_run(
                 &reader,
-                &self.infos[sub],
-                |k, sym| self.output.set(base + k, sym),
+                self.infos[sub].start_bit,
+                u64::MAX,
+                self.stream.bit_len,
+                self.infos[sub].num_symbols,
+                |k, sym| self.output.set((base + k) as usize, sym),
             );
         }
 

@@ -17,6 +17,12 @@
 //! launched over fewer blocks. A stream that does not decode to the symbol count it
 //! declares is refused with [`DecodeError::CorruptStream`], full or ranged.
 //!
+//! Under every phase a thread's functional work is one [`huffman::Codebook::decode_run`]:
+//! a sync thread runs to its subsequence boundary and keeps the end and the count, a
+//! gap-count lane runs to its neighbour's start and keeps the count, a decode/write
+//! thread runs for its counted symbols and a baseline lane for its chunk's declared ones,
+//! both emitting into the output.
+//!
 //! The original 8-bit gap-array baseline (Table V) lives in
 //! [`crate::gap_decode::decode_original_gap8`] because it decodes a different (trimmed)
 //! symbol stream. The RLE+Huffman hybrid ([`CompressedPayload::Hybrid`]) splits a sparse

@@ -289,21 +289,6 @@ impl EncodedStream {
         }
         self.original_bytes() as f64 / self.compressed_bytes() as f64
     }
-
-    /// Per-sequence compression ratio estimates: decoded symbol bytes of each sequence
-    /// over the fixed compressed size of a sequence. Requires the per-subsequence symbol
-    /// counts (produced by the synchronization / output-index phases).
-    pub fn per_sequence_ratio(&self, subseq_symbol_counts: &[u64]) -> Vec<f64> {
-        let spb = self.geometry.subseqs_per_seq as usize;
-        let seq_bytes = self.geometry.seq_bits() as f64 / 8.0;
-        subseq_symbol_counts
-            .chunks(spb)
-            .map(|chunk| {
-                let symbols: u64 = chunk.iter().sum();
-                (symbols as f64 * 2.0) / seq_bytes
-            })
-            .collect()
-    }
 }
 
 /// Largest zero-run a single run token encodes. A token `t < HYBRID_RUN_CAP` means
@@ -442,20 +427,6 @@ mod tests {
         assert!(gapped.compression_ratio() < plain.compression_ratio());
         // But only slightly (the paper reports the gap array is small).
         assert!(gapped.compression_ratio() > 0.90 * plain.compression_ratio());
-    }
-
-    #[test]
-    fn per_sequence_ratio_reflects_symbol_counts() {
-        let syms = symbols(10_000);
-        let cb = Codebook::from_symbols(&syms, 1024);
-        let enc = EncodedStream::encode(&cb, &syms);
-        let n_sub = enc.num_subseqs();
-        // Pretend each subsequence decoded 20 symbols.
-        let counts = vec![20u64; n_sub];
-        let ratios = enc.per_sequence_ratio(&counts);
-        assert_eq!(ratios.len(), enc.num_seqs());
-        // Full sequences: 128 subseqs * 20 symbols * 2 bytes / 2048 bytes = 2.5.
-        assert!((ratios[0] - 2.5).abs() < 1e-9);
     }
 
     #[test]

@@ -53,21 +53,14 @@ impl BlockKernel for GapCountKernel<'_> {
                     .get(sub + 1)
                     .cloned()
                     .unwrap_or(self.stream.bit_len);
-                let mut pos = start;
-                let mut count = 0u64;
-                while pos < end {
-                    match self
-                        .stream
-                        .codebook
-                        .decode_at(&reader, pos, self.stream.bit_len)
-                    {
-                        Some((_sym, nbits)) => {
-                            pos += nbits as u64;
-                            count += 1;
-                        }
-                        None => break,
-                    }
-                }
+                let (_, count) = self.stream.codebook.decode_run(
+                    &reader,
+                    start,
+                    end,
+                    self.stream.bit_len,
+                    u64::MAX,
+                    |_, _| {},
+                );
                 self.counts.set(sub, count);
                 warp_cycles =
                     warp_cycles.max((end.saturating_sub(start)) as f64 * cost::DECODE_PER_BIT);

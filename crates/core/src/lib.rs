@@ -84,5 +84,5 @@ pub use output_index::{compute_output_index, OutputIndex};
 pub use phases::{DecodeResult, PhaseBreakdown};
 pub use range::{decode_range, prepare_decode, PreparedDecode, RangeDecode};
 pub use self_sync::{synchronize, SyncResult, SyncVariant};
-pub use subseq::{decode_subseq_symbols, reference_subseq_infos, SubseqInfo};
+pub use subseq::SubseqInfo;
 pub use tuner::{tuned_decode_write, TunedDecode, HIGH_CR_BUFFER_SYMBOLS};

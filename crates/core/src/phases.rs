@@ -61,47 +61,9 @@ impl PhaseBreakdown {
         v
     }
 
-    /// Per-phase throughput in GB/s relative to `useful_bytes`, keyed by phase name
-    /// (this is how Table II reports the phases).
-    pub fn phase_throughputs_gbs(&self, useful_bytes: u64) -> Vec<(&'static str, f64)> {
-        self.phases()
-            .into_iter()
-            .map(|(name, p)| {
-                let gbs = if p.seconds <= 0.0 {
-                    0.0
-                } else {
-                    useful_bytes as f64 / p.seconds / 1e9
-                };
-                (name, gbs)
-            })
-            .collect()
-    }
-
     /// Total number of simulated kernel launches across all phases.
     pub fn kernel_launches(&self) -> usize {
         self.phases().iter().map(|(_, p)| p.kernels.len()).sum()
-    }
-
-    /// Time-weighted mean SM occupancy fraction (in `[0, 1]`) across every kernel
-    /// launch of the run, or `None` when no phase recorded kernel-level stats.
-    ///
-    /// The occupancy itself always comes from the gpu-sim perf model — the CPU
-    /// backend keeps the functional launch aggregates even though its *timings* are
-    /// measured — so the gauge is meaningful on either backend.
-    pub fn mean_occupancy_fraction(&self) -> Option<f64> {
-        let mut weighted = 0.0;
-        let mut total = 0.0;
-        for (_, phase) in self.phases() {
-            for k in &phase.kernels {
-                weighted += k.occupancy.fraction * k.time_s;
-                total += k.time_s;
-            }
-        }
-        if total > 0.0 {
-            Some(weighted / total)
-        } else {
-            None
-        }
     }
 }
 
@@ -161,10 +123,6 @@ mod tests {
             ..Default::default()
         };
         assert!((b.throughput_gbs(1_000_000_000) - 2.0).abs() < 1e-9);
-        let per_phase = b.phase_throughputs_gbs(1_000_000_000);
-        assert_eq!(per_phase.len(), 1);
-        assert_eq!(per_phase[0].0, "decode and write");
-        assert!((per_phase[0].1 - 2.0).abs() < 1e-9);
     }
 
     #[test]

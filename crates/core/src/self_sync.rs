@@ -112,12 +112,13 @@ impl BlockKernel for IntraSyncKernel<'_> {
                 if needs_decode[t] {
                     let boundary =
                         ((first_sub + t + 1) as u64 * subseq_bits).min(self.stream.bit_len);
-                    let (e, c) = huffman::decode_subsequence(
-                        &self.stream.codebook,
+                    let (e, c) = self.stream.codebook.decode_run(
                         &reader,
                         start[t],
                         boundary,
                         self.stream.bit_len,
+                        u64::MAX,
+                        |_, _| {},
                     );
                     end[t] = e;
                     count[t] = c;
@@ -208,10 +209,11 @@ impl BlockKernel for IntraSyncKernel<'_> {
 
 struct InterSyncKernel<'a> {
     stream: &'a EncodedStream,
-    /// Snapshot of the per-subsequence state from the previous pass (read-only).
-    start_snapshot: &'a [u64],
-    end_snapshot: &'a [u64],
-    /// Updated state (written).
+    /// Where each sequence but the last ended before this pass: `prev_ends[seq - 1]` is
+    /// the one entry thread `seq` reads that another thread (`seq - 1`) may write.
+    prev_ends: &'a [u64],
+    /// The state, updated in place: a thread reads `start` only for the subsequences of
+    /// its own sequence, each before it writes it.
     bufs: &'a SyncBuffers,
     /// One flag per sequence: set to 1 if this pass changed anything in that sequence.
     changed: &'a DeviceBuffer<u32>,
@@ -240,23 +242,23 @@ impl BlockKernel for InterSyncKernel<'_> {
             let lane = t % warp_size;
             if seq < num_seqs {
                 let first_sub = seq * spb;
-                let last_sub_prev = first_sub - 1;
-                let mut pos = self.end_snapshot[last_sub_prev];
+                let mut pos = self.prev_ends[seq - 1];
                 let mut sub = first_sub;
                 let seq_last_sub = (first_sub + spb).min(total_subs);
                 let mut decoded_bits = 0u64;
                 let mut any_change = false;
                 while sub < seq_last_sub {
-                    if pos == self.start_snapshot[sub] {
+                    if pos == self.bufs.start.get(sub) {
                         break;
                     }
                     let boundary = ((sub + 1) as u64 * subseq_bits).min(self.stream.bit_len);
-                    let (e, c) = huffman::decode_subsequence(
-                        &self.stream.codebook,
+                    let (e, c) = self.stream.codebook.decode_run(
                         &reader,
                         pos,
                         boundary,
                         self.stream.bit_len,
+                        u64::MAX,
+                        |_, _| {},
                     );
                     self.bufs.start.set(sub, pos);
                     self.bufs.end.set(sub, e);
@@ -317,14 +319,17 @@ pub fn synchronize(gpu: &dyn Backend, stream: &EncodedStream, variant: SyncVaria
     // Inter-sequence phase: one thread per sequence, repeated until a fixed point.
     let mut inter_phase = PhaseTime::empty();
     const INTER_BLOCK_DIM: u32 = 128;
+    let spb = stream.geometry.subseqs_per_seq as usize;
     loop {
-        let start_snapshot = bufs.start.to_vec();
-        let end_snapshot = bufs.end.to_vec();
+        // A Jacobi pass reads the previous pass's values: gather the sequence tail ends
+        // the threads would otherwise race on.
+        let prev_ends: Vec<u64> = (1..num_seqs)
+            .map(|seq| bufs.end.get(seq * spb - 1))
+            .collect();
         let changed = DeviceBuffer::<u32>::zeroed(num_seqs.max(1));
         let inter = InterSyncKernel {
             stream,
-            start_snapshot: &start_snapshot,
-            end_snapshot: &end_snapshot,
+            prev_ends: &prev_ends,
             bufs: &bufs,
             changed: &changed,
         };

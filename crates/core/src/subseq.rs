@@ -4,11 +4,8 @@
 //! (self-synchronization or gap-array counting), to the same per-subsequence state: where
 //! each thread starts decoding and how many codewords it will produce. The decode/write
 //! kernels and the output-index phase operate on this state regardless of which decoder
-//! family produced it.
-
-use huffman::{BitReader, Codebook};
-
-use crate::format::EncodedStream;
+//! family produced it: a thread's decode is one `Codebook::decode_run` from `start_bit`
+//! capped at `num_symbols`.
 
 /// Converged decode state of one subsequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -20,18 +17,13 @@ pub struct SubseqInfo {
     pub num_symbols: u64,
 }
 
-/// Computes the reference (sequential) per-subsequence state for an encoded stream: the
-/// fixed point every parallel preparation phase must converge to. Used to validate the
-/// simulated kernels and by the CPU fallback path.
-pub fn reference_subseq_infos(stream: &EncodedStream) -> Vec<SubseqInfo> {
-    let reader = BitReader::new(&stream.units, stream.bit_len);
-    let states = huffman::reference_sync_states(
-        &stream.codebook,
-        &reader,
-        stream.geometry.subseq_bits(),
-        stream.bit_len,
-    );
-    states
+/// The reference (sequential) per-subsequence state for an encoded stream: the fixed
+/// point every parallel preparation phase must converge to, which the simulated kernels
+/// are validated against.
+#[cfg(test)]
+pub(crate) fn reference_subseq_infos(stream: &crate::format::EncodedStream) -> Vec<SubseqInfo> {
+    let reader = huffman::BitReader::new(&stream.units, stream.bit_len);
+    huffman::reference_sync_states(&stream.codebook, &reader, stream.geometry.subseq_bits())
         .iter()
         .map(|s| SubseqInfo {
             start_bit: s.start_bit,
@@ -40,39 +32,10 @@ pub fn reference_subseq_infos(stream: &EncodedStream) -> Vec<SubseqInfo> {
         .collect()
 }
 
-/// Decodes the symbols of one subsequence given its converged state, handing each to
-/// `write` with its index within the subsequence (no intermediate buffer: the kernels
-/// write straight to their output). Shared functional core of every decode/write kernel.
-pub fn decode_subseq_symbols(
-    codebook: &Codebook,
-    reader: &BitReader<'_>,
-    info: &SubseqInfo,
-    mut write: impl FnMut(usize, u16),
-) {
-    let mut pos = info.start_bit;
-    for k in 0..info.num_symbols as usize {
-        let Some((sym, n)) = codebook.decode_at(reader, pos, reader.bit_len()) else {
-            break;
-        };
-        write(k, sym);
-        pos += n as u64;
-    }
-}
-
-/// Number of bits of codewords a subsequence's thread consumes (used for decode cost
-/// accounting): the distance from its start to the next subsequence's start.
-pub fn subseq_bits_consumed(infos: &[SubseqInfo], index: usize, stream_bit_len: u64) -> u64 {
-    let start = infos[index].start_bit;
-    let end = infos
-        .get(index + 1)
-        .map(|i| i.start_bit)
-        .unwrap_or(stream_bit_len);
-    end.saturating_sub(start)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::EncodedStream;
     use huffman::Codebook;
 
     fn stream(n: usize) -> EncodedStream {
@@ -99,11 +62,17 @@ mod tests {
     #[test]
     fn decoding_all_subseqs_reconstructs_the_stream() {
         let s = stream(20_000);
-        let infos = reference_subseq_infos(&s);
-        let reader = BitReader::new(&s.units, s.bit_len);
+        let reader = huffman::BitReader::new(&s.units, s.bit_len);
         let mut all = Vec::new();
-        for info in &infos {
-            decode_subseq_symbols(&s.codebook, &reader, info, |_, sym| all.push(sym));
+        for info in reference_subseq_infos(&s) {
+            s.codebook.decode_run(
+                &reader,
+                info.start_bit,
+                u64::MAX,
+                s.bit_len,
+                info.num_symbols,
+                |_, sym| all.push(sym),
+            );
         }
         let reference = huffman::decode_flat(
             &s.codebook,
@@ -111,21 +80,10 @@ mod tests {
                 units: s.units.clone(),
                 bit_len: s.bit_len,
                 num_symbols: s.num_symbols,
-                symbol_bit_offsets: None,
             },
         )
         .unwrap();
         assert_eq!(all, reference);
-    }
-
-    #[test]
-    fn bits_consumed_partition_the_stream() {
-        let s = stream(10_000);
-        let infos = reference_subseq_infos(&s);
-        let total_bits: u64 = (0..infos.len())
-            .map(|i| subseq_bits_consumed(&infos, i, s.bit_len))
-            .sum();
-        assert_eq!(total_bits, s.bit_len);
     }
 
     #[test]

@@ -46,20 +46,6 @@ impl BitWriter {
         self.bit_len += len as u64;
     }
 
-    /// Appends a single bit.
-    #[inline]
-    pub fn write_bit(&mut self, bit: bool) {
-        let unit_idx = (self.bit_len / 32) as usize;
-        let bit_in_unit = (self.bit_len % 32) as u32;
-        if unit_idx == self.units.len() {
-            self.units.push(0);
-        }
-        if bit {
-            self.units[unit_idx] |= 1u32 << (31 - bit_in_unit);
-        }
-        self.bit_len += 1;
-    }
-
     /// Pads with zero bits up to the next unit boundary and returns the number of padding
     /// bits added.
     pub fn pad_to_unit(&mut self) -> u32 {
@@ -134,6 +120,23 @@ impl<'a> BitReader<'a> {
     /// The underlying unit slice.
     pub fn units(&self) -> &'a [u32] {
         self.units
+    }
+}
+
+#[cfg(test)]
+impl BitWriter {
+    /// Appends a single bit: the bit-at-a-time reference [`BitWriter::write_bits`] is
+    /// checked against.
+    pub(crate) fn write_bit(&mut self, bit: bool) {
+        let unit_idx = (self.bit_len / 32) as usize;
+        let bit_in_unit = (self.bit_len % 32) as u32;
+        if unit_idx == self.units.len() {
+            self.units.push(0);
+        }
+        if bit {
+            self.units[unit_idx] |= 1u32 << (31 - bit_in_unit);
+        }
+        self.bit_len += 1;
     }
 }
 

@@ -90,27 +90,34 @@ pub fn encode_chunked(
     }
 }
 
-/// Sequentially decodes a chunked encoding (CPU reference for the baseline GPU decoder).
-pub fn decode_chunked(codebook: &Codebook, encoded: &ChunkedEncoded) -> Option<Vec<u16>> {
-    let mut out = Vec::with_capacity(encoded.num_symbols);
-    for chunk in &encoded.chunks {
-        let start = chunk.unit_offset as usize;
-        let end = start + chunk.unit_count as usize;
-        let reader = crate::bitstream::BitReader::new(&encoded.units[start..end], chunk.bit_len);
-        let mut pos = 0u64;
-        for _ in 0..chunk.num_symbols {
-            let (sym, n) = codebook.decode_at(&reader, pos, chunk.bit_len)?;
-            out.push(sym);
-            pos += n as u64;
-        }
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitstream::BitReader;
     use crate::encoder::encode_flat;
+
+    /// Sequentially decodes a chunked encoding, one run per chunk capped at the chunk's
+    /// declared symbol count: the reference the round trips below compare against.
+    fn decode_chunked(codebook: &Codebook, encoded: &ChunkedEncoded) -> Option<Vec<u16>> {
+        let mut out = Vec::with_capacity(encoded.num_symbols);
+        for chunk in &encoded.chunks {
+            let start = chunk.unit_offset as usize;
+            let end = start + chunk.unit_count as usize;
+            let reader = BitReader::new(&encoded.units[start..end], chunk.bit_len);
+            let (_, count) = codebook.decode_run(
+                &reader,
+                0,
+                u64::MAX,
+                chunk.bit_len,
+                chunk.num_symbols,
+                |_, symbol| out.push(symbol),
+            );
+            if count != chunk.num_symbols {
+                return None;
+            }
+        }
+        Some(out)
+    }
 
     fn symbols(n: usize) -> Vec<u16> {
         (0..n as u32)

@@ -26,13 +26,32 @@
 //!
 //! Speculative self-synchronization starts, gap-array construction and corrupt-stream
 //! detection all rest on these three rules.
+//!
+//! # The `decode_run` contract
+//!
+//! [`Codebook::decode_run`] is the per-thread step every decoder repeats, and the only
+//! loop over `decode_at` outside the tests: from a start bit it decodes one codeword after
+//! another, hands each symbol to `emit` with its index in the run, and returns
+//! `(end_bit, count)` — where the next codeword would start, and how many it produced. It
+//! stops at the first of four conditions:
+//!
+//! * the next codeword would *start* at or after `stop` (a subsequence boundary: a
+//!   codeword may straddle it, which is how a thread's end becomes its neighbour's
+//!   synchronization point; a run with no boundary passes `u64::MAX`);
+//! * the next codeword would *end* past `limit` or past the reader's `bit_len` (the end of
+//!   the stream: nothing is decoded from bits that are not there);
+//! * `max_symbols` symbols have been produced (a declared symbol count; a run that only
+//!   counts passes `u64::MAX`);
+//! * the bits at the position are a prefix of no codeword.
+//!
+//! `stop` bounds where codewords begin and `limit` where they end, so `limit < stop`
+//! simply makes `limit` the binding one, and a `limit` past `bit_len` is `bit_len`.
+//! `emit` is never called for a codeword that a stop condition rejected.
 
 use crate::bitstream::BitReader;
 use crate::canonical::{assign_canonical, is_prefix_free, Codeword};
 use crate::freq::FrequencyTable;
-use crate::tree::{
-    code_lengths, expected_length, kraft_sum, length_limited_code_lengths, MAX_CODE_LEN,
-};
+use crate::tree::{code_lengths, kraft_sum, length_limited_code_lengths, MAX_CODE_LEN};
 
 /// Width of the direct-lookup table in bits: 2¹¹ four-byte entries, 8 KB per codebook.
 const LUT_BITS: u32 = 11;
@@ -129,16 +148,13 @@ impl DecodeTable {
 
 /// A complete Huffman codebook over a `u16` alphabet.
 ///
-/// Equality compares the canonical codewords (and alphabet size): the decode table and
-/// cached statistics are derived from them, so two codebooks with the same codewords
-/// decode identically.
+/// Equality compares the canonical codewords (and alphabet size): the decode table is
+/// derived from them, so two codebooks with the same codewords decode identically.
 #[derive(Debug, Clone)]
 pub struct Codebook {
     alphabet_size: usize,
     codewords: Vec<Codeword>,
     table: Box<DecodeTable>,
-    max_len: u8,
-    avg_len_bits: f64,
 }
 
 impl PartialEq for Codebook {
@@ -157,7 +173,7 @@ impl Codebook {
             Some(l) => l,
             None => length_limited_code_lengths(freq, MAX_CODE_LEN),
         };
-        Self::from_lengths_and_freq(&lengths, Some(freq))
+        Self::from_lengths(&lengths)
     }
 
     /// Builds a codebook from the symbols that will be encoded.
@@ -169,22 +185,14 @@ impl Codebook {
     /// Builds a codebook directly from canonical code lengths (e.g. when reconstructing a
     /// codebook shipped in a compressed archive header).
     pub fn from_lengths(lengths: &[u8]) -> Self {
-        Self::from_lengths_and_freq(lengths, None)
-    }
-
-    fn from_lengths_and_freq(lengths: &[u8], freq: Option<&FrequencyTable>) -> Self {
         debug_assert!(kraft_sum(lengths) <= 1.0 + 1e-9);
         let codewords = assign_canonical(lengths);
         debug_assert!(is_prefix_free(&codewords));
         let table = DecodeTable::build(&codewords);
-        let max_len = lengths.iter().cloned().max().unwrap_or(0);
-        let avg_len_bits = freq.map(|f| expected_length(f, lengths)).unwrap_or(0.0);
         Codebook {
             alphabet_size: lengths.len(),
             codewords,
             table,
-            max_len,
-            avg_len_bits,
         }
     }
 
@@ -206,17 +214,6 @@ impl Codebook {
     /// The per-symbol code lengths.
     pub fn lengths(&self) -> Vec<u8> {
         self.codewords.iter().map(|c| c.len).collect()
-    }
-
-    /// The longest codeword length in bits.
-    pub fn max_code_len(&self) -> u8 {
-        self.max_len
-    }
-
-    /// Average code length in bits per symbol under the construction frequencies
-    /// (0 if the codebook was built from lengths only).
-    pub fn avg_code_len_bits(&self) -> f64 {
-        self.avg_len_bits
     }
 
     /// Number of symbols that actually have a codeword (non-zero length) — the number of
@@ -293,6 +290,37 @@ impl Codebook {
     pub fn decode_at(&self, reader: &BitReader<'_>, pos: u64, limit: u64) -> Option<(u16, u8)> {
         let (symbol, len) = self.table.lookup(reader.peek32(pos))?;
         (pos + len as u64 <= limit.min(reader.bit_len())).then_some((symbol, len))
+    }
+
+    /// Decodes codewords from bit `start` while the next one starts before `stop`, ends at
+    /// or before `limit` (and the end of the stream), fewer than `max_symbols` have been
+    /// produced and the bits resolve to a symbol. Each symbol goes to `emit` with its index
+    /// in the run; returns `(end_bit, count)`, the start of the codeword the run stopped
+    /// at and the number produced (the full contract is in the module documentation).
+    ///
+    /// `inline(always)` for the reason [`Codebook::decode_at`] is, and so that a caller
+    /// that only counts compiles its empty `emit` away.
+    #[inline(always)]
+    pub fn decode_run(
+        &self,
+        reader: &BitReader<'_>,
+        start: u64,
+        stop: u64,
+        limit: u64,
+        max_symbols: u64,
+        mut emit: impl FnMut(u64, u16),
+    ) -> (u64, u64) {
+        let mut pos = start;
+        let mut count = 0u64;
+        while pos < stop && count < max_symbols {
+            let Some((symbol, len)) = self.decode_at(reader, pos, limit) else {
+                break;
+            };
+            emit(count, symbol);
+            pos += len as u64;
+            count += 1;
+        }
+        (pos, count)
     }
 }
 
@@ -394,8 +422,7 @@ mod tests {
         let cb = Codebook::from_symbols(&symbols, 4);
         assert_eq!(cb.codeword(0).len, 1);
         assert!(cb.codeword(3).len >= cb.codeword(1).len);
-        assert!(cb.avg_code_len_bits() < 1.1);
-        assert!(cb.max_code_len() <= 3);
+        assert!(cb.lengths().iter().all(|&len| len <= 3));
     }
 
     #[test]

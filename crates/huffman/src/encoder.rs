@@ -24,10 +24,6 @@ pub struct FlatEncoded {
     pub bit_len: u64,
     /// Number of symbols encoded.
     pub num_symbols: usize,
-    /// Bit offset of the first bit of each symbol's codeword. Only populated when
-    /// requested via [`encode_flat_with_offsets`]; used by tests and by gap-array
-    /// construction.
-    pub symbol_bit_offsets: Option<Vec<u64>>,
 }
 
 impl FlatEncoded {
@@ -42,21 +38,7 @@ impl FlatEncoded {
 /// # Panics
 /// Panics if a symbol has no codeword in the codebook.
 pub fn encode_flat(codebook: &Codebook, symbols: &[u16]) -> FlatEncoded {
-    encode_flat_inner(codebook, symbols, false)
-}
-
-/// Like [`encode_flat`] but also records the starting bit offset of every symbol.
-pub fn encode_flat_with_offsets(codebook: &Codebook, symbols: &[u16]) -> FlatEncoded {
-    encode_flat_inner(codebook, symbols, true)
-}
-
-fn encode_flat_inner(codebook: &Codebook, symbols: &[u16], with_offsets: bool) -> FlatEncoded {
     let mut w = BitWriter::new();
-    let mut offsets = if with_offsets {
-        Some(Vec::with_capacity(symbols.len()))
-    } else {
-        None
-    };
     for &s in symbols {
         let cw = codebook.codeword(s);
         assert!(
@@ -64,9 +46,6 @@ fn encode_flat_inner(codebook: &Codebook, symbols: &[u16], with_offsets: bool) -
             "symbol {} has no codeword (was it absent from the frequency table?)",
             s
         );
-        if let Some(o) = offsets.as_mut() {
-            o.push(w.bit_len());
-        }
         w.write_bits(cw.bits, cw.len);
     }
     let (units, bit_len) = w.finish();
@@ -74,8 +53,26 @@ fn encode_flat_inner(codebook: &Codebook, symbols: &[u16], with_offsets: bool) -
         units,
         bit_len,
         num_symbols: symbols.len(),
-        symbol_bit_offsets: offsets,
     }
+}
+
+/// [`encode_flat`] plus the bit offset of the first bit of each symbol's codeword: the
+/// ground truth the self-synchronization and gap-array tests check boundaries against.
+#[cfg(test)]
+pub(crate) fn encode_flat_with_offsets(
+    codebook: &Codebook,
+    symbols: &[u16],
+) -> (FlatEncoded, Vec<u64>) {
+    let mut next = 0u64;
+    let offsets = symbols
+        .iter()
+        .map(|&s| {
+            let offset = next;
+            next += codebook.codeword(s).len as u64;
+            offset
+        })
+        .collect();
+    (encode_flat(codebook, symbols), offsets)
 }
 
 #[cfg(test)]
@@ -130,8 +127,7 @@ mod tests {
     fn offsets_are_monotone_and_match_code_lengths() {
         let symbols: Vec<u16> = vec![0, 1, 2, 0, 0, 1];
         let cb = Codebook::from_symbols(&symbols, 4);
-        let enc = encode_flat_with_offsets(&cb, &symbols);
-        let offsets = enc.symbol_bit_offsets.as_ref().unwrap();
+        let (enc, offsets) = encode_flat_with_offsets(&cb, &symbols);
         assert_eq!(offsets.len(), symbols.len());
         assert_eq!(offsets[0], 0);
         for (i, w) in offsets.windows(2).enumerate() {

@@ -9,6 +9,7 @@
 
 use crate::bitstream::BitReader;
 use crate::codebook::Codebook;
+use crate::selfsync::reference_sync_states;
 
 /// The gap array and the subsequence geometry it was computed for.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,11 +32,6 @@ impl GapArray {
         self.gaps.is_empty()
     }
 
-    /// Storage overhead in bytes (one byte per subsequence, as in the paper).
-    pub fn storage_bytes(&self) -> u64 {
-        self.gaps.len() as u64
-    }
-
     /// Absolute bit position where decoding of subsequence `i` must start.
     pub fn start_bit(&self, i: usize) -> u64 {
         i as u64 * self.subseq_bits + self.gaps[i] as u64
@@ -44,7 +40,8 @@ impl GapArray {
 
 /// Computes the gap array for a flat-encoded stream by a single sequential pass over the
 /// codeword boundaries (this is the extra encoder-side work the paper attributes to the
-/// gap-array approach).
+/// gap-array approach): the gap of a subsequence is how far past its boundary the
+/// converged decode of [`reference_sync_states`] starts it.
 ///
 /// `subseq_bits` is the subsequence size in bits (e.g. 4 units × 32 bits = 128).
 ///
@@ -58,40 +55,24 @@ pub fn compute_gap_array(
     subseq_bits: u64,
 ) -> GapArray {
     assert!(subseq_bits > 0, "subsequence size must be positive");
-    let num_subseqs = bit_len.div_ceil(subseq_bits) as usize;
-    let mut gaps = vec![0u8; num_subseqs];
-    if num_subseqs == 0 {
-        return GapArray { gaps, subseq_bits };
-    }
-
     let reader = BitReader::new(units, bit_len);
-    let mut pos = 0u64; // Always a true codeword boundary.
-    let mut next_subseq = 1usize; // Subsequence 0 trivially has gap 0.
-    while next_subseq < num_subseqs {
-        let boundary = next_subseq as u64 * subseq_bits;
-        if pos >= boundary {
-            let gap = pos - boundary;
-            assert!(gap <= u8::MAX as u64, "gap {} does not fit in a byte", gap);
-            gaps[next_subseq] = gap as u8;
-            next_subseq += 1;
-            continue;
-        }
-        match codebook.decode_at(&reader, pos, bit_len) {
-            Some((_sym, n)) => pos += n as u64,
-            None => {
-                // Ran off the end: remaining subsequences (if any) start exactly at their
-                // boundaries (they contain only padding).
-                break;
-            }
-        }
-    }
+    let gaps = reference_sync_states(codebook, &reader, subseq_bits)
+        .iter()
+        .enumerate()
+        .map(|(i, state)| {
+            // A decode that ran off the end leaves the remaining subsequences (they
+            // contain only padding) starting exactly at their boundaries.
+            let gap = state.start_bit.saturating_sub(i as u64 * subseq_bits);
+            u8::try_from(gap).unwrap_or_else(|_| panic!("gap {} does not fit in a byte", gap))
+        })
+        .collect();
     GapArray { gaps, subseq_bits }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encoder::encode_flat_with_offsets;
+    use crate::encoder::{encode_flat, encode_flat_with_offsets};
 
     fn skewed_symbols(n: usize) -> Vec<u16> {
         (0..n as u32)
@@ -106,8 +87,7 @@ mod tests {
     fn gaps_point_at_true_codeword_boundaries() {
         let symbols = skewed_symbols(20_000);
         let cb = Codebook::from_symbols(&symbols, 1024);
-        let enc = encode_flat_with_offsets(&cb, &symbols);
-        let offsets = enc.symbol_bit_offsets.clone().unwrap();
+        let (enc, offsets) = encode_flat_with_offsets(&cb, &symbols);
         let boundaries: std::collections::BTreeSet<u64> = offsets.iter().cloned().collect();
 
         let gap = compute_gap_array(&cb, &enc.units, enc.bit_len, 128);
@@ -141,17 +121,17 @@ mod tests {
         // compression ratio >= 2.1 this is under 3%.
         let symbols = skewed_symbols(100_000);
         let cb = Codebook::from_symbols(&symbols, 1024);
-        let enc = encode_flat_with_offsets(&cb, &symbols);
+        let enc = encode_flat(&cb, &symbols);
         let gap = compute_gap_array(&cb, &enc.units, enc.bit_len, 128);
         let original_bytes = symbols.len() as u64 * 2;
-        assert!((gap.storage_bytes() as f64) < 0.03 * original_bytes as f64);
+        assert!((gap.len() as f64) < 0.03 * original_bytes as f64);
     }
 
     #[test]
     fn single_subsequence_stream() {
         let symbols = vec![1u16, 2, 3];
         let cb = Codebook::from_symbols(&symbols, 8);
-        let enc = encode_flat_with_offsets(&cb, &symbols);
+        let enc = encode_flat(&cb, &symbols);
         let gap = compute_gap_array(&cb, &enc.units, enc.bit_len, 1024);
         assert_eq!(gap.len(), 1);
         assert_eq!(gap.gaps[0], 0);
@@ -162,7 +142,6 @@ mod tests {
         let cb = Codebook::from_symbols(&[0u16], 4);
         let gap = compute_gap_array(&cb, &[], 0, 128);
         assert!(gap.is_empty());
-        assert_eq!(gap.storage_bytes(), 0);
     }
 
     #[test]
@@ -174,7 +153,7 @@ mod tests {
             symbols[i] = 513;
         }
         let cb = Codebook::from_symbols(&symbols, 1024);
-        let enc = encode_flat_with_offsets(&cb, &symbols);
+        let enc = encode_flat(&cb, &symbols);
         let gap = compute_gap_array(&cb, &enc.units, enc.bit_len, 128);
         assert!(gap.gaps.iter().all(|&g| g <= 2));
     }

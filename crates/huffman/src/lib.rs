@@ -6,15 +6,28 @@
 //! * [`freq`] — symbol frequency histograms over multi-byte (`u16`) alphabets;
 //! * [`tree`] — optimal (and length-limited) code-length construction;
 //! * [`canonical`] — canonical codeword assignment, as used by cuSZ's codebooks;
-//! * [`codebook`] — the encode table plus the canonical decode table every decoder reads;
+//! * [`codebook`] — the encode table plus the canonical decode table every decoder reads,
+//!   and the two decode entry points over it (below);
 //! * [`bitstream`] — 32-bit-unit bit packing (the "unit" of the paper's stream geometry);
 //! * [`encoder`] — flat ("pure") Huffman encoding used by the fine-grained decoders;
 //! * [`chunked`] — cuSZ's coarse-grained chunked encoding used by the baseline decoder;
 //! * [`gap`] — gap-array construction (Yamamoto et al.);
-//! * [`selfsync`] — self-synchronization reference implementations and measurements
-//!   (Weißenberger & Schmidt, after Klein & Wiseman);
+//! * [`selfsync`] — the sequential self-synchronization reference: the converged
+//!   per-subsequence state (Weißenberger & Schmidt, after Klein & Wiseman);
 //! * [`cpu_decoder`] — the sequential reference decoder every GPU decoder is validated
 //!   against.
+//!
+//! ## Decoding
+//!
+//! [`Codebook::decode_at`] resolves the one codeword that starts at a bit position —
+//! `None` when it would end past `limit` or the end of the stream, or when the bits are a
+//! prefix of no codeword. [`Codebook::decode_run`] is the per-thread step every decoder in
+//! the workspace repeats, and the only loop over `decode_at`: from a start bit it decodes
+//! while the next codeword *starts* before `stop`, *ends* at or before `limit` (and the end
+//! of the stream), fewer than `max_symbols` have been produced and the bits resolve to a
+//! symbol, and returns where it stopped and how many it produced. `stop` is a subsequence
+//! boundary that a codeword may straddle; `limit` is where the bits run out. Both
+//! contracts are spelled out in [`codebook`].
 //!
 //! ## Example
 //!
@@ -43,18 +56,11 @@ pub mod tree;
 
 pub use bitstream::{BitReader, BitWriter};
 pub use canonical::{assign_canonical, is_prefix_free, Codeword};
-pub use chunked::{
-    decode_chunked, encode_chunked, ChunkMeta, ChunkedEncoded, DEFAULT_CHUNK_SYMBOLS,
-};
+pub use chunked::{encode_chunked, ChunkMeta, ChunkedEncoded, DEFAULT_CHUNK_SYMBOLS};
 pub use codebook::Codebook;
-pub use cpu_decoder::{count_codewords_in_range, decode_flat, decode_from_bit};
-pub use encoder::{encode_flat, encode_flat_with_offsets, FlatEncoded};
+pub use cpu_decoder::decode_flat;
+pub use encoder::{encode_flat, FlatEncoded};
 pub use freq::FrequencyTable;
 pub use gap::{compute_gap_array, GapArray};
-pub use selfsync::{
-    decode_subsequence, reference_sync_states, subsequences_until_sync, sync_distance_bits,
-    SubseqSync,
-};
-pub use tree::{
-    code_lengths, expected_length, kraft_sum, length_limited_code_lengths, MAX_CODE_LEN,
-};
+pub use selfsync::{reference_sync_states, SubseqSync};
+pub use tree::{code_lengths, kraft_sum, length_limited_code_lengths, MAX_CODE_LEN};

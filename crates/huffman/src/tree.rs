@@ -154,25 +154,23 @@ pub fn kraft_sum(lengths: &[u8]) -> f64 {
         .sum()
 }
 
-/// Expected code length in bits per symbol under the given frequencies.
-pub fn expected_length(freq: &FrequencyTable, lengths: &[u8]) -> f64 {
-    let total = freq.total();
-    if total == 0 {
-        return 0.0;
-    }
-    let mut bits = 0.0;
-    for (sym, &c) in freq.counts().iter().enumerate() {
-        bits += c as f64 * lengths[sym] as f64;
-    }
-    bits / total as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn freqs(counts: &[u64]) -> FrequencyTable {
         FrequencyTable::from_counts(counts.to_vec())
+    }
+
+    /// Expected code length in bits per symbol under the given frequencies.
+    fn expected_length(freq: &FrequencyTable, lengths: &[u8]) -> f64 {
+        let bits: f64 = freq
+            .counts()
+            .iter()
+            .zip(lengths)
+            .map(|(&c, &len)| c as f64 * len as f64)
+            .sum();
+        bits / freq.total() as f64
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Fails when non-test code copies a DeviceBuffer in or out. The rule (gpu-sim/src/buffer.rs):
 # a DeviceBuffer is made from a Vec and returned as a Vec by move, and read-only kernel
-# operands are plain slices. The only snapshots that are the algorithm are self_sync's.
+# operands are plain slices.
 # A file's non-test code is everything above its first `#[cfg(test)]`; `.to_vec()` is
 # flagged only in files whose non-test code names DeviceBuffer.
 # Usage: scripts/check-device-buffer-copies.sh [repo-root]
@@ -9,7 +9,6 @@ set -eu
 cd "${1:-$(dirname "$0")/..}"
 status=0
 for file in $(find crates/*/src src -name '*.rs' | sort); do
-    [ "$file" = crates/core/src/self_sync.rs ] && continue
     hits=$(awk '
         /#\[cfg\(test\)\]/ { exit }
         /^[[:space:]]*\/\// { next }

@@ -151,13 +151,33 @@ struct Args {
 /// Flags that take no value.
 const SWITCHES: &[&str] = &["json", "deep", "codes", "snapshot", "all", "prom", "hybrid"];
 
+/// The flags `build_codec` reads.
+const CODEC_FLAGS: &[&str] = &[
+    "decoder",
+    "hybrid",
+    "format",
+    "auto-hybrid",
+    "backend",
+    "eb",
+    "alphabet",
+];
+/// The flags `load_field` reads.
+const FIELD_FLAGS: &[&str] = &["input", "dims", "dataset", "elements", "seed"];
+/// The flags `connect` reads.
+const REMOTE_FLAGS: &[&str] = &["addr", "router"];
+
 impl Args {
-    fn parse(args: &[String]) -> Result<Args, HfzError> {
+    /// `known` is the flags the subcommand reads, group by group; any other `--name` is a
+    /// usage error rather than a silently ignored typo.
+    fn parse(args: &[String], known: &[&[&str]]) -> Result<Args, HfzError> {
         let mut positionals = Vec::new();
         let mut flags = Vec::new();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             if let Some(name) = arg.strip_prefix("--") {
+                if !known.iter().any(|group| group.contains(&name)) {
+                    return Err(HfzError::Usage(format!("unknown flag --{}", name)));
+                }
                 if SWITCHES.contains(&name) {
                     flags.push((name.to_string(), "true".to_string()));
                     continue;
@@ -387,7 +407,7 @@ fn encode_report(codec: &Codec, outcome: &EncodeOutcome) -> String {
 }
 
 fn cmd_compress(rest: &[String]) -> Result<(), HfzError> {
-    let args = Args::parse(rest)?;
+    let args = Args::parse(rest, &[CODEC_FLAGS, FIELD_FLAGS, &["output", "snapshot"]])?;
     let codec = build_codec(&args)?;
     if args.has("snapshot") {
         return cmd_compress_snapshot(&codec, &args);
@@ -528,7 +548,10 @@ fn decompress_to(
 }
 
 fn cmd_decompress(rest: &[String]) -> Result<(), HfzError> {
-    let args = Args::parse(rest)?;
+    let args = Args::parse(
+        rest,
+        &[&["backend", "output", "output-dir", "all", "field"]],
+    )?;
     let archive_path = args
         .positionals
         .first()
@@ -582,7 +605,7 @@ fn cmd_decompress(rest: &[String]) -> Result<(), HfzError> {
 }
 
 fn cmd_inspect(rest: &[String]) -> Result<(), HfzError> {
-    let args = Args::parse(rest)?;
+    let args = Args::parse(rest, &[&["backend", "json"]])?;
     let archive_path = args
         .positionals
         .first()
@@ -632,7 +655,14 @@ fn cmd_inspect(rest: &[String]) -> Result<(), HfzError> {
 }
 
 fn cmd_verify(rest: &[String]) -> Result<(), HfzError> {
-    let args = Args::parse(rest)?;
+    let args = Args::parse(
+        rest,
+        &[
+            FIELD_FLAGS,
+            REMOTE_FLAGS,
+            &["backend", "deep", "digest", "archive"],
+        ],
+    )?;
     if args.has("addr") {
         return cmd_verify_remote(&args);
     }
@@ -845,7 +875,13 @@ fn parse_range(spec: &str) -> Result<(u64, u64), HfzError> {
 }
 
 fn cmd_get(rest: &[String]) -> Result<(), HfzError> {
-    let args = Args::parse(rest)?;
+    let args = Args::parse(
+        rest,
+        &[
+            REMOTE_FLAGS,
+            &["archive", "output", "field", "codes", "range"],
+        ],
+    )?;
     let archive = args.require("archive")?;
     let output = args.require("output")?;
     let field: u32 = args
@@ -896,7 +932,13 @@ fn cmd_get(rest: &[String]) -> Result<(), HfzError> {
 /// decodes every cache miss as a single batched wave. Each field lands in
 /// `PREFIX.<index>`.
 fn cmd_batch(rest: &[String]) -> Result<(), HfzError> {
-    let args = Args::parse(rest)?;
+    let args = Args::parse(
+        rest,
+        &[
+            REMOTE_FLAGS,
+            &["archive", "output-prefix", "fields", "codes"],
+        ],
+    )?;
     let archive = args.require("archive")?;
     let prefix = args.require("output-prefix")?;
     let fields: Vec<u32> = args
@@ -952,14 +994,14 @@ fn cmd_batch(rest: &[String]) -> Result<(), HfzError> {
 }
 
 fn cmd_list(rest: &[String]) -> Result<(), HfzError> {
-    let args = Args::parse(rest)?;
+    let args = Args::parse(rest, &[REMOTE_FLAGS])?;
     let mut client = connect(&args)?;
     out!("{}", client.list()?);
     Ok(())
 }
 
 fn cmd_stats(rest: &[String]) -> Result<(), HfzError> {
-    let args = Args::parse(rest)?;
+    let args = Args::parse(rest, &[REMOTE_FLAGS, &["prom", "watch"]])?;
     let mut client = connect(&args)?;
     if let Some(secs) = args.get("watch") {
         let secs: u64 =
@@ -1084,7 +1126,7 @@ fn watch_stats(client: &mut Connection, secs: u64) -> Result<(), HfzError> {
 }
 
 fn cmd_load(rest: &[String]) -> Result<(), HfzError> {
-    let args = Args::parse(rest)?;
+    let args = Args::parse(rest, &[REMOTE_FLAGS, &["name", "path"]])?;
     let name = args.require("name")?;
     let path = args.require("path")?;
     let mut client = connect(&args)?;
@@ -1094,7 +1136,7 @@ fn cmd_load(rest: &[String]) -> Result<(), HfzError> {
 }
 
 fn cmd_shutdown(rest: &[String]) -> Result<(), HfzError> {
-    let args = Args::parse(rest)?;
+    let args = Args::parse(rest, &[REMOTE_FLAGS])?;
     let mut client = connect(&args)?;
     client.shutdown()?;
     out!("daemon is shutting down");

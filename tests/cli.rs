@@ -770,3 +770,61 @@ fn unknown_field_and_malformed_archive_are_typed_errors_with_nonzero_exit() {
         assert!(!stderr.contains("panicked"), "stderr: {}", stderr);
     }
 }
+
+/// A misspelt flag used to be parsed, stored and never read: `--feild 3` decoded field 0
+/// and `--bakend cpu` ran on the simulator, both exiting 0.
+#[test]
+fn unknown_flags_are_usage_errors() {
+    let dir = std::env::temp_dir().join("hfz-cli-test-unknown-flags");
+    std::fs::create_dir_all(&dir).unwrap();
+    let archive = compress_dataset(&dir, "a", "HACC", "gap");
+    let out = dir.join("a.f32");
+    let compressed = dir.join("b.hfz");
+    for stale in [&out, &compressed] {
+        let _ = std::fs::remove_file(stale);
+    }
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &[
+                "decompress",
+                archive.to_str().unwrap(),
+                "--output",
+                out.to_str().unwrap(),
+                "--feild",
+                "3",
+            ],
+            "--feild",
+        ),
+        (
+            &[
+                "compress",
+                "--dataset",
+                "HACC",
+                "--elements",
+                "20000",
+                "--output",
+                compressed.to_str().unwrap(),
+                "--bakend",
+                "cpu",
+            ],
+            "--bakend",
+        ),
+        // Rejected before any connection is attempted.
+        (
+            &["stats", "--addr", "tcp:127.0.0.1:1", "--promm"],
+            "--promm",
+        ),
+    ];
+    for (args, flag) in cases {
+        let result = hfz().args(args).output().expect("hfz runs");
+        let stderr = String::from_utf8_lossy(&result.stderr);
+        assert_eq!(result.status.code(), Some(2), "{:?}: {}", args, stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag {}", flag)),
+            "{:?}: {}",
+            args,
+            stderr
+        );
+    }
+    assert!(!out.exists() && !compressed.exists(), "nothing is written");
+}
