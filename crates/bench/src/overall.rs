@@ -33,7 +33,7 @@ fn figure(ctx: &mut Context, title: &str, with_transfer: bool) -> Experiment {
         ]
         .map(|decoder| {
             // The transfer is stamped on every decompression; Fig. 5 adds it to the
-            // total, exactly as a `model_transfer` session does.
+            // total.
             let mut stats = (*ctx.decompressed(spec.name, decoder)).clone();
             if with_transfer {
                 stats.total_seconds += stats.h2d_transfer_seconds;

@@ -2,8 +2,8 @@
 //!
 //! A [`Codec`] owns everything one compression session needs — the simulated device,
 //! the worker-thread budget, and the compression configuration (decoder kind, error
-//! bound, alphabet size, transfer modeling) — so consumers stop threading `&Gpu` +
-//! config tuples through every call. Compression uses the session configuration;
+//! bound, alphabet size) — so consumers stop threading `&Gpu` + config tuples through
+//! every call. Compression uses the session configuration;
 //! decompression always derives its parameters from the archive itself (archives are
 //! self-describing), so one codec can decode archives produced under any
 //! configuration.
@@ -100,7 +100,7 @@ pub struct BatchDecodeOutcome {
 /// Defaults are the paper's headline setup: the **simulated** backend on a
 /// [`GpuConfig::v100`] device model (explicitly: unless [`CodecBuilder::gpu_config`] is
 /// called, every codec models an NVIDIA V100), the optimized gap-array decoder,
-/// relative error bound `1e-3`, 1024 quantization bins, no transfer modeling. The
+/// relative error bound `1e-3`, 1024 quantization bins. The
 /// execution backend defaults to whatever the `HFZ_BACKEND` environment variable names
 /// (`sim` when unset or unrecognized) and can be pinned with
 /// [`CodecBuilder::backend`].
@@ -124,7 +124,6 @@ pub struct CodecBuilder {
     decoder: DecoderKind,
     error_bound: ErrorBound,
     alphabet_size: usize,
-    model_transfer: bool,
     format: FormatVersion,
     auto_hybrid: Option<f64>,
     metrics: Option<Arc<Metrics>>,
@@ -139,7 +138,6 @@ impl Default for CodecBuilder {
             decoder: DecoderKind::OptimizedGapArray,
             error_bound: ErrorBound::paper_default(),
             alphabet_size: sz::DEFAULT_ALPHABET_SIZE,
-            model_transfer: false,
             format: FormatVersion::V1,
             auto_hybrid: Some(AUTO_HYBRID_ZERO_FRACTION),
             metrics: None,
@@ -197,14 +195,6 @@ impl CodecBuilder {
     /// `4..=65536`, validated by [`CodecBuilder::build`]).
     pub fn alphabet_size(mut self, alphabet_size: usize) -> Self {
         self.alphabet_size = alphabet_size;
-        self
-    }
-
-    /// Whether decompression timing includes the host-to-device transfer of the
-    /// compressed archive (the Fig. 5 scenario; default: off, the in-memory Fig. 4
-    /// scenario).
-    pub fn model_transfer(mut self, on: bool) -> Self {
-        self.model_transfer = on;
         self
     }
 
@@ -281,7 +271,6 @@ impl CodecBuilder {
                 alphabet_size: self.alphabet_size,
                 decoder: self.decoder,
             },
-            model_transfer: self.model_transfer,
             format,
             auto_hybrid: self.auto_hybrid,
             metrics,
@@ -312,7 +301,6 @@ impl CodecBuilder {
 pub struct Codec {
     backend: Arc<dyn Backend>,
     config: SzConfig,
-    model_transfer: bool,
     format: FormatVersion,
     auto_hybrid: Option<f64>,
     metrics: Arc<Metrics>,
@@ -357,11 +345,6 @@ impl Codec {
     /// The decoder archives produced by this session target.
     pub fn decoder(&self) -> DecoderKind {
         self.config.decoder
-    }
-
-    /// Whether decompression timing includes the host-to-device transfer.
-    pub fn models_transfer(&self) -> bool {
-        self.model_transfer
     }
 
     /// The container format version this session writes.
@@ -444,20 +427,14 @@ impl Codec {
         }
     }
 
-    /// Decompresses one wave of archives to f32 data and records it. `with_transfer`
-    /// adds each field's host-to-device copy to its total, as
-    /// [`sz::decompress_with_transfer`] does.
+    /// Decompresses one wave of archives to f32 data and records it.
     fn data_wave(
         &self,
         archives: &[&Compressed],
-        with_transfer: bool,
     ) -> Result<(Vec<sz::Decompressed>, BatchDecompressStats)> {
-        let (mut fields, stats) =
+        let (fields, stats) =
             self.count_error(sz::decompress_batch(self.backend.as_ref(), archives))?;
-        for (c, d) in archives.iter().zip(&mut fields) {
-            if with_transfer {
-                d.stats.total_seconds += d.stats.h2d_transfer_seconds;
-            }
+        for (c, d) in archives.iter().zip(&fields) {
             let bytes_out = d.data.len() as u64 * 4;
             self.record_decode(
                 c.decoder(),
@@ -553,11 +530,11 @@ impl Codec {
     // ----- decompression (parameters come from the archive itself) -----
 
     /// Decompresses an archive to its f32 field. The archive's own configuration
-    /// (decoder, alphabet, error bound) drives the decode; when the codec was built
-    /// with [`CodecBuilder::model_transfer`], the timing includes the host-to-device
-    /// copy of the compressed bytes.
+    /// (decoder, alphabet, error bound) drives the decode. The timing is the in-memory
+    /// scenario's (Fig. 4); the modeled host-to-device copy of the compressed bytes is
+    /// stamped beside it as `h2d_transfer_seconds` for callers that want Fig. 5's.
     pub fn decompress(&self, c: &Compressed) -> Result<DecodeOutcome> {
-        let (mut fields, _) = self.data_wave(&[c], self.model_transfer)?;
+        let (mut fields, _) = self.data_wave(&[c])?;
         Ok(DecodeOutcome::from_sz(fields.remove(0)))
     }
 
@@ -565,7 +542,7 @@ impl Codec {
     /// overlapped wave across the shared worker pool, then each field is
     /// reconstructed. Outputs are bit-identical to serial [`Codec::decompress`].
     pub fn decompress_batch(&self, archives: &[&Compressed]) -> Result<BatchDecodeOutcome> {
-        let (fields, stats) = self.data_wave(archives, false)?;
+        let (fields, stats) = self.data_wave(archives)?;
         Ok(BatchDecodeOutcome {
             fields: fields.into_iter().map(DecodeOutcome::from_sz).collect(),
             stats,
@@ -712,7 +689,7 @@ impl Codec {
                 })
             })
             .collect::<Result<_>>()?;
-        let (decoded, _) = self.data_wave(&archives, false)?;
+        let (decoded, _) = self.data_wave(&archives)?;
         Ok(decoded.iter().map(|d| f32_le_bytes(&d.data)).collect())
     }
 
@@ -843,7 +820,6 @@ mod tests {
         let codec = Codec::paper_default();
         assert_eq!(codec.decoder(), DecoderKind::OptimizedGapArray);
         assert_eq!(codec.config().alphabet_size, 1024);
-        assert!(!codec.models_transfer());
     }
 
     #[test]
@@ -1032,34 +1008,6 @@ mod tests {
                 .collect();
             assert_eq!(produced, &expected, "code wave output differs from serial");
         }
-    }
-
-    #[test]
-    fn transfer_modeling_is_a_session_property() {
-        // Pinned to the simulated backend: only the transfer *model* makes the
-        // with-transfer run deterministically slower (the CPU backend measures real
-        // time and performs no transfers).
-        let field = generate(&dataset_by_name("CESM").unwrap(), 25_000, 3);
-        let plain = Codec::builder()
-            .gpu_config(GpuConfig::test_tiny())
-            .backend(BackendKind::Sim)
-            .host_threads(2)
-            .build()
-            .unwrap();
-        let with_transfer = Codec::builder()
-            .gpu_config(GpuConfig::test_tiny())
-            .backend(BackendKind::Sim)
-            .host_threads(2)
-            .model_transfer(true)
-            .build()
-            .unwrap();
-        assert!(with_transfer.models_transfer());
-        let archive = plain.compress_archive(&field).unwrap();
-        let without = plain.decompress(&archive).unwrap();
-        let with = with_transfer.decompress(&archive).unwrap();
-        assert_eq!(with.data, without.data);
-        assert!(with.stats.total_seconds > without.stats.total_seconds);
-        assert!(with.stats.h2d_transfer_seconds > 0.0);
     }
 
     #[test]

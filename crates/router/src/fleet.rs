@@ -27,25 +27,15 @@ pub struct ShardLink {
 }
 
 impl ShardLink {
-    /// A link to a daemon someone else runs.
-    pub fn attach(id: usize, addr: ListenAddr) -> ShardLink {
+    /// A link to the daemon at `addr`: **attached** when `process` is `None` (someone
+    /// else runs it), **spawned** when it is the `hfzd` child [`spawn_shard`] forked.
+    pub fn new(id: usize, addr: ListenAddr, process: Option<Child>) -> ShardLink {
         ShardLink {
             id,
             addr: addr.clone(),
             link: Mutex::new(Connection::new(addr)),
             down: AtomicBool::new(false),
-            process: Mutex::new(None),
-        }
-    }
-
-    /// A link to a daemon the router spawned (see [`spawn_shard`]).
-    pub fn spawned(id: usize, addr: ListenAddr, child: Child) -> ShardLink {
-        ShardLink {
-            id,
-            addr: addr.clone(),
-            link: Mutex::new(Connection::new(addr)),
-            down: AtomicBool::new(false),
-            process: Mutex::new(Some(child)),
+            process: Mutex::new(process),
         }
     }
 
@@ -68,17 +58,6 @@ impl ShardLink {
     /// caller bumps the down-event counter exactly once per failure).
     pub fn set_down(&self) -> bool {
         !self.down.swap(true, Ordering::SeqCst)
-    }
-
-    /// Marks the shard live again (after an operator restarted it).
-    pub fn set_up(&self) {
-        self.down.store(false, Ordering::SeqCst);
-        self.lock_link().disconnect();
-    }
-
-    /// True when the router spawned (and therefore owns) the shard process.
-    pub fn is_spawned(&self) -> bool {
-        self.lock_process().is_some()
     }
 
     /// The spawned shard's process id, when the router owns one.

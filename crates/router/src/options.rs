@@ -135,25 +135,6 @@ impl RouterBuilder {
         self
     }
 
-    /// Spawns `n` `hfzd` children on ephemeral ports (ids continue after attached
-    /// shards; their lifetime is the router's).
-    pub fn spawn_shards(mut self, n: usize) -> Self {
-        self.spawn = n;
-        self
-    }
-
-    /// The binary spawned shards fork (default `hfzd`, from `$PATH`).
-    pub fn hfzd_bin(mut self, bin: &str) -> Self {
-        self.hfzd_bin = bin.to_string();
-        self
-    }
-
-    /// A flag forwarded verbatim to every spawned shard.
-    pub fn shard_arg(mut self, arg: &str) -> Self {
-        self.shard_args.push(arg.to_string());
-        self
-    }
-
     /// Places an archive across the fleet at start-up (repeatable).
     pub fn preload(mut self, name: &str, path: &str) -> Self {
         self.preload.push((name.to_string(), path.to_string()));
@@ -178,13 +159,13 @@ impl RouterBuilder {
     pub fn spawn(self) -> Result<RouterHandle, HfzError> {
         let mut links: Vec<ShardLink> = Vec::new();
         for addr in &self.shards {
-            links.push(ShardLink::attach(links.len(), addr.clone()));
+            links.push(ShardLink::new(links.len(), addr.clone(), None));
         }
         for _ in 0..self.spawn {
             let id = links.len();
             let (addr, child) = spawn_shard(&self.hfzd_bin, &self.shard_args)
                 .map_err(|e| HfzError::io(format!("cannot spawn shard {}", id), e))?;
-            links.push(ShardLink::spawned(id, addr, child));
+            links.push(ShardLink::new(id, addr, Some(child)));
         }
         if links.is_empty() {
             return Err(HfzError::Usage(

@@ -10,8 +10,8 @@
 //!   to persist or exchange.
 //! * **Minimal movement on failure** — when shard *d* goes down, keys owned by other
 //!   shards keep their maximum weight untouched; only keys whose winner *was* `d`
-//!   re-resolve (to their second-highest weight). A `mark_up` restores the original
-//!   assignment exactly. Modulo hashing would reshuffle almost every key instead.
+//!   re-resolve (to their second-highest weight). Modulo hashing would reshuffle
+//!   almost every key instead.
 //!
 //! Keys use the manifest field *names* when the archive has a manifest (so routing is
 //! stable under internal re-indexing) and `#<index>` otherwise.
@@ -73,22 +73,10 @@ impl Placement {
         self.live.iter().filter(|&&l| l).count()
     }
 
-    /// Whether `shard` is currently live.
-    pub fn is_live(&self, shard: usize) -> bool {
-        self.live.get(shard).copied().unwrap_or(false)
-    }
-
     /// Marks `shard` down: its keys re-resolve to the surviving shards.
     pub fn mark_down(&mut self, shard: usize) {
         if let Some(slot) = self.live.get_mut(shard) {
             *slot = false;
-        }
-    }
-
-    /// Marks `shard` live again: exactly the keys it originally owned come back.
-    pub fn mark_up(&mut self, shard: usize) {
-        if let Some(slot) = self.live.get_mut(shard) {
-            *slot = true;
         }
     }
 
@@ -176,10 +164,6 @@ mod tests {
             }
         }
         assert!(moved > 0, "the dead shard owned no keys — test is vacuous");
-        // Recovery restores the original table exactly.
-        p.mark_up(dead);
-        let after: Vec<_> = keys().iter().map(|(a, f)| p.owner(a, f).unwrap()).collect();
-        assert_eq!(before, after);
     }
 
     #[test]
@@ -189,7 +173,5 @@ mod tests {
         p.mark_down(1);
         assert_eq!(p.owner("hacc", "x"), None);
         assert_eq!(p.live_count(), 0);
-        assert!(!p.is_live(0));
-        assert!(!p.is_live(7), "out-of-range shards are never live");
     }
 }

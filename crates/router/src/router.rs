@@ -19,14 +19,18 @@
 //! [`Service`]: each connection thread runs
 //! [`RouterState::handle`] to completion, blocking on the owning shard's reply.
 //!
-//! **Failure handling.** A disconnect that survives the [`Connection`](huffdec_serve::Connection)'s
-//! own redial means the shard is gone: the router marks it down, re-resolves its keys
-//! against the surviving shards (rendezvous hashing moves *only* the dead shard's
-//! keys), re-`LOAD`s the affected archives onto their new owners, and retries the
-//! in-flight request once. Clients see one slow request, not an error. A `BUSY`
-//! reply is different: the shard is alive but shedding load, so the router backs off
-//! briefly and retries the *same* shard once — never marking it down — and
-//! propagates the typed `BUSY` to the client only if the shard is still saturated.
+//! **One shard call.** Every dispatcher above talks to a shard through
+//! `RouterState::call`, which classifies the outcome once. Either the shard has
+//! something to say — its reply, its own error message, or the typed `BUSY` when it
+//! is alive but still shedding load after the one `BUSY_BACKOFF` retry (which
+//! propagates to the client and never marks anything down) — or it is *gone*: a
+//! disconnect survived the [`Connection`](huffdec_serve::Connection)'s own redial.
+//! By the time the call returns, a gone shard has been marked down, its keys
+//! re-resolved against the survivors (rendezvous hashing moves *only* the dead
+//! shard's keys) and the affected archives re-`LOAD`ed onto their new owners.
+//! Single-field requests and batch fan-outs then retry once against the new owner —
+//! whether the shard died on the first attempt or during its `BUSY` back-off — so
+//! clients see one slow request, not an error.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,11 +116,6 @@ impl RouterState {
             .map(|entry| entry.fields.len())
     }
 
-    /// Number of shards currently serving.
-    pub fn live_count(&self) -> usize {
-        self.read_placement().live_count()
-    }
-
     fn read_placement(&self) -> Placement {
         self.placement
             .read()
@@ -193,112 +192,96 @@ impl RouterState {
             .ok_or_else(|| "no live shards".to_string())
     }
 
-    /// Proxies a single-field request (`GET`, `VERIFY`) to its owner, failing over
-    /// once if the owner is dead. A `BUSY` shard gets one backed-off retry (it is
-    /// alive, just shedding load — its queue drains within a scheduling tick), and
-    /// only a second `BUSY` propagates to the client. Neither touches the down flag
-    /// or the retry counter: those mean "a shard died", which a full queue does not.
-    fn proxy_field(&self, archive: &str, field: u32, request: &Request) -> Response {
-        let owner = match self.owner_of(archive, field) {
-            Ok(owner) => owner,
-            Err(message) => return Response::Error(message),
-        };
-        match self.links[owner].request(request) {
-            Ok(response) => response,
-            Err(ClientError::Busy) => {
-                std::thread::sleep(BUSY_BACKOFF);
-                match self.links[owner].request(request) {
-                    Ok(response) => response,
-                    Err(ClientError::Busy) => Response::Busy,
-                    Err(ClientError::Remote(message)) => Response::Error(message),
-                    Err(e) => Response::Error(format!("shard {}: {}", owner, e)),
-                }
-            }
-            Err(e) if e.is_disconnect() => {
-                self.mark_down(owner);
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                let retry = match self.owner_of(archive, field) {
-                    Ok(owner) => owner,
-                    Err(message) => return Response::Error(message),
-                };
-                match self.links[retry].request(request) {
-                    Ok(response) => response,
-                    Err(e) => Response::Error(format!(
-                        "shard {} failed after re-routing from shard {}: {}",
-                        retry, owner, e
-                    )),
-                }
-            }
-            Err(ClientError::Remote(message)) => Response::Error(message),
-            Err(e) => Response::Error(format!("shard {}: {}", owner, e)),
+    /// The one shard call: sends `request` to `shard` and classifies how it ended, in
+    /// the protocol's own terms — every dispatcher below consumes this instead of
+    /// matching transport errors itself. `Some` is what the shard has to say: its
+    /// reply; `Response::Busy` when it is alive but still shedding load after the one
+    /// backed-off retry (its queue drains within a scheduling tick; it is never
+    /// marked down for it); or `Response::Error` with the shard's own message, or a
+    /// transport failure that is not a disconnect. `None` means the shard is gone —
+    /// a disconnect survived the link's own redial — and has been marked down: flag,
+    /// down-event counter, placement. Its archives are **not** re-homed here, which
+    /// is what lets [`RouterState::rebalance`] call this under its write lock;
+    /// everyone else goes through [`RouterState::call`].
+    fn call_shard(&self, shard: usize, request: &Request) -> Option<Response> {
+        let link = &self.links[shard];
+        let mut result = link.request(request);
+        if matches!(result, Err(ClientError::Busy)) {
+            std::thread::sleep(BUSY_BACKOFF);
+            result = link.request(request);
         }
+        match result {
+            Ok(response) => Some(response),
+            Err(ClientError::Busy) => Some(Response::Busy),
+            Err(ClientError::Remote(message)) => Some(Response::Error(message)),
+            Err(e) if e.is_disconnect() => {
+                if link.set_down() {
+                    self.down_events.fetch_add(1, Ordering::SeqCst);
+                    self.placement
+                        .write()
+                        .unwrap_or_else(|p| p.into_inner())
+                        .mark_down(shard);
+                }
+                None
+            }
+            Err(e) => Some(Response::Error(format!("shard {}: {}", shard, e))),
+        }
+    }
+
+    /// [`RouterState::call_shard`], then — when the shard turned out to be gone —
+    /// re-homes every archive whose owner set that changed, so the caller can
+    /// re-resolve the owner and retry at once.
+    fn call(&self, shard: usize, request: &Request) -> Option<Response> {
+        let reply = self.call_shard(shard, request);
+        if reply.is_none() {
+            self.rebalance();
+        }
+        reply
+    }
+
+    /// Proxies a single-field request (`GET`, `VERIFY`) to its owner, failing over
+    /// once — to the key's new owner — if the owner is gone. Only that fail-over
+    /// counts as a retry: a `BUSY` back-off is not one.
+    fn proxy_field(&self, archive: &str, field: u32, request: &Request) -> Response {
+        for attempt in 0..2 {
+            let owner = match self.owner_of(archive, field) {
+                Ok(owner) => owner,
+                Err(message) => return Response::Error(message),
+            };
+            if let Some(response) = self.call(owner, request) {
+                return response;
+            }
+            if attempt == 0 {
+                self.retries.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        Response::Error("a re-routed shard went down too; abandoned after one retry".to_string())
     }
 
     /// `GETBATCH`: split the fields by owning shard, fan the sub-batches out
-    /// concurrently, merge the items back in request order. Shards that die mid-fan
-    /// are marked down and their sub-batches retried once against the new owners.
+    /// concurrently (one thread per shard), merge the items back in request order.
+    /// Positions whose shard went down go round once more against their new owners;
+    /// a second death surfaces to the client. A shard still `BUSY` after its back-off
+    /// propagates typed, and a shard that answered with an error (bad field, unknown
+    /// archive, …) aborts the whole batch.
     fn get_batch(&self, archive: &str, kind: GetKind, fields: &[u32]) -> Response {
-        if fields.is_empty() {
-            return Response::GetBatch {
-                kind,
-                items: Vec::new(),
-            };
-        }
-        let mut groups: BTreeMap<usize, Vec<(usize, u32)>> = BTreeMap::new();
-        for (pos, &field) in fields.iter().enumerate() {
-            match self.owner_of(archive, field) {
-                Ok(owner) => groups.entry(owner).or_default().push((pos, field)),
-                Err(message) => return Response::Error(message),
-            }
-        }
         let mut items: Vec<Option<BatchGetItem>> = vec![None; fields.len()];
-        let failed = match self.fan_out(archive, kind, groups, &mut items) {
-            Ok(failed) => failed,
-            Err(response) => return response,
-        };
-        if !failed.is_empty() {
-            // The one retry: re-resolve the failed positions (their owners are down
-            // now) and fan out again. A second failure surfaces to the client.
-            self.retries.fetch_add(1, Ordering::Relaxed);
-            let mut regroups: BTreeMap<usize, Vec<(usize, u32)>> = BTreeMap::new();
-            for (pos, field) in failed {
+        let mut pending: Vec<(usize, u32)> = fields.iter().copied().enumerate().collect();
+        for round in 0..2 {
+            if pending.is_empty() {
+                break;
+            }
+            if round == 1 {
+                self.retries.fetch_add(1, Ordering::Relaxed);
+            }
+            let mut groups: BTreeMap<usize, Vec<(usize, u32)>> = BTreeMap::new();
+            for (pos, field) in pending.drain(..) {
                 match self.owner_of(archive, field) {
-                    Ok(owner) => regroups.entry(owner).or_default().push((pos, field)),
+                    Ok(owner) => groups.entry(owner).or_default().push((pos, field)),
                     Err(message) => return Response::Error(message),
                 }
             }
-            match self.fan_out(archive, kind, regroups, &mut items) {
-                Ok(failed) if failed.is_empty() => {}
-                Ok(_) => {
-                    return Response::Error(
-                        "a re-routed shard failed too; batch abandoned after one retry".to_string(),
-                    )
-                }
-                Err(response) => return response,
-            }
-        }
-        match items.into_iter().collect::<Option<Vec<_>>>() {
-            Some(items) => Response::GetBatch { kind, items },
-            None => Response::Error("internal: batch merge left a hole".to_string()),
-        }
-    }
-
-    /// Runs one fan-out round: every group's sub-batch on its own thread against its
-    /// shard. Successful items land in `items` at their request positions; positions
-    /// whose shard disconnected come back for the caller to retry. A `BUSY` shard is
-    /// retried once in-thread after a short backoff (no down-marking — the shard is
-    /// alive); a second `BUSY` propagates typed to the client. Remote errors (the
-    /// shard answered: bad field, unknown archive, …) abort the whole batch.
-    #[allow(clippy::type_complexity)]
-    fn fan_out(
-        &self,
-        archive: &str,
-        kind: GetKind,
-        groups: BTreeMap<usize, Vec<(usize, u32)>>,
-        items: &mut [Option<BatchGetItem>],
-    ) -> Result<Vec<(usize, u32)>, Response> {
-        let results: Vec<(usize, Vec<(usize, u32)>, Result<Response, ClientError>)> =
-            std::thread::scope(|scope| {
+            let replies: Vec<_> = std::thread::scope(|scope| {
                 let handles: Vec<_> = groups
                     .into_iter()
                     .map(|(shard, positions)| {
@@ -308,12 +291,8 @@ impl RouterState {
                                 kind,
                                 fields: positions.iter().map(|&(_, f)| f).collect(),
                             };
-                            let mut result = self.links[shard].request(&sub);
-                            if matches!(result, Err(ClientError::Busy)) {
-                                std::thread::sleep(BUSY_BACKOFF);
-                                result = self.links[shard].request(&sub);
-                            }
-                            (shard, positions, result)
+                            let reply = self.call(shard, &sub);
+                            (shard, positions, reply)
                         })
                     })
                     .collect();
@@ -322,30 +301,39 @@ impl RouterState {
                     .map(|h| h.join().expect("fan-out thread panicked"))
                     .collect()
             });
-        let mut failed = Vec::new();
-        for (shard, positions, result) in results {
-            match result {
-                Ok(Response::GetBatch { items: got, .. }) if got.len() == positions.len() => {
-                    for ((pos, _), item) in positions.into_iter().zip(got) {
-                        items[pos] = Some(item);
+            for (shard, positions, reply) in replies {
+                match reply {
+                    Some(Response::GetBatch { items: got, .. }) if got.len() == positions.len() => {
+                        for ((pos, _), item) in positions.into_iter().zip(got) {
+                            items[pos] = Some(item);
+                        }
                     }
+                    Some(refusal @ (Response::Busy | Response::Error(_))) => return refusal,
+                    Some(_) => {
+                        return Response::Error(format!(
+                            "shard {} sent an unexpected batch response",
+                            shard
+                        ))
+                    }
+                    None => pending.extend(positions),
                 }
-                Ok(_) => {
-                    return Err(Response::Error(format!(
-                        "shard {} sent an unexpected batch response",
-                        shard
-                    )));
-                }
-                Err(e) if e.is_disconnect() => {
-                    self.mark_down(shard);
-                    failed.extend(positions);
-                }
-                Err(ClientError::Busy) => return Err(Response::Busy),
-                Err(ClientError::Remote(message)) => return Err(Response::Error(message)),
-                Err(e) => return Err(Response::Error(format!("shard {}: {}", shard, e))),
             }
         }
-        Ok(failed)
+        match items.into_iter().collect::<Option<Vec<_>>>() {
+            Some(items) => Response::GetBatch { kind, items },
+            None => Response::Error(
+                "a re-routed shard went down too; batch abandoned after one retry".to_string(),
+            ),
+        }
+    }
+
+    /// The live shards owning at least one field of an archive.
+    fn owners_of(placement: &Placement, name: &str, fields: &[Option<String>]) -> BTreeSet<usize> {
+        fields
+            .iter()
+            .enumerate()
+            .filter_map(|(i, f)| placement.owner(name, &field_key(f.as_deref(), i)))
+            .collect()
     }
 
     /// `LOAD`: peek the file's manifest locally for field names, compute the owner
@@ -362,47 +350,36 @@ impl RouterState {
         if fields.is_empty() {
             return Response::Error(format!("cannot load '{}': the file has no fields", name));
         }
+        let load = Request::Load {
+            name: name.to_string(),
+            path: path.to_string(),
+        };
         // Owners may die while we load onto them; every death re-resolves the owner
         // set and starts over (idempotent — `loaded` skips shards already done).
         let mut loaded: BTreeSet<usize> = BTreeSet::new();
         let owners = 'place: loop {
-            let placement = self.read_placement();
-            let owners: BTreeSet<usize> = fields
-                .iter()
-                .enumerate()
-                .filter_map(|(i, f)| placement.owner(name, &field_key(f.as_deref(), i)))
-                .collect();
+            let owners = Self::owners_of(&self.read_placement(), name, &fields);
             if owners.is_empty() {
                 return Response::Error("no live shards".to_string());
             }
-            let load = Request::Load {
-                name: name.to_string(),
-                path: path.to_string(),
-            };
             for &shard in &owners {
                 if loaded.contains(&shard) {
                     continue;
                 }
-                match self.links[shard].request(&load) {
-                    Ok(Response::Loaded { .. }) => {
+                match self.call(shard, &load) {
+                    Some(Response::Loaded { .. }) => {
                         loaded.insert(shard);
                     }
-                    Ok(Response::Error(message)) | Err(ClientError::Remote(message)) => {
+                    Some(Response::Error(message)) => {
                         return Response::Error(format!("cannot load '{}': {}", name, message));
                     }
-                    Ok(_) => {
+                    Some(_) => {
                         return Response::Error(format!(
                             "shard {} sent an unexpected load response",
                             shard
                         ));
                     }
-                    Err(e) if e.is_disconnect() => {
-                        self.mark_down(shard);
-                        continue 'place;
-                    }
-                    Err(e) => {
-                        return Response::Error(format!("shard {}: {}", shard, e));
-                    }
+                    None => continue 'place,
                 }
             }
             break owners;
@@ -421,75 +398,39 @@ impl RouterState {
         }
     }
 
-    /// Marks a shard down (once) and re-homes every archive whose owner set changed.
-    fn mark_down(&self, shard: usize) {
-        if !self.links[shard].set_down() {
-            return;
-        }
-        self.down_events.fetch_add(1, Ordering::SeqCst);
-        self.placement
-            .write()
-            .unwrap_or_else(|p| p.into_inner())
-            .mark_down(shard);
-        self.rebalance();
-    }
-
-    /// Re-`LOAD`s archives onto shards that became owners after a death. Survivors
-    /// dying *during* the re-home are marked down too and the pass restarts (the
-    /// `loaded_on` sets make it idempotent); the loop terminates because each restart
-    /// removes one shard.
+    /// Re-`LOAD`s archives onto shards that became owners after a death. A survivor
+    /// dying *during* the re-home has been marked down by the time its call returns,
+    /// and the pass restarts on the new placement (the `loaded_on` sets make it
+    /// idempotent); the loop terminates because each restart removes one shard.
     fn rebalance(&self) {
-        loop {
-            let mut failed: Option<usize> = None;
-            {
-                let placement = self.read_placement();
-                let mut archives = self.archives.write().unwrap_or_else(|p| p.into_inner());
-                'outer: for (name, entry) in archives.iter_mut() {
-                    let owners: BTreeSet<usize> = entry
-                        .fields
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, f)| placement.owner(name, &field_key(f.as_deref(), i)))
-                        .collect();
-                    let load = Request::Load {
-                        name: name.clone(),
-                        path: entry.path.clone(),
-                    };
-                    for &shard in &owners {
-                        if entry.loaded_on.contains(&shard) {
-                            continue;
-                        }
-                        match self.links[shard].request(&load) {
-                            Ok(Response::Loaded { .. }) => {
-                                entry.loaded_on.insert(shard);
-                                self.reroutes.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(e) if e.is_disconnect() => {
-                                failed = Some(shard);
-                                break 'outer;
-                            }
-                            // A shard that *answered* but could not load (file gone
-                            // on its host, corrupt read) keeps serving its other
-                            // archives; requests routed to it for this one will
-                            // surface the shard's error verbatim.
-                            Ok(_) | Err(_) => {}
-                        }
+        'pass: loop {
+            let placement = self.read_placement();
+            let mut archives = self.archives.write().unwrap_or_else(|p| p.into_inner());
+            for (name, entry) in archives.iter_mut() {
+                let load = Request::Load {
+                    name: name.clone(),
+                    path: entry.path.clone(),
+                };
+                for shard in Self::owners_of(&placement, name, &entry.fields) {
+                    if entry.loaded_on.contains(&shard) {
+                        continue;
                     }
-                    entry.loaded_on.retain(|&s| !self.links[s].is_down());
-                }
-            }
-            match failed {
-                Some(shard) => {
-                    if self.links[shard].set_down() {
-                        self.down_events.fetch_add(1, Ordering::SeqCst);
-                        self.placement
-                            .write()
-                            .unwrap_or_else(|p| p.into_inner())
-                            .mark_down(shard);
+                    match self.call_shard(shard, &load) {
+                        Some(Response::Loaded { .. }) => {
+                            entry.loaded_on.insert(shard);
+                            self.reroutes.fetch_add(1, Ordering::Relaxed);
+                        }
+                        // A shard that *answered* but could not load (file gone on
+                        // its host, corrupt read) keeps serving its other archives;
+                        // requests routed to it for this one will surface the
+                        // shard's error verbatim.
+                        Some(_) => {}
+                        None => continue 'pass,
                     }
                 }
-                None => return,
+                entry.loaded_on.retain(|&s| !self.links[s].is_down());
             }
+            return;
         }
     }
 
@@ -497,25 +438,22 @@ impl RouterState {
     /// and sorted for a stable fleet view.
     fn list(&self) -> Response {
         let mut merged: BTreeMap<String, String> = BTreeMap::new();
-        for link in &self.links {
-            if link.is_down() {
-                continue;
-            }
-            match link.request(&Request::List) {
-                Ok(Response::List(doc)) => {
+        for link in self.links.iter().filter(|link| !link.is_down()) {
+            match self.call(link.id(), &Request::List) {
+                Some(Response::List(doc)) => {
                     for object in archive_objects(&doc) {
                         let name = object_name(&object).unwrap_or_default().to_string();
                         merged.entry(name).or_insert(object);
                     }
                 }
-                Ok(_) => {
+                Some(refusal @ Response::Error(_)) => return refusal,
+                Some(_) => {
                     return Response::Error(format!(
                         "shard {} sent an unexpected list response",
                         link.id()
                     ))
                 }
-                Err(e) if e.is_disconnect() => self.mark_down(link.id()),
-                Err(e) => return Response::Error(format!("shard {}: {}", link.id(), e)),
+                None => {}
             }
         }
         let objects: Vec<String> = merged.into_values().collect();
@@ -544,7 +482,8 @@ impl RouterState {
         }
     }
 
-    /// Scrapes every live shard's registry; down shards yield `None`.
+    /// Scrapes every live shard's registry; shards that are down, or die being asked,
+    /// yield `None`.
     fn scrape_shards(&self) -> Vec<Option<String>> {
         self.links
             .iter()
@@ -552,15 +491,9 @@ impl RouterState {
                 if link.is_down() {
                     return None;
                 }
-                match link.request(&Request::Metrics) {
-                    Ok(Response::Metrics(text)) => Some(text),
-                    Ok(_) => None,
-                    Err(e) => {
-                        if e.is_disconnect() {
-                            self.mark_down(link.id());
-                        }
-                        None
-                    }
+                match self.call(link.id(), &Request::Metrics) {
+                    Some(Response::Metrics(text)) => Some(text),
+                    _ => None,
                 }
             })
             .collect()

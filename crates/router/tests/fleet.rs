@@ -11,10 +11,12 @@ use datasets::{dataset_by_name, generate, Field};
 use gpu_sim::{Gpu, GpuConfig};
 use huffdec_container::ArchiveWriter;
 use huffdec_core::DecoderKind;
-use huffdec_router::{Router, RouterHandle};
+use huffdec_router::{Placement, Router, RouterHandle};
 use huffdec_serve::client::Connection;
-use huffdec_serve::net::ListenAddr;
-use huffdec_serve::protocol::GetKind;
+use huffdec_serve::net::{ListenAddr, Listener};
+use huffdec_serve::protocol::{
+    read_frame, write_frame, GetKind, Request, Response, MAX_REQUEST_BYTES, MAX_RESPONSE_BYTES,
+};
 use huffdec_serve::{Daemon, ServerHandle};
 use sz::{compress, decompress, Compressed, SzConfig};
 
@@ -446,6 +448,78 @@ fn three_shard_fleet_serves_and_survives_a_kill() {
         shard.shutdown();
         shard.join().unwrap();
     }
+}
+
+/// The regression: a shard that answered `BUSY` and then died during the router's
+/// back-off used to surface on the single-field path as `shard N: …` — not marked
+/// down, not retried on the new owner — while the batch path failed the same death
+/// over. Also the only test that drives the router's `BUSY` retry.
+#[test]
+fn a_shard_that_dies_during_its_busy_backoff_fails_over_on_the_single_field_path() {
+    let dir = std::env::temp_dir().join("hfzr-fleet-busy-failover");
+    std::fs::create_dir_all(&dir).unwrap();
+    let gpu = Gpu::with_host_threads(GpuConfig::test_tiny(), 2);
+    let snapshot = build_snapshot(&dir, &gpu);
+
+    // Shard 0 is a script on the router's one link to it: `LOAD` → `Loaded`, the
+    // first `GET` → `BUSY`, then the socket and the listener close, so the retry
+    // after the back-off and the link's redial both find nobody.
+    let listener = Listener::bind(&ListenAddr::parse("tcp:127.0.0.1:0").unwrap()).unwrap();
+    let scripted_addr = listener.local_addr().unwrap();
+    let scripted = std::thread::spawn(move || {
+        let mut conn = listener.accept().unwrap();
+        loop {
+            let body = read_frame(&mut conn, MAX_REQUEST_BYTES).unwrap().unwrap();
+            let reply = match Request::decode(&body).unwrap() {
+                Request::Load { .. } => Response::Loaded {
+                    fields: FIELDS as u32,
+                },
+                Request::Get { .. } => Response::Busy,
+                other => panic!("the script does not cover {:?}", other),
+            };
+            write_frame(&mut conn, &reply.encode(), MAX_RESPONSE_BYTES).unwrap();
+            if reply == Response::Busy {
+                return;
+            }
+        }
+    });
+    let real = start_shard();
+    let router = Router::builder()
+        .attach(scripted_addr)
+        .attach(real.local_addr().clone())
+        .listen(ListenAddr::parse("tcp:127.0.0.1:0").unwrap())
+        .spawn()
+        .unwrap();
+    let mut client = Connection::connect(router.local_addr()).unwrap();
+    client
+        .load("snap", snapshot.path.to_str().unwrap())
+        .unwrap();
+
+    // Placement is deterministic: pick a field the scripted shard owns.
+    let placement = Placement::new(2);
+    let field = (0..FIELDS)
+        .find(|&i| placement.owner("snap", &snapshot.field_names[i]) == Some(0))
+        .expect("shard 0 owns one of the six fields");
+
+    let started = std::time::Instant::now();
+    let got = client
+        .get("snap", field as u32, GetKind::Data, None)
+        .unwrap();
+    // `BUSY_BACKOFF`: the death is only discovered by the retry after it.
+    assert!(started.elapsed() >= std::time::Duration::from_millis(15));
+    assert_eq!(got.bytes, f32_bytes(&snapshot.reference[field]));
+    scripted.join().unwrap();
+
+    let stats = client.stats().unwrap();
+    assert_eq!(json_u64(&stats, 0, "shards_up"), 1);
+    let router_at = stats.find("\"router\"").unwrap();
+    assert_eq!(json_u64(&stats, router_at, "retries"), 1);
+    assert_eq!(json_u64(&stats, router_at, "down_events"), 1);
+
+    client.shutdown().unwrap();
+    router.join().unwrap();
+    real.shutdown();
+    real.join().unwrap();
 }
 
 /// The regression: `hfzr` used to join connection threads parked in `read`, so one

@@ -118,14 +118,6 @@ pub struct GetResult {
 }
 
 impl GetResult {
-    /// Decodes the payload as little-endian f32s (data requests).
-    pub fn as_f32(&self) -> Vec<f32> {
-        self.bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-            .collect()
-    }
-
     /// Decodes the payload as little-endian u16s (code requests).
     pub fn as_u16(&self) -> Vec<u16> {
         self.bytes
@@ -203,17 +195,6 @@ impl Connection {
     /// The address requests are sent to.
     pub fn addr(&self) -> &ListenAddr {
         &self.addr
-    }
-
-    /// True when a socket is currently held (it may still be dead on the wire; the
-    /// next request finds out).
-    pub fn is_connected(&self) -> bool {
-        self.conn.is_some()
-    }
-
-    /// Drops the held socket, forcing the next request to dial fresh.
-    pub fn disconnect(&mut self) {
-        self.conn = None;
     }
 
     fn dial(&mut self) -> Result<&mut Conn, ClientError> {
@@ -414,6 +395,6 @@ mod tests {
             err
         );
         assert!(!err.is_disconnect(), "a timeout is not a disconnect");
-        assert!(!conn.is_connected(), "the timed-out socket is dropped");
+        assert!(conn.conn.is_none(), "the timed-out socket is dropped");
     }
 }

@@ -17,6 +17,15 @@
 //! within one scheduling tick merge into one batched wave through the codec's wave
 //! API — and completing a flight wakes every thread waiting on it.
 //!
+//! **One fetch path.** `GET` and `GETBATCH` obtain decoded bytes through one
+//! function, `ServerState::fetch`: it resolves the archive and the requested fields
+//! (the one place the "no archive named" / "does not exist" / "payload-only" / range
+//! refusals are written), makes the request's one cache pass, submits the unique
+//! misses as one scheduler group and waits — or, for a ranged codes miss, decodes
+//! just the overlapping blocks inline — and hands back each field's bytes with how
+//! they were come by, or nothing when the group was shed. `GET` is that call with
+//! one field; `GETBATCH` is that call plus its three counters.
+//!
 //! Backpressure: the scheduler's pending queue is bounded. When a miss would overflow
 //! it, the daemon answers the typed `BUSY` reply instead of queueing unbounded work;
 //! clients surface it as [`crate::ClientError::Busy`] and the router retries after a
@@ -33,7 +42,6 @@
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use huffdec_backend::Backend;
 use huffdec_codec::{u16_le_bytes, Codec, FieldHandle};
 use huffdec_container::JsonWriter;
 use huffdec_core::DecoderKind;
@@ -128,11 +136,6 @@ impl ServerState {
         &self.codec
     }
 
-    /// The execution backend requests decode on.
-    pub fn backend(&self) -> &dyn Backend {
-        self.codec.backend()
-    }
-
     /// The archive store. Prefer [`ServerState::load_archive`] for loading — it also
     /// invalidates stale cache entries and keeps the loaded-archives gauge current.
     pub fn store(&self) -> &ArchiveStore {
@@ -180,11 +183,6 @@ impl ServerState {
         Ok(loaded)
     }
 
-    /// Whether shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.lifecycle.is_shutting_down()
-    }
-
     /// Requests shutdown: wakes the accept loops (protocol and, when bound, the HTTP
     /// metrics sidecar) and stops the scheduler, failing still-queued decodes so no
     /// waiter hangs.
@@ -197,7 +195,7 @@ impl ServerState {
     /// the window since the previous check saw decode errors or cache thrash
     /// (evictions with misses outnumbering hits), healthy otherwise.
     pub fn health(&self) -> Health {
-        if self.is_shutting_down() {
+        if self.lifecycle.is_shutting_down() {
             return Health::Unhealthy("shutting down".to_string());
         }
         let current = self.metrics_snapshot();
@@ -249,11 +247,9 @@ impl ServerState {
                 field,
                 kind,
                 range,
-            } => {
-                self.metrics().gets.inc();
-                self.get(archive, *field, *kind, *range)
-                    .unwrap_or_else(Response::Error)
-            }
+            } => self
+                .get(archive, *field, *kind, *range)
+                .unwrap_or_else(Response::Error),
             Request::GetBatch {
                 archive,
                 kind,
@@ -264,125 +260,63 @@ impl ServerState {
         }
     }
 
-    fn lookup(&self, archive: &str, field: u32) -> Result<(Arc<LoadedArchive>, usize), String> {
-        let loaded = self
-            .store
-            .get(archive)
-            .ok_or_else(|| format!("no archive named '{}' is loaded", archive))?;
-        let index = field as usize;
-        if index >= loaded.fields().len() {
-            return Err(format!(
-                "archive '{}' has {} fields; field {} does not exist",
-                archive,
-                loaded.fields().len(),
-                field
-            ));
-        }
-        Ok((loaded, index))
+    /// The archive loaded under `name`.
+    fn archive(&self, name: &str) -> Result<Arc<LoadedArchive>, String> {
+        self.store
+            .get(name)
+            .ok_or_else(|| format!("no archive named '{}' is loaded", name))
     }
 
-    fn get(
+    /// The one fetch path, under `GET` and `GETBATCH` alike (see the module docs).
+    /// Returns each field's bytes in request order and the number of full decodes
+    /// this request put in flight (joins of another request's flight are its decodes,
+    /// not ours), or `None` when the scheduler shed the request: answer `BUSY`.
+    ///
+    /// `range` (elements; a `GET` operand) narrows every field to a slice. A cached
+    /// field serves any range. A miss is a full decode — for data ranges too: Lorenzo
+    /// reconstruction is a prefix scan, so a data range needs the whole field once,
+    /// after which the cache serves every later range as a slice. A request's full
+    /// decodes are submitted as one admission group, so they run as one batched wave
+    /// (possibly merged with other requests' misses from the same tick), a field
+    /// already in flight for someone else is joined rather than decoded twice, and
+    /// duplicates within the request share one flight.
+    ///
+    /// The exception is a ranged *codes* miss, which takes the partial path: decode
+    /// only the overlapping blocks via the field's (cached) decode index. The result
+    /// is not inserted — it is a fragment, and caching fragments would let a sweep of
+    /// small ranges evict whole hot fields. Partial decodes run inline, not as waves:
+    /// they are already sub-linear in field size and do not batch. Index-build and
+    /// partial-decode timings are recorded inside the codec.
+    fn fetch(
         &self,
         archive: &str,
-        field_index: u32,
         kind: GetKind,
+        fields: &[u32],
         range: Option<(u64, u64)>,
-    ) -> Result<Response, String> {
-        let (loaded, index) = self.lookup(archive, field_index)?;
-        let field = &loaded.fields()[index];
-        let elements = match kind {
-            GetKind::Data => field.data_elements().ok_or_else(|| {
-                "archive is payload-only; request codes instead of data".to_string()
-            })?,
-            GetKind::Codes => field.code_elements(),
-        };
-        if let Some((start, len)) = range {
-            let valid = start
-                .checked_add(len)
-                .map(|end| end <= elements)
-                .unwrap_or(false);
-            if !valid {
-                return Err(format!(
-                    "range [{}, {}+{}) exceeds the field's {} elements",
-                    start, start, len, elements
-                ));
-            }
-        }
-        let key = CacheKey {
-            archive: archive.to_string(),
-            generation: loaded.generation,
-            field: field_index,
-            kind,
-        };
-
-        // Fast path: the full representation is cached; any range is a slice of it.
-        let cached = self.lock_cache().get(&key);
-        if let Some(bytes) = cached {
-            return Ok(slice_response(&bytes, kind, range, elements, true));
-        }
-
-        // Miss. Ranged code requests take the partial path: decode only the
-        // overlapping blocks via the field's (cached) decode index. The result is not
-        // inserted — it is a fragment, and caching fragments would let a sweep of
-        // small ranges evict whole hot fields. Partial decodes run inline, not as
-        // waves: they are already sub-linear in field size and do not batch.
-        // Index-build and partial-decode timings are recorded inside the codec.
-        if let (GetKind::Codes, Some((start, len))) = (kind, range) {
-            let decoded = self
-                .codec
-                .decompress_range(field, start, len)
-                .map_err(|e| format!("range decode failed: {}", e))?;
-            return Ok(Response::Get {
-                kind,
-                from_cache: false,
-                partial: true,
-                elements: len,
-                bytes: u16_le_bytes(&decoded.symbols),
-            });
-        }
-
-        // Full decode (data requests also land here for ranges: Lorenzo reconstruction
-        // is a prefix scan, so a data range needs the whole field once — after which
-        // the cache serves every later range as a slice). The decode goes through the
-        // scheduler: a concurrent miss of the same field joins this flight instead of
-        // decoding twice, and misses of other fields in the same tick share one wave.
-        let Some(outcomes) = self.sched.submit_group(&[(key, loaded, index)]) else {
-            return Ok(Response::Busy);
-        };
-        let bytes = outcomes[0].slot.wait()?;
-        Ok(slice_response(&bytes, kind, range, elements, false))
-    }
-
-    /// Serves a multi-field fetch: cache hits stream straight out, and all misses are
-    /// submitted to the scheduler as one group — so they decode as one batched wave
-    /// (possibly merged with other requests' misses from the same tick), and fields
-    /// already in flight for someone else are joined rather than re-decoded.
-    fn get_batch(
-        &self,
-        archive: &str,
-        kind: GetKind,
-        field_indices: &[u32],
-    ) -> Result<Response, String> {
-        self.metrics().batch_gets.inc();
-        self.metrics().batch_fields.add(field_indices.len() as u64);
-        let loaded = self
-            .store
-            .get(archive)
-            .ok_or_else(|| format!("no archive named '{}' is loaded", archive))?;
-        for &f in field_indices {
-            if f as usize >= loaded.fields().len() {
-                return Err(format!(
+    ) -> Result<Option<(Vec<Fetched>, usize)>, String> {
+        let loaded = self.archive(archive)?;
+        for &f in fields {
+            let field = loaded.fields().get(f as usize).ok_or_else(|| {
+                format!(
                     "archive '{}' has {} fields; field {} does not exist",
                     archive,
                     loaded.fields().len(),
                     f
-                ));
-            }
-            if kind == GetKind::Data && loaded.fields()[f as usize].data_elements().is_none() {
-                return Err(format!(
-                    "field {} is payload-only; request codes instead of data",
-                    f
-                ));
+                )
+            })?;
+            let elements = match kind {
+                GetKind::Data => field.data_elements().ok_or_else(|| {
+                    format!("field {} is payload-only; request codes instead of data", f)
+                })?,
+                GetKind::Codes => field.code_elements(),
+            };
+            if let Some((start, len)) = range {
+                if start.checked_add(len).map_or(true, |end| end > elements) {
+                    return Err(format!(
+                        "range [{}, {}+{}) exceeds the field's {} elements",
+                        start, start, len, elements
+                    ));
+                }
             }
         }
         let key = |field: u32| CacheKey {
@@ -391,57 +325,101 @@ impl ServerState {
             field,
             kind,
         };
-
-        // One cache pass for the whole request.
         let cached: Vec<Option<Arc<Vec<u8>>>> = {
             let mut cache = self.lock_cache();
-            field_indices.iter().map(|&f| cache.get(&key(f))).collect()
+            fields.iter().map(|&f| cache.get(&key(f))).collect()
         };
 
-        // Unique cold fields, submitted as one admission group. Duplicates within the
-        // request share the one flight without a second submission.
+        let partial = range.filter(|_| kind == GetKind::Codes);
         let mut missing: Vec<u32> = Vec::new();
-        for (&f, hit) in field_indices.iter().zip(&cached) {
-            if hit.is_none() && !missing.contains(&f) {
+        for (&f, hit) in fields.iter().zip(&cached) {
+            if hit.is_none() && partial.is_none() && !missing.contains(&f) {
                 missing.push(f);
             }
         }
-        let mut flights: Vec<(u32, Arc<FlightSlot>)> = Vec::with_capacity(missing.len());
+        let mut flights: Vec<Arc<FlightSlot>> = Vec::new();
+        let mut started = 0;
         if !missing.is_empty() {
             let wants: Vec<(CacheKey, Arc<LoadedArchive>, usize)> = missing
                 .iter()
                 .map(|&f| (key(f), Arc::clone(&loaded), f as usize))
                 .collect();
             let Some(outcomes) = self.sched.submit_group(&wants) else {
-                return Ok(Response::Busy);
+                return Ok(None);
             };
-            // Count only the decodes this request put in flight — joins of another
-            // request's flight are its decodes, not ours.
-            let created = outcomes.iter().filter(|o| o.created).count();
-            self.metrics().batch_decoded_fields.add(created as u64);
-            for (&f, outcome) in missing.iter().zip(outcomes) {
-                flights.push((f, outcome.slot));
-            }
+            started = outcomes.iter().filter(|o| o.created).count();
+            flights = outcomes.into_iter().map(|o| o.slot).collect();
         }
 
-        let mut items = Vec::with_capacity(field_indices.len());
-        for (&f, hit) in field_indices.iter().zip(cached) {
+        let slice = |bytes: &[u8]| match range {
+            None => bytes.to_vec(),
+            Some((start, len)) => {
+                let eb = kind.element_bytes();
+                bytes[(start * eb) as usize..((start + len) * eb) as usize].to_vec()
+            }
+        };
+        let mut fetched = Vec::with_capacity(fields.len());
+        for (&f, hit) in fields.iter().zip(cached) {
             let from_cache = hit.is_some();
-            let bytes = match hit {
-                Some(bytes) => bytes,
-                None => flights
-                    .iter()
-                    .find(|(idx, _)| *idx == f)
-                    .expect("every miss was submitted")
-                    .1
-                    .wait()?,
+            let bytes = match (hit, partial) {
+                (Some(bytes), _) => slice(&bytes),
+                (None, Some((start, len))) => {
+                    let decoded = self
+                        .codec
+                        .decompress_range(&loaded.fields()[f as usize], start, len)
+                        .map_err(|e| format!("range decode failed: {}", e))?;
+                    u16_le_bytes(&decoded.symbols)
+                }
+                (None, None) => {
+                    let flight = missing.iter().position(|&m| m == f);
+                    slice(&flights[flight.expect("every miss was submitted")].wait()?)
+                }
             };
-            items.push(BatchGetItem {
+            fetched.push(Fetched {
+                bytes,
                 from_cache,
-                elements: bytes.len() as u64 / kind.element_bytes(),
-                bytes: bytes.to_vec(),
+                partial: !from_cache && partial.is_some(),
             });
         }
+        Ok(Some((fetched, started)))
+    }
+
+    fn get(
+        &self,
+        archive: &str,
+        field: u32,
+        kind: GetKind,
+        range: Option<(u64, u64)>,
+    ) -> Result<Response, String> {
+        self.metrics().gets.inc();
+        let Some((mut fetched, _)) = self.fetch(archive, kind, &[field], range)? else {
+            return Ok(Response::Busy);
+        };
+        let one = fetched.pop().expect("one field was asked for");
+        Ok(Response::Get {
+            kind,
+            from_cache: one.from_cache,
+            partial: one.partial,
+            elements: one.bytes.len() as u64 / kind.element_bytes(),
+            bytes: one.bytes,
+        })
+    }
+
+    fn get_batch(&self, archive: &str, kind: GetKind, fields: &[u32]) -> Result<Response, String> {
+        self.metrics().batch_gets.inc();
+        self.metrics().batch_fields.add(fields.len() as u64);
+        let Some((fetched, started)) = self.fetch(archive, kind, fields, None)? else {
+            return Ok(Response::Busy);
+        };
+        self.metrics().batch_decoded_fields.add(started as u64);
+        let items = fetched
+            .into_iter()
+            .map(|f| BatchGetItem {
+                from_cache: f.from_cache,
+                elements: f.bytes.len() as u64 / kind.element_bytes(),
+                bytes: f.bytes,
+            })
+            .collect();
         Ok(Response::GetBatch { kind, items })
     }
 
@@ -491,10 +469,7 @@ impl ServerState {
     }
 
     fn verify(&self, archive: &str) -> Result<String, String> {
-        let loaded = self
-            .store
-            .get(archive)
-            .ok_or_else(|| format!("no archive named '{}' is loaded", archive))?;
+        let loaded = self.archive(archive)?;
         let mut report = String::new();
         let mut failures = 0;
         for (i, field) in loaded.fields().iter().enumerate() {
@@ -632,32 +607,14 @@ impl ServerState {
     }
 }
 
-/// A `GET` reply over a field's full decoded bytes: all of them, or the slice `range`
-/// selects.
-fn slice_response(
-    bytes: &[u8],
-    kind: GetKind,
-    range: Option<(u64, u64)>,
-    elements: u64,
+/// One field as the fetch path hands it back.
+struct Fetched {
+    /// The field's decoded bytes, or the slice of them the request's range selects.
+    bytes: Vec<u8>,
+    /// Whether the cache pass had the field.
     from_cache: bool,
-) -> Response {
-    let (elements, bytes) = match range {
-        None => (elements, bytes),
-        Some((start, len)) => {
-            let eb = kind.element_bytes();
-            (
-                len,
-                &bytes[(start * eb) as usize..((start + len) * eb) as usize],
-            )
-        }
-    };
-    Response::Get {
-        kind,
-        from_cache,
-        partial: false,
-        elements,
-        bytes: bytes.to_vec(),
-    }
+    /// Whether a partial (range-limited) decode produced the bytes.
+    partial: bool,
 }
 
 impl Service for ServerState {

@@ -10,9 +10,12 @@
 //! **What blocks where.** The accept thread blocks in `accept`. Each connection thread
 //! blocks in `read` between requests, runs [`Service::handle`] to completion — for a
 //! daemon cache miss that means blocking on the decode's flight slot; for the router,
-//! on the owning shard's reply — and then blocks in `write` until the reply (one
-//! length-prefixed buffer) has left. Nothing polls and nothing sleeps; a slow or
-//! stalled peer holds up its own thread only.
+//! on the owning shard's reply — and then blocks in `write` until the reply has left.
+//! The reply goes out through the protocol's one frame writer
+//! ([`write_frame`](crate::protocol::write_frame), one buffer, one write — the same
+//! function clients and the router's shard links send requests with); a reply too
+//! large for a frame degrades there to a typed error frame. Nothing polls and nothing
+//! sleeps; a slow or stalled peer holds up its own thread only.
 //!
 //! **The shutdown contract.** `SHUTDOWN` (or [`ServiceHandle::shutdown`]) sets the
 //! service's [`Lifecycle`] flag and dials each bound listener once to unblock its
@@ -36,7 +39,9 @@ use huffdec_codec::HfzError;
 
 use crate::http::HttpServer;
 use crate::net::{connect, Conn, ListenAddr, Listener};
-use crate::protocol::{read_frame, Request, Response, MAX_REQUEST_BYTES, MAX_RESPONSE_BYTES};
+use crate::protocol::{
+    read_frame, write_response, Request, Response, MAX_REQUEST_BYTES, MAX_RESPONSE_BYTES,
+};
 use crate::server::Health;
 
 /// How long shutdown waits for connection threads to finish what they are writing
@@ -98,25 +103,6 @@ impl Lifecycle {
     }
 }
 
-/// Encodes a reply as one length-prefixed buffer, degrading one that does not fit a
-/// frame (a field decoding past the 1 GiB response ceiling) to a typed error instead
-/// of desyncing the stream.
-fn encode_frame(response: Response) -> Vec<u8> {
-    let mut body = response.encode();
-    if body.len() as u64 > MAX_RESPONSE_BYTES as u64 {
-        body = Response::Error(format!(
-            "response of {} bytes exceeds the {} frame limit; request a range",
-            body.len(),
-            MAX_RESPONSE_BYTES
-        ))
-        .encode();
-    }
-    let mut framed = Vec::with_capacity(4 + body.len());
-    framed.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    framed.extend_from_slice(&body);
-    framed
-}
-
 /// Runs one connection's request loop: frame in, [`Service::handle`], frame out.
 fn serve_connection<S: Service>(state: &S, conn: &mut Conn) {
     loop {
@@ -136,7 +122,7 @@ fn serve_connection<S: Service>(state: &S, conn: &mut Conn) {
             Err(e) => Response::Error(format!("bad request: {}", e)),
         };
         let last = matches!(response, Response::ShuttingDown);
-        if conn.write_all(&encode_frame(response)).is_err() || last {
+        if write_response(conn, &response, MAX_RESPONSE_BYTES).is_err() || last {
             return;
         }
     }

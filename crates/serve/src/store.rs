@@ -45,13 +45,6 @@ impl LoadedArchive {
     pub fn manifest(&self) -> Option<&SnapshotManifest> {
         self.handle.manifest()
     }
-
-    /// Resolves a manifest field name to its index (manifest-backed archives only).
-    pub fn field_index_by_name(&self, name: &str) -> Option<u32> {
-        self.manifest()
-            .and_then(|m| m.find(name))
-            .map(|(i, _)| i as u32)
-    }
 }
 
 /// The daemon's set of loaded archives, shared across client threads.
@@ -208,8 +201,6 @@ mod tests {
         let loaded = store.load("snap", path.to_str().unwrap()).unwrap();
         assert_eq!(loaded.fields().len(), 3);
         assert!(loaded.manifest().is_some());
-        assert_eq!(loaded.field_index_by_name("yy"), Some(1));
-        assert_eq!(loaded.field_index_by_name("nope"), None);
         for (field, (name, _)) in loaded.fields().iter().zip(&fields) {
             assert_eq!(field.name(), Some(name.as_str()));
         }

@@ -45,8 +45,7 @@ pub use huffdec_core::DecodeError;
 pub use lorenzo::{dequantize, dequantize_codes, quantize, Outlier, Quantized};
 pub use pipeline::{
     compress, compress_on, decode_codes, decode_payload, decode_payload_batch, decompress,
-    decompress_batch, decompress_with_transfer, field_zero_fraction, roundtrip,
-    BatchDecompressStats, CompressStats, Compressed, DecompressStats, Decompressed, SzConfig,
-    DEFAULT_ALPHABET_SIZE,
+    decompress_batch, field_zero_fraction, roundtrip, BatchDecompressStats, CompressStats,
+    Compressed, DecompressStats, Decompressed, SzConfig, DEFAULT_ALPHABET_SIZE,
 };
 pub use stats::{max_abs_error, psnr, verify_error_bound};

@@ -192,8 +192,8 @@ pub struct DecompressStats {
     pub reconstruct_seconds: f64,
     /// Estimated time of the outlier scatter kernel.
     pub outlier_scatter_seconds: f64,
-    /// Host-to-device transfer time of the compressed archive (only included in
-    /// `total_seconds` when decompressing with transfer, as in Fig. 5).
+    /// Host-to-device transfer time of the compressed archive. Never part of
+    /// `total_seconds`; the Fig. 5 report adds it itself.
     pub h2d_transfer_seconds: f64,
     /// Total decompression time in seconds.
     pub total_seconds: f64,
@@ -396,7 +396,6 @@ fn reconstruct(
     gpu: &dyn Backend,
     c: &Compressed,
     decode_result: huffdec_core::phases::DecodeResult,
-    include_transfer: bool,
 ) -> Decompressed {
     // Reverse dual-quantization on the host (functional), with an analytic kernel cost.
     let reconstruct_start = std::time::Instant::now();
@@ -421,11 +420,8 @@ fn reconstruct(
     let h2d_transfer_seconds =
         gpu.transfer_seconds(c.compressed_bytes(), TransferDirection::HostToDevice);
 
-    let mut total_seconds =
+    let total_seconds =
         decode_result.timings.total_seconds() + reconstruct_seconds + outlier_scatter_seconds;
-    if include_transfer {
-        total_seconds += h2d_transfer_seconds;
-    }
 
     Decompressed {
         data,
@@ -456,19 +452,7 @@ pub fn decode_codes(
 /// Returns [`DecodeError::PayloadMismatch`] if the payload's stream format does not
 /// match the archive's configured decoder.
 pub fn decompress(gpu: &dyn Backend, c: &Compressed) -> Result<Decompressed, DecodeError> {
-    Ok(reconstruct(gpu, c, decode_codes(gpu, c)?, false))
-}
-
-/// Decompresses an archive including the host-to-device transfer of the compressed data
-/// (the scenario of Fig. 5).
-///
-/// Returns [`DecodeError::PayloadMismatch`] if the payload's stream format does not
-/// match the archive's configured decoder.
-pub fn decompress_with_transfer(
-    gpu: &dyn Backend,
-    c: &Compressed,
-) -> Result<Decompressed, DecodeError> {
-    Ok(reconstruct(gpu, c, decode_codes(gpu, c)?, true))
+    Ok(reconstruct(gpu, c, decode_codes(gpu, c)?))
 }
 
 /// Timing breakdown of a batched multi-field decompression
@@ -530,7 +514,7 @@ pub fn decompress_batch(
     let fields: Vec<Decompressed> = archives
         .iter()
         .zip(decoded)
-        .map(|(c, result)| reconstruct(gpu, c, result, false))
+        .map(|(c, result)| reconstruct(gpu, c, result))
         .collect();
     let reconstruct_seconds: f64 = fields
         .iter()
@@ -632,26 +616,6 @@ mod tests {
             assert!(cr < last_cr, "cr {} should shrink as eb tightens", cr);
             last_cr = cr;
         }
-    }
-
-    #[test]
-    fn transfer_inclusive_decompression_is_slower() {
-        let spec = dataset_by_name("RTM").unwrap();
-        let field = generate(&spec, 40_000, 9);
-        let g = gpu();
-        let config = SzConfig::paper_default(DecoderKind::OptimizedGapArray);
-        let compressed = compress(&field, &config);
-        let without = decompress(&g, &compressed).unwrap();
-        let with = decompress_with_transfer(&g, &compressed).unwrap();
-        assert!(with.stats.total_seconds > without.stats.total_seconds);
-        assert_eq!(with.data, without.data);
-        assert!(
-            with.stats
-                .overall_throughput_gbs(compressed.original_bytes())
-                < without
-                    .stats
-                    .overall_throughput_gbs(compressed.original_bytes())
-        );
     }
 
     #[test]
