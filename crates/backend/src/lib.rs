@@ -13,8 +13,10 @@
 //! * [`CpuBackend`] — a real multi-threaded CPU executor: the same [`BlockKernel`]s
 //!   run chunked across cores via `std::thread::scope`, but every timing reported is
 //!   real wall-clock time, there is no transfer modeling, and concurrent "streams"
-//!   execute serially. This is what makes `hfz` actually fast on the machine it runs
-//!   on, and the seam a future CUDA/wgpu port plugs into.
+//!   execute serially. Its launches do not run the cost model: launch geometry,
+//!   occupancy and launch counts are kept; memory-traffic and cycle aggregates are
+//!   modeled-only. This is what makes `hfz` actually fast on the machine it runs on,
+//!   and the seam a future CUDA/wgpu port plugs into.
 //!
 //! Both backends produce **bit-identical decoded output and archives** — only the
 //! timings differ — which the workspace's backend-equivalence test matrix enforces.
@@ -36,7 +38,6 @@
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 use gpu_sim::{
     concurrent_time, transfer_time_s, BlockKernel, ConcurrentStats, Gpu, GpuConfig, KernelStats,
@@ -196,11 +197,14 @@ impl Backend for Gpu {
 /// A real multi-threaded CPU execution backend.
 ///
 /// Runs the same [`BlockKernel`]s as the simulator — per-core chunks of the block grid
-/// via `std::thread::scope` — so decoded output is bit-identical, but every
-/// [`KernelStats`] it returns carries the *measured* wall-clock duration of the launch
-/// instead of the model's estimate. Host-side pipeline steps are likewise charged their
-/// measured time, transfers cost nothing (host memory is device memory), and
-/// "concurrent streams" are what they really are here: serial execution.
+/// via `std::thread::scope` — so decoded output is bit-identical, but every launch is
+/// [`Gpu::launch_unmodeled`]: the kernels' charge calls return at once and the cost
+/// model never runs. Each [`KernelStats`] keeps the launch geometry, occupancy and
+/// launch count and carries the *measured* wall-clock duration of the launch; its
+/// memory-traffic and cycle aggregates are modeled-only and stay zero. Host-side
+/// pipeline steps are likewise charged their measured time, transfers cost nothing
+/// (host memory is device memory), and "concurrent streams" are what they really are
+/// here: serial execution.
 ///
 /// The wrapped [`GpuConfig`] still supplies kernel geometry (block sizes, shared-memory
 /// budgets, `T_high`), so the paper's tuning decisions are exercised identically on
@@ -232,17 +236,7 @@ impl LaunchDevice for CpuBackend {
     }
 
     fn launch(&self, kernel: &dyn BlockKernel, cfg: LaunchConfig) -> KernelStats {
-        let start = Instant::now();
-        let mut stats = self.gpu.launch(kernel, cfg);
-        let elapsed = start.elapsed().as_secs_f64();
-        // Keep the functional aggregates (grid, memory traffic, occupancy) for
-        // reporting, but replace every timing with the measured wall clock: this
-        // backend has no launch overhead or modeled compute/memory split.
-        stats.compute_time_s = 0.0;
-        stats.mem_time_s = 0.0;
-        stats.launch_overhead_s = 0.0;
-        stats.time_s = elapsed;
-        stats
+        self.gpu.launch_unmodeled(kernel, cfg)
     }
 
     fn charge_seconds(&self, _modeled: f64, measured: f64) -> f64 {
@@ -340,8 +334,26 @@ mod tests {
     #[test]
     fn cpu_timings_are_measured_not_modeled() {
         let cpu = CpuBackend::with_host_threads(GpuConfig::test_tiny(), 2);
+        let sim = Gpu::with_host_threads(GpuConfig::test_tiny(), 2);
+        let cfg = LaunchConfig::covering(10_000, 128).with_shared_mem(512);
         let out = DeviceBuffer::<u32>::zeroed(10_000);
-        let stats = cpu.launch(&Iota { out: &out }, LaunchConfig::covering(10_000, 128));
+        let out_sim = DeviceBuffer::<u32>::zeroed(10_000);
+        let stats = cpu.launch(&Iota { out: &out }, cfg);
+        let modeled = sim.launch(&Iota { out: &out_sim }, cfg);
+        assert_eq!(out.to_vec(), out_sim.to_vec());
+        // Launch geometry and occupancy are kept; the block aggregates are modeled-only.
+        assert_eq!(
+            (stats.grid_dim, stats.block_dim, stats.shared_mem_bytes),
+            (
+                modeled.grid_dim,
+                modeled.block_dim,
+                modeled.shared_mem_bytes
+            )
+        );
+        assert_eq!(stats.occupancy, modeled.occupancy);
+        assert!(modeled.mem.store_requests > 0 && modeled.total_block_cycles > 0.0);
+        assert_eq!(stats.mem, gpu_sim::MemStats::default());
+        assert_eq!(stats.total_block_cycles, 0.0);
         assert_eq!(stats.compute_time_s, 0.0);
         assert_eq!(stats.mem_time_s, 0.0);
         assert_eq!(stats.launch_overhead_s, 0.0);

@@ -1,18 +1,21 @@
 //! CRC-32 (IEEE 802.3, the zlib/gzip polynomial), implemented locally so the workspace
-//! stays dependency-free. Table-driven, one byte at a time — integrity checking is a
-//! negligible fraction of archive I/O cost next to Huffman coding.
+//! stays dependency-free. Slicing-by-8: eight bytes per step through eight 256-entry
+//! tables, the tail one byte at a time through the first.
 //!
 //! This lives in `huffdec-core` (rather than the container crate, which re-exports it)
 //! because the pipeline itself checksums *decoded symbol streams*: `sz::compress` stamps
 //! every archive with [`crc32_symbols`] over its quantization codes, which is what
-//! `hfz verify --deep` and the `hfzd` daemon's `VERIFY` command compare against.
+//! `hfz verify --deep` and the `hfzd` daemon's `VERIFY` command compare against. That
+//! stamp reads every code of every compress, so it is not a negligible fraction of one:
+//! byte at a time it cost ≈ 24 ms of a 4 M-element compress on the measured backend.
 
-/// The 256-entry lookup table for the reflected polynomial 0xEDB88320, built at compile
-/// time.
-const TABLE: [u32; 256] = build_table();
+/// The slicing-by-8 tables for the reflected polynomial 0xEDB88320, built at compile
+/// time: `TABLES[0]` is the classic byte-at-a-time table, and `TABLES[k][b]` is the CRC
+/// of byte `b` followed by `k` zero bytes.
+const TABLES: [[u32; 256]; 8] = build_tables();
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -25,10 +28,20 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// A streaming CRC-32 accumulator.
@@ -45,8 +58,22 @@ impl Crc32 {
 
     /// Feeds `bytes` into the checksum.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state = (self.state >> 8) ^ TABLE[((self.state ^ b as u32) & 0xFF) as usize];
+        let t = &TABLES;
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            let lo = self.state ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+            self.state = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in chunks.remainder() {
+            self.state = (self.state >> 8) ^ t[0][((self.state ^ b as u32) & 0xFF) as usize];
         }
     }
 
@@ -75,10 +102,24 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// decode to the wrong quantization codes.
 pub fn crc32_symbols(symbols: &[u16]) -> u32 {
     let mut c = Crc32::new();
-    for &s in symbols {
-        c.update(&s.to_le_bytes());
+    let mut buf = [0u8; 4096];
+    for run in symbols.chunks(buf.len() / 2) {
+        for (pair, s) in buf.chunks_exact_mut(2).zip(run) {
+            pair.copy_from_slice(&s.to_le_bytes());
+        }
+        c.update(&buf[..run.len() * 2]);
     }
     c.finish()
+}
+
+/// The byte-at-a-time loop slicing-by-8 replaced, kept as its oracle.
+#[cfg(test)]
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    let mut state = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        state = (state >> 8) ^ TABLES[0][((state ^ b as u32) & 0xFF) as usize];
+    }
+    state ^ 0xFFFF_FFFF
 }
 
 #[cfg(test)]
@@ -116,6 +157,23 @@ mod tests {
         let mut swapped = symbols.clone();
         swapped.swap(3, 700);
         assert_ne!(crc32_symbols(&swapped), crc32_symbols(&symbols));
+    }
+
+    #[test]
+    fn slicing_by_8_matches_the_bytewise_loop() {
+        let data: Vec<u8> = (0..72u32)
+            .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
+            .collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let bytes = &data[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "start {start} len {len}"
+                );
+            }
+        }
     }
 
     #[test]

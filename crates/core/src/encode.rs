@@ -237,18 +237,19 @@ impl BlockKernel for ScatterUnitsKernel<'_> {
                 break;
             }
             let cw = self.codewords[self.symbols[j] as usize];
-            for d in 0..cw.len as u64 {
-                let pos = o + d;
-                if pos < start_bit {
-                    continue;
-                }
-                if pos >= end_bit {
-                    break;
-                }
-                if (cw.bits >> (cw.len as u64 - 1 - d)) & 1 == 1 {
-                    local[((pos - start_bit) / 32) as usize] |= 1u32 << (31 - (pos % 32) as u32);
-                }
-                bits_written += 1;
+            let len = cw.len as u64;
+            // The codeword's overlap with the block's bit range, OR-ed in one piece per
+            // unit it touches.
+            let hi = (o + len).min(end_bit);
+            let mut pos = o.max(start_bit);
+            bits_written += hi.saturating_sub(pos);
+            while pos < hi {
+                let in_unit = pos % 32;
+                let take = (32 - in_unit).min(hi - pos);
+                let d = pos - o;
+                let piece = (cw.bits as u64 >> (len - d - take)) & ((1u64 << take) - 1);
+                local[((pos - start_bit) / 32) as usize] |= (piece << (32 - in_unit - take)) as u32;
+                pos += take;
             }
             j += 1;
         }
@@ -651,16 +652,55 @@ mod tests {
         assert_payloads_identical(&parallel, &serial);
     }
 
+    /// Geometric frequencies over the whole 1,024-symbol alphabet — symbol `i` occurs
+    /// `max(1, 2^16 >> i)` times, so the ~1,000 rarest get codewords longer than 16 bits —
+    /// laid out so that one of those crosses every tile edge of the scatter kernel (a
+    /// 32-bit unit boundary too) while they last.
+    fn geometric_symbols() -> Vec<u16> {
+        let counts: Vec<u64> = (0..1024u64).map(|s| (1 << 16) >> s.min(16)).collect();
+        let codebook = Codebook::from_frequencies(&FrequencyTable::from_counts(counts.clone()));
+        let len = |s: u16| codebook.codeword(s).len as u64;
+        let (mut long, short): (Vec<u16>, Vec<u16>) = (0..1024u16)
+            .flat_map(|s| std::iter::repeat(s).take(counts[s as usize] as usize))
+            .partition(|&s| len(s) > 16);
+        let tile_bits = (BLOCK_DIM * ITEMS_PER_THREAD) as u64 * 32;
+        let (mut symbols, mut bit, mut straddles) = (Vec::new(), 0u64, 0);
+        for s in short {
+            // A short codeword is at most 16 bits, so the stream always stops within 16
+            // bits of an edge before crossing it.
+            if tile_bits - bit % tile_bits <= 16 {
+                if let Some(l) = long.pop() {
+                    symbols.push(l);
+                    bit += len(l);
+                    straddles += 1;
+                }
+            }
+            symbols.push(s);
+            bit += len(s);
+        }
+        assert!(
+            straddles >= 4,
+            "only {} long codewords cross a tile edge",
+            straddles
+        );
+        symbols.extend(long);
+        symbols
+    }
+
     #[test]
     fn serial_and_parallel_host_execution_agree() {
-        // The scatter kernel must not depend on block execution order.
-        let symbols = quant_symbols(50_000, 7);
+        // The scatter kernel must not depend on block execution order, and must place a
+        // long codeword across a tile edge.
         let serial_gpu = Gpu::with_host_threads(GpuConfig::test_tiny(), 1);
         let parallel_gpu = Gpu::with_host_threads(GpuConfig::test_tiny(), 8);
-        for kind in DecoderKind::all() {
-            let (a, _) = compress_on(&serial_gpu, kind, &symbols, 1024);
-            let (b, _) = compress_on(&parallel_gpu, kind, &symbols, 1024);
-            assert_payloads_identical(&a, &b);
+        for symbols in [quant_symbols(50_000, 7), geometric_symbols()] {
+            for kind in DecoderKind::all() {
+                let host = compress_for(kind, &symbols, 1024);
+                let (a, _) = compress_on(&serial_gpu, kind, &symbols, 1024);
+                let (b, _) = compress_on(&parallel_gpu, kind, &symbols, 1024);
+                assert_payloads_identical(&a, &host);
+                assert_payloads_identical(&b, &host);
+            }
         }
     }
 

@@ -7,6 +7,10 @@
 //! accesses, warp votes, barriers — are reported through the [`BlockContext`], which
 //! maintains a clock per warp. When the block finishes, its cost is the maximum warp
 //! clock, exactly as a real block's latency is determined by its slowest warp.
+//!
+//! A context of an *unmodeled* launch (the CPU backend's, see
+//! [`crate::Gpu::launch_unmodeled`]) keeps the block's identity and geometry but records
+//! nothing: every charge call returns at its top and no warp clock is allocated.
 
 use crate::coalesce::coalesce_strided;
 use crate::config::GpuConfig;
@@ -97,6 +101,9 @@ pub struct BlockContext<'a> {
     grid_dim: u32,
     block_dim: u32,
     shared_mem_bytes: u32,
+    /// `false` on an unmodeled launch: every charge returns at its top and
+    /// `warp_cycles` stays empty.
+    modeled: bool,
     warp_cycles: Vec<f64>,
     mem: MemStats,
     barriers: u64,
@@ -104,23 +111,29 @@ pub struct BlockContext<'a> {
 
 impl<'a> BlockContext<'a> {
     /// Creates a context for block `block_idx` of a grid of `grid_dim` blocks with
-    /// `block_dim` threads each.
-    pub fn new(
+    /// `block_dim` threads each; an unmodeled one (`modeled == false`) records nothing.
+    pub(crate) fn new(
         config: &'a GpuConfig,
         block_idx: u32,
         grid_dim: u32,
         block_dim: u32,
         shared_mem_bytes: u32,
+        modeled: bool,
     ) -> Self {
         assert!(block_dim > 0, "block_dim must be positive");
-        let warps = block_dim.div_ceil(config.warp_size);
+        let warp_cycles = if modeled {
+            vec![0.0; block_dim.div_ceil(config.warp_size) as usize]
+        } else {
+            Vec::new()
+        };
         BlockContext {
             config,
             block_idx,
             grid_dim,
             block_dim,
             shared_mem_bytes,
-            warp_cycles: vec![0.0; warps as usize],
+            modeled,
+            warp_cycles,
             mem: MemStats::default(),
             barriers: 0,
         }
@@ -153,7 +166,7 @@ impl<'a> BlockContext<'a> {
 
     /// Number of warps in the block.
     pub fn warp_count(&self) -> u32 {
-        self.warp_cycles.len() as u32
+        self.block_dim.div_ceil(self.config.warp_size)
     }
 
     fn warp_mut(&mut self, warp: u32) -> &mut f64 {
@@ -161,12 +174,20 @@ impl<'a> BlockContext<'a> {
     }
 
     /// Charges `cycles` of uniform (convergent) compute to a warp.
+    #[inline]
     pub fn compute(&mut self, warp: u32, cycles: f64) {
+        if !self.modeled {
+            return;
+        }
         *self.warp_mut(warp) += cycles;
     }
 
     /// Charges a warp-level primitive (`__all_sync`, `__ballot_sync`, shuffle, ...).
+    #[inline]
     pub fn warp_primitive(&mut self, warp: u32) {
+        if !self.modeled {
+            return;
+        }
         *self.warp_mut(warp) += cost::WARP_PRIMITIVE;
     }
 
@@ -205,6 +226,7 @@ impl<'a> BlockContext<'a> {
     }
 
     /// Records a perfectly contiguous warp load: lane `i` reads element `base_elem + i`.
+    #[inline]
     pub fn global_load_contiguous(
         &mut self,
         warp: u32,
@@ -212,10 +234,14 @@ impl<'a> BlockContext<'a> {
         lanes: u32,
         elem_bytes: u32,
     ) {
+        if !self.modeled {
+            return;
+        }
         self.charge_global(warp, base_elem, lanes, 1, elem_bytes, false);
     }
 
     /// Records a perfectly contiguous warp store: lane `i` writes element `base_elem + i`.
+    #[inline]
     pub fn global_store_contiguous(
         &mut self,
         warp: u32,
@@ -223,10 +249,14 @@ impl<'a> BlockContext<'a> {
         lanes: u32,
         elem_bytes: u32,
     ) {
+        if !self.modeled {
+            return;
+        }
         self.charge_global(warp, base_elem, lanes, 1, elem_bytes, true);
     }
 
     /// Records a strided warp load: lane `i` reads element `base_elem + i * stride_elems`.
+    #[inline]
     pub fn global_load_strided(
         &mut self,
         warp: u32,
@@ -235,10 +265,14 @@ impl<'a> BlockContext<'a> {
         stride_elems: u64,
         elem_bytes: u32,
     ) {
+        if !self.modeled {
+            return;
+        }
         self.charge_global(warp, base_elem, lanes, stride_elems, elem_bytes, false);
     }
 
     /// Records a strided warp store: lane `i` writes element `base_elem + i * stride_elems`.
+    #[inline]
     pub fn global_store_strided(
         &mut self,
         warp: u32,
@@ -247,20 +281,31 @@ impl<'a> BlockContext<'a> {
         stride_elems: u64,
         elem_bytes: u32,
     ) {
+        if !self.modeled {
+            return;
+        }
         self.charge_global(warp, base_elem, lanes, stride_elems, elem_bytes, true);
     }
 
     /// Records a conflict-free warp-wide shared-memory access: the decoders' threads
     /// write disjoint sequential runs of the staging buffer, and the cooperative copy
     /// reads consecutive words.
+    #[inline]
     pub fn shared_access_contiguous(&mut self, warp: u32) {
+        if !self.modeled {
+            return;
+        }
         self.mem.shared_accesses += 1;
         *self.warp_mut(warp) += cost::SHARED_ACCESS;
     }
 
     /// Executes a block-wide barrier (`__syncthreads`): all warp clocks advance to the
     /// maximum clock plus the barrier cost.
+    #[inline]
     pub fn syncthreads(&mut self) {
+        if !self.modeled {
+            return;
+        }
         let max = self.warp_cycles.iter().cloned().fold(0.0, f64::max);
         for c in &mut self.warp_cycles {
             *c = max + cost::BARRIER;
@@ -269,7 +314,7 @@ impl<'a> BlockContext<'a> {
     }
 
     /// Finalizes the block and returns its cost summary.
-    pub fn finish(self) -> BlockStats {
+    pub(crate) fn finish(self) -> BlockStats {
         let cycles = self.warp_cycles.iter().cloned().fold(0.0, f64::max);
         let total: f64 = self.warp_cycles.iter().sum();
         BlockStats {
@@ -286,13 +331,13 @@ mod tests {
     use super::*;
 
     fn ctx(cfg: &GpuConfig) -> BlockContext<'_> {
-        BlockContext::new(cfg, 0, 4, 128, 0)
+        BlockContext::new(cfg, 0, 4, 128, 0, true)
     }
 
     #[test]
     fn warp_count_matches_block_dim() {
         let cfg = GpuConfig::v100();
-        let c = BlockContext::new(&cfg, 1, 8, 96, 0);
+        let c = BlockContext::new(&cfg, 1, 8, 96, 0, true);
         assert_eq!(c.warp_count(), 3);
         assert_eq!(c.block_idx(), 1);
         assert_eq!(c.grid_dim(), 8);

@@ -1,9 +1,12 @@
 //! Kernel launch machinery: the [`BlockKernel`] trait, [`LaunchConfig`], and the [`Gpu`]
 //! device which executes a grid of blocks functionally (in parallel on host threads) while
-//! accumulating the cost model.
+//! accumulating the cost model — or, for an unmodeled launch, without it.
 
-use crate::block::{BlockContext, BlockStats};
+use std::time::Instant;
+
+use crate::block::{BlockContext, BlockStats, MemStats};
 use crate::config::GpuConfig;
+use crate::occupancy::Occupancy;
 use crate::timing::{estimate_kernel_time, KernelStats};
 
 /// Launch configuration for a kernel, mirroring `<<<grid, block, shmem>>>`.
@@ -103,6 +106,29 @@ impl Gpu {
     /// Returns the aggregated [`KernelStats`] including the estimated kernel time under
     /// the device's cost model.
     pub fn launch<K: BlockKernel + ?Sized>(&self, kernel: &K, cfg: LaunchConfig) -> KernelStats {
+        self.run_grid(kernel, cfg, true)
+    }
+
+    /// Launches a kernel for its output only: every charge call returns at its top, no
+    /// per-block statistics are kept and the cost model never runs.
+    ///
+    /// The [`KernelStats`] keep the launch-level facts (name, grid, block, shared memory,
+    /// occupancy); the block aggregates (`mem`, cycles, barriers) are zero and `time_s`
+    /// is the measured wall clock of the launch. This is the CPU backend's launch.
+    pub fn launch_unmodeled<K: BlockKernel + ?Sized>(
+        &self,
+        kernel: &K,
+        cfg: LaunchConfig,
+    ) -> KernelStats {
+        self.run_grid(kernel, cfg, false)
+    }
+
+    fn run_grid<K: BlockKernel + ?Sized>(
+        &self,
+        kernel: &K,
+        cfg: LaunchConfig,
+        modeled: bool,
+    ) -> KernelStats {
         assert!(cfg.block_dim > 0, "block_dim must be positive");
         assert!(
             cfg.shared_mem_bytes <= self.config.max_shared_mem_per_block,
@@ -111,21 +137,24 @@ impl Gpu {
             cfg.shared_mem_bytes,
             self.config.max_shared_mem_per_block
         );
+        let clock = Instant::now();
         let grid = cfg.grid_dim;
         let threads = self.host_threads.min(grid as usize).max(1);
         let chunk = (grid as usize).div_ceil(threads).max(1) as u32;
+        // An unmodeled block keeps nothing, so its chunk collects an unallocated `Vec`.
         let run_chunk = |start: u32| -> Vec<BlockStats> {
             (start..start.saturating_add(chunk).min(grid))
-                .map(|b| {
+                .filter_map(|b| {
                     let mut ctx = BlockContext::new(
                         &self.config,
                         b,
                         grid,
                         cfg.block_dim,
                         cfg.shared_mem_bytes,
+                        modeled,
                     );
                     kernel.block(&mut ctx);
-                    ctx.finish()
+                    modeled.then(|| ctx.finish())
                 })
                 .collect()
         };
@@ -141,7 +170,7 @@ impl Gpu {
                     .step_by(chunk as usize)
                     .map(|start| s.spawn(move || run_chunk(start)))
                     .collect();
-                let mut all_stats = Vec::with_capacity(grid as usize);
+                let mut all_stats = Vec::new();
                 for handle in handles {
                     // Re-raise the kernel's own panic payload, not a generic join error.
                     all_stats.extend(
@@ -154,14 +183,36 @@ impl Gpu {
             })
         };
 
-        estimate_kernel_time(
-            &self.config,
-            kernel.name(),
-            grid,
-            cfg.block_dim,
-            cfg.shared_mem_bytes,
-            &all_stats,
-        )
+        if modeled {
+            return estimate_kernel_time(
+                &self.config,
+                kernel.name(),
+                grid,
+                cfg.block_dim,
+                cfg.shared_mem_bytes,
+                &all_stats,
+            );
+        }
+        KernelStats {
+            name: kernel.name().to_string(),
+            grid_dim: grid,
+            block_dim: cfg.block_dim,
+            shared_mem_bytes: cfg.shared_mem_bytes,
+            occupancy: Occupancy::calculate(
+                &self.config,
+                grid.max(1),
+                cfg.block_dim,
+                cfg.shared_mem_bytes,
+            ),
+            total_block_cycles: 0.0,
+            max_block_cycles: 0.0,
+            mem: MemStats::default(),
+            barriers: 0,
+            compute_time_s: 0.0,
+            mem_time_s: 0.0,
+            launch_overhead_s: 0.0,
+            time_s: clock.elapsed().as_secs_f64(),
+        }
     }
 }
 
@@ -321,6 +372,80 @@ mod tests {
         assert_eq!(out1.to_vec(), out2.to_vec());
         assert!((direct.time_s - via_trait.time_s).abs() < 1e-15);
         assert_eq!(device.charge_seconds(1.5e-6, 42.0), 1.5e-6);
+    }
+
+    /// Writes its global thread index and makes every one of the eight charge calls.
+    struct ChargesEverything<'a> {
+        out: &'a DeviceBuffer<u32>,
+    }
+
+    impl BlockKernel for ChargesEverything<'_> {
+        fn name(&self) -> &str {
+            "charges-everything"
+        }
+        fn block(&self, ctx: &mut BlockContext) {
+            let bd = ctx.block_dim() as usize;
+            let start = ctx.block_idx() as usize * bd;
+            for i in start..(start + bd).min(self.out.len()) {
+                self.out.set(i, i as u32 * 3);
+            }
+            let lanes = ctx.config().warp_size;
+            for w in 0..ctx.warp_count() {
+                let base = start as u64 + (w * lanes) as u64;
+                ctx.compute(w, 3.0);
+                ctx.warp_primitive(w);
+                ctx.global_load_contiguous(w, base, lanes, 4);
+                ctx.global_store_contiguous(w, base, lanes, 4);
+                ctx.global_load_strided(w, base, lanes, 7, 4);
+                ctx.global_store_strided(w, base, lanes, 7, 4);
+                ctx.shared_access_contiguous(w);
+            }
+            ctx.syncthreads();
+        }
+    }
+
+    #[test]
+    fn unmodeled_launch_is_functional_only() {
+        let gpu = Gpu::with_host_threads(GpuConfig::test_tiny(), 3);
+        let n = 5000usize;
+        let cfg = LaunchConfig::covering(n, 96).with_shared_mem(1024);
+        let out_modeled = DeviceBuffer::<u32>::zeroed(n);
+        let out_unmodeled = DeviceBuffer::<u32>::zeroed(n);
+        let m = gpu.launch(&ChargesEverything { out: &out_modeled }, cfg);
+        let u = gpu.launch_unmodeled(
+            &ChargesEverything {
+                out: &out_unmodeled,
+            },
+            cfg,
+        );
+        assert_eq!(out_modeled.to_vec(), out_unmodeled.to_vec());
+        assert_eq!(
+            (
+                &u.name,
+                u.grid_dim,
+                u.block_dim,
+                u.shared_mem_bytes,
+                u.occupancy
+            ),
+            (
+                &m.name,
+                m.grid_dim,
+                m.block_dim,
+                m.shared_mem_bytes,
+                m.occupancy
+            )
+        );
+        // The modeled launch did charge; the unmodeled one kept nothing but its clock.
+        assert!(m.mem.load_requests > 0 && m.mem.shared_accesses > 0 && m.barriers > 0);
+        assert_eq!(u.mem, crate::MemStats::default());
+        assert_eq!(u.total_block_cycles, 0.0);
+        assert_eq!(u.max_block_cycles, 0.0);
+        assert_eq!(u.barriers, 0);
+        assert_eq!(
+            (u.compute_time_s, u.mem_time_s, u.launch_overhead_s),
+            (0.0, 0.0, 0.0)
+        );
+        assert!(u.time_s > 0.0, "the wall clock must have advanced");
     }
 
     #[test]

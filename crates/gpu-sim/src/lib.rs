@@ -42,6 +42,8 @@
 //!
 //! Both global shapes are arithmetic progressions of lane addresses, so one
 //! allocation-free counter ([`coalesce_strided`]) turns either into sectors and segments.
+//! On an unmodeled launch ([`Gpu::launch_unmodeled`], the CPU backend's) every one of
+//! them returns at its top: the kernel's output is all that launch produces.
 //!
 //! ## Example
 //!

@@ -46,7 +46,6 @@ impl<K: Copy + Into<u32> + Sync> BlockKernel for PartialHistogramKernel<'_, K> {
         }
 
         // Cost: coalesced loads of the tile plus one shared-memory atomic per item.
-        let n = end.saturating_sub(start) as u64;
         let warp_size = ctx.config().warp_size;
         for w in 0..ctx.warp_count() {
             let lane_base = start as u64 + (w * warp_size * ITEMS_PER_THREAD) as u64;
@@ -69,7 +68,6 @@ impl<K: Copy + Into<u32> + Sync> BlockKernel for PartialHistogramKernel<'_, K> {
             );
         }
         ctx.syncthreads();
-        let _ = n;
     }
 }
 

@@ -45,7 +45,6 @@ impl BlockKernel for BlockScanKernel<'_> {
 
         // Cost: each warp loads and stores its items coalesced and performs a
         // log2(block_dim)-step shared-memory scan.
-        let n = (end - start) as u64;
         let warps = ctx.warp_count();
         let warp_size = ctx.config().warp_size;
         for w in 0..warps {
@@ -62,7 +61,6 @@ impl BlockKernel for BlockScanKernel<'_> {
             ctx.compute(w, scan_steps * (cost::SHARED_ACCESS + cost::ALU));
         }
         ctx.syncthreads();
-        let _ = n;
     }
 }
 

@@ -300,8 +300,9 @@ pub struct Metrics {
     pub decode_bytes_out: Counter,
 
     /// Time-weighted mean SM occupancy of the most recent full decode's kernel
-    /// launches, in permille (0–1000). The occupancy comes from the gpu-sim perf
-    /// model on either backend (the CPU backend keeps functional launch aggregates).
+    /// launches, in permille (0–1000). The occupancy comes from the gpu-sim occupancy
+    /// calculation on either backend (the CPU backend keeps launch geometry, occupancy
+    /// and launch counts; memory-traffic and cycle aggregates are modeled-only).
     pub decode_occupancy_permille: Gauge,
     /// Like [`Metrics::decode_occupancy_permille`], but across every kernel of the
     /// most recent batched decode wave.
