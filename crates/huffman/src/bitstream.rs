@@ -123,6 +123,54 @@ impl<'a> BitReader<'a> {
     }
 }
 
+/// A register-resident window for a loop that reads a stream front to back: the next
+/// stream bits left-aligned in a `u64`, refilled one unit at a time when fewer than 32
+/// remain, where [`BitReader::peek32`] loads two units per call. Positions past the unit
+/// storage read as 0, as they do for `peek32`.
+pub(crate) struct BitBuffer<'a> {
+    units: &'a [u32],
+    /// The buffered bits, the next stream bit as the MSB; the bits below `valid` are 0.
+    bits: u64,
+    /// How many of the top bits of `bits` are stream bits.
+    valid: u32,
+    /// The unit the next refill loads.
+    next: usize,
+}
+
+impl<'a> BitBuffer<'a> {
+    /// A buffer whose next bit is bit `pos` of `reader`'s stream.
+    #[inline(always)]
+    pub(crate) fn new(reader: &BitReader<'a>, pos: u64) -> Self {
+        let unit = (pos / 32) as usize;
+        let head = reader.units.get(unit).copied().unwrap_or(0) as u64;
+        BitBuffer {
+            units: reader.units,
+            bits: head << 32 << (pos % 32),
+            valid: 32 - (pos % 32) as u32,
+            next: unit + 1,
+        }
+    }
+
+    /// The next 32 stream bits, left-aligned (what `peek32` returns at the same position).
+    #[inline(always)]
+    pub(crate) fn peek32(&mut self) -> u32 {
+        if self.valid < 32 {
+            let unit = self.units.get(self.next).copied().unwrap_or(0) as u64;
+            self.bits |= unit << (32 - self.valid);
+            self.valid += 32;
+            self.next += 1;
+        }
+        (self.bits >> 32) as u32
+    }
+
+    /// Moves past the next `len` bits; `len` is at most 32, the width of the last peek.
+    #[inline(always)]
+    pub(crate) fn consume(&mut self, len: u32) {
+        self.bits <<= len;
+        self.valid -= len;
+    }
+}
+
 #[cfg(test)]
 impl BitWriter {
     /// Appends a single bit: the bit-at-a-time reference [`BitWriter::write_bits`] is

@@ -8,9 +8,13 @@
 //!   in the workspace — the structure the GPU decoders keep in global memory ("the
 //!   codebook that is used for decoding is kept in global memory; since this codebook is
 //!   shared across all thread blocks, it is kept in cache" — §IV-B of the paper). It is a
-//!   direct lookup on the next `LUT_BITS` bits of the stream for the short codes, backed
-//!   by per-length first-code / first-index arrays over the symbols in canonical order
-//!   for codes up to [`MAX_CODE_LEN`].
+//!   direct lookup on the next `LUT_BITS` = 11 bits of the stream for the short codes
+//!   (8 KB), backed by per-length first-code / first-index arrays over the symbols in
+//!   canonical order for codes up to [`MAX_CODE_LEN`] (cudaCompress's
+//!   `HuffmanDecodeTable` layout), plus a **multi-symbol table** on the same 11 bits
+//!   (16 KB): the two or three whole codewords they hold in a row, when they hold more
+//!   than one. Both are cloned with the codebook, so an `HFZ2` dictionary entry carries
+//!   them into every field that uses it.
 //!
 //! # The `decode_at` contract
 //!
@@ -30,10 +34,10 @@
 //! # The `decode_run` contract
 //!
 //! [`Codebook::decode_run`] is the per-thread step every decoder repeats, and the only
-//! loop over `decode_at` outside the tests: from a start bit it decodes one codeword after
-//! another, hands each symbol to `emit` with its index in the run, and returns
-//! `(end_bit, count)` — where the next codeword would start, and how many it produced. It
-//! stops at the first of four conditions:
+//! loop outside the tests that advances a bit position by a decoded length: from a start
+//! bit it decodes one codeword after another, hands each symbol to `emit` with its index
+//! in the run, and returns `(end_bit, count)` — where the next codeword would start, and
+//! how many it produced. It stops at the first of four conditions:
 //!
 //! * the next codeword would *start* at or after `stop` (a subsequence boundary: a
 //!   codeword may straddle it, which is how a thread's end becomes its neighbour's
@@ -47,18 +51,30 @@
 //! `stop` bounds where codewords begin and `limit` where they end, so `limit < stop`
 //! simply makes `limit` the binding one, and a `limit` past `bit_len` is `bit_len`.
 //! `emit` is never called for a codeword that a stop condition rejected.
+//!
+//! The result is exactly that of a loop over `decode_at`, but the run does not call it.
+//! It reads the stream through a register bit buffer (one unit load per 32 bits) and
+//! takes a multi-symbol table entry's two or three codewords in one step when all of
+//! them end at or before `limit`, the end of the stream and `stop`, and the count stays
+//! within `max_symbols`. Otherwise it takes one codeword through the resolve step it
+//! shares with `decode_at`, so a stop condition that would split a packed entry is met
+//! one codeword at a time.
 
-use crate::bitstream::BitReader;
+use crate::bitstream::{BitBuffer, BitReader};
 use crate::canonical::{assign_canonical, is_prefix_free, Codeword};
 use crate::freq::FrequencyTable;
 use crate::tree::{code_lengths, kraft_sum, length_limited_code_lengths, MAX_CODE_LEN};
 
-/// Width of the direct-lookup table in bits: 2¹¹ four-byte entries, 8 KB per codebook.
+/// Width of the direct-lookup tables in bits: 2¹¹ four-byte single-symbol entries plus
+/// 2¹¹ eight-byte multi-symbol entries, 8 KB + 16 KB per codebook.
 const LUT_BITS: u32 = 11;
 /// Direct-lookup entry for a prefix of no codeword (a real entry is `symbol << 8 | len`).
 const LUT_INVALID: u32 = 0;
 /// Direct-lookup entry for a prefix of codewords longer than [`LUT_BITS`].
 const LUT_LONG: u32 = 0xFF;
+/// Most codewords one multi-symbol entry packs: three 16-bit symbols, then its bits and
+/// count.
+const MULTI_MAX: u64 = 3;
 
 /// The canonical decode table. All lookups take a 32-bit window of the stream,
 /// left-aligned (the next stream bit is the MSB).
@@ -66,6 +82,10 @@ const LUT_LONG: u32 = 0xFF;
 struct DecodeTable {
     /// Indexed by the window's top [`LUT_BITS`] bits.
     lut: [u32; 1 << LUT_BITS],
+    /// Indexed like `lut`: the up to [`MULTI_MAX`] whole codewords those bits hold in a
+    /// row, as `sym0 | sym1 << 16 | sym2 << 32 | total_bits << 48 | count << 56`; 0 where
+    /// fewer than two fit, which means "take the single-symbol step".
+    multi: [u64; 1 << LUT_BITS],
     /// `first_code[len]` is the canonical code of the first symbol of length `len`.
     first_code: [u32; MAX_CODE_LEN as usize + 2],
     /// `first_index[len]` is that symbol's position in `symbols`; the entry after the
@@ -114,12 +134,40 @@ impl DecodeTable {
             lut.copy_within(..1 << (LUT_BITS - 1), 1 << (LUT_BITS - 1));
         }
         Box::new(DecodeTable {
+            multi: Self::multi_entries(&lut),
             lut,
             first_code,
             first_index,
             symbols: order,
             first_bit_mask: u32::MAX >> no_leading_one as u32,
         })
+    }
+
+    /// The multi-symbol table, by walking `lut` itself along each window: past a decoded
+    /// codeword the window shifts left with zeros coming in, and the walk stops at the
+    /// first entry that is not a whole short codeword inside the window's real bits. A
+    /// codeword that fits there is decoded from real bits alone, so the single-symbol
+    /// book's mirrored half and an incomplete code's dead prefixes come out as `lut`
+    /// resolves them.
+    fn multi_entries(lut: &[u32; 1 << LUT_BITS]) -> [u64; 1 << LUT_BITS] {
+        let mut multi = [0u64; 1 << LUT_BITS];
+        for (window, slot) in multi.iter_mut().enumerate() {
+            let (mut packed, mut bits, mut count) = (0u64, 0u32, 0u64);
+            while count < MULTI_MAX {
+                let entry = lut[(window << bits) & ((1 << LUT_BITS) - 1)];
+                let len = entry & 0xFF;
+                if len == LUT_INVALID || len == LUT_LONG || bits + len > LUT_BITS {
+                    break;
+                }
+                packed |= ((entry >> 8) as u64) << (16 * count);
+                bits += len;
+                count += 1;
+            }
+            if count >= 2 {
+                *slot = packed | (bits as u64) << 48 | count << 56;
+            }
+        }
+        multi
     }
 
     /// The codeword the window starts with, as `(symbol, length)`.
@@ -281,22 +329,37 @@ impl Codebook {
 
     /// Decodes the codeword that starts at bit `pos` of `reader`: `(symbol, bits)`, or
     /// `None` if it would end past `limit` or the end of the stream, or if the bits are a
-    /// prefix of no codeword (the full contract is in the module documentation).
+    /// prefix of no codeword (the full contract is in the module documentation). This is
+    /// the per-symbol reference; [`Codebook::decode_run`]'s single-symbol step is the same
+    /// resolve on a buffered window.
     ///
     /// `inline(always)`, with [`BitReader::peek32`] and the table lookup: left to the
     /// inliner this stayed a call, the reader went through memory on every symbol, and
     /// `decode_flat` ran 30 % slower.
     #[inline(always)]
     pub fn decode_at(&self, reader: &BitReader<'_>, pos: u64, limit: u64) -> Option<(u16, u8)> {
-        let (symbol, len) = self.table.lookup(reader.peek32(pos))?;
-        (pos + len as u64 <= limit.min(reader.bit_len())).then_some((symbol, len))
+        self.resolve(reader.peek32(pos), pos, limit.min(reader.bit_len()))
+    }
+
+    /// The codeword a left-aligned 32-bit `window` of the stream at bit `pos` starts with,
+    /// if it ends at or before `end`: the single-symbol contract, in one place.
+    #[inline(always)]
+    fn resolve(&self, window: u32, pos: u64, end: u64) -> Option<(u16, u8)> {
+        let (symbol, len) = self.table.lookup(window)?;
+        (pos + len as u64 <= end).then_some((symbol, len))
     }
 
     /// Decodes codewords from bit `start` while the next one starts before `stop`, ends at
     /// or before `limit` (and the end of the stream), fewer than `max_symbols` have been
     /// produced and the bits resolve to a symbol. Each symbol goes to `emit` with its index
-    /// in the run; returns `(end_bit, count)`, the start of the codeword the run stopped
-    /// at and the number produced (the full contract is in the module documentation).
+    /// in the run, in order; returns `(end_bit, count)`, the start of the codeword the run
+    /// stopped at and the number produced (the full contract is in the module
+    /// documentation).
+    ///
+    /// It does not loop over [`Codebook::decode_at`]: each step takes a multi-symbol table
+    /// entry's two or three codewords when every stop condition admits all of them, and
+    /// otherwise the one codeword `decode_at` would, through the resolve step the two
+    /// share.
     ///
     /// `inline(always)` for the reason [`Codebook::decode_at`] is, and so that a caller
     /// that only counts compiles its empty `emit` away.
@@ -310,15 +373,34 @@ impl Codebook {
         max_symbols: u64,
         mut emit: impl FnMut(u64, u16),
     ) -> (u64, u64) {
-        let mut pos = start;
-        let mut count = 0u64;
+        let end = limit.min(reader.bit_len());
+        // Ending at or before `stop` is stricter than what a packed step needs (its last
+        // codeword only has to start before it), and cheaper to check.
+        let multi_end = end.min(stop);
+        let mut bits = BitBuffer::new(reader, start);
+        let (mut pos, mut count) = (start, 0u64);
         while pos < stop && count < max_symbols {
-            let Some((symbol, len)) = self.decode_at(reader, pos, limit) else {
-                break;
-            };
-            emit(count, symbol);
-            pos += len as u64;
-            count += 1;
+            let window = bits.peek32();
+            let entry = self.table.multi[(window >> (32 - LUT_BITS)) as usize];
+            let (total, n) = ((entry >> 48) as u8, entry >> 56);
+            if n != 0 && pos + total as u64 <= multi_end && n <= max_symbols - count {
+                emit(count, entry as u16);
+                emit(count + 1, (entry >> 16) as u16);
+                if n == MULTI_MAX {
+                    emit(count + 2, (entry >> 32) as u16);
+                }
+                bits.consume(total as u32);
+                pos += total as u64;
+                count += n;
+            } else {
+                let Some((symbol, len)) = self.resolve(window, pos, end) else {
+                    break;
+                };
+                emit(count, symbol);
+                bits.consume(len as u32);
+                pos += len as u64;
+                count += 1;
+            }
         }
         (pos, count)
     }
@@ -356,6 +438,130 @@ mod tests {
             pos += n as u64;
         }
         decoded
+    }
+
+    /// Splitmix64 of counter `i` under `seed`.
+    fn mix(seed: u64, i: u64) -> u64 {
+        let mut z = seed.wrapping_add((i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Quantization-code-like symbols: geometric magnitudes around the centre bin, so the
+    /// centre codewords are 1–3 bits and one window holds several.
+    fn quant_like(n: u64, seed: u64) -> Vec<u16> {
+        (0..n)
+            .map(|i| {
+                let r = mix(seed, i);
+                let mag = r.trailing_zeros().min(9) as i32;
+                (512 + if r >> 63 == 1 { mag } else { -mag }) as u16
+            })
+            .collect()
+    }
+
+    /// The four code shapes `tests/decode_run.rs` holds `decode_run` to.
+    fn code_shapes() -> Vec<(&'static str, Codebook)> {
+        let mut chain: Vec<u8> = (1..=14).collect();
+        chain.extend([15, 15]);
+        vec![
+            (
+                "quant-like",
+                Codebook::from_symbols(&quant_like(4000, 7), 1024),
+            ),
+            (
+                "incomplete",
+                Codebook::from_length_pairs(8, &[(0, 2), (1, 2), (2, 3), (3, 12)]).unwrap(),
+            ),
+            ("single-symbol", Codebook::from_symbols(&[7u16; 10], 16)),
+            ("15-bit chain", Codebook::from_lengths(&chain)),
+        ]
+    }
+
+    /// A plain `decode_at` loop under `decode_run`'s stop conditions: `(end_bit, emitted)`.
+    fn symbol_at_a_time(
+        cb: &Codebook,
+        reader: &BitReader<'_>,
+        start: u64,
+        stop: u64,
+        limit: u64,
+        max_symbols: u64,
+    ) -> (u64, Vec<(u64, u16)>) {
+        let (mut pos, mut emitted) = (start, Vec::new());
+        while pos < stop && (emitted.len() as u64) < max_symbols {
+            let Some((symbol, len)) = cb.decode_at(reader, pos, limit) else {
+                break;
+            };
+            emitted.push((emitted.len() as u64, symbol));
+            pos += len as u64;
+        }
+        (pos, emitted)
+    }
+
+    #[test]
+    fn multi_symbol_entries_agree_with_decode_at() {
+        let window_bits = LUT_BITS as u64;
+        for (name, cb) in code_shapes() {
+            let mut packed = 0;
+            for window in 0..1u32 << LUT_BITS {
+                // Successive `decode_at` calls inside the window's bits, up to an entry's
+                // worth.
+                let units = [window << (32 - LUT_BITS)];
+                let reader = BitReader::new(&units, window_bits);
+                let (mut pos, mut want) = (0, Vec::new());
+                while want.len() < MULTI_MAX as usize {
+                    let Some((symbol, len)) = cb.decode_at(&reader, pos, window_bits) else {
+                        break;
+                    };
+                    want.push((symbol, len));
+                    pos += len as u64;
+                }
+                let entry = cb.table.multi[window as usize];
+                let case = format!("{name}: window {window:011b}");
+                if want.len() < 2 {
+                    assert_eq!(entry, 0, "{case}");
+                    continue;
+                }
+                let got: Vec<(u16, u8)> = (0..entry >> 56)
+                    .map(|i| (entry >> (16 * i)) as u16)
+                    .map(|symbol| (symbol, cb.codeword(symbol).len))
+                    .collect();
+                assert_eq!(got, want, "{case}");
+                assert_eq!((entry >> 48) as u8 as u64, pos, "{case}");
+                packed += 1;
+            }
+            // Every shape has codewords of at most 5 bits, so the comparison above ran.
+            assert!(packed > 0, "{name}: no window packs two codewords");
+        }
+    }
+
+    #[test]
+    fn decode_run_matches_decode_at_where_caps_and_stops_split_a_packed_step() {
+        let symbols = quant_like(200_000, 11);
+        let cb = Codebook::from_symbols(&symbols, 1024);
+        let (units, bit_len) = encode_to_bits(&cb, &symbols);
+        let reader = BitReader::new(&units, bit_len);
+        let mut start = 0;
+        let mut got = Vec::new();
+        for (i, &symbol) in symbols.iter().enumerate() {
+            // Caps 1..=7 past a multiple of 3 symbols, and stops 1..=11 bits past the start:
+            // both land inside, at and past one packed entry's worth.
+            let above = 3 * (i as u64 % 4);
+            let caps = (1..=7).map(|c| (u64::MAX, above + c));
+            let stops = (1..=11).map(|d| (start + d, u64::MAX));
+            for (stop, cap) in caps.chain(stops) {
+                got.clear();
+                let (end, count) =
+                    cb.decode_run(&reader, start, stop, bit_len, cap, |k, s| got.push((k, s)));
+                let (want_end, want) = symbol_at_a_time(&cb, &reader, start, stop, bit_len, cap);
+                assert_eq!(
+                    (end, count, &got),
+                    (want_end, want.len() as u64, &want),
+                    "start {start} stop {stop} cap {cap}"
+                );
+            }
+            start += cb.codeword(symbol).len as u64;
+        }
     }
 
     #[test]

@@ -21,13 +21,16 @@
 //!
 //! [`Codebook::decode_at`] resolves the one codeword that starts at a bit position —
 //! `None` when it would end past `limit` or the end of the stream, or when the bits are a
-//! prefix of no codeword. [`Codebook::decode_run`] is the per-thread step every decoder in
-//! the workspace repeats, and the only loop over `decode_at`: from a start bit it decodes
-//! while the next codeword *starts* before `stop`, *ends* at or before `limit` (and the end
-//! of the stream), fewer than `max_symbols` have been produced and the bits resolve to a
-//! symbol, and returns where it stopped and how many it produced. `stop` is a subsequence
-//! boundary that a codeword may straddle; `limit` is where the bits run out. Both
-//! contracts are spelled out in [`codebook`].
+//! prefix of no codeword; it is the per-symbol reference. [`Codebook::decode_run`] is the
+//! per-thread step every decoder in the workspace repeats, and the only decode loop: from
+//! a start bit it decodes while the next codeword *starts* before `stop`, *ends* at or
+//! before `limit` (and the end of the stream), fewer than `max_symbols` have been produced
+//! and the bits resolve to a symbol, and returns where it stopped and how many it
+//! produced. `stop` is a subsequence boundary that a codeword may straddle; `limit` is
+//! where the bits run out. It reads the stream through a register bit buffer and takes
+//! up to three codewords per table lookup, falling back to `decode_at`'s own resolve step
+//! one codeword at a time wherever a stop condition would split them. Both contracts are
+//! spelled out in [`codebook`].
 //!
 //! ## Example
 //!

@@ -43,11 +43,6 @@ impl ErrorBound {
         }
     }
 
-    /// True if this is a relative bound.
-    pub fn is_relative(&self) -> bool {
-        matches!(self, ErrorBound::Relative(_))
-    }
-
     /// Stable `(mode tag, value)` pair used by serialized archive formats
     /// (0 = absolute, 1 = relative).
     pub fn wire_parts(&self) -> (u8, f64) {
@@ -68,6 +63,14 @@ impl ErrorBound {
             1 => Some(ErrorBound::Relative(value)),
             _ => None,
         }
+    }
+}
+
+#[cfg(test)]
+impl ErrorBound {
+    /// True if this is a relative bound.
+    pub(crate) fn is_relative(&self) -> bool {
+        matches!(self, ErrorBound::Relative(_))
     }
 }
 

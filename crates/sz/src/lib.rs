@@ -48,4 +48,4 @@ pub use pipeline::{
     decompress_batch, field_zero_fraction, roundtrip, BatchDecompressStats, CompressStats,
     Compressed, DecompressStats, Decompressed, SzConfig, DEFAULT_ALPHABET_SIZE,
 };
-pub use stats::{max_abs_error, psnr, verify_error_bound};
+pub use stats::{psnr, verify_error_bound};

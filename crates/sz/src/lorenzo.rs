@@ -53,11 +53,6 @@ impl Quantized {
             self.outliers.len() as f64 / self.codes.len() as f64
         }
     }
-
-    /// Bytes needed to store the outliers (index + value).
-    pub fn outlier_bytes(&self) -> u64 {
-        self.outliers.len() as u64 * 12
-    }
 }
 
 /// Streams the n-dimensional Lorenzo predictor over a grid in storage order. For every
@@ -198,6 +193,14 @@ pub fn dequantize_codes(
         value
     });
     data
+}
+
+#[cfg(test)]
+impl Quantized {
+    /// Bytes needed to store the outliers (index + value).
+    pub(crate) fn outlier_bytes(&self) -> u64 {
+        self.outliers.len() as u64 * 12
+    }
 }
 
 #[cfg(test)]

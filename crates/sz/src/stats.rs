@@ -1,15 +1,5 @@
 //! Reconstruction-quality statistics: error-bound verification and PSNR.
 
-/// Maximum point-wise absolute error between the original and reconstructed data.
-pub fn max_abs_error(original: &[f32], reconstructed: &[f32]) -> f64 {
-    assert_eq!(original.len(), reconstructed.len());
-    original
-        .iter()
-        .zip(reconstructed.iter())
-        .map(|(&a, &b)| (a as f64 - b as f64).abs())
-        .fold(0.0, f64::max)
-}
-
 /// Verifies the point-wise error bound, returning the first violating index if any.
 ///
 /// A small slack proportional to the value magnitude is allowed on top of the bound to
@@ -48,6 +38,17 @@ pub fn psnr(original: &[f32], reconstructed: &[f32]) -> f64 {
     }
     let range = (max - min).max(f64::MIN_POSITIVE);
     20.0 * range.log10() - 10.0 * mse.log10()
+}
+
+/// Maximum point-wise absolute error between the original and reconstructed data.
+#[cfg(test)]
+pub(crate) fn max_abs_error(original: &[f32], reconstructed: &[f32]) -> f64 {
+    assert_eq!(original.len(), reconstructed.len());
+    original
+        .iter()
+        .zip(reconstructed.iter())
+        .map(|(&a, &b)| (a as f64 - b as f64).abs())
+        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]
