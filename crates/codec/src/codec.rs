@@ -352,20 +352,13 @@ impl Codec {
         self.format
     }
 
-    /// The configuration one compress call actually uses: under format v2 with
-    /// automatic hybrid selection enabled, a dense session decoder switches to the
-    /// RLE+Huffman hybrid when the field's center-bin (zero-residual) fraction reaches
-    /// the threshold. Exposed so callers can predict which decoder a field will get.
-    pub fn config_for(&self, field: &Field) -> SzConfig {
-        let mut config = self.config;
-        if self.format == FormatVersion::V2 && !config.decoder.is_hybrid() {
-            if let Some(threshold) = self.auto_hybrid {
-                if sz::field_zero_fraction(field, &config) >= threshold {
-                    config.decoder = DecoderKind::RleHybrid;
-                }
-            }
-        }
-        config
+    /// The center-bin (zero-residual) fraction at or above which a compress encodes the
+    /// field with the RLE+Huffman hybrid: set only for a dense session decoder under
+    /// format v2 with automatic selection enabled. The compress decides on the codes it
+    /// quantized; [`Compressed::config`] records the pick.
+    fn hybrid_at(&self) -> Option<f64> {
+        self.auto_hybrid
+            .filter(|_| self.format == FormatVersion::V2 && !self.config.decoder.is_hybrid())
     }
 
     /// The metrics registry every operation of this session records into. Clone the
@@ -478,8 +471,8 @@ impl Codec {
     /// archive (bit-identical to the host encoder) and the encode timing breakdown.
     pub fn compress(&self, field: &Field) -> Result<EncodeOutcome> {
         self.check_nonempty(field)?;
-        let config = self.config_for(field);
-        let (archive, stats) = sz::compress_on(self.backend.as_ref(), field, &config);
+        let (archive, stats) =
+            sz::compress_auto_on(self.backend.as_ref(), field, &self.config, self.hybrid_at());
         self.metrics.encode_seconds.observe(stats.total_seconds);
         self.record_encode_phases(&stats.encode);
         self.metrics.encode_bytes_in.add(archive.original_bytes());
@@ -494,7 +487,7 @@ impl Codec {
     /// tests and benchmarks that only need the archive.
     pub fn compress_archive(&self, field: &Field) -> Result<Compressed> {
         self.check_nonempty(field)?;
-        Ok(sz::compress(field, &self.config_for(field)))
+        Ok(sz::compress_auto(field, &self.config, self.hybrid_at()))
     }
 
     /// Encodes a bare symbol stream into this session's stream format on the simulated
@@ -782,6 +775,15 @@ pub fn u16_le_bytes(symbols: &[u16]) -> Vec<u8> {
 }
 
 #[cfg(test)]
+impl Codec {
+    /// The configuration one compress call uses (it compresses the field to tell).
+    pub(crate) fn config_for(&self, field: &Field) -> SzConfig {
+        self.compress_archive(field)
+            .map_or(self.config, |archive| archive.config)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use datasets::{dataset_by_name, generate};
@@ -955,6 +957,41 @@ mod tests {
             builder().auto_hybrid(Some(1.5)).build(),
             Err(HfzError::Usage(_))
         ));
+    }
+
+    #[test]
+    fn auto_hybrid_compress_writes_the_explicit_sessions_bytes() {
+        let sparse = walk_field(20_000, 95, 7);
+        let dense_field = walk_field(20_000, 0, 8);
+        let session = |decoder, auto_hybrid| {
+            Codec::builder()
+                .gpu_config(GpuConfig::test_tiny())
+                .host_threads(2)
+                .error_bound(ErrorBound::Absolute(0.5))
+                .format(FormatVersion::V2)
+                .decoder(decoder)
+                .auto_hybrid(auto_hybrid)
+                .build()
+                .unwrap()
+        };
+        let auto = session(
+            DecoderKind::OptimizedGapArray,
+            Some(AUTO_HYBRID_ZERO_FRACTION),
+        );
+        let explicit = [
+            (&sparse, session(DecoderKind::RleHybrid, None)),
+            (&dense_field, session(DecoderKind::OptimizedGapArray, None)),
+        ];
+        for (field, explicit) in explicit {
+            let expected = explicit
+                .archive_to_bytes(&explicit.compress(field).unwrap().archive)
+                .unwrap();
+            let archive = auto.compress(field).unwrap().archive;
+            assert_eq!(archive.decoder(), explicit.decoder());
+            assert_eq!(auto.archive_to_bytes(&archive).unwrap(), expected);
+            let host = auto.compress_archive(field).unwrap();
+            assert_eq!(auto.archive_to_bytes(&host).unwrap(), expected);
+        }
     }
 
     #[test]

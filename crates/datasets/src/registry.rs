@@ -64,22 +64,6 @@ impl DatasetSpec {
     pub fn full_elements(&self) -> usize {
         self.full_dims.len()
     }
-
-    /// The scaling factor to apply per dimension so the generated field has roughly
-    /// `target_elements` elements.
-    pub fn scale_factor_for(&self, target_elements: usize) -> f64 {
-        let full = self.full_elements() as f64;
-        if target_elements as f64 >= full {
-            return 1.0;
-        }
-        (target_elements as f64 / full).powf(1.0 / self.full_dims.ndim() as f64)
-    }
-
-    /// Target bits per 16-bit quantization symbol implied by the paper's compression
-    /// ratio (16 / CR).
-    pub fn target_bits_per_symbol(&self) -> f64 {
-        16.0 / self.paper_cr_1e3
-    }
 }
 
 /// All eight evaluation datasets, in the order the paper's tables list them.
@@ -192,6 +176,15 @@ pub fn dataset_by_name(name: &str) -> Option<DatasetSpec> {
 }
 
 #[cfg(test)]
+impl DatasetSpec {
+    /// Target bits per 16-bit quantization symbol implied by the paper's compression
+    /// ratio (16 / CR).
+    pub(crate) fn target_bits_per_symbol(&self) -> f64 {
+        16.0 / self.paper_cr_1e3
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -234,12 +227,10 @@ mod tests {
     #[test]
     fn scale_factor_shrinks_to_target() {
         let nyx = dataset_by_name("Nyx").unwrap();
-        let f = nyx.scale_factor_for(2_000_000);
-        let scaled = nyx.full_dims.scaled(f);
-        let got = scaled.len() as f64;
+        let got = nyx.full_dims.scaled_to_elements(2_000_000).len() as f64;
         assert!(got > 1_000_000.0 && got < 4_000_000.0, "scaled to {}", got);
         // Requesting more than full size never upscales.
-        assert_eq!(nyx.scale_factor_for(usize::MAX), 1.0);
+        assert_eq!(nyx.full_dims.scaled_to_elements(usize::MAX), nyx.full_dims);
     }
 
     #[test]

@@ -260,32 +260,35 @@ fn quantize_kernel_time(gpu: &dyn Backend, num_elements: usize) -> f64 {
     cfg.streaming_pass_seconds(num_elements as f64 * 8.0, compute_cycles, 1)
 }
 
-fn quantize_field(field: &Field, config: &SzConfig) -> (Quantized, f64) {
-    let range = field.range_span() as f64;
-    let eb_abs = config.error_bound.to_absolute(range);
-    let step = 2.0 * eb_abs;
+/// Quantizes a field once, with `config`'s error bound and alphabet, and picks the
+/// configuration its codes are encoded with: `config` itself, or — when the codes'
+/// center-bin ("zero residual") fraction reaches `hybrid_at` — the same with the
+/// RLE+Huffman hybrid.
+fn quantize_field(
+    field: &Field,
+    config: &SzConfig,
+    hybrid_at: Option<f64>,
+) -> (Quantized, SzConfig) {
+    let step = 2.0 * config.error_bound.to_absolute(field.range_span() as f64);
     let q = quantize(&field.data, field.dims, step, config.alphabet_size);
-    (q, step)
+    let mut config = *config;
+    if hybrid_at.is_some_and(|t| huffdec_hybrid::zero_fraction(&q.codes, config.alphabet_size) >= t)
+    {
+        config.decoder = DecoderKind::RleHybrid;
+    }
+    (q, config)
 }
 
-fn assemble(q: Quantized, step: f64, config: &SzConfig, payload: CompressedPayload) -> Compressed {
+fn assemble(q: Quantized, config: SzConfig, payload: CompressedPayload) -> Compressed {
     let decoded_crc = Some(huffdec_core::crc32_symbols(&q.codes));
     Compressed {
         payload,
         outliers: q.outliers,
         dims: q.dims,
-        step,
-        config: *config,
+        step: q.step,
+        config,
         decoded_crc,
     }
-}
-
-/// The fraction of a field's quantization codes that land in the center ("zero
-/// residual") bin — the sparsity statistic automatic hybrid selection thresholds on.
-/// Quantizes the field without encoding it.
-pub fn field_zero_fraction(field: &Field, config: &SzConfig) -> f64 {
-    let (q, _) = quantize_field(field, config);
-    huffdec_hybrid::zero_fraction(&q.codes, config.alphabet_size)
 }
 
 /// Compresses a field with the single-threaded host encoder.
@@ -293,13 +296,21 @@ pub fn field_zero_fraction(field: &Field, config: &SzConfig) -> f64 {
 /// [`DecoderKind::RleHybrid`] dispatches to the `huffdec-hybrid` RLE+Huffman encoder
 /// (format v2); every dense decoder goes through [`huffdec_core::compress_for`].
 pub fn compress(field: &Field, config: &SzConfig) -> Compressed {
-    let (q, step) = quantize_field(field, config);
+    compress_auto(field, config, None)
+}
+
+/// [`compress`] with automatic hybrid selection: a field whose center-bin fraction
+/// reaches `hybrid_at` is encoded with the RLE+Huffman hybrid instead of `config`'s
+/// decoder ([`Compressed::config`] records the pick). The field is quantized once, and
+/// the pick reads those codes.
+pub fn compress_auto(field: &Field, config: &SzConfig, hybrid_at: Option<f64>) -> Compressed {
+    let (q, config) = quantize_field(field, config, hybrid_at);
     let payload = if config.decoder.is_hybrid() {
         huffdec_hybrid::compress_hybrid(&q.codes, config.alphabet_size)
     } else {
         compress_for(config.decoder, &q.codes, config.alphabet_size)
     };
-    assemble(q, step, config, payload)
+    assemble(q, config, payload)
 }
 
 /// Compresses a field with the simulated-GPU parallel encode pipeline
@@ -310,8 +321,19 @@ pub fn compress_on(
     field: &Field,
     config: &SzConfig,
 ) -> (Compressed, CompressStats) {
+    compress_auto_on(gpu, field, config, None)
+}
+
+/// [`compress_on`] with the automatic hybrid selection of [`compress_auto`]
+/// (bit-identical to it).
+pub fn compress_auto_on(
+    gpu: &dyn Backend,
+    field: &Field,
+    config: &SzConfig,
+    hybrid_at: Option<f64>,
+) -> (Compressed, CompressStats) {
     let quantize_start = std::time::Instant::now();
-    let (q, step) = quantize_field(field, config);
+    let (q, config) = quantize_field(field, config, hybrid_at);
     let quantize_elapsed = quantize_start.elapsed().as_secs_f64();
     let (payload, encode) = if config.decoder.is_hybrid() {
         huffdec_hybrid::compress_hybrid_on(gpu, &q.codes, config.alphabet_size)
@@ -326,7 +348,7 @@ pub fn compress_on(
         encode,
         total_seconds,
     };
-    (assemble(q, step, config, payload), stats)
+    (assemble(q, config, payload), stats)
 }
 
 /// Estimated time of the reverse dual-quantization (Lorenzo reconstruction) kernels.
