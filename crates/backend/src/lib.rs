@@ -6,20 +6,24 @@
 //! [`Backend`] trait that captures exactly that surface, plus the two implementations
 //! the workspace ships:
 //!
-//! * [`SimBackend`] (= [`gpu_sim::Gpu`]) — the simulated V100: kernels execute
-//!   functionally on host threads while the calibrated performance model produces
-//!   *modeled* timings. This backend reproduces the paper's evaluation numbers and is
-//!   the default everywhere.
-//! * [`CpuBackend`] — a real multi-threaded CPU executor: the same [`BlockKernel`]s
-//!   run chunked across cores via `std::thread::scope`, but every timing reported is
-//!   real wall-clock time, there is no transfer modeling, and concurrent "streams"
-//!   execute serially. Its launches do not run the cost model: launch geometry,
-//!   occupancy and launch counts are kept; memory-traffic and cycle aggregates are
-//!   modeled-only. This is what makes `hfz` actually fast on the machine it runs on,
-//!   and the seam a future CUDA/wgpu port plugs into.
+//! * [`Gpu`] — the simulated V100: kernels execute functionally on host threads while
+//!   the calibrated performance model produces *modeled* timings. This backend
+//!   reproduces the paper's evaluation numbers and is the default everywhere.
+//! * [`CpuBackend`] — a real multi-threaded CPU executor: launches run their blocks
+//!   chunked across cores via `std::thread::scope` without the cost model (launch
+//!   geometry, occupancy and launch counts are kept; memory-traffic and cycle aggregates
+//!   are modeled-only), every timing reported is real wall-clock time, there is no
+//!   transfer modeling, and concurrent "streams" execute serially. Encodes, ranged
+//!   decodes and the chunked baseline launch the simulator's [`BlockKernel`]s here; a
+//!   full decode of a flat stream launches one walk per sequence instead of the paper's
+//!   synchronization, counting, tuning and decode/write kernels, which exist only
+//!   because a GPU thread cannot know its output offset. This is what makes `hfz`
+//!   actually fast on the machine it runs on, and the seam a future CUDA/wgpu port
+//!   plugs into.
 //!
-//! Both backends produce **bit-identical decoded output and archives** — only the
-//! timings differ — which the workspace's backend-equivalence test matrix enforces.
+//! The pipelines choose by [`Backend::is_modeled`]. Both backends produce
+//! **bit-identical decoded output and archives** — only the timings differ — which the
+//! workspace's backend-equivalence test matrix enforces.
 //!
 //! ## Example
 //!
@@ -161,9 +165,6 @@ pub trait Backend: LaunchDevice + Send + Sync + fmt::Debug {
     fn host_threads(&self) -> usize;
 }
 
-/// The simulated-GPU backend: [`gpu_sim::Gpu`] with its modeled timings.
-pub type SimBackend = Gpu;
-
 impl Backend for Gpu {
     fn kind(&self) -> BackendKind {
         BackendKind::Sim
@@ -196,19 +197,21 @@ impl Backend for Gpu {
 
 /// A real multi-threaded CPU execution backend.
 ///
-/// Runs the same [`BlockKernel`]s as the simulator — per-core chunks of the block grid
-/// via `std::thread::scope` — so decoded output is bit-identical, but every launch is
-/// [`Gpu::launch_unmodeled`]: the kernels' charge calls return at once and the cost
-/// model never runs. Each [`KernelStats`] keeps the launch geometry, occupancy and
-/// launch count and carries the *measured* wall-clock duration of the launch; its
+/// Every launch is [`Gpu::launch_unmodeled`]: per-core chunks of the block grid via
+/// `std::thread::scope`, the kernels' charge calls return at once and the cost model
+/// never runs. Each [`KernelStats`] keeps the launch geometry, occupancy and launch
+/// count and carries the *measured* wall-clock duration of the launch; its
 /// memory-traffic and cycle aggregates are modeled-only and stay zero. Host-side
 /// pipeline steps are likewise charged their measured time, transfers cost nothing
 /// (host memory is device memory), and "concurrent streams" are what they really are
 /// here: serial execution.
 ///
-/// The wrapped [`GpuConfig`] still supplies kernel geometry (block sizes, shared-memory
-/// budgets, `T_high`), so the paper's tuning decisions are exercised identically on
-/// both backends.
+/// What runs differs by path. Encodes, ranged decodes and the chunked baseline launch
+/// the simulator's [`BlockKernel`]s, so the wrapped [`GpuConfig`] supplies their
+/// geometry (block sizes, shared-memory budgets, `T_high`). A full decode of a flat
+/// stream is one launch of a walk that decodes each sequence once: no synchronization,
+/// counting or tuning runs here, so the paper's tuning decisions are exercised only on
+/// the simulator. Decoded output is bit-identical to the simulator's on every path.
 #[derive(Debug, Clone)]
 pub struct CpuBackend {
     gpu: Gpu,

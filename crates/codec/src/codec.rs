@@ -606,11 +606,6 @@ impl Codec {
         crate::ArchiveSummary::open(path)
     }
 
-    /// [`Codec::inspect_archive`] over an in-memory buffer.
-    pub fn inspect_archive_bytes(&self, bytes: &[u8]) -> Result<crate::ArchiveSummary> {
-        crate::ArchiveSummary::from_bytes(bytes)
-    }
-
     /// Opens a snapshot archive — like [`Codec::open_archive`], but the file must
     /// carry a manifest (name-addressed multi-field access).
     pub fn open_snapshot(&self, path: &str) -> Result<ArchiveHandle> {
@@ -780,6 +775,11 @@ impl Codec {
     pub(crate) fn config_for(&self, field: &Field) -> SzConfig {
         self.compress_archive(field)
             .map_or(self.config, |archive| archive.config)
+    }
+
+    /// [`Codec::inspect_archive`] over an in-memory buffer.
+    pub(crate) fn inspect_archive_bytes(&self, bytes: &[u8]) -> Result<crate::ArchiveSummary> {
+        crate::ArchiveSummary::from_bytes(bytes)
     }
 }
 

@@ -62,7 +62,7 @@ pub use huffdec_container::FormatVersion;
 pub use huffdec_hybrid::AUTO_HYBRID_ZERO_FRACTION;
 // The execution-backend seam, re-exported so CLI/daemon consumers can select and
 // inspect backends without naming the backend crate directly.
-pub use huffdec_backend::{Backend, BackendKind, CpuBackend, SimBackend, BACKEND_ENV};
+pub use huffdec_backend::{Backend, BackendKind, CpuBackend, BACKEND_ENV};
 // The registry every codec records into, re-exported so consumers can hold and render
 // snapshots without naming the metrics crate directly.
 pub use huffdec_metrics::{Metrics, MetricsSnapshot};

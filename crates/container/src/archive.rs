@@ -579,8 +579,6 @@ pub struct Snapshot<'a> {
     /// Format-v2 prologue: the shared codebook dictionary shard codebook-reference
     /// sections resolve against.
     dict: Option<CodebookDict>,
-    /// Format-v2 prologue: advisory per-decoder shared-memory buffer sizes.
-    hints: Option<TuningHints>,
     /// The archive region: everything after the prologue sections (the whole buffer for
     /// manifest-less files).
     shards: &'a [u8],
@@ -602,7 +600,6 @@ impl<'a> Snapshot<'a> {
             return Ok(Snapshot {
                 manifest: None,
                 dict: None,
-                hints: None,
                 shards: bytes,
             });
         };
@@ -610,7 +607,8 @@ impl<'a> Snapshot<'a> {
         let dict = prologue_section(&mut cursor, SectionKind::CodebookDict)?
             .map(codec::parse_codebook_dict)
             .transpose()?;
-        let hints = prologue_section(&mut cursor, SectionKind::TuningHints)?
+        // The tuning hints are advisory: validated, then not kept.
+        prologue_section(&mut cursor, SectionKind::TuningHints)?
             .map(codec::parse_tuning_hints)
             .transpose()?;
         // Every shard must lie inside the file, and the shards must cover it exactly —
@@ -623,7 +621,6 @@ impl<'a> Snapshot<'a> {
         Ok(Snapshot {
             manifest: Some(manifest),
             dict,
-            hints,
             shards: cursor,
         })
     }
@@ -637,11 +634,6 @@ impl<'a> Snapshot<'a> {
     /// one.
     pub fn codebook_dict(&self) -> Option<&CodebookDict> {
         self.dict.as_ref()
-    }
-
-    /// The decoder tuning hints, when this is a format-v2 snapshot that carries them.
-    pub fn tuning_hints(&self) -> Option<&TuningHints> {
-        self.hints.as_ref()
     }
 
     /// The archive region (everything after the manifest section). Sequential

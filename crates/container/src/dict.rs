@@ -160,9 +160,12 @@ impl TuningHints {
     pub fn is_empty(&self) -> bool {
         self.hints.is_empty()
     }
+}
 
+#[cfg(test)]
+impl TuningHints {
     /// The advisory buffer size for `decoder`, when a hint exists.
-    pub fn for_decoder(&self, decoder: DecoderKind) -> Option<u32> {
+    pub(crate) fn for_decoder(&self, decoder: DecoderKind) -> Option<u32> {
         self.hints
             .iter()
             .find(|h| h.decoder == decoder)

@@ -9,7 +9,8 @@ use huffdec_container::{
     snapshot_to_bytes, to_bytes, Archive, ContainerError, Snapshot, HEADER_BYTES,
 };
 use huffdec_core::{
-    compress_for, decode, prepare_decode, CompressedPayload, DecodeError, DecoderKind,
+    compress_for, decode, prepare_decode, Backend, CompressedPayload, CpuBackend, DecodeError,
+    DecoderKind,
 };
 use sz::{compress, decompress, Compressed, SzConfig};
 
@@ -211,11 +212,15 @@ fn payload_archive_is_not_a_field_archive() {
 
 /// A stream (and dims) that declare more or fewer symbols than the bits hold is
 /// structurally valid — every section parses and every CRC matches — so only the decode
-/// can notice. It must refuse with the typed corrupt-stream error, full and ranged,
-/// never hand back a field of the wrong length.
+/// can notice. It must refuse with the typed corrupt-stream error, full and ranged, on
+/// both backends (the CPU backend's full decode is its own walk), never hand back a field
+/// of the wrong length.
 #[test]
 fn wrong_declared_symbol_count_is_a_corrupt_stream_not_a_short_field() {
-    let g = gpu();
+    let (sim, cpu) = (
+        gpu(),
+        CpuBackend::with_host_threads(GpuConfig::test_tiny(), 2),
+    );
     let field = walk_field(20_000, 10, 33);
     for decoder in [
         DecoderKind::OptimizedGapArray,
@@ -234,14 +239,21 @@ fn wrong_declared_symbol_count_is_a_corrupt_stream_not_a_short_field() {
             let reopened = from_bytes(&to_bytes(&lying).unwrap())
                 .unwrap_or_else(|e| panic!("{:?}/{}: must open cleanly: {}", decoder, declared, e));
             let corrupt = DecodeError::CorruptStream { decoder };
-            assert_eq!(decompress(&g, &reopened).unwrap_err(), corrupt);
-            assert_eq!(
-                prepare_decode(&g, decoder, &reopened.payload).unwrap_err(),
-                corrupt,
-                "{:?}/{}: ranged requests build on prepare_decode",
-                decoder,
-                declared
-            );
+            for g in [&sim as &dyn Backend, &cpu] {
+                let context = format!("{:?}/{} on {}", decoder, declared, g.kind());
+                assert_eq!(
+                    decompress(g, &reopened).unwrap_err(),
+                    corrupt,
+                    "{}",
+                    context
+                );
+                assert_eq!(
+                    prepare_decode(g, decoder, &reopened.payload).unwrap_err(),
+                    corrupt,
+                    "{}: ranged requests build on prepare_decode",
+                    context
+                );
+            }
         }
     }
 }

@@ -9,19 +9,28 @@
 //! | `OptimizedGapArray`      | flat stream **with gap array**        | output idx (redundant decode + prefix sum), tune, staged decode/write |
 //! | `RleHybrid`              | RLE+Huffman hybrid (two flat streams) | decoded by the `huffdec-hybrid` crate |
 //!
-//! Every row is the same pipeline — (sync | gap count) → output index → tune →
-//! decode/write (§IV, Table II) — and the code spells it once: `check_payload` proves
-//! the payload fits the decoder, [`crate::prepare_decode`] runs the preparation phases
-//! and the one output-index prefix sum, and the decode/write phase
+//! On the simulator every row is the same pipeline — (sync | gap count) → output index
+//! → tune → decode/write (§IV, Table II) — and the code spells it once: `check_payload`
+//! proves the payload fits the decoder, [`crate::prepare_decode`] runs the preparation
+//! phases and the one output-index prefix sum, and the decode/write phase
 //! ([`crate::range`]) launches over every block. A ranged decode is the same path
-//! launched over fewer blocks. A stream that does not decode to the symbol count it
-//! declares is refused with [`DecodeError::CorruptStream`], full or ranged.
+//! launched over fewer blocks, on either backend.
+//!
+//! Those preparation passes exist because a GPU thread cannot know its output offset,
+//! and on the host they only decode the stream a second or third time. So on an
+//! unmodeled backend ([`Backend::is_modeled`] false) a full decode of a flat stream is
+//! one launch over sequences instead: each block walks its sequence once and the host
+//! chains and compacts the results (`walk.rs`), with the kernels' exact output. The
+//! chunked baseline keeps its kernel on both. A stream that does not decode to the
+//! symbol count it declares is refused with [`DecodeError::CorruptStream`], full or
+//! ranged, on either path.
 //!
 //! Under every phase a thread's functional work is one [`huffman::Codebook::decode_run`]:
 //! a sync thread runs to its subsequence boundary and keeps the end and the count, a
 //! gap-count lane runs to its neighbour's start and keeps the count, a decode/write
 //! thread runs for its counted symbols and a baseline lane for its chunk's declared ones,
-//! both emitting into the output.
+//! both emitting into the output. A walk block runs each of its subsequences' sync or
+//! gap-count run once, emitting as it goes.
 //!
 //! The original 8-bit gap-array baseline (Table V) lives in
 //! [`crate::gap_decode::decode_original_gap8`] because it decodes a different (trimmed)
@@ -38,6 +47,7 @@ use huffman::{encode_chunked, ChunkedEncoded, Codebook, DEFAULT_CHUNK_SYMBOLS};
 use crate::format::{wire, EncodedStream, HybridStream};
 use crate::phases::{DecodeResult, PhaseBreakdown};
 use crate::range::{decode_write, prepare_checked};
+use crate::walk::decode_walk;
 
 /// The decoding methods compared throughout the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -355,6 +365,9 @@ pub(crate) fn check_payload(
 /// phase over every block (tuned for the optimized decoders, direct writes for
 /// [`DecoderKind::OriginalSelfSync`], every chunk for the baseline).
 ///
+/// On an unmodeled backend a flat stream is decoded by one walk per sequence instead,
+/// reported as a single measured `decode_write` phase holding that one launch.
+///
 /// Returns [`DecodeError::PayloadMismatch`] when the payload's format does not match
 /// the decoder and [`DecodeError::CorruptStream`] when the stream does not decode to
 /// the symbol count it declares.
@@ -386,6 +399,9 @@ fn decode_checked(
     kind: DecoderKind,
     payload: CheckedPayload<'_>,
 ) -> Result<DecodeResult, DecodeError> {
+    if let (false, CheckedPayload::Flat(stream)) = (gpu.is_modeled(), payload) {
+        return decode_walk(gpu, kind, stream);
+    }
     let prepared = prepare_checked(gpu, kind, payload)?;
     let (output, write) = decode_write(gpu, kind, payload, &prepared, None)?;
     let timings = PhaseBreakdown {

@@ -22,7 +22,9 @@
 //! Every decoder runs on the [`gpu_sim`] execution model: outputs are produced
 //! functionally (and are bit-exact against the CPU reference decoder), while the
 //! simulated timing breakdown ([`phases::PhaseBreakdown`]) reproduces the paper's
-//! per-phase evaluation (Table II).
+//! per-phase evaluation (Table II). On the unmodeled CPU backend a full decode of a flat
+//! stream skips those phases: it is one launch that decodes each sequence once (see
+//! [`decoder`]).
 //!
 //! ## Quick example
 //!
@@ -64,6 +66,7 @@ pub mod subseq;
 #[cfg(test)]
 pub(crate) mod testutil;
 pub mod tuner;
+mod walk;
 
 pub use baseline::decode_baseline_chunks;
 pub use batch::{batch_stats, decode_batch, decode_wave, BatchStats};
@@ -79,7 +82,7 @@ pub use format::{
     DEFAULT_THREADS_PER_BLOCK, HYBRID_RUN_ALPHABET, HYBRID_RUN_CAP,
 };
 pub use gap_decode::{decode_original_gap8, encode_gap8, gap_count_symbols, Gap8Stream};
-pub use huffdec_backend::{Backend, BackendKind, CpuBackend, SimBackend, BACKEND_ENV};
+pub use huffdec_backend::{Backend, BackendKind, CpuBackend, BACKEND_ENV};
 pub use output_index::{compute_output_index, OutputIndex};
 pub use phases::{DecodeResult, PhaseBreakdown};
 pub use range::{decode_range, prepare_decode, PreparedDecode, RangeDecode};

@@ -19,8 +19,9 @@
 //! is the index), runs the one output-index prefix sum, and refuses a stream whose
 //! decoded count disagrees with its declared symbol count
 //! ([`DecodeError::CorruptStream`]). The decode/write phase then launches over a set of
-//! blocks: every block for a full [`crate::decode`] (which is exactly `prepare_decode`
-//! followed by that launch), the overlapping blocks for [`decode_range`]. A server
+//! blocks: every block for a full [`crate::decode`] on the simulator (which is exactly
+//! `prepare_decode` followed by that launch; an unmodeled backend walks a flat stream
+//! instead), the overlapping blocks for [`decode_range`]. A server
 //! computes the [`PreparedDecode`] index once per hot field and then answers arbitrarily
 //! many range requests by launching the decode/write kernel over only the overlapping
 //! blocks.
@@ -265,6 +266,14 @@ pub fn decode_range(
         decoded_blocks: blocks.len(),
         total_blocks,
     })
+}
+
+#[cfg(test)]
+impl PreparedDecode {
+    /// The per-subsequence state of a flat stream (`None` for a chunked one).
+    pub(crate) fn infos(&self) -> Option<&[SubseqInfo]> {
+        self.flat.as_ref().map(|(infos, _)| infos.as_slice())
+    }
 }
 
 #[cfg(test)]
