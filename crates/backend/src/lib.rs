@@ -13,10 +13,12 @@
 //!   chunked across cores via `std::thread::scope` without the cost model (launch
 //!   geometry, occupancy and launch counts are kept; memory-traffic and cycle aggregates
 //!   are modeled-only), every timing reported is real wall-clock time, there is no
-//!   transfer modeling, and concurrent "streams" execute serially. Encodes, ranged
-//!   decodes and the chunked baseline launch the simulator's [`BlockKernel`]s here; a
-//!   full decode of a flat stream launches one walk per sequence instead of the paper's
-//!   synchronization, counting, tuning and decode/write kernels, which exist only
+//!   transfer modeling, and concurrent "streams" execute serially. Ranged decodes and
+//!   the chunked baseline's decode launch the simulator's [`BlockKernel`]s here. A full
+//!   decode of a flat stream launches one walk per sequence instead of the paper's
+//!   synchronization, counting, tuning and decode/write kernels, and an encode launches
+//!   three walks over blocks of 65,536 symbols (count, chunk bits, pack) instead of the
+//!   per-symbol offsets scan, scatter and gap-array kernels: all of those exist only
 //!   because a GPU thread cannot know its output offset. This is what makes `hfz`
 //!   actually fast on the machine it runs on, and the seam a future CUDA/wgpu port
 //!   plugs into.
@@ -206,12 +208,15 @@ impl Backend for Gpu {
 /// (host memory is device memory), and "concurrent streams" are what they really are
 /// here: serial execution.
 ///
-/// What runs differs by path. Encodes, ranged decodes and the chunked baseline launch
+/// What runs differs by path. Ranged decodes and the chunked baseline's decode launch
 /// the simulator's [`BlockKernel`]s, so the wrapped [`GpuConfig`] supplies their
 /// geometry (block sizes, shared-memory budgets, `T_high`). A full decode of a flat
 /// stream is one launch of a walk that decodes each sequence once: no synchronization,
 /// counting or tuning runs here, so the paper's tuning decisions are exercised only on
-/// the simulator. Decoded output is bit-identical to the simulator's on every path.
+/// the simulator. An encode is three launches of a walk that encodes each symbol once
+/// (a per-block histogram, per-chunk bit totals, a pack from each block's first bit),
+/// not the simulator's histogram, offsets scan and scatter. Decoded output and
+/// archives are bit-identical to the simulator's on every path.
 #[derive(Debug, Clone)]
 pub struct CpuBackend {
     gpu: Gpu,

@@ -1,9 +1,9 @@
-//! The simulated-GPU parallel encode pipeline.
+//! The parallel encode pipeline.
 //!
 //! The host encoder ([`crate::decoder::compress_for`]) walks the symbol stream
 //! sequentially. cuSZ and "Revisiting Huffman Coding" (Tian et al.) instead encode on the
 //! GPU, and this module reproduces that pipeline on the `gpu-sim` primitives the decoders
-//! already use:
+//! already use. On the simulator ([`Backend::is_modeled`]) it runs these kernels:
 //!
 //! 1. **histogram** — per-block privatized histograms merged by a reduction
 //!    ([`gpu_sim::primitives::device_histogram`]), producing the symbol frequencies;
@@ -21,9 +21,16 @@
 //!    out of a cheap per-subsequence binary search instead of a separate offset-tracking
 //!    encode.
 //!
+//! The per-symbol offsets exist because a GPU thread cannot know where its codeword lands.
+//! On an unmodeled backend a non-empty encode is instead three launches over blocks of
+//! 65,536 symbols that encode each symbol once (`encode/walk.rs`): per-block counts, per-chunk
+//! bit totals and one scan over them, then a pack from each block's first bit. The four
+//! phases keep their names; the simulator's kernels are the walk's reference.
+//!
 //! [`compress_on`] produces payloads **bit-identical** to the host encoder for all three
-//! stream formats (chunked, flat, flat + gap array); the equivalence suite in
-//! `tests/encoder_equivalence.rs` enforces this on every paper dataset.
+//! stream formats (chunked, flat, flat + gap array) on either path; the equivalence suite
+//! in `tests/encoder_equivalence.rs` enforces this on every paper dataset, and this
+//! module's unit tests hold the walk to the host encoder and the kernels.
 
 use gpu_sim::{
     cost,
@@ -38,24 +45,30 @@ use huffman::{
 use crate::decoder::{CompressedPayload, DecoderKind};
 use crate::format::{EncodedStream, StreamGeometry};
 
+mod walk;
+
 /// Work per thread (elements or units) in the encode kernels.
 const ITEMS_PER_THREAD: u32 = 4;
 /// Threads per block for the encode kernels.
 const BLOCK_DIM: u32 = 256;
 
 /// Per-phase timing breakdown of a parallel encode run (the encoder-side counterpart of
-/// [`crate::phases::PhaseBreakdown`]).
+/// [`crate::phases::PhaseBreakdown`]). Each field says what the phase holds on the
+/// simulator, then on the encode walk.
 #[derive(Debug, Clone, Default)]
 pub struct EncodePhaseBreakdown {
-    /// Per-block histogram plus the merging reduction.
+    /// Per-block histogram plus the merging reduction; the walk's count launch and the
+    /// host sum of its per-block tables.
     pub histogram: PhaseTime,
     /// Huffman tree and canonical codebook construction.
     pub codebook: PhaseTime,
     /// Codeword-length pass and the device prefix sum producing each symbol's output bit
-    /// offset (plus, for the chunked format, the per-chunk unit-offset scan and rebase).
+    /// offset (plus, for the chunked format, the per-chunk unit-offset scan and rebase);
+    /// the walk's chunk-bits launch and the host scan over the chunk totals.
     pub offsets: PhaseTime,
     /// Parallel codeword write into the 32-bit unit stream (plus gap-array construction
-    /// when the target decoder requires one).
+    /// when the target decoder requires one); the walk's pack launch, gaps included, and
+    /// the host OR of the units two blocks share.
     pub scatter: PhaseTime,
 }
 
@@ -86,7 +99,7 @@ impl EncodePhaseBreakdown {
         ]
     }
 
-    /// Total number of simulated kernel launches across all phases.
+    /// Total number of kernel launches across all phases.
     pub fn kernel_launches(&self) -> usize {
         self.phases().iter().map(|(_, p)| p.kernels.len()).sum()
     }
@@ -100,6 +113,24 @@ fn codebook_build_time(cfg: &GpuConfig, alphabet_size: usize) -> f64 {
     let a = alphabet_size.max(2) as f64;
     let cycles = a * a.log2() * 8.0 / cfg.issue_slots_per_sm as f64;
     cfg.streaming_pass_seconds(0.0, cycles, 2)
+}
+
+/// The canonical codebook from the frequencies (identical to the host path, which counts
+/// the same frequencies from the same symbols) and its phase: the sim charges the
+/// analytic build-time model, a real backend the measured construction.
+fn build_codebook(
+    gpu: &dyn Backend,
+    counts: Vec<u64>,
+    alphabet_size: usize,
+) -> (Codebook, PhaseTime) {
+    let clock = std::time::Instant::now();
+    let codebook = Codebook::from_frequencies(&FrequencyTable::from_counts(counts));
+    let mut phase = PhaseTime::empty();
+    phase.push_seconds(gpu.charge_seconds(
+        codebook_build_time(gpu.config(), alphabet_size),
+        clock.elapsed().as_secs_f64(),
+    ));
+    (codebook, phase)
 }
 
 /// Kernel of the first offsets pass: map every symbol to its codeword length.
@@ -329,8 +360,9 @@ impl BlockKernel for GapFromOffsetsKernel<'_> {
     }
 }
 
-/// Encodes `symbols` on the simulated GPU in the format `kind` consumes, returning the
-/// payload and the per-phase timing breakdown.
+/// Encodes `symbols` on `gpu` in the format `kind` consumes, returning the payload and
+/// the per-phase timing breakdown: the kernels above on the simulator, the three-launch
+/// encode walk on an unmodeled backend.
 ///
 /// The payload is bit-identical to the host encoder's
 /// ([`crate::decoder::compress_for`]): same units, same chunk metadata, same gap array,
@@ -349,35 +381,25 @@ pub fn compress_on(
     if kind.is_hybrid() {
         panic!("RLE+Huffman hybrid payloads are produced by the huffdec-hybrid crate");
     }
+    if symbols.is_empty() {
+        let counts = vec![0; alphabet_size];
+        let codebook = Codebook::from_frequencies(&FrequencyTable::from_counts(counts));
+        return (
+            empty_payload(kind, codebook),
+            EncodePhaseBreakdown::default(),
+        );
+    }
+    if !gpu.is_modeled() {
+        return walk::compress_walk(gpu, kind, symbols, alphabet_size);
+    }
     // Phase 1: device histogram of the symbol stream.
     let (counts, histogram) = device_histogram(gpu, symbols, alphabet_size);
 
-    // Phase 2: canonical codebook from the frequencies (identical to the host path,
-    // which counts the same frequencies from the same symbols). The sim charges the
-    // analytic build-time model; a real backend charges the measured construction.
-    let codebook_start = std::time::Instant::now();
-    let codebook = Codebook::from_frequencies(&FrequencyTable::from_counts(counts));
-    let mut codebook_phase = PhaseTime::empty();
-    if !symbols.is_empty() {
-        codebook_phase.push_seconds(gpu.charge_seconds(
-            codebook_build_time(gpu.config(), alphabet_size),
-            codebook_start.elapsed().as_secs_f64(),
-        ));
-    }
+    // Phase 2: canonical codebook from the frequencies.
+    let (codebook, codebook_phase) = build_codebook(gpu, counts, alphabet_size);
 
     let mut offsets_phase = PhaseTime::empty();
     let mut scatter_phase = PhaseTime::empty();
-
-    if symbols.is_empty() {
-        let payload = empty_payload(kind, codebook);
-        let breakdown = EncodePhaseBreakdown {
-            histogram,
-            codebook: codebook_phase,
-            offsets: offsets_phase,
-            scatter: scatter_phase,
-        };
-        return (payload, breakdown);
-    }
 
     // Phase 3: codeword lengths, then the device prefix sum assigning every symbol its
     // output bit offset.
@@ -569,6 +591,7 @@ mod tests {
     use crate::testutil::{gpu, quant_symbols};
     use gpu_sim::Gpu;
     use gpu_sim::GpuConfig;
+    use huffdec_backend::CpuBackend;
 
     /// Asserts the two payloads are bit-identical, via `CompressedPayload`'s bit-level
     /// equality (units, metadata, codebook codewords, gap array).
@@ -654,52 +677,168 @@ mod tests {
 
     /// Geometric frequencies over the whole 1,024-symbol alphabet — symbol `i` occurs
     /// `max(1, 2^16 >> i)` times, so the ~1,000 rarest get codewords longer than 16 bits —
-    /// laid out so that one of those crosses every tile edge of the scatter kernel (a
-    /// 32-bit unit boundary too) while they last.
-    fn geometric_symbols() -> Vec<u16> {
+    /// laid out so that, while they last, those go wherever `near_edge(index, bit)` holds
+    /// for the next symbol's index and first bit.
+    fn geometric_symbols(near_edge: impl Fn(usize, u64) -> bool) -> Vec<u16> {
         let counts: Vec<u64> = (0..1024u64).map(|s| (1 << 16) >> s.min(16)).collect();
         let codebook = Codebook::from_frequencies(&FrequencyTable::from_counts(counts.clone()));
         let len = |s: u16| codebook.codeword(s).len as u64;
         let (mut long, short): (Vec<u16>, Vec<u16>) = (0..1024u16)
             .flat_map(|s| std::iter::repeat(s).take(counts[s as usize] as usize))
             .partition(|&s| len(s) > 16);
-        let tile_bits = (BLOCK_DIM * ITEMS_PER_THREAD) as u64 * 32;
         let (mut symbols, mut bit, mut straddles) = (Vec::new(), 0u64, 0);
         for s in short {
-            // A short codeword is at most 16 bits, so the stream always stops within 16
-            // bits of an edge before crossing it.
-            if tile_bits - bit % tile_bits <= 16 {
-                if let Some(l) = long.pop() {
-                    symbols.push(l);
-                    bit += len(l);
-                    straddles += 1;
-                }
+            while near_edge(symbols.len(), bit) {
+                let Some(l) = long.pop() else { break };
+                symbols.push(l);
+                bit += len(l);
+                straddles += 1;
             }
             symbols.push(s);
             bit += len(s);
         }
         assert!(
             straddles >= 4,
-            "only {} long codewords cross a tile edge",
+            "only {} long codewords placed at an edge",
             straddles
         );
         symbols.extend(long);
         symbols
     }
 
+    /// [`geometric_symbols`] with a long codeword across every tile edge of the scatter
+    /// kernel (a 32-bit unit boundary too). A short codeword is at most 16 bits, so the
+    /// stream always stops within 16 bits of an edge before crossing it.
+    fn tile_edge_symbols() -> Vec<u16> {
+        let tile_bits = (BLOCK_DIM * ITEMS_PER_THREAD) as u64 * 32;
+        geometric_symbols(|_, bit| tile_bits - bit % tile_bits <= 16)
+    }
+
+    /// [`geometric_symbols`] with long codewords as the last two and first two symbols of
+    /// every walk block, so the unit two blocks share holds pieces of long codewords.
+    fn walk_edge_symbols() -> Vec<u16> {
+        let b = walk::BLOCK_SYMBOLS;
+        geometric_symbols(|i, _| i % b >= b - 2 || (i >= b && i % b < 2))
+    }
+
+    /// The first bit of every walk block's codewords in the flat stream.
+    fn walk_block_starts(symbols: &[u16]) -> Vec<u64> {
+        let codebook = Codebook::from_symbols(symbols, 1024);
+        let mut bit = 0;
+        symbols
+            .chunks(walk::BLOCK_SYMBOLS)
+            .map(|block| {
+                let start = bit;
+                bit += block
+                    .iter()
+                    .map(|&s| codebook.codeword(s).len as u64)
+                    .sum::<u64>();
+                start
+            })
+            .collect()
+    }
+
+    fn cpu(threads: usize) -> CpuBackend {
+        CpuBackend::with_host_threads(GpuConfig::test_tiny(), threads)
+    }
+
+    /// Asserts that the encode walk (`compress_on` on `CpuBackend`) and the simulator's
+    /// kernels both encode `symbols` exactly as the host encoder does, for every stream
+    /// format, and that the walk is three launches.
+    fn assert_walk_matches(symbols: &[u16]) {
+        for kind in DecoderKind::all() {
+            let host = compress_for(kind, symbols, 1024);
+            let (walked, phases) = compress_on(&cpu(3), kind, symbols, 1024);
+            let context = format!("{:?}, {} symbols", kind, symbols.len());
+            assert!(walked == host, "the walk diverged: {}", context);
+            assert_eq!(phases.kernel_launches(), 3, "{}", context);
+            let (sim, _) = compress_on(&gpu(), kind, symbols, 1024);
+            assert!(sim == host, "the kernels diverged: {}", context);
+        }
+    }
+
+    #[test]
+    fn walk_equals_host_and_kernels_across_block_edges() {
+        let b = walk::BLOCK_SYMBOLS;
+        for n in [1, b - 1, b, b + 1, 3 * b + 777, 1_000_003] {
+            let symbols = quant_symbols(n, 7);
+            if n > b {
+                assert!(walk_block_starts(&symbols)[1] % 32 != 0, "{}", n);
+            }
+            assert_walk_matches(&symbols);
+        }
+        // One distinct symbol: every codeword is one bit and every block starts aligned.
+        assert_walk_matches(&vec![512u16; 3 * b + 777]);
+    }
+
+    #[test]
+    fn walk_places_long_codewords_across_block_edges() {
+        let symbols = walk_edge_symbols();
+        let starts = walk_block_starts(&symbols);
+        assert!(starts.len() >= 3 && starts[1..].iter().any(|s| s % 32 != 0));
+        assert_walk_matches(&symbols);
+    }
+
+    /// Block 0's last codeword holds a subsequence boundary one bit in, so its gap comes
+    /// from the block's end; block 2's first codeword starts on a boundary, so block 1
+    /// writes a gap of 0 for it.
+    #[test]
+    fn walk_writes_the_gaps_of_boundaries_at_block_edges() {
+        let b = walk::BLOCK_SYMBOLS;
+        let mut symbols = vec![512u16; 3 * b + 777];
+        // 129 two-bit codewords in block 0, the last one its last symbol; 127 in block 1.
+        for i in 0..128 {
+            symbols[i * 7] = 513 + (i % 2) as u16;
+        }
+        symbols[b - 1] = 514;
+        for i in 0..127 {
+            symbols[b + i * 5] = 513 + (i % 2) as u16;
+        }
+        let lengths = Codebook::from_symbols(&symbols, 1024);
+        let lengths: Vec<u8> = (512..515).map(|s| lengths.codeword(s).len).collect();
+        assert_eq!(lengths, [1, 2, 2]);
+        let subseq_bits = StreamGeometry::default().subseq_bits();
+        let starts = walk_block_starts(&symbols);
+        let (b1, b2) = (b as u64 + 129, 2 * b as u64 + 256);
+        assert_eq!(starts[1..3], [b1, b2]);
+        assert_eq!([(b1 - 1) % subseq_bits, b2 % subseq_bits], [0, 0]);
+        assert_walk_matches(&symbols);
+    }
+
+    #[test]
+    fn a_cpu_encode_is_three_launches_in_four_phases() {
+        let symbols = quant_symbols(30_000, 5);
+        let (_, phases) = compress_on(&cpu(2), DecoderKind::OptimizedGapArray, &symbols, 1024);
+        for (name, p) in phases.phases() {
+            assert!(p.seconds > 0.0, "phase '{}' has no time", name);
+        }
+        let launches = [&phases.histogram, &phases.offsets, &phases.scatter];
+        assert!(launches.iter().all(|p| p.kernels.len() == 1));
+        assert!(phases.codebook.kernels.is_empty());
+    }
+
     #[test]
     fn serial_and_parallel_host_execution_agree() {
-        // The scatter kernel must not depend on block execution order, and must place a
-        // long codeword across a tile edge.
-        let serial_gpu = Gpu::with_host_threads(GpuConfig::test_tiny(), 1);
-        let parallel_gpu = Gpu::with_host_threads(GpuConfig::test_tiny(), 8);
-        for symbols in [quant_symbols(50_000, 7), geometric_symbols()] {
+        // The scatter kernel and the walk must not depend on block execution order, and
+        // must place a long codeword across a tile or walk-block edge.
+        let tiny = GpuConfig::test_tiny;
+        let backends: [&dyn Backend; 4] = [
+            &Gpu::with_host_threads(tiny(), 1),
+            &Gpu::with_host_threads(tiny(), 8),
+            &cpu(1),
+            &cpu(8),
+        ];
+        for symbols in [
+            quant_symbols(50_000, 7),
+            tile_edge_symbols(),
+            walk_edge_symbols(),
+        ] {
             for kind in DecoderKind::all() {
                 let host = compress_for(kind, &symbols, 1024);
-                let (a, _) = compress_on(&serial_gpu, kind, &symbols, 1024);
-                let (b, _) = compress_on(&parallel_gpu, kind, &symbols, 1024);
-                assert_payloads_identical(&a, &host);
-                assert_payloads_identical(&b, &host);
+                for backend in backends {
+                    let (payload, _) = compress_on(backend, kind, &symbols, 1024);
+                    assert_payloads_identical(&payload, &host);
+                }
             }
         }
     }
@@ -708,5 +847,11 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_alphabet_symbol_panics_like_serial() {
         let _ = compress_on(&gpu(), DecoderKind::OptimizedSelfSync, &[5000u16], 1024);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_alphabet_symbol_panics_on_the_walk() {
+        let _ = compress_on(&cpu(2), DecoderKind::OptimizedSelfSync, &[5000u16], 1024);
     }
 }

@@ -1,0 +1,330 @@
+//! The parallel encode on an unmodeled backend: every symbol encoded once.
+//!
+//! The simulator's pipeline gives every symbol its own output offset — a length per
+//! symbol, a device-wide scan over them, then a scatter and a gap-array kernel that
+//! binary-search those offsets — because that is how a GPU thread learns where its
+//! codeword lands. A host block needs only its own start. [`compress_walk`] splits the
+//! stream into blocks of [`BLOCK_SYMBOLS`] (16 chunks of [`DEFAULT_CHUNK_SYMBOLS`]) and
+//! makes three launches over them, holding no per-symbol buffer:
+//!
+//! 1. **count** — each block counts its symbols into a private table; the host sums the
+//!    tables into the frequencies the codebook is built from;
+//! 2. **chunk bits** — each block sums the codeword lengths of each of its chunks; the
+//!    host's exclusive scan over the chunk totals gives every chunk its first bit (the
+//!    chunked format pads each chunk to a unit boundary, so its scan is over units);
+//! 3. **pack** — each block writes its codewords MSB-first from its first bit through a
+//!    `u64` register and stores every unit that lies wholly inside its range. A flat
+//!    stream's block can share its first and last unit with its neighbours; it returns
+//!    them and the host ORs each shared unit together from its two pieces. A
+//!    chunked-format chunk starts on a unit boundary, so its blocks share nothing. For a
+//!    gap array, each block writes the gap of every subsequence boundary in
+//!    (its first bit, the next block's first bit] from the codeword ends it walks past.
+//!
+//! The payload is the host encoder's and the simulator's to the bit; the simulator keeps
+//! running its kernels for the modeled clock, and they are this walk's reference.
+
+use std::ops::Range;
+use std::time::Instant;
+
+use gpu_sim::{BlockContext, BlockKernel, DeviceBuffer, KernelStats, LaunchConfig, PhaseTime};
+use huffdec_backend::Backend;
+use huffman::{ChunkMeta, ChunkedEncoded, Codeword, GapArray, DEFAULT_CHUNK_SYMBOLS};
+
+use super::{build_codebook, EncodePhaseBreakdown};
+use crate::decoder::{CompressedPayload, DecoderKind};
+use crate::format::{EncodedStream, StreamGeometry};
+
+/// Chunks per walk block (one per thread of the launch geometry).
+const CHUNKS_PER_BLOCK: usize = 16;
+/// Symbols per walk block.
+pub(super) const BLOCK_SYMBOLS: usize = CHUNKS_PER_BLOCK * DEFAULT_CHUNK_SYMBOLS;
+
+/// The symbols of block `block` in a stream of `n`.
+fn block_symbols(block: usize, n: usize) -> Range<usize> {
+    block * BLOCK_SYMBOLS..((block + 1) * BLOCK_SYMBOLS).min(n)
+}
+
+/// Launch 1: block `b`'s symbol counts into row `b` of `tables`.
+struct CountKernel<'a> {
+    symbols: &'a [u16],
+    tables: &'a DeviceBuffer<u64>,
+    bins: usize,
+}
+
+impl BlockKernel for CountKernel<'_> {
+    fn name(&self) -> &str {
+        "encode_walk::count"
+    }
+
+    fn block(&self, ctx: &mut BlockContext) {
+        let b = ctx.block_idx() as usize;
+        // Four counts per bin, taken in turn: a run of one symbol (the common case in
+        // quantization codes) is then four independent chains of increments, not one.
+        let mut lanes = vec![[0u64; 4]; self.bins];
+        for (i, &s) in self.symbols[block_symbols(b, self.symbols.len())]
+            .iter()
+            .enumerate()
+        {
+            match lanes.get_mut(s as usize) {
+                Some(bin) => bin[i % 4] += 1,
+                None => panic!("symbol {} out of range ({} bins)", s, self.bins),
+            }
+        }
+        for (bin, counts) in lanes.iter().enumerate() {
+            self.tables.set(b * self.bins + bin, counts.iter().sum());
+        }
+    }
+}
+
+/// Launch 2: the codeword bits of every chunk of block `b`.
+struct ChunkBitsKernel<'a> {
+    symbols: &'a [u16],
+    codewords: &'a [Codeword],
+    chunk_bits: &'a DeviceBuffer<u64>,
+}
+
+impl BlockKernel for ChunkBitsKernel<'_> {
+    fn name(&self) -> &str {
+        "encode_walk::chunk_bits"
+    }
+
+    fn block(&self, ctx: &mut BlockContext) {
+        let b = ctx.block_idx() as usize;
+        let chunks =
+            self.symbols[block_symbols(b, self.symbols.len())].chunks(DEFAULT_CHUNK_SYMBOLS);
+        for (c, chunk) in chunks.enumerate() {
+            let bits = chunk
+                .iter()
+                .map(|&s| {
+                    let len = self.codewords[s as usize].len;
+                    assert!(
+                        len > 0,
+                        "symbol {} has no codeword (was it absent from the frequency table?)",
+                        s
+                    );
+                    len as u64
+                })
+                .sum();
+            self.chunk_bits.set(b * CHUNKS_PER_BLOCK + c, bits);
+        }
+    }
+}
+
+/// Launch 3: block `b`'s codewords, packed from bit `starts[b]`.
+struct PackKernel<'a> {
+    symbols: &'a [u16],
+    codewords: &'a [Codeword],
+    /// Block `b` covers bits `starts[b]..starts[b + 1]`; the last entry is the end of the
+    /// stream's last unit.
+    starts: &'a [u64],
+    /// Whether each chunk is padded to a unit boundary (the chunked format).
+    pad_chunks: bool,
+    units: &'a DeviceBuffer<u32>,
+    /// Each block's first and last unit when it shares them with a neighbour.
+    edges: &'a DeviceBuffer<[u32; 2]>,
+    /// The gap array and its subsequence size, when the stream carries one.
+    gaps: Option<(&'a DeviceBuffer<u8>, u64)>,
+}
+
+impl BlockKernel for PackKernel<'_> {
+    fn name(&self) -> &str {
+        "encode_walk::pack"
+    }
+
+    fn block(&self, ctx: &mut BlockContext) {
+        let b = ctx.block_idx() as usize;
+        let (start, end) = (self.starts[b], self.starts[b + 1]);
+        let shared_head = (start % 32 != 0).then_some((start / 32) as usize);
+        let shared_tail = (end % 32 != 0).then_some((end / 32) as usize);
+        let mut edge = [0u32; 2];
+        let mut emit = |unit: usize, word: u32| {
+            if Some(unit) == shared_head {
+                edge[0] = word;
+            } else if Some(unit) == shared_tail {
+                edge[1] = word;
+            } else {
+                self.units.set(unit, word);
+            }
+        };
+        // The gap array's first subsequence boundary after `start` (boundary 0 keeps its
+        // zeroed gap); without a gap array, none.
+        let mut boundary = self.gaps.map_or(u64::MAX, |(_, sb)| (start / sb + 1) * sb);
+
+        // `acc` holds the `fill` bits of unit `unit` written so far, left-aligned.
+        let (mut unit, mut fill, mut acc) = ((start / 32) as usize, (start % 32) as u32, 0u64);
+        let mut pos = start;
+        let chunks =
+            self.symbols[block_symbols(b, self.symbols.len())].chunks(DEFAULT_CHUNK_SYMBOLS);
+        for chunk in chunks {
+            for &s in chunk {
+                let cw = self.codewords[s as usize];
+                let len = cw.len as u32;
+                acc |= (cw.bits as u64) << (64 - fill - len);
+                fill += len;
+                if fill >= 32 {
+                    emit(unit, (acc >> 32) as u32);
+                    (unit, fill, acc) = (unit + 1, fill - 32, acc << 32);
+                }
+                pos += len as u64;
+                // Every boundary in (this codeword's start, its end] targets its end.
+                while boundary <= pos {
+                    let (gaps, subseq_bits) = self.gaps.expect("only a gap array has boundaries");
+                    let sub = (boundary / subseq_bits) as usize;
+                    if sub < gaps.len() {
+                        let gap = pos - boundary;
+                        assert!(gap <= u8::MAX as u64, "gap {} does not fit in a byte", gap);
+                        gaps.set(sub, gap as u8);
+                    }
+                    boundary += subseq_bits;
+                }
+            }
+            if self.pad_chunks && fill > 0 {
+                emit(unit, (acc >> 32) as u32);
+                (unit, fill, acc) = (unit + 1, 0, 0);
+            }
+        }
+        if fill > 0 {
+            emit(unit, (acc >> 32) as u32);
+        }
+        self.edges.set(b, edge);
+    }
+}
+
+/// A phase of one launch whose seconds run from `clock` to now.
+fn phase_since(clock: Instant, kernel: KernelStats) -> PhaseTime {
+    PhaseTime {
+        seconds: clock.elapsed().as_secs_f64(),
+        kernels: vec![kernel],
+    }
+}
+
+/// Encodes a non-empty `symbols` in the format `kind` consumes with three launches over
+/// blocks of [`BLOCK_SYMBOLS`]: the count (histogram phase), the chunk bits and their
+/// scan (offsets phase), and the pack with the edge OR (scatter phase).
+pub(super) fn compress_walk(
+    gpu: &dyn Backend,
+    kind: DecoderKind,
+    symbols: &[u16],
+    alphabet_size: usize,
+) -> (CompressedPayload, EncodePhaseBreakdown) {
+    let n = symbols.len();
+    let grid = n.div_ceil(BLOCK_SYMBOLS);
+    let launch = |kernel: &dyn BlockKernel| {
+        gpu.launch(
+            kernel,
+            LaunchConfig::new(grid as u32, CHUNKS_PER_BLOCK as u32),
+        )
+    };
+
+    let clock = Instant::now();
+    let tables = DeviceBuffer::<u64>::zeroed(grid * alphabet_size);
+    let count = launch(&CountKernel {
+        symbols,
+        tables: &tables,
+        bins: alphabet_size,
+    });
+    let mut counts = vec![0u64; alphabet_size];
+    for table in tables.into_vec().chunks_exact(alphabet_size) {
+        counts.iter_mut().zip(table).for_each(|(c, t)| *c += t);
+    }
+    let histogram = phase_since(clock, count);
+
+    let (codebook, codebook_phase) = build_codebook(gpu, counts, alphabet_size);
+    let codewords = codebook.codewords();
+
+    let clock = Instant::now();
+    let num_chunks = n.div_ceil(DEFAULT_CHUNK_SYMBOLS);
+    let chunk_bits = DeviceBuffer::<u64>::zeroed(num_chunks);
+    let lengths = launch(&ChunkBitsKernel {
+        symbols,
+        codewords,
+        chunk_bits: &chunk_bits,
+    });
+    let chunk_bits = chunk_bits.into_vec();
+    let chunked = kind.uses_chunked_encoding();
+    let mut chunk_starts = Vec::with_capacity(num_chunks);
+    let mut bit_len = 0u64;
+    for &bits in &chunk_bits {
+        chunk_starts.push(bit_len);
+        bit_len += if chunked {
+            bits.div_ceil(32) * 32
+        } else {
+            bits
+        };
+    }
+    let num_units = bit_len.div_ceil(32);
+    let starts: Vec<u64> = chunk_starts
+        .iter()
+        .step_by(CHUNKS_PER_BLOCK)
+        .copied()
+        .chain([num_units * 32])
+        .collect();
+    let offsets = phase_since(clock, lengths);
+
+    let clock = Instant::now();
+    let geometry = StreamGeometry::default();
+    let with_gaps = kind.requires_gap_array();
+    let units = DeviceBuffer::<u32>::zeroed(num_units as usize);
+    let edges = DeviceBuffer::<[u32; 2]>::zeroed(grid);
+    let gaps = DeviceBuffer::<u8>::zeroed(if with_gaps {
+        geometry.num_subseqs(bit_len)
+    } else {
+        0
+    });
+    let pack = launch(&PackKernel {
+        symbols,
+        codewords,
+        starts: &starts,
+        pad_chunks: chunked,
+        units: &units,
+        edges: &edges,
+        gaps: with_gaps.then_some((&gaps, geometry.subseq_bits())),
+    });
+    let (mut units, edges) = (units.into_vec(), edges.into_vec());
+    for b in 1..grid {
+        if starts[b] % 32 != 0 {
+            units[(starts[b] / 32) as usize] = edges[b - 1][1] | edges[b][0];
+        }
+    }
+    let scatter = phase_since(clock, pack);
+
+    let payload = if chunked {
+        let chunks = (0..num_chunks)
+            .map(|c| ChunkMeta {
+                unit_offset: chunk_starts[c] / 32,
+                unit_count: chunk_bits[c].div_ceil(32),
+                bit_len: chunk_bits[c],
+                num_symbols: (n - c * DEFAULT_CHUNK_SYMBOLS).min(DEFAULT_CHUNK_SYMBOLS) as u64,
+                symbol_offset: (c * DEFAULT_CHUNK_SYMBOLS) as u64,
+            })
+            .collect();
+        CompressedPayload::Chunked {
+            encoded: ChunkedEncoded {
+                units,
+                chunks,
+                chunk_symbols: DEFAULT_CHUNK_SYMBOLS,
+                num_symbols: n,
+            },
+            codebook,
+        }
+    } else {
+        CompressedPayload::Flat(EncodedStream {
+            units,
+            bit_len,
+            num_symbols: n,
+            codebook,
+            geometry,
+            gap_array: with_gaps.then(|| GapArray {
+                gaps: gaps.into_vec(),
+                subseq_bits: geometry.subseq_bits(),
+            }),
+        })
+    };
+    let breakdown = EncodePhaseBreakdown {
+        histogram,
+        codebook: codebook_phase,
+        offsets,
+        scatter,
+    };
+    (payload, breakdown)
+}

@@ -46,7 +46,8 @@
 //!
 //! The encode side has a matching simulated-GPU pipeline ([`encode::compress_on`]):
 //! device histogram → codebook → offset prefix-sum → parallel scatter, bit-identical to
-//! the host encoder and reporting an [`encode::EncodePhaseBreakdown`].
+//! the host encoder and reporting an [`encode::EncodePhaseBreakdown`]. On the CPU backend
+//! the same phases are three launches that encode each symbol once.
 
 #![warn(missing_docs)]
 

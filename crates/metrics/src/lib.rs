@@ -1015,6 +1015,29 @@ pub fn sample_value(samples: &[Sample], name: &str, labels: &[(&str, &str)]) -> 
         .map(|s| s.value)
 }
 
+/// How a scraped document's decode seconds were timed, as its `hfz_backend{name}` series
+/// says (only the series labelled `shard="<shard>"` when `shard` is given): `"modeled"`
+/// for `sim`, `"measured"` for `cpu`, `"mixed-clock"` when the series disagree and
+/// `"unknown-clock"` when none is there. `hfz stats --watch` prints it beside every mean.
+pub fn decode_clock(samples: &[Sample], shard: Option<&str>) -> &'static str {
+    let mut backends = samples
+        .iter()
+        .filter(|s| s.name == "hfz_backend" && s.value > 0.0)
+        .filter(|s| shard.is_none() || s.label("shard") == shard)
+        .filter_map(|s| s.label("name"));
+    let Some(first) = backends.next() else {
+        return "unknown-clock";
+    };
+    if backends.any(|name| name != first) {
+        return "mixed-clock";
+    }
+    match first {
+        "sim" => "modeled",
+        "cpu" => "measured",
+        _ => "unknown-clock",
+    }
+}
+
 /// Merges several Prometheus text expositions into one fleet document, tagging every
 /// sample of part *i* with an extra `shard="<label>"` label.
 ///
@@ -1361,6 +1384,31 @@ mod tests {
         assert!((a.total_decode_seconds() - 0.5).abs() < 1e-12);
         m.gets.inc();
         assert_eq!(a.gets, 2, "snapshots do not track the live registry");
+    }
+
+    #[test]
+    fn decode_clock_follows_the_backend_series() {
+        let rendered = |backend: Option<&str>| {
+            let m = Metrics::new();
+            m.observe_decode(DecoderKind::OptimizedGapArray, 1e-3);
+            if let Some(name) = backend {
+                m.set_backend(name);
+            }
+            m.render_prometheus()
+        };
+        let clock = |text: &str, shard| decode_clock(&parse_prometheus(text).unwrap(), shard);
+        let (sim, cpu, none) = (rendered(Some("sim")), rendered(Some("cpu")), rendered(None));
+        assert_eq!(clock(&sim, None), "modeled");
+        assert_eq!(clock(&cpu, None), "measured");
+        assert_eq!(clock(&none, None), "unknown-clock");
+
+        let fleet = merge_expositions(&[("0", &sim), ("1", &cpu), ("2", &cpu)]).unwrap();
+        assert_eq!(clock(&fleet, Some("0")), "modeled");
+        assert_eq!(clock(&fleet, Some("1")), "measured");
+        assert_eq!(clock(&fleet, Some("7")), "unknown-clock");
+        assert_eq!(clock(&fleet, None), "mixed-clock");
+        let cpus = merge_expositions(&[("0", &cpu), ("1", &cpu)]).unwrap();
+        assert_eq!(clock(&cpus, None), "measured");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::io::{Read, Write};
 use huffdec::container::ArchiveWriter;
 use huffdec::datasets::{dataset_by_name, generate};
 use huffdec::gpu_sim::GpuConfig;
-use huffdec::metrics::{parse_prometheus, sample_value};
+use huffdec::metrics::{decode_clock, parse_prometheus, sample_value};
 use huffdec::serve::client::Connection;
 use huffdec::serve::net::{connect, ListenAddr};
 use huffdec::serve::protocol::GetKind;
@@ -116,7 +116,8 @@ fn main() {
     let decode_sum = sample_value(&samples, "hfz_decode_seconds_sum", &gap).unwrap();
     let decode_count = sample_value(&samples, "hfz_decode_seconds_count", &gap).unwrap();
     println!(
-        "  mean simulated decode      {:.3} ms",
+        "  {:<26} {:.3} ms",
+        format!("mean {} decode", decode_clock(&samples, None)),
         decode_sum / decode_count * 1e3
     );
     assert!(decode_count >= 1.0);

@@ -1030,8 +1030,8 @@ struct WatchSample {
 
 /// `hfz stats --watch SECS`: re-polls the daemon's Prometheus document and prints one
 /// trend line per tick — lifetime totals plus the delta window since the previous tick
-/// (cache hit ratio and mean simulated decode latency). Runs until interrupted or the
-/// daemon goes away.
+/// (cache hit ratio and mean decode latency, "modeled" or "measured" as the scraped
+/// `hfz_backend` series says). Runs until interrupted or the daemon goes away.
 fn watch_stats(client: &mut Connection, secs: u64) -> Result<(), HfzError> {
     let mut prev: Option<WatchSample> = None;
     loop {
@@ -1068,22 +1068,25 @@ fn watch_stats(client: &mut Connection, secs: u64) -> Result<(), HfzError> {
                 "-".to_string()
             }
         };
+        let clock = huffdec::metrics::decode_clock(&samples, None);
         match prev {
             None => out!(
-                "stats: {} requests | hit ratio {} ({} hits, {} misses) | {} decodes, mean simulated {}",
+                "stats: {} requests | hit ratio {} ({} hits, {} misses) | {} decodes, mean {} {}",
                 now.requests,
                 ratio(now.hits, now.misses),
                 now.hits,
                 now.misses,
                 now.decodes,
+                clock,
                 mean_ms(now.decodes, now.decode_seconds)
             ),
             Some(p) => out!(
-                "stats: +{} requests | window hit ratio {} (lifetime {}) | +{} decodes, window mean {} (lifetime {})",
+                "stats: +{} requests | window hit ratio {} (lifetime {}) | +{} decodes, window mean {} {} (lifetime {})",
                 now.requests - p.requests,
                 ratio(now.hits - p.hits, now.misses - p.misses),
                 ratio(now.hits, now.misses),
                 now.decodes - p.decodes,
+                clock,
                 mean_ms(now.decodes - p.decodes, now.decode_seconds - p.decode_seconds),
                 mean_ms(now.decodes, now.decode_seconds)
             ),
@@ -1108,7 +1111,7 @@ fn watch_stats(client: &mut Connection, secs: u64) -> Result<(), HfzError> {
             });
             let decodes = for_shard("hfz_decode_seconds_count");
             out!(
-                "  shard {} [{}]: {} requests | hit ratio {} | {} decodes, mean simulated {}",
+                "  shard {} [{}]: {} requests | hit ratio {} | {} decodes, mean {} {}",
                 id,
                 if up { "up" } else { "down" },
                 for_shard("hfz_requests_total"),
@@ -1117,6 +1120,7 @@ fn watch_stats(client: &mut Connection, secs: u64) -> Result<(), HfzError> {
                     for_shard("hfz_cache_misses_total")
                 ),
                 decodes,
+                huffdec::metrics::decode_clock(&samples, Some(id)),
                 mean_ms(decodes, for_shard("hfz_decode_seconds_sum"))
             );
         }
