@@ -19,9 +19,10 @@
 //!   synchronization, counting, tuning and decode/write kernels, and an encode launches
 //!   three walks over blocks of 65,536 symbols (count, chunk bits, pack) instead of the
 //!   per-symbol offsets scan, scatter and gap-array kernels: all of those exist only
-//!   because a GPU thread cannot know its output offset. This is what makes `hfz`
-//!   actually fast on the machine it runs on, and the seam a future CUDA/wgpu port
-//!   plugs into.
+//!   because a GPU thread cannot know its output offset. A field compress is a quantize
+//!   launch, which also counts the codes, plus two encode-walk launches (chunk bits,
+//!   pack). This is what makes `hfz` actually fast on the machine it runs on, and the
+//!   seam a future CUDA/wgpu port plugs into.
 //!
 //! The pipelines choose by [`Backend::is_modeled`]. Both backends produce
 //! **bit-identical decoded output and archives** — only the timings differ — which the
@@ -215,8 +216,10 @@ impl Backend for Gpu {
 /// counting or tuning runs here, so the paper's tuning decisions are exercised only on
 /// the simulator. An encode is three launches of a walk that encodes each symbol once
 /// (a per-block histogram, per-chunk bit totals, a pack from each block's first bit),
-/// not the simulator's histogram, offsets scan and scatter. Decoded output and
-/// archives are bit-identical to the simulator's on every path.
+/// not the simulator's histogram, offsets scan and scatter. A field compress is a
+/// quantize launch over blocks of the field's rows, which counts the codes as it makes
+/// them, plus the encode walk's two other launches. Decoded output and archives are
+/// bit-identical to the simulator's on every path.
 #[derive(Debug, Clone)]
 pub struct CpuBackend {
     gpu: Gpu,

@@ -35,13 +35,14 @@ use sz::{BatchDecompressStats, CompressStats, Compressed, DecompressStats, Error
 use crate::error::{HfzError, Result};
 use crate::handle::{ArchiveHandle, FieldHandle};
 
-/// A compressed field together with its simulated encode timing — what
-/// [`Codec::compress`] returns instead of the old `(Compressed, CompressStats)` tuple.
+/// A compressed field together with its encode timing — what [`Codec::compress`]
+/// returns instead of the old `(Compressed, CompressStats)` tuple.
 #[derive(Debug, Clone)]
 pub struct EncodeOutcome {
     /// The compressed archive (bit-identical to the host encoder's output).
     pub archive: Compressed,
-    /// The simulated compression timing (quantize + per-phase encode breakdown).
+    /// The compression timing (quantize + per-phase encode breakdown), modeled or
+    /// measured as the backend reports it.
     pub stats: CompressStats,
 }
 
@@ -467,8 +468,10 @@ impl Codec {
 
     // ----- compression (uses the session configuration) -----
 
-    /// Compresses a field on the simulated-GPU parallel encode pipeline, returning the
-    /// archive (bit-identical to the host encoder) and the encode timing breakdown.
+    /// Compresses a field on the session's backend ([`sz::compress_auto_on`]): one
+    /// quantize launch that also counts and checksums the codes, then the backend's
+    /// parallel encode. Returns the archive (bit-identical to the host encoder) and the
+    /// timing breakdown, modeled on the simulator and measured on the CPU backend.
     pub fn compress(&self, field: &Field) -> Result<EncodeOutcome> {
         self.check_nonempty(field)?;
         let (archive, stats) =
@@ -482,9 +485,9 @@ impl Codec {
         Ok(EncodeOutcome { archive, stats })
     }
 
-    /// Compresses a field with the single-threaded host encoder — the same archive as
-    /// [`Codec::compress`], bit for bit, without simulating the encode kernels. For
-    /// tests and benchmarks that only need the archive.
+    /// Compresses a field with the single-threaded host quantizer and encoder — the same
+    /// archive as [`Codec::compress`], bit for bit, without launching on the backend.
+    /// For tests and benchmarks that only need the archive.
     pub fn compress_archive(&self, field: &Field) -> Result<Compressed> {
         self.check_nonempty(field)?;
         Ok(sz::compress_auto(field, &self.config, self.hybrid_at()))

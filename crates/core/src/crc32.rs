@@ -8,11 +8,20 @@
 //! `hfz verify --deep` and the `hfzd` daemon's `VERIFY` command compare against. That
 //! stamp reads every code of every compress, so it is not a negligible fraction of one:
 //! byte at a time it cost ≈ 24 ms of a 4 M-element compress on the measured backend.
+//! A parallel pass checksums its blocks separately and joins them with
+//! [`crc32_combine`], zlib's shift of a running CRC over GF(2).
+
+/// The reflected CRC-32 polynomial.
+const POLY: u32 = 0xEDB8_8320;
 
 /// The slicing-by-8 tables for the reflected polynomial 0xEDB88320, built at compile
 /// time: `TABLES[0]` is the classic byte-at-a-time table, and `TABLES[k][b]` is the CRC
 /// of byte `b` followed by `k` zero bytes.
 const TABLES: [[u32; 256]; 8] = build_tables();
+
+/// `BYTE_SHIFTS[k]` is x^(8·2^k) modulo the polynomial: the shift of a CRC past 2^k
+/// bytes, one entry per bit of a `u64` length ([`crc32_combine`]).
+const BYTE_SHIFTS: [u32; 64] = build_byte_shifts();
 
 const fn build_tables() -> [[u32; 256]; 8] {
     let mut tables = [[0u32; 256]; 8];
@@ -22,7 +31,7 @@ const fn build_tables() -> [[u32; 256]; 8] {
         let mut bit = 0;
         while bit < 8 {
             crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
+                (crc >> 1) ^ POLY
             } else {
                 crc >> 1
             };
@@ -42,6 +51,56 @@ const fn build_tables() -> [[u32; 256]; 8] {
         k += 1;
     }
     tables
+}
+
+/// `a · b` modulo the polynomial, in the reflected order (bit 31 is x⁰). `a` must not be
+/// zero; every power of x is not.
+const fn mult_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut m = 1u32 << 31;
+    let mut p = 0;
+    loop {
+        if a & m != 0 {
+            p ^= b;
+            if a & (m - 1) == 0 {
+                return p;
+            }
+        }
+        m >>= 1;
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+    }
+}
+
+const fn build_byte_shifts() -> [u32; 64] {
+    let mut shifts = [0u32; 64];
+    // x¹, squared three times: x⁸.
+    let mut p = 1u32 << 30;
+    let mut k = 0;
+    while k < 3 {
+        p = mult_mod_p(p, p);
+        k += 1;
+    }
+    let mut k = 0;
+    while k < 64 {
+        shifts[k] = p;
+        p = mult_mod_p(p, p);
+        k += 1;
+    }
+    shifts
+}
+
+/// The CRC-32 of `a ‖ b` from `crc_a = crc32(a)`, `crc_b = crc32(b)` and `len_b`, the
+/// length of `b` in bytes. Appending `b` multiplies `a`'s CRC by x^(8·len_b) modulo the
+/// polynomial; the pre- and post-conditioning cancel, so that product XOR `crc_b` is
+/// the answer (zlib's `crc32_combine`). It costs O(log len_b) and reads no data.
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    // x^(8·len_b) is the product of BYTE_SHIFTS[k] over the set bits k of len_b.
+    let mut shift = 1u32 << 31;
+    for (k, &s) in BYTE_SHIFTS.iter().enumerate() {
+        if len_b >> k & 1 != 0 {
+            shift = mult_mod_p(s, shift);
+        }
+    }
+    mult_mod_p(shift, crc_a) ^ crc_b
 }
 
 /// A streaming CRC-32 accumulator.
@@ -77,6 +136,17 @@ impl Crc32 {
         }
     }
 
+    /// Feeds `symbols` into the checksum, serialized as little-endian u16s.
+    pub fn update_symbols(&mut self, symbols: &[u16]) {
+        let mut buf = [0u8; 4096];
+        for run in symbols.chunks(buf.len() / 2) {
+            for (pair, s) in buf.chunks_exact_mut(2).zip(run) {
+                pair.copy_from_slice(&s.to_le_bytes());
+            }
+            self.update(&buf[..run.len() * 2]);
+        }
+    }
+
     /// Finishes and returns the checksum value.
     pub fn finish(&self) -> u32 {
         self.state ^ 0xFFFF_FFFF
@@ -102,13 +172,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// decode to the wrong quantization codes.
 pub fn crc32_symbols(symbols: &[u16]) -> u32 {
     let mut c = Crc32::new();
-    let mut buf = [0u8; 4096];
-    for run in symbols.chunks(buf.len() / 2) {
-        for (pair, s) in buf.chunks_exact_mut(2).zip(run) {
-            pair.copy_from_slice(&s.to_le_bytes());
-        }
-        c.update(&buf[..run.len() * 2]);
-    }
+    c.update_symbols(symbols);
     c.finish()
 }
 
@@ -173,6 +237,40 @@ mod tests {
                     "start {start} len {len}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn combine_equals_the_crc_of_the_concatenation() {
+        let data: Vec<u8> = (0..72u32)
+            .map(|i| (i.wrapping_mul(2654435761) >> 11) as u8)
+            .collect();
+        for split in 0..=data.len() {
+            let (a, b) = data.split_at(split);
+            assert_eq!(
+                crc32_combine(crc32(a), crc32(b), b.len() as u64),
+                crc32(&data),
+                "split {split}"
+            );
+        }
+        let long: Vec<u8> = (0..1u32 << 20).map(|i| (i ^ i >> 9) as u8).collect();
+        let whole: Vec<u8> = data.iter().chain(&long).copied().collect();
+        assert_eq!(
+            crc32_combine(crc32(&data), crc32(&long), long.len() as u64),
+            crc32(&whole)
+        );
+    }
+
+    #[test]
+    fn folding_block_symbol_crcs_equals_the_whole_streams() {
+        let symbols: Vec<u16> = (0..20_000u32)
+            .map(|i| (i.wrapping_mul(40503) >> 5) as u16)
+            .collect();
+        for block in [1, 3, 777, 4097] {
+            let folded = symbols.chunks(block).fold(crc32(b""), |crc, run| {
+                crc32_combine(crc, crc32_symbols(run), run.len() as u64 * 2)
+            });
+            assert_eq!(folded, crc32_symbols(&symbols), "blocks of {block}");
         }
     }
 

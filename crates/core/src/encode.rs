@@ -25,7 +25,9 @@
 //! On an unmodeled backend a non-empty encode is instead three launches over blocks of
 //! 65,536 symbols that encode each symbol once (`encode/walk.rs`): per-block counts, per-chunk
 //! bit totals and one scan over them, then a pack from each block's first bit. The four
-//! phases keep their names; the simulator's kernels are the walk's reference.
+//! phases keep their names; the simulator's kernels are the walk's reference. A caller
+//! that counted the symbols while producing them ([`compress_counted_on`]; `sz`'s
+//! quantize pass does) saves the walk its count launch.
 //!
 //! [`compress_on`] produces payloads **bit-identical** to the host encoder for all three
 //! stream formats (chunked, flat, flat + gap array) on either path; the equivalence suite
@@ -378,6 +380,36 @@ pub fn compress_on(
     symbols: &[u16],
     alphabet_size: usize,
 ) -> (CompressedPayload, EncodePhaseBreakdown) {
+    encode_on(gpu, kind, symbols, None, alphabet_size)
+}
+
+/// [`compress_on`] for a caller that has already counted `symbols`: `counts[s]` is the
+/// number of occurrences of symbol `s`, one entry per alphabet symbol. The payload is
+/// the same. On an unmodeled backend the encode walk skips its count launch, so a
+/// non-empty encode is two launches and the histogram phase holds no kernel; the
+/// simulator ignores `counts` and runs its histogram kernels, so its breakdown is
+/// [`compress_on`]'s.
+///
+/// # Panics
+/// As [`compress_on`], and on an unmodeled backend if `counts` does not have
+/// `alphabet_size` entries summing to the symbol count.
+pub fn compress_counted_on(
+    gpu: &dyn Backend,
+    kind: DecoderKind,
+    symbols: &[u16],
+    counts: Vec<u64>,
+    alphabet_size: usize,
+) -> (CompressedPayload, EncodePhaseBreakdown) {
+    encode_on(gpu, kind, symbols, Some(counts), alphabet_size)
+}
+
+fn encode_on(
+    gpu: &dyn Backend,
+    kind: DecoderKind,
+    symbols: &[u16],
+    counts: Option<Vec<u64>>,
+    alphabet_size: usize,
+) -> (CompressedPayload, EncodePhaseBreakdown) {
     if kind.is_hybrid() {
         panic!("RLE+Huffman hybrid payloads are produced by the huffdec-hybrid crate");
     }
@@ -390,7 +422,7 @@ pub fn compress_on(
         );
     }
     if !gpu.is_modeled() {
-        return walk::compress_walk(gpu, kind, symbols, alphabet_size);
+        return walk::compress_walk(gpu, kind, symbols, counts, alphabet_size);
     }
     // Phase 1: device histogram of the symbol stream.
     let (counts, histogram) = device_histogram(gpu, symbols, alphabet_size);
@@ -815,6 +847,64 @@ mod tests {
         let launches = [&phases.histogram, &phases.offsets, &phases.scatter];
         assert!(launches.iter().all(|p| p.kernels.len() == 1));
         assert!(phases.codebook.kernels.is_empty());
+    }
+
+    /// The count of every symbol of `symbols` over a 1,024-symbol alphabet.
+    fn counts_of(symbols: &[u16]) -> Vec<u64> {
+        let mut counts = vec![0u64; 1024];
+        for &s in symbols {
+            counts[s as usize] += 1;
+        }
+        counts
+    }
+
+    #[test]
+    fn a_counted_cpu_encode_is_two_launches_with_the_host_payload() {
+        let symbols = quant_symbols(3 * walk::BLOCK_SYMBOLS + 777, 7);
+        for kind in DecoderKind::all() {
+            let host = compress_for(kind, &symbols, 1024);
+            let (payload, phases) =
+                compress_counted_on(&cpu(2), kind, &symbols, counts_of(&symbols), 1024);
+            assert!(payload == host, "{:?}", kind);
+            assert_eq!(phases.kernel_launches(), 2, "{:?}", kind);
+            assert!(phases.histogram.kernels.is_empty(), "{:?}", kind);
+            assert_eq!(phases.offsets.kernels.len(), 1, "{:?}", kind);
+            assert_eq!(phases.scatter.kernels.len(), 1, "{:?}", kind);
+        }
+    }
+
+    #[test]
+    fn a_counted_sim_encode_models_what_compress_on_models() {
+        let symbols = quant_symbols(70_000, 7);
+        for kind in DecoderKind::all() {
+            let (plain, phases) = compress_on(&gpu(), kind, &symbols, 1024);
+            let (counted, counted_phases) =
+                compress_counted_on(&gpu(), kind, &symbols, counts_of(&symbols), 1024);
+            assert!(counted == plain, "{:?}", kind);
+            // `Debug` prints every f64 in its shortest round-trip form, so equal text is
+            // equal bits: every phase's seconds and every kernel's modeled stats.
+            assert_eq!(
+                format!("{:?}", counted_phases),
+                format!("{:?}", phases),
+                "{:?}",
+                kind
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "do not cover")]
+    fn counts_that_miss_a_symbol_are_refused_on_the_walk() {
+        let symbols = quant_symbols(10_000, 7);
+        let mut counts = counts_of(&symbols);
+        counts[512] -= 1;
+        let _ = compress_counted_on(
+            &cpu(2),
+            DecoderKind::OptimizedSelfSync,
+            &symbols,
+            counts,
+            1024,
+        );
     }
 
     #[test]

@@ -5,10 +5,12 @@
 //! binary-search those offsets — because that is how a GPU thread learns where its
 //! codeword lands. A host block needs only its own start. [`compress_walk`] splits the
 //! stream into blocks of [`BLOCK_SYMBOLS`] (16 chunks of [`DEFAULT_CHUNK_SYMBOLS`]) and
-//! makes three launches over them, holding no per-symbol buffer:
+//! makes up to three launches over them, holding no per-symbol buffer:
 //!
 //! 1. **count** — each block counts its symbols into a private table; the host sums the
-//!    tables into the frequencies the codebook is built from;
+//!    tables into the frequencies the codebook is built from. A caller that already
+//!    counted the symbols (`sz`'s quantize pass does) hands the counts in, and this
+//!    launch does not run;
 //! 2. **chunk bits** — each block sums the codeword lengths of each of its chunks; the
 //!    host's exclusive scan over the chunk totals gives every chunk its first bit (the
 //!    chunked format pads each chunk to a unit boundary, so its scan is over units);
@@ -200,11 +202,14 @@ fn phase_since(clock: Instant, kernel: KernelStats) -> PhaseTime {
 
 /// Encodes a non-empty `symbols` in the format `kind` consumes with three launches over
 /// blocks of [`BLOCK_SYMBOLS`]: the count (histogram phase), the chunk bits and their
-/// scan (offsets phase), and the pack with the edge OR (scatter phase).
+/// scan (offsets phase), and the pack with the edge OR (scatter phase). Given `counts`,
+/// the symbol counts of `symbols`, the count launch is skipped and the histogram phase
+/// holds only their check.
 pub(super) fn compress_walk(
     gpu: &dyn Backend,
     kind: DecoderKind,
     symbols: &[u16],
+    counts: Option<Vec<u64>>,
     alphabet_size: usize,
 ) -> (CompressedPayload, EncodePhaseBreakdown) {
     let n = symbols.len();
@@ -217,17 +222,31 @@ pub(super) fn compress_walk(
     };
 
     let clock = Instant::now();
-    let tables = DeviceBuffer::<u64>::zeroed(grid * alphabet_size);
-    let count = launch(&CountKernel {
-        symbols,
-        tables: &tables,
-        bins: alphabet_size,
-    });
-    let mut counts = vec![0u64; alphabet_size];
-    for table in tables.into_vec().chunks_exact(alphabet_size) {
-        counts.iter_mut().zip(table).for_each(|(c, t)| *c += t);
-    }
-    let histogram = phase_since(clock, count);
+    let (counts, histogram) = match counts {
+        Some(counts) => {
+            assert!(
+                counts.len() == alphabet_size && counts.iter().sum::<u64>() == n as u64,
+                "the counts do not cover the {} symbols",
+                n
+            );
+            let mut histogram = PhaseTime::empty();
+            histogram.push_seconds(clock.elapsed().as_secs_f64());
+            (counts, histogram)
+        }
+        None => {
+            let tables = DeviceBuffer::<u64>::zeroed(grid * alphabet_size);
+            let count = launch(&CountKernel {
+                symbols,
+                tables: &tables,
+                bins: alphabet_size,
+            });
+            let mut counts = vec![0u64; alphabet_size];
+            for table in tables.into_vec().chunks_exact(alphabet_size) {
+                counts.iter_mut().zip(table).for_each(|(c, t)| *c += t);
+            }
+            (counts, phase_since(clock, count))
+        }
+    };
 
     let (codebook, codebook_phase) = build_codebook(gpu, counts, alphabet_size);
     let codewords = codebook.codewords();

@@ -71,13 +71,13 @@ mod walk;
 
 pub use baseline::decode_baseline_chunks;
 pub use batch::{batch_stats, decode_batch, decode_wave, BatchStats};
-pub use crc32::{crc32, crc32_symbols, Crc32};
+pub use crc32::{crc32, crc32_combine, crc32_symbols, Crc32};
 pub use decode_write::{run_decode_write, DecodeWriteKernel, WriteStrategy};
 pub use decoder::{
     compress_for, decode, decode_self_sync_stream, roundtrip, CompressedPayload, DecodeError,
     DecoderKind,
 };
-pub use encode::{compress_on, EncodePhaseBreakdown};
+pub use encode::{compress_counted_on, compress_on, EncodePhaseBreakdown};
 pub use format::{
     wire, EncodedStream, HybridStream, StreamGeometry, DEFAULT_SUBSEQ_UNITS,
     DEFAULT_THREADS_PER_BLOCK, HYBRID_RUN_ALPHABET, HYBRID_RUN_CAP,

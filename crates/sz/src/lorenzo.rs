@@ -18,8 +18,26 @@
 //! column (the corner vector) plus the running sum of the row's residuals. `quantize` and
 //! `dequantize` share one row walk built on that, which keeps only the rows later rows
 //! read back — no full-size plane in either direction.
+//!
+//! Quantization needs no scan: a code reads only the pre-quantized values of its
+//! neighbours, and those come from the data alone. So a compress on a backend quantizes
+//! in one launch over blocks fixed by the field's shape (`quantize_on`). A 1-D field splits
+//! into column ranges, each starting from the pre-quantized element before it. A taller
+//! field splits into blocks of whole rows, each first pre-quantizing its halo (the
+//! Σ(outer strides) rows before it, at most a quarter of the block) into its ring without
+//! emitting codes. Every block runs the same walk as `quantize`, writes its codes in
+//! place, and from the same tiles counts them and checksums them. The host joins the
+//! outlier lists in block order, sums the counts, and joins the CRCs with
+//! `huffdec_core::crc32_combine`; the counts become the encoder's histogram and the
+//! hybrid pick's center-bin fraction, and the CRC the archive's decoded-stream digest.
+
+use std::ops::Range;
+use std::sync::{Mutex, OnceLock};
 
 use datasets::Dims;
+use gpu_sim::{BlockContext, BlockKernel, DeviceBuffer, LaunchConfig};
+use huffdec_backend::Backend;
+use huffdec_core::{crc32, crc32_combine, Crc32};
 
 /// An outlier: a pre-quantized value whose Lorenzo residual did not fit the code alphabet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,41 +90,72 @@ const TILE: usize = 2048;
 /// the row's residuals that starts at 0. `C` is elementwise over whole rows, with no
 /// loop-carried dependency.
 ///
-/// Only the rows that later rows read are kept: a ring of Σ(outer strides) + 1 rows, and
-/// none for a field of one row. `visit(start, corner, values, carry)` gets one tile of a
-/// row at a time: `start` the flat index of its first element, `corner` the tile's `C`,
-/// `values` where its resolved pre-quantized values go (the ring slot later rows read),
-/// and `carry` the `D` of the element before the tile (0 at a row's start), which `visit`
-/// leaves at the `D` of the tile's last element. Arithmetic wraps: sums of extreme
-/// pre-quantized values (a hostile outlier list) must not panic.
-fn lorenzo_walk(extents: &[usize], mut visit: impl FnMut(usize, &[i64], &mut [i64], &mut i64)) {
+/// Only the rows that later rows read are kept, in `ring`: [`ring_rows`] rows, and a
+/// new allocation unless it already has that size. The walk writes every ring slot it
+/// reads before reading it, so a ring is reused as it is.
+///
+/// `visit(start, corner, values, carry)` gets one tile of a row at a time: `start` the
+/// flat index of its first element, `corner` the tile's `C`, `values` where its resolved
+/// pre-quantized values go (the ring slot later rows read), and `carry` the `D` of the
+/// element before the tile (0 at a row's start), which `visit` leaves at the `D` of the
+/// tile's last element. Arithmetic wraps: sums of extreme pre-quantized values (a
+/// hostile outlier list) must not panic.
+///
+/// The walk covers the flat elements `span`: whole rows, or for a field of one row any
+/// range of its columns. What a later span reads from before it is its halo, which
+/// `halo(start, values)` fills with the pre-quantized values from flat index `start`
+/// (only a quantizer can, since it computes them from the data alone): the one element
+/// before a column range, which is its carry, or the [`halo_rows`] rows before a row
+/// range, into their ring slots. A walk from element 0 has no halo.
+fn lorenzo_walk(
+    extents: &[usize],
+    span: Range<usize>,
+    ring: &mut Vec<i64>,
+    mut halo: impl FnMut(usize, &mut [i64]),
+    mut visit: impl FnMut(usize, &[i64], &mut [i64], &mut i64),
+) {
     let Some((&width, outer)) = extents.split_last() else {
         return;
     };
     let rows: usize = outer.iter().product();
-    if width == 0 || rows == 0 {
+    if width == 0 || rows == 0 || span.is_empty() {
         return;
     }
-    // Row strides of the outer dimensions, in rows; the farthest neighbour row is their sum.
-    let mut strides = vec![1usize; outer.len()];
-    for d in (0..outer.len().saturating_sub(1)).rev() {
-        strides[d] = strides[d + 1] * outer[d + 1];
+    let strides = row_strides(outer);
+    let halo_rows = halo_rows(outer);
+    let ring_rows = ring_rows(outer);
+    if ring.len() != ring_rows * width {
+        *ring = vec![0i64; ring_rows * width];
     }
-    let ring_rows = if rows > 1 {
-        (strides.iter().sum::<usize>() + 1).min(rows)
+    let mut carry_in = 0i64;
+    let (row_span, columns) = if ring_rows == 0 {
+        if span.start > 0 {
+            halo(span.start - 1, std::slice::from_mut(&mut carry_in));
+        }
+        (0..1, span)
     } else {
-        0
+        debug_assert!(span.start % width == 0 && span.end % width == 0);
+        let row_span = span.start / width..span.end / width;
+        for row in row_span.start.saturating_sub(halo_rows)..row_span.start {
+            halo(row * width, &mut ring[row % ring_rows * width..][..width]);
+        }
+        (row_span, 0..width)
     };
-    let mut ring = vec![0i64; ring_rows * width];
-    let tile = width.min(TILE);
+    let tile = columns.len().min(TILE);
     let mut scratch = vec![0i64; if ring_rows == 0 { tile } else { 0 }];
-    // Row 0 is the only row without an in-range neighbour row, and it runs first, so the
-    // corner vector of a row with no neighbours is the buffer's initial zeros.
+    // Row 0 is the only row without an in-range neighbour row, and a walk that holds it
+    // starts there, so the corner vector of a row with no neighbours is the buffer's
+    // initial zeros.
     let mut corner = vec![0i64; tile];
     let mut coord = vec![0usize; outer.len()];
+    let mut rest = row_span.start;
+    for d in (0..outer.len()).rev() {
+        coord[d] = rest % outer[d];
+        rest /= outer[d];
+    }
     // (subtract, ring offset) of each in-range neighbour row.
     let mut neighbours: Vec<(bool, usize)> = Vec::with_capacity((1 << outer.len()) - 1);
-    for row in 0..rows {
+    for row in row_span {
         neighbours.clear();
         for mask in 1u32..(1 << outer.len()) {
             let selected = |d: &usize| (mask >> d) & 1 == 1;
@@ -116,9 +165,9 @@ fn lorenzo_walk(extents: &[usize], mut visit: impl FnMut(usize, &[i64], &mut [i6
                 neighbours.push((subtract, (row - back) % ring_rows * width));
             }
         }
-        let mut carry = 0i64;
-        for x in (0..width).step_by(tile) {
-            let len = tile.min(width - x);
+        let mut carry = carry_in;
+        for x in columns.clone().step_by(tile) {
+            let len = tile.min(columns.end - x);
             let corner = &mut corner[..len];
             // The first in-range mask is a single dimension (the lowest bit of an in-range
             // mask is in range too, and smaller), so the first neighbour row adds.
@@ -154,52 +203,272 @@ fn lorenzo_walk(extents: &[usize], mut visit: impl FnMut(usize, &[i64], &mut [i6
     }
 }
 
-/// Pre-quantizes, Lorenzo-predicts, and encodes a field into quantization codes.
+/// Row strides of the outer dimensions `outer`, in rows: one step along dimension `d` is
+/// `strides[d]` rows.
+fn row_strides(outer: &[usize]) -> Vec<usize> {
+    let mut strides = vec![1usize; outer.len()];
+    for d in (0..outer.len().saturating_sub(1)).rev() {
+        strides[d] = strides[d + 1] * outer[d + 1];
+    }
+    strides
+}
+
+/// The halo of a field with outer dimensions `outer`: how far back its farthest
+/// neighbour row lies, Σ(outer strides) rows.
+fn halo_rows(outer: &[usize]) -> usize {
+    row_strides(outer).iter().sum()
+}
+
+/// The rows of the ring a walk over a field with outer dimensions `outer` keeps: the
+/// halo and the row itself, or none for a field of one row.
+fn ring_rows(outer: &[usize]) -> usize {
+    let rows: usize = outer.iter().product();
+    if rows > 1 {
+        (halo_rows(outer) + 1).min(rows)
+    } else {
+        0
+    }
+}
+
+/// A field to quantize: its data and shape, the quantization step (twice the absolute
+/// error bound) and the number of quantization bins.
+struct Quantizer<'a> {
+    data: &'a [f32],
+    dims: Dims,
+    extents: Vec<usize>,
+    step: f64,
+    alphabet_size: usize,
+}
+
+impl<'a> Quantizer<'a> {
+    fn new(data: &'a [f32], dims: Dims, step: f64, alphabet_size: usize) -> Self {
+        assert!(step > 0.0, "quantization step must be positive");
+        assert!(
+            (4..=65536).contains(&alphabet_size),
+            "alphabet size out of range"
+        );
+        assert_eq!(dims.len(), data.len(), "dims do not match data length");
+        Quantizer {
+            data,
+            dims,
+            extents: dims.as_vec(),
+            step,
+            alphabet_size,
+        }
+    }
+
+    /// Quantizes the elements `span`: whole rows, or any columns of a field of one row.
+    /// Each tile's codes go to `emit(start, codes)` and its outliers onto `outliers`, in
+    /// index order. The halo (see [`lorenzo_walk`]) is pre-quantized again from the
+    /// data, so a span reads nothing another span computes.
+    fn quantize_span(
+        &self,
+        span: Range<usize>,
+        ring: &mut Vec<i64>,
+        outliers: &mut Vec<Outlier>,
+        mut emit: impl FnMut(usize, &[u16]),
+    ) {
+        let radius = (self.alphabet_size / 2) as i64;
+        let prequantize = |start: usize, values: &mut [i64]| {
+            for (v, &x) in values.iter_mut().zip(&self.data[start..]) {
+                *v = (x as f64 / self.step).round() as i64;
+            }
+        };
+        let mut codes = [0u16; TILE];
+        lorenzo_walk(
+            &self.extents,
+            span,
+            ring,
+            prequantize,
+            |start, corner, values, carry| {
+                // Step 1: pre-quantization, into the tile's ring slot.
+                prequantize(start, values);
+                // Step 2: the residual v − prediction is D(x) − D(x−1).
+                let codes = &mut codes[..values.len()];
+                let mut prev = *carry;
+                let tile = codes.iter_mut().zip(values.iter().zip(corner));
+                for (i, (code, (&v, &c))) in tile.enumerate() {
+                    let d = v.wrapping_sub(c);
+                    let residual = d.wrapping_sub(prev);
+                    prev = d;
+                    *code = if residual >= -radius && residual < radius {
+                        (residual + radius) as u16
+                    } else {
+                        outliers.push(Outlier {
+                            index: (start + i) as u64,
+                            prequant: v,
+                        });
+                        radius as u16 // placeholder: decoded as residual 0, then patched.
+                    };
+                }
+                *carry = prev;
+                emit(start, codes);
+            },
+        );
+    }
+
+    fn finish(self, codes: Vec<u16>, outliers: Vec<Outlier>) -> Quantized {
+        Quantized {
+            codes,
+            outliers,
+            alphabet_size: self.alphabet_size,
+            step: self.step,
+            dims: self.dims,
+        }
+    }
+}
+
+/// Pre-quantizes, Lorenzo-predicts, and encodes a field into quantization codes, in one
+/// serial walk.
 ///
 /// `step` must be twice the absolute error bound. `alphabet_size` is the number of
 /// quantization bins (1024 in cuSZ by default).
 pub fn quantize(data: &[f32], dims: Dims, step: f64, alphabet_size: usize) -> Quantized {
-    assert!(step > 0.0, "quantization step must be positive");
-    assert!(
-        (4..=65536).contains(&alphabet_size),
-        "alphabet size out of range"
-    );
-    assert_eq!(dims.len(), data.len(), "dims do not match data length");
-
-    let radius = (alphabet_size / 2) as i64;
+    let quantizer = Quantizer::new(data, dims, step, alphabet_size);
     let mut codes = Vec::with_capacity(data.len());
     let mut outliers = Vec::new();
-    lorenzo_walk(&dims.as_vec(), |start, corner, values, carry| {
-        // Step 1: pre-quantization, into the tile's ring slot.
-        for (v, &x) in values.iter_mut().zip(&data[start..]) {
-            *v = (x as f64 / step).round() as i64;
-        }
-        // Step 2: the residual v − prediction is D(x) − D(x−1).
-        let mut prev = *carry;
-        codes.extend(values.iter().zip(corner).enumerate().map(|(i, (&v, &c))| {
-            let d = v.wrapping_sub(c);
-            let residual = d.wrapping_sub(prev);
-            prev = d;
-            if residual >= -radius && residual < radius {
-                (residual + radius) as u16
-            } else {
-                outliers.push(Outlier {
-                    index: (start + i) as u64,
-                    prequant: v,
-                });
-                radius as u16 // placeholder: decoded as residual 0, then patched.
-            }
-        }));
-        *carry = prev;
+    quantizer.quantize_span(0..data.len(), &mut Vec::new(), &mut outliers, |_, tile| {
+        codes.extend_from_slice(tile)
     });
+    quantizer.finish(codes, outliers)
+}
 
-    Quantized {
-        codes,
-        outliers,
-        alphabet_size,
-        step,
-        dims,
+/// Elements a quantize block aims at.
+const BLOCK_ELEMENTS: usize = 1 << 16;
+
+/// The element spans of the blocks [`quantize_on`] splits a field of shape `extents`
+/// into. The shape alone fixes them, not the thread count. A field of one row splits
+/// into column ranges of [`BLOCK_ELEMENTS`]. A taller field splits into blocks of whole
+/// rows, at least [`BLOCK_ELEMENTS`] and at least four times the [`halo_rows`], so a
+/// block pre-quantizes at most a quarter more rows than it codes (the last block may be
+/// shorter).
+fn quantize_blocks(extents: &[usize]) -> Vec<Range<usize>> {
+    let n: usize = extents.iter().product();
+    let Some((&width, outer)) = extents.split_last() else {
+        return Vec::new();
+    };
+    if n == 0 {
+        return Vec::new();
     }
+    let block = if n == width {
+        BLOCK_ELEMENTS
+    } else {
+        width * (4 * halo_rows(outer)).max(BLOCK_ELEMENTS.div_ceil(width))
+    };
+    (0..n)
+        .step_by(block)
+        .map(|start| start..(start + block).min(n))
+        .collect()
+}
+
+/// What a quantize block returns beside its codes.
+#[derive(Debug)]
+struct BlockTally {
+    /// Its outliers, in index order.
+    outliers: Vec<Outlier>,
+    /// The count of every code.
+    counts: Vec<u64>,
+    /// The CRC-32 of its codes, serialized as little-endian u16s.
+    crc: u32,
+}
+
+/// One [`Quantizer::quantize_span`] per block of [`quantize_blocks`]: codes in place
+/// into the field's one code buffer, and from the same tiles the block's [`BlockTally`].
+struct QuantizeKernel<'a> {
+    quantizer: &'a Quantizer<'a>,
+    blocks: &'a [Range<usize>],
+    codes: &'a DeviceBuffer<u16>,
+    tallies: &'a [OnceLock<BlockTally>],
+    /// Rings the launching thread allocated, one per block that can run at once. A
+    /// block borrows one for its walk: a ring a worker thread allocated and freed would
+    /// stay resident in that thread's allocator arena.
+    rings: &'a Mutex<Vec<Vec<i64>>>,
+}
+
+impl BlockKernel for QuantizeKernel<'_> {
+    fn name(&self) -> &str {
+        "sz::quantize"
+    }
+
+    fn block(&self, ctx: &mut BlockContext) {
+        let b = ctx.block_idx() as usize;
+        let take_ring = || {
+            self.rings
+                .lock()
+                .expect("no block panics holding the rings")
+        };
+        let mut ring = take_ring().pop().unwrap_or_default();
+        let mut outliers = Vec::new();
+        // Four counts per code, taken in turn: a run of one code (the common case) is
+        // then four independent chains of increments, not one.
+        let mut lanes = vec![[0u64; 4]; self.quantizer.alphabet_size];
+        let mut crc = Crc32::new();
+        let span = self.blocks[b].clone();
+        self.quantizer
+            .quantize_span(span, &mut ring, &mut outliers, |start, codes| {
+                for (i, &code) in codes.iter().enumerate() {
+                    self.codes.set(start + i, code);
+                    lanes[code as usize][i % 4] += 1;
+                }
+                crc.update_symbols(codes);
+            });
+        take_ring().push(ring);
+        let tally = BlockTally {
+            outliers,
+            counts: lanes.iter().map(|bin| bin.iter().sum()).collect(),
+            crc: crc.finish(),
+        };
+        self.tallies[b].set(tally).expect("a block runs once");
+    }
+}
+
+/// [`quantize`] as one launch on `gpu`, over the blocks of [`quantize_blocks`]: the same
+/// codes and outliers, plus from the same pass the count of every code and the CRC-32
+/// of the codes ([`huffdec_core::crc32_symbols`]). Blocks share nothing, since each
+/// pre-quantizes its own halo, so they run in parallel. The host joins the outlier
+/// lists in block order, sums the counts, and joins the CRCs with
+/// [`huffdec_core::crc32_combine`].
+pub(crate) fn quantize_on(
+    gpu: &dyn Backend,
+    data: &[f32],
+    dims: Dims,
+    step: f64,
+    alphabet_size: usize,
+) -> (Quantized, Vec<u64>, u32) {
+    let quantizer = Quantizer::new(data, dims, step, alphabet_size);
+    let blocks = quantize_blocks(&quantizer.extents);
+    let codes = DeviceBuffer::<u16>::zeroed(data.len());
+    let tallies: Vec<OnceLock<BlockTally>> = blocks.iter().map(|_| OnceLock::new()).collect();
+    if !blocks.is_empty() {
+        let (&width, outer) = quantizer.extents.split_last().expect("a non-empty field");
+        let at_once = blocks.len().min(gpu.host_threads());
+        let rings = (0..at_once).map(|_| vec![0i64; ring_rows(outer) * width]);
+        let rings = Mutex::new(rings.collect());
+        // A block is one host walk, so one thread.
+        gpu.launch(
+            &QuantizeKernel {
+                quantizer: &quantizer,
+                blocks: &blocks,
+                codes: &codes,
+                tallies: &tallies,
+                rings: &rings,
+            },
+            LaunchConfig::new(blocks.len() as u32, 1),
+        );
+    }
+    let mut outliers = Vec::new();
+    let mut counts = vec![0u64; alphabet_size];
+    let mut crc = crc32(&[]);
+    for (tally, span) in tallies.into_iter().zip(&blocks) {
+        let tally = tally.into_inner().expect("every block ran");
+        outliers.extend(tally.outliers);
+        counts
+            .iter_mut()
+            .zip(&tally.counts)
+            .for_each(|(c, t)| *c += t);
+        crc = crc32_combine(crc, tally.crc, span.len() as u64 * 2);
+    }
+    (quantizer.finish(codes.into_vec(), outliers), counts, crc)
 }
 
 /// Reconstructs the field from quantization codes and outliers. The result satisfies the
@@ -227,33 +496,42 @@ pub fn dequantize_codes(
     let mut data = Vec::with_capacity(codes.len());
     let mut outliers = outliers.iter();
     let mut next_outlier = outliers.next();
-    lorenzo_walk(&dims.as_vec(), |start, corner, values, carry| {
-        let end = (start + corner.len()) as u64;
-        let mut x = 0;
-        loop {
-            let patch = next_outlier.filter(|o| ((start + x) as u64..end).contains(&o.index));
-            let stop = patch.map_or(corner.len(), |o| (o.index - start as u64) as usize);
-            let mut acc = *carry;
-            let run = corner[x..stop]
-                .iter()
-                .zip(&codes[start + x..start + stop])
-                .zip(&mut values[x..stop]);
-            data.extend(run.map(|((&c, &code), v)| {
-                acc = acc.wrapping_add(code as i64 - radius);
-                *v = c.wrapping_add(acc);
-                (*v as f64 * step) as f32
-            }));
-            let Some(o) = patch else {
-                *carry = acc;
-                break;
-            };
-            *carry = o.prequant.wrapping_sub(corner[stop]);
-            values[stop] = o.prequant;
-            data.push((o.prequant as f64 * step) as f32);
-            next_outlier = outliers.next();
-            x = stop + 1;
-        }
-    });
+    let extents = dims.as_vec();
+    let span = 0..codes.len();
+    let no_halo = |_: usize, _: &mut [i64]| unreachable!("a walk from element 0 has no halo");
+    lorenzo_walk(
+        &extents,
+        span,
+        &mut Vec::new(),
+        no_halo,
+        |start, corner, values, carry| {
+            let end = (start + corner.len()) as u64;
+            let mut x = 0;
+            loop {
+                let patch = next_outlier.filter(|o| ((start + x) as u64..end).contains(&o.index));
+                let stop = patch.map_or(corner.len(), |o| (o.index - start as u64) as usize);
+                let mut acc = *carry;
+                let run = corner[x..stop]
+                    .iter()
+                    .zip(&codes[start + x..start + stop])
+                    .zip(&mut values[x..stop]);
+                data.extend(run.map(|((&c, &code), v)| {
+                    acc = acc.wrapping_add(code as i64 - radius);
+                    *v = c.wrapping_add(acc);
+                    (*v as f64 * step) as f32
+                }));
+                let Some(o) = patch else {
+                    *carry = acc;
+                    break;
+                };
+                *carry = o.prequant.wrapping_sub(corner[stop]);
+                values[stop] = o.prequant;
+                data.push((o.prequant as f64 * step) as f32);
+                next_outlier = outliers.next();
+                x = stop + 1;
+            }
+        },
+    );
     data
 }
 
@@ -513,6 +791,145 @@ mod tests {
         ];
         for outliers in &lists {
             assert_dequantize_matches(&codes, outliers, dims, 0.25, 16);
+        }
+    }
+
+    /// Asserts that [`quantize_on`] equals [`quantize`] plus [`huffdec_core::crc32_symbols`]
+    /// and a plain count of its codes, bit for bit, on `CpuBackend` at 1 and 8 host
+    /// threads and on the simulator. Returns the serial quantization.
+    fn assert_blocks_match(data: &[f32], dims: Dims, step: f64, alphabet: usize) -> Quantized {
+        let serial = quantize(data, dims, step, alphabet);
+        let mut counts = vec![0u64; alphabet];
+        for &c in &serial.codes {
+            counts[c as usize] += 1;
+        }
+        let crc = huffdec_core::crc32_symbols(&serial.codes);
+        let tiny = gpu_sim::GpuConfig::test_tiny;
+        let backends: [&dyn Backend; 3] = [
+            &huffdec_backend::CpuBackend::with_host_threads(tiny(), 1),
+            &huffdec_backend::CpuBackend::with_host_threads(tiny(), 8),
+            &gpu_sim::Gpu::with_host_threads(tiny(), 4),
+        ];
+        for gpu in backends {
+            let (q, c, r) = quantize_on(gpu, data, dims, step, alphabet);
+            let context = format!("{:?}, alphabet {}, {}", dims, alphabet, gpu.device_name());
+            assert_eq!(q.codes, serial.codes, "codes, {}", context);
+            assert_eq!(q.outliers, serial.outliers, "outliers, {}", context);
+            assert_eq!(c, counts, "counts, {}", context);
+            assert_eq!(r, crc, "crc, {}", context);
+        }
+        serial
+    }
+
+    /// The first element of every block but the first.
+    fn block_starts(dims: Dims) -> Vec<usize> {
+        let blocks = quantize_blocks(&dims.as_vec());
+        blocks.iter().skip(1).map(|b| b.start).collect()
+    }
+
+    #[test]
+    fn blocks_tile_the_field_and_bound_their_halo() {
+        for dims in [
+            Dims::D1(1),
+            Dims::D1(3 * BLOCK_ELEMENTS + 777),
+            Dims::D2(1, 70_000),
+            Dims::D2(300, 1000),
+            Dims::D3(26, 517, 1034),
+            Dims::D4(7, 3, 5, 800),
+        ] {
+            let extents = dims.as_vec();
+            let (&width, outer) = extents.split_last().unwrap();
+            let blocks = quantize_blocks(&extents);
+            assert_eq!(blocks[0].start, 0);
+            assert_eq!(blocks.last().unwrap().end, dims.len());
+            assert!(blocks.windows(2).all(|w| w[0].end == w[1].start));
+            for block in &blocks[..blocks.len() - 1] {
+                if width == dims.len() {
+                    assert_eq!(block.len(), BLOCK_ELEMENTS, "{:?}", dims);
+                } else {
+                    assert_eq!(block.len() % width, 0, "{:?}", dims);
+                    assert!(block.len() / width >= 4 * halo_rows(outer), "{:?}", dims);
+                }
+            }
+        }
+        assert!(quantize_blocks(&[0]).is_empty());
+        assert!(quantize_blocks(&[5, 0]).is_empty());
+    }
+
+    #[test]
+    fn block_quantize_matches_the_serial_walk_across_1d_block_edges() {
+        let mut rng = Rng::seed_from_u64(0xB10C);
+        let b = BLOCK_ELEMENTS;
+        let step = 2e-3;
+        for len in [1, b - 1, b, b + 1, 3 * b + 777] {
+            // An outlier on both sides of every block edge.
+            let dims = Dims::D1(len);
+            let jumps: Vec<usize> = block_starts(dims)
+                .iter()
+                .flat_map(|&s| [s - 1, s])
+                .collect();
+            let data = jumpy_field(&mut rng, len, step, &jumps);
+            for alphabet in [16, 1024] {
+                let q = assert_blocks_match(&data, dims, step, alphabet);
+                let at: Vec<u64> = q.outliers.iter().map(|o| o.index).collect();
+                assert!(jumps.iter().all(|&j| at.contains(&(j as u64))), "{:?}", at);
+            }
+        }
+    }
+
+    #[test]
+    fn block_quantize_matches_the_serial_walk_across_row_block_edges() {
+        let mut rng = Rng::seed_from_u64(0x4A10);
+        let step = 2e-3;
+        // Each shape with the first row of every block but the first.
+        let shapes = [
+            (Dims::D2(300, 1000), vec![66, 132, 198, 264]),
+            // Rows wider than a tile.
+            (Dims::D2(40, TILE + 3), vec![32]),
+            // Planes of 8 rows and a halo of 9: row 36 is mid-plane, row 72 starts one.
+            (Dims::D3(10, 8, 1900), vec![36, 72]),
+            // Planes of 5 rows, volumes of 15 and a halo of 21: row 84 is mid-plane.
+            (Dims::D4(7, 3, 5, 800), vec![84]),
+            // Planes of 4 rows, volumes of 12 and a halo of 17: row 68 starts a plane.
+            (Dims::D4(8, 3, 4, 1000), vec![68]),
+        ];
+        for (dims, first_rows) in shapes {
+            let extents = dims.as_vec();
+            let (&width, outer) = extents.split_last().unwrap();
+            let starts = block_starts(dims);
+            let rows: Vec<usize> = starts.iter().map(|s| s / width).collect();
+            assert_eq!(rows, first_rows, "{:?}", dims);
+            // Outliers in each block's first row, its last halo row and its farthest one.
+            let halo = halo_rows(outer) * width;
+            let mut jumps: Vec<usize> = starts
+                .iter()
+                .flat_map(|&s| [s, s + width / 2, s - 1, s - halo])
+                .collect();
+            jumps.sort_unstable();
+            let data = jumpy_field(&mut rng, dims.len(), step, &jumps);
+            for alphabet in [16, 1024] {
+                assert_blocks_match(&data, dims, step, alphabet);
+            }
+        }
+    }
+
+    #[test]
+    fn block_quantize_matches_the_serial_walk_on_saturating_inputs() {
+        let mut rng = Rng::seed_from_u64(0x5A7);
+        for dims in [
+            Dims::D1(3 * BLOCK_ELEMENTS + 777),
+            Dims::D3(10, 8, 1900),
+            Dims::D4(7, 3, 5, 800),
+        ] {
+            // Pre-quantized values that saturate the cast at both ends, so every sum wraps.
+            let data: Vec<f32> = (0..dims.len())
+                .map(|_| match rng.gen_index(4) {
+                    0 => f32::MAX,
+                    1 => f32::MIN,
+                    _ => rng.gen_range_f64(-100.0, 100.0) as f32,
+                })
+                .collect();
+            assert_blocks_match(&data, dims, 1.0, 16);
         }
     }
 

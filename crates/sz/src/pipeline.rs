@@ -2,7 +2,7 @@
 //!
 //! Compression: Lorenzo dual-quantization → Huffman encoding (in whichever stream format
 //! the chosen decoder consumes) → outlier list. Decompression: Huffman decoding on the
-//! simulated GPU (this is the part the paper optimizes) → reverse dual-quantization →
+//! backend (this is the part the paper optimizes) → reverse dual-quantization →
 //! outlier patching.
 //!
 //! Every decompression goes through one dispatch point, [`decode_payload`] (hybrid
@@ -20,12 +20,12 @@ use datasets::Field;
 use gpu_sim::TransferDirection;
 use huffdec_backend::Backend;
 use huffdec_core::{
-    compress_for, decode, wire, CompressedPayload, DecodeError, DecoderKind, EncodePhaseBreakdown,
-    PhaseBreakdown,
+    compress_counted_on, compress_for, decode, wire, CompressedPayload, DecodeError, DecoderKind,
+    EncodePhaseBreakdown, PhaseBreakdown,
 };
 
 use crate::error_bound::ErrorBound;
-use crate::lorenzo::{dequantize_codes, quantize, Outlier, Quantized};
+use crate::lorenzo::{dequantize_codes, quantize, quantize_on, Outlier, Quantized};
 use crate::stats::verify_error_bound;
 use datasets::Dims;
 
@@ -220,13 +220,16 @@ pub struct Decompressed {
     pub stats: DecompressStats,
 }
 
-/// Timing breakdown of a compression run on the simulated GPU (produced by
-/// [`compress_on`]; the host path [`compress`] does not time itself).
+/// Timing breakdown of a compression run on a backend (produced by [`compress_on`]; the
+/// host path [`compress`] does not time itself): modeled seconds on the simulator,
+/// wall-clock seconds on an unmodeled backend.
 #[derive(Debug, Clone)]
 pub struct CompressStats {
-    /// Estimated time of the Lorenzo dual-quantization kernel.
+    /// The quantize stage: the modeled Lorenzo dual-quantization kernel on the
+    /// simulator; the measured range pass, quantize launch and hybrid pick on an
+    /// unmodeled backend.
     pub quantize_seconds: f64,
-    /// The simulated Huffman encode phase breakdown
+    /// The Huffman encode phase breakdown
     /// (histogram / tree+codebook / offset prefix-sum / scatter).
     pub encode: EncodePhaseBreakdown,
     /// Total compression time in seconds.
@@ -260,34 +263,45 @@ fn quantize_kernel_time(gpu: &dyn Backend, num_elements: usize) -> f64 {
     cfg.streaming_pass_seconds(num_elements as f64 * 8.0, compute_cycles, 1)
 }
 
-/// Quantizes a field once, with `config`'s error bound and alphabet, and picks the
-/// configuration its codes are encoded with: `config` itself, or — when the codes'
-/// center-bin ("zero residual") fraction reaches `hybrid_at` — the same with the
-/// RLE+Huffman hybrid.
-fn quantize_field(
-    field: &Field,
-    config: &SzConfig,
-    hybrid_at: Option<f64>,
-) -> (Quantized, SzConfig) {
-    let step = 2.0 * config.error_bound.to_absolute(field.range_span() as f64);
-    let q = quantize(&field.data, field.dims, step, config.alphabet_size);
-    let mut config = *config;
-    if hybrid_at.is_some_and(|t| huffdec_hybrid::zero_fraction(&q.codes, config.alphabet_size) >= t)
-    {
-        config.decoder = DecoderKind::RleHybrid;
-    }
-    (q, config)
+/// The absolute error bound `bound` sets for `field`. Only a relative bound reads the
+/// field's value range; [`ErrorBound::to_absolute`] ignores it for an absolute one, so
+/// that pass is skipped.
+fn absolute_bound(field: &Field, bound: &ErrorBound) -> f64 {
+    let range = match bound {
+        ErrorBound::Relative(_) => field.range_span() as f64,
+        ErrorBound::Absolute(_) => 0.0,
+    };
+    bound.to_absolute(range)
 }
 
-fn assemble(q: Quantized, config: SzConfig, payload: CompressedPayload) -> Compressed {
-    let decoded_crc = Some(huffdec_core::crc32_symbols(&q.codes));
+/// The configuration a field's codes are encoded with: `config` itself, or — when their
+/// center-bin ("zero residual") fraction reaches `hybrid_at` — the same with the
+/// RLE+Huffman hybrid. `zero_fraction` is only called when `hybrid_at` is set.
+fn pick_config(
+    config: &SzConfig,
+    hybrid_at: Option<f64>,
+    zero_fraction: impl FnOnce() -> f64,
+) -> SzConfig {
+    let mut config = *config;
+    if hybrid_at.is_some_and(|t| zero_fraction() >= t) {
+        config.decoder = DecoderKind::RleHybrid;
+    }
+    config
+}
+
+fn assemble(
+    q: Quantized,
+    config: SzConfig,
+    payload: CompressedPayload,
+    decoded_crc: u32,
+) -> Compressed {
     Compressed {
         payload,
         outliers: q.outliers,
         dims: q.dims,
         step: q.step,
         config,
-        decoded_crc,
+        decoded_crc: Some(decoded_crc),
     }
 }
 
@@ -304,18 +318,24 @@ pub fn compress(field: &Field, config: &SzConfig) -> Compressed {
 /// decoder ([`Compressed::config`] records the pick). The field is quantized once, and
 /// the pick reads those codes.
 pub fn compress_auto(field: &Field, config: &SzConfig, hybrid_at: Option<f64>) -> Compressed {
-    let (q, config) = quantize_field(field, config, hybrid_at);
+    let step = 2.0 * absolute_bound(field, &config.error_bound);
+    let q = quantize(&field.data, field.dims, step, config.alphabet_size);
+    let config = pick_config(config, hybrid_at, || {
+        huffdec_hybrid::zero_fraction(&q.codes, config.alphabet_size)
+    });
     let payload = if config.decoder.is_hybrid() {
         huffdec_hybrid::compress_hybrid(&q.codes, config.alphabet_size)
     } else {
         compress_for(config.decoder, &q.codes, config.alphabet_size)
     };
-    assemble(q, config, payload)
+    let crc = huffdec_core::crc32_symbols(&q.codes);
+    assemble(q, config, payload, crc)
 }
 
-/// Compresses a field with the simulated-GPU parallel encode pipeline
-/// ([`huffdec_core::compress_on`]), returning the archive (bit-identical to
-/// [`compress`]) and the compression timing breakdown.
+/// Compresses a field on `gpu`: one quantize launch, then the backend's parallel encode
+/// ([`huffdec_core::compress_on`]; the hybrid's for a hybrid pick). Returns the archive
+/// (bit-identical to [`compress`]) and the compression timing breakdown, modeled on the
+/// simulator and measured on an unmodeled backend.
 pub fn compress_on(
     gpu: &dyn Backend,
     field: &Field,
@@ -326,6 +346,12 @@ pub fn compress_on(
 
 /// [`compress_on`] with the automatic hybrid selection of [`compress_auto`]
 /// (bit-identical to it).
+///
+/// The field is quantized in one launch over blocks of its rows (`lorenzo::quantize_on`)
+/// that also counts the codes and checksums them. The counts give the hybrid pick its
+/// center-bin fraction and the dense encoder its histogram
+/// ([`huffdec_core::compress_counted_on`]), and the checksum is the archive's
+/// `decoded_crc`, so no further pass reads the codes before the encode.
 pub fn compress_auto_on(
     gpu: &dyn Backend,
     field: &Field,
@@ -333,12 +359,21 @@ pub fn compress_auto_on(
     hybrid_at: Option<f64>,
 ) -> (Compressed, CompressStats) {
     let quantize_start = std::time::Instant::now();
-    let (q, config) = quantize_field(field, config, hybrid_at);
+    let step = 2.0 * absolute_bound(field, &config.error_bound);
+    let (q, counts, crc) = quantize_on(gpu, &field.data, field.dims, step, config.alphabet_size);
+    let config = pick_config(config, hybrid_at, || {
+        let zero = counts[huffdec_hybrid::zero_symbol(config.alphabet_size) as usize];
+        if q.codes.is_empty() {
+            0.0
+        } else {
+            zero as f64 / q.codes.len() as f64
+        }
+    });
     let quantize_elapsed = quantize_start.elapsed().as_secs_f64();
     let (payload, encode) = if config.decoder.is_hybrid() {
         huffdec_hybrid::compress_hybrid_on(gpu, &q.codes, config.alphabet_size)
     } else {
-        huffdec_core::compress_on(gpu, config.decoder, &q.codes, config.alphabet_size)
+        compress_counted_on(gpu, config.decoder, &q.codes, counts, config.alphabet_size)
     };
     let quantize_seconds =
         gpu.charge_seconds(quantize_kernel_time(gpu, field.len()), quantize_elapsed);
@@ -348,7 +383,7 @@ pub fn compress_auto_on(
         encode,
         total_seconds,
     };
-    (assemble(q, config, payload), stats)
+    (assemble(q, config, payload, crc), stats)
 }
 
 /// Estimated time of the reverse dual-quantization (Lorenzo reconstruction) kernels.
@@ -572,7 +607,7 @@ pub fn roundtrip(
 }
 
 fn c_abs_bound(field: &Field, config: &SzConfig) -> f64 {
-    config.error_bound.to_absolute(field.range_span() as f64)
+    absolute_bound(field, &config.error_bound)
 }
 
 #[cfg(test)]
