@@ -16,15 +16,14 @@
 //!   transfer modeling, and concurrent "streams" execute serially. Ranged decodes and
 //!   the chunked baseline's decode launch the simulator's [`BlockKernel`]s here. A full
 //!   decode of a flat stream launches one walk per sequence instead of the paper's
-//!   synchronization, counting, tuning and decode/write kernels, and an encode launches
-//!   three walks over blocks of 65,536 symbols (count, chunk bits, pack) instead of the
-//!   per-symbol offsets scan, scatter and gap-array kernels: all of those exist only
-//!   because a GPU thread cannot know its output offset. A field compress is a quantize
-//!   launch, which also counts the codes, plus two encode-walk launches (chunk bits,
-//!   pack). This is what makes `hfz` actually fast on the machine it runs on, and the
-//!   seam a future CUDA/wgpu port plugs into.
+//!   synchronization, counting, tuning and decode/write kernels, which exist only
+//!   because a GPU thread cannot know its output offset. An encode is the same three
+//!   walk launches over blocks of 65,536 symbols (count, chunk bits, pack) on both
+//!   backends, and a field compress is a quantize launch, which also counts the codes,
+//!   plus two of them (chunk bits, pack). This is what makes `hfz` actually fast on the
+//!   machine it runs on, and the seam a future CUDA/wgpu port plugs into.
 //!
-//! The pipelines choose by [`Backend::is_modeled`]. Both backends produce
+//! The decode pipelines choose by [`Backend::is_modeled`]. Both backends produce
 //! **bit-identical decoded output and archives** — only the timings differ — which the
 //! workspace's backend-equivalence test matrix enforces.
 //!
@@ -214,12 +213,12 @@ impl Backend for Gpu {
 /// geometry (block sizes, shared-memory budgets, `T_high`). A full decode of a flat
 /// stream is one launch of a walk that decodes each sequence once: no synchronization,
 /// counting or tuning runs here, so the paper's tuning decisions are exercised only on
-/// the simulator. An encode is three launches of a walk that encodes each symbol once
-/// (a per-block histogram, per-chunk bit totals, a pack from each block's first bit),
-/// not the simulator's histogram, offsets scan and scatter. A field compress is a
-/// quantize launch over blocks of the field's rows, which counts the codes as it makes
-/// them, plus the encode walk's two other launches. Decoded output and archives are
-/// bit-identical to the simulator's on every path.
+/// the simulator. An encode is, as on the simulator, three launches of a walk that
+/// encodes each symbol once (a per-block histogram, per-chunk bit totals, a pack from
+/// each block's first bit). A field compress is a quantize launch over blocks of the
+/// field's rows, which counts the codes as it makes them, plus the encode walk's two
+/// other launches. Decoded output and archives are bit-identical to the simulator's on
+/// every path.
 #[derive(Debug, Clone)]
 pub struct CpuBackend {
     gpu: Gpu,

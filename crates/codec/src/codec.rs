@@ -493,9 +493,9 @@ impl Codec {
         Ok(sz::compress_auto(field, &self.config, self.hybrid_at()))
     }
 
-    /// Encodes a bare symbol stream into this session's stream format on the simulated
-    /// encode pipeline (no quantization — the Huffman stage alone, as the encode
-    /// benchmarks measure it).
+    /// Encodes a bare symbol stream into this session's stream format with the encode
+    /// walk on the session's backend (no quantization — the Huffman stage alone, as the
+    /// encode benchmarks measure it).
     pub fn encode_symbols(&self, symbols: &[u16]) -> (CompressedPayload, EncodePhaseBreakdown) {
         let (payload, breakdown) = huffdec_core::compress_on(
             self.backend.as_ref(),

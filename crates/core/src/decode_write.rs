@@ -171,7 +171,7 @@ impl BlockKernel for DecodeWriteKernel<'_> {
                         // Decoded symbols go to shared memory first: one shared store per
                         // symbol (conflict-free: threads write disjoint runs).
                         for _ in 0..max_syms {
-                            ctx.shared_access_contiguous(warp);
+                            ctx.shared_access_contiguous(warp, 1);
                         }
                     }
                 }
@@ -216,7 +216,7 @@ impl BlockKernel for DecodeWriteKernel<'_> {
                 let rounds = window_syms.div_ceil(block_threads);
                 for w in 0..ctx.warp_count() {
                     for r in 0..rounds {
-                        ctx.shared_access_contiguous(w);
+                        ctx.shared_access_contiguous(w, 1);
                         ctx.global_store_contiguous(
                             w,
                             seq_start_out

@@ -44,10 +44,10 @@
 //! println!("simulated decode throughput: {:.1} GB/s", result.throughput_gbs());
 //! ```
 //!
-//! The encode side has a matching simulated-GPU pipeline ([`encode::compress_on`]):
-//! device histogram → codebook → offset prefix-sum → parallel scatter, bit-identical to
-//! the host encoder and reporting an [`encode::EncodePhaseBreakdown`]. On the CPU backend
-//! the same phases are three launches that encode each symbol once.
+//! The encode side is parallel too ([`encode::compress_on`]): on either backend, three
+//! launches over blocks of 65,536 symbols, one thread per 4,096-symbol chunk — count,
+//! chunk bits, pack — that encode each symbol once, bit-identical to the host encoder and
+//! reporting an [`encode::EncodePhaseBreakdown`].
 
 #![warn(missing_docs)]
 

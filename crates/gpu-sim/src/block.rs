@@ -287,16 +287,16 @@ impl<'a> BlockContext<'a> {
         self.charge_global(warp, base_elem, lanes, stride_elems, elem_bytes, true);
     }
 
-    /// Records a conflict-free warp-wide shared-memory access: the decoders' threads
-    /// write disjoint sequential runs of the staging buffer, and the cooperative copy
-    /// reads consecutive words.
+    /// Records `accesses` conflict-free warp-wide shared-memory accesses: the decoders'
+    /// threads write disjoint sequential runs of the staging buffer, the cooperative copy
+    /// reads consecutive words, and the encoder's lanes each step their own count table.
     #[inline]
-    pub fn shared_access_contiguous(&mut self, warp: u32) {
+    pub fn shared_access_contiguous(&mut self, warp: u32, accesses: u64) {
         if !self.modeled {
             return;
         }
-        self.mem.shared_accesses += 1;
-        *self.warp_mut(warp) += cost::SHARED_ACCESS;
+        self.mem.shared_accesses += accesses;
+        *self.warp_mut(warp) += cost::SHARED_ACCESS * accesses as f64;
     }
 
     /// Executes a block-wide barrier (`__syncthreads`): all warp clocks advance to the

@@ -398,7 +398,7 @@ mod tests {
                 ctx.global_store_contiguous(w, base, lanes, 4);
                 ctx.global_load_strided(w, base, lanes, 7, 4);
                 ctx.global_store_strided(w, base, lanes, 7, 4);
-                ctx.shared_access_contiguous(w);
+                ctx.shared_access_contiguous(w, 1);
             }
             ctx.syncthreads();
         }

@@ -37,7 +37,7 @@
 //! | [`warp_primitive`](BlockContext::warp_primitive) | one vote / ballot / shuffle |
 //! | [`global_load_contiguous`](BlockContext::global_load_contiguous), [`global_store_contiguous`](BlockContext::global_store_contiguous) | a warp access whose lanes touch consecutive elements (the staged, coalesced write of §IV-B) |
 //! | [`global_load_strided`](BlockContext::global_load_strided), [`global_store_strided`](BlockContext::global_store_strided) | a warp access whose lanes are a fixed stride apart (the direct write of Fig. 2) |
-//! | [`shared_access_contiguous`](BlockContext::shared_access_contiguous) | one conflict-free shared-memory access |
+//! | [`shared_access_contiguous`](BlockContext::shared_access_contiguous) | conflict-free warp-wide shared-memory accesses, any number per call |
 //! | [`syncthreads`](BlockContext::syncthreads) | a block-wide barrier: every warp clock advances to the slowest |
 //!
 //! Both global shapes are arithmetic progressions of lane addresses, so one

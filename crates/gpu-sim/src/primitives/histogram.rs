@@ -54,7 +54,7 @@ impl<K: Copy + Into<u32> + Sync> BlockKernel for PartialHistogramKernel<'_, K> {
             }
             for item in 0..ITEMS_PER_THREAD {
                 ctx.global_load_contiguous(w, lane_base + (item * warp_size) as u64, warp_size, 4);
-                ctx.shared_access_contiguous(w);
+                ctx.shared_access_contiguous(w, 1);
                 ctx.compute(w, cost::ALU);
             }
         }

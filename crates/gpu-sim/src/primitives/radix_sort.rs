@@ -52,7 +52,7 @@ impl BlockKernel for UpsweepKernel<'_> {
             for item in 0..ITEMS_PER_THREAD {
                 ctx.global_load_contiguous(w, lane_base + (item * warp_size) as u64, warp_size, 4);
                 ctx.compute(w, 2.0 * cost::ALU);
-                ctx.shared_access_contiguous(w);
+                ctx.shared_access_contiguous(w, 1);
             }
         }
         if ctx.warp_count() > 0 {
@@ -106,7 +106,7 @@ impl BlockKernel for DownsweepKernel<'_> {
             for item in 0..ITEMS_PER_THREAD {
                 ctx.global_load_contiguous(w, lane_base + (item * warp_size) as u64, warp_size, 4);
                 ctx.global_load_contiguous(w, lane_base + (item * warp_size) as u64, warp_size, 4);
-                ctx.shared_access_contiguous(w);
+                ctx.shared_access_contiguous(w, 1);
                 ctx.compute(w, 3.0 * cost::ALU);
                 // Scatter: assume each warp's 32 items split across at most RADIX runs.
                 let runs = (RADIX as u32).min(warp_size);

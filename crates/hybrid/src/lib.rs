@@ -125,8 +125,8 @@ fn rle_split_time(cfg: &gpu_sim::GpuConfig, num_codes: usize) -> f64 {
 /// [`DecoderKind::RleHybrid`]).
 ///
 /// The split itself runs on the host and is charged its analytic streaming cost; each
-/// substream then goes through the full simulated encode pipeline (histogram →
-/// codebook → offsets → scatter), and the two breakdowns merge serially. The payload is
+/// substream then goes through the encode walk ([`huffdec_core::compress_on`]: count,
+/// codebook, chunk bits, pack), and the two breakdowns merge serially. The payload is
 /// bit-identical to [`compress_hybrid`]'s.
 pub fn compress_hybrid_on(
     gpu: &dyn Backend,

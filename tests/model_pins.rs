@@ -133,10 +133,10 @@ const PINS: &[(&str, u64)] = &[
     ("decode hybrid / get output idx.", 0x3f0d20982a0068ef),
     ("decode hybrid / tune shared mem.", 0x3f123a548ac96037),
     ("decode hybrid / decode and write", 0x3ef94e1cf26d4cec),
-    ("compress_on / histogram", 0x3ee30a1109ba65b8),
+    ("compress_on / histogram", 0x3ef894d411878c24),
     ("compress_on / tree+codebook", 0x3ef7f338af9f88ea),
-    ("compress_on / offset prefix-sum", 0x3efa90dc771f5d16),
-    ("compress_on / scatter", 0x3ee799be319bbea1),
+    ("compress_on / offset prefix-sum", 0x3ef4d8438c349f72),
+    ("compress_on / scatter", 0x3f01136b1d3052e6),
     ("tuner / tune_phase", 0x3f023a548ac96037),
     ("tuner / decode_phase", 0x3ee0d74e8d6d28c1),
 ];
