@@ -398,28 +398,34 @@ mod tests {
         assert_walk_matches(&symbols);
     }
 
-    #[test]
-    fn an_encode_is_three_launches_in_four_timed_phases() {
-        let symbols = quant_symbols(30_000, 5);
-        let backends: [&dyn Backend; 2] = [&gpu(), &cpu(2)];
-        for backend in backends {
-            let (_, phases) = compress_on(backend, DecoderKind::OptimizedGapArray, &symbols, 1024);
-            for (name, p) in phases.phases() {
-                assert!(
-                    p.seconds > 0.0,
-                    "{}: phase '{}' has no time",
-                    backend.kind(),
-                    name
-                );
-            }
-            let launches = [&phases.histogram, &phases.offsets, &phases.scatter];
-            assert!(
-                launches.iter().all(|p| p.kernels.len() == 1),
-                "{}",
-                backend.kind()
-            );
-            assert!(phases.codebook.kernels.is_empty(), "{}", backend.kind());
+    /// Asserts that an encode on `backend` times all four phases and is one launch in
+    /// each phase but the codebook's, returning its breakdown.
+    fn assert_three_launches_in_four_phases(
+        backend: &dyn Backend,
+        symbols: &[u16],
+    ) -> EncodePhaseBreakdown {
+        let (_, phases) = compress_on(backend, DecoderKind::OptimizedGapArray, symbols, 1024);
+        for (name, p) in phases.phases() {
+            assert!(p.seconds > 0.0, "phase '{}' has no time", name);
         }
+        let launches = [&phases.histogram, &phases.offsets, &phases.scatter];
+        assert!(launches.iter().all(|p| p.kernels.len() == 1));
+        assert!(phases.codebook.kernels.is_empty());
+        phases
+    }
+
+    #[test]
+    fn phase_breakdown_is_fully_populated() {
+        let symbols = quant_symbols(30_000, 5);
+        let phases = assert_three_launches_in_four_phases(&gpu(), &symbols);
+        assert_eq!(phases.kernel_launches(), 3);
+        assert!(phases.throughput_gbs(symbols.len() as u64 * 2) > 0.0);
+    }
+
+    #[test]
+    fn a_cpu_encode_is_three_launches_in_four_phases() {
+        let symbols = quant_symbols(30_000, 5);
+        assert_three_launches_in_four_phases(&cpu(2), &symbols);
     }
 
     /// The count of every symbol of `symbols` over a 1,024-symbol alphabet.
@@ -431,21 +437,46 @@ mod tests {
         counts
     }
 
-    #[test]
-    fn a_counted_encode_is_two_launches_with_the_host_payload() {
+    /// Asserts that a counted encode on `backend` gives the host encoder's payload for
+    /// every stream format in two launches, the count launch skipped.
+    fn assert_counted_encode_is_two_launches(backend: &dyn Backend) {
         let symbols = quant_symbols(3 * walk::BLOCK_SYMBOLS + 777, 7);
-        let backends: [&dyn Backend; 2] = [&gpu(), &cpu(2)];
-        for backend in backends {
-            for kind in DecoderKind::all() {
-                let host = compress_for(kind, &symbols, 1024);
-                let (payload, phases) =
-                    compress_counted_on(backend, kind, &symbols, counts_of(&symbols), 1024);
-                let context = format!("{:?} on {}", kind, backend.kind());
-                assert!(payload == host, "{}", context);
-                assert_eq!(phases.kernel_launches(), 2, "{}", context);
-                assert!(phases.histogram.kernels.is_empty(), "{}", context);
-                assert_eq!(phases.offsets.kernels.len(), 1, "{}", context);
-                assert_eq!(phases.scatter.kernels.len(), 1, "{}", context);
+        for kind in DecoderKind::all() {
+            let host = compress_for(kind, &symbols, 1024);
+            let (payload, phases) =
+                compress_counted_on(backend, kind, &symbols, counts_of(&symbols), 1024);
+            assert!(payload == host, "{:?}", kind);
+            assert_eq!(phases.kernel_launches(), 2, "{:?}", kind);
+            assert!(phases.histogram.kernels.is_empty(), "{:?}", kind);
+            assert_eq!(phases.offsets.kernels.len(), 1, "{:?}", kind);
+            assert_eq!(phases.scatter.kernels.len(), 1, "{:?}", kind);
+        }
+    }
+
+    #[test]
+    fn a_counted_cpu_encode_is_two_launches_with_the_host_payload() {
+        assert_counted_encode_is_two_launches(&cpu(2));
+    }
+
+    /// On the simulator a counted encode skips the count launch and models the rest of
+    /// the encode exactly as [`compress_on`] does.
+    #[test]
+    fn a_counted_sim_encode_models_what_compress_on_models() {
+        assert_counted_encode_is_two_launches(&gpu());
+        let symbols = quant_symbols(70_000, 7);
+        for kind in DecoderKind::all() {
+            let (plain, phases) = compress_on(&gpu(), kind, &symbols, 1024);
+            let (counted, counted_phases) =
+                compress_counted_on(&gpu(), kind, &symbols, counts_of(&symbols), 1024);
+            assert!(counted == plain, "{:?}", kind);
+            // `Debug` prints every f64 in its shortest round-trip form, so equal text is
+            // equal bits: every phase's seconds and every kernel's modeled stats.
+            for (p, q) in [
+                (&counted_phases.codebook, &phases.codebook),
+                (&counted_phases.offsets, &phases.offsets),
+                (&counted_phases.scatter, &phases.scatter),
+            ] {
+                assert_eq!(format!("{:?}", p), format!("{:?}", q), "{:?}", kind);
             }
         }
     }
