@@ -244,9 +244,11 @@ pub struct Metrics {
     pub batch_fields: Counter,
     /// Cold fields decoded inside batched waves.
     pub batch_decoded_fields: Counter,
-    /// What batched decodes would have cost run serially (simulated seconds).
+    /// What batched decodes would have cost run serially (seconds: modeled on `sim`,
+    /// measured on `cpu`).
     pub batch_serial_seconds: FloatCounter,
-    /// What the batched waves actually cost (simulated seconds).
+    /// What the batched waves actually cost (seconds: modeled on `sim`, measured on
+    /// `cpu`).
     pub batch_batched_seconds: FloatCounter,
 
     /// Requests that joined an already-in-flight decode of the same field
@@ -310,7 +312,8 @@ pub struct Metrics {
 
     /// Whole-pipeline encode latency (quantize + Huffman phases).
     pub encode_seconds: Histogram,
-    /// Accumulated simulated seconds per encode phase (see [`ENCODE_PHASES`]).
+    /// Accumulated seconds per encode phase (see [`ENCODE_PHASES`]): modeled on `sim`,
+    /// measured on `cpu`.
     pub encode_phase_seconds: [FloatCounter; 4],
     /// Uncompressed bytes fed into encodes.
     pub encode_bytes_in: Counter,
@@ -329,7 +332,8 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Records one full decode of `seconds` simulated time on `decoder`.
+    /// Records one full decode of `seconds` (modeled on `sim`, measured on `cpu`) on
+    /// `decoder`.
     pub fn observe_decode(&self, decoder: DecoderKind, seconds: f64) {
         self.decode_seconds[decoder.tag() as usize].observe(seconds);
     }
@@ -551,13 +555,13 @@ impl MetricsSnapshot {
         float_counter_line(
             &mut out,
             "hfz_batch_serial_seconds_total",
-            "Simulated seconds the batched decodes would have cost run serially.",
+            "What the batched decodes would have cost run serially, in seconds (modeled on sim, measured on cpu; see hfz_backend).",
             self.batch_serial_seconds,
         );
         float_counter_line(
             &mut out,
             "hfz_batch_batched_seconds_total",
-            "Simulated seconds the batched waves actually cost (wave occupancy = serial/batched).",
+            "What the batched waves actually cost, in seconds (modeled on sim, measured on cpu; see hfz_backend); wave occupancy = serial/batched.",
             self.batch_batched_seconds,
         );
         counter_line(
@@ -653,19 +657,19 @@ impl MetricsSnapshot {
         histogram_family(
             &mut out,
             "hfz_decode_seconds",
-            "Simulated seconds per full-field decode, by decoder kind.",
+            "Full-field decode time in seconds (modeled on sim, measured on cpu; see hfz_backend), by decoder kind.",
             &self.decode_seconds,
         );
         histogram_family(
             &mut out,
             "hfz_index_build_seconds",
-            "Simulated seconds per range-decode index build, by decoder kind.",
+            "Range-decode index build time in seconds (modeled on sim, measured on cpu; see hfz_backend), by decoder kind.",
             &self.index_build_seconds,
         );
         histogram_family(
             &mut out,
             "hfz_partial_decode_seconds",
-            "Simulated seconds per partial (range-limited) decode, by decoder kind.",
+            "Partial (range-limited) decode time in seconds (modeled on sim, measured on cpu; see hfz_backend), by decoder kind.",
             &self.partial_decode_seconds,
         );
         counter_line(
@@ -713,14 +717,14 @@ impl MetricsSnapshot {
         help_and_type(
             &mut out,
             "hfz_encode_seconds",
-            "Simulated seconds per whole-pipeline encode.",
+            "Whole-pipeline encode time in seconds (modeled on sim, measured on cpu; see hfz_backend).",
             "histogram",
         );
         histogram_series(&mut out, "hfz_encode_seconds", None, &self.encode_seconds);
         help_and_type(
             &mut out,
             "hfz_encode_phase_seconds_total",
-            "Accumulated simulated seconds per encode phase.",
+            "Accumulated encode time per phase, in seconds (modeled on sim, measured on cpu; see hfz_backend).",
             "counter",
         );
         for (phase, seconds) in ENCODE_PHASES.iter().zip(self.encode_phase_seconds.iter()) {

@@ -47,8 +47,8 @@ use huffdec_serve::service::{Lifecycle, Service};
 use crate::fleet::ShardLink;
 use crate::placement::{field_key, Placement};
 
-/// Back-off before retrying a shard that answered `BUSY`: long enough for several
-/// scheduling ticks to drain the shard's decode queue, short enough that the client
+/// Back-off before retrying a shard that answered `BUSY`: long enough for one decode
+/// wave, which drains the shard's whole pending queue, short enough that the client
 /// just sees one slower request.
 const BUSY_BACKOFF: std::time::Duration = std::time::Duration::from_millis(15);
 
@@ -196,7 +196,7 @@ impl RouterState {
     /// the protocol's own terms — every dispatcher below consumes this instead of
     /// matching transport errors itself. `Some` is what the shard has to say: its
     /// reply; `Response::Busy` when it is alive but still shedding load after the one
-    /// backed-off retry (its queue drains within a scheduling tick; it is never
+    /// backed-off retry (one decode wave drains its whole queue; it is never
     /// marked down for it); or `Response::Error` with the shard's own message, or a
     /// transport failure that is not a disconnect. `None` means the shard is gone —
     /// a disconnect survived the link's own redial — and has been marked down: flag,

@@ -46,7 +46,6 @@
 //! ```
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use gpu_sim::GpuConfig;
 use huffdec_backend::BackendKind;
@@ -79,8 +78,8 @@ impl Daemon {
 /// fill it from flags ([`DaemonBuilder::parse`]), embedders through the setters.
 ///
 /// Everything the CLI flags express is available programmatically, plus the device
-/// model and the scheduler knobs ([`DaemonBuilder::queue_bound`],
-/// [`DaemonBuilder::wave_tick`]) the contention tests and benches pin down.
+/// model and the scheduler's admission bound ([`DaemonBuilder::queue_bound`]) the
+/// contention tests pin down.
 #[derive(Debug, Clone)]
 pub struct DaemonBuilder {
     pub(crate) listen: ListenAddr,
@@ -92,7 +91,6 @@ pub struct DaemonBuilder {
     pub(crate) metrics: Option<ListenAddr>,
     pub(crate) addr_file: Option<PathBuf>,
     pub(crate) queue_bound: usize,
-    pub(crate) wave_tick: Duration,
 }
 
 impl Default for DaemonBuilder {
@@ -109,7 +107,6 @@ impl Default for DaemonBuilder {
             metrics: None,
             addr_file: None,
             queue_bound: 256,
-            wave_tick: Duration::from_millis(1),
         }
     }
 }
@@ -195,13 +192,6 @@ impl DaemonBuilder {
     /// (default 256).
     pub fn queue_bound(mut self, bound: usize) -> Self {
         self.queue_bound = bound;
-        self
-    }
-
-    /// How long the wave worker holds a decode wave open so concurrent misses of
-    /// distinct fields can merge into one batched decode (default 1 ms).
-    pub fn wave_tick(mut self, tick: Duration) -> Self {
-        self.wave_tick = tick;
         self
     }
 

@@ -36,13 +36,14 @@
 //! checks the LRU first. On a miss the thread submits the field to the scheduler and
 //! blocks on the decode's flight slot; other connections keep being served by their
 //! own threads. Concurrent misses of the same field coalesce into one decode
-//! (single-flight) whose result fans back out to every waiter; misses of distinct
-//! fields that land within one scheduling tick merge into one batched decode wave. When the pending-decode queue is full the
-//! daemon sheds load with the typed `BUSY` reply instead of queueing unboundedly. A
-//! *ranged* code request that misses the cache takes the partial path instead: the
-//! field's decode index (subsequence states + output-index prefix sums, built once)
-//! maps the symbol range to the decode blocks that produce it, and only those blocks
-//! are decoded — `Codec::decompress_range`.
+//! (single-flight) whose result fans back out to every waiter; the decode worker,
+//! whenever it is free, takes every pending miss as one batched decode wave, so
+//! misses that arrive while a wave decodes form the next one. When the
+//! pending-decode queue is full the daemon sheds load with the typed `BUSY` reply
+//! instead of queueing unboundedly. A *ranged* code request that misses the cache
+//! takes the partial path instead: the field's decode index (subsequence states +
+//! output-index prefix sums, built once) maps the symbol range to the decode blocks
+//! that produce it, and only those blocks are decoded — `Codec::decompress_range`.
 //!
 //! ## Example
 //!

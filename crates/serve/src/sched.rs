@@ -1,4 +1,4 @@
-//! The decode scheduler: single-flight coalescing plus tick-merged batch waves.
+//! The decode scheduler: single-flight coalescing plus queue-draining batch waves.
 //!
 //! A connection thread that misses the cache on a full field does not decode: it
 //! submits the field here and blocks on the returned [`FlightSlot`] until the wave
@@ -8,11 +8,13 @@
 //!   deduplicates concurrent misses of the *same* field: the first miss creates a
 //!   [`FlightSlot`], every later one joins it, and the one decode's result fans back
 //!   out to all waiters (`sched_coalesced` counts the joins).
-//! * **Wave batching** — misses on *distinct* fields that arrive within one scheduling
-//!   tick drain together as a single wave, which the worker submits through the
-//!   codec's wave API (`decompress_wave` / `decode_codes_wave`) so they run as one
-//!   overlapped batch — the serving-side analogue of the paper's batched kernel
-//!   launches (`sched_waves` / `sched_wave_fields` / `sched_multi_field_waves`).
+//! * **Wave batching** — whenever the worker is free it drains the *whole* pending
+//!   queue as one wave, so misses on distinct fields that arrive while a wave decodes
+//!   form the next one (group commit; no timer holds a wave open). The worker submits
+//!   a wave through the codec's wave API (`decompress_wave` / `decode_codes_wave`) so
+//!   its fields run as one overlapped batch — the serving-side analogue of the paper's
+//!   batched kernel launches (`sched_waves` / `sched_wave_fields` /
+//!   `sched_multi_field_waves`).
 //!
 //! Admission control: the pending queue is bounded. A submission that would push it
 //! past the bound is **shed** — nothing is enqueued, `sched_shed` is bumped, and the
@@ -24,7 +26,6 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
 
 use huffdec_metrics::Metrics;
 
@@ -103,14 +104,12 @@ pub(crate) struct Scheduler {
     inner: Mutex<SchedInner>,
     wake: Condvar,
     queue_bound: usize,
-    tick: Duration,
     metrics: Arc<Metrics>,
 }
 
 impl Scheduler {
-    /// A scheduler admitting at most `queue_bound` not-yet-started decodes, holding
-    /// each wave open for `tick` so concurrent misses can merge into it.
-    pub fn new(queue_bound: usize, tick: Duration, metrics: Arc<Metrics>) -> Scheduler {
+    /// A scheduler admitting at most `queue_bound` not-yet-started decodes.
+    pub fn new(queue_bound: usize, metrics: Arc<Metrics>) -> Scheduler {
         Scheduler {
             inner: Mutex::new(SchedInner {
                 pending: Vec::new(),
@@ -119,7 +118,6 @@ impl Scheduler {
             }),
             wake: Condvar::new(),
             queue_bound,
-            tick,
             metrics,
         }
     }
@@ -180,42 +178,26 @@ impl Scheduler {
         Some(outcomes)
     }
 
-    /// Worker side: blocks until at least one decode is pending, holds the wave open
-    /// for one tick so concurrent misses can merge into it, then drains the whole
-    /// queue as one wave. Returns `None` once the scheduler is stopped and drained.
+    /// Worker side: blocks until at least one decode is pending, then drains the
+    /// whole queue as one wave. Everything submitted while the previous wave decoded
+    /// is in it. Returns `None` once the scheduler is stopped and drained.
     pub fn next_wave(&self) -> Option<Vec<DecodeTask>> {
-        loop {
-            {
-                let mut inner = self.lock();
-                loop {
-                    if !inner.pending.is_empty() {
-                        break;
-                    }
-                    if inner.stop {
-                        return None;
-                    }
-                    inner = self.wake.wait(inner).unwrap_or_else(|p| p.into_inner());
-                }
+        let mut inner = self.lock();
+        while inner.pending.is_empty() {
+            if inner.stop {
+                return None;
             }
-            // The merge window: sleep outside the lock so submitters can still get in.
-            if !self.tick.is_zero() {
-                std::thread::sleep(self.tick);
-            }
-            let tasks: Vec<DecodeTask> = {
-                let mut inner = self.lock();
-                inner.pending.drain(..).collect()
-            };
-            self.metrics.sched_queue_depth.set(0);
-            if tasks.is_empty() {
-                continue; // a stop() raced the tick and failed the queue
-            }
-            self.metrics.sched_waves.inc();
-            self.metrics.sched_wave_fields.add(tasks.len() as u64);
-            if tasks.len() > 1 {
-                self.metrics.sched_multi_field_waves.inc();
-            }
-            return Some(tasks);
+            inner = self.wake.wait(inner).unwrap_or_else(|p| p.into_inner());
         }
+        let tasks = std::mem::take(&mut inner.pending);
+        self.metrics.sched_queue_depth.set(0);
+        drop(inner);
+        self.metrics.sched_waves.inc();
+        self.metrics.sched_wave_fields.add(tasks.len() as u64);
+        if tasks.len() > 1 {
+            self.metrics.sched_multi_field_waves.inc();
+        }
+        Some(tasks)
     }
 
     /// Removes a completed flight from the in-flight table. Called by the worker
@@ -229,16 +211,14 @@ impl Scheduler {
     /// Stops the scheduler: fails every still-pending task (so blocked waiters get an
     /// error instead of hanging) and wakes the worker so it can exit.
     pub fn stop(&self) {
-        let tasks: Vec<DecodeTask> = {
-            let mut inner = self.lock();
-            inner.stop = true;
-            let tasks: Vec<DecodeTask> = inner.pending.drain(..).collect();
-            for task in &tasks {
-                inner.inflight.remove(&task.key);
-            }
-            tasks
-        };
+        let mut inner = self.lock();
+        inner.stop = true;
+        let tasks = std::mem::take(&mut inner.pending);
+        for task in &tasks {
+            inner.inflight.remove(&task.key);
+        }
         self.metrics.sched_queue_depth.set(0);
+        drop(inner);
         for task in tasks {
             task.slot
                 .complete(Err("daemon is shutting down".to_string()));
@@ -250,6 +230,77 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::GetKind;
+    use crate::store::ArchiveStore;
+
+    type Want = (CacheKey, Arc<LoadedArchive>, usize);
+
+    /// A scheduler admitting `queue_bound` decodes, its metrics, and what the fetch
+    /// path submits for a cold field of a two-field archive loaded through the store.
+    fn setup(queue_bound: usize, name: &str) -> (Scheduler, Arc<Metrics>, impl Fn(u32) -> Want) {
+        let path = std::env::temp_dir().join(format!("hfzd-sched-{}.hfz", name));
+        crate::store::tests::write_archive_file(&path, &[1, 2]);
+        let store = ArchiveStore::new();
+        let loaded = store.load(name, path.to_str().unwrap()).unwrap();
+        let want = move |field| {
+            let key = CacheKey {
+                archive: loaded.name.clone(),
+                generation: loaded.generation,
+                field,
+                kind: GetKind::Data,
+            };
+            (key, Arc::clone(&loaded), field as usize)
+        };
+        let metrics = Arc::new(Metrics::new());
+        let sched = Scheduler::new(queue_bound, Arc::clone(&metrics));
+        (sched, metrics, want)
+    }
+
+    #[test]
+    fn groups_submitted_before_a_wave_merge_into_it() {
+        let (sched, metrics, want) = setup(256, "merge");
+        // Two requests, each its own group, both queued before the worker looks.
+        let a = sched.submit_group(&[want(0)]).unwrap();
+        let b = sched.submit_group(&[want(1)]).unwrap();
+        let wave = sched.next_wave().unwrap();
+        assert_eq!(wave.len(), 2, "one wave drains both requests");
+        assert!(Arc::ptr_eq(&wave[0].slot, &a[0].slot) && Arc::ptr_eq(&wave[1].slot, &b[0].slot));
+        let m = metrics.snapshot();
+        assert_eq!(
+            (m.sched_waves, m.sched_multi_field_waves, m.sched_shed),
+            (1, 1, 0)
+        );
+    }
+
+    #[test]
+    fn a_full_queue_sheds_new_work_and_keeps_what_it_admitted() {
+        let (sched, metrics, want) = setup(1, "shed");
+        let a = sched.submit_group(&[want(0)]).unwrap();
+        assert!(
+            sched.submit_group(&[want(1)]).is_none(),
+            "B overflows a bound of 1"
+        );
+        assert_eq!(metrics.snapshot().sched_shed, 1);
+        let wave = sched.next_wave().unwrap();
+        assert!(
+            wave.len() == 1 && Arc::ptr_eq(&wave[0].slot, &a[0].slot),
+            "A still drains"
+        );
+    }
+
+    #[test]
+    fn stop_fails_pending_flights_and_ends_the_worker() {
+        let (sched, _, want) = setup(256, "stop");
+        let pending = sched.submit_group(&[want(0), want(1)]).unwrap();
+        sched.stop();
+        for flight in pending {
+            assert_eq!(
+                flight.slot.wait(),
+                Err("daemon is shutting down".to_string())
+            );
+        }
+        assert!(sched.next_wave().is_none());
+    }
 
     #[test]
     fn flight_slot_fans_out_to_every_waiter() {
@@ -266,7 +317,7 @@ mod tests {
             let got = waiter.join().unwrap().expect("completed ok");
             assert!(Arc::ptr_eq(&got, &bytes), "all waiters share one buffer");
         }
-        // Completion is sticky: a waiter arriving afterwards gets the same buffer.
+        // Completion persists: a waiter arriving afterwards gets the same buffer.
         assert!(Arc::ptr_eq(&slot.wait().unwrap(), &bytes));
     }
 

@@ -13,9 +13,9 @@
 //! miss is the one thing it does not do itself: it submits the field to the scheduler
 //! (`sched::Scheduler`) and blocks on the flight slot it gets back. A single
 //! wave-worker thread drains the scheduler — concurrent misses of the same field
-//! coalesce into one decode (single-flight), misses of distinct fields that land
-//! within one scheduling tick merge into one batched wave through the codec's wave
-//! API — and completing a flight wakes every thread waiting on it.
+//! coalesce into one decode (single-flight), and whenever the worker is free it takes
+//! every pending miss as one batched wave through the codec's wave API — and
+//! completing a flight wakes every thread waiting on it.
 //!
 //! **One fetch path.** `GET` and `GETBATCH` obtain decoded bytes through one
 //! function, `ServerState::fetch`: it resolves the archive and the requested fields
@@ -97,11 +97,7 @@ impl ServerState {
         // The cache and the scheduler share the codec's registry: one set of
         // instruments covers the whole daemon.
         let cache = DecodedLru::with_metrics(config.cache_bytes, Arc::clone(codec.metrics()));
-        let sched = Scheduler::new(
-            config.queue_bound,
-            config.wave_tick,
-            Arc::clone(codec.metrics()),
-        );
+        let sched = Scheduler::new(config.queue_bound, Arc::clone(codec.metrics()));
         let health_window = codec.metrics().snapshot();
         let state = Arc::new(ServerState {
             codec,
@@ -277,7 +273,7 @@ impl ServerState {
     /// reconstruction is a prefix scan, so a data range needs the whole field once,
     /// after which the cache serves every later range as a slice. A request's full
     /// decodes are submitted as one admission group, so they run as one batched wave
-    /// (possibly merged with other requests' misses from the same tick), a field
+    /// (possibly with other requests' misses queued beside them), a field
     /// already in flight for someone else is joined rather than decoded twice, and
     /// duplicates within the request share one flight.
     ///

@@ -117,7 +117,7 @@ impl ArchiveStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use datasets::{dataset_by_name, generate};
     use gpu_sim::GpuConfig;
@@ -134,7 +134,7 @@ mod tests {
             .unwrap()
     }
 
-    fn write_archive_file(path: &std::path::Path, seeds: &[u64]) {
+    pub(crate) fn write_archive_file(path: &std::path::Path, seeds: &[u64]) {
         let c = codec();
         let file = std::fs::File::create(path).unwrap();
         let mut writer = ArchiveWriter::new(std::io::BufWriter::new(file));

@@ -1,9 +1,11 @@
-//! Scheduler behaviour under contention: single-flight coalescing (N clients, one
-//! cold field, exactly one decode), cross-request batch waves (distinct cold fields
-//! merging into one multi-field wave), and `BUSY` shedding at a tiny queue bound.
+//! Scheduler behaviour through a real daemon: single-flight coalescing (N clients,
+//! one cold field, exactly one decode), a multi-field batch decoding as one wave, and
+//! `BUSY` shedding at a tiny queue bound. None of it depends on timing; the
+//! cross-request cases (two requests merging into one wave, a second request shed
+//! behind a pending one) are `sched::tests` unit tests, where the order of submits
+//! and drains is fixed.
 
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
 
 use datasets::{dataset_by_name, generate};
 use gpu_sim::{Gpu, GpuConfig};
@@ -38,14 +40,31 @@ fn single_field_archive(dir: &std::path::Path, seed: u64) -> (std::path::PathBuf
     (path, reference)
 }
 
-fn spawn_daemon(queue_bound: usize, wave_tick: Duration) -> ServerHandle {
+/// A snapshot archive with one field per `(name, decoder, seed)`, plus each field's
+/// reference decode.
+fn snapshot_archive(path: &std::path::Path, specs: &[(&str, DecoderKind, u64)]) -> Vec<Vec<f32>> {
+    let gpu = Gpu::with_host_threads(GpuConfig::test_tiny(), 2);
+    let fields: Vec<(&str, Compressed, Vec<f32>)> = specs
+        .iter()
+        .map(|&(name, decoder, seed)| {
+            let field = generate(&dataset_by_name("HACC").unwrap(), ELEMENTS, seed);
+            let compressed = compress(&field, &SzConfig::paper_default(decoder));
+            let data = decompress(&gpu, &compressed).unwrap().data;
+            (name, compressed, data)
+        })
+        .collect();
+    let refs: Vec<(&str, &Compressed)> = fields.iter().map(|(n, c, _)| (*n, c)).collect();
+    std::fs::write(path, huffdec_container::snapshot_to_bytes(&refs).unwrap()).unwrap();
+    fields.into_iter().map(|(_, _, data)| data).collect()
+}
+
+fn spawn_daemon(queue_bound: usize) -> ServerHandle {
     Daemon::builder()
         .listen(ListenAddr::parse("tcp:127.0.0.1:0").unwrap())
         .cache_bytes(16 << 20)
         .gpu(GpuConfig::test_tiny())
         .host_threads(2)
         .queue_bound(queue_bound)
-        .wave_tick(wave_tick)
         .spawn()
         .unwrap()
 }
@@ -60,10 +79,7 @@ fn concurrent_cold_misses_coalesce_into_one_decode() {
     std::fs::create_dir_all(&dir).unwrap();
     let (path, reference) = single_field_archive(&dir, 41);
 
-    // A generous tick keeps the decode wave open long enough that most clients find
-    // the flight still pending — but the decode-count assertion below holds for any
-    // timing: late arrivals hit the cache instead of decoding again.
-    let daemon = spawn_daemon(256, Duration::from_millis(150));
+    let daemon = spawn_daemon(256);
     let addr = daemon.local_addr().clone();
     let state = daemon.state();
     state.load_archive("f", path.to_str().unwrap()).unwrap();
@@ -93,7 +109,7 @@ fn concurrent_cold_misses_coalesce_into_one_decode() {
         assert_eq!(r.elements as usize, reference.len());
     }
 
-    // Exactly one decode ran for the eight misses.
+    // Exactly one decode ran for the eight misses, whatever the timing.
     let stats = state.metrics_snapshot();
     let decodes: u64 = stats.decode_seconds.iter().map(|h| h.count()).sum();
     assert_eq!(decodes, 1, "coalescing must leave exactly one decode");
@@ -115,125 +131,91 @@ fn concurrent_cold_misses_coalesce_into_one_decode() {
     daemon.join().unwrap();
 }
 
-/// Distinct cold fields requested within one scheduling tick merge into a single
-/// multi-field decode wave.
+/// Distinct cold fields asked for in one `GETBATCH` are one admission group, so the
+/// worker decodes them as exactly one multi-field wave.
 #[test]
 fn distinct_cold_fields_merge_into_one_wave() {
     let dir = std::env::temp_dir().join("hfzd-coalesce-wave");
     std::fs::create_dir_all(&dir).unwrap();
-    let gpu = Gpu::with_host_threads(GpuConfig::test_tiny(), 2);
-
-    // A three-field snapshot so one archive carries the distinct fields.
-    let specs = [
-        ("a", DecoderKind::OptimizedGapArray, 61u64),
-        ("b", DecoderKind::OptimizedSelfSync, 62),
-        ("c", DecoderKind::OptimizedGapArray, 63),
-    ];
-    let fields: Vec<(&str, Compressed, Vec<f32>)> = specs
-        .iter()
-        .map(|&(name, decoder, seed)| {
-            let field = generate(&dataset_by_name("HACC").unwrap(), ELEMENTS, seed);
-            let compressed = compress(&field, &SzConfig::paper_default(decoder));
-            let data = decompress(&gpu, &compressed).unwrap().data;
-            (name, compressed, data)
-        })
-        .collect();
-    let refs: Vec<(&str, &Compressed)> = fields.iter().map(|(n, c, _)| (*n, c)).collect();
     let path = dir.join("snap.hfz");
-    std::fs::write(&path, huffdec_container::snapshot_to_bytes(&refs).unwrap()).unwrap();
+    let references = snapshot_archive(
+        &path,
+        &[
+            ("a", DecoderKind::OptimizedGapArray, 61),
+            ("b", DecoderKind::OptimizedSelfSync, 62),
+            ("c", DecoderKind::OptimizedGapArray, 63),
+        ],
+    );
 
-    // A long tick guarantees the wave is still open when the other threads' misses
-    // arrive: the worker sleeps 400 ms after the first submit before draining.
-    let daemon = spawn_daemon(256, Duration::from_millis(400));
+    let daemon = spawn_daemon(256);
     let state = daemon.state();
     state.load_archive("snap", path.to_str().unwrap()).unwrap();
 
-    let barrier = Arc::new(Barrier::new(fields.len()));
-    let workers: Vec<_> = (0..fields.len())
-        .map(|i| {
-            let state = Arc::clone(&state);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                barrier.wait();
-                state.handle(&Request::Get {
-                    archive: "snap".to_string(),
-                    field: i as u32,
-                    kind: GetKind::Data,
-                    range: None,
-                })
-            })
-        })
-        .collect();
-    let results: Vec<Response> = workers.into_iter().map(|w| w.join().unwrap()).collect();
-
-    for (response, (_, _, reference)) in results.iter().zip(&fields) {
-        match response {
-            Response::Get { bytes, .. } => assert_eq!(bytes, &f32_bytes(reference)),
-            other => panic!("expected a GET reply, got {:?}", other),
-        }
+    let response = state.handle(&Request::GetBatch {
+        archive: "snap".to_string(),
+        kind: GetKind::Data,
+        fields: vec![0, 1, 2],
+    });
+    let Response::GetBatch { items, .. } = response else {
+        panic!("expected a GETBATCH reply, got {:?}", response);
+    };
+    assert_eq!(items.len(), references.len());
+    for (item, reference) in items.iter().zip(&references) {
+        assert!(!item.from_cache);
+        assert_eq!(item.bytes, f32_bytes(reference));
     }
 
     let stats = state.metrics_snapshot();
-    assert!(
-        stats.sched_multi_field_waves >= 1,
-        "three simultaneous cold misses within a 400 ms tick must batch: waves {}, fields {}",
-        stats.sched_waves,
-        stats.sched_wave_fields
-    );
-    assert_eq!(stats.sched_wave_fields, fields.len() as u64);
+    assert_eq!(stats.sched_waves, 1, "one group, one wave");
+    assert_eq!(stats.sched_multi_field_waves, 1);
+    assert_eq!(stats.sched_wave_fields, references.len() as u64);
 
     daemon.shutdown();
     daemon.join().unwrap();
 }
 
-/// At `queue_bound: 1` a second distinct miss inside the wave window answers the
-/// typed `BUSY` instead of queueing — and the first request still completes.
+/// At `queue_bound: 1` a two-field `GETBATCH` cannot be admitted: the daemon answers
+/// the typed `BUSY` instead of queueing it, and a single `GET` still decodes.
 #[test]
 fn saturated_queue_sheds_with_busy() {
     let dir = std::env::temp_dir().join("hfzd-coalesce-busy");
     std::fs::create_dir_all(&dir).unwrap();
-    let (path_a, reference_a) = single_field_archive(&dir, 71);
-    let (path_b, _) = single_field_archive(&dir, 72);
+    let path = dir.join("pair.hfz");
+    let references = snapshot_archive(
+        &path,
+        &[
+            ("a", DecoderKind::OptimizedGapArray, 71),
+            ("b", DecoderKind::OptimizedGapArray, 72),
+        ],
+    );
 
-    // The 600 ms tick holds the submitted task in the pending queue; the bound of 1
-    // makes the second, distinct miss overflow deterministically.
-    let daemon = spawn_daemon(1, Duration::from_millis(600));
+    let daemon = spawn_daemon(1);
     let state = daemon.state();
-    state.load_archive("a", path_a.to_str().unwrap()).unwrap();
-    state.load_archive("b", path_b.to_str().unwrap()).unwrap();
+    state.load_archive("pair", path.to_str().unwrap()).unwrap();
 
-    let first = {
-        let state = Arc::clone(&state);
-        std::thread::spawn(move || {
-            state.handle(&Request::Get {
-                archive: "a".to_string(),
-                field: 0,
-                kind: GetKind::Data,
-                range: None,
-            })
-        })
-    };
-    // Give the first miss time to enter the queue, then overflow it with a second
-    // distinct field. Same-field requests would coalesce; only new work sheds.
-    std::thread::sleep(Duration::from_millis(100));
-    let second = state.handle(&Request::Get {
-        archive: "b".to_string(),
+    let batch = state.handle(&Request::GetBatch {
+        archive: "pair".to_string(),
+        kind: GetKind::Data,
+        fields: vec![0, 1],
+    });
+    assert!(
+        matches!(batch, Response::Busy),
+        "two new decodes past a bound of 1 must answer BUSY, got {:?}",
+        batch
+    );
+    assert_eq!(state.metrics_snapshot().sched_shed, 1);
+
+    match state.handle(&Request::Get {
+        archive: "pair".to_string(),
         field: 0,
         kind: GetKind::Data,
         range: None,
-    });
-    assert!(
-        matches!(second, Response::Busy),
-        "a full pending queue must answer BUSY, got {:?}",
-        second
-    );
-
-    match first.join().unwrap() {
-        Response::Get { bytes, .. } => assert_eq!(bytes, f32_bytes(&reference_a)),
-        other => panic!("the admitted request must still decode, got {:?}", other),
+    }) {
+        Response::Get { bytes, .. } => assert_eq!(bytes, f32_bytes(&references[0])),
+        other => panic!("a single GET must still decode, got {:?}", other),
     }
     let stats = state.metrics_snapshot();
-    assert!(stats.sched_shed >= 1, "shedding must be counted");
+    assert_eq!((stats.sched_shed, stats.sched_waves), (1, 1));
 
     daemon.shutdown();
     daemon.join().unwrap();
