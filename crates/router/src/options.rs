@@ -114,7 +114,7 @@ impl RouterBuilder {
                     builder.shard_args.push(backend.name().to_string());
                 }
                 "--load" => builder.preload.push(flags.load()?),
-                other => return Err(format!("unknown router flag '{}'", other)),
+                _ => return Err(flags.unknown()),
             }
         }
         if builder.shards.is_empty() && builder.spawn == 0 {
@@ -299,9 +299,16 @@ mod tests {
         assert!(RouterBuilder::parse(&s(&["--cache-bytes", "x"])).is_err());
         // Forwarded flags are validated here: a bad backend is a usage error, not a
         // shard that fails to start.
-        assert!(RouterBuilder::parse(&s(&["--spawn", "1", "--backend", "cuda"])).is_err());
-        assert!(RouterBuilder::parse(&s(&["--spawn", "1", "--backend"])).is_err());
+        let err = |args: &[&str]| RouterBuilder::parse(&s(args)).unwrap_err();
+        assert_eq!(
+            err(&["--spawn", "1", "--backend", "cuda"]),
+            "unknown backend 'cuda' (expected sim|cpu)"
+        );
+        assert_eq!(
+            err(&["--spawn", "1", "--backend"]),
+            "flag --backend expects a value"
+        );
         assert!(RouterBuilder::parse(&s(&["--load", "nopath", "--spawn", "1"])).is_err());
-        assert!(RouterBuilder::parse(&s(&["--bogus"])).is_err());
+        assert_eq!(err(&["--bogus"]), "unknown flag --bogus");
     }
 }

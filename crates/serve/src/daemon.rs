@@ -131,7 +131,7 @@ impl DaemonBuilder {
                     }
                 }
                 "--load" => builder.preload.push(flags.load()?),
-                other => return Err(format!("unknown daemon flag '{}'", other)),
+                _ => return Err(flags.unknown()),
             }
         }
         Ok(builder)
@@ -299,9 +299,14 @@ mod tests {
         assert!(DaemonBuilder::parse(&s(&["--load", "nopath"])).is_err());
         assert!(DaemonBuilder::parse(&s(&["--cache-bytes", "x"])).is_err());
         assert!(DaemonBuilder::parse(&s(&["--host-threads", "0"])).is_err());
-        assert!(DaemonBuilder::parse(&s(&["--backend", "cuda"])).is_err());
-        assert!(DaemonBuilder::parse(&s(&["--backend"])).is_err());
-        assert!(DaemonBuilder::parse(&s(&["--bogus"])).is_err());
+        let err = |args: &[&str]| DaemonBuilder::parse(&s(args)).unwrap_err();
+        assert_eq!(
+            err(&["--backend", "cuda"]),
+            "unknown backend 'cuda' (expected sim|cpu)"
+        );
+        assert_eq!(err(&["--backend"]), "flag --backend expects a value");
+        assert_eq!(err(&["--bogus"]), "unknown flag --bogus");
+        assert_eq!(err(&["stray"]), "unexpected argument 'stray'");
         assert!(DaemonBuilder::parse(&s(&["--listen"])).is_err());
     }
 

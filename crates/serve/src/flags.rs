@@ -1,19 +1,19 @@
-//! The flag cursor `hfzd`, `hfz serve` and `hfzr` parse their command lines with.
+//! The flag cursor every command line in the workspace is parsed with: each `hfz`
+//! subcommand, `hfz serve`, `hfzd` and `hfzr`.
 //!
-//! All three take `--flag VALUE` pairs only. [`Flags::next_flag`] steps to the next
-//! flag and the typed accessors consume and check its value, so the per-binary parsers
-//! are one `match` that fills a builder and every binary words a bad value the same
-//! way.
+//! [`Flags::next_flag`] steps to the next argument and the typed accessors consume and
+//! check its value, so each parser is one `match` that words a missing value, a bad
+//! value and an argument no arm takes ([`Flags::unknown`]) the same way.
 
-use huffdec_backend::BackendKind;
+use huffdec_backend::{BackendKind, UnknownBackend};
 
 use crate::net::ListenAddr;
 
-/// A cursor over `--flag VALUE` arguments.
+/// A cursor over command-line arguments.
 #[derive(Debug)]
 pub struct Flags<'a> {
     args: std::slice::Iter<'a, String>,
-    /// The flag whose value is read next; error messages name it.
+    /// The argument `next_flag` returned last; error messages name it.
     flag: &'a str,
 }
 
@@ -26,10 +26,20 @@ impl<'a> Flags<'a> {
         }
     }
 
-    /// Steps to the next flag, or `None` at the end of the arguments.
+    /// Steps to the next argument, or `None` at the end of the arguments.
     pub fn next_flag(&mut self) -> Option<&'a str> {
         self.flag = self.args.next()?;
         Some(self.flag)
+    }
+
+    /// The usage error for an argument no match arm takes: an unknown `--flag`, or a
+    /// bare word the command has no place for.
+    pub fn unknown(&self) -> String {
+        if self.flag.starts_with("--") {
+            format!("unknown flag {}", self.flag)
+        } else {
+            format!("unexpected argument '{}'", self.flag)
+        }
     }
 
     /// The current flag's value, verbatim.
@@ -48,16 +58,16 @@ impl<'a> Flags<'a> {
     }
 
     /// The current flag's value as a `tcp:HOST:PORT` / `unix:PATH` address
-    /// (`--listen`, `--metrics`, `--shard`).
+    /// (`--listen`, `--metrics`, `--shard`, `--addr`).
     pub fn addr(&mut self) -> Result<ListenAddr, String> {
         ListenAddr::parse(self.value()?)
     }
 
     /// The current flag's value as an execution backend (`--backend sim|cpu`).
     pub fn backend(&mut self) -> Result<BackendKind, String> {
-        let name = self.value()?;
-        name.parse()
-            .map_err(|_| format!("{} '{}' is not sim|cpu", self.flag, name))
+        self.value()?
+            .parse()
+            .map_err(|e: UnknownBackend| e.to_string())
     }
 
     /// The current flag's value as a `NAME=PATH` archive to load (`--load`).
