@@ -26,8 +26,6 @@
 
 use std::fmt::Write as _;
 
-use crate::inspect::json_escape;
-
 /// Incremental JSON document builder: nesting, comma placement, and escaping handled;
 /// number formatting left to the caller.
 #[derive(Debug, Default)]
@@ -183,6 +181,23 @@ impl JsonWriter {
     pub fn finish(self) -> String {
         self.buf
     }
+}
+
+/// Escapes a string for embedding in a JSON document.
+fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -162,7 +162,7 @@ pub use header::{
     HEADER_WIRE_BYTES, MAGIC, MAGIC_V2,
 };
 pub use huffdec_core::{crc32, crc32_symbols, Crc32};
-pub use inspect::{json_escape, read_info, ArchiveInfo, SectionInfo};
+pub use inspect::{read_info, ArchiveInfo, SectionInfo};
 pub use json::JsonWriter;
 pub use manifest::{manifest_leads, ManifestEntry, SnapshotManifest};
 pub use section::SectionKind;

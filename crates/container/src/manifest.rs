@@ -27,6 +27,7 @@ use datasets::Dims;
 use huffdec_core::DecoderKind;
 
 use crate::error::{ContainerError, Result};
+use crate::json::JsonWriter;
 use crate::section::SectionKind;
 
 fn invalid(reason: &'static str) -> ContainerError {
@@ -140,51 +141,44 @@ impl SnapshotManifest {
             .unwrap_or(0)
     }
 
-    /// Renders the manifest as a JSON object (used by `hfz inspect --json` and the
-    /// daemon's `LIST`).
+    /// Renders the manifest as a JSON object (`hfz inspect --json` wraps it with the
+    /// snapshot's archives).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128 + self.entries.len() * 160);
-        s.push_str(&format!(
-            "{{\"fields\":{},\"shard_bytes\":{},\"entries\":[",
-            self.entries.len(),
-            self.shard_bytes()
-        ));
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let dims = match &e.dims {
-                Some(d) => format!(
-                    "[{}]",
-                    d.as_vec()
-                        .iter()
-                        .map(|x| x.to_string())
-                        .collect::<Vec<_>>()
-                        .join(",")
-                ),
-                None => "null".to_string(),
+        let mut w = JsonWriter::with_capacity(128 + self.entries.len() * 160);
+        w.begin_object();
+        w.key("fields").u64(self.entries.len() as u64);
+        w.key("shard_bytes").u64(self.shard_bytes());
+        w.key("entries").begin_array();
+        for e in &self.entries {
+            w.begin_object();
+            w.key("name").str(&e.name);
+            w.key("offset").u64(e.offset);
+            w.key("length").u64(e.length);
+            w.key("decoder").str(e.decoder.name());
+            w.key("decoder_tag").u64(e.decoder.tag() as u64);
+            w.key("alphabet_size").u64(e.alphabet_size as u64);
+            w.key("num_symbols").u64(e.num_symbols);
+            w.key("dims");
+            match &e.dims {
+                Some(d) => {
+                    w.begin_array();
+                    for x in d.as_vec() {
+                        w.u64(x as u64);
+                    }
+                    w.end_array()
+                }
+                None => w.null(),
             };
-            let crc = match e.decoded_crc {
-                Some(c) => c.to_string(),
-                None => "null".to_string(),
+            w.key("decoded_crc");
+            match e.decoded_crc {
+                Some(c) => w.u64(c as u64),
+                None => w.null(),
             };
-            s.push_str(&format!(
-                "{{\"name\":\"{}\",\"offset\":{},\"length\":{},\"decoder\":\"{}\",\
-                 \"decoder_tag\":{},\"alphabet_size\":{},\"num_symbols\":{},\"dims\":{},\
-                 \"decoded_crc\":{}}}",
-                crate::inspect::json_escape(&e.name),
-                e.offset,
-                e.length,
-                crate::inspect::json_escape(e.decoder.name()),
-                e.decoder.tag(),
-                e.alphabet_size,
-                e.num_symbols,
-                dims,
-                crc,
-            ));
+            w.end_object();
         }
-        s.push_str("]}");
-        s
+        w.end_array();
+        w.end_object();
+        w.finish()
     }
 }
 

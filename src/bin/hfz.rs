@@ -5,6 +5,10 @@
 //! [`huffdec::HfzError`] mapped to a stable exit code (2 usage, 3 I/O, 4 corrupt
 //! archive, 5 decode, 6 protocol/remote, 7 verification failure).
 //!
+//! Each subcommand reads its arguments in one walk of the [`Flags`] cursor that
+//! `hfzd` and `hfzr` parse with, so a missing value, a bad value and an argument the
+//! subcommand has no place for are usage errors worded the same way in every binary.
+//!
 //! Local archive operations work on `HFZ1`/`HFZ2` files; remote operations talk to a
 //! running `hfzd` daemon (`hfz serve` starts one in the foreground):
 //!
@@ -29,17 +33,16 @@
 //! hfz shutdown   --addr tcp:127.0.0.1:4806
 //! ```
 
-use std::fs::File;
-use std::io::{BufWriter, Read, Write};
 use std::process::ExitCode;
 
-use huffdec::datasets::{dataset_by_name, generate, Dims};
+use huffdec::datasets::{dataset_by_name, generate, DatasetSpec, Dims};
 use huffdec::serve::client::Connection;
 use huffdec::serve::daemon::{run_foreground as run_daemon, DaemonBuilder};
+use huffdec::serve::flags::Flags;
 use huffdec::serve::net::ListenAddr;
 use huffdec::serve::protocol::GetKind;
 use huffdec::{
-    f32_le_bytes, BackendKind, Codec, DecoderKind, EncodeOutcome, ErrorBound, Field, FieldHandle,
+    f32_le_bytes, Codec, CodecBuilder, DecoderKind, EncodeOutcome, ErrorBound, Field, FieldHandle,
     FormatVersion, HfzError,
 };
 
@@ -141,85 +144,6 @@ EXIT CODES:
   0 ok | 2 usage | 3 I/O | 4 corrupt archive | 5 decode | 6 protocol | 7 verify failed
 ";
 
-/// Minimal flag parser: positionals plus `--flag value` pairs (and bare `--flag`
-/// switches from `SWITCHES`).
-struct Args {
-    positionals: Vec<String>,
-    flags: Vec<(String, String)>,
-}
-
-/// Flags that take no value.
-const SWITCHES: &[&str] = &["json", "deep", "codes", "snapshot", "all", "prom", "hybrid"];
-
-/// The flags `build_codec` reads.
-const CODEC_FLAGS: &[&str] = &[
-    "decoder",
-    "hybrid",
-    "format",
-    "auto-hybrid",
-    "backend",
-    "eb",
-    "alphabet",
-];
-/// The flags `load_field` reads.
-const FIELD_FLAGS: &[&str] = &["input", "dims", "dataset", "elements", "seed"];
-/// The flags `connect` reads.
-const REMOTE_FLAGS: &[&str] = &["addr", "router"];
-
-impl Args {
-    /// `known` is the flags the subcommand reads, group by group; any other `--name` is a
-    /// usage error rather than a silently ignored typo.
-    fn parse(args: &[String], known: &[&[&str]]) -> Result<Args, HfzError> {
-        let mut positionals = Vec::new();
-        let mut flags = Vec::new();
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            if let Some(name) = arg.strip_prefix("--") {
-                if !known.iter().any(|group| group.contains(&name)) {
-                    return Err(HfzError::Usage(format!("unknown flag --{}", name)));
-                }
-                if SWITCHES.contains(&name) {
-                    flags.push((name.to_string(), "true".to_string()));
-                    continue;
-                }
-                let value = it
-                    .next()
-                    .ok_or_else(|| HfzError::Usage(format!("flag --{} expects a value", name)))?;
-                flags.push((name.to_string(), value.clone()));
-            } else {
-                positionals.push(arg.clone());
-            }
-        }
-        Ok(Args { positionals, flags })
-    }
-
-    fn get(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.get(name).is_some()
-    }
-
-    fn require(&self, name: &str) -> Result<&str, HfzError> {
-        self.get(name)
-            .ok_or_else(|| HfzError::Usage(format!("missing required flag --{}", name)))
-    }
-}
-
-/// Resolves `--backend` (falling back to `HFZ_BACKEND`, then the simulator).
-fn parse_backend(args: &Args) -> Result<BackendKind, HfzError> {
-    match args.get("backend") {
-        None => Ok(BackendKind::from_env()),
-        Some(name) => BackendKind::parse(name)
-            .ok_or_else(|| HfzError::Usage(format!("unknown backend '{}' (sim|cpu)", name))),
-    }
-}
-
 fn parse_decoder(name: &str) -> Result<DecoderKind, HfzError> {
     match name {
         "baseline" | "cusz" => Ok(DecoderKind::CuszBaseline),
@@ -268,119 +192,151 @@ fn parse_dims(spec: &str) -> Result<Dims, HfzError> {
     Ok(Dims::from_slice(&extents))
 }
 
-/// Loads the field named by `--input`/`--dims` or `--dataset`/`--elements`/`--seed`.
-fn load_field(args: &Args) -> Result<Field, HfzError> {
-    match (args.get("input"), args.get("dataset")) {
-        (Some(path), None) => {
-            let dims = parse_dims(args.require("dims")?)?;
-            let mut bytes = Vec::new();
-            File::open(path)
-                .and_then(|mut f| f.read_to_end(&mut bytes))
-                .map_err(|e| HfzError::io(format!("cannot read {}", path), e))?;
-            if bytes.len() != dims.len() * 4 {
-                return Err(HfzError::Usage(format!(
-                    "{} holds {} bytes but dims {:?} need {}",
-                    path,
-                    bytes.len(),
-                    dims.as_vec(),
-                    dims.len() * 4
-                )));
-            }
-            let data: Vec<f32> = bytes
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-                .collect();
-            if data.iter().any(|v| !v.is_finite()) {
-                return Err(HfzError::Usage(format!(
-                    "{} contains non-finite values",
-                    path
-                )));
-            }
-            Ok(Field::new(path.to_string(), dims, data))
+/// The usage error for a required flag that was not given.
+fn required<T>(value: Option<T>, flag: &str) -> Result<T, HfzError> {
+    value.ok_or_else(|| HfzError::Usage(format!("missing required flag {}", flag)))
+}
+
+/// The codec group (`--decoder/--hybrid/--format/--auto-hybrid/--backend/--eb/
+/// --alphabet`): sets `codec` from `flag` and returns whether `flag` belongs to the
+/// group. Value validation (alphabet size, error-bound range) happens in the builder.
+fn codec_flag(flag: &str, flags: &mut Flags, codec: &mut CodecBuilder) -> Result<bool, HfzError> {
+    let builder = std::mem::take(codec);
+    *codec = match flag {
+        "--decoder" => builder.decoder(parse_decoder(flags.value()?)?),
+        // A later `--decoder` overrides `--hybrid`, as any repeated flag does.
+        "--hybrid" => builder.decoder(DecoderKind::RleHybrid),
+        "--format" => {
+            let spec = flags.value()?;
+            builder.format(
+                FormatVersion::parse(spec)
+                    .ok_or_else(|| HfzError::Usage(format!("unknown format '{}' (v1|v2)", spec)))?,
+            )
         }
-        (None, Some(name)) => {
-            let spec = dataset_by_name(name)
-                .ok_or_else(|| HfzError::Usage(format!("unknown dataset '{}'", name)))?;
-            let elements: usize = args
-                .require("elements")?
-                .parse()
-                .map_err(|_| HfzError::Usage("bad --elements value".to_string()))?;
-            let seed: u64 = args
-                .get("seed")
-                .unwrap_or("42")
-                .parse()
-                .map_err(|_| HfzError::Usage("bad --seed value".to_string()))?;
-            Ok(generate(&spec, elements, seed))
+        "--auto-hybrid" => builder.auto_hybrid(match flags.value()? {
+            "off" => None,
+            spec => Some(spec.parse::<f64>().map_err(|_| {
+                HfzError::Usage("bad --auto-hybrid value (fraction in 0..=1, or 'off')".to_string())
+            })?),
+        }),
+        "--backend" => builder.backend(flags.backend()?),
+        "--eb" => builder.error_bound(parse_error_bound(flags.value()?)?),
+        "--alphabet" => builder.alphabet_size(flags.number()?),
+        _ => {
+            *codec = builder;
+            return Ok(false);
         }
-        (Some(_), Some(_)) => Err(HfzError::Usage(
-            "--input and --dataset are mutually exclusive".to_string(),
-        )),
-        (None, None) => Err(HfzError::Usage(
-            "provide either --input FILE --dims ... or --dataset NAME".to_string(),
-        )),
+    };
+    Ok(true)
+}
+
+/// The field group: `--input FILE --dims ...` or `--dataset NAME --elements N [--seed S]`.
+#[derive(Default, PartialEq)]
+struct FieldSource<'a> {
+    input: Option<&'a str>,
+    dims: Option<Dims>,
+    dataset: Option<&'a str>,
+    elements: Option<usize>,
+    seed: Option<u64>,
+}
+
+impl<'a> FieldSource<'a> {
+    /// Takes `flag` if it belongs to the group and returns whether it did.
+    fn take(&mut self, flag: &str, flags: &mut Flags<'a>) -> Result<bool, HfzError> {
+        match flag {
+            "--input" => self.input = Some(flags.value()?),
+            "--dims" => self.dims = Some(parse_dims(flags.value()?)?),
+            "--dataset" => self.dataset = Some(flags.value()?),
+            "--elements" => self.elements = Some(flags.number()?),
+            "--seed" => self.seed = Some(flags.number()?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Whether any flag of the group was given.
+    fn given(&self) -> bool {
+        *self != FieldSource::default()
+    }
+
+    /// `--elements` and `--seed` (default 42) of a `--dataset` source.
+    fn generated(&self) -> Result<(usize, u64), HfzError> {
+        if self.input.is_some() || self.dims.is_some() {
+            return Err(HfzError::Usage(
+                "--input/--dims and --dataset are mutually exclusive".to_string(),
+            ));
+        }
+        Ok((
+            required(self.elements, "--elements")?,
+            self.seed.unwrap_or(42),
+        ))
+    }
+
+    /// Loads the field the group names.
+    fn load(self) -> Result<Field, HfzError> {
+        let Some(path) = self.input else {
+            let name = required(self.dataset, "--input FILE --dims ... or --dataset NAME")?;
+            let (elements, seed) = self.generated()?;
+            return Ok(generate(&dataset(name)?, elements, seed));
+        };
+        if self.dataset.is_some() || self.elements.is_some() || self.seed.is_some() {
+            return Err(HfzError::Usage(
+                "--input and --dataset/--elements/--seed are mutually exclusive".to_string(),
+            ));
+        }
+        let dims = required(self.dims, "--dims")?;
+        let bytes =
+            std::fs::read(path).map_err(|e| HfzError::io(format!("cannot read {}", path), e))?;
+        if bytes.len() != dims.len() * 4 {
+            return Err(HfzError::Usage(format!(
+                "{} holds {} bytes but dims {:?} need {}",
+                path,
+                bytes.len(),
+                dims.as_vec(),
+                dims.len() * 4
+            )));
+        }
+        let data: Vec<f32> = bytes
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+            .collect();
+        if data.iter().any(|v| !v.is_finite()) {
+            return Err(HfzError::Usage(format!(
+                "{} contains non-finite values",
+                path
+            )));
+        }
+        Ok(Field::new(path.to_string(), dims, data))
     }
 }
 
-/// Builds the CLI's codec session from the shared compression flags
-/// (`--decoder/--eb/--alphabet`); value validation — alphabet size, error-bound
-/// range — happens in the builder.
-fn build_codec(args: &Args) -> Result<Codec, HfzError> {
-    let alphabet_size: usize = args
-        .get("alphabet")
-        .unwrap_or("1024")
-        .parse()
-        .map_err(|_| HfzError::Usage("bad --alphabet value".to_string()))?;
-    // `--hybrid` forces the RLE+Huffman decoder (and with it format v2); otherwise
-    // `--decoder` picks one, and `--format v2` enables the auto-hybrid switch that
-    // upgrades sufficiently sparse fields on its own.
-    let decoder = if args.has("hybrid") {
-        DecoderKind::RleHybrid
-    } else {
-        parse_decoder(args.get("decoder").unwrap_or("gap"))?
-    };
-    let format = match args.get("format") {
-        None => FormatVersion::V1,
-        Some(spec) => FormatVersion::parse(spec)
-            .ok_or_else(|| HfzError::Usage(format!("unknown format '{}' (v1|v2)", spec)))?,
-    };
-    let auto_hybrid = match args.get("auto-hybrid") {
-        None => Some(huffdec::AUTO_HYBRID_ZERO_FRACTION),
-        Some("off") => None,
-        Some(spec) => Some(spec.parse::<f64>().map_err(|_| {
-            HfzError::Usage("bad --auto-hybrid value (fraction in 0..=1, or 'off')".to_string())
-        })?),
-    };
-    Codec::builder()
-        .decoder(decoder)
-        .format(format)
-        .auto_hybrid(auto_hybrid)
-        .backend(parse_backend(args)?)
-        .error_bound(parse_error_bound(args.get("eb").unwrap_or("rel:1e-3"))?)
-        .alphabet_size(alphabet_size)
-        .host_threads(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-        )
-        .build()
+fn dataset(name: &str) -> Result<DatasetSpec, HfzError> {
+    dataset_by_name(name).ok_or_else(|| HfzError::Usage(format!("unknown dataset '{}'", name)))
 }
 
-/// The decode-side session: paper defaults (the archive itself supplies decode
-/// parameters) plus the caller's `--backend` selection.
-fn decode_codec(args: &Args) -> Result<Codec, HfzError> {
-    Codec::builder().backend(parse_backend(args)?).build()
+/// The address group: `--addr`, or its alias `--router` (an `hfzr` fleet router speaks
+/// the same protocol as a single daemon, so every remote subcommand works against
+/// either). Sets `addr` from `flag` and returns whether `flag` belongs to the group.
+fn addr_flag(
+    flag: &str,
+    flags: &mut Flags,
+    addr: &mut Option<ListenAddr>,
+) -> Result<bool, HfzError> {
+    if flag != "--addr" && flag != "--router" {
+        return Ok(false);
+    }
+    *addr = Some(flags.addr()?);
+    Ok(true)
 }
 
-fn connect(args: &Args) -> Result<Connection, HfzError> {
-    // `--router` is an alias for `--addr`: an `hfzr` fleet router speaks the same
-    // protocol as a single daemon, so every remote subcommand works against either.
-    let addr = args
-        .get("addr")
-        .or_else(|| args.get("router"))
-        .ok_or_else(|| HfzError::Usage("missing required flag --addr (or --router)".to_string()))?;
-    let addr = ListenAddr::parse(addr)?;
+fn connect(addr: Option<ListenAddr>) -> Result<Connection, HfzError> {
+    let addr = required(addr, "--addr (or --router)")?;
     Connection::connect(&addr)
         .map_err(|e| HfzError::Protocol(format!("cannot connect to {}: {}", addr, e)))
+}
+
+fn write_file(path: &str, bytes: &[u8]) -> Result<(), HfzError> {
+    std::fs::write(path, bytes).map_err(|e| HfzError::io(format!("cannot create {}", path), e))
 }
 
 fn encode_report(codec: &Codec, outcome: &EncodeOutcome) -> String {
@@ -407,13 +363,24 @@ fn encode_report(codec: &Codec, outcome: &EncodeOutcome) -> String {
 }
 
 fn cmd_compress(rest: &[String]) -> Result<(), HfzError> {
-    let args = Args::parse(rest, &[CODEC_FLAGS, FIELD_FLAGS, &["output", "snapshot"]])?;
-    let codec = build_codec(&args)?;
-    if args.has("snapshot") {
-        return cmd_compress_snapshot(&codec, &args);
+    let mut flags = Flags::new(rest);
+    let mut codec = Codec::builder();
+    let mut source = FieldSource::default();
+    let (mut output, mut snapshot) = (None, false);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            _ if codec_flag(flag, &mut flags, &mut codec)? || source.take(flag, &mut flags)? => {}
+            "--output" => output = Some(flags.value()?),
+            "--snapshot" => snapshot = true,
+            _ => return Err(flags.unknown().into()),
+        }
     }
-    let field = load_field(&args)?;
-    let output = args.require("output")?;
+    let codec = codec.build()?;
+    let output = required(output, "--output")?;
+    if snapshot {
+        return cmd_compress_snapshot(&codec, &source, output);
+    }
+    let field = source.load()?;
 
     // Encode through the selected backend (the archive bytes are identical on every
     // backend) so the encoder throughput can be reported alongside the archive. An
@@ -424,8 +391,7 @@ fn cmd_compress(rest: &[String]) -> Result<(), HfzError> {
     // decides the container layout in one place.
     let bytes = codec.archive_to_bytes(&outcome.archive)?;
     let written = bytes.len() as u64;
-    std::fs::write(output, &bytes)
-        .map_err(|e| HfzError::io(format!("cannot create {}", output), e))?;
+    write_file(output, &bytes)?;
 
     out!(
         "{}: {} elements ({} bytes) -> {} ({} bytes, {:.2}x)",
@@ -447,28 +413,22 @@ fn cmd_compress(rest: &[String]) -> Result<(), HfzError> {
 /// archive with a manifest. Field *i* is generated with `--seed + i`, so any field can
 /// be reproduced standalone (`hfz compress --dataset NAME --seed S+i`) and compared
 /// byte-for-byte against a manifest-seek extraction.
-fn cmd_compress_snapshot(codec: &Codec, args: &Args) -> Result<(), HfzError> {
-    let names: Vec<&str> = args.require("dataset")?.split(',').collect();
+fn cmd_compress_snapshot(
+    codec: &Codec,
+    source: &FieldSource,
+    output: &str,
+) -> Result<(), HfzError> {
+    let names: Vec<&str> = required(source.dataset, "--dataset")?.split(',').collect();
     if names.len() < 2 {
         return Err(HfzError::Usage(
             "--snapshot expects at least two comma-separated datasets".to_string(),
         ));
     }
-    let output = args.require("output")?;
-    let elements: usize = args
-        .require("elements")?
-        .parse()
-        .map_err(|_| HfzError::Usage("bad --elements value".to_string()))?;
-    let seed: u64 = args
-        .get("seed")
-        .unwrap_or("42")
-        .parse()
-        .map_err(|_| HfzError::Usage("bad --seed value".to_string()))?;
+    let (elements, seed) = source.generated()?;
 
     let mut fields: Vec<(String, huffdec::Compressed)> = Vec::with_capacity(names.len());
     for (i, name) in names.iter().enumerate() {
-        let spec = dataset_by_name(name)
-            .ok_or_else(|| HfzError::Usage(format!("unknown dataset '{}'", name)))?;
+        let spec = dataset(name)?;
         let field = generate(&spec, elements, seed + i as u64);
         let outcome = codec.compress(&field)?;
         out!(
@@ -487,8 +447,7 @@ fn cmd_compress_snapshot(codec: &Codec, args: &Args) -> Result<(), HfzError> {
 
     let bytes = codec.snapshot_to_bytes(&refs)?;
     let written = bytes.len() as u64;
-    std::fs::write(output, &bytes)
-        .map_err(|e| HfzError::io(format!("cannot create {}", output), e))?;
+    write_file(output, &bytes)?;
 
     let original: u64 = fields.iter().map(|(_, c)| c.original_bytes()).sum();
     out!(
@@ -507,13 +466,6 @@ fn cmd_compress_snapshot(codec: &Codec, args: &Args) -> Result<(), HfzError> {
     Ok(())
 }
 
-fn write_f32(path: &str, data: &[f32]) -> Result<(), HfzError> {
-    let mut out =
-        File::create(path).map_err(|e| HfzError::io(format!("cannot create {}", path), e))?;
-    out.write_all(&f32_le_bytes(data))
-        .map_err(|e| HfzError::io("write failed", e))
-}
-
 /// Decompresses one field of an opened archive to `output` and reports the timing.
 fn decompress_to(
     codec: &Codec,
@@ -530,7 +482,7 @@ fn decompress_to(
     // A CRC-valid archive whose payload disagrees with its decoder tag surfaces here
     // as a typed decode error.
     let decoded = codec.decompress_field(field)?;
-    write_f32(output, &decoded.data)?;
+    write_file(output, &f32_le_bytes(&decoded.data))?;
     out!(
         "{} -> {}: {} elements, {} decompression {:.3} ms ({:.1} GB/s overall)",
         label,
@@ -548,21 +500,35 @@ fn decompress_to(
 }
 
 fn cmd_decompress(rest: &[String]) -> Result<(), HfzError> {
-    let args = Args::parse(
-        rest,
-        &[&["backend", "output", "output-dir", "all", "field"]],
-    )?;
-    let archive_path = args
-        .positionals
-        .first()
-        .ok_or_else(|| HfzError::Usage("expected an archive path".to_string()))?;
-    let codec = decode_codec(&args)?;
+    let mut flags = Flags::new(rest);
+    let mut codec = Codec::builder();
+    let (mut archive, mut output, mut output_dir, mut all, mut selector) =
+        (None, None, None, false, None);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--backend" => codec = codec.backend(flags.backend()?),
+            "--output" => output = Some(flags.value()?),
+            "--output-dir" => output_dir = Some(flags.value()?),
+            "--all" => all = true,
+            "--field" => selector = Some(flags.value()?),
+            word if archive.is_none() && !word.starts_with("--") => archive = Some(word),
+            _ => return Err(flags.unknown().into()),
+        }
+    }
+    let archive_path =
+        archive.ok_or_else(|| HfzError::Usage("expected an archive path".to_string()))?;
+    if (all && (output.is_some() || selector.is_some())) || (!all && output_dir.is_some()) {
+        return Err(HfzError::Usage(
+            "--output-dir goes with --all, which takes no --output or --field".to_string(),
+        ));
+    }
+    let codec = codec.build()?;
     let handle = codec.open_archive(archive_path)?;
 
     // `--all`: every field into --output-dir, named by the manifest (or by index for
     // manifest-less files).
-    if args.has("all") {
-        let dir = args.require("output-dir")?;
+    if all {
+        let dir = required(output_dir, "--output-dir")?;
         std::fs::create_dir_all(dir)
             .map_err(|e| HfzError::io(format!("cannot create {}", dir), e))?;
         for (index, field) in handle.fields().iter().enumerate() {
@@ -581,9 +547,9 @@ fn cmd_decompress(rest: &[String]) -> Result<(), HfzError> {
         return Ok(());
     }
 
-    let output = args.require("output")?;
+    let output = required(output, "--output")?;
     // `--field NAME|INDEX`: one field, resolved through the manifest.
-    if let Some(selector) = args.get("field") {
+    if let Some(selector) = selector {
         let field = handle.field_by_selector(selector)?;
         return decompress_to(
             &codec,
@@ -605,13 +571,20 @@ fn cmd_decompress(rest: &[String]) -> Result<(), HfzError> {
 }
 
 fn cmd_inspect(rest: &[String]) -> Result<(), HfzError> {
-    let args = Args::parse(rest, &[&["backend", "json"]])?;
-    let archive_path = args
-        .positionals
-        .first()
-        .ok_or_else(|| HfzError::Usage("expected an archive path".to_string()))?;
-    let json = args.has("json");
-    let codec = decode_codec(&args)?;
+    let mut flags = Flags::new(rest);
+    let mut codec = Codec::builder();
+    let (mut archive, mut json) = (None, false);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--backend" => codec = codec.backend(flags.backend()?),
+            "--json" => json = true,
+            word if archive.is_none() && !word.starts_with("--") => archive = Some(word),
+            _ => return Err(flags.unknown().into()),
+        }
+    }
+    let archive_path =
+        archive.ok_or_else(|| HfzError::Usage("expected an archive path".to_string()))?;
+    let codec = codec.build()?;
     // Inspection is metadata-only: headers and section tables, no decode structures.
     let summary = codec.inspect_archive(archive_path)?;
     if json {
@@ -655,27 +628,37 @@ fn cmd_inspect(rest: &[String]) -> Result<(), HfzError> {
 }
 
 fn cmd_verify(rest: &[String]) -> Result<(), HfzError> {
-    let args = Args::parse(
-        rest,
-        &[
-            FIELD_FLAGS,
-            REMOTE_FLAGS,
-            &["backend", "deep", "digest", "archive"],
-        ],
-    )?;
-    if args.has("addr") {
-        return cmd_verify_remote(&args);
+    // An address makes it the remote form, which takes no archive path.
+    if rest.iter().any(|arg| arg == "--addr" || arg == "--router") {
+        return cmd_verify_remote(rest);
     }
-    let archive_path = args
-        .positionals
-        .first()
-        .ok_or_else(|| HfzError::Usage("expected an archive path".to_string()))?;
+    let mut flags = Flags::new(rest);
+    let mut codec = Codec::builder();
+    let mut source = FieldSource::default();
+    let (mut archive, mut deep, mut expected_digest) = (None, false, None);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            _ if source.take(flag, &mut flags)? => {}
+            "--backend" => codec = codec.backend(flags.backend()?),
+            "--deep" => deep = true,
+            "--digest" => {
+                let hex = flags.value()?.trim_start_matches("0x");
+                expected_digest = Some(u32::from_str_radix(hex, 16).map_err(|_| {
+                    HfzError::Usage("bad --digest value (expected hex CRC32)".to_string())
+                })?);
+            }
+            word if archive.is_none() && !word.starts_with("--") => archive = Some(word),
+            _ => return Err(flags.unknown().into()),
+        }
+    }
+    let archive_path =
+        archive.ok_or_else(|| HfzError::Usage("expected an archive path".to_string()))?;
 
     // Opening the session is itself the structural pass: manifest framing/checksum and
     // shard-extent validation, then framing, checksums, and reassembly of every
     // archive in the file. Anything left over after the last end marker is corruption,
     // not slack.
-    let codec = decode_codec(&args)?;
+    let codec = codec.build()?;
     let handle = codec.open_archive(archive_path)?;
     if let Some(manifest) = handle.manifest() {
         out!(
@@ -699,13 +682,6 @@ fn cmd_verify(rest: &[String]) -> Result<(), HfzError> {
         );
     }
 
-    let deep = args.has("deep");
-    let expected_digest = args
-        .get("digest")
-        .map(|hex| u32::from_str_radix(hex.trim_start_matches("0x"), 16))
-        .transpose()
-        .map_err(|_| HfzError::Usage("bad --digest value (expected hex CRC32)".to_string()))?;
-
     // Multi-field snapshots: every field was already reassembled (cross-checked
     // against its manifest entry) by the open, and — under --deep — each is decoded
     // and checked against its stored digest. A semantically corrupt field anywhere in
@@ -716,7 +692,7 @@ fn cmd_verify(rest: &[String]) -> Result<(), HfzError> {
                 "--digest applies to single-field archives; use --deep for snapshots".to_string(),
             ));
         }
-        if args.get("input").is_some() || args.get("dataset").is_some() {
+        if source.given() {
             return Err(HfzError::Usage(
                 "--input/--dataset bound checks apply to single-field archives".to_string(),
             ));
@@ -803,8 +779,8 @@ fn cmd_verify(rest: &[String]) -> Result<(), HfzError> {
         decompressed.data.len()
     );
 
-    if args.get("input").is_some() || args.get("dataset").is_some() {
-        let original = load_field(&args)?;
+    if source.given() {
+        let original = source.load()?;
         if original.len() != decompressed.data.len() {
             return Err(HfzError::Verify(format!(
                 "original has {} elements, archive reconstructs {}",
@@ -829,9 +805,19 @@ fn cmd_verify(rest: &[String]) -> Result<(), HfzError> {
     Ok(())
 }
 
-fn cmd_verify_remote(args: &Args) -> Result<(), HfzError> {
-    let archive = args.require("archive")?;
-    let mut client = connect(args)?;
+/// `hfz verify --addr ADDR --archive NAME`: the daemon's deep verify of a loaded archive.
+fn cmd_verify_remote(rest: &[String]) -> Result<(), HfzError> {
+    let mut flags = Flags::new(rest);
+    let (mut addr, mut archive) = (None, None);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            _ if addr_flag(flag, &mut flags, &mut addr)? => {}
+            "--archive" => archive = Some(flags.value()?),
+            _ => return Err(flags.unknown().into()),
+        }
+    }
+    let archive = required(archive, "--archive")?;
+    let mut client = connect(addr)?;
     let report = client.verify(archive)?;
     out!("{}", report.trim_end());
     match remote_digest_failures(&report) {
@@ -875,36 +861,26 @@ fn parse_range(spec: &str) -> Result<(u64, u64), HfzError> {
 }
 
 fn cmd_get(rest: &[String]) -> Result<(), HfzError> {
-    let args = Args::parse(
-        rest,
-        &[
-            REMOTE_FLAGS,
-            &["archive", "output", "field", "codes", "range"],
-        ],
-    )?;
-    let archive = args.require("archive")?;
-    let output = args.require("output")?;
-    let field: u32 = args
-        .get("field")
-        .unwrap_or("0")
-        .parse()
-        .map_err(|_| HfzError::Usage("bad --field value".to_string()))?;
-    let kind = if args.has("codes") {
-        GetKind::Codes
-    } else {
-        GetKind::Data
-    };
-    let range = args.get("range").map(parse_range).transpose()?;
+    let mut flags = Flags::new(rest);
+    let (mut addr, mut archive, mut output, mut field, mut kind, mut range) =
+        (None, None, None, 0u32, GetKind::Data, None);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            _ if addr_flag(flag, &mut flags, &mut addr)? => {}
+            "--archive" => archive = Some(flags.value()?),
+            "--output" => output = Some(flags.value()?),
+            "--field" => field = flags.number()?,
+            "--codes" => kind = GetKind::Codes,
+            "--range" => range = Some(parse_range(flags.value()?)?),
+            _ => return Err(flags.unknown().into()),
+        }
+    }
+    let archive = required(archive, "--archive")?;
+    let output = required(output, "--output")?;
 
-    let mut client = connect(&args)?;
+    let mut client = connect(addr)?;
     let result = client.get(archive, field, kind, range)?;
-
-    let file =
-        File::create(output).map_err(|e| HfzError::io(format!("cannot create {}", output), e))?;
-    let mut file = BufWriter::new(file);
-    file.write_all(&result.bytes)
-        .and_then(|_| file.flush())
-        .map_err(|e| HfzError::io("write failed", e))?;
+    write_file(output, &result.bytes)?;
 
     out!(
         "{}[{}] -> {}: {} {} elements ({} bytes){}{}",
@@ -932,17 +908,22 @@ fn cmd_get(rest: &[String]) -> Result<(), HfzError> {
 /// decodes every cache miss as a single batched wave. Each field lands in
 /// `PREFIX.<index>`.
 fn cmd_batch(rest: &[String]) -> Result<(), HfzError> {
-    let args = Args::parse(
-        rest,
-        &[
-            REMOTE_FLAGS,
-            &["archive", "output-prefix", "fields", "codes"],
-        ],
-    )?;
-    let archive = args.require("archive")?;
-    let prefix = args.require("output-prefix")?;
-    let fields: Vec<u32> = args
-        .require("fields")?
+    let mut flags = Flags::new(rest);
+    let (mut addr, mut archive, mut prefix, mut fields, mut kind) =
+        (None, None, None, None, GetKind::Data);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            _ if addr_flag(flag, &mut flags, &mut addr)? => {}
+            "--archive" => archive = Some(flags.value()?),
+            "--output-prefix" => prefix = Some(flags.value()?),
+            "--fields" => fields = Some(flags.value()?),
+            "--codes" => kind = GetKind::Codes,
+            _ => return Err(flags.unknown().into()),
+        }
+    }
+    let archive = required(archive, "--archive")?;
+    let prefix = required(prefix, "--output-prefix")?;
+    let fields: Vec<u32> = required(fields, "--fields")?
         .split(',')
         .map(|p| {
             p.trim()
@@ -955,23 +936,13 @@ fn cmd_batch(rest: &[String]) -> Result<(), HfzError> {
             "--fields expects at least one index".to_string(),
         ));
     }
-    let kind = if args.has("codes") {
-        GetKind::Codes
-    } else {
-        GetKind::Data
-    };
 
-    let mut client = connect(&args)?;
+    let mut client = connect(addr)?;
     let items = client.get_batch(archive, kind, &fields)?;
     let mut cached = 0u32;
     for (field, item) in fields.iter().zip(&items) {
         let output = format!("{}.{}", prefix, field);
-        let file = File::create(&output)
-            .map_err(|e| HfzError::io(format!("cannot create {}", output), e))?;
-        let mut file = BufWriter::new(file);
-        file.write_all(&item.bytes)
-            .and_then(|_| file.flush())
-            .map_err(|e| HfzError::io("write failed", e))?;
+        write_file(&output, &item.bytes)?;
         cached += item.from_cache as u32;
         out!(
             "{}[{}] -> {}: {} {} elements ({} bytes){}",
@@ -993,24 +964,51 @@ fn cmd_batch(rest: &[String]) -> Result<(), HfzError> {
     Ok(())
 }
 
+/// The address of a subcommand that takes nothing but the address group.
+fn addr_only(rest: &[String]) -> Result<Option<ListenAddr>, HfzError> {
+    let mut flags = Flags::new(rest);
+    let mut addr = None;
+    while let Some(flag) = flags.next_flag() {
+        if !addr_flag(flag, &mut flags, &mut addr)? {
+            return Err(flags.unknown().into());
+        }
+    }
+    Ok(addr)
+}
+
 fn cmd_list(rest: &[String]) -> Result<(), HfzError> {
-    let args = Args::parse(rest, &[REMOTE_FLAGS])?;
-    let mut client = connect(&args)?;
+    let mut client = connect(addr_only(rest)?)?;
     out!("{}", client.list()?);
     Ok(())
 }
 
 fn cmd_stats(rest: &[String]) -> Result<(), HfzError> {
-    let args = Args::parse(rest, &[REMOTE_FLAGS, &["prom", "watch"]])?;
-    let mut client = connect(&args)?;
-    if let Some(secs) = args.get("watch") {
-        let secs: u64 =
-            secs.parse().ok().filter(|&s| s > 0).ok_or_else(|| {
-                HfzError::Usage("bad --watch value (positive seconds)".to_string())
-            })?;
+    let mut flags = Flags::new(rest);
+    let (mut addr, mut prom, mut watch) = (None, false, None);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            _ if addr_flag(flag, &mut flags, &mut addr)? => {}
+            "--prom" => prom = true,
+            "--watch" => {
+                watch = Some(
+                    flags
+                        .value()?
+                        .parse()
+                        .ok()
+                        .filter(|&s| s > 0)
+                        .ok_or_else(|| {
+                            HfzError::Usage("bad --watch value (positive seconds)".to_string())
+                        })?,
+                )
+            }
+            _ => return Err(flags.unknown().into()),
+        }
+    }
+    let mut client = connect(addr)?;
+    if let Some(secs) = watch {
         return watch_stats(&mut client, secs);
     }
-    if args.has("prom") {
+    if prom {
         out!("{}", client.metrics_prom()?.trim_end());
     } else {
         out!("{}", client.stats()?);
@@ -1130,18 +1128,26 @@ fn watch_stats(client: &mut Connection, secs: u64) -> Result<(), HfzError> {
 }
 
 fn cmd_load(rest: &[String]) -> Result<(), HfzError> {
-    let args = Args::parse(rest, &[REMOTE_FLAGS, &["name", "path"]])?;
-    let name = args.require("name")?;
-    let path = args.require("path")?;
-    let mut client = connect(&args)?;
+    let mut flags = Flags::new(rest);
+    let (mut addr, mut name, mut path) = (None, None, None);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            _ if addr_flag(flag, &mut flags, &mut addr)? => {}
+            "--name" => name = Some(flags.value()?),
+            "--path" => path = Some(flags.value()?),
+            _ => return Err(flags.unknown().into()),
+        }
+    }
+    let name = required(name, "--name")?;
+    let path = required(path, "--path")?;
+    let mut client = connect(addr)?;
     let fields = client.load(name, path)?;
     out!("loaded '{}' from {} ({} fields)", name, path, fields);
     Ok(())
 }
 
 fn cmd_shutdown(rest: &[String]) -> Result<(), HfzError> {
-    let args = Args::parse(rest, &[REMOTE_FLAGS])?;
-    let mut client = connect(&args)?;
+    let mut client = connect(addr_only(rest)?)?;
     client.shutdown()?;
     out!("daemon is shutting down");
     Ok(())

@@ -828,3 +828,210 @@ fn unknown_flags_are_usage_errors() {
     }
     assert!(!out.exists() && !compressed.exists(), "nothing is written");
 }
+
+/// Runs `command` and asserts the usage-error contract: exit 2 and a stderr line that
+/// contains `message`.
+fn assert_usage_error(mut command: Command, message: &str) {
+    let result = command.output().expect("the binary runs");
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert_eq!(result.status.code(), Some(2), "{:?}: {}", command, stderr);
+    assert!(stderr.contains(message), "{:?}: {}", command, stderr);
+}
+
+/// Every argument a subcommand has no place for used to be dropped without a word: a
+/// second archive, a stray word after the flags, `--input` under `--snapshot`,
+/// `--archive` on a local verify, an archive path on a remote one, `--output` beside
+/// `--all` and a `--seed` with no dataset.
+#[test]
+fn stray_arguments_are_usage_errors() {
+    let dir = std::env::temp_dir().join("hfz-cli-test-stray-arguments");
+    std::fs::create_dir_all(&dir).unwrap();
+    let a = compress_dataset(&dir, "a", "HACC", "gap");
+    let b = compress_dataset(&dir, "b", "HACC", "gap");
+    let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
+    let out = dir.join("x.f32");
+    let compressed = dir.join("c.hfz");
+    let snapshot = dir.join("s.hfz");
+    let missing = dir.join("missing.f32");
+    for stale in [&out, &compressed, &snapshot] {
+        let _ = std::fs::remove_file(stale);
+    }
+    let cases: [(&[&str], &str); 9] = [
+        // Rejected before any connection is attempted.
+        (
+            &["list", "--addr", "tcp:127.0.0.1:1", "stray"],
+            "unexpected argument 'stray'",
+        ),
+        (
+            &[
+                "decompress",
+                a,
+                b,
+                "--field",
+                "0",
+                "--output",
+                out.to_str().unwrap(),
+            ],
+            "unexpected argument",
+        ),
+        (&["inspect", a, b], "unexpected argument"),
+        (
+            &[
+                "compress",
+                "--dataset",
+                "HACC",
+                "--elements",
+                "2000",
+                "--output",
+                compressed.to_str().unwrap(),
+                "junk",
+            ],
+            "unexpected argument 'junk'",
+        ),
+        (
+            &[
+                "compress",
+                "--snapshot",
+                "--dataset",
+                "HACC,GAMESS",
+                "--elements",
+                "2000",
+                "--input",
+                missing.to_str().unwrap(),
+                "--dims",
+                "5",
+                "--output",
+                snapshot.to_str().unwrap(),
+            ],
+            "--input",
+        ),
+        (&["verify", a, "--archive", "zzz"], "unknown flag --archive"),
+        (
+            &[
+                "decompress",
+                a,
+                "--all",
+                "--output-dir",
+                dir.to_str().unwrap(),
+                "--output",
+                out.to_str().unwrap(),
+            ],
+            "--output-dir goes with --all",
+        ),
+        (&["verify", a, "--seed", "3"], "--dataset NAME"),
+        (
+            &[
+                "verify",
+                "foo.hfz",
+                "--addr",
+                "tcp:127.0.0.1:1",
+                "--archive",
+                "a",
+            ],
+            "unexpected argument 'foo.hfz'",
+        ),
+    ];
+    for (args, message) in cases {
+        let mut command = hfz();
+        command.args(args);
+        assert_usage_error(command, message);
+    }
+    assert!(
+        !out.exists() && !compressed.exists() && !snapshot.exists(),
+        "nothing is written"
+    );
+}
+
+/// `hfz`, `hfz serve`, `hfzd` and `hfzr` read their command lines through one cursor,
+/// so they word a missing value, a bad number, a bad backend and an unknown flag alike.
+#[test]
+fn every_binary_words_flag_errors_one_way() {
+    let dir = std::env::temp_dir().join("hfz-cli-test-grammar");
+    std::fs::create_dir_all(&dir).unwrap();
+    let archive = compress_dataset(&dir, "a", "HACC", "gap");
+    let output = dir.join("o.hfz");
+    let _ = std::fs::remove_file(&output);
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &[
+                "get",
+                "--addr",
+                "tcp:127.0.0.1:1",
+                "--archive",
+                "x",
+                "--output",
+            ],
+            "flag --output expects a value",
+        ),
+        (
+            &[
+                "compress",
+                "--dataset",
+                "HACC",
+                "--elements",
+                "1000",
+                "--seed",
+                "x",
+                "--output",
+                output.to_str().unwrap(),
+            ],
+            "bad --seed value",
+        ),
+        (
+            &["inspect", archive.to_str().unwrap(), "--backend", "cuda"],
+            "unknown backend 'cuda' (expected sim|cpu)",
+        ),
+        (&["serve", "--bogus"], "unknown flag --bogus"),
+    ];
+    for (args, message) in cases {
+        let mut command = hfz();
+        command.args(args);
+        assert_usage_error(command, message);
+    }
+    assert!(!output.exists(), "nothing is written");
+    for binary in [env!("CARGO_BIN_EXE_hfzd"), env!("CARGO_BIN_EXE_hfzr")] {
+        let mut command = Command::new(binary);
+        command.arg("--bogus");
+        assert_usage_error(command, "unknown flag --bogus");
+    }
+}
+
+/// `--hybrid` is `--decoder hybrid`, so of the two the later one wins, as it does for
+/// any repeated flag.
+#[test]
+fn the_later_of_hybrid_and_decoder_wins() {
+    let dir = std::env::temp_dir().join("hfz-cli-test-last-flag-wins");
+    std::fs::create_dir_all(&dir).unwrap();
+    let archive = dir.join("a.hfz");
+    for (order, decoder) in [
+        (["--decoder", "self-sync", "--hybrid"], "rle+huff hybrid"),
+        (["--hybrid", "--decoder", "self-sync"], "opt. self-sync"),
+    ] {
+        let status = hfz()
+            .args([
+                "compress",
+                "--dataset",
+                "HACC",
+                "--elements",
+                "20000",
+                "--output",
+                archive.to_str().unwrap(),
+            ])
+            .args(order)
+            .output()
+            .expect("hfz runs")
+            .status;
+        assert!(status.success(), "{:?}", order);
+        let result = hfz()
+            .args(["inspect", archive.to_str().unwrap(), "--json"])
+            .output()
+            .unwrap();
+        let doc = String::from_utf8_lossy(&result.stdout);
+        assert!(
+            doc.contains(&format!("\"decoder\":\"{}\"", decoder)),
+            "{:?}: {}",
+            order,
+            doc
+        );
+    }
+}

@@ -6,7 +6,9 @@
 //! property-testing crate (this environment cannot fetch dependencies); each property
 //! runs over a few dozen randomized cases and failures report the offending case seed.
 
-use huffdec::core_decoders::{roundtrip, DecoderKind};
+use huffdec::core_decoders::{
+    compress_for, decode, decode_range, prepare_decode, roundtrip, CpuBackend, DecoderKind,
+};
 use huffdec::datasets::Rng;
 use huffdec::gpu_sim::{Gpu, GpuConfig};
 use huffdec::huffman::{
@@ -88,6 +90,42 @@ fn every_gpu_decoder_matches_the_input() {
             assert!(result.timings.total_seconds() > 0.0);
         }
     });
+}
+
+/// The online tuner (Algorithm 2) runs only on the simulator. On `CpuBackend` a full
+/// decode of a flat stream is one walk per sequence, a full baseline decode launches
+/// every chunk, and a ranged decode stages its blocks through the fixed high-ratio
+/// buffer, so no decode there reports a `tune` phase.
+#[test]
+fn cpu_decodes_never_run_the_tuner() {
+    let cpu = CpuBackend::with_host_threads(GpuConfig::test_tiny(), 2);
+    let mut rng = Rng::seed_from_u64(7);
+    let symbols: Vec<u16> = (0..60_000)
+        .map(|_| {
+            let r = rng.next_u64();
+            let sign = if r >> 63 == 1 { 1 } else { -1 };
+            (512 + sign * r.trailing_zeros().min(9) as i32) as u16
+        })
+        .collect();
+    for kind in DecoderKind::all() {
+        let payload = compress_for(kind, &symbols, 1024);
+        let full = decode(&cpu, kind, &payload).unwrap();
+        assert_eq!(full.symbols, symbols, "decoder {:?}", kind);
+        assert!(full.timings.tune.is_none(), "{:?} decode tuned", kind);
+
+        let prepared = prepare_decode(&cpu, kind, &payload).unwrap();
+        let range = decode_range(&cpu, kind, &payload, &prepared, 1_000, 30_000).unwrap();
+        assert_eq!(range.symbols, symbols[1_000..31_000], "decoder {:?}", kind);
+        assert!(range.timings.tune.is_none(), "{:?} range tuned", kind);
+    }
+    // The same full decode on the simulator does tune, so the check above can fail.
+    let gap = DecoderKind::OptimizedGapArray;
+    let payload = compress_for(gap, &symbols, 1024);
+    assert!(decode(&gpu(), gap, &payload)
+        .unwrap()
+        .timings
+        .tune
+        .is_some());
 }
 
 #[test]
