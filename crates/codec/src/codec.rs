@@ -127,7 +127,6 @@ pub struct CodecBuilder {
     alphabet_size: usize,
     format: FormatVersion,
     auto_hybrid: Option<f64>,
-    metrics: Option<Arc<Metrics>>,
 }
 
 impl Default for CodecBuilder {
@@ -141,7 +140,6 @@ impl Default for CodecBuilder {
             alphabet_size: sz::DEFAULT_ALPHABET_SIZE,
             format: FormatVersion::V1,
             auto_hybrid: Some(AUTO_HYBRID_ZERO_FRACTION),
-            metrics: None,
         }
     }
 }
@@ -220,14 +218,6 @@ impl CodecBuilder {
         self
     }
 
-    /// Shares an existing [`Metrics`] registry with this codec instead of creating a
-    /// fresh one — how the daemon points its cache, its request loop, and its codec at
-    /// the same instruments.
-    pub fn metrics(mut self, metrics: Arc<Metrics>) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
     /// Validates the configuration and builds the session handle.
     pub fn build(self) -> Result<Codec> {
         if !(4..=65536).contains(&self.alphabet_size) || !self.alphabet_size.is_power_of_two() {
@@ -261,9 +251,7 @@ impl CodecBuilder {
             self.format
         };
         let backend = self.backend.create(self.gpu, self.host_threads);
-        let metrics = self.metrics.unwrap_or_default();
-        // The registry's identity series (`hfz_backend{name=...}`) follows the last
-        // codec that adopted it.
+        let metrics = Arc::new(Metrics::new());
         metrics.set_backend(backend.kind().name());
         Ok(Codec {
             backend,
@@ -363,8 +351,8 @@ impl Codec {
     }
 
     /// The metrics registry every operation of this session records into. Clone the
-    /// `Arc` to read (or render) the instruments from another thread; share one
-    /// registry across codecs with [`CodecBuilder::metrics`].
+    /// `Arc` to read (or render) the instruments from another thread, or to record
+    /// into the same registry — the daemon hands it to its cache and scheduler.
     pub fn metrics(&self) -> &Arc<Metrics> {
         &self.metrics
     }
@@ -372,23 +360,38 @@ impl Codec {
     /// Passes a decode result through, counting a failure in `decode_errors`.
     fn count_error<T>(&self, result: std::result::Result<T, DecodeError>) -> Result<T> {
         result.map_err(|e| {
-            self.metrics.decode_errors.inc();
+            self.metrics.update(|m| m.decode_errors += 1);
             HfzError::Decode(e)
         })
     }
 
-    fn record_encode_phases(&self, breakdown: &EncodePhaseBreakdown) {
-        for (i, (_, phase)) in breakdown.phases().iter().enumerate() {
-            self.metrics.encode_phase_seconds[i].add(phase.seconds);
-        }
+    /// The one recorder of a finished encode: its latency sample, its phase seconds
+    /// and the two byte counters.
+    fn record_encode(
+        &self,
+        seconds: f64,
+        breakdown: &EncodePhaseBreakdown,
+        bytes_in: u64,
+        bytes_out: u64,
+    ) {
+        self.metrics.update(|m| {
+            m.encode_seconds.observe(seconds);
+            for (i, (_, phase)) in breakdown.phases().iter().enumerate() {
+                m.encode_phase_seconds[i] += phase.seconds;
+            }
+            m.encode_bytes_in += bytes_in;
+            m.encode_bytes_out += bytes_out;
+        });
     }
 
     /// The one recorder of a finished full decode: the decoder's `decode_seconds`
     /// sample and the two byte counters.
     fn record_decode(&self, decoder: DecoderKind, seconds: f64, bytes_in: u64, bytes_out: u64) {
-        self.metrics.observe_decode(decoder, seconds);
-        self.metrics.decode_bytes_in.add(bytes_in);
-        self.metrics.decode_bytes_out.add(bytes_out);
+        self.metrics.update(|m| {
+            m.observe_decode(decoder, seconds);
+            m.decode_bytes_in += bytes_in;
+            m.decode_bytes_out += bytes_out;
+        });
     }
 
     /// Publishes a finished wave: the perf-model occupancy of its kernels
@@ -401,13 +404,7 @@ impl Codec {
         serial_seconds: f64,
         batched_seconds: f64,
     ) {
-        let occupancy = if huffman.len() >= 2 {
-            self.metrics.batch_serial_seconds.add(serial_seconds);
-            self.metrics.batch_batched_seconds.add(batched_seconds);
-            &self.metrics.batch_occupancy_permille
-        } else {
-            &self.metrics.decode_occupancy_permille
-        };
+        let batched = huffman.len() >= 2;
         let (mut weighted, mut total) = (0.0, 0.0);
         for k in huffman
             .flat_map(|t| t.phases())
@@ -416,9 +413,19 @@ impl Codec {
             weighted += k.occupancy.fraction * k.time_s;
             total += k.time_s;
         }
-        if total > 0.0 {
-            occupancy.set((weighted / total * 1000.0).round() as u64);
-        }
+        let permille = (total > 0.0).then(|| (weighted / total * 1000.0).round() as u64);
+        self.metrics.update(|m| {
+            let occupancy = if batched {
+                m.batch_serial_seconds += serial_seconds;
+                m.batch_batched_seconds += batched_seconds;
+                &mut m.batch_occupancy_permille
+            } else {
+                &mut m.decode_occupancy_permille
+            };
+            if let Some(permille) = permille {
+                *occupancy = permille;
+            }
+        });
     }
 
     /// Decompresses one wave of archives to f32 data and records it.
@@ -476,12 +483,12 @@ impl Codec {
         self.check_nonempty(field)?;
         let (archive, stats) =
             sz::compress_auto_on(self.backend.as_ref(), field, &self.config, self.hybrid_at());
-        self.metrics.encode_seconds.observe(stats.total_seconds);
-        self.record_encode_phases(&stats.encode);
-        self.metrics.encode_bytes_in.add(archive.original_bytes());
-        self.metrics
-            .encode_bytes_out
-            .add(archive.compressed_bytes());
+        self.record_encode(
+            stats.total_seconds,
+            &stats.encode,
+            archive.original_bytes(),
+            archive.compressed_bytes(),
+        );
         Ok(EncodeOutcome { archive, stats })
     }
 
@@ -503,14 +510,12 @@ impl Codec {
             symbols,
             self.config.alphabet_size,
         );
-        self.metrics
-            .encode_seconds
-            .observe(breakdown.total_seconds());
-        self.record_encode_phases(&breakdown);
-        self.metrics.encode_bytes_in.add(symbols.len() as u64 * 2);
-        self.metrics
-            .encode_bytes_out
-            .add(payload.compressed_bytes());
+        self.record_encode(
+            breakdown.total_seconds(),
+            &breakdown,
+            symbols.len() as u64 * 2,
+            payload.compressed_bytes(),
+        );
         (payload, breakdown)
     }
 
@@ -711,8 +716,9 @@ impl Codec {
         let built_before = field.prepared_ready();
         let prepared = self.count_error(field.prepared(self.backend.as_ref()))?;
         if !built_before {
-            self.metrics
-                .observe_index_build(field.decoder(), prepared.timings.total_seconds());
+            self.metrics.update(|m| {
+                m.observe_index_build(field.decoder(), prepared.timings.total_seconds())
+            });
         }
         Ok(prepared)
     }
@@ -738,17 +744,12 @@ impl Codec {
             start,
             len,
         ))?;
-        self.metrics
-            .observe_partial_decode(field.decoder(), r.timings.total_seconds());
-        self.metrics
-            .partial_blocks_decoded
-            .add(r.decoded_blocks as u64);
-        self.metrics
-            .partial_blocks_spanned
-            .add(r.total_blocks as u64);
-        self.metrics
-            .decode_bytes_out
-            .add(r.symbols.len() as u64 * 2);
+        self.metrics.update(|m| {
+            m.observe_partial_decode(field.decoder(), r.timings.total_seconds());
+            m.partial_blocks_decoded += r.decoded_blocks as u64;
+            m.partial_blocks_spanned += r.total_blocks as u64;
+            m.decode_bytes_out += r.symbols.len() as u64 * 2;
+        });
         Ok(r)
     }
 }
@@ -1111,24 +1112,6 @@ mod tests {
         let chunked = other.compress_archive(&field).unwrap();
         assert!(codec.decode_payload(&chunked.payload).is_err());
         assert_eq!(codec.metrics().snapshot().decode_errors, 1);
-
-        // A shared registry sees both codecs' traffic.
-        let shared = Arc::new(Metrics::new());
-        let a = Codec::builder()
-            .gpu_config(GpuConfig::test_tiny())
-            .host_threads(2)
-            .metrics(Arc::clone(&shared))
-            .build()
-            .unwrap();
-        let b = Codec::builder()
-            .gpu_config(GpuConfig::test_tiny())
-            .host_threads(2)
-            .metrics(Arc::clone(&shared))
-            .build()
-            .unwrap();
-        a.decompress(&outcome.archive).unwrap();
-        b.decompress(&outcome.archive).unwrap();
-        assert_eq!(shared.snapshot().decode_seconds[tag].count(), 2);
     }
 
     #[test]

@@ -3,16 +3,22 @@
 //! The paper's whole argument is quantitative (per-phase decode timings, per-decoder
 //! throughput, transfer-inclusive latencies), and the serving layer needs the same
 //! signals continuously — not just in offline bench bins. This crate defines the
-//! single aggregation point: a lock-cheap [`Metrics`] registry of monotonic counters,
-//! gauges, and fixed-bucket latency histograms, owned by the `Codec` facade and shared
-//! (via `Arc`) with the daemon's cache and request loop.
+//! single aggregation point: a [`Metrics`] registry of monotonic counters, gauges, and
+//! fixed-bucket latency histograms, owned by the `Codec` facade and shared (via `Arc`)
+//! with the daemon's cache, scheduler and request loop.
 //!
-//! Every instrument is a plain atomic — recording is a handful of relaxed atomic ops,
-//! no locks, so instrumenting the decode hot path costs nanoseconds. Reading is a
-//! [`Metrics::snapshot`]: a consistent-enough copy (each instrument is read atomically;
-//! the set is not a transaction) that renders to Prometheus text exposition format
-//! ([`MetricsSnapshot::render_prometheus`]) or backs ad-hoc JSON like the daemon's
-//! `STATS` reply.
+//! The registry is one plain [`MetricsSnapshot`] behind one mutex. Every instrument is
+//! declared once, as a field of that struct: recording is [`Metrics::update`] with a
+//! closure that bumps fields, reading is [`Metrics::snapshot`], a clone. The clone is a
+//! consistent cut — every counter of one snapshot was read at the same instant — and it
+//! renders to Prometheus text exposition format ([`MetricsSnapshot::render_prometheus`])
+//! or backs ad-hoc JSON like the daemon's `STATS` reply.
+//!
+//! One lock is enough because it is a leaf: no code takes another lock while holding
+//! it, and no `update` closure does I/O or calls back into the workspace. A critical
+//! section is a handful of integer and float adds, so the lock is held for tens of
+//! nanoseconds and cannot deadlock. Like the rest of the workspace's locks it recovers
+//! from poisoning: a thread that panicked mid-update leaves at worst one bump half done.
 //!
 //! The exposition parser ([`parse_prometheus`]) closes the loop for clients:
 //! `hfz stats --watch` and the exporter tests both consume the rendered text through
@@ -23,8 +29,10 @@
 //! use huffdec_metrics::Metrics;
 //!
 //! let m = Metrics::new();
-//! m.observe_decode(DecoderKind::OptimizedGapArray, 1.5e-3);
-//! m.cache_hits.inc();
+//! m.update(|m| {
+//!     m.observe_decode(DecoderKind::OptimizedGapArray, 1.5e-3);
+//!     m.cache_hits += 1;
+//! });
 //! let snap = m.snapshot();
 //! assert_eq!(snap.decode_seconds[DecoderKind::OptimizedGapArray.tag() as usize].count(), 1);
 //! let text = snap.render_prometheus();
@@ -33,8 +41,7 @@
 
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{Mutex, MutexGuard};
 
 use huffdec_core::DecoderKind;
 
@@ -54,151 +61,8 @@ pub const LATENCY_BUCKET_BOUNDS: [f64; 12] = [
     1.048576, 4.194304,
 ];
 
-// --- Instruments -----------------------------------------------------------------------
-
-/// A monotonic event counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A monotonic sum of `f64` contributions (simulated seconds, mostly), stored as the
-/// value's bit pattern in an `AtomicU64` and added with a CAS loop.
-#[derive(Debug)]
-pub struct FloatCounter(AtomicU64);
-
-impl Default for FloatCounter {
-    fn default() -> Self {
-        FloatCounter::new()
-    }
-}
-
-impl FloatCounter {
-    /// A sum at zero.
-    pub fn new() -> Self {
-        FloatCounter(AtomicU64::new(0f64.to_bits()))
-    }
-
-    /// Adds `v` to the sum.
-    pub fn add(&self, v: f64) {
-        let mut current = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + v).to_bits();
-            match self
-                .0
-                .compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(actual) => current = actual,
-            }
-        }
-    }
-
-    /// Current sum.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
-/// A last-written-wins gauge (occupancy, budgets, loaded-archive counts).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// A gauge at zero.
-    pub fn new() -> Self {
-        Gauge(AtomicU64::new(0))
-    }
-
-    /// Sets the value.
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 /// A fixed-bucket latency histogram over [`LATENCY_BUCKET_BOUNDS`] plus an implicit
-/// `+Inf` bucket. Observation is two relaxed atomic ops (bucket + sum).
-#[derive(Debug)]
-pub struct Histogram {
-    /// Per-bucket (non-cumulative) observation counts; the last slot is `+Inf`.
-    buckets: [AtomicU64; LATENCY_BUCKET_BOUNDS.len() + 1],
-    sum: FloatCounter,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: FloatCounter::new(),
-        }
-    }
-
-    /// Records one observation of `v` (seconds).
-    pub fn observe(&self, v: f64) {
-        let slot = LATENCY_BUCKET_BOUNDS
-            .iter()
-            .position(|&bound| v <= bound)
-            .unwrap_or(LATENCY_BUCKET_BOUNDS.len());
-        self.buckets[slot].fetch_add(1, Ordering::Relaxed);
-        self.sum.add(v);
-    }
-
-    /// Total number of observations.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Sum of all observed values.
-    pub fn sum(&self) -> f64 {
-        self.sum.get()
-    }
-
-    /// Plain copy of the current state.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            sum: self.sum.get(),
-        }
-    }
-}
-
-/// A point-in-time copy of one [`Histogram`].
+/// `+Inf` bucket.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Per-bucket (non-cumulative) counts; one per bound in [`LATENCY_BUCKET_BOUNDS`]
@@ -208,13 +72,24 @@ pub struct HistogramSnapshot {
     pub sum: f64,
 }
 
-impl HistogramSnapshot {
-    /// An empty snapshot (all buckets zero).
-    pub fn empty() -> Self {
+impl Default for HistogramSnapshot {
+    fn default() -> Self {
         HistogramSnapshot {
             buckets: vec![0; LATENCY_BUCKET_BOUNDS.len() + 1],
             sum: 0.0,
         }
+    }
+}
+
+impl HistogramSnapshot {
+    /// Records one observation of `v` (seconds).
+    pub fn observe(&mut self, v: f64) {
+        let slot = LATENCY_BUCKET_BOUNDS
+            .iter()
+            .position(|&bound| v <= bound)
+            .unwrap_or(LATENCY_BUCKET_BOUNDS.len());
+        self.buckets[slot] += 1;
+        self.sum += v;
     }
 
     /// Total number of observations.
@@ -223,108 +98,14 @@ impl HistogramSnapshot {
     }
 }
 
-// --- The registry ----------------------------------------------------------------------
-
-/// The unified metrics registry: every counter the codec, the cache, and the daemon
-/// used to keep in scattered structs (`ServeStats`, aggregate uses of `BatchStats` /
-/// `CompressStats` / `CacheStats`), as one shared set of atomic instruments.
+/// The unified metrics registry: every counter the codec, the cache, the scheduler and
+/// the daemon record, as one [`MetricsSnapshot`] behind one leaf lock.
 ///
-/// One registry is owned by each `Codec` (shareable across components with
-/// `Arc<Metrics>`); the daemon's cache and request loop record into the same registry
-/// its `/metrics` endpoint renders.
+/// One registry is owned by each `Codec`; the daemon hands `Arc` clones of its codec's
+/// registry (`Codec::metrics`) to its cache and scheduler, so its `/metrics` endpoint
+/// renders everything they record.
 #[derive(Debug, Default)]
-pub struct Metrics {
-    /// Total protocol requests handled by the daemon.
-    pub requests: Counter,
-    /// `GET` requests handled.
-    pub gets: Counter,
-    /// `GETBATCH` requests handled.
-    pub batch_gets: Counter,
-    /// Fields requested across all batch requests (cache hits included).
-    pub batch_fields: Counter,
-    /// Cold fields decoded inside batched waves.
-    pub batch_decoded_fields: Counter,
-    /// What batched decodes would have cost run serially (seconds: modeled on `sim`,
-    /// measured on `cpu`).
-    pub batch_serial_seconds: FloatCounter,
-    /// What the batched waves actually cost (seconds: modeled on `sim`, measured on
-    /// `cpu`).
-    pub batch_batched_seconds: FloatCounter,
-
-    /// Requests that joined an already-in-flight decode of the same field
-    /// (single-flight coalescing) instead of triggering their own.
-    pub sched_coalesced: Counter,
-    /// Decode waves the scheduler submitted (each drains the pending queue once).
-    pub sched_waves: Counter,
-    /// Cold fields decoded across all scheduler waves.
-    pub sched_wave_fields: Counter,
-    /// Waves that carried more than one distinct field (cross-request batching).
-    pub sched_multi_field_waves: Counter,
-    /// Requests shed with a `BUSY` reply because the pending-decode queue was full.
-    pub sched_shed: Counter,
-    /// Decode tasks currently waiting in the scheduler's pending queue.
-    pub sched_queue_depth: Gauge,
-
-    /// Decoded-field cache lookups that found their entry.
-    pub cache_hits: Counter,
-    /// Decoded-field cache lookups that did not.
-    pub cache_misses: Counter,
-    /// Cache entries evicted to make room.
-    pub cache_evictions: Counter,
-    /// Cache entries successfully inserted.
-    pub cache_insertions: Counter,
-    /// Insertions refused because the entry alone exceeds the budget.
-    pub cache_uncacheable: Counter,
-    /// Bytes currently held by the cache.
-    pub cache_used_bytes: Gauge,
-    /// The cache's configured byte budget.
-    pub cache_budget_bytes: Gauge,
-    /// Number of cached entries.
-    pub cache_entries: Gauge,
-    /// Archives currently loaded in the daemon's store.
-    pub archives_loaded: Gauge,
-
-    /// Full-field decode latency, per decoder kind (indexed by [`DecoderKind::tag`]).
-    pub decode_seconds: [Histogram; DECODER_SLOTS],
-    /// Range-decode index build latency, per decoder kind.
-    pub index_build_seconds: [Histogram; DECODER_SLOTS],
-    /// Partial (range-limited) decode latency, per decoder kind.
-    pub partial_decode_seconds: [Histogram; DECODER_SLOTS],
-    /// Blocks actually decoded by partial decodes.
-    pub partial_blocks_decoded: Counter,
-    /// Blocks a full decode would have run for those same requests.
-    pub partial_blocks_spanned: Counter,
-    /// Decode operations that returned an error.
-    pub decode_errors: Counter,
-    /// Compressed bytes fed into decodes.
-    pub decode_bytes_in: Counter,
-    /// Decoded bytes produced (f32 data or u16 codes).
-    pub decode_bytes_out: Counter,
-
-    /// Time-weighted mean SM occupancy of the most recent full decode's kernel
-    /// launches, in permille (0–1000). The occupancy comes from the gpu-sim occupancy
-    /// calculation on either backend (the CPU backend keeps launch geometry, occupancy
-    /// and launch counts; memory-traffic and cycle aggregates are modeled-only).
-    pub decode_occupancy_permille: Gauge,
-    /// Like [`Metrics::decode_occupancy_permille`], but across every kernel of the
-    /// most recent batched decode wave.
-    pub batch_occupancy_permille: Gauge,
-
-    /// Whole-pipeline encode latency (quantize + Huffman phases).
-    pub encode_seconds: Histogram,
-    /// Accumulated seconds per encode phase (see [`ENCODE_PHASES`]): modeled on `sim`,
-    /// measured on `cpu`.
-    pub encode_phase_seconds: [FloatCounter; 4],
-    /// Uncompressed bytes fed into encodes.
-    pub encode_bytes_in: Counter,
-    /// Compressed bytes produced by encodes.
-    pub encode_bytes_out: Counter,
-
-    /// The execution backend's name (`"sim"` / `"cpu"`), rendered as the info-style
-    /// series `hfz_backend{name="..."} 1`. Last write wins (a `Codec` sets it at
-    /// build time), `None` until any codec adopts the registry.
-    backend: RwLock<Option<String>>,
-}
+pub struct Metrics(Mutex<MetricsSnapshot>);
 
 impl Metrics {
     /// A registry with every instrument at zero.
@@ -332,77 +113,25 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Records one full decode of `seconds` (modeled on `sim`, measured on `cpu`) on
-    /// `decoder`.
-    pub fn observe_decode(&self, decoder: DecoderKind, seconds: f64) {
-        self.decode_seconds[decoder.tag() as usize].observe(seconds);
+    fn lock(&self) -> MutexGuard<'_, MetricsSnapshot> {
+        self.0.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Records one range-decode index build.
-    pub fn observe_index_build(&self, decoder: DecoderKind, seconds: f64) {
-        self.index_build_seconds[decoder.tag() as usize].observe(seconds);
+    /// Records into the registry: `record` runs with the lock held, so everything it
+    /// bumps lands in one step. It must only touch fields — no I/O, no other lock.
+    pub fn update(&self, record: impl FnOnce(&mut MetricsSnapshot)) {
+        record(&mut self.lock());
     }
 
-    /// Records one partial (range-limited) decode.
-    pub fn observe_partial_decode(&self, decoder: DecoderKind, seconds: f64) {
-        self.partial_decode_seconds[decoder.tag() as usize].observe(seconds);
+    /// A copy of every instrument, all read at the same instant.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        self.lock().clone()
     }
 
     /// Sets the execution-backend name the registry reports via
     /// `hfz_backend{name="..."}`. Last write wins.
     pub fn set_backend(&self, name: &str) {
-        *self.backend.write().expect("backend label lock") = Some(name.to_string());
-    }
-
-    /// The backend name last recorded with [`Metrics::set_backend`], if any.
-    pub fn backend(&self) -> Option<String> {
-        self.backend.read().expect("backend label lock").clone()
-    }
-
-    /// A plain copy of every instrument (each read atomically; the set is not a
-    /// transaction — counters recorded between two reads may straddle them).
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            requests: self.requests.get(),
-            gets: self.gets.get(),
-            batch_gets: self.batch_gets.get(),
-            batch_fields: self.batch_fields.get(),
-            batch_decoded_fields: self.batch_decoded_fields.get(),
-            batch_serial_seconds: self.batch_serial_seconds.get(),
-            batch_batched_seconds: self.batch_batched_seconds.get(),
-            sched_coalesced: self.sched_coalesced.get(),
-            sched_waves: self.sched_waves.get(),
-            sched_wave_fields: self.sched_wave_fields.get(),
-            sched_multi_field_waves: self.sched_multi_field_waves.get(),
-            sched_shed: self.sched_shed.get(),
-            sched_queue_depth: self.sched_queue_depth.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            cache_evictions: self.cache_evictions.get(),
-            cache_insertions: self.cache_insertions.get(),
-            cache_uncacheable: self.cache_uncacheable.get(),
-            cache_used_bytes: self.cache_used_bytes.get(),
-            cache_budget_bytes: self.cache_budget_bytes.get(),
-            cache_entries: self.cache_entries.get(),
-            archives_loaded: self.archives_loaded.get(),
-            decode_seconds: std::array::from_fn(|i| self.decode_seconds[i].snapshot()),
-            index_build_seconds: std::array::from_fn(|i| self.index_build_seconds[i].snapshot()),
-            partial_decode_seconds: std::array::from_fn(|i| {
-                self.partial_decode_seconds[i].snapshot()
-            }),
-            partial_blocks_decoded: self.partial_blocks_decoded.get(),
-            partial_blocks_spanned: self.partial_blocks_spanned.get(),
-            decode_errors: self.decode_errors.get(),
-            decode_bytes_in: self.decode_bytes_in.get(),
-            decode_bytes_out: self.decode_bytes_out.get(),
-            decode_occupancy_permille: self.decode_occupancy_permille.get(),
-            batch_occupancy_permille: self.batch_occupancy_permille.get(),
-            backend: self.backend(),
-            encode_seconds: self.encode_seconds.snapshot(),
-            encode_phase_seconds: std::array::from_fn(|i| self.encode_phase_seconds[i].get()),
-            encode_bytes_in: self.encode_bytes_in.get(),
-            encode_bytes_out: self.encode_bytes_out.get(),
-        }
+        self.update(|m| m.backend = Some(name.to_string()));
     }
 
     /// Renders the current state in Prometheus text exposition format (0.0.4).
@@ -411,88 +140,120 @@ impl Metrics {
     }
 }
 
-/// A point-in-time copy of a whole [`Metrics`] registry — plain data, cheap to clone,
-/// subtract, and render. The daemon's `STATS` JSON, the `/metrics` endpoint, and the
-/// `/healthz` window evaluation all read one of these.
-#[derive(Debug, Clone, PartialEq)]
+/// The registry's plain data: the live state inside [`Metrics`], and the point-in-time
+/// copy [`Metrics::snapshot`] hands out — cheap to clone, subtract, and render. The
+/// daemon's `STATS` JSON, the `/metrics` endpoint, and the `/healthz` window
+/// evaluation all read one of these.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
-    /// See [`Metrics::requests`].
+    /// Total protocol requests handled by the daemon.
     pub requests: u64,
-    /// See [`Metrics::gets`].
+    /// `GET` requests handled.
     pub gets: u64,
-    /// See [`Metrics::batch_gets`].
+    /// `GETBATCH` requests handled.
     pub batch_gets: u64,
-    /// See [`Metrics::batch_fields`].
+    /// Fields requested across all batch requests (cache hits included).
     pub batch_fields: u64,
-    /// See [`Metrics::batch_decoded_fields`].
+    /// Cold fields decoded inside batched waves.
     pub batch_decoded_fields: u64,
-    /// See [`Metrics::batch_serial_seconds`].
+    /// What batched decodes would have cost run serially (seconds: modeled on `sim`,
+    /// measured on `cpu`).
     pub batch_serial_seconds: f64,
-    /// See [`Metrics::batch_batched_seconds`].
+    /// What the batched waves actually cost (seconds: modeled on `sim`, measured on
+    /// `cpu`).
     pub batch_batched_seconds: f64,
-    /// See [`Metrics::sched_coalesced`].
+
+    /// Requests that joined an already-in-flight decode of the same field
+    /// (single-flight coalescing) instead of triggering their own.
     pub sched_coalesced: u64,
-    /// See [`Metrics::sched_waves`].
+    /// Decode waves the scheduler submitted (each drains the pending queue once).
     pub sched_waves: u64,
-    /// See [`Metrics::sched_wave_fields`].
+    /// Cold fields decoded across all scheduler waves.
     pub sched_wave_fields: u64,
-    /// See [`Metrics::sched_multi_field_waves`].
+    /// Waves that carried more than one distinct field (cross-request batching).
     pub sched_multi_field_waves: u64,
-    /// See [`Metrics::sched_shed`].
+    /// Requests shed with a `BUSY` reply because the pending-decode queue was full.
     pub sched_shed: u64,
-    /// See [`Metrics::sched_queue_depth`].
+    /// Gauge: decode tasks currently waiting in the scheduler's pending queue.
     pub sched_queue_depth: u64,
-    /// See [`Metrics::cache_hits`].
+
+    /// Decoded-field cache lookups that found their entry.
     pub cache_hits: u64,
-    /// See [`Metrics::cache_misses`].
+    /// Decoded-field cache lookups that did not.
     pub cache_misses: u64,
-    /// See [`Metrics::cache_evictions`].
+    /// Cache entries evicted to make room.
     pub cache_evictions: u64,
-    /// See [`Metrics::cache_insertions`].
+    /// Cache entries successfully inserted.
     pub cache_insertions: u64,
-    /// See [`Metrics::cache_uncacheable`].
+    /// Insertions refused because the entry alone exceeds the budget.
     pub cache_uncacheable: u64,
-    /// See [`Metrics::cache_used_bytes`].
+    /// Gauge: bytes currently held by the cache.
     pub cache_used_bytes: u64,
-    /// See [`Metrics::cache_budget_bytes`].
+    /// Gauge: the cache's configured byte budget.
     pub cache_budget_bytes: u64,
-    /// See [`Metrics::cache_entries`].
+    /// Gauge: number of cached entries.
     pub cache_entries: u64,
-    /// See [`Metrics::archives_loaded`].
+    /// Gauge: archives currently loaded in the daemon's store.
     pub archives_loaded: u64,
-    /// See [`Metrics::decode_seconds`].
+
+    /// Full-field decode latency, per decoder kind (indexed by [`DecoderKind::tag`]).
     pub decode_seconds: [HistogramSnapshot; DECODER_SLOTS],
-    /// See [`Metrics::index_build_seconds`].
+    /// Range-decode index build latency, per decoder kind.
     pub index_build_seconds: [HistogramSnapshot; DECODER_SLOTS],
-    /// See [`Metrics::partial_decode_seconds`].
+    /// Partial (range-limited) decode latency, per decoder kind.
     pub partial_decode_seconds: [HistogramSnapshot; DECODER_SLOTS],
-    /// See [`Metrics::partial_blocks_decoded`].
+    /// Blocks actually decoded by partial decodes.
     pub partial_blocks_decoded: u64,
-    /// See [`Metrics::partial_blocks_spanned`].
+    /// Blocks a full decode would have run for those same requests.
     pub partial_blocks_spanned: u64,
-    /// See [`Metrics::decode_errors`].
+    /// Decode operations that returned an error.
     pub decode_errors: u64,
-    /// See [`Metrics::decode_bytes_in`].
+    /// Compressed bytes fed into decodes.
     pub decode_bytes_in: u64,
-    /// See [`Metrics::decode_bytes_out`].
+    /// Decoded bytes produced (f32 data or u16 codes).
     pub decode_bytes_out: u64,
-    /// See [`Metrics::decode_occupancy_permille`].
+
+    /// Gauge: time-weighted mean SM occupancy of the most recent full decode's kernel
+    /// launches, in permille (0–1000). The occupancy comes from the gpu-sim occupancy
+    /// calculation on either backend (the CPU backend keeps launch geometry, occupancy
+    /// and launch counts; memory-traffic and cycle aggregates are modeled-only).
     pub decode_occupancy_permille: u64,
-    /// See [`Metrics::batch_occupancy_permille`].
+    /// Gauge: like [`MetricsSnapshot::decode_occupancy_permille`], but across every
+    /// kernel of the most recent batched decode wave.
     pub batch_occupancy_permille: u64,
-    /// See [`Metrics::set_backend`]; `None` when no codec adopted the registry yet.
+    /// The execution backend's name (`"sim"` / `"cpu"`), rendered as the info-style
+    /// series `hfz_backend{name="..."} 1`. Last write wins (a `Codec` sets it at build
+    /// time through [`Metrics::set_backend`]); `None` until one does.
     pub backend: Option<String>,
-    /// See [`Metrics::encode_seconds`].
+
+    /// Whole-pipeline encode latency (quantize + Huffman phases).
     pub encode_seconds: HistogramSnapshot,
-    /// See [`Metrics::encode_phase_seconds`].
+    /// Accumulated seconds per encode phase (see [`ENCODE_PHASES`]): modeled on `sim`,
+    /// measured on `cpu`.
     pub encode_phase_seconds: [f64; 4],
-    /// See [`Metrics::encode_bytes_in`].
+    /// Uncompressed bytes fed into encodes.
     pub encode_bytes_in: u64,
-    /// See [`Metrics::encode_bytes_out`].
+    /// Compressed bytes produced by encodes.
     pub encode_bytes_out: u64,
 }
 
 impl MetricsSnapshot {
+    /// Records one full decode of `seconds` (modeled on `sim`, measured on `cpu`) on
+    /// `decoder`.
+    pub fn observe_decode(&mut self, decoder: DecoderKind, seconds: f64) {
+        self.decode_seconds[decoder.tag() as usize].observe(seconds);
+    }
+
+    /// Records one range-decode index build.
+    pub fn observe_index_build(&mut self, decoder: DecoderKind, seconds: f64) {
+        self.index_build_seconds[decoder.tag() as usize].observe(seconds);
+    }
+
+    /// Records one partial (range-limited) decode.
+    pub fn observe_partial_decode(&mut self, decoder: DecoderKind, seconds: f64) {
+        self.partial_decode_seconds[decoder.tag() as usize].observe(seconds);
+    }
+
     /// Total decode count across every decoder kind.
     pub fn total_decodes(&self) -> u64 {
         self.decode_seconds.iter().map(|h| h.count()).sum()
@@ -865,6 +626,12 @@ impl Sample {
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
     }
+
+    /// Whether this sample is a series of `name` whose labels include every pair in
+    /// `labels` (subset match).
+    fn matches(&self, name: &str, labels: &[(&str, &str)]) -> bool {
+        self.name == name && labels.iter().all(|(k, v)| self.label(k) == Some(*v))
+    }
 }
 
 /// Parses a Prometheus text exposition document into its samples, validating the
@@ -1005,18 +772,23 @@ fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
 }
 
 /// Finds the value of the first sample matching `name` whose labels include every pair
-/// in `labels` (subset match). The helper `hfz stats --watch` and the exporter tests
-/// read series with.
+/// in `labels` (subset match). The exporter tests read single series with it.
 pub fn sample_value(samples: &[Sample], name: &str, labels: &[(&str, &str)]) -> Option<f64> {
     samples
         .iter()
-        .find(|s| {
-            s.name == name
-                && labels
-                    .iter()
-                    .all(|(k, v)| s.label(k).map(|found| found == *v).unwrap_or(false))
-        })
+        .find(|s| s.matches(name, labels))
         .map(|s| s.value)
+}
+
+/// Sums every sample of `name` whose labels include every pair in `labels` (subset
+/// match; `0.0` when none does): a labelled family's total, across decoders or across
+/// one shard's series. The router's fleet `STATS` and `hfz stats --watch` read with it.
+pub fn sum_samples(samples: &[Sample], name: &str, labels: &[(&str, &str)]) -> f64 {
+    samples
+        .iter()
+        .filter(|s| s.matches(name, labels))
+        .map(|s| s.value)
+        .sum()
 }
 
 /// How a scraped document's decode seconds were timed, as its `hfz_backend{name}` series
@@ -1157,76 +929,91 @@ mod tests {
     #[test]
     fn counters_gauges_and_float_sums() {
         let m = Metrics::new();
-        m.requests.inc();
-        m.requests.add(4);
-        assert_eq!(m.requests.get(), 5);
-        m.cache_used_bytes.set(123);
-        m.cache_used_bytes.set(77);
-        assert_eq!(m.cache_used_bytes.get(), 77);
-        m.batch_serial_seconds.add(0.5);
-        m.batch_serial_seconds.add(0.25);
-        assert!((m.batch_serial_seconds.get() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn float_counter_is_exact_under_contention() {
-        let c = FloatCounter::new();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..1000 {
-                        c.add(0.5);
-                    }
-                });
-            }
-        });
-        // 0.5 is a power of two, so 4000 additions are exact in f64 regardless of the
-        // CAS interleaving.
-        assert_eq!(c.get(), 2000.0);
+        m.update(|m| m.requests += 1);
+        m.update(|m| m.requests += 4);
+        m.update(|m| m.cache_used_bytes = 123);
+        m.update(|m| m.cache_used_bytes = 77);
+        m.update(|m| m.batch_serial_seconds += 0.5);
+        m.update(|m| m.batch_serial_seconds += 0.25);
+        let snap = m.snapshot();
+        assert_eq!(snap.requests, 5);
+        assert_eq!(snap.cache_used_bytes, 77);
+        assert!((snap.batch_serial_seconds - 0.75).abs() < 1e-12);
     }
 
     #[test]
     fn counter_is_consistent_under_contention() {
-        let c = Counter::new();
+        const THREADS: usize = 8;
+        const UPDATES: usize = 1000;
+        let m = Metrics::new();
         std::thread::scope(|scope| {
-            for _ in 0..8 {
+            for _ in 0..THREADS {
                 scope.spawn(|| {
-                    for _ in 0..1000 {
-                        c.inc();
+                    for i in 0..UPDATES {
+                        m.update(|m| {
+                            m.gets += 1;
+                            // Alternate between the first bucket and the `+Inf` slot.
+                            m.encode_seconds
+                                .observe(if i % 2 == 0 { 0.0 } else { 100.0 });
+                        });
                     }
                 });
             }
         });
-        assert_eq!(c.get(), 8000);
+        let snap = m.snapshot();
+        let n = (THREADS * UPDATES) as u64;
+        assert_eq!(snap.gets, n);
+        assert_eq!(snap.encode_seconds.count(), n);
+        assert_eq!(snap.encode_seconds.buckets[0], n / 2);
+        assert_eq!(*snap.encode_seconds.buckets.last().unwrap(), n / 2);
+        assert_eq!(snap.encode_seconds.sum, (n / 2) as f64 * 100.0);
+    }
+
+    #[test]
+    fn float_counter_is_exact_under_contention() {
+        let m = Metrics::new();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..1000 {
+                        m.update(|m| m.batch_batched_seconds += 0.5);
+                    }
+                });
+            }
+        });
+        // 0.5 is a power of two, so 4000 additions are exact in f64 whatever the
+        // interleaving.
+        assert_eq!(m.snapshot().batch_batched_seconds, 2000.0);
     }
 
     #[test]
     fn histogram_buckets_observations() {
-        let h = Histogram::new();
+        let mut h = HistogramSnapshot::default();
         h.observe(0.0); // below the first bound
         h.observe(1e-6); // exactly the first bound (le is inclusive)
         h.observe(2e-3);
         h.observe(100.0); // above every bound -> +Inf slot
         assert_eq!(h.count(), 4);
-        assert!((h.sum() - (1e-6 + 2e-3 + 100.0)).abs() < 1e-9);
-        let snap = h.snapshot();
-        assert_eq!(snap.buckets[0], 2);
-        assert_eq!(*snap.buckets.last().unwrap(), 1);
-        assert_eq!(snap.count(), 4);
+        assert!((h.sum - (1e-6 + 2e-3 + 100.0)).abs() < 1e-9);
+        assert_eq!(h.buckets.len(), LATENCY_BUCKET_BOUNDS.len() + 1);
+        assert_eq!(h.buckets[0], 2);
+        assert_eq!(*h.buckets.last().unwrap(), 1);
     }
 
     #[test]
     fn render_is_valid_exposition_with_every_family() {
         let m = Metrics::new();
-        m.requests.add(3);
-        m.observe_decode(DecoderKind::OptimizedGapArray, 1.5e-3);
-        m.observe_index_build(DecoderKind::CuszBaseline, 2e-4);
-        m.observe_partial_decode(DecoderKind::OptimizedSelfSync, 9e-5);
-        m.encode_seconds.observe(0.02);
-        m.encode_phase_seconds[1].add(0.004);
-        m.cache_budget_bytes.set(1 << 20);
-        m.decode_occupancy_permille.set(250);
-        m.batch_occupancy_permille.set(500);
+        m.update(|m| {
+            m.observe_decode(DecoderKind::OptimizedGapArray, 1.5e-3);
+            m.observe_index_build(DecoderKind::CuszBaseline, 2e-4);
+            m.observe_partial_decode(DecoderKind::OptimizedSelfSync, 9e-5);
+            m.requests += 3;
+            m.encode_seconds.observe(0.02);
+            m.encode_phase_seconds[1] += 0.004;
+            m.cache_budget_bytes = 1 << 20;
+            m.decode_occupancy_permille = 250;
+            m.batch_occupancy_permille = 500;
+        });
         m.set_backend("sim");
         let text = m.render_prometheus();
         let samples = parse_prometheus(&text).expect("rendered exposition parses");
@@ -1323,7 +1110,7 @@ mod tests {
     fn rendered_buckets_are_monotone_and_sum_to_count() {
         let m = Metrics::new();
         for i in 0..50 {
-            m.observe_decode(DecoderKind::OptimizedGapArray, (i as f64) * 1e-4);
+            m.update(|m| m.observe_decode(DecoderKind::OptimizedGapArray, (i as f64) * 1e-4));
         }
         let samples = parse_prometheus(&m.render_prometheus()).unwrap();
         let label = ("decoder", DecoderKind::OptimizedGapArray.name());
@@ -1379,14 +1166,16 @@ mod tests {
     #[test]
     fn snapshot_is_plain_data() {
         let m = Metrics::new();
-        m.gets.add(2);
-        m.observe_decode(DecoderKind::CuszBaseline, 0.5);
+        m.update(|m| {
+            m.gets += 2;
+            m.observe_decode(DecoderKind::CuszBaseline, 0.5);
+        });
         let a = m.snapshot();
         let b = a.clone();
         assert_eq!(a, b);
         assert_eq!(a.total_decodes(), 1);
         assert!((a.total_decode_seconds() - 0.5).abs() < 1e-12);
-        m.gets.inc();
+        m.update(|m| m.gets += 1);
         assert_eq!(a.gets, 2, "snapshots do not track the live registry");
     }
 
@@ -1394,7 +1183,7 @@ mod tests {
     fn decode_clock_follows_the_backend_series() {
         let rendered = |backend: Option<&str>| {
             let m = Metrics::new();
-            m.observe_decode(DecoderKind::OptimizedGapArray, 1e-3);
+            m.update(|m| m.observe_decode(DecoderKind::OptimizedGapArray, 1e-3));
             if let Some(name) = backend {
                 m.set_backend(name);
             }
@@ -1418,12 +1207,16 @@ mod tests {
     #[test]
     fn merge_expositions_labels_every_sample() {
         let a = Metrics::new();
-        a.requests.add(3);
-        a.observe_decode(DecoderKind::CuszBaseline, 0.5);
+        a.update(|m| {
+            m.requests += 3;
+            m.observe_decode(DecoderKind::CuszBaseline, 0.5);
+        });
         a.set_backend("gpu-sim (sim)");
         let b = Metrics::new();
-        b.requests.add(4);
-        b.observe_decode(DecoderKind::CuszBaseline, 0.25);
+        b.update(|m| {
+            m.requests += 4;
+            m.observe_decode(DecoderKind::CuszBaseline, 0.25);
+        });
         b.set_backend("gpu-sim (sim)");
         let docs = [a.render_prometheus(), b.render_prometheus()];
         let merged = merge_expositions(&[("0", &docs[0]), ("1", &docs[1])]).unwrap();
@@ -1442,18 +1235,13 @@ mod tests {
             Some(4.0)
         );
         // …and fleet totals are plain sums over the family.
-        let total: f64 = samples
-            .iter()
-            .filter(|s| s.name == "hfz_requests_total")
-            .map(|s| s.value)
-            .sum();
-        assert_eq!(total, 7.0);
-        let decodes: f64 = samples
-            .iter()
-            .filter(|s| s.name == "hfz_decode_seconds_count")
-            .map(|s| s.value)
-            .sum();
-        assert_eq!(decodes, 2.0);
+        assert_eq!(sum_samples(&samples, "hfz_requests_total", &[]), 7.0);
+        assert_eq!(sum_samples(&samples, "hfz_decode_seconds_count", &[]), 2.0);
+        assert_eq!(
+            sum_samples(&samples, "hfz_decode_seconds_count", &[("shard", "1")]),
+            1.0
+        );
+        assert_eq!(sum_samples(&samples, "hfz_nope_total", &[]), 0.0);
         // Histogram series keep their original labels next to the shard label.
         assert!(merged.contains("hfz_decode_seconds_bucket{shard=\"0\",decoder="));
 

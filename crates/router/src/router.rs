@@ -38,7 +38,7 @@ use std::sync::{Mutex, RwLock};
 
 use huffdec_codec::ArchiveSummary;
 use huffdec_container::JsonWriter;
-use huffdec_metrics::{merge_expositions, parse_prometheus, Sample};
+use huffdec_metrics::{merge_expositions, parse_prometheus, sum_samples, Sample};
 use huffdec_serve::client::ClientError;
 use huffdec_serve::protocol::{BatchGetItem, GetKind, Request, Response};
 use huffdec_serve::server::Health;
@@ -463,13 +463,7 @@ impl RouterState {
     /// The counters the fleet `STATS` document reports, pulled from one shard's
     /// Prometheus exposition (labelled families sum across their series).
     fn shard_counters(samples: &[Sample]) -> ShardCounters {
-        let total = |name: &str| -> f64 {
-            samples
-                .iter()
-                .filter(|s| s.name == name)
-                .map(|s| s.value)
-                .sum()
-        };
+        let total = |name: &str| sum_samples(samples, name, &[]);
         ShardCounters {
             requests: total("hfz_requests_total") as u64,
             gets: total("hfz_gets_total") as u64,

@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use huffdec_metrics::Metrics;
+use huffdec_metrics::{Metrics, MetricsSnapshot};
 
 use crate::protocol::GetKind;
 
@@ -43,28 +43,11 @@ struct Entry {
     last_used: u64,
 }
 
-/// A read-back of the cache's lifetime counters (kept as a plain struct for consumers
-/// that want one coherent copy; the live counters are `cache_*` instruments in the
-/// shared [`Metrics`] registry).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// `get`s that found their entry.
-    pub hits: u64,
-    /// `get`s that did not.
-    pub misses: u64,
-    /// Entries evicted to make room.
-    pub evictions: u64,
-    /// Entries successfully inserted.
-    pub insertions: u64,
-    /// Insertions refused because the entry alone exceeds the budget.
-    pub uncacheable: u64,
-}
-
 /// A bytes-budgeted LRU cache of decoded fields.
 ///
-/// All counters live in a [`Metrics`] registry, so a cache built with
-/// [`DecodedLru::with_metrics`] shares its hit/miss/eviction accounting with the codec
-/// that fills it — one registry, one `/metrics` render.
+/// All counters live in a [`Metrics`] registry (the `cache_*` fields), so a cache built
+/// with [`DecodedLru::with_metrics`] shares its hit/miss/eviction accounting with the
+/// codec that fills it — one registry, one `/metrics` render.
 #[derive(Debug)]
 pub struct DecodedLru {
     budget_bytes: u64,
@@ -84,7 +67,7 @@ impl DecodedLru {
     /// Like [`DecodedLru::new`], but recording into a shared registry — how the daemon
     /// points the cache and its codec at the same instruments.
     pub fn with_metrics(budget_bytes: u64, metrics: Arc<Metrics>) -> Self {
-        metrics.cache_budget_bytes.set(budget_bytes);
+        metrics.update(|m| m.cache_budget_bytes = budget_bytes);
         DecodedLru {
             budget_bytes,
             used_bytes: 0,
@@ -114,25 +97,19 @@ impl DecodedLru {
         self.entries.is_empty()
     }
 
-    /// Snapshot of the lifetime counters (read back from the shared registry).
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.metrics.cache_hits.get(),
-            misses: self.metrics.cache_misses.get(),
-            evictions: self.metrics.cache_evictions.get(),
-            insertions: self.metrics.cache_insertions.get(),
-            uncacheable: self.metrics.cache_uncacheable.get(),
-        }
-    }
-
     /// The registry this cache records into.
     pub fn metrics(&self) -> &Arc<Metrics> {
         &self.metrics
     }
 
-    fn sync_gauges(&self) {
-        self.metrics.cache_used_bytes.set(self.used_bytes);
-        self.metrics.cache_entries.set(self.entries.len() as u64);
+    /// Publishes the occupancy gauges and whatever `record` bumps, in one update.
+    fn publish(&self, record: impl FnOnce(&mut MetricsSnapshot)) {
+        let (used, entries) = (self.used_bytes, self.entries.len() as u64);
+        self.metrics.update(|m| {
+            record(m);
+            m.cache_used_bytes = used;
+            m.cache_entries = entries;
+        });
     }
 
     /// Looks up `key`, counting a hit or a miss and refreshing recency on a hit.
@@ -141,11 +118,11 @@ impl DecodedLru {
         match self.entries.get_mut(key) {
             Some(entry) => {
                 entry.last_used = self.clock;
-                self.metrics.cache_hits.inc();
+                self.metrics.update(|m| m.cache_hits += 1);
                 Some(Arc::clone(&entry.bytes))
             }
             None => {
-                self.metrics.cache_misses.inc();
+                self.metrics.update(|m| m.cache_misses += 1);
                 None
             }
         }
@@ -168,9 +145,10 @@ impl DecodedLru {
         let size = bytes.len() as u64;
         let bytes = Arc::new(bytes);
         if size > self.budget_bytes {
-            self.metrics.cache_uncacheable.inc();
+            self.metrics.update(|m| m.cache_uncacheable += 1);
             return bytes;
         }
+        let mut evictions = 0;
         while self.used_bytes + size > self.budget_bytes {
             let victim = self
                 .entries
@@ -180,11 +158,10 @@ impl DecodedLru {
                 .expect("used_bytes > 0 implies at least one entry");
             let evicted = self.entries.remove(&victim).expect("victim exists");
             self.used_bytes -= evicted.bytes.len() as u64;
-            self.metrics.cache_evictions.inc();
+            evictions += 1;
         }
         self.clock += 1;
         self.used_bytes += size;
-        self.metrics.cache_insertions.inc();
         self.entries.insert(
             key,
             Entry {
@@ -192,7 +169,10 @@ impl DecodedLru {
                 last_used: self.clock,
             },
         );
-        self.sync_gauges();
+        self.publish(|m| {
+            m.cache_evictions += evictions;
+            m.cache_insertions += 1;
+        });
         bytes
     }
 
@@ -209,7 +189,7 @@ impl DecodedLru {
             let entry = self.entries.remove(&key).expect("key just listed");
             self.used_bytes -= entry.bytes.len() as u64;
         }
-        self.sync_gauges();
+        self.publish(|_| {});
     }
 
     /// Checks the structural invariants the concurrency tests assert after every
@@ -236,6 +216,11 @@ impl DecodedLru {
 mod tests {
     use super::*;
 
+    /// The registry counters a cache records into.
+    fn counters(c: &DecodedLru) -> MetricsSnapshot {
+        c.metrics().snapshot()
+    }
+
     fn key(archive: &str, field: u32) -> CacheKey {
         CacheKey {
             archive: archive.into(),
@@ -252,8 +237,11 @@ mod tests {
         c.insert(key("a", 0), vec![1; 40]);
         let got = c.get(&key("a", 0)).expect("cached");
         assert_eq!(got.len(), 40);
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1));
+        let s = counters(&c);
+        assert_eq!(
+            (s.cache_hits, s.cache_misses, s.cache_insertions),
+            (1, 1, 1)
+        );
         assert_eq!(c.used_bytes(), 40);
         c.check_invariants().unwrap();
     }
@@ -269,7 +257,7 @@ mod tests {
         assert!(c.peek(&key("a", 0)).is_some(), "recently used survives");
         assert!(c.peek(&key("a", 1)).is_none(), "LRU entry evicted");
         assert!(c.peek(&key("a", 2)).is_some());
-        assert_eq!(c.stats().evictions, 1);
+        assert_eq!(counters(&c).cache_evictions, 1);
         assert!(c.used_bytes() <= c.budget_bytes());
         c.check_invariants().unwrap();
     }
@@ -282,8 +270,8 @@ mod tests {
         assert_eq!(big.len(), 65, "value is still returned to the caller");
         assert!(c.peek(&key("a", 1)).is_none());
         assert!(c.peek(&key("a", 0)).is_some(), "existing entries survive");
-        assert_eq!(c.stats().uncacheable, 1);
-        assert_eq!(c.stats().evictions, 0);
+        assert_eq!(counters(&c).cache_uncacheable, 1);
+        assert_eq!(counters(&c).cache_evictions, 0);
         c.check_invariants().unwrap();
     }
 
@@ -293,7 +281,7 @@ mod tests {
         let first = c.insert(key("a", 0), vec![1; 10]);
         let second = c.insert(key("a", 0), vec![2; 10]);
         assert!(Arc::ptr_eq(&first, &second), "first insertion wins");
-        assert_eq!(c.stats().insertions, 1);
+        assert_eq!(counters(&c).cache_insertions, 1);
         assert_eq!(c.used_bytes(), 10);
     }
 
@@ -359,7 +347,11 @@ mod tests {
         assert_eq!(c.len(), 4);
         c.insert(key("b", 0), vec![0; 90]);
         assert!(c.peek(&key("b", 0)).is_some());
-        assert_eq!(c.stats().evictions, 4, "all four entries had to go");
+        assert_eq!(
+            counters(&c).cache_evictions,
+            4,
+            "all four entries had to go"
+        );
         assert_eq!(c.used_bytes(), 90);
         c.check_invariants().unwrap();
     }
@@ -369,7 +361,7 @@ mod tests {
         let mut c = DecodedLru::new(0);
         c.insert(key("a", 0), vec![0; 1]);
         assert!(c.is_empty());
-        assert_eq!(c.stats().uncacheable, 1);
+        assert_eq!(counters(&c).cache_uncacheable, 1);
         c.check_invariants().unwrap();
     }
 }

@@ -12,11 +12,13 @@
 //! The implementation is deliberately tiny — dependency-free, thread-per-connection,
 //! `Connection: close` — because a scrape every few seconds is all the traffic it will
 //! ever see. It is **not** a general HTTP server: request heads are capped at 8 KiB,
-//! bodies are ignored, and only `GET` is answered.
+//! bodies are ignored, only `GET` is answered, and a peer that stalls for
+//! [`SCRAPE_TIMEOUT`] mid-request (or mid-response) is dropped.
 
 use std::io::{Read, Write};
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 use crate::net::{Conn, ListenAddr, Listener};
 use crate::server::Health;
@@ -24,6 +26,12 @@ use crate::service::Service;
 
 /// Longest request head (request line + headers) the sidecar will read.
 const MAX_HEAD_BYTES: usize = 8 * 1024;
+
+/// How long one read or write of a scrape may block before the sidecar drops the
+/// connection. A peer that connects and never finishes its request head would
+/// otherwise hold a thread forever — or, accepted after shutdown and served inline,
+/// the accept loop and with it `ServiceHandle::join`.
+pub const SCRAPE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// The metrics/health HTTP listener, bound next to a service's request socket.
 pub(crate) struct HttpServer<S> {
@@ -74,6 +82,7 @@ impl<S: Service> HttpServer<S> {
 /// Reads one request head and writes one response. Any parse problem is answered with
 /// a `400`; I/O errors are returned for the caller to drop.
 fn serve_scrape<S: Service>(mut conn: Conn, state: &S) -> std::io::Result<()> {
+    conn.set_timeouts(Some(SCRAPE_TIMEOUT), Some(SCRAPE_TIMEOUT))?;
     let head = match read_head(&mut conn) {
         Ok(head) => head,
         Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {

@@ -73,9 +73,10 @@ pub mod server;
 pub mod service;
 pub mod store;
 
-pub use cache::{CacheKey, CacheStats, DecodedLru};
+pub use cache::{CacheKey, DecodedLru};
 pub use client::{ClientError, Connection, GetResult, RetryPolicy};
 pub use daemon::{Daemon, DaemonBuilder, ServerHandle};
+pub use http::SCRAPE_TIMEOUT;
 pub use huffdec_codec::{
     ArchiveHandle, Backend, BackendKind, Codec, FieldHandle, HfzError, Metrics, MetricsSnapshot,
 };

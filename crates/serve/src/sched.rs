@@ -144,13 +144,12 @@ impl Scheduler {
             .filter(|(key, _, _)| !inner.inflight.contains_key(key))
             .count();
         if inner.stop || inner.pending.len() + new_needed > self.queue_bound {
-            self.metrics.sched_shed.inc();
+            self.metrics.update(|m| m.sched_shed += 1);
             return None;
         }
         let mut outcomes = Vec::with_capacity(wants.len());
         for (key, loaded, field) in wants {
             if let Some(slot) = inner.inflight.get(key) {
-                self.metrics.sched_coalesced.inc();
                 outcomes.push(SubmitOutcome {
                     slot: Arc::clone(slot),
                     created: false,
@@ -170,9 +169,13 @@ impl Scheduler {
                 created: true,
             });
         }
-        self.metrics
-            .sched_queue_depth
-            .set(inner.pending.len() as u64);
+        // The gauge is published under the scheduler's lock, so depths land in queue
+        // order (the registry's lock is a leaf and may nest inside it).
+        let coalesced = outcomes.iter().filter(|o| !o.created).count() as u64;
+        self.metrics.update(|m| {
+            m.sched_coalesced += coalesced;
+            m.sched_queue_depth = inner.pending.len() as u64;
+        });
         drop(inner);
         self.wake.notify_all();
         Some(outcomes)
@@ -190,13 +193,13 @@ impl Scheduler {
             inner = self.wake.wait(inner).unwrap_or_else(|p| p.into_inner());
         }
         let tasks = std::mem::take(&mut inner.pending);
-        self.metrics.sched_queue_depth.set(0);
+        self.metrics.update(|m| {
+            m.sched_queue_depth = 0;
+            m.sched_waves += 1;
+            m.sched_wave_fields += tasks.len() as u64;
+            m.sched_multi_field_waves += u64::from(tasks.len() > 1);
+        });
         drop(inner);
-        self.metrics.sched_waves.inc();
-        self.metrics.sched_wave_fields.add(tasks.len() as u64);
-        if tasks.len() > 1 {
-            self.metrics.sched_multi_field_waves.inc();
-        }
         Some(tasks)
     }
 
@@ -217,7 +220,7 @@ impl Scheduler {
         for task in &tasks {
             inner.inflight.remove(&task.key);
         }
-        self.metrics.sched_queue_depth.set(0);
+        self.metrics.update(|m| m.sched_queue_depth = 0);
         drop(inner);
         for task in tasks {
             task.slot

@@ -47,7 +47,7 @@ use huffdec_container::JsonWriter;
 use huffdec_core::DecoderKind;
 use huffdec_metrics::{Metrics, MetricsSnapshot};
 
-use crate::cache::{CacheKey, CacheStats, DecodedLru};
+use crate::cache::{CacheKey, DecodedLru};
 use crate::daemon::DaemonBuilder;
 use crate::protocol::{BatchGetItem, GetKind, Request, Response};
 use crate::sched::{DecodeTask, FlightSlot, Scheduler};
@@ -155,11 +155,6 @@ impl ServerState {
         self.cache.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Snapshot of the cache counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.lock_cache().stats()
-    }
-
     /// Current cache occupancy in bytes.
     pub fn cache_used_bytes(&self) -> u64 {
         self.lock_cache().used_bytes()
@@ -175,7 +170,8 @@ impl ServerState {
         let loaded = self.store.load(name, path)?;
         // A re-load under the same name must not serve stale decodes.
         self.lock_cache().invalidate_archive(name);
-        self.metrics().archives_loaded.set(self.store.len() as u64);
+        let loaded_count = self.store.len() as u64;
+        self.metrics().update(|m| m.archives_loaded = loaded_count);
         Ok(loaded)
     }
 
@@ -219,7 +215,7 @@ impl ServerState {
     /// This is what every connection thread calls per frame; it is public so
     /// in-process consumers (tests, examples, benches) can skip the socket.
     pub fn handle(&self, request: &Request) -> Response {
-        self.metrics().requests.inc();
+        self.metrics().update(|m| m.requests += 1);
         match request {
             Request::List => Response::List(self.list_json()),
             Request::Stats => Response::Stats(self.stats_json()),
@@ -387,7 +383,7 @@ impl ServerState {
         kind: GetKind,
         range: Option<(u64, u64)>,
     ) -> Result<Response, String> {
-        self.metrics().gets.inc();
+        self.metrics().update(|m| m.gets += 1);
         let Some((mut fetched, _)) = self.fetch(archive, kind, &[field], range)? else {
             return Ok(Response::Busy);
         };
@@ -402,12 +398,15 @@ impl ServerState {
     }
 
     fn get_batch(&self, archive: &str, kind: GetKind, fields: &[u32]) -> Result<Response, String> {
-        self.metrics().batch_gets.inc();
-        self.metrics().batch_fields.add(fields.len() as u64);
+        self.metrics().update(|m| {
+            m.batch_gets += 1;
+            m.batch_fields += fields.len() as u64;
+        });
         let Some((fetched, started)) = self.fetch(archive, kind, fields, None)? else {
             return Ok(Response::Busy);
         };
-        self.metrics().batch_decoded_fields.add(started as u64);
+        self.metrics()
+            .update(|m| m.batch_decoded_fields += started as u64);
         let items = fetched
             .into_iter()
             .map(|f| BatchGetItem {

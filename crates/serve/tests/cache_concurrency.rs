@@ -90,24 +90,31 @@ fn hammer_counters_are_consistent_and_budget_holds() {
     }
 
     let guard = cache.lock().unwrap();
-    let stats = guard.stats();
+    let stats = guard.metrics().snapshot();
     assert_eq!(total_gets, THREADS * OPS_PER_THREAD);
     assert_eq!(
-        stats.hits + stats.misses,
+        stats.cache_hits + stats.cache_misses,
         total_gets,
         "every get is exactly one hit or one miss: {:?}",
         stats
     );
-    assert_eq!(stats.hits, total_hits, "hit counters agree: {:?}", stats);
     assert_eq!(
-        stats.insertions + stats.uncacheable,
-        stats.misses,
+        stats.cache_hits, total_hits,
+        "hit counters agree: {:?}",
+        stats
+    );
+    assert_eq!(
+        stats.cache_insertions + stats.cache_uncacheable,
+        stats.cache_misses,
         "every miss was followed by exactly one insert or refusal: {:?}",
         stats
     );
-    assert!(stats.evictions > 0, "the budget must have forced evictions");
     assert!(
-        stats.uncacheable > 0,
+        stats.cache_evictions > 0,
+        "the budget must have forced evictions"
+    );
+    assert!(
+        stats.cache_uncacheable > 0,
         "oversized entries must have occurred"
     );
     guard.check_invariants().unwrap();
@@ -128,5 +135,8 @@ fn hammer_shared_entries_survive_while_referenced() {
         .insert(key(0, 1, GetKind::Data), vec![1u8; 900]);
     assert!(cache.lock().unwrap().peek(&k0).is_none(), "evicted");
     assert!(held.iter().all(|&b| b == 7), "held bytes outlive eviction");
-    assert_eq!(cache.lock().unwrap().stats().evictions, 1);
+    assert_eq!(
+        cache.lock().unwrap().metrics().snapshot().cache_evictions,
+        1
+    );
 }

@@ -115,13 +115,13 @@ fn concurrent_cold_misses_coalesce_into_one_decode() {
     assert_eq!(decodes, 1, "coalescing must leave exactly one decode");
     // Every other request is accounted for: it either joined the flight or hit the
     // cache after the flight's result was inserted.
-    let cache = state.cache_stats();
+    let cache = state.metrics_snapshot();
     assert_eq!(
-        stats.sched_coalesced + cache.hits,
+        stats.sched_coalesced + cache.cache_hits,
         (CLIENTS - 1) as u64,
         "coalesced {} + hits {} must cover the other {} requests",
         stats.sched_coalesced,
-        cache.hits,
+        cache.cache_hits,
         CLIENTS - 1
     );
     assert!(stats.sched_waves >= 1);

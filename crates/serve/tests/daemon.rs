@@ -182,10 +182,10 @@ fn daemon_serves_concurrent_clients_with_eviction() {
     // The cache behaved: hits and misses both happened, at least one eviction under
     // the deliberately small budget, and the budget held at all times (the cache's
     // invariant check runs inside insert; here we check the final accounting too).
-    let cache = state.cache_stats();
-    assert!(cache.hits > 0, "no cache hits: {:?}", cache);
-    assert!(cache.misses > 0, "no cache misses: {:?}", cache);
-    assert!(cache.evictions >= 1, "no evictions: {:?}", cache);
+    let cache = state.metrics_snapshot();
+    assert!(cache.cache_hits > 0, "no cache hits: {:?}", cache);
+    assert!(cache.cache_misses > 0, "no cache misses: {:?}", cache);
+    assert!(cache.cache_evictions >= 1, "no evictions: {:?}", cache);
     assert!(state.cache_used_bytes() <= budget);
 
     let stats = state.metrics_snapshot();
@@ -199,7 +199,7 @@ fn daemon_serves_concurrent_clients_with_eviction() {
         let mut client = Connection::connect(&addr).unwrap();
         let json = client.stats().unwrap();
         assert!(
-            json.contains(&format!("\"evictions\":{}", cache.evictions)),
+            json.contains(&format!("\"evictions\":{}", cache.cache_evictions)),
             "stats JSON must report the evictions: {}",
             json
         );
@@ -518,11 +518,15 @@ fn daemon_serves_hybrid_v2_snapshot() {
     }
 
     // A repeat GET of the hybrid field is a decoded-LRU hit, not a second decode.
-    let before = state.cache_stats();
+    let before = state.metrics_snapshot();
     let r = client.get("hy", 0, GetKind::Data, None).unwrap();
     assert_eq!(r.bytes, f32_bytes(&expected[0].0));
-    let after = state.cache_stats();
-    assert_eq!(after.hits, before.hits + 1, "hybrid decode must be cached");
+    let after = state.metrics_snapshot();
+    assert_eq!(
+        after.cache_hits,
+        before.cache_hits + 1,
+        "hybrid decode must be cached"
+    );
 
     // With the full decode resident, a ranged data request on the hybrid field is
     // served by slicing the cached bytes — no range decode needed.

@@ -1,8 +1,9 @@
 //! HTTP sidecar tests: `/metrics` must be valid Prometheus text exposition covering
 //! every instrument, and `/healthz` must walk healthy → degraded → unhealthy.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use datasets::{dataset_by_name, generate};
 use gpu_sim::GpuConfig;
@@ -13,7 +14,7 @@ use huffdec_metrics::{parse_prometheus, sample_value, Sample};
 use huffdec_serve::net::{connect, ListenAddr};
 use huffdec_serve::protocol::{GetKind, Request, Response};
 use huffdec_serve::server::{Health, ServerState};
-use huffdec_serve::{BackendKind, Daemon};
+use huffdec_serve::{BackendKind, Daemon, SCRAPE_TIMEOUT};
 
 /// Issues one `GET` against the sidecar and splits the response into
 /// `(status, head, body)`.
@@ -282,7 +283,7 @@ fn healthz_walks_healthy_degraded_unhealthy() {
     assert_eq!(body, "healthy\n");
 
     // A decode error in the window degrades (but stays 200: still serving).
-    state.metrics().decode_errors.inc();
+    state.metrics().update(|m| m.decode_errors += 1);
     let (status, _, body) = http_get(&addr, "/healthz");
     assert_eq!(status, 200);
     assert!(
@@ -297,9 +298,11 @@ fn healthz_walks_healthy_degraded_unhealthy() {
     assert_eq!(body, "healthy\n");
 
     // Cache thrash — evictions while misses outnumber hits — degrades too.
-    state.metrics().cache_evictions.add(3);
-    state.metrics().cache_misses.add(5);
-    state.metrics().cache_hits.add(1);
+    state.metrics().update(|m| {
+        m.cache_evictions += 3;
+        m.cache_misses += 5;
+        m.cache_hits += 1;
+    });
     let (status, _, body) = http_get(&addr, "/healthz");
     assert_eq!(status, 200);
     assert!(body.starts_with("degraded: cache thrash"), "body: {}", body);
@@ -318,5 +321,47 @@ fn healthz_walks_healthy_degraded_unhealthy() {
         raw.ends_with("\r\n\r\nunhealthy: shutting down\n"),
         "{}",
         raw
+    );
+}
+
+#[test]
+fn stalled_peer_is_dropped_after_the_scrape_timeout() {
+    let (_state, addr) = sidecar_fixture("hfzd-stalled-peer-http");
+
+    // A peer that sends half a request line, then goes quiet. Its own read timeout
+    // keeps this test from hanging should the sidecar never close the connection.
+    let margin = Duration::from_secs(5);
+    let mut idle = connect(&addr).expect("sidecar accepts");
+    idle.set_timeouts(Some(SCRAPE_TIMEOUT + margin), None)
+        .unwrap();
+    idle.write_all(b"GET /metr").unwrap();
+    idle.flush().unwrap();
+    let opened = Instant::now();
+
+    // A normal scrape still answers while the idle peer holds its connection.
+    let (status, _, body) = http_get(&addr, "/metrics");
+    assert_eq!(status, 200);
+    assert!(body.contains("# TYPE hfz_requests_total counter"));
+
+    // The sidecar closes the stalled connection without a response.
+    let mut rest = Vec::new();
+    match idle.read_to_end(&mut rest) {
+        Ok(_) => assert!(
+            rest.is_empty(),
+            "a half request gets no response: {:?}",
+            rest
+        ),
+        Err(e) => assert_eq!(
+            e.kind(),
+            ErrorKind::ConnectionReset,
+            "the sidecar must close a stalled peer, not leave it open: {}",
+            e
+        ),
+    }
+    let waited = opened.elapsed();
+    assert!(
+        waited < SCRAPE_TIMEOUT + margin,
+        "closed only after {:?}",
+        waited
     );
 }

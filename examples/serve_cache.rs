@@ -92,16 +92,16 @@ fn main() {
     fetch(&mut client, "gamess", None);
     fetch(&mut client, "hacc", None); // decodes again: it was evicted
 
-    let cache = state.cache_stats();
+    let cache = state.metrics_snapshot();
     println!(
         "cache: {} hits, {} misses, {} evictions, {} bytes used of {}",
-        cache.hits,
-        cache.misses,
-        cache.evictions,
+        cache.cache_hits,
+        cache.cache_misses,
+        cache.cache_evictions,
         state.cache_used_bytes(),
         250_000
     );
-    assert!(cache.hits >= 2 && cache.evictions >= 1);
+    assert!(cache.cache_hits >= 2 && cache.cache_evictions >= 1);
 
     client.shutdown().unwrap();
     daemon.join().unwrap();

@@ -36,6 +36,7 @@
 use std::process::ExitCode;
 
 use huffdec::datasets::{dataset_by_name, generate, DatasetSpec, Dims};
+use huffdec::metrics::sum_samples;
 use huffdec::serve::client::Connection;
 use huffdec::serve::daemon::{run_foreground as run_daemon, DaemonBuilder};
 use huffdec::serve::flags::Flags;
@@ -1037,13 +1038,7 @@ fn watch_stats(client: &mut Connection, secs: u64) -> Result<(), HfzError> {
         let samples = huffdec::metrics::parse_prometheus(&text)
             .map_err(|e| HfzError::Protocol(format!("bad /metrics document: {}", e)))?;
         // Labeled families (per-decoder histograms) are summed across their series.
-        let total = |name: &str| -> f64 {
-            samples
-                .iter()
-                .filter(|s| s.name == name)
-                .map(|s| s.value)
-                .sum()
-        };
+        let total = |name: &str| sum_samples(&samples, name, &[]);
         let now = WatchSample {
             requests: total("hfz_requests_total"),
             hits: total("hfz_cache_hits_total"),
@@ -1097,13 +1092,7 @@ fn watch_stats(client: &mut Connection, secs: u64) -> Result<(), HfzError> {
         shard_ids.sort_unstable();
         shard_ids.dedup();
         for id in shard_ids {
-            let for_shard = |name: &str| -> f64 {
-                samples
-                    .iter()
-                    .filter(|s| s.name == name && s.label("shard") == Some(id))
-                    .map(|s| s.value)
-                    .sum()
-            };
+            let for_shard = |name: &str| sum_samples(&samples, name, &[("shard", id)]);
             let up = samples.iter().any(|s| {
                 s.name == "hfzr_shard_up" && s.label("shard") == Some(id) && s.value > 0.0
             });
