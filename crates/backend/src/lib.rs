@@ -155,12 +155,9 @@ pub trait Backend: LaunchDevice + Send + Sync + fmt::Debug {
 
     /// Seconds charged for moving `bytes` across the host/device boundary.
     ///
-    /// Zero when the backend does not model transfers ([`Backend::models_transfer`]),
-    /// as on the CPU backend where decode input and output live in the same memory.
+    /// Zero when the backend does not model transfers, as on the CPU backend where
+    /// decode input and output live in the same memory.
     fn transfer_seconds(&self, bytes: u64, direction: TransferDirection) -> f64;
-
-    /// Whether PCIe-style transfers exist for this backend at all.
-    fn models_transfer(&self) -> bool;
 
     /// The session's host-thread budget: how many threads a launch fans its blocks
     /// over, and the most a multi-field wave may run fields on.
@@ -186,10 +183,6 @@ impl Backend for Gpu {
 
     fn transfer_seconds(&self, bytes: u64, direction: TransferDirection) -> f64 {
         transfer_time_s(self.config(), bytes, direction)
-    }
-
-    fn models_transfer(&self) -> bool {
-        true
     }
 
     fn host_threads(&self) -> usize {
@@ -278,10 +271,6 @@ impl Backend for CpuBackend {
 
     fn transfer_seconds(&self, _bytes: u64, _direction: TransferDirection) -> f64 {
         0.0
-    }
-
-    fn models_transfer(&self) -> bool {
-        false
     }
 
     fn host_threads(&self) -> usize {
@@ -373,14 +362,12 @@ mod tests {
             cpu.transfer_seconds(1 << 30, TransferDirection::HostToDevice),
             0.0
         );
-        assert!(!cpu.models_transfer());
     }
 
     #[test]
     fn sim_backend_preserves_the_modeling_behaviour() {
         let sim: Arc<dyn Backend> = BackendKind::Sim.create(GpuConfig::test_tiny(), Some(2));
         assert!(sim.is_modeled());
-        assert!(sim.models_transfer());
         assert_eq!(sim.device_name(), "test-tiny");
         assert_eq!(sim.charge_seconds(7e-6, 99.0), 7e-6);
         assert!(sim.transfer_seconds(1 << 20, TransferDirection::DeviceToHost) > 0.0);

@@ -149,9 +149,8 @@ pub fn decode_wave<T: Sync>(
 }
 
 /// Aggregates per-field decode timings into the serial baseline and the batched wave
-/// estimate. Exposed so consumers that already hold [`DecodeResult`]s (e.g. a cache
-/// layer replaying breakdowns) can compute the same statistics.
-pub fn batch_stats(gpu: &dyn Backend, fields: &[DecodeResult]) -> BatchStats {
+/// estimate.
+fn batch_stats(gpu: &dyn Backend, fields: &[DecodeResult]) -> BatchStats {
     let mut kernels: Vec<KernelStats> = Vec::new();
     let mut host_seconds = 0.0f64;
     let mut serial_seconds = 0.0f64;

@@ -70,7 +70,7 @@ pub mod tuner;
 mod walk;
 
 pub use baseline::decode_baseline_chunks;
-pub use batch::{batch_stats, decode_batch, decode_wave, BatchStats};
+pub use batch::{decode_batch, decode_wave, BatchStats};
 pub use crc32::{crc32, crc32_combine, crc32_symbols, Crc32};
 pub use decode_write::{run_decode_write, DecodeWriteKernel, WriteStrategy};
 pub use decoder::{

@@ -1,15 +1,15 @@
 //! Shard links: the router's side of each `hfzd` connection.
 //!
-//! A [`ShardLink`] wraps one [`Connection`] (which re-dials once when a kept socket
-//! turns out to be dead, so a shard *restart* heals invisibly) plus a `down` flag the
-//! router flips when even the re-dial fails (the shard is actually gone). Links are
-//! either **attached** — the daemon was started by someone else, the router only
-//! dials it — or **spawned** — the router forked the `hfzd` process itself and owns
-//! its lifetime (shutdown is propagated, the child is reaped).
+//! A [`ShardLink`] wraps one [`Connection`], which re-dials once when a kept socket
+//! turns out to be dead, so a shard *restart* heals invisibly. When even the re-dial
+//! fails the shard is actually gone, and the router marks its placement slot down.
+//! Links are either **attached** — the daemon was started by someone else, the router
+//! only dials it — or **spawned** — the router forked the `hfzd` process itself and
+//! owns its lifetime (shutdown is propagated, the child is reaped).
 
 use std::io::BufRead;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use huffdec_serve::client::{ClientError, Connection};
@@ -21,7 +21,6 @@ pub struct ShardLink {
     id: usize,
     addr: ListenAddr,
     link: Mutex<Connection>,
-    down: AtomicBool,
     /// The `hfzd` child process, for spawned shards only.
     process: Mutex<Option<Child>>,
 }
@@ -34,7 +33,6 @@ impl ShardLink {
             id,
             addr: addr.clone(),
             link: Mutex::new(Connection::new(addr)),
-            down: AtomicBool::new(false),
             process: Mutex::new(process),
         }
     }
@@ -47,17 +45,6 @@ impl ShardLink {
     /// Where the shard serves.
     pub fn addr(&self) -> &ListenAddr {
         &self.addr
-    }
-
-    /// Whether the router has marked this shard down.
-    pub fn is_down(&self) -> bool {
-        self.down.load(Ordering::SeqCst)
-    }
-
-    /// Marks the shard down; returns `true` when this call did the flip (so the
-    /// caller bumps the down-event counter exactly once per failure).
-    pub fn set_down(&self) -> bool {
-        !self.down.swap(true, Ordering::SeqCst)
     }
 
     /// The spawned shard's process id, when the router owns one.
@@ -98,7 +85,6 @@ impl std::fmt::Debug for ShardLink {
         f.debug_struct("ShardLink")
             .field("id", &self.id)
             .field("addr", &self.addr)
-            .field("down", &self.is_down())
             .finish_non_exhaustive()
     }
 }

@@ -73,11 +73,18 @@ impl Placement {
         self.live.iter().filter(|&&l| l).count()
     }
 
-    /// Marks `shard` down: its keys re-resolve to the surviving shards.
-    pub fn mark_down(&mut self, shard: usize) {
-        if let Some(slot) = self.live.get_mut(shard) {
-            *slot = false;
-        }
+    /// Whether `shard` is live.
+    pub fn is_live(&self, shard: usize) -> bool {
+        self.live.get(shard).copied().unwrap_or(false)
+    }
+
+    /// Marks `shard` down: its keys re-resolve to the surviving shards. Returns
+    /// whether the slot was live, so a death is counted once however many callers
+    /// see it.
+    pub fn mark_down(&mut self, shard: usize) -> bool {
+        self.live
+            .get_mut(shard)
+            .is_some_and(|slot| std::mem::replace(slot, false))
     }
 
     /// The live shard owning `(archive, field)`, or `None` when no shard is live.
@@ -147,7 +154,9 @@ mod tests {
         let mut p = Placement::new(4);
         let before: Vec<_> = keys().iter().map(|(a, f)| p.owner(a, f).unwrap()).collect();
         let dead = 2;
-        p.mark_down(dead);
+        assert!(p.mark_down(dead), "the first mark-down flips a live slot");
+        assert!(!p.mark_down(dead), "a second one finds it down already");
+        assert!(!p.is_live(dead) && p.is_live(0));
         assert_eq!(p.live_count(), 3);
         let mut moved = 0;
         for ((archive, field), &was) in keys().iter().zip(&before) {

@@ -1,8 +1,9 @@
 //! The router itself: one protocol endpoint in front of N `hfzd` shards.
 //!
 //! [`RouterState`] owns the [`Placement`] table, the shard links, and an archive
-//! registry (`name → path + field keys + which shards hold it`). Requests dispatch
-//! as:
+//! registry (`name → path + the file's summary + which shards hold it`). It keeps
+//! one copy of each: a shard's liveness is its placement slot, and an archive's
+//! field keys and metadata are the summary `LOAD` read. Requests dispatch as:
 //!
 //! * `GET` / `VERIFY` — proxied to the owning shard (verify goes to field 0's owner;
 //!   every owning shard holds the whole file, so any of them can verify it);
@@ -10,7 +11,9 @@
 //!   and merged back **in request order**;
 //! * `LOAD` — the router peeks the file's manifest for field names, computes the
 //!   owner set, and loads the archive onto every owning shard;
-//! * `LIST` — the union of the live shards' documents, deduplicated by archive name;
+//! * `LIST` — rendered from the registry by the daemon's own renderer, without
+//!   asking any shard: the archives loaded through the router, which are the ones it
+//!   can route;
 //! * `STATS` / `METRICS` — fleet aggregation: summed counters and the shards'
 //!   Prometheus families merged under a `shard` label.
 //!
@@ -25,7 +28,7 @@
 //! is alive but still shedding load after the one `BUSY_BACKOFF` retry (which
 //! propagates to the client and never marks anything down) — or it is *gone*: a
 //! disconnect survived the [`Connection`](huffdec_serve::Connection)'s own redial.
-//! By the time the call returns, a gone shard has been marked down, its keys
+//! By the time the call returns, a gone shard's placement slot is down, its keys
 //! re-resolved against the survivors (rendezvous hashing moves *only* the dead
 //! shard's keys) and the affected archives re-`LOAD`ed onto their new owners.
 //! Single-field requests and batch fan-outs then retry once against the new owner —
@@ -34,13 +37,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::{Mutex, RwLock, RwLockReadGuard};
 
 use huffdec_codec::ArchiveSummary;
 use huffdec_container::JsonWriter;
-use huffdec_metrics::{merge_expositions, parse_prometheus, sum_samples, Sample};
+use huffdec_metrics::{merge_expositions, parse_prometheus, sum_samples};
 use huffdec_serve::client::ClientError;
-use huffdec_serve::protocol::{BatchGetItem, GetKind, Request, Response};
+use huffdec_serve::protocol::{list_document, BatchGetItem, GetKind, Request, Response};
 use huffdec_serve::server::Health;
 use huffdec_serve::service::{Lifecycle, Service};
 
@@ -52,15 +55,66 @@ use crate::placement::{field_key, Placement};
 /// just sees one slower request.
 const BUSY_BACKOFF: std::time::Duration = std::time::Duration::from_millis(15);
 
-/// One archive the router has placed: where the file lives, how its fields are
-/// keyed, and which shards currently hold it.
-#[derive(Debug, Clone)]
+/// One archive the router has placed: where the file lives, the summary `LOAD` read
+/// from it, and which shards currently hold it. The summary is the registry's one
+/// copy of the file's metadata: its manifest names the fields' routing keys, and
+/// `LIST` renders it.
+#[derive(Debug)]
 struct ArchiveEntry {
     path: String,
-    /// Per-field manifest names (`None` for manifest-less files, keyed `#<index>`).
-    fields: Vec<Option<String>>,
+    summary: ArchiveSummary,
     /// Shards the archive is currently loaded on (owners, kept current on re-route).
     loaded_on: BTreeSet<usize>,
+}
+
+impl ArchiveEntry {
+    fn field_count(&self) -> usize {
+        self.summary.infos().len()
+    }
+
+    /// The key field `index` routes on: its manifest name, or `#<index>` without one.
+    fn key(&self, index: usize) -> String {
+        let name = self
+            .summary
+            .manifest()
+            .map(|manifest| manifest.entries()[index].name.as_str());
+        field_key(name, index)
+    }
+
+    /// The live shards owning at least one field of the archive `name`.
+    fn owners(&self, placement: &Placement, name: &str) -> BTreeSet<usize> {
+        (0..self.field_count())
+            .filter_map(|i| placement.owner(name, &self.key(i)))
+            .collect()
+    }
+}
+
+/// The counters of the fleet `STATS` document: each JSON key with the shard
+/// Prometheus family summed into it (labelled families sum across their series).
+/// Every one is a count but `decode_seconds`.
+const FLEET_COUNTERS: [(&str, &str); 8] = [
+    ("requests", "hfz_requests_total"),
+    ("gets", "hfz_gets_total"),
+    ("batch_gets", "hfz_batch_gets_total"),
+    ("cache_hits", "hfz_cache_hits_total"),
+    ("cache_misses", "hfz_cache_misses_total"),
+    ("archives_loaded", "hfz_archives_loaded"),
+    ("decodes", "hfz_decode_seconds_count"),
+    ("decode_seconds", "hfz_decode_seconds_sum"),
+];
+
+/// One row of [`FLEET_COUNTERS`] values.
+type CounterRow = [f64; FLEET_COUNTERS.len()];
+
+fn write_counters(w: &mut JsonWriter, row: &CounterRow) {
+    for (&(key, _), &value) in FLEET_COUNTERS.iter().zip(row) {
+        w.key(key);
+        if key == "decode_seconds" {
+            w.f64_sci(value);
+        } else {
+            w.u64(value as u64);
+        }
+    }
 }
 
 /// Shared state of a running router.
@@ -109,18 +163,17 @@ impl RouterState {
 
     /// Number of fields of an archive the router has placed, when it knows it.
     pub fn archive_field_count(&self, name: &str) -> Option<usize> {
-        self.archives
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(name)
-            .map(|entry| entry.fields.len())
+        self.archives().get(name).map(ArchiveEntry::field_count)
     }
 
-    fn read_placement(&self) -> Placement {
-        self.placement
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
+    fn archives(&self) -> RwLockReadGuard<'_, BTreeMap<String, ArchiveEntry>> {
+        self.archives.read().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// The placement, under its read lock: never hold it across a shard call, whose
+    /// failure takes the write lock.
+    fn placement(&self) -> RwLockReadGuard<'_, Placement> {
+        self.placement.read().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Fleet health, windowed on down events: the first check after a shard death
@@ -131,8 +184,11 @@ impl RouterState {
         if self.lifecycle.is_shutting_down() {
             return Health::Unhealthy("shutting down".to_string());
         }
-        let placement = self.read_placement();
-        if placement.live_count() == 0 {
+        let (live, shards) = {
+            let placement = self.placement();
+            (placement.live_count(), placement.shard_count())
+        };
+        if live == 0 {
             return Health::Unhealthy("no live shards".to_string());
         }
         let events = self.down_events.load(Ordering::SeqCst);
@@ -142,8 +198,8 @@ impl RouterState {
             return Health::Degraded(format!(
                 "{} shard(s) marked down in the last window; archives re-routed, {}/{} shards serving",
                 events - prev,
-                placement.live_count(),
-                placement.shard_count()
+                live,
+                shards
             ));
         }
         Health::Healthy
@@ -171,24 +227,24 @@ impl RouterState {
         }
     }
 
-    /// The live shard owning `(archive, field_index)`.
+    /// The live shard owning `(archive, field_index)`. Locks archives, then the
+    /// placement: the order `rebalance` takes them in.
     fn owner_of(&self, archive: &str, field: u32) -> Result<usize, String> {
-        let archives = self.archives.read().unwrap_or_else(|p| p.into_inner());
+        let archives = self.archives();
         let entry = archives
             .get(archive)
             .ok_or_else(|| format!("archive '{}' is not loaded on the router", archive))?;
         let index = field as usize;
-        if index >= entry.fields.len() {
+        if index >= entry.field_count() {
             return Err(format!(
                 "archive '{}' has {} fields; field {} does not exist",
                 archive,
-                entry.fields.len(),
+                entry.field_count(),
                 field
             ));
         }
-        let key = field_key(entry.fields[index].as_deref(), index);
-        self.read_placement()
-            .owner(archive, &key)
+        self.placement()
+            .owner(archive, &entry.key(index))
             .ok_or_else(|| "no live shards".to_string())
     }
 
@@ -199,8 +255,8 @@ impl RouterState {
     /// backed-off retry (one decode wave drains its whole queue; it is never
     /// marked down for it); or `Response::Error` with the shard's own message, or a
     /// transport failure that is not a disconnect. `None` means the shard is gone —
-    /// a disconnect survived the link's own redial — and has been marked down: flag,
-    /// down-event counter, placement. Its archives are **not** re-homed here, which
+    /// a disconnect survived the link's own redial — and its placement slot is down,
+    /// counted once as a down event. Its archives are **not** re-homed here, which
     /// is what lets [`RouterState::rebalance`] call this under its write lock;
     /// everyone else goes through [`RouterState::call`].
     fn call_shard(&self, shard: usize, request: &Request) -> Option<Response> {
@@ -215,12 +271,13 @@ impl RouterState {
             Err(ClientError::Busy) => Some(Response::Busy),
             Err(ClientError::Remote(message)) => Some(Response::Error(message)),
             Err(e) if e.is_disconnect() => {
-                if link.set_down() {
+                let was_live = self
+                    .placement
+                    .write()
+                    .unwrap_or_else(|p| p.into_inner())
+                    .mark_down(shard);
+                if was_live {
                     self.down_events.fetch_add(1, Ordering::SeqCst);
-                    self.placement
-                        .write()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .mark_down(shard);
                 }
                 None
             }
@@ -327,29 +384,19 @@ impl RouterState {
         }
     }
 
-    /// The live shards owning at least one field of an archive.
-    fn owners_of(placement: &Placement, name: &str, fields: &[Option<String>]) -> BTreeSet<usize> {
-        fields
-            .iter()
-            .enumerate()
-            .filter_map(|(i, f)| placement.owner(name, &field_key(f.as_deref(), i)))
-            .collect()
-    }
-
-    /// `LOAD`: peek the file's manifest locally for field names, compute the owner
-    /// set, load the archive onto every owning shard, and record the placement.
+    /// `LOAD`: read the file's summary locally (manifest and per-field metadata),
+    /// compute the owner set, load the archive onto every owning shard, and record
+    /// the summary and the placement in the registry.
     fn load_archive(&self, name: &str, path: &str) -> Response {
         let summary = match ArchiveSummary::open(path) {
             Ok(summary) => summary,
             Err(e) => return Response::Error(format!("cannot load '{}': {}", name, e)),
         };
-        let fields: Vec<Option<String>> = match summary.manifest() {
-            Some(manifest) => manifest.names().map(|n| Some(n.to_string())).collect(),
-            None => vec![None; summary.infos().len()],
+        let mut entry = ArchiveEntry {
+            path: path.to_string(),
+            summary,
+            loaded_on: BTreeSet::new(),
         };
-        if fields.is_empty() {
-            return Response::Error(format!("cannot load '{}': the file has no fields", name));
-        }
         let load = Request::Load {
             name: name.to_string(),
             path: path.to_string(),
@@ -358,7 +405,7 @@ impl RouterState {
         // set and starts over (idempotent — `loaded` skips shards already done).
         let mut loaded: BTreeSet<usize> = BTreeSet::new();
         let owners = 'place: loop {
-            let owners = Self::owners_of(&self.read_placement(), name, &fields);
+            let owners = entry.owners(&self.placement(), name);
             if owners.is_empty() {
                 return Response::Error("no live shards".to_string());
             }
@@ -384,18 +431,13 @@ impl RouterState {
             }
             break owners;
         };
-        let entry = ArchiveEntry {
-            path: path.to_string(),
-            fields: fields.clone(),
-            loaded_on: owners,
-        };
+        entry.loaded_on = owners;
+        let fields = entry.field_count() as u32;
         self.archives
             .write()
             .unwrap_or_else(|p| p.into_inner())
             .insert(name.to_string(), entry);
-        Response::Loaded {
-            fields: fields.len() as u32,
-        }
+        Response::Loaded { fields }
     }
 
     /// Re-`LOAD`s archives onto shards that became owners after a death. A survivor
@@ -404,14 +446,14 @@ impl RouterState {
     /// idempotent); the loop terminates because each restart removes one shard.
     fn rebalance(&self) {
         'pass: loop {
-            let placement = self.read_placement();
             let mut archives = self.archives.write().unwrap_or_else(|p| p.into_inner());
             for (name, entry) in archives.iter_mut() {
                 let load = Request::Load {
                     name: name.clone(),
                     path: entry.path.clone(),
                 };
-                for shard in Self::owners_of(&placement, name, &entry.fields) {
+                let owners = entry.owners(&self.placement(), name);
+                for shard in owners {
                     if entry.loaded_on.contains(&shard) {
                         continue;
                     }
@@ -428,52 +470,25 @@ impl RouterState {
                         None => continue 'pass,
                     }
                 }
-                entry.loaded_on.retain(|&s| !self.links[s].is_down());
+                let placement = self.placement();
+                entry.loaded_on.retain(|&s| placement.is_live(s));
             }
             return;
         }
     }
 
-    /// `LIST`: the union of the live shards' documents, deduplicated by archive name
-    /// and sorted for a stable fleet view.
+    /// `LIST`, rendered from the registry: the archives loaded through the router.
     fn list(&self) -> Response {
-        let mut merged: BTreeMap<String, String> = BTreeMap::new();
-        for link in self.links.iter().filter(|link| !link.is_down()) {
-            match self.call(link.id(), &Request::List) {
-                Some(Response::List(doc)) => {
-                    for object in archive_objects(&doc) {
-                        let name = object_name(&object).unwrap_or_default().to_string();
-                        merged.entry(name).or_insert(object);
-                    }
-                }
-                Some(refusal @ Response::Error(_)) => return refusal,
-                Some(_) => {
-                    return Response::Error(format!(
-                        "shard {} sent an unexpected list response",
-                        link.id()
-                    ))
-                }
-                None => {}
-            }
-        }
-        let objects: Vec<String> = merged.into_values().collect();
-        Response::List(format!("{{\"archives\":[{}]}}", objects.join(",")))
-    }
-
-    /// The counters the fleet `STATS` document reports, pulled from one shard's
-    /// Prometheus exposition (labelled families sum across their series).
-    fn shard_counters(samples: &[Sample]) -> ShardCounters {
-        let total = |name: &str| sum_samples(samples, name, &[]);
-        ShardCounters {
-            requests: total("hfz_requests_total") as u64,
-            gets: total("hfz_gets_total") as u64,
-            batch_gets: total("hfz_batch_gets_total") as u64,
-            cache_hits: total("hfz_cache_hits_total") as u64,
-            cache_misses: total("hfz_cache_misses_total") as u64,
-            archives_loaded: total("hfz_archives_loaded") as u64,
-            decodes: total("hfz_decode_seconds_count") as u64,
-            decode_seconds: total("hfz_decode_seconds_sum"),
-        }
+        let archives = self.archives();
+        Response::List(list_document(archives.iter().map(|(name, entry)| {
+            let summary = &entry.summary;
+            (
+                name.as_str(),
+                entry.path.as_str(),
+                summary.manifest(),
+                summary.infos(),
+            )
+        })))
     }
 
     /// Scrapes every live shard's registry; shards that are down, or die being asked,
@@ -482,7 +497,7 @@ impl RouterState {
         self.links
             .iter()
             .map(|link| {
-                if link.is_down() {
+                if !self.placement().is_live(link.id()) {
                     return None;
                 }
                 match self.call(link.id(), &Request::Metrics) {
@@ -497,42 +512,43 @@ impl RouterState {
     /// counters. Fleet numbers are *sums of the shard rows* by construction, which is
     /// the invariant the fleet tests pin.
     fn stats_json(&self) -> String {
-        let scraped = self.scrape_shards();
-        let counters: Vec<Option<ShardCounters>> = scraped
+        let rows: Vec<Option<CounterRow>> = self
+            .scrape_shards()
             .iter()
             .map(|text| {
-                text.as_deref()
-                    .and_then(|t| parse_prometheus(t).ok())
-                    .map(|samples| Self::shard_counters(&samples))
+                let samples = parse_prometheus(text.as_deref()?).ok()?;
+                Some(FLEET_COUNTERS.map(|(_, family)| sum_samples(&samples, family, &[])))
             })
             .collect();
-        let mut fleet = ShardCounters::default();
-        for c in counters.iter().flatten() {
-            fleet.add(c);
+        let mut fleet: CounterRow = [0.0; FLEET_COUNTERS.len()];
+        for row in rows.iter().flatten() {
+            for (total, value) in fleet.iter_mut().zip(row) {
+                *total += value;
+            }
         }
-        let archives = self.archives.read().unwrap_or_else(|p| p.into_inner());
-        let up = counters.iter().filter(|c| c.is_some()).count();
+        let archives = self.archives().len();
+        let up = rows.iter().filter(|row| row.is_some()).count();
         let mut w = JsonWriter::with_capacity(1024);
         w.begin_object();
         w.key("role").str("router");
         w.key("shards_total").u64(self.links.len() as u64);
         w.key("shards_up").u64(up as u64);
         w.key("fleet").begin_object();
-        fleet.write(&mut w);
+        write_counters(&mut w, &fleet);
         w.end_object();
         w.key("shards").begin_array();
-        for (link, counters) in self.links.iter().zip(&counters) {
+        for (link, row) in self.links.iter().zip(&rows) {
             w.begin_object();
             w.key("shard").u64(link.id() as u64);
             w.key("addr").str(&link.addr().to_string());
-            w.key("up").bool(counters.is_some());
-            counters.clone().unwrap_or_default().write(&mut w);
+            w.key("up").bool(row.is_some());
+            write_counters(&mut w, &row.unwrap_or([0.0; FLEET_COUNTERS.len()]));
             w.end_object();
         }
         w.end_array();
         w.key("router").begin_object();
         w.key("requests").u64(self.requests.load(Ordering::Relaxed));
-        w.key("archives").u64(archives.len() as u64);
+        w.key("archives").u64(archives as u64);
         w.key("reroutes").u64(self.reroutes.load(Ordering::Relaxed));
         w.key("retries").u64(self.retries.load(Ordering::Relaxed));
         w.key("down_events")
@@ -564,13 +580,15 @@ impl RouterState {
         };
         out.push_str("# HELP hfzr_shard_up Shard link state (1 = serving, 0 = marked down).\n");
         out.push_str("# TYPE hfzr_shard_up gauge\n");
+        let placement = self.placement();
         for link in &self.links {
             out.push_str(&format!(
                 "hfzr_shard_up{{shard=\"{}\"}} {}\n",
                 link.id(),
-                if link.is_down() { 0 } else { 1 }
+                u8::from(placement.is_live(link.id()))
             ));
         }
+        drop(placement);
         counter(
             &mut out,
             "hfzr_requests_total",
@@ -632,130 +650,5 @@ impl Service for RouterState {
         for link in &self.links {
             link.shutdown_spawned();
         }
-    }
-}
-
-/// The counters one shard contributes to the fleet `STATS` document.
-#[derive(Debug, Clone, Default)]
-struct ShardCounters {
-    requests: u64,
-    gets: u64,
-    batch_gets: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    archives_loaded: u64,
-    decodes: u64,
-    decode_seconds: f64,
-}
-
-impl ShardCounters {
-    fn add(&mut self, other: &ShardCounters) {
-        self.requests += other.requests;
-        self.gets += other.gets;
-        self.batch_gets += other.batch_gets;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.archives_loaded += other.archives_loaded;
-        self.decodes += other.decodes;
-        self.decode_seconds += other.decode_seconds;
-    }
-
-    fn write(&self, w: &mut JsonWriter) {
-        w.key("requests").u64(self.requests);
-        w.key("gets").u64(self.gets);
-        w.key("batch_gets").u64(self.batch_gets);
-        w.key("cache_hits").u64(self.cache_hits);
-        w.key("cache_misses").u64(self.cache_misses);
-        w.key("archives_loaded").u64(self.archives_loaded);
-        w.key("decodes").u64(self.decodes);
-        w.key("decode_seconds").f64_sci(self.decode_seconds);
-    }
-}
-
-/// Splits a daemon `LIST` document into its per-archive JSON objects (the elements
-/// of the top-level `"archives"` array), string- and escape-aware.
-fn archive_objects(doc: &str) -> Vec<String> {
-    let marker = "\"archives\":[";
-    let Some(start) = doc.find(marker) else {
-        return Vec::new();
-    };
-    let bytes = doc.as_bytes();
-    let mut objects = Vec::new();
-    let mut depth = 0usize;
-    let mut object_start = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    for i in start + marker.len()..bytes.len() {
-        let b = bytes[i];
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_string = true,
-            b'{' => {
-                if depth == 0 {
-                    object_start = i;
-                }
-                depth += 1;
-            }
-            b'}' => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    objects.push(doc[object_start..=i].to_string());
-                }
-            }
-            b']' if depth == 0 => break,
-            _ => {}
-        }
-    }
-    objects
-}
-
-/// The (JSON-escaped) value of the first `"name"` key in an archive object — the
-/// daemon writes it first, and the escaped form is consistent across shards, which is
-/// all deduplication and sorting need.
-fn object_name(object: &str) -> Option<&str> {
-    let rest = object.split("\"name\":\"").nth(1)?;
-    let bytes = rest.as_bytes();
-    let mut escaped = false;
-    for (i, &b) in bytes.iter().enumerate() {
-        if escaped {
-            escaped = false;
-        } else if b == b'\\' {
-            escaped = true;
-        } else if b == b'"' {
-            return Some(&rest[..i]);
-        }
-    }
-    None
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn list_documents_split_into_archive_objects() {
-        let doc = r#"{"archives":[{"name":"a","path":"/x","fields":[{"name":"f0","bytes":3}]},{"name":"b {tricky}","path":"/y","fields":[]}]}"#;
-        let objects = archive_objects(doc);
-        assert_eq!(objects.len(), 2);
-        assert_eq!(object_name(&objects[0]), Some("a"));
-        assert_eq!(object_name(&objects[1]), Some("b {tricky}"));
-        assert!(objects[0].contains("\"fields\""));
-        // Escaped quotes inside names do not end the scan early.
-        let escaped = r#"{"archives":[{"name":"q\"uote","path":"/z"}]}"#;
-        let objects = archive_objects(escaped);
-        assert_eq!(objects.len(), 1);
-        assert_eq!(object_name(&objects[0]), Some(r#"q\"uote"#));
-        // Documents without the array, or empty, yield nothing.
-        assert!(archive_objects("{}").is_empty());
-        assert!(archive_objects(r#"{"archives":[]}"#).is_empty());
     }
 }

@@ -372,6 +372,10 @@ fn three_shard_fleet_serves_and_survives_a_kill() {
         1,
         "one field places on exactly one shard"
     );
+    // The router's LIST is the single daemon's LIST, byte for byte, once both hold
+    // the same archives.
+    single.load("solo", solo_path.to_str().unwrap()).unwrap();
+    assert_eq!(client.list().unwrap(), single.list().unwrap());
 
     // ---- Kill the shard owning `solo` mid-run. ----
     //
@@ -438,6 +442,8 @@ fn three_shard_fleet_serves_and_survives_a_kill() {
         ),
     }
     assert!(matches!(state.health(), huffdec_serve::Health::Healthy));
+    // LIST is unchanged by the death: same archives, same fields, same document.
+    assert_eq!(client.list().unwrap(), single.list().unwrap());
 
     // Shut the fleet down: the router first, then the surviving shards.
     client.shutdown().unwrap();
@@ -445,6 +451,41 @@ fn three_shard_fleet_serves_and_survives_a_kill() {
     single.shutdown().unwrap();
     single_daemon.join().unwrap();
     for shard in shards.into_iter().flatten() {
+        shard.shutdown();
+        shard.join().unwrap();
+    }
+}
+
+/// The router answers `LIST` from its own registry: no shard sees the request, so
+/// no shard's `requests` counter moves.
+#[test]
+fn router_list_leaves_the_shards_alone() {
+    let dir = std::env::temp_dir().join("hfzr-fleet-list");
+    std::fs::create_dir_all(&dir).unwrap();
+    let gpu = Gpu::with_host_threads(GpuConfig::test_tiny(), 2);
+    let snapshot = build_snapshot(&dir, &gpu);
+
+    let shards: Vec<_> = (0..2).map(|_| start_shard()).collect();
+    let router = start_router(&shards);
+    let mut client = Connection::connect(router.local_addr()).unwrap();
+    client
+        .load("snap", snapshot.path.to_str().unwrap())
+        .unwrap();
+
+    let requests = || -> Vec<u64> {
+        shards
+            .iter()
+            .map(|shard| shard.state().metrics_snapshot().requests)
+            .collect()
+    };
+    let before = requests();
+    let list = client.list().unwrap();
+    assert!(list.contains("\"name\":\"snap\""), "{}", list);
+    assert_eq!(requests(), before, "a router LIST reached a shard");
+
+    client.shutdown().unwrap();
+    router.join().unwrap();
+    for shard in shards {
         shard.shutdown();
         shard.join().unwrap();
     }

@@ -209,8 +209,10 @@ impl Connection {
     /// Sends one request and reads one response, applying the policy: a reused socket
     /// that turns out to be dead is re-dialed up to `redials` times, a timeout drops
     /// the socket and surfaces as [`ClientError::TimedOut`] (no transparent retry),
-    /// and the daemon's overload reply surfaces as [`ClientError::Busy`].
+    /// and the daemon's overload reply surfaces as [`ClientError::Busy`]. A name or
+    /// path longer than the protocol can frame is refused before anything is written.
     pub fn request(&mut self, request: &Request) -> Result<Response, ClientError> {
+        request.check_operands()?;
         let mut redials_left = self.policy.redials;
         let mut reused = self.conn.is_some();
         loop {

@@ -162,15 +162,24 @@ pub enum Listener {
 }
 
 impl Listener {
-    /// Binds `addr`. A stale Unix socket file from a previous run is removed first
-    /// (binding over it would otherwise fail forever).
+    /// Binds `addr`. A Unix socket path some listener still answers on is
+    /// `AddrInUse`: it belongs to a live daemon. A file nothing answers on is stale,
+    /// left by a run that did not exit cleanly, and is removed first (binding over it
+    /// would otherwise fail forever).
     pub fn bind(addr: &ListenAddr) -> std::io::Result<Listener> {
         match addr {
             ListenAddr::Tcp(a) => Ok(Listener::Tcp(TcpListener::bind(a)?)),
             #[cfg(unix)]
             ListenAddr::Unix(path) => {
-                if path.exists() {
-                    std::fs::remove_file(path)?;
+                if UnixStream::connect(path).is_ok() {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::AddrInUse,
+                        format!("{} is served by a live listener", path.display()),
+                    ));
+                }
+                match std::fs::remove_file(path) {
+                    Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+                    _ => {}
                 }
                 Ok(Listener::Unix(UnixListener::bind(path)?, path.clone()))
             }

@@ -51,6 +51,8 @@
 
 use std::io::{Read, Write};
 
+use huffdec_container::{ArchiveInfo, JsonWriter, SnapshotManifest};
+
 /// Protocol version; bumped on any incompatible change.
 pub const PROTOCOL_VERSION: u8 = 1;
 
@@ -199,6 +201,46 @@ pub struct BatchGetItem {
     pub elements: u64,
     /// The raw little-endian bytes.
     pub bytes: Vec<u8>,
+}
+
+/// The `LIST` document: one object per archive, in the order given, with its name,
+/// its path and one object per field. A field object is its [`ArchiveInfo`] JSON,
+/// prefixed with its manifest name when the file carries a manifest, so clients can
+/// resolve names to indices without reading the file. The daemon renders it from its
+/// store, the `hfzr` router from its registry.
+pub fn list_document<'a, I>(
+    archives: impl IntoIterator<Item = (&'a str, &'a str, Option<&'a SnapshotManifest>, I)>,
+) -> String
+where
+    I: IntoIterator<Item = &'a ArchiveInfo>,
+{
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("archives").begin_array();
+    for (name, path, manifest, infos) in archives {
+        w.begin_object();
+        w.key("name").str(name);
+        w.key("path").str(path);
+        w.key("fields").begin_array();
+        for (i, info) in infos.into_iter().enumerate() {
+            match manifest {
+                Some(manifest) => {
+                    w.begin_object();
+                    w.key("name").str(&manifest.entries()[i].name);
+                    w.splice_fields(&info.to_json());
+                    w.end_object();
+                }
+                None => {
+                    w.raw(&info.to_json());
+                }
+            }
+        }
+        w.end_array();
+        w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+    w.finish()
 }
 
 /// Everything that can go wrong speaking the protocol.
@@ -432,6 +474,25 @@ const STATUS_OK: u8 = 0;
 const STATUS_ERROR: u8 = 1;
 
 impl Request {
+    /// Refuses a request whose name or path does not fit the `u16` length that frames
+    /// it: encoded anyway, the length would wrap and the peer would parse the rest of
+    /// the string as operands.
+    pub(crate) fn check_operands(&self) -> Result<(), ProtocolError> {
+        let longest = match self {
+            Request::Get { archive, .. }
+            | Request::Verify { archive }
+            | Request::GetBatch { archive, .. } => archive.len(),
+            Request::Load { name, path } => name.len().max(path.len()),
+            Request::List | Request::Stats | Request::Shutdown | Request::Metrics => 0,
+        };
+        if longest > u16::MAX as usize {
+            return Err(ProtocolError::Malformed(
+                "a name or path is longer than 65,535 bytes",
+            ));
+        }
+        Ok(())
+    }
+
     /// Serializes the request into a frame body.
     pub fn encode(&self) -> Vec<u8> {
         match self {

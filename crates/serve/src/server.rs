@@ -49,7 +49,7 @@ use huffdec_metrics::{Metrics, MetricsSnapshot};
 
 use crate::cache::{CacheKey, DecodedLru};
 use crate::daemon::DaemonBuilder;
-use crate::protocol::{BatchGetItem, GetKind, Request, Response};
+use crate::protocol::{list_document, BatchGetItem, GetKind, Request, Response};
 use crate::sched::{DecodeTask, FlightSlot, Scheduler};
 use crate::service::{Lifecycle, Service};
 use crate::store::{ArchiveStore, LoadedArchive};
@@ -514,36 +514,16 @@ impl ServerState {
     }
 
     fn list_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("archives").begin_array();
-        for loaded in self.store.list().iter() {
-            w.begin_object();
-            w.key("name").str(&loaded.name);
-            w.key("path").str(&loaded.path);
-            w.key("fields").begin_array();
-            for field in loaded.fields() {
-                // Prefix each field object with its manifest name (snapshot archives)
-                // so clients can resolve names to indices without re-reading the file.
-                let info = field.info().to_json();
-                match field.name() {
-                    Some(name) => {
-                        w.begin_object();
-                        w.key("name").str(name);
-                        w.splice_fields(&info);
-                        w.end_object();
-                    }
-                    None => {
-                        w.raw(&info);
-                    }
-                }
-            }
-            w.end_array();
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-        w.finish()
+        let loaded = self.store.list();
+        list_document(loaded.iter().map(|archive| {
+            let infos = archive.fields().iter().map(|field| field.info());
+            (
+                archive.name.as_str(),
+                archive.path.as_str(),
+                archive.manifest(),
+                infos,
+            )
+        }))
     }
 
     /// Renders the legacy `STATS` JSON from one registry snapshot. The document is

@@ -11,9 +11,9 @@ use datasets::{dataset_by_name, generate, Field};
 use gpu_sim::{Gpu, GpuConfig};
 use huffdec_container::ArchiveWriter;
 use huffdec_core::DecoderKind;
-use huffdec_serve::client::Connection;
-use huffdec_serve::net::ListenAddr;
-use huffdec_serve::protocol::GetKind;
+use huffdec_serve::client::{ClientError, Connection};
+use huffdec_serve::net::{ListenAddr, Listener};
+use huffdec_serve::protocol::{GetKind, ProtocolError, Request, Response};
 use huffdec_serve::{Daemon, ServerHandle};
 use sz::{compress, decode_codes, decompress, Compressed, SzConfig};
 
@@ -380,6 +380,116 @@ fn lying_manifest_is_refused_by_every_open_path() {
 #[test]
 fn daemon_shuts_down_with_an_idle_client_connected() {
     support::shutdown_with_clients_connected(spawn_daemon(1 << 20), Vec::new());
+}
+
+/// A name or path longer than its `u16` length prefix can frame is refused on the
+/// client before anything is written, and the connection keeps serving.
+#[test]
+fn oversized_operands_are_refused_before_writing() {
+    let daemon = spawn_daemon(1 << 20);
+    let mut client = Connection::connect(daemon.local_addr()).unwrap();
+    let requests = daemon.state().metrics_snapshot().requests;
+    match client.load("long", &"p".repeat(70_000)) {
+        Err(ClientError::Protocol(ProtocolError::Malformed(_))) => {}
+        other => panic!(
+            "a 70,000-byte path must be refused as malformed: {:?}",
+            other
+        ),
+    }
+    assert_eq!(
+        daemon.state().metrics_snapshot().requests,
+        requests,
+        "the refused request reached the daemon"
+    );
+    assert_eq!(client.list().unwrap(), r#"{"archives":[]}"#);
+    daemon.shutdown();
+    daemon.join().unwrap();
+}
+
+/// A daemon on a `unix:` socket, next to one on `tcp:`: the same `GET` gets the same
+/// reply from both.
+#[cfg(unix)]
+#[test]
+fn unix_get_is_byte_identical_to_tcp() {
+    let dir = std::env::temp_dir().join("hfzd-daemon-unix-get");
+    std::fs::create_dir_all(&dir).unwrap();
+    let gpu = Gpu::with_host_threads(GpuConfig::test_tiny(), 2);
+    let archive = build_archive(
+        &dir,
+        &gpu,
+        "hacc",
+        "HACC",
+        DecoderKind::OptimizedGapArray,
+        5,
+    );
+    let unix_addr = ListenAddr::Unix(dir.join("d.sock"));
+    let unix_daemon = Daemon::builder()
+        .listen(unix_addr.clone())
+        .gpu(GpuConfig::test_tiny())
+        .host_threads(2)
+        .spawn()
+        .unwrap();
+    let tcp_daemon = spawn_daemon(1 << 20);
+
+    let get = Request::Get {
+        archive: archive.name.to_string(),
+        field: 0,
+        kind: GetKind::Data,
+        range: None,
+    };
+    let mut replies = Vec::new();
+    for addr in [&unix_addr, tcp_daemon.local_addr()] {
+        let mut client = Connection::connect(addr).unwrap();
+        client
+            .load(archive.name, archive.path.to_str().unwrap())
+            .unwrap();
+        replies.push(client.request(&get).unwrap());
+    }
+    match &replies[0] {
+        Response::Get { bytes, .. } => assert_eq!(bytes, &f32_bytes(&archive.reference_data)),
+        other => panic!("expected a GET reply: {:?}", other),
+    }
+    assert_eq!(replies[0].encode(), replies[1].encode());
+
+    for daemon in [unix_daemon, tcp_daemon] {
+        daemon.shutdown();
+        daemon.join().unwrap();
+    }
+}
+
+/// Binding a `unix:` path reclaims a socket file nothing answers on, and refuses one a
+/// live daemon serves, which keeps serving.
+#[cfg(unix)]
+#[test]
+fn unix_bind_reclaims_stale_sockets_and_refuses_live_ones() {
+    let dir = std::env::temp_dir().join("hfzd-daemon-unix-bind");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("d.sock");
+    let _ = std::fs::remove_file(&path);
+    // A socket file left behind: std's listener does not unlink its path on drop.
+    drop(std::os::unix::net::UnixListener::bind(&path).unwrap());
+    assert!(path.exists());
+
+    let addr = ListenAddr::Unix(path.clone());
+    let daemon = Daemon::builder()
+        .listen(addr.clone())
+        .gpu(GpuConfig::test_tiny())
+        .host_threads(2)
+        .spawn()
+        .unwrap();
+    let mut client = Connection::connect(&addr).unwrap();
+    assert_eq!(client.list().unwrap(), r#"{"archives":[]}"#);
+
+    match Listener::bind(&addr) {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::AddrInUse),
+        Ok(_) => panic!("a second bind took the live daemon's socket"),
+    }
+    assert_eq!(client.list().unwrap(), r#"{"archives":[]}"#);
+    assert!(Connection::connect(&addr).unwrap().list().is_ok());
+
+    daemon.shutdown();
+    daemon.join().unwrap();
+    assert!(!path.exists(), "the daemon removes its socket file on exit");
 }
 
 /// A bounded random walk whose increments stay inside the quantization alphabet under

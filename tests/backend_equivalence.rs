@@ -6,7 +6,7 @@
 
 use huffdec::container::to_bytes;
 use huffdec::datasets::{all_datasets, generate};
-use huffdec::gpu_sim::GpuConfig;
+use huffdec::gpu_sim::{GpuConfig, TransferDirection};
 use huffdec::{BackendKind, Codec, DecoderKind};
 
 fn codec(backend: BackendKind, decoder: DecoderKind) -> Codec {
@@ -150,7 +150,11 @@ fn cpu_backend_timings_are_measured_not_modeled() {
     let field = generate(&all_datasets()[0], 9_000, 11);
     let cpu = codec(BackendKind::Cpu, DecoderKind::OptimizedGapArray);
     assert!(!cpu.backend().is_modeled());
-    assert!(!cpu.backend().models_transfer());
+    assert_eq!(
+        cpu.backend()
+            .transfer_seconds(1 << 20, TransferDirection::HostToDevice),
+        0.0
+    );
 
     let archive = cpu.compress_archive(&field).expect("encode");
     let decoded = cpu.decompress(&archive).expect("decode");
