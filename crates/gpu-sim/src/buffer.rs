@@ -5,7 +5,10 @@
 //! made from a `Vec` and handed back as a `Vec` by move ([`DeviceBuffer::from_vec`] /
 //! [`DeviceBuffer::into_vec`]), and every read-only kernel operand is a plain `&[T]`.
 //! Nothing is copied in or out: what a host/device transfer would cost is charged
-//! analytically ([`crate::transfer`]), never paid by an element-wise copy.
+//! analytically ([`crate::transfer`]), never paid by an element-wise copy. A block may
+//! store a range it owns in one call ([`DeviceBuffer::write_range`], as it may read one
+//! with [`DeviceBuffer::copy_range_to`]); that is a kernel's own store into its output,
+//! still not a copy in or out.
 //!
 //! Simulated kernels receive shared references to buffers and may write elements
 //! concurrently from many blocks, mirroring CUDA semantics where the programmer is
@@ -105,14 +108,47 @@ impl<T: Copy> DeviceBuffer<T> {
     }
 
     /// Copies a sub-range `[start, start + out.len())` of the buffer into `out`.
+    ///
+    /// # Panics
+    /// Panics if the range is out of bounds.
     pub fn copy_range_to(&self, start: usize, out: &mut [T]) {
         assert!(
-            start + out.len() <= self.data.len(),
+            self.range_fits(start, out.len()),
             "copy_range_to out of bounds"
         );
         for (k, slot) in out.iter_mut().enumerate() {
             *slot = unsafe { *self.data[start + k].get() };
         }
+    }
+
+    /// Writes `values` to the sub-range `[start, start + values.len())` of the buffer in
+    /// one store: the mirror of [`DeviceBuffer::copy_range_to`], for a block storing a
+    /// range it owns.
+    ///
+    /// # Panics
+    /// Panics if the range is out of bounds.
+    pub fn write_range(&self, start: usize, values: &[T]) {
+        assert!(
+            self.range_fits(start, values.len()),
+            "write_range out of bounds"
+        );
+        // SAFETY: `[start, start + values.len())` lies inside `data` (checked above), and
+        // `UnsafeCell<T>` is `repr(transparent)` over `T`, so those cells are that many
+        // contiguous `T`s that `UnsafeCell::raw_get` may write through a shared reference.
+        // `values` cannot overlap them: safe code has no `&[T]` into a `DeviceBuffer`. No
+        // other block touches the range, by the disjoint-writes rule of the module docs.
+        unsafe {
+            let dst = UnsafeCell::raw_get(self.data.as_ptr().add(start));
+            std::ptr::copy_nonoverlapping(values.as_ptr(), dst, values.len());
+        }
+    }
+
+    /// True if `[start, start + len)` lies inside the buffer; an end past `usize::MAX`
+    /// does not.
+    fn range_fits(&self, start: usize, len: usize) -> bool {
+        start
+            .checked_add(len)
+            .is_some_and(|end| end <= self.data.len())
     }
 }
 
@@ -168,6 +204,35 @@ mod tests {
         let mut out = [0u32; 3];
         buf.copy_range_to(1, &mut out);
         assert_eq!(out, [11, 12, 13]);
+    }
+
+    #[test]
+    fn write_range_stores_a_sub_range() {
+        let buf = DeviceBuffer::from_vec(vec![10u32, 11, 12, 13, 14]);
+        buf.write_range(1, &[21, 22, 23]);
+        buf.write_range(5, &[]);
+        assert_eq!(buf.into_vec(), [10, 21, 22, 23, 14]);
+    }
+
+    #[test]
+    #[should_panic(expected = "write_range out of bounds")]
+    fn write_range_past_the_end_panics() {
+        let buf: DeviceBuffer<u32> = DeviceBuffer::zeroed(5);
+        buf.write_range(3, &[1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "write_range out of bounds")]
+    fn write_range_whose_end_overflows_panics() {
+        let buf: DeviceBuffer<u32> = DeviceBuffer::zeroed(5);
+        buf.write_range(usize::MAX, &[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "copy_range_to out of bounds")]
+    fn copy_range_whose_end_overflows_panics() {
+        let buf: DeviceBuffer<u32> = DeviceBuffer::zeroed(5);
+        buf.copy_range_to(usize::MAX, &mut [0u32; 1]);
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! cuSZ's prediction/quantization stage works in two steps ("dual quantization"):
 //!
 //! 1. **Pre-quantization** — every value is rounded to an integer multiple of twice the
-//!    error bound: `q = round(v / (2·eb))`. This alone already guarantees the point-wise
-//!    error bound on reconstruction.
+//!    error bound: `q = round(v / (2·eb))`, half away from zero. This alone already
+//!    guarantees the point-wise error bound on reconstruction. The rounding is done
+//!    without libm, in a few adds and compares, and is bit-equal to `f64::round` on
+//!    every input.
 //! 2. **Lorenzo prediction on the integer grid** — each pre-quantized value is predicted
 //!    from its already-processed neighbours with the n-dimensional Lorenzo predictor
 //!    (inclusion–exclusion over the 2ⁿ−1 preceding corner neighbours), and the integer
@@ -25,9 +27,9 @@
 //! into column ranges, each starting from the pre-quantized element before it. A taller
 //! field splits into blocks of whole rows, each first pre-quantizing its halo (the
 //! Σ(outer strides) rows before it, at most a quarter of the block) into its ring without
-//! emitting codes. Every block runs the same walk as `quantize`, writes its codes in
-//! place, and from the same tiles counts them and checksums them. The host joins the
-//! outlier lists in block order, sums the counts, and joins the CRCs with
+//! emitting codes. Every block runs the same walk as `quantize`, stores each tile of codes
+//! in place in one write, and from the same tiles counts them and checksums them. The
+//! host joins the outlier lists in block order, sums the counts, and joins the CRCs with
 //! `huffdec_core::crc32_combine`; the counts become the encoder's histogram and the
 //! hybrid pick's center-bin fraction, and the CRC the archive's decoded-stream digest.
 
@@ -230,6 +232,29 @@ fn ring_rows(outer: &[usize]) -> usize {
     }
 }
 
+/// `x.round() as i64` for every `f64`: half away from zero, saturating at the ends of
+/// `i64`, NaN to 0, with no libm call (`f64::round` is one on the x86-64 baseline). Below
+/// 2⁵² adding and subtracting 2⁵² rounds `|x|` to an integer, half to even; the one case
+/// where that differs from half away is a tie rounded down, which leaves exactly 0.5 and
+/// is moved up. From 2⁵² on every `f64` is an integer already, and ±inf and NaN are left
+/// to the cast.
+#[inline]
+fn round_to_i64(x: f64) -> i64 {
+    const TWO_52: f64 = (1u64 << 52) as f64;
+    let a = x.abs();
+    let rounded = if a < TWO_52 {
+        let t = (a + TWO_52) - TWO_52;
+        if a - t == 0.5 {
+            t + 1.0
+        } else {
+            t
+        }
+    } else {
+        a
+    };
+    rounded.copysign(x) as i64
+}
+
 /// A field to quantize: its data and shape, the quantization step (twice the absolute
 /// error bound) and the number of quantization bins.
 struct Quantizer<'a> {
@@ -271,7 +296,7 @@ impl<'a> Quantizer<'a> {
         let radius = (self.alphabet_size / 2) as i64;
         let prequantize = |start: usize, values: &mut [i64]| {
             for (v, &x) in values.iter_mut().zip(&self.data[start..]) {
-                *v = (x as f64 / self.step).round() as i64;
+                *v = round_to_i64(x as f64 / self.step);
             }
         };
         let mut codes = [0u16; TILE];
@@ -406,8 +431,8 @@ impl BlockKernel for QuantizeKernel<'_> {
         let span = self.blocks[b].clone();
         self.quantizer
             .quantize_span(span, &mut ring, &mut outliers, |start, codes| {
+                self.codes.write_range(start, codes);
                 for (i, &code) in codes.iter().enumerate() {
-                    self.codes.set(start + i, code);
                     lanes[code as usize][i % 4] += 1;
                 }
                 crc.update_symbols(codes);
@@ -825,6 +850,57 @@ mod tests {
     fn block_starts(dims: Dims) -> Vec<usize> {
         let blocks = quantize_blocks(&dims.as_vec());
         blocks.iter().skip(1).map(|b| b.start).collect()
+    }
+
+    #[test]
+    fn round_to_i64_equals_f64_round() {
+        let mut inputs = vec![
+            0.0,
+            f64::from_bits(1),
+            0.49999999999999994,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        inputs.extend((0..=1000).map(|k| k as f64 + 0.5));
+        for p in [2f64.powi(51), 2f64.powi(52), 2f64.powi(53)] {
+            // The ties on both sides (where the spacing is 0.5 or 1) and every neighbour
+            // within eight representable steps.
+            inputs.extend([p - 1.5, p - 0.5, p + 0.5, p + 1.5]);
+            inputs.extend((-8..=8).map(|k| f64::from_bits(p.to_bits().wrapping_add_signed(k))));
+        }
+        for x in inputs.iter().flat_map(|&x| [x, -x]) {
+            assert_eq!(
+                round_to_i64(x),
+                x.round() as i64,
+                "{x:e} ({:#x})",
+                x.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn ties_quantize_half_away_from_zero_like_the_plane_scan() {
+        let mut rng = Rng::seed_from_u64(0x71E5);
+        let step = 2.0;
+        for dims in [
+            Dims::D1(2 * BLOCK_ELEMENTS + 333),
+            Dims::D2(300, 1000),
+            Dims::D3(10, 8, 1900),
+        ] {
+            // Odd integers, so every value over the step is an exact tie, of either sign.
+            let data: Vec<f32> = (0..dims.len())
+                .map(|i| {
+                    let trend = (300.0 * (i as f64 * 0.01).sin()).round() as i32;
+                    (2 * (trend + rng.gen_index(3) as i32) + 1) as f32
+                })
+                .collect();
+            assert!(data.iter().all(|&x| (x as f64 / step).fract().abs() == 0.5));
+            for alphabet in [16, 1024] {
+                assert_walk_matches(&data, dims, step, alphabet);
+                assert_blocks_match(&data, dims, step, alphabet);
+            }
+        }
     }
 
     #[test]
