@@ -9,19 +9,19 @@
 //! * [`Gpu`] — the simulated V100: kernels execute functionally on host threads while
 //!   the calibrated performance model produces *modeled* timings. This backend
 //!   reproduces the paper's evaluation numbers and is the default everywhere.
-//! * [`CpuBackend`] — a real multi-threaded CPU executor: launches run their blocks
-//!   chunked across cores via `std::thread::scope` without the cost model (launch
-//!   geometry, occupancy and launch counts are kept; memory-traffic and cycle aggregates
-//!   are modeled-only), every timing reported is real wall-clock time, there is no
-//!   transfer modeling, and concurrent "streams" execute serially. Ranged decodes and
-//!   the chunked baseline's decode launch the simulator's [`BlockKernel`]s here. A full
-//!   decode of a flat stream launches one walk per sequence instead of the paper's
-//!   synchronization, counting, tuning and decode/write kernels, which exist only
-//!   because a GPU thread cannot know its output offset. An encode is the same three
-//!   walk launches over blocks of 65,536 symbols (count, chunk bits, pack) on both
-//!   backends, and a field compress is a quantize launch, which also counts the codes,
-//!   plus two of them (chunk bits, pack). This is what makes `hfz` actually fast on the
-//!   machine it runs on, and the seam a future CUDA/wgpu port plugs into.
+//! * [`CpuBackend`] — a real multi-threaded CPU executor: launches run their blocks on
+//!   the device's persistent worker pool ([`Backend::run_tasks`]) without the cost
+//!   model (launch geometry, occupancy and launch counts are kept; memory-traffic and
+//!   cycle aggregates are modeled-only), every timing reported is real wall-clock time,
+//!   there is no transfer modeling, and concurrent "streams" execute serially. Ranged
+//!   decodes and the chunked baseline's decode launch the simulator's [`BlockKernel`]s
+//!   here. A full decode of a flat stream launches one walk per sequence instead of
+//!   the paper's synchronization, counting, tuning and decode/write kernels, which
+//!   exist only because a GPU thread cannot know its output offset. An encode is the
+//!   same three walk launches over blocks of 65,536 symbols (count, chunk bits, pack)
+//!   on both backends, and a field compress is a quantize launch, which also counts
+//!   the codes, plus two of them (chunk bits, pack). This is what makes `hfz` actually
+//!   fast on the machine it runs on, and the seam a future CUDA/wgpu port plugs into.
 //!
 //! The decode pipelines choose by [`Backend::is_modeled`]. Both backends produce
 //! **bit-identical decoded output and archives** — only the timings differ — which the
@@ -162,6 +162,11 @@ pub trait Backend: LaunchDevice + Send + Sync + fmt::Debug {
     /// The session's host-thread budget: how many threads a launch fans its blocks
     /// over, and the most a multi-field wave may run fields on.
     fn host_threads(&self) -> usize;
+
+    /// Runs `task(i)` for every `i` in `0..n` on the device's worker pool, the one every
+    /// launch runs on ([`Gpu::run_tasks`]). Work submitted from inside a task, such as a
+    /// field's launches in a multi-field wave, runs on the task's own thread.
+    fn run_tasks(&self, n: usize, task: &(dyn Fn(usize) + Sync));
 }
 
 impl Backend for Gpu {
@@ -188,13 +193,17 @@ impl Backend for Gpu {
     fn host_threads(&self) -> usize {
         Gpu::host_threads(self)
     }
+
+    fn run_tasks(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
+        Gpu::run_tasks(self, n, task)
+    }
 }
 
 /// A real multi-threaded CPU execution backend.
 ///
-/// Every launch is [`Gpu::launch_unmodeled`]: per-core chunks of the block grid via
-/// `std::thread::scope`, the kernels' charge calls return at once and the cost model
-/// never runs. Each [`KernelStats`] keeps the launch geometry, occupancy and launch
+/// Every launch is [`Gpu::launch_unmodeled`]: the blocks of the grid run on the
+/// device's persistent worker pool, the kernels' charge calls return at once and the
+/// cost model never runs. Each [`KernelStats`] keeps the launch geometry, occupancy and launch
 /// count and carries the *measured* wall-clock duration of the launch; its
 /// memory-traffic and cycle aggregates are modeled-only and stay zero. Host-side
 /// pipeline steps are likewise charged their measured time, transfers cost nothing
@@ -275,6 +284,10 @@ impl Backend for CpuBackend {
 
     fn host_threads(&self) -> usize {
         self.gpu.host_threads()
+    }
+
+    fn run_tasks(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
+        self.gpu.run_tasks(n, task)
     }
 }
 

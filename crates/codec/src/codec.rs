@@ -169,8 +169,8 @@ impl CodecBuilder {
         self
     }
 
-    /// Host threads backing the simulated device's block execution (default: all
-    /// available CPUs).
+    /// Size of the device's worker pool, on either backend: the host threads its
+    /// launches and multi-field waves run on (default: all available CPUs).
     pub fn host_threads(mut self, threads: usize) -> Self {
         self.host_threads = Some(threads);
         self
@@ -757,18 +757,20 @@ impl Codec {
 /// Serializes reconstructed f32 data to the wire and file layout (little-endian,
 /// 4 B/element).
 pub fn f32_le_bytes(data: &[f32]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(data.len() * 4);
-    for v in data {
-        bytes.extend_from_slice(&v.to_le_bytes());
+    // Fixed-width stores into a sized buffer: the loop carries no length or capacity
+    // bookkeeping, so it compiles to one pass.
+    let mut bytes = vec![0u8; data.len() * 4];
+    for (out, v) in bytes.chunks_exact_mut(4).zip(data) {
+        out.copy_from_slice(&v.to_le_bytes());
     }
     bytes
 }
 
 /// Serializes decoded symbols to the wire layout (little-endian, 2 B/element).
 pub fn u16_le_bytes(symbols: &[u16]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(symbols.len() * 2);
-    for s in symbols {
-        bytes.extend_from_slice(&s.to_le_bytes());
+    let mut bytes = vec![0u8; symbols.len() * 2];
+    for (out, s) in bytes.chunks_exact_mut(2).zip(symbols) {
+        out.copy_from_slice(&s.to_le_bytes());
     }
     bytes
 }
@@ -1205,5 +1207,28 @@ mod tests {
             assert_eq!(info.num_symbols, field.info().num_symbols);
         }
         assert!(codec.inspect_archive_bytes(b"").is_err());
+    }
+
+    #[test]
+    fn wire_serializers_equal_a_per_element_reference() {
+        let floats = [
+            -0.0f32,
+            f32::from_bits(0x7fc0_1234), // a NaN with payload bits
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1), // the smallest subnormal
+            1.5,
+            -3.25e-7,
+            f32::MAX,
+        ];
+        let codes = [u16::MAX, 0, 1, 0x1234, 0x8000, 511, 512, 0xfffe];
+        for n in 0..=17 {
+            let data: Vec<f32> = (0..n).map(|i| floats[i % floats.len()]).collect();
+            let symbols: Vec<u16> = (0..n).map(|i| codes[i % codes.len()]).collect();
+            let f32_ref: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
+            let u16_ref: Vec<u8> = symbols.iter().flat_map(|s| s.to_le_bytes()).collect();
+            assert_eq!(f32_le_bytes(&data), f32_ref, "f32, length {n}");
+            assert_eq!(u16_le_bytes(&symbols), u16_ref, "u16, length {n}");
+        }
     }
 }

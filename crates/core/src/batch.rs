@@ -4,7 +4,7 @@
 //! into one file; decoding them one-after-another leaves the device under-occupied
 //! whenever a single field's grid cannot fill it, and pays every kernel's launch
 //! overhead on the critical path. A **wave** ([`decode_wave`]) instead runs a per-field
-//! decode function over the fields concurrently on a bounded worker pool (the
+//! decode function over the fields concurrently on the device's worker pool (the
 //! functional side) and models the timing as kernels launched on independent CUDA
 //! streams (the performance side, [`gpu_sim::concurrent_time`]) — the same multi-field
 //! batching direction cuSZ takes to keep the GPU saturated across fields. A wave of one
@@ -16,6 +16,9 @@
 //! The model is conservative in both directions: the batched wave can never beat the
 //! longest single field's serial phase chain (phases within a field are dependent), and
 //! can never be slower than decoding the fields serially.
+
+use std::sync::OnceLock;
+use std::time::Instant;
 
 use gpu_sim::KernelStats;
 use huffdec_backend::Backend;
@@ -90,52 +93,35 @@ pub fn decode_batch(
 /// [`BatchStats`]. Results come back in input order; the first failing field (in input
 /// order) fails the wave.
 ///
-/// A bounded worker pool shares the device (its launches already fan blocks out over
-/// host threads; fields add a second axis of parallelism on top, exactly like kernels
-/// from independent streams would). The worker count is capped — a 1000-field batch must
-/// never spawn 1000 OS threads — and workers pull fields off a shared atomic cursor.
-/// The pool is sized by the device's host-thread budget ([`Backend::host_threads`]);
-/// with a single worker (a wave of one, or a one-thread session) no thread is spawned:
-/// the fields decode on the calling thread.
+/// The fields are the tasks of one [`Backend::run_tasks`] call, so they run on the
+/// device's own worker pool, which is bounded by its host-thread budget
+/// ([`Backend::host_threads`]) and spawns nothing per wave. While the wave holds the
+/// pool, each field's own launches run on the thread decoding that field: fields, not
+/// blocks, are the wave's unit of parallelism, exactly like kernels from independent
+/// streams. A wave of one, or a wave on a one-thread session, decodes on the calling
+/// thread and leaves the pool to that field's launches.
 pub fn decode_wave<T: Sync>(
     gpu: &dyn Backend,
     items: &[T],
     decode_field: impl Fn(&T) -> Result<DecodeResult, DecodeError> + Sync,
 ) -> Result<(Vec<DecodeResult>, BatchStats), DecodeError> {
-    let workers = gpu.host_threads().min(items.len());
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<Result<DecodeResult, DecodeError>>>> =
-        items.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    let work = || loop {
-        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if i >= items.len() {
-            break;
-        }
-        *slots[i].lock().expect("batch slot poisoned") = Some(decode_field(&items[i]));
-    };
-    let wave_start = std::time::Instant::now();
-    if workers <= 1 {
-        work();
-    } else {
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(work);
-            }
-        });
-    }
+    let slots: Vec<OnceLock<Result<DecodeResult, DecodeError>>> =
+        items.iter().map(|_| OnceLock::new()).collect();
+    let wave_start = Instant::now();
+    gpu.run_tasks(items.len(), &|i| {
+        slots[i]
+            .set(decode_field(&items[i]))
+            .expect("a field decodes once");
+    });
     let wave_elapsed = wave_start.elapsed().as_secs_f64();
     let mut fields = Vec::with_capacity(items.len());
     for slot in slots {
-        let result = slot
-            .into_inner()
-            .expect("batch slot poisoned")
-            .expect("every field was decoded");
-        fields.push(result?);
+        fields.push(slot.into_inner().expect("every field was decoded")?);
     }
 
     let mut stats = batch_stats(gpu, &fields);
     if !gpu.is_modeled() {
-        // A real backend does not need the stream model: the workers above *are* the
+        // A real backend does not need the stream model: the pool above *is* the
         // overlapped wave, so use its measured wall clock — clamped to the same
         // invariants the model guarantees (never under the longest field's own chain,
         // never over the serial sum).

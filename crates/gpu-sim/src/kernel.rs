@@ -1,12 +1,14 @@
 //! Kernel launch machinery: the [`BlockKernel`] trait, [`LaunchConfig`], and the [`Gpu`]
-//! device which executes a grid of blocks functionally (in parallel on host threads) while
-//! accumulating the cost model — or, for an unmodeled launch, without it.
+//! device which executes a grid of blocks functionally (in parallel on its worker pool)
+//! while accumulating the cost model — or, for an unmodeled launch, without it.
 
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use crate::block::{BlockContext, BlockStats, MemStats};
 use crate::config::GpuConfig;
 use crate::occupancy::Occupancy;
+use crate::pool::Pool;
 use crate::timing::{estimate_kernel_time, KernelStats};
 
 /// Launch configuration for a kernel, mirroring `<<<grid, block, shmem>>>`.
@@ -59,10 +61,14 @@ pub trait BlockKernel: Sync {
 }
 
 /// The simulated GPU device: owns the configuration and executes kernel launches.
+///
+/// A device runs its work on one persistent pool of `host_threads − 1` helper threads
+/// plus the thread that launches. The helpers start with the first launch that can use
+/// them; clones of the device share them, and they exit when the last clone drops.
 #[derive(Debug, Clone)]
 pub struct Gpu {
     config: GpuConfig,
-    host_threads: usize,
+    pool: Arc<Pool>,
 }
 
 impl Gpu {
@@ -72,17 +78,14 @@ impl Gpu {
         let host_threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4);
-        Gpu {
-            config,
-            host_threads,
-        }
+        Gpu::with_host_threads(config, host_threads)
     }
 
     /// Creates a device that simulates blocks on a fixed number of host threads.
     pub fn with_host_threads(config: GpuConfig, host_threads: usize) -> Self {
         Gpu {
             config,
-            host_threads: host_threads.max(1),
+            pool: Arc::new(Pool::new(host_threads)),
         }
     }
 
@@ -96,9 +99,20 @@ impl Gpu {
         &self.config
     }
 
-    /// Number of host threads used to execute thread blocks in parallel.
+    /// Number of host threads used to execute thread blocks in parallel: the worker
+    /// pool's helpers plus the launching thread.
     pub fn host_threads(&self) -> usize {
-        self.host_threads
+        self.pool.threads()
+    }
+
+    /// Runs `task(i)` for every `i` in `0..n` on the device's worker pool and returns
+    /// once all have run. The calling thread and up to `min(host_threads, n) − 1`
+    /// helpers take indices from one shared cursor; a call that finds the pool busy
+    /// (another thread's, or one made from inside a task) runs every index on the
+    /// calling thread. A panicking task's payload is re-raised here, after every helper
+    /// has left the call. Every launch is built on this.
+    pub fn run_tasks(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
+        self.pool.run(n, task)
     }
 
     /// Launches a kernel and blocks until every thread block has executed.
@@ -139,51 +153,34 @@ impl Gpu {
         );
         let clock = Instant::now();
         let grid = cfg.grid_dim;
-        let threads = self.host_threads.min(grid as usize).max(1);
-        let chunk = (grid as usize).div_ceil(threads).max(1) as u32;
-        // An unmodeled block keeps nothing, so its chunk collects an unallocated `Vec`.
-        let run_chunk = |start: u32| -> Vec<BlockStats> {
-            (start..start.saturating_add(chunk).min(grid))
-                .filter_map(|b| {
-                    let mut ctx = BlockContext::new(
-                        &self.config,
-                        b,
-                        grid,
-                        cfg.block_dim,
-                        cfg.shared_mem_bytes,
-                        modeled,
-                    );
-                    kernel.block(&mut ctx);
-                    modeled.then(|| ctx.finish())
-                })
-                .collect()
-        };
-
-        // One chunk runs on the calling thread; several run on scoped threads and are
-        // concatenated in block order, so the statistics do not depend on `threads`.
-        let all_stats = if chunk >= grid {
-            run_chunk(0)
+        // A modeled block leaves its statistics in its own slot, so the cost model reads
+        // them in block order whichever thread ran the block; an unmodeled one keeps
+        // nothing.
+        let slots: Vec<OnceLock<BlockStats>> = if modeled {
+            (0..grid).map(|_| OnceLock::new()).collect()
         } else {
-            std::thread::scope(|s| {
-                let run_chunk = &run_chunk;
-                let handles: Vec<_> = (0..grid)
-                    .step_by(chunk as usize)
-                    .map(|start| s.spawn(move || run_chunk(start)))
-                    .collect();
-                let mut all_stats = Vec::new();
-                for handle in handles {
-                    // Re-raise the kernel's own panic payload, not a generic join error.
-                    all_stats.extend(
-                        handle
-                            .join()
-                            .unwrap_or_else(|e| std::panic::resume_unwind(e)),
-                    );
-                }
-                all_stats
-            })
+            Vec::new()
         };
+        self.run_tasks(grid as usize, &|b| {
+            let mut ctx = BlockContext::new(
+                &self.config,
+                b as u32,
+                grid,
+                cfg.block_dim,
+                cfg.shared_mem_bytes,
+                modeled,
+            );
+            kernel.block(&mut ctx);
+            if modeled {
+                slots[b].set(ctx.finish()).expect("a block runs once");
+            }
+        });
 
         if modeled {
+            let all_stats: Vec<BlockStats> = slots
+                .into_iter()
+                .map(|slot| slot.into_inner().expect("every block ran"))
+                .collect();
             return estimate_kernel_time(
                 &self.config,
                 kernel.name(),

@@ -10,7 +10,8 @@
 //! The simulator has two halves:
 //!
 //! * **Functional execution** — kernels implement [`BlockKernel`] and are executed once
-//!   per thread block, in parallel across host CPU threads, reading their inputs as
+//!   per thread block, in parallel on the device's persistent pool of host threads
+//!   ([`Gpu::run_tasks`]), reading their inputs as
 //!   plain slices and writing their outputs into [`DeviceBuffer`]s — which exist only
 //!   where the blocks of a launch write concurrently, and are made from and returned as
 //!   a `Vec` by move (see [`buffer`]). The decoded output is real: every decoder in the
@@ -87,6 +88,7 @@ pub mod coalesce;
 pub mod config;
 pub mod kernel;
 pub mod occupancy;
+mod pool;
 pub mod primitives;
 pub mod stream;
 pub mod timing;

@@ -11,7 +11,8 @@
 //! * `--cache-bytes N` — decoded-field LRU budget; default 256 MiB;
 //! * `--load NAME=PATH` — preload an archive file (repeatable); more can be loaded at
 //!   runtime via the `LOAD` command (`hfz load`);
-//! * `--host-threads N` — host threads backing the simulated device;
+//! * `--host-threads N` — size of the device's worker pool, on either backend
+//!   (default: every available core);
 //! * `--backend sim|cpu` — execution backend requests decode on (default: the
 //!   `HFZ_BACKEND` environment variable, falling back to the simulated device);
 //! * `--metrics ADDR` — bind an HTTP observability sidecar on `ADDR` serving
@@ -85,7 +86,7 @@ pub struct DaemonBuilder {
     pub(crate) listen: ListenAddr,
     pub(crate) cache_bytes: u64,
     pub(crate) preload: Vec<(String, String)>,
-    pub(crate) host_threads: usize,
+    pub(crate) host_threads: Option<usize>,
     pub(crate) backend: BackendKind,
     pub(crate) gpu: GpuConfig,
     pub(crate) metrics: Option<ListenAddr>,
@@ -99,9 +100,7 @@ impl Default for DaemonBuilder {
             listen: ListenAddr::parse(DEFAULT_LISTEN).expect("default parses"),
             cache_bytes: DEFAULT_CACHE_BYTES,
             preload: Vec::new(),
-            host_threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
+            host_threads: None,
             backend: BackendKind::from_env(),
             gpu: GpuConfig::v100(),
             metrics: None,
@@ -125,10 +124,11 @@ impl DaemonBuilder {
                 "--cache-bytes" => builder.cache_bytes = flags.number()?,
                 "--backend" => builder.backend = flags.backend()?,
                 "--host-threads" => {
-                    builder.host_threads = flags.number()?;
-                    if builder.host_threads == 0 {
+                    let threads = flags.number()?;
+                    if threads == 0 {
                         return Err("--host-threads must be positive".to_string());
                     }
+                    builder.host_threads = Some(threads);
                 }
                 "--load" => builder.preload.push(flags.load()?),
                 _ => return Err(flags.unknown()),
@@ -162,9 +162,10 @@ impl DaemonBuilder {
         self
     }
 
-    /// Host threads backing the simulated device.
+    /// Size of the device's worker pool, on either backend (default: every available
+    /// core).
     pub fn host_threads(mut self, threads: usize) -> Self {
-        self.host_threads = threads;
+        self.host_threads = Some(threads);
         self
     }
 
@@ -274,7 +275,7 @@ mod tests {
         .unwrap();
         assert_eq!(opts.listen, ListenAddr::Tcp("127.0.0.1:9000".into()));
         assert_eq!(opts.cache_bytes, 1024);
-        assert_eq!(opts.host_threads, 3);
+        assert_eq!(opts.host_threads, Some(3));
         assert_eq!(opts.backend, BackendKind::Cpu);
         assert_eq!(opts.metrics, Some(ListenAddr::Tcp("127.0.0.1:9100".into())));
         assert_eq!(opts.addr_file, Some(PathBuf::from("/tmp/hfzd.addr")));

@@ -88,10 +88,13 @@ impl ServerState {
     /// Builds the shared state a [`DaemonBuilder`] describes and starts its wave
     /// worker.
     pub(crate) fn new(config: &DaemonBuilder) -> Arc<ServerState> {
-        let codec = Codec::builder()
+        let mut builder = Codec::builder()
             .gpu_config(config.gpu.clone())
-            .backend(config.backend)
-            .host_threads(config.host_threads)
+            .backend(config.backend);
+        if let Some(threads) = config.host_threads {
+            builder = builder.host_threads(threads);
+        }
+        let codec = builder
             .build()
             .expect("default codec configuration is valid");
         // The cache and the scheduler share the codec's registry: one set of
