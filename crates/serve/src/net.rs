@@ -8,7 +8,7 @@
 //! one, which is how tests and the smoke jobs avoid port collisions.
 
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 
@@ -125,6 +125,17 @@ impl Write for Conn {
             Conn::Tcp(s) => s.write(buf),
             #[cfg(unix)]
             Conn::Unix(s) => s.write(buf),
+        }
+    }
+
+    /// Forwarded, so a frame's header and payload slices leave in one `writev`: std's
+    /// default writes only the first slice, which would split every reply into two
+    /// writes and bring back the Nagle × delayed-ACK stall (see `protocol`'s docs).
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        match self {
+            Conn::Tcp(s) => s.write_vectored(bufs),
+            #[cfg(unix)]
+            Conn::Unix(s) => s.write_vectored(bufs),
         }
     }
 
@@ -272,5 +283,39 @@ mod tests {
         connect(&addr).unwrap();
         handle.join().unwrap().unwrap();
         assert!(!path.exists(), "socket file removed on drop");
+    }
+
+    /// Dials `addr`, then writes two slices with one `write_vectored` on the dialed end:
+    /// the call must take both, and the accepted end must read them in order.
+    fn write_vectored_takes_every_slice(listen: &ListenAddr) {
+        let listener = Listener::bind(listen).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (a, b) = (b"head".as_slice(), b"and the payload".as_slice());
+        let reader = std::thread::spawn(move || {
+            let mut conn = listener.accept().unwrap();
+            let mut got = Vec::new();
+            conn.read_to_end(&mut got).unwrap();
+            got
+        });
+        let mut conn = connect(&addr).unwrap();
+        let n = conn
+            .write_vectored(&[IoSlice::new(a), IoSlice::new(b)])
+            .unwrap();
+        assert_eq!(n, a.len() + b.len(), "{}: one call takes both slices", addr);
+        drop(conn);
+        assert_eq!(reader.join().unwrap(), [a, b].concat());
+    }
+
+    #[test]
+    fn tcp_write_vectored_takes_every_slice() {
+        write_vectored_takes_every_slice(&ListenAddr::parse("tcp:127.0.0.1:0").unwrap());
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn unix_write_vectored_takes_every_slice() {
+        let dir = std::env::temp_dir().join("hfzd-net-vectored");
+        std::fs::create_dir_all(&dir).unwrap();
+        write_vectored_takes_every_slice(&ListenAddr::Unix(dir.join("v.sock")));
     }
 }

@@ -31,25 +31,31 @@
 //! u16s, any archive). A range addresses *elements* (= symbols for codes); ranged code
 //! requests decode only the overlapping blocks on a cache miss.
 //!
-//! **A frame is one write.** [`write_frame`] assembles prefix and body into one buffer
-//! and hands it to the socket in a single `write_all`; every frame of every party —
-//! daemon, router, [`Connection`](crate::client::Connection), tests, the benchmark's
-//! client — leaves through it. Written as two `write`s (prefix, then body) a frame
-//! becomes two TCP segments, and Nagle's algorithm holds the second back until the
-//! first is acknowledged while the peer's delayed-ACK timer sits on that
-//! acknowledgement waiting for data to piggyback on: every `tcp:` exchange then costs
-//! one ACK timeout, whatever the daemon does. Measured on a cache hit of a
-//! 65,536-element field: 43.96 ms per `GET` with two writes, 0.095 ms with one — and
-//! with Nagle's algorithm left on (no socket option is set anywhere): a small frame
-//! written whole goes out at once because nothing is in flight ahead of it, and a
-//! large one is a run of full segments the receiver acknowledges as they arrive.
+//! **A frame is one write.** Every frame of every party — daemon, router,
+//! [`Connection`](crate::client::Connection), tests, the benchmark's client — leaves in
+//! one vectored write: the length prefix and the body's own header bytes in one small
+//! buffer, and each payload (a `GET`'s bytes, every `GETBATCH` item's, a text
+//! document) passed to `writev` by reference from where it already lies, so a reply is
+//! never copied into an encoded body or a frame buffer on its way to the socket. [`write_frame`] sends a body
+//! that is already one buffer the same way, as a single `write`. Written as two
+//! `write`s (prefix, then body) a frame becomes two TCP segments, and Nagle's algorithm
+//! holds the second back until the first is acknowledged while the peer's delayed-ACK
+//! timer sits on that acknowledgement waiting for data to piggyback on: every `tcp:`
+//! exchange then costs one ACK timeout, whatever the daemon does. Measured on a cache
+//! hit of a 65,536-element field: 43.96 ms per `GET` with two writes, 0.095 ms with one
+//! — and with Nagle's algorithm left on (no socket option is set anywhere): a small
+//! frame written whole goes out at once because nothing is in flight ahead of it, and a
+//! large one is a run of full segments the receiver acknowledges as they arrive. That is
+//! also why [`Conn`](crate::net::Conn) forwards `write_vectored` to its socket: std's
+//! default writes only the first slice, which would split every reply into two writes
+//! again.
 //!
 //! Frames are bounded ([`MAX_REQUEST_BYTES`] / [`MAX_RESPONSE_BYTES`]) so a corrupt or
 //! hostile peer cannot drive an unbounded allocation, mirroring the container's
 //! defensive-parsing stance: every malformed body surfaces as a typed
 //! [`ProtocolError`], never a panic.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 use huffdec_container::{ArchiveInfo, JsonWriter, SnapshotManifest};
 
@@ -299,43 +305,96 @@ impl From<ProtocolError> for huffdec_codec::HfzError {
 
 // --- Framing ---------------------------------------------------------------------------
 
-/// Writes one frame — length prefix and body as **one buffer, one write** (see the module
-/// docs for why) — refusing bodies over `limit`: a length prefix must never wrap
-/// (`as u32`) or promise more than the peer will accept, or the stream desynchronizes.
-/// This is the only function that lays out a length prefix.
-pub fn write_frame<W: Write>(w: &mut W, body: &[u8], limit: u32) -> Result<(), ProtocolError> {
-    if body.len() as u64 > limit as u64 {
+/// Linux's `IOV_MAX`: the most slices one `writev` takes (std passes it no more).
+const IOV_MAX: usize = 1024;
+
+/// Bytes of a frame's length prefix.
+const PREFIX: usize = 4;
+
+/// A body's length as its frame's prefix, refusing one over `limit`: a length prefix
+/// must never wrap (`as u32`) or promise more than the peer will accept, or the stream
+/// desynchronizes.
+fn frame_len(len: usize, limit: u32) -> Result<u32, ProtocolError> {
+    if len as u64 > limit as u64 {
         return Err(ProtocolError::FrameTooLarge {
-            claimed: body.len().min(u32::MAX as usize) as u32,
+            claimed: len.min(u32::MAX as usize) as u32,
             limit,
         });
     }
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(body);
-    w.write_all(&frame)?;
-    w.flush()?;
-    Ok(())
+    Ok(len as u32)
+}
+
+/// Writes one frame — length prefix and body as **one buffer, one write** (see the module
+/// docs for why) — refusing bodies over `limit` before anything is copied or written.
+/// Requests leave through here. It copies `body` behind the prefix and sends it through
+/// the same writer as `write_response`, which lays out the prefix beside a reply's
+/// header and borrows its payloads instead.
+pub fn write_frame<W: Write>(w: &mut W, body: &[u8], limit: u32) -> Result<(), ProtocolError> {
+    frame_len(body.len(), limit)?;
+    let mut frame = BodyWriter::with_capacity(body.len());
+    frame.buf.extend_from_slice(body);
+    frame.send(w, limit)
 }
 
 /// Writes a reply as one frame, degrading one that does not fit `limit` (a field
 /// decoding past the 1 GiB response ceiling) to a typed [`Response::Error`] frame
-/// naming both sizes, so the peer gets an answer and the stream stays in sync.
+/// naming both sizes, so the peer gets an answer and the stream stays in sync. The
+/// size is summed from the layout, so an over-limit reply is refused before anything
+/// is copied or written.
 pub(crate) fn write_response<W: Write>(
     w: &mut W,
     response: &Response,
     limit: u32,
 ) -> Result<(), ProtocolError> {
-    let mut body = response.encode();
+    let body = response.layout();
     if body.len() as u64 > limit as u64 {
         let refusal = format!(
             "response of {} bytes exceeds the {} frame limit; request a range",
             body.len(),
             limit
         );
-        body = Response::Error(refusal).encode();
+        return Response::Error(refusal).layout().send(w, limit);
     }
-    write_frame(w, &body, limit)
+    body.send(w, limit)
+}
+
+/// Writes every byte of `parts`, in order, in as few `write_vectored` calls as `w`
+/// takes, finishing short writes by hand: MSRV 1.75 has neither
+/// `IoSlice::advance_slices` nor `write_all_vectored`.
+fn write_all_vectored<'p, W: Write>(
+    w: &mut W,
+    mut parts: impl Iterator<Item = &'p [u8]> + Clone,
+) -> std::io::Result<()> {
+    let mut io = [IoSlice::new(&[]); IOV_MAX];
+    // Bytes written past the start of what is left of `parts`.
+    let mut written = 0;
+    loop {
+        // Step past what has been written, empty parts included, so that a writer
+        // taking nothing below means it is stuck.
+        while let Some(first) = parts.clone().next() {
+            if written < first.len() {
+                break;
+            }
+            written -= first.len();
+            parts.next();
+        }
+        let mut window = parts.clone();
+        let Some(first) = window.next() else {
+            return Ok(());
+        };
+        io[0] = IoSlice::new(&first[written..]);
+        let mut n = 1;
+        for (slot, part) in io[1..].iter_mut().zip(window) {
+            *slot = IoSlice::new(part);
+            n += 1;
+        }
+        match w.write_vectored(&io[..n]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(k) => written += k,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
 }
 
 /// Reads one frame, enforcing `limit`. Returns `None` on a clean EOF at the frame
@@ -361,15 +420,35 @@ pub fn read_frame<R: Read>(r: &mut R, limit: u32) -> Result<Option<Vec<u8>>, Pro
 
 // --- Body encoding ---------------------------------------------------------------------
 
-struct BodyWriter {
+/// A body laid out for the wire: the bytes it lays out itself, and the blobs whose
+/// payloads it borrows. The frame writer sends it as slices — the length prefix and
+/// the owned bytes up to the first blob in one buffer, each payload by reference —
+/// and [`Request::encode`] / [`Response::encode`] copy it out whole.
+struct BodyWriter<'a> {
+    /// A slot for the frame's length prefix, then everything but blob payloads:
+    /// version, opcode or status, operands and blob lengths.
     buf: Vec<u8>,
+    /// Each blob's payload, with the length `buf` had when it was laid out.
+    blobs: Vec<(usize, &'a [u8])>,
 }
 
-impl BodyWriter {
-    fn new(opcode_or_status: u8) -> Self {
+impl<'a> BodyWriter<'a> {
+    /// An empty body with room for `capacity` owned bytes after the prefix slot.
+    fn with_capacity(capacity: usize) -> Self {
+        let mut buf = Vec::with_capacity(PREFIX + capacity);
+        buf.extend_from_slice(&[0; PREFIX]);
         BodyWriter {
-            buf: vec![PROTOCOL_VERSION, opcode_or_status],
+            buf,
+            blobs: Vec::new(),
         }
+    }
+
+    fn new(opcode_or_status: u8) -> Self {
+        // Room for a `GET` reply's header and most requests: laying one out allocates once.
+        let mut w = BodyWriter::with_capacity(60);
+        w.buf
+            .extend_from_slice(&[PROTOCOL_VERSION, opcode_or_status]);
+        w
     }
 
     fn u8(&mut self, v: u8) {
@@ -392,13 +471,52 @@ impl BodyWriter {
         self.buf.extend_from_slice(bytes);
     }
 
-    fn blob(&mut self, bytes: &[u8]) {
+    fn blob(&mut self, bytes: &'a [u8]) {
         self.u64(bytes.len() as u64);
-        self.buf.extend_from_slice(bytes);
+        self.blobs.push((self.buf.len(), bytes));
     }
 
-    fn text(&mut self, s: &str) {
+    fn text(&mut self, s: &'a str) {
         self.blob(s.as_bytes());
+    }
+
+    /// The body's length, prefix excluded.
+    fn len(&self) -> usize {
+        self.buf.len() - PREFIX + self.blobs.iter().map(|(_, b)| b.len()).sum::<usize>()
+    }
+
+    /// The body in wire order from byte `from` of `buf`: owned bytes up to the first
+    /// blob, its payload, owned bytes up to the next, and so on.
+    fn parts(&self, from: usize) -> impl Iterator<Item = &[u8]> + Clone {
+        (0..=self.blobs.len()).flat_map(move |i| {
+            let start = i.checked_sub(1).map_or(from, |prev| self.blobs[prev].0);
+            let (end, blob) = self.blobs.get(i).copied().unwrap_or((self.buf.len(), &[]));
+            [&self.buf[start..end], blob]
+        })
+    }
+
+    /// The body as one buffer, prefix excluded.
+    fn into_bytes(mut self) -> Vec<u8> {
+        if self.blobs.is_empty() {
+            self.buf.drain(..PREFIX);
+            return self.buf;
+        }
+        let mut body = Vec::with_capacity(self.len());
+        for part in self.parts(PREFIX) {
+            body.extend_from_slice(part);
+        }
+        body
+    }
+
+    /// Writes the body as one frame: its prefix goes into the slot ahead of the owned
+    /// bytes, and everything leaves through one `write_vectored` loop — one call
+    /// unless the writer takes less. Refuses a body over `limit` before writing.
+    fn send<W: Write>(mut self, w: &mut W, limit: u32) -> Result<(), ProtocolError> {
+        let len = frame_len(self.len(), limit)?;
+        self.buf[..PREFIX].copy_from_slice(&len.to_le_bytes());
+        write_all_vectored(w, self.parts(0))?;
+        w.flush()?;
+        Ok(())
     }
 }
 
@@ -495,8 +613,8 @@ impl Request {
 
     /// Serializes the request into a frame body.
     pub fn encode(&self) -> Vec<u8> {
-        match self {
-            Request::List => BodyWriter::new(OP_LIST).buf,
+        let body = match self {
+            Request::List => BodyWriter::new(OP_LIST),
             Request::Get {
                 archive,
                 field,
@@ -519,20 +637,20 @@ impl Request {
                         w.u64(0);
                     }
                 }
-                w.buf
+                w
             }
-            Request::Stats => BodyWriter::new(OP_STATS).buf,
+            Request::Stats => BodyWriter::new(OP_STATS),
             Request::Verify { archive } => {
                 let mut w = BodyWriter::new(OP_VERIFY);
                 w.str16(archive);
-                w.buf
+                w
             }
-            Request::Shutdown => BodyWriter::new(OP_SHUTDOWN).buf,
+            Request::Shutdown => BodyWriter::new(OP_SHUTDOWN),
             Request::Load { name, path } => {
                 let mut w = BodyWriter::new(OP_LOAD);
                 w.str16(name);
                 w.str16(path);
-                w.buf
+                w
             }
             Request::GetBatch {
                 archive,
@@ -546,10 +664,11 @@ impl Request {
                 for &f in fields {
                     w.u32(f);
                 }
-                w.buf
+                w
             }
-            Request::Metrics => BodyWriter::new(OP_METRICS).buf,
-        }
+            Request::Metrics => BodyWriter::new(OP_METRICS),
+        };
+        body.into_bytes()
     }
 
     /// Parses a frame body into a request.
@@ -625,10 +744,17 @@ const RESP_BUSY: u8 = 9;
 impl Response {
     /// Serializes the response into a frame body.
     pub fn encode(&self) -> Vec<u8> {
+        self.layout().into_bytes()
+    }
+
+    /// Lays the response out as a body that borrows its payloads: the one description
+    /// of the response wire format, which [`Response::encode`] copies out and
+    /// [`write_response`] sends as it lies.
+    fn layout(&self) -> BodyWriter<'_> {
         if let Response::Error(message) = self {
             let mut w = BodyWriter::new(STATUS_ERROR);
             w.text(message);
-            return w.buf;
+            return w;
         }
         let mut w = BodyWriter::new(STATUS_OK);
         match self {
@@ -684,7 +810,7 @@ impl Response {
                 w.u8(RESP_BUSY);
             }
         }
-        w.buf
+        w
     }
 
     /// Parses a frame body into a response.
@@ -925,6 +1051,169 @@ mod tests {
         let sizes = format!("of {} bytes exceeds the 256 frame", big.encode().len());
         assert!(message.contains(&sizes), "{}", message);
         assert_eq!(next(), Response::Loaded { fields: 3 });
+    }
+
+    /// Takes at most `cap` bytes per call, through `write` and `write_vectored` alike:
+    /// a socket whose send buffer is nearly full.
+    struct ShortWriter {
+        out: Vec<u8>,
+        cap: usize,
+    }
+
+    impl Write for ShortWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            let mut n = 0;
+            for buf in bufs {
+                let take = buf.len().min(self.cap - n);
+                self.out.extend_from_slice(&buf[..take]);
+                n += take;
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Takes everything it is given in one call, refusing more slices than `writev`
+    /// does, and records each call's slice and byte counts.
+    #[derive(Default)]
+    struct WritevWriter {
+        out: Vec<u8>,
+        calls: Vec<(usize, usize)>,
+    }
+
+    impl Write for WritevWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            if bufs.len() > IOV_MAX {
+                return Err(std::io::ErrorKind::InvalidInput.into());
+            }
+            let before = self.out.len();
+            for buf in bufs {
+                self.out.extend_from_slice(buf);
+            }
+            self.calls.push((bufs.len(), self.out.len() - before));
+            Ok(self.out.len() - before)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A frame as `write_frame` lays it out: the length prefix, then the body.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        [&(body.len() as u32).to_le_bytes()[..], body].concat()
+    }
+
+    #[test]
+    fn reply_frames_are_the_prefix_and_encode_even_through_short_writes() {
+        // The cases of `responses_roundtrip`.
+        let cases = vec![
+            Response::Error("no such archive".into()),
+            Response::List("{\"archives\":[]}".into()),
+            Response::Stats("{}".into()),
+            Response::Verify("field 0: ok".into()),
+            Response::Loaded { fields: 3 },
+            Response::ShuttingDown,
+            Response::Get {
+                kind: GetKind::Codes,
+                from_cache: true,
+                partial: false,
+                elements: 3,
+                bytes: vec![1, 0, 2, 0, 3, 0],
+            },
+            Response::GetBatch {
+                kind: GetKind::Codes,
+                items: vec![
+                    BatchGetItem {
+                        from_cache: true,
+                        elements: 2,
+                        bytes: vec![1, 0, 2, 0],
+                    },
+                    BatchGetItem {
+                        from_cache: false,
+                        elements: 0,
+                        bytes: vec![],
+                    },
+                ],
+            },
+            Response::Metrics("# HELP hfz_requests_total requests\n".into()),
+            Response::Busy,
+        ];
+        for resp in cases {
+            let expected = framed(&resp.encode());
+            let mut whole = Vec::new();
+            write_response(&mut whole, &resp, MAX_RESPONSE_BYTES).unwrap();
+            assert_eq!(whole, expected, "{:?}", resp);
+            let mut short = ShortWriter {
+                out: Vec::new(),
+                cap: 7,
+            };
+            write_response(&mut short, &resp, MAX_RESPONSE_BYTES).unwrap();
+            assert_eq!(short.out, expected, "{:?} in 7-byte writes", resp);
+        }
+    }
+
+    #[test]
+    fn a_get_reply_is_one_vectored_write() {
+        let get = Response::Get {
+            kind: GetKind::Data,
+            from_cache: true,
+            partial: false,
+            elements: 65_536,
+            bytes: vec![7; 65_536 * 4],
+        };
+        let mut w = WritevWriter::default();
+        write_response(&mut w, &get, MAX_RESPONSE_BYTES).unwrap();
+        let body = get.encode();
+        assert_eq!(w.calls.len(), 1, "{:?}", w.calls);
+        assert_eq!(w.calls[0].1, 4 + body.len());
+        assert_eq!(w.out, framed(&body));
+    }
+
+    /// A full batch is more slices than one `writev` takes: it leaves in several
+    /// calls, none over the limit, and arrives whole.
+    #[test]
+    fn a_full_batch_reply_arrives_whole() {
+        let batch = Response::GetBatch {
+            kind: GetKind::Codes,
+            items: (0..MAX_BATCH_FIELDS)
+                .map(|i| BatchGetItem {
+                    from_cache: i % 2 == 0,
+                    elements: 1,
+                    bytes: (i as u16).to_le_bytes().to_vec(),
+                })
+                .collect(),
+        };
+        let expected = framed(&batch.encode());
+        let mut w = WritevWriter::default();
+        write_response(&mut w, &batch, MAX_RESPONSE_BYTES).unwrap();
+        assert!(w.calls.len() > 1, "{:?}", w.calls);
+        assert_eq!(w.out, expected);
+
+        // The same through a real socket, whose `writev` the kernel bounds.
+        #[cfg(unix)]
+        {
+            let (mut tx, mut rx) = std::os::unix::net::UnixStream::pair().unwrap();
+            let reader = std::thread::spawn(move || {
+                let mut got = Vec::new();
+                rx.read_to_end(&mut got).unwrap();
+                got
+            });
+            write_response(&mut tx, &batch, MAX_RESPONSE_BYTES).unwrap();
+            drop(tx);
+            assert_eq!(reader.join().unwrap(), expected);
+        }
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! blocks in `read` between requests, runs [`Service::handle`] to completion — for a
 //! daemon cache miss that means blocking on the decode's flight slot; for the router,
 //! on the owning shard's reply — and then blocks in `write` until the reply has left.
-//! The reply goes out through the protocol's one frame writer
-//! ([`write_frame`](crate::protocol::write_frame), one buffer, one write — the same
-//! function clients and the router's shard links send requests with); a reply too
-//! large for a frame degrades there to a typed error frame. Nothing polls and nothing
+//! The reply goes out through the protocol's one frame writer as one vectored write:
+//! the length prefix and header bytes in one small buffer, the payloads borrowed from
+//! the response (see the `protocol` module docs); clients and the router's shard links
+//! send requests through the same writer. A reply too large for a frame degrades there
+//! to a typed error frame before anything is written. Nothing polls and nothing
 //! sleeps; a slow or stalled peer holds up its own thread only.
 //!
 //! **The shutdown contract.** `SHUTDOWN` (or [`ServiceHandle::shutdown`]) sets the

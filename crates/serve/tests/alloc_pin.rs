@@ -1,0 +1,151 @@
+//! Allocation pin for a cached `GET`: what one request costs the heap, counted.
+//!
+//! This binary installs its own counting `#[global_allocator]`, so it holds this one
+//! test and nothing else runs in its process. An in-process daemon serves one
+//! 65,536-element HACC field on `tcp:` and on `unix:`; after five warm-up `GET`s, each
+//! of twenty cached `GET`s is counted from the client's call to its return. The count
+//! covers both ends, since they share the process: the client's request encode and
+//! frame, the daemon's frame read, request decode, cache lookup and reply, and the
+//! client's frame read and response decode.
+//!
+//! The counts repeat exactly: every one of the twenty requests, on both transports,
+//! makes the same number of allocations of the same total size. They are pinned as
+//! upper bounds at that value. A change that lowers one lowers its pin; raising a pin
+//! is a regression to justify.
+//!
+//! Of the bytes, three payloads (the field's 256 KiB) are the whole story:
+//! - the LRU entry copied out for the reply (`Response::Get` owns its bytes);
+//! - the client's frame read;
+//! - the client's response decode.
+//!
+//! The reply itself leaves as one vectored write of a small header and the borrowed
+//! payload, so neither `Response::encode` nor a frame buffer copies it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use datasets::{dataset_by_name, generate};
+use gpu_sim::GpuConfig;
+use huffdec_container::ArchiveWriter;
+use huffdec_core::DecoderKind;
+use huffdec_serve::client::Connection;
+use huffdec_serve::net::ListenAddr;
+use huffdec_serve::protocol::GetKind;
+use huffdec_serve::Daemon;
+use sz::{compress, SzConfig};
+
+/// Counts every allocation and the bytes it asked for; a `realloc` is one allocation
+/// of its new size.
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
+
+// SAFETY: every method passes its arguments unchanged to `System` and returns what
+// `System` returns, so `System`'s guarantees are this allocator's; the counters are
+// atomics and never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const ELEMENTS: usize = 65_536;
+/// One field's reply payload: 65,536 little-endian f32s.
+const PAYLOAD: u64 = ELEMENTS as u64 * 4;
+const WARM_UP: usize = 5;
+const COUNTED: usize = 20;
+
+/// Allocations per cached `GET`, both ends together.
+const PIN_ALLOCATIONS: u64 = 13;
+/// Bytes those allocations request per cached `GET`: three payloads and the small
+/// change of names, headers and frames.
+const PIN_BYTES: u64 = 3 * PAYLOAD + 362;
+
+#[test]
+fn a_cached_get_allocates_three_payloads() {
+    let dir = std::env::temp_dir().join(format!("hfzd-alloc-pin-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let field = generate(&dataset_by_name("HACC").unwrap(), ELEMENTS, 1);
+    assert_eq!(field.data.len(), ELEMENTS);
+    let compressed = compress(
+        &field,
+        &SzConfig::paper_default(DecoderKind::OptimizedGapArray),
+    );
+    let path = dir.join("hacc.hfz");
+    let mut writer = ArchiveWriter::new(std::fs::File::create(&path).unwrap());
+    writer.write_compressed(&compressed).unwrap();
+    writer.into_inner().unwrap();
+
+    let mut transports = vec![ListenAddr::parse("tcp:127.0.0.1:0").unwrap()];
+    if cfg!(unix) {
+        transports.push(ListenAddr::Unix(dir.join("d.sock")));
+    }
+    for listen in transports {
+        let daemon = Daemon::builder()
+            .listen(listen)
+            .gpu(GpuConfig::test_tiny())
+            .host_threads(2)
+            .preload("hacc", path.to_str().unwrap())
+            .spawn()
+            .unwrap();
+        let mut client = Connection::connect(daemon.local_addr()).unwrap();
+        for _ in 0..WARM_UP {
+            client.get("hacc", 0, GetKind::Data, None).unwrap();
+        }
+        let mut counts = Vec::with_capacity(COUNTED);
+        for _ in 0..COUNTED {
+            let (allocations, bytes) = (
+                ALLOCATIONS.load(Ordering::SeqCst),
+                BYTES.load(Ordering::SeqCst),
+            );
+            let reply = client.get("hacc", 0, GetKind::Data, None).unwrap();
+            counts.push((
+                ALLOCATIONS.load(Ordering::SeqCst) - allocations,
+                BYTES.load(Ordering::SeqCst) - bytes,
+            ));
+            assert!(reply.from_cache);
+            assert_eq!(reply.bytes.len() as u64, PAYLOAD);
+        }
+        let addr = daemon.local_addr().to_string();
+        for (i, &(allocations, bytes)) in counts.iter().enumerate() {
+            assert!(
+                allocations <= PIN_ALLOCATIONS && bytes <= PIN_BYTES,
+                "{} GET {}: {} allocations of {} bytes ({:.3} payloads), pinned at {} of {}",
+                addr,
+                i,
+                allocations,
+                bytes,
+                bytes as f64 / PAYLOAD as f64,
+                PIN_ALLOCATIONS,
+                PIN_BYTES
+            );
+        }
+        daemon.shutdown();
+        daemon.join().unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
