@@ -1,6 +1,6 @@
 //! The session API: [`CodecBuilder`] → [`Codec`].
 //!
-//! A [`Codec`] owns everything one compression session needs — the simulated device,
+//! A [`Codec`] owns everything one compression session needs — the execution device,
 //! the worker-thread budget, and the compression configuration (decoder kind, error
 //! bound, alphabet size) — so consumers stop threading `&Gpu` + config tuples through
 //! every call. Compression uses the session configuration;
@@ -60,14 +60,15 @@ impl EncodeOutcome {
     }
 }
 
-/// A reconstructed field together with its simulated decompression timing — what
+/// A reconstructed field together with its decompression timing — what
 /// [`Codec::decompress`] returns.
 #[derive(Debug, Clone)]
 pub struct DecodeOutcome {
     /// The reconstructed data.
     pub data: Vec<f32>,
-    /// The simulated decompression timing (Huffman phases + reconstruction kernels,
-    /// plus the PCIe transfer when the codec models it).
+    /// The decompression timing (Huffman phases + reconstruction kernels, plus the
+    /// PCIe transfer when the codec models it): measured on the CPU backend, modeled
+    /// on the simulator.
     pub stats: DecompressStats,
 }
 
@@ -98,13 +99,12 @@ pub struct BatchDecodeOutcome {
 
 /// Configures and builds a [`Codec`].
 ///
-/// Defaults are the paper's headline setup: the **simulated** backend on a
-/// [`GpuConfig::v100`] device model (explicitly: unless [`CodecBuilder::gpu_config`] is
-/// called, every codec models an NVIDIA V100), the optimized gap-array decoder,
-/// relative error bound `1e-3`, 1024 quantization bins. The
-/// execution backend defaults to whatever the `HFZ_BACKEND` environment variable names
-/// (`sim` when unset or unrecognized) and can be pinned with
-/// [`CodecBuilder::backend`].
+/// Defaults are the paper's compression setup — the optimized gap-array decoder,
+/// relative error bound `1e-3`, 1024 quantization bins, and a [`GpuConfig::v100`]
+/// device model — run on the **CPU** backend with wall-clock timings. The execution
+/// backend defaults to whatever the `HFZ_BACKEND` environment variable names (`cpu`
+/// when unset or unrecognized); the simulator, which models the paper's V100 kernel
+/// times, is chosen by name with [`CodecBuilder::backend`]`(`[`BackendKind::Sim`]`)`.
 ///
 /// ```
 /// use huffdec_codec::Codec;
@@ -160,7 +160,7 @@ impl CodecBuilder {
     }
 
     /// The execution backend (default: [`BackendKind::from_env`], i.e. the
-    /// `HFZ_BACKEND` environment variable, falling back to the simulated backend):
+    /// `HFZ_BACKEND` environment variable, falling back to the CPU backend):
     /// [`BackendKind::Sim`] models kernel timings on the configured device,
     /// [`BackendKind::Cpu`] runs the same kernels on real host threads and reports
     /// wall-clock timings.
@@ -267,7 +267,7 @@ impl CodecBuilder {
     }
 }
 
-/// A stateful compression session: owns the simulated device and the configuration,
+/// A stateful compression session: owns the execution device and the configuration,
 /// and exposes the whole pipeline — compress, decompress, batch, ranged decode, and
 /// archive sessions with cached decode state.
 ///
@@ -299,13 +299,6 @@ impl Codec {
     /// Starts building a codec (see [`CodecBuilder`] for the defaults).
     pub fn builder() -> CodecBuilder {
         CodecBuilder::new()
-    }
-
-    /// The paper's headline configuration on a simulated V100.
-    pub fn paper_default() -> Codec {
-        CodecBuilder::new()
-            .build()
-            .expect("paper defaults are valid")
     }
 
     /// The execution backend this session runs on. Exposed for low-level consumers
@@ -607,13 +600,6 @@ impl Codec {
         ArchiveHandle::from_bytes(bytes)
     }
 
-    /// Structurally summarizes an archive file — manifest, headers, and section
-    /// tables only, with **no decode-structure reassembly**. The cheap metadata path
-    /// (`hfz inspect`); use [`Codec::open_archive`] when you intend to decode.
-    pub fn inspect_archive(&self, path: &str) -> Result<crate::ArchiveSummary> {
-        crate::ArchiveSummary::open(path)
-    }
-
     /// Opens a snapshot archive — like [`Codec::open_archive`], but the file must
     /// carry a manifest (name-addressed multi-field access).
     pub fn open_snapshot(&self, path: &str) -> Result<ArchiveHandle> {
@@ -782,11 +768,6 @@ impl Codec {
         self.compress_archive(field)
             .map_or(self.config, |archive| archive.config)
     }
-
-    /// [`Codec::inspect_archive`] over an in-memory buffer.
-    pub(crate) fn inspect_archive_bytes(&self, bytes: &[u8]) -> Result<crate::ArchiveSummary> {
-        crate::ArchiveSummary::from_bytes(bytes)
-    }
 }
 
 #[cfg(test)]
@@ -825,7 +806,7 @@ mod tests {
                 .build(),
             Err(HfzError::Usage(_))
         ));
-        let codec = Codec::paper_default();
+        let codec = Codec::builder().build().unwrap();
         assert_eq!(codec.decoder(), DecoderKind::OptimizedGapArray);
         assert_eq!(codec.config().alphabet_size, 1024);
     }
@@ -1199,14 +1180,14 @@ mod tests {
 
         // The metadata-only summary sees the same structure without reassembling
         // decode state.
-        let summary = codec.inspect_archive(path.to_str().unwrap()).unwrap();
+        let summary = crate::ArchiveSummary::open(path.to_str().unwrap()).unwrap();
         assert_eq!(summary.infos().len(), handle.len());
         assert_eq!(summary.manifest(), handle.manifest().cloned().as_ref());
         for (info, field) in summary.infos().iter().zip(handle.fields()) {
             assert_eq!(info.total_bytes, field.info().total_bytes);
             assert_eq!(info.num_symbols, field.info().num_symbols);
         }
-        assert!(codec.inspect_archive_bytes(b"").is_err());
+        assert!(crate::ArchiveSummary::from_bytes(b"").is_err());
     }
 
     #[test]

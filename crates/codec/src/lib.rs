@@ -2,7 +2,7 @@
 //!
 //! The pipeline this workspace reproduces (quantize → codebook → encode → gap/chunk
 //! decode) is one coherent codec, and this crate is its single seam: a
-//! [`CodecBuilder`] → [`Codec`] handle that owns the simulated device, the
+//! [`CodecBuilder`] → [`Codec`] handle that owns the execution device, the
 //! worker-thread budget, and the compression configuration, in the style of cuSZ/phf's
 //! session `HuffmanCodec` objects. Consumers — the `hfz` CLI, the `hfzd` daemon, the
 //! benchmark harness, examples — build one codec and call methods on it instead of

@@ -97,9 +97,10 @@ static SPAWN_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// the shard's `--addr-file` (written atomically once the shard is accepting) — no
 /// stdout scraping.
 ///
-/// `extra_args` is appended verbatim (`--cache-bytes`, `--backend`, …). The child's
-/// stdout is piped and drained on a background thread so the daemon can never block
-/// on a full pipe.
+/// `extra_args` is appended verbatim (`--cache-bytes`). The child inherits this
+/// process's environment, `HFZ_BACKEND` included, so it runs on the router's backend.
+/// Its stdout is piped and drained on a background thread so the daemon can never
+/// block on a full pipe.
 pub fn spawn_shard(hfzd: &str, extra_args: &[String]) -> std::io::Result<(ListenAddr, Child)> {
     let addr_file = std::env::temp_dir().join(format!(
         "hfzd-addr-{}-{}",

@@ -13,7 +13,9 @@
 //! * `--spawn N` — **spawn** N `hfzd` children on ephemeral ports (ids continue after
 //!   the attached shards); their lifetime is the router's;
 //! * `--hfzd-bin PATH` — the binary `--spawn` forks; default `hfzd` (from `$PATH`);
-//! * `--cache-bytes N` / `--backend sim|cpu` — forwarded to every spawned shard;
+//! * `--cache-bytes N` — forwarded to every spawned shard. Spawned shards inherit the
+//!   router's environment, so `HFZ_BACKEND=sim hfzr --spawn N` runs them on the
+//!   simulator;
 //! * `--load NAME=PATH` — place an archive across the fleet at start-up (repeatable);
 //! * `--metrics ADDR` — HTTP sidecar serving the *fleet* `GET /metrics` (shard
 //!   families merged under a `shard` label) and `GET /healthz` (degraded while a
@@ -88,10 +90,9 @@ impl Default for RouterBuilder {
 
 impl RouterBuilder {
     /// Parses
-    /// `--listen/--shard/--spawn/--hfzd-bin/--cache-bytes/--backend/--load/--metrics/--addr-file`
-    /// into a builder. `--cache-bytes` and `--backend` are checked here and forwarded
-    /// to every spawned shard, so a bad value is a usage error, not a shard that
-    /// fails to start.
+    /// `--listen/--shard/--spawn/--hfzd-bin/--cache-bytes/--load/--metrics/--addr-file`
+    /// into a builder. `--cache-bytes` is checked here and forwarded to every spawned
+    /// shard, so a bad value is a usage error, not a shard that fails to start.
     pub fn parse(args: &[String]) -> Result<RouterBuilder, String> {
         let mut builder = RouterBuilder::default();
         let mut flags = Flags::new(args);
@@ -107,11 +108,6 @@ impl RouterBuilder {
                     let bytes: u64 = flags.number()?;
                     builder.shard_args.push(flag.to_string());
                     builder.shard_args.push(bytes.to_string());
-                }
-                "--backend" => {
-                    let backend = flags.backend()?;
-                    builder.shard_args.push(flag.to_string());
-                    builder.shard_args.push(backend.name().to_string());
                 }
                 "--load" => builder.preload.push(flags.load()?),
                 _ => return Err(flags.unknown()),
@@ -250,8 +246,6 @@ mod tests {
             "target/release/hfzd",
             "--cache-bytes",
             "1024",
-            "--backend",
-            "cpu",
             "--load",
             "a=/tmp/a.hfz",
             "--metrics",
@@ -270,10 +264,7 @@ mod tests {
         );
         assert_eq!(opts.spawn, 2);
         assert_eq!(opts.hfzd_bin, "target/release/hfzd");
-        assert_eq!(
-            opts.shard_args,
-            s(&["--cache-bytes", "1024", "--backend", "cpu"])
-        );
+        assert_eq!(opts.shard_args, s(&["--cache-bytes", "1024"]));
         assert_eq!(
             opts.preload,
             vec![("a".to_string(), "/tmp/a.hfz".to_string())]
@@ -297,16 +288,12 @@ mod tests {
         assert!(RouterBuilder::parse(&s(&["--addr-file"])).is_err());
         assert!(RouterBuilder::parse(&s(&["--shard"])).is_err());
         assert!(RouterBuilder::parse(&s(&["--cache-bytes", "x"])).is_err());
-        // Forwarded flags are validated here: a bad backend is a usage error, not a
-        // shard that fails to start.
+        // Spawned shards take their backend from the inherited `HFZ_BACKEND`, not
+        // from a flag.
         let err = |args: &[&str]| RouterBuilder::parse(&s(args)).unwrap_err();
         assert_eq!(
-            err(&["--spawn", "1", "--backend", "cuda"]),
-            "unknown backend 'cuda' (expected sim|cpu)"
-        );
-        assert_eq!(
-            err(&["--spawn", "1", "--backend"]),
-            "flag --backend expects a value"
+            err(&["--spawn", "1", "--backend", "sim"]),
+            "unknown flag --backend"
         );
         assert!(RouterBuilder::parse(&s(&["--load", "nopath", "--spawn", "1"])).is_err());
         assert_eq!(err(&["--bogus"]), "unknown flag --bogus");

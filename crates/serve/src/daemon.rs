@@ -13,13 +13,15 @@
 //!   runtime via the `LOAD` command (`hfz load`);
 //! * `--host-threads N` — size of the device's worker pool, on either backend
 //!   (default: every available core);
-//! * `--backend sim|cpu` — execution backend requests decode on (default: the
-//!   `HFZ_BACKEND` environment variable, falling back to the simulated device);
 //! * `--metrics ADDR` — bind an HTTP observability sidecar on `ADDR` serving
 //!   `GET /metrics` (Prometheus text exposition) and `GET /healthz`;
 //! * `--addr-file PATH` — write the resolved listen address to `PATH` (atomically:
 //!   temp file + rename) once the daemon is accepting. This is how scripts and
 //!   supervisors learn an ephemeral port without scraping stdout.
+//!
+//! Requests decode on the backend the `HFZ_BACKEND` environment variable names (the
+//! CPU backend when unset); `HFZ_BACKEND=sim hfzd` serves on the simulator, with
+//! modeled decode times. Embedders pin it with [`DaemonBuilder::backend`].
 //!
 //! The daemon prints one `listening on <addr>` line once it is accepting, then serves
 //! until a `SHUTDOWN` request (the connection model and the shutdown contract are
@@ -111,8 +113,8 @@ impl Default for DaemonBuilder {
 }
 
 impl DaemonBuilder {
-    /// Parses `--listen/--cache-bytes/--load/--host-threads/--backend/--metrics/
-    /// --addr-file` flags into a builder.
+    /// Parses `--listen/--cache-bytes/--load/--host-threads/--metrics/--addr-file` flags
+    /// into a builder.
     pub fn parse(args: &[String]) -> Result<DaemonBuilder, String> {
         let mut builder = DaemonBuilder::default();
         let mut flags = Flags::new(args);
@@ -122,7 +124,6 @@ impl DaemonBuilder {
                 "--metrics" => builder.metrics = Some(flags.addr()?),
                 "--addr-file" => builder.addr_file = Some(flags.value()?.into()),
                 "--cache-bytes" => builder.cache_bytes = flags.number()?,
-                "--backend" => builder.backend = flags.backend()?,
                 "--host-threads" => {
                     let threads = flags.number()?;
                     if threads == 0 {
@@ -150,7 +151,7 @@ impl DaemonBuilder {
     }
 
     /// Execution backend requests decode on (default: the `HFZ_BACKEND` environment
-    /// variable, falling back to the simulated backend).
+    /// variable, falling back to the CPU backend).
     pub fn backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
         self
@@ -265,8 +266,6 @@ mod tests {
             "b=/tmp/b.hfz",
             "--host-threads",
             "3",
-            "--backend",
-            "cpu",
             "--metrics",
             "tcp:127.0.0.1:9100",
             "--addr-file",
@@ -276,7 +275,6 @@ mod tests {
         assert_eq!(opts.listen, ListenAddr::Tcp("127.0.0.1:9000".into()));
         assert_eq!(opts.cache_bytes, 1024);
         assert_eq!(opts.host_threads, Some(3));
-        assert_eq!(opts.backend, BackendKind::Cpu);
         assert_eq!(opts.metrics, Some(ListenAddr::Tcp("127.0.0.1:9100".into())));
         assert_eq!(opts.addr_file, Some(PathBuf::from("/tmp/hfzd.addr")));
         assert_eq!(
@@ -301,11 +299,8 @@ mod tests {
         assert!(DaemonBuilder::parse(&s(&["--cache-bytes", "x"])).is_err());
         assert!(DaemonBuilder::parse(&s(&["--host-threads", "0"])).is_err());
         let err = |args: &[&str]| DaemonBuilder::parse(&s(args)).unwrap_err();
-        assert_eq!(
-            err(&["--backend", "cuda"]),
-            "unknown backend 'cuda' (expected sim|cpu)"
-        );
-        assert_eq!(err(&["--backend"]), "flag --backend expects a value");
+        // The backend comes from `HFZ_BACKEND` or the builder, not from a flag.
+        assert_eq!(err(&["--backend", "sim"]), "unknown flag --backend");
         assert_eq!(err(&["--bogus"]), "unknown flag --bogus");
         assert_eq!(err(&["stray"]), "unexpected argument 'stray'");
         assert!(DaemonBuilder::parse(&s(&["--listen"])).is_err());

@@ -4,7 +4,7 @@
 //! archives stay compressed in memory (loaded once, parsed once), clients request
 //! decoded fields or ranges over the socket protocol, and a shared bytes-budgeted LRU
 //! ([`DecodedLru`]) absorbs the hot set so repeated `GET`s of the same field cost a
-//! memcpy while cold fields pay one (simulated-GPU) decode.
+//! memcpy while cold fields pay one decode.
 //!
 //! Concurrency model: **blocking threads**. The shared accept loop
 //! ([`crate::service`]) gives every connection its own thread, and that thread runs
@@ -531,7 +531,9 @@ impl ServerState {
 
     /// Renders the legacy `STATS` JSON from one registry snapshot. The document is
     /// byte-compatible with the pre-registry format: per-decoder counts come from the
-    /// histogram counts and `simulated_seconds` from the histogram sums.
+    /// histogram counts and `simulated_seconds` from the histogram sums. Despite its
+    /// name, that key holds the session's clock, which the `backend` key names: wall
+    /// seconds on `cpu`, modeled seconds on `sim`. The key stays for compatibility.
     fn stats_json(&self) -> String {
         let m = self.metrics_snapshot();
         let decoder_json = |w: &mut JsonWriter,

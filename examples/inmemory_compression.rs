@@ -10,7 +10,7 @@
 //! Run with `cargo run --release --example inmemory_compression`.
 
 use huffdec::datasets::{dataset_by_name, generate_with_dims, Dims};
-use huffdec::{Codec, DecoderKind};
+use huffdec::{BackendKind, Codec, DecoderKind};
 
 const NUM_BLOCKS: usize = 8;
 const BLOCK_ELEMENTS: usize = 250_000;
@@ -18,12 +18,15 @@ const CONSUMPTIONS: usize = 24;
 
 fn main() {
     let spec = dataset_by_name("GAMESS").expect("GAMESS is a registered dataset");
-    // Two sessions on the same simulated V100: one per decoder under comparison.
+    // Two sessions on the same simulated V100, named explicitly because the comparison
+    // is the paper's modeled one: one per decoder under comparison.
     let baseline_codec = Codec::builder()
+        .backend(BackendKind::Sim)
         .decoder(DecoderKind::CuszBaseline)
         .build()
         .expect("paper configuration is valid");
     let optimized_codec = Codec::builder()
+        .backend(BackendKind::Sim)
         .decoder(DecoderKind::OptimizedGapArray)
         .build()
         .expect("paper configuration is valid");
@@ -70,7 +73,7 @@ fn main() {
     }
 
     println!(
-        "replaying {} block consumptions:\n  baseline cuSZ decoder: {:.2} ms of simulated decompression\n  optimized gap-array:   {:.2} ms of simulated decompression\n  speedup: {:.2}x",
+        "replaying {} block consumptions:\n  baseline cuSZ decoder: {:.2} ms of modeled decompression\n  optimized gap-array:   {:.2} ms of modeled decompression\n  speedup: {:.2}x",
         CONSUMPTIONS,
         baseline_seconds * 1e3,
         optimized_seconds * 1e3,

@@ -1,6 +1,6 @@
 //! The serving layer end to end, in one process: spawn an `hfzd` daemon on an
 //! ephemeral port, load two archives, and watch the decoded-field LRU absorb the hot
-//! set — first `GET` pays a simulated-GPU decode, the second is a cache hit, a ranged
+//! set — first `GET` pays a decode, the second is a cache hit, a ranged
 //! code request decodes only the overlapping blocks, and an over-budget insertion
 //! evicts the least recently used field.
 //!

@@ -1,7 +1,9 @@
 //! `hfz` — the archive and serving CLI of the huffdec workspace.
 //!
-//! A thin shell over the facade: every subcommand builds one [`huffdec::Codec`]
-//! session and drives the pipeline through it, and every failure is a
+//! A thin shell over the facade: every subcommand that encodes or decodes builds one
+//! [`huffdec::Codec`] session and drives the pipeline through it (on the CPU backend
+//! unless `--backend sim` or `HFZ_BACKEND=sim` names the simulator; `inspect` reads
+//! headers only and runs no backend), and every failure is a
 //! [`huffdec::HfzError`] mapped to a stable exit code (2 usage, 3 I/O, 4 corrupt
 //! archive, 5 decode, 6 protocol/remote, 7 verification failure).
 //!
@@ -43,8 +45,8 @@ use huffdec::serve::flags::Flags;
 use huffdec::serve::net::ListenAddr;
 use huffdec::serve::protocol::GetKind;
 use huffdec::{
-    f32_le_bytes, Codec, CodecBuilder, DecoderKind, EncodeOutcome, ErrorBound, Field, FieldHandle,
-    FormatVersion, HfzError,
+    f32_le_bytes, ArchiveSummary, Codec, CodecBuilder, DecoderKind, EncodeOutcome, ErrorBound,
+    Field, FieldHandle, FormatVersion, HfzError,
 };
 
 /// `println!` that exits quietly instead of panicking when stdout has been closed
@@ -127,8 +129,8 @@ OPTIONS:
   --auto-hybrid X  with --format v2, fields whose quantized stream   (default: 0.5)
                    is >= X center-bin symbols switch to the hybrid
                    decoder automatically; 'off' disables the switch
-  --backend NAME   sim (modeled V100 timings) | cpu (real threads,   (default: sim, or
-                   wall-clock timings)                                $HFZ_BACKEND)
+  --backend NAME   cpu (real threads, measured timings) | sim (the  (default: cpu, or
+                   simulated V100, modeled timings)                   $HFZ_BACKEND)
   --eb MODE:VALUE  rel:1e-3 or abs:0.05                              (default: rel:1e-3)
   --alphabet N     quantization bins, power of two >= 4              (default: 1024)
   --seed S         synthetic dataset seed                            (default: 42)
@@ -189,6 +191,15 @@ fn parse_dims(spec: &str) -> Result<Dims, HfzError> {
     }
     if extents.contains(&0) {
         return Err(HfzError::Usage("dimensions must be non-zero".to_string()));
+    }
+    // The element count, and its byte count as f32, must not wrap: a wrapped product
+    // could match a small file and hand the pipeline dims it cannot hold.
+    let elements = extents.iter().try_fold(1usize, |n, &e| n.checked_mul(e));
+    if elements.and_then(|n| n.checked_mul(4)).is_none() {
+        return Err(HfzError::Usage(format!(
+            "dimensions {} overflow the element count",
+            spec
+        )));
     }
     Ok(Dims::from_slice(&extents))
 }
@@ -340,6 +351,16 @@ fn write_file(path: &str, bytes: &[u8]) -> Result<(), HfzError> {
     std::fs::write(path, bytes).map_err(|e| HfzError::io(format!("cannot create {}", path), e))
 }
 
+/// Names the clock a reported time was read from: wall time on the CPU backend, the
+/// device model's time under `--backend sim`.
+fn clock(codec: &Codec) -> String {
+    if codec.backend().is_modeled() {
+        format!("modeled on {}", codec.device_name())
+    } else {
+        "measured".to_string()
+    }
+}
+
 fn encode_report(codec: &Codec, outcome: &EncodeOutcome) -> String {
     let phases = outcome
         .stats
@@ -350,13 +371,9 @@ fn encode_report(codec: &Codec, outcome: &EncodeOutcome) -> String {
         .collect::<Vec<_>>()
         .join(" | ");
     format!(
-        "encode: {:.3} ms {} ({:.1} GB/s on quant codes, {:.1} GB/s overall) [{}]",
+        "encode: {:.3} ms {}, {:.1} GB/s on quant codes, {:.1} GB/s overall [{}]",
         outcome.stats.encode.total_seconds() * 1e3,
-        if codec.backend().is_modeled() {
-            "simulated"
-        } else {
-            "measured"
-        },
+        clock(codec),
         outcome.encode_throughput_gbs(),
         outcome.overall_throughput_gbs(),
         phases
@@ -405,7 +422,7 @@ fn cmd_compress(rest: &[String]) -> Result<(), HfzError> {
     );
     out!("{}", encode_report(&codec, &outcome));
     // Post-write report: the cheap structural summary, not a full decode-state open.
-    let summary = codec.inspect_archive(output)?;
+    let summary = ArchiveSummary::open(output)?;
     out!("{}", summary.infos()[0]);
     Ok(())
 }
@@ -459,7 +476,7 @@ fn cmd_compress_snapshot(
         written,
         original as f64 / written as f64
     );
-    let summary = codec.inspect_archive(output)?;
+    let summary = ArchiveSummary::open(output)?;
     out!(
         "{}",
         summary.manifest().expect("snapshot writes a manifest")
@@ -485,16 +502,12 @@ fn decompress_to(
     let decoded = codec.decompress_field(field)?;
     write_file(output, &f32_le_bytes(&decoded.data))?;
     out!(
-        "{} -> {}: {} elements, {} decompression {:.3} ms ({:.1} GB/s overall)",
+        "{} -> {}: {} elements, decompression {:.3} ms {}, {:.1} GB/s overall",
         label,
         output,
         decoded.data.len(),
-        if codec.backend().is_modeled() {
-            "simulated"
-        } else {
-            "measured"
-        },
         decoded.stats.total_seconds * 1e3,
+        clock(codec),
         decoded.overall_throughput_gbs(compressed.original_bytes())
     );
     Ok(())
@@ -573,11 +586,9 @@ fn cmd_decompress(rest: &[String]) -> Result<(), HfzError> {
 
 fn cmd_inspect(rest: &[String]) -> Result<(), HfzError> {
     let mut flags = Flags::new(rest);
-    let mut codec = Codec::builder();
     let (mut archive, mut json) = (None, false);
     while let Some(flag) = flags.next_flag() {
         match flag {
-            "--backend" => codec = codec.backend(flags.backend()?),
             "--json" => json = true,
             word if archive.is_none() && !word.starts_with("--") => archive = Some(word),
             _ => return Err(flags.unknown().into()),
@@ -585,9 +596,8 @@ fn cmd_inspect(rest: &[String]) -> Result<(), HfzError> {
     }
     let archive_path =
         archive.ok_or_else(|| HfzError::Usage("expected an archive path".to_string()))?;
-    let codec = codec.build()?;
     // Inspection is metadata-only: headers and section tables, no decode structures.
-    let summary = codec.inspect_archive(archive_path)?;
+    let summary = ArchiveSummary::open(archive_path)?;
     if json {
         // Machine-readable for hfzd tooling and tests (no screen-scraping): plain files
         // keep the one-object-per-archive array; snapshot files wrap it with their
@@ -607,13 +617,6 @@ fn cmd_inspect(rest: &[String]) -> Result<(), HfzError> {
             None => out!("[{}]", body),
         }
     } else {
-        // Session context first (the JSON form stays archive-only: tooling parses it).
-        out!(
-            "backend: {} ({})",
-            codec.backend_kind().name(),
-            codec.device_name()
-        );
-        out!();
         if let Some(manifest) = summary.manifest() {
             out!("{}", manifest);
             out!();

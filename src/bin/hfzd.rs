@@ -20,8 +20,9 @@ fn main() -> ExitCode {
     {
         eprintln!(
             "hfzd — HFZ1 block-decode daemon\n\n\
-             USAGE:\n  hfzd [--listen ADDR] [--cache-bytes N] [--load NAME=PATH]... [--host-threads N] [--backend sim|cpu] [--metrics ADDR] [--addr-file PATH]\n\n\
+             USAGE:\n  hfzd [--listen ADDR] [--cache-bytes N] [--load NAME=PATH]... [--host-threads N] [--metrics ADDR] [--addr-file PATH]\n\n\
              ADDR is tcp:HOST:PORT (port 0 = ephemeral) or unix:PATH; default {}\n\
+             decodes run on the backend HFZ_BACKEND names: cpu (default) or sim\n\
              --metrics binds an HTTP sidecar serving GET /metrics (Prometheus) and GET /healthz\n\
              --addr-file writes the resolved listen address to PATH once accepting",
             huffdec::serve::daemon::DEFAULT_LISTEN

@@ -24,10 +24,10 @@ fn main() -> ExitCode {
         eprintln!(
             "hfzr — sharded hfzd fleet router\n\n\
              USAGE:\n  hfzr [--listen ADDR] (--shard ADDR)... [--spawn N] [--hfzd-bin PATH]\n       \
-             [--cache-bytes N] [--backend sim|cpu] [--load NAME=PATH]... [--metrics ADDR]\n       [--addr-file PATH]\n\n\
+             [--cache-bytes N] [--load NAME=PATH]... [--metrics ADDR] [--addr-file PATH]\n\n\
              ADDR is tcp:HOST:PORT (port 0 = ephemeral) or unix:PATH; default {}\n\
              --shard attaches to a running hfzd; --spawn forks N hfzd children on ephemeral\n\
-             ports (--cache-bytes/--backend are forwarded to them)\n\
+             ports (--cache-bytes is forwarded to them; they inherit HFZ_BACKEND)\n\
              --metrics binds an HTTP sidecar serving the fleet GET /metrics and GET /healthz\n\
              --addr-file writes the resolved listen address to PATH once accepting",
             huffdec::router::DEFAULT_LISTEN

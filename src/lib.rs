@@ -1,7 +1,7 @@
 //! # huffdec — the public API of the workspace
 //!
 //! The supported surface is the **session API** re-exported at the crate root: build a
-//! [`Codec`] once (it owns the simulated device, the worker-thread budget, and the
+//! [`Codec`] once (it owns the execution device, the worker-thread budget, and the
 //! compression configuration), then drive the whole pipeline through it — compress,
 //! decompress, batched waves, archive sessions with cached decode state, and one
 //! unified error type ([`HfzError`]) with a stable CLI exit-code mapping.

@@ -1,7 +1,8 @@
 //! End-to-end `hfz` CLI behaviour: degenerate inputs must surface as clean errors
-//! (the stable `HfzError` exit codes + a message), never as panics; the compress path
-//! must report the simulated encoder throughput; and the serving subcommands must
-//! round-trip through a real `hfz serve` daemon process.
+//! (the stable `HfzError` exit codes + a message), never as panics; the compress and
+//! decompress paths must report their timings and name the clock they were read from;
+//! and the serving subcommands must round-trip through a real `hfz serve` daemon
+//! process.
 
 use std::io::BufRead;
 use std::process::{Command, Stdio};
@@ -143,6 +144,47 @@ fn compress_dataset(
         .expect("hfz runs");
     assert!(status.success());
     path
+}
+
+/// The default backend is the CPU, whose times are wall time; the simulator is chosen by
+/// name and its times are modeled. Both decode the same bytes.
+#[test]
+fn decompress_names_its_clock_and_both_backends_decode_alike() {
+    let dir = std::env::temp_dir().join("hfz-cli-test-clock");
+    std::fs::create_dir_all(&dir).unwrap();
+    let archive = compress_dataset(&dir, "a", "HACC", "gap");
+    let decompress = |backend: Option<&str>, output: &std::path::Path| {
+        let mut command = hfz();
+        // The default is what a bare invocation gets, whatever this suite runs under.
+        command.env_remove("HFZ_BACKEND").args([
+            "decompress",
+            archive.to_str().unwrap(),
+            "--output",
+            output.to_str().unwrap(),
+        ]);
+        if let Some(backend) = backend {
+            command.args(["--backend", backend]);
+        }
+        let result = command.output().expect("hfz runs");
+        assert!(
+            result.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&result.stderr)
+        );
+        String::from_utf8_lossy(&result.stdout).into_owned()
+    };
+    let (default_out, sim_out) = (dir.join("default.f32"), dir.join("sim.f32"));
+    let default_report = decompress(None, &default_out);
+    assert!(default_report.contains("measured"), "{}", default_report);
+    assert!(!default_report.contains("modeled"), "{}", default_report);
+    let sim_report = decompress(Some("sim"), &sim_out);
+    assert!(sim_report.contains("modeled on "), "{}", sim_report);
+    assert!(sim_report.contains("V100"), "{}", sim_report);
+    assert_eq!(
+        std::fs::read(&default_out).unwrap(),
+        std::fs::read(&sim_out).unwrap(),
+        "both backends decode the same bytes"
+    );
 }
 
 #[test]
@@ -944,14 +986,21 @@ fn stray_arguments_are_usage_errors() {
 
 /// `hfz`, `hfz serve`, `hfzd` and `hfzr` read their command lines through one cursor,
 /// so they word a missing value, a bad number, a bad backend and an unknown flag alike.
+/// Only `hfz`'s compress, decompress and verify take `--backend`: `inspect` runs no
+/// backend, and the daemons run on the one `HFZ_BACKEND` names.
 #[test]
 fn every_binary_words_flag_errors_one_way() {
     let dir = std::env::temp_dir().join("hfz-cli-test-grammar");
     std::fs::create_dir_all(&dir).unwrap();
     let archive = compress_dataset(&dir, "a", "HACC", "gap");
     let output = dir.join("o.hfz");
+    let decoded = dir.join("o.f32");
     let _ = std::fs::remove_file(&output);
-    let cases: [(&[&str], &str); 4] = [
+    let _ = std::fs::remove_file(&decoded);
+    // 3 x 12297829382473034411 wraps `usize` to 1, which a 4-byte file matches.
+    let four_bytes = dir.join("four.f32");
+    std::fs::write(&four_bytes, 1.0f32.to_le_bytes()).unwrap();
+    let cases: [(&[&str], &str); 8] = [
         (
             &[
                 "get",
@@ -978,21 +1027,62 @@ fn every_binary_words_flag_errors_one_way() {
             "bad --seed value",
         ),
         (
-            &["inspect", archive.to_str().unwrap(), "--backend", "cuda"],
+            &[
+                "decompress",
+                archive.to_str().unwrap(),
+                "--output",
+                decoded.to_str().unwrap(),
+                "--backend",
+                "cuda",
+            ],
             "unknown backend 'cuda' (expected sim|cpu)",
         ),
+        (
+            &["inspect", archive.to_str().unwrap(), "--backend", "sim"],
+            "unknown flag --backend",
+        ),
         (&["serve", "--bogus"], "unknown flag --bogus"),
+        (&["serve", "--backend", "sim"], "unknown flag --backend"),
+        (
+            &[
+                "compress",
+                "--input",
+                four_bytes.to_str().unwrap(),
+                "--dims",
+                "3,12297829382473034411",
+                "--output",
+                output.to_str().unwrap(),
+            ],
+            "overflow the element count",
+        ),
+        (
+            &[
+                "compress",
+                "--input",
+                four_bytes.to_str().unwrap(),
+                "--dims",
+                "12297829382473034411,3",
+                "--output",
+                output.to_str().unwrap(),
+            ],
+            "overflow the element count",
+        ),
     ];
     for (args, message) in cases {
         let mut command = hfz();
         command.args(args);
         assert_usage_error(command, message);
     }
-    assert!(!output.exists(), "nothing is written");
+    assert!(!output.exists() && !decoded.exists(), "nothing is written");
     for binary in [env!("CARGO_BIN_EXE_hfzd"), env!("CARGO_BIN_EXE_hfzr")] {
-        let mut command = Command::new(binary);
-        command.arg("--bogus");
-        assert_usage_error(command, "unknown flag --bogus");
+        for (args, message) in [
+            (&["--bogus"][..], "unknown flag --bogus"),
+            (&["--backend", "sim"][..], "unknown flag --backend"),
+        ] {
+            let mut command = Command::new(binary);
+            command.args(args);
+            assert_usage_error(command, message);
+        }
     }
 }
 
