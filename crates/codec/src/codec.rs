@@ -97,6 +97,19 @@ pub struct BatchDecodeOutcome {
     pub stats: BatchDecompressStats,
 }
 
+/// What a deep check of one field finds ([`Codec::field_digest`]): the decoded
+/// stream's CRC32 beside the digest the archive stores.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FieldDigest {
+    /// Number of symbols the decode produced.
+    pub symbols: usize,
+    /// CRC32 of the decoded symbol stream.
+    pub computed: u32,
+    /// The stored decoded-stream digest; `None` when the archive carries no trailer
+    /// (always so for payload-only archives).
+    pub stored: Option<u32>,
+}
+
 /// Configures and builds a [`Codec`].
 ///
 /// Defaults are the paper's compression setup — the optimized gap-array decoder,
@@ -637,6 +650,18 @@ impl Codec {
         Ok(results.remove(0))
     }
 
+    /// The deep check of one field: decodes its symbol stream and digests it beside
+    /// the stored digest. This is the one check behind `hfz verify --deep` and the
+    /// daemon's `VERIFY`; the caller judges the pair.
+    pub fn field_digest(&self, field: &FieldHandle) -> Result<FieldDigest> {
+        let decoded = self.decode_field_codes(field)?;
+        Ok(FieldDigest {
+            symbols: decoded.symbols.len(),
+            computed: huffdec_core::crc32_symbols(&decoded.symbols),
+            stored: field.info().decoded_crc,
+        })
+    }
+
     /// Decodes the symbol streams of several fields of opened archives as one
     /// overlapped wave (codes only — the batched analogue of
     /// [`Codec::decode_field_codes`]).
@@ -889,12 +914,10 @@ mod tests {
         let handle = codec.open_archive_bytes(&bytes).unwrap();
         let fh = handle.field(0).unwrap();
         assert_eq!(codec.decompress_field(fh).unwrap().data, decoded.data);
-        // The codes path and the wave path cover hybrid fields too.
-        let codes = codec.decode_field_codes(fh).unwrap();
-        assert_eq!(
-            outcome.archive.matches_decoded_crc(&codes.symbols),
-            Some(true)
-        );
+        // The codes path (through the deep check) and the wave path cover hybrid
+        // fields too.
+        let digest = codec.field_digest(fh).unwrap();
+        assert_eq!(digest.stored, Some(digest.computed));
         assert_eq!(
             codec.decompress_wave(&[fh, fh]).unwrap()[0],
             decoded
@@ -1188,6 +1211,28 @@ mod tests {
             assert_eq!(info.num_symbols, field.info().num_symbols);
         }
         assert!(crate::ArchiveSummary::from_bytes(b"").is_err());
+    }
+
+    #[test]
+    fn field_digest_reports_the_decoded_crc_beside_the_stored_one() {
+        let codec = tiny_codec(DecoderKind::OptimizedGapArray);
+        let field = generate(&dataset_by_name("HACC").unwrap(), 20_000, 5);
+        let mut archive = codec.compress_archive(&field).unwrap();
+        let codes = codec.decode_codes(&archive).unwrap().symbols;
+        let crc = huffdec_core::crc32_symbols(&codes);
+        // The stored digest of the one field of `bytes`, after checking the decode.
+        let stored = |bytes: Vec<u8>| {
+            let handle = codec.open_archive_bytes(&bytes).unwrap();
+            let digest = codec.field_digest(handle.field(0).unwrap()).unwrap();
+            assert_eq!((digest.symbols, digest.computed), (codes.len(), crc));
+            digest.stored
+        };
+        assert_eq!(stored(codec.archive_to_bytes(&archive).unwrap()), Some(crc));
+        archive.decoded_crc = Some(!crc);
+        let flipped = codec.archive_to_bytes(&archive).unwrap();
+        assert_eq!(stored(flipped), Some(!crc));
+        let payload_only = huffdec_container::payload_to_bytes(&archive.payload, archive.decoder());
+        assert_eq!(stored(payload_only.unwrap()), None);
     }
 
     #[test]

@@ -155,9 +155,12 @@ impl ArchiveSummary {
 ///
 /// Covers both layouts of the `HFZ1` and `HFZ2` formats — snapshot files (manifest,
 /// for v2 also a codebook dictionary and tuning hints, then shards) and plain
-/// concatenations — exactly as the on-disk readers do. Obtain one through
-/// [`crate::Codec::open_archive`] (any layout) or [`crate::Codec::open_snapshot`]
-/// (requires a manifest).
+/// concatenations — exactly as the on-disk readers do. Either way the file is its
+/// fields: N concatenated archives are N fields, addressed by index, and no consumer
+/// takes the first for the file (`hfz verify` and the daemon's `VERIFY` run
+/// [`crate::Codec::field_digest`] on each; a bare `hfz decompress` refuses several).
+/// Obtain one through [`crate::Codec::open_archive`] (any layout) or
+/// [`crate::Codec::open_snapshot`] (requires a manifest).
 #[derive(Debug)]
 pub struct ArchiveHandle {
     manifest: Option<SnapshotManifest>,

@@ -16,6 +16,8 @@
 //!   ([`ArchiveHandle`]) that parse a file exactly once and cache each field's
 //!   range-decode index, so [`Codec::decompress_range`] launches only the blocks
 //!   overlapping a request;
+//! * [`Codec::field_digest`] — the deep check of one field ([`FieldDigest`]), the one
+//!   `hfz verify --deep` and the daemon's `VERIFY` run;
 //! * [`HfzError`] — the one error type every operation reports, with `From` impls
 //!   from each layer's typed errors and a stable CLI exit-code mapping.
 //!
@@ -52,7 +54,7 @@ mod handle;
 
 pub use codec::{
     f32_le_bytes, u16_le_bytes, BatchDecodeOutcome, Codec, CodecBuilder, DecodeOutcome,
-    EncodeOutcome,
+    EncodeOutcome, FieldDigest,
 };
 pub use error::{HfzError, Result};
 // The container format-version switch and the auto-hybrid default, re-exported so

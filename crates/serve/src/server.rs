@@ -466,45 +466,36 @@ impl ServerState {
         }
     }
 
+    /// `VERIFY`: the deep check ([`Codec::field_digest`]) of every field of a loaded
+    /// archive, whatever its layout, one report line per field and a closing count of
+    /// digest failures. A field whose stream does not decode fails the whole request.
     fn verify(&self, archive: &str) -> Result<String, String> {
         let loaded = self.archive(archive)?;
         let mut report = String::new();
         let mut failures = 0;
         for (i, field) in loaded.fields().iter().enumerate() {
-            let result = self
+            let digest = self
                 .codec
-                .decode_field_codes(field)
+                .field_digest(field)
                 .map_err(|e| format!("field {}: decode failed: {}", i, e))?;
-            let line = match field.compressed() {
-                Some(c) => match c.matches_decoded_crc(&result.symbols) {
-                    Some(true) => format!(
-                        "field {}: ok ({} symbols, digest {:08x})",
-                        i,
-                        result.symbols.len(),
-                        c.decoded_crc.expect("digest present")
-                    ),
-                    Some(false) => {
-                        failures += 1;
-                        format!(
-                            "field {}: DIGEST MISMATCH (stored {:08x}, decoded {:08x})",
-                            i,
-                            c.decoded_crc.expect("digest present"),
-                            huffdec_core::crc32_symbols(&result.symbols)
-                        )
-                    }
-                    None => format!(
-                        "field {}: ok ({} symbols, no stored digest)",
-                        i,
-                        result.symbols.len()
-                    ),
-                },
-                None => format!(
-                    "field {}: ok ({} symbols, payload-only)",
-                    i,
-                    result.symbols.len()
+            report += &match digest.stored {
+                Some(stored) if stored == digest.computed => format!(
+                    "field {}: ok ({} symbols, digest {:08x})",
+                    i, digest.symbols, stored
                 ),
+                Some(stored) => {
+                    failures += 1;
+                    format!(
+                        "field {}: DIGEST MISMATCH (stored {:08x}, decoded {:08x})",
+                        i, stored, digest.computed
+                    )
+                }
+                None if field.compressed().is_some() => format!(
+                    "field {}: ok ({} symbols, no stored digest)",
+                    i, digest.symbols
+                ),
+                None => format!("field {}: ok ({} symbols, payload-only)", i, digest.symbols),
             };
-            report.push_str(&line);
             report.push('\n');
         }
         report.push_str(&format!(

@@ -103,9 +103,12 @@ USAGE:
   hfz compress   --snapshot --dataset NAME[,NAME...] --elements N [--seed S] --output FILE
                  (one sharded snapshot archive with a manifest; field i uses seed S+i)
   hfz decompress ARCHIVE [--field NAME|INDEX | --all --output-dir DIR] --output FILE
+                 (a file of several fields needs --field or --all)
   hfz inspect    ARCHIVE [--json]
   hfz verify     ARCHIVE [--deep] [--digest HEX]
                  [--input FILE --dims ... | --dataset NAME --elements N [--seed S]]
+                 (checks every field of the file; --digest, --input and --dataset
+                 need a single-field file)
   hfz verify     --addr ADDR --archive NAME       (remote: daemon-side deep verify)
 
   hfz serve      [--listen ADDR] [--cache-bytes N] [--load NAME=PATH]...
@@ -133,6 +136,8 @@ OPTIONS:
                    simulated V100, modeled timings)                   $HFZ_BACKEND)
   --eb MODE:VALUE  rel:1e-3 or abs:0.05                              (default: rel:1e-3)
   --alphabet N     quantization bins, power of two >= 4              (default: 1024)
+  --elements N     synthetic element count, at least 1; an N above the
+                   dataset's full size is capped to it
   --seed S         synthetic dataset seed                            (default: 42)
   --deep           also decode and check the decoded-stream CRC32 trailer
   --digest HEX     expected decoded-stream CRC32 (overrides the stored trailer)
@@ -278,14 +283,16 @@ impl<'a> FieldSource<'a> {
                 "--input/--dims and --dataset are mutually exclusive".to_string(),
             ));
         }
-        Ok((
-            required(self.elements, "--elements")?,
-            self.seed.unwrap_or(42),
-        ))
+        // `Dims::scaled_to_elements` reads 0 as "the full dataset"; here it is a slip.
+        let elements = required(self.elements, "--elements")?;
+        if elements == 0 {
+            return Err(HfzError::Usage("--elements must be at least 1".to_string()));
+        }
+        Ok((elements, self.seed.unwrap_or(42)))
     }
 
     /// Loads the field the group names.
-    fn load(self) -> Result<Field, HfzError> {
+    fn load(&self) -> Result<Field, HfzError> {
         let Some(path) = self.input else {
             let name = required(self.dataset, "--input FILE --dims ... or --dataset NAME")?;
             let (elements, seed) = self.generated()?;
@@ -551,37 +558,27 @@ fn cmd_decompress(rest: &[String]) -> Result<(), HfzError> {
                 .map(str::to_string)
                 .unwrap_or_else(|| format!("field{}", index));
             let output = format!("{}/{}.f32", dir.trim_end_matches('/'), name);
-            decompress_to(
-                &codec,
-                field,
-                &format!("{}[{}]", archive_path, name),
-                &output,
-            )?;
+            let label = format!("{}[{}]", archive_path, name);
+            decompress_to(&codec, field, &label, &output)?;
         }
         return Ok(());
     }
 
     let output = required(output, "--output")?;
-    // `--field NAME|INDEX`: one field, resolved through the manifest.
-    if let Some(selector) = selector {
-        let field = handle.field_by_selector(selector)?;
-        return decompress_to(
-            &codec,
-            field,
-            &format!("{}[{}]", archive_path, selector),
-            output,
-        );
-    }
-
-    // Bare decompress: the whole file must be (or start with) a single field. A
-    // multi-field snapshot without a field selector is ambiguous — refuse it.
-    if handle.manifest().is_some() && handle.len() > 1 {
+    // `--field NAME|INDEX` picks one field. Without it the file must hold just one:
+    // several fields are ambiguous, whether a manifest names them or not.
+    if selector.is_none() && handle.len() > 1 {
         return Err(HfzError::Usage(format!(
-            "snapshot has {} fields; pass --field NAME or --all --output-dir DIR",
+            "{} holds {} fields; pass --field NAME|INDEX or --all --output-dir DIR",
+            archive_path,
             handle.len()
         )));
     }
-    decompress_to(&codec, handle.field(0)?, archive_path, output)
+    let field = handle.field_by_selector(selector.unwrap_or("0"))?;
+    let label = selector.map_or(archive_path.to_string(), |s| {
+        format!("{}[{}]", archive_path, s)
+    });
+    decompress_to(&codec, field, &label, output)
 }
 
 fn cmd_inspect(rest: &[String]) -> Result<(), HfzError> {
@@ -664,6 +661,15 @@ fn cmd_verify(rest: &[String]) -> Result<(), HfzError> {
     // not slack.
     let codec = codec.build()?;
     let handle = codec.open_archive(archive_path)?;
+    // The operands that describe one field need a file that holds exactly one.
+    let several = handle.len() > 1;
+    if several && (expected_digest.is_some() || source.given()) {
+        return Err(HfzError::Usage(format!(
+            "--digest and --input/--dataset need a single-field file; {} holds {} fields",
+            archive_path,
+            handle.len()
+        )));
+    }
     if let Some(manifest) = handle.manifest() {
         out!(
             "manifest:  ok ({} fields, {} shard bytes)",
@@ -679,130 +685,85 @@ fn cmd_verify(rest: &[String]) -> Result<(), HfzError> {
             field.info().total_bytes
         );
     }
-    if handle.len() > 1 && handle.manifest().is_none() {
+    // Every field of every layout runs the same passes; a file of several fields
+    // names the field on each line.
+    for (i, field) in handle.fields().iter().enumerate() {
+        let (who, label) = match (several, field.name()) {
+            (false, _) => ("decoded stream".to_string(), String::new()),
+            (true, Some(name)) => (format!("field '{}'", name), format!("field '{}': ", name)),
+            (true, None) => (format!("field {}", i), format!("field {}: ", i)),
+        };
         out!(
-            "note: file concatenates {} archives; verifying the first",
-            handle.len()
+            "{}contents:  ok ({} symbols, decoder {})",
+            label,
+            field.archive().payload().num_symbols(),
+            field.decoder().name()
         );
-    }
 
-    // Multi-field snapshots: every field was already reassembled (cross-checked
-    // against its manifest entry) by the open, and — under --deep — each is decoded
-    // and checked against its stored digest. A semantically corrupt field anywhere in
-    // the snapshot must fail verification, exactly as the daemon's VERIFY does.
-    if handle.manifest().map(|m| m.len() > 1).unwrap_or(false) {
-        if expected_digest.is_some() {
-            return Err(HfzError::Usage(
-                "--digest applies to single-field archives; use --deep for snapshots".to_string(),
-            ));
-        }
-        if source.given() {
-            return Err(HfzError::Usage(
-                "--input/--dataset bound checks apply to single-field archives".to_string(),
-            ));
-        }
-        for field in handle.fields() {
-            let name = field.name().expect("manifest-backed fields carry names");
-            out!(
-                "contents:  ok (field '{}': {} symbols, decoder {})",
-                name,
-                field.archive().payload().num_symbols(),
-                field.decoder().name()
-            );
-            if deep {
-                let decoded = codec.decode_field_codes(field)?;
-                let computed = huffdec::core_decoders::crc32_symbols(&decoded.symbols);
-                let stored = field.compressed().and_then(|c| c.decoded_crc);
-                match stored {
-                    Some(expected) if computed != expected => {
-                        return Err(HfzError::Verify(format!(
-                            "deep verification failed: field '{}' digests to {:08x}, expected {:08x}",
-                            name, computed, expected
-                        )));
-                    }
-                    Some(_) => out!(
-                        "deep:      ok (field '{}': decoded CRC32 {:08x} over {} symbols)",
-                        name,
-                        computed,
-                        decoded.symbols.len()
-                    ),
-                    None => out!(
-                        "deep:      field '{}' stores no decoded-stream digest",
-                        name
-                    ),
+        // Deep pass: check the decoded codes against the stored digest or --digest. It
+        // catches fields whose sections are each CRC-valid but decode to wrong codes.
+        if deep || expected_digest.is_some() {
+            let digest = codec.field_digest(field)?;
+            match expected_digest.or(digest.stored) {
+                Some(expected) if expected != digest.computed => {
+                    return Err(HfzError::Verify(format!(
+                        "deep verification failed: {} digests to {:08x}, expected {:08x}",
+                        who,
+                        digest.computed,
+                        expected
+                    )));
+                }
+                Some(_) => out!(
+                    "{}deep:      ok (decoded CRC32 {:08x} over {} symbols)",
+                    label,
+                    digest.computed,
+                    digest.symbols
+                ),
+                None if several => out!("{}deep:      no stored decoded-stream digest", label),
+                None => {
+                    return Err(HfzError::Usage(
+                        "archive stores no decoded-stream digest; pass --digest HEX to check against one"
+                            .to_string(),
+                    ))
                 }
             }
         }
-        return Ok(());
-    }
 
-    // Single field (or the first archive of a manifest-less concatenation).
-    let field = handle.field(0)?;
-    out!(
-        "contents:  ok ({} symbols, decoder {})",
-        field.archive().payload().num_symbols(),
-        field.decoder().name()
-    );
+        let Some(compressed) = field.compressed() else {
+            out!("{}payload-only archive: nothing further to verify", label);
+            continue;
+        };
 
-    // Deep pass: decode the symbol stream and check it against the decoded-stream
-    // digest (the stored trailer, or a caller-supplied --digest). This catches archives
-    // whose sections are individually CRC-valid but decode to the wrong codes.
-    if deep || expected_digest.is_some() {
-        let decoded = codec.decode_field_codes(field)?;
-        let computed = huffdec::core_decoders::crc32_symbols(&decoded.symbols);
-        let stored = field.compressed().and_then(|c| c.decoded_crc);
-        let expected = expected_digest.or(stored).ok_or_else(|| {
-            HfzError::Usage(
-                "archive stores no decoded-stream digest; pass --digest HEX to check against one"
-                    .to_string(),
-            )
-        })?;
-        if computed != expected {
-            return Err(HfzError::Verify(format!(
-                "deep verification failed: decoded stream digests to {:08x}, expected {:08x}",
-                computed, expected
-            )));
-        }
+        // Reconstruction pass: decode and check the error bound against the original
+        // when one is provided.
+        let decompressed = codec.decompress_field(field)?;
         out!(
-            "deep:      ok (decoded CRC32 {:08x} over {} symbols)",
-            computed,
-            decoded.symbols.len()
+            "{}decode:    ok ({} elements reconstructed)",
+            label,
+            decompressed.data.len()
         );
-    }
 
-    let Some(compressed) = field.compressed() else {
-        out!("payload-only archive: nothing further to verify");
-        return Ok(());
-    };
-
-    // Reconstruction pass: decode and check the error bound against the original when
-    // one is provided.
-    let decompressed = codec.decompress_field(field)?;
-    out!(
-        "decode:    ok ({} elements reconstructed)",
-        decompressed.data.len()
-    );
-
-    if source.given() {
-        let original = source.load()?;
-        if original.len() != decompressed.data.len() {
-            return Err(HfzError::Verify(format!(
-                "original has {} elements, archive reconstructs {}",
-                original.len(),
-                decompressed.data.len()
-            )));
-        }
-        let bound = compressed
-            .config
-            .error_bound
-            .to_absolute(original.range_span() as f64);
-        match huffdec::sz::verify_error_bound(&original.data, &decompressed.data, bound) {
-            None => out!("bound:     ok (|error| <= {:e} everywhere)", bound),
-            Some(idx) => {
+        if source.given() {
+            let original = source.load()?;
+            if original.len() != decompressed.data.len() {
                 return Err(HfzError::Verify(format!(
-                    "error bound {:e} violated at element {}: {} vs {}",
-                    bound, idx, original.data[idx], decompressed.data[idx]
-                )))
+                    "original has {} elements, archive reconstructs {}",
+                    original.len(),
+                    decompressed.data.len()
+                )));
+            }
+            let bound = compressed
+                .config
+                .error_bound
+                .to_absolute(original.range_span() as f64);
+            match huffdec::sz::verify_error_bound(&original.data, &decompressed.data, bound) {
+                None => out!("bound:     ok (|error| <= {:e} everywhere)", bound),
+                Some(idx) => {
+                    return Err(HfzError::Verify(format!(
+                        "error bound {:e} violated at element {}: {} vs {}",
+                        bound, idx, original.data[idx], decompressed.data[idx]
+                    )))
+                }
             }
         }
     }
@@ -935,11 +896,6 @@ fn cmd_batch(rest: &[String]) -> Result<(), HfzError> {
                 .map_err(|_| HfzError::Usage(format!("bad field index '{}'", p)))
         })
         .collect::<Result<_, _>>()?;
-    if fields.is_empty() {
-        return Err(HfzError::Usage(
-            "--fields expects at least one index".to_string(),
-        ));
-    }
 
     let mut client = connect(addr)?;
     let items = client.get_batch(archive, kind, &fields)?;

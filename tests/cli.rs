@@ -374,17 +374,12 @@ fn serve_and_get_roundtrip_through_the_daemon() {
     assert!(status.success(), "daemon must exit cleanly after SHUTDOWN");
 }
 
-#[test]
-fn remote_verify_judges_the_fields_not_the_archive_name() {
+/// Writes `DIR/NAME.hfz`: an archive whose sections all check out but whose stored
+/// decoded-stream digest is wrong, so only a deep verify can tell.
+fn write_digest_flipped_archive(dir: &std::path::Path, name: &str) -> std::path::PathBuf {
     use huffdec::container::to_bytes;
     use huffdec::datasets::{dataset_by_name, generate};
 
-    let dir = std::env::temp_dir().join("hfz-cli-test-remote-verify");
-    std::fs::create_dir_all(&dir).unwrap();
-    let healthy = compress_dataset(&dir, "healthy", "HACC", "gap");
-
-    // An archive whose sections all check out but whose stored decoded-stream digest is
-    // wrong: only a deep verify can tell.
     let field = generate(&dataset_by_name("HACC").unwrap(), 20_000, 7);
     let mut compressed = huffdec::Codec::builder()
         .build()
@@ -392,19 +387,20 @@ fn remote_verify_judges_the_fields_not_the_archive_name() {
         .compress_archive(&field)
         .unwrap();
     compressed.decoded_crc = compressed.decoded_crc.map(|crc| !crc);
-    let corrupt = dir.join("corrupt.hfz");
-    std::fs::write(&corrupt, to_bytes(&compressed).unwrap()).unwrap();
+    let path = dir.join(format!("{}.hfz", name));
+    std::fs::write(&path, to_bytes(&compressed).unwrap()).unwrap();
+    path
+}
 
-    let mut daemon = hfz()
-        .args([
-            "serve",
-            "--listen",
-            "tcp:127.0.0.1:0",
-            "--load",
-            &format!("DIGEST MISMATCH={}", healthy.display()),
-            "--load",
-            &format!("corrupt={}", corrupt.display()),
-        ])
+/// Starts `hfz serve` on an ephemeral tcp port with one `--load` per entry of `loads`
+/// (`NAME=PATH`) and returns the child with the address its banner names.
+fn spawn_serve(loads: &[String]) -> (std::process::Child, String) {
+    let mut command = hfz();
+    command.args(["serve", "--listen", "tcp:127.0.0.1:0"]);
+    for load in loads {
+        command.args(["--load", load]);
+    }
+    let mut daemon = command
         .stdout(Stdio::piped())
         .spawn()
         .expect("daemon starts");
@@ -419,6 +415,20 @@ fn remote_verify_judges_the_fields_not_the_archive_name() {
         .find(|w| w.starts_with("tcp:"))
         .expect("banner names the address")
         .to_string();
+    (daemon, addr)
+}
+
+#[test]
+fn remote_verify_judges_the_fields_not_the_archive_name() {
+    let dir = std::env::temp_dir().join("hfz-cli-test-remote-verify");
+    std::fs::create_dir_all(&dir).unwrap();
+    let healthy = compress_dataset(&dir, "healthy", "HACC", "gap");
+    let corrupt = write_digest_flipped_archive(&dir, "corrupt");
+
+    let (mut daemon, addr) = spawn_serve(&[
+        format!("DIGEST MISMATCH={}", healthy.display()),
+        format!("corrupt={}", corrupt.display()),
+    ]);
     let verify = |archive: &str| {
         hfz()
             .args(["verify", "--addr", &addr, "--archive", archive])
@@ -439,6 +449,60 @@ fn remote_verify_judges_the_fields_not_the_archive_name() {
     let shutdown = hfz().args(["shutdown", "--addr", &addr]).status().unwrap();
     assert!(shutdown.success());
     assert!(daemon.wait().expect("daemon exits").success());
+}
+
+/// A file is its fields: on a manifest-less concatenation of a healthy archive and a
+/// digest-flipped one, the local deep verify and the daemon's `VERIFY` both check
+/// every field, fail, and name field 1, and a bare decompress refuses to pick a field.
+#[test]
+fn both_verifiers_check_every_field_of_a_concatenation() {
+    let dir = std::env::temp_dir().join("hfz-cli-test-concat-verify");
+    std::fs::create_dir_all(&dir).unwrap();
+    let healthy = compress_dataset(&dir, "healthy", "HACC", "gap");
+    let corrupt = write_digest_flipped_archive(&dir, "corrupt");
+    let mut bytes = std::fs::read(&healthy).unwrap();
+    bytes.extend(std::fs::read(&corrupt).unwrap());
+    let concat = dir.join("concat.hfz");
+    std::fs::write(&concat, &bytes).unwrap();
+
+    let local = hfz()
+        .args(["verify", concat.to_str().unwrap(), "--deep"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&local.stdout);
+    let stderr = String::from_utf8_lossy(&local.stderr);
+    assert_eq!(local.status.code(), Some(7), "{}{}", stdout, stderr);
+    assert!(stdout.contains("field 0: deep:      ok"), "{}", stdout);
+    assert!(
+        stderr.contains("deep verification failed: field 1 digests to"),
+        "{}",
+        stderr
+    );
+
+    let (mut daemon, addr) = spawn_serve(&[format!("c={}", concat.display())]);
+    let remote = hfz()
+        .args(["verify", "--addr", &addr, "--archive", "c"])
+        .output()
+        .unwrap();
+    let report = String::from_utf8_lossy(&remote.stdout);
+    assert_eq!(remote.status.code(), Some(7), "{}", report);
+    assert!(report.contains("field 0: ok"), "{}", report);
+    assert!(report.contains("field 1: DIGEST MISMATCH"), "{}", report);
+    let shutdown = hfz().args(["shutdown", "--addr", &addr]).status().unwrap();
+    assert!(shutdown.success());
+    assert!(daemon.wait().expect("daemon exits").success());
+
+    let out = dir.join("x.f32");
+    let _ = std::fs::remove_file(&out);
+    let mut command = hfz();
+    command.args([
+        "decompress",
+        concat.to_str().unwrap(),
+        "--output",
+        out.to_str().unwrap(),
+    ]);
+    assert_usage_error(command, "pass --field NAME|INDEX or --all --output-dir DIR");
+    assert!(!out.exists(), "nothing is written");
 }
 
 #[test]
@@ -1000,7 +1064,7 @@ fn every_binary_words_flag_errors_one_way() {
     // 3 x 12297829382473034411 wraps `usize` to 1, which a 4-byte file matches.
     let four_bytes = dir.join("four.f32");
     std::fs::write(&four_bytes, 1.0f32.to_le_bytes()).unwrap();
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 9] = [
         (
             &[
                 "get",
@@ -1066,6 +1130,20 @@ fn every_binary_words_flag_errors_one_way() {
                 output.to_str().unwrap(),
             ],
             "overflow the element count",
+        ),
+        // 0 is no element count; `Dims::scaled_to_elements` would read it as "all
+        // 280,953,867 HACC elements".
+        (
+            &[
+                "compress",
+                "--dataset",
+                "HACC",
+                "--elements",
+                "0",
+                "--output",
+                output.to_str().unwrap(),
+            ],
+            "--elements must be at least 1",
         ),
     ];
     for (args, message) in cases {
