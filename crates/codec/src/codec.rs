@@ -21,8 +21,7 @@
 use std::sync::Arc;
 
 use datasets::Field;
-use gpu_sim::GpuConfig;
-use huffdec_backend::{Backend, BackendKind};
+use gpu_sim::{Backend, BackendKind, GpuConfig};
 use huffdec_container::FormatVersion;
 use huffdec_core::{
     BatchStats, CompressedPayload, DecodeError, DecodeResult, DecoderKind, EncodePhaseBreakdown,

@@ -8,6 +8,7 @@
 
 use std::fmt;
 
+use gpu_sim::UnknownBackend;
 use huffdec_container::ContainerError;
 use huffdec_core::DecodeError;
 
@@ -133,6 +134,13 @@ impl From<String> for HfzError {
     /// Free-form messages (CLI flag parsing and friends) are usage errors.
     fn from(message: String) -> Self {
         HfzError::Usage(message)
+    }
+}
+
+impl From<UnknownBackend> for HfzError {
+    /// A backend name that is neither `sim` nor `cpu` is a usage error.
+    fn from(e: UnknownBackend) -> Self {
+        HfzError::Usage(e.to_string())
     }
 }
 

@@ -10,7 +10,7 @@
 
 use std::sync::OnceLock;
 
-use huffdec_backend::Backend;
+use gpu_sim::Backend;
 use huffdec_container::{
     read_snapshot_with_info, Archive, ArchiveInfo, ContainerError, SnapshotManifest,
 };

@@ -8,8 +8,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use gpu_sim::{cost, BlockContext, BlockKernel, DeviceBuffer, LaunchConfig};
-use huffdec_backend::Backend;
+use gpu_sim::{cost, Backend, BlockContext, BlockKernel, DeviceBuffer, LaunchConfig};
 use huffman::{BitReader, ChunkedEncoded, Codebook};
 
 use crate::decoder::{DecodeError, DecoderKind};

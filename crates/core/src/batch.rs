@@ -20,8 +20,7 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use gpu_sim::KernelStats;
-use huffdec_backend::Backend;
+use gpu_sim::{Backend, KernelStats};
 
 use crate::decoder::{check_payload, decode, CompressedPayload, DecodeError, DecoderKind};
 use crate::phases::DecodeResult;

@@ -14,8 +14,7 @@
 //! Both kernels can operate on an arbitrary subset of sequences (`seq_indices`), which is
 //! how the shared-memory tuner launches one kernel per compression-ratio class.
 
-use gpu_sim::{cost, BlockContext, BlockKernel, DeviceBuffer, KernelStats, LaunchConfig};
-use huffdec_backend::Backend;
+use gpu_sim::{cost, Backend, BlockContext, BlockKernel, DeviceBuffer, KernelStats, LaunchConfig};
 use huffman::BitReader;
 
 use crate::format::EncodedStream;

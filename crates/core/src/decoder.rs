@@ -41,7 +41,7 @@
 
 use std::fmt;
 
-use huffdec_backend::Backend;
+use gpu_sim::Backend;
 use huffman::{encode_chunked, ChunkedEncoded, Codebook, DEFAULT_CHUNK_SYMBOLS};
 
 use crate::format::{wire, EncodedStream, HybridStream};

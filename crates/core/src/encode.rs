@@ -28,8 +28,7 @@
 //! `tests/encoder_equivalence.rs` enforces this on every paper dataset, and this
 //! module's unit tests hold the walk to the host encoder across block edges.
 
-use gpu_sim::{GpuConfig, PhaseTime};
-use huffdec_backend::Backend;
+use gpu_sim::{Backend, GpuConfig, PhaseTime};
 use huffman::{ChunkedEncoded, Codebook, FrequencyTable, GapArray, DEFAULT_CHUNK_SYMBOLS};
 
 use crate::decoder::{CompressedPayload, DecoderKind};
@@ -211,8 +210,7 @@ mod tests {
     use super::*;
     use crate::decoder::{compress_for, decode};
     use crate::testutil::{gpu, quant_symbols};
-    use gpu_sim::{cost, Gpu, KernelStats, MemStats};
-    use huffdec_backend::CpuBackend;
+    use gpu_sim::{cost, CpuBackend, Gpu, KernelStats, MemStats};
 
     /// Asserts the two payloads are bit-identical, via `CompressedPayload`'s bit-level
     /// equality (units, metadata, codebook codewords, gap array).

@@ -32,9 +32,8 @@ use std::ops::Range;
 use std::time::Instant;
 
 use gpu_sim::{
-    cost, BlockContext, BlockKernel, DeviceBuffer, KernelStats, LaunchConfig, PhaseTime,
+    cost, Backend, BlockContext, BlockKernel, DeviceBuffer, KernelStats, LaunchConfig, PhaseTime,
 };
-use huffdec_backend::Backend;
 use huffman::{ChunkMeta, ChunkedEncoded, Codeword, GapArray, DEFAULT_CHUNK_SYMBOLS};
 
 use super::{build_codebook, EncodePhaseBreakdown};

@@ -11,8 +11,7 @@
 //! byte; we reproduce that estimation faithfully (separate 8-bit codebook and stream,
 //! direct packed writes, compression ratio doubled by the harness for comparability).
 
-use gpu_sim::{cost, BlockContext, BlockKernel, DeviceBuffer, LaunchConfig, PhaseTime};
-use huffdec_backend::Backend;
+use gpu_sim::{cost, Backend, BlockContext, BlockKernel, DeviceBuffer, LaunchConfig, PhaseTime};
 use huffman::{BitReader, Codebook};
 
 use crate::format::EncodedStream;

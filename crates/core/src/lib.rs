@@ -83,7 +83,7 @@ pub use format::{
     DEFAULT_THREADS_PER_BLOCK, HYBRID_RUN_ALPHABET, HYBRID_RUN_CAP,
 };
 pub use gap_decode::{decode_original_gap8, encode_gap8, gap_count_symbols, Gap8Stream};
-pub use huffdec_backend::{Backend, BackendKind, CpuBackend, BACKEND_ENV};
+pub use gpu_sim::{Backend, BackendKind, CpuBackend, BACKEND_ENV};
 pub use output_index::{compute_output_index, OutputIndex};
 pub use phases::{DecodeResult, PhaseBreakdown};
 pub use range::{decode_range, prepare_decode, PreparedDecode, RangeDecode};

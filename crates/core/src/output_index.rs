@@ -6,8 +6,7 @@
 //! symbol. The prefix sum runs on the simulator's CUB-equivalent primitive so the phase is
 //! charged a faithful cost.
 
-use gpu_sim::{primitives::device_exclusive_prefix_sum, PhaseTime};
-use huffdec_backend::Backend;
+use gpu_sim::{primitives::device_exclusive_prefix_sum, Backend, PhaseTime};
 
 use crate::subseq::SubseqInfo;
 

@@ -26,8 +26,7 @@
 //! many range requests by launching the decode/write kernel over only the overlapping
 //! blocks.
 
-use gpu_sim::{DeviceBuffer, PhaseTime};
-use huffdec_backend::Backend;
+use gpu_sim::{Backend, DeviceBuffer, PhaseTime};
 
 use crate::baseline::decode_baseline_chunks;
 use crate::decode_write::{run_decode_write, WriteStrategy};

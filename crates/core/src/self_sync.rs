@@ -17,8 +17,7 @@
 //!   that they start at their own boundary; this phase chains the true end of each
 //!   sequence into the next and re-synchronizes the few affected subsequences.
 
-use gpu_sim::{cost, BlockContext, BlockKernel, DeviceBuffer, LaunchConfig, PhaseTime};
-use huffdec_backend::Backend;
+use gpu_sim::{cost, Backend, BlockContext, BlockKernel, DeviceBuffer, LaunchConfig, PhaseTime};
 use huffman::BitReader;
 
 use crate::format::EncodedStream;

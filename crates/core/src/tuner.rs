@@ -16,10 +16,9 @@
 //!    all on separate CUDA streams so they may overlap.
 
 use gpu_sim::{
-    cost, primitives::device_histogram, primitives::device_radix_sort_pairs, BlockContext,
+    cost, primitives::device_histogram, primitives::device_radix_sort_pairs, Backend, BlockContext,
     BlockKernel, DeviceBuffer, KernelStats, LaunchConfig, PhaseTime, TransferDirection,
 };
-use huffdec_backend::Backend;
 
 use crate::decode_write::{run_decode_write, WriteStrategy};
 use crate::format::EncodedStream;

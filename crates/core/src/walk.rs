@@ -33,8 +33,7 @@
 use std::ops::Range;
 use std::time::Instant;
 
-use gpu_sim::{BlockContext, BlockKernel, DeviceBuffer, LaunchConfig, PhaseTime};
-use huffdec_backend::Backend;
+use gpu_sim::{Backend, BlockContext, BlockKernel, DeviceBuffer, LaunchConfig, PhaseTime};
 use huffman::BitReader;
 
 use crate::decoder::{DecodeError, DecoderKind};
@@ -267,8 +266,7 @@ mod tests {
     use crate::format::StreamGeometry;
     use crate::range::prepare_decode;
     use crate::testutil::{gpu, quant_symbols};
-    use gpu_sim::GpuConfig;
-    use huffdec_backend::CpuBackend;
+    use gpu_sim::{CpuBackend, GpuConfig};
     use huffman::Codebook;
 
     const FLAT: [DecoderKind; 3] = [

@@ -1,29 +1,18 @@
-//! # huffdec-backend — pluggable execution backends
+//! The device interface: the [`Backend`] trait and the two devices that implement it.
 //!
-//! The decode/encode pipelines in `huffdec-core` are written against abstract device
-//! operations: kernel launches over grids of blocks, device-wide prefix sums and
-//! histograms, transfer costs, and concurrent-stream timing. This crate defines the
-//! [`Backend`] trait that captures exactly that surface, plus the two implementations
-//! the workspace ships:
+//! The decode/encode pipelines in `huffdec-core` and the device-wide [`crate::primitives`]
+//! are written against [`Backend`]: kernel launches over grids of blocks, host-step
+//! charging, transfer costs, and concurrent-stream timing. Two devices implement it, each
+//! in one impl block, and run the same launch code on two clocks:
 //!
 //! * [`Gpu`] — the simulated V100: kernels execute functionally on host threads while
-//!   the calibrated performance model produces *modeled* timings. This backend
-//!   reproduces the paper's evaluation numbers and is chosen by name only
-//!   (`HFZ_BACKEND=sim`, `hfz --backend sim`, [`BackendKind::Sim`]).
-//! * [`CpuBackend`] — a real multi-threaded CPU executor: launches run their blocks on
-//!   the device's persistent worker pool ([`Backend::run_tasks`]) without the cost
-//!   model (launch geometry, occupancy and launch counts are kept; memory-traffic and
-//!   cycle aggregates are modeled-only), every timing reported is real wall-clock time,
-//!   there is no transfer modeling, and concurrent "streams" execute serially. Ranged
-//!   decodes and the chunked baseline's decode launch the simulator's [`BlockKernel`]s
-//!   here. A full decode of a flat stream launches one walk per sequence instead of
-//!   the paper's synchronization, counting, tuning and decode/write kernels, which
-//!   exist only because a GPU thread cannot know its output offset. An encode is the
-//!   same three walk launches over blocks of 65,536 symbols (count, chunk bits, pack)
-//!   on both backends, and a field compress is a quantize launch, which also counts
-//!   the codes, plus two of them (chunk bits, pack). This is the default, what makes
-//!   `hfz` actually fast on the machine it runs on, and the seam a future CUDA/wgpu
-//!   port plugs into.
+//!   the calibrated performance model produces *modeled* timings. It reproduces the
+//!   paper's evaluation numbers and is chosen by name only (`HFZ_BACKEND=sim`,
+//!   `hfz --backend sim`, [`BackendKind::Sim`]).
+//! * [`CpuBackend`] — the default: the same launches, unmodeled, on the device's worker
+//!   pool ([`Backend::run_tasks`]), with measured wall-clock timings and no transfer
+//!   cost. It is what makes `hfz` fast on the machine it runs on, and the seam a future
+//!   CUDA/wgpu port plugs into.
 //!
 //! The decode pipelines choose by [`Backend::is_modeled`]. Both backends produce
 //! **bit-identical decoded output and archives** — only the timings differ — which the
@@ -32,8 +21,7 @@
 //! ## Example
 //!
 //! ```
-//! use huffdec_backend::{Backend, BackendKind, CpuBackend};
-//! use gpu_sim::GpuConfig;
+//! use gpu_sim::{Backend, BackendKind, CpuBackend, GpuConfig};
 //!
 //! let backend = BackendKind::Cpu.create(GpuConfig::test_tiny(), Some(2));
 //! assert_eq!(backend.kind(), BackendKind::Cpu);
@@ -42,15 +30,14 @@
 //! assert_eq!(cpu.kind().name(), "cpu");
 //! ```
 
-#![warn(missing_docs)]
-
 use std::fmt;
 use std::sync::Arc;
 
-use gpu_sim::{
-    concurrent_time, transfer_time_s, BlockKernel, ConcurrentStats, Gpu, GpuConfig, KernelStats,
-    LaunchConfig, LaunchDevice, TransferDirection,
-};
+use crate::config::GpuConfig;
+use crate::kernel::{BlockKernel, Gpu, LaunchConfig};
+use crate::stream::{concurrent_time, ConcurrentStats};
+use crate::timing::KernelStats;
+use crate::transfer::{transfer_time_s, TransferDirection};
 
 /// The environment variable that selects the default execution backend
 /// (`sim` or `cpu`). Anything else — including unset — means [`BackendKind::Cpu`].
@@ -75,22 +62,13 @@ impl BackendKind {
         }
     }
 
-    /// Parses a backend name as the CLI flags accept it (case-insensitive).
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        match s.to_ascii_lowercase().as_str() {
-            "sim" => Some(BackendKind::Sim),
-            "cpu" => Some(BackendKind::Cpu),
-            _ => None,
-        }
-    }
-
     /// The process-wide default backend: `HFZ_BACKEND=sim` selects the simulator,
     /// everything else (unset, `cpu`, or unrecognized) the CPU backend. This is how CI
     /// runs the whole test suite once per backend without touching every call site.
     pub fn from_env() -> BackendKind {
         std::env::var(BACKEND_ENV)
             .ok()
-            .and_then(|v| BackendKind::parse(&v))
+            .and_then(|v| v.parse().ok())
             .unwrap_or(BackendKind::Cpu)
     }
 
@@ -115,8 +93,14 @@ impl fmt::Display for BackendKind {
 impl std::str::FromStr for BackendKind {
     type Err = UnknownBackend;
 
+    /// Parses a backend name as the CLI flags and `HFZ_BACKEND` accept it
+    /// (case-insensitive).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        BackendKind::parse(s).ok_or_else(|| UnknownBackend(s.to_string()))
+        match s.to_ascii_lowercase().as_str() {
+            "sim" => Ok(BackendKind::Sim),
+            "cpu" => Ok(BackendKind::Cpu),
+            _ => Err(UnknownBackend(s.to_string())),
+        }
     }
 }
 
@@ -132,13 +116,28 @@ impl fmt::Display for UnknownBackend {
 
 impl std::error::Error for UnknownBackend {}
 
-/// An execution backend: everything the decode/encode pipelines consume from a device.
+/// An execution backend: everything the decode/encode pipelines and the device
+/// primitives consume from a device.
 ///
-/// Extends [`LaunchDevice`] (kernel launches, host-step charging) with the pipeline-
-/// level concerns: identity, concurrent-stream timing, transfer modeling, and the
-/// host-thread budget. The pipelines take `&dyn Backend`, so a concrete [`Gpu`] coerces
-/// at every existing call site.
-pub trait Backend: LaunchDevice + Send + Sync + fmt::Debug {
+/// Kernel launches and host-step charging sit beside the pipeline-level concerns:
+/// identity, concurrent-stream timing, transfer modeling, and the host-thread budget.
+/// Consumers take `&dyn Backend` or `&D where D: Backend + ?Sized`, so a concrete
+/// [`Gpu`] coerces at every call site.
+pub trait Backend: Send + Sync + fmt::Debug {
+    /// The device configuration (kernel geometry plus the cost-model parameters).
+    fn config(&self) -> &GpuConfig;
+
+    /// Launches a kernel over a grid of blocks and returns its timing record.
+    fn launch(&self, kernel: &dyn BlockKernel, cfg: LaunchConfig) -> KernelStats;
+
+    /// Converts a host-side pipeline step into charged seconds.
+    ///
+    /// `modeled` is what the performance model attributes to the step (typically one
+    /// kernel-launch overhead, standing in for the small kernel a GPU would run);
+    /// `measured` is the real wall-clock duration of the step. The simulator returns
+    /// `modeled`; the CPU backend returns `measured`.
+    fn charge_seconds(&self, modeled: f64, measured: f64) -> f64;
+
     /// Which backend this is.
     fn kind(&self) -> BackendKind;
 
@@ -172,6 +171,18 @@ pub trait Backend: LaunchDevice + Send + Sync + fmt::Debug {
 }
 
 impl Backend for Gpu {
+    fn config(&self) -> &GpuConfig {
+        Gpu::config(self)
+    }
+
+    fn launch(&self, kernel: &dyn BlockKernel, cfg: LaunchConfig) -> KernelStats {
+        Gpu::launch(self, kernel, cfg)
+    }
+
+    fn charge_seconds(&self, modeled: f64, _measured: f64) -> f64 {
+        modeled
+    }
+
     fn kind(&self) -> BackendKind {
         BackendKind::Sim
     }
@@ -244,7 +255,7 @@ impl CpuBackend {
     }
 }
 
-impl LaunchDevice for CpuBackend {
+impl Backend for CpuBackend {
     fn config(&self) -> &GpuConfig {
         self.gpu.config()
     }
@@ -256,9 +267,7 @@ impl LaunchDevice for CpuBackend {
     fn charge_seconds(&self, _modeled: f64, measured: f64) -> f64 {
         measured
     }
-}
 
-impl Backend for CpuBackend {
     fn kind(&self) -> BackendKind {
         BackendKind::Cpu
     }
@@ -290,125 +299,5 @@ impl Backend for CpuBackend {
 
     fn run_tasks(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
         self.gpu.run_tasks(n, task)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use gpu_sim::{BlockContext, DeviceBuffer};
-
-    struct Iota<'a> {
-        out: &'a DeviceBuffer<u32>,
-    }
-
-    impl BlockKernel for Iota<'_> {
-        fn name(&self) -> &str {
-            "iota"
-        }
-        fn block(&self, ctx: &mut BlockContext) {
-            let bd = ctx.block_dim() as usize;
-            let start = ctx.block_idx() as usize * bd;
-            let end = (start + bd).min(self.out.len());
-            for i in start..end {
-                self.out.set(i, i as u32);
-            }
-            for w in 0..ctx.warp_count() {
-                ctx.global_store_contiguous(w, start as u64, ctx.config().warp_size, 4);
-                ctx.compute(w, 1.0);
-            }
-        }
-    }
-
-    #[test]
-    fn kind_names_roundtrip_through_parse() {
-        for kind in [BackendKind::Sim, BackendKind::Cpu] {
-            assert_eq!(BackendKind::parse(kind.name()), Some(kind));
-            assert_eq!(BackendKind::parse(&kind.name().to_uppercase()), Some(kind));
-        }
-        assert_eq!(BackendKind::parse("cuda"), None);
-    }
-
-    #[test]
-    fn both_backends_run_kernels_to_the_same_functional_result() {
-        let sim = Gpu::with_host_threads(GpuConfig::test_tiny(), 2);
-        let cpu = CpuBackend::with_host_threads(GpuConfig::test_tiny(), 3);
-        let n = 5000usize;
-        let out_sim = DeviceBuffer::<u32>::zeroed(n);
-        let out_cpu = DeviceBuffer::<u32>::zeroed(n);
-        let backends: [(&dyn Backend, &DeviceBuffer<u32>); 2] =
-            [(&sim, &out_sim), (&cpu, &out_cpu)];
-        for (backend, out) in backends {
-            let stats = backend.launch(&Iota { out }, LaunchConfig::covering(n, 128));
-            assert_eq!(stats.grid_dim, (n as u32).div_ceil(128));
-        }
-        assert_eq!(out_sim.to_vec(), out_cpu.to_vec());
-    }
-
-    #[test]
-    fn cpu_timings_are_measured_not_modeled() {
-        let cpu = CpuBackend::with_host_threads(GpuConfig::test_tiny(), 2);
-        let sim = Gpu::with_host_threads(GpuConfig::test_tiny(), 2);
-        let cfg = LaunchConfig::covering(10_000, 128).with_shared_mem(512);
-        let out = DeviceBuffer::<u32>::zeroed(10_000);
-        let out_sim = DeviceBuffer::<u32>::zeroed(10_000);
-        let stats = cpu.launch(&Iota { out: &out }, cfg);
-        let modeled = sim.launch(&Iota { out: &out_sim }, cfg);
-        assert_eq!(out.to_vec(), out_sim.to_vec());
-        // Launch geometry and occupancy are kept; the block aggregates are modeled-only.
-        assert_eq!(
-            (stats.grid_dim, stats.block_dim, stats.shared_mem_bytes),
-            (
-                modeled.grid_dim,
-                modeled.block_dim,
-                modeled.shared_mem_bytes
-            )
-        );
-        assert_eq!(stats.occupancy, modeled.occupancy);
-        assert!(modeled.mem.store_requests > 0 && modeled.total_block_cycles > 0.0);
-        assert_eq!(stats.mem, gpu_sim::MemStats::default());
-        assert_eq!(stats.total_block_cycles, 0.0);
-        assert_eq!(stats.compute_time_s, 0.0);
-        assert_eq!(stats.mem_time_s, 0.0);
-        assert_eq!(stats.launch_overhead_s, 0.0);
-        assert!(stats.time_s > 0.0, "wall clock must have advanced");
-        assert_eq!(cpu.charge_seconds(123.0, 0.5), 0.5);
-        assert_eq!(
-            cpu.transfer_seconds(1 << 30, TransferDirection::HostToDevice),
-            0.0
-        );
-    }
-
-    #[test]
-    fn sim_backend_preserves_the_modeling_behaviour() {
-        let sim: Arc<dyn Backend> = BackendKind::Sim.create(GpuConfig::test_tiny(), Some(2));
-        assert!(sim.is_modeled());
-        assert_eq!(sim.device_name(), "test-tiny");
-        assert_eq!(sim.charge_seconds(7e-6, 99.0), 7e-6);
-        assert!(sim.transfer_seconds(1 << 20, TransferDirection::DeviceToHost) > 0.0);
-    }
-
-    #[test]
-    fn cpu_concurrent_is_the_serial_sum() {
-        let cpu = CpuBackend::with_host_threads(GpuConfig::test_tiny(), 2);
-        let out = DeviceBuffer::<u32>::zeroed(4096);
-        let k1 = cpu.launch(&Iota { out: &out }, LaunchConfig::covering(4096, 128));
-        let k2 = cpu.launch(&Iota { out: &out }, LaunchConfig::covering(4096, 128));
-        let stats = cpu.concurrent(&[k1.clone(), k2.clone()]);
-        assert_eq!(stats.time_s, stats.serial_time_s);
-        assert!((stats.serial_time_s - (k1.time_s + k2.time_s)).abs() < 1e-15);
-        assert_eq!(stats.overlap_speedup(), 1.0);
-    }
-
-    #[test]
-    fn env_selection_defaults_to_cpu() {
-        // CI runs the suite once unset and once with HFZ_BACKEND=sim; only `sim`
-        // selects the simulator, and anything else falls back to the CPU backend.
-        assert_eq!(BackendKind::parse("nope"), None);
-        let expected = match std::env::var(BACKEND_ENV) {
-            Ok(value) if value.eq_ignore_ascii_case("sim") => BackendKind::Sim,
-            _ => BackendKind::Cpu,
-        };
-        assert_eq!(BackendKind::from_env(), expected);
     }
 }

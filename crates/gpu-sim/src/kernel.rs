@@ -213,45 +213,6 @@ impl Gpu {
     }
 }
 
-/// The minimal device interface kernels are launched through.
-///
-/// The decode/encode pipelines and the device-wide [`crate::primitives`] are written
-/// against this trait instead of the concrete [`Gpu`], so a different executor (e.g. a
-/// real multi-threaded CPU backend) can run the same [`BlockKernel`]s with its own
-/// notion of time. Generic consumers take `&D where D: LaunchDevice + ?Sized`, which
-/// accepts both a concrete [`Gpu`] and any trait object whose supertraits include this
-/// one.
-pub trait LaunchDevice {
-    /// The device configuration (kernel geometry plus the cost-model parameters).
-    fn config(&self) -> &GpuConfig;
-
-    /// Launches a kernel over a grid of blocks and returns its timing record.
-    fn launch(&self, kernel: &dyn BlockKernel, cfg: LaunchConfig) -> KernelStats;
-
-    /// Converts a host-side pipeline step into charged seconds.
-    ///
-    /// `modeled` is what the performance model attributes to the step (typically one
-    /// kernel-launch overhead, standing in for the small kernel a GPU would run);
-    /// `measured` is the real wall-clock duration of the step. The simulator returns
-    /// `modeled`, keeping its timings number-identical to the pre-trait pipeline; real
-    /// backends return `measured`.
-    fn charge_seconds(&self, modeled: f64, measured: f64) -> f64;
-}
-
-impl LaunchDevice for Gpu {
-    fn config(&self) -> &GpuConfig {
-        Gpu::config(self)
-    }
-
-    fn launch(&self, kernel: &dyn BlockKernel, cfg: LaunchConfig) -> KernelStats {
-        Gpu::launch(self, kernel, cfg)
-    }
-
-    fn charge_seconds(&self, modeled: f64, _measured: f64) -> f64 {
-        modeled
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,7 +325,7 @@ mod tests {
         let out1 = DeviceBuffer::<u32>::zeroed(n);
         let out2 = DeviceBuffer::<u32>::zeroed(n);
         let direct = gpu.launch(&Iota { out: &out1 }, LaunchConfig::covering(n, 64));
-        let device: &dyn LaunchDevice = &gpu;
+        let device: &dyn crate::Backend = &gpu;
         let via_trait = device.launch(&Iota { out: &out2 }, LaunchConfig::covering(n, 64));
         assert_eq!(out1.to_vec(), out2.to_vec());
         assert!((direct.time_s - via_trait.time_s).abs() < 1e-15);

@@ -5,9 +5,10 @@
 //! and writes it to a per-block slot in global memory, (2) a reduction kernel sums the
 //! per-block histograms into the final bin counts.
 
+use crate::backend::Backend;
 use crate::block::{cost, BlockContext};
 use crate::buffer::DeviceBuffer;
-use crate::kernel::{BlockKernel, LaunchConfig, LaunchDevice};
+use crate::kernel::{BlockKernel, LaunchConfig};
 use crate::timing::PhaseTime;
 
 const BLOCK_DIM: u32 = 256;
@@ -112,7 +113,7 @@ impl BlockKernel for ReducePartialsKernel<'_> {
 /// Computes the histogram of `keys` over `num_bins` bins on the device.
 ///
 /// Every key must be `< num_bins`. Returns the bin counts and the accumulated phase time.
-pub fn device_histogram<D: LaunchDevice + ?Sized, K: Copy + Into<u32> + Sync>(
+pub fn device_histogram<D: Backend + ?Sized, K: Copy + Into<u32> + Sync>(
     gpu: &D,
     keys: &[K],
     num_bins: usize,

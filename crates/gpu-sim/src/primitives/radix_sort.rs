@@ -8,9 +8,10 @@
 //! stops after one pass, matching the paper's observation that "since T_high is fairly
 //! small, sorting T_high + 1 groups is fast using CUB".
 
+use crate::backend::Backend;
 use crate::block::{cost, BlockContext};
 use crate::buffer::DeviceBuffer;
-use crate::kernel::{BlockKernel, LaunchConfig, LaunchDevice};
+use crate::kernel::{BlockKernel, LaunchConfig};
 use crate::timing::PhaseTime;
 
 const RADIX_BITS: u32 = 4;
@@ -135,7 +136,7 @@ impl BlockKernel for DownsweepKernel<'_> {
 ///
 /// `max_key` bounds the key range so the sort can stop after the necessary number of 4-bit
 /// passes (pass count = ceil(bits(max_key) / 4), minimum 1).
-pub fn device_radix_sort_pairs<D: LaunchDevice + ?Sized>(
+pub fn device_radix_sort_pairs<D: Backend + ?Sized>(
     gpu: &D,
     keys: &[u32],
     values: &[u32],

@@ -5,9 +5,10 @@
 //! Used by the decoders to turn per-subsequence symbol counts into output indices, and by
 //! the shared-memory tuner to turn the class histogram into class start offsets.
 
+use crate::backend::Backend;
 use crate::block::{cost, BlockContext};
 use crate::buffer::DeviceBuffer;
-use crate::kernel::{BlockKernel, LaunchConfig, LaunchDevice};
+use crate::kernel::{BlockKernel, LaunchConfig};
 use crate::timing::PhaseTime;
 
 /// Work per thread in the per-block scan kernels (elements).
@@ -104,7 +105,7 @@ impl BlockKernel for AddOffsetsKernel<'_> {
 ///
 /// Returns the scanned values, the total sum, and the accumulated phase time (all kernel
 /// launches involved).
-pub fn device_exclusive_prefix_sum<D: LaunchDevice + ?Sized>(
+pub fn device_exclusive_prefix_sum<D: Backend + ?Sized>(
     gpu: &D,
     input: &[u64],
 ) -> (Vec<u64>, u64, PhaseTime) {

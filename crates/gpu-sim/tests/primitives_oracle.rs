@@ -8,8 +8,7 @@
 //! must launch the same grids as the simulator.
 
 use gpu_sim::primitives::{device_exclusive_prefix_sum, device_histogram};
-use gpu_sim::{Gpu, GpuConfig, PhaseTime};
-use huffdec_backend::{Backend, CpuBackend};
+use gpu_sim::{Backend, CpuBackend, Gpu, GpuConfig, PhaseTime};
 
 const SCAN_TILE: usize = 256 * 4;
 const HISTOGRAM_TILE: usize = 256 * 8;

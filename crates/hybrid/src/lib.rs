@@ -34,10 +34,9 @@
 #![warn(missing_docs)]
 
 use gpu_sim::{
-    cost, primitives::device_exclusive_prefix_sum, BlockContext, BlockKernel, DeviceBuffer,
-    LaunchConfig, PhaseTime,
+    cost, primitives::device_exclusive_prefix_sum, Backend, BlockContext, BlockKernel,
+    DeviceBuffer, LaunchConfig, PhaseTime,
 };
-use huffdec_backend::Backend;
 use huffdec_core::{
     compress_on, decode_self_sync_stream, CompressedPayload, DecodeError, DecodeResult,
     DecoderKind, EncodePhaseBreakdown, EncodedStream, HybridStream, PhaseBreakdown, HYBRID_RUN_CAP,
@@ -392,8 +391,7 @@ pub fn decode_hybrid(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{Gpu, GpuConfig};
-    use huffdec_backend::CpuBackend;
+    use gpu_sim::{CpuBackend, Gpu, GpuConfig};
 
     fn gpu() -> Gpu {
         Gpu::with_host_threads(GpuConfig::test_tiny(), 2)

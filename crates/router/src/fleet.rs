@@ -80,6 +80,14 @@ impl ShardLink {
     }
 }
 
+/// A spawned shard never outlives its link: a router that fails to start, after some
+/// shards were already forked, stops and reaps them on the way out.
+impl Drop for ShardLink {
+    fn drop(&mut self) {
+        self.shutdown_spawned();
+    }
+}
+
 impl std::fmt::Debug for ShardLink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardLink")

@@ -50,8 +50,7 @@
 
 use std::path::PathBuf;
 
-use gpu_sim::GpuConfig;
-use huffdec_backend::BackendKind;
+use gpu_sim::{BackendKind, GpuConfig};
 use huffdec_codec::HfzError;
 
 use crate::flags::Flags;

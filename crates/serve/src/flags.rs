@@ -5,8 +5,6 @@
 //! check its value, so each parser is one `match` that words a missing value, a bad
 //! value and an argument no arm takes ([`Flags::unknown`]) the same way.
 
-use huffdec_backend::{BackendKind, UnknownBackend};
-
 use crate::net::ListenAddr;
 
 /// A cursor over command-line arguments.
@@ -61,13 +59,6 @@ impl<'a> Flags<'a> {
     /// (`--listen`, `--metrics`, `--shard`, `--addr`).
     pub fn addr(&mut self) -> Result<ListenAddr, String> {
         ListenAddr::parse(self.value()?)
-    }
-
-    /// The current flag's value as an execution backend (`--backend sim|cpu`).
-    pub fn backend(&mut self) -> Result<BackendKind, String> {
-        self.value()?
-            .parse()
-            .map_err(|e: UnknownBackend| e.to_string())
     }
 
     /// The current flag's value as a `NAME=PATH` archive to load (`--load`).

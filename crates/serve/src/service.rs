@@ -194,8 +194,10 @@ fn run<S: Service>(listener: Listener, state: Arc<S>) -> std::io::Result<()> {
 ///
 /// The sidecar binds *before* the addr-file is written, so anything that waited on
 /// the file can already scrape. Everything that can fail does so here, synchronously,
-/// with its class kept through [`HfzError`], so `hfzd`, `hfz serve` and `hfzr` exit
-/// with the same stable codes and embedders never fish an error out of a thread.
+/// before any thread starts, with its class kept through [`HfzError`], so `hfzd`,
+/// `hfz serve` and `hfzr` exit with the same stable codes, embedders never fish an
+/// error out of a thread, and a failed start drops `state` (a router's spawned shards
+/// with it).
 pub fn spawn<S: Service>(
     listener: Listener,
     state: Arc<S>,
@@ -206,20 +208,23 @@ pub fn spawn<S: Service>(
         .local_addr()
         .map_err(|e| HfzError::io("listen address", e))?;
     state.lifecycle().bound(addr.clone());
-    let mut metrics_addr = None;
-    let mut sidecar = None;
-    if let Some(want) = metrics {
-        let server = HttpServer::bind(want, Arc::clone(&state))
-            .map_err(|e| HfzError::io(format!("cannot bind metrics sidecar {}", want), e))?;
-        metrics_addr = Some(server.local_addr().clone());
-        sidecar = Some(std::thread::spawn(move || {
-            let _ = server.run();
-        }));
-    }
+    let http = match metrics {
+        Some(want) => Some(
+            HttpServer::bind(want, Arc::clone(&state))
+                .map_err(|e| HfzError::io(format!("cannot bind metrics sidecar {}", want), e))?,
+        ),
+        None => None,
+    };
+    let metrics_addr = http.as_ref().map(|server| server.local_addr().clone());
     if let Some(path) = addr_file {
         write_addr_file(path, &addr)
             .map_err(|e| HfzError::io(format!("cannot write {}", path.display()), e))?;
     }
+    let sidecar = http.map(|server| {
+        std::thread::spawn(move || {
+            let _ = server.run();
+        })
+    });
     let server = {
         let state = Arc::clone(&state);
         std::thread::spawn(move || run(listener, state))

@@ -37,8 +37,7 @@ use std::ops::Range;
 use std::sync::{Mutex, OnceLock};
 
 use datasets::Dims;
-use gpu_sim::{BlockContext, BlockKernel, DeviceBuffer, LaunchConfig};
-use huffdec_backend::Backend;
+use gpu_sim::{Backend, BlockContext, BlockKernel, DeviceBuffer, LaunchConfig};
 use huffdec_core::{crc32, crc32_combine, Crc32};
 
 /// An outlier: a pre-quantized value whose Lorenzo residual did not fit the code alphabet.
@@ -831,8 +830,8 @@ mod tests {
         let crc = huffdec_core::crc32_symbols(&serial.codes);
         let tiny = gpu_sim::GpuConfig::test_tiny;
         let backends: [&dyn Backend; 3] = [
-            &huffdec_backend::CpuBackend::with_host_threads(tiny(), 1),
-            &huffdec_backend::CpuBackend::with_host_threads(tiny(), 8),
+            &gpu_sim::CpuBackend::with_host_threads(tiny(), 1),
+            &gpu_sim::CpuBackend::with_host_threads(tiny(), 8),
             &gpu_sim::Gpu::with_host_threads(tiny(), 4),
         ];
         for gpu in backends {

@@ -17,8 +17,7 @@
 //! decompression throughput figures of the paper (Figs. 4 and 5) can be regenerated.
 
 use datasets::Field;
-use gpu_sim::TransferDirection;
-use huffdec_backend::Backend;
+use gpu_sim::{Backend, TransferDirection};
 use huffdec_core::{
     compress_counted_on, compress_for, decode, wire, CompressedPayload, DecodeError, DecoderKind,
     EncodePhaseBreakdown, PhaseBreakdown,

@@ -8,7 +8,7 @@
 set -eu
 cd "${1:-$(dirname "$0")/..}"
 status=0
-for file in $(find crates/gpu-sim/src crates/backend/src crates/core/src crates/sz/src \
+for file in $(find crates/gpu-sim/src crates/core/src crates/sz/src \
     crates/hybrid/src crates/huffman/src crates/codec/src -name '*.rs' | sort); do
     [ "$file" = crates/gpu-sim/src/pool.rs ] && continue
     hits=$(awk '

@@ -236,7 +236,7 @@ fn codec_flag(flag: &str, flags: &mut Flags, codec: &mut CodecBuilder) -> Result
                 HfzError::Usage("bad --auto-hybrid value (fraction in 0..=1, or 'off')".to_string())
             })?),
         }),
-        "--backend" => builder.backend(flags.backend()?),
+        "--backend" => builder.backend(flags.value()?.parse()?),
         "--eb" => builder.error_bound(parse_error_bound(flags.value()?)?),
         "--alphabet" => builder.alphabet_size(flags.number()?),
         _ => {
@@ -428,8 +428,9 @@ fn cmd_compress(rest: &[String]) -> Result<(), HfzError> {
         field.bytes() as f64 / written as f64
     );
     out!("{}", encode_report(&codec, &outcome));
-    // Post-write report: the cheap structural summary, not a full decode-state open.
-    let summary = ArchiveSummary::open(output)?;
+    // Post-write report: the cheap structural summary of the bytes just written, not a
+    // full decode-state open.
+    let summary = ArchiveSummary::from_bytes(&bytes)?;
     out!("{}", summary.infos()[0]);
     Ok(())
 }
@@ -450,6 +451,12 @@ fn cmd_compress_snapshot(
         ));
     }
     let (elements, seed) = source.generated()?;
+    if seed.checked_add(names.len() as u64 - 1).is_none() {
+        let n = names.len();
+        return Err(
+            format!("--seed {seed} leaves no room for {n} fields (field i uses S+i)").into(),
+        );
+    }
 
     let mut fields: Vec<(String, huffdec::Compressed)> = Vec::with_capacity(names.len());
     for (i, name) in names.iter().enumerate() {
@@ -483,7 +490,7 @@ fn cmd_compress_snapshot(
         written,
         original as f64 / written as f64
     );
-    let summary = ArchiveSummary::open(output)?;
+    let summary = ArchiveSummary::from_bytes(&bytes)?;
     out!(
         "{}",
         summary.manifest().expect("snapshot writes a manifest")
@@ -527,7 +534,7 @@ fn cmd_decompress(rest: &[String]) -> Result<(), HfzError> {
         (None, None, None, false, None);
     while let Some(flag) = flags.next_flag() {
         match flag {
-            "--backend" => codec = codec.backend(flags.backend()?),
+            "--backend" => codec = codec.backend(flags.value()?.parse()?),
             "--output" => output = Some(flags.value()?),
             "--output-dir" => output_dir = Some(flags.value()?),
             "--all" => all = true,
@@ -640,7 +647,7 @@ fn cmd_verify(rest: &[String]) -> Result<(), HfzError> {
     while let Some(flag) = flags.next_flag() {
         match flag {
             _ if source.take(flag, &mut flags)? => {}
-            "--backend" => codec = codec.backend(flags.backend()?),
+            "--backend" => codec = codec.backend(flags.value()?.parse()?),
             "--deep" => deep = true,
             "--digest" => {
                 let hex = flags.value()?.trim_start_matches("0x");

@@ -451,6 +451,39 @@ fn remote_verify_judges_the_fields_not_the_archive_name() {
     assert!(daemon.wait().expect("daemon exits").success());
 }
 
+/// A range whose end overflows `u64` reaches the daemon, which refuses it against the
+/// field's length (protocol error, exit 6) instead of wrapping it into a short range.
+#[test]
+fn a_range_past_u64_is_the_daemons_refusal() {
+    let dir = std::env::temp_dir().join("hfz-cli-test-range-overflow");
+    std::fs::create_dir_all(&dir).unwrap();
+    let archive = compress_dataset(&dir, "hacc", "HACC", "gap");
+    let codes = dir.join("codes.bin");
+    let _ = std::fs::remove_file(&codes);
+    let (mut daemon, addr) = spawn_serve(&[format!("hacc={}", archive.display())]);
+
+    let result = hfz()
+        .args(["get", "--addr", &addr, "--archive", "hacc", "--codes"])
+        .args(["--range", "18446744073709551615:2", "--output"])
+        .arg(&codes)
+        .output()
+        .expect("hfz runs");
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert_eq!(result.status.code(), Some(6), "{}", stderr);
+    assert!(
+        stderr.contains(
+            "range [18446744073709551615, 18446744073709551615+2) exceeds the field's 20000 elements"
+        ),
+        "{}",
+        stderr
+    );
+    assert!(!codes.exists(), "nothing is written");
+
+    let shutdown = hfz().args(["shutdown", "--addr", &addr]).status().unwrap();
+    assert!(shutdown.success());
+    assert!(daemon.wait().expect("daemon exits").success());
+}
+
 /// A file is its fields: on a manifest-less concatenation of a healthy archive and a
 /// digest-flipped one, the local deep verify and the daemon's `VERIFY` both check
 /// every field, fail, and name field 1, and a bare decompress refuses to pick a field.
@@ -1064,7 +1097,9 @@ fn every_binary_words_flag_errors_one_way() {
     // 3 x 12297829382473034411 wraps `usize` to 1, which a 4-byte file matches.
     let four_bytes = dir.join("four.f32");
     std::fs::write(&four_bytes, 1.0f32.to_le_bytes()).unwrap();
-    let cases: [(&[&str], &str); 9] = [
+    let snapshot = dir.join("s.hfz");
+    let _ = std::fs::remove_file(&snapshot);
+    let cases: [(&[&str], &str); 14] = [
         (
             &[
                 "get",
@@ -1145,17 +1180,85 @@ fn every_binary_words_flag_errors_one_way() {
             ],
             "--elements must be at least 1",
         ),
+        // Field i of a snapshot is generated from seed S+i, which must not wrap.
+        (
+            &[
+                "compress",
+                "--snapshot",
+                "--dataset",
+                "HACC,CESM",
+                "--elements",
+                "1000",
+                "--seed",
+                "18446744073709551615",
+                "--output",
+                snapshot.to_str().unwrap(),
+            ],
+            "--seed 18446744073709551615 leaves no room for 2 fields",
+        ),
+        // 2^32 is no `u32` field index; the dead address is never dialed.
+        (
+            &[
+                "get",
+                "--addr",
+                "tcp:127.0.0.1:1",
+                "--archive",
+                "x",
+                "--field",
+                "4294967296",
+                "--output",
+                decoded.to_str().unwrap(),
+            ],
+            "bad --field value",
+        ),
+        (
+            &[
+                "batch",
+                "--addr",
+                "tcp:127.0.0.1:1",
+                "--archive",
+                "x",
+                "--fields",
+                "1,x",
+                "--output-prefix",
+                decoded.to_str().unwrap(),
+            ],
+            "bad field index 'x'",
+        ),
+        (
+            &[
+                "batch",
+                "--addr",
+                "tcp:127.0.0.1:1",
+                "--archive",
+                "x",
+                "--fields",
+                "1,99999999999",
+                "--output-prefix",
+                decoded.to_str().unwrap(),
+            ],
+            "bad field index '99999999999'",
+        ),
+        (&["serve", "--cache-bytes", "-1"], "bad --cache-bytes value"),
     ];
     for (args, message) in cases {
         let mut command = hfz();
         command.args(args);
         assert_usage_error(command, message);
     }
-    assert!(!output.exists() && !decoded.exists(), "nothing is written");
+    assert!(
+        !output.exists() && !decoded.exists() && !snapshot.exists(),
+        "nothing is written"
+    );
     for binary in [env!("CARGO_BIN_EXE_hfzd"), env!("CARGO_BIN_EXE_hfzr")] {
         for (args, message) in [
             (&["--bogus"][..], "unknown flag --bogus"),
             (&["--backend", "sim"][..], "unknown flag --backend"),
+            (&["--cache-bytes", "-1"][..], "bad --cache-bytes value"),
+            (
+                &["--cache-bytes", "99999999999999999999"][..],
+                "bad --cache-bytes value",
+            ),
         ] {
             let mut command = Command::new(binary);
             command.args(args);
@@ -1201,5 +1304,77 @@ fn the_later_of_hybrid_and_decoder_wins() {
             order,
             doc
         );
+    }
+}
+
+/// A router that fails to start after forking its shards stops and reaps them: once
+/// when the `--load` it is asked to place does not exist, and once when its addr-file
+/// cannot be written after the metrics sidecar is bound. The shard is started through
+/// a `/bin/sh` wrapper that records its pid before `exec`ing `hfzd`.
+#[cfg(unix)]
+#[test]
+fn a_failed_router_start_leaves_no_shard_running() {
+    use std::os::unix::fs::PermissionsExt;
+
+    let dir = std::env::temp_dir().join("hfz-cli-test-orphan-shards");
+    std::fs::create_dir_all(&dir).unwrap();
+    let pid_file = dir.join("shard.pid");
+    let wrapper = dir.join("hfzd-wrapper.sh");
+    std::fs::write(
+        &wrapper,
+        format!(
+            "#!/bin/sh\necho $$ > '{}'\nexec '{}' \"$@\"\n",
+            pid_file.display(),
+            env!("CARGO_BIN_EXE_hfzd")
+        ),
+    )
+    .unwrap();
+    std::fs::set_permissions(&wrapper, std::fs::Permissions::from_mode(0o755)).unwrap();
+
+    let missing_archive = format!("x={}", dir.join("missing.hfz").display());
+    let unwritable = dir.join("no-such-dir").join("addr");
+    let failures: [&[&str]; 2] = [
+        &["--load", &missing_archive],
+        &[
+            "--metrics",
+            "tcp:127.0.0.1:0",
+            "--addr-file",
+            unwritable.to_str().unwrap(),
+        ],
+    ];
+    for failure in failures {
+        let _ = std::fs::remove_file(&pid_file);
+        // A file, not a pipe: an orphaned shard would hold a pipe's write end open, and
+        // reading it to the end would wait for the shard instead of for the router.
+        let stderr_path = dir.join("hfzr.err");
+        let status = Command::new(env!("CARGO_BIN_EXE_hfzr"))
+            .args(["--listen", "tcp:127.0.0.1:0", "--spawn", "1", "--hfzd-bin"])
+            .arg(&wrapper)
+            .args(failure)
+            .stdout(Stdio::null())
+            .stderr(std::fs::File::create(&stderr_path).unwrap())
+            .status()
+            .expect("hfzr runs");
+
+        let pid = std::fs::read_to_string(&pid_file).expect("the shard was spawned");
+        let pid = pid.trim();
+        let alive = || {
+            Command::new("kill")
+                .args(["-0", pid])
+                .stderr(Stdio::null())
+                .status()
+                .expect("kill runs")
+                .success()
+        };
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+        while alive() && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        if alive() {
+            let _ = Command::new("kill").args(["-9", pid]).status();
+            panic!("{:?}: shard {} outlived the router", failure, pid);
+        }
+        let stderr = std::fs::read_to_string(&stderr_path).unwrap();
+        assert_eq!(status.code(), Some(3), "{:?}: {}", failure, stderr);
     }
 }
