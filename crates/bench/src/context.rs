@@ -8,9 +8,9 @@ use datasets::{dataset_by_name, generate, Field};
 use gpu_sim::{DeviceBuffer, Gpu, KernelStats, PhaseTime};
 use huffdec_codec::{BackendKind, Codec, CodecBuilder};
 use huffdec_core::{
-    compute_output_index, encode_gap8, gap_count_symbols, run_decode_write, synchronize,
-    CompressedPayload, DecoderKind, EncodedStream, Gap8Stream, OutputIndex, PhaseBreakdown,
-    SubseqInfo, SyncVariant, WriteStrategy,
+    compute_output_index, decode_original_gap8, encode_gap8, gap_count_symbols, run_decode_write,
+    synchronize, CompressedPayload, DecoderKind, EncodedStream, Gap8Stream, OutputIndex,
+    PhaseBreakdown, SubseqInfo, SyncVariant, WriteStrategy,
 };
 use sz::DEFAULT_ALPHABET_SIZE as ALPHABET;
 use sz::{quantize, verify_error_bound, Compressed, DecompressStats, ErrorBound};
@@ -124,7 +124,8 @@ impl Context {
     pub(crate) fn gap8(&mut self, ds: Dataset, rel_eb: f64) -> Rc<(Gap8Stream, PhaseBreakdown)> {
         self.cached(("gap8", ds, None, rel_eb.to_bits()), |ctx| {
             let g8 = encode_gap8(&ctx.codes(ds, rel_eb), ALPHABET);
-            let (decoded, timings) = ctx.codec(DecoderKind::OptimizedGapArray).decode_gap8(&g8);
+            let codec = ctx.codec(DecoderKind::OptimizedGapArray);
+            let (decoded, timings) = decode_original_gap8(codec.backend(), &g8);
             assert!(
                 decoded == g8.symbols8,
                 "8-bit gap-array decode of {} diverged",

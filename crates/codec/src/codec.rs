@@ -25,7 +25,7 @@ use gpu_sim::{Backend, BackendKind, GpuConfig};
 use huffdec_container::FormatVersion;
 use huffdec_core::{
     BatchStats, CompressedPayload, DecodeError, DecodeResult, DecoderKind, EncodePhaseBreakdown,
-    Gap8Stream, PhaseBreakdown, PreparedDecode, RangeDecode,
+    PhaseBreakdown, PreparedDecode, RangeDecode,
 };
 use huffdec_hybrid::AUTO_HYBRID_ZERO_FRACTION;
 use huffdec_metrics::Metrics;
@@ -571,12 +571,6 @@ impl Codec {
         let (mut results, _) =
             self.codes_wave(&[(self.config.decoder, payload, payload.compressed_bytes())])?;
         Ok(results.remove(0))
-    }
-
-    /// Decodes an original 8-bit gap-array stream (the Yamamoto et al. baseline the
-    /// evaluation compares against; symbols are the trimmed 8-bit codes).
-    pub fn decode_gap8(&self, stream: &Gap8Stream) -> (Vec<u8>, PhaseBreakdown) {
-        huffdec_core::decode_original_gap8(self.backend.as_ref(), stream)
     }
 
     // ----- serialization (uses the session format version) -----

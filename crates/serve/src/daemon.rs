@@ -196,7 +196,7 @@ impl DaemonBuilder {
         self
     }
 
-    /// Binds, preloads, and starts serving (see [`service::spawn`] for the sidecar and
+    /// Binds, preloads, and starts serving (see `service::spawn` for the sidecar and
     /// addr-file ordering). A bind failure is I/O, an unreadable preload is I/O, a
     /// corrupt preload is a container error — all reported here, before any client
     /// can connect.

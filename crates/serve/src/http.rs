@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use crate::net::{Conn, ListenAddr, Listener};
 use crate::server::Health;
-use crate::service::Service;
+use crate::service::{accept, Service};
 
 /// Longest request head (request line + headers) the sidecar will read.
 const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -63,8 +63,7 @@ impl<S: Service> HttpServer<S> {
     /// Accepts and serves scrapes until the owner shuts down. Each connection gets a
     /// short-lived thread; responses always carry `Connection: close`.
     pub fn run(self) -> std::io::Result<()> {
-        loop {
-            let conn = self.listener.accept()?;
+        while let Some(conn) = accept(&self.listener, self.service.lifecycle())? {
             if self.service.lifecycle().is_shutting_down() {
                 // The shutdown path connects once to unblock `accept`; answer that
                 // probe (or a scrape that raced it) with the unhealthy page, then stop.
@@ -76,6 +75,7 @@ impl<S: Service> HttpServer<S> {
                 let _ = serve_scrape(conn, &*service);
             });
         }
+        Ok(())
     }
 }
 

@@ -1,11 +1,12 @@
-//! # huffdec-serve — the `hfzd` block-decode daemon
+//! # huffdec-serve — the `hfzd` block-decode daemon and the `hfzr` fleet router
 //!
 //! The serving layer of the workspace: a long-running daemon that holds `HFZ1` archives
 //! *compressed in memory* and serves decoded fields (or ranges of them) to clients over
-//! a Unix-domain or TCP socket. This is the paper's §V GAMESS scenario — decompression
-//! latency, not compression, is the bottleneck when snapshots live compressed and
-//! fields are decoded on demand — built as the cuSZ-style "compression service around
-//! the kernel" rather than a one-shot CLI.
+//! a Unix-domain or TCP socket, and a router that shards them across a fleet of such
+//! daemons. This is the paper's §V GAMESS scenario — decompression latency, not
+//! compression, is the bottleneck when snapshots live compressed and fields are
+//! decoded on demand — built as the cuSZ-style "compression service around the
+//! kernel" rather than a one-shot CLI.
 //!
 //! The crate splits into:
 //!
@@ -20,14 +21,16 @@
 //! * [`service`] — the connection core `hfzd` and the `hfzr` router both run on: one
 //!   blocking accept loop, a thread per connection, and the spawn → handle →
 //!   shutdown → join lifecycle;
-//! * `http` — the observability sidecar [`service::spawn`] binds on request:
+//! * `http` — the observability sidecar `service::spawn` binds on request:
 //!   `GET /metrics` (Prometheus text exposition) and `GET /healthz` over plain
 //!   HTTP/1.1;
 //! * [`client`] — the synchronous [`Connection`] used by `hfz get`, the router's
 //!   shard links, and friends;
 //! * [`flags`] — the `--flag VALUE` cursor the `hfzd` and `hfzr` parsers share;
 //! * [`daemon`] — the [`Daemon`] builder (filled from flags or setters) and the
-//!   blocking foreground entry point shared by `hfzd` and `hfz serve`.
+//!   blocking foreground entry point shared by `hfzd` and `hfz serve`;
+//! * [`router`] — `hfzr`, N `hfzd` shards behind one endpoint on the same [`service`]
+//!   core: key placement, proxying and fan-out, failover, fleet `STATS`/`METRICS`.
 //!
 //! ## Request flow
 //!
@@ -68,6 +71,7 @@ pub mod flags;
 mod http;
 pub mod net;
 pub mod protocol;
+pub mod router;
 mod sched;
 pub mod server;
 pub mod service;

@@ -214,7 +214,7 @@ pub struct BatchGetItem {
 /// prefixed with its manifest name when the file carries a manifest, so clients can
 /// resolve names to indices without reading the file. The daemon renders it from its
 /// store, the `hfzr` router from its registry.
-pub fn list_document<'a, I>(
+pub(crate) fn list_document<'a, I>(
     archives: impl IntoIterator<Item = (&'a str, &'a str, Option<&'a SnapshotManifest>, I)>,
 ) -> String
 where

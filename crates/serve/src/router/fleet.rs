@@ -12,9 +12,9 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use huffdec_serve::client::{ClientError, Connection};
-use huffdec_serve::net::ListenAddr;
-use huffdec_serve::protocol::{Request, Response};
+use crate::client::{ClientError, Connection};
+use crate::net::ListenAddr;
+use crate::protocol::{Request, Response};
 
 /// One shard of the fleet.
 pub struct ShardLink {

@@ -1,39 +1,62 @@
-//! The router itself: one protocol endpoint in front of N `hfzd` shards.
+//! `hfzr`, the sharded-fleet router: one protocol endpoint in front of N `hfzd` shards.
+//! It speaks the daemon's protocol unchanged (`hfz --addr` works against it), but
+//! behind it every `archive/field` key belongs to one shard:
 //!
-//! [`RouterState`] owns the [`Placement`] table, the shard links, and an archive
-//! registry (`name → path + the file's summary + which shards hold it`). It keeps
-//! one copy of each: a shard's liveness is its placement slot, and an archive's
-//! field keys and metadata are the summary `LOAD` read. Requests dispatch as:
+//! ```text
+//!                        ┌────────┐ GET a/0, a/3
+//!   hfz ── protocol ──▶  │  hfzr  │ ───────────────▶ hfzd shard 0
+//!                        │        │ GET a/1
+//!                        │ place- │ ───────────────▶ hfzd shard 1
+//!                        │ ment   │ GET a/2
+//!                        └────────┘ ───────────────▶ hfzd shard 2
+//! ```
+//!
+//! * [`placement`] — the rendezvous (highest-random-weight) table: stable across
+//!   restarts, and a shard death moves only the dead shard's keys;
+//! * [`fleet`] — shard links (attach to a running daemon, or spawn-and-own an `hfzd`
+//!   child) over the redialing [`Connection`](crate::Connection);
+//! * [`options`] — the [`Router`] builder (filled from `hfzr` flags or setters) and the
+//!   blocking foreground entry point behind the `hfzr` binary;
+//! * [`RouterState`], here — the placement table, the shard links and an archive
+//!   registry (`name → path + the summary `LOAD` read + which shards hold it`), served
+//!   as a [`Service`] on the connection core `hfzd` runs ([`crate::service`]): each
+//!   connection thread runs [`RouterState::handle`], blocking on the shard's reply.
+//!
+//! A shard's liveness is its placement slot, and an archive's field keys and metadata
+//! are its summary. Requests dispatch as:
 //!
 //! * `GET` / `VERIFY` — proxied to the owning shard (verify goes to field 0's owner;
 //!   every owning shard holds the whole file, so any of them can verify it);
-//! * `GETBATCH` — split by owner, fanned out concurrently (one thread per shard),
-//!   and merged back **in request order**;
-//! * `LOAD` — the router peeks the file's manifest for field names, computes the
-//!   owner set, and loads the archive onto every owning shard;
-//! * `LIST` — rendered from the registry by the daemon's own renderer, without
-//!   asking any shard: the archives loaded through the router, which are the ones it
-//!   can route;
-//! * `STATS` / `METRICS` — fleet aggregation: summed counters and the shards'
-//!   Prometheus families merged under a `shard` label.
+//! * `GETBATCH` — split by owner, fanned out concurrently (one thread per shard), and
+//!   merged back **in request order**;
+//! * `LOAD` — the file's manifest names the field keys; the archive is loaded onto
+//!   every owning shard;
+//! * `LIST` — rendered from the registry by the daemon's own renderer, without asking
+//!   any shard;
+//! * `STATS` / `METRICS` — summed counters, and the shards' Prometheus families merged
+//!   under a `shard` label.
 //!
-//! Connections, threads and shutdown are [`huffdec_serve::service`]'s — the same
-//! accept loop `hfzd` runs — with [`RouterState`] plugged in as its
-//! [`Service`]: each connection thread runs
-//! [`RouterState::handle`] to completion, blocking on the owning shard's reply.
+//! ## Failure model
 //!
-//! **One shard call.** Every dispatcher above talks to a shard through
-//! `RouterState::call`, which classifies the outcome once. Either the shard has
-//! something to say — its reply, its own error message, or the typed `BUSY` when it
-//! is alive but still shedding load after the one `BUSY_BACKOFF` retry (which
-//! propagates to the client and never marks anything down) — or it is *gone*: a
-//! disconnect survived the [`Connection`](huffdec_serve::Connection)'s own redial.
-//! By the time the call returns, a gone shard's placement slot is down, its keys
-//! re-resolved against the survivors (rendezvous hashing moves *only* the dead
-//! shard's keys) and the affected archives re-`LOAD`ed onto their new owners.
+//! Every dispatcher talks to a shard through `RouterState::call`, which classifies the
+//! outcome once. Either the shard has something to say — its reply, its own error, or
+//! the typed `BUSY` when it is still shedding load after the one `BUSY_BACKOFF` retry
+//! (which reaches the client and marks nothing down) — or it is *gone*: a disconnect
+//! survived the [`Connection`](crate::Connection)'s own redial. By the time the call
+//! returns, a gone shard's placement slot is down, its keys re-resolved against the
+//! survivors and the affected archives re-`LOAD`ed onto their new owners.
 //! Single-field requests and batch fan-outs then retry once against the new owner —
 //! whether the shard died on the first attempt or during its `BUSY` back-off — so
-//! clients see one slow request, not an error.
+//! clients see one slow request, not an error. The fleet `/healthz` reports one
+//! degraded window per absorbed death, then healthy again on the survivors.
+
+pub mod fleet;
+pub mod options;
+pub mod placement;
+
+pub use fleet::{spawn_shard, ShardLink};
+pub use options::{run_foreground, Router, RouterBuilder, RouterHandle, DEFAULT_LISTEN};
+pub use placement::{field_key, Placement};
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,13 +65,11 @@ use std::sync::{Mutex, RwLock, RwLockReadGuard};
 use huffdec_codec::ArchiveSummary;
 use huffdec_container::JsonWriter;
 use huffdec_metrics::{merge_expositions, parse_prometheus, sum_samples};
-use huffdec_serve::client::ClientError;
-use huffdec_serve::protocol::{list_document, BatchGetItem, GetKind, Request, Response};
-use huffdec_serve::server::Health;
-use huffdec_serve::service::{Lifecycle, Service};
 
-use crate::fleet::ShardLink;
-use crate::placement::{field_key, Placement};
+use crate::client::ClientError;
+use crate::protocol::{list_document, BatchGetItem, GetKind, Request, Response};
+use crate::server::Health;
+use crate::service::{Lifecycle, Service};
 
 /// Back-off before retrying a shard that answered `BUSY`: long enough for one decode
 /// wave, which drains the shard's whole pending queue, short enough that the client

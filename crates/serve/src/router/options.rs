@@ -13,36 +13,28 @@
 //! * `--spawn N` — **spawn** N `hfzd` children on ephemeral ports (ids continue after
 //!   the attached shards); their lifetime is the router's;
 //! * `--hfzd-bin PATH` — the binary `--spawn` forks; default `hfzd` (from `$PATH`);
-//! * `--cache-bytes N` — forwarded to every spawned shard. Spawned shards inherit the
-//!   router's environment, so `HFZ_BACKEND=sim hfzr --spawn N` runs them on the
-//!   simulator;
+//! * `--cache-bytes N` — forwarded to every spawned shard, which also inherits the
+//!   router's environment (`HFZ_BACKEND=sim hfzr --spawn N` runs shards on `sim`);
 //! * `--load NAME=PATH` — place an archive across the fleet at start-up (repeatable);
 //! * `--metrics ADDR` — HTTP sidecar serving the *fleet* `GET /metrics` (shard
-//!   families merged under a `shard` label) and `GET /healthz` (degraded while a
-//!   shard death is being absorbed);
-//! * `--addr-file PATH` — write the resolved listen address to `PATH` (atomically,
-//!   via a sibling temp file + rename) once the router is accepting, so supervisors
-//!   learn ephemeral ports without scraping stdout.
+//!   families under a `shard` label) and `GET /healthz`;
+//! * `--addr-file PATH` — write the resolved listen address to `PATH` (atomically)
+//!   once the router is accepting, so supervisors learn ephemeral ports.
 //!
-//! Embedders use [`Router::builder()`] → [`RouterBuilder::spawn`] and get a
-//! [`RouterHandle`] back (resolved address, shared state, `shutdown()`/`join()`);
-//! the `hfzr` binary fills the same builder from flags ([`RouterBuilder::parse`])
-//! and hands it to [`run_foreground`], which prints one line per shard, then
-//! `metrics on <addr>` (when requested), then the `listening on <addr>` line — same
-//! contract as `hfzd` itself, and the same connection core underneath
-//! ([`huffdec_serve::service`]).
+//! Embedders use [`Router::builder()`] → [`RouterBuilder::spawn`] → [`RouterHandle`];
+//! the `hfzr` binary fills the same builder with [`RouterBuilder::parse`] and hands it
+//! to [`run_foreground`], with the start-up lines `hfzd` prints.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use huffdec_codec::HfzError;
-use huffdec_serve::flags::Flags;
-use huffdec_serve::net::{ListenAddr, Listener};
-use huffdec_serve::protocol::{Request, Response};
-use huffdec_serve::service::{self, ServiceHandle};
 
-use crate::fleet::{spawn_shard, ShardLink};
-use crate::router::RouterState;
+use super::{spawn_shard, RouterState, ShardLink};
+use crate::flags::Flags;
+use crate::net::{ListenAddr, Listener};
+use crate::protocol::{Request, Response};
+use crate::service::{self, ServiceHandle};
 
 /// Default listen address when `--listen` is absent.
 pub const DEFAULT_LISTEN: &str = "tcp:127.0.0.1:4807";
@@ -89,10 +81,8 @@ impl Default for RouterBuilder {
 }
 
 impl RouterBuilder {
-    /// Parses
-    /// `--listen/--shard/--spawn/--hfzd-bin/--cache-bytes/--load/--metrics/--addr-file`
-    /// into a builder. `--cache-bytes` is checked here and forwarded to every spawned
-    /// shard, so a bad value is a usage error, not a shard that fails to start.
+    /// Parses the `hfzr` flags (see the module docs) into a builder. `--cache-bytes` is
+    /// checked here, so a bad value is a usage error, not a shard that fails to start.
     pub fn parse(args: &[String]) -> Result<RouterBuilder, String> {
         let mut builder = RouterBuilder::default();
         let mut flags = Flags::new(args);
@@ -150,7 +140,7 @@ impl RouterBuilder {
     }
 
     /// Builds the fleet, binds, preloads, and starts routing (see
-    /// [`service::spawn`] for the sidecar and addr-file ordering). Failure classes
+    /// `service::spawn` for the sidecar and addr-file ordering). Failure classes
     /// mirror the daemon's so `hfzr` exits with the same stable codes as `hfzd`.
     pub fn spawn(self) -> Result<RouterHandle, HfzError> {
         let mut links: Vec<ShardLink> = Vec::new();

@@ -2,10 +2,10 @@
 //! thread per connection, one start-up and shutdown sequence.
 //!
 //! A [`Service`] is the state behind a protocol endpoint — the daemon's
-//! [`ServerState`](crate::server::ServerState), the router's `RouterState`. [`spawn`]
-//! puts one on the wire: it binds the HTTP sidecar (when asked), writes the addr-file,
-//! starts the accept loop on a background thread and returns the [`ServiceHandle`]
-//! that stops and joins it.
+//! [`ServerState`](crate::server::ServerState), the router's
+//! [`RouterState`](crate::router::RouterState). `spawn` puts one on the wire: it binds
+//! the HTTP sidecar (when asked), writes the addr-file, starts the accept loop on a
+//! background thread and returns the [`ServiceHandle`] that stops and joins it.
 //!
 //! **What blocks where.** The accept thread blocks in `accept`. Each connection thread
 //! blocks in `read` between requests, runs [`Service::handle`] to completion — for a
@@ -15,8 +15,9 @@
 //! the length prefix and header bytes in one small buffer, the payloads borrowed from
 //! the response (see the `protocol` module docs); clients and the router's shard links
 //! send requests through the same writer. A reply too large for a frame degrades there
-//! to a typed error frame before anything is written. Nothing polls and nothing
-//! sleeps; a slow or stalled peer holds up its own thread only.
+//! to a typed error frame before anything is written. Nothing polls, and nothing
+//! sleeps but an accept loop waiting out a descriptor shortage (see `accept`); a
+//! slow or stalled peer holds up its own thread only.
 //!
 //! **The shutdown contract.** `SHUTDOWN` (or [`ServiceHandle::shutdown`]) sets the
 //! service's [`Lifecycle`] flag and dials each bound listener once to unblock its
@@ -28,7 +29,7 @@
 //! writing to a peer that stopped reading; its socket is then closed in both
 //! directions, so [`ServiceHandle::join`] returns no matter what clients do.
 
-use std::io::Write as _;
+use std::io::{ErrorKind, Write as _};
 use std::net::Shutdown;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -48,6 +49,10 @@ use crate::server::Health;
 /// How long shutdown waits for connection threads to finish what they are writing
 /// before it closes their sockets outright.
 const DRAIN_GRACE: Duration = Duration::from_millis(200);
+
+/// How long an accept loop waits before it retries once the process is out of
+/// descriptors, so that a limit that stays exhausted does not spin a core.
+const ACCEPT_PAUSE: Duration = Duration::from_millis(10);
 
 /// The state behind a protocol endpoint: what the shared accept loop and the HTTP
 /// sidecar need from it.
@@ -104,6 +109,31 @@ impl Lifecycle {
     }
 }
 
+/// The next connection on `listener`, or `None` once shutdown is requested while the
+/// process is out of descriptors (shutdown cannot then dial the listener awake). Only
+/// the listener's own errors are returned: an interrupted call or a peer that hung up
+/// first is skipped, and a descriptor shortage is waited out in [`ACCEPT_PAUSE`] steps.
+pub(crate) fn accept(listener: &Listener, lifecycle: &Lifecycle) -> std::io::Result<Option<Conn>> {
+    loop {
+        let e = match listener.accept() {
+            Ok(conn) => return Ok(Some(conn)),
+            Err(e) => e,
+        };
+        // ENFILE and EMFILE, the same on Linux and the BSDs; `ErrorKind` names neither.
+        if matches!(e.raw_os_error(), Some(23 | 24)) {
+            std::thread::sleep(ACCEPT_PAUSE);
+            if lifecycle.is_shutting_down() {
+                return Ok(None);
+            }
+        } else if !matches!(
+            e.kind(),
+            ErrorKind::Interrupted | ErrorKind::ConnectionAborted
+        ) {
+            return Err(e);
+        }
+    }
+}
+
 /// Runs one connection's request loop: frame in, [`Service::handle`], frame out.
 fn serve_connection<S: Service>(state: &S, conn: &mut Conn) {
     loop {
@@ -138,9 +168,9 @@ fn run<S: Service>(listener: Listener, state: Arc<S>) -> std::io::Result<()> {
     // the moment the last of them is gone.
     let (exit_guard, all_exited) = mpsc::channel::<()>();
     let result = loop {
-        let conn = match listener.accept() {
-            Ok(conn) => conn,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+        let conn = match accept(&listener, state.lifecycle()) {
+            Ok(Some(conn)) => conn,
+            Ok(None) => break Ok(()),
             Err(e) => {
                 state.request_shutdown();
                 break Err(e);
@@ -198,7 +228,7 @@ fn run<S: Service>(listener: Listener, state: Arc<S>) -> std::io::Result<()> {
 /// `hfz serve` and `hfzr` exit with the same stable codes, embedders never fish an
 /// error out of a thread, and a failed start drops `state` (a router's spawned shards
 /// with it).
-pub fn spawn<S: Service>(
+pub(crate) fn spawn<S: Service>(
     listener: Listener,
     state: Arc<S>,
     metrics: Option<&ListenAddr>,

@@ -20,6 +20,13 @@
 //!
 //! The reply itself leaves as one vectored write of a small header and the borrowed
 //! payload, so neither `Response::encode` nor a frame buffer copies it.
+//!
+//! A second row routes the same `GET`: an in-process router, attached to that one
+//! daemon as its only shard and listening on the same transport, sits between the
+//! client and the daemon. Its count covers all three parties and repeats exactly too.
+//! It makes five payloads: the three above, plus two on the router's shard link —
+//! its frame read and its response decode. The router's reply to the client borrows
+//! the payload it decoded, as the daemon's does.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,6 +38,7 @@ use huffdec_core::DecoderKind;
 use huffdec_serve::client::Connection;
 use huffdec_serve::net::ListenAddr;
 use huffdec_serve::protocol::GetKind;
+use huffdec_serve::router::Router;
 use huffdec_serve::Daemon;
 use sz::{compress, SzConfig};
 
@@ -84,6 +92,47 @@ const PIN_ALLOCATIONS: u64 = 13;
 /// Bytes those allocations request per cached `GET`: three payloads and the small
 /// change of names, headers and frames.
 const PIN_BYTES: u64 = 3 * PAYLOAD + 362;
+/// Allocations per routed cached `GET`, all three parties together.
+const PIN_ROUTED_ALLOCATIONS: u64 = 23;
+/// Bytes those allocations request per routed cached `GET`: five payloads and the
+/// small change.
+const PIN_ROUTED_BYTES: u64 = 5 * PAYLOAD + 694;
+
+/// Counts each of [`COUNTED`] cached `GET`s of field 0 of `hacc` through `addr`, after
+/// [`WARM_UP`] uncounted ones, and checks every count against its pins.
+fn pin_cached_gets(addr: &ListenAddr, pin_allocations: u64, pin_bytes: u64) {
+    let mut client = Connection::connect(addr).unwrap();
+    for _ in 0..WARM_UP {
+        client.get("hacc", 0, GetKind::Data, None).unwrap();
+    }
+    let mut counts = Vec::with_capacity(COUNTED);
+    for _ in 0..COUNTED {
+        let (allocations, bytes) = (
+            ALLOCATIONS.load(Ordering::SeqCst),
+            BYTES.load(Ordering::SeqCst),
+        );
+        let reply = client.get("hacc", 0, GetKind::Data, None).unwrap();
+        counts.push((
+            ALLOCATIONS.load(Ordering::SeqCst) - allocations,
+            BYTES.load(Ordering::SeqCst) - bytes,
+        ));
+        assert!(reply.from_cache);
+        assert_eq!(reply.bytes.len() as u64, PAYLOAD);
+    }
+    for (i, &(allocations, bytes)) in counts.iter().enumerate() {
+        assert!(
+            allocations <= pin_allocations && bytes <= pin_bytes,
+            "{} GET {}: {} allocations of {} bytes ({:.3} payloads), pinned at {} of {}",
+            addr,
+            i,
+            allocations,
+            bytes,
+            bytes as f64 / PAYLOAD as f64,
+            pin_allocations,
+            pin_bytes
+        );
+    }
+}
 
 #[test]
 fn a_cached_get_allocates_three_payloads() {
@@ -100,11 +149,17 @@ fn a_cached_get_allocates_three_payloads() {
     writer.write_compressed(&compressed).unwrap();
     writer.into_inner().unwrap();
 
-    let mut transports = vec![ListenAddr::parse("tcp:127.0.0.1:0").unwrap()];
+    let mut transports = vec![(
+        ListenAddr::parse("tcp:127.0.0.1:0").unwrap(),
+        ListenAddr::parse("tcp:127.0.0.1:0").unwrap(),
+    )];
     if cfg!(unix) {
-        transports.push(ListenAddr::Unix(dir.join("d.sock")));
+        transports.push((
+            ListenAddr::Unix(dir.join("d.sock")),
+            ListenAddr::Unix(dir.join("r.sock")),
+        ));
     }
-    for listen in transports {
+    for (listen, router_listen) in transports {
         let daemon = Daemon::builder()
             .listen(listen)
             .gpu(GpuConfig::test_tiny())
@@ -112,38 +167,21 @@ fn a_cached_get_allocates_three_payloads() {
             .preload("hacc", path.to_str().unwrap())
             .spawn()
             .unwrap();
-        let mut client = Connection::connect(daemon.local_addr()).unwrap();
-        for _ in 0..WARM_UP {
-            client.get("hacc", 0, GetKind::Data, None).unwrap();
-        }
-        let mut counts = Vec::with_capacity(COUNTED);
-        for _ in 0..COUNTED {
-            let (allocations, bytes) = (
-                ALLOCATIONS.load(Ordering::SeqCst),
-                BYTES.load(Ordering::SeqCst),
-            );
-            let reply = client.get("hacc", 0, GetKind::Data, None).unwrap();
-            counts.push((
-                ALLOCATIONS.load(Ordering::SeqCst) - allocations,
-                BYTES.load(Ordering::SeqCst) - bytes,
-            ));
-            assert!(reply.from_cache);
-            assert_eq!(reply.bytes.len() as u64, PAYLOAD);
-        }
-        let addr = daemon.local_addr().to_string();
-        for (i, &(allocations, bytes)) in counts.iter().enumerate() {
-            assert!(
-                allocations <= PIN_ALLOCATIONS && bytes <= PIN_BYTES,
-                "{} GET {}: {} allocations of {} bytes ({:.3} payloads), pinned at {} of {}",
-                addr,
-                i,
-                allocations,
-                bytes,
-                bytes as f64 / PAYLOAD as f64,
-                PIN_ALLOCATIONS,
-                PIN_BYTES
-            );
-        }
+        pin_cached_gets(daemon.local_addr(), PIN_ALLOCATIONS, PIN_BYTES);
+
+        let router = Router::builder()
+            .listen(router_listen)
+            .attach(daemon.local_addr().clone())
+            .preload("hacc", path.to_str().unwrap())
+            .spawn()
+            .unwrap();
+        pin_cached_gets(
+            router.local_addr(),
+            PIN_ROUTED_ALLOCATIONS,
+            PIN_ROUTED_BYTES,
+        );
+        router.shutdown();
+        router.join().unwrap();
         daemon.shutdown();
         daemon.join().unwrap();
     }

@@ -11,16 +11,15 @@ use datasets::{dataset_by_name, generate, Field};
 use gpu_sim::{Gpu, GpuConfig};
 use huffdec_container::ArchiveWriter;
 use huffdec_core::DecoderKind;
-use huffdec_router::{Placement, Router, RouterHandle};
 use huffdec_serve::client::Connection;
 use huffdec_serve::net::{ListenAddr, Listener};
 use huffdec_serve::protocol::{
     read_frame, write_frame, GetKind, Request, Response, MAX_REQUEST_BYTES, MAX_RESPONSE_BYTES,
 };
+use huffdec_serve::router::{Placement, Router, RouterHandle};
 use huffdec_serve::{Daemon, ServerHandle};
 use sz::{compress, decompress, Compressed, SzConfig};
 
-#[path = "../../serve/tests/support/mod.rs"]
 mod support;
 
 const ELEMENTS: usize = 8_000;

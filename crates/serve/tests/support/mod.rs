@@ -1,7 +1,7 @@
-//! Live-path checks shared by the daemon tests and — through `#[path]` — the router's
-//! fleet tests. `hfzd` and `hfzr` run on the same connection core
-//! (`huffdec_serve::service`), so the same misbehaving peers must get the same
-//! treatment from either, and both must shut down with clients still connected.
+//! Live-path checks shared by the daemon tests and the router's fleet tests. `hfzd` and
+//! `hfzr` run on the same connection core (`huffdec_serve::service`), so the same
+//! misbehaving peers must get the same treatment from either, and both must shut down
+//! with clients still connected.
 
 use std::io::{Read as _, Write as _};
 use std::time::Duration;

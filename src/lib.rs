@@ -52,7 +52,7 @@ pub use gpu_sim;
 pub use huffdec_container as container;
 pub use huffdec_core as core_decoders;
 pub use huffdec_metrics as metrics;
-pub use huffdec_router as router;
 pub use huffdec_serve as serve;
+pub use huffdec_serve::router;
 pub use huffman;
 pub use sz;

@@ -1378,3 +1378,72 @@ fn a_failed_router_start_leaves_no_shard_running() {
         assert_eq!(status.code(), Some(3), "{:?}: {}", failure, stderr);
     }
 }
+
+/// Running out of descriptors does not stop a server. `hfzd` runs under a `/bin/sh`
+/// wrapper that lowers its own descriptor limit to 24, so a burst of 20 idle
+/// connections exhausts it; the daemon must outlive the burst and, once the burst
+/// hangs up, answer `hfz list` again.
+#[cfg(unix)]
+#[test]
+fn a_daemon_out_of_descriptors_keeps_serving() {
+    use std::time::{Duration, Instant};
+
+    let dir = std::env::temp_dir().join("hfz-cli-test-fd-exhaustion");
+    std::fs::create_dir_all(&dir).unwrap();
+    let addr_file = dir.join("hfzd.addr");
+    let stderr_path = dir.join("hfzd.err");
+    let _ = std::fs::remove_file(&addr_file);
+    let mut daemon = Command::new("/bin/sh")
+        .args([
+            "-c",
+            "ulimit -n 24 && exec \"$0\" --listen tcp:127.0.0.1:0 --addr-file \"$1\"",
+        ])
+        .arg(env!("CARGO_BIN_EXE_hfzd"))
+        .arg(&addr_file)
+        .stdout(Stdio::null())
+        .stderr(std::fs::File::create(&stderr_path).unwrap())
+        .spawn()
+        .expect("hfzd starts");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let addr = loop {
+        match std::fs::read_to_string(&addr_file) {
+            Ok(addr) if !addr.is_empty() => break addr.trim().to_string(),
+            _ if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
+            _ => {
+                let _ = daemon.kill();
+                panic!("hfzd wrote no addr-file");
+            }
+        }
+    };
+    let port = addr.strip_prefix("tcp:").expect("a tcp address");
+    let burst: Vec<_> = (0..20)
+        .map(|_| std::net::TcpStream::connect(port).expect("the backlog takes the burst"))
+        .collect();
+    std::thread::sleep(Duration::from_millis(300));
+    let survived = daemon.try_wait().unwrap().is_none();
+    drop(burst);
+
+    let mut list = hfz()
+        .args(["list", "--addr", &addr])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("hfz runs");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let listed = loop {
+        match list.try_wait().unwrap() {
+            Some(status) => break status.success(),
+            None if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
+            None => {
+                let _ = list.kill();
+                let _ = list.wait();
+                break false;
+            }
+        }
+    };
+    let _ = daemon.kill();
+    let _ = daemon.wait();
+    let stderr = std::fs::read_to_string(&stderr_path).unwrap();
+    assert!(survived, "hfzd exited during the burst: {}", stderr);
+    assert!(listed, "hfz list failed after the burst: {}", stderr);
+}
