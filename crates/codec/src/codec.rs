@@ -9,27 +9,31 @@
 //! configuration.
 //!
 //! Every full decode — one field or many, f32 data or quantization codes, a direct call
-//! or a daemon scheduler wave — is a **wave**: the `sz` batch functions run it (a wave
-//! of one is the serial decode, on the calling thread), a failure bumps
-//! `decode_errors`, and one recorder feeds the per-decoder
+//! or a daemon scheduler wave — is one **wave** (`Codec::wave`): each field's whole
+//! job (its Huffman decode, and for data its reconstruction) is one task of the
+//! backend's pool, and every field gets its own outcome, so a corrupt stream fails only
+//! its own field. A wave of one is the serial decode, on the calling thread. Each
+//! failed decode bumps `decode_errors`, and one recorder feeds the per-decoder
 //! `decode_seconds` histogram and the `decode_bytes_in` / `decode_bytes_out` counters
-//! for each field. A single-field wave publishes `decode_occupancy_permille`; only
-//! waves of two or more fields move the batch instruments (`batch_serial_seconds`,
-//! `batch_batched_seconds`, `batch_occupancy_permille`). A stream that does not decode
-//! to its declared symbol count comes back as `HfzError::Decode` (exit code 5).
+//! for each finished field. A single-field wave publishes `decode_occupancy_permille`;
+//! only waves of two or more finished fields move the batch instruments
+//! (`batch_serial_seconds`, `batch_batched_seconds`, `batch_occupancy_permille`). A
+//! stream that does not decode to its declared symbol count comes back as
+//! `HfzError::Decode` (exit code 5).
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use datasets::Field;
 use gpu_sim::{Backend, BackendKind, GpuConfig};
 use huffdec_container::FormatVersion;
 use huffdec_core::{
     BatchStats, CompressedPayload, DecodeError, DecodeResult, DecoderKind, EncodePhaseBreakdown,
-    PhaseBreakdown, PreparedDecode, RangeDecode,
+    PreparedDecode, RangeDecode,
 };
 use huffdec_hybrid::AUTO_HYBRID_ZERO_FRACTION;
 use huffdec_metrics::Metrics;
-use sz::{BatchDecompressStats, CompressStats, Compressed, DecompressStats, ErrorBound, SzConfig};
+use sz::{CompressStats, Compressed, DecompressStats, Decompressed, ErrorBound, SzConfig};
 
 use crate::error::{HfzError, Result};
 use crate::handle::{ArchiveHandle, FieldHandle};
@@ -60,27 +64,26 @@ impl EncodeOutcome {
 }
 
 /// A reconstructed field together with its decompression timing — what
-/// [`Codec::decompress`] returns.
-#[derive(Debug, Clone)]
-pub struct DecodeOutcome {
-    /// The reconstructed data.
-    pub data: Vec<f32>,
-    /// The decompression timing (Huffman phases + reconstruction kernels, plus the
-    /// PCIe transfer when the codec models it): measured on the CPU backend, modeled
-    /// on the simulator.
-    pub stats: DecompressStats,
+/// [`Codec::decompress`] returns: the reconstructed data, and the Huffman phases plus
+/// reconstruction kernels (with the PCIe transfer stamped beside them), measured on the
+/// CPU backend, modeled on the simulator.
+pub use sz::Decompressed as DecodeOutcome;
+
+/// What a field is decoded to: its reconstructed data or its quantization codes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum GetKind {
+    /// The reconstructed field: little-endian f32s (field archives only).
+    Data,
+    /// The decoded quantization codes: little-endian u16s (any archive).
+    Codes,
 }
 
-impl DecodeOutcome {
-    /// Overall decompression throughput in GB/s over `original_bytes`.
-    pub fn overall_throughput_gbs(&self, original_bytes: u64) -> f64 {
-        self.stats.overall_throughput_gbs(original_bytes)
-    }
-
-    fn from_sz(d: sz::Decompressed) -> Self {
-        DecodeOutcome {
-            data: d.data,
-            stats: d.stats,
+impl GetKind {
+    /// Bytes one element of this kind occupies on the wire.
+    pub fn element_bytes(&self) -> u64 {
+        match self {
+            GetKind::Data => 4,
+            GetKind::Codes => 2,
         }
     }
 }
@@ -94,6 +97,66 @@ pub struct BatchDecodeOutcome {
     pub fields: Vec<DecodeOutcome>,
     /// The batched timing: serial baseline vs. one overlapped wave.
     pub stats: BatchDecompressStats,
+}
+
+/// Timing breakdown of a batched multi-field decompression
+/// ([`Codec::decompress_batch`]): the Huffman wave statistics plus the analytic cost of
+/// the per-field reconstruction kernels.
+#[derive(Debug, Clone)]
+pub struct BatchDecompressStats {
+    /// The batched Huffman decode statistics (serial baseline vs. overlapped wave).
+    pub huffman: BatchStats,
+    /// Total reconstruction cost across fields (reverse dual-quantization + outlier
+    /// scatter), charged identically to both the serial and the batched estimate.
+    pub reconstruct_seconds: f64,
+    /// End-to-end cost of decompressing the fields one-after-another.
+    pub serial_seconds: f64,
+    /// End-to-end cost of the fields decompressed as one wave: on the simulator the
+    /// Huffman wave's estimate plus every field's reconstruction; on the CPU backend
+    /// the wave's wall clock.
+    pub batched_seconds: f64,
+}
+
+impl BatchDecompressStats {
+    /// The end-to-end totals, read as a wave's statistics.
+    fn totals(&self) -> BatchStats {
+        BatchStats {
+            serial_seconds: self.serial_seconds,
+            batched_seconds: self.batched_seconds,
+            ..self.huffman.clone()
+        }
+    }
+
+    /// Speedup of the batched pipeline over serial decompression (≥ 1).
+    pub fn overlap_speedup(&self) -> f64 {
+        self.totals().overlap_speedup()
+    }
+
+    /// Serial decompression throughput in GB/s relative to `original_bytes`.
+    pub fn serial_throughput_gbs(&self, original_bytes: u64) -> f64 {
+        self.totals().serial_throughput_gbs(original_bytes)
+    }
+
+    /// Batched decompression throughput in GB/s relative to `original_bytes`.
+    pub fn batched_throughput_gbs(&self, original_bytes: u64) -> f64 {
+        self.totals().batched_throughput_gbs(original_bytes)
+    }
+}
+
+/// The symbols a codes task decoded, as the decode API returns them.
+fn codes_result(d: Decompressed<Vec<u16>>) -> DecodeResult {
+    DecodeResult {
+        symbols: d.data,
+        timings: d.stats.huffman,
+    }
+}
+
+/// The archive a data decode of `field` reconstructs from; payload-only fields have
+/// none.
+fn reconstructable(field: &FieldHandle) -> Result<&Compressed> {
+    field.compressed().ok_or_else(|| {
+        HfzError::Usage("archive is payload-only; nothing to reconstruct".to_string())
+    })
 }
 
 /// What a deep check of one field finds ([`Codec::field_digest`]): the decoded
@@ -399,28 +462,90 @@ impl Codec {
         });
     }
 
-    /// Publishes a finished wave: the perf-model occupancy of its kernels
-    /// (time-weighted across every field, permille; breakdowns without kernel stats
-    /// leave the gauge untouched) and — for two or more fields only — the
-    /// serial-vs-batched seconds.
-    fn publish_wave<'a>(
+    /// A data task: decodes `c`'s codes and reconstructs the field.
+    fn data_field(&self, c: &Compressed) -> Result<Decompressed<Vec<f32>>> {
+        let decoded = self.count_error(sz::decode_codes(self.backend(), c))?;
+        let d = sz::reconstruct(self.backend(), c, decoded);
+        let bytes_out = d.data.len() as u64 * 4;
+        self.record_decode(
+            c.decoder(),
+            d.stats.total_seconds,
+            c.compressed_bytes(),
+            bytes_out,
+        );
+        Ok(d)
+    }
+
+    /// A codes task: decodes one stream's symbols with `decoder`. `bytes_in` is the
+    /// compressed byte count `decode_bytes_in` charges for it.
+    fn codes_field(
         &self,
-        huffman: impl ExactSizeIterator<Item = &'a PhaseBreakdown>,
-        serial_seconds: f64,
-        batched_seconds: f64,
-    ) {
-        let batched = huffman.len() >= 2;
-        let (mut weighted, mut total) = (0.0, 0.0);
-        for k in huffman
-            .flat_map(|t| t.phases())
-            .flat_map(|(_, p)| &p.kernels)
-        {
-            weighted += k.occupancy.fraction * k.time_s;
-            total += k.time_s;
+        decoder: DecoderKind,
+        payload: &CompressedPayload,
+        bytes_in: u64,
+    ) -> Result<Decompressed<Vec<u16>>> {
+        let r = self.count_error(sz::decode_payload(self.backend(), decoder, payload))?;
+        let seconds = r.timings.total_seconds();
+        self.record_decode(decoder, seconds, bytes_in, r.symbols.len() as u64 * 2);
+        Ok(Decompressed {
+            data: r.symbols,
+            stats: DecompressStats {
+                huffman: r.timings,
+                total_seconds: seconds,
+                ..DecompressStats::default()
+            },
+        })
+    }
+
+    /// A codes task over an opened field's stream.
+    fn field_codes(&self, field: &FieldHandle) -> Result<Decompressed<Vec<u16>>> {
+        let payload = field.archive().payload();
+        self.codes_field(field.decoder(), payload, payload.compressed_bytes())
+    }
+
+    /// The one wave every full decode runs: `field` is one item's whole job (a
+    /// [`Codec::data_field`] or [`Codec::codes_field`] task, which records the field),
+    /// and every item is one task of one [`huffdec_core::decode_wave`] on the session's
+    /// pool. Each item gets its own outcome, in input order. Publishes the wave: the
+    /// perf-model occupancy of its kernels (time-weighted across every finished field,
+    /// permille; breakdowns without kernel stats leave the gauge untouched) and — for
+    /// two or more finished fields only — the serial-vs-batched seconds.
+    fn wave<T: Sync, O: Send + Sync>(
+        &self,
+        items: &[T],
+        field: impl Fn(&T) -> Result<Decompressed<O>> + Sync,
+    ) -> (Vec<Result<Decompressed<O>>>, BatchDecompressStats) {
+        let start = Instant::now();
+        let (fields, huffman) =
+            huffdec_core::decode_wave(self.backend(), items, field, |d| &d.stats.huffman);
+        let wall = start.elapsed().as_secs_f64();
+
+        let (mut finished, mut reconstruct_seconds, mut longest_field) = (0, 0.0, 0.0f64);
+        let (mut weighted, mut kernel_seconds) = (0.0, 0.0);
+        for d in fields.iter().flatten() {
+            finished += 1;
+            reconstruct_seconds += d.stats.reconstruct_seconds + d.stats.outlier_scatter_seconds;
+            longest_field = longest_field.max(d.stats.total_seconds);
+            for (_, phase) in d.stats.huffman.phases() {
+                for k in &phase.kernels {
+                    weighted += k.occupancy.fraction * k.time_s;
+                    kernel_seconds += k.time_s;
+                }
+            }
         }
-        let permille = (total > 0.0).then(|| (weighted / total * 1000.0).round() as u64);
+        let serial_seconds = huffman.serial_seconds + reconstruct_seconds;
+        let batched_seconds = if self.backend.is_modeled() {
+            huffman.batched_seconds + reconstruct_seconds
+        } else {
+            // The pool ran every field's whole job, so the wave's wall clock is its
+            // batched time, clamped like the Huffman wave's: never under the longest
+            // field, never over the serial sum.
+            wall.max(longest_field).min(serial_seconds)
+        };
+        let permille =
+            (kernel_seconds > 0.0).then(|| (weighted / kernel_seconds * 1000.0).round() as u64);
         self.metrics.update(|m| {
-            let occupancy = if batched {
+            let occupancy = if finished >= 2 {
                 m.batch_serial_seconds += serial_seconds;
                 m.batch_batched_seconds += batched_seconds;
                 &mut m.batch_occupancy_permille
@@ -431,51 +556,13 @@ impl Codec {
                 *occupancy = permille;
             }
         });
-    }
-
-    /// Decompresses one wave of archives to f32 data and records it.
-    fn data_wave(
-        &self,
-        archives: &[&Compressed],
-    ) -> Result<(Vec<sz::Decompressed>, BatchDecompressStats)> {
-        let (fields, stats) =
-            self.count_error(sz::decompress_batch(self.backend.as_ref(), archives))?;
-        for (c, d) in archives.iter().zip(&fields) {
-            let bytes_out = d.data.len() as u64 * 4;
-            self.record_decode(
-                c.decoder(),
-                d.stats.total_seconds,
-                c.compressed_bytes(),
-                bytes_out,
-            );
-        }
-        self.publish_wave(
-            fields.iter().map(|d| &d.stats.huffman),
-            stats.serial_seconds,
-            stats.batched_seconds,
-        );
-        Ok((fields, stats))
-    }
-
-    /// Decodes one wave of symbol streams (the Huffman stage alone) and records it.
-    /// Each item carries the compressed byte count `decode_bytes_in` charges for it.
-    fn codes_wave(
-        &self,
-        items: &[(DecoderKind, &CompressedPayload, u64)],
-    ) -> Result<(Vec<DecodeResult>, BatchStats)> {
-        let payloads: Vec<_> = items.iter().map(|&(kind, p, _)| (kind, p)).collect();
-        let (results, stats) =
-            self.count_error(sz::decode_payload_batch(self.backend.as_ref(), &payloads))?;
-        for (&(decoder, _, bytes_in), r) in items.iter().zip(&results) {
-            let bytes_out = r.symbols.len() as u64 * 2;
-            self.record_decode(decoder, r.timings.total_seconds(), bytes_in, bytes_out);
-        }
-        self.publish_wave(
-            results.iter().map(|r| &r.timings),
-            stats.serial_seconds,
-            stats.batched_seconds,
-        );
-        Ok((results, stats))
+        let stats = BatchDecompressStats {
+            huffman,
+            reconstruct_seconds,
+            serial_seconds,
+            batched_seconds,
+        };
+        (fields, stats)
     }
 
     // ----- compression (uses the session configuration) -----
@@ -540,37 +627,39 @@ impl Codec {
     /// scenario's (Fig. 4); the modeled host-to-device copy of the compressed bytes is
     /// stamped beside it as `h2d_transfer_seconds` for callers that want Fig. 5's.
     pub fn decompress(&self, c: &Compressed) -> Result<DecodeOutcome> {
-        let (mut fields, _) = self.data_wave(&[c])?;
-        Ok(DecodeOutcome::from_sz(fields.remove(0)))
+        let (mut fields, _) = self.wave(&[c], |c| self.data_field(c));
+        fields.remove(0)
     }
 
-    /// Decompresses several archives as one batch: all Huffman decodes run as a single
-    /// overlapped wave across the shared worker pool, then each field is
-    /// reconstructed. Outputs are bit-identical to serial [`Codec::decompress`].
+    /// Decompresses several archives as one batch: each field's decode and
+    /// reconstruction is one task of a single overlapped wave across the shared worker
+    /// pool. Outputs are bit-identical to serial [`Codec::decompress`]; the first field
+    /// (in input order) that fails fails the batch.
     pub fn decompress_batch(&self, archives: &[&Compressed]) -> Result<BatchDecodeOutcome> {
-        let (fields, stats) = self.data_wave(archives)?;
+        let (fields, stats) = self.wave(archives, |c| self.data_field(c));
         Ok(BatchDecodeOutcome {
-            fields: fields.into_iter().map(DecodeOutcome::from_sz).collect(),
+            fields: fields.into_iter().collect::<Result<_>>()?,
             stats,
         })
     }
 
     /// Decodes just the quantization codes of an archive (the Huffman stage alone, no
-    /// reverse quantization) — what digest verification and the daemon's `codes`
-    /// requests consume.
+    /// reverse quantization): the symbols its stored digest covers.
     pub fn decode_codes(&self, c: &Compressed) -> Result<DecodeResult> {
-        let (mut results, _) =
-            self.codes_wave(&[(c.decoder(), &c.payload, c.compressed_bytes())])?;
-        Ok(results.remove(0))
+        let (mut fields, _) = self.wave(&[c], |c| {
+            self.codes_field(c.decoder(), &c.payload, c.compressed_bytes())
+        });
+        fields.remove(0).map(codes_result)
     }
 
     /// Decodes a bare payload with this session's configured decoder (hybrid payloads
     /// route through the `huffdec-hybrid` decoder). Benchmark-level access for streams
     /// that never went through the field pipeline.
     pub fn decode_payload(&self, payload: &CompressedPayload) -> Result<DecodeResult> {
-        let (mut results, _) =
-            self.codes_wave(&[(self.config.decoder, payload, payload.compressed_bytes())])?;
-        Ok(results.remove(0))
+        let (mut fields, _) = self.wave(&[payload], |p| {
+            self.codes_field(self.config.decoder, p, p.compressed_bytes())
+        });
+        fields.remove(0).map(codes_result)
     }
 
     // ----- serialization (uses the session format version) -----
@@ -631,10 +720,7 @@ impl Codec {
     /// Decompresses one field of an opened archive to its f32 data (payload-only
     /// fields have no reconstruction and report a usage error).
     pub fn decompress_field(&self, field: &FieldHandle) -> Result<DecodeOutcome> {
-        let compressed = field.compressed().ok_or_else(|| {
-            HfzError::Usage("archive is payload-only; nothing to reconstruct".to_string())
-        })?;
-        self.decompress(compressed)
+        self.decompress(reconstructable(field)?)
     }
 
     /// Decodes the full symbol stream of one field of an opened archive.
@@ -657,47 +743,45 @@ impl Codec {
 
     /// Decodes the symbol streams of several fields of opened archives as one
     /// overlapped wave (codes only — the batched analogue of
-    /// [`Codec::decode_field_codes`]).
+    /// [`Codec::decode_field_codes`]). The first field (in input order) that fails
+    /// fails the batch.
     pub fn decode_field_codes_batch(
         &self,
         fields: &[&FieldHandle],
     ) -> Result<(Vec<DecodeResult>, BatchStats)> {
-        let items: Vec<_> = fields
-            .iter()
-            .map(|f| {
-                let payload = f.archive().payload();
-                (f.decoder(), payload, payload.compressed_bytes())
-            })
-            .collect();
-        self.codes_wave(&items)
+        let (fields, stats) = self.wave(fields, |f| self.field_codes(f));
+        let results = fields
+            .into_iter()
+            .map(|f| f.map(codes_result))
+            .collect::<Result<_>>()?;
+        Ok((results, stats.huffman))
     }
 
-    /// Decodes one scheduler wave of fields to wire-ready little-endian f32 bytes.
+    /// Decodes one scheduler wave of fields to wire-ready little-endian bytes, each
+    /// field to the representation its [`GetKind`] names.
     ///
     /// This is the submission API the daemon's decode scheduler drives: hand it every
-    /// cold field of one wave and they decode as one overlapped batch
-    /// ([`Codec::decompress_batch`]). A lone field is a wave of one — the serial decode,
-    /// on the calling thread, off the batch instruments. Outputs are bit-identical to
-    /// serial decodes, in input order; payload-only fields have no reconstruction and
-    /// fail the wave with a usage error.
-    pub fn decompress_wave(&self, fields: &[&FieldHandle]) -> Result<Vec<Vec<u8>>> {
-        let archives: Vec<&Compressed> = fields
-            .iter()
-            .map(|f| {
-                f.compressed().ok_or_else(|| {
-                    HfzError::Usage("archive is payload-only; nothing to reconstruct".to_string())
-                })
-            })
-            .collect::<Result<_>>()?;
-        let (decoded, _) = self.data_wave(&archives)?;
-        Ok(decoded.iter().map(|d| f32_le_bytes(&d.data)).collect())
-    }
-
-    /// The codes analogue of [`Codec::decompress_wave`]: decodes a wave of fields'
-    /// symbol streams ([`Codec::decode_field_codes_batch`]) to little-endian u16 bytes.
-    pub fn decode_codes_wave(&self, fields: &[&FieldHandle]) -> Result<Vec<Vec<u8>>> {
-        let (results, _) = self.decode_field_codes_batch(fields)?;
-        Ok(results.iter().map(|r| u16_le_bytes(&r.symbols)).collect())
+    /// cold field of one wave, whatever its kind, and each field's whole job — decode,
+    /// reconstruction and serialization — runs as one task of one overlapped wave. A
+    /// lone field is a wave of one — the serial decode, on the calling thread, off the
+    /// batch instruments. Every field gets its own outcome, in input order, and the
+    /// bytes are bit-identical to serial decodes: a corrupt stream fails only its own
+    /// field, and a payload-only field asked for data fails with a usage error.
+    pub fn decode_to_bytes(&self, fields: &[(&FieldHandle, GetKind)]) -> Vec<Result<Vec<u8>>> {
+        let (fields, _) = self.wave(fields, |&(field, kind)| {
+            let (bytes, stats) = match kind {
+                GetKind::Data => {
+                    let d = self.data_field(reconstructable(field)?)?;
+                    (f32_le_bytes(&d.data), d.stats)
+                }
+                GetKind::Codes => {
+                    let d = self.field_codes(field)?;
+                    (u16_le_bytes(&d.data), d.stats)
+                }
+            };
+            Ok(Decompressed { data: bytes, stats })
+        });
+        fields.into_iter().map(|f| f.map(|d| d.data)).collect()
     }
 
     /// Builds (or returns the cached) range-decode index of a field — the one-time
@@ -912,12 +996,10 @@ mod tests {
         let digest = codec.field_digest(fh).unwrap();
         assert_eq!(digest.stored, Some(digest.computed));
         assert_eq!(
-            codec.decompress_wave(&[fh, fh]).unwrap()[0],
-            decoded
-                .data
-                .iter()
-                .flat_map(|v| v.to_le_bytes())
-                .collect::<Vec<u8>>()
+            codec.decode_to_bytes(&[(fh, GetKind::Data), (fh, GetKind::Data)])[0]
+                .as_ref()
+                .unwrap(),
+            &f32_le_bytes(&decoded.data)
         );
         // Ranged decode of a hybrid stream is a typed usage error, not a panic.
         assert!(matches!(codec.prepare_field(fh), Err(HfzError::Usage(_))));
@@ -1027,46 +1109,108 @@ mod tests {
         let handle = codec.open_snapshot_bytes(&bytes).unwrap();
         let refs: Vec<&FieldHandle> = handle.fields().iter().collect();
 
+        let serial = |f: &FieldHandle, kind| match kind {
+            GetKind::Data => f32_le_bytes(&codec.decompress_field(f).unwrap().data),
+            GetKind::Codes => u16_le_bytes(&codec.decode_field_codes(f).unwrap().symbols),
+        };
         // Empty wave is a no-op; one field takes the serial path; several batch.
-        assert!(codec.decompress_wave(&[]).unwrap().is_empty());
-        let single = codec.decompress_wave(&refs[..1]).unwrap();
-        let wave = codec.decompress_wave(&refs).unwrap();
-        assert_eq!(wave.len(), 3);
-        assert_eq!(single[0], wave[0]);
-        for (field, produced) in refs.iter().zip(&wave) {
-            let serial = codec.decompress_field(field).unwrap();
-            let expected: Vec<u8> = serial.data.iter().flat_map(|v| v.to_le_bytes()).collect();
-            assert_eq!(produced, &expected, "wave output differs from serial");
+        assert!(codec.decode_to_bytes(&[]).is_empty());
+        for kind in [GetKind::Data, GetKind::Codes] {
+            let items: Vec<_> = refs.iter().map(|&f| (f, kind)).collect();
+            for n in [1, 3] {
+                for (&(f, _), produced) in items.iter().zip(codec.decode_to_bytes(&items[..n])) {
+                    assert_eq!(
+                        produced.unwrap(),
+                        serial(f, kind),
+                        "{:?}, wave of {}",
+                        kind,
+                        n
+                    );
+                }
+            }
         }
-        let code_wave = codec.decode_codes_wave(&refs).unwrap();
-        for (field, produced) in refs.iter().zip(&code_wave) {
-            let serial = codec.decode_field_codes(field).unwrap();
-            let expected: Vec<u8> = serial
-                .symbols
-                .iter()
-                .flat_map(|s| s.to_le_bytes())
-                .collect();
-            assert_eq!(produced, &expected, "code wave output differs from serial");
-        }
+
+        // One wave of both kinds that holds a corrupt stream (a CRC-valid baseline
+        // chunk claiming as many bits as symbols) and a payload-only field: every
+        // field gets its own outcome, and the healthy ones their serial bytes.
+        let baseline = tiny_codec(DecoderKind::CuszBaseline)
+            .compress_archive(&fields[0])
+            .unwrap();
+        let mut corrupt = baseline.clone();
+        let CompressedPayload::Chunked { encoded, .. } = &mut corrupt.payload else {
+            panic!("the baseline decoder writes a chunked payload");
+        };
+        encoded.chunks[0].bit_len = encoded.chunks[0].num_symbols;
+        let corrupt = huffdec_container::to_bytes(&corrupt).unwrap();
+        let corrupt = codec.open_archive_bytes(&corrupt).unwrap();
+        let bare = huffdec_container::payload_to_bytes(&baseline.payload, baseline.decoder());
+        let bare = codec.open_archive_bytes(&bare.unwrap()).unwrap();
+        let (corrupt, bare) = (corrupt.field(0).unwrap(), bare.field(0).unwrap());
+        let errors_before = codec.metrics().snapshot().decode_errors;
+        let mixed = codec.decode_to_bytes(&[
+            (refs[0], GetKind::Data),
+            (corrupt, GetKind::Data),
+            (bare, GetKind::Data),
+            (corrupt, GetKind::Codes),
+            (bare, GetKind::Codes),
+        ]);
+        let corrupt_stream = DecodeError::CorruptStream {
+            decoder: DecoderKind::CuszBaseline,
+        };
+        assert_eq!(mixed[0].as_ref().unwrap(), &serial(refs[0], GetKind::Data));
+        assert!(matches!(&mixed[1], Err(HfzError::Decode(e)) if *e == corrupt_stream));
+        assert!(matches!(mixed[2], Err(HfzError::Usage(_))));
+        assert!(matches!(&mixed[3], Err(HfzError::Decode(e)) if *e == corrupt_stream));
+        assert_eq!(mixed[4].as_ref().unwrap(), &serial(bare, GetKind::Codes));
+        let errors = codec.metrics().snapshot().decode_errors - errors_before;
+        assert_eq!(errors, 2, "each corrupt field counts one decode error");
     }
 
     #[test]
     fn batch_decompression_matches_serial() {
         let codec = tiny_codec(DecoderKind::OptimizedSelfSync);
-        let archives: Vec<Compressed> = ["HACC", "CESM", "GAMESS"]
+        // Every stream format in one wave, the hybrid's included.
+        let decoders = [
+            DecoderKind::OptimizedGapArray,
+            DecoderKind::OptimizedSelfSync,
+            DecoderKind::CuszBaseline,
+            DecoderKind::RleHybrid,
+        ];
+        let archives: Vec<Compressed> = ["HACC", "CESM", "GAMESS", "CESM"]
             .iter()
+            .zip(decoders)
             .enumerate()
-            .map(|(i, name)| {
+            .map(|(i, (name, decoder))| {
                 let field = generate(&dataset_by_name(name).unwrap(), 20_000, 60 + i as u64);
-                codec.compress_archive(&field).unwrap()
+                tiny_codec(decoder).compress_archive(&field).unwrap()
             })
             .collect();
         let refs: Vec<&Compressed> = archives.iter().collect();
         let batch = codec.decompress_batch(&refs).unwrap();
-        assert_eq!(batch.fields.len(), 3);
-        assert!(batch.stats.overlap_speedup() >= 1.0);
+        assert_eq!((batch.fields.len(), batch.stats.huffman.fields), (4, 4));
         for (c, d) in archives.iter().zip(&batch.fields) {
-            assert_eq!(d.data, codec.decompress(c).unwrap().data);
+            let serial = codec.decompress(c).unwrap().data;
+            assert_eq!(d.data, serial, "batched field diverged from serial");
+        }
+        let stats = &batch.stats;
+        assert!(stats.reconstruct_seconds > 0.0);
+        assert!(stats.batched_seconds <= stats.serial_seconds + 1e-15);
+        assert!(stats.overlap_speedup() >= 1.0);
+        let bytes: u64 = archives.iter().map(|c| c.original_bytes()).sum();
+        assert!(stats.batched_throughput_gbs(bytes) >= stats.serial_throughput_gbs(bytes));
+        // A hybrid archive relabelled as dense, and a dense one as hybrid, fail the
+        // batch with the typed mismatch.
+        for (i, decoder) in [
+            (3, DecoderKind::OptimizedSelfSync),
+            (0, DecoderKind::RleHybrid),
+        ] {
+            let mut broken = archives[i].clone();
+            broken.config.decoder = decoder;
+            let err = codec.decompress_batch(&[refs[1], &broken]).unwrap_err();
+            assert!(matches!(
+                err,
+                HfzError::Decode(DecodeError::PayloadMismatch { decoder: d }) if d == decoder
+            ));
         }
     }
 

@@ -3,15 +3,16 @@
 //! Snapshot archives pack many fields (HACC particle arrays, GAMESS integral blocks)
 //! into one file; decoding them one-after-another leaves the device under-occupied
 //! whenever a single field's grid cannot fill it, and pays every kernel's launch
-//! overhead on the critical path. A **wave** ([`decode_wave`]) instead runs a per-field
-//! decode function over the fields concurrently on the device's worker pool (the
-//! functional side) and models the timing as kernels launched on independent CUDA
-//! streams (the performance side, [`gpu_sim::concurrent_time`]) — the same multi-field
-//! batching direction cuSZ takes to keep the GPU saturated across fields. A wave of one
-//! is the serial decode: it runs on the calling thread and its batched estimate equals
-//! its serial time. [`decode_batch`] is the wave over [`decode`]; the `sz` layer runs
-//! the same wave over its dense-or-hybrid dispatch, so hybrid fields overlap like any
-//! other.
+//! overhead on the critical path. A **wave** ([`decode_wave`]) instead runs each
+//! field's whole job — its decode, and whatever the caller does with the symbols —
+//! concurrently on the device's worker pool (the functional side), and models the
+//! Huffman timing as kernels launched on independent CUDA streams (the performance
+//! side, [`gpu_sim::concurrent_time`]) — the same multi-field batching direction cuSZ
+//! takes to keep the GPU saturated across fields. Every field gets its own outcome, so
+//! a corrupt stream fails only its own field. A wave of one is the serial decode: it
+//! runs on the calling thread and its batched estimate equals its serial time.
+//! [`decode_batch`] is the wave over [`decode`]; the `sz` layer runs the same wave over
+//! its dense-or-hybrid dispatch, and the codec over decode plus reconstruction.
 //!
 //! The model is conservative in both directions: the batched wave can never beat the
 //! longest single field's serial phase chain (phases within a field are dependent), and
@@ -23,7 +24,7 @@ use std::time::Instant;
 use gpu_sim::{Backend, KernelStats};
 
 use crate::decoder::{check_payload, decode, CompressedPayload, DecodeError, DecoderKind};
-use crate::phases::DecodeResult;
+use crate::phases::{DecodeResult, PhaseBreakdown};
 
 /// Aggregate timing of one batched decode wave. Per-field phase breakdowns stay in the
 /// corresponding [`DecodeResult::timings`]; this aggregates them into the serial
@@ -78,6 +79,7 @@ fn throughput(useful_bytes: u64, seconds: f64) -> f64 {
 /// [`DecodeError::PayloadMismatch`] the single-field path reports. Hybrid payloads are
 /// rejected the same way: like [`decode`], this entry point covers only the dense
 /// formats (`sz::decode_payload_batch` is the wave that also takes hybrid fields).
+/// The first field (in input order) that fails to decode fails the batch.
 pub fn decode_batch(
     gpu: &dyn Backend,
     items: &[(DecoderKind, &CompressedPayload)],
@@ -85,66 +87,74 @@ pub fn decode_batch(
     for &(kind, payload) in items {
         check_payload(kind, payload)?;
     }
-    decode_wave(gpu, items, |&(kind, payload)| decode(gpu, kind, payload))
+    let (fields, stats) = decode_wave(
+        gpu,
+        items,
+        |&(kind, payload)| decode(gpu, kind, payload),
+        |r| &r.timings,
+    );
+    Ok((fields.into_iter().collect::<Result<_, _>>()?, stats))
 }
 
-/// Runs `decode_field` over every item as one wave and aggregates the timing into a
-/// [`BatchStats`]. Results come back in input order; the first failing field (in input
-/// order) fails the wave.
+/// Runs `run_field` — one field's whole job — over every item as one wave, and
+/// aggregates the Huffman timing of the fields that succeed into a [`BatchStats`].
+/// Every field gets its own outcome, in input order: a failing field fails only
+/// itself. `huffman` reads a finished field's Huffman phase breakdown, the part of
+/// its job the stream model overlaps.
 ///
 /// The fields are the tasks of one [`Backend::run_tasks`] call, so they run on the
 /// device's own worker pool, which is bounded by its host-thread budget
 /// ([`Backend::host_threads`]) and spawns nothing per wave. While the wave holds the
-/// pool, each field's own launches run on the thread decoding that field: fields, not
+/// pool, each field's own launches run on the thread running that field: fields, not
 /// blocks, are the wave's unit of parallelism, exactly like kernels from independent
-/// streams. A wave of one, or a wave on a one-thread session, decodes on the calling
+/// streams. A wave of one, or a wave on a one-thread session, runs on the calling
 /// thread and leaves the pool to that field's launches.
-pub fn decode_wave<T: Sync>(
+pub fn decode_wave<T: Sync, O: Send + Sync, E: Send + Sync>(
     gpu: &dyn Backend,
     items: &[T],
-    decode_field: impl Fn(&T) -> Result<DecodeResult, DecodeError> + Sync,
-) -> Result<(Vec<DecodeResult>, BatchStats), DecodeError> {
-    let slots: Vec<OnceLock<Result<DecodeResult, DecodeError>>> =
-        items.iter().map(|_| OnceLock::new()).collect();
+    run_field: impl Fn(&T) -> Result<O, E> + Sync,
+    huffman: impl Fn(&O) -> &PhaseBreakdown,
+) -> (Vec<Result<O, E>>, BatchStats) {
+    let slots: Vec<OnceLock<Result<O, E>>> = items.iter().map(|_| OnceLock::new()).collect();
     let wave_start = Instant::now();
     gpu.run_tasks(items.len(), &|i| {
-        slots[i]
-            .set(decode_field(&items[i]))
-            .expect("a field decodes once");
+        let fresh = slots[i].set(run_field(&items[i])).is_ok();
+        assert!(fresh, "a field runs once");
     });
     let wave_elapsed = wave_start.elapsed().as_secs_f64();
-    let mut fields = Vec::with_capacity(items.len());
-    for slot in slots {
-        fields.push(slot.into_inner().expect("every field was decoded")?);
-    }
+    let fields: Vec<Result<O, E>> = slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every field ran"))
+        .collect();
 
-    let mut stats = batch_stats(gpu, &fields);
+    let decoded: Vec<&PhaseBreakdown> = fields.iter().flatten().map(huffman).collect();
+    let mut stats = batch_stats(gpu, &decoded);
     if !gpu.is_modeled() {
         // A real backend does not need the stream model: the pool above *is* the
         // overlapped wave, so use its measured wall clock — clamped to the same
         // invariants the model guarantees (never under the longest field's own chain,
         // never over the serial sum).
-        let longest_field = fields
+        let longest_field = decoded
             .iter()
-            .map(|f| f.timings.total_seconds())
+            .map(|t| t.total_seconds())
             .fold(0.0f64, f64::max);
         stats.batched_seconds = wave_elapsed.max(longest_field).min(stats.serial_seconds);
     }
-    Ok((fields, stats))
+    (fields, stats)
 }
 
 /// Aggregates per-field decode timings into the serial baseline and the batched wave
 /// estimate.
-fn batch_stats(gpu: &dyn Backend, fields: &[DecodeResult]) -> BatchStats {
+fn batch_stats(gpu: &dyn Backend, fields: &[&PhaseBreakdown]) -> BatchStats {
     let mut kernels: Vec<KernelStats> = Vec::new();
     let mut host_seconds = 0.0f64;
     let mut serial_seconds = 0.0f64;
     let mut longest_field = 0.0f64;
     for field in fields {
-        let total = field.timings.total_seconds();
+        let total = field.total_seconds();
         serial_seconds += total;
         longest_field = longest_field.max(total);
-        for (_, phase) in field.timings.phases() {
+        for (_, phase) in field.phases() {
             kernels.extend(phase.kernels.iter().cloned());
             // Phase seconds beyond the kernel times are host/transfer work that does
             // not overlap in the stream model.
@@ -235,16 +245,21 @@ mod tests {
             })
             .collect();
         let caller = std::thread::current().id();
-        let (results, _) = decode_wave(&g, &payloads, |payload| {
-            assert_eq!(
-                std::thread::current().id(),
-                caller,
-                "a host_threads(1) wave must not spawn"
-            );
-            decode(&g, DecoderKind::OptimizedGapArray, payload)
-        })
-        .unwrap();
+        let (results, _) = decode_wave(
+            &g,
+            &payloads,
+            |payload| {
+                assert_eq!(
+                    std::thread::current().id(),
+                    caller,
+                    "a host_threads(1) wave must not spawn"
+                );
+                decode(&g, DecoderKind::OptimizedGapArray, payload)
+            },
+            |r| &r.timings,
+        );
         assert_eq!(results.len(), 4);
+        assert!(results.iter().all(Result::is_ok));
     }
 
     #[test]

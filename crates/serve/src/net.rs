@@ -1,7 +1,8 @@
 //! Transport: the daemon listens on either a TCP socket or (on Unix) a Unix-domain
 //! socket; both sides of the protocol speak over a [`Conn`]. Every socket is blocking:
-//! a serving thread parks in `read` between requests, and [`Conn::shutdown`] through a
-//! second handle ([`Conn::try_clone`]) is how the accept loop gets it back.
+//! a serving thread parks in `read` between requests, and [`Conn::shutdown`] through
+//! the shared handle the accept loop keeps (`&Conn` reads and writes) is how it gets
+//! that thread back.
 //!
 //! Addresses are spelled `tcp:HOST:PORT` or `unix:PATH`; a bare `HOST:PORT` means TCP.
 //! `tcp:HOST:0` binds an ephemeral port — [`Listener::local_addr`] reports the resolved
@@ -68,18 +69,8 @@ pub enum Conn {
 }
 
 impl Conn {
-    /// A second handle to the same socket. The accept loop keeps one per connection
-    /// so shutdown can reach sockets whose serving threads are blocked on them.
-    pub fn try_clone(&self) -> std::io::Result<Conn> {
-        match self {
-            Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.try_clone().map(Conn::Unix),
-        }
-    }
-
-    /// Closes one or both directions of the socket, waking any thread blocked on it
-    /// through another handle: a reader of a closed read half sees EOF.
+    /// Closes one or both directions of the socket, waking any thread blocked on it:
+    /// a reader of a closed read half sees EOF.
     pub fn shutdown(&self, how: std::net::Shutdown) -> std::io::Result<()> {
         match self {
             Conn::Tcp(s) => s.shutdown(how),
@@ -111,20 +102,42 @@ impl Conn {
 
 impl Read for Conn {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.read(buf),
-        }
+        (&*self).read(buf)
     }
 }
 
 impl Write for Conn {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        (&*self).write(buf)
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        (&*self).write_vectored(bufs)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        (&*self).flush()
+    }
+}
+
+/// A shared socket reads and writes as the streams do (`&TcpStream`, `&UnixStream`),
+/// so the thread serving a connection and the shutdown registry hold one descriptor.
+impl Read for &Conn {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
-            Conn::Tcp(s) => s.write(buf),
+            Conn::Tcp(s) => (&*s).read(buf),
             #[cfg(unix)]
-            Conn::Unix(s) => s.write(buf),
+            Conn::Unix(s) => (&*s).read(buf),
+        }
+    }
+}
+
+impl Write for &Conn {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        match self {
+            Conn::Tcp(s) => (&*s).write(buf),
+            #[cfg(unix)]
+            Conn::Unix(s) => (&*s).write(buf),
         }
     }
 
@@ -133,17 +146,17 @@ impl Write for Conn {
     /// writes and bring back the Nagle × delayed-ACK stall (see `protocol`'s docs).
     fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
         match self {
-            Conn::Tcp(s) => s.write_vectored(bufs),
+            Conn::Tcp(s) => (&*s).write_vectored(bufs),
             #[cfg(unix)]
-            Conn::Unix(s) => s.write_vectored(bufs),
+            Conn::Unix(s) => (&*s).write_vectored(bufs),
         }
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
-            Conn::Tcp(s) => s.flush(),
+            Conn::Tcp(s) => (&*s).flush(),
             #[cfg(unix)]
-            Conn::Unix(s) => s.flush(),
+            Conn::Unix(s) => (&*s).flush(),
         }
     }
 }

@@ -68,37 +68,21 @@ pub const MAX_REQUEST_BYTES: u32 = 1 << 20;
 /// Hard ceiling on a response frame (responses carry decoded fields).
 pub const MAX_RESPONSE_BYTES: u32 = 1 << 30;
 
-/// What a `GET` asks for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GetKind {
-    /// The reconstructed field: little-endian f32s (field archives only).
-    Data,
-    /// The decoded quantization codes: little-endian u16s (any archive).
-    Codes,
+/// What a `GET` asks for: the codec's decode target, one wire tag each.
+pub use huffdec_codec::GetKind;
+
+fn kind_tag(kind: GetKind) -> u8 {
+    match kind {
+        GetKind::Data => 0,
+        GetKind::Codes => 1,
+    }
 }
 
-impl GetKind {
-    /// Bytes one element of this kind occupies on the wire.
-    pub fn element_bytes(&self) -> u64 {
-        match self {
-            GetKind::Data => 4,
-            GetKind::Codes => 2,
-        }
-    }
-
-    fn tag(&self) -> u8 {
-        match self {
-            GetKind::Data => 0,
-            GetKind::Codes => 1,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Result<GetKind, ProtocolError> {
-        match tag {
-            0 => Ok(GetKind::Data),
-            1 => Ok(GetKind::Codes),
-            _ => Err(ProtocolError::Malformed("unknown GET kind")),
-        }
+fn kind_from_tag(tag: u8) -> Result<GetKind, ProtocolError> {
+    match tag {
+        0 => Ok(GetKind::Data),
+        1 => Ok(GetKind::Codes),
+        _ => Err(ProtocolError::Malformed("unknown GET kind")),
     }
 }
 
@@ -624,7 +608,7 @@ impl Request {
                 let mut w = BodyWriter::new(OP_GET);
                 w.str16(archive);
                 w.u32(*field);
-                w.u8(kind.tag());
+                w.u8(kind_tag(*kind));
                 match range {
                     Some((start, len)) => {
                         w.u8(1);
@@ -659,7 +643,7 @@ impl Request {
             } => {
                 let mut w = BodyWriter::new(OP_GET_BATCH);
                 w.str16(archive);
-                w.u8(kind.tag());
+                w.u8(kind_tag(*kind));
                 w.u32(fields.len() as u32);
                 for &f in fields {
                     w.u32(f);
@@ -681,7 +665,7 @@ impl Request {
             OP_GET => {
                 let archive = r.str16()?;
                 let field = r.u32()?;
-                let kind = GetKind::from_tag(r.u8()?)?;
+                let kind = kind_from_tag(r.u8()?)?;
                 let has_range = r.u8()?;
                 let start = r.u64()?;
                 let len = r.u64()?;
@@ -708,7 +692,7 @@ impl Request {
             },
             OP_GET_BATCH => {
                 let archive = r.str16()?;
-                let kind = GetKind::from_tag(r.u8()?)?;
+                let kind = kind_from_tag(r.u8()?)?;
                 let count = r.u32()? as usize;
                 if count > MAX_BATCH_FIELDS {
                     return Err(ProtocolError::Malformed("batch requests too many fields"));
@@ -771,7 +755,7 @@ impl Response {
                 bytes,
             } => {
                 w.u8(RESP_GET);
-                w.u8(kind.tag());
+                w.u8(kind_tag(*kind));
                 w.u8(*from_cache as u8);
                 w.u8(*partial as u8);
                 w.u64(*elements);
@@ -794,7 +778,7 @@ impl Response {
             }
             Response::GetBatch { kind, items } => {
                 w.u8(RESP_GET_BATCH);
-                w.u8(kind.tag());
+                w.u8(kind_tag(*kind));
                 w.u32(items.len() as u32);
                 for item in items {
                     w.u8(item.from_cache as u8);
@@ -830,7 +814,7 @@ impl Response {
         let response = match tag {
             RESP_LIST => Response::List(r.text()?),
             RESP_GET => {
-                let kind = GetKind::from_tag(r.u8()?)?;
+                let kind = kind_from_tag(r.u8()?)?;
                 let from_cache = r.u8()? != 0;
                 let partial = r.u8()? != 0;
                 let elements = r.u64()?;
@@ -854,7 +838,7 @@ impl Response {
             RESP_LOADED => Response::Loaded { fields: r.u32()? },
             RESP_SHUTDOWN => Response::ShuttingDown,
             RESP_GET_BATCH => {
-                let kind = GetKind::from_tag(r.u8()?)?;
+                let kind = kind_from_tag(r.u8()?)?;
                 let count = r.u32()? as usize;
                 if count > MAX_BATCH_FIELDS {
                     return Err(ProtocolError::Malformed("batch response too large"));

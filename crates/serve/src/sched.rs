@@ -11,10 +11,11 @@
 //! * **Wave batching** — whenever the worker is free it drains the *whole* pending
 //!   queue as one wave, so misses on distinct fields that arrive while a wave decodes
 //!   form the next one (group commit; no timer holds a wave open). The worker submits
-//!   a wave through the codec's wave API (`decompress_wave` / `decode_codes_wave`) so
-//!   its fields run as one overlapped batch — the serving-side analogue of the paper's
-//!   batched kernel launches (`sched_waves` / `sched_wave_fields` /
-//!   `sched_multi_field_waves`).
+//!   a wave, data and codes fields alike, as one codec call (`Codec::decode_to_bytes`)
+//!   so its fields run as one overlapped batch — the serving-side analogue of the
+//!   paper's batched kernel launches (`sched_waves` / `sched_wave_fields` /
+//!   `sched_multi_field_waves`) — and each flight completes with its own field's
+//!   outcome.
 //!
 //! Admission control: the pending queue is bounded. A submission that would push it
 //! past the bound is **shed** — nothing is enqueued, `sched_shed` is bumped, and the
@@ -71,7 +72,8 @@ impl FlightSlot {
 /// fans out through. The task pins the loaded archive alive for the decode's duration.
 #[derive(Debug)]
 pub(crate) struct DecodeTask {
-    /// Cache key of the representation being decoded (`key.kind` selects the wave).
+    /// Cache key of the representation being decoded (`key.kind` is what the field
+    /// decodes to).
     pub key: CacheKey,
     /// The archive the field lives in.
     pub loaded: Arc<LoadedArchive>,

@@ -115,13 +115,18 @@ impl ServerState {
             let state = Arc::clone(&state);
             std::thread::spawn(move || {
                 while let Some(tasks) = state.sched.next_wave() {
-                    // Whatever happens to a wave — a typed decode error or a panic
-                    // below the codec — every flight it drained must complete, and
-                    // the worker must survive to run the next one: a waiter left
-                    // behind would block its client forever.
+                    // Even a wave that panics below the codec must complete every
+                    // flight it drained, and the worker must survive to run the next
+                    // one: a waiter left behind would block its client forever.
                     let run = AssertUnwindSafe(|| state.execute_wave(&tasks));
                     if std::panic::catch_unwind(run).is_err() {
-                        state.fail_flights(&tasks, "decode failed: the wave panicked");
+                        // Completion is first-write-wins: flights the wave already
+                        // answered keep their result.
+                        for task in &tasks {
+                            let failed = "decode failed: the wave panicked".to_string();
+                            task.slot.complete(Err(failed));
+                            state.sched.finish(&task.key);
+                        }
                     }
                 }
             })
@@ -421,47 +426,23 @@ impl ServerState {
         Ok(Response::GetBatch { kind, items })
     }
 
-    /// Runs one wave the scheduler drained: per representation kind, all fields go
-    /// through the codec's wave API as one submission, results are inserted into the
-    /// cache, and every flight fans its (canonical, deduplicated) buffer out to its
-    /// waiters.
+    /// Runs one wave the scheduler drained: every field, whatever its kind, goes
+    /// through the codec as one submission. Each field's bytes are inserted into the
+    /// cache and its flight fans the (canonical, deduplicated) buffer out to its
+    /// waiters; a field that fails completes only its own flight with the error.
     fn execute_wave(&self, tasks: &[DecodeTask]) {
-        for kind in [GetKind::Data, GetKind::Codes] {
-            let wave: Vec<&DecodeTask> = tasks.iter().filter(|t| t.key.kind == kind).collect();
-            if !wave.is_empty() {
-                self.run_kind_wave(kind, &wave);
-            }
-        }
-    }
-
-    fn run_kind_wave(&self, kind: GetKind, tasks: &[&DecodeTask]) {
-        let fields: Vec<&FieldHandle> = tasks
+        let fields: Vec<(&FieldHandle, GetKind)> = tasks
             .iter()
-            .map(|task| &task.loaded.fields()[task.field])
+            .map(|task| (&task.loaded.fields()[task.field], task.key.kind))
             .collect();
-        let produced = match kind {
-            GetKind::Data => self.codec.decompress_wave(&fields),
-            GetKind::Codes => self.codec.decode_codes_wave(&fields),
-        };
-        match produced {
-            Ok(outputs) => {
-                for (task, bytes) in tasks.iter().zip(outputs) {
-                    // Insert before completing, complete before finishing: a miss that
-                    // no longer finds the flight is guaranteed to find the cache entry.
-                    let canonical = self.lock_cache().insert(task.key.clone(), bytes);
-                    task.slot.complete(Ok(canonical));
-                    self.sched.finish(&task.key);
-                }
-            }
-            Err(e) => self.fail_flights(tasks.iter().copied(), &format!("decode failed: {}", e)),
-        }
-    }
-
-    /// Completes every flight of `tasks` with `message`. Completion is
-    /// first-write-wins, so flights that already carry a result keep it.
-    fn fail_flights<'a>(&self, tasks: impl IntoIterator<Item = &'a DecodeTask>, message: &str) {
-        for task in tasks {
-            task.slot.complete(Err(message.to_string()));
+        for (task, produced) in tasks.iter().zip(self.codec.decode_to_bytes(&fields)) {
+            // Insert before completing, complete before finishing: a miss that no
+            // longer finds the flight is guaranteed to find the cache entry.
+            let outcome = match produced {
+                Ok(bytes) => Ok(self.lock_cache().insert(task.key.clone(), bytes)),
+                Err(e) => Err(format!("decode failed: {}", e)),
+            };
+            task.slot.complete(outcome);
             self.sched.finish(&task.key);
         }
     }

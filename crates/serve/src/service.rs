@@ -29,11 +29,14 @@
 //! writing to a peer that stopped reading; its socket is then closed in both
 //! directions, so [`ServiceHandle::join`] returns no matter what clients do.
 
+use std::collections::HashMap;
 use std::io::{ErrorKind, Write as _};
 use std::net::Shutdown;
+use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -135,11 +138,11 @@ pub(crate) fn accept(listener: &Listener, lifecycle: &Lifecycle) -> std::io::Res
 }
 
 /// Runs one connection's request loop: frame in, [`Service::handle`], frame out.
-fn serve_connection<S: Service>(state: &S, conn: &mut Conn) {
+fn serve_connection<S: Service>(state: &S, mut conn: &Conn) {
     loop {
         // A clean EOF, a disconnect mid-frame and a length prefix over the request
         // limit all end this connection, and only this connection.
-        let Ok(Some(body)) = read_frame(conn, MAX_REQUEST_BYTES) else {
+        let Ok(Some(body)) = read_frame(&mut conn, MAX_REQUEST_BYTES) else {
             return;
         };
         // Once shutdown has been accepted, other connections are dropped rather than
@@ -153,23 +156,33 @@ fn serve_connection<S: Service>(state: &S, conn: &mut Conn) {
             Err(e) => Response::Error(format!("bad request: {}", e)),
         };
         let last = matches!(response, Response::ShuttingDown);
-        if write_response(conn, &response, MAX_RESPONSE_BYTES).is_err() || last {
+        if write_response(&mut conn, &response, MAX_RESPONSE_BYTES).is_err() || last {
             return;
         }
     }
 }
 
+/// Every live connection's socket, by connection number. The thread serving a
+/// connection shares the socket with this registry and removes its own entry as it
+/// exits, so a connection holds one descriptor while it lives and none once its peer
+/// hangs up; shutdown reaches the sockets whose threads are blocked on them here.
+type Registry = Arc<Mutex<HashMap<u64, Arc<Conn>>>>;
+
+fn lock(live: &Registry) -> MutexGuard<'_, HashMap<u64, Arc<Conn>>> {
+    live.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 /// Accepts and serves until shutdown, one thread per connection, then drains (see the
 /// module docs for the contract).
 fn run<S: Service>(listener: Listener, state: Arc<S>) -> std::io::Result<()> {
-    // One entry per live connection: a second handle to its socket, and its thread.
-    let mut workers: Vec<(Conn, JoinHandle<()>)> = Vec::new();
-    // Nothing is ever sent: each worker owns a sender, and the receiver disconnects
-    // the moment the last of them is gone.
+    let live = Registry::default();
+    // Nothing is ever sent: each connection thread owns a sender, and the receiver
+    // disconnects the moment the last of them is gone.
     let (exit_guard, all_exited) = mpsc::channel::<()>();
+    let mut accepted = 0u64;
     let result = loop {
         let conn = match accept(&listener, state.lifecycle()) {
-            Ok(Some(conn)) => conn,
+            Ok(Some(conn)) => Arc::new(conn),
             Ok(None) => break Ok(()),
             Err(e) => {
                 state.request_shutdown();
@@ -179,40 +192,41 @@ fn run<S: Service>(listener: Listener, state: Arc<S>) -> std::io::Result<()> {
         if state.lifecycle().is_shutting_down() {
             break Ok(());
         }
-        // Reap as we go: a long-running service must not accumulate one entry per
-        // connection it ever served.
-        workers.retain(|(_, worker)| !worker.is_finished());
-        let Ok(peer) = conn.try_clone() else {
-            continue; // out of descriptors: refuse this connection, keep serving
-        };
-        let state = Arc::clone(&state);
+        let id = accepted;
+        accepted += 1;
+        lock(&live).insert(id, Arc::clone(&conn));
+        let (state, live) = (Arc::clone(&state), Arc::clone(&live));
         let exit_guard = exit_guard.clone();
-        let worker = std::thread::spawn(move || {
-            let _exit_guard = exit_guard;
-            let mut conn = conn;
-            serve_connection(&*state, &mut conn);
-            // Hang up explicitly: the registry's handle would otherwise keep the
-            // socket open until this entry is reaped.
-            let _ = conn.shutdown(Shutdown::Both);
+        std::thread::spawn(move || {
+            // A request that panics ends its connection, and the entry still goes.
+            let serve = AssertUnwindSafe(|| serve_connection(&*state, &conn));
+            let _ = std::panic::catch_unwind(serve);
+            // The registry's handle is the socket's last other owner: dropping it
+            // and then `conn` closes the socket now.
+            lock(&live).remove(&id);
+            // The exit guard goes last, so once every guard is gone no connection
+            // thread holds the service any more.
+            drop((conn, live, state));
+            drop(exit_guard);
         });
-        workers.push((peer, worker));
     };
     drop(listener);
     // Idle keep-alive threads are parked in `read`; closing the read half hands each
     // an EOF. The write half stays open for the `ShuttingDown` acknowledgement:
     // closing both here would race it, and the client's redial would meet
     // `ConnectionRefused` instead.
-    for (peer, _) in &workers {
-        let _ = peer.shutdown(Shutdown::Read);
+    for conn in lock(&live).values() {
+        let _ = conn.shutdown(Shutdown::Read);
     }
-    // Returns as soon as the last worker is gone. Whoever is still here after the
-    // grace is writing to a peer that stopped reading, and only closing the write
-    // half as well gets that thread back.
+    // Returns as soon as the last connection thread is gone. Whoever is still here
+    // after the grace is writing to a peer that stopped reading, and only closing the
+    // write half as well gets that thread back.
     drop(exit_guard);
-    let _ = all_exited.recv_timeout(DRAIN_GRACE);
-    for (peer, worker) in workers {
-        let _ = peer.shutdown(Shutdown::Both);
-        let _ = worker.join();
+    if all_exited.recv_timeout(DRAIN_GRACE) == Err(RecvTimeoutError::Timeout) {
+        for conn in lock(&live).values() {
+            let _ = conn.shutdown(Shutdown::Both);
+        }
+        let _ = all_exited.recv();
     }
     state.drained();
     result

@@ -1,7 +1,8 @@
-//! Allocation pin for a cached `GET`: what one request costs the heap, counted.
+//! Allocation pins for a cached and a cold `GET`: what one request costs the heap,
+//! counted.
 //!
 //! This binary installs its own counting `#[global_allocator]`, so it holds this one
-//! test and nothing else runs in its process. An in-process daemon serves one
+//! test and nothing else runs in its process. An in-process daemon serves a
 //! 65,536-element HACC field on `tcp:` and on `unix:`; after five warm-up `GET`s, each
 //! of twenty cached `GET`s is counted from the client's call to its return. The count
 //! covers both ends, since they share the process: the client's request encode and
@@ -27,6 +28,13 @@
 //! It makes five payloads: the three above, plus two on the router's shard link —
 //! its frame read and its response decode. The router's reply to the client borrows
 //! the payload it decoded, as the daemon's does.
+//!
+//! A third row counts cold `GET`s: a daemon whose cache is smaller than the field
+//! decodes it for every request, and each counted request must start one decode. The
+//! decode is one task of the daemon's wave: the codes, the reconstructed f32s and
+//! their little-endian bytes, which the reply copies once more. Its count repeats
+//! exactly on each backend, and differs between them (the simulator runs the paper's
+//! kernels, the CPU backend its walk), so each backend has its own pin.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,7 +47,7 @@ use huffdec_serve::client::Connection;
 use huffdec_serve::net::ListenAddr;
 use huffdec_serve::protocol::GetKind;
 use huffdec_serve::router::Router;
-use huffdec_serve::Daemon;
+use huffdec_serve::{BackendKind, Daemon, ServerState};
 use sz::{compress, SzConfig};
 
 /// Counts every allocation and the bytes it asked for; a `realloc` is one allocation
@@ -97,27 +105,55 @@ const PIN_ROUTED_ALLOCATIONS: u64 = 23;
 /// Bytes those allocations request per routed cached `GET`: five payloads and the
 /// small change.
 const PIN_ROUTED_BYTES: u64 = 5 * PAYLOAD + 694;
+/// Allocations per cold `GET` on the CPU backend, both ends together.
+const PIN_COLD_ALLOCATIONS_CPU: u64 = 50;
+/// Bytes those allocations request per cold `GET` on the CPU backend: six and a half
+/// payloads and the decode's small change.
+const PIN_COLD_BYTES_CPU: u64 = 6 * PAYLOAD + PAYLOAD / 2 + 6_891;
+/// Allocations per cold `GET` on the simulator, whose kernels allocate per launch.
+const PIN_COLD_ALLOCATIONS_SIM: u64 = 173;
+/// Bytes those allocations request per cold `GET` on the simulator.
+const PIN_COLD_BYTES_SIM: u64 = 6 * PAYLOAD + 57_168;
 
-/// Counts each of [`COUNTED`] cached `GET`s of field 0 of `hacc` through `addr`, after
-/// [`WARM_UP`] uncounted ones, and checks every count against its pins.
-fn pin_cached_gets(addr: &ListenAddr, pin_allocations: u64, pin_bytes: u64) {
+/// Full decodes `daemon` has run so far.
+fn decodes(daemon: &ServerState) -> u64 {
+    let m = daemon.metrics_snapshot();
+    m.decode_seconds.iter().map(|h| h.count()).sum()
+}
+
+/// Counts [`COUNTED`] `GET`s through `addr`, after [`WARM_UP`] uncounted ones, and
+/// checks every count against its pins. A cached row (`cold` is `None`) counts hits of
+/// field 0. A cold row, on the daemon `cold` names, alternates between fields 0 and 1
+/// and checks that each request started a decode of its own: a miss of the field the
+/// previous request decoded could join that request's flight before the worker
+/// retires it, and cost only a hit's bytes.
+fn pin_gets(addr: &ListenAddr, pin_allocations: u64, pin_bytes: u64, cold: Option<&ServerState>) {
     let mut client = Connection::connect(addr).unwrap();
-    for _ in 0..WARM_UP {
-        client.get("hacc", 0, GetKind::Data, None).unwrap();
+    let field = |i: usize| if cold.is_some() { i as u32 % 2 } else { 0 };
+    for i in 0..WARM_UP {
+        client.get("hacc", field(i), GetKind::Data, None).unwrap();
     }
     let mut counts = Vec::with_capacity(COUNTED);
-    for _ in 0..COUNTED {
+    for i in WARM_UP..WARM_UP + COUNTED {
+        let decoded = cold.map(decodes);
         let (allocations, bytes) = (
             ALLOCATIONS.load(Ordering::SeqCst),
             BYTES.load(Ordering::SeqCst),
         );
-        let reply = client.get("hacc", 0, GetKind::Data, None).unwrap();
+        let reply = client.get("hacc", field(i), GetKind::Data, None).unwrap();
         counts.push((
             ALLOCATIONS.load(Ordering::SeqCst) - allocations,
             BYTES.load(Ordering::SeqCst) - bytes,
         ));
-        assert!(reply.from_cache);
         assert_eq!(reply.bytes.len() as u64, PAYLOAD);
+        assert_eq!(reply.from_cache, cold.is_none());
+        assert_eq!(
+            cold.map(decodes),
+            decoded.map(|n| n + 1),
+            "{} GET {}",
+            addr,
+            i
+        );
     }
     for (i, &(allocations, bytes)) in counts.iter().enumerate() {
         assert!(
@@ -146,28 +182,28 @@ fn a_cached_get_allocates_three_payloads() {
     );
     let path = dir.join("hacc.hfz");
     let mut writer = ArchiveWriter::new(std::fs::File::create(&path).unwrap());
+    // Two copies of the field, for the cold row to alternate between.
+    writer.write_compressed(&compressed).unwrap();
     writer.write_compressed(&compressed).unwrap();
     writer.into_inner().unwrap();
 
-    let mut transports = vec![(
-        ListenAddr::parse("tcp:127.0.0.1:0").unwrap(),
-        ListenAddr::parse("tcp:127.0.0.1:0").unwrap(),
-    )];
+    let mut transports = vec![[(); 3].map(|_| ListenAddr::parse("tcp:127.0.0.1:0").unwrap())];
     if cfg!(unix) {
-        transports.push((
-            ListenAddr::Unix(dir.join("d.sock")),
-            ListenAddr::Unix(dir.join("r.sock")),
-        ));
+        transports.push(["d", "r", "c"].map(|name| ListenAddr::Unix(dir.join(name))));
     }
-    for (listen, router_listen) in transports {
-        let daemon = Daemon::builder()
-            .listen(listen)
-            .gpu(GpuConfig::test_tiny())
-            .host_threads(2)
-            .preload("hacc", path.to_str().unwrap())
-            .spawn()
-            .unwrap();
-        pin_cached_gets(daemon.local_addr(), PIN_ALLOCATIONS, PIN_BYTES);
+    for [listen, router_listen, cold_listen] in transports {
+        let spawn = |listen, cache_bytes| {
+            Daemon::builder()
+                .listen(listen)
+                .gpu(GpuConfig::test_tiny())
+                .host_threads(2)
+                .cache_bytes(cache_bytes)
+                .preload("hacc", path.to_str().unwrap())
+                .spawn()
+                .unwrap()
+        };
+        let daemon = spawn(listen, 64 << 20);
+        pin_gets(daemon.local_addr(), PIN_ALLOCATIONS, PIN_BYTES, None);
 
         let router = Router::builder()
             .listen(router_listen)
@@ -175,11 +211,27 @@ fn a_cached_get_allocates_three_payloads() {
             .preload("hacc", path.to_str().unwrap())
             .spawn()
             .unwrap();
-        pin_cached_gets(
+        pin_gets(
             router.local_addr(),
             PIN_ROUTED_ALLOCATIONS,
             PIN_ROUTED_BYTES,
+            None,
         );
+
+        // A cache smaller than the field never keeps it: every `GET` misses.
+        let cold = spawn(cold_listen, PAYLOAD - 1);
+        let (pin_allocations, pin_bytes) = match cold.state().codec().backend_kind() {
+            BackendKind::Cpu => (PIN_COLD_ALLOCATIONS_CPU, PIN_COLD_BYTES_CPU),
+            BackendKind::Sim => (PIN_COLD_ALLOCATIONS_SIM, PIN_COLD_BYTES_SIM),
+        };
+        pin_gets(
+            cold.local_addr(),
+            pin_allocations,
+            pin_bytes,
+            Some(&cold.state()),
+        );
+        cold.shutdown();
+        cold.join().unwrap();
         router.shutdown();
         router.join().unwrap();
         daemon.shutdown();

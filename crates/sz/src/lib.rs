@@ -45,7 +45,7 @@ pub use huffdec_core::DecodeError;
 pub use lorenzo::{dequantize, dequantize_codes, quantize, Outlier, Quantized};
 pub use pipeline::{
     compress, compress_auto, compress_auto_on, compress_on, decode_codes, decode_payload,
-    decode_payload_batch, decompress, decompress_batch, roundtrip, BatchDecompressStats,
-    CompressStats, Compressed, DecompressStats, Decompressed, SzConfig, DEFAULT_ALPHABET_SIZE,
+    decode_payload_batch, decompress, reconstruct, roundtrip, CompressStats, Compressed,
+    DecompressStats, Decompressed, SzConfig, DEFAULT_ALPHABET_SIZE,
 };
 pub use stats::{psnr, verify_error_bound};

@@ -19,8 +19,8 @@
 use datasets::Field;
 use gpu_sim::{Backend, TransferDirection};
 use huffdec_core::{
-    compress_counted_on, compress_for, decode, wire, CompressedPayload, DecodeError, DecoderKind,
-    EncodePhaseBreakdown, PhaseBreakdown,
+    compress_counted_on, compress_for, decode, wire, BatchStats, CompressedPayload, DecodeError,
+    DecodeResult, DecoderKind, EncodePhaseBreakdown, PhaseBreakdown,
 };
 
 use crate::error_bound::ErrorBound;
@@ -183,7 +183,7 @@ impl Compressed {
 }
 
 /// Timing breakdown of a decompression run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DecompressStats {
     /// The Huffman decoding phase breakdown (simulated kernels).
     pub huffman: PhaseBreakdown,
@@ -210,11 +210,13 @@ impl DecompressStats {
     }
 }
 
-/// A decompressed field plus its timing.
+/// A decompressed field plus its timing. The data is the reconstructed field by
+/// default; a decode that stops at the codes, or serializes what it decoded, carries
+/// that instead.
 #[derive(Debug, Clone)]
-pub struct Decompressed {
-    /// Reconstructed data.
-    pub data: Vec<f32>,
+pub struct Decompressed<D = Vec<f32>> {
+    /// The decoded data.
+    pub data: D,
     /// Timing breakdown.
     pub stats: DecompressStats,
 }
@@ -417,7 +419,7 @@ pub fn decode_payload(
     gpu: &dyn Backend,
     kind: DecoderKind,
     payload: &CompressedPayload,
-) -> Result<huffdec_core::phases::DecodeResult, DecodeError> {
+) -> Result<DecodeResult, DecodeError> {
     match payload {
         CompressedPayload::Hybrid(stream) if kind.is_hybrid() => {
             huffdec_hybrid::decode_hybrid(gpu, stream)
@@ -433,26 +435,21 @@ pub fn decode_payload(
 pub fn decode_payload_batch(
     gpu: &dyn Backend,
     items: &[(DecoderKind, &CompressedPayload)],
-) -> Result<
-    (
-        Vec<huffdec_core::phases::DecodeResult>,
-        huffdec_core::BatchStats,
-    ),
-    DecodeError,
-> {
-    huffdec_core::decode_wave(gpu, items, |&(kind, payload)| {
-        decode_payload(gpu, kind, payload)
-    })
+) -> Result<(Vec<DecodeResult>, BatchStats), DecodeError> {
+    let (fields, stats) = huffdec_core::decode_wave(
+        gpu,
+        items,
+        |&(kind, payload)| decode_payload(gpu, kind, payload),
+        |r| &r.timings,
+    );
+    Ok((fields.into_iter().collect::<Result<_, _>>()?, stats))
 }
 
-/// Everything downstream of the Huffman decode: reverse dual-quantization, outlier
-/// patching, and the analytic kernel/transfer costs. Shared by the single-field and
-/// batched decompression paths so both report identical per-field statistics.
-fn reconstruct(
-    gpu: &dyn Backend,
-    c: &Compressed,
-    decode_result: huffdec_core::phases::DecodeResult,
-) -> Decompressed {
+/// Everything downstream of the Huffman decode of `c`'s codes: reverse
+/// dual-quantization, outlier patching, and the analytic kernel/transfer costs. A
+/// field decompressed alone ([`decompress`]) and one decompressed as a task of a
+/// decode wave both end here, so both report identical per-field statistics.
+pub fn reconstruct(gpu: &dyn Backend, c: &Compressed, decode_result: DecodeResult) -> Decompressed {
     // Reverse dual-quantization on the host (functional), with an analytic kernel cost.
     let reconstruct_start = std::time::Instant::now();
     let data = dequantize_codes(
@@ -495,10 +492,7 @@ fn reconstruct(
 /// reverse quantization). This is what code-level consumers — the serving daemon's
 /// `codes` requests and `hfz verify --deep` — use: the returned symbols are exactly
 /// what [`Compressed::matches_decoded_crc`] digests.
-pub fn decode_codes(
-    gpu: &dyn Backend,
-    c: &Compressed,
-) -> Result<huffdec_core::phases::DecodeResult, DecodeError> {
+pub fn decode_codes(gpu: &dyn Backend, c: &Compressed) -> Result<DecodeResult, DecodeError> {
     decode_payload(gpu, c.decoder(), &c.payload)
 }
 
@@ -509,80 +503,6 @@ pub fn decode_codes(
 /// match the archive's configured decoder.
 pub fn decompress(gpu: &dyn Backend, c: &Compressed) -> Result<Decompressed, DecodeError> {
     Ok(reconstruct(gpu, c, decode_codes(gpu, c)?))
-}
-
-/// Timing breakdown of a batched multi-field decompression
-/// ([`decompress_batch`]): the Huffman wave statistics plus the analytic cost of the
-/// per-field reconstruction kernels.
-#[derive(Debug, Clone)]
-pub struct BatchDecompressStats {
-    /// The batched Huffman decode statistics (serial baseline vs. overlapped wave).
-    pub huffman: huffdec_core::BatchStats,
-    /// Total reconstruction cost across fields (reverse dual-quantization + outlier
-    /// scatter), charged identically to both the serial and the batched estimate.
-    pub reconstruct_seconds: f64,
-    /// End-to-end cost of decompressing the fields one-after-another.
-    pub serial_seconds: f64,
-    /// End-to-end cost with the Huffman decodes batched as one wave.
-    pub batched_seconds: f64,
-}
-
-impl BatchDecompressStats {
-    /// Speedup of the batched pipeline over serial decompression (≥ 1).
-    pub fn overlap_speedup(&self) -> f64 {
-        if self.batched_seconds <= 0.0 {
-            1.0
-        } else {
-            self.serial_seconds / self.batched_seconds
-        }
-    }
-
-    /// Serial decompression throughput in GB/s relative to `original_bytes`.
-    pub fn serial_throughput_gbs(&self, original_bytes: u64) -> f64 {
-        if self.serial_seconds <= 0.0 {
-            0.0
-        } else {
-            original_bytes as f64 / self.serial_seconds / 1e9
-        }
-    }
-
-    /// Batched decompression throughput in GB/s relative to `original_bytes`.
-    pub fn batched_throughput_gbs(&self, original_bytes: u64) -> f64 {
-        if self.batched_seconds <= 0.0 {
-            0.0
-        } else {
-            original_bytes as f64 / self.batched_seconds / 1e9
-        }
-    }
-}
-
-/// Decompresses several fields as one batch: the Huffman decodes run as a single wave
-/// across the shared worker pool ([`decode_payload_batch`]), then each field is
-/// reconstructed. Outputs are returned in input order and are bit-identical to
-/// [`decompress`] field by field (each [`Decompressed`] carries the same per-field
-/// statistics the serial path reports).
-pub fn decompress_batch(
-    gpu: &dyn Backend,
-    archives: &[&Compressed],
-) -> Result<(Vec<Decompressed>, BatchDecompressStats), DecodeError> {
-    let items: Vec<_> = archives.iter().map(|c| (c.decoder(), &c.payload)).collect();
-    let (decoded, huffman) = decode_payload_batch(gpu, &items)?;
-    let fields: Vec<Decompressed> = archives
-        .iter()
-        .zip(decoded)
-        .map(|(c, result)| reconstruct(gpu, c, result))
-        .collect();
-    let reconstruct_seconds: f64 = fields
-        .iter()
-        .map(|d| d.stats.reconstruct_seconds + d.stats.outlier_scatter_seconds)
-        .sum();
-    let stats = BatchDecompressStats {
-        serial_seconds: huffman.serial_seconds + reconstruct_seconds,
-        batched_seconds: huffman.batched_seconds + reconstruct_seconds,
-        huffman,
-        reconstruct_seconds,
-    };
-    Ok((fields, stats))
 }
 
 /// Compresses and decompresses a field, asserting the error bound holds. Returns the
@@ -757,47 +677,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_decompression_matches_serial_and_is_never_slower() {
-        let g = gpu();
-        let specs = ["HACC", "CESM", "GAMESS"];
-        let decoders = [
-            DecoderKind::OptimizedGapArray,
-            DecoderKind::OptimizedSelfSync,
-            DecoderKind::CuszBaseline,
-        ];
-        let archives: Vec<Compressed> = specs
-            .iter()
-            .zip(decoders)
-            .enumerate()
-            .map(|(i, (name, decoder))| {
-                let field = generate(&dataset_by_name(name).unwrap(), 30_000, 40 + i as u64);
-                compress(&field, &SzConfig::paper_default(decoder))
-            })
-            .collect();
-        let refs: Vec<&Compressed> = archives.iter().collect();
-        let (batched, stats) = decompress_batch(&g, &refs).unwrap();
-        assert_eq!(batched.len(), 3);
-        let original_bytes: u64 = archives.iter().map(|c| c.original_bytes()).sum();
-        for (c, d) in archives.iter().zip(&batched) {
-            let serial = decompress(&g, c).unwrap();
-            assert_eq!(d.data, serial.data, "batched field diverged from serial");
-            assert!((d.stats.total_seconds - serial.stats.total_seconds).abs() < 1e-12);
-        }
-        assert_eq!(stats.huffman.fields, 3);
-        assert!(stats.reconstruct_seconds > 0.0);
-        assert!(stats.batched_seconds <= stats.serial_seconds + 1e-15);
-        assert!(stats.overlap_speedup() >= 1.0);
-        assert!(
-            stats.batched_throughput_gbs(original_bytes)
-                >= stats.serial_throughput_gbs(original_bytes)
-        );
-        // A mismatched archive fails the whole batch with a typed error.
-        let mut broken = archives[1].clone();
-        broken.config.decoder = DecoderKind::CuszBaseline;
-        assert!(decompress_batch(&g, &[&archives[0], &broken]).is_err());
-    }
-
-    #[test]
     fn hybrid_roundtrip_matches_dense_reconstruction() {
         // Lorenzo residuals of a smooth field are overwhelmingly the center bin, so the
         // hybrid RLE front-end is in its element on ordinary paper datasets.
@@ -837,48 +716,6 @@ mod tests {
         let a = decompress(&g, &host).unwrap();
         let b = decompress(&g, &dev).unwrap();
         assert_eq!(a.data, b.data);
-    }
-
-    #[test]
-    fn mixed_batch_with_hybrid_matches_serial() {
-        let g = gpu();
-        let decoders = [
-            DecoderKind::RleHybrid,
-            DecoderKind::OptimizedGapArray,
-            DecoderKind::RleHybrid,
-            DecoderKind::CuszBaseline,
-        ];
-        let archives: Vec<Compressed> = decoders
-            .iter()
-            .enumerate()
-            .map(|(i, &decoder)| {
-                let field = generate(&dataset_by_name("CESM").unwrap(), 30_000, 60 + i as u64);
-                compress(&field, &SzConfig::paper_default(decoder))
-            })
-            .collect();
-        let refs: Vec<&Compressed> = archives.iter().collect();
-        let (batched, stats) = decompress_batch(&g, &refs).unwrap();
-        assert_eq!(batched.len(), 4);
-        assert_eq!(stats.huffman.fields, 4);
-        for (c, d) in archives.iter().zip(&batched) {
-            let serial = decompress(&g, c).unwrap();
-            assert_eq!(d.data, serial.data, "batched field diverged from serial");
-        }
-        assert!(stats.batched_seconds <= stats.serial_seconds + 1e-15);
-        assert!(stats.overlap_speedup() >= 1.0);
-        // A hybrid archive relabelled as dense (and vice versa) fails the whole batch.
-        let mut broken = archives[0].clone();
-        broken.config.decoder = DecoderKind::OptimizedSelfSync;
-        assert!(decompress_batch(&g, &[&archives[1], &broken]).is_err());
-        let mut broken = archives[1].clone();
-        broken.config.decoder = DecoderKind::RleHybrid;
-        let err = decompress_batch(&g, &[&archives[0], &broken]).unwrap_err();
-        assert_eq!(
-            err,
-            DecodeError::PayloadMismatch {
-                decoder: DecoderKind::RleHybrid
-            }
-        );
     }
 
     #[test]

@@ -522,7 +522,9 @@ fn decompress_to(
         decoded.data.len(),
         decoded.stats.total_seconds * 1e3,
         clock(codec),
-        decoded.overall_throughput_gbs(compressed.original_bytes())
+        decoded
+            .stats
+            .overall_throughput_gbs(compressed.original_bytes())
     );
     Ok(())
 }

@@ -1388,33 +1388,7 @@ fn a_failed_router_start_leaves_no_shard_running() {
 fn a_daemon_out_of_descriptors_keeps_serving() {
     use std::time::{Duration, Instant};
 
-    let dir = std::env::temp_dir().join("hfz-cli-test-fd-exhaustion");
-    std::fs::create_dir_all(&dir).unwrap();
-    let addr_file = dir.join("hfzd.addr");
-    let stderr_path = dir.join("hfzd.err");
-    let _ = std::fs::remove_file(&addr_file);
-    let mut daemon = Command::new("/bin/sh")
-        .args([
-            "-c",
-            "ulimit -n 24 && exec \"$0\" --listen tcp:127.0.0.1:0 --addr-file \"$1\"",
-        ])
-        .arg(env!("CARGO_BIN_EXE_hfzd"))
-        .arg(&addr_file)
-        .stdout(Stdio::null())
-        .stderr(std::fs::File::create(&stderr_path).unwrap())
-        .spawn()
-        .expect("hfzd starts");
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let addr = loop {
-        match std::fs::read_to_string(&addr_file) {
-            Ok(addr) if !addr.is_empty() => break addr.trim().to_string(),
-            _ if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
-            _ => {
-                let _ = daemon.kill();
-                panic!("hfzd wrote no addr-file");
-            }
-        }
-    };
+    let (mut daemon, addr, stderr_path) = spawn_hfzd_with_descriptors("fd-exhaustion", 24);
     let port = addr.strip_prefix("tcp:").expect("a tcp address");
     let burst: Vec<_> = (0..20)
         .map(|_| std::net::TcpStream::connect(port).expect("the backlog takes the burst"))
@@ -1446,4 +1420,80 @@ fn a_daemon_out_of_descriptors_keeps_serving() {
     let stderr = std::fs::read_to_string(&stderr_path).unwrap();
     assert!(survived, "hfzd exited during the burst: {}", stderr);
     assert!(listed, "hfz list failed after the burst: {}", stderr);
+}
+
+/// A connection costs the daemon one descriptor while it lives and none once its peer
+/// hangs up. Under `ulimit -n 24`, with four descriptors in use at rest, sixteen
+/// clients that each stay connected after their request are all answered — and once
+/// they have hung up, sixteen more are too.
+#[test]
+fn idle_clients_that_fit_at_one_descriptor_each_are_all_answered() {
+    use huffdec::serve::{Connection, ListenAddr, RetryPolicy};
+    use std::time::Duration;
+
+    let (mut daemon, addr, stderr_path) = spawn_hfzd_with_descriptors("fd-per-connection", 24);
+    let addr = ListenAddr::parse(&addr).unwrap();
+    let policy = RetryPolicy {
+        redials: 0,
+        read_timeout: Some(Duration::from_secs(5)),
+        write_timeout: Some(Duration::from_secs(5)),
+    };
+    let mut failures = Vec::new();
+    for round in 0..2 {
+        let mut clients = Vec::new();
+        for i in 0..16 {
+            let mut client = Connection::with_policy(addr.clone(), policy.clone());
+            if let Err(e) = client.stats() {
+                failures.push(format!("round {} client {}: {}", round, i, e));
+            }
+            clients.push(client);
+        }
+    }
+    let _ = daemon.kill();
+    let _ = daemon.wait();
+    let stderr = std::fs::read_to_string(&stderr_path).unwrap();
+    assert!(
+        failures.is_empty(),
+        "{:?}; hfzd stderr: {}",
+        failures,
+        stderr
+    );
+}
+
+/// Starts `hfzd` on an ephemeral TCP port under `ulimit -n limit` and waits for its
+/// addr-file. Returns the child, its address and the file its stderr goes to.
+fn spawn_hfzd_with_descriptors(
+    name: &str,
+    limit: u32,
+) -> (std::process::Child, String, std::path::PathBuf) {
+    use std::time::{Duration, Instant};
+
+    let dir = std::env::temp_dir().join(format!("hfz-cli-test-{}", name));
+    std::fs::create_dir_all(&dir).unwrap();
+    let addr_file = dir.join("hfzd.addr");
+    let stderr_path = dir.join("hfzd.err");
+    let _ = std::fs::remove_file(&addr_file);
+    let mut daemon = Command::new("/bin/sh")
+        .args([
+            "-c",
+            "ulimit -n \"$2\" && exec \"$0\" --listen tcp:127.0.0.1:0 --addr-file \"$1\"",
+        ])
+        .arg(env!("CARGO_BIN_EXE_hfzd"))
+        .arg(&addr_file)
+        .arg(limit.to_string())
+        .stdout(Stdio::null())
+        .stderr(std::fs::File::create(&stderr_path).unwrap())
+        .spawn()
+        .expect("hfzd starts");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        match std::fs::read_to_string(&addr_file) {
+            Ok(addr) if !addr.is_empty() => return (daemon, addr.trim().to_string(), stderr_path),
+            _ if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
+            _ => {
+                let _ = daemon.kill();
+                panic!("hfzd wrote no addr-file");
+            }
+        }
+    }
 }
