@@ -676,6 +676,63 @@ mod tests {
         }
     }
 
+    /// Decompresses `archives` the way a decode wave does: one batched Huffman wave
+    /// ([`decode_payload_batch`]), then [`reconstruct`] per field.
+    fn decompress_wave(
+        g: &Gpu,
+        archives: &[&Compressed],
+    ) -> Result<(Vec<Decompressed>, BatchStats), DecodeError> {
+        let items: Vec<_> = archives.iter().map(|c| (c.decoder(), &c.payload)).collect();
+        let (decoded, stats) = decode_payload_batch(g, &items)?;
+        let fields = archives
+            .iter()
+            .zip(decoded)
+            .map(|(c, result)| reconstruct(g, c, result))
+            .collect();
+        Ok((fields, stats))
+    }
+
+    #[test]
+    fn batched_decompression_matches_serial_and_is_never_slower() {
+        let g = gpu();
+        let specs = ["HACC", "CESM", "GAMESS"];
+        let decoders = [
+            DecoderKind::OptimizedGapArray,
+            DecoderKind::OptimizedSelfSync,
+            DecoderKind::CuszBaseline,
+        ];
+        let archives: Vec<Compressed> = specs
+            .iter()
+            .zip(decoders)
+            .enumerate()
+            .map(|(i, (name, decoder))| {
+                let field = generate(&dataset_by_name(name).unwrap(), 30_000, 40 + i as u64);
+                compress(&field, &SzConfig::paper_default(decoder))
+            })
+            .collect();
+        let refs: Vec<&Compressed> = archives.iter().collect();
+        let (batched, stats) = decompress_wave(&g, &refs).unwrap();
+        assert_eq!(batched.len(), 3);
+        let original_bytes: u64 = archives.iter().map(|c| c.original_bytes()).sum();
+        for (c, d) in archives.iter().zip(&batched) {
+            let serial = decompress(&g, c).unwrap();
+            assert_eq!(d.data, serial.data, "batched field diverged from serial");
+            assert!((d.stats.total_seconds - serial.stats.total_seconds).abs() < 1e-12);
+        }
+        assert_eq!(stats.fields, 3);
+        assert!(batched.iter().all(|d| d.stats.reconstruct_seconds > 0.0));
+        assert!(stats.batched_seconds <= stats.serial_seconds + 1e-15);
+        assert!(stats.overlap_speedup() >= 1.0);
+        assert!(
+            stats.batched_throughput_gbs(original_bytes)
+                >= stats.serial_throughput_gbs(original_bytes)
+        );
+        // A mismatched archive fails the whole batch with a typed error.
+        let mut broken = archives[1].clone();
+        broken.config.decoder = DecoderKind::CuszBaseline;
+        assert!(decompress_wave(&g, &[&archives[0], &broken]).is_err());
+    }
+
     #[test]
     fn hybrid_roundtrip_matches_dense_reconstruction() {
         // Lorenzo residuals of a smooth field are overwhelmingly the center bin, so the
@@ -716,6 +773,48 @@ mod tests {
         let a = decompress(&g, &host).unwrap();
         let b = decompress(&g, &dev).unwrap();
         assert_eq!(a.data, b.data);
+    }
+
+    #[test]
+    fn mixed_batch_with_hybrid_matches_serial() {
+        let g = gpu();
+        let decoders = [
+            DecoderKind::RleHybrid,
+            DecoderKind::OptimizedGapArray,
+            DecoderKind::RleHybrid,
+            DecoderKind::CuszBaseline,
+        ];
+        let archives: Vec<Compressed> = decoders
+            .iter()
+            .enumerate()
+            .map(|(i, &decoder)| {
+                let field = generate(&dataset_by_name("CESM").unwrap(), 30_000, 60 + i as u64);
+                compress(&field, &SzConfig::paper_default(decoder))
+            })
+            .collect();
+        let refs: Vec<&Compressed> = archives.iter().collect();
+        let (batched, stats) = decompress_wave(&g, &refs).unwrap();
+        assert_eq!(batched.len(), 4);
+        assert_eq!(stats.fields, 4);
+        for (c, d) in archives.iter().zip(&batched) {
+            let serial = decompress(&g, c).unwrap();
+            assert_eq!(d.data, serial.data, "batched field diverged from serial");
+        }
+        assert!(stats.batched_seconds <= stats.serial_seconds + 1e-15);
+        assert!(stats.overlap_speedup() >= 1.0);
+        // A hybrid archive relabelled as dense (and vice versa) fails the whole batch.
+        let mut broken = archives[0].clone();
+        broken.config.decoder = DecoderKind::OptimizedSelfSync;
+        assert!(decompress_wave(&g, &[&archives[1], &broken]).is_err());
+        let mut broken = archives[1].clone();
+        broken.config.decoder = DecoderKind::RleHybrid;
+        let err = decompress_wave(&g, &[&archives[0], &broken]).unwrap_err();
+        assert_eq!(
+            err,
+            DecodeError::PayloadMismatch {
+                decoder: DecoderKind::RleHybrid
+            }
+        );
     }
 
     #[test]
