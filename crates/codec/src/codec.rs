@@ -12,28 +12,28 @@
 //! or a daemon scheduler wave — is one **wave** (`Codec::wave`): each field's whole
 //! job (its Huffman decode, and for data its reconstruction) is one task of the
 //! backend's pool, and every field gets its own outcome, so a corrupt stream fails only
-//! its own field. A wave of one is the serial decode, on the calling thread. Each
-//! failed decode bumps `decode_errors`, and one recorder feeds the per-decoder
-//! `decode_seconds` histogram and the `decode_bytes_in` / `decode_bytes_out` counters
-//! for each finished field. A single-field wave publishes `decode_occupancy_permille`;
-//! only waves of two or more finished fields move the batch instruments
-//! (`batch_serial_seconds`, `batch_batched_seconds`, `batch_occupancy_permille`). A
-//! stream that does not decode to its declared symbol count comes back as
-//! `HfzError::Decode` (exit code 5).
+//! its own field. A wave of one is the serial decode, on the calling thread. The wave
+//! is timed once, by [`huffdec_core::decode_wave`], over each field's whole job; the
+//! codec only publishes what it reports. Each failed decode bumps `decode_errors`, and
+//! one recorder feeds the per-decoder `decode_seconds` histogram and the
+//! `decode_bytes_in` / `decode_bytes_out` counters for each finished field. A
+//! single-field wave publishes `decode_occupancy_permille`; only waves of two or more
+//! finished fields move the batch instruments (`batch_serial_seconds`,
+//! `batch_batched_seconds`, `batch_occupancy_permille`). A stream that does not decode
+//! to its declared symbol count comes back as `HfzError::Decode` (exit code 5).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use datasets::Field;
 use gpu_sim::{Backend, BackendKind, GpuConfig};
 use huffdec_container::FormatVersion;
 use huffdec_core::{
     BatchStats, CompressedPayload, DecodeError, DecodeResult, DecoderKind, EncodePhaseBreakdown,
-    PreparedDecode, RangeDecode,
+    PhaseBreakdown, PreparedDecode, RangeDecode,
 };
 use huffdec_hybrid::AUTO_HYBRID_ZERO_FRACTION;
 use huffdec_metrics::Metrics;
-use sz::{CompressStats, Compressed, DecompressStats, Decompressed, ErrorBound, SzConfig};
+use sz::{CompressStats, Compressed, Decompressed, ErrorBound, SzConfig};
 
 use crate::error::{HfzError, Result};
 use crate::handle::{ArchiveHandle, FieldHandle};
@@ -95,60 +95,24 @@ pub struct BatchDecodeOutcome {
     /// Per-field reconstructions, in input order, bit-identical to serial
     /// [`Codec::decompress`] field by field.
     pub fields: Vec<DecodeOutcome>,
-    /// The batched timing: serial baseline vs. one overlapped wave.
-    pub stats: BatchDecompressStats,
+    /// The wave's end-to-end timing, Huffman decode plus reconstruction: the serial
+    /// baseline vs. one overlapped wave.
+    pub stats: BatchStats,
 }
 
-/// Timing breakdown of a batched multi-field decompression
-/// ([`Codec::decompress_batch`]): the Huffman wave statistics plus the analytic cost of
-/// the per-field reconstruction kernels.
-#[derive(Debug, Clone)]
-pub struct BatchDecompressStats {
-    /// The batched Huffman decode statistics (serial baseline vs. overlapped wave).
-    pub huffman: BatchStats,
-    /// Total reconstruction cost across fields (reverse dual-quantization + outlier
-    /// scatter), charged identically to both the serial and the batched estimate.
-    pub reconstruct_seconds: f64,
-    /// End-to-end cost of decompressing the fields one-after-another.
-    pub serial_seconds: f64,
-    /// End-to-end cost of the fields decompressed as one wave: on the simulator the
-    /// Huffman wave's estimate plus every field's reconstruction; on the CPU backend
-    /// the wave's wall clock.
-    pub batched_seconds: f64,
+/// What a wave reads from a data task: its Huffman phases, and the reconstruction
+/// (reverse dual-quantization plus outlier scatter) that follows them.
+fn data_timing(d: &Decompressed) -> (&PhaseBreakdown, f64) {
+    let s = &d.stats;
+    (
+        &s.huffman,
+        s.reconstruct_seconds + s.outlier_scatter_seconds,
+    )
 }
 
-impl BatchDecompressStats {
-    /// The end-to-end totals, read as a wave's statistics.
-    fn totals(&self) -> BatchStats {
-        BatchStats {
-            serial_seconds: self.serial_seconds,
-            batched_seconds: self.batched_seconds,
-            ..self.huffman.clone()
-        }
-    }
-
-    /// Speedup of the batched pipeline over serial decompression (≥ 1).
-    pub fn overlap_speedup(&self) -> f64 {
-        self.totals().overlap_speedup()
-    }
-
-    /// Serial decompression throughput in GB/s relative to `original_bytes`.
-    pub fn serial_throughput_gbs(&self, original_bytes: u64) -> f64 {
-        self.totals().serial_throughput_gbs(original_bytes)
-    }
-
-    /// Batched decompression throughput in GB/s relative to `original_bytes`.
-    pub fn batched_throughput_gbs(&self, original_bytes: u64) -> f64 {
-        self.totals().batched_throughput_gbs(original_bytes)
-    }
-}
-
-/// The symbols a codes task decoded, as the decode API returns them.
-fn codes_result(d: Decompressed<Vec<u16>>) -> DecodeResult {
-    DecodeResult {
-        symbols: d.data,
-        timings: d.stats.huffman,
-    }
+/// What a wave reads from a codes task: its Huffman phases, and nothing after them.
+fn codes_timing(r: &DecodeResult) -> (&PhaseBreakdown, f64) {
+    (&r.timings, 0.0)
 }
 
 /// The archive a data decode of `field` reconstructs from; payload-only fields have
@@ -483,71 +447,55 @@ impl Codec {
         decoder: DecoderKind,
         payload: &CompressedPayload,
         bytes_in: u64,
-    ) -> Result<Decompressed<Vec<u16>>> {
+    ) -> Result<DecodeResult> {
         let r = self.count_error(sz::decode_payload(self.backend(), decoder, payload))?;
-        let seconds = r.timings.total_seconds();
-        self.record_decode(decoder, seconds, bytes_in, r.symbols.len() as u64 * 2);
-        Ok(Decompressed {
-            data: r.symbols,
-            stats: DecompressStats {
-                huffman: r.timings,
-                total_seconds: seconds,
-                ..DecompressStats::default()
-            },
-        })
+        let bytes_out = r.symbols.len() as u64 * 2;
+        self.record_decode(decoder, r.timings.total_seconds(), bytes_in, bytes_out);
+        Ok(r)
     }
 
-    /// A codes task over an opened field's stream.
-    fn field_codes(&self, field: &FieldHandle) -> Result<Decompressed<Vec<u16>>> {
-        let payload = field.archive().payload();
-        self.codes_field(field.decoder(), payload, payload.compressed_bytes())
+    /// A codes task run alone: one stream's symbols, decoded as a wave of one.
+    fn decode_stream(
+        &self,
+        decoder: DecoderKind,
+        payload: &CompressedPayload,
+        bytes_in: u64,
+    ) -> Result<DecodeResult> {
+        let task = |p: &&CompressedPayload| self.codes_field(decoder, p, bytes_in);
+        let (mut fields, _) = self.wave(&[payload], task, codes_timing);
+        fields.remove(0)
     }
 
     /// The one wave every full decode runs: `field` is one item's whole job (a
     /// [`Codec::data_field`] or [`Codec::codes_field`] task, which records the field),
     /// and every item is one task of one [`huffdec_core::decode_wave`] on the session's
-    /// pool. Each item gets its own outcome, in input order. Publishes the wave: the
+    /// pool, which also times the wave from what `timing` reads of each finished job.
+    /// Each item gets its own outcome, in input order. Publishes the wave: the
     /// perf-model occupancy of its kernels (time-weighted across every finished field,
     /// permille; breakdowns without kernel stats leave the gauge untouched) and — for
     /// two or more finished fields only — the serial-vs-batched seconds.
     fn wave<T: Sync, O: Send + Sync>(
         &self,
         items: &[T],
-        field: impl Fn(&T) -> Result<Decompressed<O>> + Sync,
-    ) -> (Vec<Result<Decompressed<O>>>, BatchDecompressStats) {
-        let start = Instant::now();
-        let (fields, huffman) =
-            huffdec_core::decode_wave(self.backend(), items, field, |d| &d.stats.huffman);
-        let wall = start.elapsed().as_secs_f64();
-
-        let (mut finished, mut reconstruct_seconds, mut longest_field) = (0, 0.0, 0.0f64);
+        field: impl Fn(&T) -> Result<O> + Sync,
+        timing: impl Fn(&O) -> (&PhaseBreakdown, f64),
+    ) -> (Vec<Result<O>>, BatchStats) {
+        let (fields, stats) = huffdec_core::decode_wave(self.backend(), items, field, &timing);
         let (mut weighted, mut kernel_seconds) = (0.0, 0.0);
-        for d in fields.iter().flatten() {
-            finished += 1;
-            reconstruct_seconds += d.stats.reconstruct_seconds + d.stats.outlier_scatter_seconds;
-            longest_field = longest_field.max(d.stats.total_seconds);
-            for (_, phase) in d.stats.huffman.phases() {
+        for (huffman, _) in fields.iter().flatten().map(&timing) {
+            for (_, phase) in huffman.phases() {
                 for k in &phase.kernels {
                     weighted += k.occupancy.fraction * k.time_s;
                     kernel_seconds += k.time_s;
                 }
             }
         }
-        let serial_seconds = huffman.serial_seconds + reconstruct_seconds;
-        let batched_seconds = if self.backend.is_modeled() {
-            huffman.batched_seconds + reconstruct_seconds
-        } else {
-            // The pool ran every field's whole job, so the wave's wall clock is its
-            // batched time, clamped like the Huffman wave's: never under the longest
-            // field, never over the serial sum.
-            wall.max(longest_field).min(serial_seconds)
-        };
         let permille =
             (kernel_seconds > 0.0).then(|| (weighted / kernel_seconds * 1000.0).round() as u64);
         self.metrics.update(|m| {
-            let occupancy = if finished >= 2 {
-                m.batch_serial_seconds += serial_seconds;
-                m.batch_batched_seconds += batched_seconds;
+            let occupancy = if stats.fields >= 2 {
+                m.batch_serial_seconds += stats.serial_seconds;
+                m.batch_batched_seconds += stats.batched_seconds;
                 &mut m.batch_occupancy_permille
             } else {
                 &mut m.decode_occupancy_permille
@@ -556,12 +504,6 @@ impl Codec {
                 *occupancy = permille;
             }
         });
-        let stats = BatchDecompressStats {
-            huffman,
-            reconstruct_seconds,
-            serial_seconds,
-            batched_seconds,
-        };
         (fields, stats)
     }
 
@@ -627,7 +569,7 @@ impl Codec {
     /// scenario's (Fig. 4); the modeled host-to-device copy of the compressed bytes is
     /// stamped beside it as `h2d_transfer_seconds` for callers that want Fig. 5's.
     pub fn decompress(&self, c: &Compressed) -> Result<DecodeOutcome> {
-        let (mut fields, _) = self.wave(&[c], |c| self.data_field(c));
+        let (mut fields, _) = self.wave(&[c], |c| self.data_field(c), data_timing);
         fields.remove(0)
     }
 
@@ -636,7 +578,7 @@ impl Codec {
     /// pool. Outputs are bit-identical to serial [`Codec::decompress`]; the first field
     /// (in input order) that fails fails the batch.
     pub fn decompress_batch(&self, archives: &[&Compressed]) -> Result<BatchDecodeOutcome> {
-        let (fields, stats) = self.wave(archives, |c| self.data_field(c));
+        let (fields, stats) = self.wave(archives, |c| self.data_field(c), data_timing);
         Ok(BatchDecodeOutcome {
             fields: fields.into_iter().collect::<Result<_>>()?,
             stats,
@@ -646,20 +588,14 @@ impl Codec {
     /// Decodes just the quantization codes of an archive (the Huffman stage alone, no
     /// reverse quantization): the symbols its stored digest covers.
     pub fn decode_codes(&self, c: &Compressed) -> Result<DecodeResult> {
-        let (mut fields, _) = self.wave(&[c], |c| {
-            self.codes_field(c.decoder(), &c.payload, c.compressed_bytes())
-        });
-        fields.remove(0).map(codes_result)
+        self.decode_stream(c.decoder(), &c.payload, c.compressed_bytes())
     }
 
     /// Decodes a bare payload with this session's configured decoder (hybrid payloads
     /// route through the `huffdec-hybrid` decoder). Benchmark-level access for streams
     /// that never went through the field pipeline.
     pub fn decode_payload(&self, payload: &CompressedPayload) -> Result<DecodeResult> {
-        let (mut fields, _) = self.wave(&[payload], |p| {
-            self.codes_field(self.config.decoder, p, p.compressed_bytes())
-        });
-        fields.remove(0).map(codes_result)
+        self.decode_stream(self.config.decoder, payload, payload.compressed_bytes())
     }
 
     // ----- serialization (uses the session format version) -----
@@ -725,8 +661,8 @@ impl Codec {
 
     /// Decodes the full symbol stream of one field of an opened archive.
     pub fn decode_field_codes(&self, field: &FieldHandle) -> Result<DecodeResult> {
-        let (mut results, _) = self.decode_field_codes_batch(&[field])?;
-        Ok(results.remove(0))
+        let payload = field.archive().payload();
+        self.decode_stream(field.decoder(), payload, payload.compressed_bytes())
     }
 
     /// The deep check of one field: decodes its symbol stream and digests it beside
@@ -741,22 +677,6 @@ impl Codec {
         })
     }
 
-    /// Decodes the symbol streams of several fields of opened archives as one
-    /// overlapped wave (codes only — the batched analogue of
-    /// [`Codec::decode_field_codes`]). The first field (in input order) that fails
-    /// fails the batch.
-    pub fn decode_field_codes_batch(
-        &self,
-        fields: &[&FieldHandle],
-    ) -> Result<(Vec<DecodeResult>, BatchStats)> {
-        let (fields, stats) = self.wave(fields, |f| self.field_codes(f));
-        let results = fields
-            .into_iter()
-            .map(|f| f.map(codes_result))
-            .collect::<Result<_>>()?;
-        Ok((results, stats.huffman))
-    }
-
     /// Decodes one scheduler wave of fields to wire-ready little-endian bytes, each
     /// field to the representation its [`GetKind`] names.
     ///
@@ -768,20 +688,24 @@ impl Codec {
     /// bytes are bit-identical to serial decodes: a corrupt stream fails only its own
     /// field, and a payload-only field asked for data fails with a usage error.
     pub fn decode_to_bytes(&self, fields: &[(&FieldHandle, GetKind)]) -> Vec<Result<Vec<u8>>> {
-        let (fields, _) = self.wave(fields, |&(field, kind)| {
-            let (bytes, stats) = match kind {
-                GetKind::Data => {
-                    let d = self.data_field(reconstructable(field)?)?;
-                    (f32_le_bytes(&d.data), d.stats)
-                }
-                GetKind::Codes => {
-                    let d = self.field_codes(field)?;
-                    (u16_le_bytes(&d.data), d.stats)
-                }
-            };
-            Ok(Decompressed { data: bytes, stats })
-        });
-        fields.into_iter().map(|f| f.map(|d| d.data)).collect()
+        // Each task carries its bytes, its Huffman phases and the rest of its job.
+        let task = |&(field, kind): &(&FieldHandle, GetKind)| match kind {
+            GetKind::Data => {
+                let d = self.data_field(reconstructable(field)?)?;
+                let (_, rest) = data_timing(&d);
+                Ok((f32_le_bytes(&d.data), d.stats.huffman, rest))
+            }
+            GetKind::Codes => {
+                let payload = field.archive().payload();
+                let r = self.codes_field(field.decoder(), payload, payload.compressed_bytes())?;
+                Ok((u16_le_bytes(&r.symbols), r.timings, 0.0))
+            }
+        };
+        let (fields, _) = self.wave(fields, task, |(_, huffman, rest)| (huffman, *rest));
+        fields
+            .into_iter()
+            .map(|f| f.map(|(bytes, ..)| bytes))
+            .collect()
     }
 
     /// Builds (or returns the cached) range-decode index of a field — the one-time
@@ -1168,7 +1092,6 @@ mod tests {
 
     #[test]
     fn batch_decompression_matches_serial() {
-        let codec = tiny_codec(DecoderKind::OptimizedSelfSync);
         // Every stream format in one wave, the hybrid's included.
         let decoders = [
             DecoderKind::OptimizedGapArray,
@@ -1186,31 +1109,80 @@ mod tests {
             })
             .collect();
         let refs: Vec<&Compressed> = archives.iter().collect();
-        let batch = codec.decompress_batch(&refs).unwrap();
-        assert_eq!((batch.fields.len(), batch.stats.huffman.fields), (4, 4));
-        for (c, d) in archives.iter().zip(&batch.fields) {
-            let serial = codec.decompress(c).unwrap().data;
-            assert_eq!(d.data, serial, "batched field diverged from serial");
-        }
-        let stats = &batch.stats;
-        assert!(stats.reconstruct_seconds > 0.0);
-        assert!(stats.batched_seconds <= stats.serial_seconds + 1e-15);
-        assert!(stats.overlap_speedup() >= 1.0);
-        let bytes: u64 = archives.iter().map(|c| c.original_bytes()).sum();
-        assert!(stats.batched_throughput_gbs(bytes) >= stats.serial_throughput_gbs(bytes));
-        // A hybrid archive relabelled as dense, and a dense one as hybrid, fail the
-        // batch with the typed mismatch.
-        for (i, decoder) in [
-            (3, DecoderKind::OptimizedSelfSync),
-            (0, DecoderKind::RleHybrid),
-        ] {
-            let mut broken = archives[i].clone();
-            broken.config.decoder = decoder;
-            let err = codec.decompress_batch(&[refs[1], &broken]).unwrap_err();
-            assert!(matches!(
-                err,
-                HfzError::Decode(DecodeError::PayloadMismatch { decoder: d }) if d == decoder
-            ));
+        for backend in [BackendKind::Sim, BackendKind::Cpu] {
+            let codec = Codec::builder()
+                .gpu_config(GpuConfig::test_tiny())
+                .host_threads(2)
+                .backend(backend)
+                .build()
+                .unwrap();
+            let batch = codec.decompress_batch(&refs).unwrap();
+            assert_eq!((batch.fields.len(), batch.stats.fields), (4, 4));
+            for (c, d) in archives.iter().zip(&batch.fields) {
+                let serial = codec.decompress(c).unwrap().data;
+                assert_eq!(
+                    d.data, serial,
+                    "{backend:?}: batched field diverged from serial"
+                );
+            }
+            let stats = &batch.stats;
+            assert!(stats.batched_seconds <= stats.serial_seconds + 1e-15);
+            assert!(stats.overlap_speedup() >= 1.0);
+            let bytes: u64 = archives.iter().map(|c| c.original_bytes()).sum();
+            assert!(stats.batched_throughput_gbs(bytes) >= stats.serial_throughput_gbs(bytes));
+
+            // The statistic of a wave of dense fields is each field's whole job, timed
+            // once: on the simulator the Huffman wave `decode_batch` models plus every
+            // field's reconstruction, to the bit; on the CPU backend the wall clock,
+            // between the longest field and the serial sum.
+            let dense = codec.decompress_batch(&refs[..3]).unwrap();
+            let stats = &dense.stats;
+            assert_eq!(stats.fields, 3);
+            let rest: f64 = dense
+                .fields
+                .iter()
+                .map(|d| d.stats.reconstruct_seconds + d.stats.outlier_scatter_seconds)
+                .sum();
+            assert!(rest > 0.0);
+            if backend == BackendKind::Sim {
+                let items: Vec<_> = refs[..3]
+                    .iter()
+                    .map(|c| (c.decoder(), &c.payload))
+                    .collect();
+                let (_, huffman) = huffdec_core::decode_batch(codec.backend(), &items).unwrap();
+                assert_eq!(
+                    stats.serial_seconds.to_bits(),
+                    (huffman.serial_seconds + rest).to_bits()
+                );
+                assert_eq!(
+                    stats.batched_seconds.to_bits(),
+                    (huffman.batched_seconds + rest).to_bits()
+                );
+                assert_eq!(stats.kernel_launches, huffman.kernel_launches);
+            } else {
+                let longest = dense
+                    .fields
+                    .iter()
+                    .map(|d| d.stats.total_seconds)
+                    .fold(0.0f64, f64::max);
+                assert!(longest <= stats.batched_seconds * (1.0 + 1e-12));
+                assert!(stats.batched_seconds <= stats.serial_seconds * (1.0 + 1e-12));
+            }
+
+            // A hybrid archive relabelled as dense, and a dense one as hybrid, fail the
+            // batch with the typed mismatch.
+            for (i, decoder) in [
+                (3, DecoderKind::OptimizedSelfSync),
+                (0, DecoderKind::RleHybrid),
+            ] {
+                let mut broken = archives[i].clone();
+                broken.config.decoder = decoder;
+                let err = codec.decompress_batch(&[refs[1], &broken]).unwrap_err();
+                assert!(matches!(
+                    err,
+                    HfzError::Decode(DecodeError::PayloadMismatch { decoder: d }) if d == decoder
+                ));
+            }
         }
     }
 

@@ -11,7 +11,8 @@
 //! * [`Codec::compress`] / [`Codec::decompress`] — one field, with typed
 //!   [`EncodeOutcome`] / [`DecodeOutcome`] carrying the phase breakdowns;
 //! * [`Codec::decompress_batch`] — many fields as one wave, each field's decode and
-//!   reconstruction one task of the worker pool (a wave of one is the serial decode);
+//!   reconstruction one task of the worker pool (a wave of one is the serial decode),
+//!   timed once end to end into one `huffdec_core::BatchStats`;
 //! * [`Codec::open_archive`] / [`Codec::open_snapshot`] — archive sessions
 //!   ([`ArchiveHandle`]) that parse a file exactly once and cache each field's
 //!   range-decode index, so [`Codec::decompress_range`] launches only the blocks
@@ -53,8 +54,8 @@ mod error;
 mod handle;
 
 pub use codec::{
-    f32_le_bytes, u16_le_bytes, BatchDecodeOutcome, BatchDecompressStats, Codec, CodecBuilder,
-    DecodeOutcome, EncodeOutcome, FieldDigest, GetKind,
+    f32_le_bytes, u16_le_bytes, BatchDecodeOutcome, Codec, CodecBuilder, DecodeOutcome,
+    EncodeOutcome, FieldDigest, GetKind,
 };
 pub use error::{HfzError, Result};
 // The container format-version switch and the auto-hybrid default, re-exported so

@@ -14,9 +14,13 @@
 //! [`decode_batch`] is the wave over [`decode`]; the `sz` layer runs the same wave over
 //! its dense-or-hybrid dispatch, and the codec over decode plus reconstruction.
 //!
-//! The model is conservative in both directions: the batched wave can never beat the
-//! longest single field's serial phase chain (phases within a field are dependent), and
-//! can never be slower than decoding the fields serially.
+//! The wave is timed here and only here, end to end: each field's whole job is its
+//! Huffman phases plus the rest the caller reports (reconstruction, for a data field).
+//! On the simulator the stream model overlaps the Huffman kernels and every field's
+//! rest is added after; on a real backend the wave's one wall clock is the batched
+//! time. Either way the estimate is conservative in both directions: the batched wave
+//! can never beat the longest single field's whole job (phases within a field are
+//! dependent), and can never be slower than running the fields serially.
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -26,19 +30,21 @@ use gpu_sim::{Backend, KernelStats};
 use crate::decoder::{check_payload, decode, CompressedPayload, DecodeError, DecoderKind};
 use crate::phases::{DecodeResult, PhaseBreakdown};
 
-/// Aggregate timing of one batched decode wave. Per-field phase breakdowns stay in the
-/// corresponding [`DecodeResult::timings`]; this aggregates them into the serial
-/// baseline and the batched wave estimate.
+/// Aggregate timing of one batched decode wave: every finished field's whole job,
+/// summed into the serial baseline and overlapped into the batched wave estimate.
+/// Per-field phase breakdowns stay with each field's own result.
 #[derive(Debug, Clone, Default)]
 pub struct BatchStats {
     /// Number of fields in the wave.
     pub fields: usize,
-    /// Total simulated kernel launches across all fields.
+    /// Total Huffman kernel launches across all fields.
     pub kernel_launches: usize,
-    /// What decoding the fields one-after-another would cost (sum of per-field totals).
+    /// What running the fields' jobs one-after-another would cost (sum of per-field
+    /// totals).
     pub serial_seconds: f64,
-    /// Estimated time of the batched wave: all fields' kernels overlapped on
-    /// independent streams, bounded below by the longest single field's phase chain.
+    /// Time of the batched wave: on the simulator, all fields' Huffman kernels
+    /// overlapped on independent streams plus every field's rest; on a real backend,
+    /// the wave's wall clock. Bounded below by the longest single field's whole job.
     pub batched_seconds: f64,
 }
 
@@ -52,12 +58,12 @@ impl BatchStats {
         }
     }
 
-    /// Serial-decode throughput in GB/s relative to `useful_bytes`.
+    /// Serial throughput in GB/s relative to `useful_bytes`.
     pub fn serial_throughput_gbs(&self, useful_bytes: u64) -> f64 {
         throughput(useful_bytes, self.serial_seconds)
     }
 
-    /// Batched-decode throughput in GB/s relative to `useful_bytes`.
+    /// Batched throughput in GB/s relative to `useful_bytes`.
     pub fn batched_throughput_gbs(&self, useful_bytes: u64) -> f64 {
         throughput(useful_bytes, self.batched_seconds)
     }
@@ -91,16 +97,16 @@ pub fn decode_batch(
         gpu,
         items,
         |&(kind, payload)| decode(gpu, kind, payload),
-        |r| &r.timings,
+        |r| (&r.timings, 0.0),
     );
     Ok((fields.into_iter().collect::<Result<_, _>>()?, stats))
 }
 
-/// Runs `run_field` — one field's whole job — over every item as one wave, and
-/// aggregates the Huffman timing of the fields that succeed into a [`BatchStats`].
-/// Every field gets its own outcome, in input order: a failing field fails only
-/// itself. `huffman` reads a finished field's Huffman phase breakdown, the part of
-/// its job the stream model overlaps.
+/// Runs `run_field` — one field's whole job — over every item as one wave, and times
+/// the fields that succeed into a [`BatchStats`]. Every field gets its own outcome, in
+/// input order: a failing field fails only itself. `timing` reads a finished field's
+/// Huffman phase breakdown, the part of its job the stream model overlaps, and the
+/// seconds of the rest of its job, which nothing overlaps.
 ///
 /// The fields are the tasks of one [`Backend::run_tasks`] call, so they run on the
 /// device's own worker pool, which is bounded by its host-thread budget
@@ -109,11 +115,14 @@ pub fn decode_batch(
 /// blocks, are the wave's unit of parallelism, exactly like kernels from independent
 /// streams. A wave of one, or a wave on a one-thread session, runs on the calling
 /// thread and leaves the pool to that field's launches.
+///
+/// This is the one clock of a wave: on a real backend its wall time, clamped to the
+/// longest whole job below and the serial sum above, is the batched time.
 pub fn decode_wave<T: Sync, O: Send + Sync, E: Send + Sync>(
     gpu: &dyn Backend,
     items: &[T],
     run_field: impl Fn(&T) -> Result<O, E> + Sync,
-    huffman: impl Fn(&O) -> &PhaseBreakdown,
+    timing: impl Fn(&O) -> (&PhaseBreakdown, f64),
 ) -> (Vec<Result<O, E>>, BatchStats) {
     let slots: Vec<OnceLock<Result<O, E>>> = items.iter().map(|_| OnceLock::new()).collect();
     let wave_start = Instant::now();
@@ -126,51 +135,57 @@ pub fn decode_wave<T: Sync, O: Send + Sync, E: Send + Sync>(
         .into_iter()
         .map(|slot| slot.into_inner().expect("every field ran"))
         .collect();
-
-    let decoded: Vec<&PhaseBreakdown> = fields.iter().flatten().map(huffman).collect();
-    let mut stats = batch_stats(gpu, &decoded);
-    if !gpu.is_modeled() {
-        // A real backend does not need the stream model: the pool above *is* the
-        // overlapped wave, so use its measured wall clock — clamped to the same
-        // invariants the model guarantees (never under the longest field's own chain,
-        // never over the serial sum).
-        let longest_field = decoded
-            .iter()
-            .map(|t| t.total_seconds())
-            .fold(0.0f64, f64::max);
-        stats.batched_seconds = wave_elapsed.max(longest_field).min(stats.serial_seconds);
-    }
+    let finished: Vec<(&PhaseBreakdown, f64)> = fields.iter().flatten().map(timing).collect();
+    let stats = batch_stats(gpu, &finished, wave_elapsed);
     (fields, stats)
 }
 
-/// Aggregates per-field decode timings into the serial baseline and the batched wave
-/// estimate.
-fn batch_stats(gpu: &dyn Backend, fields: &[&PhaseBreakdown]) -> BatchStats {
-    let mut kernels: Vec<KernelStats> = Vec::new();
+/// Aggregates the finished fields' timings — each its Huffman breakdown and the rest
+/// of its job — into the serial baseline and the batched wave time. `wall` is the
+/// wave's measured wall clock, the batched time of an unmodeled backend.
+fn batch_stats(gpu: &dyn Backend, fields: &[(&PhaseBreakdown, f64)], wall: f64) -> BatchStats {
+    // Only the stream model reads the kernels themselves; a real backend counts them.
+    let modeled = gpu.is_modeled();
+    let (mut kernels, mut kernel_launches) = (Vec::<KernelStats>::new(), 0);
     let mut host_seconds = 0.0f64;
-    let mut serial_seconds = 0.0f64;
-    let mut longest_field = 0.0f64;
-    for field in fields {
-        let total = field.total_seconds();
-        serial_seconds += total;
-        longest_field = longest_field.max(total);
-        for (_, phase) in field.phases() {
-            kernels.extend(phase.kernels.iter().cloned());
+    let (mut huffman_seconds, mut rest_seconds) = (0.0f64, 0.0f64);
+    let (mut longest_huffman, mut longest_job) = (0.0f64, 0.0f64);
+    for &(huffman, rest) in fields {
+        let total = huffman.total_seconds();
+        huffman_seconds += total;
+        rest_seconds += rest;
+        longest_huffman = longest_huffman.max(total);
+        longest_job = longest_job.max(total + rest);
+        for (_, phase) in huffman.phases() {
+            kernel_launches += phase.kernels.len();
+            if modeled {
+                kernels.extend(phase.kernels.iter().cloned());
+            }
             // Phase seconds beyond the kernel times are host/transfer work that does
             // not overlap in the stream model.
             host_seconds +=
                 (phase.seconds - phase.kernels.iter().map(|k| k.time_s).sum::<f64>()).max(0.0);
         }
     }
-    let wave = gpu.concurrent(&kernels);
-    // Within a field the phases are serially dependent, so the wave can never undercut
-    // the longest single field; across fields everything may overlap.
-    let batched_seconds = (wave.time_s + host_seconds)
-        .max(longest_field)
-        .min(serial_seconds);
+    let serial_seconds = huffman_seconds + rest_seconds;
+    let batched_seconds = if modeled {
+        // Within a field the phases are serially dependent, so the Huffman wave can
+        // never undercut the longest single field; across fields everything may
+        // overlap. The rest of every field's job follows, unoverlapped.
+        let wave = gpu.concurrent(&kernels);
+        let huffman_wave = (wave.time_s + host_seconds)
+            .max(longest_huffman)
+            .min(huffman_seconds);
+        huffman_wave + rest_seconds
+    } else {
+        // A real backend does not need the stream model: the pool *is* the overlapped
+        // wave, so its wall clock is the batched time — clamped to the same invariants
+        // the model guarantees.
+        wall.max(longest_job).min(serial_seconds)
+    };
     BatchStats {
         fields: fields.len(),
-        kernel_launches: kernels.len(),
+        kernel_launches,
         serial_seconds,
         batched_seconds,
     }
@@ -256,7 +271,7 @@ mod tests {
                 );
                 decode(&g, DecoderKind::OptimizedGapArray, payload)
             },
-            |r| &r.timings,
+            |r| (&r.timings, 0.0),
         );
         assert_eq!(results.len(), 4);
         assert!(results.iter().all(Result::is_ok));

@@ -80,8 +80,7 @@ impl Daemon {
 /// fill it from flags ([`DaemonBuilder::parse`]), embedders through the setters.
 ///
 /// Everything the CLI flags express is available programmatically, plus the device
-/// model and the scheduler's admission bound ([`DaemonBuilder::queue_bound`]) the
-/// contention tests pin down.
+/// model.
 #[derive(Debug, Clone)]
 pub struct DaemonBuilder {
     pub(crate) listen: ListenAddr,
@@ -92,7 +91,6 @@ pub struct DaemonBuilder {
     pub(crate) gpu: GpuConfig,
     pub(crate) metrics: Option<ListenAddr>,
     pub(crate) addr_file: Option<PathBuf>,
-    pub(crate) queue_bound: usize,
 }
 
 impl Default for DaemonBuilder {
@@ -106,7 +104,6 @@ impl Default for DaemonBuilder {
             gpu: GpuConfig::v100(),
             metrics: None,
             addr_file: None,
-            queue_bound: 256,
         }
     }
 }
@@ -185,14 +182,6 @@ impl DaemonBuilder {
     /// Writes the resolved listen address to `path` (atomically) once bound.
     pub fn addr_file(mut self, path: PathBuf) -> Self {
         self.addr_file = Some(path);
-        self
-    }
-
-    /// Admission bound on not-yet-started decodes: a miss that would push the
-    /// scheduler's pending queue past this answers `BUSY` instead of queueing
-    /// (default 256).
-    pub fn queue_bound(mut self, bound: usize) -> Self {
-        self.queue_bound = bound;
         self
     }
 

@@ -17,10 +17,10 @@
 //!   `sched_multi_field_waves`) — and each flight completes with its own field's
 //!   outcome.
 //!
-//! Admission control: the pending queue is bounded. A submission that would push it
-//! past the bound is **shed** — nothing is enqueued, `sched_shed` is bumped, and the
-//! server answers the typed `BUSY` protocol reply instead of queueing unbounded work
-//! under overload.
+//! Admission control: the pending queue is bounded ([`QUEUE_BOUND`]). A submission
+//! that would push it past the bound is **shed** — nothing is enqueued, `sched_shed`
+//! is bumped, and the server answers the typed `BUSY` protocol reply instead of
+//! queueing unbounded work under overload.
 //!
 //! The scheduler is pure bookkeeping (a mutex, a condvar, a map); the decode itself
 //! runs on the daemon's wave-worker thread, which loops on [`Scheduler::next_wave`].
@@ -32,6 +32,10 @@ use huffdec_metrics::Metrics;
 
 use crate::cache::CacheKey;
 use crate::store::LoadedArchive;
+
+/// The daemon's admission bound: the most not-yet-started decodes its pending queue
+/// holds. A request whose cold fields would push the queue past it answers `BUSY`.
+pub(crate) const QUEUE_BOUND: usize = 256;
 
 /// One in-flight decode: waiters block on the slot until the wave worker completes
 /// it with either the decoded bytes or an error message.
@@ -110,7 +114,8 @@ pub(crate) struct Scheduler {
 }
 
 impl Scheduler {
-    /// A scheduler admitting at most `queue_bound` not-yet-started decodes.
+    /// A scheduler admitting at most `queue_bound` not-yet-started decodes: the daemon
+    /// passes [`QUEUE_BOUND`]; unit tests pass a bound their submits can reach.
     pub fn new(queue_bound: usize, metrics: Arc<Metrics>) -> Scheduler {
         Scheduler {
             inner: Mutex::new(SchedInner {

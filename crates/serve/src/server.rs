@@ -50,7 +50,7 @@ use huffdec_metrics::{Metrics, MetricsSnapshot};
 use crate::cache::{CacheKey, DecodedLru};
 use crate::daemon::DaemonBuilder;
 use crate::protocol::{list_document, BatchGetItem, GetKind, Request, Response};
-use crate::sched::{DecodeTask, FlightSlot, Scheduler};
+use crate::sched::{DecodeTask, FlightSlot, Scheduler, QUEUE_BOUND};
 use crate::service::{Lifecycle, Service};
 use crate::store::{ArchiveStore, LoadedArchive};
 
@@ -100,7 +100,7 @@ impl ServerState {
         // The cache and the scheduler share the codec's registry: one set of
         // instruments covers the whole daemon.
         let cache = DecodedLru::with_metrics(config.cache_bytes, Arc::clone(codec.metrics()));
-        let sched = Scheduler::new(config.queue_bound, Arc::clone(codec.metrics()));
+        let sched = Scheduler::new(QUEUE_BOUND, Arc::clone(codec.metrics()));
         let health_window = codec.metrics().snapshot();
         let state = Arc::new(ServerState {
             codec,

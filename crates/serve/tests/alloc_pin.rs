@@ -35,6 +35,11 @@
 //! their little-endian bytes, which the reply copies once more. Its count repeats
 //! exactly on each backend, and differs between them (the simulator runs the paper's
 //! kernels, the CPU backend its walk), so each backend has its own pin.
+//!
+//! A fourth row counts cold `GETBATCH`es of four fields on the same daemon: each
+//! counted request must start four decodes, one wave of four tasks. It alternates two
+//! disjoint sets of four copies of the field, as the cold `GET` row alternates two,
+//! and its count repeats exactly on each backend too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,7 +50,7 @@ use huffdec_container::ArchiveWriter;
 use huffdec_core::DecoderKind;
 use huffdec_serve::client::Connection;
 use huffdec_serve::net::ListenAddr;
-use huffdec_serve::protocol::GetKind;
+use huffdec_serve::protocol::{BatchGetItem, GetKind};
 use huffdec_serve::router::Router;
 use huffdec_serve::{BackendKind, Daemon, ServerState};
 use sz::{compress, SzConfig};
@@ -106,14 +111,25 @@ const PIN_ROUTED_ALLOCATIONS: u64 = 23;
 /// small change.
 const PIN_ROUTED_BYTES: u64 = 5 * PAYLOAD + 694;
 /// Allocations per cold `GET` on the CPU backend, both ends together.
-const PIN_COLD_ALLOCATIONS_CPU: u64 = 50;
+const PIN_COLD_ALLOCATIONS_CPU: u64 = 45;
 /// Bytes those allocations request per cold `GET` on the CPU backend: six and a half
 /// payloads and the decode's small change.
-const PIN_COLD_BYTES_CPU: u64 = 6 * PAYLOAD + PAYLOAD / 2 + 6_891;
+const PIN_COLD_BYTES_CPU: u64 = 6 * PAYLOAD + PAYLOAD / 2 + 5_737;
 /// Allocations per cold `GET` on the simulator, whose kernels allocate per launch.
 const PIN_COLD_ALLOCATIONS_SIM: u64 = 173;
 /// Bytes those allocations request per cold `GET` on the simulator.
-const PIN_COLD_BYTES_SIM: u64 = 6 * PAYLOAD + 57_168;
+const PIN_COLD_BYTES_SIM: u64 = 6 * PAYLOAD + 57_112;
+/// Allocations per cold `GETBATCH` of four fields on the CPU backend, both ends
+/// together.
+const PIN_BATCH_ALLOCATIONS_CPU: u64 = 128;
+/// Bytes those allocations request per cold `GETBATCH` of four on the CPU backend:
+/// four fields at six and a half payloads each, and the small change.
+const PIN_BATCH_BYTES_CPU: u64 = 26 * PAYLOAD + 21_638;
+/// Allocations per cold `GETBATCH` of four fields on the simulator.
+const PIN_BATCH_ALLOCATIONS_SIM: u64 = 630;
+/// Bytes those allocations request per cold `GETBATCH` of four on the simulator: four
+/// fields at six payloads each, and the small change.
+const PIN_BATCH_BYTES_SIM: u64 = 24 * PAYLOAD + 229_442;
 
 /// Full decodes `daemon` has run so far.
 fn decodes(daemon: &ServerState) -> u64 {
@@ -121,17 +137,32 @@ fn decodes(daemon: &ServerState) -> u64 {
     m.decode_seconds.iter().map(|h| h.count()).sum()
 }
 
-/// Counts [`COUNTED`] `GET`s through `addr`, after [`WARM_UP`] uncounted ones, and
-/// checks every count against its pins. A cached row (`cold` is `None`) counts hits of
-/// field 0. A cold row, on the daemon `cold` names, alternates between fields 0 and 1
-/// and checks that each request started a decode of its own: a miss of the field the
-/// previous request decoded could join that request's flight before the worker
-/// retires it, and cost only a hit's bytes.
-fn pin_gets(addr: &ListenAddr, pin_allocations: u64, pin_bytes: u64, cold: Option<&ServerState>) {
+/// One counted reply: a `GET`'s, or a `GETBATCH`'s items.
+enum Reply {
+    Get(huffdec_serve::GetResult),
+    Batch(Vec<BatchGetItem>),
+}
+
+/// Counts [`COUNTED`] requests through `addr`, after [`WARM_UP`] uncounted ones, and
+/// checks every count against its pins. Request `i` asks for the field set
+/// `sets[i % sets.len()]`: a one-field set as a `GET`, a larger one as a `GETBATCH`. A
+/// cached row (`cold` is `None`) asks for hits. A cold row, on the daemon `cold` names,
+/// alternates between disjoint sets and checks that each request started a decode of
+/// every field it named: a miss of a field the previous request decoded could join
+/// that request's flight before the worker retires it, and cost only a hit's bytes.
+fn pin_requests(
+    addr: &ListenAddr,
+    sets: &[&[u32]],
+    (pin_allocations, pin_bytes): (u64, u64),
+    cold: Option<&ServerState>,
+) {
     let mut client = Connection::connect(addr).unwrap();
-    let field = |i: usize| if cold.is_some() { i as u32 % 2 } else { 0 };
+    let mut request = |i: usize| match sets[i % sets.len()] {
+        &[field] => Reply::Get(client.get("hacc", field, GetKind::Data, None).unwrap()),
+        fields => Reply::Batch(client.get_batch("hacc", GetKind::Data, fields).unwrap()),
+    };
     for i in 0..WARM_UP {
-        client.get("hacc", field(i), GetKind::Data, None).unwrap();
+        request(i);
     }
     let mut counts = Vec::with_capacity(COUNTED);
     for i in WARM_UP..WARM_UP + COUNTED {
@@ -140,17 +171,24 @@ fn pin_gets(addr: &ListenAddr, pin_allocations: u64, pin_bytes: u64, cold: Optio
             ALLOCATIONS.load(Ordering::SeqCst),
             BYTES.load(Ordering::SeqCst),
         );
-        let reply = client.get("hacc", field(i), GetKind::Data, None).unwrap();
+        let reply = request(i);
         counts.push((
             ALLOCATIONS.load(Ordering::SeqCst) - allocations,
             BYTES.load(Ordering::SeqCst) - bytes,
         ));
-        assert_eq!(reply.bytes.len() as u64, PAYLOAD);
-        assert_eq!(reply.from_cache, cold.is_none());
+        let items: Vec<(usize, bool)> = match reply {
+            Reply::Get(r) => vec![(r.bytes.len(), r.from_cache)],
+            Reply::Batch(items) => items
+                .iter()
+                .map(|item| (item.bytes.len(), item.from_cache))
+                .collect(),
+        };
+        let asked = sets[i % sets.len()].len();
+        assert_eq!(items, vec![(PAYLOAD as usize, cold.is_none()); asked]);
         assert_eq!(
             cold.map(decodes),
-            decoded.map(|n| n + 1),
-            "{} GET {}",
+            decoded.map(|n| n + asked as u64),
+            "{} request {}",
             addr,
             i
         );
@@ -158,7 +196,7 @@ fn pin_gets(addr: &ListenAddr, pin_allocations: u64, pin_bytes: u64, cold: Optio
     for (i, &(allocations, bytes)) in counts.iter().enumerate() {
         assert!(
             allocations <= pin_allocations && bytes <= pin_bytes,
-            "{} GET {}: {} allocations of {} bytes ({:.3} payloads), pinned at {} of {}",
+            "{} request {}: {} allocations of {} bytes ({:.3} payloads), pinned at {} of {}",
             addr,
             i,
             allocations,
@@ -182,9 +220,11 @@ fn a_cached_get_allocates_three_payloads() {
     );
     let path = dir.join("hacc.hfz");
     let mut writer = ArchiveWriter::new(std::fs::File::create(&path).unwrap());
-    // Two copies of the field, for the cold row to alternate between.
-    writer.write_compressed(&compressed).unwrap();
-    writer.write_compressed(&compressed).unwrap();
+    // Eight copies of the field, for the cold rows to alternate between: fields 0 and
+    // 1 for a `GET`, fields 0-3 and 4-7 for a `GETBATCH` of four.
+    for _ in 0..8 {
+        writer.write_compressed(&compressed).unwrap();
+    }
     writer.into_inner().unwrap();
 
     let mut transports = vec![[(); 3].map(|_| ListenAddr::parse("tcp:127.0.0.1:0").unwrap())];
@@ -203,7 +243,8 @@ fn a_cached_get_allocates_three_payloads() {
                 .unwrap()
         };
         let daemon = spawn(listen, 64 << 20);
-        pin_gets(daemon.local_addr(), PIN_ALLOCATIONS, PIN_BYTES, None);
+        let pins = (PIN_ALLOCATIONS, PIN_BYTES);
+        pin_requests(daemon.local_addr(), &[&[0]], pins, None);
 
         let router = Router::builder()
             .listen(router_listen)
@@ -211,25 +252,25 @@ fn a_cached_get_allocates_three_payloads() {
             .preload("hacc", path.to_str().unwrap())
             .spawn()
             .unwrap();
-        pin_gets(
-            router.local_addr(),
-            PIN_ROUTED_ALLOCATIONS,
-            PIN_ROUTED_BYTES,
-            None,
-        );
+        let pins = (PIN_ROUTED_ALLOCATIONS, PIN_ROUTED_BYTES);
+        pin_requests(router.local_addr(), &[&[0]], pins, None);
 
         // A cache smaller than the field never keeps it: every `GET` misses.
         let cold = spawn(cold_listen, PAYLOAD - 1);
-        let (pin_allocations, pin_bytes) = match cold.state().codec().backend_kind() {
-            BackendKind::Cpu => (PIN_COLD_ALLOCATIONS_CPU, PIN_COLD_BYTES_CPU),
-            BackendKind::Sim => (PIN_COLD_ALLOCATIONS_SIM, PIN_COLD_BYTES_SIM),
+        let (get_pins, batch_pins) = match cold.state().codec().backend_kind() {
+            BackendKind::Cpu => (
+                (PIN_COLD_ALLOCATIONS_CPU, PIN_COLD_BYTES_CPU),
+                (PIN_BATCH_ALLOCATIONS_CPU, PIN_BATCH_BYTES_CPU),
+            ),
+            BackendKind::Sim => (
+                (PIN_COLD_ALLOCATIONS_SIM, PIN_COLD_BYTES_SIM),
+                (PIN_BATCH_ALLOCATIONS_SIM, PIN_BATCH_BYTES_SIM),
+            ),
         };
-        pin_gets(
-            cold.local_addr(),
-            pin_allocations,
-            pin_bytes,
-            Some(&cold.state()),
-        );
+        let state = cold.state();
+        pin_requests(cold.local_addr(), &[&[0], &[1]], get_pins, Some(&state));
+        let quads: [&[u32]; 2] = [&[0, 1, 2, 3], &[4, 5, 6, 7]];
+        pin_requests(cold.local_addr(), &quads, batch_pins, Some(&state));
         cold.shutdown();
         cold.join().unwrap();
         router.shutdown();

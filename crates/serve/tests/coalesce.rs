@@ -1,9 +1,9 @@
 //! Scheduler behaviour through a real daemon: single-flight coalescing (N clients,
 //! one cold field, exactly one decode), a multi-field batch decoding as one wave, and
-//! `BUSY` shedding at a tiny queue bound. None of it depends on timing; the
-//! cross-request cases (two requests merging into one wave, a second request shed
-//! behind a pending one) are `sched::tests` unit tests, where the order of submits
-//! and drains is fixed.
+//! `BUSY` shedding when one `GETBATCH` asks for more cold fields than the daemon's
+//! queue bound of 256 admits. None of it depends on timing; the cross-request cases
+//! (two requests merging into one wave, a second request shed behind a pending one)
+//! are `sched::tests` unit tests, where the order of submits and drains is fixed.
 
 use std::sync::{Arc, Barrier};
 
@@ -11,7 +11,7 @@ use datasets::{dataset_by_name, generate};
 use gpu_sim::{Gpu, GpuConfig};
 use huffdec_container::ArchiveWriter;
 use huffdec_core::DecoderKind;
-use huffdec_serve::client::Connection;
+use huffdec_serve::client::{ClientError, Connection};
 use huffdec_serve::net::ListenAddr;
 use huffdec_serve::protocol::{GetKind, Request, Response};
 use huffdec_serve::{Daemon, ServerHandle};
@@ -58,13 +58,12 @@ fn snapshot_archive(path: &std::path::Path, specs: &[(&str, DecoderKind, u64)]) 
     fields.into_iter().map(|(_, _, data)| data).collect()
 }
 
-fn spawn_daemon(queue_bound: usize) -> ServerHandle {
+fn spawn_daemon() -> ServerHandle {
     Daemon::builder()
         .listen(ListenAddr::parse("tcp:127.0.0.1:0").unwrap())
         .cache_bytes(16 << 20)
         .gpu(GpuConfig::test_tiny())
         .host_threads(2)
-        .queue_bound(queue_bound)
         .spawn()
         .unwrap()
 }
@@ -79,7 +78,7 @@ fn concurrent_cold_misses_coalesce_into_one_decode() {
     std::fs::create_dir_all(&dir).unwrap();
     let (path, reference) = single_field_archive(&dir, 41);
 
-    let daemon = spawn_daemon(256);
+    let daemon = spawn_daemon();
     let addr = daemon.local_addr().clone();
     let state = daemon.state();
     state.load_archive("f", path.to_str().unwrap()).unwrap();
@@ -147,7 +146,7 @@ fn distinct_cold_fields_merge_into_one_wave() {
         ],
     );
 
-    let daemon = spawn_daemon(256);
+    let daemon = spawn_daemon();
     let state = daemon.state();
     state.load_archive("snap", path.to_str().unwrap()).unwrap();
 
@@ -174,46 +173,44 @@ fn distinct_cold_fields_merge_into_one_wave() {
     daemon.join().unwrap();
 }
 
-/// At `queue_bound: 1` a two-field `GETBATCH` cannot be admitted: the daemon answers
-/// the typed `BUSY` instead of queueing it, and a single `GET` still decodes.
+/// A `GETBATCH` of 257 distinct cold fields, one more than the daemon's queue bound of
+/// 256, cannot be admitted: the daemon answers the typed `BUSY` instead of queueing
+/// it, and a single `GET` still decodes.
 #[test]
 fn saturated_queue_sheds_with_busy() {
+    const FIELDS: u32 = 257;
     let dir = std::env::temp_dir().join("hfzd-coalesce-busy");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("pair.hfz");
-    let references = snapshot_archive(
-        &path,
-        &[
-            ("a", DecoderKind::OptimizedGapArray, 71),
-            ("b", DecoderKind::OptimizedGapArray, 72),
-        ],
+    let path = dir.join("many.hfz");
+    // One small field stored under 257 names: 257 distinct cold fields.
+    let field = generate(&dataset_by_name("HACC").unwrap(), 256, 71);
+    let compressed = compress(
+        &field,
+        &SzConfig::paper_default(DecoderKind::OptimizedGapArray),
     );
+    let gpu = Gpu::with_host_threads(GpuConfig::test_tiny(), 2);
+    let reference = decompress(&gpu, &compressed).unwrap().data;
+    let names: Vec<String> = (0..FIELDS).map(|i| format!("f{}", i)).collect();
+    let named: Vec<(&str, &Compressed)> = names.iter().map(|n| (n.as_str(), &compressed)).collect();
+    std::fs::write(&path, huffdec_container::snapshot_to_bytes(&named).unwrap()).unwrap();
 
-    let daemon = spawn_daemon(1);
+    let daemon = spawn_daemon();
     let state = daemon.state();
-    state.load_archive("pair", path.to_str().unwrap()).unwrap();
+    state.load_archive("many", path.to_str().unwrap()).unwrap();
 
-    let batch = state.handle(&Request::GetBatch {
-        archive: "pair".to_string(),
-        kind: GetKind::Data,
-        fields: vec![0, 1],
-    });
+    let mut client = Connection::connect(daemon.local_addr()).unwrap();
+    let fields: Vec<u32> = (0..FIELDS).collect();
+    let batch = client.get_batch("many", GetKind::Data, &fields);
     assert!(
-        matches!(batch, Response::Busy),
-        "two new decodes past a bound of 1 must answer BUSY, got {:?}",
-        batch
+        matches!(batch, Err(ClientError::Busy)),
+        "257 new decodes past a bound of 256 must answer BUSY, got {:?}",
+        batch.map(|items| items.len())
     );
     assert_eq!(state.metrics_snapshot().sched_shed, 1);
 
-    match state.handle(&Request::Get {
-        archive: "pair".to_string(),
-        field: 0,
-        kind: GetKind::Data,
-        range: None,
-    }) {
-        Response::Get { bytes, .. } => assert_eq!(bytes, f32_bytes(&references[0])),
-        other => panic!("a single GET must still decode, got {:?}", other),
-    }
+    let reply = client.get("many", 0, GetKind::Data, None);
+    let reply = reply.expect("a single GET must still decode");
+    assert_eq!(reply.bytes, f32_bytes(&reference));
     let stats = state.metrics_snapshot();
     assert_eq!((stats.sched_shed, stats.sched_waves), (1, 1));
 

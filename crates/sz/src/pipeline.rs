@@ -440,7 +440,7 @@ pub fn decode_payload_batch(
         gpu,
         items,
         |&(kind, payload)| decode_payload(gpu, kind, payload),
-        |r| &r.timings,
+        |r| (&r.timings, 0.0),
     );
     Ok((fields.into_iter().collect::<Result<_, _>>()?, stats))
 }

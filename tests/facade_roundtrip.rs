@@ -7,8 +7,9 @@
 
 use huffdec::datasets::{dataset_by_name, generate};
 use huffdec::gpu_sim::{Gpu, GpuConfig};
+use huffdec::serve::GetKind;
 use huffdec::sz::{verify_error_bound, SzConfig};
-use huffdec::{Codec, Compressed, DecoderKind, HfzError};
+use huffdec::{u16_le_bytes, Codec, Compressed, DecoderKind, HfzError};
 
 const PAPER_DATASETS: [&str; 5] = ["HACC", "CESM", "Nyx", "RTM", "GAMESS"];
 const DECODERS: [DecoderKind; 3] = [
@@ -172,16 +173,12 @@ fn ranged_decodes_through_the_session_match_full_decodes() {
         Err(HfzError::Decode(_))
     ));
 
-    // Batched codes decode through handles matches per-field decodes.
+    // A codes wave through handles matches per-field decodes.
     let both = [handle.field(0).unwrap(), handle.field(1).unwrap()];
-    let (results, stats) = codec
-        .decode_field_codes_batch(&[both[0], both[1]])
-        .expect("batch decodes");
-    assert_eq!(stats.fields, 2);
-    for (field, result) in both.iter().zip(&results) {
-        assert_eq!(
-            result.symbols,
-            codec.decode_field_codes(field).expect("decodes").symbols
-        );
+    let wave = codec.decode_to_bytes(&[(both[0], GetKind::Codes), (both[1], GetKind::Codes)]);
+    assert_eq!(wave.len(), 2);
+    for (field, bytes) in both.iter().zip(wave) {
+        let serial = codec.decode_field_codes(field).expect("decodes").symbols;
+        assert_eq!(bytes.expect("wave decodes"), u16_le_bytes(&serial));
     }
 }
