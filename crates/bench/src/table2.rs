@@ -19,7 +19,7 @@ const PHASES: [&str; 5] = [
 ];
 
 fn phase<'a>(b: &'a PhaseBreakdown, name: &str) -> Option<&'a PhaseTime> {
-    b.phases().iter().find(|(n, _)| *n == name).map(|(_, p)| *p)
+    b.phases().find(|(n, _)| *n == name).map(|(_, p)| p)
 }
 
 pub(crate) fn run(ctx: &mut Context) -> Experiment {

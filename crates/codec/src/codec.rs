@@ -29,9 +29,8 @@ use gpu_sim::{Backend, BackendKind, GpuConfig};
 use huffdec_container::FormatVersion;
 use huffdec_core::{
     BatchStats, CompressedPayload, DecodeError, DecodeResult, DecoderKind, EncodePhaseBreakdown,
-    PhaseBreakdown, PreparedDecode, RangeDecode,
+    PhaseBreakdown, PreparedDecode, RangeDecode, AUTO_HYBRID_ZERO_FRACTION,
 };
-use huffdec_hybrid::AUTO_HYBRID_ZERO_FRACTION;
 use huffdec_metrics::Metrics;
 use sz::{CompressStats, Compressed, Decompressed, ErrorBound, SzConfig};
 
@@ -591,9 +590,9 @@ impl Codec {
         self.decode_stream(c.decoder(), &c.payload, c.compressed_bytes())
     }
 
-    /// Decodes a bare payload with this session's configured decoder (hybrid payloads
-    /// route through the `huffdec-hybrid` decoder). Benchmark-level access for streams
-    /// that never went through the field pipeline.
+    /// Decodes a bare payload with this session's configured decoder, the hybrid
+    /// included. Benchmark-level access for streams that never went through the field
+    /// pipeline.
     pub fn decode_payload(&self, payload: &CompressedPayload) -> Result<DecodeResult> {
         self.decode_stream(self.config.decoder, payload, payload.compressed_bytes())
     }
@@ -890,6 +889,22 @@ mod tests {
             })
             .collect();
         Field::new("walk".to_string(), datasets::Dims::D1(n), data)
+    }
+
+    /// A hybrid session encodes a bare symbol stream on either backend, and the payload
+    /// round-trips through the session's own decode.
+    #[test]
+    fn a_hybrid_session_encodes_bare_symbols_that_it_decodes() {
+        let symbols: Vec<u16> = (0..30_000).map(|i| 512 + (i % 11 == 0) as u16).collect();
+        for backend in [BackendKind::Sim, BackendKind::Cpu] {
+            let session = Codec::builder().backend(backend).host_threads(2);
+            let session = session.gpu_config(GpuConfig::test_tiny());
+            let codec = session.decoder(DecoderKind::RleHybrid).build().unwrap();
+            let (payload, _) = codec.encode_symbols(&symbols);
+            let hybrid = matches!(payload, CompressedPayload::Hybrid(_));
+            let decoded = codec.decode_payload(&payload).unwrap();
+            assert!(hybrid && decoded.symbols == symbols, "{backend:?}");
+        }
     }
 
     #[test]

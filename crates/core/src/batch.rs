@@ -11,8 +11,8 @@
 //! takes to keep the GPU saturated across fields. Every field gets its own outcome, so
 //! a corrupt stream fails only its own field. A wave of one is the serial decode: it
 //! runs on the calling thread and its batched estimate equals its serial time.
-//! [`decode_batch`] is the wave over [`decode`]; the `sz` layer runs the same wave over
-//! its dense-or-hybrid dispatch, and the codec over decode plus reconstruction.
+//! [`decode_batch`] is the wave over [`decode`], dense and hybrid fields alike; the
+//! codec runs the same wave over decode plus reconstruction.
 //!
 //! The wave is timed here and only here, end to end: each field's whole job is its
 //! Huffman phases plus the rest the caller reports (reconstruction, for a data field).
@@ -28,7 +28,7 @@ use std::time::Instant;
 use gpu_sim::{Backend, KernelStats};
 
 use crate::decoder::{check_payload, decode, CompressedPayload, DecodeError, DecoderKind};
-use crate::phases::{DecodeResult, PhaseBreakdown};
+use crate::phases::{throughput_gbs, DecodeResult, PhaseBreakdown};
 
 /// Aggregate timing of one batched decode wave: every finished field's whole job,
 /// summed into the serial baseline and overlapped into the batched wave estimate.
@@ -60,20 +60,12 @@ impl BatchStats {
 
     /// Serial throughput in GB/s relative to `useful_bytes`.
     pub fn serial_throughput_gbs(&self, useful_bytes: u64) -> f64 {
-        throughput(useful_bytes, self.serial_seconds)
+        throughput_gbs(useful_bytes, self.serial_seconds)
     }
 
     /// Batched throughput in GB/s relative to `useful_bytes`.
     pub fn batched_throughput_gbs(&self, useful_bytes: u64) -> f64 {
-        throughput(useful_bytes, self.batched_seconds)
-    }
-}
-
-fn throughput(useful_bytes: u64, seconds: f64) -> f64 {
-    if seconds <= 0.0 {
-        0.0
-    } else {
-        useful_bytes as f64 / seconds / 1e9
+        throughput_gbs(useful_bytes, self.batched_seconds)
     }
 }
 
@@ -82,10 +74,9 @@ fn throughput(useful_bytes: u64, seconds: f64) -> f64 {
 ///
 /// Payload/decoder mismatches are checked **before** any decode runs, so a bad item
 /// fails the whole batch without wasted work, with the same typed
-/// [`DecodeError::PayloadMismatch`] the single-field path reports. Hybrid payloads are
-/// rejected the same way: like [`decode`], this entry point covers only the dense
-/// formats (`sz::decode_payload_batch` is the wave that also takes hybrid fields).
-/// The first field (in input order) that fails to decode fails the batch.
+/// [`DecodeError::PayloadMismatch`] the single-field path reports. Like [`decode`], it
+/// takes every [`DecoderKind`], hybrid fields riding the wave with the dense ones. The
+/// first field (in input order) that fails to decode fails the batch.
 pub fn decode_batch(
     gpu: &dyn Backend,
     items: &[(DecoderKind, &CompressedPayload)],

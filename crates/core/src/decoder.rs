@@ -7,7 +7,7 @@
 //! | `OriginalSelfSync`       | flat stream                           | intra sync, inter sync, output idx, direct decode/write |
 //! | `OptimizedSelfSync`      | flat stream                           | optimized intra sync, inter sync, output idx, tune, staged decode/write |
 //! | `OptimizedGapArray`      | flat stream **with gap array**        | output idx (redundant decode + prefix sum), tune, staged decode/write |
-//! | `RleHybrid`              | RLE+Huffman hybrid (two flat streams) | decoded by the `huffdec-hybrid` crate |
+//! | `RleHybrid`              | RLE+Huffman hybrid (two flat streams) | both substreams as `OptimizedSelfSync`, then output idx (two prefix sums) and run expansion |
 //!
 //! On the simulator every row is the same pipeline — (sync | gap count) → output index
 //! → tune → decode/write (§IV, Table II) — and the code spells it once: `check_payload`
@@ -35,9 +35,9 @@
 //! The original 8-bit gap-array baseline (Table V) lives in
 //! [`crate::gap_decode::decode_original_gap8`] because it decodes a different (trimmed)
 //! symbol stream. The RLE+Huffman hybrid ([`CompressedPayload::Hybrid`]) splits a sparse
-//! quant-code field into a nonzero-symbol stream and a zero-run-length stream; its
-//! encoder and decoder live in the `huffdec-hybrid` crate (the `sz` pipeline dispatches
-//! there), so [`decode`] and [`compress_for`] here cover only the dense formats.
+//! quant-code field into a nonzero-symbol stream and a zero-run-length stream
+//! ([`crate::hybrid`]); [`compress_for`] and [`decode`] take it like every other kind,
+//! and `check_payload` is the one place that pairs a kind with its payload format.
 
 use std::fmt;
 
@@ -45,6 +45,7 @@ use gpu_sim::Backend;
 use huffman::{encode_chunked, ChunkedEncoded, Codebook, DEFAULT_CHUNK_SYMBOLS};
 
 use crate::format::{wire, EncodedStream, HybridStream};
+use crate::hybrid::{compress_hybrid, decode_hybrid};
 use crate::phases::{DecodeResult, PhaseBreakdown};
 use crate::range::{decode_write, prepare_checked};
 use crate::walk::decode_walk;
@@ -62,7 +63,7 @@ pub enum DecoderKind {
     /// The paper's optimized multi-byte gap-array decoder (§IV-B/C).
     OptimizedGapArray,
     /// The RLE+Huffman hybrid for sparse quant-code fields (cuSZ+-style paired
-    /// symbol/zero-run streams). Encoded and decoded by the `huffdec-hybrid` crate.
+    /// symbol/zero-run streams, [`crate::hybrid`]).
     RleHybrid,
 }
 
@@ -197,29 +198,24 @@ impl CompressedPayload {
     }
 }
 
-/// Encodes `symbols` in the format `kind` consumes.
+/// Encodes `symbols` on the host in the format `kind` consumes.
 ///
 /// # Panics
-/// Panics for [`DecoderKind::RleHybrid`]: the hybrid encoder lives in the
-/// `huffdec-hybrid` crate (the `sz` pipeline dispatches there before reaching this
-/// function).
+/// Panics if a symbol is outside the alphabet.
 pub fn compress_for(kind: DecoderKind, symbols: &[u16], alphabet_size: usize) -> CompressedPayload {
     if kind.is_hybrid() {
-        panic!("RLE+Huffman hybrid payloads are produced by the huffdec-hybrid crate");
+        return compress_hybrid(symbols, alphabet_size);
     }
     let codebook = Codebook::from_symbols(symbols, alphabet_size);
-    match kind {
-        DecoderKind::CuszBaseline => CompressedPayload::Chunked {
+    if kind.uses_chunked_encoding() {
+        CompressedPayload::Chunked {
             encoded: encode_chunked(&codebook, symbols, DEFAULT_CHUNK_SYMBOLS),
             codebook,
-        },
-        DecoderKind::OriginalSelfSync | DecoderKind::OptimizedSelfSync => {
-            CompressedPayload::Flat(EncodedStream::encode(&codebook, symbols))
         }
-        DecoderKind::OptimizedGapArray => {
-            CompressedPayload::Flat(EncodedStream::encode_with_gap_array(&codebook, symbols))
-        }
-        DecoderKind::RleHybrid => unreachable!("rejected above"),
+    } else if kind.requires_gap_array() {
+        CompressedPayload::Flat(EncodedStream::encode_with_gap_array(&codebook, symbols))
+    } else {
+        CompressedPayload::Flat(EncodedStream::encode(&codebook, symbols))
     }
 }
 
@@ -307,8 +303,8 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// A dense payload proven compatible with a decoder: the borrowed view the prepare and
-/// decode/write phases work on.
+/// A payload proven compatible with a decoder: the borrowed view the decode paths work
+/// on.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum CheckedPayload<'a> {
     /// A chunked stream for the coarse-grained baseline.
@@ -319,14 +315,19 @@ pub(crate) enum CheckedPayload<'a> {
     /// A flat stream for a fine-grained decoder (with its gap array when the decoder
     /// needs one).
     Flat(&'a EncodedStream),
+    /// An RLE+Huffman hybrid stream for [`DecoderKind::RleHybrid`].
+    Hybrid(&'a HybridStream),
 }
 
 impl CheckedPayload<'_> {
     /// Decode blocks a full decode launches: chunks, or sequences (thread blocks).
-    pub(crate) fn num_blocks(&self) -> usize {
+    /// `None` for a hybrid stream, which decodes whole: a token's output position
+    /// depends on every zero run before it, so no block can be decoded alone.
+    pub(crate) fn num_blocks(&self) -> Option<usize> {
         match self {
-            CheckedPayload::Chunked { encoded, .. } => encoded.chunks.len(),
-            CheckedPayload::Flat(stream) => stream.num_seqs(),
+            CheckedPayload::Chunked { encoded, .. } => Some(encoded.chunks.len()),
+            CheckedPayload::Flat(stream) => Some(stream.num_seqs()),
+            CheckedPayload::Hybrid(_) => None,
         }
     }
 }
@@ -335,10 +336,9 @@ impl CheckedPayload<'_> {
 ///
 /// Returns [`DecodeError::PayloadMismatch`] for a chunked payload handed to a
 /// fine-grained decoder, a flat payload handed to the chunked baseline, or a gap-array
-/// decoder given a stream without a gap array — such pairs can reach a decode from
-/// CRC-valid but inconsistent archives. Hybrid payloads (and
-/// [`DecoderKind::RleHybrid`]) report a mismatch too: the hybrid decoder lives in the
-/// `huffdec-hybrid` crate, and the `sz` dispatch layer routes to it first.
+/// decoder given a stream without a gap array, and for a hybrid payload with any
+/// decoder but [`DecoderKind::RleHybrid`] or the reverse — such pairs can reach a
+/// decode from CRC-valid but inconsistent archives.
 pub(crate) fn check_payload(
     kind: DecoderKind,
     payload: &CompressedPayload,
@@ -356,6 +356,9 @@ pub(crate) fn check_payload(
         {
             Ok(CheckedPayload::Flat(stream))
         }
+        (DecoderKind::RleHybrid, CompressedPayload::Hybrid(hybrid)) => {
+            Ok(CheckedPayload::Hybrid(hybrid))
+        }
         _ => Err(DecodeError::PayloadMismatch { decoder: kind }),
     }
 }
@@ -363,7 +366,8 @@ pub(crate) fn check_payload(
 /// Decodes `payload` with the method `kind`, returning the symbols and the simulated
 /// per-phase timing breakdown: [`crate::prepare_decode`] followed by the decode/write
 /// phase over every block (tuned for the optimized decoders, direct writes for
-/// [`DecoderKind::OriginalSelfSync`], every chunk for the baseline).
+/// [`DecoderKind::OriginalSelfSync`], every chunk for the baseline). A hybrid payload
+/// is [`decode_hybrid`]'s.
 ///
 /// On an unmodeled backend a flat stream is decoded by one walk per sequence instead,
 /// reported as a single measured `decode_write` phase holding that one launch.
@@ -379,28 +383,16 @@ pub fn decode(
     decode_checked(gpu, kind, check_payload(kind, payload)?)
 }
 
-/// Decodes a bare flat stream with the optimized self-synchronization decoder, which
-/// every flat stream is compatible with (a gap array, when present, goes unused). This
-/// is how the hybrid codec decodes its two substreams without wrapping them in a
-/// payload.
-pub fn decode_self_sync_stream(
-    gpu: &dyn Backend,
-    stream: &EncodedStream,
-) -> Result<DecodeResult, DecodeError> {
-    decode_checked(
-        gpu,
-        DecoderKind::OptimizedSelfSync,
-        CheckedPayload::Flat(stream),
-    )
-}
-
-fn decode_checked(
+/// [`decode`] of a payload `check_payload` accepted for `kind`.
+pub(crate) fn decode_checked(
     gpu: &dyn Backend,
     kind: DecoderKind,
     payload: CheckedPayload<'_>,
 ) -> Result<DecodeResult, DecodeError> {
-    if let (false, CheckedPayload::Flat(stream)) = (gpu.is_modeled(), payload) {
-        return decode_walk(gpu, kind, stream);
+    match payload {
+        CheckedPayload::Hybrid(hybrid) => return decode_hybrid(gpu, hybrid),
+        CheckedPayload::Flat(stream) if !gpu.is_modeled() => return decode_walk(gpu, kind, stream),
+        CheckedPayload::Chunked { .. } | CheckedPayload::Flat(_) => {}
     }
     let prepared = prepare_checked(gpu, kind, payload)?;
     let (output, write) = decode_write(gpu, kind, payload, &prepared, None)?;

@@ -29,10 +29,10 @@
 //! module's unit tests hold the walk to the host encoder across block edges.
 
 use gpu_sim::{Backend, GpuConfig, PhaseTime};
-use huffman::{ChunkedEncoded, Codebook, FrequencyTable, GapArray, DEFAULT_CHUNK_SYMBOLS};
+use huffman::{Codebook, FrequencyTable};
 
-use crate::decoder::{CompressedPayload, DecoderKind};
-use crate::format::{EncodedStream, StreamGeometry};
+use crate::decoder::{compress_for, CompressedPayload, DecoderKind};
+use crate::hybrid::compress_hybrid_on;
 
 mod walk;
 
@@ -60,17 +60,12 @@ impl EncodePhaseBreakdown {
     /// Encoding throughput in GB/s relative to `useful_bytes` (conventionally the
     /// quantization-code bytes, 2 per symbol, matching the decoder tables).
     pub fn throughput_gbs(&self, useful_bytes: u64) -> f64 {
-        let t = self.total_seconds();
-        if t <= 0.0 {
-            0.0
-        } else {
-            useful_bytes as f64 / t / 1e9
-        }
+        crate::phases::throughput_gbs(useful_bytes, self.total_seconds())
     }
 
     /// The phases in execution order with their display names.
-    pub fn phases(&self) -> Vec<(&'static str, &PhaseTime)> {
-        vec![
+    pub fn phases(&self) -> [(&'static str, &PhaseTime); 4] {
+        [
             ("histogram", &self.histogram),
             ("tree+codebook", &self.codebook),
             ("offset prefix-sum", &self.offsets),
@@ -118,12 +113,11 @@ fn build_codebook(
 ///
 /// The payload is bit-identical to the host encoder's
 /// ([`crate::decoder::compress_for`]): same units, same chunk metadata, same gap array,
-/// same codebook.
+/// same codebook. [`DecoderKind::RleHybrid`] runs [`compress_hybrid_on`], whose
+/// substreams each take this path.
 ///
 /// # Panics
-/// Panics if a symbol is outside the alphabet (the host encoder panics identically), or
-/// for [`DecoderKind::RleHybrid`] — the hybrid encoder lives in the `huffdec-hybrid`
-/// crate, which calls back into this function for each dense substream.
+/// Panics if a symbol is outside the alphabet (the host encoder panics identically).
 pub fn compress_on(
     gpu: &dyn Backend,
     kind: DecoderKind,
@@ -137,6 +131,8 @@ pub fn compress_on(
 /// number of occurrences of symbol `s`, one entry per alphabet symbol. The payload is
 /// the same. The encode walk skips its count launch, so a non-empty encode is two
 /// launches and the histogram phase holds no kernel, only the check of `counts`.
+/// [`DecoderKind::RleHybrid`] checks `counts` and runs [`compress_hybrid_on`], whose
+/// substreams count their own symbols.
 ///
 /// # Panics
 /// As [`compress_on`], and if `counts` does not have `alphabet_size` entries summing to
@@ -159,58 +155,38 @@ fn encode_on(
     alphabet_size: usize,
 ) -> (CompressedPayload, EncodePhaseBreakdown) {
     if kind.is_hybrid() {
-        panic!("RLE+Huffman hybrid payloads are produced by the huffdec-hybrid crate");
+        if let Some(counts) = &counts {
+            check_counts(counts, alphabet_size, symbols.len());
+        }
+        return compress_hybrid_on(gpu, symbols, alphabet_size);
     }
     if symbols.is_empty() {
-        let counts = vec![0; alphabet_size];
-        let codebook = Codebook::from_frequencies(&FrequencyTable::from_counts(counts));
+        // Nothing to launch over: the host encoder's payload, at no cost.
         return (
-            empty_payload(kind, codebook),
+            compress_for(kind, symbols, alphabet_size),
             EncodePhaseBreakdown::default(),
         );
     }
     walk::compress_walk(gpu, kind, symbols, counts, alphabet_size)
 }
 
-/// The payload an empty symbol stream encodes to, matching the host encoder exactly.
-fn empty_payload(kind: DecoderKind, codebook: Codebook) -> CompressedPayload {
-    match kind {
-        DecoderKind::CuszBaseline => CompressedPayload::Chunked {
-            encoded: ChunkedEncoded {
-                units: Vec::new(),
-                chunks: Vec::new(),
-                chunk_symbols: DEFAULT_CHUNK_SYMBOLS,
-                num_symbols: 0,
-            },
-            codebook,
-        },
-        DecoderKind::OriginalSelfSync
-        | DecoderKind::OptimizedSelfSync
-        | DecoderKind::OptimizedGapArray => {
-            let geometry = StreamGeometry::default();
-            let gap_array = kind.requires_gap_array().then(|| GapArray {
-                gaps: Vec::new(),
-                subseq_bits: geometry.subseq_bits(),
-            });
-            CompressedPayload::Flat(EncodedStream {
-                units: Vec::new(),
-                bit_len: 0,
-                num_symbols: 0,
-                codebook,
-                geometry,
-                gap_array,
-            })
-        }
-        DecoderKind::RleHybrid => unreachable!("the hybrid crate never requests this"),
-    }
+/// Panics unless `counts` holds one count per alphabet symbol, summing to `n`.
+fn check_counts(counts: &[u64], alphabet_size: usize, n: usize) {
+    assert!(
+        counts.len() == alphabet_size && counts.iter().sum::<u64>() == n as u64,
+        "the counts do not cover the {} symbols",
+        n
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decoder::{compress_for, decode};
+    use crate::decoder::decode;
+    use crate::format::{EncodedStream, StreamGeometry};
     use crate::testutil::{gpu, quant_symbols};
     use gpu_sim::{cost, CpuBackend, Gpu, KernelStats, MemStats};
+    use huffman::DEFAULT_CHUNK_SYMBOLS;
 
     /// Asserts the two payloads are bit-identical, via `CompressedPayload`'s bit-level
     /// equality (units, metadata, codebook codewords, gap array).

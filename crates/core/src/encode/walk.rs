@@ -36,7 +36,7 @@ use gpu_sim::{
 };
 use huffman::{ChunkMeta, ChunkedEncoded, Codeword, GapArray, DEFAULT_CHUNK_SYMBOLS};
 
-use super::{build_codebook, EncodePhaseBreakdown};
+use super::{build_codebook, check_counts, EncodePhaseBreakdown};
 use crate::decoder::{CompressedPayload, DecoderKind};
 use crate::format::{EncodedStream, StreamGeometry};
 
@@ -270,11 +270,7 @@ pub(super) fn compress_walk(
     let (counts, histogram) = match counts {
         Some(counts) => {
             let clock = Instant::now();
-            assert!(
-                counts.len() == alphabet_size && counts.iter().sum::<u64>() == n as u64,
-                "the counts do not cover the {} symbols",
-                n
-            );
+            check_counts(&counts, alphabet_size, n);
             let mut histogram = PhaseTime::empty();
             histogram.push_seconds(host_step(gpu, clock, alphabet_size * 8, 0));
             (counts, histogram)

@@ -19,6 +19,9 @@
 //!   gap-array approach of Yamamoto et al. ([`gap_decode`]);
 //! * the original 8-bit gap-array baseline, [`gap_decode::decode_original_gap8`].
 //!
+//! Beside them sits the format-v2 RLE+Huffman hybrid for sparse fields ([`hybrid`]).
+//! Every encode and full-decode entry point takes all five [`DecoderKind`]s.
+//!
 //! Every decoder runs on the [`gpu_sim`] execution model: outputs are produced
 //! functionally (and are bit-exact against the CPU reference decoder), while the
 //! simulated timing breakdown ([`phases::PhaseBreakdown`]) reproduces the paper's
@@ -59,6 +62,7 @@ pub mod decoder;
 pub mod encode;
 pub mod format;
 pub mod gap_decode;
+pub mod hybrid;
 pub mod output_index;
 pub mod phases;
 pub mod range;
@@ -73,10 +77,7 @@ pub use baseline::decode_baseline_chunks;
 pub use batch::{decode_batch, decode_wave, BatchStats};
 pub use crc32::{crc32, crc32_combine, crc32_symbols, Crc32};
 pub use decode_write::{run_decode_write, DecodeWriteKernel, WriteStrategy};
-pub use decoder::{
-    compress_for, decode, decode_self_sync_stream, roundtrip, CompressedPayload, DecodeError,
-    DecoderKind,
-};
+pub use decoder::{compress_for, decode, roundtrip, CompressedPayload, DecodeError, DecoderKind};
 pub use encode::{compress_counted_on, compress_on, EncodePhaseBreakdown};
 pub use format::{
     wire, EncodedStream, HybridStream, StreamGeometry, DEFAULT_SUBSEQ_UNITS,
@@ -84,6 +85,10 @@ pub use format::{
 };
 pub use gap_decode::{decode_original_gap8, encode_gap8, gap_count_symbols, Gap8Stream};
 pub use gpu_sim::{Backend, BackendKind, CpuBackend, BACKEND_ENV};
+pub use hybrid::{
+    compress_hybrid, compress_hybrid_on, decode_hybrid, zero_fraction, zero_symbol,
+    AUTO_HYBRID_ZERO_FRACTION,
+};
 pub use output_index::{compute_output_index, OutputIndex};
 pub use phases::{DecodeResult, PhaseBreakdown};
 pub use range::{decode_range, prepare_decode, PreparedDecode, RangeDecode};

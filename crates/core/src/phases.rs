@@ -26,49 +26,62 @@ pub struct PhaseBreakdown {
 impl PhaseBreakdown {
     /// Total decode time in seconds (sum of all present phases).
     pub fn total_seconds(&self) -> f64 {
-        self.phases().iter().map(|(_, p)| p.seconds).sum()
+        self.phases().map(|(_, p)| p.seconds).sum()
     }
 
     /// Decoding throughput in GB/s relative to `useful_bytes` (the paper uses the size of
     /// the quantization codes, i.e. 2 bytes per symbol).
     pub fn throughput_gbs(&self, useful_bytes: u64) -> f64 {
-        let t = self.total_seconds();
-        if t <= 0.0 {
-            0.0
-        } else {
-            useful_bytes as f64 / t / 1e9
-        }
+        throughput_gbs(useful_bytes, self.total_seconds())
     }
 
-    /// The present phases, in execution order, with their display names.
-    pub fn phases(&self) -> Vec<(&'static str, &PhaseTime)> {
-        let mut v = Vec::new();
-        if let Some(p) = &self.intra_sync {
-            v.push(("intra-seq sync.", p));
+    /// The present phases, in execution order, with their display names. Every reader
+    /// of the phases walks this, and it allocates nothing.
+    pub fn phases(&self) -> impl Iterator<Item = (&'static str, &PhaseTime)> {
+        [
+            ("intra-seq sync.", &self.intra_sync),
+            ("inter-seq sync.", &self.inter_sync),
+            ("get output idx.", &self.output_index),
+            ("tune shared mem.", &self.tune),
+            ("decode and write", &self.decode_write),
+        ]
+        .into_iter()
+        .filter_map(|(name, phase)| Some((name, phase.as_ref()?)))
+    }
+
+    /// Appends `later`'s phases, run after this breakdown's, slot by slot: a phase
+    /// present in `later` extends this one's serially, or takes an empty slot.
+    pub fn extend_serial(&mut self, later: PhaseBreakdown) {
+        for (slot, phase) in [
+            (&mut self.intra_sync, later.intra_sync),
+            (&mut self.inter_sync, later.inter_sync),
+            (&mut self.output_index, later.output_index),
+            (&mut self.tune, later.tune),
+            (&mut self.decode_write, later.decode_write),
+        ] {
+            if let Some(p) = phase {
+                slot.get_or_insert_with(PhaseTime::empty).extend_serial(p);
+            }
         }
-        if let Some(p) = &self.inter_sync {
-            v.push(("inter-seq sync.", p));
-        }
-        if let Some(p) = &self.output_index {
-            v.push(("get output idx.", p));
-        }
-        if let Some(p) = &self.tune {
-            v.push(("tune shared mem.", p));
-        }
-        if let Some(p) = &self.decode_write {
-            v.push(("decode and write", p));
-        }
-        v
     }
 
     /// Total number of simulated kernel launches across all phases.
     pub fn kernel_launches(&self) -> usize {
-        self.phases().iter().map(|(_, p)| p.kernels.len()).sum()
+        self.phases().map(|(_, p)| p.kernels.len()).sum()
+    }
+}
+
+/// `useful_bytes` over `seconds` in GB/s; 0 when no time was taken.
+pub(crate) fn throughput_gbs(useful_bytes: u64, seconds: f64) -> f64 {
+    if seconds <= 0.0 {
+        0.0
+    } else {
+        useful_bytes as f64 / seconds / 1e9
     }
 }
 
 /// The result of a decode: the symbols plus the timing breakdown.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DecodeResult {
     /// Decoded symbols.
     pub symbols: Vec<u16>,
@@ -104,7 +117,7 @@ mod tests {
             decode_write: Some(phase(3.0)),
         };
         assert!((b.total_seconds() - 6.0).abs() < 1e-12);
-        assert_eq!(b.phases().len(), 3);
+        assert_eq!(b.phases().count(), 3);
         assert_eq!(b.kernel_launches(), 0);
     }
 
@@ -113,7 +126,7 @@ mod tests {
         let b = PhaseBreakdown::default();
         assert_eq!(b.total_seconds(), 0.0);
         assert_eq!(b.throughput_gbs(100), 0.0);
-        assert!(b.phases().is_empty());
+        assert!(b.phases().next().is_none());
     }
 
     #[test]

@@ -72,7 +72,8 @@ pub struct RangeDecode {
 ///
 /// Returns [`DecodeError::PayloadMismatch`] when the payload's format does not match the
 /// decoder and [`DecodeError::CorruptStream`] when a flat stream's bits decode to a
-/// different symbol count than it declares, exactly as [`crate::decode`] would.
+/// different symbol count than it declares, exactly as [`crate::decode`] would. A
+/// hybrid payload is a mismatch here: it decodes whole, so it has no index to prepare.
 pub fn prepare_decode(
     gpu: &dyn Backend,
     kind: DecoderKind,
@@ -95,6 +96,7 @@ pub(crate) fn prepare_checked(
             })
         }
         CheckedPayload::Flat(stream) => stream,
+        CheckedPayload::Hybrid(_) => return Err(DecodeError::PayloadMismatch { decoder: kind }),
     };
     let infos = if kind == DecoderKind::OptimizedGapArray {
         let (infos, count_phase) = gap_count_symbols(gpu, stream);
@@ -148,7 +150,7 @@ pub(crate) fn decode_write(
     let tuned = blocks.is_none() && optimized;
     // The tuner picks its own per-class launches; every other full decode lists them all.
     let every_block: Vec<u32> = match blocks {
-        None if !tuned => (0..payload.num_blocks() as u32).collect(),
+        None if !tuned => (0..payload.num_blocks().unwrap_or(0) as u32).collect(),
         _ => Vec::new(),
     };
     let blocks = blocks.unwrap_or(&every_block);
@@ -194,7 +196,9 @@ pub(crate) fn decode_write(
 /// kernel only over the blocks that overlap the range.
 ///
 /// `prepared` must come from [`prepare_decode`] over the *same* payload and decoder.
-/// Returns [`DecodeError::RangeOutOfBounds`] when the range does not fit the stream.
+/// Returns [`DecodeError::RangeOutOfBounds`] when the range does not fit the stream,
+/// and [`DecodeError::PayloadMismatch`] for a hybrid payload, as [`prepare_decode`]
+/// does.
 pub fn decode_range(
     gpu: &dyn Backend,
     kind: DecoderKind,
@@ -204,6 +208,9 @@ pub fn decode_range(
     len: u64,
 ) -> Result<RangeDecode, DecodeError> {
     let checked = check_payload(kind, payload)?;
+    let total_blocks = checked
+        .num_blocks()
+        .ok_or(DecodeError::PayloadMismatch { decoder: kind })?;
     let num_symbols = payload.num_symbols() as u64;
     let end = start.checked_add(len).filter(|&e| e <= num_symbols).ok_or(
         DecodeError::RangeOutOfBounds {
@@ -213,7 +220,6 @@ pub fn decode_range(
         },
     )?;
 
-    let total_blocks = checked.num_blocks();
     if len == 0 {
         return Ok(RangeDecode {
             symbols: Vec::new(),

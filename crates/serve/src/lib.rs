@@ -1,7 +1,8 @@
 //! # huffdec-serve — the `hfzd` block-decode daemon and the `hfzr` fleet router
 //!
-//! The serving layer of the workspace: a long-running daemon that holds `HFZ1` archives
-//! *compressed in memory* and serves decoded fields (or ranges of them) to clients over
+//! The serving layer of the workspace: a long-running daemon that holds `HFZ1` and
+//! `HFZ2` archives (single fields, concatenations and named snapshots, hybrid streams
+//! included) *compressed in memory* and serves decoded fields (or ranges of them) to clients over
 //! a Unix-domain or TCP socket, and a router that shards them across a fleet of such
 //! daemons. This is the paper's §V GAMESS scenario — decompression latency, not
 //! compression, is the bottleneck when snapshots live compressed and fields are
@@ -11,7 +12,8 @@
 //! The crate splits into:
 //!
 //! * [`protocol`] — the length-prefixed binary request/response format
-//!   (`LIST`/`GET`/`STATS`/`VERIFY`/`LOAD`/`SHUTDOWN`, plus the `BUSY` overload reply);
+//!   (`LIST`/`GET`/`GETBATCH`/`STATS`/`METRICS`/`VERIFY`/`LOAD`/`SHUTDOWN`, plus the
+//!   `BUSY` overload reply);
 //! * [`net`] — `tcp:HOST:PORT` / `unix:PATH` transport;
 //! * [`store`] — the parse-once archive store: section tables, decode structures, and
 //!   lazily built range-decode indexes, all cached per loaded archive;

@@ -115,7 +115,7 @@ pub enum Request {
     Load {
         /// Name to serve the archive under.
         name: String,
-        /// Filesystem path of the `HFZ1` file.
+        /// Filesystem path of the archive file (`HFZ1` or `HFZ2`).
         path: String,
     },
     /// Fetch several whole decoded fields of one archive in a single round trip; cold

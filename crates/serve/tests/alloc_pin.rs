@@ -40,6 +40,14 @@
 //! counted request must start four decodes, one wave of four tasks. It alternates two
 //! disjoint sets of four copies of the field, as the cold `GET` row alternates two,
 //! and its count repeats exactly on each backend too.
+//!
+//! A fifth row counts ranged `GET`s of 5,000 codes on the same daemon. No cache entry
+//! holds the field's codes, so each takes the partial path: the field's decode index,
+//! built by the first (uncounted) request, maps the range to the decode blocks that
+//! cover it, and only those are decoded (`Codec::decompress_range`). Beside the heap
+//! it pins the blocks each request decodes, read from the daemon's metrics, and the
+//! kernel launches of that partial decode, read from the daemon's own codec running
+//! the same range on the same field. All four counts repeat exactly on each backend.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,30 +119,81 @@ const PIN_ROUTED_ALLOCATIONS: u64 = 23;
 /// small change.
 const PIN_ROUTED_BYTES: u64 = 5 * PAYLOAD + 694;
 /// Allocations per cold `GET` on the CPU backend, both ends together.
-const PIN_COLD_ALLOCATIONS_CPU: u64 = 45;
+const PIN_COLD_ALLOCATIONS_CPU: u64 = 41;
 /// Bytes those allocations request per cold `GET` on the CPU backend: six and a half
 /// payloads and the decode's small change.
-const PIN_COLD_BYTES_CPU: u64 = 6 * PAYLOAD + PAYLOAD / 2 + 5_737;
+const PIN_COLD_BYTES_CPU: u64 = 6 * PAYLOAD + PAYLOAD / 2 + 5_353;
 /// Allocations per cold `GET` on the simulator, whose kernels allocate per launch.
-const PIN_COLD_ALLOCATIONS_SIM: u64 = 173;
+const PIN_COLD_ALLOCATIONS_SIM: u64 = 169;
 /// Bytes those allocations request per cold `GET` on the simulator.
-const PIN_COLD_BYTES_SIM: u64 = 6 * PAYLOAD + 57_112;
+const PIN_COLD_BYTES_SIM: u64 = 6 * PAYLOAD + 56_728;
 /// Allocations per cold `GETBATCH` of four fields on the CPU backend, both ends
 /// together.
-const PIN_BATCH_ALLOCATIONS_CPU: u64 = 128;
+const PIN_BATCH_ALLOCATIONS_CPU: u64 = 112;
 /// Bytes those allocations request per cold `GETBATCH` of four on the CPU backend:
 /// four fields at six and a half payloads each, and the small change.
-const PIN_BATCH_BYTES_CPU: u64 = 26 * PAYLOAD + 21_638;
+const PIN_BATCH_BYTES_CPU: u64 = 26 * PAYLOAD + 20_102;
 /// Allocations per cold `GETBATCH` of four fields on the simulator.
-const PIN_BATCH_ALLOCATIONS_SIM: u64 = 630;
+const PIN_BATCH_ALLOCATIONS_SIM: u64 = 614;
 /// Bytes those allocations request per cold `GETBATCH` of four on the simulator: four
 /// fields at six payloads each, and the small change.
-const PIN_BATCH_BYTES_SIM: u64 = 24 * PAYLOAD + 229_442;
+const PIN_BATCH_BYTES_SIM: u64 = 24 * PAYLOAD + 227_906;
+
+/// The ranged row's request: codes `[start, start + len)` of field 0.
+const RANGE: (u64, u64) = (30_000, 5_000);
+/// Allocations per ranged `GET` of [`RANGE`] codes on the CPU backend, both ends
+/// together.
+const PIN_RANGED_ALLOCATIONS_CPU: u64 = 18;
+/// Bytes those allocations request per ranged `GET` on the CPU backend: half a
+/// payload, the decode/write output buffer that spans all of the field's codes, and
+/// the small change, the 10,000-byte reply among it.
+const PIN_RANGED_BYTES_CPU: u64 = PAYLOAD / 2 + 40_590;
+/// Allocations per ranged `GET` of [`RANGE`] codes on the simulator.
+const PIN_RANGED_ALLOCATIONS_SIM: u64 = 22;
+/// Bytes those allocations request per ranged `GET` on the simulator.
+const PIN_RANGED_BYTES_SIM: u64 = PAYLOAD / 2 + 41_054;
+/// Decode blocks (sequences of the gap-array stream) a ranged `GET` of [`RANGE`]
+/// decodes, on either backend.
+const PIN_RANGED_BLOCKS: u64 = 2;
+/// Kernel launches of that partial decode, on either backend: the decode/write launch
+/// over those blocks.
+const PIN_RANGED_LAUNCHES: usize = 1;
 
 /// Full decodes `daemon` has run so far.
 fn decodes(daemon: &ServerState) -> u64 {
     let m = daemon.metrics_snapshot();
     m.decode_seconds.iter().map(|h| h.count()).sum()
+}
+
+/// Runs `request`, returning its reply and the allocations and bytes it cost.
+fn counted<R>(request: impl FnOnce() -> R) -> (R, (u64, u64)) {
+    let (allocations, bytes) = (
+        ALLOCATIONS.load(Ordering::SeqCst),
+        BYTES.load(Ordering::SeqCst),
+    );
+    let reply = request();
+    let cost = (
+        ALLOCATIONS.load(Ordering::SeqCst) - allocations,
+        BYTES.load(Ordering::SeqCst) - bytes,
+    );
+    (reply, cost)
+}
+
+/// Asserts that every request's count, in `counts`, is within its pins.
+fn check_pins(addr: &ListenAddr, counts: &[(u64, u64)], (pin_allocations, pin_bytes): (u64, u64)) {
+    for (i, &(allocations, bytes)) in counts.iter().enumerate() {
+        assert!(
+            allocations <= pin_allocations && bytes <= pin_bytes,
+            "{} request {}: {} allocations of {} bytes ({:.3} payloads), pinned at {} of {}",
+            addr,
+            i,
+            allocations,
+            bytes,
+            bytes as f64 / PAYLOAD as f64,
+            pin_allocations,
+            pin_bytes
+        );
+    }
 }
 
 /// One counted reply: a `GET`'s, or a `GETBATCH`'s items.
@@ -150,12 +209,7 @@ enum Reply {
 /// alternates between disjoint sets and checks that each request started a decode of
 /// every field it named: a miss of a field the previous request decoded could join
 /// that request's flight before the worker retires it, and cost only a hit's bytes.
-fn pin_requests(
-    addr: &ListenAddr,
-    sets: &[&[u32]],
-    (pin_allocations, pin_bytes): (u64, u64),
-    cold: Option<&ServerState>,
-) {
+fn pin_requests(addr: &ListenAddr, sets: &[&[u32]], pins: (u64, u64), cold: Option<&ServerState>) {
     let mut client = Connection::connect(addr).unwrap();
     let mut request = |i: usize| match sets[i % sets.len()] {
         &[field] => Reply::Get(client.get("hacc", field, GetKind::Data, None).unwrap()),
@@ -167,15 +221,8 @@ fn pin_requests(
     let mut counts = Vec::with_capacity(COUNTED);
     for i in WARM_UP..WARM_UP + COUNTED {
         let decoded = cold.map(decodes);
-        let (allocations, bytes) = (
-            ALLOCATIONS.load(Ordering::SeqCst),
-            BYTES.load(Ordering::SeqCst),
-        );
-        let reply = request(i);
-        counts.push((
-            ALLOCATIONS.load(Ordering::SeqCst) - allocations,
-            BYTES.load(Ordering::SeqCst) - bytes,
-        ));
+        let (reply, cost) = counted(|| request(i));
+        counts.push(cost);
         let items: Vec<(usize, bool)> = match reply {
             Reply::Get(r) => vec![(r.bytes.len(), r.from_cache)],
             Reply::Batch(items) => items
@@ -193,19 +240,49 @@ fn pin_requests(
             i
         );
     }
-    for (i, &(allocations, bytes)) in counts.iter().enumerate() {
-        assert!(
-            allocations <= pin_allocations && bytes <= pin_bytes,
-            "{} request {}: {} allocations of {} bytes ({:.3} payloads), pinned at {} of {}",
+    check_pins(addr, &counts, pins);
+}
+
+/// Counts [`COUNTED`] ranged `GET`s of [`RANGE`] codes of field 0 through `addr`, the
+/// cold daemon `daemon`, after [`WARM_UP`] uncounted ones, and checks every count
+/// against its pins. Each request must take the partial path (one more partial decode,
+/// not from the cache) and decode [`PIN_RANGED_BLOCKS`] blocks; the same range, decoded
+/// by the daemon's own codec, is [`PIN_RANGED_LAUNCHES`] launches.
+fn pin_ranged_codes(addr: &ListenAddr, daemon: &ServerState, pins: (u64, u64)) {
+    let partial = |m: &huffdec_serve::MetricsSnapshot| {
+        let decodes: u64 = m.partial_decode_seconds.iter().map(|h| h.count()).sum();
+        (decodes, m.partial_blocks_decoded)
+    };
+    let mut client = Connection::connect(addr).unwrap();
+    let mut request = || client.get("hacc", 0, GetKind::Codes, Some(RANGE)).unwrap();
+    for _ in 0..WARM_UP {
+        request();
+    }
+    let mut counts = Vec::with_capacity(COUNTED);
+    for i in 0..COUNTED {
+        let (decodes, blocks) = partial(&daemon.metrics_snapshot());
+        let (reply, cost) = counted(&mut request);
+        counts.push(cost);
+        assert_eq!(reply.bytes.len() as u64, 2 * RANGE.1);
+        assert!(!reply.from_cache, "{} request {}", addr, i);
+        let after = partial(&daemon.metrics_snapshot());
+        assert_eq!(
+            after,
+            (decodes + 1, blocks + PIN_RANGED_BLOCKS),
+            "{} request {}",
             addr,
-            i,
-            allocations,
-            bytes,
-            bytes as f64 / PAYLOAD as f64,
-            pin_allocations,
-            pin_bytes
+            i
         );
     }
+    check_pins(addr, &counts, pins);
+    let loaded = daemon.store().get("hacc").unwrap();
+    let (start, len) = RANGE;
+    let ranged = daemon
+        .codec()
+        .decompress_range(&loaded.fields()[0], start, len)
+        .unwrap();
+    assert_eq!(ranged.decoded_blocks as u64, PIN_RANGED_BLOCKS);
+    assert_eq!(ranged.timings.kernel_launches(), PIN_RANGED_LAUNCHES);
 }
 
 #[test]
@@ -257,20 +334,23 @@ fn a_cached_get_allocates_three_payloads() {
 
         // A cache smaller than the field never keeps it: every `GET` misses.
         let cold = spawn(cold_listen, PAYLOAD - 1);
-        let (get_pins, batch_pins) = match cold.state().codec().backend_kind() {
+        let (get_pins, batch_pins, ranged_pins) = match cold.state().codec().backend_kind() {
             BackendKind::Cpu => (
                 (PIN_COLD_ALLOCATIONS_CPU, PIN_COLD_BYTES_CPU),
                 (PIN_BATCH_ALLOCATIONS_CPU, PIN_BATCH_BYTES_CPU),
+                (PIN_RANGED_ALLOCATIONS_CPU, PIN_RANGED_BYTES_CPU),
             ),
             BackendKind::Sim => (
                 (PIN_COLD_ALLOCATIONS_SIM, PIN_COLD_BYTES_SIM),
                 (PIN_BATCH_ALLOCATIONS_SIM, PIN_BATCH_BYTES_SIM),
+                (PIN_RANGED_ALLOCATIONS_SIM, PIN_RANGED_BYTES_SIM),
             ),
         };
         let state = cold.state();
         pin_requests(cold.local_addr(), &[&[0], &[1]], get_pins, Some(&state));
         let quads: [&[u32]; 2] = [&[0, 1, 2, 3], &[4, 5, 6, 7]];
         pin_requests(cold.local_addr(), &quads, batch_pins, Some(&state));
+        pin_ranged_codes(cold.local_addr(), &state, ranged_pins);
         cold.shutdown();
         cold.join().unwrap();
         router.shutdown();

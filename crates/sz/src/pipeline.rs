@@ -5,12 +5,13 @@
 //! backend (this is the part the paper optimizes) → reverse dual-quantization →
 //! outlier patching.
 //!
-//! Every decompression goes through one dispatch point, [`decode_payload`] (hybrid
-//! payloads to the `huffdec-hybrid` decoder, dense ones to [`huffdec_core::decode`]),
-//! and every multi-field decode is one wave over it ([`decode_payload_batch`]): hybrid
-//! fields ride the wave like any other field, and a wave of one is the serial decode.
-//! A payload that does not fit its decoder, or a stream that does not decode to its
-//! declared symbol count, fails with a typed [`DecodeError`].
+//! Every decompression decodes its codes with [`decode_payload`]
+//! ([`huffdec_core::decode`], which takes every [`DecoderKind`], the RLE+Huffman hybrid
+//! included), and every multi-field decode is one wave of it ([`decode_payload_batch`],
+//! [`huffdec_core::decode_batch`]): hybrid fields ride the wave like any other field,
+//! and a wave of one is the serial decode. Encoding is likewise one core call per field
+//! whatever the kind. A payload that does not fit its decoder, or a stream that does
+//! not decode to its declared symbol count, fails with a typed [`DecodeError`].
 //!
 //! The decompression timing combines the simulated Huffman phase breakdown with an
 //! analytic cost for the (memory-bound) reconstruction kernels, so the overall
@@ -19,9 +20,16 @@
 use datasets::Field;
 use gpu_sim::{Backend, TransferDirection};
 use huffdec_core::{
-    compress_counted_on, compress_for, decode, wire, BatchStats, CompressedPayload, DecodeError,
-    DecodeResult, DecoderKind, EncodePhaseBreakdown, PhaseBreakdown,
+    compress_counted_on, compress_for, wire, zero_fraction, zero_symbol, CompressedPayload,
+    DecodeError, DecodeResult, DecoderKind, EncodePhaseBreakdown, PhaseBreakdown,
 };
+
+/// Decodes one payload with whichever decoder `kind` names, the hybrid included: the
+/// decode every sz decompression path runs.
+pub use huffdec_core::decode as decode_payload;
+/// Decodes several payloads as one wave; a mismatched pair fails the batch before any
+/// decode runs, and otherwise the first field (in input order) that fails does.
+pub use huffdec_core::decode_batch as decode_payload_batch;
 
 use crate::error_bound::ErrorBound;
 use crate::lorenzo::{dequantize_codes, quantize, quantize_on, Outlier, Quantized};
@@ -306,10 +314,9 @@ fn assemble(
     }
 }
 
-/// Compresses a field with the single-threaded host encoder.
-///
-/// [`DecoderKind::RleHybrid`] dispatches to the `huffdec-hybrid` RLE+Huffman encoder
-/// (format v2); every dense decoder goes through [`huffdec_core::compress_for`].
+/// Compresses a field with the single-threaded host encoder
+/// ([`huffdec_core::compress_for`], which also encodes the RLE+Huffman hybrid of format
+/// v2).
 pub fn compress(field: &Field, config: &SzConfig) -> Compressed {
     compress_auto(field, config, None)
 }
@@ -322,19 +329,15 @@ pub fn compress_auto(field: &Field, config: &SzConfig, hybrid_at: Option<f64>) -
     let step = 2.0 * absolute_bound(field, &config.error_bound);
     let q = quantize(&field.data, field.dims, step, config.alphabet_size);
     let config = pick_config(config, hybrid_at, || {
-        huffdec_hybrid::zero_fraction(&q.codes, config.alphabet_size)
+        zero_fraction(&q.codes, config.alphabet_size)
     });
-    let payload = if config.decoder.is_hybrid() {
-        huffdec_hybrid::compress_hybrid(&q.codes, config.alphabet_size)
-    } else {
-        compress_for(config.decoder, &q.codes, config.alphabet_size)
-    };
+    let payload = compress_for(config.decoder, &q.codes, config.alphabet_size);
     let crc = huffdec_core::crc32_symbols(&q.codes);
     assemble(q, config, payload, crc)
 }
 
 /// Compresses a field on `gpu`: one quantize launch, then the backend's parallel encode
-/// ([`huffdec_core::compress_on`]; the hybrid's for a hybrid pick). Returns the archive
+/// ([`huffdec_core::compress_on`], for every kind). Returns the archive
 /// (bit-identical to [`compress`]) and the compression timing breakdown, modeled on the
 /// simulator and measured on an unmodeled backend.
 pub fn compress_on(
@@ -350,8 +353,9 @@ pub fn compress_on(
 ///
 /// The field is quantized in one launch over blocks of its rows (`lorenzo::quantize_on`)
 /// that also counts the codes and checksums them. The counts give the hybrid pick its
-/// center-bin fraction and the dense encoder its histogram
-/// ([`huffdec_core::compress_counted_on`]), and the checksum is the archive's
+/// center-bin fraction and a dense encoder its histogram
+/// ([`huffdec_core::compress_counted_on`]; the hybrid's substreams count their own
+/// symbols), and the checksum is the archive's
 /// `decoded_crc`, so no further pass reads the codes before the encode.
 pub fn compress_auto_on(
     gpu: &dyn Backend,
@@ -363,7 +367,7 @@ pub fn compress_auto_on(
     let step = 2.0 * absolute_bound(field, &config.error_bound);
     let (q, counts, crc) = quantize_on(gpu, &field.data, field.dims, step, config.alphabet_size);
     let config = pick_config(config, hybrid_at, || {
-        let zero = counts[huffdec_hybrid::zero_symbol(config.alphabet_size) as usize];
+        let zero = counts[zero_symbol(config.alphabet_size) as usize];
         if q.codes.is_empty() {
             0.0
         } else {
@@ -371,11 +375,8 @@ pub fn compress_auto_on(
         }
     });
     let quantize_elapsed = quantize_start.elapsed().as_secs_f64();
-    let (payload, encode) = if config.decoder.is_hybrid() {
-        huffdec_hybrid::compress_hybrid_on(gpu, &q.codes, config.alphabet_size)
-    } else {
-        compress_counted_on(gpu, config.decoder, &q.codes, counts, config.alphabet_size)
-    };
+    let (payload, encode) =
+        compress_counted_on(gpu, config.decoder, &q.codes, counts, config.alphabet_size);
     let quantize_seconds =
         gpu.charge_seconds(quantize_kernel_time(gpu, field.len()), quantize_elapsed);
     let total_seconds = quantize_seconds + encode.total_seconds();
@@ -404,45 +405,6 @@ fn reconstruct_kernel_time(gpu: &dyn Backend, num_elements: usize) -> f64 {
 fn outlier_scatter_time(gpu: &dyn Backend, num_outliers: usize) -> f64 {
     gpu.config()
         .streaming_pass_seconds(num_outliers as f64 * (12.0 + 8.0), 0.0, 1)
-}
-
-/// Decodes one payload with whichever decoder `kind` names: hybrid payloads route to
-/// the `huffdec-hybrid` RLE+Huffman decoder, everything else to
-/// [`huffdec_core::decode`]. This is the single-payload dispatch point every sz
-/// decompression path goes through.
-///
-/// Returns [`DecodeError::PayloadMismatch`] when the payload's stream format disagrees
-/// with `kind` (a hybrid decoder pointed at a dense stream, or vice versa) and
-/// [`DecodeError::CorruptStream`] when the stream does not decode to the symbol count
-/// it declares.
-pub fn decode_payload(
-    gpu: &dyn Backend,
-    kind: DecoderKind,
-    payload: &CompressedPayload,
-) -> Result<DecodeResult, DecodeError> {
-    match payload {
-        CompressedPayload::Hybrid(stream) if kind.is_hybrid() => {
-            huffdec_hybrid::decode_hybrid(gpu, stream)
-        }
-        _ => decode(gpu, kind, payload),
-    }
-}
-
-/// Decodes several payloads as one wave ([`huffdec_core::decode_wave`]) over
-/// [`decode_payload`]: dense and hybrid fields alike overlap on the shared worker pool
-/// and in the stream model. Results come back in input order; the first field (in
-/// input order) that fails fails the whole batch with its typed error.
-pub fn decode_payload_batch(
-    gpu: &dyn Backend,
-    items: &[(DecoderKind, &CompressedPayload)],
-) -> Result<(Vec<DecodeResult>, BatchStats), DecodeError> {
-    let (fields, stats) = huffdec_core::decode_wave(
-        gpu,
-        items,
-        |&(kind, payload)| decode_payload(gpu, kind, payload),
-        |r| (&r.timings, 0.0),
-    );
-    Ok((fields.into_iter().collect::<Result<_, _>>()?, stats))
 }
 
 /// Everything downstream of the Huffman decode of `c`'s codes: reverse
@@ -534,6 +496,7 @@ mod tests {
     use super::*;
     use datasets::{dataset_by_name, generate};
     use gpu_sim::Gpu;
+    use huffdec_core::BatchStats;
 
     fn gpu() -> Gpu {
         Gpu::with_host_threads(gpu_sim::GpuConfig::test_tiny(), 4)
