@@ -281,13 +281,11 @@ impl CodecBuilder {
                 )));
             }
         }
-        // Hybrid streams exist only in format v2; an explicitly hybrid session
-        // silently upgrades rather than erroring on every compress.
-        let format = if self.decoder.is_hybrid() {
-            FormatVersion::V2
-        } else {
-            self.format
-        };
+        // A session writes at least the version its decoder's layout needs: an explicitly
+        // hybrid session silently upgrades to v2 rather than erroring on every compress.
+        let format = self
+            .format
+            .max(FormatVersion::lowest_for(self.decoder.layout()));
         let backend = self.backend.create(self.gpu, self.host_threads);
         let metrics = Arc::new(Metrics::new());
         metrics.set_backend(backend.kind().name());

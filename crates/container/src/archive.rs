@@ -8,7 +8,8 @@
 
 use std::io::Write;
 
-use huffdec_core::{CompressedPayload, DecoderKind, EncodedStream};
+use huffdec_core::{CompressedPayload, DecoderKind, EncodedStream, StreamLayout};
+use huffman::Codebook;
 use sz::{Compressed, SzConfig};
 
 use crate::codec;
@@ -90,10 +91,9 @@ impl<W: Write> ArchiveWriter<W> {
 
     /// The wire version an archive of `payload` is written as.
     fn version_for(&self, payload: &CompressedPayload) -> u16 {
-        match payload {
-            CompressedPayload::Hybrid(_) => FORMAT_VERSION_V2,
-            _ => self.version.number(),
-        }
+        self.version
+            .max(FormatVersion::lowest_for(payload.layout()))
+            .number()
     }
 
     /// Writes one full field archive; returns its size in bytes.
@@ -166,25 +166,15 @@ impl<W: Write> ArchiveWriter<W> {
         payload: &CompressedPayload,
         dict: Option<&CodebookDict>,
     ) -> Result<u64> {
-        let decoder = header.decoder;
         // Refuse to write anything the reader would reject, so a write-then-read of
         // accepted input never fails: the header decoder enforces this range, assembly
-        // the pairing of decoder kind and stream format.
+        // the decoder's stream layout.
         if !(4..=65536).contains(&header.alphabet_size) {
             return Err(ContainerError::Invalid {
                 reason: "alphabet size out of range",
             });
         }
-        let fits = match payload {
-            CompressedPayload::Chunked { .. } => decoder.uses_chunked_encoding(),
-            CompressedPayload::Flat(stream) => {
-                !decoder.is_hybrid()
-                    && !decoder.uses_chunked_encoding()
-                    && decoder.requires_gap_array() == stream.gap_array.is_some()
-            }
-            CompressedPayload::Hybrid(_) => decoder.is_hybrid(),
-        };
-        if !fits {
+        if header.decoder.layout() != payload.layout() {
             return Err(ContainerError::Invalid {
                 reason: "payload stream format does not match the decoder",
             });
@@ -226,7 +216,7 @@ impl<W: Write> ArchiveWriter<W> {
     fn write_codebook_or_ref(
         &mut self,
         header: &Header,
-        codebook: &huffman::Codebook,
+        codebook: &Codebook,
         dict: Option<&CodebookDict>,
     ) -> Result<u64> {
         if header.version >= FORMAT_VERSION_V2 {
@@ -258,12 +248,10 @@ impl<W: Write> ArchiveWriter<W> {
     /// shared-memory decode-buffer size for each decoder the snapshot uses (the
     /// quantity Algorithm 2 tunes online).
     pub fn write_snapshot(&mut self, fields: &[(&str, &Compressed)]) -> Result<u64> {
-        let hybrid = fields.iter().any(|(_, c)| c.decoder().is_hybrid());
-        let version = if hybrid {
-            FormatVersion::V2
-        } else {
-            self.version
-        };
+        let version = fields
+            .iter()
+            .map(|(_, c)| FormatVersion::lowest_for(c.decoder().layout()))
+            .fold(self.version, FormatVersion::max);
         let mut dict = None;
         let mut hints: Vec<TuningHint> = Vec::new();
         if version == FormatVersion::V2 {
@@ -353,76 +341,47 @@ impl<'a> ArchiveReader<'a> {
 }
 
 /// Reassembles the decoder structures from a walked archive's section table. The walk
-/// settled framing and structure; here the header decides which sections are allowed
-/// and which required, and each payload is parsed and validated. Codebook-reference
-/// sections resolve against `dict`, the owning snapshot's dictionary.
+/// settled framing and structure; here the header's stream layout decides which sections
+/// are allowed and which required, and each payload is parsed and validated.
+/// Codebook-reference sections resolve against `dict`, the owning snapshot's dictionary.
 fn assemble(walk: &ArchiveWalk<'_>, dict: Option<&CodebookDict>) -> Result<Archive> {
+    use SectionKind::{ChunkedStream, Codebook, CodebookRef, FlatStream, GapArray, HybridStream};
     let header = &walk.header;
     let decoder = header.decoder;
-    let allowed = |kind: SectionKind| match kind {
-        SectionKind::HybridStream => decoder.is_hybrid(),
-        SectionKind::Codebook | SectionKind::CodebookRef => !decoder.is_hybrid(),
-        SectionKind::ChunkedStream => decoder.uses_chunked_encoding(),
-        SectionKind::FlatStream => !decoder.is_hybrid() && !decoder.uses_chunked_encoding(),
-        SectionKind::GapArray => decoder.requires_gap_array(),
-        SectionKind::Outliers | SectionKind::DecodedCrc => header.field.is_some(),
-        _ => false,
+    // Each layout's arm checks every section against its payload sections before any is
+    // parsed.
+    let only = |payload: &[SectionKind]| {
+        let field = |kind| matches!(kind, SectionKind::Outliers | SectionKind::DecodedCrc);
+        let allowed = |kind| payload.contains(&kind) || (field(kind) && header.field.is_some());
+        match walk.sections.iter().find(|(kind, _)| !allowed(*kind)) {
+            Some(&(section, _)) => Err(ContainerError::UnexpectedSection { section }),
+            None => Ok(()),
+        }
     };
-    if let Some(&(section, _)) = walk.sections.iter().find(|(kind, _)| !allowed(*kind)) {
-        return Err(ContainerError::UnexpectedSection { section });
-    }
     let require = |section: SectionKind| {
         walk.section(section)
             .ok_or(ContainerError::MissingSection { section })
     };
 
-    let payload = if decoder.is_hybrid() {
-        CompressedPayload::Hybrid(codec::parse_hybrid_stream(
-            require(SectionKind::HybridStream)?,
-            header.alphabet_size,
-        )?)
-    } else {
-        let codebook = match (
-            walk.section(SectionKind::Codebook),
-            walk.section(SectionKind::CodebookRef),
-        ) {
-            (Some(_), Some(_)) => {
-                return Err(ContainerError::Invalid {
-                    reason: "both an inline codebook and a dictionary reference",
-                })
-            }
-            (Some(inline), None) => codec::parse_codebook(inline, header.alphabet_size)?,
-            (None, Some(reference)) => {
-                let id = codec::parse_codebook_ref(reference)?;
-                let dict = dict.ok_or(ContainerError::Invalid {
-                    reason: "codebook reference outside a snapshot with a dictionary",
-                })?;
-                let entry = dict.get(id).ok_or(ContainerError::Invalid {
-                    reason: "dangling codebook dictionary id",
-                })?;
-                if entry.alphabet_size() != header.alphabet_size as usize {
-                    return Err(ContainerError::Invalid {
-                        reason: "dictionary codebook alphabet disagrees with the header",
-                    });
-                }
-                entry.clone()
-            }
-            (None, None) => {
-                return Err(ContainerError::MissingSection {
-                    section: SectionKind::Codebook,
-                })
-            }
-        };
-        if decoder.uses_chunked_encoding() {
-            let encoded = codec::parse_chunked_stream(require(SectionKind::ChunkedStream)?)?;
+    let payload = match decoder.layout() {
+        StreamLayout::Chunked => {
+            only(&[Codebook, CodebookRef, ChunkedStream])?;
+            let codebook = dense_codebook(walk, dict)?;
+            let encoded = codec::parse_chunked_stream(require(ChunkedStream)?)?;
             CompressedPayload::Chunked { encoded, codebook }
-        } else {
-            let parts = codec::parse_flat_stream(require(SectionKind::FlatStream)?)?;
-            let gap_array = if decoder.requires_gap_array() {
-                Some(codec::parse_gap_array(require(SectionKind::GapArray)?)?)
+        }
+        layout @ (StreamLayout::Flat | StreamLayout::FlatWithGaps) => {
+            let gaps = layout == StreamLayout::FlatWithGaps;
+            only(if gaps {
+                &[Codebook, CodebookRef, FlatStream, GapArray]
             } else {
-                None
-            };
+                &[Codebook, CodebookRef, FlatStream]
+            })?;
+            let codebook = dense_codebook(walk, dict)?;
+            let parts = codec::parse_flat_stream(require(FlatStream)?)?;
+            let gap_array = gaps
+                .then(|| require(GapArray).and_then(codec::parse_gap_array))
+                .transpose()?;
             let stream = EncodedStream::from_parts(
                 parts.units,
                 parts.bit_len,
@@ -433,6 +392,13 @@ fn assemble(walk: &ArchiveWalk<'_>, dict: Option<&CodebookDict>) -> Result<Archi
             )
             .map_err(|reason| ContainerError::Invalid { reason })?;
             CompressedPayload::Flat(stream)
+        }
+        StreamLayout::Hybrid => {
+            only(&[HybridStream])?;
+            CompressedPayload::Hybrid(codec::parse_hybrid_stream(
+                require(HybridStream)?,
+                header.alphabet_size,
+            )?)
         }
     };
 
@@ -467,6 +433,39 @@ fn assemble(walk: &ArchiveWalk<'_>, dict: Option<&CodebookDict>) -> Result<Archi
             payload,
             decoder,
             alphabet_size: header.alphabet_size as usize,
+        }),
+    }
+}
+
+/// The codebook of a dense archive: its inline codebook section, or the entry of
+/// `dict` its codebook-reference section names.
+fn dense_codebook(walk: &ArchiveWalk<'_>, dict: Option<&CodebookDict>) -> Result<Codebook> {
+    let alphabet_size = walk.header.alphabet_size;
+    match (
+        walk.section(SectionKind::Codebook),
+        walk.section(SectionKind::CodebookRef),
+    ) {
+        (Some(_), Some(_)) => Err(ContainerError::Invalid {
+            reason: "both an inline codebook and a dictionary reference",
+        }),
+        (Some(inline), None) => codec::parse_codebook(inline, alphabet_size),
+        (None, Some(reference)) => {
+            let id = codec::parse_codebook_ref(reference)?;
+            let dict = dict.ok_or(ContainerError::Invalid {
+                reason: "codebook reference outside a snapshot with a dictionary",
+            })?;
+            let entry = dict.get(id).ok_or(ContainerError::Invalid {
+                reason: "dangling codebook dictionary id",
+            })?;
+            if entry.alphabet_size() != alphabet_size as usize {
+                return Err(ContainerError::Invalid {
+                    reason: "dictionary codebook alphabet disagrees with the header",
+                });
+            }
+            Ok(entry.clone())
+        }
+        (None, None) => Err(ContainerError::MissingSection {
+            section: SectionKind::Codebook,
         }),
     }
 }

@@ -23,11 +23,11 @@
 //!
 //! Format version 2 (`HFZ2`) keeps the header layout unchanged; it unlocks the v2
 //! section set (RLE+Huffman hybrid streams, snapshot codebook dictionaries, decoder
-//! tuning hints). The hybrid decoder tag is a v2-only stream layout, so a version-1
-//! header carrying it is rejected as invalid rather than misread.
+//! tuning hints). The hybrid decoder's layout is v2-only ([`FormatVersion::lowest_for`]),
+//! so a version-1 header carrying its tag is rejected as invalid rather than misread.
 
 use datasets::Dims;
-use huffdec_core::DecoderKind;
+use huffdec_core::{DecoderKind, StreamLayout};
 use sz::ErrorBound;
 
 use crate::error::{ContainerError, Result};
@@ -43,8 +43,8 @@ pub const FORMAT_VERSION: u16 = 1;
 /// hints; the highest version this crate reads.
 pub const FORMAT_VERSION_V2: u16 = 2;
 /// A writable container format version — the type-safe form of the `--format` switch
-/// and [`FORMAT_VERSION`]/[`FORMAT_VERSION_V2`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// and [`FORMAT_VERSION`]/[`FORMAT_VERSION_V2`]. Later versions order higher.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum FormatVersion {
     /// Version 1 (`HFZ1`) — the default; dense streams only.
     #[default]
@@ -59,6 +59,17 @@ impl FormatVersion {
         match self {
             FormatVersion::V1 => FORMAT_VERSION,
             FormatVersion::V2 => FORMAT_VERSION_V2,
+        }
+    }
+
+    /// The lowest version that holds a stream of `layout`: writers upgrade to it, and the
+    /// header reader refuses a decoder whose layout its version cannot hold.
+    pub fn lowest_for(layout: StreamLayout) -> FormatVersion {
+        match layout {
+            StreamLayout::Hybrid => FormatVersion::V2,
+            StreamLayout::Chunked | StreamLayout::Flat | StreamLayout::FlatWithGaps => {
+                FormatVersion::V1
+            }
         }
     }
 
@@ -195,7 +206,7 @@ impl Header {
         let decoder = DecoderKind::from_tag(decoder_tag).ok_or(ContainerError::Invalid {
             reason: "unknown decoder kind tag",
         })?;
-        if decoder.is_hybrid() && version < FORMAT_VERSION_V2 {
+        if version < FormatVersion::lowest_for(decoder.layout()).number() {
             return Err(ContainerError::Invalid {
                 reason: "hybrid decoder requires format version 2",
             });

@@ -69,10 +69,13 @@
 //! | 10  | hybrid stream (v2) | `code count u64`, `run cap u32`, then nonzero-symbol and zero-run substreams (each: geometry, units, inline codebook) |
 //! | 11  | codebook ref (v2) | `dictionary id u32` — replaces the inline codebook of a dense shard inside a snapshot with a dictionary |
 //!
-//! A *chunked* archive (baseline decoder) carries sections {codebook, chunked stream};
-//! a *flat* archive carries {codebook, flat stream} plus a gap array exactly when the
-//! decoder requires one; a *hybrid* archive (v2) carries a single {hybrid stream}
-//! section whose two substreams embed their own codebooks. Inside a v2 snapshot with a
+//! The header's decoder fixes the archive's sections through its stream layout
+//! ([`huffdec_core::DecoderKind::layout`]): a `Chunked` archive (baseline decoder)
+//! carries {codebook, chunked stream}; a `Flat` one (both self-sync decoders) {codebook,
+//! flat stream}; a `FlatWithGaps` one (gap-array decoder) {codebook, flat stream, gap
+//! array}; a `Hybrid` one (v2 only, [`FormatVersion::lowest_for`]) a single {hybrid
+//! stream} section whose two substreams embed their own codebooks. The writer refuses a
+//! payload whose layout is not its decoder's. Inside a v2 snapshot with a
 //! codebook dictionary, dense shards may replace the inline codebook with a {codebook
 //! ref}. Field archives additionally carry {outliers} and, since the
 //! trailer was introduced, {decoded crc} — a digest over the *decoded* quantization

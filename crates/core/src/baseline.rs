@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use gpu_sim::{cost, Backend, BlockContext, BlockKernel, DeviceBuffer, LaunchConfig};
 use huffman::{BitReader, ChunkedEncoded, Codebook};
 
+use crate::decode_write::store_in_window;
 use crate::decoder::{DecodeError, DecoderKind};
 
 /// Threads per block used by the baseline decoder (as in cuSZ).
@@ -24,6 +25,8 @@ struct CoarseDecodeKernel<'a> {
     encoded: &'a ChunkedEncoded,
     codebook: &'a Codebook,
     output: &'a DeviceBuffer<u16>,
+    /// Output position of `output[0]`, as in [`crate::DecodeWriteKernel`].
+    output_start: u64,
     chunk_indices: &'a [u32],
     /// Symbols the launch actually decoded. A lane stops at the first codeword that
     /// resolves to no symbol (or runs out of bits), so a corrupt chunk leaves this short
@@ -43,6 +46,7 @@ impl BlockKernel for CoarseDecodeKernel<'_> {
         let selected = self.chunk_indices;
         let base_chunk = (ctx.block_idx() * ctx.block_dim()) as usize;
 
+        let store = |pos, sym| store_in_window(self.output, self.output_start, pos, sym);
         for w in 0..ctx.warp_count() {
             let warp_base = base_chunk + (w * warp_size) as usize;
             if warp_base >= selected.len() {
@@ -66,7 +70,7 @@ impl BlockKernel for CoarseDecodeKernel<'_> {
                     u64::MAX,
                     chunk.bit_len,
                     chunk.num_symbols,
-                    |k, sym| self.output.set((chunk.symbol_offset + k) as usize, sym),
+                    |k, sym| store(chunk.symbol_offset + k, sym),
                 );
                 self.decoded.fetch_add(decoded, Ordering::Relaxed);
                 max_bits = max_bits.max(chunk.bit_len);
@@ -114,10 +118,10 @@ impl BlockKernel for CoarseDecodeKernel<'_> {
     }
 }
 
-/// Decodes the given chunks of a chunked stream into `output` (which must span the whole
-/// stream: each chunk writes at its recorded `symbol_offset`) — every chunk for a full
-/// decode, or, for a serving layer answering a range request, one thread per
-/// *overlapping* chunk instead of the whole field.
+/// Decodes the given chunks of a chunked stream into `output`, which holds the symbols
+/// from `output_start` on (each chunk writes at its recorded `symbol_offset`) — every
+/// chunk into the whole stream for a full decode, or, for a serving layer answering a
+/// range request, one thread per *overlapping* chunk into just that range.
 ///
 /// Returns [`DecodeError::CorruptStream`] when a chunk's bits do not decode to the
 /// symbol count it declares.
@@ -127,11 +131,13 @@ pub fn decode_baseline_chunks(
     codebook: &Codebook,
     chunk_indices: &[u32],
     output: &DeviceBuffer<u16>,
+    output_start: u64,
 ) -> Result<gpu_sim::KernelStats, DecodeError> {
     let kernel = CoarseDecodeKernel {
         encoded,
         codebook,
         output,
+        output_start,
         chunk_indices,
         decoded: AtomicU64::new(0),
     };
@@ -210,7 +216,7 @@ mod tests {
         assert!(enc.chunks.len() >= 3);
         let output = DeviceBuffer::<u16>::zeroed(enc.num_symbols);
         // Decode only chunks 1 and 3.
-        let stats = decode_baseline_chunks(&gpu(), &enc, &cb, &[1, 3], &output).unwrap();
+        let stats = decode_baseline_chunks(&gpu(), &enc, &cb, &[1, 3], &output, 0).unwrap();
         assert!(stats.time_s > 0.0);
         let decoded = output.to_vec();
         for (i, chunk) in enc.chunks.iter().enumerate() {

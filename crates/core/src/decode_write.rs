@@ -12,7 +12,8 @@
 //!   larger than the buffer, the loop runs multiple windows.
 //!
 //! Both kernels can operate on an arbitrary subset of sequences (`seq_indices`), which is
-//! how the shared-memory tuner launches one kernel per compression-ratio class.
+//! how the shared-memory tuner launches one kernel per compression-ratio class, and can
+//! keep just a window of the output, as a ranged decode does.
 
 use gpu_sim::{cost, Backend, BlockContext, BlockKernel, DeviceBuffer, KernelStats, LaunchConfig};
 use huffman::BitReader;
@@ -51,8 +52,11 @@ pub struct DecodeWriteKernel<'a> {
     pub infos: &'a [SubseqInfo],
     /// Output offsets per subsequence.
     pub output_index: &'a OutputIndex,
-    /// Output symbol buffer (length = total symbols).
+    /// Output symbol buffer: the symbols from output position `output_start` on.
     pub output: &'a DeviceBuffer<u16>,
+    /// Output position of `output[0]`. A symbol outside the buffer is decoded and
+    /// dropped; the cost model charges every store at its output position.
+    pub output_start: u64,
     /// Sequences this launch is responsible for; block `i` handles `seq_indices[i]`.
     pub seq_indices: &'a [u32],
     /// Write strategy.
@@ -107,7 +111,7 @@ impl BlockKernel for DecodeWriteKernel<'_> {
                 u64::MAX,
                 self.stream.bit_len,
                 self.infos[sub].num_symbols,
-                |k, sym| self.output.set((base + k) as usize, sym),
+                |k, sym| store_in_window(self.output, self.output_start, base + k, sym),
             );
         }
 
@@ -233,8 +237,31 @@ impl BlockKernel for DecodeWriteKernel<'_> {
     }
 }
 
+/// Stores `sym`, the symbol at output position `pos`, into `output` (which holds the
+/// positions from `output_start` on) when `output` holds that position.
+#[inline]
+pub(crate) fn store_in_window(output: &DeviceBuffer<u16>, output_start: u64, pos: u64, sym: u16) {
+    let i = pos.wrapping_sub(output_start);
+    if i < output.len() as u64 {
+        output.set(i as usize, sym);
+    }
+}
+
+impl DecodeWriteKernel<'_> {
+    /// Launches the kernel, one block per sequence in `seq_indices`.
+    pub(crate) fn run(&self, gpu: &dyn Backend) -> KernelStats {
+        let cfg = LaunchConfig::new(
+            self.seq_indices.len() as u32,
+            self.stream.geometry.subseqs_per_seq,
+        )
+        .with_shared_mem(self.strategy.shared_mem_bytes());
+        gpu.launch(self, cfg)
+    }
+}
+
 /// Launches the decode-and-write kernel over the given sequences and returns the kernel
-/// statistics. The output buffer is filled functionally for the selected sequences.
+/// statistics. The output buffer, which spans every symbol, is filled functionally for
+/// the selected sequences.
 pub fn run_decode_write(
     gpu: &dyn Backend,
     stream: &EncodedStream,
@@ -244,17 +271,16 @@ pub fn run_decode_write(
     seq_indices: &[u32],
     strategy: WriteStrategy,
 ) -> KernelStats {
-    let kernel = DecodeWriteKernel {
+    DecodeWriteKernel {
         stream,
         infos,
         output_index,
         output,
+        output_start: 0,
         seq_indices,
         strategy,
-    };
-    let cfg = LaunchConfig::new(seq_indices.len() as u32, stream.geometry.subseqs_per_seq)
-        .with_shared_mem(strategy.shared_mem_bytes());
-    gpu.launch(&kernel, cfg)
+    }
+    .run(gpu)
 }
 
 #[cfg(test)]

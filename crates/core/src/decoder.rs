@@ -1,13 +1,17 @@
 //! The unified decoder API: one entry point, [`decode`], for every decoding method
 //! evaluated in the paper.
 //!
-//! | [`DecoderKind`]          | Encoding it consumes                  | Phases |
-//! |--------------------------|---------------------------------------|--------|
-//! | `CuszBaseline`           | chunked (coarse-grained) stream       | decode/write |
-//! | `OriginalSelfSync`       | flat stream                           | intra sync, inter sync, output idx, direct decode/write |
-//! | `OptimizedSelfSync`      | flat stream                           | optimized intra sync, inter sync, output idx, tune, staged decode/write |
-//! | `OptimizedGapArray`      | flat stream **with gap array**        | output idx (redundant decode + prefix sum), tune, staged decode/write |
-//! | `RleHybrid`              | RLE+Huffman hybrid (two flat streams) | both substreams as `OptimizedSelfSync`, then output idx (two prefix sums) and run expansion |
+//! | [`DecoderKind`]          | [`StreamLayout`] it consumes                | Phases |
+//! |--------------------------|---------------------------------------------|--------|
+//! | `CuszBaseline`           | `Chunked` (coarse-grained)                  | decode/write |
+//! | `OriginalSelfSync`       | `Flat`                                      | intra sync, inter sync, output idx, direct decode/write |
+//! | `OptimizedSelfSync`      | `Flat`                                      | optimized intra sync, inter sync, output idx, tune, staged decode/write |
+//! | `OptimizedGapArray`      | `FlatWithGaps`                              | output idx (redundant decode + prefix sum), tune, staged decode/write |
+//! | `RleHybrid`              | `Hybrid` (two flat streams)                 | both substreams as `OptimizedSelfSync`, then output idx (two prefix sums) and run expansion |
+//!
+//! The second column is [`DecoderKind::layout`], the one table from decoder to stream
+//! layout: the encoders produce it and `check_payload` accepts it (a `Flat` decoder also
+//! reads a `FlatWithGaps` stream, leaving the gap array unread).
 //!
 //! On the simulator every row is the same pipeline — (sync | gap count) → output index
 //! → tune → decode/write (§IV, Table II) — and the code spells it once: `check_payload`
@@ -36,15 +40,14 @@
 //! [`crate::gap_decode::decode_original_gap8`] because it decodes a different (trimmed)
 //! symbol stream. The RLE+Huffman hybrid ([`CompressedPayload::Hybrid`]) splits a sparse
 //! quant-code field into a nonzero-symbol stream and a zero-run-length stream
-//! ([`crate::hybrid`]); [`compress_for`] and [`decode`] take it like every other kind,
-//! and `check_payload` is the one place that pairs a kind with its payload format.
+//! ([`crate::hybrid`]); [`compress_for`] and [`decode`] take it like every other kind.
 
 use std::fmt;
 
 use gpu_sim::Backend;
 use huffman::{encode_chunked, ChunkedEncoded, Codebook, DEFAULT_CHUNK_SYMBOLS};
 
-use crate::format::{wire, EncodedStream, HybridStream};
+use crate::format::{wire, EncodedStream, HybridStream, StreamLayout};
 use crate::hybrid::{compress_hybrid, decode_hybrid};
 use crate::phases::{DecodeResult, PhaseBreakdown};
 use crate::range::{decode_write, prepare_checked};
@@ -92,20 +95,20 @@ impl DecoderKind {
         }
     }
 
-    /// Whether the decoder consumes the RLE+Huffman hybrid stream format.
+    /// The stream layout the decoder consumes, and so the one its encoder produces: the
+    /// one table from decoder to layout.
+    pub fn layout(&self) -> StreamLayout {
+        match self {
+            DecoderKind::CuszBaseline => StreamLayout::Chunked,
+            DecoderKind::OriginalSelfSync | DecoderKind::OptimizedSelfSync => StreamLayout::Flat,
+            DecoderKind::OptimizedGapArray => StreamLayout::FlatWithGaps,
+            DecoderKind::RleHybrid => StreamLayout::Hybrid,
+        }
+    }
+
+    /// Whether the decoder consumes the RLE+Huffman hybrid layout.
     pub fn is_hybrid(&self) -> bool {
-        matches!(self, DecoderKind::RleHybrid)
-    }
-
-    /// Whether the decoder requires the encoder to produce a gap array (and therefore
-    /// couples the encoder and decoder, §V-C).
-    pub fn requires_gap_array(&self) -> bool {
-        matches!(self, DecoderKind::OptimizedGapArray)
-    }
-
-    /// Whether the decoder consumes the coarse-grained chunked encoding.
-    pub fn uses_chunked_encoding(&self) -> bool {
-        matches!(self, DecoderKind::CuszBaseline)
+        self.layout() == StreamLayout::Hybrid
     }
 
     /// Stable one-byte wire tag used by serialized archive formats. Tags are append-only:
@@ -159,6 +162,17 @@ pub enum CompressedPayload {
 }
 
 impl CompressedPayload {
+    /// The payload's stream layout; a flat stream is `FlatWithGaps` when it carries a gap
+    /// array.
+    pub fn layout(&self) -> StreamLayout {
+        match self {
+            CompressedPayload::Chunked { .. } => StreamLayout::Chunked,
+            CompressedPayload::Flat(s) if s.gap_array.is_some() => StreamLayout::FlatWithGaps,
+            CompressedPayload::Flat(_) => StreamLayout::Flat,
+            CompressedPayload::Hybrid(_) => StreamLayout::Hybrid,
+        }
+    }
+
     /// Compressed size in bytes as the `HFZ1` container stores this payload (stream and
     /// codebook sections with their framing and checksums, gap array included when
     /// present), used for compression ratios (Table IV) and transfer modelling (Fig. 5).
@@ -198,24 +212,25 @@ impl CompressedPayload {
     }
 }
 
-/// Encodes `symbols` on the host in the format `kind` consumes.
+/// Encodes `symbols` on the host in the layout `kind` consumes.
 ///
 /// # Panics
 /// Panics if a symbol is outside the alphabet.
 pub fn compress_for(kind: DecoderKind, symbols: &[u16], alphabet_size: usize) -> CompressedPayload {
-    if kind.is_hybrid() {
-        return compress_hybrid(symbols, alphabet_size);
-    }
-    let codebook = Codebook::from_symbols(symbols, alphabet_size);
-    if kind.uses_chunked_encoding() {
-        CompressedPayload::Chunked {
-            encoded: encode_chunked(&codebook, symbols, DEFAULT_CHUNK_SYMBOLS),
-            codebook,
+    let codebook = || Codebook::from_symbols(symbols, alphabet_size);
+    match kind.layout() {
+        StreamLayout::Chunked => {
+            let codebook = codebook();
+            CompressedPayload::Chunked {
+                encoded: encode_chunked(&codebook, symbols, DEFAULT_CHUNK_SYMBOLS),
+                codebook,
+            }
         }
-    } else if kind.requires_gap_array() {
-        CompressedPayload::Flat(EncodedStream::encode_with_gap_array(&codebook, symbols))
-    } else {
-        CompressedPayload::Flat(EncodedStream::encode(&codebook, symbols))
+        StreamLayout::Flat => CompressedPayload::Flat(EncodedStream::encode(&codebook(), symbols)),
+        StreamLayout::FlatWithGaps => {
+            CompressedPayload::Flat(EncodedStream::encode_with_gap_array(&codebook(), symbols))
+        }
+        StreamLayout::Hybrid => compress_hybrid(symbols, alphabet_size),
     }
 }
 
@@ -332,31 +347,29 @@ impl CheckedPayload<'_> {
     }
 }
 
-/// The payload/decoder compatibility check every decode entry point starts from.
+/// The payload/decoder compatibility check every decode entry point starts from: the
+/// payload must have `kind`'s [`StreamLayout`], except that a `Flat` decoder also reads
+/// a `FlatWithGaps` stream and leaves its gap array unread.
 ///
-/// Returns [`DecodeError::PayloadMismatch`] for a chunked payload handed to a
-/// fine-grained decoder, a flat payload handed to the chunked baseline, or a gap-array
-/// decoder given a stream without a gap array, and for a hybrid payload with any
-/// decoder but [`DecoderKind::RleHybrid`] or the reverse — such pairs can reach a
-/// decode from CRC-valid but inconsistent archives.
+/// Returns [`DecodeError::PayloadMismatch`] for any other pair — a chunked payload handed
+/// to a fine-grained decoder, a gap-array decoder given a stream without a gap array, a
+/// hybrid payload with a dense decoder or the reverse. Such pairs can reach a decode
+/// from CRC-valid but inconsistent archives.
 pub(crate) fn check_payload(
     kind: DecoderKind,
     payload: &CompressedPayload,
 ) -> Result<CheckedPayload<'_>, DecodeError> {
-    match (kind, payload) {
-        (DecoderKind::CuszBaseline, CompressedPayload::Chunked { encoded, codebook }) => {
+    match (kind.layout(), payload) {
+        (StreamLayout::Chunked, CompressedPayload::Chunked { encoded, codebook }) => {
             Ok(CheckedPayload::Chunked { encoded, codebook })
         }
-        (
-            DecoderKind::OriginalSelfSync | DecoderKind::OptimizedSelfSync,
-            CompressedPayload::Flat(stream),
-        ) => Ok(CheckedPayload::Flat(stream)),
-        (DecoderKind::OptimizedGapArray, CompressedPayload::Flat(stream))
+        (StreamLayout::Flat, CompressedPayload::Flat(stream)) => Ok(CheckedPayload::Flat(stream)),
+        (StreamLayout::FlatWithGaps, CompressedPayload::Flat(stream))
             if stream.gap_array.is_some() =>
         {
             Ok(CheckedPayload::Flat(stream))
         }
-        (DecoderKind::RleHybrid, CompressedPayload::Hybrid(hybrid)) => {
+        (StreamLayout::Hybrid, CompressedPayload::Hybrid(hybrid)) => {
             Ok(CheckedPayload::Hybrid(hybrid))
         }
         _ => Err(DecodeError::PayloadMismatch { decoder: kind }),
@@ -495,44 +508,11 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_payload_is_a_typed_error() {
-        let symbols = quant_symbols(5_000, 5);
-        let g = gpu();
-
-        // Chunked payload handed to every fine-grained decoder.
-        let chunked = compress_for(DecoderKind::CuszBaseline, &symbols, 1024);
-        for kind in [
-            DecoderKind::OriginalSelfSync,
-            DecoderKind::OptimizedSelfSync,
-            DecoderKind::OptimizedGapArray,
-        ] {
-            assert_eq!(
-                decode(&g, kind, &chunked).unwrap_err(),
-                DecodeError::PayloadMismatch { decoder: kind }
-            );
-        }
-
-        // Flat payload handed to the chunked baseline.
-        let flat = compress_for(DecoderKind::OptimizedSelfSync, &symbols, 1024);
-        assert!(decode(&g, DecoderKind::CuszBaseline, &flat).is_err());
-
-        // Gap-array decoder given a stream without a gap array.
-        let err = decode(&g, DecoderKind::OptimizedGapArray, &flat).unwrap_err();
-        assert_eq!(
-            err,
-            DecodeError::PayloadMismatch {
-                decoder: DecoderKind::OptimizedGapArray
-            }
-        );
-        assert!(!err.to_string().is_empty());
-        assert!(!err.reason().is_empty());
-    }
-
-    #[test]
     fn decoder_metadata() {
-        assert!(DecoderKind::OptimizedGapArray.requires_gap_array());
-        assert!(!DecoderKind::OptimizedSelfSync.requires_gap_array());
-        assert!(DecoderKind::CuszBaseline.uses_chunked_encoding());
+        use StreamLayout::{Chunked, Flat, FlatWithGaps};
+        let layouts = DecoderKind::all().map(|kind| kind.layout());
+        assert_eq!(layouts, [Chunked, Flat, Flat, FlatWithGaps]);
+        assert!(DecoderKind::RleHybrid.is_hybrid());
         assert_eq!(DecoderKind::all().len(), 4);
         for kind in DecoderKind::all() {
             assert!(!kind.name().is_empty());

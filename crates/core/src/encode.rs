@@ -32,6 +32,7 @@ use gpu_sim::{Backend, GpuConfig, PhaseTime};
 use huffman::{Codebook, FrequencyTable};
 
 use crate::decoder::{compress_for, CompressedPayload, DecoderKind};
+use crate::format::StreamLayout;
 use crate::hybrid::compress_hybrid_on;
 
 mod walk;
@@ -154,20 +155,20 @@ fn encode_on(
     counts: Option<Vec<u64>>,
     alphabet_size: usize,
 ) -> (CompressedPayload, EncodePhaseBreakdown) {
-    if kind.is_hybrid() {
-        if let Some(counts) = &counts {
-            check_counts(counts, alphabet_size, symbols.len());
+    match kind.layout() {
+        StreamLayout::Hybrid => {
+            if let Some(counts) = &counts {
+                check_counts(counts, alphabet_size, symbols.len());
+            }
+            compress_hybrid_on(gpu, symbols, alphabet_size)
         }
-        return compress_hybrid_on(gpu, symbols, alphabet_size);
-    }
-    if symbols.is_empty() {
         // Nothing to launch over: the host encoder's payload, at no cost.
-        return (
+        _ if symbols.is_empty() => (
             compress_for(kind, symbols, alphabet_size),
             EncodePhaseBreakdown::default(),
-        );
+        ),
+        layout => walk::compress_walk(gpu, layout, symbols, counts, alphabet_size),
     }
-    walk::compress_walk(gpu, kind, symbols, counts, alphabet_size)
 }
 
 /// Panics unless `counts` holds one count per alphabet symbol, summing to `n`.

@@ -37,8 +37,8 @@ use gpu_sim::{
 use huffman::{ChunkMeta, ChunkedEncoded, Codeword, GapArray, DEFAULT_CHUNK_SYMBOLS};
 
 use super::{build_codebook, check_counts, EncodePhaseBreakdown};
-use crate::decoder::{CompressedPayload, DecoderKind};
-use crate::format::{EncodedStream, StreamGeometry};
+use crate::decoder::CompressedPayload;
+use crate::format::{EncodedStream, StreamGeometry, StreamLayout};
 
 /// Chunks per walk block: one per thread, so a block is 16 lanes of one warp.
 const CHUNKS_PER_BLOCK: usize = 16;
@@ -246,14 +246,14 @@ fn phase(kernel: KernelStats, step_seconds: f64) -> PhaseTime {
     phase
 }
 
-/// Encodes a non-empty `symbols` in the format `kind` consumes with three launches over
-/// blocks of [`BLOCK_SYMBOLS`]: the count and the sum of its rows (histogram phase), the
-/// chunk bits and their scan (offsets phase), and the pack and the edge OR (scatter
-/// phase). Given `counts`, the symbol counts of `symbols`, the count launch is skipped
-/// and the histogram phase holds only their check.
+/// Encodes a non-empty `symbols` in `layout`, one of the dense layouts, with three
+/// launches over blocks of [`BLOCK_SYMBOLS`]: the count and the sum of its rows
+/// (histogram phase), the chunk bits and their scan (offsets phase), and the pack and the
+/// edge OR (scatter phase). Given `counts`, the symbol counts of `symbols`, the count
+/// launch is skipped and the histogram phase holds only their check.
 pub(super) fn compress_walk(
     gpu: &dyn Backend,
-    kind: DecoderKind,
+    layout: StreamLayout,
     symbols: &[u16],
     counts: Option<Vec<u64>>,
     alphabet_size: usize,
@@ -304,7 +304,7 @@ pub(super) fn compress_walk(
     });
     let clock = Instant::now();
     let chunk_bits = chunk_bits.into_vec();
-    let chunked = kind.uses_chunked_encoding();
+    let chunked = layout == StreamLayout::Chunked;
     let mut chunk_starts = Vec::with_capacity(num_chunks);
     let mut bit_len = 0u64;
     for &bits in &chunk_bits {
@@ -325,7 +325,7 @@ pub(super) fn compress_walk(
     let offsets = phase(lengths, host_step(gpu, clock, 16 * num_chunks, 1));
 
     let geometry = StreamGeometry::default();
-    let with_gaps = kind.requires_gap_array();
+    let with_gaps = layout == StreamLayout::FlatWithGaps;
     let units = DeviceBuffer::<u32>::zeroed(num_units as usize);
     let edges = DeviceBuffer::<[u32; 2]>::zeroed(grid);
     let gaps = DeviceBuffer::<u8>::zeroed(if with_gaps {

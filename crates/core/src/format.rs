@@ -12,7 +12,7 @@
 //!
 //! [`EncodedStream`] bundles the flat Huffman bitstream, the codebook, the geometry, and
 //! (optionally) the gap array, plus the size accounting used to report compression ratios
-//! (Table IV).
+//! (Table IV). [`StreamLayout`] names the four shapes a field's payload can take.
 
 use huffman::{compute_gap_array, encode_flat, Codebook, FlatEncoded, GapArray};
 
@@ -88,6 +88,21 @@ pub mod wire {
     }
 }
 
+/// The shape of a field's Huffman payload, which its decoder fixes (the gap array couples
+/// the encoder to the decoder, §V-C). [`crate::DecoderKind::layout`] is the one table
+/// from decoder to layout; the encoder, the decode check and the container read it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StreamLayout {
+    /// cuSZ's chunked (coarse-grained) stream.
+    Chunked,
+    /// A flat stream without a gap array.
+    Flat,
+    /// A flat stream with its gap array.
+    FlatWithGaps,
+    /// The RLE+Huffman hybrid: a nonzero-symbol and a zero-run flat stream.
+    Hybrid,
+}
+
 /// Geometry of the stream decomposition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamGeometry {
@@ -161,7 +176,7 @@ pub struct EncodedStream {
     /// Stream decomposition geometry.
     pub geometry: StreamGeometry,
     /// The gap array, present only when the encoder was asked to produce one
-    /// (gap-array decoders require it; self-synchronization decoders must not use it).
+    /// (gap-array decoders require it; self-synchronization decoders do not read it).
     pub gap_array: Option<GapArray>,
 }
 
@@ -262,12 +277,6 @@ impl EncodedStream {
         self.num_symbols as u64 * 2
     }
 
-    /// Size of the codebook as stored in an `HFZ1` archive: compact `(symbol, length)`
-    /// pairs for the coded symbols, section framing included.
-    pub fn codebook_bytes(&self) -> u64 {
-        wire::codebook_section(self.codebook.coded_symbols())
-    }
-
     /// Compressed size in bytes, as the `HFZ1` container stores this stream: the
     /// flat-stream section (geometry header + packed units), the codebook section, and
     /// the gap-array section when one is present — each including its framing and
@@ -278,7 +287,8 @@ impl EncodedStream {
             .as_ref()
             .map(|g| wire::gap_array_section(g.len()))
             .unwrap_or(0);
-        wire::flat_stream_section(self.units.len()) + self.codebook_bytes() + gap
+        let codebook = wire::codebook_section(self.codebook.coded_symbols());
+        wire::flat_stream_section(self.units.len()) + codebook + gap
     }
 
     /// Compression ratio: original symbol bytes over compressed bytes. This is the ratio
@@ -305,7 +315,7 @@ pub const HYBRID_RUN_ALPHABET: usize = HYBRID_RUN_CAP as usize + 1;
 ///
 /// "Zero" is the center quantization bin (`alphabet_size / 2`, the exactly-predicted
 /// Lorenzo bin), recoverable from the symbol codebook's alphabet. The encoder and
-/// decoder live in the `huffdec-hybrid` crate; this type is the wire-shaped payload the
+/// decoder live in [`crate::hybrid`]; this type is the wire-shaped payload the
 /// container serializes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HybridStream {

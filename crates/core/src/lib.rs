@@ -80,7 +80,7 @@ pub use decode_write::{run_decode_write, DecodeWriteKernel, WriteStrategy};
 pub use decoder::{compress_for, decode, roundtrip, CompressedPayload, DecodeError, DecoderKind};
 pub use encode::{compress_counted_on, compress_on, EncodePhaseBreakdown};
 pub use format::{
-    wire, EncodedStream, HybridStream, StreamGeometry, DEFAULT_SUBSEQ_UNITS,
+    wire, EncodedStream, HybridStream, StreamGeometry, StreamLayout, DEFAULT_SUBSEQ_UNITS,
     DEFAULT_THREADS_PER_BLOCK, HYBRID_RUN_ALPHABET, HYBRID_RUN_CAP,
 };
 pub use gap_decode::{decode_original_gap8, encode_gap8, gap_count_symbols, Gap8Stream};

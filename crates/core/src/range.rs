@@ -26,10 +26,12 @@
 //! many range requests by launching the decode/write kernel over only the overlapping
 //! blocks.
 
+use std::ops::Range;
+
 use gpu_sim::{Backend, DeviceBuffer, PhaseTime};
 
 use crate::baseline::decode_baseline_chunks;
-use crate::decode_write::{run_decode_write, WriteStrategy};
+use crate::decode_write::{DecodeWriteKernel, WriteStrategy};
 use crate::decoder::{check_payload, CheckedPayload, CompressedPayload, DecodeError, DecoderKind};
 use crate::gap_decode::gap_count_symbols;
 use crate::output_index::{compute_output_index, OutputIndex};
@@ -127,9 +129,10 @@ pub(crate) fn prepare_checked(
     })
 }
 
-/// The decode/write phase: decodes `blocks` (chunks or sequences; `None` = every block)
-/// into a device buffer spanning the whole stream, returning it with the phase timing
-/// (`decode_write`, plus `tune` when the tuner ran).
+/// The decode/write phase: decodes every block into a device buffer spanning the whole
+/// stream, or the `ranged` blocks (chunks or sequences) into one holding just the
+/// `ranged` output window, returning it with the phase timing (`decode_write`, plus
+/// `tune` when the tuner ran).
 ///
 /// A full decode with an optimized decoder runs the online shared-memory tuner
 /// (Algorithm 2) and its per-class staged kernels; a block subset stages through the
@@ -141,28 +144,33 @@ pub(crate) fn decode_write(
     kind: DecoderKind,
     payload: CheckedPayload<'_>,
     prepared: &PreparedDecode,
-    blocks: Option<&[u32]>,
+    ranged: Option<(&[u32], Range<u64>)>,
 ) -> Result<(DeviceBuffer<u16>, PhaseBreakdown), DecodeError> {
     let optimized = matches!(
         kind,
         DecoderKind::OptimizedSelfSync | DecoderKind::OptimizedGapArray
     );
-    let tuned = blocks.is_none() && optimized;
+    let tuned = ranged.is_none() && optimized;
     // The tuner picks its own per-class launches; every other full decode lists them all.
-    let every_block: Vec<u32> = match blocks {
+    let every_block: Vec<u32> = match ranged {
         None if !tuned => (0..payload.num_blocks().unwrap_or(0) as u32).collect(),
         _ => Vec::new(),
     };
-    let blocks = blocks.unwrap_or(&every_block);
+    let (blocks, window) = ranged.unwrap_or((&every_block, 0..u64::MAX));
+    let output_start = window.start;
+    let output = |num_symbols: u64| {
+        DeviceBuffer::<u16>::zeroed((window.end.min(num_symbols) - output_start) as usize)
+    };
     let (output, stats) = match (payload, &prepared.flat) {
         (CheckedPayload::Chunked { encoded, codebook }, None) => {
-            let output = DeviceBuffer::<u16>::zeroed(encoded.num_symbols);
-            let stats = decode_baseline_chunks(gpu, encoded, codebook, blocks, &output)?;
+            let output = output(encoded.num_symbols as u64);
+            let stats =
+                decode_baseline_chunks(gpu, encoded, codebook, blocks, &output, output_start)?;
             (output, stats)
         }
         (CheckedPayload::Flat(stream), Some((infos, output_index))) => {
             debug_assert_eq!(infos.len(), stream.num_subseqs(), "index/payload mismatch");
-            let output = DeviceBuffer::<u16>::zeroed(output_index.total as usize);
+            let output = output(output_index.total);
             if tuned {
                 let tuned = tuned_decode_write(gpu, stream, infos, output_index, &output);
                 let phases = PhaseBreakdown {
@@ -179,8 +187,16 @@ pub(crate) fn decode_write(
             } else {
                 WriteStrategy::Direct
             };
-            let stats =
-                run_decode_write(gpu, stream, infos, output_index, &output, blocks, strategy);
+            let stats = DecodeWriteKernel {
+                stream,
+                infos,
+                output_index,
+                output: &output,
+                output_start,
+                seq_indices: blocks,
+                strategy,
+            }
+            .run(gpu);
             (output, stats)
         }
         _ => return Err(DecodeError::PayloadMismatch { decoder: kind }),
@@ -260,13 +276,12 @@ pub fn decode_range(
         }
         _ => return Err(DecodeError::PayloadMismatch { decoder: kind }),
     };
-    let (output, timings) = decode_write(gpu, kind, checked, prepared, Some(&blocks))?;
-    // Copy only the requested window back to the host: a small range over a huge field
-    // must not pay a full-field D2H transfer on top of its partial decode.
-    let mut symbols = vec![0u16; len as usize];
-    output.copy_range_to(start as usize, &mut symbols);
+    // The launch stores only the requested window: a small range over a huge field
+    // allocates and hands back just its own symbols.
+    let ranged = Some((&blocks[..], start..end));
+    let (output, timings) = decode_write(gpu, kind, checked, prepared, ranged)?;
     Ok(RangeDecode {
-        symbols,
+        symbols: output.into_vec(),
         timings,
         decoded_blocks: blocks.len(),
         total_blocks,

@@ -6,9 +6,8 @@
 //! [`DeviceBuffer::into_vec`]), and every read-only kernel operand is a plain `&[T]`.
 //! Nothing is copied in or out: what a host/device transfer would cost is charged
 //! analytically ([`crate::transfer`]), never paid by an element-wise copy. A block may
-//! store a range it owns in one call ([`DeviceBuffer::write_range`], as it may read one
-//! with [`DeviceBuffer::copy_range_to`]); that is a kernel's own store into its output,
-//! still not a copy in or out.
+//! store a range it owns in one call ([`DeviceBuffer::write_range`]); that is a kernel's
+//! own store into its output, still not a copy in or out.
 //!
 //! Simulated kernels receive shared references to buffers and may write elements
 //! concurrently from many blocks, mirroring CUDA semantics where the programmer is
@@ -107,23 +106,8 @@ impl<T: Copy> DeviceBuffer<T> {
             .collect()
     }
 
-    /// Copies a sub-range `[start, start + out.len())` of the buffer into `out`.
-    ///
-    /// # Panics
-    /// Panics if the range is out of bounds.
-    pub fn copy_range_to(&self, start: usize, out: &mut [T]) {
-        assert!(
-            self.range_fits(start, out.len()),
-            "copy_range_to out of bounds"
-        );
-        for (k, slot) in out.iter_mut().enumerate() {
-            *slot = unsafe { *self.data[start + k].get() };
-        }
-    }
-
     /// Writes `values` to the sub-range `[start, start + values.len())` of the buffer in
-    /// one store: the mirror of [`DeviceBuffer::copy_range_to`], for a block storing a
-    /// range it owns.
+    /// one store, for a block storing a range it owns.
     ///
     /// # Panics
     /// Panics if the range is out of bounds.
@@ -199,14 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_range() {
-        let buf = DeviceBuffer::from_vec(vec![10u32, 11, 12, 13, 14]);
-        let mut out = [0u32; 3];
-        buf.copy_range_to(1, &mut out);
-        assert_eq!(out, [11, 12, 13]);
-    }
-
-    #[test]
     fn write_range_stores_a_sub_range() {
         let buf = DeviceBuffer::from_vec(vec![10u32, 11, 12, 13, 14]);
         buf.write_range(1, &[21, 22, 23]);
@@ -226,13 +202,6 @@ mod tests {
     fn write_range_whose_end_overflows_panics() {
         let buf: DeviceBuffer<u32> = DeviceBuffer::zeroed(5);
         buf.write_range(usize::MAX, &[1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "copy_range_to out of bounds")]
-    fn copy_range_whose_end_overflows_panics() {
-        let buf: DeviceBuffer<u32> = DeviceBuffer::zeroed(5);
-        buf.copy_range_to(usize::MAX, &mut [0u32; 1]);
     }
 
     #[test]

@@ -143,15 +143,15 @@ const PIN_BATCH_BYTES_SIM: u64 = 24 * PAYLOAD + 227_906;
 const RANGE: (u64, u64) = (30_000, 5_000);
 /// Allocations per ranged `GET` of [`RANGE`] codes on the CPU backend, both ends
 /// together.
-const PIN_RANGED_ALLOCATIONS_CPU: u64 = 18;
-/// Bytes those allocations request per ranged `GET` on the CPU backend: half a
-/// payload, the decode/write output buffer that spans all of the field's codes, and
-/// the small change, the 10,000-byte reply among it.
-const PIN_RANGED_BYTES_CPU: u64 = PAYLOAD / 2 + 40_590;
+const PIN_RANGED_ALLOCATIONS_CPU: u64 = 17;
+/// Bytes those allocations request per ranged `GET` on the CPU backend: no payload, only
+/// the small change, the 10,000-byte decode/write output that holds just the requested
+/// codes among it.
+const PIN_RANGED_BYTES_CPU: u64 = 40_590;
 /// Allocations per ranged `GET` of [`RANGE`] codes on the simulator.
-const PIN_RANGED_ALLOCATIONS_SIM: u64 = 22;
+const PIN_RANGED_ALLOCATIONS_SIM: u64 = 21;
 /// Bytes those allocations request per ranged `GET` on the simulator.
-const PIN_RANGED_BYTES_SIM: u64 = PAYLOAD / 2 + 41_054;
+const PIN_RANGED_BYTES_SIM: u64 = 41_054;
 /// Decode blocks (sequences of the gap-array stream) a ranged `GET` of [`RANGE`]
 /// decodes, on either backend.
 const PIN_RANGED_BLOCKS: u64 = 2;

@@ -779,27 +779,4 @@ mod tests {
             }
         );
     }
-
-    #[test]
-    fn mismatched_payload_is_a_typed_error_not_a_panic() {
-        let spec = dataset_by_name("CESM").unwrap();
-        let field = generate(&spec, 30_000, 5);
-        let g = gpu();
-        // A flat self-sync payload relabelled as a chunked-baseline archive.
-        let mut compressed = compress(
-            &field,
-            &SzConfig::paper_default(DecoderKind::OptimizedSelfSync),
-        );
-        compressed.config.decoder = DecoderKind::CuszBaseline;
-        let err = decompress(&g, &compressed).unwrap_err();
-        assert_eq!(
-            err,
-            huffdec_core::DecodeError::PayloadMismatch {
-                decoder: DecoderKind::CuszBaseline
-            }
-        );
-        // A gap-array decoder pointed at a stream without a gap array.
-        compressed.config.decoder = DecoderKind::OptimizedGapArray;
-        assert!(decompress(&g, &compressed).is_err());
-    }
 }
