@@ -38,10 +38,9 @@ pub(crate) fn run(ctx: &mut Context) -> Experiment {
     // Explicit decoder choice per session: auto-selection is exercised by the facade
     // tests, this measures both paths on every profile.
     let codecs = [DecoderKind::RleHybrid, DecoderKind::OptimizedGapArray].map(|decoder| {
-        let builder = ctx
-            .session(decoder, ErrorBound::Absolute(0.5))
-            .auto_hybrid(None);
-        builder.build().expect("valid bench session")
+        ctx.session(decoder, ErrorBound::Absolute(0.5))
+            .build()
+            .expect("valid bench session")
     });
     let title =
         "RLE+Huffman hybrid vs. best dense stream across sparsity (simulated, V100-normalized)";

@@ -29,7 +29,7 @@ use gpu_sim::{Backend, BackendKind, GpuConfig};
 use huffdec_container::FormatVersion;
 use huffdec_core::{
     BatchStats, CompressedPayload, DecodeError, DecodeResult, DecoderKind, EncodePhaseBreakdown,
-    PhaseBreakdown, PreparedDecode, RangeDecode, AUTO_HYBRID_ZERO_FRACTION,
+    PhaseBreakdown, PreparedDecode, RangeDecode,
 };
 use huffdec_metrics::Metrics;
 use sz::{CompressStats, Compressed, Decompressed, ErrorBound, SzConfig};
@@ -164,7 +164,6 @@ pub struct CodecBuilder {
     error_bound: ErrorBound,
     alphabet_size: usize,
     format: FormatVersion,
-    auto_hybrid: Option<f64>,
 }
 
 impl Default for CodecBuilder {
@@ -177,7 +176,6 @@ impl Default for CodecBuilder {
             error_bound: ErrorBound::paper_default(),
             alphabet_size: sz::DEFAULT_ALPHABET_SIZE,
             format: FormatVersion::V1,
-            auto_hybrid: Some(AUTO_HYBRID_ZERO_FRACTION),
         }
     }
 }
@@ -237,22 +235,13 @@ impl CodecBuilder {
 
     /// The container format version this session writes (default: v1, so preexisting
     /// `HFZ1` consumers keep reading default output byte-for-byte). Format v2 unlocks
-    /// snapshot codebook dictionaries, tuning hints, and — together with
-    /// [`CodecBuilder::auto_hybrid`] — automatic RLE+Huffman hybrid selection for
-    /// sparse fields. Building with the hybrid decoder upgrades v1 to v2 implicitly
+    /// snapshot codebook dictionaries, tuning hints, and automatic RLE+Huffman hybrid
+    /// selection: a dense session then compresses each field whose codes
+    /// [`huffdec_core::picks_hybrid`] chooses (at least half of them the center bin)
+    /// with the hybrid. Building with the hybrid decoder upgrades v1 to v2 implicitly
     /// (hybrid streams do not exist in v1).
     pub fn format(mut self, format: FormatVersion) -> Self {
         self.format = format;
-        self
-    }
-
-    /// The zero-fraction threshold at or above which a format-v2 session compresses a
-    /// field with the RLE+Huffman hybrid instead of the configured dense decoder
-    /// (default: [`AUTO_HYBRID_ZERO_FRACTION`]). `None` disables automatic selection;
-    /// the threshold only engages under [`FormatVersion::V2`], and an explicitly
-    /// hybrid session decoder bypasses it entirely.
-    pub fn auto_hybrid(mut self, threshold: Option<f64>) -> Self {
-        self.auto_hybrid = threshold;
         self
     }
 
@@ -273,14 +262,6 @@ impl CodecBuilder {
                 value
             )));
         }
-        if let Some(t) = self.auto_hybrid {
-            if !t.is_finite() || !(0.0..=1.0).contains(&t) {
-                return Err(HfzError::Usage(format!(
-                    "auto-hybrid threshold must be a fraction in 0..=1, got {}",
-                    t
-                )));
-            }
-        }
         // A session writes at least the version its decoder's layout needs: an explicitly
         // hybrid session silently upgrades to v2 rather than erroring on every compress.
         let format = self
@@ -297,7 +278,6 @@ impl CodecBuilder {
                 decoder: self.decoder,
             },
             format,
-            auto_hybrid: self.auto_hybrid,
             metrics,
         })
     }
@@ -327,7 +307,6 @@ pub struct Codec {
     backend: Arc<dyn Backend>,
     config: SzConfig,
     format: FormatVersion,
-    auto_hybrid: Option<f64>,
     metrics: Arc<Metrics>,
 }
 
@@ -370,13 +349,12 @@ impl Codec {
         self.format
     }
 
-    /// The center-bin (zero-residual) fraction at or above which a compress encodes the
-    /// field with the RLE+Huffman hybrid: set only for a dense session decoder under
-    /// format v2 with automatic selection enabled. The compress decides on the codes it
-    /// quantized; [`Compressed::config`] records the pick.
-    fn hybrid_at(&self) -> Option<f64> {
-        self.auto_hybrid
-            .filter(|_| self.format == FormatVersion::V2 && !self.config.decoder.is_hybrid())
+    /// Whether a compress may pick the RLE+Huffman hybrid for a field
+    /// ([`huffdec_core::picks_hybrid`]): only for a dense session decoder under format
+    /// v2. The compress decides on the codes it quantized; [`Compressed::config`] records
+    /// the pick.
+    fn may_pick_hybrid(&self) -> bool {
+        self.format == FormatVersion::V2 && !self.config.decoder.is_hybrid()
     }
 
     /// The metrics registry every operation of this session records into. Clone the
@@ -414,7 +392,8 @@ impl Codec {
     }
 
     /// The one recorder of a finished full decode: the decoder's `decode_seconds`
-    /// sample and the two byte counters.
+    /// sample (the Huffman decode alone, on data and codes tasks alike) and the two byte
+    /// counters.
     fn record_decode(&self, decoder: DecoderKind, seconds: f64, bytes_in: u64, bytes_out: u64) {
         self.metrics.update(|m| {
             m.observe_decode(decoder, seconds);
@@ -430,7 +409,7 @@ impl Codec {
         let bytes_out = d.data.len() as u64 * 4;
         self.record_decode(
             c.decoder(),
-            d.stats.total_seconds,
+            d.stats.huffman.total_seconds(),
             c.compressed_bytes(),
             bytes_out,
         );
@@ -512,8 +491,9 @@ impl Codec {
     /// timing breakdown, modeled on the simulator and measured on the CPU backend.
     pub fn compress(&self, field: &Field) -> Result<EncodeOutcome> {
         self.check_nonempty(field)?;
+        let auto = self.may_pick_hybrid();
         let (archive, stats) =
-            sz::compress_auto_on(self.backend.as_ref(), field, &self.config, self.hybrid_at());
+            sz::compress_auto_on(self.backend.as_ref(), field, &self.config, auto);
         self.record_encode(
             stats.total_seconds,
             &stats.encode,
@@ -528,7 +508,8 @@ impl Codec {
     /// For tests and benchmarks that only need the archive.
     pub fn compress_archive(&self, field: &Field) -> Result<Compressed> {
         self.check_nonempty(field)?;
-        Ok(sz::compress_auto(field, &self.config, self.hybrid_at()))
+        let auto = self.may_pick_hybrid();
+        Ok(sz::compress_auto(field, &self.config, auto))
     }
 
     /// Encodes a bare symbol stream into this session's stream format with the encode
@@ -964,45 +945,32 @@ mod tests {
         assert!(archive.decoder().is_hybrid());
         let decoded = v2.decompress(&archive).unwrap();
         assert_eq!(decoded.data.len(), sparse.len());
-        // The v1 default and a disabled threshold never auto-pick hybrid.
+        // The v1 default never auto-picks hybrid.
         let v1 = builder().build().unwrap();
         assert_eq!(v1.format(), FormatVersion::V1);
         assert!(!v1.config_for(&sparse).decoder.is_hybrid());
-        let off = builder()
-            .format(FormatVersion::V2)
-            .auto_hybrid(None)
-            .build()
-            .unwrap();
-        assert!(!off.config_for(&sparse).decoder.is_hybrid());
-        // An out-of-range threshold is a usage error.
-        assert!(matches!(
-            builder().auto_hybrid(Some(1.5)).build(),
-            Err(HfzError::Usage(_))
-        ));
     }
 
     #[test]
     fn auto_hybrid_compress_writes_the_explicit_sessions_bytes() {
         let sparse = walk_field(20_000, 95, 7);
         let dense_field = walk_field(20_000, 0, 8);
-        let session = |decoder, auto_hybrid| {
+        let session = |decoder| {
             Codec::builder()
                 .gpu_config(GpuConfig::test_tiny())
                 .host_threads(2)
                 .error_bound(ErrorBound::Absolute(0.5))
                 .format(FormatVersion::V2)
                 .decoder(decoder)
-                .auto_hybrid(auto_hybrid)
                 .build()
                 .unwrap()
         };
-        let auto = session(
-            DecoderKind::OptimizedGapArray,
-            Some(AUTO_HYBRID_ZERO_FRACTION),
-        );
+        let auto = session(DecoderKind::OptimizedGapArray);
+        // The dense explicit session compresses a field with almost no center-bin codes,
+        // so it writes dense bytes.
         let explicit = [
-            (&sparse, session(DecoderKind::RleHybrid, None)),
-            (&dense_field, session(DecoderKind::OptimizedGapArray, None)),
+            (&sparse, session(DecoderKind::RleHybrid)),
+            (&dense_field, session(DecoderKind::OptimizedGapArray)),
         ];
         for (field, explicit) in explicit {
             let expected = explicit
@@ -1014,6 +982,28 @@ mod tests {
             let host = auto.compress_archive(field).unwrap();
             assert_eq!(auto.archive_to_bytes(&host).unwrap(), expected);
         }
+    }
+
+    /// `decode_seconds` observes the Huffman decode alone on both task kinds: on `sim`,
+    /// where times are modeled, a data decode and a codes decode of one archive add equal
+    /// sums.
+    #[test]
+    fn data_and_codes_decodes_observe_the_same_decode_seconds() {
+        let field = generate(&dataset_by_name("CESM").unwrap(), 30_000, 5);
+        let codec = Codec::builder()
+            .backend(BackendKind::Sim)
+            .gpu_config(GpuConfig::test_tiny())
+            .host_threads(2)
+            .build()
+            .unwrap();
+        let archive = codec.compress_archive(&field).unwrap();
+        let tag = codec.decoder().tag() as usize;
+        let sum = || codec.metrics().snapshot().decode_seconds[tag].sum;
+        codec.decompress(&archive).unwrap();
+        let data = sum();
+        codec.decode_codes(&archive).unwrap();
+        assert!(data > 0.0);
+        assert_eq!(sum(), 2.0 * data);
     }
 
     #[test]

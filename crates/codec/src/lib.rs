@@ -58,11 +58,10 @@ pub use codec::{
     EncodeOutcome, FieldDigest, GetKind,
 };
 pub use error::{HfzError, Result};
-// The container format-version switch and the auto-hybrid default, re-exported so
-// CLI/daemon consumers can speak format v2 without naming the lower crates directly.
 pub use handle::{ArchiveHandle, ArchiveSummary, FieldHandle};
+// The container format-version switch, re-exported so CLI/daemon consumers can speak
+// format v2 without naming the lower crates directly.
 pub use huffdec_container::FormatVersion;
-pub use huffdec_core::AUTO_HYBRID_ZERO_FRACTION;
 // The execution-backend seam, re-exported so CLI/daemon consumers can select and
 // inspect backends without naming the backend crate directly.
 pub use gpu_sim::{Backend, BackendKind, CpuBackend, BACKEND_ENV};

@@ -52,9 +52,8 @@ const ITEMS_PER_THREAD: u32 = 4;
 /// Threads per block for the expansion kernel.
 const BLOCK_DIM: u32 = 256;
 
-/// Zero-fraction above which the `Codec` facade picks the hybrid automatically (when
-/// format v2 is enabled and no explicit decoder override is set).
-pub const AUTO_HYBRID_ZERO_FRACTION: f64 = 0.5;
+/// The center-bin fraction at or above which [`picks_hybrid`] chooses the hybrid.
+const AUTO_HYBRID_ZERO_FRACTION: f64 = 0.5;
 
 /// The "zero" of a quantization-code stream: the center bin the Lorenzo predictor maps
 /// perfectly-predicted values to.
@@ -62,14 +61,11 @@ pub fn zero_symbol(alphabet_size: usize) -> u16 {
     (alphabet_size / 2) as u16
 }
 
-/// Fraction of `codes` equal to the center bin (0.0 for an empty stream). This is the
-/// sparsity statistic the automatic hybrid selection thresholds on.
-pub fn zero_fraction(codes: &[u16], alphabet_size: usize) -> f64 {
-    if codes.is_empty() {
-        return 0.0;
-    }
-    let zero = zero_symbol(alphabet_size);
-    codes.iter().filter(|&&c| c == zero).count() as f64 / codes.len() as f64
+/// Whether a stream of `codes` symbols, `zero_codes` of them the center bin, is
+/// encoded with the RLE+Huffman hybrid rather than a dense decoder: the one rule a
+/// format-v2 compress with a dense session decoder applies. Never for an empty stream.
+pub fn picks_hybrid(zero_codes: u64, codes: usize) -> bool {
+    codes > 0 && zero_codes as f64 / codes as f64 >= AUTO_HYBRID_ZERO_FRACTION
 }
 
 /// The run-length split: `codes` → (nonzero symbols, run tokens).
@@ -579,9 +575,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_fraction_statistic() {
-        assert_eq!(zero_fraction(&[], 1024), 0.0);
-        assert_eq!(zero_fraction(&[512, 512, 700, 512], 1024), 0.75);
+    fn picks_hybrid_from_half_center_codes() {
+        assert!(!picks_hybrid(0, 0));
+        assert!(picks_hybrid(2, 4));
+        assert!(!picks_hybrid(1, 4));
+        assert!(picks_hybrid(4, 4));
+        assert!(picks_hybrid(500_000, 1_000_000));
+        assert!(!picks_hybrid(499_999, 1_000_000));
         assert_eq!(zero_symbol(1024), 512);
     }
 }

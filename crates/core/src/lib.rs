@@ -85,10 +85,7 @@ pub use format::{
 };
 pub use gap_decode::{decode_original_gap8, encode_gap8, gap_count_symbols, Gap8Stream};
 pub use gpu_sim::{Backend, BackendKind, CpuBackend, BACKEND_ENV};
-pub use hybrid::{
-    compress_hybrid, compress_hybrid_on, decode_hybrid, zero_fraction, zero_symbol,
-    AUTO_HYBRID_ZERO_FRACTION,
-};
+pub use hybrid::{compress_hybrid, compress_hybrid_on, decode_hybrid, picks_hybrid, zero_symbol};
 pub use output_index::{compute_output_index, OutputIndex};
 pub use phases::{DecodeResult, PhaseBreakdown};
 pub use range::{decode_range, prepare_decode, PreparedDecode, RangeDecode};

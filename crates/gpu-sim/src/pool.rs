@@ -2,12 +2,15 @@
 //! fields, next to the thread that asked.
 //!
 //! A job is `n` tasks behind one atomic cursor. The calling thread always works; the
-//! helpers it wakes take only the tasks still left when they get there, so a short job
-//! never waits for a helper to start. One job runs at a time: a job that finds the pool
-//! busy (another thread's launch, or a launch made from inside a task) runs all of its
-//! tasks on its own thread, so nesting neither waits nor oversubscribes the host.
+//! helpers it wakes take only the tasks still left when they get there, so no task
+//! waits for a helper. One job runs at a time: a job that finds the pool busy (another
+//! thread's launch, or a launch made from inside a task) runs all of its tasks on its
+//! own thread, so nesting neither waits nor oversubscribes the host.
 //!
 //! The helpers start with the first job that can use them and exit when the pool drops.
+//! That first job returns only once every helper has started: a thread's own start-up
+//! (the standard library copies a named thread's name there) then never runs during a
+//! later job or a later request.
 
 use std::any::Any;
 use std::fmt;
@@ -29,7 +32,8 @@ struct Shared {
     state: Mutex<State>,
     /// Helpers sleep here between jobs.
     wake: Condvar,
-    /// The submitting thread sleeps here until the last helper has left its job.
+    /// The submitting thread sleeps here until the last helper has left its job (and,
+    /// on the first job, until every helper has started).
     left: Condvar,
     /// The next task index of the current job. `Relaxed` is enough: it only hands out
     /// indices, and what the tasks write is published by the `state` lock a helper
@@ -45,6 +49,8 @@ struct State {
     openings: usize,
     /// Helpers inside the current job.
     active: usize,
+    /// Helpers that have finished starting and taken the lock once.
+    started: usize,
     /// The first panic payload of the current job.
     panic: Option<Box<dyn Any + Send>>,
     helpers: Vec<JoinHandle<()>>,
@@ -94,8 +100,9 @@ impl Pool {
     }
 
     /// Runs `task(i)` for every `i` in `0..n` on the calling thread and up to
-    /// `min(threads, n) − 1` helpers, and returns when all have run. A task's panic is
-    /// re-raised here with its own payload, once every helper has left the job.
+    /// `min(threads, n) − 1` helpers, and returns when all have run and every helper has
+    /// started. A task's panic is re-raised here with its own payload, once every helper
+    /// has left the job.
     pub(crate) fn run(&self, n: usize, task: &Task<'_>) {
         let openings = (self.threads - 1).min(n.saturating_sub(1));
         if openings == 0 || !self.submit(n, task, openings) {
@@ -105,7 +112,7 @@ impl Pool {
         let panic = {
             let mut state = self.shared.lock();
             state.openings = 0;
-            while state.active > 0 {
+            while state.active > 0 || state.started < state.helpers.len() {
                 state = self
                     .shared
                     .left
@@ -163,6 +170,8 @@ impl Pool {
 /// shutdown.
 fn helper(shared: &Shared) {
     let mut state = shared.lock();
+    state.started += 1;
+    shared.left.notify_one();
     while !state.shutdown {
         match state.job {
             Some((task, n)) if state.openings > 0 => {
@@ -206,5 +215,18 @@ impl fmt::Debug for Pool {
         f.debug_struct("Pool")
             .field("threads", &self.threads)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_first_job_returns_once_every_helper_has_started() {
+        let pool = Pool::new(4);
+        pool.run(64, &|_| {});
+        let state = pool.shared.lock();
+        assert_eq!((state.helpers.len(), state.started), (3, 3));
     }
 }

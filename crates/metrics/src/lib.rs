@@ -198,7 +198,7 @@ pub struct MetricsSnapshot {
     /// Gauge: archives currently loaded in the daemon's store.
     pub archives_loaded: u64,
 
-    /// Full-field decode latency, per decoder kind (indexed by [`DecoderKind::tag`]).
+    /// Full-field Huffman decode latency, per decoder kind (indexed by [`DecoderKind::tag`]).
     pub decode_seconds: [HistogramSnapshot; DECODER_SLOTS],
     /// Range-decode index build latency, per decoder kind.
     pub index_build_seconds: [HistogramSnapshot; DECODER_SLOTS],
@@ -420,7 +420,7 @@ impl MetricsSnapshot {
         histogram_family(
             &mut out,
             "hfz_decode_seconds",
-            "Full-field decode time in seconds (modeled on sim, measured on cpu; see hfz_backend), by decoder kind.",
+            "Full-field Huffman decode time in seconds (modeled on sim, measured on cpu; see hfz_backend), by decoder kind.",
             &self.decode_seconds,
         );
         histogram_family(

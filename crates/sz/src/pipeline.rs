@@ -20,7 +20,7 @@
 use datasets::Field;
 use gpu_sim::{Backend, TransferDirection};
 use huffdec_core::{
-    compress_counted_on, compress_for, wire, zero_fraction, zero_symbol, CompressedPayload,
+    compress_counted_on, compress_for, picks_hybrid, wire, zero_symbol, CompressedPayload,
     DecodeError, DecodeResult, DecoderKind, EncodePhaseBreakdown, PhaseBreakdown,
 };
 
@@ -283,21 +283,6 @@ fn absolute_bound(field: &Field, bound: &ErrorBound) -> f64 {
     bound.to_absolute(range)
 }
 
-/// The configuration a field's codes are encoded with: `config` itself, or — when their
-/// center-bin ("zero residual") fraction reaches `hybrid_at` — the same with the
-/// RLE+Huffman hybrid. `zero_fraction` is only called when `hybrid_at` is set.
-fn pick_config(
-    config: &SzConfig,
-    hybrid_at: Option<f64>,
-    zero_fraction: impl FnOnce() -> f64,
-) -> SzConfig {
-    let mut config = *config;
-    if hybrid_at.is_some_and(|t| zero_fraction() >= t) {
-        config.decoder = DecoderKind::RleHybrid;
-    }
-    config
-}
-
 fn assemble(
     q: Quantized,
     config: SzConfig,
@@ -318,19 +303,22 @@ fn assemble(
 /// ([`huffdec_core::compress_for`], which also encodes the RLE+Huffman hybrid of format
 /// v2).
 pub fn compress(field: &Field, config: &SzConfig) -> Compressed {
-    compress_auto(field, config, None)
+    compress_auto(field, config, false)
 }
 
-/// [`compress`] with automatic hybrid selection: a field whose center-bin fraction
-/// reaches `hybrid_at` is encoded with the RLE+Huffman hybrid instead of `config`'s
-/// decoder ([`Compressed::config`] records the pick). The field is quantized once, and
-/// the pick reads those codes.
-pub fn compress_auto(field: &Field, config: &SzConfig, hybrid_at: Option<f64>) -> Compressed {
+/// [`compress`] with automatic hybrid selection: with `auto_hybrid` set, a field whose
+/// codes [`picks_hybrid`] chooses is encoded with the RLE+Huffman hybrid instead of
+/// `config`'s decoder ([`Compressed::config`] records the pick). The field is quantized
+/// once, and the pick counts those codes' center bins.
+pub fn compress_auto(field: &Field, config: &SzConfig, auto_hybrid: bool) -> Compressed {
     let step = 2.0 * absolute_bound(field, &config.error_bound);
     let q = quantize(&field.data, field.dims, step, config.alphabet_size);
-    let config = pick_config(config, hybrid_at, || {
-        zero_fraction(&q.codes, config.alphabet_size)
-    });
+    let mut config = *config;
+    let zero = zero_symbol(config.alphabet_size);
+    let zero_codes = || q.codes.iter().filter(|&&c| c == zero).count() as u64;
+    if auto_hybrid && picks_hybrid(zero_codes(), q.codes.len()) {
+        config.decoder = DecoderKind::RleHybrid;
+    }
     let payload = compress_for(config.decoder, &q.codes, config.alphabet_size);
     let crc = huffdec_core::crc32_symbols(&q.codes);
     assemble(q, config, payload, crc)
@@ -345,7 +333,7 @@ pub fn compress_on(
     field: &Field,
     config: &SzConfig,
 ) -> (Compressed, CompressStats) {
-    compress_auto_on(gpu, field, config, None)
+    compress_auto_on(gpu, field, config, false)
 }
 
 /// [`compress_on`] with the automatic hybrid selection of [`compress_auto`]
@@ -353,7 +341,7 @@ pub fn compress_on(
 ///
 /// The field is quantized in one launch over blocks of its rows (`lorenzo::quantize_on`)
 /// that also counts the codes and checksums them. The counts give the hybrid pick its
-/// center-bin fraction and a dense encoder its histogram
+/// center-bin count and a dense encoder its histogram
 /// ([`huffdec_core::compress_counted_on`]; the hybrid's substreams count their own
 /// symbols), and the checksum is the archive's
 /// `decoded_crc`, so no further pass reads the codes before the encode.
@@ -361,19 +349,16 @@ pub fn compress_auto_on(
     gpu: &dyn Backend,
     field: &Field,
     config: &SzConfig,
-    hybrid_at: Option<f64>,
+    auto_hybrid: bool,
 ) -> (Compressed, CompressStats) {
     let quantize_start = std::time::Instant::now();
     let step = 2.0 * absolute_bound(field, &config.error_bound);
     let (q, counts, crc) = quantize_on(gpu, &field.data, field.dims, step, config.alphabet_size);
-    let config = pick_config(config, hybrid_at, || {
-        let zero = counts[zero_symbol(config.alphabet_size) as usize];
-        if q.codes.is_empty() {
-            0.0
-        } else {
-            zero as f64 / q.codes.len() as f64
-        }
-    });
+    let mut config = *config;
+    let zero_codes = counts[zero_symbol(config.alphabet_size) as usize];
+    if auto_hybrid && picks_hybrid(zero_codes, q.codes.len()) {
+        config.decoder = DecoderKind::RleHybrid;
+    }
     let quantize_elapsed = quantize_start.elapsed().as_secs_f64();
     let (payload, encode) =
         compress_counted_on(gpu, config.decoder, &q.codes, counts, config.alphabet_size);

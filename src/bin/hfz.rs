@@ -99,7 +99,7 @@ hfz — HFZ1/HFZ2 archive and serving tool for error-bounded lossy compression
 USAGE:
   hfz compress   (--input FILE --dims A[,B[,C[,D]]] | --dataset NAME --elements N [--seed S])
                  --output FILE [--decoder KIND] [--hybrid] [--format v1|v2]
-                 [--eb MODE:VALUE] [--alphabet N] [--auto-hybrid FRAC|off]
+                 [--eb MODE:VALUE] [--alphabet N]
   hfz compress   --snapshot --dataset NAME[,NAME...] --elements N [--seed S] --output FILE
                  (one sharded snapshot archive with a manifest; field i uses seed S+i)
   hfz decompress ARCHIVE [--field NAME|INDEX | --all --output-dir DIR] --output FILE
@@ -128,10 +128,9 @@ OPTIONS:
                    | hybrid (RLE+Huffman for sparse fields; implies --format v2)
   --hybrid         shorthand for --decoder hybrid
   --format VER     container format: v1 (classic) or v2 (codebook    (default: v1;
-                   dictionary + tuning hints; enables auto-hybrid)    hybrid forces v2)
-  --auto-hybrid X  with --format v2, fields whose quantized stream   (default: 0.5)
-                   is >= X center-bin symbols switch to the hybrid
-                   decoder automatically; 'off' disables the switch
+                   dictionary + tuning hints; a field whose codes     hybrid forces v2)
+                   are at least half center-bin symbols switches
+                   to the hybrid decoder automatically)
   --backend NAME   cpu (real threads, measured timings) | sim (the  (default: cpu, or
                    simulated V100, modeled timings)                   $HFZ_BACKEND)
   --eb MODE:VALUE  rel:1e-3 or abs:0.05                              (default: rel:1e-3)
@@ -214,9 +213,9 @@ fn required<T>(value: Option<T>, flag: &str) -> Result<T, HfzError> {
     value.ok_or_else(|| HfzError::Usage(format!("missing required flag {}", flag)))
 }
 
-/// The codec group (`--decoder/--hybrid/--format/--auto-hybrid/--backend/--eb/
-/// --alphabet`): sets `codec` from `flag` and returns whether `flag` belongs to the
-/// group. Value validation (alphabet size, error-bound range) happens in the builder.
+/// The codec group (`--decoder/--hybrid/--format/--backend/--eb/--alphabet`): sets
+/// `codec` from `flag` and returns whether `flag` belongs to the group. Value
+/// validation (alphabet size, error-bound range) happens in the builder.
 fn codec_flag(flag: &str, flags: &mut Flags, codec: &mut CodecBuilder) -> Result<bool, HfzError> {
     let builder = std::mem::take(codec);
     *codec = match flag {
@@ -230,12 +229,6 @@ fn codec_flag(flag: &str, flags: &mut Flags, codec: &mut CodecBuilder) -> Result
                     .ok_or_else(|| HfzError::Usage(format!("unknown format '{}' (v1|v2)", spec)))?,
             )
         }
-        "--auto-hybrid" => builder.auto_hybrid(match flags.value()? {
-            "off" => None,
-            spec => Some(spec.parse::<f64>().map_err(|_| {
-                HfzError::Usage("bad --auto-hybrid value (fraction in 0..=1, or 'off')".to_string())
-            })?),
-        }),
         "--backend" => builder.backend(flags.value()?.parse()?),
         "--eb" => builder.error_bound(parse_error_bound(flags.value()?)?),
         "--alphabet" => builder.alphabet_size(flags.number()?),

@@ -37,7 +37,7 @@
 pub use huffdec_codec::{
     f32_le_bytes, u16_le_bytes, ArchiveHandle, ArchiveSummary, Backend, BackendKind,
     BatchDecodeOutcome, Codec, CodecBuilder, CpuBackend, DecodeOutcome, EncodeOutcome, FieldHandle,
-    FormatVersion, HfzError, Metrics, MetricsSnapshot, AUTO_HYBRID_ZERO_FRACTION, BACKEND_ENV,
+    FormatVersion, HfzError, Metrics, MetricsSnapshot, BACKEND_ENV,
 };
 
 // Companion types the session API speaks in.

@@ -766,8 +766,8 @@ fn hybrid_compress_roundtrips_and_beats_dense_on_sparse_fields() {
         "hybrid and dense reconstructions must agree bit-for-bit"
     );
 
-    // `--format v2` with auto-hybrid picks the hybrid stream for this field on its
-    // own; `--auto-hybrid off` keeps it dense.
+    // `--format v2` picks the hybrid stream for this field on its own; the pick has no
+    // knob, so `--auto-hybrid` is an unknown flag.
     let auto = dir.join("auto.hfz");
     assert!(hfz()
         .args([
@@ -793,11 +793,10 @@ fn hybrid_compress_roundtrips_and_beats_dense_on_sparse_fields() {
     let doc = String::from_utf8_lossy(&result.stdout);
     assert!(
         doc.contains("\"decoder\":\"rle+huff hybrid\""),
-        "auto-hybrid must upgrade a 95%-sparse field: {}",
+        "format v2 must pick the hybrid for a 95%-sparse field: {}",
         doc
     );
-    let manual = dir.join("manual.hfz");
-    assert!(hfz()
+    let refused = hfz()
         .args([
             "compress",
             "--input",
@@ -811,20 +810,15 @@ fn hybrid_compress_roundtrips_and_beats_dense_on_sparse_fields() {
             "--auto-hybrid",
             "off",
             "--output",
-            manual.to_str().unwrap(),
+            dir.join("manual.hfz").to_str().unwrap(),
         ])
-        .status()
-        .unwrap()
-        .success());
-    let result = hfz()
-        .args(["inspect", manual.to_str().unwrap(), "--json"])
         .output()
         .unwrap();
-    let doc = String::from_utf8_lossy(&result.stdout);
+    assert_eq!(refused.status.code(), Some(2));
     assert!(
-        doc.contains("\"decoder\":\"opt. gap-array\""),
-        "--auto-hybrid off must keep the dense decoder: {}",
-        doc
+        String::from_utf8_lossy(&refused.stderr).contains("--auto-hybrid"),
+        "{}",
+        String::from_utf8_lossy(&refused.stderr)
     );
 }
 

@@ -5,11 +5,17 @@
 //! with the streaming readers, for every evaluated decoder kind on every paper
 //! dataset.
 
-use huffdec::datasets::{dataset_by_name, generate};
+use huffdec::core_decoders::zero_symbol;
+use huffdec::datasets::{dataset_by_name, generate, Dims};
 use huffdec::gpu_sim::{Gpu, GpuConfig};
 use huffdec::serve::GetKind;
-use huffdec::sz::{verify_error_bound, SzConfig};
-use huffdec::{u16_le_bytes, Codec, Compressed, DecoderKind, HfzError};
+use huffdec::sz::{
+    compress_auto, compress_auto_on, quantize, verify_error_bound, ErrorBound, SzConfig,
+    DEFAULT_ALPHABET_SIZE,
+};
+use huffdec::{
+    u16_le_bytes, BackendKind, Codec, Compressed, DecoderKind, Field, FormatVersion, HfzError,
+};
 
 const PAPER_DATASETS: [&str; 5] = ["HACC", "CESM", "Nyx", "RTM", "GAMESS"];
 const DECODERS: [DecoderKind; 3] = [
@@ -180,5 +186,55 @@ fn ranged_decodes_through_the_session_match_full_decodes() {
     for (field, bytes) in both.iter().zip(wave) {
         let serial = codec.decode_field_codes(field).expect("decodes").symbols;
         assert_eq!(bytes.expect("wave decodes"), u16_le_bytes(&serial));
+    }
+}
+
+/// The hybrid pick at its edge: a 1-D integer field under `abs:0.5`, where a repeated
+/// value quantizes to the center bin. With exactly half center codes both sz compress
+/// paths pick the hybrid, on both backends, and write the same bytes; with one fewer
+/// both keep the dense decoder.
+#[test]
+fn both_compress_paths_pick_the_hybrid_at_exactly_half_center_codes() {
+    // Crosses the 65,536-column quantize blocks, so the backend pick reads summed counts.
+    let n = 140_000;
+    let field = |repeats: usize| {
+        let mut value = 0.0f32;
+        let data = (0..n)
+            .map(|i| {
+                if i % 2 == 0 || i / 2 >= repeats {
+                    let step = 1 + (i % 17) as i32;
+                    value += if i % 4 < 2 { step } else { -step } as f32;
+                }
+                value
+            })
+            .collect();
+        Field::new("edge".to_string(), Dims::D1(n), data)
+    };
+    for (repeats, hybrid) in [(n / 2, true), (n / 2 - 1, false)] {
+        let field = field(repeats);
+        let q = quantize(&field.data, field.dims, 1.0, DEFAULT_ALPHABET_SIZE);
+        let zero = zero_symbol(DEFAULT_ALPHABET_SIZE);
+        assert_eq!(q.codes.iter().filter(|&&c| c == zero).count(), repeats);
+        assert!(q.outliers.is_empty());
+        for backend in [BackendKind::Sim, BackendKind::Cpu] {
+            let codec = Codec::builder()
+                .backend(backend)
+                .gpu_config(GpuConfig::test_tiny())
+                .host_threads(2)
+                .error_bound(ErrorBound::Absolute(0.5))
+                .format(FormatVersion::V2)
+                .build()
+                .unwrap();
+            let (on, _) = compress_auto_on(codec.backend(), &field, codec.config(), true);
+            let host = compress_auto(&field, codec.config(), true);
+            let on_what = format!("{backend:?} with {repeats} center codes");
+            assert_eq!(on.decoder().is_hybrid(), hybrid, "{on_what}");
+            assert_eq!(host.decoder().is_hybrid(), hybrid, "{on_what}");
+            assert_eq!(
+                codec.archive_to_bytes(&on).unwrap(),
+                codec.archive_to_bytes(&host).unwrap(),
+                "{on_what}"
+            );
+        }
     }
 }
