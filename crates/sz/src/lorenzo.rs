@@ -4,9 +4,13 @@
 //!
 //! 1. **Pre-quantization** — every value is rounded to an integer multiple of twice the
 //!    error bound: `q = round(v / (2·eb))`, half away from zero. This alone already
-//!    guarantees the point-wise error bound on reconstruction. The rounding is done
-//!    without libm, in a few adds and compares, and is bit-equal to `f64::round` on
-//!    every input.
+//!    guarantees the point-wise error bound on reconstruction. Every compress rounds
+//!    here, halos included, so it is one branch-free loop per tile that vectorizes at
+//!    the SSE2 baseline: the division, a round through 2⁵², and the integer read from
+//!    the bits of a sum with 1.5·2⁵². That is exact while every quotient of the tile is
+//!    below 2⁵¹ in magnitude; a tile with a larger, infinite or NaN quotient is done
+//!    again one value at a time by the scalar rounding, which stays the reference and
+//!    is bit-equal to `f64::round` on every input.
 //! 2. **Lorenzo prediction on the integer grid** — each pre-quantized value is predicted
 //!    from its already-processed neighbours with the n-dimensional Lorenzo predictor
 //!    (inclusion–exclusion over the 2ⁿ−1 preceding corner neighbours), and the integer
@@ -254,6 +258,45 @@ fn round_to_i64(x: f64) -> i64 {
     rounded.copysign(x) as i64
 }
 
+/// `values[i] = round_to_i64(data[i] as f64 / step)` for every `i`, a tile of [`TILE`]
+/// at a time: [`prequantize_exact`] first, and [`round_to_i64`] again over a tile it
+/// could not round exactly.
+fn prequantize(data: &[f32], step: f64, values: &mut [i64]) {
+    for (data, values) in data.chunks(TILE).zip(values.chunks_mut(TILE)) {
+        if !prequantize_exact(data, step, values) {
+            for (v, &x) in values.iter_mut().zip(data) {
+                *v = round_to_i64(x as f64 / step);
+            }
+        }
+    }
+}
+
+/// [`round_to_i64`]`(x as f64 / step)` for each `x` of `data` into `values`, with no
+/// branch, so the loop vectorizes. The rounding of `|q|` is `round_to_i64`'s, its tie
+/// fix a select; the sign of `q` is OR-ed back in, and the integer is the low bits of
+/// `r + 1.5·2⁵²`: for `r` from −2⁵¹ to 2⁵¹ that sum lies in [2⁵², 2⁵³], where every
+/// integer is an `f64`, so it is exact and its bits step with `r`. Returns whether
+/// every `|q|` was below 2⁵¹ (false for ±inf and NaN), and so every value written
+/// equals `round_to_i64`'s; otherwise some need not.
+#[inline]
+fn prequantize_exact(data: &[f32], step: f64, values: &mut [i64]) -> bool {
+    const TWO_51: f64 = (1u64 << 51) as f64;
+    const TWO_52: f64 = (1u64 << 52) as f64;
+    const TO_INT: f64 = 1.5 * TWO_52;
+    const SIGN: u64 = 1 << 63;
+    let mut exact = true;
+    for (v, &x) in values.iter_mut().zip(data) {
+        let q = x as f64 / step;
+        let a = q.abs();
+        let t = (a + TWO_52) - TWO_52;
+        let t = if a - t == 0.5 { t + 1.0 } else { t };
+        let r = f64::from_bits(t.to_bits() | q.to_bits() & SIGN);
+        *v = (r + TO_INT).to_bits().wrapping_sub(TO_INT.to_bits()) as i64;
+        exact &= a < TWO_51;
+    }
+    exact
+}
+
 /// A field to quantize: its data and shape, the quantization step (twice the absolute
 /// error bound) and the number of quantization bins.
 struct Quantizer<'a> {
@@ -293,20 +336,18 @@ impl<'a> Quantizer<'a> {
         mut emit: impl FnMut(usize, &[u16]),
     ) {
         let radius = (self.alphabet_size / 2) as i64;
-        let prequantize = |start: usize, values: &mut [i64]| {
-            for (v, &x) in values.iter_mut().zip(&self.data[start..]) {
-                *v = round_to_i64(x as f64 / self.step);
-            }
+        let prequantize_at = |start: usize, values: &mut [i64]| {
+            prequantize(&self.data[start..][..values.len()], self.step, values)
         };
         let mut codes = [0u16; TILE];
         lorenzo_walk(
             &self.extents,
             span,
             ring,
-            prequantize,
+            prequantize_at,
             |start, corner, values, carry| {
                 // Step 1: pre-quantization, into the tile's ring slot.
-                prequantize(start, values);
+                prequantize_at(start, values);
                 // Step 2: the residual v − prediction is D(x) − D(x−1).
                 let codes = &mut codes[..values.len()];
                 let mut prev = *carry;
@@ -876,6 +917,121 @@ mod tests {
                 x.to_bits()
             );
         }
+    }
+
+    /// Pre-quantizes each tile of `tiles` alone, checks every lane bit for bit against
+    /// [`round_to_i64`], and checks that the branch-free loop took the tile exactly when
+    /// every quotient is below 2⁵¹ in magnitude. Returns how many tiles took the
+    /// branch-free loop and how many fell back.
+    fn assert_prequantize_exact(tiles: &[Vec<f32>], step: f64) -> [usize; 2] {
+        let mut taken = [0, 0];
+        for tile in tiles {
+            assert!(tile.len() <= TILE);
+            let mut values = vec![0i64; tile.len()];
+            prequantize(tile, step, &mut values);
+            for (&v, &x) in values.iter().zip(tile) {
+                let q = x as f64 / step;
+                assert_eq!(v, round_to_i64(q), "{x:e} ({:#x}) / {step:e}", x.to_bits());
+            }
+            let below = tile
+                .iter()
+                .all(|&x| (x as f64 / step).abs() < (1u64 << 51) as f64);
+            let exact = prequantize_exact(tile, step, &mut values);
+            assert_eq!(
+                exact,
+                below,
+                "step {step:e}, tile {:?}",
+                &tile[..tile.len().min(8)]
+            );
+            taken[usize::from(!exact)] += 1;
+        }
+        taken
+    }
+
+    #[test]
+    fn the_branch_free_prequantize_equals_the_scalar_rounding() {
+        let mut rng = Rng::seed_from_u64(0x9E0A);
+        // A random f32 of either sign with its biased exponent in `0..=max_exponent`:
+        // 0 makes a subnormal or ±0.
+        let mut random_f32 = |max_exponent: u32| {
+            let bits = rng.next_u64() as u32;
+            let exponent = (rng.next_u64() % (u64::from(max_exponent) + 1)) as u32;
+            f32::from_bits(bits & 0x807F_FFFF | exponent << 23)
+        };
+        let mut taken = [0, 0];
+        let add = |taken: &mut [usize; 2], more: [usize; 2]| {
+            taken[0] += more[0];
+            taken[1] += more[1];
+        };
+        let specials = vec![
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            1.5,
+            -2.5,
+        ];
+        let steps = (-30..=30).step_by(3).map(|e| 10f64.powi(e));
+        for step in steps.chain([3.7e-7, 0.75, 1.0 / 3.0]) {
+            // The largest exponent whose every f32 divides to below 2⁵¹ by `step`.
+            let below = (step * (1u64 << 50) as f64).log2().floor() as i64 + 127;
+            let below = below.clamp(0, 254) as u32;
+            let tiles = vec![
+                specials.clone(),
+                (0..TILE).map(|_| random_f32(254)).collect(),
+                (0..TILE).map(|_| random_f32(below)).collect(),
+                (0..TILE - 3).map(|_| random_f32(below)).collect(),
+            ];
+            add(&mut taken, assert_prequantize_exact(&tiles, step));
+        }
+        // Exact ties: (2k+1)/2 of a power-of-two step, of either sign.
+        for p in -30..=30 {
+            let step = 2f64.powi(p);
+            let tie = |k: u64, negative: bool| {
+                let x = (2 * k + 1) as f64 * step / 2.0;
+                (if negative { -x } else { x }) as f32
+            };
+            let tile: Vec<f32> = (0..TILE)
+                .map(|i| tie(rng.next_u64() % (1 << 23), i % 2 == 1))
+                .collect();
+            assert!(tile.iter().all(|&x| (x as f64 / step).fract().abs() == 0.5));
+            add(&mut taken, assert_prequantize_exact(&[tile], step));
+        }
+        // Quotients within 64 f32 steps of ±2⁵¹ and ±2⁵²: each magnitude's tile, and
+        // the part of it below 2⁵¹ alone.
+        for step in [1.0, 3.0, 0.75, 1e-3] {
+            for target in [51, 52].map(|e| (1u64 << e) as f64) {
+                for sign in [1.0, -1.0] {
+                    let at = (sign * target * step) as f32;
+                    let tile: Vec<f32> = (-64..=64)
+                        .map(|k| f32::from_bits(at.to_bits().wrapping_add_signed(k)))
+                        .collect();
+                    let below: Vec<f32> = tile
+                        .iter()
+                        .copied()
+                        .filter(|&x| (x as f64 / step).abs() < (1u64 << 51) as f64)
+                        .collect();
+                    add(&mut taken, assert_prequantize_exact(&[tile, below], step));
+                }
+            }
+        }
+        // Steps so small that the quotient overflows to ±inf.
+        for step in [1e-300, f64::from_bits(1)] {
+            let tile = vec![1.0, -1.0, 1e10, f32::MAX, f32::MIN, 0.0];
+            assert!(tile.iter().any(|&x| (x as f64 / step).is_infinite()));
+            add(&mut taken, assert_prequantize_exact(&[tile], step));
+        }
+        let [fast, fallback] = taken;
+        assert!(
+            fast > 0 && fallback > 0,
+            "{fast} tiles branch-free, {fallback} fell back"
+        );
     }
 
     #[test]
