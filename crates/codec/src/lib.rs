@@ -22,8 +22,10 @@
 //! * [`HfzError`] — the one error type every operation reports, with `From` impls
 //!   from each layer's typed errors and a stable CLI exit-code mapping.
 //!
-//! The lower-level free functions (`sz::compress*`, `huffdec_core::decode*`, …) remain
-//! public as building blocks, but this crate is the supported surface.
+//! Every compress of a session, [`Codec::compress_archive`] included, is one
+//! `sz::compress_on` on the session's backend. The lower-level free functions
+//! (`sz::compress` / `sz::compress_on`, `huffdec_core::decode*`, …) remain public as
+//! building blocks, but this crate is the supported surface.
 //!
 //! ```
 //! use datasets::{dataset_by_name, generate};

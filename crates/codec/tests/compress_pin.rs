@@ -1,32 +1,39 @@
-//! Work pins for a compress: what one `Codec::compress` costs the heap and the device,
-//! counted.
+//! Work pins for a compress and a field decompress: what one `Codec::compress` and one
+//! `Codec::decompress_field` cost the heap and the device, counted.
 //!
 //! This binary installs its own counting `#[global_allocator]`, so it holds this one
-//! test and nothing else runs in its process. A session on each backend (`cpu` and
-//! `sim`, two host threads, the tiny device model) compresses two fields with the
-//! default decoder and format: a 1-D HACC field of 300,000 elements, which the quantize
-//! launch splits into five column blocks, and a 3-D CESM field of 16×64×256, which it
-//! splits into four blocks of whole rows. After two warm-up compresses of a field, each
-//! of twenty compresses is counted from the call to its return, on every thread of the
-//! process: the quantize launch's blocks run on the device's pool.
+//! test and nothing else runs in its process: its rows run one after another. A session
+//! on each backend (`cpu` and `sim`, two host threads, the tiny device model) compresses
+//! two fields with the default decoder and format: a 1-D HACC field of 300,000
+//! elements, which the quantize launch splits into five column blocks, and a 3-D CESM
+//! field of 16×64×256, which it splits into four blocks of whole rows. It then opens
+//! each field's archive and decompresses the field from the handle. After two warm-up
+//! calls, each of twenty calls is counted from the call to its return, on every thread
+//! of the process: the quantize launch's blocks and the decode run on the device's pool.
 //!
 //! Beside the heap, each of those twenty runs counts the kernel launches of the same
-//! compress: `sz::compress_auto_on`, the call `Codec::compress` makes, runs on a
+//! call. For a compress, `sz::compress_on`, the call `Codec::compress` makes, runs on a
 //! backend that passes every launch on to the session's own and counts it, and must
 //! write the same archive. A compress is one quantize launch, then two launches of the
 //! encode walk (chunk bits and pack; the quantize launch's counts stand in for a count
-//! launch).
+//! launch). A decompress reports its launches in its decode's phase breakdown (a
+//! counting backend under `sz::decompress` counts the same): on `cpu` one launch of the
+//! decode walk, on `sim` the gap-array kernels, nine or ten.
 //!
 //! Which pins are exact: every count repeats exactly over the twenty runs of each
 //! field on each backend, so every pin is asserted at its value, the launches as
 //! equal and the heap as an upper bound, as the serving pins do. An unoptimized build
-//! makes a few more allocations (seven more, of 4,064 bytes, for the 1-D field on
-//! `cpu`), just as exactly, so each profile has its own heap pins. A change that lowers a
-//! count lowers its pin; raising a pin is a regression to justify.
+//! makes a few more allocations in a compress (seven more, of 4,064 bytes, for the 1-D
+//! field on `cpu`), just as exactly, so each profile has its own compress heap pins; a
+//! decompress costs the same in both. A change that lowers a count lowers its pin;
+//! raising a pin is a regression to justify.
 //!
-//! Of the bytes, the `u16` codes are about half: 600,000 of the 1-D field's 1,239,645
-//! on `cpu`, 524,288 of the 3-D field's 1,095,107. The encoded stream and each
-//! quantize block's code counts make most of the rest.
+//! Of a compress's bytes, the `u16` codes are over half: 600,000 of the 1-D field's
+//! 1,100,309 on `cpu`, 524,288 of the 3-D field's 996,755. The rest is the encoded
+//! stream and the encode's buffers, with 64 KB of count lanes (one set of 32 KB per
+//! host thread) that every block of the quantize launch adds into. Of a decompress's
+//! 2,894,311 bytes for the 1-D field on `cpu`, the decoded codes are 600,000 and the
+//! reconstructed `f32`s 1,200,000.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -80,22 +87,30 @@ static GLOBAL: Counting = Counting;
 const WARM_UP: usize = 2;
 const COUNTED: usize = 20;
 
-/// The pins of one field on one backend: allocations, bytes and kernel launches per
-/// compress.
+/// The pins of one call on one field on one backend: allocations, bytes and kernel
+/// launches.
 type Pins = (u64, u64, usize);
 
-/// [`Pins`] of the 1-D and the 3-D field on `cpu`.
+/// [`Pins`] of a compress of the 1-D and the 3-D field on `cpu`.
 const PINS_CPU: [Pins; 2] = if cfg!(debug_assertions) {
-    [(72, 1_243_709, 3), (81, 1_096_099, 3)]
+    [(64, 1_104_373, 3), (75, 997_747, 3)]
 } else {
-    [(65, 1_239_645, 3), (76, 1_095_107, 3)]
+    [(57, 1_100_309, 3), (70, 996_755, 3)]
 };
-/// [`Pins`] of the 1-D and the 3-D field on `sim`, whose kernels allocate per launch.
+/// [`Pins`] of a compress of the 1-D and the 3-D field on `sim`, whose kernels allocate
+/// per launch.
 const PINS_SIM: [Pins; 2] = if cfg!(debug_assertions) {
-    [(93, 1_246_829, 3), (99, 1_098_595, 3)]
+    [(85, 1_107_493, 3), (93, 1_000_243, 3)]
 } else {
-    [(86, 1_242_765, 3), (94, 1_097_603, 3)]
+    [(78, 1_103_429, 3), (88, 999_251, 3)]
 };
+
+/// [`Pins`] of a `decompress_field` of the 1-D and the 3-D field on `cpu`, in either
+/// profile.
+const DECOMPRESS_PINS_CPU: [Pins; 2] = [(15, 2_894_311, 1), (20, 2_893_325, 1)];
+/// [`Pins`] of a `decompress_field` of the 1-D and the 3-D field on `sim`, in either
+/// profile.
+const DECOMPRESS_PINS_SIM: [Pins; 2] = [(303, 2_470_190, 10), (170, 1_946_934, 9)];
 
 /// A backend that passes everything on to `inner` and counts the launches.
 #[derive(Debug)]
@@ -168,41 +183,69 @@ fn launches(codec: &Codec, field: &Field, archive: &[u8]) -> usize {
         inner: codec.backend(),
         launches: AtomicUsize::new(0),
     };
-    let (same, _) = sz::compress_auto_on(&counting, field, codec.config(), false);
+    let (same, _) = sz::compress_on(&counting, field, codec.config(), false);
     assert_eq!(codec.archive_to_bytes(&same).unwrap(), archive);
     counting.launches.load(Ordering::SeqCst)
 }
 
+/// Checks one counted run's allocations and bytes against the upper bounds of `pins`
+/// and its launches against their exact pin.
+fn check(context: &str, (allocations, bytes): (u64, u64), launches: usize, pins: Pins) {
+    let (pin_allocations, pin_bytes, pin_launches) = pins;
+    assert!(
+        allocations <= pin_allocations && bytes <= pin_bytes,
+        "{context}: {allocations} allocations of {bytes} bytes, pinned at \
+         {pin_allocations} of {pin_bytes}"
+    );
+    assert_eq!(launches, pin_launches, "{context}: launches");
+}
+
 #[test]
-fn a_compress_allocates_and_launches_what_it_is_pinned_at() {
+fn a_compress_and_a_field_decompress_allocate_and_launch_what_they_are_pinned_at() {
     let field =
         |name: &str, dims: Dims| generate_with_dims(&dataset_by_name(name).unwrap(), dims, 1);
     let fields = [
         field("HACC", Dims::D1(300_000)),
         field("CESM", Dims::D3(16, 64, 256)),
     ];
-    for (kind, pins) in [(BackendKind::Cpu, PINS_CPU), (BackendKind::Sim, PINS_SIM)] {
+    let backends = [
+        (BackendKind::Cpu, PINS_CPU, DECOMPRESS_PINS_CPU),
+        (BackendKind::Sim, PINS_SIM, DECOMPRESS_PINS_SIM),
+    ];
+    for (kind, compress_pins, decompress_pins) in backends {
         let codec = Codec::builder()
             .backend(kind)
             .gpu_config(GpuConfig::test_tiny())
             .host_threads(2)
             .build()
             .unwrap();
-        for (field, (pin_allocations, pin_bytes, pin_launches)) in fields.iter().zip(pins) {
+        let rows = fields.iter().zip(compress_pins).zip(decompress_pins);
+        for ((field, compress_pin), decompress_pin) in rows {
             for _ in 0..WARM_UP {
                 codec.compress(field).unwrap();
             }
             for run in 0..COUNTED {
-                let (outcome, (allocations, bytes)) = counted(|| codec.compress(field).unwrap());
+                let (outcome, cost) = counted(|| codec.compress(field).unwrap());
                 let archive = codec.archive_to_bytes(&outcome.archive).unwrap();
                 let launches = launches(&codec, field, &archive);
-                let context = format!("{kind} {:?} run {run}", field.dims);
-                assert!(
-                    allocations <= pin_allocations && bytes <= pin_bytes,
-                    "{context}: {allocations} allocations of {bytes} bytes, pinned at \
-                     {pin_allocations} of {pin_bytes}"
-                );
-                assert_eq!(launches, pin_launches, "{context}: launches");
+                let context = format!("{kind} {:?} compress run {run}", field.dims);
+                check(&context, cost, launches, compress_pin);
+            }
+
+            let archive = codec.compress_archive(field).unwrap();
+            let handle = codec
+                .open_archive_bytes(&codec.archive_to_bytes(&archive).unwrap())
+                .unwrap();
+            let opened = handle.field(0).unwrap();
+            for _ in 0..WARM_UP {
+                codec.decompress_field(opened).unwrap();
+            }
+            for run in 0..COUNTED {
+                let (outcome, cost) = counted(|| codec.decompress_field(opened).unwrap());
+                assert_eq!(outcome.data.len(), field.len());
+                let launches = outcome.stats.huffman.kernel_launches();
+                let context = format!("{kind} {:?} decompress_field run {run}", field.dims);
+                check(&context, cost, launches, decompress_pin);
             }
         }
     }

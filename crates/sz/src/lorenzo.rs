@@ -32,8 +32,9 @@
 //! field splits into blocks of whole rows, each first pre-quantizing its halo (the
 //! Σ(outer strides) rows before it, at most a quarter of the block) into its ring without
 //! emitting codes. Every block runs the same walk as `quantize`, stores each tile of codes
-//! in place in one write, and from the same tiles counts them and checksums them. The
-//! host joins the outlier lists in block order, sums the counts, and joins the CRCs with
+//! in place in one write, and from the same tiles counts them into the count lanes it
+//! borrows (one set per block that can run at once) and checksums them. The host joins
+//! the outlier lists in block order, sums the lanes, and joins the CRCs with
 //! `huffdec_core::crc32_combine`; the counts become the encoder's histogram and the
 //! hybrid pick's center-bin fraction, and the CRC the archive's decoded-stream digest.
 
@@ -426,28 +427,45 @@ fn quantize_blocks(extents: &[usize]) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// What a quantize block returns beside its codes.
+/// What a quantize block returns beside its codes and counts.
 #[derive(Debug)]
 struct BlockTally {
     /// Its outliers, in index order.
     outliers: Vec<Outlier>,
-    /// The count of every code.
-    counts: Vec<u64>,
     /// The CRC-32 of its codes, serialized as little-endian u16s.
     crc: u32,
 }
 
+/// What a quantize block borrows for its walk: the ring of pre-quantized rows, and
+/// four counts per code, taken in turn (a run of one code, the common case, is then
+/// four independent chains of increments, not one). A block adds into the lanes it
+/// borrows, so the lanes of every scratch together count the whole field.
+struct Scratch {
+    ring: Vec<i64>,
+    lanes: Vec<[u64; 4]>,
+}
+
+impl Scratch {
+    fn new(ring_len: usize, alphabet_size: usize) -> Self {
+        Scratch {
+            ring: vec![0; ring_len],
+            lanes: vec![[0; 4]; alphabet_size],
+        }
+    }
+}
+
 /// One [`Quantizer::quantize_span`] per block of [`quantize_blocks`]: codes in place
-/// into the field's one code buffer, and from the same tiles the block's [`BlockTally`].
+/// into the field's one code buffer, and from the same tiles the block's [`BlockTally`]
+/// and its counts.
 struct QuantizeKernel<'a> {
     quantizer: &'a Quantizer<'a>,
     blocks: &'a [Range<usize>],
     codes: &'a DeviceBuffer<u16>,
     tallies: &'a [OnceLock<BlockTally>],
-    /// Rings the launching thread allocated, one per block that can run at once. A
-    /// block borrows one for its walk: a ring a worker thread allocated and freed would
-    /// stay resident in that thread's allocator arena.
-    rings: &'a Mutex<Vec<Vec<i64>>>,
+    /// Scratch the launching thread allocated, one per block that can run at once. A
+    /// block borrows one for its walk and puts it back: a ring a worker thread
+    /// allocated and freed would stay resident in that thread's allocator arena.
+    scratch: &'a Mutex<Vec<Scratch>>,
 }
 
 impl BlockKernel for QuantizeKernel<'_> {
@@ -457,30 +475,29 @@ impl BlockKernel for QuantizeKernel<'_> {
 
     fn block(&self, ctx: &mut BlockContext) {
         let b = ctx.block_idx() as usize;
-        let take_ring = || {
-            self.rings
+        let pool = || {
+            self.scratch
                 .lock()
-                .expect("no block panics holding the rings")
+                .expect("no block panics holding the scratch")
         };
-        let mut ring = take_ring().pop().unwrap_or_default();
+        let alphabet_size = self.quantizer.alphabet_size;
+        let mut scratch = pool()
+            .pop()
+            .unwrap_or_else(|| Scratch::new(0, alphabet_size));
         let mut outliers = Vec::new();
-        // Four counts per code, taken in turn: a run of one code (the common case) is
-        // then four independent chains of increments, not one.
-        let mut lanes = vec![[0u64; 4]; self.quantizer.alphabet_size];
         let mut crc = Crc32::new();
         let span = self.blocks[b].clone();
         self.quantizer
-            .quantize_span(span, &mut ring, &mut outliers, |start, codes| {
+            .quantize_span(span, &mut scratch.ring, &mut outliers, |start, codes| {
                 self.codes.write_range(start, codes);
                 for (i, &code) in codes.iter().enumerate() {
-                    lanes[code as usize][i % 4] += 1;
+                    scratch.lanes[code as usize][i % 4] += 1;
                 }
                 crc.update_symbols(codes);
             });
-        take_ring().push(ring);
+        pool().push(scratch);
         let tally = BlockTally {
             outliers,
-            counts: lanes.iter().map(|bin| bin.iter().sum()).collect(),
             crc: crc.finish(),
         };
         self.tallies[b].set(tally).expect("a block runs once");
@@ -491,8 +508,8 @@ impl BlockKernel for QuantizeKernel<'_> {
 /// codes and outliers, plus from the same pass the count of every code and the CRC-32
 /// of the codes ([`huffdec_core::crc32_symbols`]). Blocks share nothing, since each
 /// pre-quantizes its own halo, so they run in parallel. The host joins the outlier
-/// lists in block order, sums the counts, and joins the CRCs with
-/// [`huffdec_core::crc32_combine`].
+/// lists in block order, sums the counts of the pooled [`Scratch`] lanes, and joins the
+/// CRCs with [`huffdec_core::crc32_combine`].
 pub(crate) fn quantize_on(
     gpu: &dyn Backend,
     data: &[f32],
@@ -504,11 +521,12 @@ pub(crate) fn quantize_on(
     let blocks = quantize_blocks(&quantizer.extents);
     let codes = DeviceBuffer::<u16>::zeroed(data.len());
     let tallies: Vec<OnceLock<BlockTally>> = blocks.iter().map(|_| OnceLock::new()).collect();
+    let mut counts = vec![0u64; alphabet_size];
     if !blocks.is_empty() {
         let (&width, outer) = quantizer.extents.split_last().expect("a non-empty field");
         let at_once = blocks.len().min(gpu.host_threads());
-        let rings = (0..at_once).map(|_| vec![0i64; ring_rows(outer) * width]);
-        let rings = Mutex::new(rings.collect());
+        let scratch = (0..at_once).map(|_| Scratch::new(ring_rows(outer) * width, alphabet_size));
+        let scratch = Mutex::new(scratch.collect());
         // A block is one host walk, so one thread.
         gpu.launch(
             &QuantizeKernel {
@@ -516,21 +534,22 @@ pub(crate) fn quantize_on(
                 blocks: &blocks,
                 codes: &codes,
                 tallies: &tallies,
-                rings: &rings,
+                scratch: &scratch,
             },
             LaunchConfig::new(blocks.len() as u32, 1),
         );
+        let scratch = scratch.into_inner().expect("no block panics holding it");
+        for lanes in scratch.iter().map(|s| &s.lanes) {
+            for (count, bin) in counts.iter_mut().zip(lanes) {
+                *count += bin.iter().sum::<u64>();
+            }
+        }
     }
     let mut outliers = Vec::new();
-    let mut counts = vec![0u64; alphabet_size];
     let mut crc = crc32(&[]);
     for (tally, span) in tallies.into_iter().zip(&blocks) {
         let tally = tally.into_inner().expect("every block ran");
         outliers.extend(tally.outliers);
-        counts
-            .iter_mut()
-            .zip(&tally.counts)
-            .for_each(|(c, t)| *c += t);
         crc = crc32_combine(crc, tally.crc, span.len() as u64 * 2);
     }
     (quantizer.finish(codes.into_vec(), outliers), counts, crc)

@@ -299,53 +299,32 @@ fn assemble(
     }
 }
 
-/// Compresses a field with the single-threaded host encoder
+/// Compresses a field with the serial quantizer and the single-threaded host encoder
 /// ([`huffdec_core::compress_for`], which also encodes the RLE+Huffman hybrid of format
-/// v2).
+/// v2) into `config`'s decoder: the host reference [`compress_on`] is held to.
 pub fn compress(field: &Field, config: &SzConfig) -> Compressed {
-    compress_auto(field, config, false)
-}
-
-/// [`compress`] with automatic hybrid selection: with `auto_hybrid` set, a field whose
-/// codes [`picks_hybrid`] chooses is encoded with the RLE+Huffman hybrid instead of
-/// `config`'s decoder ([`Compressed::config`] records the pick). The field is quantized
-/// once, and the pick counts those codes' center bins.
-pub fn compress_auto(field: &Field, config: &SzConfig, auto_hybrid: bool) -> Compressed {
     let step = 2.0 * absolute_bound(field, &config.error_bound);
     let q = quantize(&field.data, field.dims, step, config.alphabet_size);
-    let mut config = *config;
-    let zero = zero_symbol(config.alphabet_size);
-    let zero_codes = || q.codes.iter().filter(|&&c| c == zero).count() as u64;
-    if auto_hybrid && picks_hybrid(zero_codes(), q.codes.len()) {
-        config.decoder = DecoderKind::RleHybrid;
-    }
     let payload = compress_for(config.decoder, &q.codes, config.alphabet_size);
     let crc = huffdec_core::crc32_symbols(&q.codes);
-    assemble(q, config, payload, crc)
+    assemble(q, *config, payload, crc)
 }
 
 /// Compresses a field on `gpu`: one quantize launch, then the backend's parallel encode
-/// ([`huffdec_core::compress_on`], for every kind). Returns the archive
-/// (bit-identical to [`compress`]) and the compression timing breakdown, modeled on the
-/// simulator and measured on an unmodeled backend.
-pub fn compress_on(
-    gpu: &dyn Backend,
-    field: &Field,
-    config: &SzConfig,
-) -> (Compressed, CompressStats) {
-    compress_auto_on(gpu, field, config, false)
-}
-
-/// [`compress_on`] with the automatic hybrid selection of [`compress_auto`]
-/// (bit-identical to it).
+/// ([`huffdec_core::compress_counted_on`], for every kind). Returns the archive and the
+/// compression timing breakdown, modeled on the simulator and measured on an unmodeled
+/// backend.
+///
+/// With `auto_hybrid` set, a field whose codes [`picks_hybrid`] chooses is encoded with
+/// the RLE+Huffman hybrid instead of `config`'s decoder ([`Compressed::config`] records
+/// the pick). The archive is bit-identical to [`compress`] under the decoder it records.
 ///
 /// The field is quantized in one launch over blocks of its rows (`lorenzo::quantize_on`)
 /// that also counts the codes and checksums them. The counts give the hybrid pick its
-/// center-bin count and a dense encoder its histogram
-/// ([`huffdec_core::compress_counted_on`]; the hybrid's substreams count their own
-/// symbols), and the checksum is the archive's
-/// `decoded_crc`, so no further pass reads the codes before the encode.
-pub fn compress_auto_on(
+/// center-bin count and a dense encoder its histogram (the hybrid's substreams count
+/// their own symbols), and the checksum is the archive's `decoded_crc`, so no further
+/// pass reads the codes before the encode.
+pub fn compress_on(
     gpu: &dyn Backend,
     field: &Field,
     config: &SzConfig,
@@ -568,7 +547,7 @@ mod tests {
         for decoder in DecoderKind::all() {
             let config = SzConfig::paper_default(decoder);
             let host = compress(&field, &config);
-            let (dev, stats) = compress_on(&g, &field, &config);
+            let (dev, stats) = compress_on(&g, &field, &config, false);
             assert_eq!(
                 dev.compressed_bytes(),
                 host.compressed_bytes(),
@@ -610,7 +589,7 @@ mod tests {
             wrong[7] ^= 1;
             assert_eq!(compressed.matches_decoded_crc(&wrong), Some(false));
             // The GPU encoder stamps the identical digest (same codes).
-            let (dev, _) = compress_on(&g, &field, &config);
+            let (dev, _) = compress_on(&g, &field, &config, false);
             assert_eq!(dev.decoded_crc, compressed.decoded_crc);
             // Digest-less archives (pre-trailer) report None.
             let mut stripped = compressed.clone();
@@ -713,7 +692,7 @@ mod tests {
         let g = gpu();
         let config = SzConfig::paper_default(DecoderKind::RleHybrid);
         let host = compress(&field, &config);
-        let (dev, stats) = compress_on(&g, &field, &config);
+        let (dev, stats) = compress_on(&g, &field, &config, false);
         assert_eq!(dev.compressed_bytes(), host.compressed_bytes());
         assert_eq!(dev.decoded_crc, host.decoded_crc);
         assert!(stats.quantize_seconds > 0.0);

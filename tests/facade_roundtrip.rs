@@ -1,18 +1,15 @@
 //! Facade equivalence suite: the `huffdec::Codec` session API must be a pure seam —
-//! archives produced through it are byte-identical to the old free-function path
-//! (`sz::compress` / `sz::compress_on`), decompression reconstructs the same data, and
-//! the archive sessions (`open_archive` / `open_snapshot` / `decompress_range`) agree
-//! with the streaming readers, for every evaluated decoder kind on every paper
-//! dataset.
+//! archives produced through it (`sz::compress_on` on the session's backend) are
+//! byte-identical to the host reference `sz::compress`, decompression reconstructs the
+//! same data, and the archive sessions (`open_archive` / `open_snapshot` /
+//! `decompress_range`) agree with the streaming readers, for every evaluated decoder
+//! kind on every paper dataset.
 
 use huffdec::core_decoders::zero_symbol;
 use huffdec::datasets::{dataset_by_name, generate, Dims};
 use huffdec::gpu_sim::{Gpu, GpuConfig};
 use huffdec::serve::GetKind;
-use huffdec::sz::{
-    compress_auto, compress_auto_on, quantize, verify_error_bound, ErrorBound, SzConfig,
-    DEFAULT_ALPHABET_SIZE,
-};
+use huffdec::sz::{quantize, verify_error_bound, ErrorBound, SzConfig, DEFAULT_ALPHABET_SIZE};
 use huffdec::{
     u16_le_bytes, BackendKind, Codec, Compressed, DecoderKind, Field, FormatVersion, HfzError,
 };
@@ -49,7 +46,7 @@ fn facade_archives_are_byte_identical_to_the_free_function_path() {
             let legacy = huffdec::sz::compress(&field, &legacy_config);
             let legacy_bytes = huffdec::container::to_bytes(&legacy).expect("serialize");
 
-            // New path, both encoders: the GPU pipeline and the untimed host path.
+            // New path: the session's compress on its backend.
             let session = codec.compress(&field).expect("non-empty field");
             let session_bytes = huffdec::container::to_bytes(&session.archive).expect("serialize");
             assert_eq!(
@@ -57,15 +54,6 @@ fn facade_archives_are_byte_identical_to_the_free_function_path() {
                 "{} / {:?}: session archive differs from the free-function archive",
                 name, decoder
             );
-            let host = codec.compress_archive(&field).expect("non-empty field");
-            assert_eq!(
-                huffdec::container::to_bytes(&host).expect("serialize"),
-                legacy_bytes,
-                "{} / {:?}: host-encoded session archive differs",
-                name,
-                decoder
-            );
-
             // Reconstruction matches the old path bit for bit and honours the bound.
             let gpu = Gpu::with_host_threads(GpuConfig::test_tiny(), 4);
             let old = huffdec::sz::decompress(&gpu, &legacy).expect("payload matches");
@@ -190,11 +178,12 @@ fn ranged_decodes_through_the_session_match_full_decodes() {
 }
 
 /// The hybrid pick at its edge: a 1-D integer field under `abs:0.5`, where a repeated
-/// value quantizes to the center bin. With exactly half center codes both sz compress
-/// paths pick the hybrid, on both backends, and write the same bytes; with one fewer
-/// both keep the dense decoder.
+/// value quantizes to the center bin. With exactly half center codes a format-v2
+/// session picks the hybrid, on both backends; with one fewer it keeps the dense
+/// decoder. Either way it writes the bytes of the host reference `sz::compress` under
+/// the decoder it picked.
 #[test]
-fn both_compress_paths_pick_the_hybrid_at_exactly_half_center_codes() {
+fn the_session_compress_picks_the_hybrid_at_exactly_half_center_codes() {
     // Crosses the 65,536-column quantize blocks, so the backend pick reads summed counts.
     let n = 140_000;
     let field = |repeats: usize| {
@@ -225,13 +214,16 @@ fn both_compress_paths_pick_the_hybrid_at_exactly_half_center_codes() {
                 .format(FormatVersion::V2)
                 .build()
                 .unwrap();
-            let (on, _) = compress_auto_on(codec.backend(), &field, codec.config(), true);
-            let host = compress_auto(&field, codec.config(), true);
+            let session = codec.compress_archive(&field).unwrap();
+            let mut picked = *codec.config();
+            if hybrid {
+                picked.decoder = DecoderKind::RleHybrid;
+            }
+            let host = huffdec::sz::compress(&field, &picked);
             let on_what = format!("{backend:?} with {repeats} center codes");
-            assert_eq!(on.decoder().is_hybrid(), hybrid, "{on_what}");
-            assert_eq!(host.decoder().is_hybrid(), hybrid, "{on_what}");
+            assert_eq!(session.decoder(), picked.decoder, "{on_what}");
             assert_eq!(
-                codec.archive_to_bytes(&on).unwrap(),
+                codec.archive_to_bytes(&session).unwrap(),
                 codec.archive_to_bytes(&host).unwrap(),
                 "{on_what}"
             );
