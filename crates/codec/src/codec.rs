@@ -424,7 +424,7 @@ impl Codec {
         payload: &CompressedPayload,
         bytes_in: u64,
     ) -> Result<DecodeResult> {
-        let r = self.count_error(sz::decode_payload(self.backend(), decoder, payload))?;
+        let r = self.count_error(huffdec_core::decode(self.backend(), decoder, payload))?;
         let bytes_out = r.symbols.len() as u64 * 2;
         self.record_decode(decoder, r.timings.total_seconds(), bytes_in, bytes_out);
         Ok(r)

@@ -39,10 +39,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use datasets::{dataset_by_name, generate_with_dims, Dims, Field};
-use gpu_sim::{
-    Backend, BackendKind, BlockKernel, ConcurrentStats, GpuConfig, KernelStats, LaunchConfig,
-    TransferDirection,
-};
+use gpu_sim::{Backend, BackendKind, BlockKernel, GpuConfig, KernelStats, LaunchConfig};
 use huffdec_codec::Codec;
 
 /// Counts every allocation and the bytes it asked for; a `realloc` is one allocation
@@ -112,7 +109,8 @@ const DECOMPRESS_PINS_CPU: [Pins; 2] = [(15, 2_894_311, 1), (20, 2_893_325, 1)];
 /// profile.
 const DECOMPRESS_PINS_SIM: [Pins; 2] = [(303, 2_470_190, 10), (170, 1_946_934, 9)];
 
-/// A backend that passes everything on to `inner` and counts the launches.
+/// A backend that passes its launches and its device on to `inner` and counts the
+/// launches; its clock follows from the kind it forwards.
 #[derive(Debug)]
 struct CountLaunches<'a> {
     inner: &'a dyn Backend,
@@ -129,28 +127,8 @@ impl Backend for CountLaunches<'_> {
         self.inner.launch(kernel, cfg)
     }
 
-    fn charge_seconds(&self, modeled: f64, measured: f64) -> f64 {
-        self.inner.charge_seconds(modeled, measured)
-    }
-
     fn kind(&self) -> BackendKind {
         self.inner.kind()
-    }
-
-    fn device_name(&self) -> String {
-        self.inner.device_name()
-    }
-
-    fn is_modeled(&self) -> bool {
-        self.inner.is_modeled()
-    }
-
-    fn concurrent(&self, kernels: &[KernelStats]) -> ConcurrentStats {
-        self.inner.concurrent(kernels)
-    }
-
-    fn transfer_seconds(&self, bytes: u64, direction: TransferDirection) -> f64 {
-        self.inner.transfer_seconds(bytes, direction)
     }
 
     fn host_threads(&self) -> usize {

@@ -24,10 +24,14 @@
 //! and on the host they only decode the stream a second or third time. So on an
 //! unmodeled backend ([`Backend::is_modeled`] false) a full decode of a flat stream is
 //! one launch over sequences instead: each block walks its sequence once and the host
-//! chains and compacts the results (`walk.rs`), with the kernels' exact output. The
-//! chunked baseline keeps its kernel on both. A stream that does not decode to the
-//! symbol count it declares is refused with [`DecodeError::CorruptStream`], full or
-//! ranged, on either path.
+//! chains and compacts the results (`walk.rs`), with the kernels' exact output. No
+//! synchronization, counting or tuning runs there, so the paper's tuning decisions are
+//! exercised only on the simulator. The chunked baseline and every ranged decode keep
+//! their kernels on both backends, with the geometry (block sizes, shared-memory
+//! budgets, `T_high`) of the device's [`gpu_sim::GpuConfig`]. A stream that does not
+//! decode to the symbol count it declares, or whose structure does not fit its bit
+//! length, is refused with [`DecodeError::CorruptStream`], full or ranged, on either
+//! path.
 //!
 //! Under every phase a thread's functional work is one [`huffman::Codebook::decode_run`]:
 //! a sync thread runs to its subsequence boundary and keeps the end and the count, a
@@ -263,10 +267,12 @@ pub enum DecodeError {
         /// What the substreams disagree about.
         reason: &'static str,
     },
-    /// The stream does not decode to the symbol count it declares: a codeword that
-    /// resolves to no symbol, bits that run out early, or a count that disagrees with
-    /// the bits. Reachable from CRC-valid archives whose sections are individually
-    /// well-formed, so it is an error, never a panic or a silently short (or long) field.
+    /// The stream is malformed ([`EncodedStream::check_structure`] refuses it) or does
+    /// not decode to the symbol count it declares: a codeword that resolves to no
+    /// symbol, bits that run out early, or a count that disagrees with the bits.
+    /// Reachable from CRC-valid archives whose sections are individually well-formed,
+    /// and from streams built by hand, so it is an error, never a panic or a silently
+    /// short (or long) field.
     CorruptStream {
         /// The decoder that was asked to run.
         decoder: DecoderKind,
@@ -281,7 +287,7 @@ impl DecodeError {
             DecodeError::RangeOutOfBounds { .. } => "requested symbol range is out of bounds",
             DecodeError::InvalidHybrid { reason } => reason,
             DecodeError::CorruptStream { .. } => {
-                "stream does not decode to its declared symbol count"
+                "stream is malformed or does not decode to its declared symbol count"
             }
         }
     }
@@ -309,7 +315,7 @@ impl fmt::Display for DecodeError {
             }
             DecodeError::CorruptStream { decoder } => write!(
                 f,
-                "corrupt stream: decoder {:?} did not produce the declared symbol count",
+                "corrupt stream: decoder {:?} found a malformed stream or a wrong symbol count",
                 decoder
             ),
         }
@@ -354,7 +360,10 @@ impl CheckedPayload<'_> {
 /// Returns [`DecodeError::PayloadMismatch`] for any other pair — a chunked payload handed
 /// to a fine-grained decoder, a gap-array decoder given a stream without a gap array, a
 /// hybrid payload with a dense decoder or the reverse. Such pairs can reach a decode
-/// from CRC-valid but inconsistent archives.
+/// from CRC-valid but inconsistent archives. A flat stream, or either substream of a
+/// hybrid, that fails [`EncodedStream::check_structure`] is a
+/// [`DecodeError::CorruptStream`]. A chunked stream's tiling is checked when the
+/// container parses it.
 pub(crate) fn check_payload(
     kind: DecoderKind,
     payload: &CompressedPayload,
@@ -363,17 +372,31 @@ pub(crate) fn check_payload(
         (StreamLayout::Chunked, CompressedPayload::Chunked { encoded, codebook }) => {
             Ok(CheckedPayload::Chunked { encoded, codebook })
         }
-        (StreamLayout::Flat, CompressedPayload::Flat(stream)) => Ok(CheckedPayload::Flat(stream)),
+        (StreamLayout::Flat, CompressedPayload::Flat(stream)) => {
+            Ok(CheckedPayload::Flat(checked_flat(kind, stream)?))
+        }
         (StreamLayout::FlatWithGaps, CompressedPayload::Flat(stream))
             if stream.gap_array.is_some() =>
         {
-            Ok(CheckedPayload::Flat(stream))
+            Ok(CheckedPayload::Flat(checked_flat(kind, stream)?))
         }
         (StreamLayout::Hybrid, CompressedPayload::Hybrid(hybrid)) => {
+            checked_flat(kind, &hybrid.symbols)?;
+            checked_flat(kind, &hybrid.runs)?;
             Ok(CheckedPayload::Hybrid(hybrid))
         }
         _ => Err(DecodeError::PayloadMismatch { decoder: kind }),
     }
+}
+
+/// `stream` when [`EncodedStream::check_structure`] accepts it, or a
+/// [`DecodeError::CorruptStream`] for `kind`.
+pub(crate) fn checked_flat(
+    kind: DecoderKind,
+    stream: &EncodedStream,
+) -> Result<&EncodedStream, DecodeError> {
+    let corrupt = |_| DecodeError::CorruptStream { decoder: kind };
+    stream.check_structure().map(|()| stream).map_err(corrupt)
 }
 
 /// Decodes `payload` with the method `kind`, returning the symbols and the simulated

@@ -226,10 +226,9 @@ impl EncodedStream {
         }
     }
 
-    /// Reassembles a stream from deserialized parts, validating the structural
-    /// invariants the decoders rely on instead of trusting the source (archives can be
-    /// truncated or corrupted): the unit count must exactly cover `bit_len`, and a gap
-    /// array, when present, must match the stream's subsequence decomposition.
+    /// Reassembles a stream from deserialized parts, validating its structure
+    /// ([`EncodedStream::check_structure`]) instead of trusting the source (archives can
+    /// be truncated or corrupted).
     pub fn from_parts(
         units: Vec<u32>,
         bit_len: u64,
@@ -238,28 +237,40 @@ impl EncodedStream {
         geometry: StreamGeometry,
         gap_array: Option<GapArray>,
     ) -> Result<Self, &'static str> {
-        if units.len() as u64 != bit_len.div_ceil(32) {
-            return Err("unit count does not cover the bit length");
-        }
-        if num_symbols > 0 && bit_len == 0 {
-            return Err("symbols claimed in an empty bitstream");
-        }
-        if let Some(gap) = &gap_array {
-            if gap.subseq_bits != geometry.subseq_bits() {
-                return Err("gap array subsequence size does not match the geometry");
-            }
-            if gap.len() != geometry.num_subseqs(bit_len) {
-                return Err("gap array length does not match the stream");
-            }
-        }
-        Ok(EncodedStream {
+        let stream = EncodedStream {
             units,
             bit_len,
             num_symbols,
             codebook,
             geometry,
             gap_array,
-        })
+        };
+        stream.check_structure()?;
+        Ok(stream)
+    }
+
+    /// Checks the structure every decoder relies on: a geometry
+    /// [`StreamGeometry::checked`] accepts, units that exactly cover `bit_len`, no more
+    /// symbols than bits, and a gap array, if any, that fits the subsequences. The
+    /// fields are public, so every decode entry point runs this check too.
+    pub fn check_structure(&self) -> Result<(), &'static str> {
+        let geometry = self.geometry;
+        StreamGeometry::checked(geometry.subseq_units, geometry.subseqs_per_seq)?;
+        if self.units.len() as u64 != self.bit_len.div_ceil(32) {
+            return Err("unit count does not cover the bit length");
+        }
+        if self.num_symbols as u64 > self.bit_len {
+            return Err("more symbols than bits in the stream");
+        }
+        if let Some(gap) = &self.gap_array {
+            if gap.subseq_bits != geometry.subseq_bits() {
+                return Err("gap array subsequence size does not match the geometry");
+            }
+            if gap.len() != self.num_subseqs() {
+                return Err("gap array length does not match the stream");
+            }
+        }
+        Ok(())
     }
 
     /// Number of subsequences in the stream.

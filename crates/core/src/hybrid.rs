@@ -42,7 +42,9 @@ use gpu_sim::{
 };
 use huffman::Codebook;
 
-use crate::decoder::{decode_checked, CheckedPayload, CompressedPayload, DecodeError, DecoderKind};
+use crate::decoder::{
+    checked_flat, decode_checked, CheckedPayload, CompressedPayload, DecodeError, DecoderKind,
+};
 use crate::encode::{compress_on, EncodePhaseBreakdown};
 use crate::format::{EncodedStream, HybridStream, HYBRID_RUN_ALPHABET, HYBRID_RUN_CAP};
 use crate::phases::{DecodeResult, PhaseBreakdown};
@@ -255,15 +257,17 @@ impl BlockKernel for RleExpandKernel<'_> {
 
 /// Decodes one substream in place with the optimized self-synchronization decoder,
 /// which every flat stream is compatible with, or returns an empty result without
-/// touching the device when it encodes nothing.
+/// touching the device when it encodes nothing. A malformed substream is a
+/// [`DecodeError::CorruptStream`] here too, since [`decode_hybrid`] is public.
 fn decode_substream(
     gpu: &dyn Backend,
     stream: &EncodedStream,
 ) -> Result<DecodeResult, DecodeError> {
+    let kind = DecoderKind::OptimizedSelfSync;
+    let stream = checked_flat(kind, stream)?;
     if stream.num_symbols == 0 {
         return Ok(DecodeResult::default());
     }
-    let kind = DecoderKind::OptimizedSelfSync;
     decode_checked(gpu, kind, CheckedPayload::Flat(stream))
 }
 

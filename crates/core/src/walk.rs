@@ -132,14 +132,11 @@ fn walk(
     let corrupt = DecodeError::CorruptStream { decoder: kind };
     let (bit_len, total_subs, num_seqs) = (stream.bit_len, stream.num_subseqs(), stream.num_seqs());
     let gap_starts = match (kind, &stream.gap_array) {
-        (DecoderKind::OptimizedGapArray, Some(gap)) => {
-            gap.gaps.get(..total_subs).ok_or(corrupt)?;
-            Some(
-                (0..total_subs)
-                    .map(|i| gap.start_bit(i).min(bit_len))
-                    .collect(),
-            )
-        }
+        (DecoderKind::OptimizedGapArray, Some(gap)) => Some(
+            (0..total_subs)
+                .map(|i| gap.start_bit(i).min(bit_len))
+                .collect(),
+        ),
         _ => None,
     };
     let chained = gap_starts.is_none();

@@ -2,8 +2,9 @@
 //!
 //! The decode/encode pipelines in `huffdec-core` and the device-wide [`crate::primitives`]
 //! are written against [`Backend`]: kernel launches over grids of blocks, host-step
-//! charging, transfer costs, and concurrent-stream timing. Two devices implement it, each
-//! in one impl block, and run the same launch code on two clocks:
+//! charging, transfer costs, and concurrent-stream timing. A device supplies its launch;
+//! the clock (every timing method) is the trait's, chosen once by [`Backend::kind`]. Two
+//! devices implement it and run the same launch code on two clocks:
 //!
 //! * [`Gpu`] — the simulated V100: kernels execute functionally on host threads while
 //!   the calibrated performance model produces *modeled* timings. It reproduces the
@@ -119,8 +120,12 @@ impl std::error::Error for UnknownBackend {}
 /// An execution backend: everything the decode/encode pipelines and the device
 /// primitives consume from a device.
 ///
-/// Kernel launches and host-step charging sit beside the pipeline-level concerns:
-/// identity, concurrent-stream timing, transfer modeling, and the host-thread budget.
+/// A device supplies five methods: its [`config`](Backend::config), its
+/// [`launch`](Backend::launch), its [`kind`](Backend::kind), its host-thread budget and
+/// its worker pool. Every timing question — how a host step is charged, what a transfer
+/// costs, how concurrent streams overlap, whether the numbers are modeled, what the
+/// device is called — is a provided method that answers from [`Backend::kind`], so the
+/// clock is written once and a wrapper that forwards the five inherits it.
 /// Consumers take `&dyn Backend` or `&D where D: Backend + ?Sized`, so a concrete
 /// [`Gpu`] coerces at every call site.
 pub trait Backend: Send + Sync + fmt::Debug {
@@ -130,35 +135,8 @@ pub trait Backend: Send + Sync + fmt::Debug {
     /// Launches a kernel over a grid of blocks and returns its timing record.
     fn launch(&self, kernel: &dyn BlockKernel, cfg: LaunchConfig) -> KernelStats;
 
-    /// Converts a host-side pipeline step into charged seconds.
-    ///
-    /// `modeled` is what the performance model attributes to the step (typically one
-    /// kernel-launch overhead, standing in for the small kernel a GPU would run);
-    /// `measured` is the real wall-clock duration of the step. The simulator returns
-    /// `modeled`; the CPU backend returns `measured`.
-    fn charge_seconds(&self, modeled: f64, measured: f64) -> f64;
-
-    /// Which backend this is.
+    /// Which backend this is; every timing method below answers from it.
     fn kind(&self) -> BackendKind;
-
-    /// A human-readable device description (surfaced by `hfz inspect` and `STATS`).
-    fn device_name(&self) -> String;
-
-    /// Whether reported timings come from the performance model (`true` for the sim)
-    /// rather than wall-clock measurement.
-    fn is_modeled(&self) -> bool;
-
-    /// Wall-clock estimate for a set of kernels launched on independent streams.
-    ///
-    /// The sim applies the CUDA-stream overlap model; the CPU backend executed the
-    /// kernels serially, so its estimate is the serial sum (no imagined overlap).
-    fn concurrent(&self, kernels: &[KernelStats]) -> ConcurrentStats;
-
-    /// Seconds charged for moving `bytes` across the host/device boundary.
-    ///
-    /// Zero when the backend does not model transfers, as on the CPU backend where
-    /// decode input and output live in the same memory.
-    fn transfer_seconds(&self, bytes: u64, direction: TransferDirection) -> f64;
 
     /// The session's host-thread budget: how many threads a launch fans its blocks
     /// over, and the most a multi-field wave may run fields on.
@@ -168,6 +146,61 @@ pub trait Backend: Send + Sync + fmt::Debug {
     /// launch runs on ([`Gpu::run_tasks`]). Work submitted from inside a task, such as a
     /// field's launches in a multi-field wave, runs on the task's own thread.
     fn run_tasks(&self, n: usize, task: &(dyn Fn(usize) + Sync));
+
+    /// Whether reported timings come from the performance model (`true` for the sim)
+    /// rather than wall-clock measurement.
+    fn is_modeled(&self) -> bool {
+        self.kind() == BackendKind::Sim
+    }
+
+    /// Converts a host-side pipeline step into charged seconds.
+    ///
+    /// `modeled` is what the performance model attributes to the step (typically one
+    /// kernel-launch overhead, standing in for the small kernel a GPU would run);
+    /// `measured` is the real wall-clock duration of the step. The simulator returns
+    /// `modeled`; the CPU backend returns `measured`.
+    fn charge_seconds(&self, modeled: f64, measured: f64) -> f64 {
+        match self.kind() {
+            BackendKind::Sim => modeled,
+            BackendKind::Cpu => measured,
+        }
+    }
+
+    /// Seconds charged for moving `bytes` across the host/device boundary: the modeled
+    /// PCIe time on the sim, zero on the CPU backend, where decode input and output live
+    /// in the same memory.
+    fn transfer_seconds(&self, bytes: u64, direction: TransferDirection) -> f64 {
+        match self.kind() {
+            BackendKind::Sim => transfer_time_s(self.config(), bytes, direction),
+            BackendKind::Cpu => 0.0,
+        }
+    }
+
+    /// Wall-clock estimate for a set of kernels launched on independent streams.
+    ///
+    /// The sim applies the CUDA-stream overlap model; the CPU backend executed the
+    /// kernels serially, so its estimate is the serial sum (no imagined overlap).
+    fn concurrent(&self, kernels: &[KernelStats]) -> ConcurrentStats {
+        match self.kind() {
+            BackendKind::Sim => concurrent_time(self.config(), kernels),
+            BackendKind::Cpu => {
+                let serial_time_s: f64 = kernels.iter().map(|k| k.time_s).sum();
+                ConcurrentStats {
+                    time_s: serial_time_s,
+                    serial_time_s,
+                    kernels: kernels.to_vec(),
+                }
+            }
+        }
+    }
+
+    /// A human-readable device description (surfaced by `hfz inspect` and `STATS`).
+    fn device_name(&self) -> String {
+        match self.kind() {
+            BackendKind::Sim => self.config().name.clone(),
+            BackendKind::Cpu => format!("host CPU ({} threads)", self.host_threads()),
+        }
+    }
 }
 
 impl Backend for Gpu {
@@ -179,28 +212,8 @@ impl Backend for Gpu {
         Gpu::launch(self, kernel, cfg)
     }
 
-    fn charge_seconds(&self, modeled: f64, _measured: f64) -> f64 {
-        modeled
-    }
-
     fn kind(&self) -> BackendKind {
         BackendKind::Sim
-    }
-
-    fn device_name(&self) -> String {
-        self.config().name.clone()
-    }
-
-    fn is_modeled(&self) -> bool {
-        true
-    }
-
-    fn concurrent(&self, kernels: &[KernelStats]) -> ConcurrentStats {
-        concurrent_time(self.config(), kernels)
-    }
-
-    fn transfer_seconds(&self, bytes: u64, direction: TransferDirection) -> f64 {
-        transfer_time_s(self.config(), bytes, direction)
     }
 
     fn host_threads(&self) -> usize {
@@ -216,24 +229,13 @@ impl Backend for Gpu {
 ///
 /// Every launch is [`Gpu::launch_unmodeled`]: the blocks of the grid run on the
 /// device's persistent worker pool, the kernels' charge calls return at once and the
-/// cost model never runs. Each [`KernelStats`] keeps the launch geometry, occupancy and launch
-/// count and carries the *measured* wall-clock duration of the launch; its
-/// memory-traffic and cycle aggregates are modeled-only and stay zero. Host-side
-/// pipeline steps are likewise charged their measured time, transfers cost nothing
-/// (host memory is device memory), and "concurrent streams" are what they really are
-/// here: serial execution.
-///
-/// What runs differs by path. Ranged decodes and the chunked baseline's decode launch
-/// the simulator's [`BlockKernel`]s, so the wrapped [`GpuConfig`] supplies their
-/// geometry (block sizes, shared-memory budgets, `T_high`). A full decode of a flat
-/// stream is one launch of a walk that decodes each sequence once: no synchronization,
-/// counting or tuning runs here, so the paper's tuning decisions are exercised only on
-/// the simulator. An encode is, as on the simulator, three launches of a walk that
-/// encodes each symbol once (a per-block histogram, per-chunk bit totals, a pack from
-/// each block's first bit). A field compress is a quantize launch over blocks of the
-/// field's rows, which counts the codes as it makes them, plus the encode walk's two
-/// other launches. Decoded output and archives are bit-identical to the simulator's on
-/// every path.
+/// cost model never runs. Each [`KernelStats`] keeps the launch geometry, occupancy and
+/// launch count and carries the *measured* wall-clock duration of the launch; its
+/// memory-traffic and cycle aggregates are modeled-only and stay zero. The wrapped
+/// [`Gpu`] is private, so this device cannot run a modeled launch; its [`GpuConfig`]
+/// supplies the kernels' geometry (block sizes, shared-memory budgets, `T_high`). Which
+/// launches each decode path runs here is documented with the decoders
+/// (`huffdec_core::decoder`).
 #[derive(Debug, Clone)]
 pub struct CpuBackend {
     gpu: Gpu,
@@ -264,33 +266,8 @@ impl Backend for CpuBackend {
         self.gpu.launch_unmodeled(kernel, cfg)
     }
 
-    fn charge_seconds(&self, _modeled: f64, measured: f64) -> f64 {
-        measured
-    }
-
     fn kind(&self) -> BackendKind {
         BackendKind::Cpu
-    }
-
-    fn device_name(&self) -> String {
-        format!("host CPU ({} threads)", self.gpu.host_threads())
-    }
-
-    fn is_modeled(&self) -> bool {
-        false
-    }
-
-    fn concurrent(&self, kernels: &[KernelStats]) -> ConcurrentStats {
-        let serial_time_s: f64 = kernels.iter().map(|k| k.time_s).sum();
-        ConcurrentStats {
-            time_s: serial_time_s,
-            serial_time_s,
-            kernels: kernels.to_vec(),
-        }
-    }
-
-    fn transfer_seconds(&self, _bytes: u64, _direction: TransferDirection) -> f64 {
-        0.0
     }
 
     fn host_threads(&self) -> usize {

@@ -198,16 +198,26 @@ mod tests {
         assert_eq!(stats.mem_time_s, 0.0);
         assert_eq!(stats.launch_overhead_s, 0.0);
         assert!(stats.time_s > 0.0, "wall clock must have advanced");
+        assert_cpu_clock(&cpu);
+    }
+
+    /// The clock of a CPU device with two host threads, bare or wrapped.
+    fn assert_cpu_clock(cpu: &dyn Backend) {
+        assert!(!cpu.is_modeled());
+        assert_eq!(cpu.device_name(), "host CPU (2 threads)");
         assert_eq!(cpu.charge_seconds(123.0, 0.5), 0.5);
-        assert_eq!(
-            cpu.transfer_seconds(1 << 30, TransferDirection::HostToDevice),
-            0.0
-        );
+        let to_device = TransferDirection::HostToDevice;
+        assert_eq!(cpu.transfer_seconds(1 << 30, to_device), 0.0);
     }
 
     #[test]
     fn sim_backend_preserves_the_modeling_behaviour() {
         let sim: Arc<dyn Backend> = BackendKind::Sim.create(GpuConfig::test_tiny(), Some(2));
+        assert_sim_clock(sim.as_ref());
+    }
+
+    /// The clock of the simulated `test_tiny` device, bare or wrapped.
+    fn assert_sim_clock(sim: &dyn Backend) {
         assert!(sim.is_modeled());
         assert_eq!(sim.device_name(), "test-tiny");
         assert_eq!(sim.charge_seconds(7e-6, 99.0), 7e-6);
@@ -224,6 +234,48 @@ mod tests {
         assert_eq!(stats.time_s, stats.serial_time_s);
         assert!((stats.serial_time_s - (k1.time_s + k2.time_s)).abs() < 1e-15);
         assert_eq!(stats.overlap_speedup(), 1.0);
+    }
+
+    /// A wrapper that supplies only the five required methods, each forwarded to the
+    /// device it wraps; every timing answer is the trait's, from the forwarded kind.
+    #[derive(Debug)]
+    struct Forward<'a>(&'a dyn Backend);
+
+    impl Backend for Forward<'_> {
+        fn config(&self) -> &GpuConfig {
+            self.0.config()
+        }
+        fn launch(&self, kernel: &dyn BlockKernel, cfg: LaunchConfig) -> KernelStats {
+            self.0.launch(kernel, cfg)
+        }
+        fn kind(&self) -> BackendKind {
+            self.0.kind()
+        }
+        fn host_threads(&self) -> usize {
+            self.0.host_threads()
+        }
+        fn run_tasks(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
+            self.0.run_tasks(n, task)
+        }
+    }
+
+    #[test]
+    fn a_wrapper_inherits_the_clock_of_its_kind() {
+        let cpu = CpuBackend::with_host_threads(GpuConfig::test_tiny(), 2);
+        let sim = Gpu::with_host_threads(GpuConfig::test_tiny(), 2);
+        assert_cpu_clock(&Forward(&cpu));
+        assert_sim_clock(&Forward(&sim));
+        // Concurrent streams: the serial sum on cpu, the stream-overlap model on sim.
+        let out = DeviceBuffer::<u32>::zeroed(4096);
+        for inner in [&cpu as &dyn Backend, &sim] {
+            let k = Forward(inner).launch(&Iota { out: &out }, LaunchConfig::covering(4096, 128));
+            let kernels = [k.clone(), k];
+            let expected = match inner.kind() {
+                BackendKind::Sim => concurrent_time(inner.config(), &kernels).time_s,
+                BackendKind::Cpu => kernels[0].time_s + kernels[1].time_s,
+            };
+            assert_eq!(Forward(inner).concurrent(&kernels).time_s, expected);
+        }
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //! backend (this is the part the paper optimizes) → reverse dual-quantization →
 //! outlier patching.
 //!
-//! Every decompression decodes its codes with [`decode_payload`]
-//! ([`huffdec_core::decode`], which takes every [`DecoderKind`], the RLE+Huffman hybrid
-//! included), and every multi-field decode is one wave of it ([`decode_payload_batch`],
-//! [`huffdec_core::decode_batch`]): hybrid fields ride the wave like any other field,
-//! and a wave of one is the serial decode. Encoding is likewise one core call per field
-//! whatever the kind. A payload that does not fit its decoder, or a stream that does
-//! not decode to its declared symbol count, fails with a typed [`DecodeError`].
+//! Every decompression decodes its codes with [`huffdec_core::decode`], which takes
+//! every [`DecoderKind`], the RLE+Huffman hybrid included, and every multi-field decode
+//! is one wave of it ([`huffdec_core::decode_batch`]): hybrid fields ride the wave like
+//! any other field, and a wave of one is the serial decode. Encoding is likewise one
+//! core call per field whatever the kind. A payload that does not fit its decoder, or a
+//! malformed stream or one that does not decode to its declared symbol count, fails
+//! with a typed [`DecodeError`].
 //!
 //! The decompression timing combines the simulated Huffman phase breakdown with an
 //! analytic cost for the (memory-bound) reconstruction kernels, so the overall
@@ -20,16 +20,9 @@
 use datasets::Field;
 use gpu_sim::{Backend, TransferDirection};
 use huffdec_core::{
-    compress_counted_on, compress_for, picks_hybrid, wire, zero_symbol, CompressedPayload,
+    compress_counted_on, compress_for, decode, picks_hybrid, wire, zero_symbol, CompressedPayload,
     DecodeError, DecodeResult, DecoderKind, EncodePhaseBreakdown, PhaseBreakdown,
 };
-
-/// Decodes one payload with whichever decoder `kind` names, the hybrid included: the
-/// decode every sz decompression path runs.
-pub use huffdec_core::decode as decode_payload;
-/// Decodes several payloads as one wave; a mismatched pair fails the batch before any
-/// decode runs, and otherwise the first field (in input order) that fails does.
-pub use huffdec_core::decode_batch as decode_payload_batch;
 
 use crate::error_bound::ErrorBound;
 use crate::lorenzo::{dequantize_codes, quantize, quantize_on, Outlier, Quantized};
@@ -419,7 +412,7 @@ pub fn reconstruct(gpu: &dyn Backend, c: &Compressed, decode_result: DecodeResul
 /// `codes` requests and `hfz verify --deep` — use: the returned symbols are exactly
 /// what [`Compressed::matches_decoded_crc`] digests.
 pub fn decode_codes(gpu: &dyn Backend, c: &Compressed) -> Result<DecodeResult, DecodeError> {
-    decode_payload(gpu, c.decoder(), &c.payload)
+    decode(gpu, c.decoder(), &c.payload)
 }
 
 /// Decompresses an archive, assuming the compressed data is already resident in GPU
@@ -460,7 +453,7 @@ mod tests {
     use super::*;
     use datasets::{dataset_by_name, generate};
     use gpu_sim::Gpu;
-    use huffdec_core::BatchStats;
+    use huffdec_core::{decode_batch, BatchStats};
 
     fn gpu() -> Gpu {
         Gpu::with_host_threads(gpu_sim::GpuConfig::test_tiny(), 4)
@@ -604,13 +597,13 @@ mod tests {
     }
 
     /// Decompresses `archives` the way a decode wave does: one batched Huffman wave
-    /// ([`decode_payload_batch`]), then [`reconstruct`] per field.
+    /// ([`decode_batch`]), then [`reconstruct`] per field.
     fn decompress_wave(
         g: &Gpu,
         archives: &[&Compressed],
     ) -> Result<(Vec<Decompressed>, BatchStats), DecodeError> {
         let items: Vec<_> = archives.iter().map(|c| (c.decoder(), &c.payload)).collect();
-        let (decoded, stats) = decode_payload_batch(g, &items)?;
+        let (decoded, stats) = decode_batch(g, &items)?;
         let fields = archives
             .iter()
             .zip(decoded)

@@ -31,7 +31,6 @@ use huffdec::gpu_sim::{Gpu, GpuConfig};
 use huffdec::huffman::{
     decode_flat, encode_chunked, encode_flat, BitReader, Codebook, MAX_CODE_LEN,
 };
-use huffdec::sz::{decode_payload, decode_payload_batch};
 use huffdec::{Compressed, SzConfig};
 use huffdec_hybrid::compress_hybrid;
 
@@ -187,12 +186,12 @@ fn hybrid_payloads_roundtrip_alone_and_inside_a_mixed_wave() {
             for gpu in &backends {
                 let gpu = gpu.as_ref();
                 let what = format!("{}% zeros, {} codes on {}", zero_pct, len, gpu.kind());
-                let alone = decode_payload(gpu, DecoderKind::RleHybrid, &hybrid).unwrap();
-                assert_eq!(alone.symbols, codes, "decode_payload, {}", what);
-                let (wave, stats) = decode_payload_batch(gpu, &items).unwrap();
+                let alone = decode(gpu, DecoderKind::RleHybrid, &hybrid).unwrap();
+                assert_eq!(alone.symbols, codes, "decode, {}", what);
+                let (wave, stats) = decode_batch(gpu, &items).unwrap();
                 assert_eq!(stats.fields, 3);
                 for result in &wave {
-                    assert_eq!(result.symbols, codes, "decode_payload_batch, {}", what);
+                    assert_eq!(result.symbols, codes, "decode_batch, {}", what);
                 }
             }
         }
@@ -431,8 +430,7 @@ fn streams_read_back_from_hfz1_and_hfz2_decode_to_the_oracle_on_both_backends() 
                 }
                 for (format, archive) in &read_back {
                     for gpu in &backends {
-                        let decoded =
-                            decode_payload(gpu.as_ref(), kind, archive.payload()).unwrap();
+                        let decoded = decode(gpu.as_ref(), kind, archive.payload()).unwrap();
                         assert_eq!(
                             &decoded.symbols,
                             expected,

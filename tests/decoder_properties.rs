@@ -1,13 +1,14 @@
 //! Property-based integration tests: every decoder must reproduce arbitrary symbol
-//! streams exactly, and the core Huffman invariants must hold for arbitrary frequency
-//! distributions.
+//! streams exactly, refuse a malformed stream without panicking, and the core Huffman
+//! invariants must hold for arbitrary frequency distributions.
 //!
 //! The properties are exercised with a seeded-PRNG case driver instead of an external
 //! property-testing crate (this environment cannot fetch dependencies); each property
 //! runs over a few dozen randomized cases and failures report the offending case seed.
 
 use huffdec::core_decoders::{
-    compress_for, decode, decode_range, prepare_decode, roundtrip, CpuBackend, DecoderKind,
+    compress_for, decode, decode_hybrid, decode_range, prepare_decode, roundtrip, Backend,
+    CompressedPayload, CpuBackend, DecodeError, DecoderKind, EncodedStream, HybridStream,
 };
 use huffdec::datasets::Rng;
 use huffdec::gpu_sim::{Gpu, GpuConfig};
@@ -126,6 +127,112 @@ fn cpu_decodes_never_run_the_tuner() {
         .timings
         .tune
         .is_some());
+}
+
+/// An edit of a stream's public fields.
+type Edit = fn(&mut EncodedStream);
+
+/// Edits that leave a stream malformed, each named.
+const MALFORMED: [(&str, Edit); 5] = [
+    ("a unit short", |s| {
+        s.units.pop();
+    }),
+    ("a unit long", |s| s.units.push(0)),
+    ("more symbols than bits", |s| {
+        s.num_symbols = s.bit_len as usize + 1
+    }),
+    ("a zero geometry", |s| s.geometry.subseq_units = 0),
+    ("a gap array one entry short", |s| {
+        if let Some(gap) = &mut s.gap_array {
+            gap.gaps.pop();
+        }
+    }),
+];
+
+/// The copies of `stream` that [`MALFORMED`]'s edits change, each named.
+fn malformed(stream: &EncodedStream) -> Vec<(&'static str, EncodedStream)> {
+    let edited = MALFORMED.iter().map(|(what, edit)| {
+        let mut copy = stream.clone();
+        edit(&mut copy);
+        (*what, copy)
+    });
+    edited.filter(|(_, copy)| copy != stream).collect()
+}
+
+/// Every decode entry point refuses a flat stream, or a hybrid substream, whose public
+/// fields no longer fit together, as `CorruptStream` on both backends: never a panic.
+#[test]
+fn malformed_streams_are_refused_as_corrupt() {
+    let (sim, cpu) = (
+        gpu(),
+        CpuBackend::with_host_threads(GpuConfig::test_tiny(), 2),
+    );
+    let backends: [&dyn Backend; 2] = [&sim, &cpu];
+    let symbols: Vec<u16> = (0..40_000u32).map(|i| (509 + i % 7) as u16).collect();
+    // A gap-array stream, which every flat decoder reads.
+    let good = compress_for(DecoderKind::OptimizedGapArray, &symbols, 1024);
+    let CompressedPayload::Flat(stream) = &good else {
+        unreachable!("a gap-array payload is flat")
+    };
+    for gpu in backends {
+        // The three flat decoders; the first of `all` is the chunked baseline.
+        for kind in &DecoderKind::all()[1..] {
+            let corrupt = Some(DecodeError::CorruptStream { decoder: *kind });
+            let prepared = prepare_decode(gpu, *kind, &good).unwrap();
+            for (what, bad) in malformed(stream) {
+                let bad = CompressedPayload::Flat(bad);
+                let on = format!("{} on {}, {:?}", what, gpu.kind(), kind);
+                assert_eq!(decode(gpu, *kind, &bad).err(), corrupt, "decode, {}", on);
+                let prepare = prepare_decode(gpu, *kind, &bad).err();
+                assert_eq!(prepare, corrupt, "prepare_decode, {}", on);
+                let range = decode_range(gpu, *kind, &bad, &prepared, 0, 1000).err();
+                assert_eq!(range, corrupt, "decode_range, {}", on);
+            }
+        }
+    }
+
+    let CompressedPayload::Hybrid(hybrid) = compress_for(DecoderKind::RleHybrid, &symbols, 1024)
+    else {
+        unreachable!("a hybrid payload")
+    };
+    let with_symbols = |symbols| HybridStream {
+        symbols,
+        ..hybrid.clone()
+    };
+    let with_runs = |runs| HybridStream {
+        runs,
+        ..hybrid.clone()
+    };
+    let broken = (malformed(&hybrid.symbols).into_iter())
+        .map(|(what, s)| (what, with_symbols(s)))
+        .chain(
+            malformed(&hybrid.runs)
+                .into_iter()
+                .map(|(what, r)| (what, with_runs(r))),
+        );
+    let broken: Vec<_> = broken.collect();
+    for gpu in backends {
+        for (what, bad) in &broken {
+            let on = format!("{} on {}", what, gpu.kind());
+            let decoder = DecoderKind::RleHybrid;
+            let whole = decode(gpu, decoder, &CompressedPayload::Hybrid(bad.clone())).err();
+            assert_eq!(
+                whole,
+                Some(DecodeError::CorruptStream { decoder }),
+                "{}",
+                on
+            );
+            // `decode_hybrid` is public too; it decodes each substream as self-sync.
+            let decoder = DecoderKind::OptimizedSelfSync;
+            let direct = decode_hybrid(gpu, bad).err();
+            assert_eq!(
+                direct,
+                Some(DecodeError::CorruptStream { decoder }),
+                "{}",
+                on
+            );
+        }
+    }
 }
 
 #[test]
