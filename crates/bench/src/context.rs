@@ -5,12 +5,11 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use datasets::{dataset_by_name, generate, Field};
-use gpu_sim::{DeviceBuffer, Gpu, KernelStats, PhaseTime};
+use gpu_sim::{DeviceBuffer, Gpu, KernelStats};
 use huffdec_codec::{BackendKind, Codec, CodecBuilder};
 use huffdec_core::{
-    compute_output_index, decode_original_gap8, encode_gap8, gap_count_symbols, run_decode_write,
-    synchronize, CompressedPayload, DecoderKind, EncodedStream, Gap8Stream, OutputIndex,
-    PhaseBreakdown, SubseqInfo, SyncVariant, WriteStrategy,
+    decode_original_gap8, encode_gap8, prepare_decode, run_decode_write, CompressedPayload,
+    DecoderKind, Gap8Stream, PhaseBreakdown, PreparedDecode, WriteStrategy,
 };
 use sz::DEFAULT_ALPHABET_SIZE as ALPHABET;
 use sz::{quantize, verify_error_bound, Compressed, DecompressStats, ErrorBound};
@@ -26,15 +25,6 @@ pub type Dataset = &'static str;
 /// Cache key: what was made, of which dataset, for which decoder (where one applies), at
 /// which relative error bound (its bits).
 type Key = (&'static str, Dataset, Option<DecoderKind>, u64);
-
-/// A flat stream synchronized (or gap-counted) and indexed, ready for decode-and-write.
-pub(crate) struct Prepared {
-    pub(crate) archive: Rc<Compressed>,
-    pub(crate) infos: Vec<SubseqInfo>,
-    pub(crate) output_index: OutputIndex,
-    /// The phases run so far (everything but tuning and decode-and-write).
-    pub(crate) timings: PhaseBreakdown,
-}
 
 /// One run of the report: the scaled device, one codec per decoder, and every field,
 /// archive and decode produced so far — each made once, and checked where it is made (a
@@ -125,7 +115,8 @@ impl Context {
         self.cached(("gap8", ds, None, rel_eb.to_bits()), |ctx| {
             let g8 = encode_gap8(&ctx.codes(ds, rel_eb), ALPHABET);
             let codec = ctx.codec(DecoderKind::OptimizedGapArray);
-            let (decoded, timings) = decode_original_gap8(codec.backend(), &g8);
+            let decoded = decode_original_gap8(codec.backend(), &g8);
+            let (decoded, timings) = decoded.expect("an 8-bit gap-array stream");
             assert!(
                 decoded == g8.symbols8,
                 "8-bit gap-array decode of {} diverged",
@@ -185,42 +176,36 @@ impl Context {
         })
     }
 
-    /// The dataset's flat stream at [`REL_EB`] made ready for decode-and-write: optimized
-    /// synchronization for a self-sync decoder, the gap-array counting phase otherwise.
-    pub(crate) fn prepared(&mut self, ds: Dataset, decoder: DecoderKind) -> Rc<Prepared> {
+    /// The dataset's flat stream at [`REL_EB`] made ready for decode-and-write by
+    /// [`prepare_decode`]: synchronization for a self-sync decoder, the gap-array counting
+    /// phase otherwise, then the output-index prefix sum (its `timings` are those phases).
+    pub(crate) fn prepared(&mut self, ds: Dataset, decoder: DecoderKind) -> Rc<PreparedDecode> {
         self.cached(("prepared", ds, Some(decoder), 0), |ctx| {
             let archive = ctx.archive(ds, decoder, REL_EB);
-            let stream = flat_stream(&archive);
-            let mut timings = PhaseBreakdown::default();
-            let (infos, mut index_phase) = if stream.gap_array.is_none() {
-                let sync = synchronize(&ctx.gpu, stream, SyncVariant::Optimized);
-                timings.intra_sync = Some(sync.intra_phase);
-                timings.inter_sync = Some(sync.inter_phase);
-                (sync.infos, PhaseTime::empty())
-            } else {
-                gap_count_symbols(&ctx.gpu, stream)
-            };
-            let (output_index, phase) = compute_output_index(&ctx.gpu, &infos);
-            index_phase.extend_serial(phase);
-            timings.output_index = Some(index_phase);
-            Prepared {
-                archive,
-                infos,
-                output_index,
-                timings,
-            }
+            let prepared = prepare_decode(&ctx.gpu, decoder, &archive.payload);
+            prepared.expect("payload matches decoder")
         })
     }
 
-    /// Runs the decode-and-write kernel over every sequence of a prepared stream and
+    /// Runs the decode-and-write kernel over every sequence of the prepared stream and
     /// checks what it wrote against the archive's digest.
-    pub(crate) fn decode_write(&self, p: &Prepared, strategy: WriteStrategy) -> KernelStats {
-        let stream = flat_stream(&p.archive);
-        let output = DeviceBuffer::<u16>::zeroed(p.output_index.total as usize);
+    pub(crate) fn decode_write(
+        &mut self,
+        ds: Dataset,
+        decoder: DecoderKind,
+        strategy: WriteStrategy,
+    ) -> KernelStats {
+        let archive = self.archive(ds, decoder, REL_EB);
+        let prepared = self.prepared(ds, decoder);
+        let CompressedPayload::Flat(stream) = &archive.payload else {
+            unreachable!("fine-grained decoders consume flat streams")
+        };
+        let output = DeviceBuffer::<u16>::zeroed(archive.payload.num_symbols());
         let seqs: Vec<u32> = (0..stream.num_seqs() as u32).collect();
-        let (infos, index) = (&p.infos, &p.output_index);
-        let stats = run_decode_write(&self.gpu, stream, infos, index, &output, &seqs, strategy);
-        assert_digest(&p.archive, &output.into_vec(), "decode-and-write");
+        let (gpu, payload) = (&self.gpu, &archive.payload);
+        let stats = run_decode_write(gpu, decoder, payload, &prepared, &output, &seqs, strategy);
+        let stats = stats.expect("prepared for this payload");
+        assert_digest(&archive, &output.into_vec(), "decode-and-write");
         stats
     }
 
@@ -228,9 +213,9 @@ impl Context {
     /// the optimized self-sync decoder at every buffer size from 1024 to 8192 symbols.
     pub(crate) fn buffer_sweep(&mut self, ds: Dataset) -> Rc<Vec<(u32, KernelStats)>> {
         self.cached(("sweep", ds, None, 0), |ctx| {
-            let prepared = ctx.prepared(ds, DecoderKind::OptimizedSelfSync);
             let staged = |buffer_symbols| WriteStrategy::Staged { buffer_symbols };
-            let run = |size| (size, ctx.decode_write(&prepared, staged(size)));
+            let decoder = DecoderKind::OptimizedSelfSync;
+            let run = |size| (size, ctx.decode_write(ds, decoder, staged(size)));
             (1024..=8192).step_by(512).map(run).collect()
         })
     }
@@ -245,12 +230,4 @@ pub(crate) fn assert_digest(archive: &Compressed, symbols: &[u16], decoder: &str
         "{} diverged from the encoded stream",
         decoder
     );
-}
-
-/// The flat stream of an archive compressed for a fine-grained decoder.
-pub(crate) fn flat_stream(archive: &Compressed) -> &EncodedStream {
-    match &archive.payload {
-        CompressedPayload::Flat(stream) => stream,
-        _ => unreachable!("fine-grained decoders consume flat streams"),
-    }
 }

@@ -33,9 +33,8 @@ fn table(ctx: &mut Context, title: &str, direct: bool) -> Experiment {
                 return ctx.gbs(spec.name, &timings);
             }
             // The optimized decoder's preparation phases, then a direct-write kernel.
-            let prepared = ctx.prepared(spec.name, decoder);
-            let stats = ctx.decode_write(&prepared, WriteStrategy::Direct);
-            let mut timings = prepared.timings.clone();
+            let stats = ctx.decode_write(spec.name, decoder, WriteStrategy::Direct);
+            let mut timings = ctx.prepared(spec.name, decoder).timings.clone();
             timings.decode_write = Some(PhaseTime::from_kernel(stats));
             ctx.gbs(spec.name, &timings)
         };

@@ -393,16 +393,13 @@ pub fn encode_chunked_stream(encoded: &ChunkedEncoded) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Parses and validates a chunked-stream payload: chunks must tile the unit array
-/// contiguously and their symbol counts must sum to the stream total, so the baseline
-/// decoder can trust every offset.
+/// Parses a chunked-stream payload, bounding every allocation by the section size, and
+/// checks the result with [`ChunkedEncoded::check_structure`], so the baseline decoder
+/// can trust every offset.
 pub fn parse_chunked_stream(payload: &[u8]) -> Result<ChunkedEncoded> {
     let mut c = ByteCursor::new(payload, "chunked-stream section");
     let chunk_symbols =
         usize::try_from(c.get_u64()?).map_err(|_| invalid("chunk size exceeds usize"))?;
-    if chunk_symbols == 0 {
-        return Err(invalid("zero chunk size"));
-    }
     let num_symbols =
         usize::try_from(c.get_u64()?).map_err(|_| invalid("symbol count exceeds usize"))?;
     let num_chunks =
@@ -414,48 +411,18 @@ pub fn parse_chunked_stream(payload: &[u8]) -> Result<ChunkedEncoded> {
     }
 
     let mut chunks = Vec::with_capacity(num_chunks);
-    let mut expected_unit_offset = 0u64;
-    let mut expected_symbol_offset = 0u64;
     for _ in 0..num_chunks {
-        let chunk = ChunkMeta {
+        chunks.push(ChunkMeta {
             unit_offset: c.get_u64()?,
             unit_count: c.get_u64()?,
             bit_len: c.get_u64()?,
             num_symbols: c.get_u64()?,
             symbol_offset: c.get_u64()?,
-        };
-        if chunk.unit_offset != expected_unit_offset {
-            return Err(invalid("chunks do not tile the unit array"));
-        }
-        if chunk.symbol_offset != expected_symbol_offset {
-            return Err(invalid("chunk symbol offsets are inconsistent"));
-        }
-        if chunk.bit_len > chunk.unit_count.saturating_mul(32) {
-            return Err(invalid("chunk bit length exceeds its units"));
-        }
-        if chunk.num_symbols > chunk.bit_len {
-            return Err(invalid("more symbols than bits in a chunk"));
-        }
-        expected_unit_offset = expected_unit_offset
-            .checked_add(chunk.unit_count)
-            .ok_or_else(|| invalid("unit offsets overflow"))?;
-        expected_symbol_offset = expected_symbol_offset
-            .checked_add(chunk.num_symbols)
-            .ok_or_else(|| invalid("symbol offsets overflow"))?;
-        chunks.push(chunk);
-    }
-    if expected_symbol_offset != num_symbols as u64 {
-        return Err(invalid(
-            "chunk symbol counts do not sum to the stream total",
-        ));
+        });
     }
 
-    let unit_count = c.get_u64()?;
-    if unit_count != expected_unit_offset {
-        return Err(invalid("unit count does not match the chunk tiling"));
-    }
     let unit_count =
-        usize::try_from(unit_count).map_err(|_| invalid("unit count exceeds usize"))?;
+        usize::try_from(c.get_u64()?).map_err(|_| invalid("unit count exceeds usize"))?;
     // Bound the allocation by what the section can actually hold before reserving.
     if unit_count > c.remaining() / 4 {
         return Err(invalid("unit count exceeds the section size"));
@@ -465,12 +432,14 @@ pub fn parse_chunked_stream(payload: &[u8]) -> Result<ChunkedEncoded> {
         units.push(c.get_u32()?);
     }
     c.expect_end("trailing bytes in chunked-stream section")?;
-    Ok(ChunkedEncoded {
+    let encoded = ChunkedEncoded {
         units,
         chunks,
         chunk_symbols,
         num_symbols,
-    })
+    };
+    encoded.check_structure().map_err(invalid)?;
+    Ok(encoded)
 }
 
 // --- Hybrid stream (format v2) ---------------------------------------------------------
@@ -820,9 +789,17 @@ mod tests {
     fn chunked_stream_with_gapped_tiling_rejected() {
         let syms = symbols(5000);
         let cb = Codebook::from_symbols(&syms, 1024);
-        let mut enc = encode_chunked(&cb, &syms, 1024);
-        enc.chunks[1].unit_offset += 1;
-        assert!(parse_chunked_stream(&encode_chunked_stream(&enc)).is_err());
+        let enc = encode_chunked(&cb, &syms, 1024);
+        let mut gapped = enc.clone();
+        gapped.chunks[1].unit_offset += 1;
+        let mut unit_short = enc;
+        unit_short.units.pop();
+        for bad in [gapped, unit_short] {
+            assert!(matches!(
+                parse_chunked_stream(&encode_chunked_stream(&bad)),
+                Err(ContainerError::Invalid { .. })
+            ));
+        }
     }
 
     #[test]

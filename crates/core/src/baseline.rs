@@ -25,7 +25,7 @@ struct CoarseDecodeKernel<'a> {
     encoded: &'a ChunkedEncoded,
     codebook: &'a Codebook,
     output: &'a DeviceBuffer<u16>,
-    /// Output position of `output[0]`, as in [`crate::DecodeWriteKernel`].
+    /// Output position of `output[0]`, as in [`crate::decode_write::DecodeWriteKernel`].
     output_start: u64,
     chunk_indices: &'a [u32],
     /// Symbols the launch actually decoded. A lane stops at the first codeword that
@@ -125,7 +125,7 @@ impl BlockKernel for CoarseDecodeKernel<'_> {
 ///
 /// Returns [`DecodeError::CorruptStream`] when a chunk's bits do not decode to the
 /// symbol count it declares.
-pub fn decode_baseline_chunks(
+pub(crate) fn decode_baseline_chunks(
     gpu: &dyn Backend,
     encoded: &ChunkedEncoded,
     codebook: &Codebook,

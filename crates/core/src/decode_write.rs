@@ -45,22 +45,22 @@ impl WriteStrategy {
 }
 
 /// The decode-and-write kernel. One block per (selected) sequence.
-pub struct DecodeWriteKernel<'a> {
+pub(crate) struct DecodeWriteKernel<'a> {
     /// The encoded stream.
-    pub stream: &'a EncodedStream,
+    pub(crate) stream: &'a EncodedStream,
     /// Converged per-subsequence state.
-    pub infos: &'a [SubseqInfo],
+    pub(crate) infos: &'a [SubseqInfo],
     /// Output offsets per subsequence.
-    pub output_index: &'a OutputIndex,
+    pub(crate) output_index: &'a OutputIndex,
     /// Output symbol buffer: the symbols from output position `output_start` on.
-    pub output: &'a DeviceBuffer<u16>,
+    pub(crate) output: &'a DeviceBuffer<u16>,
     /// Output position of `output[0]`. A symbol outside the buffer is decoded and
     /// dropped; the cost model charges every store at its output position.
-    pub output_start: u64,
+    pub(crate) output_start: u64,
     /// Sequences this launch is responsible for; block `i` handles `seq_indices[i]`.
-    pub seq_indices: &'a [u32],
+    pub(crate) seq_indices: &'a [u32],
     /// Write strategy.
-    pub strategy: WriteStrategy,
+    pub(crate) strategy: WriteStrategy,
 }
 
 impl DecodeWriteKernel<'_> {
@@ -259,30 +259,6 @@ impl DecodeWriteKernel<'_> {
     }
 }
 
-/// Launches the decode-and-write kernel over the given sequences and returns the kernel
-/// statistics. The output buffer, which spans every symbol, is filled functionally for
-/// the selected sequences.
-pub fn run_decode_write(
-    gpu: &dyn Backend,
-    stream: &EncodedStream,
-    infos: &[SubseqInfo],
-    output_index: &OutputIndex,
-    output: &DeviceBuffer<u16>,
-    seq_indices: &[u32],
-    strategy: WriteStrategy,
-) -> KernelStats {
-    DecodeWriteKernel {
-        stream,
-        infos,
-        output_index,
-        output,
-        output_start: 0,
-        seq_indices,
-        strategy,
-    }
-    .run(gpu)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,19 +273,38 @@ mod tests {
         (EncodedStream::encode(&cb, &symbols), symbols)
     }
 
+    /// Decodes `seq_indices` of `stream` from its reference state into every symbol.
+    fn launch(
+        stream: &EncodedStream,
+        seq_indices: &[u32],
+        strategy: WriteStrategy,
+    ) -> (Vec<u16>, KernelStats, OutputIndex) {
+        let g = gpu();
+        let infos = reference_subseq_infos(stream);
+        let (output_index, _) = compute_output_index(&g, &infos);
+        let output = DeviceBuffer::<u16>::zeroed(output_index.total as usize);
+        let kernel = DecodeWriteKernel {
+            stream,
+            infos: &infos,
+            output_index: &output_index,
+            output: &output,
+            output_start: 0,
+            seq_indices,
+            strategy,
+        };
+        let stats = kernel.run(&g);
+        (output.into_vec(), stats, output_index)
+    }
+
     fn decode_with(
         strategy: WriteStrategy,
         n: usize,
         spread: u32,
     ) -> (Vec<u16>, KernelStats, Vec<u16>) {
         let (stream, symbols) = setup(n, spread);
-        let g = gpu();
-        let infos = reference_subseq_infos(&stream);
-        let (oi, _) = compute_output_index(&g, &infos);
-        let output = DeviceBuffer::<u16>::zeroed(oi.total as usize);
         let all_seqs: Vec<u32> = (0..stream.num_seqs() as u32).collect();
-        let stats = run_decode_write(&g, &stream, &infos, &oi, &output, &all_seqs, strategy);
-        (output.to_vec(), stats, symbols)
+        let (decoded, stats, _) = launch(&stream, &all_seqs, strategy);
+        (decoded, stats, symbols)
     }
 
     #[test]
@@ -387,26 +382,14 @@ mod tests {
     #[test]
     fn subset_of_sequences_only_fills_that_subset() {
         let (stream, symbols) = setup(80_000, 7);
-        let g = gpu();
-        let infos = reference_subseq_infos(&stream);
-        let (oi, _) = compute_output_index(&g, &infos);
-        let output = DeviceBuffer::<u16>::zeroed(oi.total as usize);
         // Only decode even sequences.
         let seqs: Vec<u32> = (0..stream.num_seqs() as u32)
             .filter(|s| s % 2 == 0)
             .collect();
-        run_decode_write(
-            &g,
-            &stream,
-            &infos,
-            &oi,
-            &output,
-            &seqs,
-            WriteStrategy::Staged {
-                buffer_symbols: 2048,
-            },
-        );
-        let decoded = output.to_vec();
+        let strategy = WriteStrategy::Staged {
+            buffer_symbols: 2048,
+        };
+        let (decoded, _, oi) = launch(&stream, &seqs, strategy);
         let spb = stream.geometry.subseqs_per_seq as usize;
         // Check a symbol range covered by sequence 0 matches, and one covered by
         // sequence 1 does not (still zero).

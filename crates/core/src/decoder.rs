@@ -267,9 +267,10 @@ pub enum DecodeError {
         /// What the substreams disagree about.
         reason: &'static str,
     },
-    /// The stream is malformed ([`EncodedStream::check_structure`] refuses it) or does
-    /// not decode to the symbol count it declares: a codeword that resolves to no
-    /// symbol, bits that run out early, or a count that disagrees with the bits.
+    /// The stream is malformed ([`ChunkedEncoded::check_structure`] or
+    /// [`EncodedStream::check_structure`] refuses it) or does not decode to the symbol
+    /// count it declares: a codeword that resolves to no symbol, bits that run out
+    /// early, or a count that disagrees with the bits.
     /// Reachable from CRC-valid archives whose sections are individually well-formed,
     /// and from streams built by hand, so it is an error, never a panic or a silently
     /// short (or long) field.
@@ -360,16 +361,18 @@ impl CheckedPayload<'_> {
 /// Returns [`DecodeError::PayloadMismatch`] for any other pair — a chunked payload handed
 /// to a fine-grained decoder, a gap-array decoder given a stream without a gap array, a
 /// hybrid payload with a dense decoder or the reverse. Such pairs can reach a decode
-/// from CRC-valid but inconsistent archives. A flat stream, or either substream of a
-/// hybrid, that fails [`EncodedStream::check_structure`] is a
-/// [`DecodeError::CorruptStream`]. A chunked stream's tiling is checked when the
-/// container parses it.
+/// from CRC-valid but inconsistent archives. A chunked stream that fails
+/// [`ChunkedEncoded::check_structure`], or a flat stream or either substream of a hybrid
+/// that fails [`EncodedStream::check_structure`], is a [`DecodeError::CorruptStream`]:
+/// the fields are public, so a hand-built payload reaches the kernels only through here.
 pub(crate) fn check_payload(
     kind: DecoderKind,
     payload: &CompressedPayload,
 ) -> Result<CheckedPayload<'_>, DecodeError> {
     match (kind.layout(), payload) {
         (StreamLayout::Chunked, CompressedPayload::Chunked { encoded, codebook }) => {
+            let corrupt = |_| DecodeError::CorruptStream { decoder: kind };
+            encoded.check_structure().map_err(corrupt)?;
             Ok(CheckedPayload::Chunked { encoded, codebook })
         }
         (StreamLayout::Flat, CompressedPayload::Flat(stream)) => {

@@ -14,8 +14,11 @@
 use gpu_sim::{cost, Backend, BlockContext, BlockKernel, DeviceBuffer, LaunchConfig, PhaseTime};
 use huffman::{BitReader, Codebook};
 
+use crate::decode_write::{DecodeWriteKernel, WriteStrategy};
+use crate::decoder::{checked_flat, CheckedPayload, DecodeError, DecoderKind};
 use crate::format::EncodedStream;
 use crate::phases::PhaseBreakdown;
+use crate::range::prepare_checked;
 use crate::subseq::SubseqInfo;
 
 const COUNT_BLOCK_DIM: u32 = 128;
@@ -86,11 +89,12 @@ impl BlockKernel for GapCountKernel<'_> {
 }
 
 /// Runs the gap-array counting phase: returns per-subsequence states (start from the gap
-/// array, count from redundant decoding) and the phase time.
+/// array, count from redundant decoding) and the phase time. The stream has passed the
+/// decode gate, so its gap array covers every subsequence.
 ///
 /// # Panics
 /// Panics if the stream was encoded without a gap array.
-pub fn gap_count_symbols(
+pub(crate) fn gap_count_symbols(
     gpu: &dyn Backend,
     stream: &EncodedStream,
 ) -> (Vec<SubseqInfo>, PhaseTime) {
@@ -103,12 +107,6 @@ pub fn gap_count_symbols(
     if total_subs == 0 {
         return (Vec::new(), phase);
     }
-    assert_eq!(
-        gap.len(),
-        total_subs,
-        "gap array does not match the stream geometry"
-    );
-
     let starts: Vec<u64> = (0..total_subs)
         .map(|i| gap.start_bit(i).min(stream.bit_len))
         .collect();
@@ -173,24 +171,30 @@ pub fn encode_gap8(symbols: &[u16], alphabet_size: usize) -> Gap8Stream {
 /// Decodes an 8-bit gap-array stream with the *original* (direct-write) strategy:
 /// counting phase + prefix sum + direct writes, where each thread packs four 8-bit symbols
 /// into one 32-bit store (Yamamoto et al. write multiple symbols at a time).
-pub fn decode_original_gap8(gpu: &dyn Backend, g8: &Gap8Stream) -> (Vec<u8>, PhaseBreakdown) {
-    use crate::decode_write::{run_decode_write, WriteStrategy};
-    use crate::output_index::compute_output_index;
-
-    let (infos, count_phase) = gap_count_symbols(gpu, &g8.stream);
-    let (oi, prefix_phase) = compute_output_index(gpu, &infos);
-
-    let output = DeviceBuffer::<u16>::zeroed(oi.total as usize);
-    let all_seqs: Vec<u32> = (0..g8.stream.num_seqs() as u32).collect();
-    let stats = run_decode_write(
-        gpu,
-        &g8.stream,
-        &infos,
-        &oi,
-        &output,
-        &all_seqs,
-        WriteStrategy::Direct,
-    );
+/// The stream passes the gap-array decoder's checks and fails as [`crate::decode`] would.
+pub fn decode_original_gap8(
+    gpu: &dyn Backend,
+    g8: &Gap8Stream,
+) -> Result<(Vec<u8>, PhaseBreakdown), DecodeError> {
+    let kind = DecoderKind::OptimizedGapArray;
+    let stream = match g8.stream.gap_array {
+        Some(_) => checked_flat(kind, &g8.stream)?,
+        None => return Err(DecodeError::PayloadMismatch { decoder: kind }),
+    };
+    let prepared = prepare_checked(gpu, kind, CheckedPayload::Flat(stream))?;
+    let (infos, output_index) = prepared.flat_index(kind, stream)?;
+    let output = DeviceBuffer::<u16>::zeroed(stream.num_symbols);
+    let all_seqs: Vec<u32> = (0..stream.num_seqs() as u32).collect();
+    let stats = DecodeWriteKernel {
+        stream,
+        infos,
+        output_index,
+        output: &output,
+        output_start: 0,
+        seq_indices: &all_seqs,
+        strategy: WriteStrategy::Direct,
+    }
+    .run(gpu);
 
     // Packed 4-byte stores write one quarter of the transactions of per-symbol stores;
     // reflect that by scaling the decode/write time's store-bound component. The
@@ -207,18 +211,12 @@ pub fn decode_original_gap8(gpu: &dyn Backend, g8: &Gap8Stream) -> (Vec<u8>, Pha
     }
     decode_phase.push_serial(adjusted);
 
-    let mut output_index_phase = count_phase;
-    output_index_phase.extend_serial(prefix_phase);
-
     let timings = PhaseBreakdown {
-        intra_sync: None,
-        inter_sync: None,
-        output_index: Some(output_index_phase),
-        tune: None,
         decode_write: Some(decode_phase),
+        ..prepared.timings
     };
     let symbols: Vec<u8> = output.into_vec().into_iter().map(|s| s as u8).collect();
-    (symbols, timings)
+    Ok((symbols, timings))
 }
 
 #[cfg(test)]
@@ -259,7 +257,7 @@ mod tests {
     fn gap8_roundtrip_decodes_trimmed_symbols() {
         let symbols = quant_symbols(40_000, 6);
         let g8 = encode_gap8(&symbols, 1024);
-        let (decoded, timings) = decode_original_gap8(&gpu(), &g8);
+        let (decoded, timings) = decode_original_gap8(&gpu(), &g8).unwrap();
         assert_eq!(decoded, g8.symbols8);
         assert!(timings.output_index.is_some());
         assert!(timings.decode_write.is_some());

@@ -7,11 +7,10 @@
 //!
 //! The five decoding methods of the paper's evaluation are all here:
 //!
-//! * [`decoder::DecoderKind::CuszBaseline`] — cuSZ's coarse-grained chunked decoder
-//!   ([`baseline`]);
+//! * [`decoder::DecoderKind::CuszBaseline`] — cuSZ's coarse-grained chunked decoder;
 //! * [`decoder::DecoderKind::OriginalSelfSync`] — Weißenberger & Schmidt's
-//!   self-synchronization decoder adapted to multi-byte symbols ([`self_sync`] +
-//!   direct-write [`decode_write`]);
+//!   self-synchronization decoder adapted to multi-byte symbols, with direct writes
+//!   ([`decode_write`]);
 //! * [`decoder::DecoderKind::OptimizedSelfSync`] — the paper's optimized self-sync decoder:
 //!   early-exit intra-sequence synchronization (§IV-A), shared-memory staged decode/write
 //!   (Algorithm 1, §IV-B), and online shared-memory tuning (Algorithm 2, §IV-C);
@@ -28,6 +27,12 @@
 //! per-phase evaluation (Table II). On the unmodeled CPU backend a full decode of a flat
 //! stream skips those phases: it is one launch that decodes each sequence once (see
 //! [`decoder`]).
+//!
+//! The kernels are private: every decode reaches them through the one payload check of
+//! [`decode`], [`decode_batch`] and [`prepare_decode`], so a malformed stream is a typed
+//! [`DecodeError`]. The kernel-level surface is [`prepare_decode`] (the preparation phases
+//! and output index), [`decode_range`] (the decode/write phase over some blocks) and
+//! [`run_decode_write`] (that kernel alone, under a chosen [`WriteStrategy`]).
 //!
 //! ## Quick example
 //!
@@ -54,7 +59,7 @@
 
 #![warn(missing_docs)]
 
-pub mod baseline;
+mod baseline;
 pub mod batch;
 pub mod crc32;
 pub mod decode_write;
@@ -63,32 +68,28 @@ pub mod encode;
 pub mod format;
 pub mod gap_decode;
 pub mod hybrid;
-pub mod output_index;
+mod output_index;
 pub mod phases;
 pub mod range;
-pub mod self_sync;
-pub mod subseq;
+mod self_sync;
+mod subseq;
 #[cfg(test)]
 pub(crate) mod testutil;
 pub mod tuner;
 mod walk;
 
-pub use baseline::decode_baseline_chunks;
 pub use batch::{decode_batch, decode_wave, BatchStats};
 pub use crc32::{crc32, crc32_combine, crc32_symbols, Crc32};
-pub use decode_write::{run_decode_write, DecodeWriteKernel, WriteStrategy};
+pub use decode_write::WriteStrategy;
 pub use decoder::{compress_for, decode, roundtrip, CompressedPayload, DecodeError, DecoderKind};
 pub use encode::{compress_counted_on, compress_on, EncodePhaseBreakdown};
 pub use format::{
     wire, EncodedStream, HybridStream, StreamGeometry, StreamLayout, DEFAULT_SUBSEQ_UNITS,
     DEFAULT_THREADS_PER_BLOCK, HYBRID_RUN_ALPHABET, HYBRID_RUN_CAP,
 };
-pub use gap_decode::{decode_original_gap8, encode_gap8, gap_count_symbols, Gap8Stream};
+pub use gap_decode::{decode_original_gap8, encode_gap8, Gap8Stream};
 pub use gpu_sim::{Backend, BackendKind, CpuBackend, BACKEND_ENV};
 pub use hybrid::{compress_hybrid, compress_hybrid_on, decode_hybrid, picks_hybrid, zero_symbol};
-pub use output_index::{compute_output_index, OutputIndex};
 pub use phases::{DecodeResult, PhaseBreakdown};
-pub use range::{decode_range, prepare_decode, PreparedDecode, RangeDecode};
-pub use self_sync::{synchronize, SyncResult, SyncVariant};
-pub use subseq::SubseqInfo;
-pub use tuner::{tuned_decode_write, TunedDecode, HIGH_CR_BUFFER_SYMBOLS};
+pub use range::{decode_range, prepare_decode, run_decode_write, PreparedDecode, RangeDecode};
+pub use tuner::HIGH_CR_BUFFER_SYMBOLS;

@@ -13,15 +13,18 @@ use crate::subseq::SubseqInfo;
 /// The output index: `offsets[i]` is where subsequence `i`'s first symbol lands in the
 /// output array; `total` is the total number of decoded symbols.
 #[derive(Debug, Clone)]
-pub struct OutputIndex {
+pub(crate) struct OutputIndex {
     /// Exclusive prefix sums of the per-subsequence symbol counts.
-    pub offsets: Vec<u64>,
+    pub(crate) offsets: Vec<u64>,
     /// Total symbol count (= the last offset plus the last count).
-    pub total: u64,
+    pub(crate) total: u64,
 }
 
 /// Computes the output index on the device from per-subsequence states.
-pub fn compute_output_index(gpu: &dyn Backend, infos: &[SubseqInfo]) -> (OutputIndex, PhaseTime) {
+pub(crate) fn compute_output_index(
+    gpu: &dyn Backend,
+    infos: &[SubseqInfo],
+) -> (OutputIndex, PhaseTime) {
     let counts: Vec<u64> = infos.iter().map(|i| i.num_symbols).collect();
     let (offsets, total, phase) = device_exclusive_prefix_sum(gpu, &counts);
     (OutputIndex { offsets, total }, phase)

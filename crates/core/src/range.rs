@@ -9,10 +9,9 @@
 //! * the **chunked** (baseline) format records per-chunk `symbol_offset`/`num_symbols`,
 //!   so the overlapping chunks are found by binary search and decoded independently;
 //! * the **flat** formats reduce, after their preparation phases (self-synchronization
-//!   or gap-array counting + output-index prefix sum), to per-subsequence
-//!   [`SubseqInfo`]s and an [`OutputIndex`] — which map any symbol index back to the
-//!   sequence (thread block) that produces it, so only those blocks need a
-//!   decode/write launch.
+//!   or gap-array counting + output-index prefix sum), to per-subsequence start bits and
+//!   counts and an output index — which map any symbol index back to the sequence
+//!   (thread block) that produces it, so only those blocks need a decode/write launch.
 //!
 //! [`prepare_decode`] picks the preparation for the decoder (both synchronization
 //! phases, or the gap-array symbol count; nothing for chunked streams, whose chunk table
@@ -28,11 +27,12 @@
 
 use std::ops::Range;
 
-use gpu_sim::{Backend, DeviceBuffer, PhaseTime};
+use gpu_sim::{Backend, DeviceBuffer, KernelStats, PhaseTime};
 
 use crate::baseline::decode_baseline_chunks;
 use crate::decode_write::{DecodeWriteKernel, WriteStrategy};
 use crate::decoder::{check_payload, CheckedPayload, CompressedPayload, DecodeError, DecoderKind};
+use crate::format::EncodedStream;
 use crate::gap_decode::gap_count_symbols;
 use crate::output_index::{compute_output_index, OutputIndex};
 use crate::phases::PhaseBreakdown;
@@ -53,6 +53,21 @@ pub struct PreparedDecode {
     flat: Option<(Vec<SubseqInfo>, OutputIndex)>,
     /// Simulated timing of the preparation phases (empty for chunked streams).
     pub timings: PhaseBreakdown,
+}
+
+impl PreparedDecode {
+    /// The flat index when it was prepared for a stream of `stream`'s shape (as many
+    /// subsequences and symbols); a [`DecodeError::PayloadMismatch`] otherwise.
+    pub(crate) fn flat_index(
+        &self,
+        kind: DecoderKind,
+        stream: &EncodedStream,
+    ) -> Result<(&[SubseqInfo], &OutputIndex), DecodeError> {
+        let mismatch = DecodeError::PayloadMismatch { decoder: kind };
+        let (infos, index) = self.flat.as_ref().ok_or(mismatch)?;
+        let fits = infos.len() == stream.num_subseqs() && index.total == stream.num_symbols as u64;
+        fits.then_some((infos.as_slice(), index)).ok_or(mismatch)
+    }
 }
 
 /// The result of one partial decode.
@@ -161,23 +176,18 @@ pub(crate) fn decode_write(
     let output = |num_symbols: u64| {
         DeviceBuffer::<u16>::zeroed((window.end.min(num_symbols) - output_start) as usize)
     };
-    let (output, stats) = match (payload, &prepared.flat) {
-        (CheckedPayload::Chunked { encoded, codebook }, None) => {
+    let (output, stats) = match payload {
+        CheckedPayload::Chunked { encoded, codebook } if prepared.flat.is_none() => {
             let output = output(encoded.num_symbols as u64);
             let stats =
                 decode_baseline_chunks(gpu, encoded, codebook, blocks, &output, output_start)?;
             (output, stats)
         }
-        (CheckedPayload::Flat(stream), Some((infos, output_index))) => {
-            debug_assert_eq!(infos.len(), stream.num_subseqs(), "index/payload mismatch");
+        CheckedPayload::Flat(stream) => {
+            let (infos, output_index) = prepared.flat_index(kind, stream)?;
             let output = output(output_index.total);
             if tuned {
-                let tuned = tuned_decode_write(gpu, stream, infos, output_index, &output);
-                let phases = PhaseBreakdown {
-                    tune: Some(tuned.tune_phase),
-                    decode_write: Some(tuned.decode_phase),
-                    ..PhaseBreakdown::default()
-                };
+                let phases = tuned_decode_write(gpu, stream, infos, output_index, &output);
                 return Ok((output, phases));
             }
             let strategy = if optimized {
@@ -214,7 +224,7 @@ pub(crate) fn decode_write(
 /// `prepared` must come from [`prepare_decode`] over the *same* payload and decoder.
 /// Returns [`DecodeError::RangeOutOfBounds`] when the range does not fit the stream,
 /// and [`DecodeError::PayloadMismatch`] for a hybrid payload, as [`prepare_decode`]
-/// does.
+/// does, or for an index prepared from a stream of another shape.
 pub fn decode_range(
     gpu: &dyn Backend,
     kind: DecoderKind,
@@ -236,16 +246,8 @@ pub fn decode_range(
         },
     )?;
 
-    if len == 0 {
-        return Ok(RangeDecode {
-            symbols: Vec::new(),
-            timings: PhaseBreakdown::default(),
-            decoded_blocks: 0,
-            total_blocks,
-        });
-    }
-    let blocks: Vec<u32> = match (checked, &prepared.flat) {
-        (CheckedPayload::Chunked { encoded, .. }, None) => {
+    let blocks: Vec<u32> = match checked {
+        CheckedPayload::Chunked { encoded, .. } if prepared.flat.is_none() => {
             // Chunks are sorted by symbol_offset and tile the symbol space, so the
             // overlapping run is a contiguous window found by binary search.
             let first = encoded
@@ -257,7 +259,8 @@ pub fn decode_range(
                 .count();
             (first as u32..(first + overlapping) as u32).collect()
         }
-        (CheckedPayload::Flat(stream), Some((_, output_index))) => {
+        CheckedPayload::Flat(stream) => {
+            let (_, output_index) = prepared.flat_index(kind, stream)?;
             // A sequence's output span is [offsets[first subseq], offsets[next seq's
             // first subseq]); pick the sequences whose span overlaps the request.
             let spb = stream.geometry.subseqs_per_seq as usize;
@@ -276,6 +279,14 @@ pub fn decode_range(
         }
         _ => return Err(DecodeError::PayloadMismatch { decoder: kind }),
     };
+    if len == 0 {
+        return Ok(RangeDecode {
+            symbols: Vec::new(),
+            timings: PhaseBreakdown::default(),
+            decoded_blocks: 0,
+            total_blocks,
+        });
+    }
     // The launch stores only the requested window: a small range over a huge field
     // allocates and hands back just its own symbols.
     let ranged = Some((&blocks[..], start..end));
@@ -288,12 +299,36 @@ pub fn decode_range(
     })
 }
 
-#[cfg(test)]
-impl PreparedDecode {
-    /// The per-subsequence state of a flat stream (`None` for a chunked one).
-    pub(crate) fn infos(&self) -> Option<&[SubseqInfo]> {
-        self.flat.as_ref().map(|(infos, _)| infos.as_slice())
-    }
+/// The decode/write kernel alone, the hook of the write-strategy ablations: launches it
+/// with `strategy` over the `seq_indices` sequences of a flat `payload` into `output`,
+/// which holds the symbols from the first on, and returns the kernel statistics.
+///
+/// `prepared` must come from [`prepare_decode`] over the same payload and decoder. The
+/// payload passes [`crate::decode`]'s checks; a chunked or hybrid payload, or an index
+/// prepared from a stream of another shape, is a [`DecodeError::PayloadMismatch`].
+pub fn run_decode_write(
+    gpu: &dyn Backend,
+    kind: DecoderKind,
+    payload: &CompressedPayload,
+    prepared: &PreparedDecode,
+    output: &DeviceBuffer<u16>,
+    seq_indices: &[u32],
+    strategy: WriteStrategy,
+) -> Result<KernelStats, DecodeError> {
+    let CheckedPayload::Flat(stream) = check_payload(kind, payload)? else {
+        return Err(DecodeError::PayloadMismatch { decoder: kind });
+    };
+    let (infos, output_index) = prepared.flat_index(kind, stream)?;
+    let kernel = DecodeWriteKernel {
+        stream,
+        infos,
+        output_index,
+        output,
+        output_start: 0,
+        seq_indices,
+        strategy,
+    };
+    Ok(kernel.run(gpu))
 }
 
 #[cfg(test)]

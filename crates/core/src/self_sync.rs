@@ -30,7 +30,7 @@ const IDLE_SPIN_CYCLES: f64 = 1.5;
 
 /// Which intra-sequence synchronization implementation to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncVariant {
+pub(crate) enum SyncVariant {
     /// The original Weißenberger & Schmidt kernel: every block runs the maximum possible
     /// number of iterations.
     Original,
@@ -41,13 +41,13 @@ pub enum SyncVariant {
 
 /// Result of the synchronization phases.
 #[derive(Debug, Clone)]
-pub struct SyncResult {
+pub(crate) struct SyncResult {
     /// Converged per-subsequence state.
-    pub infos: Vec<SubseqInfo>,
+    pub(crate) infos: Vec<SubseqInfo>,
     /// Timing of the intra-sequence phase.
-    pub intra_phase: PhaseTime,
+    pub(crate) intra_phase: PhaseTime,
     /// Timing of the inter-sequence phase.
-    pub inter_phase: PhaseTime,
+    pub(crate) inter_phase: PhaseTime,
 }
 
 /// Per-subsequence working state shared between the kernels.
@@ -286,7 +286,11 @@ impl BlockKernel for InterSyncKernel<'_> {
 
 /// Runs the intra- and inter-sequence synchronization phases for `stream` and returns the
 /// converged per-subsequence state plus the phase timings.
-pub fn synchronize(gpu: &dyn Backend, stream: &EncodedStream, variant: SyncVariant) -> SyncResult {
+pub(crate) fn synchronize(
+    gpu: &dyn Backend,
+    stream: &EncodedStream,
+    variant: SyncVariant,
+) -> SyncResult {
     let total_subs = stream.num_subseqs();
     let num_seqs = stream.num_seqs();
     if total_subs == 0 {

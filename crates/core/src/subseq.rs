@@ -9,12 +9,12 @@
 
 /// Converged decode state of one subsequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SubseqInfo {
+pub(crate) struct SubseqInfo {
     /// Bit position where this subsequence's thread starts decoding.
-    pub start_bit: u64,
+    pub(crate) start_bit: u64,
     /// Number of codewords the thread decodes (those that *begin* in this subsequence's
     /// responsibility window, i.e. before the next subsequence's start).
-    pub num_symbols: u64,
+    pub(crate) num_symbols: u64,
 }
 
 /// The reference (sequential) per-subsequence state for an encoded stream: the fixed

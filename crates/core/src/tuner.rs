@@ -20,9 +20,10 @@ use gpu_sim::{
     BlockKernel, DeviceBuffer, KernelStats, LaunchConfig, PhaseTime, TransferDirection,
 };
 
-use crate::decode_write::{run_decode_write, WriteStrategy};
+use crate::decode_write::{DecodeWriteKernel, WriteStrategy};
 use crate::format::EncodedStream;
 use crate::output_index::OutputIndex;
+use crate::phases::PhaseBreakdown;
 use crate::subseq::SubseqInfo;
 
 /// Buffer size (in symbols) used for the highest compression-ratio group (`> T_high`).
@@ -32,21 +33,6 @@ pub const HIGH_CR_BUFFER_SYMBOLS: u32 = 3584;
 /// Maximum compression ratio the classifier distinguishes (the paper's last group covers
 /// `(T_high, 16]`).
 const MAX_CLASSIFIED_CR: f64 = 16.0;
-
-/// Outcome of the tuned decode/write phase.
-#[derive(Debug, Clone)]
-pub struct TunedDecode {
-    /// Time spent in the tuning pipeline itself (classification, histogram, sort,
-    /// transfer, prefix sum) — the "tune shared mem." row of Table II.
-    pub tune_phase: PhaseTime,
-    /// Time of the per-class decode/write kernels (overlapped on streams) — the
-    /// "decode and write" row of Table II.
-    pub decode_phase: PhaseTime,
-    /// The compression-ratio class assigned to each sequence.
-    pub class_of_seq: Vec<u32>,
-    /// The shared-memory buffer size (in symbols) used for each class.
-    pub buffer_symbols_of_class: Vec<u32>,
-}
 
 /// The per-sequence classification kernel (step 1 of Algorithm 2).
 struct ClassifyKernel<'a> {
@@ -89,55 +75,27 @@ impl BlockKernel for ClassifyKernel<'_> {
 }
 
 /// Classifies sequences, sorts them by class, and launches one staged decode/write kernel
-/// per class with a class-appropriate shared-memory buffer.
-pub fn tuned_decode_write(
+/// per class with a class-appropriate shared-memory buffer. Returns the `tune` phase (the
+/// "tune shared mem." row of Table II: classification, histogram, sort, transfer, prefix
+/// sum) and the `decode_write` phase (the per-class kernels, overlapped on streams).
+pub(crate) fn tuned_decode_write(
     gpu: &dyn Backend,
     stream: &EncodedStream,
     infos: &[SubseqInfo],
     output_index: &OutputIndex,
     output: &DeviceBuffer<u16>,
-) -> TunedDecode {
+) -> PhaseBreakdown {
     let num_seqs = stream.num_seqs();
     let t_high = gpu.config().t_high();
     let mut tune_phase = PhaseTime::empty();
 
     if num_seqs == 0 {
-        return TunedDecode {
-            tune_phase,
-            decode_phase: PhaseTime::empty(),
-            class_of_seq: Vec::new(),
-            buffer_symbols_of_class: Vec::new(),
-        };
+        return tuned_phases(tune_phase, PhaseTime::empty());
     }
 
-    // Per-sequence decoded symbol counts, derived from the output index.
-    let spb = stream.geometry.subseqs_per_seq as usize;
-    let total_symbols = output_index.total;
-    let seq_symbols: Vec<u64> = (0..num_seqs)
-        .map(|s| {
-            let first = s * spb;
-            let next = ((s + 1) * spb).min(infos.len());
-            let start = output_index.offsets[first];
-            let end = if next < infos.len() {
-                output_index.offsets[next]
-            } else {
-                total_symbols
-            };
-            end - start
-        })
-        .collect();
-    let seq_bytes = stream.geometry.seq_bits() as f64 / 8.0;
-
     // Step 1: classification kernel.
-    let classes_buf = DeviceBuffer::<u32>::zeroed(num_seqs);
-    let classify = ClassifyKernel {
-        seq_symbols: &seq_symbols,
-        seq_bytes,
-        t_high,
-        classes: &classes_buf,
-    };
-    tune_phase.push_serial(gpu.launch(&classify, LaunchConfig::covering(num_seqs, 256)));
-    let class_of_seq = classes_buf.into_vec();
+    let (class_of_seq, classify_launch) = classify(gpu, stream, infos, output_index);
+    tune_phase.push_serial(classify_launch);
 
     // Step 2: device histogram of the classes.
     let num_classes = (t_high + 1) as usize;
@@ -161,45 +119,82 @@ pub fn tuned_decode_write(
     }
 
     // Step 5: one decode/write kernel per non-empty class, overlapped on streams.
-    let buffer_symbols_of_class: Vec<u32> = (0..num_classes as u32)
-        .map(|c| {
-            if c < t_high {
-                (c + 1) * 1024
-            } else {
-                HIGH_CR_BUFFER_SYMBOLS
-            }
-        })
-        .collect();
-
     let mut kernels: Vec<KernelStats> = Vec::new();
     for c in 0..num_classes {
         let seqs = &sorted_seqs[class_start[c]..class_start[c + 1]];
         if seqs.is_empty() {
             continue;
         }
-        let stats = run_decode_write(
-            gpu,
+        let kernel = DecodeWriteKernel {
             stream,
             infos,
             output_index,
             output,
-            seqs,
-            WriteStrategy::Staged {
-                buffer_symbols: buffer_symbols_of_class[c],
+            output_start: 0,
+            seq_indices: seqs,
+            strategy: WriteStrategy::Staged {
+                buffer_symbols: class_buffer_symbols(c as u32, t_high),
             },
-        );
-        kernels.push(stats);
+        };
+        kernels.push(kernel.run(gpu));
     }
     let concurrent = gpu.concurrent(&kernels);
     let mut decode_phase = PhaseTime::empty();
     decode_phase.push_seconds(concurrent.time_s);
     decode_phase.kernels = kernels;
+    tuned_phases(tune_phase, decode_phase)
+}
 
-    TunedDecode {
-        tune_phase,
-        decode_phase,
-        class_of_seq,
-        buffer_symbols_of_class,
+fn tuned_phases(tune: PhaseTime, decode_write: PhaseTime) -> PhaseBreakdown {
+    PhaseBreakdown {
+        tune: Some(tune),
+        decode_write: Some(decode_write),
+        ..PhaseBreakdown::default()
+    }
+}
+
+/// Step 1 of Algorithm 2: the compression-ratio class of every sequence, from its
+/// decoded symbol count in the output index, and the classification launch.
+fn classify(
+    gpu: &dyn Backend,
+    stream: &EncodedStream,
+    infos: &[SubseqInfo],
+    output_index: &OutputIndex,
+) -> (Vec<u32>, KernelStats) {
+    let num_seqs = stream.num_seqs();
+    let spb = stream.geometry.subseqs_per_seq as usize;
+    let total_symbols = output_index.total;
+    let seq_symbols: Vec<u64> = (0..num_seqs)
+        .map(|s| {
+            let first = s * spb;
+            let next = ((s + 1) * spb).min(infos.len());
+            let start = output_index.offsets[first];
+            let end = if next < infos.len() {
+                output_index.offsets[next]
+            } else {
+                total_symbols
+            };
+            end - start
+        })
+        .collect();
+    let classes = DeviceBuffer::<u32>::zeroed(num_seqs);
+    let kernel = ClassifyKernel {
+        seq_symbols: &seq_symbols,
+        seq_bytes: stream.geometry.seq_bits() as f64 / 8.0,
+        t_high: gpu.config().t_high(),
+        classes: &classes,
+    };
+    let stats = gpu.launch(&kernel, LaunchConfig::covering(num_seqs, 256));
+    (classes.into_vec(), stats)
+}
+
+/// The shared-memory buffer, in symbols, of compression-ratio class `class`: 1024 per
+/// unit of the class's upper bound, capped for the `> T_high` group.
+fn class_buffer_symbols(class: u32, t_high: u32) -> u32 {
+    if class < t_high {
+        (class + 1) * 1024
+    } else {
+        HIGH_CR_BUFFER_SYMBOLS
     }
 }
 
@@ -211,33 +206,36 @@ mod tests {
     use crate::testutil::{gpu, quant_symbols};
     use huffman::Codebook;
 
-    fn run_tuned(n: usize, spread: u32) -> (Vec<u16>, Vec<u16>, TunedDecode) {
-        let symbols = quant_symbols(n, spread);
-        let cb = Codebook::from_symbols(&symbols, 1024);
-        let stream = EncodedStream::encode(&cb, &symbols);
+    /// A tuned decode of `symbols` from the reference per-subsequence state: the decoded
+    /// symbols, the two phases and the class the tuner gave each sequence.
+    fn tuned(symbols: &[u16]) -> (Vec<u16>, PhaseBreakdown, Vec<u32>) {
+        let cb = Codebook::from_symbols(symbols, 1024);
+        let stream = EncodedStream::encode(&cb, symbols);
         let g = gpu();
         let infos = reference_subseq_infos(&stream);
         let (oi, _) = compute_output_index(&g, &infos);
         let output = DeviceBuffer::<u16>::zeroed(oi.total as usize);
-        let tuned = tuned_decode_write(&g, &stream, &infos, &oi, &output);
-        (output.to_vec(), symbols, tuned)
+        let phases = tuned_decode_write(&g, &stream, &infos, &oi, &output);
+        let (classes, _) = classify(&g, &stream, &infos, &oi);
+        (output.into_vec(), phases, classes)
     }
 
     #[test]
     fn tuned_decode_is_exact() {
-        let (decoded, symbols, tuned) = run_tuned(80_000, 7);
+        let symbols = quant_symbols(80_000, 7);
+        let (decoded, phases, _) = tuned(&symbols);
         assert_eq!(decoded, symbols);
-        assert!(tuned.tune_phase.seconds > 0.0);
-        assert!(tuned.decode_phase.seconds > 0.0);
+        assert!(phases.tune.unwrap().seconds > 0.0);
+        assert!(phases.decode_write.unwrap().seconds > 0.0);
     }
 
     #[test]
     fn classes_cover_all_sequences_and_are_in_range() {
-        let (_, _, tuned) = run_tuned(120_000, 6);
+        let symbols = quant_symbols(120_000, 6);
+        let (_, _, classes) = tuned(&symbols);
         let t_high = gpu().config().t_high();
-        assert!(!tuned.class_of_seq.is_empty());
-        assert!(tuned.class_of_seq.iter().all(|&c| c <= t_high));
-        assert_eq!(tuned.buffer_symbols_of_class.len(), (t_high + 1) as usize);
+        assert!(!classes.is_empty());
+        assert!(classes.iter().all(|&c| c <= t_high));
     }
 
     #[test]
@@ -246,37 +244,27 @@ mod tests {
         let symbols: Vec<u16> = (0..100_000u32)
             .map(|i| (480 + (i.wrapping_mul(2654435761) >> 20) % 64) as u16)
             .collect();
-        let cb = Codebook::from_symbols(&symbols, 1024);
-        let stream = EncodedStream::encode(&cb, &symbols);
-        let g = gpu();
-        let infos = reference_subseq_infos(&stream);
-        let (oi, _) = compute_output_index(&g, &infos);
-        let output = DeviceBuffer::<u16>::zeroed(oi.total as usize);
-        let tuned = tuned_decode_write(&g, &stream, &infos, &oi, &output);
-        assert_eq!(output.to_vec(), symbols);
-        let max_class = *tuned.class_of_seq.iter().max().unwrap();
+        let (decoded, _, classes) = tuned(&symbols);
+        assert_eq!(decoded, symbols);
+        let max_class = *classes.iter().max().unwrap();
         assert!(max_class <= 3, "unexpectedly high class {}", max_class);
     }
 
     #[test]
     fn high_cr_data_uses_larger_buffers_or_cap() {
         // Spread 1 gives ~1-2 bits/symbol, CR ~8+ -> high classes.
-        let (_, _, tuned) = run_tuned(150_000, 1);
-        let max_class = *tuned.class_of_seq.iter().max().unwrap();
+        let (_, _, classes) = tuned(&quant_symbols(150_000, 1));
+        let max_class = *classes.iter().max().unwrap();
         assert!(max_class >= 3, "expected a high class, got {}", max_class);
     }
 
     #[test]
     fn buffer_sizes_scale_with_class() {
-        let (_, _, tuned) = run_tuned(50_000, 5);
         let t_high = gpu().config().t_high();
-        for c in 0..t_high as usize {
-            assert_eq!(tuned.buffer_symbols_of_class[c], (c as u32 + 1) * 1024);
+        for c in 0..t_high {
+            assert_eq!(class_buffer_symbols(c, t_high), (c + 1) * 1024);
         }
-        assert_eq!(
-            tuned.buffer_symbols_of_class[t_high as usize],
-            HIGH_CR_BUFFER_SYMBOLS
-        );
+        assert_eq!(class_buffer_symbols(t_high, t_high), HIGH_CR_BUFFER_SYMBOLS);
     }
 
     #[test]
@@ -287,8 +275,8 @@ mod tests {
         let infos: Vec<SubseqInfo> = Vec::new();
         let (oi, _) = compute_output_index(&g, &infos);
         let output = DeviceBuffer::<u16>::zeroed(0);
-        let tuned = tuned_decode_write(&g, &stream, &infos, &oi, &output);
-        assert!(tuned.class_of_seq.is_empty());
-        assert_eq!(tuned.decode_phase.seconds, 0.0);
+        let phases = tuned_decode_write(&g, &stream, &infos, &oi, &output);
+        assert_eq!(phases.kernel_launches(), 0);
+        assert_eq!(phases.decode_write.unwrap().seconds, 0.0);
     }
 }

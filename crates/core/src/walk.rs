@@ -295,7 +295,8 @@ mod tests {
         if kernels.is_ok() {
             let (_, infos, _) = walk(&cpu(), kind, stream).unwrap();
             let prepared = prepare_decode(&gpu(), kind, &payload).unwrap();
-            assert_eq!(Some(infos.as_slice()), prepared.infos(), "{:?}", kind);
+            let (prepared, _) = prepared.flat_index(kind, stream).unwrap();
+            assert_eq!(infos, prepared, "{:?}", kind);
         }
         kernels
     }

@@ -48,6 +48,35 @@ impl ChunkedEncoded {
     pub fn payload_bytes(&self) -> u64 {
         self.units.len() as u64 * 4 + self.chunks.len() as u64 * 8
     }
+
+    /// Checks the structure the chunked decoder relies on: a nonzero chunk size, chunks
+    /// that tile the units and the symbols in order, no chunk with more bits than its
+    /// units hold or more symbols than bits, counts that sum to `num_symbols`, and units
+    /// that end where the tiling ends. The fields are public, so the container's parser
+    /// and every decode entry point both run this check.
+    pub fn check_structure(&self) -> Result<(), &'static str> {
+        let ensure = |holds: bool, reason| if holds { Ok(()) } else { Err(reason) };
+        ensure(self.chunk_symbols != 0, "zero chunk size")?;
+        let (mut unit_end, mut symbol_end) = (0u64, 0u64);
+        for chunk in &self.chunks {
+            let tiles = chunk.unit_offset == unit_end;
+            ensure(tiles, "chunks do not tile the unit array")?;
+            let in_order = chunk.symbol_offset == symbol_end;
+            ensure(in_order, "chunk symbol offsets are inconsistent")?;
+            let bits_fit = chunk.bit_len <= chunk.unit_count.saturating_mul(32);
+            ensure(bits_fit, "chunk bit length exceeds its units")?;
+            let symbols_fit = chunk.num_symbols <= chunk.bit_len;
+            ensure(symbols_fit, "more symbols than bits in a chunk")?;
+            let next_unit = unit_end.checked_add(chunk.unit_count);
+            unit_end = next_unit.ok_or("unit offsets overflow")?;
+            let next_symbol = symbol_end.checked_add(chunk.num_symbols);
+            symbol_end = next_symbol.ok_or("symbol offsets overflow")?;
+        }
+        let sums = symbol_end == self.num_symbols as u64;
+        ensure(sums, "chunk symbol counts do not sum to the stream total")?;
+        let ends = self.units.len() as u64 == unit_end;
+        ensure(ends, "unit count does not match the chunk tiling")
+    }
 }
 
 /// Encodes `symbols` in independent fixed-size chunks of `chunk_symbols` symbols.
@@ -161,6 +190,7 @@ mod tests {
         }
         assert_eq!(expected_offset, enc.units.len() as u64);
         assert_eq!(expected_symbol, enc.num_symbols as u64);
+        assert_eq!(enc.check_structure(), Ok(()));
     }
 
     #[test]

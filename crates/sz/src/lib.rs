@@ -44,7 +44,7 @@ pub use error_bound::ErrorBound;
 pub use huffdec_core::DecodeError;
 pub use lorenzo::{dequantize, dequantize_codes, quantize, Outlier, Quantized};
 pub use pipeline::{
-    compress, compress_on, decode_codes, decompress, reconstruct, roundtrip, CompressStats,
-    Compressed, DecompressStats, Decompressed, SzConfig, DEFAULT_ALPHABET_SIZE,
+    compress, compress_on, decode_codes, decompress, reconstruct, CompressStats, Compressed,
+    DecompressStats, Decompressed, SzConfig, DEFAULT_ALPHABET_SIZE,
 };
 pub use stats::{psnr, verify_error_bound};

@@ -26,7 +26,6 @@ use huffdec_core::{
 
 use crate::error_bound::ErrorBound;
 use crate::lorenzo::{dequantize_codes, quantize, quantize_on, Outlier, Quantized};
-use crate::stats::verify_error_bound;
 use datasets::Dims;
 
 /// Default number of quantization bins, as in cuSZ.
@@ -424,39 +423,32 @@ pub fn decompress(gpu: &dyn Backend, c: &Compressed) -> Result<Decompressed, Dec
     Ok(reconstruct(gpu, c, decode_codes(gpu, c)?))
 }
 
-/// Compresses and decompresses a field, asserting the error bound holds. Returns the
-/// archive and the reconstruction. Convenience for tests, examples, and benches.
-pub fn roundtrip(
-    gpu: &dyn Backend,
-    field: &Field,
-    config: &SzConfig,
-) -> (Compressed, Decompressed) {
-    let compressed = compress(field, config);
-    let decompressed =
-        decompress(gpu, &compressed).expect("compress produces a payload matching its decoder");
-    let eb_abs = c_abs_bound(field, config);
-    if let Some(idx) = verify_error_bound(&field.data, &decompressed.data, eb_abs) {
-        panic!(
-            "error bound {} violated at element {}: {} vs {}",
-            eb_abs, idx, field.data[idx], decompressed.data[idx]
-        );
-    }
-    (compressed, decompressed)
-}
-
-fn c_abs_bound(field: &Field, config: &SzConfig) -> f64 {
-    absolute_bound(field, &config.error_bound)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::verify_error_bound;
     use datasets::{dataset_by_name, generate};
     use gpu_sim::Gpu;
     use huffdec_core::{decode_batch, BatchStats};
 
     fn gpu() -> Gpu {
         Gpu::with_host_threads(gpu_sim::GpuConfig::test_tiny(), 4)
+    }
+
+    /// Compresses and decompresses a field, asserting the error bound holds. Returns the
+    /// archive and the reconstruction.
+    fn roundtrip(
+        gpu: &dyn Backend,
+        field: &Field,
+        config: &SzConfig,
+    ) -> (Compressed, Decompressed) {
+        let compressed = compress(field, config);
+        let decompressed =
+            decompress(gpu, &compressed).expect("compress produces a payload matching its decoder");
+        let eb_abs = absolute_bound(field, &config.error_bound);
+        let violation = verify_error_bound(&field.data, &decompressed.data, eb_abs);
+        assert_eq!(violation, None, "error bound {} violated", eb_abs);
+        (compressed, decompressed)
     }
 
     #[test]

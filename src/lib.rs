@@ -27,10 +27,10 @@
 //!
 //! The member crates remain available below as **low-level building blocks** — the
 //! decoders, the gpu simulator, the container codecs, and the free functions the
-//! session API is built from. They are public and stable for kernel-level work
-//! (benchmark ablations, custom pipelines), but new consumers should start from
-//! [`Codec`]; everything in-tree (the `hfz`/`hfzd` binaries, the serving daemon, the
-//! bench harness, the examples) goes through it.
+//! session API is built from. For kernel-level work (benchmark ablations, ranged decodes)
+//! the decoders' surface is `prepare_decode`, `decode_range` and `run_decode_write`,
+//! each behind the same payload check as a full decode; new consumers should start from
+//! [`Codec`], which everything in-tree (`hfz`/`hfzd`, the daemon, the bench) goes through.
 
 // ----- the session API (the supported surface) -----
 

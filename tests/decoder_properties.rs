@@ -7,15 +7,17 @@
 //! runs over a few dozen randomized cases and failures report the offending case seed.
 
 use huffdec::core_decoders::{
-    compress_for, decode, decode_hybrid, decode_range, prepare_decode, roundtrip, Backend,
-    CompressedPayload, CpuBackend, DecodeError, DecoderKind, EncodedStream, HybridStream,
+    compress_for, decode, decode_hybrid, decode_original_gap8, decode_range, prepare_decode,
+    roundtrip, run_decode_write, Backend, CompressedPayload, CpuBackend, DecodeError, DecoderKind,
+    EncodedStream, Gap8Stream, HybridStream, WriteStrategy,
 };
-use huffdec::datasets::Rng;
-use huffdec::gpu_sim::{Gpu, GpuConfig};
+use huffdec::datasets::{dataset_by_name, generate, Rng};
+use huffdec::gpu_sim::{DeviceBuffer, Gpu, GpuConfig};
 use huffdec::huffman::{
-    assign_canonical, code_lengths, decode_flat, encode_flat, is_prefix_free, kraft_sum, Codebook,
-    FrequencyTable,
+    assign_canonical, code_lengths, decode_flat, encode_flat, is_prefix_free, kraft_sum,
+    ChunkedEncoded, Codebook, FrequencyTable,
 };
+use huffdec::{BackendKind, Codec, HfzError};
 
 const CASES: u64 = 24;
 
@@ -149,6 +151,31 @@ const MALFORMED: [(&str, Edit); 5] = [
     }),
 ];
 
+/// An edit of a chunked stream's public fields.
+type ChunkedEdit = fn(&mut ChunkedEncoded);
+
+/// Edits that leave a chunked stream's tiling broken, each named.
+const MALFORMED_CHUNKED: [(&str, ChunkedEdit); 7] = [
+    ("a unit short", |c| {
+        c.units.pop();
+    }),
+    ("a unit long", |c| c.units.push(0)),
+    ("the first chunk's unit_offset past the units", |c| {
+        c.chunks[0].unit_offset = c.units.len() as u64 + 1
+    }),
+    ("two chunks' symbol_offsets swapped", |c| {
+        let (first, rest) = c.chunks.split_at_mut(1);
+        std::mem::swap(&mut first[0].symbol_offset, &mut rest[0].symbol_offset);
+    }),
+    ("a chunk's bit_len beyond its units", |c| {
+        c.chunks[0].bit_len = c.chunks[0].unit_count * 32 + 1
+    }),
+    ("a chunk's num_symbols one too many", |c| {
+        c.chunks[0].num_symbols += 1
+    }),
+    ("a zero chunk size", |c| c.chunk_symbols = 0),
+];
+
 /// The copies of `stream` that [`MALFORMED`]'s edits change, each named.
 fn malformed(stream: &EncodedStream) -> Vec<(&'static str, EncodedStream)> {
     let edited = MALFORMED.iter().map(|(what, edit)| {
@@ -161,6 +188,8 @@ fn malformed(stream: &EncodedStream) -> Vec<(&'static str, EncodedStream)> {
 
 /// Every decode entry point refuses a flat stream, or a hybrid substream, whose public
 /// fields no longer fit together, as `CorruptStream` on both backends: never a panic.
+/// The original 8-bit gap-array decoder refuses what the gap-array decoder refuses, and
+/// a stream without a gap array as `PayloadMismatch`.
 #[test]
 fn malformed_streams_are_refused_as_corrupt() {
     let (sim, cpu) = (
@@ -180,6 +209,11 @@ fn malformed_streams_are_refused_as_corrupt() {
             let corrupt = Some(DecodeError::CorruptStream { decoder: *kind });
             let prepared = prepare_decode(gpu, *kind, &good).unwrap();
             for (what, bad) in malformed(stream) {
+                // The original 8-bit decoder runs the gap-array decoder's kernels.
+                let gap8 = Gap8Stream {
+                    symbols8: Vec::new(),
+                    stream: bad.clone(),
+                };
                 let bad = CompressedPayload::Flat(bad);
                 let on = format!("{} on {}, {:?}", what, gpu.kind(), kind);
                 assert_eq!(decode(gpu, *kind, &bad).err(), corrupt, "decode, {}", on);
@@ -187,8 +221,31 @@ fn malformed_streams_are_refused_as_corrupt() {
                 assert_eq!(prepare, corrupt, "prepare_decode, {}", on);
                 let range = decode_range(gpu, *kind, &bad, &prepared, 0, 1000).err();
                 assert_eq!(range, corrupt, "decode_range, {}", on);
+                let (output, direct) = (DeviceBuffer::zeroed(1000), WriteStrategy::Direct);
+                let write = run_decode_write(gpu, *kind, &bad, &prepared, &output, &[0], direct);
+                assert_eq!(write.err(), corrupt, "run_decode_write, {}", on);
+                if *kind == DecoderKind::OptimizedGapArray {
+                    let original = decode_original_gap8(gpu, &gap8).err();
+                    assert_eq!(original, corrupt, "decode_original_gap8, {}", on);
+                }
             }
         }
+        let gapless = Gap8Stream {
+            symbols8: Vec::new(),
+            stream: EncodedStream {
+                gap_array: None,
+                ..stream.clone()
+            },
+        };
+        let decoder = DecoderKind::OptimizedGapArray;
+        let original = decode_original_gap8(gpu, &gapless).err();
+        let mismatch = Some(DecodeError::PayloadMismatch { decoder });
+        assert_eq!(
+            original,
+            mismatch,
+            "gap8 without a gap array on {}",
+            gpu.kind()
+        );
     }
 
     let CompressedPayload::Hybrid(hybrid) = compress_for(DecoderKind::RleHybrid, &symbols, 1024)
@@ -231,6 +288,104 @@ fn malformed_streams_are_refused_as_corrupt() {
                 "{}",
                 on
             );
+        }
+    }
+}
+
+/// Every decode entry point refuses a chunked stream whose public fields no longer tile,
+/// as `CorruptStream` on both backends, and so does a session's decompress of an archive
+/// that carries one: never a panic in the chunked kernel.
+#[test]
+fn malformed_chunked_streams_are_refused_as_corrupt() {
+    let field = generate(&dataset_by_name("HACC").unwrap(), 40_000, 3);
+    let decoder = DecoderKind::CuszBaseline;
+    let corrupt = DecodeError::CorruptStream { decoder };
+    for backend in [BackendKind::Sim, BackendKind::Cpu] {
+        let codec = Codec::builder()
+            .gpu_config(GpuConfig::test_tiny())
+            .backend(backend)
+            .decoder(decoder)
+            .host_threads(2)
+            .build()
+            .unwrap();
+        let good = codec.compress(&field).unwrap().archive;
+        let gpu = codec.backend();
+        let prepared = prepare_decode(gpu, decoder, &good.payload).unwrap();
+        for (what, edit) in MALFORMED_CHUNKED {
+            let mut bad = good.clone();
+            let CompressedPayload::Chunked { encoded, .. } = &mut bad.payload else {
+                panic!("the baseline decoder compresses to a chunked payload")
+            };
+            edit(encoded);
+            let on = format!("{} on {}", what, gpu.kind());
+            let whole = decode(gpu, decoder, &bad.payload).err();
+            assert_eq!(whole, Some(corrupt), "decode, {}", on);
+            let prepare = prepare_decode(gpu, decoder, &bad.payload).err();
+            assert_eq!(prepare, Some(corrupt), "prepare_decode, {}", on);
+            let range = decode_range(gpu, decoder, &bad.payload, &prepared, 0, 1000).err();
+            assert_eq!(range, Some(corrupt), "decode_range, {}", on);
+            let session = codec.decompress(&bad).err();
+            assert!(
+                matches!(session, Some(HfzError::Decode(e)) if e == corrupt),
+                "Codec::decompress, {}: {:?}",
+                on,
+                session
+            );
+        }
+    }
+}
+
+/// An index prepared from one stream, handed another stream of the same decoder, is a
+/// `PayloadMismatch` on both backends: the index of a shorter stream has no offsets for
+/// the longer one's sequences, and one of a stream that declares fewer symbols ends
+/// before the requested window starts. The index of the stream itself decodes it.
+#[test]
+fn an_index_prepared_for_another_stream_is_a_mismatch() {
+    let (sim, cpu) = (
+        gpu(),
+        CpuBackend::with_host_threads(GpuConfig::test_tiny(), 2),
+    );
+    let symbols: Vec<u16> = (0..60_000u32).map(|i| (509 + i % 7) as u16).collect();
+    let staged = WriteStrategy::Staged {
+        buffer_symbols: 2048,
+    };
+    for gpu in [&sim as &dyn Backend, &cpu] {
+        // The three flat decoders; the first of `all` is the chunked baseline.
+        for kind in &DecoderKind::all()[1..] {
+            let short = compress_for(*kind, &symbols[..10_000], 1024);
+            let long = compress_for(*kind, &symbols, 1024);
+            let CompressedPayload::Flat(stream) = &long else {
+                unreachable!("a fine-grained decoder's payload is flat")
+            };
+            let lying = CompressedPayload::Flat(EncodedStream {
+                num_symbols: 60_500,
+                ..stream.clone()
+            });
+            let every_seq: Vec<u32> = (0..stream.num_seqs() as u32).collect();
+            let mismatch = Some(DecodeError::PayloadMismatch { decoder: *kind });
+            for (prepared_from, payload, start) in
+                [(&short, &long, 50_000), (&long, &lying, 60_100)]
+            {
+                let on = format!("{:?} on {}, start {}", kind, gpu.kind(), start);
+                let misfit = prepare_decode(gpu, *kind, prepared_from).unwrap();
+                let range = decode_range(gpu, *kind, payload, &misfit, start, 100).err();
+                assert_eq!(range, mismatch, "decode_range, {}", on);
+                let output = DeviceBuffer::<u16>::zeroed(payload.num_symbols());
+                let write =
+                    run_decode_write(gpu, *kind, payload, &misfit, &output, &every_seq, staged);
+                assert_eq!(write.err(), mismatch, "run_decode_write, {}", on);
+            }
+
+            let fit = prepare_decode(gpu, *kind, &long).unwrap();
+            let output = DeviceBuffer::<u16>::zeroed(long.num_symbols());
+            let write = run_decode_write(gpu, *kind, &long, &fit, &output, &every_seq, staged);
+            assert!(
+                write.is_ok(),
+                "run_decode_write, {:?} on {}",
+                kind,
+                gpu.kind()
+            );
+            assert_eq!(output.into_vec(), symbols, "{:?} on {}", kind, gpu.kind());
         }
     }
 }

@@ -6,11 +6,8 @@
 //! model change re-records the table from the failure message (and `BENCH_repro.json`
 //! with it).
 
-use huffdec::core_decoders::{
-    compress_for, compress_on, compute_output_index, decode, gap_count_symbols, tuned_decode_write,
-    CompressedPayload, DecoderKind,
-};
-use huffdec::gpu_sim::{DeviceBuffer, Gpu, GpuConfig};
+use huffdec::core_decoders::{compress_for, compress_on, decode, CompressedPayload, DecoderKind};
+use huffdec::gpu_sim::{Gpu, GpuConfig, PhaseTime};
 use huffdec_hybrid::{compress_hybrid, decode_hybrid};
 
 const ALPHABET: usize = 1024;
@@ -57,18 +54,18 @@ fn observed() -> Vec<(String, u64)> {
         pin(format!("compress_on / {}", phase), time.seconds);
     }
 
-    let CompressedPayload::Flat(stream) = payload else {
-        unreachable!("the gap-array encoder produces a flat stream");
-    };
-    let (infos, _) = gap_count_symbols(&gpu, &stream);
-    let (index, _) = compute_output_index(&gpu, &infos);
-    let output = DeviceBuffer::<u16>::zeroed(index.total as usize);
-    let tuned = tuned_decode_write(&gpu, &stream, &infos, &index, &output);
-    assert_eq!(output.into_vec(), symbols);
-    pin("tuner / tune_phase".to_string(), tuned.tune_phase.seconds);
+    // The tuner's two phases, from a full decode of the device encoder's payload.
+    let result = decode(&gpu, DecoderKind::OptimizedGapArray, &payload);
+    let result = result.expect("payload matches its decoder");
+    assert_eq!(result.symbols, symbols);
+    let seconds = |phase: Option<PhaseTime>| phase.expect("the tuner ran").seconds;
+    pin(
+        "tuner / tune_phase".to_string(),
+        seconds(result.timings.tune),
+    );
     pin(
         "tuner / decode_phase".to_string(),
-        tuned.decode_phase.seconds,
+        seconds(result.timings.decode_write),
     );
     pins
 }
