@@ -29,7 +29,7 @@ use gpu_sim::{Backend, BackendKind, GpuConfig};
 use huffdec_container::FormatVersion;
 use huffdec_core::{
     BatchStats, CompressedPayload, DecodeError, DecodeResult, DecoderKind, EncodePhaseBreakdown,
-    PhaseBreakdown, PreparedDecode, RangeDecode,
+    PhaseBreakdown, PreparedDecode, RangeDecode, ALPHABET_SIZES,
 };
 use huffdec_metrics::Metrics;
 use sz::{CompressStats, Compressed, Decompressed, ErrorBound, SzConfig};
@@ -227,7 +227,7 @@ impl CodecBuilder {
     }
 
     /// Number of quantization bins (default: 1024; must be a power of two in
-    /// `4..=65536`, validated by [`CodecBuilder::build`]).
+    /// [`ALPHABET_SIZES`], validated by [`CodecBuilder::build`]).
     pub fn alphabet_size(mut self, alphabet_size: usize) -> Self {
         self.alphabet_size = alphabet_size;
         self
@@ -247,10 +247,10 @@ impl CodecBuilder {
 
     /// Validates the configuration and builds the session handle.
     pub fn build(self) -> Result<Codec> {
-        if !(4..=65536).contains(&self.alphabet_size) || !self.alphabet_size.is_power_of_two() {
+        if !ALPHABET_SIZES.contains(&self.alphabet_size) || !self.alphabet_size.is_power_of_two() {
             return Err(HfzError::Usage(format!(
-                "alphabet size must be a power of two in 4..=65536, got {}",
-                self.alphabet_size
+                "alphabet size must be a power of two in {:?}, got {}",
+                ALPHABET_SIZES, self.alphabet_size
             )));
         }
         let value = match self.error_bound {
@@ -416,16 +416,16 @@ impl Codec {
         Ok(d)
     }
 
-    /// A codes task: decodes one stream's symbols with `decoder`. `bytes_in` is the
-    /// compressed byte count `decode_bytes_in` charges for it.
+    /// A codes task: decodes one stream's symbols with `decoder`. `decode_bytes_in` is
+    /// charged the payload's compressed bytes, whichever call decoded it (a data task
+    /// charges the whole archive's).
     fn codes_field(
         &self,
         decoder: DecoderKind,
         payload: &CompressedPayload,
-        bytes_in: u64,
     ) -> Result<DecodeResult> {
         let r = self.count_error(huffdec_core::decode(self.backend(), decoder, payload))?;
-        let bytes_out = r.symbols.len() as u64 * 2;
+        let (bytes_in, bytes_out) = (payload.compressed_bytes(), r.symbols.len() as u64 * 2);
         self.record_decode(decoder, r.timings.total_seconds(), bytes_in, bytes_out);
         Ok(r)
     }
@@ -435,9 +435,8 @@ impl Codec {
         &self,
         decoder: DecoderKind,
         payload: &CompressedPayload,
-        bytes_in: u64,
     ) -> Result<DecodeResult> {
-        let task = |p: &&CompressedPayload| self.codes_field(decoder, p, bytes_in);
+        let task = |p: &&CompressedPayload| self.codes_field(decoder, p);
         let (mut fields, _) = self.wave(&[payload], task, codes_timing);
         fields.remove(0)
     }
@@ -563,14 +562,14 @@ impl Codec {
     /// Decodes just the quantization codes of an archive (the Huffman stage alone, no
     /// reverse quantization): the symbols its stored digest covers.
     pub fn decode_codes(&self, c: &Compressed) -> Result<DecodeResult> {
-        self.decode_stream(c.decoder(), &c.payload, c.compressed_bytes())
+        self.decode_stream(c.decoder(), &c.payload)
     }
 
     /// Decodes a bare payload with this session's configured decoder, the hybrid
     /// included. Benchmark-level access for streams that never went through the field
     /// pipeline.
     pub fn decode_payload(&self, payload: &CompressedPayload) -> Result<DecodeResult> {
-        self.decode_stream(self.config.decoder, payload, payload.compressed_bytes())
+        self.decode_stream(self.config.decoder, payload)
     }
 
     // ----- serialization (uses the session format version) -----
@@ -636,8 +635,7 @@ impl Codec {
 
     /// Decodes the full symbol stream of one field of an opened archive.
     pub fn decode_field_codes(&self, field: &FieldHandle) -> Result<DecodeResult> {
-        let payload = field.archive().payload();
-        self.decode_stream(field.decoder(), payload, payload.compressed_bytes())
+        self.decode_stream(field.decoder(), field.archive().payload())
     }
 
     /// The deep check of one field: decodes its symbol stream and digests it beside
@@ -671,8 +669,7 @@ impl Codec {
                 Ok((f32_le_bytes(&d.data), d.stats.huffman, rest))
             }
             GetKind::Codes => {
-                let payload = field.archive().payload();
-                let r = self.codes_field(field.decoder(), payload, payload.compressed_bytes())?;
+                let r = self.codes_field(field.decoder(), field.archive().payload())?;
                 Ok((u16_le_bytes(&r.symbols), r.timings, 0.0))
             }
         };
@@ -1219,6 +1216,33 @@ mod tests {
         let chunked = other.compress_archive(&field).unwrap();
         assert!(codec.decode_payload(&chunked.payload).is_err());
         assert_eq!(codec.metrics().snapshot().decode_errors, 1);
+    }
+
+    /// `decode_bytes_in` charges a codes decode the payload's bytes, whether the codes
+    /// come from a `Compressed`, an opened field or a wave, and a data decode the whole
+    /// archive's.
+    #[test]
+    fn every_codes_decode_charges_the_payload_bytes() {
+        let codec = tiny_codec(DecoderKind::OptimizedGapArray);
+        let field = generate(&dataset_by_name("HACC").unwrap(), 30_000, 3);
+        let archive = codec.compress_archive(&field).unwrap();
+        let bytes = codec.archive_to_bytes(&archive).unwrap();
+        let handle = codec.open_archive_bytes(&bytes).unwrap();
+        let opened = handle.field(0).unwrap();
+        let charged = |decode: &dyn Fn()| {
+            let before = codec.metrics().snapshot().decode_bytes_in;
+            decode();
+            codec.metrics().snapshot().decode_bytes_in - before
+        };
+        let payload_bytes = archive.payload.compressed_bytes();
+        let codes = [
+            charged(&|| drop(codec.decode_codes(&archive).unwrap())),
+            charged(&|| drop(codec.decode_field_codes(opened).unwrap())),
+            charged(&|| drop(codec.decode_to_bytes(&[(opened, GetKind::Codes)]))),
+        ];
+        assert_eq!(codes, [payload_bytes; 3]);
+        let data = charged(&|| drop(codec.decompress(&archive).unwrap()));
+        assert_eq!(data, archive.compressed_bytes());
     }
 
     #[test]

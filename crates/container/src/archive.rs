@@ -5,16 +5,18 @@
 //! call consumes exactly one). Every read goes through the one structural walk of
 //! [`crate::inspect`] and assembles the decoder structures from the section table it
 //! yields. The [`to_bytes`] / [`from_bytes`] pair covers the common whole-buffer case.
+//! Writer and reader run one rule set (the crate docs' *Guarantees*): the writer before
+//! its first byte, the reader on what it assembled.
 
 use std::io::Write;
 
-use huffdec_core::{CompressedPayload, DecoderKind, EncodedStream, StreamLayout};
+use huffdec_core::{CompressedPayload, DecoderKind, StreamLayout};
 use huffman::Codebook;
 use sz::{Compressed, SzConfig};
 
 use crate::codec;
 use crate::dict::{CodebookDict, TuningHint, TuningHints};
-use crate::error::{ContainerError, Result};
+use crate::error::{invalid, ContainerError, Result};
 use crate::header::{FieldMeta, FormatVersion, Header, FORMAT_VERSION_V2, HEADER_WIRE_BYTES};
 use crate::inspect::{walk_archive, ArchiveInfo, ArchiveWalk};
 use crate::manifest::{ManifestEntry, SnapshotManifest};
@@ -96,7 +98,8 @@ impl<W: Write> ArchiveWriter<W> {
             .number()
     }
 
-    /// Writes one full field archive; returns its size in bytes.
+    /// Writes one full field archive; returns its size in bytes. A field that fails
+    /// [`Compressed::check_structure`] is refused before any byte is written.
     pub fn write_compressed(&mut self, compressed: &Compressed) -> Result<u64> {
         self.write_field(compressed, None)
     }
@@ -104,16 +107,12 @@ impl<W: Write> ArchiveWriter<W> {
     /// [`ArchiveWriter::write_compressed`] as a snapshot shard: dense codebooks that
     /// `dict` holds are written as references into it.
     fn write_field(&mut self, compressed: &Compressed, dict: Option<&CodebookDict>) -> Result<u64> {
+        compressed.check_structure().map_err(invalid)?;
         let meta = FieldMeta {
             error_bound: compressed.config.error_bound,
             step: compressed.step,
             dims: compressed.dims,
         };
-        if compressed.payload.num_symbols() != compressed.dims.len() {
-            return Err(ContainerError::Invalid {
-                reason: "payload symbol count does not match the dimensions",
-            });
-        }
         let header = Header {
             version: self.version_for(&compressed.payload),
             decoder: compressed.decoder(),
@@ -138,21 +137,18 @@ impl<W: Write> ArchiveWriter<W> {
     /// Writes one payload-only archive; returns its size in bytes.
     ///
     /// `decoder` must match the payload's stream format (the payload alone cannot
-    /// distinguish the two self-synchronization decoders).
+    /// distinguish the two self-synchronization decoders). A payload that fails
+    /// [`CompressedPayload::check_structure`] is refused before any byte is written.
     pub fn write_payload(
         &mut self,
         payload: &CompressedPayload,
         decoder: DecoderKind,
     ) -> Result<u64> {
-        let alphabet_size = match payload {
-            CompressedPayload::Chunked { codebook, .. } => codebook.alphabet_size(),
-            CompressedPayload::Flat(stream) => stream.codebook.alphabet_size(),
-            CompressedPayload::Hybrid(hybrid) => hybrid.symbols.codebook.alphabet_size(),
-        };
+        payload.check_structure().map_err(invalid)?;
         let header = Header {
             version: self.version_for(payload),
             decoder,
-            alphabet_size: alphabet_size as u32,
+            alphabet_size: payload.alphabet_size() as u32,
             field: None,
         };
         let mut total = self.write_header_and_payload(&header, payload, None)?;
@@ -166,21 +162,17 @@ impl<W: Write> ArchiveWriter<W> {
         payload: &CompressedPayload,
         dict: Option<&CodebookDict>,
     ) -> Result<u64> {
-        // Refuse to write anything the reader would reject, so a write-then-read of
-        // accepted input never fails: the header decoder enforces this range, assembly
+        // Refuse to write anything the reader would reject, so a write-then-read never
+        // fails. The caller ran the structure rule; the header's rules are the reader's
+        // own `Header::decode`, run on the bytes about to be written, and assembly reads
         // the decoder's stream layout.
-        if !(4..=65536).contains(&header.alphabet_size) {
-            return Err(ContainerError::Invalid {
-                reason: "alphabet size out of range",
-            });
-        }
+        let header_bytes = header.encode_with_crc();
+        Header::decode_with_crc(&header_bytes)?;
         if header.decoder.layout() != payload.layout() {
-            return Err(ContainerError::Invalid {
-                reason: "payload stream format does not match the decoder",
-            });
+            return Err(invalid("payload stream format does not match the decoder"));
         }
 
-        self.inner.write_all(&header.encode_with_crc())?;
+        self.inner.write_all(&header_bytes)?;
         let mut total = HEADER_WIRE_BYTES as u64;
         match payload {
             CompressedPayload::Chunked { encoded, codebook } => {
@@ -341,8 +333,10 @@ impl<'a> ArchiveReader<'a> {
 }
 
 /// Reassembles the decoder structures from a walked archive's section table. The walk
-/// settled framing and structure; here the header's stream layout decides which sections
-/// are allowed and which required, and each payload is parsed and validated.
+/// settled framing and the header; here the header's stream layout decides which
+/// sections are allowed and which required, each section is parsed, and the assembled
+/// field ([`Compressed::check_structure`]) or payload
+/// ([`CompressedPayload::check_structure`]) is checked by the rule the writer ran.
 /// Codebook-reference sections resolve against `dict`, the owning snapshot's dictionary.
 fn assemble(walk: &ArchiveWalk<'_>, dict: Option<&CodebookDict>) -> Result<Archive> {
     use SectionKind::{ChunkedStream, Codebook, CodebookRef, FlatStream, GapArray, HybridStream};
@@ -378,19 +372,10 @@ fn assemble(walk: &ArchiveWalk<'_>, dict: Option<&CodebookDict>) -> Result<Archi
                 &[Codebook, CodebookRef, FlatStream]
             })?;
             let codebook = dense_codebook(walk, dict)?;
-            let parts = codec::parse_flat_stream(require(FlatStream)?)?;
-            let gap_array = gaps
+            let mut stream = codec::parse_flat_stream(require(FlatStream)?, codebook)?;
+            stream.gap_array = gaps
                 .then(|| require(GapArray).and_then(codec::parse_gap_array))
                 .transpose()?;
-            let stream = EncodedStream::from_parts(
-                parts.units,
-                parts.bit_len,
-                parts.num_symbols,
-                codebook,
-                parts.geometry,
-                gap_array,
-            )
-            .map_err(|reason| ContainerError::Invalid { reason })?;
             CompressedPayload::Flat(stream)
         }
         StreamLayout::Hybrid => {
@@ -404,36 +389,35 @@ fn assemble(walk: &ArchiveWalk<'_>, dict: Option<&CodebookDict>) -> Result<Archi
 
     match header.field {
         Some(meta) => {
-            let num_elements = meta.dims.len() as u64;
-            if payload.num_symbols() as u64 != num_elements {
-                return Err(ContainerError::Invalid {
-                    reason: "symbol count does not match the dimensions",
-                });
-            }
-            let outliers = codec::parse_outliers(require(SectionKind::Outliers)?, num_elements)?;
+            let outliers = codec::parse_outliers(require(SectionKind::Outliers)?)?;
             let decoded_crc = walk
                 .section(SectionKind::DecodedCrc)
-                .map(|p| codec::parse_decoded_crc(p, num_elements))
+                .map(|p| codec::parse_decoded_crc(p, payload.num_symbols() as u64))
                 .transpose()?;
             let config = SzConfig {
                 error_bound: meta.error_bound,
                 alphabet_size: header.alphabet_size as usize,
                 decoder,
             };
-            Ok(Archive::Field(Compressed {
+            let compressed = Compressed {
                 payload,
                 outliers,
                 dims: meta.dims,
                 step: meta.step,
                 config,
                 decoded_crc,
-            }))
+            };
+            compressed.check_structure().map_err(invalid)?;
+            Ok(Archive::Field(compressed))
         }
-        None => Ok(Archive::Payload {
-            payload,
-            decoder,
-            alphabet_size: header.alphabet_size as usize,
-        }),
+        None => {
+            payload.check_structure().map_err(invalid)?;
+            Ok(Archive::Payload {
+                payload,
+                decoder,
+                alphabet_size: header.alphabet_size as usize,
+            })
+        }
     }
 }
 
@@ -445,22 +429,22 @@ fn dense_codebook(walk: &ArchiveWalk<'_>, dict: Option<&CodebookDict>) -> Result
         walk.section(SectionKind::Codebook),
         walk.section(SectionKind::CodebookRef),
     ) {
-        (Some(_), Some(_)) => Err(ContainerError::Invalid {
-            reason: "both an inline codebook and a dictionary reference",
-        }),
+        (Some(_), Some(_)) => Err(invalid(
+            "both an inline codebook and a dictionary reference",
+        )),
         (Some(inline), None) => codec::parse_codebook(inline, alphabet_size),
         (None, Some(reference)) => {
             let id = codec::parse_codebook_ref(reference)?;
-            let dict = dict.ok_or(ContainerError::Invalid {
-                reason: "codebook reference outside a snapshot with a dictionary",
-            })?;
-            let entry = dict.get(id).ok_or(ContainerError::Invalid {
-                reason: "dangling codebook dictionary id",
-            })?;
+            let dict = dict.ok_or(invalid(
+                "codebook reference outside a snapshot with a dictionary",
+            ))?;
+            let entry = dict
+                .get(id)
+                .ok_or(invalid("dangling codebook dictionary id"))?;
             if entry.alphabet_size() != alphabet_size as usize {
-                return Err(ContainerError::Invalid {
-                    reason: "dictionary codebook alphabet disagrees with the header",
-                });
+                return Err(invalid(
+                    "dictionary codebook alphabet disagrees with the header",
+                ));
             }
             Ok(entry.clone())
         }
@@ -488,9 +472,7 @@ pub fn to_bytes_as(compressed: &Compressed, version: FormatVersion) -> Result<Ve
 pub fn from_bytes(bytes: &[u8]) -> Result<Compressed> {
     match read_one_archive(bytes)? {
         Archive::Field(c) => Ok(c),
-        Archive::Payload { .. } => Err(ContainerError::Invalid {
-            reason: "expected a field archive, found payload-only",
-        }),
+        Archive::Payload { .. } => Err(invalid("expected a field archive, found payload-only")),
     }
 }
 
@@ -514,9 +496,7 @@ fn read_whole<'a>(
     let mut rest = bytes;
     let walk = walk_archive(&mut rest)?;
     if !rest.is_empty() {
-        return Err(ContainerError::Invalid {
-            reason: "trailing bytes after the archive",
-        });
+        return Err(invalid("trailing bytes after the archive"));
     }
     let archive = assemble(&walk, dict)?;
     Ok((walk, archive))
@@ -592,9 +572,7 @@ impl<'a> Snapshot<'a> {
         let mut cursor = bytes;
         let Some(manifest) = prologue_section(&mut cursor, SectionKind::Manifest)? else {
             if SectionKind::CodebookDict.leads(bytes) || SectionKind::TuningHints.leads(bytes) {
-                return Err(ContainerError::Invalid {
-                    reason: "format v2 prologue section without a manifest",
-                });
+                return Err(invalid("format v2 prologue section without a manifest"));
             }
             return Ok(Snapshot {
                 manifest: None,
@@ -613,9 +591,9 @@ impl<'a> Snapshot<'a> {
         // Every shard must lie inside the file, and the shards must cover it exactly —
         // a manifest pointing past EOF (truncated file, corrupted length) is corruption.
         if manifest.shard_bytes() != cursor.len() as u64 {
-            return Err(ContainerError::Invalid {
-                reason: "manifest shard extents disagree with the file size",
-            });
+            return Err(invalid(
+                "manifest shard extents disagree with the file size",
+            ));
         }
         Ok(Snapshot {
             manifest: Some(manifest),
@@ -690,9 +668,9 @@ impl<'a> Snapshot<'a> {
     /// Reads a field by its manifest name. Manifest-less files report a typed error —
     /// they carry no names to look up.
     pub fn read_field_by_name(&self, name: &str) -> Result<Archive> {
-        let manifest = self.manifest.as_ref().ok_or(ContainerError::Invalid {
-            reason: "archive carries no snapshot manifest; address fields by index",
-        })?;
+        let manifest = self.manifest.as_ref().ok_or(invalid(
+            "archive carries no snapshot manifest; address fields by index",
+        ))?;
         let (_, entry) = manifest
             .find(name)
             .ok_or_else(|| ContainerError::FieldNotFound {
@@ -717,9 +695,7 @@ impl<'a> Snapshot<'a> {
             && info.field.map(|meta| meta.dims) == entry.dims
             && info.decoded_crc == entry.decoded_crc;
         if !matches {
-            return Err(ContainerError::Invalid {
-                reason: "manifest entry disagrees with its shard",
-            });
+            return Err(invalid("manifest entry disagrees with its shard"));
         }
         Ok((info, archive))
     }
@@ -733,9 +709,7 @@ fn prologue_section<'a>(cursor: &mut &'a [u8], kind: SectionKind) -> Result<Opti
     }
     match next_section(cursor)? {
         (found, payload) if found == kind => Ok(Some(payload)),
-        _ => Err(ContainerError::Invalid {
-            reason: "snapshot prologue section out of place",
-        }),
+        _ => Err(invalid("snapshot prologue section out of place")),
     }
 }
 

@@ -1,22 +1,20 @@
 //! Encoding and defensive decoding of each section payload.
 //!
-//! Writers serialize trusted in-memory structures produced by the pipeline; parsers
-//! treat every field as hostile — each is bounds-checked, cross-validated against the
-//! structures it must agree with, and rejected with a typed error instead of a panic.
+//! Writers serialize in-memory structures; parsers treat every byte as hostile — each
+//! read is bounds-checked, every allocation bounded by the section size, and a defect
+//! is a typed error, never a panic. Whether the parsed parts fit together is each
+//! type's own rule ([`sz::Compressed::check_structure`]), which the archive reader runs.
 
 use huffdec_core::{
-    EncodedStream, HybridStream, StreamGeometry, HYBRID_RUN_ALPHABET, HYBRID_RUN_CAP,
+    EncodedStream, HybridStream, StreamGeometry, ALPHABET_SIZES, HYBRID_RUN_ALPHABET,
+    HYBRID_RUN_CAP,
 };
 use huffman::{ChunkMeta, ChunkedEncoded, Codebook, GapArray};
 use sz::Outlier;
 
 use crate::dict::{CodebookDict, TuningHint, TuningHints};
-use crate::error::{ContainerError, Result};
+use crate::error::{invalid, Result};
 use crate::wire::{ByteCursor, ByteWriter};
-
-fn invalid(reason: &'static str) -> ContainerError {
-    ContainerError::Invalid { reason }
-}
 
 // --- Codebook --------------------------------------------------------------------------
 
@@ -55,8 +53,7 @@ fn parse_codebook_pairs(c: &mut ByteCursor, alphabet_size: u32) -> Result<Codebo
         let len = c.get_u8()?;
         pairs.push((sym, len));
     }
-    Codebook::from_length_pairs(alphabet_size as usize, &pairs)
-        .map_err(|reason| ContainerError::Invalid { reason })
+    Codebook::from_length_pairs(alphabet_size as usize, &pairs).map_err(invalid)
 }
 
 /// Parses and validates a codebook payload for an alphabet of `alphabet_size` symbols.
@@ -89,45 +86,31 @@ fn encode_flat_prologue_into(w: &mut ByteWriter, stream: &EncodedStream) {
     }
 }
 
-/// Parsed flat-stream payload, not yet joined with its codebook and gap array.
-pub struct FlatStreamParts {
-    /// Packed 32-bit units.
-    pub units: Vec<u32>,
-    /// Valid bits in `units`.
-    pub bit_len: u64,
-    /// Encoded symbol count.
-    pub num_symbols: usize,
-    /// Stream decomposition geometry.
-    pub geometry: StreamGeometry,
-}
-
-/// Parses and validates a flat-stream payload.
-pub fn parse_flat_stream(payload: &[u8]) -> Result<FlatStreamParts> {
+/// Parses a flat-stream payload and joins it with its codebook (the gap array travels
+/// separately): byte reads and an allocation bound only.
+pub fn parse_flat_stream(payload: &[u8], codebook: Codebook) -> Result<EncodedStream> {
     let mut c = ByteCursor::new(payload, "flat-stream section");
-    let parts = parse_flat_prologue(&mut c)?;
+    let stream = parse_flat_prologue(&mut c, |_| Ok(codebook))?;
     c.expect_end("trailing bytes in flat-stream section")?;
-    Ok(parts)
+    Ok(stream)
 }
 
-/// Parses and validates one flat-stream wire layout (see [`encode_flat_prologue_into`])
-/// at the cursor.
-fn parse_flat_prologue(c: &mut ByteCursor) -> Result<FlatStreamParts> {
+/// Reads one flat-stream wire layout (see [`encode_flat_prologue_into`]), then its
+/// codebook with `codebook`: byte reads and an allocation bound only. Whether the parts
+/// fit together is [`EncodedStream::check_structure`]'s rule.
+fn parse_flat_prologue(
+    c: &mut ByteCursor,
+    codebook: impl FnOnce(&mut ByteCursor) -> Result<Codebook>,
+) -> Result<EncodedStream> {
     let bit_len = c.get_u64()?;
     let num_symbols =
         usize::try_from(c.get_u64()?).map_err(|_| invalid("symbol count exceeds usize"))?;
-    let subseq_units = c.get_u32()?;
-    let subseqs_per_seq = c.get_u32()?;
-    let geometry = StreamGeometry::checked(subseq_units, subseqs_per_seq)
-        .map_err(|reason| ContainerError::Invalid { reason })?;
-    let unit_count = c.get_u64()?;
-    if unit_count != bit_len.div_ceil(32) {
-        return Err(invalid("unit count does not cover the bit length"));
-    }
-    if num_symbols as u64 > bit_len {
-        return Err(invalid("more symbols than bits in the stream"));
-    }
+    let geometry = StreamGeometry {
+        subseq_units: c.get_u32()?,
+        subseqs_per_seq: c.get_u32()?,
+    };
     let unit_count =
-        usize::try_from(unit_count).map_err(|_| invalid("unit count exceeds usize"))?;
+        usize::try_from(c.get_u64()?).map_err(|_| invalid("unit count exceeds usize"))?;
     // Bound the allocation by what the section can actually hold before reserving: a
     // CRC-valid but hand-crafted count must not drive a huge allocation.
     if unit_count > c.remaining() / 4 {
@@ -137,11 +120,13 @@ fn parse_flat_prologue(c: &mut ByteCursor) -> Result<FlatStreamParts> {
     for _ in 0..unit_count {
         units.push(c.get_u32()?);
     }
-    Ok(FlatStreamParts {
+    Ok(EncodedStream {
         units,
         bit_len,
         num_symbols,
+        codebook: codebook(c)?,
         geometry,
+        gap_array: None,
     })
 }
 
@@ -156,14 +141,11 @@ pub fn encode_gap_array(gap: &GapArray) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Parses a gap-array payload. Consistency with the stream geometry is checked when the
-/// stream is reassembled ([`EncodedStream::from_parts`]).
+/// Parses a gap-array payload. Whether it fits the stream is
+/// [`EncodedStream::check_structure`]'s rule.
 pub fn parse_gap_array(payload: &[u8]) -> Result<GapArray> {
     let mut c = ByteCursor::new(payload, "gap-array section");
     let subseq_bits = c.get_u64()?;
-    if subseq_bits == 0 {
-        return Err(invalid("zero gap-array subsequence size"));
-    }
     let count =
         usize::try_from(c.get_u64()?).map_err(|_| invalid("gap array length exceeds usize"))?;
     let gaps = c.get_bytes(count)?.to_vec();
@@ -184,31 +166,21 @@ pub fn encode_outliers(outliers: &[Outlier]) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Parses the outlier list, requiring strictly increasing indices below `num_elements`
-/// (the order and range the reconstruction kernels rely on).
-pub fn parse_outliers(payload: &[u8], num_elements: u64) -> Result<Vec<Outlier>> {
+/// Reads the outlier list: byte reads and an allocation bound only. The range and
+/// order of the indices are [`sz::Compressed::check_structure`]'s rule, which the
+/// archive reader runs on the assembled field.
+pub fn parse_outliers(payload: &[u8]) -> Result<Vec<Outlier>> {
     let mut c = ByteCursor::new(payload, "outliers section");
     let count =
         usize::try_from(c.get_u64()?).map_err(|_| invalid("outlier count exceeds usize"))?;
-    if count as u64 > num_elements {
-        return Err(invalid("more outliers than elements"));
-    }
     // Each outlier is 16 payload bytes; bound the allocation by the section size.
     if count > c.remaining() / 16 {
         return Err(invalid("outlier count exceeds the section size"));
     }
     let mut outliers = Vec::with_capacity(count);
-    let mut last: Option<u64> = None;
     for _ in 0..count {
         let index = c.get_u64()?;
         let prequant = c.get_i64()?;
-        if index >= num_elements {
-            return Err(invalid("outlier index out of range"));
-        }
-        if last.is_some_and(|l| index <= l) {
-            return Err(invalid("outlier indices not strictly increasing"));
-        }
-        last = Some(index);
         outliers.push(Outlier { index, prequant });
     }
     c.expect_end("trailing bytes in outliers section")?;
@@ -312,7 +284,7 @@ pub fn parse_manifest(payload: &[u8]) -> Result<crate::manifest::SnapshotManifes
         let decoder = huffdec_core::DecoderKind::from_tag(c.get_u8()?)
             .ok_or_else(|| invalid("unknown decoder kind tag in the manifest"))?;
         let alphabet_size = c.get_u32()?;
-        if !(4..=65536).contains(&alphabet_size) {
+        if !ALPHABET_SIZES.contains(&(alphabet_size as usize)) {
             return Err(invalid("manifest alphabet size out of range"));
         }
         let num_symbols = c.get_u64()?;
@@ -393,9 +365,10 @@ pub fn encode_chunked_stream(encoded: &ChunkedEncoded) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Parses a chunked-stream payload, bounding every allocation by the section size, and
-/// checks the result with [`ChunkedEncoded::check_structure`], so the baseline decoder
-/// can trust every offset.
+/// Parses a chunked-stream payload, bounding every allocation by the section size.
+/// Whether the chunks tile the units and the symbols is
+/// [`ChunkedEncoded::check_structure`]'s rule, which the archive reader runs on the
+/// assembled payload.
 pub fn parse_chunked_stream(payload: &[u8]) -> Result<ChunkedEncoded> {
     let mut c = ByteCursor::new(payload, "chunked-stream section");
     let chunk_symbols =
@@ -432,14 +405,12 @@ pub fn parse_chunked_stream(payload: &[u8]) -> Result<ChunkedEncoded> {
         units.push(c.get_u32()?);
     }
     c.expect_end("trailing bytes in chunked-stream section")?;
-    let encoded = ChunkedEncoded {
+    Ok(ChunkedEncoded {
         units,
         chunks,
         chunk_symbols,
         num_symbols,
-    };
-    encoded.check_structure().map_err(invalid)?;
-    Ok(encoded)
+    })
 }
 
 // --- Hybrid stream (format v2) ---------------------------------------------------------
@@ -467,8 +438,10 @@ fn encode_hybrid_substream_into(w: &mut ByteWriter, stream: &EncodedStream) {
     encode_codebook_into(w, &stream.codebook);
 }
 
-/// Parses and validates a hybrid-stream payload for a quant alphabet of
-/// `alphabet_size` symbols (the run substream's alphabet is fixed by the format).
+/// Parses a hybrid-stream payload for a quant alphabet of `alphabet_size` symbols (the
+/// run substream's alphabet is fixed by the format). Whether the substreams fit
+/// together is [`HybridStream::check_structure`]'s rule, which the archive reader runs
+/// on the assembled payload.
 pub fn parse_hybrid_stream(payload: &[u8], alphabet_size: u32) -> Result<HybridStream> {
     let mut c = ByteCursor::new(payload, "hybrid-stream section");
     let num_codes = c.get_u64()?;
@@ -476,25 +449,15 @@ pub fn parse_hybrid_stream(payload: &[u8], alphabet_size: u32) -> Result<HybridS
     if run_cap != HYBRID_RUN_CAP as u32 {
         return Err(invalid("unsupported hybrid run cap"));
     }
-    let symbols = parse_hybrid_substream(&mut c, alphabet_size)?;
-    let runs = parse_hybrid_substream(&mut c, HYBRID_RUN_ALPHABET as u32)?;
+    let symbols = parse_flat_prologue(&mut c, |c| parse_codebook_pairs(c, alphabet_size))?;
+    let run_alphabet = HYBRID_RUN_ALPHABET as u32;
+    let runs = parse_flat_prologue(&mut c, |c| parse_codebook_pairs(c, run_alphabet))?;
     c.expect_end("trailing bytes in hybrid-stream section")?;
-    HybridStream::from_parts(symbols, runs, num_codes)
-        .map_err(|reason| ContainerError::Invalid { reason })
-}
-
-fn parse_hybrid_substream(c: &mut ByteCursor, alphabet_size: u32) -> Result<EncodedStream> {
-    let parts = parse_flat_prologue(c)?;
-    let codebook = parse_codebook_pairs(c, alphabet_size)?;
-    EncodedStream::from_parts(
-        parts.units,
-        parts.bit_len,
-        parts.num_symbols,
-        codebook,
-        parts.geometry,
-        None,
-    )
-    .map_err(|reason| ContainerError::Invalid { reason })
+    Ok(HybridStream {
+        symbols,
+        runs,
+        num_codes,
+    })
 }
 
 // --- Codebook dictionary (format v2) ---------------------------------------------------
@@ -527,7 +490,7 @@ pub fn parse_codebook_dict(payload: &[u8]) -> Result<CodebookDict> {
     let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
         let alphabet_size = c.get_u32()?;
-        if !(4..=65536).contains(&alphabet_size) {
+        if !ALPHABET_SIZES.contains(&(alphabet_size as usize)) {
             return Err(invalid("dictionary codebook alphabet size out of range"));
         }
         entries.push(parse_codebook_pairs(&mut c, alphabet_size)?);
@@ -596,12 +559,46 @@ pub fn parse_codebook_ref(payload: &[u8]) -> Result<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::header::{FieldMeta, FormatVersion, Header};
+    use crate::section::{write_section, SectionKind};
+    use crate::{read_one_archive, Archive, ContainerError};
+    use huffdec_core::DecoderKind;
     use huffman::encode_chunked;
 
     fn symbols(n: usize) -> Vec<u16> {
         (0..n as u32)
             .map(|i| (512 + ((i.wrapping_mul(2654435761) >> 22) % 16) as i32 - 8) as u16)
             .collect()
+    }
+
+    /// Reads the archive of `decoder` over 1,024 symbols with `field` and `sections`,
+    /// framed as the writer frames them but without its checks: how the reader meets
+    /// the sections these tests corrupt.
+    fn read_sections(
+        decoder: DecoderKind,
+        field: Option<FieldMeta>,
+        sections: &[(SectionKind, Vec<u8>)],
+    ) -> Result<Archive> {
+        let version = FormatVersion::lowest_for(decoder.layout()).number();
+        let header = Header {
+            version,
+            decoder,
+            alphabet_size: 1024,
+            field,
+        };
+        let mut bytes = header.encode_with_crc().to_vec();
+        for (kind, payload) in sections.iter().chain([&(SectionKind::End, Vec::new())]) {
+            write_section(&mut bytes, *kind, payload).unwrap();
+        }
+        read_one_archive(&bytes)
+    }
+
+    /// The reason the reader gives for an archive, or a panic when it accepts it.
+    fn refusal<T>(read: Result<T>) -> &'static str {
+        match read {
+            Err(ContainerError::Invalid { reason }) => reason,
+            other => panic!("expected an invalid archive, got {:?}", other.map(|_| ())),
+        }
     }
 
     #[test]
@@ -640,11 +637,7 @@ mod tests {
         let cb = Codebook::from_symbols(&syms, 1024);
         let stream = EncodedStream::encode(&cb, &syms);
         let payload = encode_flat_stream(&stream);
-        let parts = parse_flat_stream(&payload).unwrap();
-        assert_eq!(parts.units, stream.units);
-        assert_eq!(parts.bit_len, stream.bit_len);
-        assert_eq!(parts.num_symbols, stream.num_symbols);
-        assert_eq!(parts.geometry, stream.geometry);
+        assert_eq!(parse_flat_stream(&payload, cb).unwrap(), stream);
     }
 
     #[test]
@@ -655,7 +648,15 @@ mod tests {
         let mut payload = encode_flat_stream(&stream);
         // Halve the claimed bit length; the unit count no longer matches.
         payload[0..8].copy_from_slice(&(stream.bit_len / 2).to_le_bytes());
-        assert!(parse_flat_stream(&payload).is_err());
+        let read = read_sections(
+            DecoderKind::OptimizedSelfSync,
+            None,
+            &[
+                (SectionKind::Codebook, encode_codebook(&cb)),
+                (SectionKind::FlatStream, payload),
+            ],
+        );
+        assert_eq!(refusal(read), "unit count does not cover the bit length");
     }
 
     #[test]
@@ -669,11 +670,12 @@ mod tests {
         w.put_u32(4);
         w.put_u32(128);
         w.put_u64(huge); // unit count far beyond the payload size
-        assert!(parse_flat_stream(&w.into_bytes()).is_err());
+        let codebook = Codebook::from_symbols(&[0u16], 4);
+        assert!(parse_flat_stream(&w.into_bytes(), codebook).is_err());
 
         let mut w = ByteWriter::new();
         w.put_u64(huge); // outlier count
-        assert!(parse_outliers(&w.into_bytes(), u64::MAX).is_err());
+        assert!(parse_outliers(&w.into_bytes()).is_err());
     }
 
     #[test]
@@ -687,34 +689,44 @@ mod tests {
         assert_eq!(parsed.subseq_bits, gap.subseq_bits);
     }
 
+    /// Reads a field archive of 100 symbols that carries `outliers`.
+    fn field_with_outliers(outliers: &[Outlier]) -> Result<sz::Compressed> {
+        let syms = symbols(100);
+        let cb = Codebook::from_symbols(&syms, 1024);
+        let field = FieldMeta {
+            error_bound: sz::ErrorBound::Absolute(0.5),
+            step: 1.0,
+            dims: datasets::Dims::D1(100),
+        };
+        let sections = [
+            (SectionKind::Codebook, encode_codebook(&cb)),
+            (
+                SectionKind::FlatStream,
+                encode_flat_stream(&EncodedStream::encode(&cb, &syms)),
+            ),
+            (SectionKind::Outliers, encode_outliers(outliers)),
+        ];
+        let archive = read_sections(DecoderKind::OptimizedSelfSync, Some(field), &sections)?;
+        Ok(archive.into_field().expect("a field archive"))
+    }
+
     #[test]
     fn outliers_roundtrip_and_ordering() {
-        let outliers = vec![
-            Outlier {
-                index: 3,
-                prequant: -1000,
-            },
-            Outlier {
-                index: 77,
-                prequant: 123456789,
-            },
-        ];
+        let outlier = |index, prequant| Outlier { index, prequant };
+        let outliers = vec![outlier(3, -1000), outlier(77, 123456789)];
         let payload = encode_outliers(&outliers);
-        assert_eq!(parse_outliers(&payload, 100).unwrap(), outliers);
-        // Out-of-range index rejected.
-        assert!(parse_outliers(&payload, 50).is_err());
-        // Unsorted list rejected.
-        let unsorted = vec![
-            Outlier {
-                index: 77,
-                prequant: 1,
-            },
-            Outlier {
-                index: 3,
-                prequant: 2,
-            },
-        ];
-        assert!(parse_outliers(&encode_outliers(&unsorted), 100).is_err());
+        assert_eq!(parse_outliers(&payload).unwrap(), outliers);
+        let mut field = field_with_outliers(&outliers).unwrap();
+        assert_eq!(field.outliers, outliers);
+        // An out-of-range index and an unsorted list are rejected by the field's rule.
+        for bad in [
+            vec![outlier(3, -1000), outlier(100, 1)],
+            vec![outlier(77, 1), outlier(3, 2)],
+        ] {
+            field.outliers = bad.clone();
+            let rule = field.check_structure().unwrap_err();
+            assert_eq!(refusal(field_with_outliers(&bad)), rule);
+        }
     }
 
     #[test]
@@ -795,11 +807,18 @@ mod tests {
         let mut unit_short = enc;
         unit_short.units.pop();
         for bad in [gapped, unit_short] {
-            assert!(matches!(
-                parse_chunked_stream(&encode_chunked_stream(&bad)),
-                Err(ContainerError::Invalid { .. })
-            ));
+            let rule = bad.check_structure().unwrap_err();
+            assert_eq!(refusal(read_chunked(&cb, &bad)), rule);
         }
+    }
+
+    /// Reads a payload-only baseline archive of `encoded`.
+    fn read_chunked(codebook: &Codebook, encoded: &ChunkedEncoded) -> Result<Archive> {
+        let sections = [
+            (SectionKind::Codebook, encode_codebook(codebook)),
+            (SectionKind::ChunkedStream, encode_chunked_stream(encoded)),
+        ];
+        read_sections(DecoderKind::CuszBaseline, None, &sections)
     }
 
     #[test]
@@ -808,7 +827,8 @@ mod tests {
         let cb = Codebook::from_symbols(&syms, 1024);
         let mut enc = encode_chunked(&cb, &syms, 1024);
         enc.num_symbols += 1;
-        assert!(parse_chunked_stream(&encode_chunked_stream(&enc)).is_err());
+        let reason = refusal(read_chunked(&cb, &enc));
+        assert_eq!(reason, "chunk symbol counts do not sum to the stream total");
     }
 
     fn sample_hybrid() -> HybridStream {
@@ -860,10 +880,13 @@ mod tests {
 
     #[test]
     fn hybrid_stream_with_inconsistent_population_rejected() {
-        // Claim fewer codes than nonzero symbols: from_parts must reject on parse.
+        // Claim fewer codes than nonzero symbols: the reader must reject it.
         let mut payload = encode_hybrid_stream(&sample_hybrid());
         payload[0..8].copy_from_slice(&1u64.to_le_bytes());
-        assert!(parse_hybrid_stream(&payload, 1024).is_err());
+        let sections = [(SectionKind::HybridStream, payload)];
+        let read = read_sections(DecoderKind::RleHybrid, None, &sections);
+        let reason = "more nonzero symbols than codes in the hybrid stream";
+        assert_eq!(refusal(read), reason);
     }
 
     #[test]

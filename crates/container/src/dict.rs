@@ -17,11 +17,7 @@
 use huffdec_core::DecoderKind;
 use huffman::Codebook;
 
-use crate::error::{ContainerError, Result};
-
-fn invalid(reason: &'static str) -> ContainerError {
-    ContainerError::Invalid { reason }
-}
+use crate::error::{invalid, Result};
 
 /// The deduplicated snapshot-level codebook table of a format-v2 snapshot.
 ///

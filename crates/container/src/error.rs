@@ -12,6 +12,11 @@ use crate::section::SectionKind;
 /// Result alias for container operations.
 pub type Result<T> = std::result::Result<T, ContainerError>;
 
+/// The [`ContainerError::Invalid`] of a structure rule's reason.
+pub(crate) fn invalid(reason: &'static str) -> ContainerError {
+    ContainerError::Invalid { reason }
+}
+
 /// Everything that can go wrong reading or writing an `HFZ1` archive.
 #[derive(Debug)]
 pub enum ContainerError {

@@ -27,10 +27,10 @@
 //! so a version-1 header carrying its tag is rejected as invalid rather than misread.
 
 use datasets::Dims;
-use huffdec_core::{DecoderKind, StreamLayout};
+use huffdec_core::{DecoderKind, StreamLayout, ALPHABET_SIZES};
 use sz::ErrorBound;
 
-use crate::error::{ContainerError, Result};
+use crate::error::{invalid, ContainerError, Result};
 use crate::wire::{ByteCursor, ByteWriter};
 
 /// The four magic bytes opening every version-1 archive.
@@ -203,33 +203,24 @@ impl Header {
         let version = c.get_u16()?;
         check_magic_and_version(magic, version)?;
         let decoder_tag = c.get_u8()?;
-        let decoder = DecoderKind::from_tag(decoder_tag).ok_or(ContainerError::Invalid {
-            reason: "unknown decoder kind tag",
-        })?;
+        let decoder =
+            DecoderKind::from_tag(decoder_tag).ok_or(invalid("unknown decoder kind tag"))?;
         if version < FormatVersion::lowest_for(decoder.layout()).number() {
-            return Err(ContainerError::Invalid {
-                reason: "hybrid decoder requires format version 2",
-            });
+            return Err(invalid("hybrid decoder requires format version 2"));
         }
         let flags = c.get_u8()?;
         if flags & !FLAG_FIELD_METADATA != 0 {
-            return Err(ContainerError::Invalid {
-                reason: "unknown header flag bits",
-            });
+            return Err(invalid("unknown header flag bits"));
         }
         let eb_mode = c.get_u8()?;
         let ndim = c.get_u8()?;
         let reserved = c.get_u16()?;
         if reserved != 0 {
-            return Err(ContainerError::Invalid {
-                reason: "non-zero reserved header bytes",
-            });
+            return Err(invalid("non-zero reserved header bytes"));
         }
         let alphabet_size = c.get_u32()?;
-        if !(4..=65536).contains(&alphabet_size) {
-            return Err(ContainerError::Invalid {
-                reason: "alphabet size out of range",
-            });
+        if !ALPHABET_SIZES.contains(&(alphabet_size as usize)) {
+            return Err(invalid("alphabet size out of range"));
         }
         let eb_value = c.get_f64()?;
         let step = c.get_f64()?;
@@ -239,47 +230,33 @@ impl Header {
         }
 
         let field = if flags & FLAG_FIELD_METADATA != 0 {
-            let error_bound =
-                ErrorBound::from_wire_parts(eb_mode, eb_value).ok_or(ContainerError::Invalid {
-                    reason: "invalid error-bound encoding",
-                })?;
+            let error_bound = ErrorBound::from_wire_parts(eb_mode, eb_value)
+                .ok_or(invalid("invalid error-bound encoding"))?;
             if !step.is_finite() || step <= 0.0 {
-                return Err(ContainerError::Invalid {
-                    reason: "non-positive quantization step",
-                });
+                return Err(invalid("non-positive quantization step"));
             }
             if !(1..=4).contains(&ndim) {
-                return Err(ContainerError::Invalid {
-                    reason: "dimensionality out of range",
-                });
+                return Err(invalid("dimensionality out of range"));
             }
             let extents = &raw_dims[..ndim as usize];
             if extents.contains(&0) {
-                return Err(ContainerError::Invalid {
-                    reason: "zero-sized dimension",
-                });
+                return Err(invalid("zero-sized dimension"));
             }
             if raw_dims[ndim as usize..].iter().any(|&e| e != 0) {
-                return Err(ContainerError::Invalid {
-                    reason: "non-zero unused dimension slot",
-                });
+                return Err(invalid("non-zero unused dimension slot"));
             }
             let mut product: u64 = 1;
             for &e in extents {
                 product = product
                     .checked_mul(e)
                     .filter(|&p| p <= MAX_ELEMENTS)
-                    .ok_or(ContainerError::Invalid {
-                        reason: "element count overflows",
-                    })?;
+                    .ok_or(invalid("element count overflows"))?;
             }
             let usized: Vec<usize> = extents
                 .iter()
                 .map(|&e| usize::try_from(e))
                 .collect::<std::result::Result<_, _>>()
-                .map_err(|_| ContainerError::Invalid {
-                    reason: "dimension exceeds usize",
-                })?;
+                .map_err(|_| invalid("dimension exceeds usize"))?;
             Some(FieldMeta {
                 error_bound,
                 step,
@@ -287,14 +264,10 @@ impl Header {
             })
         } else {
             if eb_mode != 0 || ndim != 0 || eb_value != 0.0 || step != 0.0 {
-                return Err(ContainerError::Invalid {
-                    reason: "field metadata fields set without the field flag",
-                });
+                return Err(invalid("field metadata fields set without the field flag"));
             }
             if raw_dims.iter().any(|&e| e != 0) {
-                return Err(ContainerError::Invalid {
-                    reason: "dimensions set without the field flag",
-                });
+                return Err(invalid("dimensions set without the field flag"));
             }
             None
         };

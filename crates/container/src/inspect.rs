@@ -16,14 +16,16 @@
 //! * **The summary** ([`read_info`] and the load path): a stream section must exist,
 //!   because the symbol count is read from it.
 //! * **Assembly** (`open` only, in [`crate::archive`]): which sections the header's
-//!   decoder kind allows and requires, and everything inside a payload — codebooks,
-//!   stream geometry, outliers, dictionary references.
+//!   decoder kind allows and requires, and everything inside a payload — codebooks and
+//!   dictionary references as they are parsed, then stream geometry, tiling and
+//!   outliers by the assembled field's own rule (`sz::Compressed::check_structure`),
+//!   which the writer runs too.
 
 use std::fmt;
 
 use huffdec_core::DecoderKind;
 
-use crate::error::{ContainerError, Result};
+use crate::error::{invalid, ContainerError, Result};
 use crate::header::{FieldMeta, Header, FORMAT_VERSION_V2, HEADER_WIRE_BYTES};
 use crate::section::{next_section, take, SectionKind, CRC_BYTES, FRAME_BYTES};
 use crate::wire::ByteCursor;
@@ -229,22 +231,14 @@ pub(crate) fn walk_archive<'a>(input: &mut &'a [u8]) -> Result<ArchiveWalk<'a>> 
     loop {
         let (kind, payload) = next_section(input)?;
         if kind.requires_v2() && header.version < FORMAT_VERSION_V2 {
-            return Err(ContainerError::Invalid {
-                reason: "format v2 section in a version-1 archive",
-            });
+            return Err(invalid("format v2 section in a version-1 archive"));
         }
         match kind {
             SectionKind::Manifest | SectionKind::CodebookDict | SectionKind::TuningHints => {
-                return Err(ContainerError::Invalid {
-                    reason: "snapshot prologue section inside an archive",
-                })
+                return Err(invalid("snapshot prologue section inside an archive"))
             }
             SectionKind::End if payload.is_empty() => break,
-            SectionKind::End => {
-                return Err(ContainerError::Invalid {
-                    reason: "end section carries a payload",
-                })
-            }
+            SectionKind::End => return Err(invalid("end section carries a payload")),
             _ if sections.iter().any(|(seen, _)| *seen == kind) => {
                 return Err(ContainerError::DuplicateSection { section: kind })
             }

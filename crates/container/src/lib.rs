@@ -74,10 +74,9 @@
 //! carries {codebook, chunked stream}; a `Flat` one (both self-sync decoders) {codebook,
 //! flat stream}; a `FlatWithGaps` one (gap-array decoder) {codebook, flat stream, gap
 //! array}; a `Hybrid` one (v2 only, [`FormatVersion::lowest_for`]) a single {hybrid
-//! stream} section whose two substreams embed their own codebooks. The writer refuses a
-//! payload whose layout is not its decoder's. Inside a v2 snapshot with a
-//! codebook dictionary, dense shards may replace the inline codebook with a {codebook
-//! ref}. Field archives additionally carry {outliers} and, since the
+//! stream} section whose two substreams embed their own codebooks. Inside a v2 snapshot
+//! with a codebook dictionary, dense shards may replace the inline codebook with a
+//! {codebook ref}. Field archives additionally carry {outliers} and, since the
 //! trailer was introduced, {decoded crc} — a digest over the *decoded* quantization
 //! codes, which `hfz verify --deep` checks so that archives whose sections are
 //! individually CRC-valid but decode to the wrong symbols are caught. Anything else —
@@ -95,6 +94,11 @@
 //!   flips, lying lengths, and semantically invalid fields (Kraft-violating codebooks,
 //!   out-of-range outliers, non-tiling chunks) all surface as typed
 //!   [`ContainerError`]s.
+//! * **One rule set, on write as on read** — the section parsers ([`codec`]) only read
+//!   bytes and bound allocations. The rules live in [`Header::decode`],
+//!   [`huffdec_core::CompressedPayload::check_structure`] and
+//!   [`sz::Compressed::check_structure`]: the reader runs them on what it assembled,
+//!   the writer before its first byte, refusing with the reader's reason.
 //! * **Versioning** — readers reject archives with a format version they do not
 //!   understand instead of misparsing them; decoder and section tags are append-only.
 //!

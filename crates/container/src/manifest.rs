@@ -26,13 +26,9 @@ use std::collections::HashSet;
 use datasets::Dims;
 use huffdec_core::DecoderKind;
 
-use crate::error::{ContainerError, Result};
+use crate::error::{invalid, Result};
 use crate::json::JsonWriter;
 use crate::section::SectionKind;
-
-fn invalid(reason: &'static str) -> ContainerError {
-    ContainerError::Invalid { reason }
-}
 
 /// One field of a snapshot, as recorded in the manifest.
 #[derive(Debug, Clone, PartialEq)]

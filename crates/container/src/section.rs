@@ -19,7 +19,7 @@
 use std::fmt;
 use std::io::Write;
 
-use crate::error::{ContainerError, Result};
+use crate::error::{invalid, ContainerError, Result};
 use huffdec_core::{crc32, Crc32};
 
 /// Tags of the section types (tags 0–7 are format version 1; 8–11 were added by
@@ -147,15 +147,11 @@ pub fn next_section<'a>(input: &mut &'a [u8]) -> Result<(SectionKind, &'a [u8])>
     let kind =
         SectionKind::from_tag(frame[0]).ok_or(ContainerError::UnknownSection { tag: frame[0] })?;
     if frame[1..4] != [0, 0, 0] {
-        return Err(ContainerError::Invalid {
-            reason: "non-zero reserved frame bytes",
-        });
+        return Err(invalid("non-zero reserved frame bytes"));
     }
     let len = u64::from_le_bytes(frame[4..12].try_into().expect("8 bytes"));
     if len > MAX_SECTION_BYTES {
-        return Err(ContainerError::Invalid {
-            reason: "section length exceeds the format limit",
-        });
+        return Err(invalid("section length exceeds the format limit"));
     }
     // A lying length runs out of input here, before anything is sized by it.
     let len = usize::try_from(len).unwrap_or(usize::MAX);

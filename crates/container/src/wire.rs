@@ -5,7 +5,7 @@
 //! [`ContainerError::Truncated`] with the context of
 //! the structure being read, never a panic.
 
-use crate::error::{ContainerError, Result};
+use crate::error::{invalid, ContainerError, Result};
 
 /// An append-only little-endian byte buffer.
 #[derive(Debug, Default)]
@@ -153,7 +153,7 @@ impl<'a> ByteCursor<'a> {
     /// trailing garbage in a section is treated as corruption, not ignored.
     pub fn expect_end(&self, reason: &'static str) -> Result<()> {
         if self.remaining() != 0 {
-            return Err(ContainerError::Invalid { reason });
+            return Err(invalid(reason));
         }
         Ok(())
     }

@@ -191,6 +191,27 @@ impl CompressedPayload {
         }
     }
 
+    /// Checks the structure every consumer relies on, by the layout's own rule. The
+    /// fields are public, so the container's writer and reader and every decode entry
+    /// point (through `check_payload`) make this one call.
+    pub fn check_structure(&self) -> Result<(), &'static str> {
+        match self {
+            CompressedPayload::Chunked { encoded, .. } => encoded.check_structure(),
+            CompressedPayload::Flat(stream) => stream.check_structure(),
+            CompressedPayload::Hybrid(hybrid) => hybrid.check_structure(),
+        }
+    }
+
+    /// The quantization alphabet the payload's codebook covers (the nonzero-symbol
+    /// codebook's, for a hybrid).
+    pub fn alphabet_size(&self) -> usize {
+        match self {
+            CompressedPayload::Chunked { codebook, .. } => codebook.alphabet_size(),
+            CompressedPayload::Flat(stream) => stream.codebook.alphabet_size(),
+            CompressedPayload::Hybrid(hybrid) => hybrid.symbols.codebook.alphabet_size(),
+        }
+    }
+
     /// Number of encoded symbols.
     pub fn num_symbols(&self) -> usize {
         match self {
@@ -267,13 +288,13 @@ pub enum DecodeError {
         /// What the substreams disagree about.
         reason: &'static str,
     },
-    /// The stream is malformed ([`ChunkedEncoded::check_structure`] or
-    /// [`EncodedStream::check_structure`] refuses it) or does not decode to the symbol
-    /// count it declares: a codeword that resolves to no symbol, bits that run out
-    /// early, or a count that disagrees with the bits.
-    /// Reachable from CRC-valid archives whose sections are individually well-formed,
-    /// and from streams built by hand, so it is an error, never a panic or a silently
-    /// short (or long) field.
+    /// The stream is malformed ([`CompressedPayload::check_structure`], or
+    /// [`EncodedStream::check_structure`] for a lone stream, refuses it) or does not
+    /// decode to the symbol count it declares: a codeword that resolves to no symbol,
+    /// bits that run out early, or a count that disagrees with the bits. Reachable from
+    /// CRC-valid archives whose sections are individually well-formed, and from streams
+    /// built by hand, so it is an error, never a panic or a silently short (or long)
+    /// field.
     CorruptStream {
         /// The decoder that was asked to run.
         decoder: DecoderKind,
@@ -361,45 +382,29 @@ impl CheckedPayload<'_> {
 /// Returns [`DecodeError::PayloadMismatch`] for any other pair — a chunked payload handed
 /// to a fine-grained decoder, a gap-array decoder given a stream without a gap array, a
 /// hybrid payload with a dense decoder or the reverse. Such pairs can reach a decode
-/// from CRC-valid but inconsistent archives. A chunked stream that fails
-/// [`ChunkedEncoded::check_structure`], or a flat stream or either substream of a hybrid
-/// that fails [`EncodedStream::check_structure`], is a [`DecodeError::CorruptStream`]:
-/// the fields are public, so a hand-built payload reaches the kernels only through here.
+/// from CRC-valid but inconsistent archives. A payload that then fails
+/// [`CompressedPayload::check_structure`] is a [`DecodeError::CorruptStream`]: the
+/// fields are public, so a hand-built payload reaches the kernels only through here.
 pub(crate) fn check_payload(
     kind: DecoderKind,
     payload: &CompressedPayload,
 ) -> Result<CheckedPayload<'_>, DecodeError> {
-    match (kind.layout(), payload) {
+    let checked = match (kind.layout(), payload) {
         (StreamLayout::Chunked, CompressedPayload::Chunked { encoded, codebook }) => {
-            let corrupt = |_| DecodeError::CorruptStream { decoder: kind };
-            encoded.check_structure().map_err(corrupt)?;
-            Ok(CheckedPayload::Chunked { encoded, codebook })
+            CheckedPayload::Chunked { encoded, codebook }
         }
-        (StreamLayout::Flat, CompressedPayload::Flat(stream)) => {
-            Ok(CheckedPayload::Flat(checked_flat(kind, stream)?))
-        }
+        (StreamLayout::Flat, CompressedPayload::Flat(stream)) => CheckedPayload::Flat(stream),
         (StreamLayout::FlatWithGaps, CompressedPayload::Flat(stream))
             if stream.gap_array.is_some() =>
         {
-            Ok(CheckedPayload::Flat(checked_flat(kind, stream)?))
+            CheckedPayload::Flat(stream)
         }
-        (StreamLayout::Hybrid, CompressedPayload::Hybrid(hybrid)) => {
-            checked_flat(kind, &hybrid.symbols)?;
-            checked_flat(kind, &hybrid.runs)?;
-            Ok(CheckedPayload::Hybrid(hybrid))
-        }
-        _ => Err(DecodeError::PayloadMismatch { decoder: kind }),
-    }
-}
-
-/// `stream` when [`EncodedStream::check_structure`] accepts it, or a
-/// [`DecodeError::CorruptStream`] for `kind`.
-pub(crate) fn checked_flat(
-    kind: DecoderKind,
-    stream: &EncodedStream,
-) -> Result<&EncodedStream, DecodeError> {
+        (StreamLayout::Hybrid, CompressedPayload::Hybrid(hybrid)) => CheckedPayload::Hybrid(hybrid),
+        _ => return Err(DecodeError::PayloadMismatch { decoder: kind }),
+    };
     let corrupt = |_| DecodeError::CorruptStream { decoder: kind };
-    stream.check_structure().map(|()| stream).map_err(corrupt)
+    payload.check_structure().map_err(corrupt)?;
+    Ok(checked)
 }
 
 /// Decodes `payload` with the method `kind`, returning the symbols and the simulated

@@ -16,6 +16,10 @@
 
 use huffman::{compute_gap_array, encode_flat, Codebook, FlatEncoded, GapArray};
 
+/// The quantization alphabet sizes an archive may declare, and a field may be quantized
+/// over: at least four bins, and no more than 16-bit symbols can name.
+pub const ALPHABET_SIZES: std::ops::RangeInclusive<usize> = 4..=65536;
+
 /// Default units per subsequence (4 × 32 bits = 128 bits), as in the paper.
 pub const DEFAULT_SUBSEQ_UNITS: u32 = 4;
 /// Default threads per block = subsequences per sequence.
@@ -122,21 +126,6 @@ impl Default for StreamGeometry {
 }
 
 impl StreamGeometry {
-    /// Builds a geometry from untrusted values (e.g. a deserialized archive header),
-    /// rejecting degenerate or absurd decompositions instead of trusting them.
-    pub fn checked(subseq_units: u32, subseqs_per_seq: u32) -> Result<Self, &'static str> {
-        if subseq_units == 0 || subseqs_per_seq == 0 {
-            return Err("stream geometry must be non-zero");
-        }
-        if subseq_units > 1 << 16 || subseqs_per_seq > 1 << 16 {
-            return Err("stream geometry out of range");
-        }
-        Ok(StreamGeometry {
-            subseq_units,
-            subseqs_per_seq,
-        })
-    }
-
     /// Bits per subsequence.
     pub fn subseq_bits(&self) -> u64 {
         self.subseq_units as u64 * 32
@@ -226,36 +215,21 @@ impl EncodedStream {
         }
     }
 
-    /// Reassembles a stream from deserialized parts, validating its structure
-    /// ([`EncodedStream::check_structure`]) instead of trusting the source (archives can
-    /// be truncated or corrupted).
-    pub fn from_parts(
-        units: Vec<u32>,
-        bit_len: u64,
-        num_symbols: usize,
-        codebook: Codebook,
-        geometry: StreamGeometry,
-        gap_array: Option<GapArray>,
-    ) -> Result<Self, &'static str> {
-        let stream = EncodedStream {
-            units,
-            bit_len,
-            num_symbols,
-            codebook,
-            geometry,
-            gap_array,
-        };
-        stream.check_structure()?;
-        Ok(stream)
-    }
-
-    /// Checks the structure every decoder relies on: a geometry
-    /// [`StreamGeometry::checked`] accepts, units that exactly cover `bit_len`, no more
-    /// symbols than bits, and a gap array, if any, that fits the subsequences. The
-    /// fields are public, so every decode entry point runs this check too.
+    /// Checks the structure every decoder relies on: a geometry neither degenerate nor
+    /// absurd, units that exactly cover `bit_len`, no more symbols than bits, and a gap
+    /// array, if any, that fits the subsequences: the flat layout's rule, which
+    /// [`crate::CompressedPayload::check_structure`] runs.
     pub fn check_structure(&self) -> Result<(), &'static str> {
-        let geometry = self.geometry;
-        StreamGeometry::checked(geometry.subseq_units, geometry.subseqs_per_seq)?;
+        let StreamGeometry {
+            subseq_units,
+            subseqs_per_seq,
+        } = self.geometry;
+        if subseq_units == 0 || subseqs_per_seq == 0 {
+            return Err("stream geometry must be non-zero");
+        }
+        if subseq_units > 1 << 16 || subseqs_per_seq > 1 << 16 {
+            return Err("stream geometry out of range");
+        }
         if self.units.len() as u64 != self.bit_len.div_ceil(32) {
             return Err("unit count does not cover the bit length");
         }
@@ -263,7 +237,7 @@ impl EncodedStream {
             return Err("more symbols than bits in the stream");
         }
         if let Some(gap) = &self.gap_array {
-            if gap.subseq_bits != geometry.subseq_bits() {
+            if gap.subseq_bits != self.geometry.subseq_bits() {
                 return Err("gap array subsequence size does not match the geometry");
             }
             if gap.len() != self.num_subseqs() {
@@ -339,32 +313,43 @@ pub struct HybridStream {
 }
 
 impl HybridStream {
-    /// Assembles a hybrid payload from deserialized parts, validating the structural
-    /// invariants shared by every consumer: substreams must be gap-free flat streams,
-    /// the run codebook must cover the token alphabet, and the stream populations must
-    /// be mutually consistent (full token/symbol agreement is checked at decode time).
+    /// Assembles a hybrid payload from its substreams, refusing parts that fail
+    /// [`HybridStream::check_structure`].
     pub fn from_parts(
         symbols: EncodedStream,
         runs: EncodedStream,
         num_codes: u64,
     ) -> Result<Self, &'static str> {
-        if symbols.gap_array.is_some() || runs.gap_array.is_some() {
-            return Err("hybrid substreams must not carry gap arrays");
-        }
-        if runs.codebook.alphabet_size() != HYBRID_RUN_ALPHABET {
-            return Err("hybrid run codebook alphabet is not the token alphabet");
-        }
-        if symbols.num_symbols as u64 > num_codes {
-            return Err("more nonzero symbols than codes in the hybrid stream");
-        }
-        if (num_codes > 0) != (runs.num_symbols > 0) {
-            return Err("hybrid run-token population disagrees with the code count");
-        }
-        Ok(HybridStream {
+        let hybrid = HybridStream {
             symbols,
             runs,
             num_codes,
-        })
+        };
+        hybrid.check_structure()?;
+        Ok(hybrid)
+    }
+
+    /// Checks the structure shared by every consumer: both substreams pass
+    /// [`EncodedStream::check_structure`] and carry no gap array, the run codebook
+    /// covers the token alphabet, and the stream populations are mutually consistent
+    /// (full token/symbol agreement is checked at decode time): the hybrid layout's
+    /// rule, which [`crate::CompressedPayload::check_structure`] runs.
+    pub fn check_structure(&self) -> Result<(), &'static str> {
+        self.symbols.check_structure()?;
+        self.runs.check_structure()?;
+        if self.symbols.gap_array.is_some() || self.runs.gap_array.is_some() {
+            return Err("hybrid substreams must not carry gap arrays");
+        }
+        if self.runs.codebook.alphabet_size() != HYBRID_RUN_ALPHABET {
+            return Err("hybrid run codebook alphabet is not the token alphabet");
+        }
+        if self.symbols.num_symbols as u64 > self.num_codes {
+            return Err("more nonzero symbols than codes in the hybrid stream");
+        }
+        if (self.num_codes > 0) != (self.runs.num_symbols > 0) {
+            return Err("hybrid run-token population disagrees with the code count");
+        }
+        Ok(())
     }
 
     /// Size of the uncompressed quant codes in bytes (2 bytes per code).

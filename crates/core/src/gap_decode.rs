@@ -15,7 +15,7 @@ use gpu_sim::{cost, Backend, BlockContext, BlockKernel, DeviceBuffer, LaunchConf
 use huffman::{BitReader, Codebook};
 
 use crate::decode_write::{DecodeWriteKernel, WriteStrategy};
-use crate::decoder::{checked_flat, CheckedPayload, DecodeError, DecoderKind};
+use crate::decoder::{CheckedPayload, DecodeError, DecoderKind};
 use crate::format::EncodedStream;
 use crate::phases::PhaseBreakdown;
 use crate::range::prepare_checked;
@@ -177,10 +177,12 @@ pub fn decode_original_gap8(
     g8: &Gap8Stream,
 ) -> Result<(Vec<u8>, PhaseBreakdown), DecodeError> {
     let kind = DecoderKind::OptimizedGapArray;
-    let stream = match g8.stream.gap_array {
-        Some(_) => checked_flat(kind, &g8.stream)?,
-        None => return Err(DecodeError::PayloadMismatch { decoder: kind }),
-    };
+    let stream = &g8.stream;
+    if stream.gap_array.is_none() {
+        return Err(DecodeError::PayloadMismatch { decoder: kind });
+    }
+    let corrupt = |_| DecodeError::CorruptStream { decoder: kind };
+    stream.check_structure().map_err(corrupt)?;
     let prepared = prepare_checked(gpu, kind, CheckedPayload::Flat(stream))?;
     let (infos, output_index) = prepared.flat_index(kind, stream)?;
     let output = DeviceBuffer::<u16>::zeroed(stream.num_symbols);

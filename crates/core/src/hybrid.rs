@@ -30,11 +30,11 @@
 //! A hybrid payload has no per-block entry point, so [`crate::prepare_decode`] and
 //! [`crate::decode_range`] refuse it with [`DecodeError::PayloadMismatch`].
 //!
-//! Structural defects — token/symbol populations that cannot reassemble exactly
-//! `num_codes` codes — surface as [`DecodeError::InvalidHybrid`], and a substream whose
-//! bits do not decode to its declared count as [`DecodeError::CorruptStream`]; never a
-//! panic: like every payload-level check, they can be reached from CRC-valid but
-//! hand-assembled archives.
+//! A payload that fails [`HybridStream::check_structure`], or a substream whose bits do
+//! not decode to its declared count, surfaces as [`DecodeError::CorruptStream`], and
+//! token/symbol populations that cannot reassemble exactly `num_codes` codes as
+//! [`DecodeError::InvalidHybrid`]; never a panic: like every payload-level check, they
+//! can be reached from CRC-valid but hand-assembled archives.
 
 use gpu_sim::{
     cost, primitives::device_exclusive_prefix_sum, Backend, BlockContext, BlockKernel,
@@ -42,9 +42,7 @@ use gpu_sim::{
 };
 use huffman::Codebook;
 
-use crate::decoder::{
-    checked_flat, decode_checked, CheckedPayload, CompressedPayload, DecodeError, DecoderKind,
-};
+use crate::decoder::{decode_checked, CheckedPayload, CompressedPayload, DecodeError, DecoderKind};
 use crate::encode::{compress_on, EncodePhaseBreakdown};
 use crate::format::{EncodedStream, HybridStream, HYBRID_RUN_ALPHABET, HYBRID_RUN_CAP};
 use crate::phases::{DecodeResult, PhaseBreakdown};
@@ -255,20 +253,21 @@ impl BlockKernel for RleExpandKernel<'_> {
     }
 }
 
-/// Decodes one substream in place with the optimized self-synchronization decoder,
-/// which every flat stream is compatible with, or returns an empty result without
-/// touching the device when it encodes nothing. A malformed substream is a
-/// [`DecodeError::CorruptStream`] here too, since [`decode_hybrid`] is public.
+/// Decodes one substream, which [`decode_hybrid`] checked, in place with the optimized
+/// self-synchronization decoder (every flat stream is compatible with it), or returns
+/// an empty result without touching the device when it encodes nothing.
 fn decode_substream(
     gpu: &dyn Backend,
     stream: &EncodedStream,
 ) -> Result<DecodeResult, DecodeError> {
-    let kind = DecoderKind::OptimizedSelfSync;
-    let stream = checked_flat(kind, stream)?;
     if stream.num_symbols == 0 {
         return Ok(DecodeResult::default());
     }
-    decode_checked(gpu, kind, CheckedPayload::Flat(stream))
+    decode_checked(
+        gpu,
+        DecoderKind::OptimizedSelfSync,
+        CheckedPayload::Flat(stream),
+    )
 }
 
 /// Decodes an RLE+Huffman hybrid payload on the backend: what [`crate::decode`] runs
@@ -280,14 +279,19 @@ fn decode_substream(
 /// returned breakdown merges the substream phases with the expansion work (prefix sums
 /// under `output_index`, the expansion kernel under `decode_write`).
 ///
+/// A payload that fails [`HybridStream::check_structure`] (this function is public, so
+/// it runs the rule itself), or a substream whose bits do not decode to its own
+/// declared symbol count, is a [`DecodeError::CorruptStream`] of the substream decoder.
 /// Substreams that cannot reassemble exactly `hybrid.num_codes` codes — mismatched
-/// token/symbol populations in either direction — are reported as
-/// [`DecodeError::InvalidHybrid`]; a substream whose bits do not decode to its own
-/// declared symbol count is a [`DecodeError::CorruptStream`], as for any flat stream.
+/// token/symbol populations in either direction — are [`DecodeError::InvalidHybrid`].
 pub fn decode_hybrid(
     gpu: &dyn Backend,
     hybrid: &HybridStream,
 ) -> Result<DecodeResult, DecodeError> {
+    let decoder = DecoderKind::OptimizedSelfSync;
+    hybrid
+        .check_structure()
+        .map_err(|_| DecodeError::CorruptStream { decoder })?;
     if hybrid.num_codes == 0 {
         return Ok(DecodeResult::default());
     }

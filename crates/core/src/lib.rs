@@ -84,8 +84,8 @@ pub use decode_write::WriteStrategy;
 pub use decoder::{compress_for, decode, roundtrip, CompressedPayload, DecodeError, DecoderKind};
 pub use encode::{compress_counted_on, compress_on, EncodePhaseBreakdown};
 pub use format::{
-    wire, EncodedStream, HybridStream, StreamGeometry, StreamLayout, DEFAULT_SUBSEQ_UNITS,
-    DEFAULT_THREADS_PER_BLOCK, HYBRID_RUN_ALPHABET, HYBRID_RUN_CAP,
+    wire, EncodedStream, HybridStream, StreamGeometry, StreamLayout, ALPHABET_SIZES,
+    DEFAULT_SUBSEQ_UNITS, DEFAULT_THREADS_PER_BLOCK, HYBRID_RUN_ALPHABET, HYBRID_RUN_CAP,
 };
 pub use gap_decode::{decode_original_gap8, encode_gap8, Gap8Stream};
 pub use gpu_sim::{Backend, BackendKind, CpuBackend, BACKEND_ENV};

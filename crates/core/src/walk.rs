@@ -302,7 +302,10 @@ mod tests {
     }
 
     fn geometry(subseq_units: u32, subseqs_per_seq: u32) -> StreamGeometry {
-        StreamGeometry::checked(subseq_units, subseqs_per_seq).unwrap()
+        StreamGeometry {
+            subseq_units,
+            subseqs_per_seq,
+        }
     }
 
     #[test]

@@ -43,17 +43,11 @@ pub struct ChunkMeta {
 }
 
 impl ChunkedEncoded {
-    /// Compressed payload size in bytes: units plus per-chunk metadata (cuSZ stores two
-    /// 32-bit words of metadata per chunk: bit length and unit offset).
-    pub fn payload_bytes(&self) -> u64 {
-        self.units.len() as u64 * 4 + self.chunks.len() as u64 * 8
-    }
-
     /// Checks the structure the chunked decoder relies on: a nonzero chunk size, chunks
     /// that tile the units and the symbols in order, no chunk with more bits than its
     /// units hold or more symbols than bits, counts that sum to `num_symbols`, and units
-    /// that end where the tiling ends. The fields are public, so the container's parser
-    /// and every decode entry point both run this check.
+    /// that end where the tiling ends: the chunked layout's rule, which
+    /// `huffdec_core::CompressedPayload::check_structure` runs.
     pub fn check_structure(&self) -> Result<(), &'static str> {
         let ensure = |holds: bool, reason| if holds { Ok(()) } else { Err(reason) };
         ensure(self.chunk_symbols != 0, "zero chunk size")?;
@@ -199,7 +193,7 @@ mod tests {
         let cb = Codebook::from_symbols(&syms, 1024);
         let flat = encode_flat(&cb, &syms);
         let chunked = encode_chunked(&cb, &syms, 256);
-        assert!(chunked.payload_bytes() > flat.payload_bytes());
+        assert!(chunked.units.len() > flat.units.len());
     }
 
     #[test]

@@ -26,13 +26,6 @@ pub struct FlatEncoded {
     pub num_symbols: usize,
 }
 
-impl FlatEncoded {
-    /// Compressed size in bytes (units only, excluding codebook and metadata).
-    pub fn payload_bytes(&self) -> u64 {
-        self.units.len() as u64 * 4
-    }
-}
-
 /// Encodes `symbols` into a contiguous bitstream using `codebook`.
 ///
 /// # Panics
@@ -144,7 +137,6 @@ mod tests {
         assert_eq!(enc.bit_len, 0);
         assert_eq!(enc.num_symbols, 0);
         assert!(enc.units.is_empty());
-        assert_eq!(enc.payload_bytes(), 0);
     }
 
     #[test]

@@ -43,7 +43,7 @@ use std::sync::{Mutex, OnceLock};
 
 use datasets::Dims;
 use gpu_sim::{Backend, BlockContext, BlockKernel, DeviceBuffer, LaunchConfig};
-use huffdec_core::{crc32, crc32_combine, Crc32};
+use huffdec_core::{crc32, crc32_combine, Crc32, ALPHABET_SIZES};
 
 /// An outlier: a pre-quantized value whose Lorenzo residual did not fit the code alphabet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -312,7 +312,7 @@ impl<'a> Quantizer<'a> {
     fn new(data: &'a [f32], dims: Dims, step: f64, alphabet_size: usize) -> Self {
         assert!(step > 0.0, "quantization step must be positive");
         assert!(
-            (4..=65536).contains(&alphabet_size),
+            ALPHABET_SIZES.contains(&alphabet_size),
             "alphabet size out of range"
         );
         assert_eq!(dims.len(), data.len(), "dims do not match data length");

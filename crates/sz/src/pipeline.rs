@@ -116,6 +116,29 @@ impl Compressed {
         self.config.alphabet_size
     }
 
+    /// Checks the structure every consumer of a field relies on: the payload's own rule
+    /// ([`CompressedPayload::check_structure`]), a codebook over the configured
+    /// alphabet, one symbol per element of `dims`, and outlier indices inside the field
+    /// and strictly increasing (what the reconstruction relies on). The container's
+    /// writer and reader both run it.
+    pub fn check_structure(&self) -> Result<(), &'static str> {
+        self.payload.check_structure()?;
+        if self.payload.alphabet_size() != self.config.alphabet_size {
+            return Err("codebook alphabet does not match the alphabet size");
+        }
+        let num_elements = self.dims.len() as u64;
+        if self.payload.num_symbols() as u64 != num_elements {
+            return Err("symbol count does not match the dimensions");
+        }
+        if self.outliers.iter().any(|o| o.index >= num_elements) {
+            return Err("outlier index out of range");
+        }
+        if self.outliers.windows(2).any(|w| w[0].index >= w[1].index) {
+            return Err("outlier indices not strictly increasing");
+        }
+        Ok(())
+    }
+
     /// Number of data elements.
     pub fn num_elements(&self) -> usize {
         self.dims.len()

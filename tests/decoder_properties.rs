@@ -1,23 +1,26 @@
 //! Property-based integration tests: every decoder must reproduce arbitrary symbol
-//! streams exactly, refuse a malformed stream without panicking, and the core Huffman
-//! invariants must hold for arbitrary frequency distributions.
+//! streams exactly, refuse a malformed stream without panicking, the archive writer must
+//! refuse, with the reader's reason, every malformed stream or field the reader refuses,
+//! and the core Huffman invariants must hold for arbitrary frequency distributions.
 //!
 //! The properties are exercised with a seeded-PRNG case driver instead of an external
 //! property-testing crate (this environment cannot fetch dependencies); each property
 //! runs over a few dozen randomized cases and failures report the offending case seed.
 
+use huffdec::container::{from_bytes, payload_to_bytes, to_bytes, ArchiveWriter, ContainerError};
 use huffdec::core_decoders::{
     compress_for, decode, decode_hybrid, decode_original_gap8, decode_range, prepare_decode,
     roundtrip, run_decode_write, Backend, CompressedPayload, CpuBackend, DecodeError, DecoderKind,
     EncodedStream, Gap8Stream, HybridStream, WriteStrategy,
 };
-use huffdec::datasets::{dataset_by_name, generate, Rng};
+use huffdec::datasets::{dataset_by_name, generate, Dims, Rng};
 use huffdec::gpu_sim::{DeviceBuffer, Gpu, GpuConfig};
 use huffdec::huffman::{
     assign_canonical, code_lengths, decode_flat, encode_flat, is_prefix_free, kraft_sum,
     ChunkedEncoded, Codebook, FrequencyTable,
 };
-use huffdec::{BackendKind, Codec, HfzError};
+use huffdec::sz::Outlier;
+use huffdec::{BackendKind, Codec, Compressed, ErrorBound, HfzError};
 
 const CASES: u64 = 24;
 
@@ -134,60 +137,113 @@ fn cpu_decodes_never_run_the_tuner() {
 /// An edit of a stream's public fields.
 type Edit = fn(&mut EncodedStream);
 
-/// Edits that leave a stream malformed, each named.
-const MALFORMED: [(&str, Edit); 5] = [
-    ("a unit short", |s| {
-        s.units.pop();
-    }),
-    ("a unit long", |s| s.units.push(0)),
-    ("more symbols than bits", |s| {
-        s.num_symbols = s.bit_len as usize + 1
-    }),
-    ("a zero geometry", |s| s.geometry.subseq_units = 0),
-    ("a gap array one entry short", |s| {
-        if let Some(gap) = &mut s.gap_array {
-            gap.gaps.pop();
-        }
-    }),
+/// Edits that leave a stream malformed, each named, with the reason the archive reader
+/// gives for the defect.
+const MALFORMED: [(&str, Edit, &str); 5] = [
+    (
+        "a unit short",
+        |s| {
+            s.units.pop();
+        },
+        "unit count does not cover the bit length",
+    ),
+    (
+        "a unit long",
+        |s| s.units.push(0),
+        "unit count does not cover the bit length",
+    ),
+    (
+        "more symbols than bits",
+        |s| s.num_symbols = s.bit_len as usize + 1,
+        "more symbols than bits in the stream",
+    ),
+    (
+        "a zero geometry",
+        |s| s.geometry.subseq_units = 0,
+        "stream geometry must be non-zero",
+    ),
+    (
+        "a gap array one entry short",
+        |s| {
+            if let Some(gap) = &mut s.gap_array {
+                gap.gaps.pop();
+            }
+        },
+        "gap array length does not match the stream",
+    ),
 ];
 
 /// An edit of a chunked stream's public fields.
 type ChunkedEdit = fn(&mut ChunkedEncoded);
 
-/// Edits that leave a chunked stream's tiling broken, each named.
-const MALFORMED_CHUNKED: [(&str, ChunkedEdit); 7] = [
-    ("a unit short", |c| {
-        c.units.pop();
-    }),
-    ("a unit long", |c| c.units.push(0)),
-    ("the first chunk's unit_offset past the units", |c| {
-        c.chunks[0].unit_offset = c.units.len() as u64 + 1
-    }),
-    ("two chunks' symbol_offsets swapped", |c| {
-        let (first, rest) = c.chunks.split_at_mut(1);
-        std::mem::swap(&mut first[0].symbol_offset, &mut rest[0].symbol_offset);
-    }),
-    ("a chunk's bit_len beyond its units", |c| {
-        c.chunks[0].bit_len = c.chunks[0].unit_count * 32 + 1
-    }),
-    ("a chunk's num_symbols one too many", |c| {
-        c.chunks[0].num_symbols += 1
-    }),
-    ("a zero chunk size", |c| c.chunk_symbols = 0),
+/// Edits that leave a chunked stream's tiling broken, each named, with the reason the
+/// archive reader gives for the defect.
+const MALFORMED_CHUNKED: [(&str, ChunkedEdit, &str); 7] = [
+    (
+        "a unit short",
+        |c| {
+            c.units.pop();
+        },
+        "unit count does not match the chunk tiling",
+    ),
+    (
+        "a unit long",
+        |c| c.units.push(0),
+        "unit count does not match the chunk tiling",
+    ),
+    (
+        "the first chunk's unit_offset past the units",
+        |c| c.chunks[0].unit_offset = c.units.len() as u64 + 1,
+        "chunks do not tile the unit array",
+    ),
+    (
+        "two chunks' symbol_offsets swapped",
+        |c| {
+            let (first, rest) = c.chunks.split_at_mut(1);
+            std::mem::swap(&mut first[0].symbol_offset, &mut rest[0].symbol_offset);
+        },
+        "chunk symbol offsets are inconsistent",
+    ),
+    (
+        "a chunk's bit_len beyond its units",
+        |c| c.chunks[0].bit_len = c.chunks[0].unit_count * 32 + 1,
+        "chunk bit length exceeds its units",
+    ),
+    (
+        "a chunk's num_symbols one too many",
+        |c| c.chunks[0].num_symbols += 1,
+        "chunk symbol offsets are inconsistent",
+    ),
+    (
+        "a zero chunk size",
+        |c| c.chunk_symbols = 0,
+        "zero chunk size",
+    ),
 ];
 
-/// The copies of `stream` that [`MALFORMED`]'s edits change, each named.
-fn malformed(stream: &EncodedStream) -> Vec<(&'static str, EncodedStream)> {
-    let edited = MALFORMED.iter().map(|(what, edit)| {
+/// The copies of `stream` that [`MALFORMED`]'s edits change, each named and paired with
+/// the reader's reason.
+fn malformed(stream: &EncodedStream) -> Vec<(&'static str, &'static str, EncodedStream)> {
+    let edited = MALFORMED.iter().map(|(what, edit, reason)| {
         let mut copy = stream.clone();
         edit(&mut copy);
-        (*what, copy)
+        (*what, *reason, copy)
     });
-    edited.filter(|(_, copy)| copy != stream).collect()
+    edited.filter(|(.., copy)| copy != stream).collect()
 }
 
-/// Every decode entry point refuses a flat stream, or a hybrid substream, whose public
-/// fields no longer fit together, as `CorruptStream` on both backends: never a panic.
+/// The reason a writer refused an archive with, or `None` when it wrote it (or failed
+/// otherwise).
+fn refusal(written: Result<Vec<u8>, ContainerError>) -> Option<&'static str> {
+    match written {
+        Err(ContainerError::Invalid { reason }) => Some(reason),
+        _ => None,
+    }
+}
+
+/// Every decode entry point refuses a flat stream, or a hybrid substream or population,
+/// whose public fields no longer fit together, as `CorruptStream` on both backends:
+/// never a panic, and never a silently short field.
 /// The original 8-bit gap-array decoder refuses what the gap-array decoder refuses, and
 /// a stream without a gap array as `PayloadMismatch`.
 #[test]
@@ -208,7 +264,7 @@ fn malformed_streams_are_refused_as_corrupt() {
         for kind in &DecoderKind::all()[1..] {
             let corrupt = Some(DecodeError::CorruptStream { decoder: *kind });
             let prepared = prepare_decode(gpu, *kind, &good).unwrap();
-            for (what, bad) in malformed(stream) {
+            for (what, _, bad) in malformed(stream) {
                 // The original 8-bit decoder runs the gap-array decoder's kernels.
                 let gap8 = Gap8Stream {
                     symbols8: Vec::new(),
@@ -247,6 +303,14 @@ fn malformed_streams_are_refused_as_corrupt() {
             gpu.kind()
         );
     }
+    // The writer refuses each malformed stream with the reader's reason.
+    for (what, reason, bad) in malformed(stream) {
+        let written = payload_to_bytes(
+            &CompressedPayload::Flat(bad),
+            DecoderKind::OptimizedGapArray,
+        );
+        assert_eq!(refusal(written), Some(reason), "payload_to_bytes, {}", what);
+    }
 
     let CompressedPayload::Hybrid(hybrid) = compress_for(DecoderKind::RleHybrid, &symbols, 1024)
     else {
@@ -260,16 +324,54 @@ fn malformed_streams_are_refused_as_corrupt() {
         runs,
         ..hybrid.clone()
     };
+    let with_codes = |num_codes| HybridStream {
+        num_codes,
+        ..hybrid.clone()
+    };
+    // Populations that break the hybrid rule: fewer codes than nonzero symbols, and run
+    // tokens of an all-zero field that claims no codes.
+    let CompressedPayload::Hybrid(zeros) = compress_for(DecoderKind::RleHybrid, &[512; 900], 1024)
+    else {
+        unreachable!("a hybrid payload")
+    };
+    let populations = [
+        (
+            "fewer codes than nonzero symbols",
+            "more nonzero symbols than codes in the hybrid stream",
+            with_codes(hybrid.symbols.num_symbols as u64 - 1),
+        ),
+        (
+            "run tokens but no codes",
+            "hybrid run-token population disagrees with the code count",
+            HybridStream {
+                num_codes: 0,
+                ..zeros
+            },
+        ),
+    ];
     let broken = (malformed(&hybrid.symbols).into_iter())
-        .map(|(what, s)| (what, with_symbols(s)))
+        .map(|(what, reason, s)| (what, reason, with_symbols(s)))
         .chain(
             malformed(&hybrid.runs)
                 .into_iter()
-                .map(|(what, r)| (what, with_runs(r))),
-        );
+                .map(|(what, reason, r)| (what, reason, with_runs(r))),
+        )
+        .chain(populations);
     let broken: Vec<_> = broken.collect();
+    for (what, reason, bad) in &broken {
+        let written = payload_to_bytes(
+            &CompressedPayload::Hybrid(bad.clone()),
+            DecoderKind::RleHybrid,
+        );
+        assert_eq!(
+            refusal(written),
+            Some(*reason),
+            "hybrid payload_to_bytes, {}",
+            what
+        );
+    }
     for gpu in backends {
-        for (what, bad) in &broken {
+        for (what, _, bad) in &broken {
             let on = format!("{} on {}", what, gpu.kind());
             let decoder = DecoderKind::RleHybrid;
             let whole = decode(gpu, decoder, &CompressedPayload::Hybrid(bad.clone())).err();
@@ -294,7 +396,8 @@ fn malformed_streams_are_refused_as_corrupt() {
 
 /// Every decode entry point refuses a chunked stream whose public fields no longer tile,
 /// as `CorruptStream` on both backends, and so does a session's decompress of an archive
-/// that carries one: never a panic in the chunked kernel.
+/// that carries one: never a panic in the chunked kernel. The writer refuses to write
+/// one, with the reader's reason.
 #[test]
 fn malformed_chunked_streams_are_refused_as_corrupt() {
     let field = generate(&dataset_by_name("HACC").unwrap(), 40_000, 3);
@@ -311,13 +414,16 @@ fn malformed_chunked_streams_are_refused_as_corrupt() {
         let good = codec.compress(&field).unwrap().archive;
         let gpu = codec.backend();
         let prepared = prepare_decode(gpu, decoder, &good.payload).unwrap();
-        for (what, edit) in MALFORMED_CHUNKED {
+        for (what, edit, reason) in MALFORMED_CHUNKED {
             let mut bad = good.clone();
             let CompressedPayload::Chunked { encoded, .. } = &mut bad.payload else {
                 panic!("the baseline decoder compresses to a chunked payload")
             };
             edit(encoded);
             let on = format!("{} on {}", what, gpu.kind());
+            assert_eq!(refusal(to_bytes(&bad)), Some(reason), "to_bytes, {}", on);
+            let written = payload_to_bytes(&bad.payload, decoder);
+            assert_eq!(refusal(written), Some(reason), "payload_to_bytes, {}", on);
             let whole = decode(gpu, decoder, &bad.payload).err();
             assert_eq!(whole, Some(corrupt), "decode, {}", on);
             let prepare = prepare_decode(gpu, decoder, &bad.payload).err();
@@ -332,6 +438,104 @@ fn malformed_chunked_streams_are_refused_as_corrupt() {
                 session
             );
         }
+    }
+}
+
+/// An edit of a field's public fields.
+type FieldEdit = fn(&mut Compressed);
+
+/// Edits that leave a field malformed, each named, with the reason the archive reader
+/// gives for the defect.
+const MALFORMED_FIELD: [(&str, FieldEdit, &str); 7] = [
+    (
+        "an outlier past the field",
+        |c| {
+            let index = c.dims.len() as u64;
+            c.outliers.push(Outlier { index, prequant: 1 })
+        },
+        "outlier index out of range",
+    ),
+    (
+        "two outliers out of order",
+        |c| c.outliers = vec![outlier(70), outlier(30)],
+        "outlier indices not strictly increasing",
+    ),
+    (
+        "a repeated outlier index",
+        |c| c.outliers = vec![outlier(30), outlier(30)],
+        "outlier indices not strictly increasing",
+    ),
+    (
+        "a payload whose symbol count differs from the dims",
+        |c| c.dims = Dims::D1(c.dims.len() - 1),
+        "symbol count does not match the dimensions",
+    ),
+    (
+        "a NaN step",
+        |c| c.step = f64::NAN,
+        "non-positive quantization step",
+    ),
+    (
+        "a zero step",
+        |c| c.step = 0.0,
+        "non-positive quantization step",
+    ),
+    (
+        "a NaN error bound",
+        |c| c.config.error_bound = ErrorBound::Relative(f64::NAN),
+        "invalid error-bound encoding",
+    ),
+];
+
+fn outlier(index: u64) -> Outlier {
+    Outlier { index, prequant: 1 }
+}
+
+/// The writer refuses, with the reader's reason, a field archive whose stream carries
+/// any of [`MALFORMED`]'s defects or whose field carries any of [`MALFORMED_FIELD`]'s;
+/// the valid field still round-trips byte for byte.
+#[test]
+fn the_writer_refuses_what_the_reader_refuses() {
+    let field = generate(&dataset_by_name("HACC").unwrap(), 40_000, 5);
+    let codec = Codec::builder()
+        .gpu_config(GpuConfig::test_tiny())
+        .backend(BackendKind::Cpu)
+        .decoder(DecoderKind::OptimizedGapArray)
+        .host_threads(2)
+        .build()
+        .unwrap();
+    let good = codec.compress_archive(&field).unwrap();
+    let bytes = to_bytes(&good).unwrap();
+    assert_eq!(to_bytes(&from_bytes(&bytes).unwrap()).unwrap(), bytes);
+
+    let CompressedPayload::Flat(stream) = &good.payload else {
+        unreachable!("a gap-array payload is flat")
+    };
+    for (what, reason, bad) in malformed(stream) {
+        let bad = Compressed {
+            payload: CompressedPayload::Flat(bad),
+            ..good.clone()
+        };
+        assert_eq!(refusal(to_bytes(&bad)), Some(reason), "to_bytes, {}", what);
+    }
+    for (what, edit, reason) in MALFORMED_FIELD {
+        let mut bad = good.clone();
+        edit(&mut bad);
+        assert_eq!(refusal(to_bytes(&bad)), Some(reason), "to_bytes, {}", what);
+        // The refusal comes before the first byte.
+        let mut writer = ArchiveWriter::new(Vec::new());
+        assert!(writer.write_compressed(&bad).is_err());
+        let sink = writer.into_inner().unwrap();
+        assert!(sink.is_empty(), "{}: {} bytes written", what, sink.len());
+    }
+    // A configured alphabet other than the codebook's is refused too: the reader would
+    // rebuild the codebook over the header's alphabet (refusing a symbol outside it),
+    // and the header's 32-bit field cannot hold an alphabet past `u32`.
+    for alphabet_size in [256, (1usize << 32) + 1024] {
+        let mut bad = good.clone();
+        bad.config.alphabet_size = alphabet_size;
+        let reason = "codebook alphabet does not match the alphabet size";
+        assert_eq!(refusal(to_bytes(&bad)), Some(reason), "{}", alphabet_size);
     }
 }
 
